@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench fmt vet staticcheck docs-check fuzz cover ci clean serve-smoke obs-smoke cluster-smoke
+.PHONY: all build test race bench figures fmt vet staticcheck docs-check fuzz cover ci clean serve-smoke obs-smoke cluster-smoke
 
 all: build
 
@@ -16,13 +16,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs every benchmark exactly once (the CI perf-trajectory pass) and
-# archives the result both as raw text and as BENCH_ci.json. The output is
-# captured by redirection, not a pipe, so a benchmark failure fails the target.
+# bench runs the repo benchmark BENCHMARK.json declares: cfddiscover and
+# cfdserve end to end on four fixed-work workloads, repeated, with every
+# output checked (bench/README.md). A failed check fails the target.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' . > BENCH_ci.txt || { cat BENCH_ci.txt; exit 1; }
-	cat BENCH_ci.txt
-	$(GO) run ./cmd/benchjson < BENCH_ci.txt > BENCH_ci.json
+	bash bench/run.sh
+
+# figures reproduces the paper's evaluation figures as Go benchmarks, one
+# pass each — shapes to eyeball against the paper, not numbers to gate on.
+figures:
+	$(GO) test -bench '^BenchmarkFig' -benchtime 1x -run '^$$' .
 
 fmt:
 	@unformatted="$$(gofmt -l .)"; \
@@ -100,4 +103,4 @@ cluster-smoke:
 ci: fmt vet staticcheck build race cover fuzz docs-check bench obs-smoke cluster-smoke
 
 clean:
-	rm -f BENCH_ci.txt BENCH_ci.json cover_violation.out cover_rules.out cover_monitor.out
+	rm -rf .bench_build cover_violation.out cover_rules.out cover_monitor.out

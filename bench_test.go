@@ -100,9 +100,9 @@ func detectWorkload(b *testing.B, size int) (*cfd.Relation, *rules.Set) {
 // BenchmarkDetect measures the serving hot path in bulk: a full detection pass
 // (engine build + bulk load + snapshot) over the whole relation, which is also
 // exactly what cleaning.Detect now costs. Together with
-// BenchmarkIncrementalInsert it tracks the bulk-vs-incremental gap in
-// BENCH_ci.json: one incremental insert should cost orders of magnitude less
-// than a rescan at 10k+ tuples.
+// BenchmarkIncrementalInsert it tracks the bulk-vs-incremental gap: one
+// incremental insert should cost orders of magnitude less than a rescan at
+// 10k+ tuples.
 func BenchmarkDetect(b *testing.B) {
 	for _, size := range []int{10000, 100000} {
 		rel, set := detectWorkload(b, size)
@@ -191,7 +191,7 @@ func reportTuplesPerSec(b *testing.B, tuples int) {
 // amortising locking, snapshot invalidation and per-shard index locality;
 // under fsync it wins by group commit — one log record and one fsync per
 // 1024 tuples instead of per tuple — which is where the multiple-fold gap
-// in BENCH_ci.json comes from.
+// comes from.
 func BenchmarkIngest100k(b *testing.B) {
 	const batchSize = 1024
 	batchOf := func(rows [][]string, n int) []violation.Op {
@@ -281,7 +281,7 @@ func BenchmarkIngest100k(b *testing.B) {
 // does not count. This is the footprint metric of the columnar row table (a
 // tuple costs arity × 4 bytes plus its share of the dictionaries and rule
 // indexes, where the old per-tuple row slices paid a header and allocation
-// each); BENCH_ci.json archives it alongside the throughput numbers.
+// each).
 func BenchmarkMemoryPerTuple(b *testing.B) {
 	rel, set := detectWorkload(b, 100000)
 	var ms runtime.MemStats
@@ -417,8 +417,7 @@ func BenchmarkReadUnderWrites(b *testing.B) {
 // BenchmarkStreamTopK measures the payoff of the streaming engine's early
 // termination against the full batch mine on the Tax 20k instance: WithLimit
 // stops CTANE after its first 10 rules, cancelling the deeper lattice levels
-// that dominate a full run. CI archives both sides in BENCH_ci.json, so the
-// early-stop speedup is part of the per-PR perf trajectory.
+// that dominate a full run.
 func BenchmarkStreamTopK(b *testing.B) {
 	rel := taxData(b, 20000, 7, 0.7)
 	k := 20000 / 200
@@ -603,13 +602,12 @@ func BenchmarkQuickFigures(b *testing.B) {
 
 // BenchmarkMaintainRemine compares the two rule-currency strategies under
 // identical ingest churn on the 10k serving workload: a blind periodic remine
-// (the old -remine-every behaviour — one bounded discovery run every
-// interval, whether or not the data moved) against the change-triggered
+// (one bounded discovery run every interval, whether or not the data moved)
+// against the change-triggered
 // maintenance policy of discovery/monitor (remine only when the live
 // counter-derived support drifts past the envelope). Compare the remines
 // metric across the two sub-benchmarks: the triggered variant does a small
-// fraction of the discovery runs for the same churn, which is the payoff
-// BENCH_ci.json archives.
+// fraction of the discovery runs for the same churn.
 func BenchmarkMaintainRemine(b *testing.B) {
 	const churn = 1000
 	build := func(b *testing.B) (*violation.Engine, [][]string) {

@@ -231,12 +231,7 @@ func (s *ShardClient) do(ctx context.Context, method, path string, query url.Val
 // decodeEnvelope turns a shard's non-2xx body into an *APIError, falling
 // back to the raw body when it is not the standard envelope.
 func decodeEnvelope(shard string, status int, data []byte) *APIError {
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
+	var env ErrorDoc
 	if err := json.Unmarshal(data, &env); err == nil && env.Error.Code != "" {
 		return &APIError{Shard: shard, Status: status, Code: env.Error.Code, Message: env.Error.Message}
 	}
@@ -245,82 +240,6 @@ func decodeEnvelope(shard string, status int, data []byte) *APIError {
 		msg = msg[:200]
 	}
 	return &APIError{Shard: shard, Status: status, Code: "internal", Message: msg}
-}
-
-// The wire documents of the shard endpoints the coordinator consumes —
-// decoded subsets of the single-node API.md shapes.
-
-// HealthDoc is GET /v1/health.
-type HealthDoc struct {
-	Status       string `json:"status"`
-	Tuples       int    `json:"tuples"`
-	Rules        int    `json:"rules"`
-	Dirty        int    `json:"dirty"`
-	Epoch        uint64 `json:"epoch"`
-	RulesVersion string `json:"rules_version"`
-	NextID       int    `json:"next_id"`
-}
-
-// RulesDoc is GET /v1/rules; Ruleset is kept raw so a rollback can re-PUT
-// the exact document the shard served.
-type RulesDoc struct {
-	Attributes []string        `json:"attributes"`
-	Ruleset    json.RawMessage `json:"ruleset"`
-	Version    string          `json:"version"`
-}
-
-// SwapDoc is PUT /v1/rules.
-type SwapDoc struct {
-	Swapped bool            `json:"swapped"`
-	Version string          `json:"version"`
-	Rules   int             `json:"rules"`
-	Delta   json.RawMessage `json:"delta"`
-}
-
-// RuleTuples is one per-rule entry of a violations report.
-type RuleTuples struct {
-	Rule   string `json:"rule"`
-	Tuples []int  `json:"tuples"`
-}
-
-// ViolationsDoc is GET /v1/violations (full read, no pagination).
-type ViolationsDoc struct {
-	Epoch        uint64       `json:"epoch"`
-	Violations   []RuleTuples `json:"violations"`
-	Dirty        []int        `json:"dirty"`
-	RulesChecked int          `json:"rules_checked"`
-}
-
-// SuspectsDoc is GET /v1/suspects (full read).
-type SuspectsDoc struct {
-	Suspects []int `json:"suspects"`
-}
-
-// TupleDoc is one tuple with its id.
-type TupleDoc struct {
-	ID     int      `json:"id"`
-	Values []string `json:"values"`
-}
-
-// TuplesDoc is GET /v1/tuples.
-type TuplesDoc struct {
-	Tuples     []TupleDoc `json:"tuples"`
-	Total      int        `json:"total"`
-	NextCursor string     `json:"next_cursor"`
-}
-
-// TupleViolationsDoc is GET /v1/tuples/{id}/violations.
-type TupleViolationsDoc struct {
-	ID       int      `json:"id"`
-	Violated []string `json:"violated"`
-}
-
-// BatchDoc is POST /v1/batch.
-type BatchDoc struct {
-	Applied int   `json:"applied"`
-	IDs     []int `json:"ids"`
-	Tuples  int   `json:"tuples"`
-	Dirty   int   `json:"dirty"`
 }
 
 // Health probes GET /v1/health. It bypasses the circuit breaker — the
@@ -395,14 +314,12 @@ func (s *ShardClient) TupleViolations(ctx context.Context, id int) (TupleViolati
 }
 
 // Batch applies ops as one atomic shard commit.
-func (s *ShardClient) Batch(ctx context.Context, ops []violation.Op) (BatchDoc, error) {
-	body, err := json.Marshal(struct {
-		Ops []violation.Op `json:"ops"`
-	}{ops})
+func (s *ShardClient) Batch(ctx context.Context, ops []violation.Op) (WriteDoc, error) {
+	body, err := json.Marshal(BatchRequest{Ops: ops})
 	if err != nil {
-		return BatchDoc{}, err
+		return WriteDoc{}, err
 	}
-	var doc BatchDoc
+	var doc WriteDoc
 	err = s.do(ctx, http.MethodPost, "/v1/batch", nil, body, nil, &doc, nil, false, false)
 	return doc, err
 }

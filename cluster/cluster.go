@@ -229,36 +229,51 @@ func (c *Cluster) scatter(op string, fn func(i int, s *ShardClient) error) error
 	return unavailable
 }
 
-// ShardStatus is one shard's slice of the aggregated health.
+// ShardStatus is one shard's slice of the coordinator's health document:
+// the counts out of the shard's own health when it answered, otherwise why
+// it is down.
 type ShardStatus struct {
-	Index   int
-	URL     string
-	Healthy bool
-	Err     string // why the shard is down; "" when healthy
-	Doc     HealthDoc
+	Dirty        *int    `json:"dirty,omitempty"`
+	Epoch        *uint64 `json:"epoch,omitempty"`
+	Error        string  `json:"error,omitempty"`
+	Healthy      bool    `json:"healthy"`
+	Index        int     `json:"index"`
+	NextID       *int    `json:"next_id,omitempty"`
+	Rules        *int    `json:"rules,omitempty"`
+	RulesVersion string  `json:"rules_version,omitempty"`
+	Tuples       *int    `json:"tuples,omitempty"`
+	URL          string  `json:"url"`
 }
 
-// ClusterHealth is the aggregated fleet health. It never fails: a shard
-// that cannot answer degrades Status instead.
+// ClusterHealth is the coordinator's GET /v1/health: the aggregated fleet
+// health. It never fails: a shard that cannot answer degrades Status instead.
 type ClusterHealth struct {
-	Status       string // "ok" or "degraded"
-	Shards       []ShardStatus
-	Tuples       int    // sum over answering shards
-	Dirty        int    // sum of per-shard upper bounds
-	RulesVersion string // the common served fingerprint; "" while mixed or unknown
-	NextID       int
+	Dirty        int           `json:"dirty"` // sum of per-shard upper bounds
+	Mode         string        `json:"mode"`  // "coordinator"
+	NextID       int           `json:"next_id"`
+	PartitionKey []string      `json:"partition_key"`
+	RulesVersion string        `json:"rules_version"` // the common served fingerprint; "" while mixed or unknown
+	Shards       []ShardStatus `json:"shards"`
+	Status       string        `json:"status"` // "ok" or "degraded"
+	Tuples       int           `json:"tuples"` // sum over answering shards
 }
 
 // Health probes every shard (bypassing circuit breakers — this is how a
 // downed shard's recovery is noticed) and aggregates. Status degrades when
 // any shard is unreachable or the fleet serves mixed rules versions.
 func (c *Cluster) Health(ctx context.Context) ClusterHealth {
-	out := ClusterHealth{Status: "ok", Shards: make([]ShardStatus, len(c.shards)), NextID: c.NextID()}
+	out := ClusterHealth{
+		Status: "ok", Mode: "coordinator", PartitionKey: c.Key(),
+		Shards: make([]ShardStatus, len(c.shards)), NextID: c.NextID(),
+	}
 	_ = c.scatter("health", func(i int, s *ShardClient) error {
 		doc, err := s.Health(ctx)
-		st := ShardStatus{Index: i, URL: s.URL(), Healthy: err == nil, Doc: doc}
+		st := ShardStatus{Index: i, URL: s.URL(), Healthy: err == nil}
 		if err != nil {
-			st.Err = err.Error()
+			st.Error = err.Error()
+		} else {
+			st.Tuples, st.Rules, st.Dirty, st.Epoch = &doc.Tuples, &doc.Rules, &doc.Dirty, &doc.Epoch
+			st.RulesVersion, st.NextID = doc.RulesVersion, &doc.NextID
 		}
 		out.Shards[i] = st
 		return nil // aggregation never fails
@@ -269,11 +284,11 @@ func (c *Cluster) Health(ctx context.Context) ClusterHealth {
 			out.Status = "degraded"
 			continue
 		}
-		out.Tuples += st.Doc.Tuples
-		out.Dirty += st.Doc.Dirty
+		out.Tuples += *st.Tuples
+		out.Dirty += *st.Dirty
 		if version == "" {
-			version = st.Doc.RulesVersion
-		} else if version != st.Doc.RulesVersion {
+			version = st.RulesVersion
+		} else if version != st.RulesVersion {
 			version = "mixed"
 		}
 	}
@@ -287,7 +302,8 @@ func (c *Cluster) Health(ctx context.Context) ClusterHealth {
 
 // Rules returns the rule document the fleet serves, verifying every shard
 // agrees on the fingerprint — a mixed fleet (possible only after a failed
-// swap rollback or out-of-band edits) is unavailable until repaired.
+// swap rollback or out-of-band edits) is unavailable until repaired. The
+// document carries no Stats: one shard's live counters are not the fleet's.
 func (c *Cluster) Rules(ctx context.Context) (RulesDoc, error) {
 	docs := make([]RulesDoc, len(c.shards))
 	err := c.scatter("rules", func(i int, s *ShardClient) error {
@@ -304,6 +320,7 @@ func (c *Cluster) Rules(ctx context.Context) (RulesDoc, error) {
 				ErrUnavailable, c.shards[0].URL(), docs[0].Version, c.shards[i].URL(), docs[i].Version)
 		}
 	}
+	docs[0].Stats = nil
 	return docs[0], nil
 }
 
@@ -329,22 +346,15 @@ func (c *Cluster) refreshRules(ctx context.Context) error {
 	return nil
 }
 
-// SwapResult is the outcome of a committed coordinated swap.
-type SwapResult struct {
-	Swapped bool   // false when every shard already served the set
-	Version string // the new fingerprint
-	Rules   int
-	Shards  int // shards the set was committed to
-}
-
-// SwapRules replaces the rule set on every shard, all-or-nothing, with a
-// two-phase fingerprint CAS:
+// SwapRules replaces the rule set on every shard with set — body is the rule
+// file it was parsed from, forwarded to the shards verbatim — all-or-nothing,
+// with a two-phase fingerprint CAS:
 //
 //	prepare — every shard must answer GET /v1/rules; the captured version
 //	          is the shard's CAS token and the captured ruleset document its
-//	          rollback state. The uploaded set must parse and keep every
-//	          rule's LHS a superset of the partition key (anything else is
-//	          rejected before any shard changes). With a non-empty ifMatch,
+//	          rollback state. The uploaded set must keep every rule's LHS a
+//	          superset of the partition key (anything else is rejected
+//	          before any shard changes). With a non-empty ifMatch,
 //	          every shard's current version must appear in the list (the
 //	          decoded tags of the client's If-Match header; match-any "*"
 //	          decodes to an empty list, i.e. unconditional).
@@ -363,24 +373,20 @@ type SwapResult struct {
 // old — but it is never left partially applied: after SwapRules returns
 // (success or error, short of the explicit mixed failure) every shard
 // serves the same fingerprint it would without the attempt.
-func (c *Cluster) SwapRules(ctx context.Context, body []byte, ifMatch []string) (SwapResult, error) {
+func (c *Cluster) SwapRules(ctx context.Context, set *rules.Set, body []byte, ifMatch []string) (SwapDoc, error) {
 	c.swapMu.Lock()
 	defer c.swapMu.Unlock()
-	outcome := func(res SwapResult, o string, err error) (SwapResult, error) {
+	outcome := func(res SwapDoc, o string, err error) (SwapDoc, error) {
 		if c.obs != nil {
 			c.obs.ObserveSwap(o)
 		}
 		return res, err
 	}
-	set, err := rules.Parse(string(body))
-	if err != nil {
-		return outcome(SwapResult{}, "rejected", coordErr(http.StatusBadRequest, "bad_request", "%v", err))
-	}
 	c.mu.Lock()
 	part := c.part
 	c.mu.Unlock()
 	if err := part.Check(set); err != nil {
-		return outcome(SwapResult{}, "rejected", coordErr(http.StatusUnprocessableEntity, "unprocessable", "%v", err))
+		return outcome(SwapDoc{}, "rejected", coordErr(http.StatusUnprocessableEntity, "unprocessable", "%v", err))
 	}
 
 	// Prepare: capture every shard's CAS token and rollback state.
@@ -390,7 +396,7 @@ func (c *Cluster) SwapRules(ctx context.Context, body []byte, ifMatch []string) 
 		captured[i], err = s.Rules(ctx)
 		return err
 	}); err != nil {
-		return outcome(SwapResult{}, "aborted", err)
+		return outcome(SwapDoc{}, "aborted", err)
 	}
 	if len(ifMatch) > 0 {
 		for i, doc := range captured {
@@ -402,7 +408,7 @@ func (c *Cluster) SwapRules(ctx context.Context, body []byte, ifMatch []string) 
 				}
 			}
 			if !found {
-				return outcome(SwapResult{}, "rejected", coordErr(http.StatusConflict, "conflict",
+				return outcome(SwapDoc{}, "rejected", coordErr(http.StatusConflict, "conflict",
 					"shard %s serves rules version %q, which does not match If-Match %q", c.shards[i].URL(), doc.Version, ifMatch))
 			}
 		}
@@ -411,12 +417,12 @@ func (c *Cluster) SwapRules(ctx context.Context, body []byte, ifMatch []string) 
 	// Commit sequentially: the first shard also validates the set against
 	// the serving schema, so a semantic rejection aborts before any swap.
 	var newVersion string
-	var res SwapResult
+	var res SwapDoc
 	for i, s := range c.shards {
 		doc, err := s.PutRules(ctx, body, captured[i].Version)
 		if err == nil {
 			newVersion = doc.Version
-			res = SwapResult{Swapped: doc.Swapped, Version: doc.Version, Rules: doc.Rules, Shards: len(c.shards)}
+			res = SwapDoc{Swapped: doc.Swapped, Version: doc.Version, Rules: doc.Rules, Shards: len(c.shards)}
 			continue
 		}
 		// Roll the already-swapped shards back to their captured sets.
@@ -427,11 +433,11 @@ func (c *Cluster) SwapRules(ctx context.Context, body []byte, ifMatch []string) 
 			}
 		}
 		if len(failed) > 0 {
-			return outcome(SwapResult{}, "mixed", fmt.Errorf(
+			return outcome(SwapDoc{}, "mixed", fmt.Errorf(
 				"%w: swap failed at shard %s (%v) and rollback failed on %s — the fleet serves mixed rule sets until repaired",
 				ErrUnavailable, s.URL(), err, strings.Join(failed, "; ")))
 		}
-		return outcome(SwapResult{}, "aborted", fmt.Errorf("cluster: swap aborted, no shard changed: %w", err))
+		return outcome(SwapDoc{}, "aborted", fmt.Errorf("cluster: swap aborted, no shard changed: %w", err))
 	}
 
 	c.mu.Lock()

@@ -37,4 +37,11 @@
 // fails repeatedly is marked unhealthy by its client's circuit breaker and
 // is probed again after a cooldown, so a dead node costs one fast error
 // per scatter, not a timeout.
+//
+// # Wire documents
+//
+// docs.go is the one Go definition of the /v1 response documents: cfdserve's
+// node mode encodes them, ShardClient decodes them, and the coordinator
+// re-encodes what Cluster returns — Cluster's methods are the coordinator's
+// answers to the shared HTTP handlers, already in wire form.
 package cluster

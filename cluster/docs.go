@@ -1,0 +1,202 @@
+package cluster
+
+import (
+	"encoding/json"
+	"time"
+
+	"repro/violation"
+)
+
+// The /v1 wire documents (API.md is the prose contract). Each is defined
+// once: a node encodes it, ShardClient decodes it, and the coordinator
+// re-encodes it, so the two serving modes cannot drift apart. Field order is
+// byte order on the wire and part of the contract: most documents are
+// alphabetical by key, the ones noted keep their historical order. A field
+// only one mode serves is omitted by the other — through a pointer where the
+// zero value is a legitimate answer.
+
+// ErrorDoc is the envelope of every non-2xx JSON response.
+type ErrorDoc struct {
+	Error ErrorBody `json:"error"`
+}
+
+// ErrorBody carries the stable machine-readable code, a human message that
+// is not part of the contract, and the id the request was logged under.
+type ErrorBody struct {
+	Code      string `json:"code"`
+	Message   string `json:"message"`
+	RequestID string `json:"request_id,omitempty"`
+}
+
+// RuleStatDoc is one rule's live discovery statistics (historical order).
+type RuleStatDoc struct {
+	Rule       string  `json:"rule"`
+	Support    int     `json:"support"`
+	Groups     int     `json:"groups"`
+	Violating  int     `json:"violating"`
+	Confidence float64 `json:"confidence"`
+}
+
+// DeltaRingDoc describes the bounded delta history behind ?since= polling.
+type DeltaRingDoc struct {
+	Capacity       int    `json:"capacity"`
+	CompactedReads uint64 `json:"compacted_reads"`
+	Evictions      uint64 `json:"evictions"`
+	Occupancy      int    `json:"occupancy"`
+	Waiters        int    `json:"waiters"`
+}
+
+// RemineDoc is the outcome of one remine run: the POST /v1/rules/remine?wait=1
+// response and a node's health last_remine — failed runs included, so a
+// broken maintenance loop is loud in health rather than leaving the previous
+// success on display (historical order).
+type RemineDoc struct {
+	At      time.Time `json:"at"`
+	Outcome string    `json:"outcome"` // swapped | unchanged | error
+	Elapsed string    `json:"elapsed"`
+	Tuples  int       `json:"tuples"`
+	Swapped bool      `json:"swapped"`
+	Version string    `json:"version,omitempty"`
+	Delta   string    `json:"delta,omitempty"`
+	Error   string    `json:"error,omitempty"`
+}
+
+// HealthDoc is a node's GET /v1/health. The coordinator reads the counts,
+// the rules version and next_id out of it (its own health document is
+// ClusterHealth).
+type HealthDoc struct {
+	Compacting          bool          `json:"compacting"`
+	DeltaRing           DeltaRingDoc  `json:"delta_ring"`
+	Dirty               int           `json:"dirty"`
+	Epoch               uint64        `json:"epoch"`
+	LastCompactionError string        `json:"last_compaction_error,omitempty"`
+	LastRemine          *RemineDoc    `json:"last_remine,omitempty"`
+	Maintain            any           `json:"maintain,omitempty"` // the monitor's own Status document
+	NextID              int           `json:"next_id"`
+	RemineRunning       bool          `json:"remine_running"`
+	RuleStats           []RuleStatDoc `json:"rule_stats"`
+	Rules               int           `json:"rules"`
+	RulesVersion        string        `json:"rules_version"`
+	StateDir            string        `json:"state_dir,omitempty"`
+	Status              string        `json:"status"`
+	Tuples              int           `json:"tuples"`
+	Uptime              string        `json:"uptime"`
+	WALPending          *int          `json:"wal_pending,omitempty"`
+}
+
+// RulesDoc is GET /v1/rules. Ruleset is kept raw so a swap rollback can
+// re-PUT the exact document a shard served; Stats is served by nodes only.
+type RulesDoc struct {
+	Attributes []string        `json:"attributes"`
+	Ruleset    json.RawMessage `json:"ruleset"`
+	Stats      []RuleStatDoc   `json:"stats,omitzero"`
+	Version    string          `json:"version"`
+}
+
+// SwapDoc is PUT /v1/rules: a node answers with the rule delta, the
+// coordinator with the number of shards the set was committed to.
+type SwapDoc struct {
+	Delta   *SwapDeltaDoc `json:"delta,omitempty"`
+	Rules   int           `json:"rules"`
+	Shards  int           `json:"shards,omitempty"`
+	Swapped bool          `json:"swapped"` // false when the set was already served
+	Version string        `json:"version"`
+}
+
+// SwapDeltaDoc is the rules.Delta of a swap.
+type SwapDeltaDoc struct {
+	Added    []string `json:"added"`
+	Removed  []string `json:"removed"`
+	Retained int      `json:"retained"`
+	Summary  string   `json:"summary"`
+}
+
+// RuleTuples is one per-rule entry of a violations report or delta.
+type RuleTuples struct {
+	Rule   string `json:"rule"`
+	Tuples []int  `json:"tuples"`
+}
+
+// ViolationsDoc is the full GET /v1/violations report: per-rule tuple sets
+// in rule-set order with ascending ids, and the sorted dirty union. A node
+// stamps it with its Epoch; the coordinator's merged report carries Epochs
+// instead, one per shard in shard order (each shard commits on its own WAL).
+type ViolationsDoc struct {
+	Dirty        []int        `json:"dirty"`
+	Epoch        *uint64      `json:"epoch,omitempty"`
+	Epochs       []uint64     `json:"epochs,omitempty"`
+	NextCursor   string       `json:"next_cursor,omitempty"`
+	RulesChecked int          `json:"rules_checked"`
+	Violations   []RuleTuples `json:"violations"`
+}
+
+// DeltaDoc is one mutation epoch's (or a merged range's) exact change to
+// the violation report: the ?since= answer and the payload of every stream
+// event. Rules is null unless the range contains a rule swap, and then
+// carries the full replacement rule list the added/removed entries are
+// relative to, possibly empty (historical order).
+type DeltaDoc struct {
+	Epoch        uint64       `json:"epoch"`
+	Added        []RuleTuples `json:"added"`
+	Removed      []RuleTuples `json:"removed"`
+	DirtyAdded   []int        `json:"dirty_added"`
+	DirtyRemoved []int        `json:"dirty_removed"`
+	Rules        []string     `json:"rules"`
+}
+
+// ChangesDoc is GET /v1/violations?since=.
+type ChangesDoc struct {
+	Delta DeltaDoc `json:"delta"`
+	Epoch uint64   `json:"epoch"`
+}
+
+// SuspectsDoc is GET /v1/suspects.
+type SuspectsDoc struct {
+	NextCursor string `json:"next_cursor,omitempty"`
+	Suspects   []int  `json:"suspects"`
+}
+
+// TupleDoc is one tuple with its id.
+type TupleDoc struct {
+	ID     int      `json:"id"`
+	Values []string `json:"values"`
+}
+
+// TuplesDoc is one GET /v1/tuples page in ascending id order. Total is the
+// live-tuple count at page time; NextCursor is the id of the next live tuple,
+// absent on the last page.
+type TuplesDoc struct {
+	NextCursor string     `json:"next_cursor,omitempty"`
+	Total      int        `json:"total"`
+	Tuples     []TupleDoc `json:"tuples"`
+}
+
+// TupleViolationsDoc is GET /v1/tuples/{id}/violations.
+type TupleViolationsDoc struct {
+	ID       int      `json:"id"`
+	Violated []string `json:"violated"`
+}
+
+// BatchRequest is the body of POST /v1/batch: ops applied in order as one
+// atomic, write-ahead-logged mutation.
+type BatchRequest struct {
+	Ops []violation.Op `json:"ops"`
+}
+
+// WriteDoc is POST /v1/tuples and POST /v1/batch: the ids assigned to the
+// inserts, in op order. Applied is the batch's op count; a node adds its
+// post-commit Tuples and Dirty counts, the coordinator (whose shards each
+// know only their own) omits them.
+type WriteDoc struct {
+	Applied int   `json:"applied,omitempty"`
+	Dirty   *int  `json:"dirty,omitempty"`
+	IDs     []int `json:"ids"`
+	Tuples  *int  `json:"tuples,omitempty"`
+}
+
+// TupleWriteDoc is PUT and DELETE /v1/tuples/{id}; the counts as in WriteDoc.
+type TupleWriteDoc struct {
+	Dirty  *int `json:"dirty,omitempty"`
+	ID     int  `json:"id"`
+	Tuples *int `json:"tuples,omitempty"`
+}

@@ -3,33 +3,24 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"sort"
 	"strconv"
 )
 
-// MergedViolations is the cluster-wide violation report: the deterministic
-// merge of every shard's full report. Violations are in rule-set order with
-// ascending tuple ids, Dirty is the sorted union — exactly the single-node
-// report shape, minus the single epoch scalar (each shard commits on its
-// own WAL; Epochs carries them per shard, in shard order).
-type MergedViolations struct {
-	Epochs       []uint64
-	Violations   []RuleTuples
-	Dirty        []int
-	RulesChecked int
-}
-
-// Violations scatter-gathers the full report from every shard and merges.
-// It fails closed: any shard unable to answer yields an error rather than a
-// silently partial report.
-func (c *Cluster) Violations(ctx context.Context) (*MergedViolations, error) {
+// Violations scatter-gathers the full report from every shard and merges
+// them deterministically: violations in rule-set order with ascending tuple
+// ids, dirty the sorted union — exactly the single-node report, with the
+// per-shard Epochs in place of the single epoch. It fails closed: any shard
+// unable to answer yields an error rather than a silently partial report.
+func (c *Cluster) Violations(ctx context.Context) (ViolationsDoc, error) {
 	docs := make([]ViolationsDoc, len(c.shards))
 	if err := c.scatter("violations", func(i int, s *ShardClient) error {
 		var err error
 		docs[i], err = s.Violations(ctx)
 		return err
 	}); err != nil {
-		return nil, err
+		return ViolationsDoc{}, err
 	}
 	merged, err := c.merge(docs)
 	if err == nil {
@@ -38,12 +29,19 @@ func (c *Cluster) Violations(ctx context.Context) (*MergedViolations, error) {
 	// A rule string the cache does not know: the fleet's rules changed out
 	// of band (not through this coordinator). Refresh once and retry.
 	if err := c.refreshRules(ctx); err != nil {
-		return nil, err
+		return ViolationsDoc{}, err
 	}
 	if merged, err = c.merge(docs); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
+		return ViolationsDoc{}, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
 	return merged, nil
+}
+
+// Changes refuses delta reads: each shard commits on its own WAL, so the
+// fleet has no one epoch a delta could be relative to.
+func (c *Cluster) Changes(context.Context, uint64) (ChangesDoc, error) {
+	return ChangesDoc{}, coordErr(http.StatusBadRequest, "bad_request",
+		"delta reads (?since=) are not served by the coordinator; read the full report or each shard's /v1/violations/stream")
 }
 
 // dedupSorted removes adjacent duplicates from a sorted id slice in place.
@@ -65,7 +63,7 @@ func dedupSorted(ids []int) []int {
 // sets of the same rule are disjoint across shards (each id lives on
 // exactly one shard), so unions are concatenate-and-sort — with a dedup
 // guarding the mid-move transient (see dedupSorted).
-func (c *Cluster) merge(docs []ViolationsDoc) (*MergedViolations, error) {
+func (c *Cluster) merge(docs []ViolationsDoc) (ViolationsDoc, error) {
 	c.mu.Lock()
 	order := c.order
 	c.mu.Unlock()
@@ -74,13 +72,15 @@ func (c *Cluster) merge(docs []ViolationsDoc) (*MergedViolations, error) {
 		known[r] = i
 	}
 	perRule := make([][]int, len(order))
-	out := &MergedViolations{Epochs: make([]uint64, len(docs))}
+	out := ViolationsDoc{Epochs: make([]uint64, len(docs)), Dirty: []int{}, Violations: []RuleTuples{}}
 	for i, doc := range docs {
-		out.Epochs[i] = doc.Epoch
+		if doc.Epoch != nil {
+			out.Epochs[i] = *doc.Epoch
+		}
 		for _, v := range doc.Violations {
 			ri, ok := known[v.Rule]
 			if !ok {
-				return nil, fmt.Errorf("shard %s reports violations of rule %s, which the coordinator does not serve", c.shards[i].URL(), v.Rule)
+				return ViolationsDoc{}, fmt.Errorf("shard %s reports violations of rule %s, which the coordinator does not serve", c.shards[i].URL(), v.Rule)
 			}
 			perRule[ri] = append(perRule[ri], v.Tuples...)
 		}
@@ -92,9 +92,6 @@ func (c *Cluster) merge(docs []ViolationsDoc) (*MergedViolations, error) {
 		}
 		sort.Ints(tuples)
 		out.Violations = append(out.Violations, RuleTuples{Rule: order[ri], Tuples: dedupSorted(tuples)})
-	}
-	if out.Dirty == nil {
-		out.Dirty = []int{}
 	}
 	sort.Ints(out.Dirty)
 	out.Dirty = dedupSorted(out.Dirty)
@@ -122,33 +119,26 @@ func (c *Cluster) Suspects(ctx context.Context) ([]int, error) {
 	return dedupSorted(out), nil
 }
 
-// TuplesPage is one merged page of the cluster's live tuples.
-type TuplesPage struct {
-	Tuples []TupleDoc
-	Total  int    // live tuples across the fleet at page time
-	Next   string // cursor of the next page; "" on the last
-}
-
 // Tuples serves one page of the fleet's live tuples in ascending global id
 // order. The limit and cursor are propagated to every shard: each shard
 // returns its own first `limit` tuples at or past the cursor, which is a
 // superset of the global first `limit`, and the merge keeps the smallest
 // ids. Like the single node, the cursor is the id to resume from, so pages
 // stay correct under concurrent mutations.
-func (c *Cluster) Tuples(ctx context.Context, cursor, limit int) (*TuplesPage, error) {
+func (c *Cluster) Tuples(ctx context.Context, cursor, limit int) (TuplesDoc, error) {
 	docs := make([]TuplesDoc, len(c.shards))
 	if err := c.scatter("tuples", func(i int, s *ShardClient) error {
 		var err error
 		docs[i], err = s.Tuples(ctx, cursor, limit)
 		return err
 	}); err != nil {
-		return nil, err
+		return TuplesDoc{}, err
 	}
 	// The single node's next_cursor is the id of the next LIVE tuple (not
 	// last+1), so the merged cursor must be too: the smallest live id beyond
 	// this page, which is either the head of the truncated remainder or some
 	// shard's own next cursor.
-	page := &TuplesPage{Tuples: []TupleDoc{}}
+	page := TuplesDoc{Tuples: []TupleDoc{}}
 	next := -1
 	consider := func(id int) {
 		if next < 0 || id < next {
@@ -173,7 +163,7 @@ func (c *Cluster) Tuples(ctx context.Context, cursor, limit int) (*TuplesPage, e
 		if doc.NextCursor != "" {
 			v, err := strconv.Atoi(doc.NextCursor)
 			if err != nil {
-				return nil, fmt.Errorf("%w: shard returned non-numeric cursor %q", ErrUnavailable, doc.NextCursor)
+				return TuplesDoc{}, fmt.Errorf("%w: shard returned non-numeric cursor %q", ErrUnavailable, doc.NextCursor)
 			}
 			consider(v)
 		}
@@ -184,7 +174,7 @@ func (c *Cluster) Tuples(ctx context.Context, cursor, limit int) (*TuplesPage, e
 		page.Tuples = page.Tuples[:limit]
 	}
 	if next >= 0 {
-		page.Next = strconv.Itoa(next)
+		page.NextCursor = strconv.Itoa(next)
 	}
 	return page, nil
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 )
 
+func epoch(e uint64) *uint64 { return &e }
+
 func mergeCluster(order ...string) *Cluster {
 	return &Cluster{
 		order: order,
@@ -20,14 +22,14 @@ func TestMergeDeterministic(t *testing.T) {
 	c := mergeCluster("r1", "r2", "r3")
 	docs := []ViolationsDoc{
 		{
-			Epoch: 7,
+			Epoch: epoch(7),
 			// Shard order must not matter for the merged rule order: this
 			// shard reports r2 before r1.
 			Violations: []RuleTuples{{Rule: "r2", Tuples: []int{9, 3}}, {Rule: "r1", Tuples: []int{5}}},
 			Dirty:      []int{9, 3, 5},
 		},
 		{
-			Epoch:      11,
+			Epoch:      epoch(11),
 			Violations: []RuleTuples{{Rule: "r1", Tuples: []int{2, 8}}},
 			Dirty:      []int{2, 8},
 		},
@@ -36,7 +38,7 @@ func TestMergeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &MergedViolations{
+	want := ViolationsDoc{
 		Epochs: []uint64{7, 11},
 		Violations: []RuleTuples{
 			{Rule: "r1", Tuples: []int{2, 5, 8}},
@@ -56,8 +58,8 @@ func TestMergeDeterministic(t *testing.T) {
 func TestMergeDedupesMidMoveDuplicate(t *testing.T) {
 	c := mergeCluster("r1")
 	docs := []ViolationsDoc{
-		{Epoch: 3, Violations: []RuleTuples{{Rule: "r1", Tuples: []int{4, 7}}}, Dirty: []int{4, 7}},
-		{Epoch: 5, Violations: []RuleTuples{{Rule: "r1", Tuples: []int{7}}}, Dirty: []int{7}},
+		{Epoch: epoch(3), Violations: []RuleTuples{{Rule: "r1", Tuples: []int{4, 7}}}, Dirty: []int{4, 7}},
+		{Epoch: epoch(5), Violations: []RuleTuples{{Rule: "r1", Tuples: []int{7}}}, Dirty: []int{7}},
 	}
 	got, err := c.merge(docs)
 	if err != nil {
@@ -70,14 +72,14 @@ func TestMergeDedupesMidMoveDuplicate(t *testing.T) {
 
 func TestMergeEmpty(t *testing.T) {
 	c := mergeCluster("r1")
-	got, err := c.merge([]ViolationsDoc{{Epoch: 1}, {Epoch: 2}})
+	got, err := c.merge([]ViolationsDoc{{Epoch: epoch(1)}, {Epoch: epoch(2)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Violations != nil {
-		t.Fatalf("clean shards must merge to no violations, got %v", got.Violations)
+	// Both serialise as [] (not null), like the single-node response.
+	if got.Violations == nil || len(got.Violations) != 0 {
+		t.Fatalf("clean shards must merge to no violations, got %#v", got.Violations)
 	}
-	// Dirty serialises as [] (not null), like the single-node response.
 	if got.Dirty == nil || len(got.Dirty) != 0 {
 		t.Fatalf("dirty = %#v, want empty non-nil", got.Dirty)
 	}

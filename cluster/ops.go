@@ -10,13 +10,6 @@ import (
 	"repro/violation"
 )
 
-// WriteResult summarises a routed write: the ids assigned to inserts (in op
-// order) and the fleet tuple/dirty aggregates of the touched shards' answers
-// (point-in-time approximations; Health has the authoritative sums).
-type WriteResult struct {
-	IDs []int
-}
-
 // owner locates the shard holding a live tuple id by scattering the point
 // read. A definite miss everywhere is a 404 *APIError; an unreachable shard
 // makes the answer unknowable and fails closed.
@@ -90,9 +83,9 @@ func (c *Cluster) checkArity(rows [][]string) error {
 // their shards); the burned ids are never reused. A coordinator crash
 // mid-insert can leave a multi-shard insert partially applied — per-shard
 // batches are atomic, the cross-shard composition is not.
-func (c *Cluster) Insert(ctx context.Context, rows [][]string) (WriteResult, error) {
+func (c *Cluster) Insert(ctx context.Context, rows [][]string) (WriteDoc, error) {
 	if err := c.checkArity(rows); err != nil {
-		return WriteResult{}, err
+		return WriteDoc{}, err
 	}
 	base := int(c.nextID.Add(int64(len(rows)))) - len(rows)
 	ids := make([]int, len(rows))
@@ -108,11 +101,11 @@ func (c *Cluster) Insert(ctx context.Context, rows [][]string) (WriteResult, err
 	for shard, ops := range perShard {
 		if _, err := c.shards[shard].Batch(ctx, ops); err != nil {
 			c.rollbackInserts(ctx, perShard, done)
-			return WriteResult{}, err
+			return WriteDoc{}, err
 		}
 		done = append(done, shard)
 	}
-	return WriteResult{IDs: ids}, nil
+	return WriteDoc{IDs: ids}, nil
 }
 
 // rollbackInserts deletes the rows of already-applied per-shard insert
@@ -138,16 +131,16 @@ func (c *Cluster) rollbackInserts(ctx context.Context, perShard map[int][]violat
 // halves are WAL-logged on their shards. The id's stripe lock is held for
 // the whole locate-and-apply sequence, so concurrent mutations of one id
 // through this coordinator serialise instead of racing a move half-done.
-func (c *Cluster) Update(ctx context.Context, id int, values []string) error {
+func (c *Cluster) Update(ctx context.Context, id int, values []string) (TupleWriteDoc, error) {
 	if err := c.checkArity([][]string{values}); err != nil {
-		return err
+		return TupleWriteDoc{}, err
 	}
 	defer c.lockID(id)()
 	from, _, err := c.owner(ctx, id)
 	if err != nil {
-		return err
+		return TupleWriteDoc{}, err
 	}
-	return c.moveOrUpdate(ctx, id, from, values)
+	return TupleWriteDoc{ID: id}, c.moveOrUpdate(ctx, id, from, values)
 }
 
 // moveOrUpdate applies an update whose current owner is already known.
@@ -176,14 +169,14 @@ func (c *Cluster) moveOrUpdate(ctx context.Context, id, from int, values []strin
 // Delete removes one tuple by global id. Like Update it holds the id's
 // stripe lock across locate-and-apply, so it cannot interleave with a
 // concurrent move of the same id.
-func (c *Cluster) Delete(ctx context.Context, id int) error {
+func (c *Cluster) Delete(ctx context.Context, id int) (TupleWriteDoc, error) {
 	defer c.lockID(id)()
 	shard, _, err := c.owner(ctx, id)
 	if err != nil {
-		return err
+		return TupleWriteDoc{}, err
 	}
 	_, err = c.shards[shard].Batch(ctx, []violation.Op{{Kind: violation.OpDelete, ID: id}})
-	return err
+	return TupleWriteDoc{ID: id}, err
 }
 
 // Batch applies a mixed op sequence in order. Consecutive ops for the same
@@ -195,30 +188,30 @@ func (c *Cluster) Delete(ctx context.Context, id int) error {
 // are the coordinator's to assign). Deletes and updates of ids assigned
 // earlier in the same batch are resolved locally, so the usual
 // insert-then-refine batches need no extra shard reads.
-func (c *Cluster) Batch(ctx context.Context, ops []violation.Op) (WriteResult, error) {
+func (c *Cluster) Batch(ctx context.Context, ops []violation.Op) (WriteDoc, error) {
 	// Validate before consuming ids: op kinds, arity, no pins.
 	for i, op := range ops {
 		switch op.Kind {
 		case violation.OpInsert:
 			if op.At != nil {
-				return WriteResult{}, coordErr(http.StatusUnprocessableEntity, "unprocessable",
+				return WriteDoc{}, coordErr(http.StatusUnprocessableEntity, "unprocessable",
 					"batch op %d: the coordinator assigns ids; \"at\" is not accepted", i)
 			}
 			if err := c.checkArity([][]string{op.Values}); err != nil {
-				return WriteResult{}, err
+				return WriteDoc{}, err
 			}
 		case violation.OpUpdate:
 			if err := c.checkArity([][]string{op.Values}); err != nil {
-				return WriteResult{}, err
+				return WriteDoc{}, err
 			}
 		case violation.OpDelete:
 		default:
-			return WriteResult{}, coordErr(http.StatusUnprocessableEntity, "unprocessable",
+			return WriteDoc{}, coordErr(http.StatusUnprocessableEntity, "unprocessable",
 				"batch op %d: violation: unknown op kind %q", i, op.Kind)
 		}
 	}
 
-	var res WriteResult
+	res := WriteDoc{Applied: len(ops)}
 	owners := make(map[int]int) // ids this batch placed or located: id -> shard
 	var pending []violation.Op
 	pendingShard := -1

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -15,10 +16,44 @@ import (
 	"time"
 )
 
-// TestRouteParity pins the /v1 API surface three ways: every route is served
-// under /v1, every legacy alias answers with deprecation headers pointing at
-// its successor (and /v1 itself does not), and API.md documents exactly the
-// served routes — no more, no fewer.
+// modes are the two serving modes the shared /v1 handlers run behind: a node
+// over the testdata fixtures, and a coordinator over three httptest shard
+// nodes holding the same eight cust tuples under the cluster fixture rules.
+// Whatever a test pins through this table holds in both.
+func modes(t *testing.T) map[string]string {
+	t.Helper()
+	urls := make([]string, 3)
+	for i := range urls {
+		urls[i] = newShardNode(t, clusterRules).URL
+	}
+	_, coord := newCoord(t, urls)
+	f, err := os.Open("testdata/cust.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	do(t, "POST", coord.URL+"/v1/tuples", map[string]any{"rows": rows[1:]}, http.StatusOK)
+	return map[string]string{"node": newTestServer(t).URL, "coordinator": coord.URL}
+}
+
+// sortedRoutes renders a route table as sorted "METHOD /v1/path" lines.
+func sortedRoutes(routes []route) string {
+	out := make([]string, len(routes))
+	for i, rt := range routes {
+		out[i] = rt.method + " /v1" + rt.pattern
+	}
+	sort.Strings(out)
+	return strings.Join(out, "\n")
+}
+
+// TestRouteParity pins the /v1 API surface: every route is served under /v1
+// and nowhere else (the unversioned path is the mux's plain 404), API.md
+// documents exactly the node's routes — no more, no fewer — and its
+// coordinator table exactly the coordinator's.
 func TestRouteParity(t *testing.T) {
 	ts := newTestServer(t)
 	s := &server{} // routes() is pure; only the handler fields differ
@@ -42,64 +77,53 @@ func TestRouteParity(t *testing.T) {
 		if rt.pattern == "/violations/stream" {
 			continue // long-lived; covered by TestViolationStream
 		}
-		v1 := probe(rt.method, "/v1"+path)
 		// Routed: the mux's own not-found/method-not-allowed answers are
 		// text/plain, every real handler speaks JSON.
-		if ct := v1.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
+		if ct := probe(rt.method, "/v1"+path).Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
 			t.Errorf("%s /v1%s: content type %q, want JSON (unrouted?)", rt.method, path, ct)
 		}
-		if v1.Header.Get("Deprecation") != "" {
-			t.Errorf("%s /v1%s must not carry a Deprecation header", rt.method, path)
-		}
-		if !rt.legacy {
-			// No unversioned alias: the mux's own answer (404, or 405 when
-			// another method owns the path) is text, never handler JSON.
-			if legacy := probe(rt.method, path); strings.Contains(legacy.Header.Get("Content-Type"), "json") {
-				t.Errorf("%s %s: /v1-only route must not have an unversioned alias", rt.method, path)
-			}
-			continue
-		}
-		legacy := probe(rt.method, path)
-		// Statuses must agree on reads; mutating probes legitimately diverge
-		// (the /v1 probe consumed the tuple, or holds the remine CAS guard).
-		if rt.method == "GET" && legacy.StatusCode != v1.StatusCode {
-			t.Errorf("%s %s: legacy status %d, /v1 status %d", rt.method, path, legacy.StatusCode, v1.StatusCode)
-		}
-		if legacy.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s: legacy alias must set Deprecation: true", rt.method, path)
-		}
-		if want := "</v1" + rt.pattern + `>; rel="successor-version"`; legacy.Header.Get("Link") != want {
-			t.Errorf("%s %s: Link = %q, want %q", rt.method, path, legacy.Header.Get("Link"), want)
+		bare := probe(rt.method, path)
+		if ct := bare.Header.Get("Content-Type"); bare.StatusCode != http.StatusNotFound || strings.Contains(ct, "json") {
+			t.Errorf("%s %s: status %d (%s), want the mux's plain 404 — there are no unversioned aliases", rt.method, path, bare.StatusCode, ct)
 		}
 	}
 
-	// API.md lists exactly the served routes, as "### METHOD /v1/path".
+	// API.md lists exactly the served routes, as "### METHOD /v1/path" ...
 	data, err := os.ReadFile("../../API.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	headings := regexp.MustCompile(`(?m)^### (GET|PUT|POST|DELETE) (/v1\S*)$`).FindAllStringSubmatch(string(data), -1)
-	documented := make([]string, 0, len(headings))
-	for _, h := range headings {
-		documented = append(documented, h[1]+" "+h[2])
+	var documented []route
+	for _, h := range regexp.MustCompile(`(?m)^### (GET|PUT|POST|DELETE) /v1(\S*)$`).FindAllStringSubmatch(string(data), -1) {
+		documented = append(documented, route{method: h[1], pattern: h[2]})
 	}
-	served := make([]string, 0, len(s.routes()))
-	for _, rt := range s.routes() {
-		served = append(served, rt.method+" /v1"+rt.pattern)
+	if doc, served := sortedRoutes(documented), sortedRoutes(s.routes()); doc != served {
+		t.Errorf("API.md and the route table disagree\ndocumented:\n%s\nserved:\n%s", doc, served)
 	}
-	sort.Strings(documented)
-	sort.Strings(served)
-	if strings.Join(documented, "\n") != strings.Join(served, "\n") {
-		t.Errorf("API.md and the route table disagree\ndocumented:\n%s\nserved:\n%s",
-			strings.Join(documented, "\n"), strings.Join(served, "\n"))
+
+	// ... and the coordinator's subset in the first column of the table under
+	// "## Coordinator mode".
+	_, section, _ := strings.Cut(string(data), "\n## Coordinator mode\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	documented = nil
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 && cells[0] == "" {
+			for _, m := range regexp.MustCompile("`(GET|PUT|POST|DELETE) /v1([^`]*)`").FindAllStringSubmatch(cells[1], -1) {
+				documented = append(documented, route{method: m[1], pattern: m[2]})
+			}
+		}
+	}
+	if doc, served := sortedRoutes(documented), sortedRoutes((&coordServer{}).routes()); doc != served {
+		t.Errorf("API.md's coordinator table and the coordinator's routes disagree\ndocumented:\n%s\nserved:\n%s", doc, served)
 	}
 }
 
-// TestErrorEnvelope drives every error path through the API and asserts the
-// uniform {"error":{"code","message"}} envelope with the pinned status and
-// code.
+// TestErrorEnvelope drives every error path through the API, in both serving
+// modes, and asserts the uniform {"error":{"code","message"}} envelope with
+// the pinned status and code.
 func TestErrorEnvelope(t *testing.T) {
-	ts := newTestServer(t)
+	bases := modes(t)
+	oversize := strings.Repeat("#", maxRulesBody+1)
 	cases := []struct {
 		name       string
 		method     string
@@ -108,125 +132,116 @@ func TestErrorEnvelope(t *testing.T) {
 		header     [2]string
 		wantStatus int
 		wantCode   string
+		deltaRead  bool // the coordinator serves no deltas: 400 bad_request whatever the epoch
 	}{
-		{"tuple-unknown-id", "GET", "/v1/tuples/4242", "", [2]string{}, 404, "not_found"},
-		{"tuple-violations-unknown-id", "GET", "/v1/tuples/4242/violations", "", [2]string{}, 404, "not_found"},
-		{"tuple-bad-id", "GET", "/v1/tuples/abc", "", [2]string{}, 400, "bad_request"},
-		{"delete-unknown-id", "DELETE", "/v1/tuples/4242", "", [2]string{}, 404, "not_found"},
-		{"insert-undecodable", "POST", "/v1/tuples", "{not json", [2]string{}, 400, "bad_request"},
-		{"insert-empty", "POST", "/v1/tuples", `{}`, [2]string{}, 400, "bad_request"},
-		{"insert-bad-arity", "POST", "/v1/tuples", `{"values":["too","short"]}`, [2]string{}, 422, "unprocessable"},
-		{"update-bad-arity", "PUT", "/v1/tuples/0", `{"values":["too","short"]}`, [2]string{}, 422, "unprocessable"},
-		{"batch-unknown-op", "POST", "/v1/batch", `{"ops":[{"op":"frobnicate"}]}`, [2]string{}, 422, "unprocessable"},
-		{"batch-empty", "POST", "/v1/batch", `{"ops":[]}`, [2]string{}, 400, "bad_request"},
-		{"rules-unparsable", "PUT", "/v1/rules", "this is not a rule file", [2]string{}, 400, "bad_request"},
-		{"rules-unknown-attr", "PUT", "/v1/rules", "([BOGUS] -> CT, (_ || _))\n", [2]string{}, 422, "unprocessable"},
-		{"rules-cas-miss", "PUT", "/v1/rules", "([AC] -> CT, (131 || EDI))\n", [2]string{"If-Match", `"not-the-version"`}, 409, "conflict"},
-		{"since-bad", "GET", "/v1/violations?since=abc", "", [2]string{}, 400, "bad_request"},
-		{"since-ahead", "GET", "/v1/violations?since=999999", "", [2]string{}, 410, "compacted"},
-		{"limit-bad", "GET", "/v1/violations?limit=0", "", [2]string{}, 400, "bad_request"},
-		{"cursor-bad", "GET", "/v1/tuples?cursor=-1", "", [2]string{}, 400, "bad_request"},
-		{"suspects-cursor-bad", "GET", "/v1/suspects?cursor=x", "", [2]string{}, 400, "bad_request"},
+		{"tuple-unknown-id", "GET", "/v1/tuples/4242", "", [2]string{}, 404, "not_found", false},
+		{"tuple-violations-unknown-id", "GET", "/v1/tuples/4242/violations", "", [2]string{}, 404, "not_found", false},
+		{"tuple-bad-id", "GET", "/v1/tuples/abc", "", [2]string{}, 400, "bad_request", false},
+		{"delete-unknown-id", "DELETE", "/v1/tuples/4242", "", [2]string{}, 404, "not_found", false},
+		{"insert-undecodable", "POST", "/v1/tuples", "{not json", [2]string{}, 400, "bad_request", false},
+		{"insert-empty", "POST", "/v1/tuples", `{}`, [2]string{}, 400, "bad_request", false},
+		{"insert-bad-arity", "POST", "/v1/tuples", `{"values":["too","short"]}`, [2]string{}, 422, "unprocessable", false},
+		{"update-bad-arity", "PUT", "/v1/tuples/0", `{"values":["too","short"]}`, [2]string{}, 422, "unprocessable", false},
+		{"batch-unknown-op", "POST", "/v1/batch", `{"ops":[{"op":"frobnicate"}]}`, [2]string{}, 422, "unprocessable", false},
+		{"batch-empty", "POST", "/v1/batch", `{"ops":[]}`, [2]string{}, 400, "bad_request", false},
+		{"rules-unparsable", "PUT", "/v1/rules", "this is not a rule file", [2]string{}, 400, "bad_request", false},
+		{"rules-oversize", "PUT", "/v1/rules", oversize, [2]string{}, 413, "payload_too_large", false},
+		{"rules-unknown-attr", "PUT", "/v1/rules", "([BOGUS] -> CT, (_ || _))\n", [2]string{}, 422, "unprocessable", false},
+		{"rules-cas-miss", "PUT", "/v1/rules", "([CC,AC] -> CT, (_, _ || _))\n", [2]string{"If-Match", `"not-the-version"`}, 409, "conflict", false},
+		{"since-bad", "GET", "/v1/violations?since=abc", "", [2]string{}, 400, "bad_request", false},
+		{"since-ahead", "GET", "/v1/violations?since=999999", "", [2]string{}, 410, "compacted", true},
+		{"limit-bad", "GET", "/v1/violations?limit=0", "", [2]string{}, 400, "bad_request", false},
+		{"cursor-bad", "GET", "/v1/tuples?cursor=-1", "", [2]string{}, 400, "bad_request", false},
+		{"suspects-cursor-bad", "GET", "/v1/suspects?cursor=x", "", [2]string{}, 400, "bad_request", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.header[0] != "" {
-				req.Header.Set(tc.header[0], tc.header[1])
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != tc.wantStatus {
-				t.Fatalf("status %d, want %d", resp.StatusCode, tc.wantStatus)
-			}
-			var out struct {
-				Error struct {
-					Code    string `json:"code"`
-					Message string `json:"message"`
-				} `json:"error"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				t.Fatalf("decoding envelope: %v", err)
-			}
-			if out.Error.Code != tc.wantCode || out.Error.Message == "" {
-				t.Fatalf("envelope = %+v, want code %q and a message", out.Error, tc.wantCode)
+			for mode, base := range bases {
+				wantStatus, wantCode := tc.wantStatus, tc.wantCode
+				if tc.deltaRead && mode == "coordinator" {
+					wantStatus, wantCode = 400, "bad_request"
+				}
+				req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.header[0] != "" {
+					req.Header.Set(tc.header[0], tc.header[1])
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != wantStatus {
+					t.Fatalf("%s: status %d, want %d", mode, resp.StatusCode, wantStatus)
+				}
+				var out struct {
+					Error struct {
+						Code    string `json:"code"`
+						Message string `json:"message"`
+					} `json:"error"`
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+					t.Fatalf("%s: decoding envelope: %v", mode, err)
+				}
+				if out.Error.Code != wantCode || out.Error.Message == "" {
+					t.Fatalf("%s: envelope = %+v, want code %q and a message", mode, out.Error, wantCode)
+				}
 			}
 		})
 	}
 }
 
 // TestPagination pins the deterministic cursor order of the three list
-// endpoints: walking pages with any limit reassembles exactly the unpaged
-// response, in the same order.
+// endpoints, in both serving modes: walking pages with any limit reassembles
+// exactly the unpaged response, in the same order.
 func TestPagination(t *testing.T) {
-	ts := newTestServer(t)
+	for mode, base := range modes(t) {
+		// /v1/tuples: ascending ids, id-based cursor.
+		var ids []int
+		url := base + "/v1/tuples?limit=3"
+		for {
+			page := do(t, "GET", url, nil, http.StatusOK)
+			for _, raw := range page["tuples"].([]any) {
+				ids = append(ids, int(raw.(map[string]any)["id"].(float64)))
+			}
+			next, ok := page["next_cursor"].(string)
+			if !ok {
+				break
+			}
+			url = base + "/v1/tuples?limit=3&cursor=" + next
+		}
+		if !sort.IntsAreSorted(ids) || len(ids) != 8 {
+			t.Fatalf("%s: paged tuple ids = %v, want ids 0..7 ascending", mode, ids)
+		}
+		whole := do(t, "GET", base+"/v1/tuples", nil, http.StatusOK)
+		if all := whole["tuples"].([]any); len(all) != len(ids) {
+			t.Fatalf("%s: unpaged %d tuples, paged %d", mode, len(all), len(ids))
+		}
+		if whole["total"].(float64) != 8 {
+			t.Fatalf("%s: total = %v, want 8", mode, whole["total"])
+		}
 
-	// /v1/tuples: ascending ids, id-based cursor.
-	var ids []int
-	var values [][]any
-	url := ts.URL + "/v1/tuples?limit=3"
-	for {
-		page := do(t, "GET", url, nil, http.StatusOK)
-		for _, raw := range page["tuples"].([]any) {
-			tu := raw.(map[string]any)
-			ids = append(ids, int(tu["id"].(float64)))
-			values = append(values, tu["values"].([]any))
+		// /v1/violations (per-rule entries in rule order) and /v1/suspects
+		// (ascending ids): offset cursors.
+		for _, list := range []struct{ path, key, limit string }{{"/v1/violations", "violations", "1"}, {"/v1/suspects", "suspects", "2"}} {
+			unpaged := do(t, "GET", base+list.path, nil, http.StatusOK)[list.key].([]any)
+			var paged []any
+			url = base + list.path + "?limit=" + list.limit
+			for {
+				page := do(t, "GET", url, nil, http.StatusOK)
+				paged = append(paged, page[list.key].([]any)...)
+				next, ok := page["next_cursor"].(string)
+				if !ok {
+					break
+				}
+				url = base + list.path + "?limit=" + list.limit + "&cursor=" + next
+			}
+			if fmt.Sprint(paged) != fmt.Sprint(unpaged) {
+				t.Fatalf("%s: paged %s %v, unpaged %v", mode, list.key, paged, unpaged)
+			}
 		}
-		next, ok := page["next_cursor"].(string)
-		if !ok {
-			break
-		}
-		url = ts.URL + "/v1/tuples?limit=3&cursor=" + next
-	}
-	if !sort.IntsAreSorted(ids) || len(ids) != 8 {
-		t.Fatalf("paged tuple ids = %v, want ids 0..7 ascending", ids)
-	}
-	whole := do(t, "GET", ts.URL+"/v1/tuples", nil, http.StatusOK)
-	if all := whole["tuples"].([]any); len(all) != len(ids) {
-		t.Fatalf("unpaged %d tuples, paged %d", len(all), len(ids))
-	}
-	if whole["total"].(float64) != 8 {
-		t.Fatalf("total = %v, want 8", whole["total"])
-	}
-
-	// /v1/violations: per-rule entries in rule order, offset cursor.
-	unpaged := do(t, "GET", ts.URL+"/v1/violations", nil, http.StatusOK)["violations"].([]any)
-	var paged []any
-	url = ts.URL + "/v1/violations?limit=1"
-	for {
-		page := do(t, "GET", url, nil, http.StatusOK)
-		paged = append(paged, page["violations"].([]any)...)
-		next, ok := page["next_cursor"].(string)
-		if !ok {
-			break
-		}
-		url = ts.URL + "/v1/violations?limit=1&cursor=" + next
-	}
-	if fmt.Sprint(paged) != fmt.Sprint(unpaged) {
-		t.Fatalf("paged violations %v, unpaged %v", paged, unpaged)
-	}
-
-	// /v1/suspects: ascending ids, offset cursor.
-	unpagedS := do(t, "GET", ts.URL+"/v1/suspects", nil, http.StatusOK)["suspects"].([]any)
-	var pagedS []any
-	url = ts.URL + "/v1/suspects?limit=2"
-	for {
-		page := do(t, "GET", url, nil, http.StatusOK)
-		pagedS = append(pagedS, page["suspects"].([]any)...)
-		next, ok := page["next_cursor"].(string)
-		if !ok {
-			break
-		}
-		url = ts.URL + "/v1/suspects?limit=2&cursor=" + next
-	}
-	if fmt.Sprint(pagedS) != fmt.Sprint(unpagedS) {
-		t.Fatalf("paged suspects %v, unpaged %v", pagedS, unpagedS)
 	}
 }
 

@@ -180,6 +180,14 @@ func TestClusterOracle(t *testing.T) {
 				t.Fatalf("step %d: batch ids diverge: %v vs %v", i, cids, sids)
 			}
 			live = append(live, cids...)
+			// A batch that inserts nothing answers "ids": [] in both modes.
+			if id, ok := pick(); ok {
+				c, s := both("POST", "/v1/batch", map[string]any{"ops": []map[string]any{{"op": "delete", "id": id}}})
+				if len(ints(t, c["ids"])) != 0 || len(ints(t, s["ids"])) != 0 {
+					t.Fatalf("step %d: delete-only batch ids = %v vs %v, want [] and []", i, c["ids"], s["ids"])
+				}
+				drop(id)
+			}
 		}
 		if i%20 == 19 {
 			check(i)

@@ -54,15 +54,17 @@
 //	PUT    /v1/tuples/{id}             replace {"values":[...]}
 //	DELETE /v1/tuples/{id}             remove the tuple
 //
-// Endpoints that predate versioning are also served at their historical
-// unversioned paths as deprecated aliases; those responses carry a
-// Deprecation header and a Link to the /v1 successor.
+// Every route has one handler, written against a backend the node (engine
+// and store) and the coordinator (shard fleet) both implement, and one
+// wire-document definition (repro/cluster's docs.go) both encode — so the two
+// modes answer the routes they share identically by construction.
 //
-// The rule set is live: PUT /v1/rules and POST /v1/rules/remine (or the periodic
-// -remine-every loop) swap it atomically while traffic proceeds, and on a
-// durable server the swap is write-ahead logged, so a restart — graceful or
-// not — always comes back under the rule set it last served. -support and
-// -maxlhs double as the remine discovery parameters.
+// The rule set is live: PUT /v1/rules, POST /v1/rules/remine and the -maintain
+// loop (which remines when its staleness policy says the data drifted) swap
+// it atomically while traffic proceeds, and on a durable server the swap is
+// write-ahead logged, so a restart — graceful or not — always comes back
+// under the rule set it last served. -support and -maxlhs double as the
+// remine discovery parameters.
 //
 // With -state <dir> the server is durable: every mutation is appended to a
 // JSONL write-ahead log before it is applied, and snapshots are compacted in
@@ -123,7 +125,6 @@ type config struct {
 	statePath    string
 	fsync        bool
 	compactEvery int
-	remineEvery  time.Duration
 	remineLimit  int
 
 	maintain           bool
@@ -158,9 +159,8 @@ func main() {
 		state        = flag.String("state", "", "state directory for the write-ahead log and snapshots (empty = memory-only)")
 		fsync        = flag.Bool("fsync", false, "fsync the write-ahead log on every commit (durable against machine crashes)")
 		compactEvery = flag.Int("compact-every", 4096, "background-compact a snapshot every N logged ops (0 = only at startup/shutdown)")
-		remineEvery  = flag.Duration("remine-every", 0, "re-mine rules over the live tuples on this interval and hot-swap them when changed; ticks with an unmoved epoch are skipped (0 = only on POST /v1/rules/remine)")
 		remineLimit  = flag.Int("remine-limit", 0, "bound every remine run to the first N mined rules, keeping maintenance mining cheap (0 = mine the full cover)")
-		maintain     = flag.Bool("maintain", false, "continuously maintain the rule set: track live per-rule support/confidence and remine only when the -maintain-* policy says the data drifted (replaces -remine-every)")
+		maintain     = flag.Bool("maintain", false, "continuously maintain the rule set: track live per-rule support/confidence and remine only when the -maintain-* policy says the data drifted")
 		maintDrift   = flag.Float64("maintain-drift", 0.25, "trigger a remine when a rule's live support drifts more than this fraction from its value at adoption (0 disables)")
 		maintConf    = flag.Float64("maintain-confidence", 0.95, "trigger a remine when a rule's live confidence falls below this floor (0 disables)")
 		maintMinSupp = flag.Int("maintain-min-support", 0, "exempt rules under this many supporting tuples from the drift/confidence clauses (0 = use -support)")
@@ -180,8 +180,7 @@ func main() {
 	cfg := config{
 		addr: *addr, rulesPath: *rules, dataPath: *data, workers: *workers,
 		samplePath: *sample, support: *support, maxLHS: *maxLHS,
-		statePath: *state, fsync: *fsync, compactEvery: *compactEvery,
-		remineEvery: *remineEvery, remineLimit: *remineLimit,
+		statePath: *state, fsync: *fsync, compactEvery: *compactEvery, remineLimit: *remineLimit,
 		maintain: *maintain, maintainDrift: *maintDrift, maintainConfidence: *maintConf,
 		maintainMinSupport: *maintMinSupp, maintainEpochs: *maintEpochs, maintainInterval: *maintEvery,
 		coordinator: *coordinator, shardTimeout: *shardTimeout, initWait: *initWait,
@@ -241,15 +240,10 @@ func main() {
 	}
 
 	// The loop runs remines synchronously on its own goroutine, so waiting
-	// for loopDone at shutdown covers an in-flight periodic or
-	// maintenance-triggered remine.
+	// for loopDone at shutdown covers an in-flight maintenance-triggered
+	// remine.
 	loopDone := make(chan struct{})
-	switch {
-	case cfg.maintain:
-		if cfg.remineEvery > 0 {
-			sv.close()
-			fatal(errors.New("-maintain replaces the blind -remine-every tick; set only one of them"))
-		}
+	if cfg.maintain {
 		pol := maintainPolicy(cfg)
 		mon := monitor.New(sv.eng, pol, h.maintainRemine, monitor.WithObserver(h.obs))
 		h.mon = mon
@@ -261,14 +255,7 @@ func main() {
 			defer close(loopDone)
 			mon.Run(ctx)
 		}()
-	case cfg.remineEvery > 0:
-		logger.Info("periodic remining enabled",
-			"every", cfg.remineEvery.String(), "support", cfg.support, "maxlhs", cfg.maxLHS)
-		go func() {
-			defer close(loopDone)
-			h.remineLoop(ctx, cfg.remineEvery)
-		}()
-	default:
+	} else {
 		close(loopDone)
 	}
 

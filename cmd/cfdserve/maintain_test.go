@@ -12,7 +12,7 @@ import (
 )
 
 // newMaintainServer is newTestServer exposing the *server, so tests can read
-// its obs counters and drive the remine/maintenance loops directly.
+// its obs counters and drive the maintenance loop directly.
 func newMaintainServer(t *testing.T, cfg config) (*httptest.Server, *server) {
 	t.Helper()
 	eng, err := loadEngine(config{
@@ -28,29 +28,54 @@ func newMaintainServer(t *testing.T, cfg config) (*httptest.Server, *server) {
 	return ts, h
 }
 
-// remineRuns sums the completed remine outcomes (everything but skipped).
+// remineRuns sums the remine runs over all outcomes.
 func remineRuns(h *server) uint64 {
 	return h.obs.remineTotal.With("swapped").Value() +
 		h.obs.remineTotal.With("unchanged").Value() +
 		h.obs.remineTotal.With("error").Value()
 }
 
-// TestRemineLoopSkipsIdle pins the acceptance criterion: a periodic remine
-// loop over an idle engine performs zero discovery runs — every tick lands
-// on cfd_remine_total{outcome="skipped"} — and starts mining again as soon
-// as the epoch moves.
+// runMonitor wires the maintenance loop as main's -maintain path does and
+// runs it until the test ends.
+func runMonitor(t *testing.T, h *server, pol monitor.Policy) {
+	t.Helper()
+	h.mon = monitor.New(h.eng, pol, h.maintainRemine, monitor.WithObserver(h.obs))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); h.mon.Run(ctx) }()
+	t.Cleanup(func() {
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Error("monitor loop did not stop on cancel")
+		}
+	})
+}
+
+// waitFor polls cond until it holds or five seconds pass.
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// everyEpoch is the policy of the README's migration line for the removed
+// periodic-remine flag: remine whenever the epoch has moved, at most once per
+// interval, no per-rule clauses.
+var everyEpoch = monitor.Policy{MaxEpochs: 1, MinInterval: 3 * time.Millisecond}
+
+// TestRemineLoopSkipsIdle pins the acceptance criterion: the maintenance
+// loop over an idle engine performs zero discovery runs however long it
+// runs, and exactly one run follows a change.
 func TestRemineLoopSkipsIdle(t *testing.T) {
 	ts, h := newMaintainServer(t, config{support: 2, maxLHS: 2})
+	runMonitor(t, h, everyEpoch)
 
-	runLoop := func(d time.Duration) {
-		ctx, cancel := context.WithTimeout(context.Background(), d)
-		defer cancel()
-		h.remineLoop(ctx, 3*time.Millisecond)
-	}
-	runLoop(60 * time.Millisecond)
-	if got := h.obs.remineTotal.With("skipped").Value(); got == 0 {
-		t.Fatal("idle ticks were not counted as skipped")
-	}
+	time.Sleep(60 * time.Millisecond)
 	if got := remineRuns(h); got != 0 {
 		t.Fatalf("idle loop performed %d discovery runs, want 0", got)
 	}
@@ -58,22 +83,17 @@ func TestRemineLoopSkipsIdle(t *testing.T) {
 		t.Fatalf("idle loop streamed %d rules through discovery, want 0", got)
 	}
 
-	// Move the epoch: the next loop run must mine exactly once, then go
-	// back to skipping.
+	// Move the epoch: the loop must mine exactly once — the swap's own epoch
+	// bump is covered by the run that caused it — then go back to idling.
 	do(t, "POST", ts.URL+"/v1/tuples", map[string]any{
 		"values": []string{"01", "908", "3333333", "Zoe", "Tree Ave.", "MH", "07974"},
 	}, http.StatusOK)
-	runLoop(100 * time.Millisecond)
+	if !waitFor(func() bool { return remineRuns(h) >= 1 }) {
+		t.Fatal("no remine followed the insert")
+	}
+	time.Sleep(60 * time.Millisecond)
 	if got := remineRuns(h); got != 1 {
 		t.Fatalf("loop after one insert performed %d runs, want exactly 1", got)
-	}
-
-	// A manual remine also moves the baseline: another idle stretch stays
-	// at skips.
-	before := remineRuns(h)
-	runLoop(40 * time.Millisecond)
-	if got := remineRuns(h); got != before {
-		t.Fatalf("post-remine idle loop mined again (%d -> %d runs)", before, got)
 	}
 }
 
@@ -109,26 +129,17 @@ func TestRemineErrorRecorded(t *testing.T) {
 		t.Fatalf("error outcome counter = %d, want 1", got)
 	}
 
-	// A failed run must not move the periodic loop's skip baseline: with the
-	// loop already running, churn that moves the epoch but leaves the
-	// relation empty makes every tick retry (and fail) instead of skipping.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); h.remineLoop(ctx, 3*time.Millisecond) }()
+	// A failed run must not satisfy the maintenance loop: churn that moves the
+	// epoch but leaves the relation empty keeps the trigger armed, so the loop
+	// retries (and fails) every interval instead of going idle.
+	runMonitor(t, h, everyEpoch)
 	ids := do(t, "POST", ts.URL+"/v1/tuples", map[string]any{
 		"values": []string{"01", "908", "1111111", "Mike", "Tree Ave.", "MH", "07974"},
 	}, http.StatusOK)["ids"].([]any)
 	do(t, "DELETE", fmt.Sprintf("%s/v1/tuples/%d", ts.URL, int(ids[0].(float64))), nil, http.StatusOK)
-	deadline := time.Now().Add(5 * time.Second)
-	for h.obs.remineTotal.With("error").Value() < 3 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if !waitFor(func() bool { return h.obs.remineTotal.With("error").Value() >= 3 }) {
+		t.Fatalf("loop stopped retrying after a failed remine (error count %d)", h.obs.remineTotal.With("error").Value())
 	}
-	if got := h.obs.remineTotal.With("error").Value(); got < 3 {
-		t.Fatalf("loop stopped retrying after a failed remine (error count %d)", got)
-	}
-	cancel()
-	<-done
 }
 
 // TestRuleStatsServed: GET /v1/rules and /v1/health serve the live per-rule
@@ -188,14 +199,7 @@ func TestRuleStatsServed(t *testing.T) {
 // cfd_maintain_* counters and the health maintain block.
 func TestMaintainEndToEnd(t *testing.T) {
 	ts, h := newMaintainServer(t, config{support: 2, maxLHS: 2})
-	pol := monitor.Policy{MaxSupportDrift: 0.25, MinSupport: 1}
-	mon := monitor.New(h.eng, pol, h.maintainRemine, monitor.WithObserver(h.obs))
-	h.mon = mon
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); mon.Run(ctx) }()
+	runMonitor(t, h, monitor.Policy{MaxSupportDrift: 0.25, MinSupport: 1})
 
 	// The health maintain block is served as soon as the monitor is wired.
 	health := do(t, "GET", ts.URL+"/v1/health", nil, http.StatusOK)
@@ -244,12 +248,5 @@ func TestMaintainEndToEnd(t *testing.T) {
 	}
 	if lt, ok := maintain["last_trigger"].(map[string]any); !ok || lt["reason"] != "drift" {
 		t.Fatalf("health last_trigger = %v, want a drift trigger", maintain["last_trigger"])
-	}
-
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("monitor loop did not stop on cancel")
 	}
 }

@@ -24,7 +24,7 @@ type obsStack struct {
 	inFlight *obs.Gauge
 	sse      *obs.Gauge
 
-	remineTotal   *obs.CounterVec // outcome: swapped | unchanged | error | skipped
+	remineTotal   *obs.CounterVec // outcome: swapped | unchanged | error
 	remineDur     *obs.Histogram
 	rulesStreamed *obs.Counter
 
@@ -51,7 +51,7 @@ func newObsStack(cfg config, logW io.Writer) (*obsStack, error) {
 		reqDur:        reg.HistogramVec("cfd_http_request_duration_seconds", "HTTP request duration by route pattern and method.", obs.DefBuckets, "route", "method"),
 		inFlight:      reg.Gauge("cfd_http_in_flight_requests", "HTTP requests currently being served."),
 		sse:           reg.Gauge("cfd_http_sse_subscribers", "Open /v1/violations/stream SSE connections."),
-		remineTotal:   reg.CounterVec("cfd_remine_total", "Remine runs by outcome (swapped, unchanged, error), plus periodic ticks skipped because the epoch had not moved (skipped).", "outcome"),
+		remineTotal:   reg.CounterVec("cfd_remine_total", "Remine runs by outcome (swapped, unchanged, error).", "outcome"),
 		remineDur:     reg.Histogram("cfd_remine_duration_seconds", "Wall-clock duration of remine runs.", obs.DefBuckets),
 		rulesStreamed: reg.Counter("cfd_discovery_rules_streamed_total", "Candidate rules streamed by discovery during remines."),
 

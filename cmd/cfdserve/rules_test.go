@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/rules"
@@ -40,18 +41,18 @@ func doRaw(t *testing.T, method, url, body string, wantStatus int) map[string]an
 func TestPutRulesLifecycle(t *testing.T) {
 	ts := newTestServer(t)
 
-	before := do(t, "GET", ts.URL+"/rules", nil, http.StatusOK)
+	before := do(t, "GET", ts.URL+"/v1/rules", nil, http.StatusOK)
 	v0 := before["version"].(string)
 	if v0 == "" {
 		t.Fatal("GET /rules must report a version")
 	}
-	health := do(t, "GET", ts.URL+"/health", nil, http.StatusOK)
+	health := do(t, "GET", ts.URL+"/v1/health", nil, http.StatusOK)
 	if health["rules_version"] != v0 {
 		t.Fatalf("health rules_version %v, want %v", health["rules_version"], v0)
 	}
 
 	// Swap: keep the street FD, drop the constant city rule, add a fresh FD.
-	out := doRaw(t, "PUT", ts.URL+"/rules",
+	out := doRaw(t, "PUT", ts.URL+"/v1/rules",
 		"([CC,ZIP] -> STR, (_, _ || _))\n([NM] -> PN, (_ || _))\n", http.StatusOK)
 	if out["swapped"] != true || out["rules"].(float64) != 2 {
 		t.Fatalf("swap response = %v", out)
@@ -67,13 +68,13 @@ func TestPutRulesLifecycle(t *testing.T) {
 		t.Fatalf("delta retained = %v", delta["retained"])
 	}
 
-	after := do(t, "GET", ts.URL+"/rules", nil, http.StatusOK)
+	after := do(t, "GET", ts.URL+"/v1/rules", nil, http.StatusOK)
 	v1 := after["version"].(string)
 	if v1 == v0 || v1 != out["version"].(string) {
 		t.Fatalf("version after swap = %q (before %q, response %q)", v1, v0, out["version"])
 	}
 	// The constant-rule violations {4,5,7} are gone; only FD groups remain.
-	viol := do(t, "GET", ts.URL+"/violations", nil, http.StatusOK)
+	viol := do(t, "GET", ts.URL+"/v1/violations", nil, http.StatusOK)
 	if got := viol["rules_checked"].(float64); got != 2 {
 		t.Fatalf("rules_checked = %v after swap", got)
 	}
@@ -83,7 +84,7 @@ func TestPutRulesLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = doRaw(t, "PUT", ts.URL+"/rules", string(raw), http.StatusOK)
+	out = doRaw(t, "PUT", ts.URL+"/v1/rules", string(raw), http.StatusOK)
 	if out["swapped"] != false || out["version"].(string) != v1 {
 		t.Fatalf("round-trip swap response = %v", out)
 	}
@@ -91,9 +92,9 @@ func TestPutRulesLifecycle(t *testing.T) {
 	// Bad uploads are rejected without touching the serving set: a file that
 	// does not parse is 400, one that parses but names an unknown attribute
 	// is rejected by the swap as 422.
-	doRaw(t, "PUT", ts.URL+"/rules", "this is not a rule file", http.StatusBadRequest)
-	doRaw(t, "PUT", ts.URL+"/rules", "([BOGUS] -> CT, (_ || _))\n", http.StatusUnprocessableEntity)
-	if got := do(t, "GET", ts.URL+"/rules", nil, http.StatusOK)["version"].(string); got != v1 {
+	doRaw(t, "PUT", ts.URL+"/v1/rules", "this is not a rule file", http.StatusBadRequest)
+	doRaw(t, "PUT", ts.URL+"/v1/rules", "([BOGUS] -> CT, (_ || _))\n", http.StatusUnprocessableEntity)
+	if got := do(t, "GET", ts.URL+"/v1/rules", nil, http.StatusOK)["version"].(string); got != v1 {
 		t.Fatalf("version moved to %q after rejected uploads", got)
 	}
 }
@@ -102,7 +103,7 @@ func TestPutRulesLifecycle(t *testing.T) {
 // honours If-None-Match until a swap changes the rules.
 func TestRulesETag(t *testing.T) {
 	ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/rules")
+	resp, err := http.Get(ts.URL + "/v1/rules")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestRulesETag(t *testing.T) {
 		t.Fatal("GET /rules must set an ETag")
 	}
 
-	req, _ := http.NewRequest("GET", ts.URL+"/rules", nil)
+	req, _ := http.NewRequest("GET", ts.URL+"/v1/rules", nil)
 	req.Header.Set("If-None-Match", etag)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -123,7 +124,7 @@ func TestRulesETag(t *testing.T) {
 		t.Fatalf("conditional GET with current etag: status %d, want 304", resp.StatusCode)
 	}
 
-	doRaw(t, "PUT", ts.URL+"/rules", "([CC,ZIP] -> STR, (_, _ || _))\n", http.StatusOK)
+	doRaw(t, "PUT", ts.URL+"/v1/rules", "([CC,ZIP] -> STR, (_, _ || _))\n", http.StatusOK)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -167,10 +168,10 @@ func TestETagForms(t *testing.T) {
 	}
 
 	ts := newTestServer(t)
-	cur := do(t, "GET", ts.URL+"/rules", nil, http.StatusOK)["version"].(string)
+	cur := do(t, "GET", ts.URL+"/v1/rules", nil, http.StatusOK)["version"].(string)
 	put := func(ifMatch string, wantStatus int) {
 		t.Helper()
-		req, err := http.NewRequest("PUT", ts.URL+"/rules", strings.NewReader("([CC,ZIP] -> STR, (_, _ || _))\n"))
+		req, err := http.NewRequest("PUT", ts.URL+"/v1/rules", strings.NewReader("([CC,ZIP] -> STR, (_, _ || _))\n"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +190,7 @@ func TestETagForms(t *testing.T) {
 	put(`*`, http.StatusOK)                  // match-any, not a literal version
 
 	// If-None-Match: * matches whatever is served — always 304 on GET.
-	req, _ := http.NewRequest("GET", ts.URL+"/rules", nil)
+	req, _ := http.NewRequest("GET", ts.URL+"/v1/rules", nil)
 	req.Header.Set("If-None-Match", "*")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -201,14 +202,65 @@ func TestETagForms(t *testing.T) {
 	}
 }
 
+// TestPutRulesCompareAndSwap: conditional PUTs are a compare-and-swap, not a
+// check followed by a swap — of N concurrent PUTs carrying one If-Match tag
+// exactly one commits and the rest lose with 409 conflict. The coordinator's
+// two-phase swap relies on this shard-side guarantee.
+func TestPutRulesCompareAndSwap(t *testing.T) {
+	ts := newTestServer(t)
+	bodies := []string{"([CC,ZIP] -> STR, (_, _ || _))\n", "([AC] -> CT, (131 || EDI))\n"}
+	const writers = 8
+	for round := 0; round < 40; round++ {
+		tag := `"` + do(t, "GET", ts.URL+"/v1/rules", nil, http.StatusOK)["version"].(string) + `"`
+		statuses := make([]int, writers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range statuses {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				req, err := http.NewRequest("PUT", ts.URL+"/v1/rules", strings.NewReader(bodies[round%2]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				req.Header.Set("If-Match", tag)
+				<-start
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				statuses[i] = resp.StatusCode
+			}()
+		}
+		close(start)
+		wg.Wait()
+		won := 0
+		for _, st := range statuses {
+			switch st {
+			case http.StatusOK:
+				won++
+			case http.StatusConflict:
+			default:
+				t.Fatalf("round %d: statuses %v, want only 200 and 409", round, statuses)
+			}
+		}
+		if won != 1 {
+			t.Fatalf("round %d: %d of %d PUTs with If-Match %s committed, want exactly 1 (statuses %v)", round, won, writers, tag, statuses)
+		}
+	}
+}
+
 // TestRemineEndpoint: a synchronous remine over the live tuples swaps in the
 // discovered rules, records the run for /health, and a second remine over
 // unchanged data keeps the serving set by fingerprint.
 func TestRemineEndpoint(t *testing.T) {
 	ts := newTestServer(t) // config carries support=2, maxlhs=2 for remining
 
-	v0 := do(t, "GET", ts.URL+"/rules", nil, http.StatusOK)["version"].(string)
-	out := do(t, "POST", ts.URL+"/rules/remine?wait=1", nil, http.StatusOK)
+	v0 := do(t, "GET", ts.URL+"/v1/rules", nil, http.StatusOK)["version"].(string)
+	out := do(t, "POST", ts.URL+"/v1/rules/remine?wait=1", nil, http.StatusOK)
 	if out["error"] != nil {
 		t.Fatalf("remine failed: %v", out["error"])
 	}
@@ -218,25 +270,25 @@ func TestRemineEndpoint(t *testing.T) {
 	if el, ok := out["elapsed"].(string); !ok || el == "" {
 		t.Fatalf("remine result must record its elapsed time: %v", out)
 	}
-	v1 := do(t, "GET", ts.URL+"/rules", nil, http.StatusOK)["version"].(string)
+	v1 := do(t, "GET", ts.URL+"/v1/rules", nil, http.StatusOK)["version"].(string)
 	if v1 == v0 || v1 != out["version"].(string) {
 		t.Fatalf("version after remine = %q (before %q, result %v)", v1, v0, out)
 	}
 	// The remined provenance is served.
-	health := do(t, "GET", ts.URL+"/health", nil, http.StatusOK)
+	health := do(t, "GET", ts.URL+"/v1/health", nil, http.StatusOK)
 	last := health["last_remine"].(map[string]any)
 	if last["swapped"] != true || health["rules_version"] != v1 {
 		t.Fatalf("health after remine = %v", health)
 	}
 
 	// Unchanged data: same fingerprint, no swap.
-	out = do(t, "POST", ts.URL+"/rules/remine?wait=1", nil, http.StatusOK)
+	out = do(t, "POST", ts.URL+"/v1/rules/remine?wait=1", nil, http.StatusOK)
 	if out["swapped"] != false || out["version"].(string) != v1 {
 		t.Fatalf("second remine result = %v", out)
 	}
 
 	// Async flavour: accepted and eventually recorded.
-	if resp, err := http.Post(ts.URL+"/rules/remine", "", nil); err != nil {
+	if resp, err := http.Post(ts.URL+"/v1/rules/remine", "", nil); err != nil {
 		t.Fatal(err)
 	} else {
 		if resp.StatusCode != http.StatusAccepted {
@@ -261,16 +313,16 @@ func TestStateRestartAfterSwap(t *testing.T) {
 			ts := httptest.NewServer(newServer(sv.eng, sv.store, config{compactEvery: 4096}).handler())
 			// Mutate, swap live, then mutate again under the new rules.
 			mutate(t, ts.URL)
-			swap := doRaw(t, "PUT", ts.URL+"/rules",
+			swap := doRaw(t, "PUT", ts.URL+"/v1/rules",
 				"([CC,ZIP] -> STR, (_, _ || _))\n([NM] -> PN, (_ || _))\n", http.StatusOK)
 			if swap["swapped"] != true {
 				t.Fatalf("swap response = %v", swap)
 			}
-			do(t, "POST", ts.URL+"/tuples", map[string]any{
+			do(t, "POST", ts.URL+"/v1/tuples", map[string]any{
 				"values": []string{"01", "908", "3333333", "Zoe", "Tree Ave.", "MH", "07974"},
 			}, http.StatusOK)
-			want := getRaw(t, ts.URL+"/violations")
-			wantRules := getRaw(t, ts.URL+"/rules")
+			want := getRaw(t, ts.URL+"/v1/violations")
+			wantRules := getRaw(t, ts.URL+"/v1/rules")
 			ts.Close()
 			if graceful {
 				if err := sv.close(); err != nil {
@@ -287,10 +339,10 @@ func TestStateRestartAfterSwap(t *testing.T) {
 			defer sv2.close()
 			ts2 := httptest.NewServer(newServer(sv2.eng, sv2.store, config{compactEvery: 4096}).handler())
 			defer ts2.Close()
-			if got := getRaw(t, ts2.URL+"/violations"); !bytes.Equal(got, want) {
+			if got := getRaw(t, ts2.URL+"/v1/violations"); !bytes.Equal(got, want) {
 				t.Fatalf("restarted /violations differs:\n%s\nvs\n%s", got, want)
 			}
-			if got := getRaw(t, ts2.URL+"/rules"); !bytes.Equal(got, wantRules) {
+			if got := getRaw(t, ts2.URL+"/v1/rules"); !bytes.Equal(got, wantRules) {
 				t.Fatalf("restarted /rules differs:\n%s\nvs\n%s", got, wantRules)
 			}
 			set, err := rules.Parse(string(wantRules))

@@ -74,7 +74,7 @@ func TestServeEndToEnd(t *testing.T) {
 	ts := newTestServer(t)
 
 	// Health: 8 tuples, 2 rules, violations present.
-	health := do(t, "GET", ts.URL+"/health", nil, http.StatusOK)
+	health := do(t, "GET", ts.URL+"/v1/health", nil, http.StatusOK)
 	if health["status"] != "ok" || health["tuples"].(float64) != 8 || health["rules"].(float64) != 2 {
 		t.Fatalf("health = %v", health)
 	}
@@ -84,7 +84,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// Rules are served as rules.Set JSON: file order preserved, class counts
 	// and pattern tableaux included, plus the serving schema.
-	rulesResp := do(t, "GET", ts.URL+"/rules", nil, http.StatusOK)
+	rulesResp := do(t, "GET", ts.URL+"/v1/rules", nil, http.StatusOK)
 	if got := rulesResp["attributes"].([]any); len(got) != 7 || got[0] != "CC" {
 		t.Fatalf("attributes = %v", got)
 	}
@@ -113,7 +113,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// Violations: the constant rule flags the AC=131 group {4,5,7}; the FD
 	// flags the CC/ZIP groups {0,1,3} and {2,7}.
-	viol := do(t, "GET", ts.URL+"/violations", nil, http.StatusOK)
+	viol := do(t, "GET", ts.URL+"/v1/violations", nil, http.StatusOK)
 	if got := ints(t, viol["dirty"]); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5, 7}) {
 		t.Fatalf("dirty = %v", got)
 	}
@@ -128,62 +128,62 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// Suspects are sharper than the dirty set: Sean (7) violates the constant
 	// rule on his own and holds minority street values.
-	suspects := do(t, "GET", ts.URL+"/suspects", nil, http.StatusOK)
+	suspects := do(t, "GET", ts.URL+"/v1/suspects", nil, http.StatusOK)
 	sus := ints(t, suspects["suspects"])
 	if len(sus) == 0 || len(sus) >= 7 {
 		t.Fatalf("suspects = %v, want a non-empty strict subset of the dirty set", sus)
 	}
 
 	// Per-tuple lookup: tuple 7 violates both rules, tuple 6 neither.
-	t7 := do(t, "GET", ts.URL+"/tuples/7/violations", nil, http.StatusOK)
+	t7 := do(t, "GET", ts.URL+"/v1/tuples/7/violations", nil, http.StatusOK)
 	if got := t7["violated"].([]any); len(got) != 2 {
 		t.Fatalf("tuple 7 violates %v, want both rules", got)
 	}
-	t6 := do(t, "GET", ts.URL+"/tuples/6/violations", nil, http.StatusOK)
+	t6 := do(t, "GET", ts.URL+"/v1/tuples/6/violations", nil, http.StatusOK)
 	if got := t6["violated"].([]any); len(got) != 0 {
 		t.Fatalf("tuple 6 violates %v, want none", got)
 	}
 
 	// Insert a batch: Ann joins the (01, 01202) street group (still split two
 	// ways) and one clean tuple.
-	ins := do(t, "POST", ts.URL+"/tuples", map[string]any{"rows": [][]string{
+	ins := do(t, "POST", ts.URL+"/v1/tuples", map[string]any{"rows": [][]string{
 		{"01", "212", "9999999", "Ann", "5th Ave", "NYC", "01202"},
 		{"86", "10", "8888888", "Wei", "Main Rd.", "BJ", "100000"},
 	}}, http.StatusOK)
 	if got := ints(t, ins["ids"]); !reflect.DeepEqual(got, []int{8, 9}) {
 		t.Fatalf("insert ids = %v", got)
 	}
-	viol = do(t, "GET", ts.URL+"/violations", nil, http.StatusOK)
+	viol = do(t, "GET", ts.URL+"/v1/violations", nil, http.StatusOK)
 	if got := ints(t, viol["dirty"]); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5, 7, 8}) {
 		t.Fatalf("dirty after insert = %v", got)
 	}
 
 	// Update: repairing Sean's city still leaves his street in the minority.
-	do(t, "PUT", ts.URL+"/tuples/7", map[string]any{
+	do(t, "PUT", ts.URL+"/v1/tuples/7", map[string]any{
 		"values": []string{"01", "131", "2222222", "Sean", "3rd Str.", "EDI", "01202"},
 	}, http.StatusOK)
-	t7 = do(t, "GET", ts.URL+"/tuples/7/violations", nil, http.StatusOK)
+	t7 = do(t, "GET", ts.URL+"/v1/tuples/7/violations", nil, http.StatusOK)
 	if got := t7["violated"].([]any); len(got) != 1 {
 		t.Fatalf("tuple 7 violates %v after city repair, want the FD only", got)
 	}
 
 	// Delete the two street deviants; the FD heals for their groups.
-	do(t, "DELETE", ts.URL+"/tuples/7", nil, http.StatusOK)
-	do(t, "DELETE", ts.URL+"/tuples/8", nil, http.StatusOK)
-	viol = do(t, "GET", ts.URL+"/violations", nil, http.StatusOK)
+	do(t, "DELETE", ts.URL+"/v1/tuples/7", nil, http.StatusOK)
+	do(t, "DELETE", ts.URL+"/v1/tuples/8", nil, http.StatusOK)
+	viol = do(t, "GET", ts.URL+"/v1/violations", nil, http.StatusOK)
 	if got := ints(t, viol["dirty"]); !reflect.DeepEqual(got, []int{0, 1, 3}) {
 		t.Fatalf("dirty after deletes = %v", got)
 	}
 
 	// Reading a deleted tuple 404s.
-	if out := do(t, "GET", ts.URL+"/tuples/7", nil, http.StatusNotFound); out["error"] == "" {
+	if out := do(t, "GET", ts.URL+"/v1/tuples/7", nil, http.StatusNotFound); out["error"] == "" {
 		t.Fatal("expected an error body")
 	}
 	// A well-formed insert with the wrong arity is 422 unprocessable.
-	do(t, "POST", ts.URL+"/tuples", map[string]any{"values": []string{"too", "short"}}, http.StatusUnprocessableEntity)
+	do(t, "POST", ts.URL+"/v1/tuples", map[string]any{"values": []string{"too", "short"}}, http.StatusUnprocessableEntity)
 	// Updating a live tuple with the wrong arity 422s; a deleted id 404s.
-	do(t, "PUT", ts.URL+"/tuples/0", map[string]any{"values": []string{"too", "short"}}, http.StatusUnprocessableEntity)
-	do(t, "PUT", ts.URL+"/tuples/7", map[string]any{"values": []string{"a", "b", "c", "d", "e", "f", "g"}}, http.StatusNotFound)
+	do(t, "PUT", ts.URL+"/v1/tuples/0", map[string]any{"values": []string{"too", "short"}}, http.StatusUnprocessableEntity)
+	do(t, "PUT", ts.URL+"/v1/tuples/7", map[string]any{"values": []string{"a", "b", "c", "d", "e", "f", "g"}}, http.StatusNotFound)
 }
 
 func TestServeSampleDiscovery(t *testing.T) {

@@ -46,27 +46,27 @@ func fixtureConfig(state string) config {
 // a mixed atomic batch, a single-tuple update and a delete.
 func mutate(t *testing.T, base string) {
 	t.Helper()
-	do(t, "POST", base+"/tuples", map[string]any{"rows": [][]string{
+	do(t, "POST", base+"/v1/tuples", map[string]any{"rows": [][]string{
 		{"01", "212", "9999999", "Ann", "5th Ave", "NYC", "01202"},
 		{"86", "10", "8888888", "Wei", "Main Rd.", "BJ", "100000"},
 	}}, http.StatusOK)
-	do(t, "POST", base+"/batch", map[string]any{"ops": []map[string]any{
+	do(t, "POST", base+"/v1/batch", map[string]any{"ops": []map[string]any{
 		{"op": "insert", "values": []string{"44", "131", "7777777", "Ada", "High St.", "GLA", "EH4 1DT"}},
 		{"op": "update", "id": 10, "values": []string{"44", "131", "7777777", "Ada", "High St.", "EDI", "EH4 1DT"}},
 		{"op": "delete", "id": 9},
 	}}, http.StatusOK)
-	do(t, "PUT", base+"/tuples/7", map[string]any{
+	do(t, "PUT", base+"/v1/tuples/7", map[string]any{
 		"values": []string{"01", "131", "2222222", "Sean", "3rd Str.", "EDI", "01202"},
 	}, http.StatusOK)
-	do(t, "DELETE", base+"/tuples/2", nil, http.StatusOK)
+	do(t, "DELETE", base+"/v1/tuples/2", nil, http.StatusOK)
 }
 
-// TestBatchEndpoint exercises POST /batch: a mixed atomic batch, intra-batch
-// id references, and all-or-nothing on a bad op.
+// TestBatchEndpoint exercises POST /v1/batch: a mixed atomic batch,
+// intra-batch id references, and all-or-nothing on a bad op.
 func TestBatchEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 
-	out := do(t, "POST", ts.URL+"/batch", map[string]any{"ops": []map[string]any{
+	out := do(t, "POST", ts.URL+"/v1/batch", map[string]any{"ops": []map[string]any{
 		{"op": "insert", "values": []string{"86", "10", "8888888", "Wei", "Main Rd.", "BJ", "100000"}},
 		{"op": "update", "id": 8, "values": []string{"86", "10", "8888888", "Wei", "Main Rd.", "SH", "100000"}},
 		{"op": "delete", "id": 0},
@@ -77,32 +77,37 @@ func TestBatchEndpoint(t *testing.T) {
 	if out["applied"].(float64) != 3 || out["tuples"].(float64) != 8 {
 		t.Fatalf("batch response = %v", out)
 	}
-	row := do(t, "GET", ts.URL+"/tuples/8", nil, http.StatusOK)
+	row := do(t, "GET", ts.URL+"/v1/tuples/8", nil, http.StatusOK)
 	if got := row["values"].([]any); got[5] != "SH" {
 		t.Fatalf("intra-batch update lost: %v", got)
 	}
+	// A batch that inserts nothing still answers an ids array, not null.
+	out = do(t, "POST", ts.URL+"/v1/batch", map[string]any{"ops": []map[string]any{{"op": "delete", "id": 1}}}, http.StatusOK)
+	if got := ints(t, out["ids"]); len(got) != 0 {
+		t.Fatalf("delete-only batch ids = %v, want []", got)
+	}
 
 	// A bad op anywhere voids the whole batch.
-	before := getRaw(t, ts.URL+"/violations")
-	do(t, "POST", ts.URL+"/batch", map[string]any{"ops": []map[string]any{
+	before := getRaw(t, ts.URL+"/v1/violations")
+	do(t, "POST", ts.URL+"/v1/batch", map[string]any{"ops": []map[string]any{
 		{"op": "insert", "values": []string{"01", "212", "9999999", "Ann", "5th Ave", "NYC", "01202"}},
 		{"op": "delete", "id": 4242},
 	}}, http.StatusNotFound)
-	do(t, "POST", ts.URL+"/batch", map[string]any{"ops": []map[string]any{
+	do(t, "POST", ts.URL+"/v1/batch", map[string]any{"ops": []map[string]any{
 		{"op": "frobnicate"},
 	}}, http.StatusUnprocessableEntity)
-	do(t, "POST", ts.URL+"/batch", map[string]any{"ops": []map[string]any{}}, http.StatusBadRequest)
-	after := getRaw(t, ts.URL+"/violations")
+	do(t, "POST", ts.URL+"/v1/batch", map[string]any{"ops": []map[string]any{}}, http.StatusBadRequest)
+	after := getRaw(t, ts.URL+"/v1/violations")
 	if !bytes.Equal(before, after) {
 		t.Fatal("failed batches must not change the violation state")
 	}
 	// Atomic rows insert: one bad row, nothing lands.
-	tuples := do(t, "GET", ts.URL+"/health", nil, http.StatusOK)["tuples"]
-	do(t, "POST", ts.URL+"/tuples", map[string]any{"rows": [][]string{
+	tuples := do(t, "GET", ts.URL+"/v1/health", nil, http.StatusOK)["tuples"]
+	do(t, "POST", ts.URL+"/v1/tuples", map[string]any{"rows": [][]string{
 		{"01", "212", "9999999", "Ann", "5th Ave", "NYC", "01202"},
 		{"too", "short"},
 	}}, http.StatusUnprocessableEntity)
-	if got := do(t, "GET", ts.URL+"/health", nil, http.StatusOK)["tuples"]; got != tuples {
+	if got := do(t, "GET", ts.URL+"/v1/health", nil, http.StatusOK)["tuples"]; got != tuples {
 		t.Fatalf("tuples %v after a failed rows insert, want %v", got, tuples)
 	}
 }
@@ -122,8 +127,8 @@ func TestStateRestart(t *testing.T) {
 			}
 			ts := httptest.NewServer(newServer(sv.eng, sv.store, config{compactEvery: 4096}).handler())
 			mutate(t, ts.URL)
-			want := getRaw(t, ts.URL+"/violations")
-			wantRules := getRaw(t, ts.URL+"/rules")
+			want := getRaw(t, ts.URL+"/v1/violations")
+			wantRules := getRaw(t, ts.URL+"/v1/rules")
 			ts.Close()
 			if graceful {
 				if err := sv.close(); err != nil {
@@ -151,13 +156,13 @@ func TestStateRestart(t *testing.T) {
 			defer sv2.close()
 			ts2 := httptest.NewServer(newServer(sv2.eng, sv2.store, config{compactEvery: 4096}).handler())
 			defer ts2.Close()
-			if got := getRaw(t, ts2.URL+"/violations"); !bytes.Equal(got, want) {
+			if got := getRaw(t, ts2.URL+"/v1/violations"); !bytes.Equal(got, want) {
 				t.Fatalf("restarted /violations differs:\n%s\nvs\n%s", got, want)
 			}
-			if got := getRaw(t, ts2.URL+"/rules"); !bytes.Equal(got, wantRules) {
+			if got := getRaw(t, ts2.URL+"/v1/rules"); !bytes.Equal(got, wantRules) {
 				t.Fatalf("restarted /rules differs:\n%s\nvs\n%s", got, wantRules)
 			}
-			ins := do(t, "POST", ts2.URL+"/tuples", map[string]any{
+			ins := do(t, "POST", ts2.URL+"/v1/tuples", map[string]any{
 				"values": []string{"01", "908", "1111111", "Zoe", "Tree Ave.", "MH", "07974"},
 			}, http.StatusOK)
 			if got := ints(t, ins["ids"]); !reflect.DeepEqual(got, []int{11}) {
@@ -181,10 +186,10 @@ func TestStateBackgroundCompaction(t *testing.T) {
 	ts := httptest.NewServer(h.handler())
 	for i := 0; i < 20; i++ {
 		row := []string{"01", "212", fmt.Sprintf("%07d", i), "Ann", "5th Ave", "NYC", "01202"}
-		out := do(t, "POST", ts.URL+"/tuples", map[string]any{"values": row}, http.StatusOK)
-		do(t, "DELETE", fmt.Sprintf("%s/tuples/%d", ts.URL, ints(t, out["ids"])[0]), nil, http.StatusOK)
+		out := do(t, "POST", ts.URL+"/v1/tuples", map[string]any{"values": row}, http.StatusOK)
+		do(t, "DELETE", fmt.Sprintf("%s/v1/tuples/%d", ts.URL, ints(t, out["ids"])[0]), nil, http.StatusOK)
 	}
-	want := getRaw(t, ts.URL+"/violations")
+	want := getRaw(t, ts.URL+"/v1/violations")
 	ts.Close()
 	h.drainBackground()
 	if err := sv.store.Close(); err != nil { // crash path
@@ -197,7 +202,7 @@ func TestStateBackgroundCompaction(t *testing.T) {
 	defer sv2.close()
 	ts2 := httptest.NewServer(newServer(sv2.eng, sv2.store, config{compactEvery: 4096}).handler())
 	defer ts2.Close()
-	if got := getRaw(t, ts2.URL+"/violations"); !bytes.Equal(got, want) {
+	if got := getRaw(t, ts2.URL+"/v1/violations"); !bytes.Equal(got, want) {
 		t.Fatal("state diverged across background compactions")
 	}
 }
@@ -220,7 +225,7 @@ func TestConcurrentHandlers(t *testing.T) {
 	ts := httptest.NewServer(h.handler())
 	defer ts.Close()
 
-	initial := violationsSansEpoch(t, getRaw(t, ts.URL+"/violations"))
+	initial := violationsSansEpoch(t, getRaw(t, ts.URL+"/v1/violations"))
 
 	const writers, readers, iters = 4, 4, 25
 	var writerWG, readerWG sync.WaitGroup
@@ -231,7 +236,7 @@ func TestConcurrentHandlers(t *testing.T) {
 			defer writerWG.Done()
 			for i := 0; i < iters; i++ {
 				row := []string{"01", "212", fmt.Sprintf("%d-%d", w, i), "Ann", "5th Ave", "NYC", "01202"}
-				resp, err := http.Post(ts.URL+"/tuples", "application/json",
+				resp, err := http.Post(ts.URL+"/v1/tuples", "application/json",
 					bytes.NewBufferString(fmt.Sprintf(`{"values":["%s","%s","%s","%s","%s","%s","%s"]}`,
 						row[0], row[1], row[2], row[3], row[4], row[5], row[6])))
 				if err != nil {
@@ -247,7 +252,7 @@ func TestConcurrentHandlers(t *testing.T) {
 				}
 				id := out.IDs[0]
 				// Update it via /batch, then delete it.
-				b, err := http.Post(ts.URL+"/batch", "application/json",
+				b, err := http.Post(ts.URL+"/v1/batch", "application/json",
 					bytes.NewBufferString(fmt.Sprintf(
 						`{"ops":[{"op":"update","id":%d,"values":["86","10","x","Wei","Main Rd.","BJ","100000"]},{"op":"delete","id":%d}]}`, id, id)))
 				if err != nil {
@@ -275,7 +280,7 @@ func TestConcurrentHandlers(t *testing.T) {
 					return
 				default:
 				}
-				for _, path := range []string{"/violations", "/health", "/rules", "/tuples/0", "/tuples/0/violations"} {
+				for _, path := range []string{"/v1/violations", "/v1/health", "/v1/rules", "/v1/tuples/0", "/v1/tuples/0/violations"} {
 					resp, err := http.Get(ts.URL + path)
 					if err != nil {
 						errs <- err.Error()
@@ -297,7 +302,7 @@ func TestConcurrentHandlers(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	if got := violationsSansEpoch(t, getRaw(t, ts.URL+"/violations")); !reflect.DeepEqual(got, initial) {
+	if got := violationsSansEpoch(t, getRaw(t, ts.URL+"/v1/violations")); !reflect.DeepEqual(got, initial) {
 		t.Fatal("violation state diverged after self-cleaning writers")
 	}
 }

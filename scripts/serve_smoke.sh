@@ -23,34 +23,34 @@ trap 'kill "$PID" 2>/dev/null || true' EXIT
 
 # Wait for the server to come up.
 i=0
-until curl -fs "$BASE/health" >/dev/null 2>&1; do
+until curl -fs "$BASE/v1/health" >/dev/null 2>&1; do
 	i=$((i + 1))
 	[ "$i" -lt 50 ] || fail "server did not come up on $ADDR"
 	sleep 0.1
 done
 
 # Rules loaded, data bulk loaded, violations present.
-health="$(curl -fs "$BASE/health")"
+health="$(curl -fs "$BASE/v1/health")"
 echo "$health" | grep -q '"rules": 2' || fail "expected 2 rules in $health"
 echo "$health" | grep -q '"tuples": 8' || fail "expected 8 tuples in $health"
 
 # The fixture's exact dirty set.
-viols="$(curl -fs "$BASE/violations")"
+viols="$(curl -fs "$BASE/v1/violations")"
 echo "$viols" | tr -d ' \n' | grep -q '"dirty":\[0,1,2,3,4,5,7\]' \
 	|| fail "unexpected dirty set in $viols"
 
 # POST a batch: Ann splits the (01, 01202) street group further.
-post="$(curl -fs -X POST "$BASE/tuples" \
+post="$(curl -fs -X POST "$BASE/v1/tuples" \
 	-H 'Content-Type: application/json' \
 	-d '{"rows":[["01","212","9999999","Ann","5th Ave","NYC","01202"]]}')"
 echo "$post" | tr -d ' \n' | grep -q '"ids":\[8\]' || fail "unexpected insert response $post"
 
-viols="$(curl -fs "$BASE/violations")"
+viols="$(curl -fs "$BASE/v1/violations")"
 echo "$viols" | tr -d ' \n' | grep -q '"dirty":\[0,1,2,3,4,5,7,8\]' \
 	|| fail "dirty set did not grow after insert: $viols"
 
 # Per-tuple lookup on the freshly inserted tuple.
-curl -fs "$BASE/tuples/8/violations" | grep -q 'STR' \
+curl -fs "$BASE/v1/tuples/8/violations" | grep -q 'STR' \
 	|| fail "tuple 8 should violate the street FD"
 
 # Graceful shutdown: SIGTERM, clean exit.
@@ -69,14 +69,14 @@ PID=$!
 trap 'kill "$PID" 2>/dev/null || true' EXIT
 
 i=0
-until curl -fs "$BASE/health" >/dev/null 2>&1; do
+until curl -fs "$BASE/v1/health" >/dev/null 2>&1; do
 	i=$((i + 1))
 	[ "$i" -lt 50 ] || fail "durable server did not come up on $ADDR"
 	sleep 0.1
 done
 
 # Mutate through the atomic batch route: insert two, repair one, delete one.
-batch="$(curl -fs -X POST "$BASE/batch" \
+batch="$(curl -fs -X POST "$BASE/v1/batch" \
 	-H 'Content-Type: application/json' \
 	-d '{"ops":[
 		{"op":"insert","values":["01","212","9999999","Ann","5th Ave","NYC","01202"]},
@@ -93,21 +93,21 @@ cat > "$RULEFILE" <<'EOF'
 ([CC,ZIP] -> STR, (_, _ || _))
 ([NM] -> PN, (_ || _))
 EOF
-version_before="$(curl -fs "$BASE/health" | tr -d ' ' | sed -n 's/.*"rules_version":"\([^"]*\)".*/\1/p')"
-swap="$(curl -fs -X PUT "$BASE/rules" --data-binary @"$RULEFILE")"
+version_before="$(curl -fs "$BASE/v1/health" | tr -d ' ' | sed -n 's/.*"rules_version":"\([^"]*\)".*/\1/p')"
+swap="$(curl -fs -X PUT "$BASE/v1/rules" --data-binary @"$RULEFILE")"
 echo "$swap" | tr -d ' \n' | grep -q '"swapped":true' || fail "unexpected swap response $swap"
 echo "$swap" | tr -d ' \n' | grep -q '"retained":1' || fail "swap should retain the street FD: $swap"
-version_after="$(curl -fs "$BASE/health" | tr -d ' ' | sed -n 's/.*"rules_version":"\([^"]*\)".*/\1/p')"
+version_after="$(curl -fs "$BASE/v1/health" | tr -d ' ' | sed -n 's/.*"rules_version":"\([^"]*\)".*/\1/p')"
 [ "$version_before" != "$version_after" ] || fail "rules_version did not move on swap"
 
 # A second mutation after the swap, so replay crosses the swap record.
-curl -fs -X POST "$BASE/tuples" \
+curl -fs -X POST "$BASE/v1/tuples" \
 	-H 'Content-Type: application/json' \
 	-d '{"values":["01","908","3333333","Zoe","Tree Ave.","MH","07974"]}' >/dev/null \
 	|| fail "insert after swap failed"
 
-before="$(curl -fs "$BASE/violations")"
-rules_before="$(curl -fs "$BASE/rules")"
+before="$(curl -fs "$BASE/v1/violations")"
+rules_before="$(curl -fs "$BASE/v1/rules")"
 
 # Kill hard (no graceful shutdown): recovery must come from snapshot + WAL.
 kill -KILL "$PID"
@@ -117,45 +117,36 @@ wait "$PID" 2>/dev/null || true
 PID=$!
 
 i=0
-until curl -fs "$BASE/health" >/dev/null 2>&1; do
+until curl -fs "$BASE/v1/health" >/dev/null 2>&1; do
 	i=$((i + 1))
 	[ "$i" -lt 50 ] || fail "restarted server did not come up on $ADDR"
 	sleep 0.1
 done
 
-after="$(curl -fs "$BASE/violations")"
-[ "$before" = "$after" ] || fail "restarted /violations differs:
+after="$(curl -fs "$BASE/v1/violations")"
+[ "$before" = "$after" ] || fail "restarted /v1/violations differs:
 --- before ---
 $before
 --- after ---
 $after"
 
 # The restart came back under the swapped-in rule set, byte for byte.
-rules_after="$(curl -fs "$BASE/rules")"
-[ "$rules_before" = "$rules_after" ] || fail "restarted /rules differs:
+rules_after="$(curl -fs "$BASE/v1/rules")"
+[ "$rules_before" = "$rules_after" ] || fail "restarted /v1/rules differs:
 --- before ---
 $rules_before
 --- after ---
 $rules_after"
-restart_version="$(curl -fs "$BASE/health" | tr -d ' ' | sed -n 's/.*"rules_version":"\([^"]*\)".*/\1/p')"
+restart_version="$(curl -fs "$BASE/v1/health" | tr -d ' ' | sed -n 's/.*"rules_version":"\([^"]*\)".*/\1/p')"
 [ "$restart_version" = "$version_after" ] || fail "rules_version regressed across restart: $restart_version != $version_after"
 
 # Ids keep counting from where the killed process stopped.
-post="$(curl -fs -X POST "$BASE/tuples" \
+post="$(curl -fs -X POST "$BASE/v1/tuples" \
 	-H 'Content-Type: application/json' \
 	-d '{"values":["01","908","1111111","Zoe","Tree Ave.","MH","07974"]}')"
 echo "$post" | tr -d ' \n' | grep -q '"ids":\[11\]' || fail "id sequence lost across restart: $post"
 
-# --- Delta leg: /v1 polling, deprecation headers, compaction resync. ---
-
-# Legacy aliases answer with deprecation headers; /v1 does not.
-curl -fsi "$BASE/violations" | grep -qi '^deprecation: true' \
-	|| fail "legacy /violations must send Deprecation: true"
-curl -fsi "$BASE/violations" | grep -qi 'rel="successor-version"' \
-	|| fail "legacy /violations must link its /v1 successor"
-if curl -fsi "$BASE/v1/violations" | grep -qi '^deprecation'; then
-	fail "/v1/violations must not be deprecated"
-fi
+# --- Delta leg: ?since= polling, compaction resync. ---
 
 # A full read carries the epoch; polling ?since= that epoch returns the exact
 # delta of the next mutation, not the whole report.
@@ -164,7 +155,7 @@ epoch="$(curl -fs "$BASE/v1/violations" | tr -d ' ' | sed -n 's/.*"epoch":\([0-9
 curl -fs -X POST "$BASE/v1/tuples" \
 	-H 'Content-Type: application/json' \
 	-d '{"values":["01","212","9999999","Ann","5th Ave","NYC","01202"]}' >/dev/null \
-	|| fail "insert through /v1 failed"
+	|| fail "insert before the delta poll failed"
 delta="$(curl -fs "$BASE/v1/violations?since=$epoch")"
 echo "$delta" | tr -d ' \n' | grep -q "\"epoch\":$((epoch + 1))" \
 	|| fail "delta epoch did not advance by one: $delta"
@@ -182,16 +173,16 @@ PID=$!
 trap 'kill "$PID" 2>/dev/null || true' EXIT
 
 i=0
-until curl -fs "$BASE/health" >/dev/null 2>&1; do
+until curl -fs "$BASE/v1/health" >/dev/null 2>&1; do
 	i=$((i + 1))
 	[ "$i" -lt 50 ] || fail "compacting server did not come up on $ADDR"
 	sleep 0.1
 done
 
-curl -fs -X DELETE "$BASE/v1/tuples/12" >/dev/null || fail "delete through /v1 failed"
+curl -fs -X DELETE "$BASE/v1/tuples/12" >/dev/null || fail "delete on the compacting server failed"
 # Wait for the background compaction to fold the WAL away.
 i=0
-until curl -fs "$BASE/health" | tr -d ' ' | grep -q '"wal_pending":0'; do
+until curl -fs "$BASE/v1/health" | tr -d ' ' | grep -q '"wal_pending":0'; do
 	i=$((i + 1))
 	[ "$i" -lt 50 ] || fail "background compaction never drained the WAL"
 	sleep 0.1
@@ -205,7 +196,7 @@ wait "$PID" 2>/dev/null || true
 PID=$!
 
 i=0
-until curl -fs "$BASE/health" >/dev/null 2>&1; do
+until curl -fs "$BASE/v1/health" >/dev/null 2>&1; do
 	i=$((i + 1))
 	[ "$i" -lt 50 ] || fail "post-compaction server did not come up on $ADDR"
 	sleep 0.1
@@ -234,7 +225,7 @@ PID=$!
 trap 'kill "$PID" 2>/dev/null || true' EXIT
 
 i=0
-until curl -fs "$BASE/health" >/dev/null 2>&1; do
+until curl -fs "$BASE/v1/health" >/dev/null 2>&1; do
 	i=$((i + 1))
 	[ "$i" -lt 50 ] || fail "observed server did not come up on $ADDR"
 	sleep 0.1

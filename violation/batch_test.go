@@ -109,7 +109,7 @@ func assertSameState(t *testing.T, a, b *violation.Engine) {
 
 // TestApplyBatchMatchesPerOp is the defining parity check: a batch must land
 // the engine in exactly the state a per-op replay produces, ids included,
-// for every shard count.
+// for every shard count (one shard per worker).
 func TestApplyBatchMatchesPerOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	startLive := make([]int, 8)
@@ -118,7 +118,7 @@ func TestApplyBatchMatchesPerOp(t *testing.T) {
 	}
 	ops := randomOps(rng, 400, startLive, 8)
 	for _, shards := range []int{1, 2, 5, 64} {
-		batched := custEngine(t, true, violation.Options{Shards: shards})
+		batched := custEngine(t, true, violation.Options{Workers: shards})
 		perOp := custEngine(t, true, violation.Options{})
 		// Apply in chunks so batches cross each other's inserted ids.
 		for i := 0; i < len(ops); i += 32 {
@@ -277,7 +277,7 @@ func (f failingLog) Append([]violation.Op) error { return f.err }
 func TestShardedBulkLoadAgrees(t *testing.T) {
 	fx := fixtures(t)[1]
 	var reports []*violation.Report
-	for _, opts := range []violation.Options{{}, {Shards: 1}, {Shards: 3, Workers: 2}, {Shards: 1000}} {
+	for _, opts := range []violation.Options{{}, {Workers: 1}, {Workers: 3}, {Workers: 1000}} {
 		eng, err := violation.New(fx.rel.Attributes(), rules.Of(fx.rules...), opts)
 		if err != nil {
 			t.Fatal(err)

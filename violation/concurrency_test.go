@@ -65,7 +65,7 @@ func checkReportConsistent(t *testing.T, eng *violation.Engine, rep *violation.R
 // thread-safety proof.
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	fx := fixtures(t)[0]
-	eng, err := violation.New(fx.rel.Attributes(), rules.Of(fx.rules...), violation.Options{Shards: 3})
+	eng, err := violation.New(fx.rel.Attributes(), rules.Of(fx.rules...), violation.Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,7 +211,7 @@ func TestRandomizedOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			startSet := pool[0]
-			eng, err := violation.New(fx.rel.Attributes(), startSet, violation.Options{Shards: 1 + int(seed%4)})
+			eng, err := violation.New(fx.rel.Attributes(), startSet, violation.Options{Workers: 1 + int(seed%4)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,7 +244,7 @@ func TestRandomizedOracleV1Restore(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { st.Close() })
-			eng, found, err := st.Load(violation.Options{Shards: 1 + int(seed%4)})
+			eng, found, err := st.Load(violation.Options{Workers: 1 + int(seed%4)})
 			if err != nil {
 				t.Fatal(err)
 			}

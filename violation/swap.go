@@ -2,7 +2,9 @@ package violation
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/cfd"
@@ -21,8 +23,21 @@ type RuleCommitLog interface {
 	AppendRules(set *rules.Set) error
 }
 
-// SwapRules atomically replaces the engine's rule set with set (nil swaps to
-// an empty set) and returns the rules.Diff between the old and new sets. The
+// ErrRulesVersion is wrapped by SwapRulesIf when the engine serves none of the
+// expected rules versions: the compare-and-swap lost, nothing changed.
+var ErrRulesVersion = errors.New("rules version mismatch")
+
+// SwapRules is the unconditional SwapRulesIf.
+func (e *Engine) SwapRules(ctx context.Context, set *rules.Set) (rules.Delta, error) {
+	return e.SwapRulesIf(ctx, set, nil)
+}
+
+// SwapRulesIf atomically replaces the engine's rule set with set (nil swaps to
+// an empty set) and returns the rules.Diff between the old and new sets. A
+// non-empty versions list makes it a compare-and-swap: the swap proceeds only
+// while the served RulesVersion is one of them, evaluated under the same
+// write lock that applies the swap — of any number of concurrent swaps
+// expecting one version, exactly one wins and the rest get ErrRulesVersion. The
 // tuples are untouched. Under the write lock, indexes of retained rules are
 // reused as they are, indexes for added rules are built over the live tuples
 // — fanned out across the added rules on repro/internal/pool — and removed
@@ -35,7 +50,7 @@ type RuleCommitLog interface {
 // RuleCommitLog, or whose append fails, rejects the swap with ErrWAL and
 // leaves the engine unchanged. A cancelled ctx aborts the index build for
 // added rules and likewise leaves the engine unchanged.
-func (e *Engine) SwapRules(ctx context.Context, set *rules.Set) (rules.Delta, error) {
+func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []string) (rules.Delta, error) {
 	if set == nil {
 		set = rules.Of()
 	}
@@ -46,6 +61,9 @@ func (e *Engine) SwapRules(ctx context.Context, set *rules.Set) (rules.Delta, er
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if v := e.set.Fingerprint(); len(versions) > 0 && !slices.Contains(versions, v) {
+		return rules.Delta{}, fmt.Errorf("violation: %w: serving %q, expected one of %q", ErrRulesVersion, v, versions)
+	}
 	delta := rules.Diff(e.set, set)
 
 	// Match new rules against the current indexes by canonical rule key;
@@ -141,7 +159,7 @@ func (e *Engine) SwapRules(ctx context.Context, set *rules.Set) (rules.Delta, er
 	e.set = set
 	e.rules = newRules
 	e.indexes = newIndexes
-	e.shards = shardIndexes(len(newIndexes), e.shardOpt, e.workers)
+	e.shards = shardIndexes(len(newIndexes), e.workers)
 	e.bumpLocked()
 	if obs != nil {
 		obs.ObserveSwap(len(delta.Added), len(delta.Removed), len(delta.Retained), time.Since(obsStart).Seconds())

@@ -70,7 +70,7 @@ func TestSwapRulesMatchesRebuild(t *testing.T) {
 	for _, tc := range targets {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, shards := range []int{1, 3} {
-				eng := custEngine(t, true, violation.Options{Shards: shards})
+				eng := custEngine(t, true, violation.Options{Workers: shards})
 				old := eng.RuleSet()
 				delta, err := eng.SwapRules(context.Background(), tc.set)
 				if err != nil {
@@ -214,6 +214,42 @@ func TestSwapRulesNil(t *testing.T) {
 	}
 }
 
+// TestSwapRulesIf: a conditional swap is a compare-and-swap on the served
+// version — a stale expectation is refused with ErrRulesVersion and changes
+// nothing, and of concurrent swaps expecting one version exactly one wins.
+func TestSwapRulesIf(t *testing.T) {
+	eng := custEngine(t, true, violation.Options{})
+	ctx := context.Background()
+	served := eng.RulesVersion()
+	if _, err := eng.SwapRulesIf(ctx, nil, []string{"stale"}); !errors.Is(err, violation.ErrRulesVersion) {
+		t.Fatalf("stale expectation: err = %v, want ErrRulesVersion", err)
+	}
+	if eng.RulesVersion() != served {
+		t.Fatal("a refused swap must leave the rule set unchanged")
+	}
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = eng.SwapRulesIf(ctx, nil, []string{"stale", served})
+		}()
+	}
+	wg.Wait()
+	won := 0
+	for _, err := range errs {
+		if err == nil {
+			won++
+		} else if !errors.Is(err, violation.ErrRulesVersion) {
+			t.Fatalf("lost swap: err = %v, want ErrRulesVersion", err)
+		}
+	}
+	if won != 1 {
+		t.Fatalf("%d of %d swaps expecting %s won, want exactly 1", won, len(errs), served)
+	}
+}
+
 // TestSwapRulesConcurrentReaders races swaps against snapshot readers and
 // point reads; under -race this proves the swap path's locking. Every
 // observed snapshot must be internally consistent and belong entirely to one
@@ -222,7 +258,7 @@ func TestSwapRulesConcurrentReaders(t *testing.T) {
 	fx := fixtures(t)[0]
 	setA := rules.Of(fx.rules...)
 	setB := rules.Of(fx.rules[1], cfd.NewFD([]string{"NM"}, "PN"))
-	eng, err := violation.New(fx.rel.Attributes(), setA, violation.Options{Shards: 3})
+	eng, err := violation.New(fx.rel.Attributes(), setA, violation.Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,9 @@
 // group of each rule: O(rules) map work per tuple, independent of the
 // relation size.
 //
-// An Engine is built from a first-class rule set (*rules.Set, or pattern
-// tableaux via NewFromTableaux), bulk loaded from a *cfd.Relation (in
-// parallel across rule shards, on repro/internal/pool), and then kept current
+// An Engine is built from a first-class rule set (*rules.Set), bulk loaded
+// from a *cfd.Relation (in parallel across rule shards, on
+// repro/internal/pool), and then kept current
 // with Insert / Delete / Update — or, amortising lock and index maintenance
 // over many tuples, with an atomic ApplyBatch — as tuples arrive and change.
 // The rule set itself is live too: SwapRules atomically replaces it while
@@ -106,13 +106,10 @@ type Options struct {
 	// snapshot rebuilds may use: 0 runs one worker per available CPU (the
 	// default), 1 runs sequentially. Single-tuple Insert/Delete/Update are
 	// always applied inline; they are O(rules) per call and not worth fanning
-	// out.
+	// out. The per-rule indexes are partitioned into one shard per worker
+	// (clamped to the rule count), each maintained on its own pool worker;
+	// any worker count yields identical state.
 	Workers int
-	// Shards is the number of rule shards the per-rule indexes are
-	// partitioned into; batch mutations maintain each shard on its own pool
-	// worker. 0 derives the shard count from Workers; values above the rule
-	// count are clamped. Any shard count yields identical state.
-	Shards int
 	// DeltaHistory bounds the ring of per-commit violation deltas served by
 	// Changes: a reader up to DeltaHistory epochs behind gets an incremental
 	// delta, older readers get ErrCompacted and must resync with a full read.
@@ -170,7 +167,6 @@ type Engine struct {
 	tab       *table  // columnar row store: tab.cols[a][id], absent once deleted
 	live      int
 	workers   int
-	shardOpt  int // configured Options.Shards, re-applied after a rule swap
 	maxPinGap int // resolved Options.MaxPinGap; <0 disables the bound
 	wal       CommitLog
 
@@ -238,7 +234,6 @@ func New(attributes []string, set *rules.Set, opts Options) (*Engine, error) {
 		dicts:     make([]*core.Dict, schema.Arity()),
 		set:       set,
 		workers:   opts.Workers,
-		shardOpt:  opts.Shards,
 		maxPinGap: maxPinGap,
 		deltas:    make([]*Delta, history),
 		watch:     make(chan struct{}),
@@ -251,27 +246,14 @@ func New(attributes []string, set *rules.Set, opts Options) (*Engine, error) {
 			return nil, err
 		}
 	}
-	e.shards = shardIndexes(len(e.indexes), opts.Shards, opts.Workers)
+	e.shards = shardIndexes(len(e.indexes), opts.Workers)
 	return e, nil
 }
 
-// NewFromTableaux is New for rules given as pattern tableaux; each tableau is
-// expanded into its single-pattern CFDs (§2.3).
-func NewFromTableaux(attributes []string, tableaux []cfd.TableauCFD, opts Options) (*Engine, error) {
-	var expanded []cfd.CFD
-	for _, t := range tableaux {
-		expanded = append(expanded, t.CFDs()...)
-	}
-	return New(attributes, rules.Of(expanded...), opts)
-}
-
-// shardIndexes partitions n rule indexes round-robin into the configured
-// number of shards (at least one, at most n).
-func shardIndexes(n, shards, workers int) [][]int {
-	s := shards
-	if s <= 0 {
-		s = pool.Normalize(workers)
-	}
+// shardIndexes partitions n rule indexes round-robin into one shard per
+// worker (at least one, at most n).
+func shardIndexes(n, workers int) [][]int {
+	s := pool.Normalize(workers)
 	if s > n {
 		s = n
 	}

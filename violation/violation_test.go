@@ -338,40 +338,6 @@ func TestEngineErrors(t *testing.T) {
 	}
 }
 
-func TestNewFromTableaux(t *testing.T) {
-	rel := dataset.Cust()
-	ruleList := []cfd.CFD{
-		{LHS: []string{"AC"}, RHS: "CT", LHSPattern: []string{"131"}, RHSPattern: "EDI"},
-		{LHS: []string{"AC"}, RHS: "CT", LHSPattern: []string{"908"}, RHSPattern: "MH"},
-	}
-	tableaux := cfd.BuildTableaux(ruleList)
-	if len(tableaux) != 1 || len(tableaux[0].Patterns) != 2 {
-		t.Fatalf("expected one tableau with two patterns, got %v", tableaux)
-	}
-	fromTab, err := violation.NewFromTableaux(rel.Attributes(), tableaux, violation.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fromTab.BulkLoad(rel); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := len(fromTab.Rules()), 2; got != want {
-		t.Fatalf("tableau engine has %d rules, want %d", got, want)
-	}
-	// Same violation state as the expanded rule set (rule order differs only
-	// by the tableau's deterministic pattern sort, so compare dirty sets).
-	flat, err := violation.New(rel.Attributes(), rules.Of(ruleList...), violation.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flat.BulkLoad(rel); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromTab.Dirty(), flat.Dirty()) {
-		t.Fatalf("tableau dirty %v != flat dirty %v", fromTab.Dirty(), flat.Dirty())
-	}
-}
-
 // TestRuleSetPreserved checks that the engine hands back the rule set it was
 // built from — rules, order and provenance — which is what cfdserve's
 // GET /rules serves.
