@@ -7,10 +7,12 @@
 package cleaning
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"repro/cfd"
+	"repro/internal/core"
 	"repro/rules"
 	"repro/violation"
 )
@@ -146,60 +148,61 @@ func SuggestRepairs(rel *cfd.Relation, set *rules.Set) ([]Repair, error) {
 		return nil, err
 	}
 	var out []Repair
+	enc := rel.Encoded()
+	index := func(name string) int {
+		a, _ := enc.Schema().Index(name) // Detect validated every attribute name
+		return a
+	}
 	for _, v := range rep.Violations {
 		rule := v.Rule
+		rhs := index(rule.RHS)
+		repair := func(t int, suggested string) {
+			out = append(out, Repair{
+				Tuple: t, Attribute: rule.RHS,
+				Current: enc.ValueString(t, rhs), Suggested: suggested, Rule: rule,
+			})
+		}
 		if !rule.IsVariable() {
 			for _, t := range v.Tuples {
-				cur, err := rel.Value(t, rule.RHS)
-				if err != nil {
-					return nil, err
-				}
-				if cur != rule.RHSPattern {
-					out = append(out, Repair{
-						Tuple: t, Attribute: rule.RHS,
-						Current: cur, Suggested: rule.RHSPattern, Rule: rule,
-					})
+				if enc.ValueString(t, rhs) != rule.RHSPattern {
+					repair(t, rule.RHSPattern)
 				}
 			}
 			continue
 		}
 		// Variable rule: group the violating tuples by their LHS values and
 		// suggest the majority RHS value of each group (falling back to the
-		// group's lexicographically smallest value on ties).
-		groups := make(map[string][]int)
-		for _, t := range v.Tuples {
-			key := ""
-			for _, a := range rule.LHS {
-				val, err := rel.Value(t, a)
-				if err != nil {
-					return nil, err
-				}
-				key += val + "\x00"
-			}
-			groups[key] = append(groups[key], t)
+		// group's lexicographically smallest value on ties). Groups are keyed
+		// on the dictionary codes, fixed width, so no two distinct LHS value
+		// combinations can share a key whatever bytes the values contain.
+		lhs := make([]int, len(rule.LHS))
+		for i, name := range rule.LHS {
+			lhs[i] = index(name)
 		}
+		groups := make(map[string][]int)
+		key := make([]byte, 0, 4*len(lhs))
+		for _, t := range v.Tuples {
+			key = key[:0]
+			for _, a := range lhs {
+				key = binary.LittleEndian.AppendUint32(key, uint32(enc.Value(t, a)))
+			}
+			groups[string(key)] = append(groups[string(key)], t)
+		}
+		values := enc.Dict(rhs)
 		for _, tuples := range groups {
-			counts := make(map[string]int)
+			counts := make(map[int32]int)
 			for _, t := range tuples {
-				val, err := rel.Value(t, rule.RHS)
-				if err != nil {
-					return nil, err
-				}
-				counts[val]++
+				counts[enc.Value(t, rhs)]++
 			}
-			best := ""
-			for val, n := range counts {
-				if best == "" || n > counts[best] || (n == counts[best] && val < best) {
-					best = val
+			best := core.Absent
+			for code, n := range counts {
+				if best == core.Absent || n > counts[best] || (n == counts[best] && values.Value(code) < values.Value(best)) {
+					best = code
 				}
 			}
 			for _, t := range tuples {
-				cur, _ := rel.Value(t, rule.RHS)
-				if cur != best {
-					out = append(out, Repair{
-						Tuple: t, Attribute: rule.RHS,
-						Current: cur, Suggested: best, Rule: rule,
-					})
+				if enc.Value(t, rhs) != best {
+					repair(t, values.Value(best))
 				}
 			}
 		}

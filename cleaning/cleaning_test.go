@@ -1,6 +1,7 @@
 package cleaning_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/cfd"
@@ -216,6 +217,35 @@ func TestSuggestRepairsVariableRule(t *testing.T) {
 	}
 	if !rep.Clean() {
 		t.Error("repaired relation should satisfy the FD")
+	}
+}
+
+// TestSuggestRepairsGroupsDoNotCollide: LHS groups whose values, joined on a
+// NUL separator, spell the same string — ("a\x00","b") and ("a","\x00b") —
+// are distinct groups with their own majority each. Merged, the majority
+// over both (y) would "repair" the first group's two correct tuples.
+func TestSuggestRepairsGroupsDoNotCollide(t *testing.T) {
+	rel, err := cfd.FromRows([]string{"A", "B", "C"}, [][]string{
+		{"a\x00", "b", "x"}, {"a\x00", "b", "x"}, {"a\x00", "b", "y"},
+		{"a", "\x00b", "y"}, {"a", "\x00b", "y"}, {"a", "\x00b", "y"}, {"a", "\x00b", "z"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repairs, err := cleaning.SuggestRepairs(rel, rules.Of(cfd.NewFD([]string{"A", "B"}, "C")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type fix struct {
+		tuple              int
+		current, suggested string
+	}
+	var got []fix
+	for _, rp := range repairs {
+		got = append(got, fix{rp.Tuple, rp.Current, rp.Suggested})
+	}
+	if want := []fix{{2, "y", "x"}, {6, "z", "y"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("repairs = %+v, want %+v", got, want)
 	}
 }
 

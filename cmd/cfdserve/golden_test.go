@@ -14,7 +14,7 @@ import (
 	"repro/violation"
 )
 
-// goldenRulesA is the rule set testdata/golden_v1 was booted with; the swap
+// goldenRulesA is the rule set testdata/golden_format2 was booted with; the swap
 // record in its WAL replaces it with goldenRulesB. Both are spelled out here
 // — not read back from the fixture — so the fixture and this test check each
 // other.
@@ -36,7 +36,7 @@ func goldenRulesB() *rules.Set {
 }
 
 // goldenOps replays, against a fresh engine, the exact mutation sequence the
-// golden_v1 fixture generator ran: one mixed batch, a live rule swap, and a
+// golden_format2 fixture generator ran: one mixed batch, a live rule swap, and a
 // second batch with unicode and separator-bearing values (WAL seq 1..3).
 func goldenOps(t *testing.T, eng *violation.Engine) {
 	t.Helper()
@@ -59,19 +59,23 @@ func goldenOps(t *testing.T, eng *violation.Engine) {
 	}
 }
 
-// TestGoldenV1CrossLayout is the cross-layout differential check: engine A is
-// restored from testdata/golden_v1 — a state directory written by the
-// pre-columnar build (format 1 snapshot plus WAL) — while engine B is a fresh
-// engine driven through the identical boot and op sequence. Every read
-// endpoint, paginated ones page by page, must serve byte-identical bodies
-// (epoch included) from both.
+// TestGoldenV1CrossLayout is the cross-layout differential check on the /v1
+// read surface: engine A is restored from testdata/golden_format2 — a state
+// directory (format 2 snapshot of the 8 cust tuples plus a 3-record WAL)
+// written by the build that still kept the engine's rows in its own table
+// type, before core.Relation became the one tuple store — while engine B is
+// a fresh engine driven through the identical boot and op sequence. Every
+// read endpoint, paginated ones page by page, must serve byte-identical
+// bodies (epoch included) from both, and compacting either must write the
+// snapshot bytes that older build wrote for the same state
+// (compacted.json: a hole at id 6, dead dictionary entries dropped).
 func TestGoldenV1CrossLayout(t *testing.T) {
 	// The checked-in fixture is copied into a temp dir: opening a store drops
 	// a LOCK file and compaction could rewrite it, and testdata must stay the
 	// pre-refactor bytes.
 	dirA := t.TempDir()
 	for _, name := range []string{"snapshot.json", "wal.jsonl"} {
-		data, err := os.ReadFile(filepath.Join("testdata", "golden_v1", name))
+		data, err := os.ReadFile(filepath.Join("testdata", "golden_format2", name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,12 +93,12 @@ func TestGoldenV1CrossLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !found {
-		t.Fatal("golden_v1 snapshot not found")
+		t.Fatal("golden_format2 snapshot not found")
 	}
 	engA.AttachWAL(stA)
 	// Fixture integrity: the generator ended at WAL seq 3 with 10 live tuples.
 	if engA.Epoch() != 3 || engA.Size() != 10 {
-		t.Fatalf("golden_v1 restored to epoch %d size %d, want 3 and 10", engA.Epoch(), engA.Size())
+		t.Fatalf("golden_format2 restored to epoch %d size %d, want 3 and 10", engA.Epoch(), engA.Size())
 	}
 
 	rel := dataset.Cust()
@@ -105,7 +109,8 @@ func TestGoldenV1CrossLayout(t *testing.T) {
 	if err := engB.BulkLoad(rel); err != nil {
 		t.Fatal(err)
 	}
-	stB, err := violation.OpenStore(t.TempDir(), violation.StoreOptions{})
+	dirB := t.TempDir()
+	stB, err := violation.OpenStore(dirB, violation.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +136,7 @@ func TestGoldenV1CrossLayout(t *testing.T) {
 	} {
 		a, b := getRaw(t, tsA.URL+path), getRaw(t, tsB.URL+path)
 		if string(a) != string(b) {
-			t.Errorf("GET %s diverges across layouts\nrestored v1: %s\nfresh:       %s", path, a, b)
+			t.Errorf("GET %s diverges across layouts\nrestored: %s\nfresh:    %s", path, a, b)
 		}
 	}
 	// Paginated reads must agree page by page, cursors included.
@@ -145,8 +150,29 @@ func TestGoldenV1CrossLayout(t *testing.T) {
 		}
 		for i := range pa {
 			if pa[i] != pb[i] {
-				t.Errorf("GET %s page %d diverges\nrestored v1: %s\nfresh:       %s", base, i, pa[i], pb[i])
+				t.Errorf("GET %s page %d diverges\nrestored: %s\nfresh:    %s", base, i, pa[i], pb[i])
 			}
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_format2", "compacted.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		st   *violation.Store
+		eng  *violation.Engine
+		dir  string
+	}{{"restored", stA, engA, dirA}, {"fresh", stB, engB, dirB}} {
+		if err := c.st.Compact(c.eng); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(c.dir, "snapshot.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("the %s engine compacts to different snapshot bytes\ngot:  %s\nwant: %s", c.name, got, want)
 		}
 	}
 }

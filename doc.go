@@ -14,10 +14,12 @@
 //   - repro/dataset   — CSV IO, the synthetic Tax generator (ARITY/DBSIZE/CF)
 //     and shape-preserving stand-ins for the UCI data sets.
 //   - repro/violation — the concurrent incremental violation-detection
-//     engine: sharded per-rule hash indexes, bulk load plus O(rules)
-//     Insert/Delete/Update, atomic ApplyBatch, copy-on-write epoch snapshots
-//     for lock-free consistent reads, and the Store persistence layer
-//     (JSONL write-ahead log + compacted snapshots); served over HTTP by
+//     engine: the tuples in one columnar dictionary-encoded relation (the
+//     same internal/core.Relation the miners read), one packed-key hash
+//     index per rule, bulk load plus O(rules) Insert/Delete/Update, atomic
+//     ApplyBatch, live rule swaps, copy-on-write epoch snapshots for
+//     lock-free consistent reads, and the Store persistence layer (JSONL
+//     write-ahead log + compacted snapshots); served over HTTP by
 //     cmd/cfdserve.
 //   - repro/cleaning  — CFD-based violation detection (delegating to
 //     repro/violation) and repair suggestions.

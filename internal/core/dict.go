@@ -1,31 +1,52 @@
 package core
 
+import "sync"
+
 // Dict is a per-attribute dictionary mapping attribute values (strings) to dense
 // int32 codes and back. Codes are assigned in first-seen order starting at 0.
 type Dict struct {
-	codes  map[string]int32
 	values []string
+	// codes is the value → code index. It is built on the first Encode or
+	// Lookup, not before: a dictionary filled by Relation.AppendRecoded and
+	// only ever decoded (a snapshot capture, a relation handed to code that
+	// works on codes alone) never pays for hashing its values.
+	once  sync.Once
+	codes map[string]int32
 }
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{codes: make(map[string]int32)}
+	// values is never nil: it is serialised as part of Relation.Raw.
+	return &Dict{values: []string{}}
+}
+
+// index returns the value → code index, building it on first use; safe for
+// concurrent readers.
+func (d *Dict) index() map[string]int32 {
+	d.once.Do(func() {
+		d.codes = make(map[string]int32, len(d.values))
+		for c, v := range d.values {
+			d.codes[v] = int32(c)
+		}
+	})
+	return d.codes
 }
 
 // Encode returns the code for v, assigning a fresh one if v was never seen.
 func (d *Dict) Encode(v string) int32 {
-	if c, ok := d.codes[v]; ok {
+	codes := d.index()
+	if c, ok := codes[v]; ok {
 		return c
 	}
 	c := int32(len(d.values))
-	d.codes[v] = c
+	codes[v] = c
 	d.values = append(d.values, v)
 	return c
 }
 
 // Lookup returns the code for v and whether v is present, without inserting.
 func (d *Dict) Lookup(v string) (int32, bool) {
-	c, ok := d.codes[v]
+	c, ok := d.index()[v]
 	return c, ok
 }
 

@@ -166,15 +166,15 @@ func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 	// pending inserts (sequential inserts extend it by one; pinned inserts
 	// may jump it forward).
 	var overlay map[int][]int32
-	end := e.tab.slots()
+	end := e.rel.Size()
 	rowAt := func(id int) ([]int32, bool) {
 		if row, ok := overlay[id]; ok {
 			return row, row != nil
 		}
-		if !e.tab.live(id) {
+		if !e.rel.Live(id) {
 			return nil, false // pending insert ids are always in overlay
 		}
-		return e.tab.row(id), true
+		return e.rel.CodedRow(id), true
 	}
 	setOverlay := func(id int, row []int32) {
 		if overlay == nil {
@@ -262,16 +262,14 @@ func (e *Engine) apply(resolved []resolvedOp) {
 	for _, r := range resolved {
 		switch r.kind {
 		case OpInsert:
-			if n := r.id + 1 - e.tab.slots(); n > 0 {
-				e.tab.grow(n)
+			if n := r.id + 1 - e.rel.Size(); n > 0 {
+				e.rel.Grow(n)
 			}
-			e.tab.set(r.id, r.new)
-			e.live++
+			e.rel.Set(r.id, r.new)
 		case OpDelete:
-			e.tab.clear(r.id)
-			e.live--
+			e.rel.Clear(r.id)
 		case OpUpdate:
-			e.tab.set(r.id, r.new)
+			e.rel.Set(r.id, r.new)
 		}
 	}
 	// Shards own disjoint rule positions, so the per-rule change maps are

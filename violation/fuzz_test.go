@@ -41,11 +41,12 @@ func fuzzSeedSnapshot(tb testing.TB) []byte {
 // truncated input is rejected with an error — never a panic, never an
 // oversized allocation — and any input that decodes restores into an engine
 // whose re-encoded snapshot is byte-stable (encode → restore → encode is the
-// identity from the first encode on, for format 1 and format 2 alike).
+// identity from the first encode on).
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(fuzzSeedSnapshot(f))
-	// A format 1 (legacy) snapshot, as older builds wrote it.
-	f.Add([]byte(`{"format":1,"wal_seq":3,"attributes":["A","B"],"ruleset":{"cfds":[]},"next_id":3,"tuples":[{"id":0,"values":["x","1"]},{"id":2,"values":["x","2"]}]}`))
+	// A format 1 snapshot, as builds before PR 9 wrote it: no longer read, so
+	// it must take the clean-rejection exit.
+	f.Add([]byte(`{"format":1,"wal_seq":3,"attributes":["A","B"],"ruleset":{"rules":["([A] -> B, (_ || _))"]},"next_id":3,"tuples":[{"id":0,"values":["x","1"]},{"id":2,"values":["x","2"]}]}`))
 	// Structurally broken variants: truncated, dangling code, ragged column,
 	// duplicate dictionary value, dead id on one column only.
 	f.Add(fuzzSeedSnapshot(f)[:40])
@@ -58,11 +59,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly; a panic would fail the fuzzer
 		}
-		// The decoder bounds every dimension against the data itself except a
-		// legacy next_id, which commands a table allocation all by itself;
-		// keep the fuzzer off multi-gigabyte grows.
-		if file.NextID > 1<<16 {
-			return
+		if file.Format != currentFormat {
+			t.Fatalf("decoder accepted format %d", file.Format)
 		}
 		restore := func(file *snapshotFile) *Engine {
 			eng, err := New(file.Attributes, file.RuleSet, Options{})

@@ -2,12 +2,11 @@ package violation_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -224,9 +223,11 @@ func TestRandomizedOracle(t *testing.T) {
 }
 
 // TestRandomizedOracleV1Restore runs the same seeded sequences, but against an
-// engine restored from an old-format (v1, per-tuple row list) snapshot of the
-// fixture relation instead of a fresh bulk load: the legacy restore path must
-// land the engine in a state indistinguishable from the bulk-loaded one.
+// engine restored from a compacted snapshot of the fixture relation instead
+// of a fresh bulk load: the restore path must land the engine in a state
+// indistinguishable from the bulk-loaded one. (The name predates the removal
+// of snapshot format 1, which this test used to restore from; it is kept so
+// the test keeps its identity in CI history.)
 func TestRandomizedOracleV1Restore(t *testing.T) {
 	steps := 140
 	if testing.Short() {
@@ -238,7 +239,7 @@ func TestRandomizedOracleV1Restore(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			writeV1Snapshot(t, dir, fx.rel, pool[0])
+			writeSnapshot(t, dir, fx.rel, pool[0])
 			st, err := violation.OpenStore(dir, violation.StoreOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -249,40 +250,31 @@ func TestRandomizedOracleV1Restore(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !found {
-				t.Fatal("v1 snapshot not found")
+				t.Fatal("snapshot not found")
 			}
 			runOracle(t, seed, steps, eng, pool, fx.rel)
 		})
 	}
 }
 
-// writeV1Snapshot writes a format-1 snapshot.json — the pre-columnar layout
-// with a per-tuple id/values list and no dictionary sections — holding rel
-// under set, built by hand so the test keeps exercising the legacy decoder
-// even though the engine only writes format 2 now.
-func writeV1Snapshot(t *testing.T, dir string, rel *cfd.Relation, set *rules.Set) {
+// writeSnapshot leaves a compacted snapshot.json holding rel under set in dir.
+func writeSnapshot(t *testing.T, dir string, rel *cfd.Relation, set *rules.Set) {
 	t.Helper()
-	type v1Tuple struct {
-		ID     int      `json:"id"`
-		Values []string `json:"values"`
-	}
-	tuples := make([]v1Tuple, rel.Size())
-	for i := range tuples {
-		tuples[i] = v1Tuple{ID: i, Values: rel.Row(i)}
-	}
-	file := map[string]any{
-		"format":     1,
-		"wal_seq":    0,
-		"attributes": rel.Attributes(),
-		"ruleset":    set,
-		"next_id":    rel.Size(),
-		"tuples":     tuples,
-	}
-	data, err := json.Marshal(file)
+	eng, err := violation.New(rel.Attributes(), set, violation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), data, 0o644); err != nil {
+	if err := eng.BulkLoad(rel); err != nil {
+		t.Fatal(err)
+	}
+	st, err := violation.OpenStore(dir, violation.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(eng); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -345,8 +337,47 @@ func runOracle(t *testing.T, seed int64, steps int, eng *violation.Engine, pool 
 			t.Fatalf("seed %d step %d (%s): engine size %d, oracle %d",
 				seed, step, desc, eng.Size(), len(m.rows))
 		}
-		checkRuleStats(t, eng, m, rel.Attributes(), wantViols,
-			fmt.Sprintf("seed %d step %d (%s)", seed, step, desc))
+		ctx := fmt.Sprintf("seed %d step %d (%s)", seed, step, desc)
+		checkRuleStats(t, eng, m, rel.Attributes(), wantViols, ctx)
+		checkRelationBridge(t, eng, ctx)
+	}
+}
+
+// checkRelationBridge asserts that Engine.Relation() — an integer recode of
+// the engine's relation — equals, dictionaries in order, columns and id map,
+// the relation rebuilt the slow way: every live tuple decoded to strings and
+// re-interned into fresh dictionaries in ascending id order. The miners'
+// output order depends on those codes, so this is what keeps remines
+// bit-identical.
+func checkRelationBridge(t *testing.T, eng *violation.Engine, ctx string) {
+	t.Helper()
+	got, gotIDs, err := eng.Relation()
+	if err != nil {
+		t.Fatalf("%s: Relation: %v", ctx, err)
+	}
+	tuples, _, _ := eng.Tuples(0, 0)
+	want := cfd.MustRelation(eng.Attributes()...)
+	wantIDs := make([]int, 0, len(tuples))
+	for _, tu := range tuples {
+		if err := want.Append(tu.Values...); err != nil {
+			t.Fatal(err)
+		}
+		wantIDs = append(wantIDs, tu.ID)
+	}
+	if !sameIDs(gotIDs, wantIDs) {
+		t.Fatalf("%s: Relation id map\ngot:  %v\nwant: %v", ctx, gotIDs, wantIDs)
+	}
+	g, w := got.Encoded(), want.Encoded()
+	if g.Size() != w.Size() || g.Count() != w.Count() {
+		t.Fatalf("%s: Relation has %d slots / %d tuples, reference %d / %d", ctx, g.Size(), g.Count(), w.Size(), w.Count())
+	}
+	for a := 0; a < w.Arity(); a++ {
+		if !slices.Equal(g.Dict(a).Values(), w.Dict(a).Values()) {
+			t.Fatalf("%s: Relation attribute %d dictionary\ngot:  %q\nwant: %q", ctx, a, g.Dict(a).Values(), w.Dict(a).Values())
+		}
+		if !slices.Equal(g.Column(a), w.Column(a)) {
+			t.Fatalf("%s: Relation attribute %d column\ngot:  %v\nwant: %v", ctx, a, g.Column(a), w.Column(a))
+		}
 	}
 }
 

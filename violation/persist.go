@@ -8,11 +8,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/pool"
+	"repro/internal/core"
 	"repro/rules"
 )
 
@@ -91,40 +92,29 @@ func (rec walRecord) cost() int {
 	return len(rec.Ops)
 }
 
-// snapshotFile is the compacted state on the wire. Format 2 (written by this
-// build) stores the relation columnar and dictionary-encoded: one string
-// dictionary per attribute holding the distinct values of its live tuples in
-// first-use order (scanning ids ascending), and one int32 column per
-// attribute with the dictionary code of every id slot, -1 marking a dead id
-// (deleted, or a hole below a pinned insert). The remap to first-use codes at
-// encode time garbage-collects dictionary entries no live tuple carries and
-// makes re-encoding a loaded snapshot byte-stable. Format 1 (older builds)
-// stored each live tuple as an (id, values) pair; it is still read, never
-// written.
+// snapshotFile is the compacted state on the wire. Format 2, the only format
+// read or written, stores the relation in the raw form of a core.Relation
+// (core.Relation.Raw): one string dictionary per attribute holding the
+// distinct values of its live tuples in first-use order (scanning ids
+// ascending), and one int32 column per attribute with the dictionary code of
+// every id slot, -1 marking a dead id (deleted, or a hole below a pinned
+// insert). Recoding to first-use codes at encode time garbage-collects
+// dictionary entries no live tuple carries and makes re-encoding a loaded
+// snapshot byte-stable.
 type snapshotFile struct {
 	Format     int        `json:"format"`
 	WalSeq     uint64     `json:"wal_seq"`
 	Attributes []string   `json:"attributes"`
 	RuleSet    *rules.Set `json:"ruleset"`
 	NextID     int        `json:"next_id"`
-	// Tuples is the format 1 relation section.
-	Tuples []savedTuple `json:"tuples,omitempty"`
-	// Dicts and Columns are the format 2 relation section.
-	Dicts   [][]string `json:"dicts,omitempty"`
-	Columns [][]int32  `json:"columns,omitempty"`
-}
-
-// savedTuple is one live tuple with its stable id (format 1 only).
-type savedTuple struct {
-	ID     int      `json:"id"`
-	Values []string `json:"values"`
+	Dicts      [][]string `json:"dicts,omitempty"`
+	Columns    [][]int32  `json:"columns,omitempty"`
 }
 
 const (
 	snapshotName  = "snapshot.json"
 	walName       = "wal.jsonl"
 	currentFormat = 2
-	legacyFormat  = 1
 )
 
 // decodeSnapshotFile parses and structurally validates a snapshot. Every
@@ -146,8 +136,11 @@ func decodeSnapshotFile(data []byte) (*snapshotFile, error) {
 // decodeSnapshotFile). Schema-level validity (attribute names, rules) is
 // checked by New on restore.
 func (f *snapshotFile) validate() error {
-	if f.Format != legacyFormat && f.Format != currentFormat {
-		return fmt.Errorf("format %d, this build reads %d and %d", f.Format, legacyFormat, currentFormat)
+	if f.Format == 1 {
+		return fmt.Errorf("format 1 (per-tuple list) is no longer read: start any build from PR 9 to PR 14 on this directory once — its start-up compaction rewrites the snapshot as format %d — then start this build", currentFormat)
+	}
+	if f.Format != currentFormat {
+		return fmt.Errorf("format %d, this build reads only format %d", f.Format, currentFormat)
 	}
 	if len(f.Attributes) == 0 {
 		return fmt.Errorf("no attributes")
@@ -156,26 +149,6 @@ func (f *snapshotFile) validate() error {
 		return fmt.Errorf("negative next_id %d", f.NextID)
 	}
 	arity := len(f.Attributes)
-	if f.Format == legacyFormat {
-		if f.Dicts != nil || f.Columns != nil {
-			return fmt.Errorf("format 1 snapshot carries format 2 sections")
-		}
-		if f.NextID < len(f.Tuples) {
-			return fmt.Errorf("next_id %d below its %d tuples", f.NextID, len(f.Tuples))
-		}
-		for _, t := range f.Tuples {
-			if t.ID < 0 || t.ID >= f.NextID {
-				return fmt.Errorf("tuple id %d outside [0, %d)", t.ID, f.NextID)
-			}
-			if len(t.Values) != arity {
-				return fmt.Errorf("tuple %d has %d values, schema has %d attributes", t.ID, len(t.Values), arity)
-			}
-		}
-		return nil
-	}
-	if f.Tuples != nil {
-		return fmt.Errorf("format 2 snapshot carries a format 1 tuple section")
-	}
 	if len(f.Dicts) != arity || len(f.Columns) != arity {
 		return fmt.Errorf("%d dictionaries and %d columns for %d attributes", len(f.Dicts), len(f.Columns), arity)
 	}
@@ -191,12 +164,12 @@ func (f *snapshotFile) validate() error {
 			return fmt.Errorf("attribute %d column has %d slots, next_id is %d", a, len(f.Columns[a]), f.NextID)
 		}
 		for id, code := range f.Columns[a] {
-			if code != absent && (code < 0 || int(code) >= len(f.Dicts[a])) {
+			if code != core.Absent && (code < 0 || int(code) >= len(f.Dicts[a])) {
 				return fmt.Errorf("attribute %d slot %d holds code %d outside its %d-value dictionary", a, id, code, len(f.Dicts[a]))
 			}
 			// A dead id must be dead on every column; compare against
 			// attribute 0, the column the engine derives liveness from.
-			if (code == absent) != (f.Columns[0][id] == absent) {
+			if (code == core.Absent) != (f.Columns[0][id] == core.Absent) {
 				return fmt.Errorf("id %d is dead on attribute 0 but not on attribute %d (or vice versa)", id, a)
 			}
 		}
@@ -226,7 +199,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	case err == nil:
 		file, err := decodeSnapshotFile(data)
 		if err != nil {
-			return fail(fmt.Errorf("violation: corrupt %s: %w", snapshotName, err))
+			return fail(fmt.Errorf("violation: unreadable %s: %w", snapshotName, err))
 		}
 		st.snapFile = file
 		st.snapSeq = file.WalSeq
@@ -440,7 +413,7 @@ func (st *Store) replay(e *Engine) error {
 // unfolded tail, so the WAL stays bounded under sustained writes. Safe to
 // call concurrently with reads and writes: the state and the WAL sequence it
 // covers are captured at one consistent point under the engine's read lock
-// (an O(live tuples) pointer copy; the expensive decode and file write run
+// (a column copy; canonicalisation, encoding and the file write run
 // unlocked), and replay skips folded records by sequence number, so a crash
 // anywhere in the procedure is recoverable.
 func (st *Store) Compact(e *Engine) error {
@@ -645,144 +618,43 @@ func (st *Store) Close() error {
 
 // captureSnapshot captures the engine state — and, through seq, the WAL
 // sequence it corresponds to — at one consistent point under the read lock
-// (an O(live tuples × arity) int32 copy; the canonicalisation below runs
-// unlocked) and encodes it as a format 2 snapshot. Codes are remapped to
-// first-use order over an ascending-id scan, so dictionary entries no live
-// tuple carries are dropped and re-encoding a restored snapshot reproduces
-// it byte for byte, whatever the engine's internal code assignment. A nil
-// seq records sequence 0.
+// (an O(id slots × arity) int32 copy plus the dictionaries' slice headers) and
+// encodes it as a format 2 snapshot. The canonicalisation runs unlocked: the
+// capture is recoded, holes kept, into an empty relation, so codes land in
+// first-use order over an ascending-id scan, dictionary entries no live tuple
+// carries are dropped, and re-encoding a restored snapshot reproduces it byte
+// for byte, whatever the engine's internal code assignment. A nil seq records
+// sequence 0.
 func (e *Engine) captureSnapshot(seq func() uint64) *snapshotFile {
 	file := &snapshotFile{Format: currentFormat}
 	e.mu.RLock()
 	file.Attributes = e.schema.Names()
 	file.RuleSet = e.set
-	file.NextID = e.tab.slots()
-	cols := e.tab.snapshotCols()
-	values := make([][]string, len(e.dicts))
-	for a, d := range e.dicts {
-		values[a] = d.Values() // append-only; the captured header stays valid
+	file.NextID = e.rel.Size()
+	dicts, cols := e.rel.Raw()
+	for a := range cols {
+		cols[a] = slices.Clone(cols[a])
 	}
 	if seq != nil {
 		file.WalSeq = seq()
 	}
 	e.mu.RUnlock()
 
-	file.Dicts = make([][]string, len(cols))
-	file.Columns = make([][]int32, len(cols))
-	for a := range cols {
-		remap := make([]int32, len(values[a]))
-		for i := range remap {
-			remap[i] = -1
-		}
-		dict := []string{}
-		col := cols[a] // owned copy: remapped in place
-		if col == nil {
-			col = []int32{}
-		}
-		for id, code := range col {
-			if code == absent {
-				continue
-			}
-			if remap[code] < 0 {
-				remap[code] = int32(len(dict))
-				dict = append(dict, values[a][code])
-			}
-			col[id] = remap[code]
-		}
-		file.Dicts[a] = dict
-		file.Columns[a] = col
-	}
+	canon := core.NewRelation(e.schema)
+	canon.AppendRecoded(dicts, cols, file.NextID, true)
+	file.Dicts, file.Columns = canon.Raw()
 	return file
 }
 
-// restoreSnapshot rebuilds the engine's relation from a validated snapshot
-// (see decodeSnapshotFile), dispatching on its format.
+// restoreSnapshot loads a validated snapshot (see decodeSnapshotFile) into an
+// empty engine: every tuple lands at its original id, dead ids stay holes,
+// and the next id to assign is the file's next_id.
 func (e *Engine) restoreSnapshot(file *snapshotFile) error {
-	if file.Format == currentFormat {
-		return e.restoreColumns(file)
-	}
-	return e.restore(file.Tuples, file.NextID)
-}
-
-// restore rebuilds the row table from a format 1 snapshot: each saved tuple
-// lands at its original id, deleted ids stay as holes, and the next id to
-// assign is nextID. Index building fans out across the rule shards like a
-// bulk load.
-func (e *Engine) restore(tuples []savedTuple, nextID int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	defer e.resetViewLocked()
-	if e.tab.slots() != 0 {
+	if e.rel.Size() != 0 {
 		return fmt.Errorf("violation: restore into a non-empty engine")
 	}
-	if nextID < 0 || nextID < len(tuples) {
-		return fmt.Errorf("violation: snapshot next_id %d below its %d tuples", nextID, len(tuples))
-	}
-	e.tab.grow(nextID)
-	for _, t := range tuples {
-		if t.ID < 0 || t.ID >= nextID {
-			return fmt.Errorf("violation: snapshot tuple id %d outside [0, %d)", t.ID, nextID)
-		}
-		if e.tab.live(t.ID) {
-			return fmt.Errorf("violation: snapshot tuple id %d duplicated", t.ID)
-		}
-		row, err := e.encode(t.Values)
-		if err != nil {
-			return err
-		}
-		e.tab.set(t.ID, row)
-		e.live++
-	}
-	return e.buildIndexesLocked()
-}
-
-// restoreColumns rebuilds the row table from a format 2 snapshot: each
-// attribute's file codes are translated into the engine's code space once
-// (the engine dictionaries already hold the rule constants New interned, so
-// file and engine codes differ), then the columns are copied with a tight
-// integer loop.
-func (e *Engine) restoreColumns(file *snapshotFile) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	defer e.resetViewLocked()
-	if e.tab.slots() != 0 {
-		return fmt.Errorf("violation: restore into a non-empty engine")
-	}
-	e.tab.grow(file.NextID)
-	for a := range e.tab.cols {
-		trans := make([]int32, len(file.Dicts[a]))
-		for code, v := range file.Dicts[a] {
-			trans[code] = e.dicts[a].Encode(v)
-		}
-		col := e.tab.cols[a]
-		for id, code := range file.Columns[a] {
-			if code != absent {
-				col[id] = trans[code]
-			}
-		}
-	}
-	for id := 0; id < e.tab.slots(); id++ {
-		if e.tab.live(id) {
-			e.live++
-		}
-	}
-	return e.buildIndexesLocked()
-}
-
-// buildIndexesLocked builds every rule index over the restored row table,
-// fanned out across the rule shards like a bulk load. Callers hold the write
-// lock.
-func (e *Engine) buildIndexesLocked() error {
-	return pool.Each(context.Background(), e.workers, len(e.shards), func(_, s int) {
-		row := make([]int32, e.schema.Arity())
-		for id := 0; id < e.tab.slots(); id++ {
-			if !e.tab.live(id) {
-				continue
-			}
-			e.tab.gather(id, row)
-			for _, ri := range e.shards[s] {
-				e.indexes[ri].Insert(id, row)
-			}
-		}
-	})
+	return e.loadLocked(context.Background(), file.Dicts, file.Columns, file.NextID)
 }

@@ -463,18 +463,34 @@ func TestStoreEmpty(t *testing.T) {
 	}
 }
 
-// TestStoreCorruptSnapshot: a mangled snapshot fails loudly at open.
+// TestStoreCorruptSnapshot: a mangled snapshot fails loudly at open, and so
+// does a format 1 snapshot (no longer read) — with an error that names the
+// format and the way out, leaving the directory unlocked and untouched.
 func TestStoreCorruptSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	_, st := durableEngine(t, dir, violation.StoreOptions{})
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte("{half"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := violation.OpenStore(dir, violation.StoreOptions{}); err == nil {
-		t.Fatal("corrupt snapshot must fail OpenStore")
+	format1 := `{"format":1,"wal_seq":3,"attributes":["A","B"],"ruleset":{"rules":["([A] -> B, (_ || _))"]},"next_id":3,"tuples":[{"id":0,"values":["x","1"]},{"id":2,"values":["x","2"]}]}`
+	for _, tc := range []struct{ name, snapshot, want string }{
+		{"mangled", "{half", "unreadable snapshot.json"},
+		{"format1", format1, "format 1 (per-tuple list) is no longer read: start any build from PR 9 to PR 14"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, st := durableEngine(t, dir, violation.StoreOptions{})
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "snapshot.json")
+			if err := os.WriteFile(path, []byte(tc.snapshot), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for attempt := 0; attempt < 2; attempt++ { // the failed open must release the lock
+				if _, err := violation.OpenStore(dir, violation.StoreOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("OpenStore attempt %d: err = %v, want one containing %q", attempt, err, tc.want)
+				}
+			}
+			if data, err := os.ReadFile(path); err != nil || string(data) != tc.snapshot {
+				t.Fatalf("a refused snapshot was rewritten: %q (err %v)", data, err)
+			}
+		})
 	}
 }
 

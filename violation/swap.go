@@ -9,7 +9,6 @@ import (
 
 	"repro/cfd"
 	"repro/internal/core"
-	"repro/internal/pool"
 	"repro/rules"
 )
 
@@ -75,7 +74,7 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	}
 	newRules := append([]cfd.CFD(nil), set.CFDs()...)
 	newIndexes := make([]*core.RuleIndex, len(newRules))
-	var fresh []int // positions of added rules, whose indexes must be built
+	var fresh [][]int // one group per added rule, whose index must be built
 	for i, r := range newRules {
 		k := r.Normalize().String()
 		if q := avail[k]; len(q) > 0 {
@@ -88,23 +87,13 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 			return rules.Delta{}, err
 		}
 		newIndexes[i] = ix
-		fresh = append(fresh, i)
+		fresh = append(fresh, []int{i})
 	}
 	// Build the indexes of added rules over the live rows before anything is
 	// committed: the fresh indexes are private until the final assignment, so
 	// an error (or a cancelled context) discards them with no state change.
 	if len(fresh) > 0 {
-		if err := pool.Each(ctx, e.workers, len(fresh), func(_, j int) {
-			ix := newIndexes[fresh[j]]
-			row := make([]int32, e.schema.Arity())
-			for id := 0; id < e.tab.slots(); id++ {
-				if !e.tab.live(id) {
-					continue
-				}
-				e.tab.gather(id, row)
-				ix.Insert(id, row)
-			}
-		}); err != nil {
+		if err := e.indexLive(ctx, 0, newIndexes, fresh); err != nil {
 			return rules.Delta{}, err
 		}
 	}

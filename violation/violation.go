@@ -23,6 +23,18 @@
 // in repro/cleaning and repro/cfd route through the same underlying index
 // (internal/core.RuleIndex), so there is one source of truth.
 //
+// # Storage
+//
+// The tuples live in a single internal/core.Relation — the columnar,
+// dictionary-encoded relation type the discovery algorithms read — with the
+// tuple id as the slot and a hole wherever an id was deleted or skipped by a
+// pinned insert. Tuples cross dictionaries only through that type's one
+// recode primitive (core.Relation.AppendRecoded): BulkLoad and snapshot
+// restore recode into the engine's relation, snapshot capture recodes it
+// into the canonical first-use form format 2 stores, and Relation recodes it
+// into the compact hole-free copy handed to miners and repro/cleaning. A
+// relation with holes never leaves the engine.
+//
 // # Concurrency
 //
 // The Engine is safe for concurrent use by any number of readers and
@@ -149,23 +161,24 @@ type CommitLog interface {
 // tuple indexes. The rule set is replaced wholesale by SwapRules; it is
 // never mutated in place.
 //
-// Id stability has a cost: each ever-assigned id keeps a (nil after Delete)
-// slot in the engine's row table, and the per-attribute interning tables only
+// Id stability has a cost: each ever-assigned id keeps a slot (a hole once
+// deleted) in the engine's relation, and the per-attribute dictionaries only
 // grow. A deployment with unbounded insert/delete churn should periodically
 // rebuild the engine from Relation() (re-basing ids) to reclaim that memory.
 type Engine struct {
 	// mu serialises mutations (Lock) against point reads and snapshot
-	// rebuilds (RLock). The per-rule indexes, rows, dicts and live count are
-	// only written under Lock.
-	mu        sync.RWMutex
-	schema    *core.Schema
-	dicts     []*core.Dict // engine-owned interning tables, one per attribute
+	// rebuilds (RLock). The per-rule indexes and the relation are only
+	// written under Lock.
+	mu     sync.RWMutex
+	schema *core.Schema
+	// rel is the tuple store: slot = tuple id, a hole once deleted. Its
+	// dictionaries also intern the rule constants, so they may hold codes no
+	// tuple carries.
+	rel       *core.Relation
 	set       *rules.Set
 	rules     []cfd.CFD
 	indexes   []*core.RuleIndex
 	shards    [][]int // shard -> indexes it owns (round-robin partition)
-	tab       *table  // columnar row store: tab.cols[a][id], absent once deleted
-	live      int
 	workers   int
 	maxPinGap int // resolved Options.MaxPinGap; <0 disables the bound
 	wal       CommitLog
@@ -230,16 +243,12 @@ func New(attributes []string, set *rules.Set, opts Options) (*Engine, error) {
 	}
 	e := &Engine{
 		schema:    schema,
-		tab:       newTable(schema.Arity()),
-		dicts:     make([]*core.Dict, schema.Arity()),
+		rel:       core.NewRelation(schema),
 		set:       set,
 		workers:   opts.Workers,
 		maxPinGap: maxPinGap,
 		deltas:    make([]*Delta, history),
 		watch:     make(chan struct{}),
-	}
-	for a := range e.dicts {
-		e.dicts[a] = core.NewDict()
 	}
 	for _, rule := range set.CFDs() {
 		if err := e.addRule(rule); err != nil {
@@ -288,11 +297,11 @@ func (e *Engine) compileRule(rule cfd.CFD) (*core.RuleIndex, error) {
 		}
 		enc.LHS = enc.LHS.Add(a)
 		if rule.LHSPattern[i] != cfd.Wildcard {
-			enc.Tp[a] = e.dicts[a].Encode(rule.LHSPattern[i])
+			enc.Tp[a] = e.rel.Dict(a).Encode(rule.LHSPattern[i])
 		}
 	}
 	if rule.RHSPattern != cfd.Wildcard {
-		enc.Tp[rhs] = e.dicts[rhs].Encode(rule.RHSPattern)
+		enc.Tp[rhs] = e.rel.Dict(rhs).Encode(rule.RHSPattern)
 	}
 	return core.NewRuleIndex(enc), nil
 }
@@ -316,18 +325,18 @@ func (e *Engine) encode(values []string) ([]int32, error) {
 	}
 	row := make([]int32, len(values))
 	for a, v := range values {
-		row[a] = e.dicts[a].Encode(v)
+		row[a] = e.rel.Dict(a).Encode(v)
 	}
 	return row, nil
 }
 
-// row returns a fresh copy of the encoded row of a live tuple id. Callers
+// checkLive returns an ErrNotFound error unless id is a live tuple. Callers
 // must hold mu.
-func (e *Engine) row(id int) ([]int32, error) {
-	if !e.tab.live(id) {
-		return nil, fmt.Errorf("violation: tuple %d: %w", id, ErrNotFound)
+func (e *Engine) checkLive(id int) error {
+	if !e.rel.Live(id) {
+		return fmt.Errorf("violation: tuple %d: %w", id, ErrNotFound)
 	}
-	return e.tab.row(id), nil
+	return nil
 }
 
 // AttachWAL attaches a write-ahead log: from now on every mutation is
@@ -407,49 +416,49 @@ func (e *Engine) BulkLoadContext(ctx context.Context, rel *cfd.Relation) error {
 			return fmt.Errorf("violation: relation attribute %d is %q, engine schema has %q", a, name, e.schema.Name(a))
 		}
 	}
-	// The relation is already dictionary-encoded, so instead of re-interning
-	// every cell as a string, translate each attribute's whole column into the
-	// engine's code space (O(distinct values) string work per attribute, then
-	// a tight integer loop per column). Interning mutates the shared
-	// dictionaries, so this part runs sequentially; the per-shard index
-	// building below carries the real cost and fans out.
-	start := e.tab.slots()
-	end := start + rel.Size()
-	inner := rel.Encoded()
-	arity := e.schema.Arity()
-	for a := 0; a < arity; a++ {
-		values := inner.Dict(a).Values()
-		trans := make([]int32, len(values))
-		for code, v := range values {
-			trans[code] = e.dicts[a].Encode(v)
-		}
-		col := e.tab.cols[a]
-		for _, c := range inner.Column(a) {
-			col = append(col, trans[c])
-		}
-		e.tab.cols[a] = col
-	}
-	e.live += rel.Size()
-	err := pool.Each(ctx, e.workers, len(e.shards), func(_, s int) {
-		row := make([]int32, arity)
-		for id := start; id < end; id++ {
-			e.tab.gather(id, row)
-			for _, ri := range e.shards[s] {
-				e.indexes[ri].Insert(id, row)
-			}
-		}
-	})
+	dicts, cols := rel.Encoded().Raw()
+	err := e.loadLocked(ctx, dicts, cols, rel.Size())
 	if err == nil && obs != nil {
 		obs.ObserveCommit("bulkload", rel.Size(), time.Since(obsStart).Seconds())
 	}
 	return err
 }
 
+// loadLocked appends rows given in raw form (core.Relation.Raw) at the end of
+// the engine's relation — holes stay holes, so row i gets id NextID()+i — and
+// indexes them under every rule. Recoding interns into the shared
+// dictionaries, so it runs sequentially; the index build carries the real
+// cost and fans out. Callers hold the write lock.
+func (e *Engine) loadLocked(ctx context.Context, dicts [][]string, cols [][]int32, rows int) error {
+	start := e.rel.Size()
+	e.rel.AppendRecoded(dicts, cols, rows, true)
+	return e.indexLive(ctx, start, e.indexes, e.shards)
+}
+
+// indexLive inserts every live tuple with id >= from into indexes, fanned
+// out on the worker pool: task g fills the indexes at positions groups[g],
+// which must be disjoint. Callers hold the write lock, or the read lock when
+// the indexes are still private.
+func (e *Engine) indexLive(ctx context.Context, from int, indexes []*core.RuleIndex, groups [][]int) error {
+	return pool.Each(ctx, e.workers, len(groups), func(_, g int) {
+		row := make([]int32, e.schema.Arity())
+		for id := from; id < e.rel.Size(); id++ {
+			if !e.rel.Live(id) {
+				continue
+			}
+			e.rel.Gather(id, row)
+			for _, i := range groups[g] {
+				indexes[i].Insert(id, row)
+			}
+		}
+	})
+}
+
 // Size returns the number of live tuples.
 func (e *Engine) Size() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.live
+	return e.rel.Count()
 }
 
 // NextID returns the id the next sequential insert would be assigned: one
@@ -459,7 +468,7 @@ func (e *Engine) Size() int {
 func (e *Engine) NextID() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.tab.slots()
+	return e.rel.Size()
 }
 
 // Epoch returns the engine's mutation epoch: it increases after every
@@ -505,15 +514,10 @@ func (e *Engine) Attributes() []string { return e.schema.Names() }
 func (e *Engine) Row(id int) ([]string, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	row, err := e.row(id)
-	if err != nil {
+	if err := e.checkLive(id); err != nil {
 		return nil, err
 	}
-	out := make([]string, len(row))
-	for a, code := range row {
-		out[a] = e.dicts[a].Value(code)
-	}
-	return out, nil
+	return e.rel.Row(id), nil
 }
 
 // Tuple is one live tuple with its stable id, as listed by Tuples.
@@ -533,21 +537,16 @@ func (e *Engine) Tuples(start, limit int) (tuples []Tuple, next int, more bool) 
 	if start < 0 {
 		start = 0
 	}
-	arity := e.schema.Arity()
-	for id := start; id < e.tab.slots(); id++ {
-		if !e.tab.live(id) {
+	for id := start; id < e.rel.Size(); id++ {
+		if !e.rel.Live(id) {
 			continue
 		}
 		if limit > 0 && len(tuples) == limit {
 			return tuples, id, true
 		}
-		values := make([]string, arity)
-		for a := 0; a < arity; a++ {
-			values[a] = e.dicts[a].Value(e.tab.cols[a][id])
-		}
-		tuples = append(tuples, Tuple{ID: id, Values: values})
+		tuples = append(tuples, Tuple{ID: id, Values: e.rel.Row(id)})
 	}
-	return tuples, e.tab.slots(), false
+	return tuples, e.rel.Size(), false
 }
 
 // snapshot returns the immutable state snapshot for the current epoch,
@@ -680,10 +679,10 @@ func (e *Engine) DirtyCount() int {
 func (e *Engine) TupleViolations(id int) ([]cfd.CFD, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	row, err := e.row(id)
-	if err != nil {
+	if err := e.checkLive(id); err != nil {
 		return nil, err
 	}
+	row := e.rel.CodedRow(id)
 	var out []cfd.CFD
 	for i, ix := range e.indexes {
 		if ix.IsViolating(id, row) {
@@ -693,31 +692,16 @@ func (e *Engine) TupleViolations(id int) ([]cfd.CFD, error) {
 	return out, nil
 }
 
-// Relation materialises the live tuples as a *cfd.Relation together with the
-// engine id of each of its tuples, for handing the current state to batch
-// consumers (repair suggestion, re-discovery, export). The copy is one
-// consistent point-in-time read.
+// Relation materialises the live tuples as a hole-free *cfd.Relation together
+// with the engine id of each of its tuples, for handing the current state to
+// batch consumers (repair suggestion, re-discovery, export). The copy is one
+// consistent point-in-time read with dictionaries of its own: per attribute,
+// exactly the values live tuples carry, coded in first-seen order.
 func (e *Engine) Relation() (*cfd.Relation, []int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	rel, err := cfd.NewRelation(e.schema.Names()...)
-	if err != nil {
-		return nil, nil, fmt.Errorf("violation: %w", err)
-	}
-	ids := make([]int, 0, e.live)
-	arity := e.schema.Arity()
-	values := make([]string, arity)
-	for id := 0; id < e.tab.slots(); id++ {
-		if !e.tab.live(id) {
-			continue
-		}
-		for a := 0; a < arity; a++ {
-			values[a] = e.dicts[a].Value(e.tab.cols[a][id])
-		}
-		if err := rel.Append(values...); err != nil {
-			return nil, nil, fmt.Errorf("violation: %w", err)
-		}
-		ids = append(ids, id)
-	}
-	return rel, ids, nil
+	out := core.NewRelation(e.schema)
+	dicts, cols := e.rel.Raw()
+	ids := out.AppendRecoded(dicts, cols, e.rel.Size(), false)
+	return cfd.WrapEncoded(out), ids, nil
 }
