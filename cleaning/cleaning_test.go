@@ -1,7 +1,9 @@
 package cleaning_test
 
 import (
+	"bytes"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/cfd"
@@ -314,5 +316,63 @@ func TestEndToEndCleaningPipeline(t *testing.T) {
 	}
 	if caught == 0 {
 		t.Error("no perturbed tuple was flagged by the discovered rules")
+	}
+}
+
+// TestRepairOrderIsDeterministic: two rules repairing the same cell to
+// different values come out in rule order, every time, so ApplyRepairs'
+// "first one wins" — and with it cfdclean -repair — writes the same relation
+// from the same input. In every block of 8 tuples, tuple 3 holds C = "y"
+// where its A-group says "x" (3 to 1) and its B-group says "z" (3 to 1).
+func TestRepairOrderIsDeterministic(t *testing.T) {
+	var rows [][]string
+	for k := 0; k < 50; k++ {
+		a, b := "a"+strconv.Itoa(k), "b"+strconv.Itoa(k)
+		uniq := func(i int) string { return "u" + strconv.Itoa(8*k+i) }
+		rows = append(rows,
+			[]string{a, uniq(0), "x"}, []string{a, uniq(1), "x"}, []string{a, uniq(2), "x"},
+			[]string{a, b, "y"},
+			[]string{uniq(4), b, "z"}, []string{uniq(5), b, "z"}, []string{uniq(6), b, "z"},
+			[]string{uniq(7), uniq(7), "x"},
+		)
+	}
+	rel, err := cfd.FromRows([]string{"A", "B", "C"}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byA, byB := cfd.NewFD([]string{"A"}, "C"), cfd.NewFD([]string{"B"}, "C")
+	set := rules.Of(byA, byB)
+	first, err := cleaning.SuggestRepairs(rel, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 100 {
+		t.Fatalf("got %d repairs, want two for each of the 50 conflicted cells", len(first))
+	}
+	for i := 0; i < len(first); i += 2 {
+		p, q := first[i], first[i+1]
+		if p.Tuple != 4*i+3 || q.Tuple != p.Tuple || !p.Rule.Equal(byA) || p.Suggested != "x" || !q.Rule.Equal(byB) || q.Suggested != "z" {
+			t.Fatalf("repairs %d, %d = %+v, %+v: want tuple %d under %s then %s", i, i+1, p, q, 4*i+3, byA, byB)
+		}
+	}
+	csv := func(rel *cfd.Relation) string {
+		var buf bytes.Buffer
+		if err := dataset.WriteCSV(&buf, rel); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	want := csv(cleaning.ApplyRepairs(rel, first))
+	for run := 0; run < 20; run++ {
+		again, err := cleaning.SuggestRepairs(rel, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, first) {
+			t.Fatalf("run %d: SuggestRepairs returned a different slice for the same input", run)
+		}
+		if got := csv(cleaning.ApplyRepairs(rel, again)); got != want {
+			t.Fatalf("run %d: ApplyRepairs wrote a different relation for the same input", run)
+		}
 	}
 }

@@ -100,8 +100,9 @@ func (c *Cluster) merge(docs []ViolationsDoc) (ViolationsDoc, error) {
 }
 
 // Suspects scatter-gathers the repair view. Suspect analysis is group-local
-// (cleaning.Suspects reasons per LHS group), and groups are intact within
-// their shard, so the sorted union equals the single-node suspect list.
+// (violation.Engine.Suspects reads each rule's LHS groups off the shard's
+// live indexes), and groups are intact within their shard, so the sorted
+// union equals the single-node suspect list.
 func (c *Cluster) Suspects(ctx context.Context) ([]int, error) {
 	docs := make([]SuspectsDoc, len(c.shards))
 	if err := c.scatter("suspects", func(i int, s *ShardClient) error {

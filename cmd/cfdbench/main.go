@@ -8,8 +8,8 @@
 //	cfdbench -fig fig07 -full    # paper-scale sweep (can take hours)
 //	cfdbench -fig all -quick     # minimal smoke-test scale
 //
-// See EXPERIMENTS.md for the recorded results and their comparison with the
-// paper.
+// See "Reproducing the paper's figures" in README.md for what each figure
+// shows and how its shape compares with the paper.
 package main
 
 import (

@@ -79,26 +79,18 @@ func main() {
 		fatal(err)
 	}
 
-	report, err := cleaning.Detect(rel, ruleSet)
+	// One engine over the data serves the report and the repairs alike.
+	eng, err := cleaning.Load(rel, ruleSet)
 	if err != nil {
 		fatal(err)
 	}
-	// Clean data needs no repair pass (SuggestRepairs re-detects internally)
-	// and no repaired copy.
-	var repairs []cleaning.Repair
+	report, repairs := eng.Report(), eng.Repairs()
 	repairedPath := ""
-	if !report.Clean() {
-		repairs, err = cleaning.SuggestRepairs(rel, ruleSet)
-		if err != nil {
+	if !report.Clean() && *repair != "" {
+		if err := dataset.SaveCSVFile(*repair, cleaning.ApplyRepairs(rel, repairs)); err != nil {
 			fatal(err)
 		}
-		if *repair != "" {
-			repaired := cleaning.ApplyRepairs(rel, repairs)
-			if err := dataset.SaveCSVFile(*repair, repaired); err != nil {
-				fatal(err)
-			}
-			repairedPath = *repair
-		}
+		repairedPath = *repair
 	}
 
 	if *jsonOut {

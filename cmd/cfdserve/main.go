@@ -40,7 +40,8 @@
 //	GET    /v1/violations/stream       the same deltas live, as SSE — one
 //	                                   event per commit
 //	GET    /v1/suspects                tuples most likely erroneous (repair
-//	                                   view)
+//	                                   view), read off the live indexes by
+//	                                   violation.Engine.Suspects
 //	GET    /v1/tuples                  bulk export in id order (limit/cursor)
 //	POST   /v1/tuples                  insert {"values":[...]} or
 //	                                   {"rows":[[...]]} (a rows batch is

@@ -7,14 +7,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/cfd"
-	"repro/cleaning"
 	"repro/cluster"
 	"repro/dataset"
 	"repro/discovery/monitor"
@@ -288,26 +286,8 @@ func (s *server) Changes(_ context.Context, since uint64) (cluster.ChangesDoc, e
 	return cluster.ChangesDoc{Epoch: d.Epoch, Delta: newDeltaDoc(d)}, nil
 }
 
-func (s *server) Suspects(context.Context) ([]int, error) {
-	// Relation() materialises one consistent copy; the batch suspect analysis
-	// then runs on the copy without holding anything, so a polling client
-	// never stalls writers.
-	rel, ids, err := s.eng.Relation()
-	if err != nil {
-		return nil, err
-	}
-	suspects, err := cleaning.Suspects(rel, s.eng.RuleSet())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(suspects))
-	for i, t := range suspects {
-		out[i] = ids[t]
-	}
-	// Ascending tuple ids pin the pagination order.
-	sort.Ints(out)
-	return out, nil
-}
+// Suspects is read off the live indexes under the engine's read lock.
+func (s *server) Suspects(context.Context) ([]int, error) { return s.eng.Suspects(), nil }
 
 func (s *server) Tuples(_ context.Context, cursor, limit int) (cluster.TuplesDoc, error) {
 	tuples, next, more := s.eng.Tuples(cursor, limit)

@@ -20,13 +20,15 @@
 //     ApplyBatch, live rule swaps, copy-on-write epoch snapshots for
 //     lock-free consistent reads, and the Store persistence layer (JSONL
 //     write-ahead log + compacted snapshots); served over HTTP by
-//     cmd/cfdserve.
-//   - repro/cleaning  — CFD-based violation detection (delegating to
-//     repro/violation) and repair suggestions.
+//     cmd/cfdserve. Engine.Suspects / Engine.Repairs read the likely
+//     culprits and their corrections off the live indexes.
+//   - repro/cleaning  — the batch entry points over one bulk-loaded
+//     violation engine (Load, Detect, Suspects, SuggestRepairs) plus
+//     ApplyRepairs; detection and the repair rule live in repro/violation.
 //   - repro/experiments — regeneration of every figure of the paper's §6.
 //
-// The root package only hosts the repository-level benchmarks
-// (bench_test.go); see README.md for a walkthrough and the operations guide,
+// The root package only hosts the paper-figure Go benchmarks (bench_test.go,
+// `make figures`); see README.md for a walkthrough and the operations guide,
 // and ARCHITECTURE.md for the package-layer map, the data flow from the
 // paper's algorithms to the serving layer, and the snapshot/WAL lifecycle.
 package repro

@@ -45,14 +45,13 @@ func main() {
 	// 4. Detect violations of the discovered rules on the dirty data. The
 	// suspects list narrows the violating tuples down to the likely culprits
 	// (minority values within their group), which is what a reviewer wants.
-	report, err := cleaning.Detect(dirty, ruleSet)
+	// One engine over the dirty data serves the report, the suspects and (in
+	// step 6) the repairs.
+	live, err := cleaning.Load(dirty, ruleSet)
 	if err != nil {
 		log.Fatal(err)
 	}
-	suspects, err := cleaning.Suspects(dirty, ruleSet)
-	if err != nil {
-		log.Fatal(err)
-	}
+	report, suspects := live.Report(), live.Suspects()
 	fmt.Printf("%d rules are violated; %d tuples are involved, %d are prime suspects\n",
 		len(report.Violations), len(report.DirtyTuples), len(suspects))
 
@@ -88,10 +87,7 @@ func main() {
 	}
 
 	// 6. Suggest and apply repairs, then re-check.
-	repairs, err := cleaning.SuggestRepairs(dirty, ruleSet)
-	if err != nil {
-		log.Fatal(err)
-	}
+	repairs := live.Repairs()
 	repaired := cleaning.ApplyRepairs(dirty, repairs)
 	after, err := cleaning.Detect(repaired, ruleSet)
 	if err != nil {

@@ -194,6 +194,25 @@ func (g *vgroup) count(code int32) int {
 	}
 }
 
+// majority returns the group's most common RHS code, ties going to the code
+// whose value sorts first: the value a variable rule's repair moves the rest
+// of the group to.
+func (g *vgroup) majority(values *Dict) int32 {
+	var best int32
+	bestN := 0
+	consider := func(code int32, n int) {
+		if n > bestN || (n == bestN && n > 0 && values.Value(code) < values.Value(best)) {
+			best, bestN = code, n
+		}
+	}
+	consider(g.rc1, g.n1)
+	consider(g.rc2, g.n2)
+	for code, n := range g.spill {
+		consider(code, n)
+	}
+	return best
+}
+
 // lookup finds the member with the given id, without mutating the group, so
 // it is safe under a read lock shared with other lookups.
 func (g *vgroup) lookup(id int) (pos int, code int32, ok bool) {
@@ -406,4 +425,30 @@ func (ix *RuleIndex) Violating() []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// Repairs is the repair rule, read off the groups: it visits every member of
+// a violating group whose RHS code is not the one the group should carry —
+// the rule's RHS constant, or for a variable rule the group's majority value
+// (values decodes the RHS attribute's codes to break ties). These are the
+// tuples most likely to be the erroneous ones, each with the value that would
+// make it agree; the rest of a violating group is merely dragged in by the
+// pair semantics. Visit order is unspecified. Like IsViolating it mutates
+// nothing, so it is safe under a shared read lock.
+func (ix *RuleIndex) Repairs(values *Dict, visit func(id int, have, want int32)) {
+	rhsConst := ix.c.Tp[ix.c.RHS]
+	for _, g := range ix.groups {
+		if !g.bad {
+			continue
+		}
+		want := rhsConst
+		if want == Wildcard {
+			want = g.majority(values)
+		}
+		for _, m := range g.members {
+			if have := int32(uint32(m)); have != want {
+				visit(int(m>>32), have, want)
+			}
+		}
+	}
 }

@@ -223,3 +223,176 @@ func TestRuleIndexIncrementalDelete(t *testing.T) {
 		}
 	}
 }
+
+// offTarget is one RuleIndex.Repairs visit.
+type offTarget struct {
+	id         int
+	have, want int32
+}
+
+func collectRepairs(ix *core.RuleIndex, values *core.Dict) []offTarget {
+	var out []offTarget
+	ix.Repairs(values, func(id int, have, want int32) { out = append(out, offTarget{id, have, want}) })
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+// naiveRepairs recomputes RuleIndex.Repairs from the live rows alone: group
+// the matching rows on their LHS codes, recount each group's RHS values, and
+// report every member of a violating group that is off the RHS constant, or
+// off the most common value (lexicographically smallest on ties).
+func naiveRepairs(c core.CFD, values *core.Dict, rows map[int][]int32) []offTarget {
+	attrs := c.LHS.Attrs()
+	groups := make(map[string][]int)
+	for id, row := range rows {
+		key, match := "", true
+		for _, a := range attrs {
+			if p := c.Tp[a]; p != core.Wildcard && row[a] != p {
+				match = false
+			}
+			key += string(rune(row[a])) + "\x00"
+		}
+		if match {
+			groups[key] = append(groups[key], id)
+		}
+	}
+	var out []offTarget
+	for _, ids := range groups {
+		counts := make(map[int32]int)
+		for _, id := range ids {
+			counts[rows[id][c.RHS]]++
+		}
+		want := c.Tp[c.RHS]
+		if want == core.Wildcard {
+			if len(counts) < 2 {
+				continue
+			}
+			for code, n := range counts {
+				if want == core.Wildcard || n > counts[want] || (n == counts[want] && values.Value(code) < values.Value(want)) {
+					want = code
+				}
+			}
+		}
+		for _, id := range ids {
+			if have := rows[id][c.RHS]; have != want {
+				out = append(out, offTarget{id, have, want})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+func equalOffTargets(a, b []offTarget) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRuleIndexRepairsSpill walks one group through the states the inline
+// count slots and the spill map can be in — three and more distinct RHS
+// values, a code that spilled while both slots were busy and keeps counting
+// in the spill after a slot frees up, a freed slot taken by a new code, ties
+// between a slot and the spill — checking Repairs against the recount after
+// every step. The dictionary's value order is the reverse of its code order,
+// so a tie broken on codes instead of values would pick the wrong side.
+func TestRuleIndexRepairsSpill(t *testing.T) {
+	values := core.NewDict()
+	for _, v := range []string{"e", "d", "c", "b", "a"} {
+		values.Encode(v)
+	}
+	// A -> B over (A, B): every row is in the one group A = 0.
+	c := core.CFD{LHS: core.EmptyAttrSet.Add(0), RHS: 1, Tp: core.NewPattern(2)}
+	ix := core.NewRuleIndex(c)
+	rows := make(map[int][]int32)
+	next := 0
+	insert := func(code int32) int {
+		id := next
+		next++
+		rows[id] = []int32{0, code}
+		ix.Insert(id, rows[id])
+		return id
+	}
+	remove := func(id int) {
+		ix.Delete(id, rows[id])
+		delete(rows, id)
+	}
+	check := func(step string, wantTarget int32) {
+		t.Helper()
+		got, want := collectRepairs(ix, values), naiveRepairs(c, values, rows)
+		if !equalOffTargets(got, want) {
+			t.Fatalf("%s: Repairs = %v, recount = %v", step, got, want)
+		}
+		for _, r := range got {
+			if r.want != wantTarget {
+				t.Fatalf("%s: repair target %d (%q), want %d (%q)", step, r.want, values.Value(r.want), wantTarget, values.Value(wantTarget))
+			}
+		}
+		if len(got) == 0 {
+			t.Fatalf("%s: group should be violating", step)
+		}
+	}
+	first := insert(0)
+	if got := collectRepairs(ix, values); len(got) != 0 {
+		t.Fatalf("single-value group needs no repair: %v", got)
+	}
+	insert(1)
+	check("two inline codes tie", 1) // "d" < "e"
+	s1 := insert(2)                  // spills: both slots busy
+	check("three-way tie, one spilled", 2)
+	insert(2)
+	insert(2)
+	check("spilled code is the majority", 2)
+	remove(first) // frees slot 1
+	insert(2)     // must keep counting in the spill
+	check("spilled code counts on after a slot freed", 2)
+	insert(3) // takes the freed slot
+	insert(3)
+	insert(3)
+	insert(3)
+	check("slot and spill tie at 4", 3) // "b" < "c"
+	insert(4)
+	check("two codes in the spill", 3)
+	remove(s1)
+	check("spill count drops below the slot", 3)
+	insert(4)
+	insert(4)
+	insert(4)
+	check("two spilled codes and a slot", 4) // a:4 b:4 c:3 -> "a"
+}
+
+// TestRuleIndexRepairsMatchesRecount checks Repairs against the recount on
+// random rules — half of them over a five-value RHS domain, so groups
+// regularly spill — through insert and delete churn.
+func TestRuleIndexRepairsMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		r := fixture.Random(int64(300+trial), 60, []int{2, 2, 5, 5})
+		c := randomVindexCFD(rng, r)
+		ix := core.NewRuleIndex(c)
+		rows := make(map[int][]int32)
+		for round := 0; round < 4; round++ {
+			for id := 0; id < r.Size(); id++ {
+				_, live := rows[id]
+				switch {
+				case !live && rng.Intn(2) == 0:
+					rows[id] = r.CodedRow(id)
+					ix.Insert(id, rows[id])
+				case live && rng.Intn(3) == 0:
+					ix.Delete(id, rows[id])
+					delete(rows, id)
+				}
+			}
+			got, want := collectRepairs(ix, r.Dict(c.RHS)), naiveRepairs(c, r.Dict(c.RHS), rows)
+			if !equalOffTargets(got, want) {
+				t.Fatalf("trial %d round %d: Repairs = %v, recount = %v for %s", trial, round, got, want, c.Format(r))
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package violation_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -169,6 +170,26 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					errCh <- err
 					return
 				}
+				// The repair view walks the live indexes under the read lock:
+				// whatever moment it lands on, it is one consistent state.
+				suspects := eng.Suspects()
+				for i := 1; i < len(suspects); i++ {
+					if suspects[i-1] >= suspects[i] {
+						errCh <- fmt.Errorf("suspects not strictly ascending: %v", suspects)
+						return
+					}
+				}
+				repairs := eng.Repairs()
+				for i, rp := range repairs {
+					if rp.Current == rp.Suggested {
+						errCh <- fmt.Errorf("repair %+v changes nothing", rp)
+						return
+					}
+					if i > 0 && repairs[i-1].Tuple > rp.Tuple {
+						errCh <- fmt.Errorf("repairs out of tuple order at %d: %+v", i, repairs)
+						return
+					}
+				}
 				// Relation materialises the whole state; sample it.
 				if iter%16 == 0 {
 					if _, _, err := eng.Relation(); err != nil {
@@ -216,4 +237,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		t.Fatal("final report differs from the bulk-loaded baseline")
 	}
 	checkReportConsistent(t, eng, eng.Report())
+	if !reflect.DeepEqual(eng.Repairs(), baseline.Repairs()) || !reflect.DeepEqual(eng.Suspects(), baseline.Suspects()) {
+		t.Fatal("final repairs or suspects differ from the bulk-loaded baseline")
+	}
 }

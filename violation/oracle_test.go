@@ -96,9 +96,9 @@ var oracleCollidingPairs = [][2]string{
 	{"a|b", "c"}, {"a", "b|c"}, {"a|b|c", ""}, {"", "a|b|c"}, {"a|", "c"}, {"a", "|c"},
 }
 
-// oracleStep applies one random op (insert / delete / update / batch / swap)
-// to both the engine and the model. It returns a description for failure
-// messages.
+// oracleStep applies one random op (insert / pinned insert / delete / update /
+// batch / forced tie / swap) to both the engine and the model. It returns a
+// description for failure messages.
 func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleModel, pool []*rules.Set) string {
 	t.Helper()
 	row := func() []string {
@@ -123,8 +123,8 @@ func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleMo
 		return vals
 	}
 	live := m.liveIDs()
-	switch k := rng.Intn(20); {
-	case k < 7 || len(live) == 0: // insert
+	switch k := rng.Intn(23); {
+	case k < 6 || len(live) == 0: // insert
 		values := row()
 		id, err := eng.Insert(values...)
 		if err != nil {
@@ -136,6 +136,15 @@ func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleMo
 		m.rows[id] = values
 		m.nextID++
 		return fmt.Sprintf("insert -> id %d", id)
+	case k < 7: // pinned insert, skipping up to three ids
+		at := m.nextID + rng.Intn(4)
+		values := row()
+		if _, err := eng.ApplyBatch([]violation.Op{{Kind: violation.OpInsert, Values: values, At: &at}}); err != nil {
+			t.Fatalf("insert at %d: %v", at, err)
+		}
+		m.rows[at] = values
+		m.nextID = at + 1
+		return fmt.Sprintf("insert at %d", at)
 	case k < 10: // delete
 		id := live[rng.Intn(len(live))]
 		if err := eng.Delete(id); err != nil {
@@ -168,6 +177,26 @@ func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleMo
 			}
 		}
 		return fmt.Sprintf("batch of %d ops", len(ops))
+	case k < 19: // forced tie: a fresh two-tuple group split 1-1 on one attribute
+		// The two tuples agree everywhere but on attribute a, where they hold
+		// two hostile values in random first-seen (so dictionary code) order:
+		// under any variable rule onto a the repair target is decided by the
+		// lexicographic tie-break alone.
+		fresh := "tie" + strconv.Itoa(m.nextID)
+		a := rng.Intn(7)
+		p := rng.Perm(len(oracleTricky))
+		ops := make([]violation.Op, 2)
+		for i := range ops {
+			values := []string{fresh, fresh, fresh, fresh, fresh, fresh, fresh}
+			values[a] = oracleTricky[p[i]]
+			ops[i] = violation.Op{Kind: violation.OpInsert, Values: values}
+			m.rows[m.nextID] = values
+			m.nextID++
+		}
+		if _, err := eng.ApplyBatch(ops); err != nil {
+			t.Fatalf("tie batch: %v", err)
+		}
+		return fmt.Sprintf("tie on attribute %d: %q vs %q", a, oracleTricky[p[0]], oracleTricky[p[1]])
 	default: // live rule swap
 		set := pool[rng.Intn(len(pool))]
 		delta, err := eng.SwapRules(context.Background(), set)
@@ -281,7 +310,8 @@ func writeSnapshot(t *testing.T, dir string, rel *cfd.Relation, set *rules.Set) 
 
 // runOracle seeds the model from rel (which the engine must already hold),
 // then drives steps random ops, checking the engine's full report — and a
-// delta-replay client leg — against the naive rescan oracle after every one.
+// delta-replay client leg, the rule statistics, the relation bridge and the
+// repair view — against the naive rescan oracle after every one.
 func runOracle(t *testing.T, seed int64, steps int, eng *violation.Engine, pool []*rules.Set, rel *cfd.Relation) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -340,7 +370,86 @@ func runOracle(t *testing.T, seed int64, steps int, eng *violation.Engine, pool 
 		ctx := fmt.Sprintf("seed %d step %d (%s)", seed, step, desc)
 		checkRuleStats(t, eng, m, rel.Attributes(), wantViols, ctx)
 		checkRelationBridge(t, eng, ctx)
+		checkRepairs(t, eng, m, rel.Attributes(), wantViols, ctx)
 	}
+}
+
+// checkRepairs is the differential oracle for the repair view: the engine's
+// Repairs and Suspects, read off the live indexes, against referenceRepairs.
+func checkRepairs(t *testing.T, eng *violation.Engine, m *oracleModel, attrs []string, viols []violation.Violation, ctx string) {
+	t.Helper()
+	want := referenceRepairs(m, attrs, viols)
+	got := eng.Repairs()
+	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+		t.Fatalf("%s: repairs\nengine:    %+v\nreference: %+v", ctx, got, want)
+	}
+	wantSuspects := []int{}
+	for _, rp := range want {
+		if n := len(wantSuspects); n == 0 || wantSuspects[n-1] != rp.Tuple {
+			wantSuspects = append(wantSuspects, rp.Tuple)
+		}
+	}
+	if gotSuspects := eng.Suspects(); gotSuspects == nil || !slices.Equal(gotSuspects, wantSuspects) {
+		t.Fatalf("%s: suspects\nengine:    %v\nreference: %v", ctx, gotSuspects, wantSuspects)
+	}
+}
+
+// referenceRepairs is the regroup-from-scratch repair algorithm
+// cleaning.SuggestRepairs ran before the engine read repairs off its indexes,
+// kept as the test-only reference: take the (already verified) naive
+// violation list, per violated rule regroup the violating tuples by their
+// LHS values, and correct each group to the rule's RHS constant — or, under
+// a variable rule, to the most common RHS value of a recount (the
+// lexicographically smallest on ties). It works on the model's
+// strings, so it shares neither dictionaries nor group keys with the engine.
+// Repairs come ordered by tuple id, attribute, rule position.
+func referenceRepairs(m *oracleModel, attrs []string, viols []violation.Violation) []violation.Repair {
+	idx := make(map[string]int, len(attrs))
+	for i, a := range attrs {
+		idx[a] = i
+	}
+	var out []violation.Repair
+	for _, v := range viols { // rule order
+		rule, rhs := v.Rule, idx[v.Rule.RHS]
+		groups := make(map[string][]int)
+		for _, id := range v.Tuples {
+			key := make([]string, len(rule.LHS))
+			for j, a := range rule.LHS {
+				key[j] = m.rows[id][idx[a]]
+			}
+			k := fmt.Sprintf("%q", key)
+			groups[k] = append(groups[k], id)
+		}
+		for _, ids := range groups {
+			target := rule.RHSPattern
+			if rule.IsVariable() {
+				counts := make(map[string]int)
+				for _, id := range ids {
+					counts[m.rows[id][rhs]]++
+				}
+				best := 0
+				for value, n := range counts {
+					if n > best || (n == best && value < target) {
+						target, best = value, n
+					}
+				}
+			}
+			for _, id := range ids {
+				if cur := m.rows[id][rhs]; cur != target {
+					out = append(out, violation.Repair{Tuple: id, Attribute: rule.RHS, Current: cur, Suggested: target, Rule: rule})
+				}
+			}
+		}
+	}
+	// A rule repairs a tuple at most once and rules were visited in order, so
+	// the stable sort leaves (tuple, attribute) ties in rule order.
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Tuple != out[j].Tuple {
+			return out[i].Tuple < out[j].Tuple
+		}
+		return out[i].Attribute < out[j].Attribute
+	})
+	return out
 }
 
 // checkRelationBridge asserts that Engine.Relation() — an integer recode of

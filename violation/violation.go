@@ -17,8 +17,10 @@
 // building indexes only for added ones, so freshly re-discovered rules can
 // be hot-swapped into a long-running server without a restart.
 // The current violation state is read back as a streaming Violations
-// sequence, a Report (the same shape repro/cleaning returns), or a per-tuple
-// lookup. On any bulk-loaded relation the Engine reports exactly the
+// sequence, a Report (the same shape repro/cleaning returns), a per-tuple
+// lookup, or the repair view — Suspects and Repairs, the likely culprits of
+// each violating group and their corrections, read off the same indexes. On
+// any bulk-loaded relation the Engine reports exactly the
 // violation set of the paper's batch semantics (§2.1.2): the batch detectors
 // in repro/cleaning and repro/cfd route through the same underlying index
 // (internal/core.RuleIndex), so there is one source of truth.
@@ -32,8 +34,8 @@
 // recode primitive (core.Relation.AppendRecoded): BulkLoad and snapshot
 // restore recode into the engine's relation, snapshot capture recodes it
 // into the canonical first-use form format 2 stores, and Relation recodes it
-// into the compact hole-free copy handed to miners and repro/cleaning. A
-// relation with holes never leaves the engine.
+// into the compact hole-free copy handed to miners and exports. A relation
+// with holes never leaves the engine.
 //
 // # Concurrency
 //
@@ -45,7 +47,8 @@
 // snapshot keyed by a mutation epoch: the first read after a mutation
 // rebuilds the snapshot (briefly excluding writers), and every subsequent
 // read shares it without taking any lock at all, so a polling client never
-// stalls the write path. Point reads (Row, TupleViolations, Size, ...) read
+// stalls the write path. Point reads (Row, TupleViolations, Size, ...) and
+// the repair view (Suspects, Repairs — a walk of the violating groups) read
 // the live state under a read lock. Everything a reader receives —
 // snapshots, violation tuple slices, rows — is immutable or freshly built;
 // treat shared slices as read-only.
