@@ -13,8 +13,12 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs everything under the race detector, then the two tests that share
+# the engine's live indexes between concurrent readers, writers and rule swaps
+# ten times over: the detector only reports the interleavings a run executes.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run '^(TestConcurrentReadersAndWriters|TestSwapRulesConcurrentReaders)$$' ./violation
 
 # bench runs the repo benchmark BENCHMARK.json declares: cfddiscover and
 # cfdserve end to end on four fixed-work workloads, repeated, with every
@@ -55,23 +59,25 @@ staticcheck:
 docs-check:
 	./scripts/check_doc_links.sh
 
-# fuzz runs the codec round-trip fuzzers for a short CI-sized budget each —
-# the cfd text codec pair, the rules.Set JSON codec and the violation snapshot
-# codec; the corpus seeds also run as normal tests under `make test`.
+# fuzz runs the fuzzers for a short CI-sized budget each — the codec round
+# trips (the cfd text codec pair, the rules.Set JSON codec, the violation
+# snapshot codec) and the shared group index against its from-scratch recount;
+# the corpus seeds also run as normal tests under `make test`.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./cfd -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cfd -run '^$$' -fuzz '^FuzzFormat$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./rules -run '^$$' -fuzz '^FuzzJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./violation -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGroupIndex$$' -fuzztime $(FUZZTIME)
 
 # cover enforces ratcheted statement-coverage floors on the serving-critical
-# packages (internal/core holds the engine's tuple store and rule indexes). The floors only move up: raise them when coverage improves, and
+# packages (internal/core holds the engine's tuple store and group index). The floors only move up: raise them when coverage improves, and
 # never lower them to make a failing build pass.
-VIOLATION_COVER_FLOOR ?= 88.0
+VIOLATION_COVER_FLOOR ?= 89.5
 RULES_COVER_FLOOR ?= 92.0
 MONITOR_COVER_FLOOR ?= 90.0
-CORE_COVER_FLOOR ?= 92.5
+CORE_COVER_FLOOR ?= 96.5
 cover:
 	$(GO) test -coverprofile=cover_violation.out ./violation > /dev/null
 	$(GO) test -coverprofile=cover_rules.out ./rules > /dev/null

@@ -11,7 +11,7 @@
 //
 // Every rule the engine serves groups tuples by the values of the rule's
 // LHS attributes, and a violating set is always a union of whole groups
-// (internal/core.RuleIndex marks the entire group bad — for a variable rule
+// (internal/core.GroupIndex marks the entire group bad — for a variable rule
 // when two groups members disagree on the RHS, for a constant rule when any
 // member misses the RHS constant). All members of a group agree on the
 // rule's LHS values by construction. Therefore, when the partition key is a

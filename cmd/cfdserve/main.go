@@ -4,10 +4,10 @@
 // cfddiscover -o or the rules.Set JSON served by GET /v1/rules, sniffed
 // automatically — or is discovered on a trusted sample at startup; tuples are
 // then bulk loaded from a CSV and kept current through the API, with the
-// repro/violation engine maintaining per-rule indexes so every mutation costs
-// O(rules), not a rescan. The engine is safe under concurrent load: reads
-// serve immutable epoch snapshots, mutations are serialised and fanned out
-// across rule shards.
+// repro/violation engine maintaining one index per LHS attribute set of the
+// rules so every mutation costs O(LHS sets) lookups, not a rescan. The engine
+// is safe under concurrent load: reads serve immutable epoch snapshots,
+// mutations are serialised and fanned out across index shards.
 //
 // Usage:
 //

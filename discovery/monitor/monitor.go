@@ -1,7 +1,7 @@
 // Package monitor is the continuous rule-maintenance layer between the live
 // violation engine and the batch discovery algorithms: it watches the
 // engine's mutation stream, maintains per-served-rule support and confidence
-// from the counters the engine's rule indexes already keep (no rescans), and
+// from the counters the engine's indexes already keep per rule (no rescans), and
 // fires a bounded remine only when a staleness policy says the data has
 // drifted away from the rules.
 //
@@ -9,7 +9,7 @@
 // ROADMAP item 3 observes that re-running them on a timer cannot keep up
 // with a live relation. The hybrid here is the standard materialized-view
 // answer: exact incremental tracking of the cheap quantities (support,
-// confidence — both O(1) per rule off core.RuleIndex counters), and a
+// confidence — both O(1) per rule off core.GroupIndex counters), and a
 // re-run of the expensive global computation (mining a new cover) only when
 // those quantities cross thresholds. The remine itself stays bounded via
 // discovery.WithLimit / support / maxlhs knobs, and its result flows

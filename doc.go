@@ -15,8 +15,9 @@
 //     and shape-preserving stand-ins for the UCI data sets.
 //   - repro/violation — the concurrent incremental violation-detection
 //     engine: the tuples in one columnar dictionary-encoded relation (the
-//     same internal/core.Relation the miners read), one packed-key hash
-//     index per rule, bulk load plus O(rules) Insert/Delete/Update, atomic
+//     same internal/core.Relation the miners read), one packed-key group
+//     index per LHS attribute set shared by the rules on it, bulk load plus
+//     O(LHS sets) Insert/Delete/Update, atomic
 //     ApplyBatch, live rule swaps, copy-on-write epoch snapshots for
 //     lock-free consistent reads, and the Store persistence layer (JSONL
 //     write-ahead log + compacted snapshots); served over HTTP by

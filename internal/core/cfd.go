@@ -129,16 +129,19 @@ func Violations(r *Relation, c CFD) []int {
 	if c.IsTrivial() {
 		return nil
 	}
-	ix := NewRuleIndex(c)
+	ix := NewGroupIndex([]CFD{c})
 	row := make([]int32, r.Arity())
 	attrs := c.Attrs().Attrs()
 	for t := 0; t < r.Size(); t++ {
 		for _, a := range attrs {
 			row[a] = r.Value(t, a)
 		}
-		ix.Insert(t, row)
+		ix.Insert(t, row, nil)
 	}
-	return ix.Violating()
+	if bad := ix.Violating(nil)[0]; bad != nil {
+		return bad
+	}
+	return []int{} // non-nil, as callers of a satisfied non-trivial rule have always got
 }
 
 // Support returns |sup(c, r)|: the number of tuples matching the pattern of c

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,6 +9,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/fixture"
 )
+
+// The TestRuleIndex* tests below predate the shared index: they held the
+// one-index-per-rule type GroupIndex replaced to these same oracles, and now
+// hold its one-rule use to them. Their names are kept so the tests keep their
+// identity in CI history; the multi-rule behaviour is TestGroupIndexSharedX
+// and FuzzGroupIndex.
 
 // naiveViolations is an independent oracle for the tuples involved in a
 // violation, written directly from the paper's pair semantics: a tuple t
@@ -96,8 +103,8 @@ func randomVindexCFD(rng *rand.Rand, r *core.Relation) core.CFD {
 	return core.CFD{LHS: lhs, RHS: rhs, Tp: tp}
 }
 
-// TestRuleIndexMatchesNaiveOracle checks that batch Violations (which routes
-// through RuleIndex) agrees with the brute-force pair-semantics oracle on
+// TestRuleIndexMatchesNaiveOracle checks that batch Violations (the one-rule
+// use of GroupIndex) agrees with the brute-force pair-semantics oracle on
 // random relations and rules.
 func TestRuleIndexMatchesNaiveOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -114,7 +121,7 @@ func TestRuleIndexMatchesNaiveOracle(t *testing.T) {
 	}
 }
 
-// TestRuleIndexSupportCounters checks that Tuples() and Groups() — the O(1)
+// TestRuleIndexSupportCounters checks that Tuples and Groups — the O(1)
 // counters the maintenance layer serves as live support — stay equal to a
 // naive recount of matching tuples and distinct LHS-value classes through
 // random insert/delete churn.
@@ -139,7 +146,7 @@ func TestRuleIndexSupportCounters(t *testing.T) {
 			}
 			return k
 		}
-		ix := core.NewRuleIndex(c)
+		ix := core.NewGroupIndex([]core.CFD{c})
 		rows := make([][]int32, r.Size())
 		live := make(map[int]bool)
 		check := func(step string) {
@@ -152,22 +159,22 @@ func TestRuleIndexSupportCounters(t *testing.T) {
 					wantGroups[groupKey(rows[id])] = true
 				}
 			}
-			if ix.Tuples() != wantTuples {
-				t.Fatalf("trial %d %s: Tuples = %d, naive = %d for %s", trial, step, ix.Tuples(), wantTuples, c.Format(r))
+			if ix.Tuples(0) != wantTuples {
+				t.Fatalf("trial %d %s: Tuples = %d, naive = %d for %s", trial, step, ix.Tuples(0), wantTuples, c.Format(r))
 			}
-			if ix.Groups() != len(wantGroups) {
-				t.Fatalf("trial %d %s: Groups = %d, naive = %d for %s", trial, step, ix.Groups(), len(wantGroups), c.Format(r))
+			if ix.Groups(0) != len(wantGroups) {
+				t.Fatalf("trial %d %s: Groups = %d, naive = %d for %s", trial, step, ix.Groups(0), len(wantGroups), c.Format(r))
 			}
 		}
 		for t0 := 0; t0 < r.Size(); t0++ {
 			rows[t0] = r.CodedRow(t0)
-			ix.Insert(t0, rows[t0])
+			ix.Insert(t0, rows[t0], nil)
 			live[t0] = true
 		}
 		check("after load")
 		for t0 := 0; t0 < r.Size(); t0++ {
 			if rng.Intn(2) == 0 {
-				ix.Delete(t0, rows[t0])
+				ix.Delete(t0, rows[t0], nil)
 				delete(live, t0)
 			}
 		}
@@ -183,32 +190,32 @@ func TestRuleIndexIncrementalDelete(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		r := fixture.Random(int64(100+trial), 30, []int{2, 2, 3, 2})
 		c := randomVindexCFD(rng, r)
-		ix := core.NewRuleIndex(c)
+		ix := core.NewGroupIndex([]core.CFD{c})
 		rows := make([][]int32, r.Size())
 		for t0 := 0; t0 < r.Size(); t0++ {
 			rows[t0] = r.CodedRow(t0)
-			ix.Insert(t0, rows[t0])
+			ix.Insert(t0, rows[t0], nil)
 		}
 		// Delete a random third of the tuples.
 		deleted := make(map[int]bool)
 		for t0 := 0; t0 < r.Size(); t0++ {
 			if rng.Intn(3) == 0 {
-				ix.Delete(t0, rows[t0])
+				ix.Delete(t0, rows[t0], nil)
 				deleted[t0] = true
 			}
 		}
-		ref := core.NewRuleIndex(c)
+		ref := core.NewGroupIndex([]core.CFD{c})
 		for t0 := 0; t0 < r.Size(); t0++ {
 			if !deleted[t0] {
-				ref.Insert(t0, rows[t0])
+				ref.Insert(t0, rows[t0], nil)
 			}
 		}
-		got, want := ix.Violating(), ref.Violating()
+		got, want := ix.Violating(nil)[0], ref.Violating(nil)[0]
 		if !equalInts(got, want) {
 			t.Fatalf("trial %d: after deletes Violating = %v, rebuilt = %v for %s", trial, got, want, c.Format(r))
 		}
-		if ix.BadTuples() != len(got) {
-			t.Fatalf("trial %d: BadTuples = %d, |Violating| = %d", trial, ix.BadTuples(), len(got))
+		if ix.BadTuples(0) != len(got) {
+			t.Fatalf("trial %d: BadTuples = %d, |Violating| = %d", trial, ix.BadTuples(0), len(got))
 		}
 		// Per-tuple lookup agrees with the snapshot.
 		inSnap := make(map[int]bool, len(got))
@@ -216,28 +223,43 @@ func TestRuleIndexIncrementalDelete(t *testing.T) {
 			inSnap[id] = true
 		}
 		for t0 := 0; t0 < r.Size(); t0++ {
-			is := !deleted[t0] && ix.IsViolating(t0, rows[t0])
+			is := !deleted[t0] && len(violated(ix, rows[t0])) > 0
 			if is != inSnap[t0] {
-				t.Fatalf("trial %d: IsViolating(%d) = %v, snapshot says %v", trial, t0, is, inSnap[t0])
+				t.Fatalf("trial %d: Violated(%d) = %v, snapshot says %v", trial, t0, is, inSnap[t0])
 			}
 		}
 	}
 }
 
-// offTarget is one RuleIndex.Repairs visit.
+// violated collects the rules GroupIndex.Violated reports for an indexed row.
+func violated(ix *core.GroupIndex, row []int32) []int {
+	var out []int
+	ix.Violated(row, func(r int) { out = append(out, r) })
+	return out
+}
+
+// offTarget is one GroupIndex.Repairs visit.
 type offTarget struct {
 	id         int
 	have, want int32
 }
 
-func collectRepairs(ix *core.RuleIndex, values *core.Dict) []offTarget {
-	var out []offTarget
-	ix.Repairs(values, func(id int, have, want int32) { out = append(out, offTarget{id, have, want}) })
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+// collectRepairs returns the Repairs visits of rule 0, by id.
+func collectRepairs(ix *core.GroupIndex, values *core.Dict) []offTarget {
+	return collectRuleRepairs(ix, func(int) *core.Dict { return values })[0]
+}
+
+// collectRuleRepairs returns the Repairs visits of every rule, each by id.
+func collectRuleRepairs(ix *core.GroupIndex, dict func(int) *core.Dict) [][]offTarget {
+	out := make([][]offTarget, ix.Rules())
+	ix.Repairs(dict, func(r, id int, have, want int32) { out[r] = append(out[r], offTarget{id, have, want}) })
+	for _, o := range out {
+		sort.Slice(o, func(i, j int) bool { return o[i].id < o[j].id })
+	}
 	return out
 }
 
-// naiveRepairs recomputes RuleIndex.Repairs from the live rows alone: group
+// naiveRepairs recomputes one rule's Repairs visits from the live rows alone: group
 // the matching rows on their LHS codes, recount each group's RHS values, and
 // report every member of a violating group that is off the RHS constant, or
 // off the most common value (lexicographically smallest on ties).
@@ -295,32 +317,41 @@ func equalOffTargets(a, b []offTarget) bool {
 	return true
 }
 
-// TestRuleIndexRepairsSpill walks one group through the states the inline
-// count slots and the spill map can be in — three and more distinct RHS
-// values, a code that spilled while both slots were busy and keeps counting
-// in the spill after a slot frees up, a freed slot taken by a new code, ties
-// between a slot and the spill — checking Repairs against the recount after
-// every step. The dictionary's value order is the reverse of its code order,
+// TestRuleIndexRepairsSpill walks one group through the states its RHS value
+// bookkeeping can be in — three and more distinct RHS values, a code that
+// spilled while both inline count slots were busy and keeps counting in the
+// spill after a slot frees up, a freed slot taken by a new code, ties between
+// a slot and the spill — checking Repairs against the recount after every
+// step. It runs twice: on a group that starts as a scanned run of members and
+// is promoted to counts on the way (at nine members), and on one promoted
+// before the walk starts, so every state is reached in the count slots
+// themselves. The dictionary's value order is the reverse of its code order,
 // so a tie broken on codes instead of values would pick the wrong side.
 func TestRuleIndexRepairsSpill(t *testing.T) {
+	for _, promoted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("promoted=%v", promoted), func(t *testing.T) { repairsSpill(t, promoted) })
+	}
+}
+
+func repairsSpill(t *testing.T, promoted bool) {
 	values := core.NewDict()
 	for _, v := range []string{"e", "d", "c", "b", "a"} {
 		values.Encode(v)
 	}
 	// A -> B over (A, B): every row is in the one group A = 0.
 	c := core.CFD{LHS: core.EmptyAttrSet.Add(0), RHS: 1, Tp: core.NewPattern(2)}
-	ix := core.NewRuleIndex(c)
+	ix := core.NewGroupIndex([]core.CFD{c})
 	rows := make(map[int][]int32)
 	next := 0
 	insert := func(code int32) int {
 		id := next
 		next++
 		rows[id] = []int32{0, code}
-		ix.Insert(id, rows[id])
+		ix.Insert(id, rows[id], nil)
 		return id
 	}
 	remove := func(id int) {
-		ix.Delete(id, rows[id])
+		ix.Delete(id, rows[id], nil)
 		delete(rows, id)
 	}
 	check := func(step string, wantTarget int32) {
@@ -339,6 +370,17 @@ func TestRuleIndexRepairsSpill(t *testing.T) {
 		}
 	}
 	first := insert(0)
+	if promoted {
+		// Nine more members promote the group; it stays promoted once they
+		// are gone again, because it never empties.
+		var fillers []int
+		for i := 0; i < 9; i++ {
+			fillers = append(fillers, insert(0))
+		}
+		for _, id := range fillers {
+			remove(id)
+		}
+	}
 	if got := collectRepairs(ix, values); len(got) != 0 {
 		t.Fatalf("single-value group needs no repair: %v", got)
 	}
@@ -375,7 +417,7 @@ func TestRuleIndexRepairsMatchesRecount(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		r := fixture.Random(int64(300+trial), 60, []int{2, 2, 5, 5})
 		c := randomVindexCFD(rng, r)
-		ix := core.NewRuleIndex(c)
+		ix := core.NewGroupIndex([]core.CFD{c})
 		rows := make(map[int][]int32)
 		for round := 0; round < 4; round++ {
 			for id := 0; id < r.Size(); id++ {
@@ -383,9 +425,9 @@ func TestRuleIndexRepairsMatchesRecount(t *testing.T) {
 				switch {
 				case !live && rng.Intn(2) == 0:
 					rows[id] = r.CodedRow(id)
-					ix.Insert(id, rows[id])
+					ix.Insert(id, rows[id], nil)
 				case live && rng.Intn(3) == 0:
-					ix.Delete(id, rows[id])
+					ix.Delete(id, rows[id], nil)
 					delete(rows, id)
 				}
 			}

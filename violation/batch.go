@@ -91,7 +91,7 @@ func (o *Op) UnmarshalJSON(data []byte) error {
 
 // resolvedOp is one validated op with its row-level effect: the encoded row
 // it removes and/or adds. Replaying resolved ops against any subset of the
-// rule indexes is position-independent, which is what lets apply fan them out
+// indexes is position-independent, which is what lets apply fan them out
 // across shards.
 type resolvedOp struct {
 	kind OpKind
@@ -110,7 +110,7 @@ type resolvedOp struct {
 // write-lock acquisition, one snapshot invalidation, one write-ahead-log
 // append (and, for a Store opened with Sync, one fsync — the group commit
 // that dominates durable ingest throughput), and index maintenance fanned
-// out across the engine's rule shards on repro/internal/pool.
+// out across the engine's index shards on repro/internal/pool.
 func (e *Engine) ApplyBatch(ops []Op) ([]int, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -202,8 +202,8 @@ func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 				if id < 0 {
 					return fail(i, fmt.Errorf("violation: insert at negative id %d", id))
 				}
-				// Index group members pack the id into 32 bits; a pin beyond
-				// that space must fail validation, not corrupt packed keys.
+				// Index group members store the id in one 32-bit word; a pin
+				// beyond that space must fail validation, not alias another id.
 				if uint64(id) > math.MaxUint32 {
 					return fail(i, fmt.Errorf("violation: insert at id %d outside the 32-bit id space", id))
 				}
@@ -251,13 +251,13 @@ func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 }
 
 // apply commits resolved ops: the row table sequentially (appends must land
-// at the pre-assigned ids), then the per-rule indexes — each shard replayed
-// on its own pool worker, rules outer and ops inner for index locality. The
+// at the pre-assigned ids), then the LHS-set indexes — each shard replayed on
+// its own pool worker, indexes outer and ops inner for index locality. The
 // replay must run to completion to keep the state consistent, so it is not
-// cancellable. Each index reports the violating-set memberships it flips
-// (InsertObserve/DeleteObserve); the per-rule flips, folded so that a tuple
-// leaving and re-entering within the batch cancels, become the commit's
-// Delta. Callers must hold the write lock.
+// cancellable. Each index reports the violating-set memberships it flips, rule
+// by rule (the observe hook of core.GroupIndex); the per-rule flips, folded so
+// that a tuple leaving and re-entering within the batch cancels, become the
+// commit's Delta. Callers must hold the write lock.
 func (e *Engine) apply(resolved []resolvedOp) {
 	for _, r := range resolved {
 		switch r.kind {
@@ -272,16 +272,17 @@ func (e *Engine) apply(resolved []resolvedOp) {
 			e.rel.Set(r.id, r.new)
 		}
 	}
-	// Shards own disjoint rule positions, so the per-rule change maps are
+	// Indexes place disjoint rule positions, so the per-rule change maps are
 	// written race-free even when shards maintain concurrently.
-	changes := make([]map[int]int8, len(e.indexes))
+	changes := make([]map[int]int8, len(e.rules))
 	maintain := func(s int) {
-		for _, ri := range e.shards[s] {
-			ix := e.indexes[ri]
-			var m map[int]int8
-			observe := func(id int, violating bool) {
+		for _, i := range e.shards[s] {
+			x := e.indexes[i]
+			observe := func(r, id int, violating bool) {
+				m := changes[x.at[r]]
 				if m == nil {
 					m = make(map[int]int8)
+					changes[x.at[r]] = m
 				}
 				sign := int8(-1)
 				if violating {
@@ -297,15 +298,14 @@ func (e *Engine) apply(resolved []resolvedOp) {
 			for _, r := range resolved {
 				switch r.kind {
 				case OpInsert:
-					ix.InsertObserve(r.id, r.new, observe)
+					x.Insert(r.id, r.new, observe)
 				case OpDelete:
-					ix.DeleteObserve(r.id, r.old, observe)
+					x.Delete(r.id, r.old, observe)
 				case OpUpdate:
-					ix.DeleteObserve(r.id, r.old, observe)
-					ix.InsertObserve(r.id, r.new, observe)
+					x.Delete(r.id, r.old, observe)
+					x.Insert(r.id, r.new, observe)
 				}
 			}
-			changes[ri] = m
 		}
 	}
 	// A single op (the Insert/Delete/Update fast path) is not worth a pool

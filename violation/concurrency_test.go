@@ -160,6 +160,12 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				_ = eng.Dirty()
 				_ = eng.Size()
 				_ = eng.DirtyCount()
+				for _, st := range eng.RuleStats() {
+					if st.Violating > st.Support || st.Groups > st.Support {
+						errCh <- fmt.Errorf("rule stats out of range: %+v", st)
+						return
+					}
+				}
 				// Point reads on ids that may vanish concurrently: only
 				// ErrNotFound is acceptable as an error.
 				if _, err := eng.Row(8); err != nil && !errors.Is(err, violation.ErrNotFound) {

@@ -258,20 +258,26 @@ func (e *Engine) recordDelta(added, removed []Violation, newRules []cfd.CFD) {
 // restore). Callers hold the write lock.
 func (e *Engine) rebuildDirtyLocked() {
 	e.dirtyRef = make(map[int]int)
-	seen := make(map[string]bool, len(e.rules))
-	for i, ix := range e.indexes {
-		if ix.BadTuples() == 0 {
-			continue
-		}
-		k := ruleKey(e.rules[i])
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		for _, t := range ix.Violating() {
+	for _, tuples := range e.violating(e.indexes, len(e.rules), firstOfKey(e.rules, nil)) {
+		for _, t := range tuples {
 			e.dirtyRef[t]++
 		}
 	}
+}
+
+// firstOfKey marks the first rule of every distinct canonical rule key, keys
+// in skip excepted: the positions a per-distinct-rule computation (a delta,
+// the dirty refcounts) reads, since duplicates of a rule share its violations.
+func firstOfKey(rs []cfd.CFD, skip map[string]bool) []bool {
+	first := make([]bool, len(rs))
+	seen := make(map[string]bool, len(rs))
+	for i, r := range rs {
+		if k := ruleKey(r); !seen[k] && !skip[k] {
+			seen[k] = true
+			first[i] = true
+		}
+	}
+	return first
 }
 
 // bumpLocked commits a mutation epoch: it advances the epoch counter and

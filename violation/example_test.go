@@ -108,8 +108,9 @@ func ExampleStore() {
 }
 
 // ExampleEngine_SwapRules hot-swaps the served rule set while the tuples
-// stay put: retained rules keep their indexes, added rules are indexed over
-// the live tuples, and the returned delta says what changed.
+// stay put: LHS sets whose rules did not change keep their indexes, the
+// others are indexed over the live tuples, and the returned delta says what
+// changed.
 func ExampleEngine_SwapRules() {
 	rel := dataset.Cust()
 	eng, err := violation.New(rel.Attributes(),

@@ -2,6 +2,8 @@ package violation_test
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -104,6 +106,13 @@ func TestInsertAtGapBound(t *testing.T) {
 	open := custEngine(t, true, violation.Options{MaxPinGap: -1})
 	if _, err := open.ApplyBatch([]violation.Op{{Kind: violation.OpInsert, Values: row, At: at(9_000)}}); err != nil {
 		t.Fatalf("unbounded engine must accept a wide pin: %v", err)
+	}
+	// Bounded or not, an id the index members cannot hold — they store ids in
+	// 32-bit words — fails validation, before the log is asked to append it.
+	open.AttachWAL(failingLog{err: errors.New("the out-of-range pin reached the log")})
+	if _, err := open.ApplyBatch([]violation.Op{{Kind: violation.OpInsert, Values: row, At: at(math.MaxUint32 + 1)}}); err == nil ||
+		!strings.Contains(err.Error(), "outside the 32-bit id space") {
+		t.Fatalf("pin past the 32-bit id space: err = %v", err)
 	}
 
 	// Durable: the rejected pin is never logged, so the WAL replays clean.

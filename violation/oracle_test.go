@@ -24,6 +24,13 @@ type oracleModel struct {
 	rows   map[int][]string
 	nextID int
 	set    *rules.Set
+	// bursts lists the ids each burst step inserted, for a drain step to take
+	// out again.
+	bursts [][]int
+	// draw, when set, replaces the step generator's base row distribution
+	// (made for the cust fixture) with one whose values hit the rule
+	// constants of the fixture at hand.
+	draw func(rng *rand.Rand, m *oracleModel) []string
 }
 
 func (m *oracleModel) liveIDs() []int {
@@ -85,6 +92,63 @@ func oracleRulePool(t *testing.T) []*rules.Set {
 	}
 }
 
+// oracleTaxRulePool is the tableau-shaped pool for the tax-discovered fixture,
+// cut from its mined cover: many rules on one LHS attribute set with constants
+// on either attribute and four different RHS attributes, a hand-made
+// constant-RHS rule and a duplicate sharing that set, a second set where
+// constant and variable rules sit side by side, a three-attribute LHS (whose
+// group keys go through pair folding), and one LHS set held by a single rule —
+// so the sets below differ by removing the last rule of an LHS set and adding
+// the first, by dropping rules from sets that stay, and by order alone (every
+// index reused under a new placement).
+func oracleTaxRulePool(t *testing.T) []*rules.Set {
+	t.Helper()
+	on := func(lhs ...string) []cfd.CFD {
+		var out []cfd.CFD
+		for _, r := range fixtures(t)[1].rules {
+			if slices.Equal(r.LHS, lhs) {
+				out = append(out, r)
+			}
+		}
+		if len(out) == 0 {
+			t.Fatalf("tax-discovered fixture has no rule on %v", lhs)
+		}
+		return out
+	}
+	heavy, ac, zip := on("AC", "NM"), on("AC"), on("ZIP")[:1]
+	wide := []cfd.CFD{
+		cfd.NewFD([]string{"CC", "AC", "PN"}, "STR"),
+		{LHS: []string{"CC", "AC", "PN"}, RHS: "ZIP", LHSPattern: []string{"01", "_", "_"}, RHSPattern: "_"},
+	}
+	constant := cfd.CFD{LHS: []string{"AC", "NM"}, RHS: "CT", LHSPattern: []string{"A12", "_"}, RHSPattern: "C12"}
+	withoutZIP := slices.Concat(heavy, []cfd.CFD{constant, heavy[0]}, ac, wide)
+	full := slices.Concat(withoutZIP, zip)
+	reordered := slices.Clone(full)
+	slices.Reverse(reordered)
+	return []*rules.Set{
+		rules.Of(full...),
+		rules.Of(withoutZIP...),
+		rules.Of(slices.Concat(heavy[:len(heavy)/2], wide[:1])...),
+		rules.Of(reordered...),
+		rules.Of(slices.Concat(ac, zip)...),
+		rules.Of(),
+	}
+}
+
+// drawFromLive builds a row the way dirty data arrives: a copy of a live row
+// with, mostly, an attribute or two taken from other live rows — so it lands
+// in populated groups, under the rules' constants, agreeing with some
+// neighbours and not with others.
+func drawFromLive(rng *rand.Rand, m *oracleModel) []string {
+	live := m.liveIDs()
+	values := slices.Clone(m.rows[live[rng.Intn(len(live))]])
+	for n := rng.Intn(3); n > 0; n-- {
+		a := rng.Intn(len(values))
+		values[a] = m.rows[live[rng.Intn(len(live))]][a]
+	}
+	return values
+}
+
 // oracleTricky holds values that stress the dictionary and group-key layers:
 // empty strings, lone separators, unicode, and NUL. A joined-string group key
 // could not tell some of these apart; packed dictionary codes must.
@@ -97,8 +161,8 @@ var oracleCollidingPairs = [][2]string{
 }
 
 // oracleStep applies one random op (insert / pinned insert / delete / update /
-// batch / forced tie / swap) to both the engine and the model. It returns a
-// description for failure messages.
+// batch / forced tie / burst / drain / swap) to both the engine and the model.
+// It returns a description for failure messages.
 func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleModel, pool []*rules.Set) string {
 	t.Helper()
 	row := func() []string {
@@ -106,6 +170,9 @@ func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleMo
 			strconv.Itoa(rng.Intn(3)), strconv.Itoa(rng.Intn(4)), strconv.Itoa(rng.Intn(5)),
 			"N" + strconv.Itoa(rng.Intn(6)), "S" + strconv.Itoa(rng.Intn(4)),
 			"C" + strconv.Itoa(rng.Intn(3)), "Z" + strconv.Itoa(rng.Intn(4)),
+		}
+		if m.draw != nil && len(m.rows) > 0 {
+			vals = m.draw(rng, m)
 		}
 		// Sprinkle hostile values over the base distribution: single tricky
 		// values, a high-cardinality tail (every insert a fresh dictionary
@@ -123,7 +190,7 @@ func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleMo
 		return vals
 	}
 	live := m.liveIDs()
-	switch k := rng.Intn(23); {
+	switch k := rng.Intn(27); {
 	case k < 6 || len(live) == 0: // insert
 		values := row()
 		id, err := eng.Insert(values...)
@@ -197,6 +264,66 @@ func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleMo
 			t.Fatalf("tie batch: %v", err)
 		}
 		return fmt.Sprintf("tie on attribute %d: %q vs %q", a, oracleTricky[p[0]], oracleTricky[p[1]])
+	case k < 21 || (k < 23 && len(m.bursts) == 0): // burst: grow one row's groups past nine members
+		// One batch of near-copies of a base row — a live one, so the copies
+		// pile onto populated groups under the rules' constants, or an
+		// all-fresh one, so they are alone in theirs — pushes the base row's
+		// group under every LHS set from a scanned run of members to a counted
+		// group. Every third copy differs on one attribute: it disagrees with
+		// the rest where that attribute is a rule's RHS, and sits in another
+		// group where it is part of the LHS.
+		base := make([]string, 7)
+		if rng.Intn(3) > 0 {
+			copy(base, m.rows[live[rng.Intn(len(live))]])
+		} else {
+			for a := range base {
+				base[a] = "b" + strconv.Itoa(m.nextID)
+			}
+		}
+		ops := make([]violation.Op, 9+rng.Intn(4))
+		var ids []int
+		for i := range ops {
+			values := slices.Clone(base)
+			if rng.Intn(3) == 0 {
+				a := rng.Intn(len(values))
+				values[a] = m.rows[live[rng.Intn(len(live))]][a]
+			}
+			ops[i] = violation.Op{Kind: violation.OpInsert, Values: values}
+			m.rows[m.nextID] = values
+			ids = append(ids, m.nextID)
+			m.nextID++
+		}
+		if _, err := eng.ApplyBatch(ops); err != nil {
+			t.Fatalf("burst batch: %v", err)
+		}
+		m.bursts = append(m.bursts, ids)
+		return fmt.Sprintf("burst of %d near-copies of %q", len(ops), base)
+	case k < 23: // drain: take a whole burst out again
+		// Whatever of the burst other steps left alive goes, one delete at a
+		// time or as one batch: counted groups shrink back below nine members
+		// and, where the burst was alone, to nothing — their slots are then
+		// handed to the next newcomers.
+		b := rng.Intn(len(m.bursts))
+		var ops []violation.Op
+		for _, id := range m.bursts[b] {
+			if _, ok := m.rows[id]; ok {
+				ops = append(ops, violation.Op{Kind: violation.OpDelete, ID: id})
+				delete(m.rows, id)
+			}
+		}
+		m.bursts = slices.Delete(m.bursts, b, b+1)
+		if rng.Intn(2) == 0 {
+			if _, err := eng.ApplyBatch(ops); err != nil {
+				t.Fatalf("drain batch: %v", err)
+			}
+		} else {
+			for _, op := range ops {
+				if err := eng.Delete(op.ID); err != nil {
+					t.Fatalf("drain delete %d: %v", op.ID, err)
+				}
+			}
+		}
+		return fmt.Sprintf("drain of %d burst tuples", len(ops))
 	default: // live rule swap
 		set := pool[rng.Intn(len(pool))]
 		delta, err := eng.SwapRules(context.Background(), set)
@@ -246,7 +373,26 @@ func TestRandomizedOracle(t *testing.T) {
 			if err := eng.BulkLoad(fx.rel); err != nil {
 				t.Fatal(err)
 			}
-			runOracle(t, seed, steps, eng, pool, fx.rel)
+			runOracle(t, seed, steps, eng, pool, fx.rel, nil)
+		})
+	}
+	// The same walk over a tableau-shaped rule set: a slice of the
+	// tax-discovered fixture under oracleTaxRulePool, with rows drawn from the
+	// live ones so the rules' constants select them. Fewer rows than the
+	// fixture holds, because every step's recount is rules x rows.
+	taxPool := oracleTaxRulePool(t)
+	taxRel := fixtures(t)[1].rel.Head(120)
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("tax-seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			eng, err := violation.New(taxRel.Attributes(), taxPool[0], violation.Options{Workers: 1 + int(seed%4)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.BulkLoad(taxRel); err != nil {
+				t.Fatal(err)
+			}
+			runOracle(t, seed, steps, eng, taxPool, taxRel, drawFromLive)
 		})
 	}
 }
@@ -281,7 +427,7 @@ func TestRandomizedOracleV1Restore(t *testing.T) {
 			if !found {
 				t.Fatal("snapshot not found")
 			}
-			runOracle(t, seed, steps, eng, pool, fx.rel)
+			runOracle(t, seed, steps, eng, pool, fx.rel, nil)
 		})
 	}
 }
@@ -311,12 +457,13 @@ func writeSnapshot(t *testing.T, dir string, rel *cfd.Relation, set *rules.Set) 
 // runOracle seeds the model from rel (which the engine must already hold),
 // then drives steps random ops, checking the engine's full report — and a
 // delta-replay client leg, the rule statistics, the relation bridge and the
-// repair view — against the naive rescan oracle after every one.
-func runOracle(t *testing.T, seed int64, steps int, eng *violation.Engine, pool []*rules.Set, rel *cfd.Relation) {
+// repair view — against the naive rescan oracle after every one. draw, when
+// non-nil, is the model's row distribution (see oracleModel.draw).
+func runOracle(t *testing.T, seed int64, steps int, eng *violation.Engine, pool []*rules.Set, rel *cfd.Relation, draw func(*rand.Rand, *oracleModel) []string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	startSet := pool[0]
-	m := &oracleModel{rows: make(map[int][]string), nextID: rel.Size(), set: startSet}
+	m := &oracleModel{rows: make(map[int][]string), nextID: rel.Size(), set: startSet, draw: draw}
 	for i := 0; i < rel.Size(); i++ {
 		m.rows[i] = rel.Row(i)
 	}
@@ -369,8 +516,36 @@ func runOracle(t *testing.T, seed int64, steps int, eng *violation.Engine, pool 
 		}
 		ctx := fmt.Sprintf("seed %d step %d (%s)", seed, step, desc)
 		checkRuleStats(t, eng, m, rel.Attributes(), wantViols, ctx)
+		checkTupleViolations(t, rng, eng, m, wantViols, ctx)
 		checkRelationBridge(t, eng, ctx)
 		checkRepairs(t, eng, m, rel.Attributes(), wantViols, ctx)
+	}
+}
+
+// checkTupleViolations holds the per-tuple point read to the naive violation
+// list on a handful of live tuples, the newest among them: the rules whose
+// entry lists the tuple, in set order.
+func checkTupleViolations(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleModel, viols []violation.Violation, ctx string) {
+	t.Helper()
+	live := m.liveIDs()
+	if len(live) == 0 {
+		return
+	}
+	probe := []int{live[len(live)-1]}
+	for i := 0; i < 8; i++ {
+		probe = append(probe, live[rng.Intn(len(live))])
+	}
+	for _, id := range probe {
+		var want []cfd.CFD
+		for _, v := range viols {
+			if _, found := slices.BinarySearch(v.Tuples, id); found {
+				want = append(want, v.Rule)
+			}
+		}
+		got, err := eng.TupleViolations(id)
+		if err != nil || !slices.EqualFunc(got, want, cfd.CFD.Equal) {
+			t.Fatalf("%s: TupleViolations(%d) = %v (err %v), naive = %v", ctx, id, got, err, want)
+		}
 	}
 }
 

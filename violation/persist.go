@@ -92,6 +92,22 @@ func (rec walRecord) cost() int {
 	return len(rec.Ops)
 }
 
+// walHeader is what the tail rewrite reads of a record it copies verbatim:
+// the sequence number and the record's cost. Decoding into it checks the
+// line's JSON syntax in full but materialises no op and no rule set.
+type walHeader struct {
+	Seq   uint64     `json:"seq"`
+	Ops   []struct{} `json:"ops"`
+	Rules *struct{}  `json:"rules"`
+}
+
+func (h walHeader) cost() int {
+	if h.Rules != nil {
+		return 1
+	}
+	return len(h.Ops)
+}
+
 // snapshotFile is the compacted state on the wire. Format 2, the only format
 // read or written, stores the relation in the raw form of a core.Relation
 // (core.Relation.Raw): one string dictionary per attribute holding the
@@ -229,13 +245,18 @@ func (st *Store) releaseLock() {
 }
 
 // readRecords streams the log's records from the start: fn is called with
-// each intact record, and the returned offset is the end of the last one. A
-// record is intact only when its trailing newline made it to disk and its
-// JSON parses — Append writes record+'\n' in one call, so anything short of
-// that is a tear from a crash mid-append, and everything from the first tear
-// on is untrusted. Records are read with no line-length cap: a large batch
-// is one (arbitrarily long) record. Callers must hold st.mu.
-func (st *Store) readRecords(fn func(rec walRecord)) (int64, error) {
+// each intact record — decoded into a T, and as the line it was read from,
+// trailing newline included — and the returned offset is the end of the last
+// one. A record is intact only when its trailing newline made it to disk and
+// its JSON decodes into T — Append writes record+'\n' in one call, so anything
+// short of that is a tear from a crash mid-append, and everything from the
+// first tear on is untrusted. T sets how much of a record is decoded: recovery
+// (scanWAL, replay) reads walRecord, validating every op; the tail rewrite,
+// which only copies records this process already scanned or wrote itself,
+// reads walHeader. Records are read with no line-length cap: a large batch is
+// one (arbitrarily long) record. The line is only valid during the call.
+// Callers must hold st.mu.
+func readRecords[T any](st *Store, fn func(rec T, line []byte)) (int64, error) {
 	if _, err := st.wal.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("violation: scanning %s: %w", walName, err)
 	}
@@ -251,12 +272,12 @@ func (st *Store) readRecords(fn func(rec walRecord)) (int64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("violation: scanning %s: %w", walName, err)
 		}
-		var rec walRecord
+		var rec T
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return off, nil // torn or corrupt: ignore from here on
 		}
 		off += int64(len(line))
-		fn(rec)
+		fn(rec, line)
 	}
 }
 
@@ -264,7 +285,7 @@ func (st *Store) readRecords(fn func(rec walRecord)) (int64, error) {
 // record, truncates the file after the last one (dropping a torn tail), and
 // leaves the file offset at the end for appending.
 func (st *Store) scanWAL() error {
-	off, err := st.readRecords(func(rec walRecord) {
+	off, err := readRecords(st, func(rec walRecord, _ []byte) {
 		if rec.Seq > st.seq {
 			st.seq = rec.Seq
 		}
@@ -386,7 +407,7 @@ func (st *Store) replay(e *Engine) error {
 	defer st.mu.Unlock()
 	defer st.wal.Seek(st.walOff, io.SeekStart) //nolint:errcheck // repositioned for appends
 	var applyErr error
-	_, err := st.readRecords(func(rec walRecord) {
+	_, err := readRecords(st, func(rec walRecord, _ []byte) {
 		if applyErr != nil || rec.Seq <= st.snapSeq {
 			return // failed already, or folded into the snapshot
 		}
@@ -500,7 +521,9 @@ func (st *Store) compact(e *Engine) (int, error) {
 }
 
 // rewriteTailLocked replaces the WAL with only the records above keepAbove,
-// atomically (temp file + rename + reopen). Callers must hold st.mu.
+// atomically (temp file + rename + reopen). Commits wait on st.mu meanwhile,
+// so the kept records are copied as the bytes they were appended as, with only
+// their headers decoded. Callers must hold st.mu.
 func (st *Store) rewriteTailLocked(keepAbove uint64) error {
 	// Until the new file is swapped in, every exit must leave the old
 	// handle positioned at its append offset.
@@ -518,19 +541,13 @@ func (st *Store) rewriteTailLocked(keepAbove uint64) error {
 	w := bufio.NewWriter(tmp)
 	var tail int
 	var writeErr error
-	if _, err := st.readRecords(func(rec walRecord) {
+	if _, err := readRecords(st, func(rec walHeader, line []byte) {
 		if writeErr != nil || rec.Seq <= keepAbove {
 			return
 		}
-		line, err := json.Marshal(rec)
-		if err == nil {
-			_, err = w.Write(append(line, '\n'))
+		if _, writeErr = w.Write(line); writeErr == nil {
+			tail += rec.cost()
 		}
-		if err != nil {
-			writeErr = err
-			return
-		}
-		tail += rec.cost()
 	}); err != nil {
 		tmp.Close()
 		return err

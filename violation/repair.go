@@ -1,12 +1,10 @@
 package violation
 
 import (
-	"context"
 	"slices"
 	"sort"
 
 	"repro/cfd"
-	"repro/internal/pool"
 )
 
 // Repair is a suggested single-attribute correction for one tuple: under
@@ -20,27 +18,22 @@ type Repair struct {
 	Rule      cfd.CFD
 }
 
-// offGroup runs the repair rule (core.RuleIndex.Repairs) over every rule's
-// violating groups, fanned out per rule like a snapshot rebuild, and collects
-// what mk makes of each off-target member, per rule in set order. The whole
-// walk — O(tuples in violating groups) — runs under the read lock, so the
-// result is one consistent point-in-time read; mk runs under it too and may
-// read the relation's dictionaries.
+// offGroup runs the repair rule (core.GroupIndex.Repairs) over every LHS
+// set's violating groups — one pass per index, fanned out like a snapshot
+// rebuild — and collects what mk makes of each off-target member, per rule in
+// set order. The whole walk — O(groups + tuples in violating groups) — runs
+// under the read lock, so the result is one consistent point-in-time read; mk
+// runs under it too and may read the relation's dictionaries.
 func offGroup[T any](e *Engine, mk func(rule, id int, have, want int32) T) [][]T {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	perRule, _ := pool.Map(context.Background(), e.workers, len(e.indexes), func(_, i int) []T {
-		ix := e.indexes[i]
-		if ix.BadTuples() == 0 {
-			return nil
-		}
-		var out []T
-		ix.Repairs(e.rel.Dict(ix.CFD().RHS), func(id int, have, want int32) {
-			out = append(out, mk(i, id, have, want))
+	return perRule(e, e.indexes, len(e.rules), func(x *lhsIndex) [][]T {
+		out := make([][]T, len(x.at))
+		x.Repairs(e.rel.Dict, func(r, id int, have, want int32) {
+			out[r] = append(out[r], mk(x.at[r], id, have, want))
 		})
 		return out
 	})
-	return perRule
 }
 
 // Repairs proposes value corrections for the tuples that violate the rules,
@@ -59,7 +52,8 @@ func offGroup[T any](e *Engine, mk func(rule, id int, have, want int32) T) [][]T
 func (e *Engine) Repairs() []Repair {
 	perRule := offGroup(e, func(rule, id int, have, want int32) Repair {
 		r := e.rules[rule]
-		values := e.rel.Dict(e.indexes[rule].CFD().RHS)
+		rhs, _ := e.schema.Index(r.RHS)
+		values := e.rel.Dict(rhs)
 		return Repair{Tuple: id, Attribute: r.RHS, Current: values.Value(have), Suggested: values.Value(want), Rule: r}
 	})
 	out := slices.Concat(perRule...)

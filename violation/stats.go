@@ -3,8 +3,8 @@ package violation
 import "repro/cfd"
 
 // RuleStat is the live discovery statistics of one served rule, derived in
-// O(1) from the counters the rule's core.RuleIndex already maintains — no
-// rescan of the relation is ever needed.
+// O(1) from the counters its LHS set's core.GroupIndex already maintains for
+// it — no rescan of the relation is ever needed.
 //
 // Support is the number of live tuples matching the rule's LHS pattern
 // constants (the tuples the rule applies to), Groups the number of distinct
@@ -32,20 +32,20 @@ func (e *Engine) RuleStats() []RuleStat {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	out := make([]RuleStat, len(e.rules))
-	for i, r := range e.rules {
-		ix := e.indexes[i]
-		s := RuleStat{
-			Rule:      r,
-			Support:   ix.Tuples(),
-			Groups:    ix.Groups(),
-			Violating: ix.BadTuples(),
+	for _, x := range e.indexes {
+		for r, i := range x.at {
+			s := RuleStat{
+				Rule:       e.rules[i],
+				Support:    x.Tuples(r),
+				Groups:     x.Groups(r),
+				Violating:  x.BadTuples(r),
+				Confidence: 1,
+			}
+			if s.Support > 0 {
+				s.Confidence = float64(s.Support-s.Violating) / float64(s.Support)
+			}
+			out[i] = s
 		}
-		if s.Support > 0 {
-			s.Confidence = float64(s.Support-s.Violating) / float64(s.Support)
-		} else {
-			s.Confidence = 1
-		}
-		out[i] = s
 	}
 	return out
 }

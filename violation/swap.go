@@ -37,18 +37,21 @@ func (e *Engine) SwapRules(ctx context.Context, set *rules.Set) (rules.Delta, er
 // while the served RulesVersion is one of them, evaluated under the same
 // write lock that applies the swap — of any number of concurrent swaps
 // expecting one version, exactly one wins and the rest get ErrRulesVersion. The
-// tuples are untouched. Under the write lock, indexes of retained rules are
-// reused as they are, indexes for added rules are built over the live tuples
-// — fanned out across the added rules on repro/internal/pool — and removed
-// rules are dropped; the shard partition is recomputed and the snapshot
-// epoch bumped, so a reader either sees the complete old state or the
-// complete new one, never a half-swapped set.
+// tuples are untouched. Under the write lock, the index of every LHS
+// attribute set whose rules are the same before and after is reused as it is,
+// the index of every other LHS set of the new rules is built over the live
+// tuples — fanned out across those sets on repro/internal/pool — and indexes
+// no new rule needs are dropped; the shard partition is recomputed and the
+// snapshot epoch bumped, so a reader either sees the complete old state or
+// the complete new one, never a half-swapped set.
 //
 // With a write-ahead log attached the swap is journaled (as a rule record,
 // see RuleCommitLog) before it is applied; a log that does not implement
 // RuleCommitLog, or whose append fails, rejects the swap with ErrWAL and
-// leaves the engine unchanged. A cancelled ctx aborts the index build for
-// added rules and likewise leaves the engine unchanged.
+// leaves the engine unchanged. A cancelled ctx aborts the index build and
+// likewise leaves the engine unchanged. That holds although indexes are shared
+// between rules: an index is only ever reused untouched or rebuilt off to the
+// side, so nothing the live engine can reach changes before the commit.
 func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []string) (rules.Delta, error) {
 	if set == nil {
 		set = rules.Of()
@@ -65,37 +68,29 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	}
 	delta := rules.Diff(e.set, set)
 
-	// Match new rules against the current indexes by canonical rule key;
-	// duplicates are consumed pairwise, exactly as rules.Diff counts them.
-	avail := make(map[string][]int, len(e.rules))
-	for i, r := range e.rules {
-		k := r.Normalize().String()
-		avail[k] = append(avail[k], i)
-	}
 	newRules := append([]cfd.CFD(nil), set.CFDs()...)
-	newIndexes := make([]*core.RuleIndex, len(newRules))
-	var fresh [][]int // one group per added rule, whose index must be built
-	for i, r := range newRules {
-		k := r.Normalize().String()
-		if q := avail[k]; len(q) > 0 {
-			newIndexes[i] = e.indexes[q[0]]
-			avail[k] = q[1:]
-			continue
-		}
-		ix, err := e.compileRule(r)
-		if err != nil {
-			return rules.Delta{}, err
-		}
-		newIndexes[i] = ix
-		fresh = append(fresh, []int{i})
+	encoded, err := e.compileRules(newRules)
+	if err != nil {
+		return rules.Delta{}, err
 	}
-	// Build the indexes of added rules over the live rows before anything is
-	// committed: the fresh indexes are private until the final assignment, so
-	// an error (or a cancelled context) discards them with no state change.
-	if len(fresh) > 0 {
-		if err := e.indexLive(ctx, 0, newIndexes, fresh); err != nil {
-			return rules.Delta{}, err
+	current := make(map[core.AttrSet]*lhsIndex, len(e.indexes))
+	for _, x := range e.indexes {
+		current[x.LHS()] = x
+	}
+	var newIndexes, fresh []*lhsIndex
+	for _, at := range groupByLHS(encoded) {
+		x := reuseIndex(current[encoded[at[0]].LHS], encoded, at)
+		if x == nil {
+			x = newLHSIndex(encoded, at)
+			fresh = append(fresh, x)
 		}
+		newIndexes = append(newIndexes, x)
+	}
+	// Build the fresh indexes over the live rows before anything is
+	// committed: they are private until the final assignment, so an error (or
+	// a cancelled context) discards them with no state change.
+	if err := e.indexLive(ctx, 0, fresh, shardIndexes(fresh, e.workers)); err != nil {
+		return rules.Delta{}, err
 	}
 	// Journal the swap before applying it, like every other mutation.
 	if e.wal != nil {
@@ -108,7 +103,7 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 		}
 	}
 	// The swap's violation delta, by canonical rule key: a retained key keeps
-	// its violating set (the indexes above are reused or rebuilt to identical
+	// its violating set (its index above is reused or rebuilt to identical
 	// state), so only dropped keys remove violations and only added keys —
 	// whose fresh indexes are fully built by now — add them. One entry per
 	// distinct key, like every delta.
@@ -121,21 +116,14 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 		newKey[ruleKey(r)] = true
 	}
 	var added, removed []Violation
-	seen := make(map[string]bool)
-	for i, r := range e.rules {
-		if k := ruleKey(r); !newKey[k] && !seen[k] {
-			seen[k] = true
-			if e.indexes[i].BadTuples() > 0 {
-				removed = append(removed, Violation{Rule: r, Tuples: e.indexes[i].Violating()})
-			}
+	for i, tuples := range e.violating(e.indexes, len(e.rules), firstOfKey(e.rules, newKey)) {
+		if len(tuples) > 0 {
+			removed = append(removed, Violation{Rule: e.rules[i], Tuples: tuples})
 		}
 	}
-	for i, r := range newRules {
-		if k := ruleKey(r); !oldKey[k] && !seen[k] {
-			seen[k] = true
-			if newIndexes[i].BadTuples() > 0 {
-				added = append(added, Violation{Rule: r, Tuples: newIndexes[i].Violating()})
-			}
+	for i, tuples := range e.violating(newIndexes, len(newRules), firstOfKey(newRules, oldKey)) {
+		if len(tuples) > 0 {
+			added = append(added, Violation{Rule: newRules[i], Tuples: tuples})
 		}
 	}
 	// The delta's rule list must be non-nil even when swapping to the empty
@@ -148,10 +136,38 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	e.set = set
 	e.rules = newRules
 	e.indexes = newIndexes
-	e.shards = shardIndexes(len(newIndexes), e.workers)
+	e.shards = shardIndexes(newIndexes, e.workers)
 	e.bumpLocked()
 	if obs != nil {
 		obs.ObserveSwap(len(delta.Added), len(delta.Removed), len(delta.Retained), time.Since(obsStart).Seconds())
 	}
 	return delta, nil
+}
+
+// reuseIndex places the rules at positions at of encoded on the existing
+// index x when x maintains exactly that multiset of rules, whatever their
+// order: the result shares x's GroupIndex — untouched — under the new
+// placement, duplicates paired off in order. It returns nil when x is nil or
+// its rules differ, in which case the LHS set needs a fresh index: members
+// carry codes only for the RHS attributes the index's own rules name, and
+// tuples none of them applies to are not stored at all.
+func reuseIndex(x *lhsIndex, encoded []core.CFD, at []int) *lhsIndex {
+	if x == nil || len(x.at) != len(at) {
+		return nil
+	}
+	byKey := make(map[string][]int, len(at))
+	for _, i := range at {
+		k := encoded[i].Key()
+		byKey[k] = append(byKey[k], i)
+	}
+	placed := make([]int, len(at))
+	for r := range placed {
+		k := x.CFD(r).Key()
+		q := byKey[k]
+		if len(q) == 0 {
+			return nil
+		}
+		placed[r], byKey[k] = q[0], q[1:]
+	}
+	return &lhsIndex{x.GroupIndex, placed}
 }

@@ -169,33 +169,100 @@ func TestSwapRulesRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestSwapRulesCancelled: a cancelled context aborts the added-rule index
-// build with no state change.
-func TestSwapRulesCancelled(t *testing.T) {
-	eng := custEngine(t, true, violation.Options{})
-	before := eng.Report()
-	fp := eng.RuleSet().Fingerprint()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := eng.SwapRules(ctx, rules.Of(cfd.NewFD([]string{"PN"}, "NM"))); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled swap: err = %v, want context.Canceled", err)
-	}
-	if got := eng.RuleSet().Fingerprint(); got != fp || !reflect.DeepEqual(eng.Report(), before) {
-		t.Fatal("cancelled swap must leave the engine unchanged")
-	}
+// failedSwapTarget is the set the failing swaps below try to install: the cust
+// rules plus one rule on an LHS set the engine already indexes ({CC}, under a
+// new RHS attribute) and one on a fresh LHS set. Indexes are shared between the
+// rules of an LHS set, so a swap that touched the live {CC} index before
+// failing would show.
+func failedSwapTarget(t *testing.T) *rules.Set {
+	t.Helper()
+	return rules.Of(append(append([]cfd.CFD(nil), fixtures(t)[0].rules...),
+		cfd.NewFD([]string{"CC"}, "AC"),
+		cfd.NewFD([]string{"PN"}, "NM"),
+	)...)
 }
 
-// TestSwapRulesWALOnlyLog: an attached CommitLog that cannot journal rule
-// swaps vetoes the swap with ErrWAL instead of desyncing the log.
-func TestSwapRulesWALOnlyLog(t *testing.T) {
-	eng := custEngine(t, true, violation.Options{})
-	eng.AttachWAL(failingLog{err: nil}) // implements CommitLog only
-	fp := eng.RuleSet().Fingerprint()
-	if _, err := eng.SwapRules(context.Background(), rules.Of()); !errors.Is(err, violation.ErrWAL) {
-		t.Fatalf("swap through an op-only log: err = %v, want ErrWAL", err)
+// assertSwapInvisible holds an engine whose swap just failed to a twin built
+// the same way that never attempted it: the same rule statistics, report
+// (epoch included), suspects — and the same delta out of the next insert, into
+// a group both of the target's added rules would have made violating.
+func assertSwapInvisible(t *testing.T, eng, twin *violation.Engine) {
+	t.Helper()
+	compare := func(when string) {
+		t.Helper()
+		if eng.RulesVersion() != twin.RulesVersion() {
+			t.Fatalf("%s: serving %s, the twin %s", when, eng.RulesVersion(), twin.RulesVersion())
+		}
+		if got, want := eng.RuleStats(), twin.RuleStats(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: rule stats\nengine: %+v\ntwin:   %+v", when, got, want)
+		}
+		if got, want := eng.Report(), twin.Report(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: report\nengine: %+v\ntwin:   %+v", when, got, want)
+		}
+		if got, want := eng.Suspects(), twin.Suspects(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: suspects %v, the twin's %v", when, got, want)
+		}
 	}
-	if got := eng.RuleSet().Fingerprint(); got != fp {
-		t.Fatal("vetoed swap must leave the rule set unchanged")
+	compare("after the failed swap")
+	since := eng.Epoch()
+	for _, e := range []*violation.Engine{eng, twin} {
+		if _, err := e.Insert("01", "999", "1111111", "Mike", "Elsewhere", "NYC", "07974"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := eng.Changes(since)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.Changes(since)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("delta of the next insert\nengine: %+v\ntwin:   %+v", got, want)
+	}
+	if got.Empty() {
+		t.Fatal("the probe insert should change the violation state")
+	}
+	compare("after the next insert")
+}
+
+// TestSwapRulesCancelled: a cancelled context aborts the index build with no
+// state change.
+func TestSwapRulesCancelled(t *testing.T) {
+	eng := custEngine(t, true, violation.Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := eng.SwapRules(ctx, failedSwapTarget(t)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled swap: err = %v, want context.Canceled", err)
+	}
+	assertSwapInvisible(t, eng, custEngine(t, true, violation.Options{}))
+}
+
+// failingRuleLog journals tuple ops but refuses rule swaps.
+type failingRuleLog struct{ failingLog }
+
+func (f failingRuleLog) AppendRules(*rules.Set) error { return errors.New("disk full") }
+
+// TestSwapRulesWALOnlyLog: an attached CommitLog that cannot journal rule
+// swaps — or whose AppendRules fails, after every fresh index has been built —
+// vetoes the swap with ErrWAL instead of desyncing the log, and leaves the
+// engine as it was.
+func TestSwapRulesWALOnlyLog(t *testing.T) {
+	for name, log := range map[string]violation.CommitLog{
+		"op-only log":         failingLog{err: nil}, // implements CommitLog only
+		"failing AppendRules": failingRuleLog{},
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, workers := range []int{1, 3} {
+				eng := custEngine(t, true, violation.Options{Workers: workers})
+				eng.AttachWAL(log)
+				if _, err := eng.SwapRules(context.Background(), failedSwapTarget(t)); !errors.Is(err, violation.ErrWAL) {
+					t.Fatalf("swap through %s: err = %v, want ErrWAL", name, err)
+				}
+				assertSwapInvisible(t, eng, custEngine(t, true, violation.Options{Workers: workers}))
+			}
+		})
 	}
 }
 
@@ -311,6 +378,13 @@ func TestSwapRulesConcurrentReaders(t *testing.T) {
 				}
 				_, _ = eng.TupleViolations(0)
 				_ = eng.Dirty()
+				// The live-index reads share the read lock with each other:
+				// none of them may write to an index.
+				_ = eng.Suspects()
+				if n := len(eng.RuleStats()); n != 2 && n != 6 {
+					errs <- "RuleStats covers a half-swapped rule count"
+					return
+				}
 			}
 		}()
 	}

@@ -1,21 +1,25 @@
 // Package violation is the serving side of the paper's CFD workflow: an
 // indexed, incremental, concurrency-safe violation-detection engine. Where
 // repro/cleaning's original detector rescanned the whole relation for every
-// rule, the Engine maintains one hash index per rule — tuples grouped by
-// their left-hand-side values, filtered on the rule's pattern constants — so
-// that inserting, deleting or updating a tuple only touches the affected
-// group of each rule: O(rules) map work per tuple, independent of the
-// relation size.
+// rule, the Engine is shaped like the paper's pattern tableaux (§2.3): it
+// maintains one hash index per distinct left-hand-side attribute set X among
+// its rules — the tuples grouped by their X values, stored once however many
+// rules share X — and reduces each rule to a filter on its pattern constants,
+// the right-hand-side attribute it reads and three counters. Inserting,
+// deleting or updating a tuple touches one group per X: O(LHS sets) hash
+// lookups plus an integer compare per rule and counter updates for the rules
+// that apply, independent of the relation size.
 //
 // An Engine is built from a first-class rule set (*rules.Set), bulk loaded
-// from a *cfd.Relation (in parallel across rule shards, on
+// from a *cfd.Relation (in parallel across shards of LHS-set indexes, on
 // repro/internal/pool), and then kept current
 // with Insert / Delete / Update — or, amortising lock and index maintenance
 // over many tuples, with an atomic ApplyBatch — as tuples arrive and change.
 // The rule set itself is live too: SwapRules atomically replaces it while
-// reads and writes proceed, reusing the indexes of retained rules and
-// building indexes only for added ones, so freshly re-discovered rules can
-// be hot-swapped into a long-running server without a restart.
+// reads and writes proceed, reusing the index of every LHS set whose rules
+// did not change and building the others off to the side, so freshly
+// re-discovered rules can be hot-swapped into a long-running server without a
+// restart.
 // The current violation state is read back as a streaming Violations
 // sequence, a Report (the same shape repro/cleaning returns), a per-tuple
 // lookup, or the repair view — Suspects and Repairs, the likely culprits of
@@ -23,7 +27,7 @@
 // any bulk-loaded relation the Engine reports exactly the
 // violation set of the paper's batch semantics (§2.1.2): the batch detectors
 // in repro/cleaning and repro/cfd route through the same underlying index
-// (internal/core.RuleIndex), so there is one source of truth.
+// (internal/core.GroupIndex), so there is one source of truth.
 //
 // # Storage
 //
@@ -42,7 +46,7 @@
 // The Engine is safe for concurrent use by any number of readers and
 // writers. Mutations (Insert, Delete, Update, ApplyBatch, BulkLoad) are
 // serialised by an internal write lock; batch mutations fan index
-// maintenance out across rule shards on repro/internal/pool. The bulk
+// maintenance out across shards of LHS-set indexes on repro/internal/pool. The bulk
 // readers Violations, Report and Dirty serve an immutable copy-on-write
 // snapshot keyed by a mutation epoch: the first read after a mutation
 // rebuilds the snapshot (briefly excluding writers), and every subsequent
@@ -120,10 +124,11 @@ type Options struct {
 	// Workers bounds the number of goroutines BulkLoad, ApplyBatch and
 	// snapshot rebuilds may use: 0 runs one worker per available CPU (the
 	// default), 1 runs sequentially. Single-tuple Insert/Delete/Update are
-	// always applied inline; they are O(rules) per call and not worth fanning
-	// out. The per-rule indexes are partitioned into one shard per worker
-	// (clamped to the rule count), each maintained on its own pool worker;
-	// any worker count yields identical state.
+	// always applied inline; they are O(LHS sets) per call and not worth
+	// fanning out. The LHS-set indexes are partitioned into one shard per
+	// worker (clamped to their number, balanced by rule count), each
+	// maintained on its own pool worker; any worker count yields identical
+	// state.
 	Workers int
 	// DeltaHistory bounds the ring of per-commit violation deltas served by
 	// Changes: a reader up to DeltaHistory epochs behind gets an incremental
@@ -170,18 +175,21 @@ type CommitLog interface {
 // rebuild the engine from Relation() (re-basing ids) to reclaim that memory.
 type Engine struct {
 	// mu serialises mutations (Lock) against point reads and snapshot
-	// rebuilds (RLock). The per-rule indexes and the relation are only
-	// written under Lock.
+	// rebuilds (RLock). The indexes and the relation are only written under
+	// Lock.
 	mu     sync.RWMutex
 	schema *core.Schema
 	// rel is the tuple store: slot = tuple id, a hole once deleted. Its
 	// dictionaries also intern the rule constants, so they may hold codes no
 	// tuple carries.
-	rel       *core.Relation
-	set       *rules.Set
-	rules     []cfd.CFD
-	indexes   []*core.RuleIndex
-	shards    [][]int // shard -> indexes it owns (round-robin partition)
+	rel   *core.Relation
+	set   *rules.Set
+	rules []cfd.CFD
+	// indexes holds one shared group index per distinct LHS attribute set
+	// among the rules, in order of first appearance; between them they place
+	// every rule exactly once.
+	indexes   []*lhsIndex
+	shards    [][]int // shard -> positions in indexes it owns (see shardIndexes)
 	workers   int
 	maxPinGap int // resolved Options.MaxPinGap; <0 disables the bound
 	wal       CommitLog
@@ -253,71 +261,113 @@ func New(attributes []string, set *rules.Set, opts Options) (*Engine, error) {
 		deltas:    make([]*Delta, history),
 		watch:     make(chan struct{}),
 	}
-	for _, rule := range set.CFDs() {
-		if err := e.addRule(rule); err != nil {
-			return nil, err
-		}
+	e.rules = append([]cfd.CFD(nil), set.CFDs()...)
+	encoded, err := e.compileRules(e.rules)
+	if err != nil {
+		return nil, err
 	}
-	e.shards = shardIndexes(len(e.indexes), opts.Workers)
+	for _, at := range groupByLHS(encoded) {
+		e.indexes = append(e.indexes, newLHSIndex(encoded, at))
+	}
+	e.shards = shardIndexes(e.indexes, opts.Workers)
 	return e, nil
 }
 
-// shardIndexes partitions n rule indexes round-robin into one shard per
-// worker (at least one, at most n).
-func shardIndexes(n, workers int) [][]int {
-	s := pool.Normalize(workers)
-	if s > n {
-		s = n
+// lhsIndex is the group index of one LHS attribute set together with where its
+// rules sit in the engine's rule table. It is immutable once built (the
+// GroupIndex inside is what mutations maintain), so a rule swap that keeps an
+// LHS set's rules shares the GroupIndex under a fresh placement.
+type lhsIndex struct {
+	*core.GroupIndex
+	at []int // position in Engine.rules of each of the index's rules
+}
+
+// newLHSIndex returns an empty index for the rules at the given positions of
+// encoded, which share their LHS attribute set.
+func newLHSIndex(encoded []core.CFD, at []int) *lhsIndex {
+	own := make([]core.CFD, len(at))
+	for r, i := range at {
+		own[r] = encoded[i]
 	}
-	if s < 1 {
-		s = 1
+	return &lhsIndex{core.NewGroupIndex(own), at}
+}
+
+// groupByLHS partitions rule positions by LHS attribute set, sets in order of
+// first appearance and positions ascending within each.
+func groupByLHS(encoded []core.CFD) [][]int {
+	var groups [][]int
+	where := make(map[core.AttrSet]int)
+	for i, c := range encoded {
+		g, ok := where[c.LHS]
+		if !ok {
+			g = len(groups)
+			where[c.LHS] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
 	}
+	return groups
+}
+
+// shardIndexes partitions the indexes into one shard per worker (at most one
+// per index), balanced by rule count: biggest index first, each to the shard
+// holding the fewest rules so far. Every index costs a hash lookup per tuple
+// and every rule on it a compare, so rule count is what makes one index more
+// work than another.
+func shardIndexes(indexes []*lhsIndex, workers int) [][]int {
+	s := min(pool.Normalize(workers), len(indexes))
+	order := make([]int, len(indexes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return indexes[order[a]].Rules() > indexes[order[b]].Rules() })
 	out := make([][]int, s)
-	for i := 0; i < n; i++ {
-		out[i%s] = append(out[i%s], i)
+	load := make([]int, s)
+	for _, i := range order {
+		least := 0
+		for j := range load {
+			if load[j] < load[least] {
+				least = j
+			}
+		}
+		out[least] = append(out[least], i)
+		load[least] += indexes[i].Rules()
 	}
 	return out
 }
 
-// compileRule validates and compiles one rule against the engine's schema,
-// returning an empty index for it. Rule constants are interned into the
-// engine's dictionaries up front, so encoding never fails on constants
-// outside the active domain — such constants hold codes no tuple carries
-// until a matching value is inserted.
-func (e *Engine) compileRule(rule cfd.CFD) (*core.RuleIndex, error) {
-	if err := rule.Validate(); err != nil {
-		return nil, fmt.Errorf("violation: %w", err)
-	}
-	rhs, ok := e.schema.Index(rule.RHS)
-	if !ok {
-		return nil, fmt.Errorf("violation: rule %s: unknown attribute %q", rule, rule.RHS)
-	}
-	enc := core.CFD{RHS: rhs, Tp: core.NewPattern(e.schema.Arity())}
-	for i, name := range rule.LHS {
-		a, ok := e.schema.Index(name)
+// compileRules validates the rules and encodes them against the engine's
+// schema and dictionaries. Rule constants are interned into the dictionaries
+// up front, so encoding never fails on constants outside the active domain —
+// such constants hold codes no tuple carries until a matching value is
+// inserted.
+func (e *Engine) compileRules(rs []cfd.CFD) ([]core.CFD, error) {
+	encoded := make([]core.CFD, len(rs))
+	for i, rule := range rs {
+		if err := rule.Validate(); err != nil {
+			return nil, fmt.Errorf("violation: %w", err)
+		}
+		rhs, ok := e.schema.Index(rule.RHS)
 		if !ok {
-			return nil, fmt.Errorf("violation: rule %s: unknown attribute %q", rule, name)
+			return nil, fmt.Errorf("violation: rule %s: unknown attribute %q", rule, rule.RHS)
 		}
-		enc.LHS = enc.LHS.Add(a)
-		if rule.LHSPattern[i] != cfd.Wildcard {
-			enc.Tp[a] = e.rel.Dict(a).Encode(rule.LHSPattern[i])
+		enc := core.CFD{RHS: rhs, Tp: core.NewPattern(e.schema.Arity())}
+		for j, name := range rule.LHS {
+			a, ok := e.schema.Index(name)
+			if !ok {
+				return nil, fmt.Errorf("violation: rule %s: unknown attribute %q", rule, name)
+			}
+			enc.LHS = enc.LHS.Add(a)
+			if rule.LHSPattern[j] != cfd.Wildcard {
+				enc.Tp[a] = e.rel.Dict(a).Encode(rule.LHSPattern[j])
+			}
 		}
+		if rule.RHSPattern != cfd.Wildcard {
+			enc.Tp[rhs] = e.rel.Dict(rhs).Encode(rule.RHSPattern)
+		}
+		encoded[i] = enc
 	}
-	if rule.RHSPattern != cfd.Wildcard {
-		enc.Tp[rhs] = e.rel.Dict(rhs).Encode(rule.RHSPattern)
-	}
-	return core.NewRuleIndex(enc), nil
-}
-
-// addRule compiles one rule and appends it to the engine's rule table.
-func (e *Engine) addRule(rule cfd.CFD) error {
-	ix, err := e.compileRule(rule)
-	if err != nil {
-		return err
-	}
-	e.rules = append(e.rules, rule)
-	e.indexes = append(e.indexes, ix)
-	return nil
+	return encoded, nil
 }
 
 // encode interns one tuple's values through the engine dictionaries. Callers
@@ -365,7 +415,7 @@ func (e *Engine) AttachWAL(w CommitLog) {
 }
 
 // Insert adds one tuple (values in schema order) and returns its id. Each
-// rule's index is updated in O(affected group).
+// LHS set's index is updated in O(affected group).
 func (e *Engine) Insert(values ...string) (int, error) {
 	ids, err := e.ApplyBatch([]Op{{Kind: OpInsert, Values: values}})
 	if err != nil {
@@ -388,7 +438,7 @@ func (e *Engine) Update(id int, values ...string) error {
 
 // BulkLoad appends every tuple of the relation, whose attributes must match
 // the engine's schema exactly (same names, same order). Index building is
-// parallelised across rule shards under the engine's worker budget; the
+// parallelised across index shards under the engine's worker budget; the
 // resulting state is identical for every worker and shard count. Bulk loads
 // are not written to an attached CommitLog; compact a snapshot afterwards
 // (Store.Compact) if the load must be durable.
@@ -429,7 +479,7 @@ func (e *Engine) BulkLoadContext(ctx context.Context, rel *cfd.Relation) error {
 
 // loadLocked appends rows given in raw form (core.Relation.Raw) at the end of
 // the engine's relation — holes stay holes, so row i gets id NextID()+i — and
-// indexes them under every rule. Recoding interns into the shared
+// indexes them under every LHS set. Recoding interns into the shared
 // dictionaries, so it runs sequentially; the index build carries the real
 // cost and fans out. Callers hold the write lock.
 func (e *Engine) loadLocked(ctx context.Context, dicts [][]string, cols [][]int32, rows int) error {
@@ -439,21 +489,53 @@ func (e *Engine) loadLocked(ctx context.Context, dicts [][]string, cols [][]int3
 }
 
 // indexLive inserts every live tuple with id >= from into indexes, fanned
-// out on the worker pool: task g fills the indexes at positions groups[g],
+// out on the worker pool: task s fills the indexes at positions shards[s],
 // which must be disjoint. Callers hold the write lock, or the read lock when
 // the indexes are still private.
-func (e *Engine) indexLive(ctx context.Context, from int, indexes []*core.RuleIndex, groups [][]int) error {
-	return pool.Each(ctx, e.workers, len(groups), func(_, g int) {
+func (e *Engine) indexLive(ctx context.Context, from int, indexes []*lhsIndex, shards [][]int) error {
+	return pool.Each(ctx, e.workers, len(shards), func(_, s int) {
 		row := make([]int32, e.schema.Arity())
 		for id := from; id < e.rel.Size(); id++ {
 			if !e.rel.Live(id) {
 				continue
 			}
 			e.rel.Gather(id, row)
-			for _, i := range groups[g] {
-				indexes[i].Insert(id, row)
+			for _, i := range shards[s] {
+				indexes[i].Insert(id, row, nil)
 			}
 		}
+	})
+}
+
+// perRule runs read — which returns one value per rule of an index, in the
+// index's rule order — over every index, fanned out on the worker pool, and
+// files the values under the rules' positions in a table of n rules. Callers
+// hold mu.
+func perRule[T any](e *Engine, indexes []*lhsIndex, n int, read func(x *lhsIndex) []T) []T {
+	perIndex, _ := pool.Map(context.Background(), e.workers, len(indexes), func(_, i int) []T { return read(indexes[i]) })
+	out := make([]T, n)
+	for i, values := range perIndex {
+		for r, v := range values {
+			out[indexes[i].at[r]] = v
+		}
+	}
+	return out
+}
+
+// violating returns, per rule position of a table of n rules placed by
+// indexes, the ascending ids of the tuples violating the rule — nil for a rule
+// nothing violates, and for every rule outside want when want is non-nil. It
+// walks each index once. Callers hold mu.
+func (e *Engine) violating(indexes []*lhsIndex, n int, want []bool) [][]int {
+	return perRule(e, indexes, n, func(x *lhsIndex) [][]int {
+		var only []bool
+		if want != nil {
+			only = make([]bool, len(x.at))
+			for r, p := range x.at {
+				only[r] = want[p]
+			}
+		}
+		return x.Violating(only)
 	})
 }
 
@@ -576,8 +658,8 @@ func (e *Engine) snapshot() *snapshot {
 	}
 	e.mu.RLock()
 	// The epoch is stable while the read lock is held: writers bump it under
-	// the write lock. The rule and index tables are captured here too — a
-	// rule swap replaces both wholesale under the write lock.
+	// the write lock. The rule table is captured here too — a rule swap
+	// replaces it wholesale under the write lock.
 	epoch := e.epoch.Load()
 	ruleTable := e.rules
 	if old := e.snap.Load(); old != nil {
@@ -599,13 +681,7 @@ func (e *Engine) snapshot() *snapshot {
 			return s
 		}
 	}
-	indexes := e.indexes
-	perRule, _ := pool.Map(context.Background(), e.workers, len(indexes), func(_, i int) []int {
-		if indexes[i].BadTuples() == 0 {
-			return nil
-		}
-		return indexes[i].Violating()
-	})
+	perRule := e.violating(e.indexes, len(ruleTable), nil)
 	e.mu.RUnlock()
 	s := &snapshot{epoch: epoch, rules: len(ruleTable)}
 	dirty := make(map[int]bool)
@@ -671,14 +747,17 @@ func (e *Engine) DirtyCount() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	n := 0
-	for _, ix := range e.indexes {
-		n += ix.BadTuples()
+	for _, x := range e.indexes {
+		for r := range x.at {
+			n += x.BadTuples(r)
+		}
 	}
 	return n
 }
 
 // TupleViolations returns the rules the given live tuple currently violates,
-// in rule order, in O(rules), as one consistent point-in-time read.
+// in rule order, as one consistent point-in-time read: one group lookup per
+// LHS set, then a compare per violated rule on it.
 func (e *Engine) TupleViolations(id int) ([]cfd.CFD, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -686,11 +765,14 @@ func (e *Engine) TupleViolations(id int) ([]cfd.CFD, error) {
 		return nil, err
 	}
 	row := e.rel.CodedRow(id)
+	var at []int
+	for _, x := range e.indexes {
+		x.Violated(row, func(r int) { at = append(at, x.at[r]) })
+	}
+	sort.Ints(at)
 	var out []cfd.CFD
-	for i, ix := range e.indexes {
-		if ix.IsViolating(id, row) {
-			out = append(out, e.rules[i])
-		}
+	for _, i := range at {
+		out = append(out, e.rules[i])
 	}
 	return out, nil
 }
