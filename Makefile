@@ -13,12 +13,15 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs everything under the race detector, then the two tests that share
-# the engine's live indexes between concurrent readers, writers and rule swaps
-# ten times over: the detector only reports the interleavings a run executes.
+# race runs everything under the race detector, then ten times over the tests
+# that share state between goroutines — the engine's live indexes between
+# concurrent readers, writers and rule swaps; the closed-set search's root
+# candidates between its pooled branches, with and without a cancellation in
+# flight: the detector only reports the interleavings a run executes.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run '^(TestConcurrentReadersAndWriters|TestSwapRulesConcurrentReaders)$$' ./violation
+	$(GO) test -race -count=10 -run '^(TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude)$$' ./internal/itemset ./internal/fastcfd
 
 # bench runs the repo benchmark BENCHMARK.json declares: cfddiscover and
 # cfdserve end to end on four fixed-work workloads, repeated, with every
@@ -61,8 +64,9 @@ docs-check:
 
 # fuzz runs the fuzzers for a short CI-sized budget each — the codec round
 # trips (the cfd text codec pair, the rules.Set JSON codec, the violation
-# snapshot codec) and the shared group index against its from-scratch recount;
-# the corpus seeds also run as normal tests under `make test`.
+# snapshot codec), the shared group index against its from-scratch recount and
+# the probe-table partition product against the product's definition; the
+# corpus seeds also run as normal tests under `make test`.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./cfd -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
@@ -70,23 +74,33 @@ fuzz:
 	$(GO) test ./rules -run '^$$' -fuzz '^FuzzJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./violation -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGroupIndex$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/partition -run '^$$' -fuzz '^FuzzProduct$$' -fuzztime $(FUZZTIME)
 
 # cover enforces ratcheted statement-coverage floors on the serving-critical
-# packages (internal/core holds the engine's tuple store and group index). The floors only move up: raise them when coverage improves, and
-# never lower them to make a failing build pass.
+# packages (internal/core holds the engine's tuple store and group index) and
+# on the mining kernels (internal/partition: counting split and product;
+# internal/itemset: free- and closed-set miners). The floors only move up:
+# raise them when coverage improves, and never lower them to make a failing
+# build pass.
 VIOLATION_COVER_FLOOR ?= 89.5
 RULES_COVER_FLOOR ?= 92.0
 MONITOR_COVER_FLOOR ?= 90.0
 CORE_COVER_FLOOR ?= 96.5
+PARTITION_COVER_FLOOR ?= 100.0
+ITEMSET_COVER_FLOOR ?= 91.0
 cover:
 	$(GO) test -coverprofile=cover_violation.out ./violation > /dev/null
 	$(GO) test -coverprofile=cover_rules.out ./rules > /dev/null
 	$(GO) test -coverprofile=cover_monitor.out ./discovery/monitor > /dev/null
 	$(GO) test -coverprofile=cover_core.out ./internal/core > /dev/null
+	$(GO) test -coverprofile=cover_partition.out ./internal/partition > /dev/null
+	$(GO) test -coverprofile=cover_itemset.out ./internal/itemset > /dev/null
 	@./scripts/check_coverage.sh cover_violation.out $(VIOLATION_COVER_FLOOR) violation
 	@./scripts/check_coverage.sh cover_rules.out $(RULES_COVER_FLOOR) rules
 	@./scripts/check_coverage.sh cover_monitor.out $(MONITOR_COVER_FLOOR) discovery/monitor
 	@./scripts/check_coverage.sh cover_core.out $(CORE_COVER_FLOOR) internal/core
+	@./scripts/check_coverage.sh cover_partition.out $(PARTITION_COVER_FLOOR) internal/partition
+	@./scripts/check_coverage.sh cover_itemset.out $(ITEMSET_COVER_FLOOR) internal/itemset
 
 # serve-smoke starts cmd/cfdserve on fixture rules + data, drives the API with
 # curl and checks graceful shutdown; CI runs the same script. Its final leg
@@ -112,4 +126,4 @@ cluster-smoke:
 ci: fmt vet staticcheck build race cover fuzz docs-check bench obs-smoke cluster-smoke
 
 clean:
-	rm -rf .bench_build cover_violation.out cover_rules.out cover_monitor.out cover_core.out
+	rm -rf .bench_build cover_violation.out cover_rules.out cover_monitor.out cover_core.out cover_partition.out cover_itemset.out

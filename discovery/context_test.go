@@ -54,8 +54,8 @@ func TestDiscoverContextCancelMidRun(t *testing.T) {
 }
 
 // TestDiscoverWorkersDeterministic asserts, through the public API, that
-// Workers: 4 produces exactly the same CFD set as Workers: 1 for every
-// parallel algorithm on the fixture relations.
+// Workers: 2, 4 and 8 produce exactly the same CFD list, order included, as
+// Workers: 1 for every parallel algorithm on the fixture relations.
 func TestDiscoverWorkersDeterministic(t *testing.T) {
 	gen, err := dataset.Tax(dataset.TaxConfig{Size: 400, Arity: 7, CF: 0.5, Seed: 1})
 	if err != nil {
@@ -74,18 +74,20 @@ func TestDiscoverWorkersDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s sequential: %v", name, alg, err)
 			}
-			par, err := discovery.Discover(alg, rs.rel, discovery.Options{Support: rs.k, Workers: 4})
-			if err != nil {
-				t.Fatalf("%s/%s parallel: %v", name, alg, err)
-			}
-			if len(seq.CFDs) != len(par.CFDs) {
-				t.Errorf("%s/%s: sequential %d CFDs, parallel %d", name, alg, len(seq.CFDs), len(par.CFDs))
-				continue
-			}
-			for i := range seq.CFDs {
-				if seq.CFDs[i].Normalize().String() != par.CFDs[i].Normalize().String() {
-					t.Errorf("%s/%s: CFD %d differs between worker counts", name, alg, i)
-					break
+			for _, workers := range []int{2, 4, 8} {
+				par, err := discovery.Discover(alg, rs.rel, discovery.Options{Support: rs.k, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s/%s workers=%d: %v", name, alg, workers, err)
+				}
+				if len(seq.CFDs) != len(par.CFDs) {
+					t.Errorf("%s/%s: sequential %d CFDs, %d workers %d", name, alg, len(seq.CFDs), workers, len(par.CFDs))
+					continue
+				}
+				for i := range seq.CFDs {
+					if seq.CFDs[i].Normalize().String() != par.CFDs[i].Normalize().String() {
+						t.Errorf("%s/%s: CFD %d differs between 1 and %d workers", name, alg, i, workers)
+						break
+					}
 				}
 			}
 		}

@@ -25,9 +25,9 @@ type Options struct {
 	// CFDs (and therefore the depth of the lattice traversal).
 	MaxLHS int
 	// Workers bounds the number of goroutines used within each lattice level
-	// (candidate-set intersection, candidate-CFD validation and partition
-	// products are fanned out per element; the levels themselves stay
-	// sequential, as each depends on the previous one). 0 selects one worker
+	// (candidate-set intersection and candidate-CFD validation are fanned out
+	// per element, partition products per left parent of the join; the levels
+	// themselves stay sequential, as each depends on the previous one). 0 selects one worker
 	// per CPU, 1 runs sequentially. The discovered cover is identical for
 	// every worker count.
 	Workers int
@@ -89,29 +89,17 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CF
 		maxLevel = opts.MaxLHS + 1
 	}
 
-	// Tid lists of single items, used to maintain constant-part supports.
-	itemTids := make([]map[int32][]int32, arity)
-	for a := 0; a < arity; a++ {
-		itemTids[a] = make(map[int32][]int32, r.DomainSize(a))
-		for t, v := range r.Column(a) {
-			itemTids[a][v] = append(itemTids[a][v], int32(t))
-		}
-	}
-	allTids := make([]int32, n)
-	for t := range allTids {
-		allTids[t] = int32(t)
-	}
+	// Tid lists of single items, by attribute and value code: the level-1
+	// constant partitions and constant-part tid lists.
+	allTids := partition.AllTids(n)
+	itemTids := partition.ItemTids(r, allTids)
 	wild := core.NewPattern(arity)
 	// Cache of constant-part tid lists keyed by the constant pattern's key.
 	constTids := map[string][]int32{wild.Key(core.EmptyAttrSet): allTids}
 
 	// Virtual level-0 element: empty attribute set, one equivalence class.
-	emptyPart := &partition.Partition{Covered: n}
-	if n >= 2 {
-		emptyPart.Classes = [][]int32{allTids}
-	}
 	emptyElem := &element{
-		attrs: core.EmptyAttrSet, tp: wild, part: emptyPart,
+		attrs: core.EmptyAttrSet, tp: wild, part: partition.FromItem(allTids),
 		cplus: newCandidateSet(), key: wild.Key(core.EmptyAttrSet),
 		constK: wild.Key(core.EmptyAttrSet), support: n,
 	}
@@ -126,22 +114,18 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CF
 			key:    wild.Key(core.SingleAttr(a)),
 			constK: wild.Key(core.EmptyAttrSet), support: n,
 		})
-		values := make([]int32, 0, len(itemTids[a]))
 		for v, tids := range itemTids[a] {
-			if len(tids) >= k {
-				values = append(values, v)
+			if len(tids) < k {
+				continue
 			}
-		}
-		sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
-		for _, v := range values {
 			tp := wild.Clone()
-			tp[a] = v
+			tp[a] = int32(v)
 			constKey := tp.Key(core.SingleAttr(a))
-			constTids[constKey] = itemTids[a][v]
+			constTids[constKey] = tids
 			level = append(level, &element{
-				attrs: core.SingleAttr(a), tp: tp, part: partition.FromItem(r, a, v),
+				attrs: core.SingleAttr(a), tp: tp, part: partition.FromItem(tids),
 				key:    constKey,
-				constK: constKey, support: len(itemTids[a][v]),
+				constK: constKey, support: len(tids),
 			})
 		}
 	}
@@ -191,12 +175,12 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CF
 		// sequential run. The pre-pass may validate candidates that Step 2.c
 		// later removes — wasted work, never a different answer — so it is
 		// skipped when running on one worker.
-		var validated []map[int]bool
+		var validated []validation
 		if workers > 1 {
 			var err error
-			validated, err = pool.Map(ctx, workers, len(level), func(_, i int) map[int]bool {
+			validated, err = pool.Map(ctx, workers, len(level), func(_, i int) validation {
 				e := level[i]
-				m := make(map[int]bool, e.attrs.Len())
+				var v validation
 				e.attrs.ForEach(func(a int) {
 					cA := e.tp[a]
 					if !e.cplus.has(a, cA) {
@@ -206,9 +190,12 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CF
 					if !ok {
 						return
 					}
-					m[a] = validCFD(parent, e, cA)
+					v.checked = v.checked.Add(a)
+					if validCFD(parent, e, cA) {
+						v.valid = v.valid.Add(a)
+					}
 				})
-				return m
+				return v
 			})
 			if err != nil {
 				return nil, err
@@ -230,11 +217,10 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CF
 				}
 				// C+ sets only shrink, so every candidate that survives to
 				// this point was still a candidate during the pre-pass.
-				valid, cached := false, false
-				if validated != nil {
-					valid, cached = validated[i][a]
-				}
-				if !cached {
+				var valid bool
+				if validated != nil && validated[i].checked.Has(a) {
+					valid = validated[i].valid.Has(a)
+				} else {
 					valid = validCFD(parent, e, cA)
 				}
 				if !valid {
@@ -298,6 +284,12 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CF
 	return out, nil
 }
 
+// validation is the pre-pass verdict on one lattice element: the right-hand
+// side attributes whose candidate CFD was checked, and those found valid.
+type validation struct {
+	checked, valid core.AttrSet
+}
+
 // validCFD checks the candidate CFD (X\{A} → A, (sp[X\{A}] ‖ sp[A])) of a
 // lattice element against its parent's partition (Step 2.b).
 func validCFD(parent, e *element, cA int32) bool {
@@ -312,15 +304,17 @@ func validCFD(parent, e *element, cA int32) bool {
 // k-frequent and all of whose immediate sub-elements survived pruning, and
 // builds their partitions as products of the parents' partitions. The joins
 // and frequency checks run sequentially (they share the constant-tid cache);
-// the partition products — the expensive part — are fanned out across workers,
-// each with its own scratch buffer.
+// the partition products — the expensive part — are fanned out across workers
+// per left parent, each worker with its own probe: a left parent's partition
+// is written into the probe table once and multiplied with all of its right
+// siblings.
 func generateNextLevel(
 	ctx context.Context,
 	r *core.Relation,
 	level []*element,
 	byKey map[string]*element,
 	constTids map[string][]int32,
-	itemTids []map[int32][]int32,
+	itemTids [][][]int32,
 	k, n, workers int,
 ) ([]*element, error) {
 	type groupKey struct {
@@ -332,11 +326,17 @@ func generateNextLevel(
 		prefix := e.attrs.Remove(e.attrs.Last())
 		groups[groupKey{prefix, e.tp.Key(prefix)}] = append(groups[groupKey{prefix, e.tp.Key(prefix)}], e)
 	}
+	// joins lists the surviving (y, joined element) pairs; the joins of one
+	// left parent x are consecutive, lefts[i] naming x and where they end.
 	type join struct {
-		x, y *element
-		elem *element
+		y, elem *element
+	}
+	type left struct {
+		x   *element
+		end int
 	}
 	var joins []join
+	var lefts []left
 	seen := make(map[string]bool)
 	for _, group := range groups {
 		for i := 0; i < len(group); i++ {
@@ -345,12 +345,15 @@ func generateNextLevel(
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
+			x := group[i]
+			xLast := x.attrs.Last()
+			first := len(joins)
 			for j := 0; j < len(group); j++ {
 				if i == j {
 					continue
 				}
-				x, y := group[i], group[j]
-				xLast, yLast := x.attrs.Last(), y.attrs.Last()
+				y := group[j]
+				yLast := y.attrs.Last()
 				if xLast >= yLast {
 					continue
 				}
@@ -370,7 +373,7 @@ func generateNextLevel(
 					if up[yLast] == core.Wildcard {
 						tids = constTids[x.constK]
 					} else {
-						tids = intersectTids(constTids[x.constK], itemTids[yLast][up[yLast]])
+						tids = holding(constTids[x.constK], r.Column(yLast), up[yLast], len(itemTids[yLast][up[yLast]]))
 					}
 					constTids[constKey] = tids
 				}
@@ -390,22 +393,32 @@ func generateNextLevel(
 					continue
 				}
 				seen[key] = true
-				joins = append(joins, join{x: x, y: y, elem: &element{
+				joins = append(joins, join{y: y, elem: &element{
 					attrs: z, tp: up,
 					key: key, constK: constKey, support: len(tids),
 				}})
 			}
+			if len(joins) > first {
+				lefts = append(lefts, left{x: x, end: len(joins)})
+			}
 		}
 	}
-	scratches := make([][]int32, pool.Normalize(workers))
-	if err := pool.Each(ctx, workers, len(joins), func(w, i int) {
-		if scratches[w] == nil {
-			scratches[w] = make([]int32, n)
+	probes := make([]*partition.Probe, pool.Normalize(workers))
+	if err := pool.Each(ctx, workers, len(lefts), func(w, i int) {
+		if probes[w] == nil {
+			probes[w] = partition.NewProbe(n)
 		}
-		j := joins[i]
-		part := partition.ProductWith(j.x.part, j.y.part, scratches[w])
-		part.Covered = j.elem.support
-		j.elem.part = part
+		probe := probes[w]
+		start := 0
+		if i > 0 {
+			start = lefts[i-1].end
+		}
+		probe.Load(lefts[i].x.part)
+		for _, j := range joins[start:lefts[i].end] {
+			j.elem.part = probe.Product(j.y.part)
+			j.elem.part.Covered = j.elem.support
+		}
+		probe.Unload()
 	}); err != nil {
 		return nil, err
 	}
@@ -434,20 +447,15 @@ func sortLevel(level []*element) {
 	})
 }
 
-// intersectTids intersects two ascending tid lists.
-func intersectTids(a, b []int32) []int32 {
-	out := make([]int32, 0)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+// holding returns the tuples of the ascending list tids whose value in col is
+// v: the constant part's tid list extended by the item (col, v), in one pass
+// over the list the left parent already holds. holders, the number of tuples
+// of the whole relation holding v, bounds the result.
+func holding(tids, col []int32, v int32, holders int) []int32 {
+	out := make([]int32, 0, min(len(tids), holders))
+	for _, t := range tids {
+		if col[t] == v {
+			out = append(out, t)
 		}
 	}
 	return out

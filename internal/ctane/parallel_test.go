@@ -20,8 +20,8 @@ func parallelFixtures() map[string]*core.Relation {
 	}
 }
 
-// TestMineContextWorkersDeterministic asserts that a four-worker run returns
-// exactly the same CFD list, in the same order, as a sequential run.
+// TestMineContextWorkersDeterministic asserts that runs on 2, 4 and 8 workers
+// return exactly the same CFD list, in the same order, as a sequential run.
 func TestMineContextWorkersDeterministic(t *testing.T) {
 	for name, r := range parallelFixtures() {
 		for _, k := range []int{1, 2, 4} {
@@ -29,19 +29,21 @@ func TestMineContextWorkersDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s k=%d sequential: %v", name, k, err)
 			}
-			par, err := MineContext(context.Background(), r, Options{K: k, Workers: 4})
-			if err != nil {
-				t.Fatalf("%s k=%d parallel: %v", name, k, err)
-			}
-			if len(seq) != len(par) {
-				t.Errorf("%s k=%d: sequential %d CFDs, parallel %d", name, k, len(seq), len(par))
-				diffReport(t, r, name, par, seq)
-				continue
-			}
-			for i := range seq {
-				if seq[i].Key() != par[i].Key() {
-					t.Errorf("%s k=%d: CFD %d differs: %s vs %s", name, k, i, seq[i].Format(r), par[i].Format(r))
-					break
+			for _, workers := range []int{2, 4, 8} {
+				par, err := MineContext(context.Background(), r, Options{K: k, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s k=%d workers=%d: %v", name, k, workers, err)
+				}
+				if len(seq) != len(par) {
+					t.Errorf("%s k=%d: sequential %d CFDs, %d workers %d", name, k, len(seq), workers, len(par))
+					diffReport(t, r, name, par, seq)
+					continue
+				}
+				for i := range seq {
+					if seq[i].Key() != par[i].Key() {
+						t.Errorf("%s k=%d workers=%d: CFD %d differs: %s vs %s", name, k, workers, i, seq[i].Format(r), par[i].Format(r))
+						break
+					}
 				}
 			}
 		}

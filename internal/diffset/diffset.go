@@ -15,8 +15,10 @@
 package diffset
 
 import (
+	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/itemset"
@@ -171,48 +173,86 @@ func (n *Naive) diffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
 // difference sets that contains every true difference set — which leaves the
 // minimal difference sets unchanged.
 type Closed struct {
-	r    *core.Relation
-	once sync.Once
+	r *core.Relation
+
+	// prepMu serialises Prepare; ready flips once the fields below are built
+	// and is the lock-free fast path of every query.
+	prepMu sync.Mutex
+	ready  atomic.Bool
 
 	closed      []itemset.ClosedPattern
 	complements []core.AttrSet
-	// byItem indexes the closed sets by the items they contain, so that the
-	// per-pattern filtering only scans the closed sets containing the pattern's
-	// rarest item instead of the whole collection.
-	byItem map[item][]int32
+	// byItem indexes the closed sets by the items they contain — byItem[a][v]
+	// lists, ascending, the closed sets holding value code v on attribute a —
+	// so that the per-pattern filtering only scans the closed sets containing
+	// the pattern's rarest item instead of the whole collection. The lists
+	// are windows of one buffer.
+	byItem [][][]int32
 
 	mu    sync.Mutex
 	cache map[string][]core.AttrSet
 }
 
-// item is a single (attribute, value) pair used as an index key.
-type item struct {
-	attr  int
-	value int32
-}
-
 // NewClosed returns a Closed difference-set computer over r. The 2-frequent
-// closed item sets are mined lazily on first use and reused for every pattern.
+// closed item sets are mined by Prepare, or sequentially by the first query
+// if Prepare was never called, and reused for every pattern.
 func NewClosed(r *core.Relation) *Closed {
 	return &Closed{r: r, cache: make(map[string][]core.AttrSet)}
 }
 
-// Prepare forces the closed-item-set mining step, so that callers can separate
-// its cost from per-pattern queries (the benchmark harness uses this).
-func (c *Closed) Prepare() {
-	c.once.Do(func() {
-		c.closed = itemset.MineClosed(c.r, 2)
-		all := c.r.Schema().All()
-		c.complements = make([]core.AttrSet, len(c.closed))
-		c.byItem = make(map[item][]int32)
-		for i, cp := range c.closed {
-			c.complements[i] = all.Diff(cp.Attrs)
-			cp.Attrs.ForEach(func(a int) {
-				key := item{attr: a, value: cp.Tp[a]}
-				c.byItem[key] = append(c.byItem[key], int32(i))
-			})
+// Prepare mines the 2-frequent closed item sets on up to workers goroutines
+// (0 = one per CPU, 1 = sequential) and indexes them. Callers that search in
+// parallel call it up front, so that the mining is itself parallel and
+// cancellable instead of one query's side effect that every other worker
+// waits out. A cancelled Prepare returns ctx.Err() and leaves the computer
+// unprepared; a later call starts over. Once it has succeeded, further calls
+// return nil at once.
+func (c *Closed) Prepare(ctx context.Context, workers int) error {
+	if c.ready.Load() {
+		return nil
+	}
+	c.prepMu.Lock()
+	defer c.prepMu.Unlock()
+	if c.ready.Load() {
+		return nil
+	}
+	closed, err := itemset.MineClosed(ctx, c.r, 2, workers)
+	if err != nil {
+		return err
+	}
+	all := c.r.Schema().All()
+	c.closed = closed
+	c.complements = make([]core.AttrSet, len(closed))
+	// Count the closed sets per item, carve one window per item out of a
+	// single buffer, then fill the windows in closed-set order.
+	counts := make([][]int32, c.r.Arity())
+	for a := range counts {
+		counts[a] = make([]int32, c.r.DomainSize(a))
+	}
+	total := 0
+	for i, cp := range closed {
+		c.complements[i] = all.Diff(cp.Attrs)
+		cp.Attrs.ForEach(func(a int) { counts[a][cp.Tp[a]]++ })
+		total += cp.Attrs.Len()
+	}
+	flat := make([]int32, total)
+	c.byItem = make([][][]int32, len(counts))
+	off := 0
+	for a, perValue := range counts {
+		c.byItem[a] = make([][]int32, len(perValue))
+		for v, n := range perValue {
+			c.byItem[a][v] = flat[off : off : off+int(n)]
+			off += int(n)
 		}
-	})
+	}
+	for i, cp := range closed {
+		cp.Attrs.ForEach(func(a int) {
+			list := &c.byItem[a][cp.Tp[a]]
+			*list = append(*list, int32(i))
+		})
+	}
+	c.ready.Store(true)
+	return nil
 }
 
 // MinimalDiffSets implements Computer.
@@ -223,7 +263,11 @@ func (c *Closed) MinimalDiffSets(attrs core.AttrSet, tp core.Pattern, rhs int) [
 // diffSets returns the candidate difference sets for the pattern: complements
 // of the 2-frequent closed item sets containing the pattern's items.
 func (c *Closed) diffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
-	c.Prepare()
+	if err := c.Prepare(context.Background(), 1); err != nil {
+		// Unreachable: the background context is never cancelled and
+		// Prepare has no other failure mode.
+		panic(err)
+	}
 	key := tp.Key(attrs)
 	c.mu.Lock()
 	if d, ok := c.cache[key]; ok {
@@ -237,7 +281,7 @@ func (c *Closed) diffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
 	candidates := int32(-1) // -1 means "all"
 	var narrowest []int32
 	attrs.ForEach(func(a int) {
-		list := c.byItem[item{attr: a, value: tp[a]}]
+		list := c.byItem[a][tp[a]]
 		if candidates == -1 || len(list) < int(candidates) {
 			candidates = int32(len(list))
 			narrowest = list

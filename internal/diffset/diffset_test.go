@@ -1,6 +1,8 @@
 package diffset
 
 import (
+	"context"
+	"errors"
 	"sort"
 	"testing"
 
@@ -223,4 +225,40 @@ func TestDiffSetsSemantics(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestClosedPrepare covers the three ways the closed-set backend gets its
+// closed sets: an up-front parallel Prepare, the sequential lazy one of the
+// first query, and a Prepare after a cancelled one — which must leave the
+// computer unprepared rather than half-built. All must answer like the naive
+// backend.
+func TestClosedPrepare(t *testing.T) {
+	r := fixture.RandomCorrelated(5, 120, 5, 5)
+	naive := NewNaive(r)
+	empty := core.NewPattern(r.Arity())
+
+	upFront := NewClosed(r)
+	if err := upFront.Prepare(context.Background(), 4); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	retried := NewClosed(r)
+	if err := retried.Prepare(cancelled, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Prepare under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if retried.ready.Load() {
+		t.Fatal("a cancelled Prepare left the computer marked ready")
+	}
+	for name, comp := range map[string]*Closed{"up front": upFront, "lazy": NewClosed(r), "after a cancelled Prepare": retried} {
+		for rhs := 0; rhs < r.Arity(); rhs++ {
+			want := naive.MinimalDiffSets(core.EmptyAttrSet, empty, rhs)
+			if got := comp.MinimalDiffSets(core.EmptyAttrSet, empty, rhs); !sameSets(got, want) {
+				t.Errorf("%s, rhs %s: %v, want %v", name, r.Schema().Name(rhs), got, want)
+			}
+		}
+		if err := comp.Prepare(cancelled, 1); err != nil {
+			t.Errorf("%s: Prepare on a prepared computer: %v, want nil", name, err)
+		}
+	}
 }

@@ -3,7 +3,9 @@ package fastcfd
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/diffset"
 	"repro/internal/fixture"
@@ -47,5 +49,38 @@ func TestMineContextMatchesMine(t *testing.T) {
 		if plain[i].Key() != ctxed[i].Key() {
 			t.Errorf("CFD %d differs between entry points", i)
 		}
+	}
+}
+
+// TestMineContextCancelledMidPrelude cancels a FastCFD run while its prelude —
+// the closed-item-set pass, overlapped with the free-set pass when there is
+// more than one worker — is under way, and asserts that the run returns
+// ctx.Err() after a bounded number of further cancellation checks instead of
+// waiting out the pass, and that the goroutine preparing the closed sets does
+// not outlive the call.
+func TestMineContextCancelledMidPrelude(t *testing.T) {
+	// 18,459 2-frequent closed sets: the closed-set pass alone makes that
+	// many checks, so check 300 falls inside the prelude for every worker
+	// count.
+	r := fixture.Random(11, 3000, []int{4, 6, 9, 12, 20, 30})
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 4} {
+		ctx := fixture.NewCountingContext(300)
+		out, err := MineContext(ctx, r, Options{K: 30, UseCFDMiner: true, Workers: workers})
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("workers=%d: got %d CFDs, err %v; want none, context.Canceled", workers, len(out), err)
+		}
+		// One look per closed-set worker inside a branch, one per pool
+		// dispatch loop, the pool's report, and one from the free-set pass.
+		if extra, bound := ctx.ChecksAfterCancel(), int64(2*workers+2); extra > bound {
+			t.Errorf("workers=%d: %d context checks after cancellation, want at most %d", workers, extra, bound)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the cancelled runs, %d after", before, after)
 	}
 }

@@ -42,8 +42,10 @@ type Options struct {
 	// benchmark harness to separate the two discovery costs).
 	VariableOnly bool
 	// Workers bounds the number of goroutines running the per-attribute
-	// FindCover searches. 0 selects one worker per CPU, 1 runs sequentially.
-	// The output is identical for every worker count (results are merged in
+	// FindCover searches and, before them, the closed-item-set pass of the
+	// prelude (which with more than one worker also overlaps the free-set
+	// pass). 0 selects one worker per CPU, 1 runs sequentially. The output
+	// is identical for every worker count (results are merged in
 	// right-hand-side attribute order).
 	Workers int
 	// Emit, when non-nil, switches MineContext into streaming mode: the
@@ -80,10 +82,11 @@ func MineWithOptions(r *core.Relation, opts Options) []core.CFD {
 }
 
 // MineContext runs FastCFD with explicit options under a context.
-// Cancellation is observed between per-attribute FindCover searches (and
-// between the free item sets of the constant-CFD pass); a cancelled run
-// returns (nil, ctx.Err()). The discovered cover is independent of
-// Options.Workers.
+// Cancellation is observed inside the item-set passes of the prelude (per
+// free item set, per closed-set search node), between per-attribute FindCover
+// searches and between the free item sets of the constant-CFD pass; a
+// cancelled run returns (nil, ctx.Err()). The discovered cover is independent
+// of Options.Workers.
 func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CFD, error) {
 	k := opts.K
 	if k < 1 {
@@ -97,7 +100,7 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CF
 	if comp == nil {
 		comp = diffset.NewClosed(r)
 	}
-	mining, err := itemset.MineContext(ctx, r, k)
+	mining, err := minePrelude(ctx, r, k, comp, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -150,6 +153,36 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CF
 	out = core.DedupCFDs(out)
 	core.SortCFDs(out)
 	return out, nil
+}
+
+// minePrelude runs the two passes every per-attribute search reads: the
+// k-frequent free item sets and, for the closed-item-set backend, the
+// 2-frequent closed item sets its difference sets come from (§5.5). The two
+// are independent, so with more than one worker they run side by side — the
+// closed-set pass itself fanned out over the workers — instead of the second
+// being the first query's side effect inside the per-attribute pool. Both
+// observe ctx; the prelude returns only after both have stopped.
+func minePrelude(ctx context.Context, r *core.Relation, k int, comp diffset.Computer, workers int) (*itemset.Mining, error) {
+	closed, ok := comp.(*diffset.Closed)
+	if !ok {
+		return itemset.MineContext(ctx, r, k)
+	}
+	if pool.Normalize(workers) == 1 {
+		if err := closed.Prepare(ctx, 1); err != nil {
+			return nil, err
+		}
+		return itemset.MineContext(ctx, r, k)
+	}
+	prepared := make(chan error, 1)
+	go func() { prepared <- closed.Prepare(ctx, workers) }()
+	mining, err := itemset.MineContext(ctx, r, k)
+	if prepErr := <-prepared; err == nil {
+		err = prepErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return mining, nil
 }
 
 // finder holds the shared state of one FastCFD run.

@@ -203,15 +203,17 @@ func TestMineParallelMatchesSequential(t *testing.T) {
 	for name, r := range rels {
 		for _, k := range []int{2, 5} {
 			seq := MineWithOptions(r, Options{K: k, UseCFDMiner: true, Workers: 1})
-			par := MineWithOptions(r, Options{K: k, UseCFDMiner: true, Workers: 4})
-			if len(seq) != len(par) {
-				t.Errorf("%s k=%d: sequential %d CFDs, parallel %d", name, k, len(seq), len(par))
-				continue
-			}
-			for i := range seq {
-				if seq[i].Key() != par[i].Key() {
-					t.Errorf("%s k=%d: CFD %d differs between sequential and parallel runs", name, k, i)
-					break
+			for _, workers := range []int{2, 4, 8} {
+				par := MineWithOptions(r, Options{K: k, UseCFDMiner: true, Workers: workers})
+				if len(seq) != len(par) {
+					t.Errorf("%s k=%d: sequential %d CFDs, %d workers %d", name, k, len(seq), workers, len(par))
+					continue
+				}
+				for i := range seq {
+					if seq[i].Key() != par[i].Key() {
+						t.Errorf("%s k=%d: CFD %d differs between 1 and %d workers", name, k, i, workers)
+						break
+					}
 				}
 			}
 		}

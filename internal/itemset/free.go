@@ -2,9 +2,11 @@ package itemset
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/partition"
 )
 
 // Mining holds the result of mining k-frequent free and closed item sets over
@@ -55,10 +57,7 @@ func MineContext(ctx context.Context, r *core.Relation, k int) (*Mining, error) 
 	n := r.Size()
 	arity := r.Arity()
 
-	allTids := make([]int32, n)
-	for t := range allTids {
-		allTids[t] = int32(t)
-	}
+	allTids := partition.AllTids(n)
 	empty := &FreeSet{ItemSet: EmptyItemSet(arity), Tids: allTids}
 	m.addFree(empty)
 
@@ -71,64 +70,53 @@ func MineContext(ctx context.Context, r *core.Relation, k int) (*Mining, error) 
 
 	// Level 1: single items with support >= k that are free, i.e. whose support
 	// is strictly below |r| (an item held by every tuple belongs to clo(∅)).
-	tidlists := itemTidlists(r)
 	var level []*FreeSet
-	for a := 0; a < arity; a++ {
-		values := make([]int32, 0, len(tidlists[a]))
-		for v := range tidlists[a] {
-			values = append(values, v)
-		}
-		sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
-		for _, v := range values {
-			tids := tidlists[a][v]
+	for a, lists := range partition.ItemTids(r, allTids) {
+		for v, tids := range lists {
 			if len(tids) < k || len(tids) == n {
 				continue
 			}
-			fs := &FreeSet{ItemSet: EmptyItemSet(arity).With(Item{Attr: a, Value: v}), Tids: tids}
+			fs := &FreeSet{ItemSet: EmptyItemSet(arity).With(Item{Attr: a, Value: int32(v)}), Tids: tids}
 			level = append(level, fs)
 			m.addFree(fs)
 		}
 	}
 
-	// Levels 2..arity: extend each level-ℓ free set with every item that
-	// co-occurs in its tid list (occurrence deliver). Every size-(ℓ+1) free set
-	// has free immediate subsets, so it is reachable this way; the candidate is
-	// kept iff all its immediate subsets are free and have strictly larger
-	// support. This avoids the quadratic pairwise join of a classical Apriori
-	// generator search, which dominates when the threshold is as low as k = 2.
+	// Levels 2..arity: extend each level-ℓ free set with every item on a later
+	// attribute that co-occurs in its tid list (occurrence deliver), found by
+	// one counting split of the tid list per attribute. Every subset of a free
+	// set is free, so a size-(ℓ+1) free set is reached exactly once, from the
+	// free set that drops its last attribute; the candidate is kept iff all
+	// its immediate subsets are free and have strictly larger support. This
+	// avoids the quadratic pairwise join of a classical Apriori generator
+	// search, which dominates when the threshold is as low as k = 2.
+	split := partition.NewSplitter(partition.MaxDomain(r))
+	var groups partition.Groups
+	tp := core.NewPattern(arity)
 	for len(level) > 0 {
 		var next []*FreeSet
-		seen := make(map[string]bool)
 		for _, fs := range level {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			for a := 0; a < arity; a++ {
-				if fs.Attrs.Has(a) {
-					continue
-				}
-				col := r.Column(a)
-				buckets := make(map[int32][]int32)
-				for _, t := range fs.Tids {
-					buckets[col[t]] = append(buckets[col[t]], t)
-				}
-				for v, tids := range buckets {
-					if len(tids) < k || len(tids) == len(fs.Tids) {
-						// Infrequent, or the item belongs to clo(fs): not free.
+			copy(tp, fs.Tp)
+			for a := fs.Attrs.Last() + 1; a < arity; a++ {
+				groups.Reset()
+				split.Split(r.Column(a), fs.Tids, k, &groups)
+				attrs := fs.Attrs.Add(a)
+				for i, v := range groups.Codes {
+					tids := groups.Group(i)
+					if len(tids) == len(fs.Tids) {
+						// The item belongs to clo(fs): not free.
 						continue
 					}
-					cand := fs.ItemSet.With(Item{Attr: a, Value: v})
-					key := cand.Key()
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
+					tp[a] = v
 					free := true
-					cand.Attrs.ForEach(func(attr int) {
+					fs.Attrs.ForEach(func(b int) {
 						if !free {
 							return
 						}
-						sub, ok := m.freeByKey[cand.Without(attr).Key()]
+						sub, ok := m.freeByKey[tp.Key(attrs.Remove(b))]
 						if !ok || len(sub.Tids) <= len(tids) {
 							free = false
 						}
@@ -136,10 +124,11 @@ func MineContext(ctx context.Context, r *core.Relation, k int) (*Mining, error) 
 					if !free {
 						continue
 					}
-					nf := &FreeSet{ItemSet: cand, Tids: tids}
+					nf := &FreeSet{ItemSet: ItemSet{Attrs: attrs, Tp: tp.Clone()}, Tids: slices.Clone(tids)}
 					next = append(next, nf)
 					m.addFree(nf)
 				}
+				tp[a] = core.Wildcard
 			}
 		}
 		level = next
@@ -151,20 +140,15 @@ func MineContext(ctx context.Context, r *core.Relation, k int) (*Mining, error) 
 	return m, nil
 }
 
-// addFree registers a free set, ignoring duplicates produced by the join.
+// addFree registers a free set. The search reaches every free set once.
 func (m *Mining) addFree(fs *FreeSet) {
-	key := fs.Key()
-	if _, dup := m.freeByKey[key]; dup {
-		return
-	}
-	m.freeByKey[key] = fs
+	m.freeByKey[fs.Key()] = fs
 	m.Free = append(m.Free, fs)
 }
 
 // finish computes closures of all free sets, groups them into closed sets, and
 // orders the result deterministically (free sets ascending by size, then key).
 func (m *Mining) finish(ctx context.Context) error {
-	r := m.Relation
 	for _, fs := range m.Free {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -192,7 +176,6 @@ func (m *Mining) finish(ctx context.Context) error {
 		}
 		return m.Closed[i].Key() < m.Closed[j].Key()
 	})
-	_ = r
 	return nil
 }
 

@@ -127,47 +127,6 @@ type ClosedSet struct {
 // Support returns the number of supporting tuples.
 func (c *ClosedSet) Support() int { return len(c.Tids) }
 
-// intersectTids returns the intersection of two ascending tid lists.
-func intersectTids(a, b []int32) []int32 {
-	out := make([]int32, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// itemTidlists returns, for each attribute, the map from value code to the
-// ascending list of tuple ids holding that value.
-func itemTidlists(r *core.Relation) []map[int32][]int32 {
-	out := make([]map[int32][]int32, r.Arity())
-	for a := 0; a < r.Arity(); a++ {
-		m := make(map[int32][]int32, r.DomainSize(a))
-		col := r.Column(a)
-		for t, v := range col {
-			m[v] = append(m[v], int32(t))
-		}
-		out[a] = m
-	}
-	return out
-}
-
 // sortItems sorts a slice of items in (attribute, value) order.
 func sortItems(items []Item) {
 	sort.Slice(items, func(i, j int) bool { return items[i].Less(items[j]) })

@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -198,6 +199,17 @@ func TestMineInvariants(t *testing.T) {
 	}
 }
 
+// mineClosed runs the sequential closed-set miner, which cannot fail under a
+// background context.
+func mineClosed(t *testing.T, r *core.Relation, minsup int) []ClosedPattern {
+	t.Helper()
+	out, err := MineClosed(context.Background(), r, minsup, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestMineMatchesMineClosed cross-validates the levelwise generator miner
 // against the depth-first closed miner: the sets of k-frequent closed item
 // sets they produce must be identical.
@@ -207,11 +219,13 @@ func TestMineMatchesMineClosed(t *testing.T) {
 		"random1": fixture.Random(1, 60, []int{3, 4, 2, 5}),
 		"random2": fixture.Random(7, 120, []int{2, 2, 3, 3, 4}),
 		"corr":    fixture.RandomCorrelated(3, 100, 5, 6),
+		// A one-value column and an (almost surely) all-distinct one.
+		"degenerate": fixture.Random(5, 60, []int{1, 1 << 30, 3, 2}),
 	}
 	for name, r := range rels {
 		for _, k := range []int{1, 2, 3, 5} {
 			m := Mine(r, k)
-			closed := MineClosed(r, k)
+			closed := mineClosed(t, r, k)
 			a := make(map[string]int)
 			for _, cs := range m.Closed {
 				a[cs.Key()] = cs.Support()
@@ -240,7 +254,7 @@ func TestMineMatchesMineClosed(t *testing.T) {
 func TestMineClosedInvariants(t *testing.T) {
 	r := fixture.Cust()
 	for _, minsup := range []int{1, 2, 3} {
-		for _, cp := range MineClosed(r, minsup) {
+		for _, cp := range mineClosed(t, r, minsup) {
 			if cp.Count < minsup {
 				t.Errorf("minsup=%d: %s has count %d", minsup, cp.Tp.Format(r, cp.Attrs), cp.Count)
 			}
@@ -272,7 +286,7 @@ func TestMineClosedInvariants(t *testing.T) {
 // the agree set of every pair of tuples appears among the 2-frequent closed sets.
 func TestMineClosedContainsPairAgreeSets(t *testing.T) {
 	r := fixture.Cust()
-	closed := MineClosed(r, 2)
+	closed := mineClosed(t, r, 2)
 	index := make(map[string]bool, len(closed))
 	for _, cp := range closed {
 		index[cp.Key()] = true
@@ -299,7 +313,7 @@ func TestMineSmallerThanK(t *testing.T) {
 	if len(m.Free) != 1 || m.Free[0].Size() != 0 {
 		t.Errorf("expected only the empty free set, got %d free sets", len(m.Free))
 	}
-	if got := MineClosed(r, 100); got != nil {
+	if got := mineClosed(t, r, 100); got != nil {
 		t.Errorf("MineClosed with minsup > |r| should return nil, got %d", len(got))
 	}
 }

@@ -29,8 +29,8 @@ func TestFromAttribute(t *testing.T) {
 	r := fixture.Cust()
 	p := FromAttribute(r, attr(t, r, "CC"))
 	// CC splits r0 into {t1..t4,t8} and {t5,t6,t7}: 2 classes, both kept.
-	if len(p.Classes) != 2 {
-		t.Fatalf("CC partition has %d stripped classes, want 2", len(p.Classes))
+	if p.Stripped() != 2 {
+		t.Fatalf("CC partition has %d stripped classes, want 2", p.Stripped())
 	}
 	if p.Covered != 8 || p.NumClasses() != 2 || p.SumSizes() != 8 {
 		t.Errorf("Covered=%d NumClasses=%d SumSizes=%d", p.Covered, p.NumClasses(), p.SumSizes())
@@ -38,20 +38,21 @@ func TestFromAttribute(t *testing.T) {
 
 	p = FromAttribute(r, attr(t, r, "STR"))
 	// STR values: Tree Ave.(2), 5th Ave(1), Elm Str.(1), High St.(2), Port PI(1), 3rd Str.(1).
-	if len(p.Classes) != 2 || p.NumClasses() != 6 {
-		t.Errorf("STR partition: stripped=%d total=%d, want 2/6", len(p.Classes), p.NumClasses())
+	if p.Stripped() != 2 || p.NumClasses() != 6 {
+		t.Errorf("STR partition: stripped=%d total=%d, want 2/6", p.Stripped(), p.NumClasses())
 	}
 }
 
 func TestFromItem(t *testing.T) {
 	r := fixture.Cust()
-	p := FromItem(r, attr(t, r, "AC"), code(t, r, "AC", "908"))
-	if p.Covered != 4 || len(p.Classes) != 1 || len(p.Classes[0]) != 4 {
-		t.Errorf("AC=908 partition wrong: covered=%d classes=%v", p.Covered, p.Classes)
+	items := ItemTids(r, AllTids(r.Size()))[attr(t, r, "AC")]
+	p := FromItem(items[code(t, r, "AC", "908")])
+	if p.Covered != 4 || p.Stripped() != 1 || len(p.Class(0)) != 4 {
+		t.Errorf("AC=908 partition wrong: covered=%d classes=%v", p.Covered, classSets(p))
 	}
-	p = FromItem(r, attr(t, r, "AC"), code(t, r, "AC", "212"))
-	if p.Covered != 1 || len(p.Classes) != 0 || p.NumClasses() != 1 {
-		t.Errorf("AC=212 partition wrong: covered=%d classes=%d", p.Covered, len(p.Classes))
+	p = FromItem(items[code(t, r, "AC", "212")])
+	if p.Covered != 1 || p.Stripped() != 0 || p.NumClasses() != 1 {
+		t.Errorf("AC=212 partition wrong: covered=%d classes=%d", p.Covered, p.Stripped())
 	}
 }
 
@@ -60,7 +61,7 @@ func TestFromSetMatchesProduct(t *testing.T) {
 	cc, ac := attr(t, r, "CC"), attr(t, r, "AC")
 	pa := FromAttribute(r, cc)
 	pb := FromAttribute(r, ac)
-	prod := Product(pa, pb, r.Size())
+	prod := ProductWith(pa, pb, NewProbe(r.Size()))
 	prod.Covered = r.Size()
 	direct := FromSet(r, core.NewAttrSet(cc, ac), core.NewPattern(r.Arity()))
 	if prod.NumClasses() != direct.NumClasses() {
@@ -75,9 +76,9 @@ func TestProductWithConstantPattern(t *testing.T) {
 	r := fixture.Cust()
 	cc, zip := attr(t, r, "CC"), attr(t, r, "ZIP")
 	// ([CC,ZIP], (01, _)) : product of (CC=01) and (ZIP, _).
-	pa := FromItem(r, cc, code(t, r, "CC", "01"))
+	pa := FromItem(ItemTids(r, AllTids(r.Size()))[cc][code(t, r, "CC", "01")])
 	pb := FromAttribute(r, zip)
-	prod := Product(pa, pb, r.Size())
+	prod := ProductWith(pa, pb, NewProbe(r.Size()))
 	tp := core.NewPattern(r.Arity())
 	tp[cc] = code(t, r, "CC", "01")
 	direct := FromSet(r, core.NewAttrSet(cc, zip), tp)
@@ -87,8 +88,8 @@ func TestProductWithConstantPattern(t *testing.T) {
 			prod.NumClasses(), prod.SumSizes(), direct.NumClasses(), direct.SumSizes())
 	}
 	// CC=01 tuples grouped by ZIP: {t1,t2,t4} (07974) and {t3,t8} (01202).
-	if len(direct.Classes) != 2 {
-		t.Errorf("expected 2 stripped classes, got %d", len(direct.Classes))
+	if direct.Stripped() != 2 {
+		t.Errorf("expected 2 stripped classes, got %d", direct.Stripped())
 	}
 }
 
@@ -96,8 +97,8 @@ func TestProductEmpty(t *testing.T) {
 	r := fixture.Cust()
 	empty := &Partition{Covered: 0}
 	other := FromAttribute(r, attr(t, r, "CC"))
-	prod := Product(empty, other, r.Size())
-	if len(prod.Classes) != 0 {
+	prod := ProductWith(empty, other, NewProbe(r.Size()))
+	if prod.Stripped() != 0 {
 		t.Error("product with empty partition must have no classes")
 	}
 }
@@ -154,7 +155,7 @@ func TestProductAgainstDirect(t *testing.T) {
 		wild := core.NewPattern(r.Arity())
 		for a := 0; a < r.Arity(); a++ {
 			for b := a + 1; b < r.Arity(); b++ {
-				prod := Product(FromAttribute(r, a), FromAttribute(r, b), r.Size())
+				prod := ProductWith(FromAttribute(r, a), FromAttribute(r, b), NewProbe(r.Size()))
 				prod.Covered = r.Size()
 				direct := FromSet(r, core.NewAttrSet(a, b), wild)
 				if prod.NumClasses() != direct.NumClasses() || prod.SumSizes() != direct.SumSizes() {

@@ -48,21 +48,12 @@ func MineContext(ctx context.Context, r *core.Relation) ([]core.CFD, error) {
 	}
 
 	// Virtual empty-set element: one equivalence class holding every tuple.
-	emptyPart := &partition.Partition{Covered: n}
-	if n >= 2 {
-		allTids := make([]int32, n)
-		for t := range allTids {
-			allTids[t] = int32(t)
-		}
-		emptyPart.Classes = [][]int32{allTids}
-	}
-
 	prev := map[core.AttrSet]*element{
-		core.EmptyAttrSet: {attrs: core.EmptyAttrSet, part: emptyPart, cplus: all},
+		core.EmptyAttrSet: {attrs: core.EmptyAttrSet, part: partition.FromItem(partition.AllTids(n)), cplus: all},
 	}
 
-	// Scratch buffer reused by every partition product.
-	scratch := make([]int32, n)
+	// Probe table reused by every partition product.
+	probe := partition.NewProbe(n)
 
 	// Level 1.
 	level := make([]*element, 0, arity)
@@ -122,7 +113,8 @@ func MineContext(ctx context.Context, r *core.Relation) ([]core.CFD, error) {
 		}
 		level = kept
 		// Step 4: generate the next level by prefix join: two sets join iff they
-		// share everything but their largest attribute.
+		// share everything but their largest attribute. The probe table is
+		// loaded once per left parent and serves all of its joins.
 		groups := make(map[core.AttrSet][]*element)
 		for _, e := range level {
 			prefix := e.attrs.Remove(e.attrs.Last())
@@ -131,8 +123,10 @@ func MineContext(ctx context.Context, r *core.Relation) ([]core.CFD, error) {
 		var next []*element
 		for _, group := range groups {
 			for i := 0; i < len(group); i++ {
+				x := group[i]
+				probe.Load(x.part)
 				for j := i + 1; j < len(group); j++ {
-					x, y := group[i], group[j]
+					y := group[j]
 					z := x.attrs.Union(y.attrs)
 					ok := true
 					z.ImmediateSubsets(func(_ int, sub core.AttrSet) bool {
@@ -145,10 +139,11 @@ func MineContext(ctx context.Context, r *core.Relation) ([]core.CFD, error) {
 					if !ok {
 						continue
 					}
-					part := partition.ProductWith(x.part, y.part, scratch)
+					part := probe.Product(y.part)
 					part.Covered = n
 					next = append(next, &element{attrs: z, part: part})
 				}
+				probe.Unload()
 			}
 		}
 		prev = byAttrs
