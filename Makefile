@@ -17,11 +17,13 @@ test:
 # that share state between goroutines — the engine's live indexes between
 # concurrent readers, writers and rule swaps; the closed-set search's root
 # candidates between its pooled branches, with and without a cancellation in
-# flight: the detector only reports the interleavings a run executes.
+# flight; CTANE's lattice links between the workers of a level: the detector
+# only reports the interleavings a run executes.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run '^(TestConcurrentReadersAndWriters|TestSwapRulesConcurrentReaders)$$' ./violation
 	$(GO) test -race -count=10 -run '^(TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude)$$' ./internal/itemset ./internal/fastcfd
+	$(GO) test -race -count=10 -run '^TestMineContextWorkersDeterministic$$' ./internal/ctane
 
 # bench runs the repo benchmark BENCHMARK.json declares: cfddiscover and
 # cfdserve end to end on four fixed-work workloads, repeated, with every
@@ -64,9 +66,10 @@ docs-check:
 
 # fuzz runs the fuzzers for a short CI-sized budget each — the codec round
 # trips (the cfd text codec pair, the rules.Set JSON codec, the violation
-# snapshot codec), the shared group index against its from-scratch recount and
-# the probe-table partition product against the product's definition; the
-# corpus seeds also run as normal tests under `make test`.
+# snapshot codec), the shared group index against its from-scratch recount,
+# the probe-table partition product against the product's definition and the
+# difference-set minimisation against its map-based reference; the corpus
+# seeds also run as normal tests under `make test`.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./cfd -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
@@ -75,11 +78,14 @@ fuzz:
 	$(GO) test ./violation -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGroupIndex$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/partition -run '^$$' -fuzz '^FuzzProduct$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/diffset -run '^$$' -fuzz '^FuzzMinimize$$' -fuzztime $(FUZZTIME)
 
 # cover enforces ratcheted statement-coverage floors on the serving-critical
 # packages (internal/core holds the engine's tuple store and group index) and
 # on the mining kernels (internal/partition: counting split and product;
-# internal/itemset: free- and closed-set miners). The floors only move up:
+# internal/itemset: free- and closed-set miners) and the searches built on
+# them (internal/ctane: the linked lattice; internal/diffset and
+# internal/fastcfd: difference sets and the cover search). The floors only move up:
 # raise them when coverage improves, and never lower them to make a failing
 # build pass.
 VIOLATION_COVER_FLOOR ?= 89.5
@@ -88,6 +94,9 @@ MONITOR_COVER_FLOOR ?= 90.0
 CORE_COVER_FLOOR ?= 96.5
 PARTITION_COVER_FLOOR ?= 100.0
 ITEMSET_COVER_FLOOR ?= 91.0
+CTANE_COVER_FLOOR ?= 96.5
+DIFFSET_COVER_FLOOR ?= 98.0
+FASTCFD_COVER_FLOOR ?= 91.5
 cover:
 	$(GO) test -coverprofile=cover_violation.out ./violation > /dev/null
 	$(GO) test -coverprofile=cover_rules.out ./rules > /dev/null
@@ -95,12 +104,18 @@ cover:
 	$(GO) test -coverprofile=cover_core.out ./internal/core > /dev/null
 	$(GO) test -coverprofile=cover_partition.out ./internal/partition > /dev/null
 	$(GO) test -coverprofile=cover_itemset.out ./internal/itemset > /dev/null
+	$(GO) test -coverprofile=cover_ctane.out ./internal/ctane > /dev/null
+	$(GO) test -coverprofile=cover_diffset.out ./internal/diffset > /dev/null
+	$(GO) test -coverprofile=cover_fastcfd.out ./internal/fastcfd > /dev/null
 	@./scripts/check_coverage.sh cover_violation.out $(VIOLATION_COVER_FLOOR) violation
 	@./scripts/check_coverage.sh cover_rules.out $(RULES_COVER_FLOOR) rules
 	@./scripts/check_coverage.sh cover_monitor.out $(MONITOR_COVER_FLOOR) discovery/monitor
 	@./scripts/check_coverage.sh cover_core.out $(CORE_COVER_FLOOR) internal/core
 	@./scripts/check_coverage.sh cover_partition.out $(PARTITION_COVER_FLOOR) internal/partition
 	@./scripts/check_coverage.sh cover_itemset.out $(ITEMSET_COVER_FLOOR) internal/itemset
+	@./scripts/check_coverage.sh cover_ctane.out $(CTANE_COVER_FLOOR) internal/ctane
+	@./scripts/check_coverage.sh cover_diffset.out $(DIFFSET_COVER_FLOOR) internal/diffset
+	@./scripts/check_coverage.sh cover_fastcfd.out $(FASTCFD_COVER_FLOOR) internal/fastcfd
 
 # serve-smoke starts cmd/cfdserve on fixture rules + data, drives the API with
 # curl and checks graceful shutdown; CI runs the same script. Its final leg
@@ -126,4 +141,4 @@ cluster-smoke:
 ci: fmt vet staticcheck build race cover fuzz docs-check bench obs-smoke cluster-smoke
 
 clean:
-	rm -rf .bench_build cover_violation.out cover_rules.out cover_monitor.out cover_core.out cover_partition.out cover_itemset.out
+	rm -rf .bench_build cover_violation.out cover_rules.out cover_monitor.out cover_core.out cover_partition.out cover_itemset.out cover_ctane.out cover_diffset.out cover_fastcfd.out

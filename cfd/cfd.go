@@ -254,13 +254,16 @@ func (r *Relation) IsMinimal(c CFD) (bool, error) {
 	return core.IsMinimal(r.inner, enc), nil
 }
 
-// SortCFDs orders CFDs deterministically (by RHS, then LHS, then patterns),
-// which keeps reports and test output stable.
+// SortCFDs orders CFDs by their rendered text with the LHS listed by attribute
+// name, Normalize().String() — so by LHS names, then the RHS name, then the
+// pattern constants, as strings. It is the canonical order of rule files and
+// reports (see the note on canonical orders in internal/core/cfd.go).
 func SortCFDs(cfds []CFD) {
-	sort.Slice(cfds, func(i, j int) bool {
-		a, b := cfds[i].Normalize(), cfds[j].Normalize()
-		return a.String() < b.String()
-	})
+	keys := make([]string, len(cfds))
+	for i, c := range cfds {
+		keys[i] = c.Normalize().String()
+	}
+	core.SortByKeys(cfds, keys)
 }
 
 // CountClasses returns how many of the given CFDs are constant and how many

@@ -268,14 +268,16 @@ func (e *Engine) Run(ctx context.Context) (*rules.Set, error) {
 // (the streaming miners never emit any; this keeps Run's contract independent
 // of that invariant).
 func sortAndDedup(cfds []cfd.CFD) []cfd.CFD {
-	cfd.SortCFDs(cfds)
-	out := cfds[:0]
-	prev := ""
+	// cfd.SortCFDs, with the keys kept for the duplicate test.
+	keys := make([]string, len(cfds))
 	for i, c := range cfds {
-		key := c.Normalize().String()
-		if i == 0 || key != prev {
+		keys[i] = c.Normalize().String()
+	}
+	core.SortByKeys(cfds, keys)
+	out := cfds[:0]
+	for i, c := range cfds {
+		if i == 0 || keys[i] != keys[i-1] {
 			out = append(out, c)
-			prev = key
 		}
 	}
 	return out

@@ -213,10 +213,52 @@ func IsMinimal(r *Relation, c CFD) bool {
 	return !c.IsTrivial() && Satisfies(r, c) && IsLeftReduced(r, c)
 }
 
+// The canonical rule orders. Two orders are part of the rule-file contract —
+// rule files, the streamed order under Emit and every fingerprint built on
+// them must not move by a byte — and both are plain string orders on a key
+// rendered from the rule:
+//
+//   - encoded rules (SortCFDs, DedupCFDs here; every miner's output) order by
+//     CFD.Key(), e.g. "{0,10}->2|0=-1;2=7;10=3;": attribute indexes and value
+//     codes in decimal, so "10" sorts before "2" and "-1" before "0";
+//   - public rules (cfd.SortCFDs; rules.Set.Text, discovery.Engine.Run) order
+//     by cfd.CFD.Normalize().String(), the rendered rule text with the LHS
+//     listed by attribute name — "([AC,CT] -> ZIP, (908, _ || _))" — so LHS
+//     names decide first, then the RHS name, then the pattern constants.
+//
+// Neither is the numeric order of its fields, which is why the sorts below
+// keep the string keys and only stop rendering them once per comparison:
+// SortByKeys sorts any rule slice by keys rendered once per rule.
+
+// byKeys sorts items and their keys together, by key.
+type byKeys[T any] struct {
+	items []T
+	keys  []string
+}
+
+func (s byKeys[T]) Len() int           { return len(s.keys) }
+func (s byKeys[T]) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s byKeys[T]) Swap(i, j int) {
+	s.items[i], s.items[j] = s.items[j], s.items[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+}
+
+// SortByKeys sorts items by keys, where keys[i] is the sort key of items[i];
+// both slices end up in ascending key order. It runs the comparisons and
+// swaps of sort.Slice with the keys rendered per comparison, so equal keys
+// land where they always have.
+func SortByKeys[T any](items []T, keys []string) {
+	sort.Sort(byKeys[T]{items, keys})
+}
+
 // SortCFDs sorts a slice of CFDs by their canonical key, for deterministic
 // output and easy comparison in tests.
 func SortCFDs(cfds []CFD) {
-	sort.Slice(cfds, func(i, j int) bool { return cfds[i].Key() < cfds[j].Key() })
+	keys := make([]string, len(cfds))
+	for i, c := range cfds {
+		keys[i] = c.Key()
+	}
+	SortByKeys(cfds, keys)
 }
 
 // DedupCFDs returns cfds with duplicates (by canonical key) removed, preserving

@@ -8,8 +8,10 @@
 package ctane
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/partition"
@@ -46,15 +48,111 @@ func Mine(r *core.Relation, k int) []core.CFD {
 	return MineWithOptions(r, Options{K: k})
 }
 
-// element is one node of the attribute-set/pattern lattice.
+// element is one node of the attribute-set/pattern lattice. It reaches its
+// immediate sub-elements — the elements one attribute smaller that carry the
+// same pattern — by pointer, so no step of the traversal looks an element up
+// by a rendered key.
 type element struct {
-	attrs   core.AttrSet
-	tp      core.Pattern
-	part    *partition.Partition
-	cplus   *candidateSet
-	key     string
-	constK  string // key of the constant part of the pattern
-	support int    // number of tuples matching the constant part
+	attrs  core.AttrSet
+	tp     core.Pattern // wildcard outside attrs
+	consts int          // number of constants of tp over attrs
+	part   *partition.Partition
+	cplus  *candidateSet
+	// parents[i] is the sub-element without the i-th smallest attribute of
+	// attrs; the last one is the prefix the element was joined on. Cleared
+	// once the next level is generated, which is what lets the level below
+	// be collected.
+	parents []*element
+	// kids lists the pruning survivors of the next level whose prefix this
+	// element is, in level order: one group of the prefix join.
+	kids    []*element
+	constID int32 // interned constant part of tp, an index into lattice.constTids
+	support int   // number of tuples matching the constant part
+}
+
+// prefix is the sub-element without the largest attribute.
+func (e *element) prefix() *element { return e.parents[len(e.parents)-1] }
+
+// childKey names a lattice element by its prefix and its last item, the
+// (attribute, value) pair the prefix was extended by.
+type childKey struct {
+	prefix    *element
+	attr, val int32
+}
+
+// constKey names a constant pattern the same way: the id of the constant
+// part it extends and the item it adds.
+type constKey struct {
+	base, attr, val int32
+}
+
+// lattice is the state of one CTANE run: the level being worked on, the
+// survivors of the one below it, and the interned constant parts.
+type lattice struct {
+	r        *core.Relation
+	k        int
+	workers  int
+	itemTids [][][]int32
+	// constIDs interns constant patterns, id 0 being the empty one;
+	// constTids[id] lists the tuples matching the pattern, k-frequent or not.
+	constIDs  map[constKey]int32
+	constTids [][]int32
+
+	prev  []*element // Step-3 survivors of the previous level, in level order
+	level []*element
+}
+
+// newLattice builds the virtual level 0 — the empty attribute set, one
+// equivalence class — and level 1: (A, "_") for every attribute plus (A, a)
+// for every k-frequent value.
+func newLattice(r *core.Relation, k, workers int) *lattice {
+	n := r.Size()
+	allTids := partition.AllTids(n)
+	l := &lattice{
+		r: r, k: k, workers: workers,
+		itemTids:  partition.ItemTids(r, allTids),
+		constIDs:  make(map[constKey]int32),
+		constTids: [][]int32{allTids},
+	}
+	wild := core.NewPattern(r.Arity())
+	root := []*element{{tp: wild, part: partition.FromItem(allTids), cplus: newCandidateSet(), support: n}}
+	l.prev = root
+	for a := 0; a < r.Arity(); a++ {
+		l.level = append(l.level, &element{
+			attrs: core.SingleAttr(a), tp: wild, part: partition.FromAttribute(r, a),
+			parents: root, support: n,
+		})
+		for v, tids := range l.itemTids[a] {
+			if len(tids) < k {
+				continue
+			}
+			tp := wild.Clone()
+			tp[a] = int32(v)
+			l.level = append(l.level, &element{
+				attrs: core.SingleAttr(a), tp: tp, consts: 1, part: partition.FromItem(tids),
+				parents: root, constID: l.constPart(0, a, int32(v)), support: len(tids),
+			})
+		}
+	}
+	return l
+}
+
+// constPart returns the id of the constant part that extends part base by
+// the item (attr, val), computing its tid list — one pass over the list the
+// base already holds — the first time the part is asked for.
+func (l *lattice) constPart(base int32, attr int, val int32) int32 {
+	key := constKey{base, int32(attr), val}
+	id, ok := l.constIDs[key]
+	if !ok {
+		id = int32(len(l.constTids))
+		l.constIDs[key] = id
+		tids := l.itemTids[attr][val]
+		if base != 0 {
+			tids = holding(l.constTids[base], l.r.Column(attr), val, len(tids))
+		}
+		l.constTids = append(l.constTids, tids)
+	}
+	return id
 }
 
 // MineWithOptions runs CTANE with explicit options.
@@ -77,172 +175,25 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CF
 	if k < 1 {
 		k = 1
 	}
-	workers := pool.Normalize(opts.Workers)
-	n := r.Size()
 	arity := r.Arity()
-	if n < k || arity == 0 {
+	if r.Size() < k || arity == 0 {
 		return nil, ctx.Err()
 	}
-	all := r.Schema().All()
 	maxLevel := arity
 	if opts.MaxLHS > 0 && opts.MaxLHS+1 < maxLevel {
 		maxLevel = opts.MaxLHS + 1
 	}
 
-	// Tid lists of single items, by attribute and value code: the level-1
-	// constant partitions and constant-part tid lists.
-	allTids := partition.AllTids(n)
-	itemTids := partition.ItemTids(r, allTids)
-	wild := core.NewPattern(arity)
-	// Cache of constant-part tid lists keyed by the constant pattern's key.
-	constTids := map[string][]int32{wild.Key(core.EmptyAttrSet): allTids}
-
-	// Virtual level-0 element: empty attribute set, one equivalence class.
-	emptyElem := &element{
-		attrs: core.EmptyAttrSet, tp: wild, part: partition.FromItem(allTids),
-		cplus: newCandidateSet(), key: wild.Key(core.EmptyAttrSet),
-		constK: wild.Key(core.EmptyAttrSet), support: n,
-	}
-	prevByKey := map[string]*element{emptyElem.key: emptyElem}
-
-	// Level 1: (A, "_") for every attribute plus (A, a) for every k-frequent value.
-	var level []*element
-	for a := 0; a < arity; a++ {
-		wp := partition.FromAttribute(r, a)
-		level = append(level, &element{
-			attrs: core.SingleAttr(a), tp: wild, part: wp,
-			key:    wild.Key(core.SingleAttr(a)),
-			constK: wild.Key(core.EmptyAttrSet), support: n,
-		})
-		for v, tids := range itemTids[a] {
-			if len(tids) < k {
-				continue
-			}
-			tp := wild.Clone()
-			tp[a] = int32(v)
-			constKey := tp.Key(core.SingleAttr(a))
-			constTids[constKey] = tids
-			level = append(level, &element{
-				attrs: core.SingleAttr(a), tp: tp, part: partition.FromItem(tids),
-				key:    constKey,
-				constK: constKey, support: len(tids),
-			})
-		}
-	}
-
+	l := newLattice(r, k, pool.Normalize(opts.Workers))
 	var out []core.CFD
-	for depth := 1; len(level) > 0 && depth <= maxLevel; depth++ {
+	for depth := 1; len(l.level) > 0 && depth <= maxLevel; depth++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sortLevel(level)
-		// Step 1: candidate RHS sets as intersections over immediate subsets.
-		// Each element's intersection reads only the previous level, so the
-		// elements fan out independently.
-		if err := pool.Each(ctx, workers, len(level), func(_, i int) {
-			e := level[i]
-			var sets []*candidateSet
-			missing := false
-			e.attrs.ImmediateSubsets(func(_ int, sub core.AttrSet) bool {
-				p, ok := prevByKey[e.tp.Key(sub)]
-				if !ok {
-					missing = true
-					return false
-				}
-				sets = append(sets, p.cplus)
-				return true
-			})
-			if missing {
-				e.cplus = newCandidateSet()
-				e.cplus.removedAttrs = all
-				return
-			}
-			e.cplus = intersectCandidates(sets)
-		}); err != nil {
-			return nil, err
-		}
-		// Index by key and by attribute set (for sibling updates in Step 2.c).
-		byKey := make(map[string]*element, len(level))
-		byAttrs := make(map[core.AttrSet][]*element)
-		for _, e := range level {
-			byKey[e.key] = e
-			byAttrs[e.attrs] = append(byAttrs[e.attrs], e)
-		}
-		// Step 2 pre-pass: validate the candidate CFDs of every element
-		// concurrently. Validation only reads partitions, so it is safe to fan
-		// out; the C+ updates of Step 2.c below stay sequential (they mutate
-		// sibling elements), which keeps the output byte-identical to a
-		// sequential run. The pre-pass may validate candidates that Step 2.c
-		// later removes — wasted work, never a different answer — so it is
-		// skipped when running on one worker.
-		var validated []validation
-		if workers > 1 {
-			var err error
-			validated, err = pool.Map(ctx, workers, len(level), func(_, i int) validation {
-				e := level[i]
-				var v validation
-				e.attrs.ForEach(func(a int) {
-					cA := e.tp[a]
-					if !e.cplus.has(a, cA) {
-						return
-					}
-					parent, ok := prevByKey[e.tp.Key(e.attrs.Remove(a))]
-					if !ok {
-						return
-					}
-					v.checked = v.checked.Add(a)
-					if validCFD(parent, e, cA) {
-						v.valid = v.valid.Add(a)
-					}
-				})
-				return v
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		// Step 2: emit valid candidate CFDs and update the C+ sets, in the
-		// level's sorted order.
 		levelStart := len(out)
-		for i, e := range level {
-			e.attrs.ForEach(func(a int) {
-				cA := e.tp[a]
-				if !e.cplus.has(a, cA) {
-					return
-				}
-				sub := e.attrs.Remove(a)
-				parent, ok := prevByKey[e.tp.Key(sub)]
-				if !ok {
-					return
-				}
-				// C+ sets only shrink, so every candidate that survives to
-				// this point was still a candidate during the pre-pass.
-				var valid bool
-				if validated != nil && validated[i].checked.Has(a) {
-					valid = validated[i].valid.Has(a)
-				} else {
-					valid = validCFD(parent, e, cA)
-				}
-				if !valid {
-					return
-				}
-				cfdTp := core.NewPattern(arity)
-				e.attrs.ForEach(func(b int) { cfdTp[b] = e.tp[b] })
-				out = append(out, core.CFD{LHS: sub, RHS: a, Tp: cfdTp})
-				// Step 2.c: the same RHS with a more specific LHS pattern can no
-				// longer be minimal, and (as in TANE) attributes outside X cannot be
-				// minimal RHS candidates for those elements either.
-				for _, s := range byAttrs[e.attrs] {
-					if s.tp[a] != cA {
-						continue
-					}
-					if !e.tp.MoreGeneralOrEqualOn(s.tp, sub) {
-						continue
-					}
-					s.cplus.removeVal(a, cA)
-					all.Diff(e.attrs).ForEach(func(b int) { s.cplus.removeAttr(b) })
-				}
-			})
+		var err error
+		if out, err = l.discover(ctx, out); err != nil {
+			return nil, err
 		}
 		// Streaming mode: hand this level's CFDs to the consumer now. Each
 		// level's CFDs have a strictly larger LHS than every earlier level's,
@@ -257,31 +208,127 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CF
 			}
 			out = out[:levelStart]
 		}
-		// Step 3: prune elements with (conservatively detected) empty C+.
-		kept := level[:0]
-		for _, e := range level {
-			if e.cplus.allAttrsRemoved(arity) {
-				delete(byKey, e.key)
-				continue
-			}
-			kept = append(kept, e)
-		}
-		level = kept
-		// Step 4: generate the next level by prefix join.
 		if depth == maxLevel {
 			break
 		}
-		var err error
-		level, err = generateNextLevel(ctx, r, level, byKey, constTids, itemTids, k, n, workers)
-		if err != nil {
+		if err := l.advance(ctx); err != nil {
 			return nil, err
 		}
-		prevByKey = byKey
 	}
 
 	out = core.DedupCFDs(out)
 	core.SortCFDs(out)
 	return out, nil
+}
+
+// discover runs Steps 1 to 3 on the current level: it derives the C+ sets,
+// appends the level's valid candidate CFDs to out, and prunes the level down
+// to the elements the next one is generated from.
+func (l *lattice) discover(ctx context.Context, out []core.CFD) ([]core.CFD, error) {
+	level := l.level
+	all := l.r.Schema().All()
+	sortLevel(level)
+	// Step 1: candidate RHS sets as intersections over immediate subsets.
+	// Each element's intersection reads only the previous level, so the
+	// elements fan out independently.
+	if err := pool.Each(ctx, l.workers, len(level), func(_, i int) {
+		level[i].cplus = intersectCandidates(level[i].parents)
+	}); err != nil {
+		return nil, err
+	}
+	// Step 2 pre-pass: validate the candidate CFDs of every element
+	// concurrently. Validation only reads partitions, so it is safe to fan
+	// out; the C+ updates of Step 2.c below stay sequential (they mutate
+	// sibling elements), which keeps the output byte-identical to a
+	// sequential run. The pre-pass may validate candidates that Step 2.c
+	// later removes — wasted work, never a different answer — so it is
+	// skipped when running on one worker.
+	var validated []validation
+	if l.workers > 1 {
+		var err error
+		validated, err = pool.Map(ctx, l.workers, len(level), func(_, i int) validation {
+			e := level[i]
+			var v validation
+			e.forEachAttr(func(a int, parent *element) {
+				if !e.cplus.has(a, e.tp[a]) {
+					return
+				}
+				v.checked = v.checked.Add(a)
+				if validCFD(parent, e, e.tp[a]) {
+					v.valid = v.valid.Add(a)
+				}
+			})
+			return v
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	// Step 2: emit valid candidate CFDs and update the C+ sets, in the
+	// level's sorted order. The level is sorted by attribute set first, so
+	// the siblings of an element are the run of equal attrs around it.
+	runEnd := 0
+	for i, e := range level {
+		if i == runEnd {
+			for runEnd < len(level) && level[runEnd].attrs == e.attrs {
+				runEnd++
+			}
+		}
+		e.forEachAttr(func(a int, parent *element) {
+			cA := e.tp[a]
+			if !e.cplus.has(a, cA) {
+				return
+			}
+			// C+ sets only shrink, so every candidate that survives to
+			// this point was still a candidate during the pre-pass.
+			var valid bool
+			if validated != nil && validated[i].checked.Has(a) {
+				valid = validated[i].valid.Has(a)
+			} else {
+				valid = validCFD(parent, e, cA)
+			}
+			if !valid {
+				return
+			}
+			sub := e.attrs.Remove(a)
+			out = append(out, core.CFD{LHS: sub, RHS: a, Tp: e.tp.Clone()})
+			// Step 2.c: the same RHS with a more specific LHS pattern can no
+			// longer be minimal, and (as in TANE) attributes outside X cannot be
+			// minimal RHS candidates for those elements either. A pattern at
+			// least as specific as e's holds at least as many constants, so
+			// those siblings are e itself and elements sorted after it.
+			for _, s := range level[i:runEnd] {
+				if s.tp[a] != cA {
+					continue
+				}
+				if !e.tp.MoreGeneralOrEqualOn(s.tp, sub) {
+					continue
+				}
+				s.cplus.removeVal(a, cA)
+				s.cplus.removeAttrs(all.Diff(e.attrs))
+			}
+		})
+	}
+	// Step 3: prune elements with (conservatively detected) empty C+.
+	kept := level[:0]
+	for _, e := range level {
+		if !e.cplus.allAttrsRemoved(all) {
+			kept = append(kept, e)
+		}
+	}
+	clear(level[len(kept):])
+	l.level = kept
+	return out, nil
+}
+
+// forEachAttr calls fn for every attribute of the element, ascending, with
+// the sub-element that lacks it.
+func (e *element) forEachAttr(fn func(a int, parent *element)) {
+	i := 0
+	for v := uint64(e.attrs); v != 0; v &= v - 1 {
+		fn(bits.TrailingZeros64(v), e.parents[i])
+		i++
+	}
 }
 
 // validation is the pre-pass verdict on one lattice element: the right-hand
@@ -299,32 +346,25 @@ func validCFD(parent, e *element, cA int32) bool {
 	return partition.RefinesRHSConstant(parent.part, e.part)
 }
 
-// generateNextLevel performs Step 4: joins pairs of elements that agree on all
-// but their largest attribute, keeps candidates whose constant part is
-// k-frequent and all of whose immediate sub-elements survived pruning, and
-// builds their partitions as products of the parents' partitions. The joins
-// and frequency checks run sequentially (they share the constant-tid cache);
-// the partition products — the expensive part — are fanned out across workers
-// per left parent, each worker with its own probe: a left parent's partition
-// is written into the probe table once and multiplied with all of its right
-// siblings.
-func generateNextLevel(
-	ctx context.Context,
-	r *core.Relation,
-	level []*element,
-	byKey map[string]*element,
-	constTids map[string][]int32,
-	itemTids [][][]int32,
-	k, n, workers int,
-) ([]*element, error) {
-	type groupKey struct {
-		prefix core.AttrSet
-		tpKey  string
-	}
-	groups := make(map[groupKey][]*element)
-	for _, e := range level {
-		prefix := e.attrs.Remove(e.attrs.Last())
-		groups[groupKey{prefix, e.tp.Key(prefix)}] = append(groups[groupKey{prefix, e.tp.Key(prefix)}], e)
+// advance performs Step 4: it joins pairs of surviving elements that agree on
+// all but their largest attribute — the kids of one prefix — keeps candidates
+// whose constant part is k-frequent and all of whose immediate sub-elements
+// survived pruning, and builds their partitions as products of the parents'
+// partitions. The joins and frequency checks run sequentially (they share the
+// constant-part table); the partition products — the expensive part — are
+// fanned out across workers per left parent, each worker with its own probe:
+// a left parent's partition is written into the probe table once and
+// multiplied with all of its right siblings.
+func (l *lattice) advance(ctx context.Context) error {
+	// children finds a survivor by its prefix and last item. For the join of
+	// x and y, the sub-element without an attribute B of the shared prefix is
+	// the child, by y's last item, of x's own sub-element without B: one
+	// lookup per sub-element, which is Step 4.b(iii)'s test as well.
+	children := make(map[childKey]*element, len(l.level))
+	for _, e := range l.level {
+		last := e.attrs.Last()
+		children[childKey{e.prefix(), int32(last), e.tp[last]}] = e
+		e.prefix().kids = append(e.prefix().kids, e)
 	}
 	// joins lists the surviving (y, joined element) pairs; the joins of one
 	// left parent x are consecutive, lefts[i] naming x and where they end.
@@ -337,65 +377,52 @@ func generateNextLevel(
 	}
 	var joins []join
 	var lefts []left
-	seen := make(map[string]bool)
-	for _, group := range groups {
-		for i := 0; i < len(group); i++ {
+	var subs []*element // scratch: the sub-elements found so far for one candidate
+	for _, p := range l.prev {
+		group := p.kids
+		for _, x := range group {
 			// The join pass alone can dwarf the rest of a level on low support
 			// thresholds, so observe cancellation inside it too.
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			x := group[i]
 			xLast := x.attrs.Last()
 			first := len(joins)
-			for j := 0; j < len(group); j++ {
-				if i == j {
-					continue
-				}
-				y := group[j]
+			for _, y := range group {
 				yLast := y.attrs.Last()
 				if xLast >= yLast {
 					continue
 				}
-				z := x.attrs.Union(y.attrs)
-				up := x.tp.Clone()
-				up[yLast] = y.tp[yLast]
-				key := up.Key(z)
-				if seen[key] {
-					continue
-				}
 				// Support of the constant part (Step 4.b(ii) with the k-frequency
 				// refinement of §4.2).
-				constAttrs := up.ConstAttrs(z)
-				constKey := up.Key(constAttrs)
-				tids, ok := constTids[constKey]
-				if !ok {
-					if up[yLast] == core.Wildcard {
-						tids = constTids[x.constK]
-					} else {
-						tids = holding(constTids[x.constK], r.Column(yLast), up[yLast], len(itemTids[yLast][up[yLast]]))
-					}
-					constTids[constKey] = tids
+				val := y.tp[yLast]
+				constID, consts := x.constID, x.consts
+				if val != core.Wildcard {
+					constID, consts = l.constPart(x.constID, yLast, val), consts+1
 				}
-				if len(tids) < k || len(tids) == 0 {
+				support := len(l.constTids[constID])
+				if support < l.k || support == 0 {
 					continue
 				}
 				// Step 4.b(iii): every immediate sub-element must have survived.
-				ok = true
-				z.ImmediateSubsets(func(_ int, sub core.AttrSet) bool {
-					if _, present := byKey[up.Key(sub)]; !present {
-						ok = false
-						return false
+				// Those without y's and x's last attribute are x and y.
+				subs = subs[:0]
+				for _, sub := range x.parents[:len(x.parents)-1] {
+					c, ok := children[childKey{sub, int32(yLast), val}]
+					if !ok {
+						break
 					}
-					return true
-				})
-				if !ok {
+					subs = append(subs, c)
+				}
+				if len(subs) < len(x.parents)-1 {
 					continue
 				}
-				seen[key] = true
+				parents := append(append(make([]*element, 0, len(subs)+2), subs...), y, x)
+				up := x.tp.Clone()
+				up[yLast] = val
 				joins = append(joins, join{y: y, elem: &element{
-					attrs: z, tp: up,
-					key: key, constK: constKey, support: len(tids),
+					attrs: x.attrs.Union(y.attrs), tp: up, consts: consts,
+					parents: parents, constID: constID, support: support,
 				}})
 			}
 			if len(joins) > first {
@@ -403,10 +430,10 @@ func generateNextLevel(
 			}
 		}
 	}
-	probes := make([]*partition.Probe, pool.Normalize(workers))
-	if err := pool.Each(ctx, workers, len(lefts), func(w, i int) {
+	probes := make([]*partition.Probe, l.workers)
+	if err := pool.Each(ctx, l.workers, len(lefts), func(w, i int) {
 		if probes[w] == nil {
-			probes[w] = partition.NewProbe(n)
+			probes[w] = partition.NewProbe(l.r.Size())
 		}
 		probe := probes[w]
 		start := 0
@@ -420,30 +447,40 @@ func generateNextLevel(
 		}
 		probe.Unload()
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	next := make([]*element, len(joins))
+	// The new level reaches this one through its own links; dropping this
+	// level's leaves the one below — elements, partitions, C+ sets —
+	// unreachable, so at most two levels are alive at a time.
+	for _, e := range l.level {
+		e.parents = nil
+	}
+	l.prev = l.level
+	l.level = make([]*element, len(joins))
 	for i, j := range joins {
-		next[i] = j.elem
+		l.level[i] = j.elem
 	}
-	return next, nil
+	return nil
 }
 
 // sortLevel orders a level so that, within one attribute set, more general
 // patterns (fewer constants) come before more specific ones — the order Step 2
 // relies on so that a general valid CFD removes its specialisations from the
-// C+ sets before they are examined.
+// C+ sets before they are examined. Patterns with equally many constants are
+// ordered by their codes only to make the order total: Step 2.c acts from a
+// strictly more general sibling (or the element itself), never between two
+// of them, and the output is deduplicated and canonically sorted afterwards.
 func sortLevel(level []*element) {
-	sort.Slice(level, func(i, j int) bool {
-		if level[i].attrs != level[j].attrs {
-			return level[i].attrs < level[j].attrs
+	slices.SortFunc(level, func(x, y *element) int {
+		if c := cmp.Or(cmp.Compare(x.attrs, y.attrs), cmp.Compare(x.consts, y.consts)); c != 0 {
+			return c
 		}
-		ci := level[i].tp.ConstAttrs(level[i].attrs).Len()
-		cj := level[j].tp.ConstAttrs(level[j].attrs).Len()
-		if ci != cj {
-			return ci < cj
+		for v := uint64(x.attrs); v != 0; v &= v - 1 {
+			if a := bits.TrailingZeros64(v); x.tp[a] != y.tp[a] {
+				return cmp.Compare(x.tp[a], y.tp[a])
+			}
 		}
-		return level[i].key < level[j].key
+		return 0
 	})
 }
 

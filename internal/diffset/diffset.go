@@ -15,7 +15,9 @@
 package diffset
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,32 +36,24 @@ type Computer interface {
 }
 
 // Minimize returns the minimal sets of the input under set inclusion, with
-// duplicates removed, sorted by size then bit pattern for determinism.
+// duplicates removed, sorted by size then bit pattern for determinism. The
+// input is left as it was.
 func Minimize(sets []core.AttrSet) []core.AttrSet {
-	uniq := make(map[core.AttrSet]bool, len(sets))
-	for _, s := range sets {
-		uniq[s] = true
+	if len(sets) == 0 {
+		return nil
 	}
-	all := make([]core.AttrSet, 0, len(uniq))
-	for s := range uniq {
-		all = append(all, s)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Len() != all[j].Len() {
-			return all[i].Len() < all[j].Len()
-		}
-		return all[i] < all[j]
+	all := slices.Clone(sets)
+	slices.SortFunc(all, func(a, b core.AttrSet) int {
+		return cmp.Or(cmp.Compare(a.Len(), b.Len()), cmp.Compare(a, b))
 	})
-	var out []core.AttrSet
-	for _, s := range all {
-		minimal := true
-		for _, m := range out {
-			if m.SubsetOf(s) {
-				minimal = false
-				break
-			}
+	// A set can only contain one sorted before it, so the minimal sets are
+	// filtered into the front of the sorted copy.
+	out := all[:0]
+	for i, s := range all {
+		if i > 0 && s == all[i-1] {
+			continue
 		}
-		if minimal {
+		if !slices.ContainsFunc(out, func(m core.AttrSet) bool { return m.SubsetOf(s) }) {
 			out = append(out, s)
 		}
 	}
@@ -287,14 +281,14 @@ func (c *Closed) diffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
 			narrowest = list
 		}
 	})
-	seen := make(map[core.AttrSet]bool)
+	var out []core.AttrSet
 	scan := func(i int) {
 		cp := c.closed[i]
 		if !cp.ContainsItems(attrs, tp) {
 			return
 		}
 		if d := c.complements[i]; !d.IsEmpty() {
-			seen[d] = true
+			out = append(out, d)
 		}
 	}
 	if candidates == -1 {
@@ -306,11 +300,10 @@ func (c *Closed) diffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
 			scan(int(i))
 		}
 	}
-	out := make([]core.AttrSet, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	// The distinct sets, copied out at their exact size: the scan's buffer
+	// grew with the closed sets visited and the result is cached for the run.
+	slices.Sort(out)
+	out = slices.Clone(slices.Compact(out))
 
 	c.mu.Lock()
 	c.cache[key] = out

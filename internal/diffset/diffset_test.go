@@ -97,6 +97,9 @@ func TestCovers(t *testing.T) {
 	if IsMinimalCover(core.NewAttrSet(1, 2, 5), diffs) {
 		t.Error("{1,2,5} covers but is not minimal")
 	}
+	if IsMinimalCover(core.NewAttrSet(2, 3), diffs) {
+		t.Error("{2,3} is no cover, so no minimal cover")
+	}
 }
 
 // TestPaperExample9 verifies the difference sets of Example 9 on the cust

@@ -194,11 +194,28 @@ type finder struct {
 	mining *itemset.Mining
 }
 
+// search is the state of one FindCover run: the right-hand side, the covers
+// found so far and, for the free pattern (X, tp) being searched, the
+// difference sets FindMin covers.
+type search struct {
+	*finder
+	rhs int
+	out []core.CFD
+
+	fs    *itemset.FreeSet
+	diffs []core.AttrSet // D^m_A(r_tp)
+	// subDiffs holds D^m_A(r_{tp[X\{B}]}) for every B in X, ascending, which
+	// check (b2) of variableCFD reads for every cover found. They depend on
+	// the pattern and the right-hand side only, so they are computed when the
+	// pattern's first cover asks and kept; nil until then.
+	subDiffs [][]core.AttrSet
+}
+
 // findCover implements FindCover(A, r, k): it loops over the k-frequent free
 // item sets (in ascending size order) and emits the minimal CFDs with
 // right-hand side rhs rooted at each free constant pattern.
 func (f *finder) findCover(rhs int) []core.CFD {
-	var out []core.CFD
+	s := &search{finder: f, rhs: rhs}
 	all := f.r.Schema().All()
 	for _, fs := range f.mining.Free {
 		if fs.Attrs.Has(rhs) {
@@ -207,34 +224,30 @@ func (f *finder) findCover(rhs int) []core.CFD {
 		if f.opts.MaxLHS > 0 && fs.Attrs.Len() > f.opts.MaxLHS {
 			continue
 		}
-		diffs := f.comp.MinimalDiffSets(fs.Attrs, fs.Tp, rhs)
-		if len(diffs) == 0 {
+		s.fs, s.diffs, s.subDiffs = fs, f.comp.MinimalDiffSets(fs.Attrs, fs.Tp, rhs), nil
+		switch {
+		case len(s.diffs) == 0:
 			// Step 3.a: every tuple of r_tp agrees on rhs — a constant CFD
 			// candidate, unless constants are handled by CFDMiner.
 			if !f.opts.UseCFDMiner && !f.opts.VariableOnly {
 				if c, ok := f.constantCFD(fs, rhs); ok {
-					out = append(out, c)
+					s.out = append(s.out, c)
 				}
 			}
 			// The all-constant-LHS variable CFD (X → A, (tp ‖ _)) also holds here
 			// (its cover is empty); emit it when it is left-reduced so that the
 			// output contains every minimal CFD, as CTANE does.
-			if c, ok := f.variableCFD(fs, rhs, nil, core.EmptyAttrSet); ok {
-				out = append(out, c)
-			}
-			continue
-		}
-		if containsEmpty(diffs) {
+			s.variableCFD(core.EmptyAttrSet)
+		case containsEmpty(s.diffs):
 			// Some pair of r_tp tuples differs only on rhs: no CFD with this
 			// constant pattern and right-hand side can hold (Step 1 of FindMin).
-			continue
+		default:
+			s.findMin(core.EmptyAttrSet, s.diffs, all.Diff(fs.Attrs).Remove(rhs).Attrs())
 		}
-		candidates := all.Diff(fs.Attrs).Remove(rhs).Attrs()
-		f.findMin(fs, rhs, diffs, core.EmptyAttrSet, diffs, candidates, &out)
 	}
 	// Deterministic order per right-hand side.
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
+	core.SortCFDs(s.out)
+	return s.out
 }
 
 // constantCFD builds the constant CFD (X → rhs, (tp ‖ ta)) for a free pattern
@@ -278,17 +291,15 @@ func (f *finder) constantHolds(attrs core.AttrSet, tp core.Pattern, rhs int, ta 
 // attributes that cover at least one remaining difference set, in an order
 // recomputed at every node (dynamic attribute reordering, §5.6), and emits a
 // variable CFD whenever Y covers everything and passes the minimality checks.
-func (f *finder) findMin(fs *itemset.FreeSet, rhs int, allDiffs []core.AttrSet, y core.AttrSet, remaining []core.AttrSet, candidates []int, out *[]core.CFD) {
+func (s *search) findMin(y core.AttrSet, remaining []core.AttrSet, candidates []int) {
 	if len(remaining) == 0 {
-		if c, ok := f.variableCFD(fs, rhs, allDiffs, y); ok {
-			*out = append(*out, c)
-		}
+		s.variableCFD(y)
 		return
 	}
 	if len(candidates) == 0 {
 		return
 	}
-	if f.opts.MaxLHS > 0 && fs.Attrs.Len()+y.Len() >= f.opts.MaxLHS {
+	if s.opts.MaxLHS > 0 && s.fs.Attrs.Len()+y.Len() >= s.opts.MaxLHS {
 		return
 	}
 	type scored struct {
@@ -314,17 +325,17 @@ func (f *finder) findMin(fs *itemset.FreeSet, rhs int, allDiffs []core.AttrSet, 
 		return order[i].attr < order[j].attr
 	})
 	rest := make([]int, len(order))
-	for i, s := range order {
-		rest[i] = s.attr
+	for i, o := range order {
+		rest[i] = o.attr
 	}
-	for i, s := range order {
+	for i, o := range order {
 		var nextRemaining []core.AttrSet
 		for _, d := range remaining {
-			if !d.Has(s.attr) {
+			if !d.Has(o.attr) {
 				nextRemaining = append(nextRemaining, d)
 			}
 		}
-		f.findMin(fs, rhs, allDiffs, y.Add(s.attr), nextRemaining, rest[i+1:], out)
+		s.findMin(y.Add(o.attr), nextRemaining, rest[i+1:])
 	}
 }
 
@@ -336,26 +347,30 @@ func (f *finder) findMin(fs *itemset.FreeSet, rhs int, allDiffs []core.AttrSet, 
 //	(b2) no constant of the pattern can be upgraded to "_": for every B in X,
 //	     Y ∪ {B} must not cover D^m_A(r_{tp[X\{B}]}).
 //
-// When both hold it returns the variable CFD ([X,Y] → A, (tp, _,… ‖ _)).
-func (f *finder) variableCFD(fs *itemset.FreeSet, rhs int, allDiffs []core.AttrSet, y core.AttrSet) (core.CFD, bool) {
-	if !diffset.IsMinimalCover(y, allDiffs) {
-		return core.CFD{}, false
+// When both hold it emits the variable CFD ([X,Y] → A, (tp, _,… ‖ _)).
+func (s *search) variableCFD(y core.AttrSet) {
+	if !diffset.IsMinimalCover(y, s.diffs) {
+		return
 	}
-	upgradable := false
-	fs.Attrs.ImmediateSubsets(func(b int, sub core.AttrSet) bool {
-		subDiffs := f.comp.MinimalDiffSets(sub, fs.Tp, rhs)
-		if diffset.Covers(y.Add(b), subDiffs) {
-			upgradable = true
-			return false
-		}
-		return true
+	if s.subDiffs == nil {
+		s.subDiffs = make([][]core.AttrSet, 0, s.fs.Attrs.Len())
+		s.fs.Attrs.ImmediateSubsets(func(_ int, sub core.AttrSet) bool {
+			s.subDiffs = append(s.subDiffs, s.comp.MinimalDiffSets(sub, s.fs.Tp, s.rhs))
+			return true
+		})
+	}
+	i, upgradable := 0, false
+	s.fs.Attrs.ImmediateSubsets(func(b int, _ core.AttrSet) bool {
+		upgradable = diffset.Covers(y.Add(b), s.subDiffs[i])
+		i++
+		return !upgradable
 	})
 	if upgradable {
-		return core.CFD{}, false
+		return
 	}
-	tp := core.NewPattern(f.r.Arity())
-	fs.Attrs.ForEach(func(a int) { tp[a] = fs.Tp[a] })
-	return core.CFD{LHS: fs.Attrs.Union(y), RHS: rhs, Tp: tp}, true
+	tp := core.NewPattern(s.r.Arity())
+	s.fs.Attrs.ForEach(func(a int) { tp[a] = s.fs.Tp[a] })
+	s.out = append(s.out, core.CFD{LHS: s.fs.Attrs.Union(y), RHS: s.rhs, Tp: tp})
 }
 
 func containsEmpty(diffs []core.AttrSet) bool {

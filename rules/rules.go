@@ -141,10 +141,29 @@ func (s *Set) Text() string {
 	var b strings.Builder
 	b.WriteString(s.Header())
 	b.WriteByte('\n')
-	sorted := append([]cfd.CFD(nil), s.CFDs()...)
-	cfd.SortCFDs(sorted)
-	b.WriteString(cfd.FormatAll(sorted))
+	// A set from discovery.Engine.Run is in canonical order already; only
+	// one that is not gets copied and sorted.
+	cfds := s.CFDs()
+	if !inCanonicalOrder(cfds) {
+		cfds = append([]cfd.CFD(nil), cfds...)
+		cfd.SortCFDs(cfds)
+	}
+	b.WriteString(cfd.FormatAll(cfds))
 	return b.String()
+}
+
+// inCanonicalOrder reports whether cfds are in the order of cfd.SortCFDs,
+// rendering each rule's key once.
+func inCanonicalOrder(cfds []cfd.CFD) bool {
+	prev := ""
+	for i, c := range cfds {
+		key := ruleKey(c)
+		if i > 0 && key < prev {
+			return false
+		}
+		prev = key
+	}
+	return true
 }
 
 // Write writes the rule-file rendering to w.

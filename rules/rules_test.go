@@ -2,9 +2,11 @@ package rules_test
 
 import (
 	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -82,6 +84,62 @@ func TestTextRoundTrip(t *testing.T) {
 	want := keys(s.CFDs())
 	if got := keys(back.CFDs()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("rules after round trip = %v, want %v", got, want)
+	}
+}
+
+// TestTextOrderIndependentOfSetOrder pins the rule file's bytes: whatever
+// order the set holds its rules in — canonical already (the order Engine.Run
+// hands over, which Text must not pay to sort again), canonical up to rules
+// that differ only in how their LHS is listed, or shuffled — the body is the
+// rules rendered in the order of a copy sorted with the per-comparison
+// comparator SortCFDs used to be.
+func TestTextOrderIndependentOfSetOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	names := []string{"A1", "A10", "A2", "B", "a"}
+	values := []string{cfd.Wildcard, "1", "10", "2", "x y"}
+	var pool []cfd.CFD
+	for i := 0; i < 60; i++ {
+		rhs := rng.Intn(len(names))
+		c := cfd.CFD{RHS: names[rhs], RHSPattern: values[rng.Intn(len(values))]}
+		for _, a := range rng.Perm(len(names)) {
+			if a != rhs && rng.Intn(2) == 0 {
+				c.LHS = append(c.LHS, names[a])
+				c.LHSPattern = append(c.LHSPattern, values[rng.Intn(len(values))])
+			}
+		}
+		pool = append(pool, c)
+		if len(c.LHS) > 1 && rng.Intn(2) == 0 { // the same rule, listed in reverse
+			r := cfd.CFD{RHS: c.RHS, RHSPattern: c.RHSPattern}
+			for j := len(c.LHS) - 1; j >= 0; j-- {
+				r.LHS = append(r.LHS, c.LHS[j])
+				r.LHSPattern = append(r.LHSPattern, c.LHSPattern[j])
+			}
+			pool = append(pool, r)
+		}
+	}
+	reference := func(cfds []cfd.CFD) string {
+		sorted := append([]cfd.CFD(nil), cfds...)
+		sort.Slice(sorted, func(i, j int) bool {
+			return sorted[i].Normalize().String() < sorted[j].Normalize().String()
+		})
+		return cfd.FormatAll(sorted)
+	}
+	body := func(s *rules.Set) string { return strings.SplitN(s.Text(), "\n", 2)[1] }
+
+	canonical := append([]cfd.CFD(nil), pool...)
+	cfd.SortCFDs(canonical)
+	stable := append([]cfd.CFD(nil), pool...)
+	sort.SliceStable(stable, func(i, j int) bool {
+		return stable[i].Normalize().String() < stable[j].Normalize().String()
+	})
+	for name, in := range map[string][]cfd.CFD{"shuffled": pool, "canonical": canonical, "canonical, ties in input order": stable, "empty": nil} {
+		set := rules.Of(in...)
+		if got, want := body(set), reference(in); got != want {
+			t.Errorf("%s: Text body differs from the sorted rendering:\n got %q\nwant %q", name, got, want)
+		}
+		if len(in) > 0 && !reflect.DeepEqual(set.CFDs(), in) {
+			t.Errorf("%s: Text reordered the set", name)
+		}
 	}
 }
 
