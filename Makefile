@@ -66,7 +66,9 @@ docs-check:
 
 # fuzz runs the fuzzers for a short CI-sized budget each — the codec round
 # trips (the cfd text codec pair, the rules.Set JSON codec, the violation
-# snapshot codec), the shared group index against its from-scratch recount,
+# snapshot codec, which also holds the snapshot's appender to encoding/json),
+# the bulk /v1 reply encoders against json.Encoder on the same documents,
+# the shared group index against its from-scratch recount,
 # the probe-table partition product against the product's definition and the
 # difference-set minimisation against its map-based reference; the corpus
 # seeds also run as normal tests under `make test`.
@@ -76,12 +78,17 @@ fuzz:
 	$(GO) test ./cfd -run '^$$' -fuzz '^FuzzFormat$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./rules -run '^$$' -fuzz '^FuzzJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./violation -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./cluster -run '^$$' -fuzz '^FuzzWireDocs$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGroupIndex$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/partition -run '^$$' -fuzz '^FuzzProduct$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diffset -run '^$$' -fuzz '^FuzzMinimize$$' -fuzztime $(FUZZTIME)
 
 # cover enforces ratcheted statement-coverage floors on the serving-critical
-# packages (internal/core holds the engine's tuple store and group index) and
+# packages (internal/core holds the engine's tuple store and group index;
+# cluster the wire documents, their encoders and the coordinator — most of
+# which only cmd/cfdserve's tests drive over real shard nodes, so its profile
+# counts both packages' tests;
+# internal/jsonw the JSON appenders under the bulk replies and the snapshot) and
 # on the mining kernels (internal/partition: counting split and product;
 # internal/itemset: free- and closed-set miners) and the searches built on
 # them (internal/ctane: the linked lattice; internal/diffset and
@@ -97,6 +104,8 @@ ITEMSET_COVER_FLOOR ?= 91.0
 CTANE_COVER_FLOOR ?= 96.5
 DIFFSET_COVER_FLOOR ?= 98.0
 FASTCFD_COVER_FLOOR ?= 91.5
+CLUSTER_COVER_FLOOR ?= 86.5
+JSONW_COVER_FLOOR ?= 100.0
 cover:
 	$(GO) test -coverprofile=cover_violation.out ./violation > /dev/null
 	$(GO) test -coverprofile=cover_rules.out ./rules > /dev/null
@@ -107,6 +116,8 @@ cover:
 	$(GO) test -coverprofile=cover_ctane.out ./internal/ctane > /dev/null
 	$(GO) test -coverprofile=cover_diffset.out ./internal/diffset > /dev/null
 	$(GO) test -coverprofile=cover_fastcfd.out ./internal/fastcfd > /dev/null
+	$(GO) test -coverprofile=cover_cluster.out -coverpkg=./cluster ./cluster ./cmd/cfdserve > /dev/null 2>&1
+	$(GO) test -coverprofile=cover_jsonw.out ./internal/jsonw > /dev/null
 	@./scripts/check_coverage.sh cover_violation.out $(VIOLATION_COVER_FLOOR) violation
 	@./scripts/check_coverage.sh cover_rules.out $(RULES_COVER_FLOOR) rules
 	@./scripts/check_coverage.sh cover_monitor.out $(MONITOR_COVER_FLOOR) discovery/monitor
@@ -116,6 +127,8 @@ cover:
 	@./scripts/check_coverage.sh cover_ctane.out $(CTANE_COVER_FLOOR) internal/ctane
 	@./scripts/check_coverage.sh cover_diffset.out $(DIFFSET_COVER_FLOOR) internal/diffset
 	@./scripts/check_coverage.sh cover_fastcfd.out $(FASTCFD_COVER_FLOOR) internal/fastcfd
+	@./scripts/check_coverage.sh cover_cluster.out $(CLUSTER_COVER_FLOOR) cluster
+	@./scripts/check_coverage.sh cover_jsonw.out $(JSONW_COVER_FLOOR) internal/jsonw
 
 # serve-smoke starts cmd/cfdserve on fixture rules + data, drives the API with
 # curl and checks graceful shutdown; CI runs the same script. Its final leg
@@ -141,4 +154,4 @@ cluster-smoke:
 ci: fmt vet staticcheck build race cover fuzz docs-check bench obs-smoke cluster-smoke
 
 clean:
-	rm -rf .bench_build cover_violation.out cover_rules.out cover_monitor.out cover_core.out cover_partition.out cover_itemset.out cover_ctane.out cover_diffset.out cover_fastcfd.out
+	rm -rf .bench_build cover_violation.out cover_rules.out cover_monitor.out cover_core.out cover_partition.out cover_itemset.out cover_ctane.out cover_diffset.out cover_fastcfd.out cover_cluster.out cover_jsonw.out

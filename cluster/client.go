@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/obs"
 	"repro/violation"
 )
 
@@ -179,6 +180,11 @@ func (s *ShardClient) do(ctx context.Context, method, path string, query url.Val
 		}
 		for k, vs := range header {
 			req.Header[k] = vs
+		}
+		// One user request is one id on every node it touches: the shard's
+		// middleware adopts it for its access log and its error envelope.
+		if id := obs.RequestID(ctx); id != "" {
+			req.Header.Set("X-Request-Id", id)
 		}
 		start := time.Now()
 		resp, err := s.hc.Do(req)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"time"
 
+	"repro/internal/jsonw"
 	"repro/violation"
 )
 
@@ -14,6 +15,14 @@ import (
 // alphabetical by key, the ones noted keep their historical order. A field
 // only one mode serves is omitted by the other — through a pointer where the
 // zero value is a legitimate answer.
+//
+// The bulk documents — the violations report, its delta, a tuples page, a
+// write reply — grow with the data, so they carry an AppendJSON method: a
+// hand-written encoder over internal/jsonw that emits what json.Encoder under
+// SetIndent("", "  ") emits for the same value, in one pass and without
+// reflection. The struct tags stay the definition (ShardClient decodes by
+// them, and FuzzWireDocs holds every encoder to them); a field added to one
+// of these documents must be added to its encoder.
 
 // ErrorDoc is the envelope of every non-2xx JSON response.
 type ErrorDoc struct {
@@ -117,6 +126,29 @@ type RuleTuples struct {
 	Tuples []int  `json:"tuples"`
 }
 
+func (rt RuleTuples) encode(w *jsonw.Writer) {
+	w.Open('{')
+	w.Key("rule")
+	w.String(rt.Rule)
+	w.Key("tuples")
+	jsonw.Ints(w, rt.Tuples)
+	w.Close('}')
+}
+
+// encodeRuleTuples writes a per-rule list; nil is null.
+func encodeRuleTuples(w *jsonw.Writer, v []RuleTuples) {
+	if v == nil {
+		w.Null()
+		return
+	}
+	w.Open('[')
+	for _, rt := range v {
+		w.Elem()
+		rt.encode(w)
+	}
+	w.Close(']')
+}
+
 // ViolationsDoc is the full GET /v1/violations report: per-rule tuple sets
 // in rule-set order with ascending ids, and the sorted dirty union. A node
 // stamps it with its Epoch; the coordinator's merged report carries Epochs
@@ -128,6 +160,32 @@ type ViolationsDoc struct {
 	NextCursor   string       `json:"next_cursor,omitempty"`
 	RulesChecked int          `json:"rules_checked"`
 	Violations   []RuleTuples `json:"violations"`
+}
+
+// AppendJSON appends the document as writeJSON sends it.
+func (d ViolationsDoc) AppendJSON(dst []byte) []byte {
+	w := jsonw.Indented(dst)
+	w.Open('{')
+	w.Key("dirty")
+	jsonw.Ints(&w, d.Dirty)
+	if d.Epoch != nil {
+		w.Key("epoch")
+		w.Uint(*d.Epoch)
+	}
+	if len(d.Epochs) > 0 {
+		w.Key("epochs")
+		jsonw.Ints(&w, d.Epochs)
+	}
+	if d.NextCursor != "" {
+		w.Key("next_cursor")
+		w.String(d.NextCursor)
+	}
+	w.Key("rules_checked")
+	w.Int(int64(d.RulesChecked))
+	w.Key("violations")
+	encodeRuleTuples(&w, d.Violations)
+	w.Close('}')
+	return append(w.Buf, '\n')
 }
 
 // DeltaDoc is one mutation epoch's (or a merged range's) exact change to
@@ -144,10 +202,39 @@ type DeltaDoc struct {
 	Rules        []string     `json:"rules"`
 }
 
+func (d DeltaDoc) encode(w *jsonw.Writer) {
+	w.Open('{')
+	w.Key("epoch")
+	w.Uint(d.Epoch)
+	w.Key("added")
+	encodeRuleTuples(w, d.Added)
+	w.Key("removed")
+	encodeRuleTuples(w, d.Removed)
+	w.Key("dirty_added")
+	jsonw.Ints(w, d.DirtyAdded)
+	w.Key("dirty_removed")
+	jsonw.Ints(w, d.DirtyRemoved)
+	w.Key("rules")
+	w.Strings(d.Rules)
+	w.Close('}')
+}
+
 // ChangesDoc is GET /v1/violations?since=.
 type ChangesDoc struct {
 	Delta DeltaDoc `json:"delta"`
 	Epoch uint64   `json:"epoch"`
+}
+
+// AppendJSON appends the document as writeJSON sends it.
+func (d ChangesDoc) AppendJSON(dst []byte) []byte {
+	w := jsonw.Indented(dst)
+	w.Open('{')
+	w.Key("delta")
+	d.Delta.encode(&w)
+	w.Key("epoch")
+	w.Uint(d.Epoch)
+	w.Close('}')
+	return append(w.Buf, '\n')
 }
 
 // SuspectsDoc is GET /v1/suspects.
@@ -171,6 +258,36 @@ type TuplesDoc struct {
 	Tuples     []TupleDoc `json:"tuples"`
 }
 
+// AppendJSON appends the document as writeJSON sends it.
+func (d TuplesDoc) AppendJSON(dst []byte) []byte {
+	w := jsonw.Indented(dst)
+	w.Open('{')
+	if d.NextCursor != "" {
+		w.Key("next_cursor")
+		w.String(d.NextCursor)
+	}
+	w.Key("total")
+	w.Int(int64(d.Total))
+	w.Key("tuples")
+	if d.Tuples == nil {
+		w.Null()
+	} else {
+		w.Open('[')
+		for _, t := range d.Tuples {
+			w.Elem()
+			w.Open('{')
+			w.Key("id")
+			w.Int(int64(t.ID))
+			w.Key("values")
+			w.Strings(t.Values)
+			w.Close('}')
+		}
+		w.Close(']')
+	}
+	w.Close('}')
+	return append(w.Buf, '\n')
+}
+
 // TupleViolationsDoc is GET /v1/tuples/{id}/violations.
 type TupleViolationsDoc struct {
 	ID       int      `json:"id"`
@@ -192,6 +309,28 @@ type WriteDoc struct {
 	Dirty   *int  `json:"dirty,omitempty"`
 	IDs     []int `json:"ids"`
 	Tuples  *int  `json:"tuples,omitempty"`
+}
+
+// AppendJSON appends the document as writeJSON sends it.
+func (d WriteDoc) AppendJSON(dst []byte) []byte {
+	w := jsonw.Indented(dst)
+	w.Open('{')
+	if d.Applied != 0 {
+		w.Key("applied")
+		w.Int(int64(d.Applied))
+	}
+	if d.Dirty != nil {
+		w.Key("dirty")
+		w.Int(int64(*d.Dirty))
+	}
+	w.Key("ids")
+	jsonw.Ints(&w, d.IDs)
+	if d.Tuples != nil {
+		w.Key("tuples")
+		w.Int(int64(*d.Tuples))
+	}
+	w.Close('}')
+	return append(w.Buf, '\n')
 }
 
 // TupleWriteDoc is PUT and DELETE /v1/tuples/{id}; the counts as in WriteDoc.

@@ -1,0 +1,178 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"testing"
+)
+
+// oracleJSON is the reply encoding the appenders replace and must reproduce:
+// encoding/json by the struct tags, two-space indent, trailing newline.
+func oracleJSON(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// pick returns the slice shape two bits select: nil, empty, the first
+// element, or all of them.
+func pick[T any](shape uint32, shift uint, all []T) []T {
+	switch shape >> shift & 3 {
+	case 0:
+		return nil
+	case 1:
+		return []T{}
+	case 2:
+		return all[:1]
+	}
+	return all
+}
+
+// wireDocs builds one value of every document that has an appender from the
+// fuzz arguments: s1 and s2 feed every string, n and u every number, and the
+// bits of shape choose each slice's form and each omitempty field's presence.
+func wireDocs(s1, s2 string, n int64, u uint64, shape uint32) []interface{ AppendJSON([]byte) []byte } {
+	bit := func(i uint) bool { return shape>>i&1 == 1 }
+	ids := []int{int(n), 0, -int(n), int(u), math.MaxInt64, math.MinInt64}
+	strs := []string{s1, s2, "", s1 + s2}
+	entries := []RuleTuples{
+		{Rule: s1, Tuples: pick(shape, 0, ids)},
+		{Rule: s2, Tuples: pick(shape, 2, ids)},
+		{Tuples: ids},
+	}
+	var epoch *uint64
+	var count *int
+	applied, cursor := 0, ""
+	if bit(4) {
+		epoch = &u
+	}
+	if bit(5) {
+		c := int(n)
+		count = &c
+	}
+	if bit(6) {
+		applied = int(n)
+	}
+	if bit(7) {
+		cursor = s2
+	}
+	tuples := []TupleDoc{
+		{ID: int(n), Values: pick(shape, 8, strs)},
+		{ID: int(u), Values: pick(shape, 10, strs)},
+		{Values: strs},
+	}
+	return []interface{ AppendJSON([]byte) []byte }{
+		ViolationsDoc{
+			Dirty:        pick(shape, 12, ids),
+			Epoch:        epoch,
+			Epochs:       pick(shape, 14, []uint64{u, 0, math.MaxUint64}),
+			NextCursor:   cursor,
+			RulesChecked: int(n),
+			Violations:   pick(shape, 16, entries),
+		},
+		ChangesDoc{
+			Epoch: u,
+			Delta: DeltaDoc{
+				Epoch:        u + 1,
+				Added:        pick(shape, 18, entries),
+				Removed:      pick(shape, 20, entries),
+				DirtyAdded:   pick(shape, 22, ids),
+				DirtyRemoved: pick(shape, 24, ids),
+				Rules:        pick(shape, 26, strs),
+			},
+		},
+		TuplesDoc{NextCursor: cursor, Total: int(n), Tuples: pick(shape, 28, tuples)},
+		WriteDoc{Applied: applied, Dirty: count, IDs: pick(shape, 30, ids), Tuples: count},
+	}
+}
+
+// FuzzWireDocs holds every appender to encoding/json on the same value. The
+// seeds alone (they run under plain `go test`) cover nil against empty
+// slices, each omitempty field present and absent, negative and 19-digit
+// numbers, and the strings encoding/json escapes: HTML characters, quotes and
+// backslashes, control characters, U+2028/2029 and invalid UTF-8.
+func FuzzWireDocs(f *testing.F) {
+	f.Add("", "", int64(0), uint64(0), uint32(0))                                      // every slice nil, every optional field absent
+	f.Add("", "", int64(0), uint64(0), uint32(0x55555555)&^0xf0)                       // every slice empty
+	f.Add("r", "7", int64(1), uint64(2), uint32(0xaaaaaaaa)|0xf0)                      // one element each, every optional field present
+	f.Add("([A] -> B, (_ || _))", "12", int64(-42), uint64(88000), uint32(0xffffffff)) // everything populated
+	f.Add(`<script>&"\`, "\x00\x01\b\f\n\r\t\x1f\x7f", int64(math.MinInt64), uint64(math.MaxUint64), uint32(0xffffffff))
+	f.Add("\u2028x\u2029", "\xff\xfe\xe2\x80", int64(math.MaxInt64), uint64(1)<<63, uint32(0xdeadbeef))
+	f.Add("日本語 é \U0001F600", "a\xc0\xafb", int64(1234567890123456789), uint64(9876543210987654321), uint32(0x12345678))
+	f.Fuzz(func(t *testing.T, s1, s2 string, n int64, u uint64, shape uint32) {
+		for _, doc := range wireDocs(s1, s2, n, u, shape) {
+			want := oracleJSON(t, doc)
+			if got := doc.AppendJSON(nil); !bytes.Equal(got, want) {
+				t.Fatalf("%T.AppendJSON departs from encoding/json\n got: %s\nwant: %s", doc, got, want)
+			}
+			// Appending means appending: what is already in dst stays.
+			if got := doc.AppendJSON([]byte("kept")); !bytes.Equal(got, append([]byte("kept"), want...)) {
+				t.Fatalf("%T.AppendJSON overwrote its destination: %s", doc, got)
+			}
+		}
+	})
+}
+
+// bulkReport is the report shape that made the appenders matter: a hundred
+// rules sharing some ninety thousand ids, a third of them dirty — over a
+// megabyte on the wire.
+func bulkReport() ViolationsDoc {
+	const rules, perRule = 100, 600
+	epoch := uint64(12345)
+	doc := ViolationsDoc{Epoch: &epoch, RulesChecked: rules, Violations: make([]RuleTuples, rules), Dirty: make([]int, 30000)}
+	for r := range doc.Violations {
+		ids := make([]int, perRule)
+		for i := range ids {
+			ids[i] = r + i*50
+		}
+		doc.Violations[r] = RuleTuples{Rule: "([A,B] -> C, (_, _ || _))", Tuples: ids}
+	}
+	for i := range doc.Dirty {
+		doc.Dirty[i] = i
+	}
+	return doc
+}
+
+// TestViolationsDocEncodeAllocs pins the property the appenders exist for:
+// encoding the bulk report into a buffer that has held it before allocates
+// nothing, where encoding/json allocated several times the body. A count, not
+// a timing, so it gates on any machine.
+func TestViolationsDocEncodeAllocs(t *testing.T) {
+	doc := bulkReport()
+	buf := doc.AppendJSON(nil)
+	if len(buf) < 1<<20 {
+		t.Fatalf("the report is %d bytes, want at least a megabyte", len(buf))
+	}
+	if !bytes.Equal(buf, oracleJSON(t, doc)) {
+		t.Fatal("the bulk report departs from encoding/json")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { buf = doc.AppendJSON(buf[:0]) }); allocs != 0 {
+		t.Errorf("a warm-buffer encode of the %d-byte report allocates %.0f times, want 0", len(buf), allocs)
+	}
+}
+
+// BenchmarkViolationsDoc encodes the bulk report both ways: the appender into
+// a warm buffer, as writeJSON runs it, and the encoding/json path it replaced.
+func BenchmarkViolationsDoc(b *testing.B) {
+	doc := bulkReport()
+	b.Run("append", func(b *testing.B) {
+		var buf []byte
+		b.ReportAllocs()
+		for b.Loop() {
+			buf = doc.AppendJSON(buf[:0])
+		}
+		b.SetBytes(int64(len(buf)))
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			b.SetBytes(int64(len(oracleJSON(b, doc))))
+		}
+	})
+}

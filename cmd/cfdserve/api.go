@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/cluster"
 	"repro/obs"
@@ -96,12 +98,51 @@ func (o *obsStack) mux(routes []route) http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+// bodyAppender is a wire document with its own encoder: the bulk documents of
+// cluster/docs.go, whose size makes reflection and json.Indent's second scan
+// the cost of the request. Everything else goes through encoding/json.
+type bodyAppender interface {
+	AppendJSON(dst []byte) []byte
+}
+
+// encodeBody appends v as it goes on the wire: two-space-indented JSON and a
+// trailing newline.
+func encodeBody(dst []byte, v any) ([]byte, error) {
+	if a, ok := v.(bodyAppender); ok {
+		return a.AppendJSON(dst), nil
+	}
+	buf := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	err := enc.Encode(v)
+	return buf.Bytes(), err
+}
+
+// replyBufs recycles reply bodies between requests: the full violations
+// report is over a megabyte, and it is read in a loop.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeJSON is the one reply writer. The body is encoded in full into a pooled
+// buffer before the status line is sent, so a document that cannot be encoded
+// answers the 500 envelope instead of the handler's status over a torn body,
+// and every reply carries its Content-Length.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	bp := replyBufs.Get().(*[]byte)
+	defer replyBufs.Put(bp)
+	body, err := encodeBody((*bp)[:0], v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		// Strings only: this one encodes. The middleware has already put the
+		// request id in the reply header.
+		body, _ = encodeBody(body[:0], cluster.ErrorDoc{Error: cluster.ErrorBody{
+			Code: codeInternal, Message: "encoding the reply: " + err.Error(), RequestID: w.Header().Get("X-Request-Id"),
+		}})
+	}
+	*bp = body
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // a failed write means nobody is reading
 }
 
 // Error codes of the uniform error envelope {"error":{"code":..,"message":..}}.

@@ -16,17 +16,25 @@ import (
 	"time"
 )
 
-// modes are the two serving modes the shared /v1 handlers run behind: a node
-// over the testdata fixtures, and a coordinator over three httptest shard
-// nodes holding the same eight cust tuples under the cluster fixture rules.
-// Whatever a test pins through this table holds in both.
-func modes(t *testing.T) map[string]string {
+// servingMode is one of the two serving modes the shared /v1 handlers run
+// behind, reachable both ways: over HTTP, and as the backend the handlers
+// themselves call.
+type servingMode struct {
+	name string
+	url  string
+	b    backend
+}
+
+// servingModes boots both: a node over the testdata fixtures, and a
+// coordinator over three httptest shard nodes holding the same eight cust
+// tuples under the cluster fixture rules.
+func servingModes(t *testing.T) []servingMode {
 	t.Helper()
 	urls := make([]string, 3)
 	for i := range urls {
 		urls[i] = newShardNode(t, clusterRules).URL
 	}
-	_, coord := newCoord(t, urls)
+	cs, coord := newCoord(t, urls)
 	f, err := os.Open("testdata/cust.csv")
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +45,19 @@ func modes(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	do(t, "POST", coord.URL+"/v1/tuples", map[string]any{"rows": rows[1:]}, http.StatusOK)
-	return map[string]string{"node": newTestServer(t).URL, "coordinator": coord.URL}
+	node, nodeTS := newObsServer(t)
+	return []servingMode{{"node", nodeTS.URL, node}, {"coordinator", coord.URL, coordBackend{cs.cl}}}
+}
+
+// modes are the serving modes by base URL. Whatever a test pins through this
+// table holds in both.
+func modes(t *testing.T) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	for _, m := range servingModes(t) {
+		out[m.name] = m.url
+	}
+	return out
 }
 
 // sortedRoutes renders a route table as sorted "METHOD /v1/path" lines.

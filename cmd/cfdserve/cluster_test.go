@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,6 +30,13 @@ const clusterRules = "([CC,AC] -> CT, (_, _ || _))\n([CC,ZIP] -> STR, (_, _ || _
 // empty, memory-only — exactly as a shard of the smoke-test fleet would run.
 func newShardNode(t *testing.T, rules string) *httptest.Server {
 	t.Helper()
+	return newLoggedShardNode(t, rules, config{logw: io.Discard})
+}
+
+// newLoggedShardNode is newShardNode with the node's logging configured by
+// the caller (cfg.logw, cfg.logFormat).
+func newLoggedShardNode(t *testing.T, rules string, cfg config) *httptest.Server {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "rules.txt")
 	if err := os.WriteFile(path, []byte(rules), 0o644); err != nil {
 		t.Fatal(err)
@@ -36,7 +45,7 @@ func newShardNode(t *testing.T, rules string) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(eng, nil, config{logw: io.Discard}).handler())
+	ts := httptest.NewServer(newServer(eng, nil, cfg).handler())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -363,6 +372,111 @@ func TestClusterDegraded(t *testing.T) {
 	}
 	clusterReq(t, "GET", coord.URL+"/v1/suspects", "", "", http.StatusServiceUnavailable)
 	clusterReq(t, "GET", coord.URL+"/v1/tuples", "", "", http.StatusServiceUnavailable)
+}
+
+// syncBuffer is a log destination several handler goroutines write to while
+// the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestClusterRequestIDCrossesTheHop: one user request is one id on every node
+// it touches. The coordinator forwards the id its middleware adopted (or
+// generated) as X-Request-Id; the shard adopts it, so the shard's access-log
+// line and the shard's own error envelope repeat the coordinator's id.
+func TestClusterRequestIDCrossesTheHop(t *testing.T) {
+	var shardLog syncBuffer
+	node := newLoggedShardNode(t, clusterRules, config{logw: &shardLog, logFormat: "json"})
+	// What the shard answers the coordinator is invisible to the client (only
+	// the message is passed on), so tap it.
+	var mu sync.Mutex
+	var shardReplies []string
+	inner := node.Config.Handler
+	node.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		mu.Lock()
+		shardReplies = append(shardReplies, rec.Body.String())
+		mu.Unlock()
+		for k, vs := range rec.Header() {
+			w.Header()[k] = vs
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	})
+	_, coord := newCoord(t, []string{node.URL})
+
+	// shardLine finds the shard's access-log record of one route under one id.
+	shardLine := func(id, route string) map[string]any {
+		t.Helper()
+		for _, line := range strings.Split(strings.TrimSpace(shardLog.String()), "\n") {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("shard log line is not JSON: %v\n%s", err, line)
+			}
+			if rec["msg"] == "request" && rec["request_id"] == id && rec["route"] == route {
+				return rec
+			}
+		}
+		t.Fatalf("the shard logged no %s request under id %q:\n%s", route, id, shardLog.String())
+		return nil
+	}
+
+	// A client-chosen id, on a request the owning shard answers 404.
+	req, _ := http.NewRequest("GET", coord.URL+"/v1/tuples/4242", nil)
+	req.Header.Set("X-Request-Id", "hop-trace-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("status %d, want 404: %s", resp.StatusCode, body)
+	}
+	var env struct {
+		Error struct {
+			RequestID string `json:"request_id"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil || env.Error.RequestID != "hop-trace-1" {
+		t.Errorf("coordinator envelope %s (%v), want request_id hop-trace-1", body, err)
+	}
+	if rec := shardLine("hop-trace-1", "/tuples/{id}"); rec["status"] != float64(404) {
+		t.Errorf("shard access-log record = %v, want status 404", rec)
+	}
+	mu.Lock()
+	last := shardReplies[len(shardReplies)-1]
+	mu.Unlock()
+	if err := json.Unmarshal([]byte(last), &env); err != nil || env.Error.RequestID != "hop-trace-1" {
+		t.Errorf("shard envelope %s (%v), want request_id hop-trace-1", last, err)
+	}
+
+	// No client id: the one the coordinator generates is the one the shard logs.
+	resp, err = http.Get(coord.URL + "/v1/violations")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	id := resp.Header.Get("X-Request-Id")
+	if !validRequestID(id) {
+		t.Fatalf("coordinator generated id %q", id)
+	}
+	shardLine(id, "/violations")
 }
 
 // clusterReq performs a request with a literal body (and optional If-Match),

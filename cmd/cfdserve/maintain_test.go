@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -132,11 +131,14 @@ func TestRemineErrorRecorded(t *testing.T) {
 	// A failed run must not satisfy the maintenance loop: churn that moves the
 	// epoch but leaves the relation empty keeps the trigger armed, so the loop
 	// retries (and fails) every interval instead of going idle.
+	// The churn is one atomic batch (the delete names the id the insert gets):
+	// as two requests, a loop that fired between them mined the one tuple,
+	// succeeded, rebased past the delete and went idle — a flake under load.
 	runMonitor(t, h, everyEpoch)
-	ids := do(t, "POST", ts.URL+"/v1/tuples", map[string]any{
-		"values": []string{"01", "908", "1111111", "Mike", "Tree Ave.", "MH", "07974"},
-	}, http.StatusOK)["ids"].([]any)
-	do(t, "DELETE", fmt.Sprintf("%s/v1/tuples/%d", ts.URL, int(ids[0].(float64))), nil, http.StatusOK)
+	do(t, "POST", ts.URL+"/v1/batch", map[string]any{"ops": []map[string]any{
+		{"op": "insert", "values": []string{"01", "908", "1111111", "Mike", "Tree Ave.", "MH", "07974"}},
+		{"op": "delete", "id": 0},
+	}}, http.StatusOK)
 	if !waitFor(func() bool { return h.obs.remineTotal.With("error").Value() >= 3 }) {
 		t.Fatalf("loop stopped retrying after a failed remine (error count %d)", h.obs.remineTotal.With("error").Value())
 	}

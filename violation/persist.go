@@ -9,11 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jsonw"
 	"repro/rules"
 )
 
@@ -125,6 +127,62 @@ type snapshotFile struct {
 	NextID     int        `json:"next_id"`
 	Dicts      [][]string `json:"dicts,omitempty"`
 	Columns    [][]int32  `json:"columns,omitempty"`
+}
+
+// encode is json.Marshal(f), byte for byte, without reflecting over the
+// columns — one int32 per id slot and attribute, which is what a snapshot
+// mostly is. The rule set still goes through its own MarshalJSON; the fields
+// and their omitempty rules are the struct tags above, and FuzzSnapshotRoundTrip
+// holds the two encoders together.
+func (f *snapshotFile) encode() ([]byte, error) {
+	ruleset, err := json.Marshal(f.RuleSet)
+	if err != nil {
+		return nil, err
+	}
+	// Sized from the columns so a megabyte of digits is not regrown and
+	// recopied a dozen times: a code has at most as many digits as its
+	// dictionary's length, plus its comma. A low guess only costs a regrow.
+	size := len(ruleset) + 256
+	for a, dict := range f.Dicts {
+		for _, v := range dict {
+			size += len(v) + 3
+		}
+		if a < len(f.Columns) {
+			size += len(f.Columns[a]) * (len(strconv.Itoa(len(dict))) + 1)
+		}
+	}
+	w := jsonw.Compact(make([]byte, 0, size))
+	w.Open('{')
+	w.Key("format")
+	w.Int(int64(f.Format))
+	w.Key("wal_seq")
+	w.Uint(f.WalSeq)
+	w.Key("attributes")
+	w.Strings(f.Attributes)
+	w.Key("ruleset")
+	w.Raw(ruleset)
+	w.Key("next_id")
+	w.Int(int64(f.NextID))
+	if len(f.Dicts) > 0 {
+		w.Key("dicts")
+		w.Open('[')
+		for _, dict := range f.Dicts {
+			w.Elem()
+			w.Strings(dict)
+		}
+		w.Close(']')
+	}
+	if len(f.Columns) > 0 {
+		w.Key("columns")
+		w.Open('[')
+		for _, col := range f.Columns {
+			w.Elem()
+			jsonw.Ints(&w, col)
+		}
+		w.Close(']')
+	}
+	w.Close('}')
+	return w.Buf, nil
 }
 
 const (
@@ -463,7 +521,7 @@ func (st *Store) compact(e *Engine) (int, error) {
 		defer st.mu.Unlock()
 		return st.seq
 	})
-	data, err := json.Marshal(file)
+	data, err := file.encode()
 	if err != nil {
 		return 0, fmt.Errorf("violation: compacting: %w", err)
 	}
