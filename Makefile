@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench figures fmt vet staticcheck docs-check fuzz cover ci clean serve-smoke obs-smoke cluster-smoke
+.PHONY: all build test race bench figures examples fmt vet staticcheck docs-check fuzz cover ci clean serve-smoke obs-smoke cluster-smoke
 
 all: build
 
@@ -31,10 +31,19 @@ race:
 bench:
 	bash bench/run.sh
 
-# figures reproduces the paper's evaluation figures as Go benchmarks, one
-# pass each — shapes to eyeball against the paper, not numbers to gate on.
+# figures regenerates every figure of the paper's evaluation (§6) at laptop
+# scale on one worker, as on the paper's testbed — shapes to eyeball against
+# the paper, not numbers to gate on (README, "Reproducing the paper's figures").
 figures:
-	$(GO) test -bench '^BenchmarkFig' -benchtime 1x -run '^$$' .
+	$(GO) run ./cmd/cfdbench -fig all -workers 1
+
+# examples runs the example programs, a few seconds in all: nothing else
+# executes them.
+examples:
+	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./examples/datacleaning > /dev/null
+	$(GO) run ./examples/objectidentification > /dev/null
+	$(GO) run ./examples/scalability > /dev/null
 
 fmt:
 	@unformatted="$$(gofmt -l .)"; \
@@ -151,7 +160,7 @@ obs-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-ci: fmt vet staticcheck build race cover fuzz docs-check bench obs-smoke cluster-smoke
+ci: fmt vet staticcheck build race examples cover fuzz docs-check bench obs-smoke cluster-smoke
 
 clean:
 	rm -rf .bench_build cover_violation.out cover_rules.out cover_monitor.out cover_core.out cover_partition.out cover_itemset.out cover_ctane.out cover_diffset.out cover_fastcfd.out cover_cluster.out cover_jsonw.out

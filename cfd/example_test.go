@@ -1,6 +1,7 @@
 package cfd_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/cfd"
@@ -77,8 +78,8 @@ func ExampleRemoveImplied() {
 // use them to validate other data.
 func Example_discoverAndClean() {
 	rel := dataset.Cust()
-	res, _ := discovery.CFDMiner(rel, discovery.Options{Support: 4})
-	for _, c := range res.CFDs {
+	set, _ := discovery.NewEngine(discovery.AlgCFDMiner, rel, discovery.WithSupport(4)).Run(context.Background())
+	for _, c := range set.CFDs() {
 		fmt.Println(c)
 	}
 	// Output:

@@ -1,8 +1,10 @@
 package cfd
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -176,13 +178,15 @@ func chiSquare(r *core.Relation, c core.CFD, m Metrics, n int) float64 {
 }
 
 // RankByInterest orders CFDs by decreasing support and, within equal support,
-// by decreasing confidence. It is a simple helper for presenting discovered
-// rules to a reviewer, following the spirit of the interest measures of [21].
+// by decreasing confidence, the remaining ties by the rules' canonical text.
+// It is a simple helper for presenting discovered rules to a reviewer,
+// following the spirit of the interest measures of [21].
 func (r *Relation) RankByInterest(cfds []CFD) ([]CFD, error) {
 	type scored struct {
 		c          CFD
 		support    int
 		confidence float64
+		key        string
 	}
 	all := make([]scored, 0, len(cfds))
 	for _, c := range cfds {
@@ -190,28 +194,18 @@ func (r *Relation) RankByInterest(cfds []CFD) ([]CFD, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ranking %s: %w", c, err)
 		}
-		all = append(all, scored{c: c, support: m.Support, confidence: m.Confidence})
+		all = append(all, scored{c: c, support: m.Support, confidence: m.Confidence, key: c.Normalize().String()})
 	}
+	slices.SortStableFunc(all, func(x, y scored) int {
+		return cmp.Or(
+			cmp.Compare(y.support, x.support),
+			cmp.Compare(y.confidence, x.confidence),
+			cmp.Compare(x.key, y.key),
+		)
+	})
 	out := make([]CFD, len(all))
-	// Stable selection sort by (support desc, confidence desc, String asc);
-	// n is small (covers, not relations), so clarity wins over asymptotics.
-	for i := range all {
-		best := i
-		for j := i + 1; j < len(all); j++ {
-			if less := func(x, y scored) bool {
-				if x.support != y.support {
-					return x.support > y.support
-				}
-				if x.confidence != y.confidence {
-					return x.confidence > y.confidence
-				}
-				return x.c.Normalize().String() < y.c.Normalize().String()
-			}; less(all[j], all[best]) {
-				best = j
-			}
-		}
-		all[i], all[best] = all[best], all[i]
-		out[i] = all[i].c
+	for i, s := range all {
+		out[i] = s.c
 	}
 	return out, nil
 }

@@ -106,6 +106,20 @@ func TestRankByInterest(t *testing.T) {
 	if !(s0 >= s1 && s1 >= s2) {
 		t.Errorf("ranking not by decreasing support: %d, %d, %d", s0, s1, s2)
 	}
+
+	// Equal support falls to confidence, and a tie on both to the canonical
+	// text — not to the input order, which lists the later key first.
+	mhTo908 := cfd.CFD{LHS: []string{"CT"}, RHS: "AC", LHSPattern: []string{"MH"}, RHSPattern: "908"}  // support 4, confidence 1
+	partial := cfd.CFD{LHS: []string{"AC"}, RHS: "CT", LHSPattern: []string{"131"}, RHSPattern: "EDI"} // support 2, confidence 2/3
+	ranked, err = r.RankByInterest([]cfd.CFD{partial, mhTo908, rules[0], rules[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []cfd.CFD{rules[1], mhTo908, rules[0], partial} {
+		if !ranked[i].Equal(want) {
+			t.Errorf("rank %d is %s, want %s", i, ranked[i], want)
+		}
+	}
 }
 
 func TestRemoveImplied(t *testing.T) {

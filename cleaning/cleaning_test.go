@@ -2,6 +2,7 @@ package cleaning_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strconv"
 	"testing"
@@ -288,15 +289,15 @@ func TestEndToEndCleaningPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discovery.FastCFD(clean, discovery.Options{Support: 8, MaxLHS: 2})
+	set, err := discovery.NewEngine(discovery.AlgFastCFD, clean, discovery.WithSupport(8), discovery.WithMaxLHS(2)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.CFDs) == 0 {
+	if set.Len() == 0 {
 		t.Fatal("no rules discovered on clean data")
 	}
 	dirty, perturbed := dataset.InjectNoise(clean, 0.05, 7)
-	rep, err := cleaning.Detect(dirty, res.Set())
+	rep, err := cleaning.Detect(dirty, set)
 	if err != nil {
 		t.Fatal(err)
 	}

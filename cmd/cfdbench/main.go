@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,34 +35,51 @@ func main() {
 	flag.Parse()
 
 	cfg := experiments.Config{Full: *full, Quick: *quick, Seed: *seed, Workers: *workers}
-	ids := experiments.IDs()
-	if *fig != "all" {
-		ids = strings.Split(*fig, ",")
+	if err := run(*fig, cfg, *out); err != nil {
+		fmt.Fprintln(os.Stderr, "cfdbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run regenerates the named figures into the file at out, or stdout if out is
+// empty. Every id is checked before the first figure runs: a sweep can take
+// hours.
+func run(fig string, cfg experiments.Config, out string) (err error) {
+	known := experiments.IDs()
+	ids := known
+	if fig != "all" {
+		ids = strings.Split(fig, ",")
+		for i, id := range ids {
+			ids[i] = strings.TrimSpace(id)
+			if !slices.Contains(known, ids[i]) {
+				return fmt.Errorf("unknown figure %q (available: %s)", ids[i], strings.Join(known, ", "))
+			}
+		}
 	}
 
-	var sink *os.File = os.Stdout
-	if *out != "" {
-		f, err := os.OpenFile(*out, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	sink := os.Stdout
+	if out != "" {
+		f, err := os.OpenFile(out, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer f.Close()
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		sink = f
 	}
 
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
 		start := time.Now()
 		figure, err := experiments.Run(id, cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintln(sink, figure.Table())
-		fmt.Fprintf(sink, "(regenerated in %s)\n\n", time.Since(start).Round(time.Millisecond))
+		if _, err := fmt.Fprintf(sink, "%s\n(regenerated in %s)\n\n", figure.Table(), time.Since(start).Round(time.Millisecond)); err != nil {
+			return err
+		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cfdbench:", err)
-	os.Exit(1)
+	return nil
 }

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"repro/cfd"
@@ -35,10 +36,14 @@ import (
 )
 
 func main() {
+	var algorithms []string
+	for _, alg := range discovery.Algorithms() {
+		algorithms = append(algorithms, string(alg))
+	}
 	var (
 		input     = flag.String("input", "", "input CSV file with a header row")
 		demo      = flag.Bool("demo", false, "use the built-in cust relation of Fig. 1 instead of -input")
-		algorithm = flag.String("algorithm", "fastcfd", "algorithm: cfdminer, ctane, fastcfd, naivefast, tane, fastfd, brute")
+		algorithm = flag.String("algorithm", "fastcfd", "algorithm: "+strings.Join(algorithms, ", "))
 		support   = flag.Int("support", 2, "support threshold k (k-frequent CFDs only)")
 		maxLHS    = flag.Int("maxlhs", 0, "bound on the number of LHS attributes (0 = unbounded)")
 		varOnly   = flag.Bool("variable-only", false, "report variable CFDs only")
@@ -52,6 +57,10 @@ func main() {
 	)
 	flag.Parse()
 
+	// Checked before the input is read: loading can take arbitrarily long.
+	if !slices.Contains(algorithms, *algorithm) {
+		fatal(fmt.Errorf("unknown algorithm %q (available: %s)", *algorithm, strings.Join(algorithms, ", ")))
+	}
 	rel, err := loadRelation(*input, *demo)
 	if err != nil {
 		fatal(err)

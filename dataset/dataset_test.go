@@ -2,6 +2,7 @@ package dataset_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -312,11 +313,11 @@ func TestInjectNoise(t *testing.T) {
 // data yields conditional rules for both general algorithms.
 func TestDiscoveryOnWisconsinLike(t *testing.T) {
 	rel := dataset.WisconsinLike(200, 2)
-	res, err := discovery.FastCFD(rel, discovery.Options{Support: 20, MaxLHS: 3})
+	set, err := discovery.NewEngine(discovery.AlgFastCFD, rel, discovery.WithSupport(20), discovery.WithMaxLHS(3)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.CFDs) == 0 {
+	if set.Len() == 0 {
 		t.Error("expected CFDs on WBC-shaped data")
 	}
 }

@@ -1,6 +1,7 @@
 package dataset_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/dataset"
@@ -96,11 +97,11 @@ func TestSampleDiscoveryRecall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discovery.FastCFD(sample, discovery.Options{Support: 20, MaxLHS: 2})
+	set, err := discovery.NewEngine(discovery.AlgFastCFD, sample, discovery.WithSupport(20), discovery.WithMaxLHS(2)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.CFDs) == 0 {
+	if set.Len() == 0 {
 		t.Fatal("no rules discovered on the sample")
 	}
 	// The generator's exact dependency AC -> CT must be rediscovered on the
@@ -109,7 +110,7 @@ func TestSampleDiscoveryRecall(t *testing.T) {
 	// specific rules legitimately do not, which is the caveat §8 discusses).
 	foundACCT := false
 	holding := 0
-	for _, c := range res.CFDs {
+	for _, c := range set.CFDs() {
 		if c.IsFD() && len(c.LHS) == 1 && c.LHS[0] == "AC" && c.RHS == "CT" {
 			foundACCT = true
 		}
@@ -124,5 +125,5 @@ func TestSampleDiscoveryRecall(t *testing.T) {
 	if holding == 0 {
 		t.Error("no sampled rule holds on the full relation")
 	}
-	t.Logf("%d of %d sampled rules hold on the full relation", holding, len(res.CFDs))
+	t.Logf("%d of %d sampled rules hold on the full relation", holding, set.Len())
 }

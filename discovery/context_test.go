@@ -19,12 +19,12 @@ func TestDiscoverContextPreCancelled(t *testing.T) {
 	r := cust()
 	for _, alg := range discovery.Algorithms() {
 		start := time.Now()
-		res, err := discovery.DiscoverContext(ctx, alg, r, discovery.Options{Support: 2})
+		set, err := discovery.NewEngine(alg, r, discovery.WithSupport(2)).Run(ctx)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", alg, err)
 		}
-		if res != nil {
-			t.Errorf("%s: expected nil result from a cancelled run", alg)
+		if set != nil {
+			t.Errorf("%s: expected nil rule set from a cancelled run", alg)
 		}
 		if elapsed := time.Since(start); elapsed > 2*time.Second {
 			t.Errorf("%s: cancelled run took %s", alg, elapsed)
@@ -45,7 +45,7 @@ func TestDiscoverContextCancelMidRun(t *testing.T) {
 	}
 	for _, alg := range []discovery.Algorithm{discovery.AlgCFDMiner, discovery.AlgCTANE, discovery.AlgFastCFD} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		_, err = discovery.DiscoverContext(ctx, alg, rel, discovery.Options{Support: 2})
+		_, err = discovery.NewEngine(alg, rel, discovery.WithSupport(2)).Run(ctx)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%s: err = %v, want context.DeadlineExceeded", alg, err)
@@ -53,9 +53,9 @@ func TestDiscoverContextCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestDiscoverWorkersDeterministic asserts, through the public API, that
-// Workers: 2, 4 and 8 produce exactly the same CFD list, order included, as
-// Workers: 1 for every parallel algorithm on the fixture relations.
+// TestDiscoverWorkersDeterministic asserts, through the public API, that 2, 4
+// and 8 workers produce exactly the same CFD list, order included, as one
+// worker for every parallel algorithm on the fixture relations.
 func TestDiscoverWorkersDeterministic(t *testing.T) {
 	gen, err := dataset.Tax(dataset.TaxConfig{Size: 400, Arity: 7, CF: 0.5, Seed: 1})
 	if err != nil {
@@ -70,21 +70,15 @@ func TestDiscoverWorkersDeterministic(t *testing.T) {
 	}
 	for name, rs := range rels {
 		for _, alg := range algs {
-			seq, err := discovery.Discover(alg, rs.rel, discovery.Options{Support: rs.k, Workers: 1})
-			if err != nil {
-				t.Fatalf("%s/%s sequential: %v", name, alg, err)
-			}
+			seq := mine(t, alg, rs.rel, discovery.WithSupport(rs.k), discovery.WithWorkers(1)).CFDs()
 			for _, workers := range []int{2, 4, 8} {
-				par, err := discovery.Discover(alg, rs.rel, discovery.Options{Support: rs.k, Workers: workers})
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", name, alg, workers, err)
-				}
-				if len(seq.CFDs) != len(par.CFDs) {
-					t.Errorf("%s/%s: sequential %d CFDs, %d workers %d", name, alg, len(seq.CFDs), workers, len(par.CFDs))
+				par := mine(t, alg, rs.rel, discovery.WithSupport(rs.k), discovery.WithWorkers(workers)).CFDs()
+				if len(seq) != len(par) {
+					t.Errorf("%s/%s: sequential %d CFDs, %d workers %d", name, alg, len(seq), workers, len(par))
 					continue
 				}
-				for i := range seq.CFDs {
-					if seq.CFDs[i].Normalize().String() != par.CFDs[i].Normalize().String() {
+				for i := range seq {
+					if seq[i].Normalize().String() != par[i].Normalize().String() {
 						t.Errorf("%s/%s: CFD %d differs between 1 and %d workers", name, alg, i, workers)
 						break
 					}

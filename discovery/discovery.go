@@ -1,14 +1,5 @@
 package discovery
 
-import (
-	"context"
-	"io"
-	"time"
-
-	"repro/cfd"
-	"repro/rules"
-)
-
 // Algorithm names a discovery algorithm.
 type Algorithm string
 
@@ -27,147 +18,3 @@ const (
 func Algorithms() []Algorithm {
 	return []Algorithm{AlgCFDMiner, AlgCTANE, AlgFastCFD, AlgNaiveFast, AlgTANE, AlgFastFD, AlgBrute}
 }
-
-// Options configures a batch discovery run. It is the struct-shaped
-// counterpart of the Engine's functional options, kept for the Discover /
-// DiscoverContext facade; EngineOptions converts it.
-type Options struct {
-	// Support is the threshold k: only k-frequent CFDs are reported. Values
-	// below 1 are treated as 1. Ignored by the FD baselines.
-	Support int
-	// MaxLHS, when positive, bounds the number of attributes on the left-hand
-	// side of reported CFDs (supported by CTANE, FastCFD and NaiveFast).
-	MaxLHS int
-	// VariableOnly suppresses constant CFDs (FastCFD/NaiveFast only); the paper
-	// uses this split when reporting CFD counts.
-	VariableOnly bool
-	// DisableItemsetOptimisation turns off FastCFD's §5.5 optimisation of taking
-	// constant CFDs from CFDMiner, producing them inside FindMin instead.
-	DisableItemsetOptimisation bool
-	// Workers bounds the number of goroutines a discovery run may use: 0 runs
-	// one worker per available CPU (the default), 1 runs sequentially, and any
-	// larger value is used as given. CFDMiner, CTANE, FastCFD and NaiveFast
-	// all parallelise under this setting; the discovered cover is identical
-	// for every worker count.
-	Workers int
-}
-
-// EngineOptions converts the struct form into the Engine's functional
-// options, for callers migrating to NewEngine:
-//
-//	eng := discovery.NewEngine(alg, rel, opts.EngineOptions()...)
-func (o Options) EngineOptions() []Option {
-	out := []Option{WithSupport(o.Support), WithMaxLHS(o.MaxLHS), WithWorkers(o.Workers)}
-	if o.VariableOnly {
-		out = append(out, WithVariableOnly(true))
-	}
-	if o.DisableItemsetOptimisation {
-		out = append(out, WithoutItemsetOptimisation())
-	}
-	return out
-}
-
-// Result is the outcome of one batch discovery run.
-type Result struct {
-	Algorithm Algorithm
-	Support   int
-	CFDs      []cfd.CFD
-	// Constant and Variable count the two classes of reported CFDs.
-	Constant int
-	Variable int
-	// Tuples and Attributes record the size of the mined relation, for the
-	// rule-file summary line.
-	Tuples     int
-	Attributes int
-	// Elapsed is the wall-clock time of the discovery call itself (excluding
-	// data loading).
-	Elapsed time.Duration
-}
-
-// resultOf converts a collected rule set into the legacy Result shape.
-func resultOf(set *rules.Set) *Result {
-	prov := set.Provenance()
-	return &Result{
-		Algorithm:  Algorithm(prov.Algorithm),
-		Support:    prov.Support,
-		CFDs:       set.CFDs(),
-		Constant:   set.Constant(),
-		Variable:   set.Variable(),
-		Tuples:     prov.Tuples,
-		Attributes: prov.Attributes,
-		Elapsed:    prov.Elapsed,
-	}
-}
-
-// Set re-wraps the result as the *rules.Set the rest of the system consumes
-// (repro/violation, repro/cleaning, cmd/cfdserve).
-func (r *Result) Set() *rules.Set {
-	return rules.New(r.CFDs, rules.Provenance{
-		Algorithm:  string(r.Algorithm),
-		Support:    r.Support,
-		Tuples:     r.Tuples,
-		Attributes: r.Attributes,
-		Elapsed:    r.Elapsed,
-	})
-}
-
-// RulesText renders the result as a rule file: a '#' summary comment followed
-// by one CFD per line in the paper's notation, sorted deterministically. The
-// output round-trips through rules.Parse / cfd.ParseAll and is the format
-// consumed by cfdclean -rules and cfdserve -rules.
-func (r *Result) RulesText() string { return r.Set().Text() }
-
-// WriteRules writes RulesText to w.
-func (r *Result) WriteRules(w io.Writer) error { return r.Set().Write(w) }
-
-// SaveRules writes the rule file to path, for handing a discovery run to the
-// detection tools.
-func (r *Result) SaveRules(path string) error { return r.Set().Save(path) }
-
-// Discover runs the named algorithm on the relation.
-func Discover(alg Algorithm, r *cfd.Relation, opts Options) (*Result, error) {
-	return DiscoverContext(context.Background(), alg, r, opts)
-}
-
-// DiscoverContext runs the named algorithm on the relation under a context,
-// so long runs can be deadlined or cancelled. Cancellation is cooperative:
-// the levelwise algorithms observe it between the work units of a lattice
-// level, the depth-first ones between per-attribute searches. A cancelled run
-// returns ctx.Err() (possibly wrapped by the deadline machinery).
-//
-// DiscoverContext is a thin wrapper over NewEngine(...).Run: it collects the
-// stream into the full cover and reshapes the rule set as a *Result.
-func DiscoverContext(ctx context.Context, alg Algorithm, r *cfd.Relation, opts Options) (*Result, error) {
-	set, err := NewEngine(alg, r, opts.EngineOptions()...).Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return resultOf(set), nil
-}
-
-// CFDMiner discovers the k-frequent minimal constant CFDs of r (§3).
-func CFDMiner(r *cfd.Relation, opts Options) (*Result, error) { return Discover(AlgCFDMiner, r, opts) }
-
-// CTANE discovers the k-frequent minimal CFDs of r levelwise (§4).
-func CTANE(r *cfd.Relation, opts Options) (*Result, error) { return Discover(AlgCTANE, r, opts) }
-
-// FastCFD discovers the k-frequent minimal CFDs of r depth-first, deriving
-// difference sets from 2-frequent closed item sets (§5).
-func FastCFD(r *cfd.Relation, opts Options) (*Result, error) { return Discover(AlgFastCFD, r, opts) }
-
-// NaiveFast is FastCFD with partition-based difference sets (§5.4).
-func NaiveFast(r *cfd.Relation, opts Options) (*Result, error) {
-	return Discover(AlgNaiveFast, r, opts)
-}
-
-// TANE discovers the minimal functional dependencies of r (baseline).
-func TANE(r *cfd.Relation, opts Options) (*Result, error) { return Discover(AlgTANE, r, opts) }
-
-// FastFD discovers the minimal functional dependencies of r depth-first
-// (baseline).
-func FastFD(r *cfd.Relation, opts Options) (*Result, error) { return Discover(AlgFastFD, r, opts) }
-
-// BruteForce enumerates every minimal k-frequent CFD exhaustively. It is a
-// test oracle: use it only on relations with a handful of attributes and small
-// active domains.
-func BruteForce(r *cfd.Relation, opts Options) (*Result, error) { return Discover(AlgBrute, r, opts) }

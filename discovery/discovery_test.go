@@ -1,16 +1,27 @@
 package discovery_test
 
 import (
-	"os"
+	"context"
 	"strings"
 	"testing"
 
 	"repro/cfd"
 	"repro/dataset"
 	"repro/discovery"
+	"repro/rules"
 )
 
 func cust() *cfd.Relation { return dataset.Cust() }
+
+// mine runs one algorithm to its full cover, failing the test on error.
+func mine(t *testing.T, alg discovery.Algorithm, r *cfd.Relation, opts ...discovery.Option) *rules.Set {
+	t.Helper()
+	set, err := discovery.NewEngine(alg, r, opts...).Run(context.Background())
+	if err != nil {
+		t.Fatalf("%s: %v", alg, err)
+	}
+	return set
+}
 
 func keys(cfds []cfd.CFD) map[string]bool {
 	m := make(map[string]bool, len(cfds))
@@ -23,22 +34,18 @@ func keys(cfds []cfd.CFD) map[string]bool {
 func TestDiscoverAllAlgorithmsRun(t *testing.T) {
 	r := cust()
 	for _, alg := range discovery.Algorithms() {
-		res, err := discovery.Discover(alg, r, discovery.Options{Support: 2})
-		if err != nil {
-			t.Errorf("%s: %v", alg, err)
-			continue
+		set := mine(t, alg, r, discovery.WithSupport(2))
+		if p := set.Provenance(); p.Algorithm != string(alg) || p.Support != 2 {
+			t.Errorf("%s: provenance wrong: %+v", alg, p)
 		}
-		if res.Algorithm != alg || res.Support != 2 {
-			t.Errorf("%s: result metadata wrong: %+v", alg, res)
-		}
-		if res.Constant+res.Variable != len(res.CFDs) {
+		if set.Constant()+set.Variable() != set.Len() {
 			t.Errorf("%s: class counts do not add up", alg)
 		}
-		if alg != discovery.AlgTANE && alg != discovery.AlgFastFD && len(res.CFDs) == 0 {
+		if alg != discovery.AlgTANE && alg != discovery.AlgFastFD && set.Len() == 0 {
 			t.Errorf("%s: expected some CFDs on cust", alg)
 		}
 	}
-	if _, err := discovery.Discover("nope", r, discovery.Options{}); err == nil {
+	if _, err := discovery.NewEngine("nope", r).Run(context.Background()); err == nil {
 		t.Error("unknown algorithm must error")
 	}
 }
@@ -48,37 +55,20 @@ func TestDiscoverAllAlgorithmsRun(t *testing.T) {
 func TestGeneralAlgorithmsAgree(t *testing.T) {
 	r := cust()
 	for _, k := range []int{2, 3} {
-		opts := discovery.Options{Support: k}
-		ct, err := discovery.CTANE(r, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc, err := discovery.FastCFD(r, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nf, err := discovery.NaiveFast(r, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		br, err := discovery.BruteForce(r, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := keys(br.CFDs)
-		for name, res := range map[string]*discovery.Result{"ctane": ct, "fastcfd": fc, "naivefast": nf} {
-			got := keys(res.CFDs)
+		want := keys(mine(t, discovery.AlgBrute, r, discovery.WithSupport(k)).CFDs())
+		for _, alg := range []discovery.Algorithm{discovery.AlgCTANE, discovery.AlgFastCFD, discovery.AlgNaiveFast} {
+			got := keys(mine(t, alg, r, discovery.WithSupport(k)).CFDs())
 			if len(got) != len(want) {
-				t.Errorf("k=%d %s: %d CFDs, brute force %d", k, name, len(got), len(want))
+				t.Errorf("k=%d %s: %d CFDs, brute force %d", k, alg, len(got), len(want))
 			}
 			for s := range want {
 				if !got[s] {
-					t.Errorf("k=%d %s: missing %s", k, name, s)
+					t.Errorf("k=%d %s: missing %s", k, alg, s)
 				}
 			}
 			for s := range got {
 				if !want[s] {
-					t.Errorf("k=%d %s: spurious %s", k, name, s)
+					t.Errorf("k=%d %s: spurious %s", k, alg, s)
 				}
 			}
 		}
@@ -89,25 +79,19 @@ func TestGeneralAlgorithmsAgree(t *testing.T) {
 // the constant-classified CFDs of FastCFD.
 func TestCFDMinerSubsetOfFastCFD(t *testing.T) {
 	r := cust()
-	miner, err := discovery.CFDMiner(r, discovery.Options{Support: 2})
-	if err != nil {
-		t.Fatal(err)
+	miner := mine(t, discovery.AlgCFDMiner, r, discovery.WithSupport(2))
+	full := mine(t, discovery.AlgFastCFD, r, discovery.WithSupport(2))
+	if miner.Variable() != 0 {
+		t.Errorf("CFDMiner reported %d variable CFDs", miner.Variable())
 	}
-	full, err := discovery.FastCFD(r, discovery.Options{Support: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if miner.Variable != 0 {
-		t.Errorf("CFDMiner reported %d variable CFDs", miner.Variable)
-	}
-	fullKeys := keys(full.CFDs)
-	for _, c := range miner.CFDs {
+	fullKeys := keys(full.CFDs())
+	for _, c := range miner.CFDs() {
 		if !fullKeys[c.Normalize().String()] {
 			t.Errorf("CFDMiner CFD missing from FastCFD output: %s", c)
 		}
 	}
-	if miner.Constant != full.Constant {
-		t.Errorf("constant counts differ: CFDMiner %d, FastCFD %d", miner.Constant, full.Constant)
+	if miner.Constant() != full.Constant() {
+		t.Errorf("constant counts differ: CFDMiner %d, FastCFD %d", miner.Constant(), full.Constant())
 	}
 }
 
@@ -115,11 +99,7 @@ func TestCFDMinerSubsetOfFastCFD(t *testing.T) {
 // everything discovered.
 func TestResultsAreMinimalOnRelation(t *testing.T) {
 	r := cust()
-	res, err := discovery.FastCFD(r, discovery.Options{Support: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range res.CFDs {
+	for _, c := range mine(t, discovery.AlgFastCFD, r, discovery.WithSupport(2)).CFDs() {
 		min, err := r.IsMinimal(c)
 		if err != nil {
 			t.Fatalf("IsMinimal(%s): %v", c, err)
@@ -136,18 +116,11 @@ func TestResultsAreMinimalOnRelation(t *testing.T) {
 
 func TestVariableOnlyAndMaxLHS(t *testing.T) {
 	r := cust()
-	res, err := discovery.FastCFD(r, discovery.Options{Support: 2, VariableOnly: true})
-	if err != nil {
-		t.Fatal(err)
+	set := mine(t, discovery.AlgFastCFD, r, discovery.WithSupport(2), discovery.WithVariableOnly(true))
+	if set.Constant() != 0 || set.Variable() == 0 {
+		t.Errorf("VariableOnly: constant=%d variable=%d", set.Constant(), set.Variable())
 	}
-	if res.Constant != 0 || res.Variable == 0 {
-		t.Errorf("VariableOnly: constant=%d variable=%d", res.Constant, res.Variable)
-	}
-	res, err = discovery.CTANE(r, discovery.Options{Support: 2, MaxLHS: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range res.CFDs {
+	for _, c := range mine(t, discovery.AlgCTANE, r, discovery.WithSupport(2), discovery.WithMaxLHS(1)).CFDs() {
 		if len(c.LHS) > 1 {
 			t.Errorf("MaxLHS=1 violated: %s", c)
 		}
@@ -156,15 +129,8 @@ func TestVariableOnlyAndMaxLHS(t *testing.T) {
 
 func TestFDBaselinesAgree(t *testing.T) {
 	r := cust()
-	taneRes, err := discovery.TANE(r, discovery.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fastfdRes, err := discovery.FastFD(r, discovery.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := keys(taneRes.CFDs), keys(fastfdRes.CFDs)
+	taneFDs := mine(t, discovery.AlgTANE, r).CFDs()
+	a, b := keys(taneFDs), keys(mine(t, discovery.AlgFastFD, r).CFDs())
 	if len(a) != len(b) {
 		t.Fatalf("TANE %d FDs, FastFD %d", len(a), len(b))
 	}
@@ -173,7 +139,7 @@ func TestFDBaselinesAgree(t *testing.T) {
 			t.Errorf("FastFD missing %s", s)
 		}
 	}
-	for _, c := range taneRes.CFDs {
+	for _, c := range taneFDs {
 		if !c.IsFD() {
 			t.Errorf("TANE produced a non-FD: %s", c)
 		}
@@ -187,19 +153,12 @@ func TestDiscoverOnGeneratedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := discovery.Options{Support: 4}
-	ct, err := discovery.CTANE(rel, opts)
-	if err != nil {
-		t.Fatal(err)
+	ct := mine(t, discovery.AlgCTANE, rel, discovery.WithSupport(4))
+	fc := mine(t, discovery.AlgFastCFD, rel, discovery.WithSupport(4))
+	if ct.Len() == 0 || fc.Len() == 0 {
+		t.Fatalf("expected CFDs on generated data: ctane=%d fastcfd=%d", ct.Len(), fc.Len())
 	}
-	fc, err := discovery.FastCFD(rel, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ct.CFDs) == 0 || len(fc.CFDs) == 0 {
-		t.Fatalf("expected CFDs on generated data: ctane=%d fastcfd=%d", len(ct.CFDs), len(fc.CFDs))
-	}
-	a, b := keys(ct.CFDs), keys(fc.CFDs)
+	a, b := keys(ct.CFDs()), keys(fc.CFDs())
 	if len(a) != len(b) {
 		t.Errorf("CTANE found %d CFDs, FastCFD %d", len(a), len(b))
 	}
@@ -215,47 +174,32 @@ func TestDiscoverOnGeneratedData(t *testing.T) {
 	}
 }
 
-// TestRuleExportRoundTrip checks the rule-file helpers: SaveRules/WriteRules
-// emit the format cfd.ParseAll (and thus cfdclean -rules / cfdserve -rules)
-// reads back, preserving the rule set exactly.
+// TestRuleExportRoundTrip checks that a discovered set's rule file — the
+// format cfdclean -rules and cfdserve -rules read — parses back to exactly
+// the same rules and provenance.
 func TestRuleExportRoundTrip(t *testing.T) {
-	res, err := discovery.FastCFD(cust(), discovery.Options{Support: 2})
+	set := mine(t, discovery.AlgFastCFD, cust(), discovery.WithSupport(2))
+	if p := set.Provenance(); p.Tuples != 8 || p.Attributes != 7 {
+		t.Fatalf("relation size metadata = %d x %d, want 8 x 7", p.Tuples, p.Attributes)
+	}
+	text := set.Text()
+	if !strings.HasPrefix(text, "# fastcfd on 8 tuples x 7 attributes") {
+		t.Fatalf("missing summary header: %q", text[:60])
+	}
+	parsed, err := rules.Parse(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Tuples != 8 || res.Attributes != 7 {
-		t.Fatalf("relation size metadata = %d x %d, want 8 x 7", res.Tuples, res.Attributes)
-	}
-	path := t.TempDir() + "/rules.txt"
-	if err := res.SaveRules(path); err != nil {
-		t.Fatal(err)
-	}
-	text, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(text), "# fastcfd on 8 tuples x 7 attributes") {
-		t.Fatalf("missing summary header: %q", string(text)[:60])
-	}
-	parsed, err := cfd.ParseAll(string(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := keys(parsed), keys(res.CFDs); len(got) != len(want) {
+	got, want := keys(parsed.CFDs()), keys(set.CFDs())
+	if len(got) != len(want) {
 		t.Fatalf("round trip lost rules: %d parsed, %d discovered", len(got), len(want))
-	} else {
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("rule %s missing after round trip", k)
-			}
+	}
+	for k := range want {
+		if !got[k] {
+			t.Fatalf("rule %s missing after round trip", k)
 		}
 	}
-	// WriteRules emits the same bytes.
-	var buf strings.Builder
-	if err := res.WriteRules(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != string(text) {
-		t.Fatal("WriteRules and SaveRules disagree")
+	if p := parsed.Provenance(); p.Algorithm != "fastcfd" || p.Support != 2 || p.Tuples != 8 || p.Attributes != 7 {
+		t.Errorf("provenance lost in round trip: %+v", p)
 	}
 }

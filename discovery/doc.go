@@ -29,10 +29,4 @@
 // Run returns a *rules.Set — the rule-set currency shared with repro/rules,
 // repro/violation, repro/cleaning and cmd/cfdserve — carrying the run's
 // provenance (algorithm, support, relation shape, elapsed time).
-//
-// # The batch facade
-//
-// Discover, DiscoverContext and the per-algorithm helpers (CTANE, FastCFD,
-// ...) are thin wrappers over Engine.Run kept for batch callers; they take an
-// Options struct and return a *Result with the same cover.
 package discovery

@@ -104,12 +104,11 @@ func NewEngine(alg Algorithm, rel *cfd.Relation, opts ...Option) *Engine {
 }
 
 // mine dispatches to the algorithm implementations. With a nil emit it
-// returns the full cover, like the batch facade always has; with a non-nil
-// emit the streaming-capable miners hand rules out as they find them (CTANE
-// per lattice level, CFDMiner per free item set, FastCFD/NaiveFast per
-// right-hand-side attribute) and return a nil slice, while the FD baselines
-// and the brute-force oracle mine fully and then emit their (already sorted)
-// cover.
+// returns the full cover; with a non-nil emit the streaming-capable miners
+// hand rules out as they find them (CTANE per lattice level, CFDMiner per free
+// item set, FastCFD/NaiveFast per right-hand-side attribute) and return a nil
+// slice, while the FD baselines and the brute-force oracle mine fully and then
+// emit their (already sorted) cover.
 func (e *Engine) mine(ctx context.Context, emit func(core.CFD)) ([]core.CFD, error) {
 	r := e.rel
 	k := e.cfg.supportOrOne()
@@ -183,9 +182,9 @@ func emitAll(out []core.CFD, err error) func(func(core.CFD)) ([]core.CFD, error)
 // cancellation included) is yielded as the final element's error. The yielded
 // sequence is deterministic: identical for every worker count.
 //
-// Collecting an unlimited stream yields exactly the cover of Run and of the
-// batch Discover facade (up to order, which the stream derives from the
-// miners' traversal rather than the canonical sort).
+// Collecting an unlimited stream yields exactly the cover of Run (up to
+// order, which the stream derives from the miners' traversal rather than the
+// canonical sort).
 func (e *Engine) Stream(ctx context.Context) iter.Seq2[cfd.CFD, error] {
 	return func(yield func(cfd.CFD, error) bool) {
 		mctx, cancel := context.WithCancel(ctx)
@@ -229,14 +228,15 @@ func (e *Engine) Stream(ctx context.Context) iter.Seq2[cfd.CFD, error] {
 	}
 }
 
-// Run collects the run into a rules.Set carrying the run's provenance. An
-// unlimited Run produces exactly the cover of the legacy Discover facade
-// (deduplicated, canonically sorted); with WithLimit it stops early like the
-// stream does.
+// Run collects the run into a rules.Set carrying the run's provenance: the
+// cover deduplicated and canonically sorted, or with WithLimit the first
+// rules of the stream. Cancellation is cooperative — the levelwise algorithms
+// observe it between the work units of a lattice level, the depth-first ones
+// between per-attribute searches — and a cancelled run returns ctx.Err().
 //
 // A run with neither limit nor progress callback takes the miners' batch
-// path directly — no per-rule channel handoff — so the legacy facade keeps
-// its original cost; otherwise Run drains Stream.
+// path directly, with no per-rule channel handoff; otherwise Run drains
+// Stream.
 func (e *Engine) Run(ctx context.Context) (*rules.Set, error) {
 	start := time.Now()
 	var collected []cfd.CFD

@@ -34,8 +34,9 @@ func sortedText(cfds []cfd.CFD) string {
 }
 
 // TestStreamMatchesDiscover is the streaming-parity harness: for every
-// algorithm and worker count, collecting Stream with no limit, Engine.Run and
-// the legacy Discover facade must produce byte-identical rule files.
+// algorithm, collecting Stream with no limit must produce, at every worker
+// count, the rule file of an unlimited Run — itself the same at every worker
+// count.
 func TestStreamMatchesDiscover(t *testing.T) {
 	gen, err := dataset.Tax(dataset.TaxConfig{Size: 400, Arity: 7, CF: 0.5, Seed: 1})
 	if err != nil {
@@ -50,27 +51,24 @@ func TestStreamMatchesDiscover(t *testing.T) {
 			if name == "tax" && alg == discovery.AlgBrute {
 				continue // the oracle is for tiny inputs only
 			}
-			legacy, err := discovery.Discover(alg, rs.rel, discovery.Options{Support: rs.k})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, alg, err)
-			}
-			want := sortedText(legacy.CFDs)
+			batch := mine(t, alg, rs.rel, discovery.WithSupport(rs.k))
+			want := sortedText(batch.CFDs())
 			for _, workers := range []int{1, 4} {
 				eng := discovery.NewEngine(alg, rs.rel,
 					discovery.WithSupport(rs.k), discovery.WithWorkers(workers))
 				if got := sortedText(collect(t, eng)); got != want {
-					t.Errorf("%s/%s workers=%d: stream disagrees with Discover\nstream:\n%s\nbatch:\n%s", name, alg, workers, got, want)
+					t.Errorf("%s/%s workers=%d: stream disagrees with Run\nstream:\n%s\nbatch:\n%s", name, alg, workers, got, want)
 				}
 				set, err := eng.Run(context.Background())
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: Run: %v", name, alg, workers, err)
 				}
 				if got := sortedText(set.CFDs()); got != want {
-					t.Errorf("%s/%s workers=%d: Run disagrees with Discover", name, alg, workers)
+					t.Errorf("%s/%s workers=%d: Run disagrees with Run at the default worker count", name, alg, workers)
 				}
-				if set.Constant() != legacy.Constant || set.Variable() != legacy.Variable {
-					t.Errorf("%s/%s workers=%d: class counts (%d, %d) vs legacy (%d, %d)",
-						name, alg, workers, set.Constant(), set.Variable(), legacy.Constant, legacy.Variable)
+				if set.Constant() != batch.Constant() || set.Variable() != batch.Variable() {
+					t.Errorf("%s/%s workers=%d: class counts (%d, %d) vs (%d, %d)",
+						name, alg, workers, set.Constant(), set.Variable(), batch.Constant(), batch.Variable())
 				}
 			}
 		}

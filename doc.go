@@ -28,8 +28,9 @@
 //     ApplyRepairs; detection and the repair rule live in repro/violation.
 //   - repro/experiments — regeneration of every figure of the paper's §6.
 //
-// The root package only hosts the paper-figure Go benchmarks (bench_test.go,
-// `make figures`); see README.md for a walkthrough and the operations guide,
-// and ARCHITECTURE.md for the package-layer map, the data flow from the
-// paper's algorithms to the serving layer, and the snapshot/WAL lifecycle.
+// The root package holds no code. See README.md for a walkthrough and the
+// operations guide (`make figures` regenerates the paper's figures through
+// cmd/cfdbench), and ARCHITECTURE.md for the package-layer map, the data flow
+// from the paper's algorithms to the serving layer, and the snapshot/WAL
+// lifecycle.
 package repro

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,17 +30,17 @@ func main() {
 	// Constant CFDs only: CFDMiner is orders of magnitude cheaper than general
 	// CFD discovery (Fig. 5 of the paper), which matters when rules are refreshed
 	// often.
-	res, err := discovery.CFDMiner(rel, discovery.Options{Support: 50})
+	set, err := discovery.NewEngine(discovery.AlgCFDMiner, rel, discovery.WithSupport(50)).Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("CFDMiner found %d constant CFDs with support >= 50 in %s\n",
-		len(res.CFDs), res.Elapsed.Round(1e6))
+		set.Len(), set.Provenance().Elapsed.Round(1e6))
 
 	// Keep the compact, single-antecedent rules: they link one known value to
 	// one implied value, which is the form object identification consumes.
 	var linkRules []cfd.CFD
-	for _, c := range res.CFDs {
+	for _, c := range set.CFDs() {
 		if len(c.LHS) == 1 {
 			linkRules = append(linkRules, c)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,22 +21,20 @@ func main() {
 	fmt.Printf("cust relation: %d tuples over %v\n\n", rel.Size(), rel.Attributes())
 
 	// Discover a canonical cover of minimal, 2-frequent CFDs.
-	res, err := discovery.FastCFD(rel, discovery.Options{Support: 2})
+	set, err := discovery.NewEngine(discovery.AlgFastCFD, rel, discovery.WithSupport(2)).Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("FastCFD found %d minimal 2-frequent CFDs (%d constant, %d variable) in %s:\n",
-		len(res.CFDs), res.Constant, res.Variable, res.Elapsed.Round(1e6))
-	sorted := append([]cfd.CFD(nil), res.CFDs...)
-	cfd.SortCFDs(sorted)
-	for _, c := range sorted {
+		set.Len(), set.Constant(), set.Variable(), set.Provenance().Elapsed.Round(1e6))
+	for _, c := range set.CFDs() {
 		fmt.Println("  ", c)
 	}
 
 	// The same rules grouped into pattern tableaux (§2.3 of the paper): one
 	// tableau per embedded FD.
 	fmt.Println("\nPattern-tableau view:")
-	for _, t := range cfd.BuildTableaux(res.CFDs) {
+	for _, t := range cfd.BuildTableaux(set.CFDs()) {
 		sup, err := rel.TableauSupport(t)
 		if err != nil {
 			log.Fatal(err)

@@ -1,74 +1,34 @@
 // The scalability example is a miniature of the paper's §6 evaluation: it
-// compares CFDMiner, CTANE, NaiveFast and FastCFD on generated tax data while
-// one parameter (DBSIZE or ARITY) grows, and prints the response times side by
-// side so the trade-offs of §6.2.3 are visible on a laptop within a minute.
-// Run it with:
+// regenerates the DBSIZE and ARITY sweeps (Figs. 5 and 7) at the smoke-test
+// scale and prints the response times of CFDMiner, CTANE, NaiveFast and
+// FastCFD side by side, so the trade-offs of §6.2.3 are visible on a laptop
+// within seconds. Run it with:
 //
 //	go run ./examples/scalability
 //
-// For the full reproduction of every figure use cmd/cfdbench instead.
+// For every figure, at the default or the paper's scale, use cmd/cfdbench.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/cfd"
-	"repro/dataset"
-	"repro/discovery"
+	"repro/experiments"
 )
 
 func main() {
-	fmt.Println("== response time vs DBSIZE (ARITY=7, CF=0.7, k=0.5% of DBSIZE) ==")
-	fmt.Printf("%-8s %16s %16s %16s %16s\n", "DBSIZE", "CFDMiner", "CTANE", "NaiveFast", "FastCFD")
-	for _, size := range []int{1000, 2000, 4000} {
-		rel, err := dataset.Tax(dataset.TaxConfig{Size: size, Arity: 7, CF: 0.7, Seed: 1})
+	// One worker, as on the paper's single-threaded testbed.
+	cfg := experiments.Config{Quick: true, Workers: 1}
+	for _, id := range []string{"fig05", "fig07"} {
+		fig, err := experiments.Run(id, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		k := maxInt(5, size/200)
-		fmt.Printf("%-8d %16s %16s %16s %16s\n", size,
-			timeOf(discovery.AlgCFDMiner, rel, k),
-			timeOf(discovery.AlgCTANE, rel, k),
-			timeOf(discovery.AlgNaiveFast, rel, k),
-			timeOf(discovery.AlgFastCFD, rel, k))
+		fmt.Println(fig.Table())
 	}
 
-	fmt.Println("\n== response time vs ARITY (DBSIZE=1500, CF=0.7, k=8) ==")
-	fmt.Printf("%-8s %16s %16s %16s\n", "ARITY", "CTANE", "NaiveFast", "FastCFD")
-	for _, arity := range []int{7, 9, 11, 13} {
-		rel, err := dataset.Tax(dataset.TaxConfig{Size: 1500, Arity: arity, CF: 0.7, Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		ctane := "skipped"
-		if arity <= 11 {
-			ctane = timeOf(discovery.AlgCTANE, rel, 8)
-		}
-		fmt.Printf("%-8d %16s %16s %16s\n", arity,
-			ctane,
-			timeOf(discovery.AlgNaiveFast, rel, 8),
-			timeOf(discovery.AlgFastCFD, rel, 8))
-	}
-
-	fmt.Println("\nTakeaways (matching §6.2.3 of the paper):")
+	fmt.Println("Takeaways (matching §6.2.3 of the paper):")
 	fmt.Println("  1. CFDMiner, which only mines constant CFDs, is far faster than the general algorithms.")
 	fmt.Println("  2. CTANE degrades quickly as the arity grows; the depth-first algorithms do not.")
 	fmt.Println("  3. FastCFD's closed-item-set difference sets beat NaiveFast as DBSIZE grows.")
-}
-
-// timeOf runs one algorithm and renders "elapsed (count CFDs)".
-func timeOf(alg discovery.Algorithm, rel *cfd.Relation, k int) string {
-	res, err := discovery.Discover(alg, rel, discovery.Options{Support: k})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return fmt.Sprintf("%s (%d)", res.Elapsed.Round(1e6), len(res.CFDs))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,8 +6,9 @@
 //
 // Each figure is produced as a Figure value: a swept parameter on the x-axis
 // and one series per algorithm (response time in seconds) or per CFD class
-// (counts). The cmd/cfdbench command prints these tables and bench_test.go
-// exercises representative points as Go benchmarks.
+// (counts). Every figure is one entry of the table in figures.go — its sweep
+// per scale and its ordered series — run by the two loops below; the
+// cmd/cfdbench command prints the resulting tables.
 //
 // Scale: by default the sweeps are scaled down from the paper's testbed sizes
 // so that the whole suite runs on a laptop in minutes; Config.Full selects the
@@ -19,9 +20,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
-	"time"
 
 	"repro/cfd"
 	"repro/discovery"
@@ -33,12 +34,12 @@ type Config struct {
 	// Full selects the paper-scale parameters (DBSIZE up to 1M, ARITY up to 31,
 	// the full UCI data set sizes). Expect multi-hour runs, as in the paper.
 	Full bool
-	// Quick selects a minimal scale for smoke tests and Go benchmarks.
+	// Quick selects a minimal scale for smoke tests; it wins over Full.
 	Quick bool
 	// Seed makes data generation deterministic (default 1).
 	Seed int64
 	// Workers bounds the goroutines of each discovery run (0 = one per CPU,
-	// 1 = sequential; see discovery.Options.Workers). Paper-faithful timing
+	// 1 = sequential; see discovery.WithWorkers). Paper-faithful timing
 	// comparisons should set 1, since the paper's testbed was single-threaded.
 	Workers int
 }
@@ -48,6 +49,23 @@ func (c Config) seed() int64 {
 		return 1
 	}
 	return c.Seed
+}
+
+// The scales index the per-scale arrays of the figure table.
+const (
+	quick = iota
+	standard
+	full
+)
+
+func (c Config) scale() int {
+	switch {
+	case c.Quick:
+		return quick
+	case c.Full:
+		return full
+	}
+	return standard
 }
 
 // Point is one x-position of a figure: the swept parameter's value and the
@@ -68,61 +86,39 @@ type Figure struct {
 	Points []Point
 }
 
-// Runner produces a figure under a scale configuration.
-type Runner func(Config) (*Figure, error)
-
-// figureIDs lists the figure identifiers in presentation order.
-var figureIDs = []string{
-	"fig05", "fig06", "fig07", "fig08", "fig09", "fig10",
-	"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-	"ablation", "datasets",
-}
-
-// figureTitles maps figure ids to their human-readable titles.
-var figureTitles = map[string]string{
-	"fig05":    "Scalability w.r.t. DBSIZE (Tax, ARITY=7, CF=0.7, fixed SUP%)",
-	"fig06":    "Number of CFDs found w.r.t. DBSIZE",
-	"fig07":    "Scalability w.r.t. ARITY (Tax, CF=0.7, fixed SUP%)",
-	"fig08":    "Scalability w.r.t. support threshold k (Tax)",
-	"fig09":    "Number of CFDs found w.r.t. k",
-	"fig10":    "Scalability w.r.t. correlation factor CF (Tax)",
-	"fig11":    "Wisconsin breast cancer: response time vs k",
-	"fig12":    "Chess: response time vs k",
-	"fig13":    "Tax: response time vs k",
-	"fig14":    "Wisconsin breast cancer: number of CFDs vs k",
-	"fig15":    "Chess: number of CFDs vs k",
-	"fig16":    "Tax: number of CFDs vs k",
-	"ablation": "Ablation: FastCFD optimisations (extension, not a paper figure)",
-	"datasets": "Data set shapes (§6.1 table)",
-}
-
-// runners returns the runner for each figure id. It is a function (not a
-// package variable) to avoid an initialisation cycle between the runners and
-// the title lookup they use.
-func runners() map[string]Runner {
-	return map[string]Runner{
-		"fig05": Fig05, "fig06": Fig06, "fig07": Fig07, "fig08": Fig08,
-		"fig09": Fig09, "fig10": Fig10, "fig11": Fig11, "fig12": Fig12,
-		"fig13": Fig13, "fig14": Fig14, "fig15": Fig15, "fig16": Fig16,
-		"ablation": Ablation, "datasets": Datasets,
-	}
-}
-
 // IDs lists the available figure identifiers in presentation order.
 func IDs() []string {
-	return append([]string(nil), figureIDs...)
+	ids := make([]string, len(figures))
+	for i := range figures {
+		ids[i] = figures[i].id
+	}
+	return ids
 }
 
 // Title returns the title of a figure id, or the empty string if unknown.
-func Title(id string) string { return figureTitles[id] }
+func Title(id string) string {
+	if f := lookup(id); f != nil {
+		return f.title
+	}
+	return ""
+}
 
 // Run regenerates the figure with the given id.
 func Run(id string, cfg Config) (*Figure, error) {
-	r, ok := runners()[id]
-	if !ok {
+	f := lookup(id)
+	if f == nil {
 		return nil, fmt.Errorf("experiments: unknown figure %q (available: %s)", id, strings.Join(IDs(), ", "))
 	}
-	return r(cfg)
+	return f.run(f, cfg)
+}
+
+func lookup(id string) *figure {
+	for i := range figures {
+		if figures[i].id == id {
+			return &figures[i]
+		}
+	}
+	return nil
 }
 
 // Table renders the figure as a fixed-width text table.
@@ -171,48 +167,145 @@ func (f *Figure) Table() string {
 	return b.String()
 }
 
-// timeAlg runs one algorithm through the streaming engine under the
-// configuration's worker budget and returns its response time in seconds
-// together with the collected rule set.
-func timeAlg(cfg Config, alg discovery.Algorithm, rel *cfd.Relation, opts discovery.Options) (float64, *rules.Set, error) {
-	opts.Workers = cfg.Workers
-	eng := discovery.NewEngine(alg, rel, opts.EngineOptions()...)
-	start := time.Now()
-	set, err := eng.Run(context.Background())
-	if err != nil {
-		return 0, nil, err
-	}
-	return time.Since(start).Seconds(), set, nil
+// point is one x-position of a sweep, ready to mine: the swept value, the
+// relation generated for it and the support threshold in force there.
+type point struct {
+	x   float64
+	rel *cfd.Relation
+	k   int
 }
 
-// supportFromRatio converts the paper's SUP% into an absolute threshold. The
-// floor of 5 keeps the scaled-down sweeps from degenerating into the k=2 worst
-// case that only the paper-scale DBSIZE values would justify.
-func supportFromRatio(size int, ratio float64) int {
-	k := int(math.Round(float64(size) * ratio))
-	if k < 5 {
-		k = 5
-	}
-	return k
-}
+// label renders the swept value the way the x column prints it.
+func (p point) label() string { return strconv.FormatFloat(p.x, 'f', -1, 64) }
 
-// sortedSeries collects every series name appearing in the points.
-func sortedSeries(points []Point, preferred []string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, s := range preferred {
-		seen[s] = true
-		out = append(out, s)
-	}
-	var extra []string
-	for _, p := range points {
-		for s := range p.Series {
-			if !seen[s] {
-				seen[s] = true
-				extra = append(extra, s)
+// each visits the sweep's points at the configured scale in order. The
+// relation is regenerated only where the swept value changes the data, so a
+// sweep over k mines one relation throughout.
+func (sw *sweep) each(cfg Config, visit func(point) error) error {
+	base := sw.at[cfg.scale()]
+	var rel *cfd.Relation
+	var built data
+	for _, v := range base.values {
+		s := base.with(sw.axis, v)
+		if rel == nil || s.data != built {
+			var err error
+			if rel, err = sw.gen(s.data, cfg.seed()); err != nil {
+				return err
 			}
+			built = s.data
+		}
+		if err := visit(point{x: v, rel: rel, k: s.support()}); err != nil {
+			return err
 		}
 	}
-	sort.Strings(extra)
-	return append(out, extra...)
+	return nil
+}
+
+// support is the absolute threshold k of a setting: the fixed one if it has
+// one, else the paper's SUP% of its DBSIZE. The floor of 5 keeps the
+// scaled-down sweeps from degenerating into the k=2 worst case that only the
+// paper-scale DBSIZE values would justify.
+func (s setting) support() int {
+	if s.k != 0 {
+		return s.k
+	}
+	return max(5, int(math.Round(float64(s.size)*s.ratio)))
+}
+
+// mine runs one algorithm to its full cover at a sweep point, under the
+// sweep's LHS bound and the configuration's worker budget; extra options come
+// last so that a series can override the point's threshold.
+func (sw *sweep) mine(cfg Config, alg discovery.Algorithm, p point, extra ...discovery.Option) (*rules.Set, error) {
+	opts := slices.Concat([]discovery.Option{
+		discovery.WithSupport(p.k), discovery.WithMaxLHS(sw.maxLHS), discovery.WithWorkers(cfg.Workers),
+	}, extra)
+	return discovery.NewEngine(alg, p.rel, opts...).Run(context.Background())
+}
+
+// timeSweep produces a response-time figure: at every point of the sweep each
+// series is mined in its declared order — so each algorithm meets the same
+// heap history on every run — unless the point lies above the series' cap.
+// A byVariant figure (the ablation) turns the table on its side: one row per
+// series, its response time beside the size of its cover.
+func timeSweep(f *figure, cfg Config) (*Figure, error) {
+	fig := &Figure{ID: f.id, Title: f.title, XLabel: f.sweep.axis.String(), YLabel: "seconds"}
+	if f.byVariant {
+		fig.XLabel, fig.Series = "variant", []string{"seconds", "#CFDs"}
+	} else {
+		for _, s := range f.series {
+			fig.Series = append(fig.Series, s.name)
+		}
+	}
+	err := f.sweep.each(cfg, func(p point) error {
+		row := Point{X: p.label(), Series: map[string]float64{}}
+		for _, s := range f.series {
+			if limit := s.upTo[cfg.scale()]; limit != 0 && p.x > limit {
+				continue
+			}
+			set, err := f.sweep.mine(cfg, s.alg, p, s.opts...)
+			if err != nil {
+				return err
+			}
+			sec := set.Provenance().Elapsed.Seconds()
+			if f.byVariant {
+				fig.Points = append(fig.Points, Point{X: s.name, Series: map[string]float64{
+					"seconds": sec, "#CFDs": float64(set.Len()),
+				}})
+			} else {
+				row.Series[s.name] = sec
+			}
+		}
+		if !f.byVariant {
+			fig.Points = append(fig.Points, row)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return fig, nil
+}
+
+// countSweep produces a count figure: at every point of the sweep FastCFD's
+// cover is mined once and each declared class of it counted.
+func countSweep(f *figure, cfg Config) (*Figure, error) {
+	fig := &Figure{ID: f.id, Title: f.title, XLabel: f.sweep.axis.String(), YLabel: "#CFDs"}
+	for _, c := range f.counts {
+		fig.Series = append(fig.Series, c.name)
+	}
+	err := f.sweep.each(cfg, func(p point) error {
+		set, err := f.sweep.mine(cfg, discovery.AlgFastCFD, p)
+		if err != nil {
+			return err
+		}
+		row := Point{X: p.label(), Series: map[string]float64{}}
+		for _, c := range f.counts {
+			row.Series[c.name] = float64(c.of(set))
+		}
+		fig.Points = append(fig.Points, row)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return fig, nil
+}
+
+// shapes reports the sizes of the real-data experiments' relations at the
+// configured scale, mirroring the parameter table of §6.1.
+func shapes(f *figure, cfg Config) (*Figure, error) {
+	fig := &Figure{
+		ID: f.id, Title: f.title, XLabel: "data set", YLabel: "count",
+		Series: []string{"tuples", "attributes"},
+	}
+	for _, sw := range []*sweep{&wbcByK, &chessByK, &realTaxByK} {
+		rel, err := sw.gen(sw.at[cfg.scale()].data, cfg.seed())
+		if err != nil {
+			return nil, err
+		}
+		fig.Points = append(fig.Points, Point{X: sw.name, Series: map[string]float64{
+			"tuples": float64(rel.Size()), "attributes": float64(rel.Arity()),
+		}})
+	}
+	return fig, nil
 }

@@ -1,6 +1,9 @@
 package experiments_test
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,54 +68,84 @@ func TestDatasetsFigure(t *testing.T) {
 	}
 }
 
-// TestCountFiguresQuick regenerates the two cheap count figures at quick scale
-// and validates the monotonicity the paper reports: larger k, fewer CFDs.
+// TestCountFiguresQuick regenerates the count figures at quick scale. They are
+// deterministic, so their tables are pinned byte for byte (the goldens were
+// captured before the figures became one declared table); the sweeps over k
+// must also show the monotonicity the paper reports: larger k, never more CFDs.
 func TestCountFiguresQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping experiment sweeps in -short mode")
 	}
-	fig, err := experiments.Run("fig09", experiments.Config{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Points) < 2 {
-		t.Fatalf("fig09 has %d points", len(fig.Points))
-	}
-	prevTotal := -1.0
-	for _, p := range fig.Points {
-		total := p.Series["constant CFDs"] + p.Series["variable CFDs"]
-		if total <= 0 {
-			t.Errorf("k=%s: no CFDs found", p.X)
+	for _, tc := range []struct {
+		id      string
+		sweepsK bool
+	}{
+		{"fig06", false},
+		{"fig09", true},
+		{"fig14", true},
+		{"fig15", true},
+		{"fig16", true},
+		{"datasets", false},
+	} {
+		fig, err := experiments.Run(tc.id, experiments.Config{Quick: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.id, err)
 		}
-		if prevTotal >= 0 && total > prevTotal {
-			t.Errorf("number of CFDs should not grow with k: %v then %v", prevTotal, total)
+		want, err := os.ReadFile(filepath.Join("testdata", tc.id+".quick.golden"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		prevTotal = total
+		if got := fig.Table(); got != string(want) {
+			t.Errorf("%s differs from its golden\ngot:\n%s\nwant:\n%s", tc.id, got, want)
+		}
+		if !tc.sweepsK {
+			continue
+		}
+		if len(fig.Points) < 2 {
+			t.Fatalf("%s has %d points", tc.id, len(fig.Points))
+		}
+		prevTotal := -1.0
+		for _, p := range fig.Points {
+			total := p.Series[experiments.SeriesConstant] + p.Series[experiments.SeriesVariable]
+			if prevTotal >= 0 && total > prevTotal {
+				t.Errorf("%s: number of CFDs should not grow with k: %v then %v at k=%s", tc.id, prevTotal, total, p.X)
+			}
+			prevTotal = total
+		}
 	}
 }
 
-// TestTimeFigureQuick runs one timing figure at quick scale and checks every
-// declared series is populated with positive timings.
+// TestTimeFigureQuick runs one timing figure twice at quick scale: both runs
+// must list the series in their declared order and carry exactly those series,
+// with positive timings, at every point.
 func TestTimeFigureQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping experiment sweeps in -short mode")
 	}
-	fig, err := experiments.Run("fig11", experiments.Config{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series) == 0 || len(fig.Points) == 0 {
-		t.Fatal("empty figure")
-	}
-	for _, p := range fig.Points {
-		for _, s := range fig.Series {
-			v, ok := p.Series[s]
-			if !ok || v < 0 {
-				t.Errorf("point %s: series %s missing or negative (%v)", p.X, s, v)
+	declared := []string{experiments.SeriesCTANE, experiments.SeriesNaiveFast, experiments.SeriesFastCFD}
+	for run := 0; run < 2; run++ {
+		fig, err := experiments.Run("fig08", experiments.Config{Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(fig.Series, declared) {
+			t.Errorf("run %d: series %v, declared %v", run, fig.Series, declared)
+		}
+		if len(fig.Points) != 3 {
+			t.Fatalf("run %d: %d points, want k = 10, 20, 40", run, len(fig.Points))
+		}
+		for _, p := range fig.Points {
+			if len(p.Series) != len(declared) {
+				t.Errorf("run %d, k=%s: series %v, want exactly %v", run, p.X, p.Series, declared)
+			}
+			for _, s := range declared {
+				if v, ok := p.Series[s]; !ok || v <= 0 {
+					t.Errorf("run %d, k=%s: series %s missing or not positive (%v)", run, p.X, s, v)
+				}
 			}
 		}
-	}
-	if !strings.Contains(fig.Table(), "CTANE") {
-		t.Error("table should mention CTANE")
+		if !strings.Contains(fig.Table(), "CTANE") {
+			t.Error("table should mention CTANE")
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package violation_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -103,11 +104,11 @@ func fixtures(t *testing.T) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discovery.FastCFD(clean, discovery.Options{Support: 6, MaxLHS: 2})
+	mined, err := discovery.NewEngine(discovery.AlgFastCFD, clean, discovery.WithSupport(6), discovery.WithMaxLHS(2)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.CFDs) == 0 {
+	if mined.Len() == 0 {
 		t.Fatal("no rules discovered on clean tax data")
 	}
 	dirty, _ := dataset.InjectNoise(clean, 0.08, 5)
@@ -118,7 +119,7 @@ func fixtures(t *testing.T) []struct {
 		rules []cfd.CFD
 	}{
 		{"cust", cust, custRules},
-		{"tax-discovered", dirty, res.CFDs},
+		{"tax-discovered", dirty, mined.CFDs()},
 	}
 }
 
@@ -343,11 +344,10 @@ func TestEngineErrors(t *testing.T) {
 // GET /rules serves.
 func TestRuleSetPreserved(t *testing.T) {
 	rel := dataset.Cust()
-	res, err := discovery.CTANE(rel, discovery.Options{Support: 2})
+	set, err := discovery.NewEngine(discovery.AlgCTANE, rel, discovery.WithSupport(2)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := res.Set()
 	eng, err := violation.New(rel.Attributes(), set, violation.Options{})
 	if err != nil {
 		t.Fatal(err)
