@@ -18,12 +18,13 @@ test:
 # concurrent readers, writers and rule swaps; the closed-set search's root
 # candidates between its pooled branches, with and without a cancellation in
 # flight; CTANE's lattice links between the workers of a level: the detector
-# only reports the interleavings a run executes.
+# only reports the interleavings a run executes. The script refuses a name no
+# listed package has, so a renamed test cannot silently drop out.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run '^(TestConcurrentReadersAndWriters|TestSwapRulesConcurrentReaders)$$' ./violation
-	$(GO) test -race -count=10 -run '^(TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude)$$' ./internal/itemset ./internal/fastcfd
-	$(GO) test -race -count=10 -run '^TestMineContextWorkersDeterministic$$' ./internal/ctane
+	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestSwapRulesConcurrentReaders' ./violation
+	./scripts/race_repeat.sh 'TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude' ./internal/itemset ./internal/fastcfd
+	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic' ./internal/ctane
 
 # bench runs the repo benchmark BENCHMARK.json declares: cfddiscover and
 # cfdserve end to end on four fixed-work workloads, repeated, with every
@@ -100,8 +101,10 @@ fuzz:
 # internal/jsonw the JSON appenders under the bulk replies and the snapshot) and
 # on the mining kernels (internal/partition: counting split and product;
 # internal/itemset: free- and closed-set miners) and the searches built on
-# them (internal/ctane: the linked lattice; internal/diffset and
-# internal/fastcfd: difference sets and the cover search). The floors only move up:
+# them (internal/cfdminer; internal/ctane: the linked lattice; internal/diffset
+# and internal/fastcfd: difference sets and the cover search), on the pool they
+# fan out over (internal/pool) and on the one loop they are read through
+# (discovery). The floors only move up:
 # raise them when coverage improves, and never lower them to make a failing
 # build pass.
 VIOLATION_COVER_FLOOR ?= 89.5
@@ -110,9 +113,12 @@ MONITOR_COVER_FLOOR ?= 90.0
 CORE_COVER_FLOOR ?= 96.5
 PARTITION_COVER_FLOOR ?= 100.0
 ITEMSET_COVER_FLOOR ?= 91.0
-CTANE_COVER_FLOOR ?= 96.5
+CFDMINER_COVER_FLOOR ?= 97.0
+CTANE_COVER_FLOOR ?= 97.0
 DIFFSET_COVER_FLOOR ?= 98.0
-FASTCFD_COVER_FLOOR ?= 91.5
+FASTCFD_COVER_FLOOR ?= 97.0
+POOL_COVER_FLOOR ?= 98.5
+DISCOVERY_COVER_FLOOR ?= 97.0
 CLUSTER_COVER_FLOOR ?= 86.5
 JSONW_COVER_FLOOR ?= 100.0
 cover:
@@ -122,9 +128,12 @@ cover:
 	$(GO) test -coverprofile=cover_core.out ./internal/core > /dev/null
 	$(GO) test -coverprofile=cover_partition.out ./internal/partition > /dev/null
 	$(GO) test -coverprofile=cover_itemset.out ./internal/itemset > /dev/null
+	$(GO) test -coverprofile=cover_cfdminer.out ./internal/cfdminer > /dev/null
 	$(GO) test -coverprofile=cover_ctane.out ./internal/ctane > /dev/null
 	$(GO) test -coverprofile=cover_diffset.out ./internal/diffset > /dev/null
 	$(GO) test -coverprofile=cover_fastcfd.out ./internal/fastcfd > /dev/null
+	$(GO) test -coverprofile=cover_pool.out ./internal/pool > /dev/null
+	$(GO) test -coverprofile=cover_discovery.out ./discovery > /dev/null
 	$(GO) test -coverprofile=cover_cluster.out -coverpkg=./cluster ./cluster ./cmd/cfdserve > /dev/null 2>&1
 	$(GO) test -coverprofile=cover_jsonw.out ./internal/jsonw > /dev/null
 	@./scripts/check_coverage.sh cover_violation.out $(VIOLATION_COVER_FLOOR) violation
@@ -133,9 +142,12 @@ cover:
 	@./scripts/check_coverage.sh cover_core.out $(CORE_COVER_FLOOR) internal/core
 	@./scripts/check_coverage.sh cover_partition.out $(PARTITION_COVER_FLOOR) internal/partition
 	@./scripts/check_coverage.sh cover_itemset.out $(ITEMSET_COVER_FLOOR) internal/itemset
+	@./scripts/check_coverage.sh cover_cfdminer.out $(CFDMINER_COVER_FLOOR) internal/cfdminer
 	@./scripts/check_coverage.sh cover_ctane.out $(CTANE_COVER_FLOOR) internal/ctane
 	@./scripts/check_coverage.sh cover_diffset.out $(DIFFSET_COVER_FLOOR) internal/diffset
 	@./scripts/check_coverage.sh cover_fastcfd.out $(FASTCFD_COVER_FLOOR) internal/fastcfd
+	@./scripts/check_coverage.sh cover_pool.out $(POOL_COVER_FLOOR) internal/pool
+	@./scripts/check_coverage.sh cover_discovery.out $(DISCOVERY_COVER_FLOOR) discovery
 	@./scripts/check_coverage.sh cover_cluster.out $(CLUSTER_COVER_FLOOR) cluster
 	@./scripts/check_coverage.sh cover_jsonw.out $(JSONW_COVER_FLOOR) internal/jsonw
 
@@ -163,4 +175,4 @@ cluster-smoke:
 ci: fmt vet staticcheck build race examples cover fuzz docs-check bench obs-smoke cluster-smoke
 
 clean:
-	rm -rf .bench_build cover_violation.out cover_rules.out cover_monitor.out cover_core.out cover_partition.out cover_itemset.out cover_ctane.out cover_diffset.out cover_fastcfd.out cover_cluster.out cover_jsonw.out
+	rm -rf .bench_build cover_violation.out cover_rules.out cover_monitor.out cover_core.out cover_partition.out cover_itemset.out cover_cfdminer.out cover_ctane.out cover_diffset.out cover_fastcfd.out cover_pool.out cover_discovery.out cover_cluster.out cover_jsonw.out

@@ -127,6 +127,45 @@ func TestVariableOnlyAndMaxLHS(t *testing.T) {
 	}
 }
 
+// TestCFDMinerMaxLHS holds WithMaxLHS to its definition for the constant
+// miner: CFDMiner under bound n reports the unbounded cover restricted to
+// left-hand sides of at most n attributes, which is also the constant part of
+// FastCFD's cover under the same bound — the two share one implementation of
+// the bound.
+func TestCFDMinerMaxLHS(t *testing.T) {
+	gen, err := dataset.Tax(dataset.TaxConfig{Size: 400, Arity: 7, CF: 0.5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := func(cfds []cfd.CFD, keep func(cfd.CFD) bool) string {
+		var kept []cfd.CFD
+		for _, c := range cfds {
+			if keep(c) {
+				kept = append(kept, c)
+			}
+		}
+		return cfd.FormatAll(kept)
+	}
+	for name, rs := range map[string]relAndSupport{"cust": {cust(), 2}, "tax": {gen, 4}} {
+		full := mine(t, discovery.AlgCFDMiner, rs.rel, discovery.WithSupport(rs.k)).CFDs()
+		for _, n := range []int{1, 2} {
+			bounded := mine(t, discovery.AlgCFDMiner, rs.rel, discovery.WithSupport(rs.k), discovery.WithMaxLHS(n))
+			got := cfd.FormatAll(bounded.CFDs())
+			want := text(full, func(c cfd.CFD) bool { return len(c.LHS) <= n })
+			if got != want {
+				t.Errorf("%s MaxLHS=%d: CFDMiner reports\n%swant the unbounded cover's\n%s", name, n, got, want)
+			}
+			if n == 1 && (bounded.Len() == 0 || bounded.Len() == len(full)) {
+				t.Errorf("%s MaxLHS=%d keeps %d of %d rules; the bound is not exercised", name, n, bounded.Len(), len(full))
+			}
+			fast := mine(t, discovery.AlgFastCFD, rs.rel, discovery.WithSupport(rs.k), discovery.WithMaxLHS(n)).CFDs()
+			if constants := text(fast, cfd.CFD.IsConstant); constants != got {
+				t.Errorf("%s MaxLHS=%d: FastCFD's constant CFDs are\n%sCFDMiner's\n%s", name, n, constants, got)
+			}
+		}
+	}
+}
+
 func TestFDBaselinesAgree(t *testing.T) {
 	r := cust()
 	taneFDs := mine(t, discovery.AlgTANE, r).CFDs()

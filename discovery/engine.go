@@ -18,9 +18,10 @@ import (
 	"repro/rules"
 )
 
-// Engine binds one discovery algorithm to one relation and exposes the run
-// both as a stream (Stream, rules arriving as the miners find them) and as a
-// collected rule set (Run). Configure it with functional options:
+// Engine binds one discovery algorithm to one relation and exposes the run —
+// one synchronous loop over the rules the miner emits — both as a stream
+// (Stream, rules arriving as the miners find them) and as a collected rule
+// set (Run). Configure it with functional options:
 //
 //	eng := discovery.NewEngine(discovery.AlgCTANE, rel,
 //	    discovery.WithSupport(10),
@@ -61,7 +62,8 @@ type Option func(*engineConfig)
 func WithSupport(k int) Option { return func(c *engineConfig) { c.support = k } }
 
 // WithMaxLHS bounds the number of attributes on the left-hand side of
-// reported CFDs (CTANE, FastCFD and NaiveFast). Zero means unbounded.
+// reported CFDs (CFDMiner, CTANE, FastCFD and NaiveFast; the FD baselines and
+// the brute-force oracle ignore it). Zero means unbounded.
 func WithMaxLHS(n int) Option { return func(c *engineConfig) { c.maxLHS = n } }
 
 // WithWorkers bounds the number of goroutines a run may use: 0 runs one
@@ -79,11 +81,12 @@ func WithLimit(n int) Option { return func(c *engineConfig) { c.limit = n } }
 // the cumulative number of rules seen so far.
 //
 // Invocations are guaranteed serial regardless of WithWorkers: parallel
-// miners hand their results to a single reordering consumer (internal/pool),
-// and the callback fires on the stream's consumer goroutine between yields,
-// so calls never overlap and found only ever increases by one. Callers may
-// therefore use a plain (non-atomic) counter from the callback — but it runs
-// on the hot streaming path, so keep it cheap.
+// miners hand their results to a single reordering consumer (internal/pool)
+// on the goroutine that called Run or Stream, and the callback fires there,
+// after each rule is collected or yielded, so calls never overlap and found
+// only ever increases by one. Callers may therefore use a plain (non-atomic)
+// counter from the callback — but it runs on the hot emit path, so keep it
+// cheap.
 func WithProgress(fn func(found int)) Option { return func(c *engineConfig) { c.progress = fn } }
 
 // WithVariableOnly suppresses constant CFDs (FastCFD/NaiveFast only); the
@@ -103,70 +106,89 @@ func NewEngine(alg Algorithm, rel *cfd.Relation, opts ...Option) *Engine {
 	return e
 }
 
-// mine dispatches to the algorithm implementations. With a nil emit it
-// returns the full cover; with a non-nil emit the streaming-capable miners
-// hand rules out as they find them (CTANE per lattice level, CFDMiner per free
-// item set, FastCFD/NaiveFast per right-hand-side attribute) and return a nil
-// slice, while the FD baselines and the brute-force oracle mine fully and then
-// emit their (already sorted) cover.
-func (e *Engine) mine(ctx context.Context, emit func(core.CFD)) ([]core.CFD, error) {
-	r := e.rel
+// mine dispatches to the algorithm implementations, every one of the same
+// shape: rules leave a miner only through emit, on the calling goroutine —
+// CTANE per lattice level, CFDMiner per free item set, FastCFD/NaiveFast per
+// right-hand-side attribute, the FD baselines and the brute-force oracle
+// their sorted cover once complete.
+func (e *Engine) mine(ctx context.Context, emit func(core.CFD)) error {
+	r := e.rel.Encoded()
 	k := e.cfg.supportOrOne()
 	switch e.alg {
 	case AlgCFDMiner:
-		return cfdminer.MineContext(ctx, r.Encoded(), cfdminer.Options{
-			K:       k,
-			Workers: e.cfg.workers,
-			Emit:    emit,
-		})
-	case AlgCTANE:
-		return ctane.MineContext(ctx, r.Encoded(), ctane.Options{
+		return cfdminer.MineContext(ctx, r, cfdminer.Options{
 			K:       k,
 			MaxLHS:  e.cfg.maxLHS,
 			Workers: e.cfg.workers,
-			Emit:    emit,
-		})
+		}, emit)
+	case AlgCTANE:
+		return ctane.MineContext(ctx, r, ctane.Options{
+			K:       k,
+			MaxLHS:  e.cfg.maxLHS,
+			Workers: e.cfg.workers,
+		}, emit)
 	case AlgFastCFD:
-		return fastcfd.MineContext(ctx, r.Encoded(), fastcfd.Options{
+		return fastcfd.MineContext(ctx, r, fastcfd.Options{
 			K:            k,
 			MaxLHS:       e.cfg.maxLHS,
 			VariableOnly: e.cfg.variableOnly,
 			UseCFDMiner:  !e.cfg.noItemsetOpt,
 			Workers:      e.cfg.workers,
-			Emit:         emit,
-		})
+		}, emit)
 	case AlgNaiveFast:
-		return fastcfd.MineContext(ctx, r.Encoded(), fastcfd.Options{
+		return fastcfd.MineContext(ctx, r, fastcfd.Options{
 			K:            k,
 			MaxLHS:       e.cfg.maxLHS,
 			VariableOnly: e.cfg.variableOnly,
-			Computer:     diffset.NewNaive(r.Encoded()),
+			Computer:     diffset.NewNaive(r),
 			UseCFDMiner:  false,
 			Workers:      e.cfg.workers,
-			Emit:         emit,
-		})
+		}, emit)
 	case AlgTANE:
-		return emitAll(tane.MineContext(ctx, r.Encoded()))(emit)
+		return tane.MineContext(ctx, r, emit)
 	case AlgFastFD:
-		return emitAll(fastfd.MineContext(ctx, r.Encoded(), nil))(emit)
+		return fastfd.MineContext(ctx, r, nil, emit)
 	case AlgBrute:
-		return emitAll(bruteforce.MineContext(ctx, r.Encoded(), k))(emit)
+		return bruteforce.MineContext(ctx, r, k, emit)
 	default:
-		return nil, fmt.Errorf("discovery: unknown algorithm %q", e.alg)
+		return fmt.Errorf("discovery: unknown algorithm %q", e.alg)
 	}
 }
 
-// emitAll adapts a batch-only miner to the emit contract of mine.
-func emitAll(out []core.CFD, err error) func(func(core.CFD)) ([]core.CFD, error) {
-	return func(emit func(core.CFD)) ([]core.CFD, error) {
-		if err != nil || emit == nil {
-			return out, err
-		}
-		for _, c := range out {
-			emit(c)
-		}
-		return nil, nil
+// each is the one loop under Run and Stream: it mines on the calling
+// goroutine and hands fn every rule in emission order, then reports progress.
+// Once fn returns false or the WithLimit bound is reached it cancels the
+// remaining mining work and drops whatever the miner still emits on its way
+// out; the miner's context.Canceled is then this stop's own doing and is not
+// an error, whereas a run the caller's context cut short returns ctx.Err().
+func (e *Engine) each(ctx context.Context, fn func(core.CFD) bool) error {
+	mctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	found, stopped := 0, false
+	stop := func() {
+		stopped = true
+		cancel()
 	}
+	err := e.mine(mctx, func(c core.CFD) {
+		if stopped {
+			return
+		}
+		if !fn(c) {
+			stop()
+			return
+		}
+		found++
+		if e.cfg.progress != nil {
+			e.cfg.progress(found)
+		}
+		if found == e.cfg.limit {
+			stop()
+		}
+	})
+	if stopped {
+		return nil
+	}
+	return err
 }
 
 // Stream runs the algorithm and yields rules as the miners find them: CTANE
@@ -176,83 +198,40 @@ func emitAll(out []core.CFD, err error) func(func(core.CFD)) ([]core.CFD, error)
 // brute-force oracle have no incremental structure and emit their cover only
 // once complete.
 //
-// Breaking out of the loop — or reaching the WithLimit bound — cancels the
-// remaining mining work; Stream returns only after the miner goroutine has
-// shut down, so an abandoned stream leaks nothing. A mining failure (context
-// cancellation included) is yielded as the final element's error. The yielded
-// sequence is deterministic: identical for every worker count.
+// The miner runs on the caller's goroutine, inside the loop: breaking out of
+// it — or reaching the WithLimit bound — cancels the remaining mining work,
+// and Stream returns once the miner has, so an abandoned stream leaks nothing.
+// A mining failure (context cancellation included) is yielded as the final
+// element's error. The yielded sequence is deterministic: identical for
+// every worker count.
 //
 // Collecting an unlimited stream yields exactly the cover of Run (up to
 // order, which the stream derives from the miners' traversal rather than the
 // canonical sort).
 func (e *Engine) Stream(ctx context.Context) iter.Seq2[cfd.CFD, error] {
 	return func(yield func(cfd.CFD, error) bool) {
-		mctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		ch := make(chan core.CFD)
-		errc := make(chan error, 1)
-		go func() {
-			_, err := e.mine(mctx, func(c core.CFD) {
-				select {
-				case ch <- c:
-				case <-mctx.Done():
-				}
-			})
-			close(ch)
-			errc <- err
-		}()
-		// stop cancels the miner and waits for it to wind down; emit's select
-		// keeps it from ever blocking on an abandoned channel.
-		stop := func() {
-			cancel()
-			<-errc
-		}
-		found := 0
-		for c := range ch {
-			if !yield(cfd.Decode(e.rel, c), nil) {
-				stop()
-				return
-			}
-			found++
-			if e.cfg.progress != nil {
-				e.cfg.progress(found)
-			}
-			if e.cfg.limit > 0 && found >= e.cfg.limit {
-				stop()
-				return
-			}
-		}
-		if err := <-errc; err != nil {
+		err := e.each(ctx, func(c core.CFD) bool { return yield(cfd.Decode(e.rel, c), nil) })
+		if err != nil {
 			yield(cfd.CFD{}, err)
 		}
 	}
 }
 
-// Run collects the run into a rules.Set carrying the run's provenance: the
-// cover deduplicated and canonically sorted, or with WithLimit the first
-// rules of the stream. Cancellation is cooperative — the levelwise algorithms
-// observe it between the work units of a lattice level, the depth-first ones
-// between per-attribute searches — and a cancelled run returns ctx.Err().
-//
-// A run with neither limit nor progress callback takes the miners' batch
-// path directly, with no per-rule channel handoff; otherwise Run drains
-// Stream.
+// Run collects the same sequence into a rules.Set carrying the run's
+// provenance: the cover deduplicated and canonically sorted, or with
+// WithLimit the first rules of the stream. Cancellation is cooperative — the
+// levelwise algorithms observe it between the work units of a lattice level,
+// the depth-first ones between per-attribute searches — and a cancelled run
+// returns ctx.Err().
 func (e *Engine) Run(ctx context.Context) (*rules.Set, error) {
 	start := time.Now()
 	var collected []cfd.CFD
-	if e.cfg.limit == 0 && e.cfg.progress == nil {
-		encoded, err := e.mine(ctx, nil)
-		if err != nil {
-			return nil, err
-		}
-		collected = cfd.DecodeAll(e.rel, encoded)
-	} else {
-		for c, err := range e.Stream(ctx) {
-			if err != nil {
-				return nil, err
-			}
-			collected = append(collected, c)
-		}
+	err := e.each(ctx, func(c core.CFD) bool {
+		collected = append(collected, cfd.Decode(e.rel, c))
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	collected = sortAndDedup(collected)
 	return rules.New(collected, rules.Provenance{

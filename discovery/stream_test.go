@@ -3,6 +3,9 @@ package discovery_test
 import (
 	"context"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -12,6 +15,8 @@ import (
 	"repro/dataset"
 	"repro/discovery"
 )
+
+var update = flag.Bool("update", false, "rewrite the stream goldens under testdata")
 
 // collect drains a stream, failing the test on any yielded error.
 func collect(t *testing.T, eng *discovery.Engine) []cfd.CFD {
@@ -26,58 +31,13 @@ func collect(t *testing.T, eng *discovery.Engine) []cfd.CFD {
 	return out
 }
 
-// sortedText renders rules canonically for byte-level comparison.
-func sortedText(cfds []cfd.CFD) string {
-	sorted := append([]cfd.CFD(nil), cfds...)
-	cfd.SortCFDs(sorted)
-	return cfd.FormatAll(sorted)
-}
-
-// TestStreamMatchesDiscover is the streaming-parity harness: for every
-// algorithm, collecting Stream with no limit must produce, at every worker
-// count, the rule file of an unlimited Run — itself the same at every worker
-// count.
-func TestStreamMatchesDiscover(t *testing.T) {
-	gen, err := dataset.Tax(dataset.TaxConfig{Size: 400, Arity: 7, CF: 0.5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rels := map[string]*relAndSupport{
-		"cust": {cust(), 2},
-		"tax":  {gen, 4},
-	}
-	for name, rs := range rels {
-		for _, alg := range discovery.Algorithms() {
-			if name == "tax" && alg == discovery.AlgBrute {
-				continue // the oracle is for tiny inputs only
-			}
-			batch := mine(t, alg, rs.rel, discovery.WithSupport(rs.k))
-			want := sortedText(batch.CFDs())
-			for _, workers := range []int{1, 4} {
-				eng := discovery.NewEngine(alg, rs.rel,
-					discovery.WithSupport(rs.k), discovery.WithWorkers(workers))
-				if got := sortedText(collect(t, eng)); got != want {
-					t.Errorf("%s/%s workers=%d: stream disagrees with Run\nstream:\n%s\nbatch:\n%s", name, alg, workers, got, want)
-				}
-				set, err := eng.Run(context.Background())
-				if err != nil {
-					t.Fatalf("%s/%s workers=%d: Run: %v", name, alg, workers, err)
-				}
-				if got := sortedText(set.CFDs()); got != want {
-					t.Errorf("%s/%s workers=%d: Run disagrees with Run at the default worker count", name, alg, workers)
-				}
-				if set.Constant() != batch.Constant() || set.Variable() != batch.Variable() {
-					t.Errorf("%s/%s workers=%d: class counts (%d, %d) vs (%d, %d)",
-						name, alg, workers, set.Constant(), set.Variable(), batch.Constant(), batch.Variable())
-				}
-			}
-		}
-	}
-}
-
-// TestStreamDeterministicOrder asserts the stronger per-element property: the
-// stream's emission order (not just its contents) is identical for every
-// worker count.
+// TestStreamDeterministicOrder pins the emission order — the only order a
+// miner has, and what WithLimit returns a prefix of. On a generated Tax it is
+// the same at every worker count; on cust (Fig. 1) at k = 2 it is the
+// committed text of testdata/stream.<algorithm>.golden, captured before the
+// miners lost their batch return path, at one worker and at four.
+// `go test ./discovery -run TestStreamDeterministicOrder -update` rewrites
+// the goldens from the sequential run.
 func TestStreamDeterministicOrder(t *testing.T) {
 	gen, err := dataset.Tax(dataset.TaxConfig{Size: 400, Arity: 7, CF: 0.5, Seed: 1})
 	if err != nil {
@@ -96,6 +56,23 @@ func TestStreamDeterministicOrder(t *testing.T) {
 			if !seq[i].Equal(par[i]) {
 				t.Errorf("%s: stream position %d differs between worker counts: %s vs %s", alg, i, seq[i], par[i])
 				break
+			}
+		}
+
+		golden := filepath.Join("testdata", "stream."+string(alg)+".golden")
+		for _, workers := range []int{1, 4} {
+			got := cfd.FormatAll(collect(t, discovery.NewEngine(alg, cust(), discovery.WithSupport(2), discovery.WithWorkers(workers))))
+			if *update && workers == 1 {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("%s workers=%d: stream on cust differs from %s\ngot:\n%swant:\n%s", alg, workers, golden, got, want)
 			}
 		}
 	}
@@ -168,9 +145,10 @@ func TestStreamErrors(t *testing.T) {
 }
 
 // TestStreamCancelMidStreamNoGoroutineLeak breaks out of streams over a
-// non-trivial mine (forcing cancellation of in-flight internal/pool workers)
-// and asserts every miner goroutine shuts down: Stream's contract is that it
-// returns only after the mining goroutine has wound down.
+// non-trivial mine after their first rule (forcing cancellation of in-flight
+// internal/pool workers). The miner runs inside the loop, so Stream returns
+// once it has wound down: the body never runs again — the runtime panics on a
+// yield after the break — and no goroutine outlives the loop.
 func TestStreamCancelMidStreamNoGoroutineLeak(t *testing.T) {
 	gen, err := dataset.Tax(dataset.TaxConfig{Size: 2000, Arity: 8, CF: 0.5, Seed: 1})
 	if err != nil {
@@ -182,26 +160,73 @@ func TestStreamCancelMidStreamNoGoroutineLeak(t *testing.T) {
 	} {
 		for i := 0; i < 3; i++ {
 			eng := discovery.NewEngine(alg, gen, discovery.WithSupport(4), discovery.WithWorkers(4))
+			yields := 0
 			for _, err := range eng.Stream(context.Background()) {
 				if err != nil {
 					t.Fatalf("%s: %v", alg, err)
 				}
+				yields++
 				break // abandon the stream after the first rule
+			}
+			if yields != 1 {
+				t.Fatalf("%s: loop body ran %d times", alg, yields)
 			}
 		}
 	}
-	// The pool goroutines exit after their in-flight item; give the runtime a
-	// moment to reap them before comparing.
+	// The pool's workers have exited by the time its loop returns; give the
+	// runtime a moment to reap them before comparing.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		}
+	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines: %d before, %d after abandoned streams", before, runtime.NumGoroutine())
 		}
-		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRunLimitStopsTheMiner holds the stop-by-cancel of the one loop: a
+// limited Run returns exactly its limit and no error — the cancellation it
+// stopped the miner with is its own and must not surface — in a fraction of
+// the time of the full run, while a caller's deadline that fires before the
+// limit is reached does surface.
+func TestRunLimitStopsTheMiner(t *testing.T) {
+	rel, err := dataset.Tax(dataset.TaxConfig{Size: 8000, Arity: 9, CF: 0.5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// k = 16: CTANE's tenth rule comes with the second lattice level, a ninth
+	// of the way into the run. (At k = 2 it takes level two 15 s to get there.)
+	start := time.Now()
+	full := mine(t, discovery.AlgCTANE, rel, discovery.WithSupport(16), discovery.WithWorkers(1))
+	fullTime := time.Since(start)
+	first := keys(collect(t, discovery.NewEngine(discovery.AlgCTANE, rel,
+		discovery.WithSupport(16), discovery.WithWorkers(1), discovery.WithLimit(10))))
+	for _, workers := range []int{1, 4} {
+		start := time.Now()
+		set, err := discovery.NewEngine(discovery.AlgCTANE, rel,
+			discovery.WithSupport(16), discovery.WithWorkers(workers), discovery.WithLimit(10)).Run(context.Background())
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("workers=%d: limited Run: %v", workers, err)
+		}
+		if set.Len() != 10 || full.Len() <= 10 {
+			t.Fatalf("workers=%d: limited Run collected %d rules of %d, want 10", workers, set.Len(), full.Len())
+		}
+		for _, c := range set.CFDs() {
+			if !first[c.Normalize().String()] {
+				t.Errorf("workers=%d: %s is not among the stream's first 10 rules", workers, c)
+			}
+		}
+		if elapsed > fullTime/2 {
+			t.Errorf("workers=%d: limited Run took %s, the full run %s", workers, elapsed, fullTime)
+		}
+	}
+	// At k = 2 the deadline fires long before the tenth rule.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err = discovery.NewEngine(discovery.AlgCTANE, rel, discovery.WithSupport(2), discovery.WithLimit(10)).Run(ctx)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("limited Run under a deadline that fires first: err = %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,6 +10,8 @@ import (
 
 	"repro/experiments"
 )
+
+var update = flag.Bool("update", false, "rewrite the count-figure goldens under testdata")
 
 func TestIDsAndTitles(t *testing.T) {
 	ids := experiments.IDs()
@@ -72,6 +75,7 @@ func TestDatasetsFigure(t *testing.T) {
 // deterministic, so their tables are pinned byte for byte (the goldens were
 // captured before the figures became one declared table); the sweeps over k
 // must also show the monotonicity the paper reports: larger k, never more CFDs.
+// `go test ./experiments -run TestCountFiguresQuick -update` rewrites them.
 func TestCountFiguresQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping experiment sweeps in -short mode")
@@ -91,7 +95,13 @@ func TestCountFiguresQuick(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.id, err)
 		}
-		want, err := os.ReadFile(filepath.Join("testdata", tc.id+".quick.golden"))
+		golden := filepath.Join("testdata", tc.id+".quick.golden")
+		if *update {
+			if err := os.WriteFile(golden, []byte(fig.Table()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,29 +15,27 @@ import (
 // Minimal CFDs with a constant right-hand side always have an all-constant
 // left-hand side pattern (Lemma 1 of the paper), so only those are enumerated.
 func Mine(r *core.Relation, k int) []core.CFD {
-	out, err := MineContext(context.Background(), r, k)
-	if err != nil {
-		// Unreachable: the background context is never cancelled and
-		// MineContext has no other failure mode.
-		panic(err)
-	}
+	out := append(MineConstant(r, k), MineVariable(r, k)...)
+	core.SortCFDs(out)
 	return out
 }
 
-// MineContext is Mine with a cancellation context, observed between the two
-// enumeration passes; a cancelled run returns (nil, ctx.Err()). The oracle
-// stays intentionally simple — it is only ever run on tiny relations.
-func MineContext(ctx context.Context, r *core.Relation, k int) ([]core.CFD, error) {
+// MineContext hands emit the cover of Mine, under a cancellation context
+// observed before and after the enumeration; a cancelled run returns
+// ctx.Err(). The oracle stays intentionally simple — it is only ever run on
+// tiny relations.
+func MineContext(ctx context.Context, r *core.Relation, k int, emit func(core.CFD)) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	out := MineConstant(r, k)
+	out := Mine(r, k)
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	out = append(out, MineVariable(r, k)...)
-	core.SortCFDs(out)
-	return out, nil
+	for _, c := range out {
+		emit(c)
+	}
+	return nil
 }
 
 // MineConstant returns every minimal k-frequent constant CFD of r.

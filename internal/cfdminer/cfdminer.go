@@ -21,52 +21,43 @@ type Options struct {
 	// K is the support threshold: only k-frequent CFDs are reported. Values
 	// below 1 are treated as 1.
 	K int
+	// MaxLHS, when positive, bounds the size of the left-hand side of reported
+	// CFDs: larger free item sets are skipped.
+	MaxLHS int
 	// Workers bounds the number of goroutines used for the per-free-set rule
 	// generation (each free item set's candidate right-hand sides are checked
 	// independently against the closures of its subsets). 0 selects one worker
-	// per CPU, 1 runs sequentially. The discovered cover is identical for
+	// per CPU, 1 runs sequentially. The emitted sequence is identical for
 	// every worker count.
 	Workers int
-	// Emit, when non-nil, switches MineContext into streaming mode: each free
-	// item set's rules are handed to Emit (in canonical order within the free
-	// set, free sets in the miner's ascending-size order) as they are derived,
-	// and the final return value is nil. Cancelling the context stops the
-	// remaining free sets. The emitted sequence is identical for every worker
-	// count.
-	Emit func(core.CFD)
 }
 
-// Mine returns a canonical cover of the k-frequent minimal constant CFDs of r.
-func Mine(r *core.Relation, k int) []core.CFD {
-	return MineFromItemsets(itemset.Mine(r, k))
-}
-
-// MineContext runs CFDMiner with explicit options under a context. A cancelled
-// run returns (nil, ctx.Err()).
-func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CFD, error) {
-	k := opts.K
-	if k < 1 {
-		k = 1
-	}
-	m, err := itemset.MineContext(ctx, r, k)
+// MineContext hands emit a canonical cover of the k-frequent minimal constant
+// CFDs of r. Cancellation is observed inside the item-set mining and between
+// free item sets; a cancelled run returns ctx.Err().
+func MineContext(ctx context.Context, r *core.Relation, opts Options, emit func(core.CFD)) error {
+	m, err := itemset.MineContext(ctx, r, max(opts.K, 1))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if opts.Emit != nil {
-		return nil, EmitFromItemsets(ctx, m, opts.Workers, opts.Emit)
-	}
-	return MineFromItemsetsContext(ctx, m, opts.Workers)
+	return MineFromItemsets(ctx, m, opts, emit)
 }
 
-// EmitFromItemsets is the streaming form of MineFromItemsetsContext: the rules
-// of each free item set are handed to emit as they are derived — free sets in
-// the miner's ascending-size order, rules in canonical order within each free
-// set — instead of being collected and sorted globally. The emitted sequence
-// is identical for every worker count; a cancelled run stops after the
-// in-flight free sets and returns ctx.Err().
-func EmitFromItemsets(ctx context.Context, m *itemset.Mining, workers int, emit func(core.CFD)) error {
-	return pool.Stream(ctx, workers, len(m.Free),
+// MineFromItemsets is MineContext over a precomputed free/closed item-set
+// mining result (opts.K is that mining's business and is not read). FastCFD
+// uses this entry point to share the mining work between constant-CFD
+// discovery and its own pattern pruning. The rules of each free item set are
+// handed to emit as they are derived — free sets in the miner's
+// ascending-size order, rules in canonical order within each free set; the
+// free sets are processed independently, the closure lookups reading only the
+// mining result. A cancelled run stops after the in-flight free sets and
+// returns ctx.Err().
+func MineFromItemsets(ctx context.Context, m *itemset.Mining, opts Options, emit func(core.CFD)) error {
+	return pool.Stream(ctx, opts.Workers, len(m.Free),
 		func(_, i int) []core.CFD {
+			if opts.MaxLHS > 0 && m.Free[i].Attrs.Len() > opts.MaxLHS {
+				return nil
+			}
 			rules := freeSetRules(m, m.Free[i])
 			core.SortCFDs(rules)
 			return rules
@@ -76,39 +67,6 @@ func EmitFromItemsets(ctx context.Context, m *itemset.Mining, workers int, emit 
 				emit(c)
 			}
 		})
-}
-
-// MineFromItemsets runs CFDMiner over a precomputed free/closed item-set
-// mining result. FastCFD uses this entry point to share the mining work
-// between constant-CFD discovery and its own pattern pruning.
-func MineFromItemsets(m *itemset.Mining) []core.CFD {
-	out, err := MineFromItemsetsContext(context.Background(), m, 1)
-	if err != nil {
-		// Unreachable: the background context is never cancelled and
-		// MineFromItemsetsContext has no other failure mode.
-		panic(err)
-	}
-	return out
-}
-
-// MineFromItemsetsContext is MineFromItemsets with a cancellation context and
-// a worker count (0 = one per CPU, 1 = sequential). The free item sets are
-// processed independently — the closure lookups read only the mining result —
-// and their rules are concatenated in the miner's free-set order, so the
-// output does not depend on the worker count.
-func MineFromItemsetsContext(ctx context.Context, m *itemset.Mining, workers int) ([]core.CFD, error) {
-	perFree, err := pool.Map(ctx, workers, len(m.Free), func(_, i int) []core.CFD {
-		return freeSetRules(m, m.Free[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []core.CFD
-	for _, rules := range perFree {
-		out = append(out, rules...)
-	}
-	core.SortCFDs(out)
-	return out, nil
 }
 
 // freeSetRules emits the minimal constant CFDs rooted at one free item set:

@@ -1,6 +1,7 @@
 package cfdminer
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bruteforce"
@@ -37,6 +38,14 @@ func mkConstant(t *testing.T, r *core.Relation, lhs []string, lhsVals []string, 
 	return core.CFD{LHS: X, RHS: a, Tp: tp}
 }
 
+// mine runs CFDMiner to completion and returns its cover in canonical order.
+func mine(t testing.TB, r *core.Relation, opts Options) []core.CFD {
+	t.Helper()
+	return fixture.Cover(t, func(emit func(core.CFD)) error {
+		return MineContext(context.Background(), r, opts, emit)
+	})
+}
+
 func keys(cfds []core.CFD) map[string]bool {
 	m := make(map[string]bool, len(cfds))
 	for _, c := range cfds {
@@ -52,7 +61,7 @@ func TestMineCustPaperFacts(t *testing.T) {
 
 	// k = 2: phi2 = ([CC,AC] -> CT, (44,131 || EDI)) is a minimal 2-frequent
 	// constant CFD (Example 5); phi1 and phi3 are not minimal.
-	got2 := keys(Mine(r, 2))
+	got2 := keys(mine(t, r, Options{K: 2}))
 	phi2 := mkConstant(t, r, []string{"CC", "AC"}, []string{"44", "131"}, "CT", "EDI")
 	if !got2[phi2.Key()] {
 		t.Errorf("k=2: phi2 missing: %s", phi2.Format(r))
@@ -64,12 +73,12 @@ func TestMineCustPaperFacts(t *testing.T) {
 	}
 	// (AC -> CT, (908 || MH)) is 4-frequent and left-reduced (Example 7).
 	ac908 := mkConstant(t, r, []string{"AC"}, []string{"908"}, "CT", "MH")
-	got4 := keys(Mine(r, 4))
+	got4 := keys(mine(t, r, Options{K: 4}))
 	if !got4[ac908.Key()] {
 		t.Errorf("k=4: (AC -> CT, (908||MH)) missing")
 	}
 	// With k = 3 the 2-frequent phi2 must not appear.
-	got3 := keys(Mine(r, 3))
+	got3 := keys(mine(t, r, Options{K: 3}))
 	if got3[phi2.Key()] {
 		t.Error("k=3: phi2 has support 2 and must not be reported")
 	}
@@ -94,7 +103,7 @@ func TestMineMatchesBruteForce(t *testing.T) {
 	}
 	for name, r := range rels {
 		for _, k := range []int{1, 2, 3} {
-			got := Mine(r, k)
+			got := mine(t, r, Options{K: k})
 			want := bruteforce.MineConstant(r, k)
 			gk, wk := keys(got), keys(want)
 			for key := range wk {
@@ -115,7 +124,7 @@ func TestMineMatchesBruteForce(t *testing.T) {
 func TestMineOutputsAreMinimalConstantCFDs(t *testing.T) {
 	r := fixture.Cust()
 	for _, k := range []int{1, 2, 3, 4} {
-		for _, c := range Mine(r, k) {
+		for _, c := range mine(t, r, Options{K: k}) {
 			if !c.IsConstant() {
 				t.Errorf("k=%d: non-constant CFD emitted: %s", k, c.Format(r))
 			}
@@ -130,18 +139,24 @@ func TestMineOutputsAreMinimalConstantCFDs(t *testing.T) {
 }
 
 // TestMineFromItemsetsSharedMining verifies that reusing a mining result gives
-// the same answer as mining from scratch.
+// the same emitted sequence as mining from scratch, at one worker and at four.
 func TestMineFromItemsetsSharedMining(t *testing.T) {
 	r := fixture.Cust()
 	m := itemset.Mine(r, 2)
-	a := Mine(r, 2)
-	b := MineFromItemsets(m)
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Key() != b[i].Key() {
-			t.Errorf("CFD %d differs: %s vs %s", i, a[i].Format(r), b[i].Format(r))
+	a := fixture.Emitted(t, func(emit func(core.CFD)) error {
+		return MineContext(context.Background(), r, Options{K: 2, Workers: 1}, emit)
+	})
+	for _, workers := range []int{1, 4} {
+		b := fixture.Emitted(t, func(emit func(core.CFD)) error {
+			return MineFromItemsets(context.Background(), m, Options{Workers: workers}, emit)
+		})
+		if len(a) != len(b) {
+			t.Fatalf("workers=%d: lengths differ: %d vs %d", workers, len(a), len(b))
+		}
+		for i := range a {
+			if a[i].Key() != b[i].Key() {
+				t.Errorf("workers=%d: CFD %d differs: %s vs %s", workers, i, a[i].Format(r), b[i].Format(r))
+			}
 		}
 	}
 }
@@ -155,7 +170,7 @@ func TestMineConstantAttribute(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := Mine(r, 1)
+	got := mine(t, r, Options{K: 1})
 	if len(got) != 1 {
 		t.Fatalf("expected exactly one constant CFD, got %d", len(got))
 	}

@@ -3,15 +3,23 @@ package cfdminer
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fixture"
-	"repro/internal/itemset"
 )
 
-// TestMineContextWorkersDeterministic asserts that a four-worker run returns
-// exactly the same constant-CFD list, in the same order, as a sequential run.
+// emitted runs CFDMiner to completion and returns its rules in emission order.
+func emitted(t *testing.T, r *core.Relation, opts Options) []core.CFD {
+	t.Helper()
+	return fixture.Emitted(t, func(emit func(core.CFD)) error {
+		return MineContext(context.Background(), r, opts, emit)
+	})
+}
+
+// TestMineContextWorkersDeterministic asserts that a four-worker run emits
+// exactly the same constant CFDs, in the same order, as a sequential run.
 func TestMineContextWorkersDeterministic(t *testing.T) {
 	rels := map[string]*core.Relation{
 		"cust":     fixture.Cust(),
@@ -21,14 +29,8 @@ func TestMineContextWorkersDeterministic(t *testing.T) {
 	}
 	for name, r := range rels {
 		for _, k := range []int{1, 2, 4} {
-			seq, err := MineContext(context.Background(), r, Options{K: k, Workers: 1})
-			if err != nil {
-				t.Fatalf("%s k=%d sequential: %v", name, k, err)
-			}
-			par, err := MineContext(context.Background(), r, Options{K: k, Workers: 4})
-			if err != nil {
-				t.Fatalf("%s k=%d parallel: %v", name, k, err)
-			}
+			seq := emitted(t, r, Options{K: k, Workers: 1})
+			par := emitted(t, r, Options{K: k, Workers: 4})
 			if len(seq) != len(par) {
 				t.Errorf("%s k=%d: sequential %d CFDs, parallel %d", name, k, len(seq), len(par))
 				continue
@@ -43,38 +45,49 @@ func TestMineContextWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestMineFromItemsetsContextMatchesMine checks the shared-mining entry point
-// agrees with the one-shot entry point under parallelism.
-func TestMineFromItemsetsContextMatchesMine(t *testing.T) {
-	r := fixture.Cust()
-	m := itemset.Mine(r, 2)
-	par, err := MineFromItemsetsContext(context.Background(), m, 4)
-	if err != nil {
-		t.Fatal(err)
+// TestMineMaxLHS checks the bound against its definition: the cover under
+// MaxLHS n is the unbounded cover restricted to left-hand sides of at most n
+// attributes, at every worker count.
+func TestMineMaxLHS(t *testing.T) {
+	rels := map[string]*core.Relation{
+		"cust": fixture.Cust(),
+		"corr": fixture.RandomCorrelated(17, 200, 6, 5),
 	}
-	seq := Mine(r, 2)
-	if len(par) != len(seq) {
-		t.Fatalf("parallel %d CFDs, sequential %d", len(par), len(seq))
-	}
-	for i := range seq {
-		if seq[i].Key() != par[i].Key() {
-			t.Errorf("CFD %d differs between entry points", i)
+	for name, r := range rels {
+		full := emitted(t, r, Options{K: 2, Workers: 1})
+		for _, n := range []int{1, 2, 3} {
+			var want []core.CFD
+			for _, c := range full {
+				if c.LHS.Len() <= n {
+					want = append(want, c)
+				}
+			}
+			if n == 1 && (len(want) == 0 || len(want) == len(full)) {
+				t.Fatalf("%s: MaxLHS=1 keeps %d of %d rules; the bound is not exercised", name, len(want), len(full))
+			}
+			for _, workers := range []int{1, 4} {
+				got := emitted(t, r, Options{K: 2, MaxLHS: n, Workers: workers})
+				if !slices.EqualFunc(got, want, func(a, b core.CFD) bool { return a.Key() == b.Key() }) {
+					t.Errorf("%s MaxLHS=%d workers=%d: emitted %d CFDs, want the %d of the unbounded run, in its order", name, n, workers, len(got), len(want))
+				}
+			}
 		}
 	}
 }
 
 // TestMineContextPreCancelled asserts a cancelled context aborts the run with
-// ctx.Err().
+// ctx.Err() and nothing emitted.
 func TestMineContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		out, err := MineContext(ctx, fixture.Cust(), Options{K: 2, Workers: workers})
+		emits := 0
+		err := MineContext(ctx, fixture.Cust(), Options{K: 2, Workers: workers}, func(core.CFD) { emits++ })
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		if out != nil {
-			t.Errorf("workers=%d: expected no CFDs from a cancelled run", workers)
+		if emits != 0 {
+			t.Errorf("workers=%d: a cancelled run emitted %d CFDs", workers, emits)
 		}
 	}
 }

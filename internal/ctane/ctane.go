@@ -30,22 +30,9 @@ type Options struct {
 	// (candidate-set intersection and candidate-CFD validation are fanned out
 	// per element, partition products per left parent of the join; the levels
 	// themselves stay sequential, as each depends on the previous one). 0 selects one worker
-	// per CPU, 1 runs sequentially. The discovered cover is identical for
+	// per CPU, 1 runs sequentially. The emitted sequence is identical for
 	// every worker count.
 	Workers int
-	// Emit, when non-nil, switches MineContext into streaming mode: each
-	// lattice level's CFDs are handed to Emit (deduplicated and in canonical
-	// order within the level) as soon as the level is validated, and the
-	// final return value is nil. Cancelling the context stops the traversal
-	// at the next level boundary, which is how a consumer that has seen
-	// enough rules aborts the remaining (deeper, more expensive) levels. The
-	// emitted sequence is identical for every worker count.
-	Emit func(core.CFD)
-}
-
-// Mine returns the minimal k-frequent CFDs of r discovered by CTANE.
-func Mine(r *core.Relation, k int) []core.CFD {
-	return MineWithOptions(r, Options{K: k})
 }
 
 // element is one node of the attribute-set/pattern lattice. It reaches its
@@ -155,29 +142,17 @@ func (l *lattice) constPart(base int32, attr int, val int32) int32 {
 	return id
 }
 
-// MineWithOptions runs CTANE with explicit options.
-func MineWithOptions(r *core.Relation, opts Options) []core.CFD {
-	out, err := MineContext(context.Background(), r, opts)
-	if err != nil {
-		// Unreachable: the background context is never cancelled and
-		// MineContext has no other failure mode.
-		panic(err)
-	}
-	return out
-}
-
-// MineContext runs CTANE with explicit options under a context. Cancellation
-// is observed between per-element work units within a lattice level; a
-// cancelled run returns (nil, ctx.Err()). The discovered cover is independent
-// of Options.Workers.
-func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CFD, error) {
-	k := opts.K
-	if k < 1 {
-		k = 1
-	}
+// MineContext runs CTANE, handing each lattice level's CFDs to emit —
+// deduplicated and in canonical order within the level — as soon as the level
+// is validated. Cancellation is observed between per-element work units
+// within a lattice level, which is how a consumer that has seen enough rules
+// aborts the remaining (deeper, more expensive) levels; a cancelled run
+// returns ctx.Err(). The emitted sequence is independent of Options.Workers.
+func MineContext(ctx context.Context, r *core.Relation, opts Options, emit func(core.CFD)) error {
+	k := max(opts.K, 1)
 	arity := r.Arity()
 	if r.Size() < k || arity == 0 {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	maxLevel := arity
 	if opts.MaxLHS > 0 && opts.MaxLHS+1 < maxLevel {
@@ -185,40 +160,30 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CF
 	}
 
 	l := newLattice(r, k, pool.Normalize(opts.Workers))
-	var out []core.CFD
+	var found []core.CFD
 	for depth := 1; len(l.level) > 0 && depth <= maxLevel; depth++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		levelStart := len(out)
 		var err error
-		if out, err = l.discover(ctx, out); err != nil {
-			return nil, err
+		if found, err = l.discover(ctx, found[:0]); err != nil {
+			return err
 		}
-		// Streaming mode: hand this level's CFDs to the consumer now. Each
-		// level's CFDs have a strictly larger LHS than every earlier level's,
-		// so no later level can duplicate them; the batch is deduplicated and
-		// canonically ordered within the level, keeping the emitted sequence
-		// identical for every worker count.
-		if opts.Emit != nil {
-			batch := core.DedupCFDs(out[levelStart:])
-			core.SortCFDs(batch)
-			for _, c := range batch {
-				opts.Emit(c)
-			}
-			out = out[:levelStart]
+		// Each level's CFDs have a strictly larger LHS than every earlier
+		// level's, so no later level can duplicate them.
+		found = core.DedupCFDs(found)
+		core.SortCFDs(found)
+		for _, c := range found {
+			emit(c)
 		}
 		if depth == maxLevel {
 			break
 		}
 		if err := l.advance(ctx); err != nil {
-			return nil, err
+			return err
 		}
 	}
-
-	out = core.DedupCFDs(out)
-	core.SortCFDs(out)
-	return out, nil
+	return nil
 }
 
 // discover runs Steps 1 to 3 on the current level: it derives the C+ sets,
@@ -469,7 +434,8 @@ func (l *lattice) advance(ctx context.Context) error {
 // C+ sets before they are examined. Patterns with equally many constants are
 // ordered by their codes only to make the order total: Step 2.c acts from a
 // strictly more general sibling (or the element itself), never between two
-// of them, and the output is deduplicated and canonically sorted afterwards.
+// of them, and each level's output is deduplicated and canonically sorted
+// afterwards.
 func sortLevel(level []*element) {
 	slices.SortFunc(level, func(x, y *element) int {
 		if c := cmp.Or(cmp.Compare(x.attrs, y.attrs), cmp.Compare(x.consts, y.consts)); c != 0 {

@@ -1,6 +1,7 @@
 package ctane
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bruteforce"
@@ -8,6 +9,14 @@ import (
 	"repro/internal/fastcfd"
 	"repro/internal/fixture"
 )
+
+// mine runs CTANE to completion and returns its cover in canonical order.
+func mine(t testing.TB, r *core.Relation, opts Options) []core.CFD {
+	t.Helper()
+	return fixture.Cover(t, func(emit func(core.CFD)) error {
+		return MineContext(context.Background(), r, opts, emit)
+	})
+}
 
 func keys(cfds []core.CFD) map[string]bool {
 	m := make(map[string]bool, len(cfds))
@@ -43,7 +52,7 @@ func TestMineMatchesBruteForce(t *testing.T) {
 	}
 	for name, r := range rels {
 		for _, k := range []int{1, 2, 3} {
-			got := Mine(r, k)
+			got := mine(t, r, Options{K: k})
 			want := bruteforce.Mine(r, k)
 			if len(got) != len(want) {
 				t.Errorf("%s k=%d: CTANE found %d CFDs, brute force %d", name, k, len(got), len(want))
@@ -58,8 +67,10 @@ func TestMineMatchesBruteForce(t *testing.T) {
 func TestMineMatchesFastCFD(t *testing.T) {
 	r := fixture.Cust()
 	for _, k := range []int{1, 2, 3, 4} {
-		got := Mine(r, k)
-		want := fastcfd.Mine(r, k)
+		got := mine(t, r, Options{K: k})
+		want := fixture.Cover(t, func(emit func(core.CFD)) error {
+			return fastcfd.MineContext(context.Background(), r, fastcfd.Options{K: k, UseCFDMiner: true}, emit)
+		})
 		if len(got) != len(want) {
 			t.Errorf("k=%d: CTANE %d CFDs, FastCFD %d", k, len(got), len(want))
 		}
@@ -99,7 +110,7 @@ func TestMineCustPaperFacts(t *testing.T) {
 		return core.CFD{LHS: X, RHS: a, Tp: tp}
 	}
 
-	got3 := keys(Mine(r, 3))
+	got3 := keys(mine(t, r, Options{K: 3}))
 	// Example 8 (level-2 discoveries with k = 3): the constant CFDs
 	// (ZIP -> CC, (07974||01)) and (ZIP -> AC, (07974||908)) and the variable
 	// CFDs (ZIP -> CC, (07974||_)), (ZIP -> AC, (07974||_)), (STR -> ZIP, (_||_)).
@@ -125,7 +136,7 @@ func TestMineCustPaperFacts(t *testing.T) {
 		t.Errorf("([CC,AC] -> ZIP, (_,_||07974)) must not be reported")
 	}
 	// phi1 and phi3 are not minimal and must not appear at any threshold.
-	got2 := keys(Mine(r, 2))
+	got2 := keys(mine(t, r, Options{K: 2}))
 	phi1 := mk([]string{"CC", "AC"}, []string{"01", "908"}, "CT", "MH")
 	phi3 := mk([]string{"CC", "AC"}, []string{"01", "212"}, "CT", "NYC")
 	if got2[phi1.Key()] || got2[phi3.Key()] {
@@ -138,7 +149,7 @@ func TestMineCustPaperFacts(t *testing.T) {
 func TestMineOutputInvariants(t *testing.T) {
 	r := fixture.Cust()
 	for _, k := range []int{2, 3, 4} {
-		for _, c := range Mine(r, k) {
+		for _, c := range mine(t, r, Options{K: k}) {
 			if !core.IsMinimal(r, c) {
 				t.Errorf("k=%d: non-minimal CFD: %s", k, c.Format(r))
 			}
@@ -151,7 +162,7 @@ func TestMineOutputInvariants(t *testing.T) {
 
 func TestMineMaxLHS(t *testing.T) {
 	r := fixture.Cust()
-	got := MineWithOptions(r, Options{K: 2, MaxLHS: 1})
+	got := mine(t, r, Options{K: 2, MaxLHS: 1})
 	if len(got) == 0 {
 		t.Fatal("expected CFDs with single-attribute LHS")
 	}
@@ -160,7 +171,7 @@ func TestMineMaxLHS(t *testing.T) {
 			t.Errorf("MaxLHS=1 violated: %s", c.Format(r))
 		}
 	}
-	full := keys(Mine(r, 2))
+	full := keys(mine(t, r, Options{K: 2}))
 	for _, c := range got {
 		if !full[c.Key()] {
 			t.Errorf("MaxLHS run produced a CFD absent from the full run: %s", c.Format(r))
@@ -170,11 +181,11 @@ func TestMineMaxLHS(t *testing.T) {
 
 func TestMineDegenerateInputs(t *testing.T) {
 	empty := core.NewRelation(core.MustSchema("A", "B"))
-	if got := Mine(empty, 1); len(got) != 0 {
+	if got := mine(t, empty, Options{K: 1}); len(got) != 0 {
 		t.Errorf("empty relation: got %d CFDs", len(got))
 	}
 	r := fixture.Cust()
-	if got := Mine(r, 100); len(got) != 0 {
+	if got := mine(t, r, Options{K: 100}); len(got) != 0 {
 		t.Errorf("k > |r|: got %d CFDs", len(got))
 	}
 }

@@ -20,20 +20,30 @@ func parallelFixtures() map[string]*core.Relation {
 	}
 }
 
+// emitted runs CTANE to completion and returns its rules in emission order.
+func emitted(t *testing.T, r *core.Relation, opts Options) []core.CFD {
+	t.Helper()
+	return fixture.Emitted(t, func(emit func(core.CFD)) error {
+		return MineContext(context.Background(), r, opts, emit)
+	})
+}
+
 // TestMineContextWorkersDeterministic asserts that runs on 2, 4 and 8 workers
-// return exactly the same CFD list, in the same order, as a sequential run.
+// emit exactly the same CFDs, in the same order, as a sequential run — level
+// after level (LHS sizes never decrease along the sequence), canonically
+// ordered and free of duplicates within a level.
 func TestMineContextWorkersDeterministic(t *testing.T) {
 	for name, r := range parallelFixtures() {
 		for _, k := range []int{1, 2, 4} {
-			seq, err := MineContext(context.Background(), r, Options{K: k, Workers: 1})
-			if err != nil {
-				t.Fatalf("%s k=%d sequential: %v", name, k, err)
+			seq := emitted(t, r, Options{K: k, Workers: 1})
+			for i := 1; i < len(seq); i++ {
+				a, b := seq[i-1], seq[i]
+				if a.LHS.Len() > b.LHS.Len() || (a.LHS.Len() == b.LHS.Len() && a.Key() >= b.Key()) {
+					t.Fatalf("%s k=%d: rule %d out of emission order", name, k, i)
+				}
 			}
 			for _, workers := range []int{2, 4, 8} {
-				par, err := MineContext(context.Background(), r, Options{K: k, Workers: workers})
-				if err != nil {
-					t.Fatalf("%s k=%d workers=%d: %v", name, k, workers, err)
-				}
+				par := emitted(t, r, Options{K: k, Workers: workers})
 				if len(seq) != len(par) {
 					t.Errorf("%s k=%d: sequential %d CFDs, %d workers %d", name, k, len(seq), workers, len(par))
 					diffReport(t, r, name, par, seq)
@@ -54,14 +64,8 @@ func TestMineContextWorkersDeterministic(t *testing.T) {
 // a bounded left-hand side, which exercises the truncated-lattice paths.
 func TestMineContextWorkersDeterministicMaxLHS(t *testing.T) {
 	r := fixture.Cust()
-	seq, err := MineContext(context.Background(), r, Options{K: 2, MaxLHS: 2, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := MineContext(context.Background(), r, Options{K: 2, MaxLHS: 2, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := emitted(t, r, Options{K: 2, MaxLHS: 2, Workers: 1})
+	par := emitted(t, r, Options{K: 2, MaxLHS: 2, Workers: 4})
 	if len(seq) != len(par) {
 		t.Fatalf("sequential %d CFDs, parallel %d", len(seq), len(par))
 	}
@@ -78,12 +82,13 @@ func TestMineContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		out, err := MineContext(ctx, fixture.Cust(), Options{K: 2, Workers: workers})
+		emits := 0
+		err := MineContext(ctx, fixture.Cust(), Options{K: 2, Workers: workers}, func(core.CFD) { emits++ })
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		if out != nil {
-			t.Errorf("workers=%d: expected no CFDs from a cancelled run", workers)
+		if emits != 0 {
+			t.Errorf("workers=%d: a cancelled run emitted %d CFDs", workers, emits)
 		}
 	}
 }

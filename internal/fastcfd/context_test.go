@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/diffset"
 	"repro/internal/fixture"
 )
@@ -23,31 +24,13 @@ func TestMineContextPreCancelled(t *testing.T) {
 		"naivefast-seq": {K: 2, Computer: diffset.NewNaive(r), Workers: 1},
 	}
 	for name, opts := range variants {
-		out, err := MineContext(ctx, r, opts)
+		emits := 0
+		err := MineContext(ctx, r, opts, func(core.CFD) { emits++ })
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
-		if out != nil {
-			t.Errorf("%s: expected no CFDs from a cancelled run", name)
-		}
-	}
-}
-
-// TestMineContextMatchesMine asserts the context entry point returns the same
-// cover as the plain one.
-func TestMineContextMatchesMine(t *testing.T) {
-	r := fixture.RandomCorrelated(11, 150, 5, 4)
-	plain := Mine(r, 2)
-	ctxed, err := MineContext(context.Background(), r, Options{K: 2, UseCFDMiner: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(ctxed) {
-		t.Fatalf("plain %d CFDs, context %d", len(plain), len(ctxed))
-	}
-	for i := range plain {
-		if plain[i].Key() != ctxed[i].Key() {
-			t.Errorf("CFD %d differs between entry points", i)
+		if emits != 0 {
+			t.Errorf("%s: a cancelled run emitted %d CFDs", name, emits)
 		}
 	}
 }
@@ -66,9 +49,10 @@ func TestMineContextCancelledMidPrelude(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, workers := range []int{1, 2, 4} {
 		ctx := fixture.NewCountingContext(300)
-		out, err := MineContext(ctx, r, Options{K: 30, UseCFDMiner: true, Workers: workers})
-		if !errors.Is(err, context.Canceled) || out != nil {
-			t.Fatalf("workers=%d: got %d CFDs, err %v; want none, context.Canceled", workers, len(out), err)
+		emits := 0
+		err := MineContext(ctx, r, Options{K: 30, UseCFDMiner: true, Workers: workers}, func(core.CFD) { emits++ })
+		if !errors.Is(err, context.Canceled) || emits != 0 {
+			t.Fatalf("workers=%d: got %d CFDs, err %v; want none, context.Canceled", workers, emits, err)
 		}
 		// One look per closed-set worker inside a branch, one per pool
 		// dispatch loop, the pool's report, and one from the free-set pass.

@@ -44,57 +44,25 @@ type Options struct {
 	// Workers bounds the number of goroutines running the per-attribute
 	// FindCover searches and, before them, the closed-item-set pass of the
 	// prelude (which with more than one worker also overlaps the free-set
-	// pass). 0 selects one worker per CPU, 1 runs sequentially. The output
-	// is identical for every worker count (results are merged in
+	// pass). 0 selects one worker per CPU, 1 runs sequentially. The emitted
+	// sequence is identical for every worker count (results are merged in
 	// right-hand-side attribute order).
 	Workers int
-	// Emit, when non-nil, switches MineContext into streaming mode: the
-	// constant CFDs (when CFDMiner handles them) are handed to Emit first,
-	// then each right-hand-side attribute's variable CFDs as its FindCover
-	// search completes, in attribute order; the final return value is nil.
-	// Cancelling the context abandons the remaining per-attribute searches.
-	// The emitted sequence is identical for every worker count.
-	Emit func(core.CFD)
 }
 
-// Mine returns the minimal k-frequent CFDs of r discovered by FastCFD with the
-// default options (closed-item-set difference sets, CFDMiner for constants).
-func Mine(r *core.Relation, k int) []core.CFD {
-	return MineWithOptions(r, Options{K: k, UseCFDMiner: true})
-}
-
-// MineNaive returns the minimal k-frequent CFDs of r discovered by NaiveFast:
-// the same driver with the stripped-partition difference-set backend and
-// without the closed-item-set optimisation.
-func MineNaive(r *core.Relation, k int) []core.CFD {
-	return MineWithOptions(r, Options{K: k, Computer: diffset.NewNaive(r)})
-}
-
-// MineWithOptions runs FastCFD with explicit options.
-func MineWithOptions(r *core.Relation, opts Options) []core.CFD {
-	out, err := MineContext(context.Background(), r, opts)
-	if err != nil {
-		// Unreachable: the background context is never cancelled and
-		// MineContext has no other failure mode.
-		panic(err)
-	}
-	return out
-}
-
-// MineContext runs FastCFD with explicit options under a context.
+// MineContext runs FastCFD, handing emit the constant CFDs first (when
+// CFDMiner produces them, in canonical order) and then each right-hand-side
+// attribute's CFDs as its FindCover search completes, in attribute order.
 // Cancellation is observed inside the item-set passes of the prelude (per
-// free item set, per closed-set search node), between per-attribute FindCover
-// searches and between the free item sets of the constant-CFD pass; a
-// cancelled run returns (nil, ctx.Err()). The discovered cover is independent
-// of Options.Workers.
-func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CFD, error) {
-	k := opts.K
-	if k < 1 {
-		k = 1
-	}
+// free item set, per closed-set search node), between the free item sets of
+// the constant-CFD pass and between per-attribute FindCover searches; a
+// cancelled run returns ctx.Err(). The emitted sequence is independent of
+// Options.Workers.
+func MineContext(ctx context.Context, r *core.Relation, opts Options, emit func(core.CFD)) error {
+	k := max(opts.K, 1)
 	if r.Size() < k {
 		// No CFD can reach the support threshold.
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	comp := opts.Computer
 	if comp == nil {
@@ -102,7 +70,7 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CF
 	}
 	mining, err := minePrelude(ctx, r, k, comp, opts.Workers)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f := &finder{
 		r:      r,
@@ -111,48 +79,28 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options) ([]core.CF
 		opts:   opts,
 		mining: mining,
 	}
-	var out []core.CFD
 	if opts.UseCFDMiner && !opts.VariableOnly {
-		constants, err := cfdminer.MineFromItemsetsContext(ctx, f.mining, opts.Workers)
+		var constants []core.CFD
+		err := cfdminer.MineFromItemsets(ctx, mining, cfdminer.Options{MaxLHS: opts.MaxLHS, Workers: opts.Workers},
+			func(c core.CFD) { constants = append(constants, c) })
 		if err != nil {
-			return nil, err
+			return err
 		}
+		core.SortCFDs(constants)
 		for _, c := range constants {
-			if opts.MaxLHS > 0 && c.LHS.Len() > opts.MaxLHS {
-				continue
-			}
-			if opts.Emit != nil {
-				opts.Emit(c)
-			} else {
-				out = append(out, c)
-			}
+			emit(c)
 		}
 	}
-	if opts.Emit != nil {
-		// Streaming mode: hand each attribute's variable CFDs to the consumer
-		// as its FindCover search completes, in attribute order. Constant and
-		// variable CFDs never coincide and no two free sets (or attributes)
-		// derive the same rule, so the stream needs no global deduplication.
-		return nil, pool.Stream(ctx, opts.Workers, r.Arity(),
-			func(_, rhs int) []core.CFD { return f.findCover(rhs) },
-			func(_ int, cfds []core.CFD) {
-				for _, c := range cfds {
-					opts.Emit(c)
-				}
-			})
-	}
-	perRHS, err := pool.Map(ctx, opts.Workers, r.Arity(), func(_, rhs int) []core.CFD {
-		return f.findCover(rhs)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, cfds := range perRHS {
-		out = append(out, cfds...)
-	}
-	out = core.DedupCFDs(out)
-	core.SortCFDs(out)
-	return out, nil
+	// Constant and variable CFDs never coincide and no two free sets (or
+	// attributes) derive the same rule, so the sequence needs no global
+	// deduplication.
+	return pool.Stream(ctx, opts.Workers, r.Arity(),
+		func(_, rhs int) []core.CFD { return f.findCover(rhs) },
+		func(_ int, cfds []core.CFD) {
+			for _, c := range cfds {
+				emit(c)
+			}
+		})
 }
 
 // minePrelude runs the two passes every per-attribute search reads: the

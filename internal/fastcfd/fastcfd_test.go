@@ -1,6 +1,7 @@
 package fastcfd
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bruteforce"
@@ -8,6 +9,22 @@ import (
 	"repro/internal/diffset"
 	"repro/internal/fixture"
 )
+
+// emitted runs the miner to completion and returns its rules in emission order.
+func emitted(t testing.TB, r *core.Relation, opts Options) []core.CFD {
+	t.Helper()
+	return fixture.Emitted(t, func(emit func(core.CFD)) error {
+		return MineContext(context.Background(), r, opts, emit)
+	})
+}
+
+// mine runs the miner to completion and returns its cover in canonical order.
+func mine(t testing.TB, r *core.Relation, opts Options) []core.CFD {
+	t.Helper()
+	return fixture.Cover(t, func(emit func(core.CFD)) error {
+		return MineContext(context.Background(), r, opts, emit)
+	})
+}
 
 func keys(cfds []core.CFD) map[string]bool {
 	m := make(map[string]bool, len(cfds))
@@ -49,10 +66,10 @@ func TestMineMatchesBruteForce(t *testing.T) {
 		for _, k := range []int{1, 2, 3} {
 			want := bruteforce.Mine(r, k)
 			variants := map[string][]core.CFD{
-				"fastcfd":          Mine(r, k),
-				"fastcfd-nofilter": MineWithOptions(r, Options{K: k, UseCFDMiner: false}),
-				"naivefast":        MineNaive(r, k),
-				"naive+miner":      MineWithOptions(r, Options{K: k, Computer: diffset.NewNaive(r), UseCFDMiner: true}),
+				"fastcfd":          mine(t, r, Options{K: k, UseCFDMiner: true}),
+				"fastcfd-nofilter": mine(t, r, Options{K: k, UseCFDMiner: false}),
+				"naivefast":        mine(t, r, Options{K: k, Computer: diffset.NewNaive(r)}),
+				"naive+miner":      mine(t, r, Options{K: k, Computer: diffset.NewNaive(r), UseCFDMiner: true}),
 			}
 			for vname, got := range variants {
 				if len(got) != len(want) {
@@ -95,8 +112,8 @@ func TestMineCustPaperFacts(t *testing.T) {
 		return core.CFD{LHS: X, RHS: a, Tp: tp}
 	}
 
-	got2 := keys(Mine(r, 2))
-	got3 := keys(Mine(r, 3))
+	got2 := keys(mine(t, r, Options{K: 2, UseCFDMiner: true}))
+	got3 := keys(mine(t, r, Options{K: 3, UseCFDMiner: true}))
 
 	f1 := mk([]string{"CC", "AC"}, []string{"_", "_"}, "CT", "_")
 	f2 := mk([]string{"CC", "AC", "PN"}, []string{"_", "_", "_"}, "STR", "_")
@@ -128,7 +145,7 @@ func TestMineCustPaperFacts(t *testing.T) {
 func TestMineOutputInvariants(t *testing.T) {
 	r := fixture.Cust()
 	for _, k := range []int{2, 3} {
-		for _, c := range Mine(r, k) {
+		for _, c := range mine(t, r, Options{K: k, UseCFDMiner: true}) {
 			if !core.IsMinimal(r, c) {
 				t.Errorf("k=%d: non-minimal CFD: %s", k, c.Format(r))
 			}
@@ -148,9 +165,9 @@ func TestMineOutputInvariants(t *testing.T) {
 func TestMineBackendsAgree(t *testing.T) {
 	r := fixture.Cust()
 	for _, k := range []int{1, 2, 3, 4} {
-		a := Mine(r, k)
-		b := MineNaive(r, k)
-		c := MineWithOptions(r, Options{K: k, UseCFDMiner: false})
+		a := mine(t, r, Options{K: k, UseCFDMiner: true})
+		b := mine(t, r, Options{K: k, Computer: diffset.NewNaive(r)})
+		c := mine(t, r, Options{K: k, UseCFDMiner: false})
 		if len(a) != len(b) || len(a) != len(c) {
 			t.Errorf("k=%d: sizes differ: closed=%d naive=%d nofilter=%d", k, len(a), len(b), len(c))
 		}
@@ -161,7 +178,7 @@ func TestMineBackendsAgree(t *testing.T) {
 
 func TestMineVariableOnly(t *testing.T) {
 	r := fixture.Cust()
-	got := MineWithOptions(r, Options{K: 2, VariableOnly: true})
+	got := mine(t, r, Options{K: 2, VariableOnly: true})
 	if len(got) == 0 {
 		t.Fatal("expected variable CFDs")
 	}
@@ -174,7 +191,7 @@ func TestMineVariableOnly(t *testing.T) {
 
 func TestMineMaxLHS(t *testing.T) {
 	r := fixture.Cust()
-	got := MineWithOptions(r, Options{K: 2, MaxLHS: 2, UseCFDMiner: true})
+	got := mine(t, r, Options{K: 2, MaxLHS: 2, UseCFDMiner: true})
 	if len(got) == 0 {
 		t.Fatal("expected CFDs")
 	}
@@ -184,7 +201,7 @@ func TestMineMaxLHS(t *testing.T) {
 		}
 	}
 	// Every CFD with a small LHS from the unrestricted run must still be found.
-	full := Mine(r, 2)
+	full := mine(t, r, Options{K: 2, UseCFDMiner: true})
 	gk := keys(got)
 	for _, c := range full {
 		if c.LHS.Len() <= 2 && !gk[c.Key()] {
@@ -194,7 +211,7 @@ func TestMineMaxLHS(t *testing.T) {
 }
 
 // TestMineParallelMatchesSequential verifies that the concurrent per-attribute
-// search produces exactly the sequential cover.
+// search emits exactly the sequential run's rules, in its order.
 func TestMineParallelMatchesSequential(t *testing.T) {
 	rels := map[string]*core.Relation{
 		"cust": fixture.Cust(),
@@ -202,9 +219,9 @@ func TestMineParallelMatchesSequential(t *testing.T) {
 	}
 	for name, r := range rels {
 		for _, k := range []int{2, 5} {
-			seq := MineWithOptions(r, Options{K: k, UseCFDMiner: true, Workers: 1})
+			seq := emitted(t, r, Options{K: k, UseCFDMiner: true, Workers: 1})
 			for _, workers := range []int{2, 4, 8} {
-				par := MineWithOptions(r, Options{K: k, UseCFDMiner: true, Workers: workers})
+				par := emitted(t, r, Options{K: k, UseCFDMiner: true, Workers: workers})
 				if len(seq) != len(par) {
 					t.Errorf("%s k=%d: sequential %d CFDs, %d workers %d", name, k, len(seq), workers, len(par))
 					continue
@@ -222,13 +239,13 @@ func TestMineParallelMatchesSequential(t *testing.T) {
 
 func TestMineEmptyAndTinyRelations(t *testing.T) {
 	r := core.NewRelation(core.MustSchema("A", "B"))
-	if got := Mine(r, 1); len(got) != 0 {
+	if got := mine(t, r, Options{K: 1, UseCFDMiner: true}); len(got) != 0 {
 		t.Errorf("empty relation should yield no CFDs, got %d", len(got))
 	}
 	if err := r.AppendRow([]string{"1", "x"}); err != nil {
 		t.Fatal(err)
 	}
-	got := Mine(r, 1)
+	got := mine(t, r, Options{K: 1, UseCFDMiner: true})
 	// A single tuple satisfies every CFD; the minimal ones are the constant
 	// CFDs with empty LHS and the corresponding variable ones.
 	for _, c := range got {

@@ -15,23 +15,21 @@ import (
 	"repro/internal/diffset"
 )
 
-// Mine returns the minimal functional dependencies of r, using the given
-// difference-set backend (the closed-item-set backend when comp is nil).
-func Mine(r *core.Relation, comp diffset.Computer) []core.CFD {
-	out, err := MineContext(context.Background(), r, comp)
-	if err != nil {
-		// Unreachable: the background context is never cancelled and
-		// MineContext has no other failure mode.
-		panic(err)
-	}
-	return out
-}
-
-// MineContext is Mine with a cancellation context, observed once per
-// right-hand-side attribute; a cancelled run returns (nil, ctx.Err()).
-func MineContext(ctx context.Context, r *core.Relation, comp diffset.Computer) ([]core.CFD, error) {
+// MineContext hands emit, in canonical order once the search is done, the
+// minimal functional dependencies of r, using the given difference-set
+// backend (the closed-item-set backend when comp is nil). Cancellation is
+// observed inside the closed-item-set pass that backend starts with and once
+// per right-hand-side attribute; a cancelled run returns ctx.Err().
+func MineContext(ctx context.Context, r *core.Relation, comp diffset.Computer, emit func(core.CFD)) error {
 	if comp == nil {
 		comp = diffset.NewClosed(r)
+	}
+	if closed, ok := comp.(*diffset.Closed); ok {
+		// Otherwise the first query below would mine the closed item sets
+		// under no context at all.
+		if err := closed.Prepare(ctx, 1); err != nil {
+			return err
+		}
 	}
 	arity := r.Arity()
 	all := r.Schema().All()
@@ -40,7 +38,7 @@ func MineContext(ctx context.Context, r *core.Relation, comp diffset.Computer) (
 
 	for rhs := 0; rhs < arity; rhs++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		diffs := comp.MinimalDiffSets(core.EmptyAttrSet, empty, rhs)
 		if len(diffs) == 0 {
@@ -59,7 +57,10 @@ func MineContext(ctx context.Context, r *core.Relation, comp diffset.Computer) (
 		}
 	}
 	core.SortCFDs(out)
-	return out, nil
+	for _, c := range out {
+		emit(c)
+	}
+	return nil
 }
 
 // MinimalCovers enumerates every minimal cover of the difference sets that can

@@ -1,6 +1,7 @@
 package fastfd
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -8,6 +9,14 @@ import (
 	"repro/internal/fixture"
 	"repro/internal/tane"
 )
+
+// mine runs FastFD to completion and returns its cover in canonical order.
+func mine(t testing.TB, r *core.Relation, comp diffset.Computer) []core.CFD {
+	t.Helper()
+	return fixture.Cover(t, func(emit func(core.CFD)) error {
+		return MineContext(context.Background(), r, comp, emit)
+	})
+}
 
 func sameCFDs(a, b []core.CFD) bool {
 	if len(a) != len(b) {
@@ -34,9 +43,11 @@ func TestMineMatchesTANE(t *testing.T) {
 		"corr":    fixture.RandomCorrelated(2, 80, 5, 4),
 	}
 	for name, r := range rels {
-		want := tane.Mine(r)
-		gotClosed := Mine(r, diffset.NewClosed(r))
-		gotNaive := Mine(r, diffset.NewNaive(r))
+		want := fixture.Cover(t, func(emit func(core.CFD)) error {
+			return tane.MineContext(context.Background(), r, emit)
+		})
+		gotClosed := mine(t, r, diffset.NewClosed(r))
+		gotNaive := mine(t, r, diffset.NewNaive(r))
 		if !sameCFDs(gotClosed, want) {
 			t.Errorf("%s: FastFD(closed) found %d FDs, TANE %d", name, len(gotClosed), len(want))
 		}
@@ -48,7 +59,7 @@ func TestMineMatchesTANE(t *testing.T) {
 
 func TestMineDefaultsToClosedBackend(t *testing.T) {
 	r := fixture.Cust()
-	if !sameCFDs(Mine(r, nil), Mine(r, diffset.NewClosed(r))) {
+	if !sameCFDs(mine(t, r, nil), mine(t, r, diffset.NewClosed(r))) {
 		t.Error("nil backend should behave like the closed backend")
 	}
 }
@@ -60,7 +71,7 @@ func TestMineConstantAttribute(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := Mine(r, nil)
+	got := mine(t, r, nil)
 	foundEmptyLHS := false
 	for _, c := range got {
 		if c.LHS == core.EmptyAttrSet && c.RHS == 1 {

@@ -6,6 +6,7 @@ package fixture
 import (
 	"math/rand"
 	"strconv"
+	"testing"
 
 	"repro/internal/core"
 )
@@ -111,4 +112,24 @@ func RandomCorrelated(seed int64, tuples, arity, domain int) *core.Relation {
 		}
 	}
 	return r
+}
+
+// Emitted runs a miner — a call of its one emit-only entry point, wrapped in
+// mine — to completion and returns the rules it emitted, in emission order.
+func Emitted(t testing.TB, mine func(emit func(core.CFD)) error) []core.CFD {
+	t.Helper()
+	var out []core.CFD
+	if err := mine(func(c core.CFD) { out = append(out, c) }); err != nil {
+		t.Fatalf("mining: %v", err)
+	}
+	return out
+}
+
+// Cover is Emitted deduplicated and in canonical order: the cover as the
+// miners' tests compare it with each other and with the brute-force oracle.
+func Cover(t testing.TB, mine func(emit func(core.CFD)) error) []core.CFD {
+	t.Helper()
+	out := core.DedupCFDs(Emitted(t, mine))
+	core.SortCFDs(out)
+	return out
 }

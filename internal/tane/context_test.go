@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fixture"
 )
 
@@ -13,30 +14,29 @@ import (
 func TestMineContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := MineContext(ctx, fixture.Cust())
+	emits := 0
+	err := MineContext(ctx, fixture.Cust(), func(core.CFD) { emits++ })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
-	if out != nil {
-		t.Error("expected no FDs from a cancelled run")
+	if emits != 0 {
+		t.Errorf("a cancelled run emitted %d FDs", emits)
 	}
 }
 
-// TestMineContextMatchesMine asserts the context entry point returns the same
-// FDs as the plain one.
+// TestMineContextMatchesMine pins the emit contract of a miner with no
+// incremental structure: the sequence MineContext emits is already the cover
+// the tests' mine helper makes of it — in canonical order, nothing twice.
 func TestMineContextMatchesMine(t *testing.T) {
 	r := fixture.Cust()
-	plain := Mine(r)
-	ctxed, err := MineContext(context.Background(), r)
-	if err != nil {
-		t.Fatal(err)
+	emitted := fixture.Emitted(t, func(emit func(core.CFD)) error { return MineContext(context.Background(), r, emit) })
+	cover := mine(t, r)
+	if len(emitted) == 0 || len(emitted) != len(cover) {
+		t.Fatalf("emitted %d FDs, the cover has %d", len(emitted), len(cover))
 	}
-	if len(plain) != len(ctxed) {
-		t.Fatalf("plain %d FDs, context %d", len(plain), len(ctxed))
-	}
-	for i := range plain {
-		if plain[i].Key() != ctxed[i].Key() {
-			t.Errorf("FD %d differs between entry points", i)
+	for i := range cover {
+		if emitted[i].Key() != cover[i].Key() {
+			t.Errorf("FD %d emitted out of canonical order: %s", i, emitted[i].Format(r))
 		}
 	}
 }

@@ -22,28 +22,18 @@ type element struct {
 	cplus core.AttrSet
 }
 
-// Mine returns the minimal functional dependencies X -> A that hold on r,
-// expressed as CFDs with all-wildcard patterns. Dependencies with an empty
-// left-hand side (constant attributes) are included.
-func Mine(r *core.Relation) []core.CFD {
-	out, err := MineContext(context.Background(), r)
-	if err != nil {
-		// Unreachable: the background context is never cancelled and
-		// MineContext has no other failure mode.
-		panic(err)
-	}
-	return out
-}
-
-// MineContext is Mine with a cancellation context, observed once per lattice
-// level; a cancelled run returns (nil, ctx.Err()).
-func MineContext(ctx context.Context, r *core.Relation) ([]core.CFD, error) {
+// MineContext hands emit, in canonical order once the traversal is done, the
+// minimal functional dependencies X -> A that hold on r, expressed as CFDs
+// with all-wildcard patterns. Dependencies with an empty left-hand side
+// (constant attributes) are included. Cancellation is observed once per
+// lattice level; a cancelled run returns ctx.Err().
+func MineContext(ctx context.Context, r *core.Relation, emit func(core.CFD)) error {
 	arity := r.Arity()
 	all := r.Schema().All()
 	n := r.Size()
 	var out []core.CFD
 
-	emit := func(lhs core.AttrSet, rhs int) {
+	found := func(lhs core.AttrSet, rhs int) {
 		out = append(out, core.CFD{LHS: lhs, RHS: rhs, Tp: core.NewPattern(arity)})
 	}
 
@@ -66,7 +56,7 @@ func MineContext(ctx context.Context, r *core.Relation) ([]core.CFD, error) {
 
 	for len(level) > 0 {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		sort.Slice(level, func(i, j int) bool { return level[i].attrs < level[j].attrs })
 		byAttrs := make(map[core.AttrSet]*element, len(level))
@@ -96,7 +86,7 @@ func MineContext(ctx context.Context, r *core.Relation) ([]core.CFD, error) {
 					return
 				}
 				if parent.part.NumClasses() == e.part.NumClasses() {
-					emit(e.attrs.Remove(a), a)
+					found(e.attrs.Remove(a), a)
 					e.cplus = e.cplus.Remove(a)
 					e.cplus = e.cplus.Diff(all.Diff(e.attrs))
 				}
@@ -151,5 +141,8 @@ func MineContext(ctx context.Context, r *core.Relation) ([]core.CFD, error) {
 	}
 
 	core.SortCFDs(out)
-	return out, nil
+	for _, c := range out {
+		emit(c)
+	}
+	return nil
 }

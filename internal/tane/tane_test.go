@@ -1,11 +1,20 @@
 package tane
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fixture"
 )
+
+// mine runs TANE to completion and returns its cover in canonical order.
+func mine(t testing.TB, r *core.Relation) []core.CFD {
+	t.Helper()
+	return fixture.Cover(t, func(emit func(core.CFD)) error {
+		return MineContext(context.Background(), r, emit)
+	})
+}
 
 // bruteForceFDs returns every minimal FD of r by exhaustive enumeration.
 func bruteForceFDs(r *core.Relation) []core.CFD {
@@ -54,7 +63,7 @@ func sameCFDs(a, b []core.CFD) bool {
 // TestMineCustKnownFDs checks the FDs quoted in the paper on the Fig. 1 relation.
 func TestMineCustKnownFDs(t *testing.T) {
 	r := fixture.Cust()
-	got := Mine(r)
+	got := mine(t, r)
 	index := make(map[string]bool, len(got))
 	for _, c := range got {
 		index[c.Key()] = true
@@ -92,7 +101,7 @@ func TestMineMatchesBruteForce(t *testing.T) {
 		"constant": constantColumnRelation(),
 	}
 	for name, r := range rels {
-		got := Mine(r)
+		got := mine(t, r)
 		want := bruteForceFDs(r)
 		if !sameCFDs(got, want) {
 			t.Errorf("%s: TANE found %d FDs, brute force %d", name, len(got), len(want))
@@ -121,7 +130,7 @@ func TestMineMatchesBruteForce(t *testing.T) {
 // TestMineOutputsAreMinimalFDs validates output invariants.
 func TestMineOutputsAreMinimalFDs(t *testing.T) {
 	r := fixture.RandomCorrelated(4, 90, 5, 5)
-	for _, c := range Mine(r) {
+	for _, c := range mine(t, r) {
 		if !c.IsVariable() || c.Tp.ConstAttrs(c.LHS).Len() != 0 {
 			t.Errorf("TANE emitted a non-FD: %s", c.Format(r))
 		}
