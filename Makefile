@@ -79,7 +79,8 @@ docs-check:
 # snapshot codec, which also holds the snapshot's appender to encoding/json),
 # the bulk /v1 reply encoders against json.Encoder on the same documents,
 # the shared group index against its from-scratch recount,
-# the probe-table partition product against the product's definition and the
+# the partition product — either operand refined by the other's last item —
+# against the direct scan partition.FromSet and the
 # difference-set minimisation against its map-based reference; the corpus
 # seeds also run as normal tests under `make test`.
 FUZZTIME ?= 30s
@@ -99,7 +100,7 @@ fuzz:
 # which only cmd/cfdserve's tests drive over real shard nodes, so its profile
 # counts both packages' tests;
 # internal/jsonw the JSON appenders under the bulk replies and the snapshot) and
-# on the mining kernels (internal/partition: counting split and product;
+# on the mining kernels (internal/partition: counting split and refinement;
 # internal/itemset: free- and closed-set miners) and the searches built on
 # them (internal/cfdminer; internal/ctane: the linked lattice; internal/diffset
 # and internal/fastcfd: difference sets and the cover search), on the pool they

@@ -127,6 +127,28 @@ func TestVariableOnlyAndMaxLHS(t *testing.T) {
 	}
 }
 
+// TestVariableOnlyEveryAlgorithm checks that WithVariableOnly is honoured by
+// the engine, not by the miner that happens to know the option: CTANE's
+// variable cover is FastCFD's, neither holds a constant CFD, and CFDMiner —
+// which finds nothing else — yields the empty set.
+func TestVariableOnlyEveryAlgorithm(t *testing.T) {
+	r := cust()
+	opts := []discovery.Option{discovery.WithSupport(2), discovery.WithVariableOnly(true)}
+	fast, ctane := mine(t, discovery.AlgFastCFD, r, opts...), mine(t, discovery.AlgCTANE, r, opts...)
+	if ctane.Fingerprint() != fast.Fingerprint() {
+		t.Errorf("CTANE and FastCFD disagree under VariableOnly: %d vs %d rules", ctane.Len(), fast.Len())
+	}
+	if ctane.Constant() != 0 || ctane.Variable() == 0 {
+		t.Errorf("CTANE under VariableOnly: constant=%d variable=%d", ctane.Constant(), ctane.Variable())
+	}
+	if full := mine(t, discovery.AlgCTANE, r, discovery.WithSupport(2)); full.Variable() != ctane.Len() {
+		t.Errorf("CTANE under VariableOnly keeps %d rules, its full cover has %d variable ones", ctane.Len(), full.Variable())
+	}
+	if set := mine(t, discovery.AlgCFDMiner, r, opts...); set.Len() != 0 {
+		t.Errorf("CFDMiner under VariableOnly yields %d rules, want none", set.Len())
+	}
+}
+
 // TestCFDMinerMaxLHS holds WithMaxLHS to its definition for the constant
 // miner: CFDMiner under bound n reports the unbounded cover restricted to
 // left-hand sides of at most n attributes, which is also the constant part of

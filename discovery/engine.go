@@ -89,8 +89,10 @@ func WithLimit(n int) Option { return func(c *engineConfig) { c.limit = n } }
 // cheap.
 func WithProgress(fn func(found int)) Option { return func(c *engineConfig) { c.progress = fn } }
 
-// WithVariableOnly suppresses constant CFDs (FastCFD/NaiveFast only); the
-// paper uses this split when reporting CFD counts.
+// WithVariableOnly suppresses constant CFDs, whichever algorithm runs — the
+// paper uses this split when reporting CFD counts. Rules with a constant
+// right-hand side are dropped as the miner emits them (CFDMiner yields none);
+// FastCFD and NaiveFast also skip the work of finding them.
 func WithVariableOnly(v bool) Option { return func(c *engineConfig) { c.variableOnly = v } }
 
 // WithoutItemsetOptimisation turns off FastCFD's §5.5 optimisation of taking
@@ -170,7 +172,7 @@ func (e *Engine) each(ctx context.Context, fn func(core.CFD) bool) error {
 		cancel()
 	}
 	err := e.mine(mctx, func(c core.CFD) {
-		if stopped {
+		if stopped || (e.cfg.variableOnly && !c.IsVariable()) {
 			return
 		}
 		if !fn(c) {

@@ -27,9 +27,9 @@ type Options struct {
 	// CFDs (and therefore the depth of the lattice traversal).
 	MaxLHS int
 	// Workers bounds the number of goroutines used within each lattice level
-	// (candidate-set intersection and candidate-CFD validation are fanned out
-	// per element, partition products per left parent of the join; the levels
-	// themselves stay sequential, as each depends on the previous one). 0 selects one worker
+	// (candidate-set intersection, candidate-CFD validation and the partition
+	// products of the join are fanned out per element; the levels themselves
+	// stay sequential, as each depends on the previous one). 0 selects one worker
 	// per CPU, 1 runs sequentially. The emitted sequence is identical for
 	// every worker count.
 	Workers int
@@ -79,6 +79,7 @@ type lattice struct {
 	r        *core.Relation
 	k        int
 	workers  int
+	refiners []*partition.Refiner // one per worker
 	itemTids [][][]int32
 	// constIDs interns constant patterns, id 0 being the empty one;
 	// constTids[id] lists the tuples matching the pattern, k-frequent or not.
@@ -97,16 +98,21 @@ func newLattice(r *core.Relation, k, workers int) *lattice {
 	allTids := partition.AllTids(n)
 	l := &lattice{
 		r: r, k: k, workers: workers,
+		refiners:  make([]*partition.Refiner, workers),
 		itemTids:  partition.ItemTids(r, allTids),
 		constIDs:  make(map[constKey]int32),
 		constTids: [][]int32{allTids},
 	}
+	for w := range l.refiners {
+		l.refiners[w] = partition.NewRefiner(r)
+	}
 	wild := core.NewPattern(r.Arity())
-	root := []*element{{tp: wild, part: partition.FromItem(allTids), cplus: newCandidateSet(), support: n}}
+	rootPart := partition.FromItem(allTids)
+	root := []*element{{tp: wild, part: rootPart, cplus: newCandidateSet(), support: n}}
 	l.prev = root
 	for a := 0; a < r.Arity(); a++ {
 		l.level = append(l.level, &element{
-			attrs: core.SingleAttr(a), tp: wild, part: partition.FromAttribute(r, a),
+			attrs: core.SingleAttr(a), tp: wild, part: partition.FromAttribute(rootPart, a, l.refiners[0]),
 			parents: root, support: n,
 		})
 		for v, tids := range l.itemTids[a] {
@@ -317,9 +323,10 @@ func validCFD(parent, e *element, cA int32) bool {
 // survived pruning, and builds their partitions as products of the parents'
 // partitions. The joins and frequency checks run sequentially (they share the
 // constant-part table); the partition products — the expensive part — are
-// fanned out across workers per left parent, each worker with its own probe:
-// a left parent's partition is written into the probe table once and
-// multiplied with all of its right siblings.
+// fanned out across workers per joined element, each worker with its own
+// refiner. The parents x and y differ in their last item only, so the product
+// is either one refined by the other's last item; the one storing fewer
+// tuples is scanned.
 func (l *lattice) advance(ctx context.Context) error {
 	// children finds a survivor by its prefix and last item. For the join of
 	// x and y, the sub-element without an attribute B of the shared prefix is
@@ -331,17 +338,7 @@ func (l *lattice) advance(ctx context.Context) error {
 		children[childKey{e.prefix(), int32(last), e.tp[last]}] = e
 		e.prefix().kids = append(e.prefix().kids, e)
 	}
-	// joins lists the surviving (y, joined element) pairs; the joins of one
-	// left parent x are consecutive, lefts[i] naming x and where they end.
-	type join struct {
-		y, elem *element
-	}
-	type left struct {
-		x   *element
-		end int
-	}
-	var joins []join
-	var lefts []left
+	var next []*element
 	var subs []*element // scratch: the sub-elements found so far for one candidate
 	for _, p := range l.prev {
 		group := p.kids
@@ -352,7 +349,6 @@ func (l *lattice) advance(ctx context.Context) error {
 				return err
 			}
 			xLast := x.attrs.Last()
-			first := len(joins)
 			for _, y := range group {
 				yLast := y.attrs.Last()
 				if xLast >= yLast {
@@ -385,32 +381,24 @@ func (l *lattice) advance(ctx context.Context) error {
 				parents := append(append(make([]*element, 0, len(subs)+2), subs...), y, x)
 				up := x.tp.Clone()
 				up[yLast] = val
-				joins = append(joins, join{y: y, elem: &element{
+				next = append(next, &element{
 					attrs: x.attrs.Union(y.attrs), tp: up, consts: consts,
 					parents: parents, constID: constID, support: support,
-				}})
-			}
-			if len(joins) > first {
-				lefts = append(lefts, left{x: x, end: len(joins)})
+				})
 			}
 		}
 	}
-	probes := make([]*partition.Probe, l.workers)
-	if err := pool.Each(ctx, l.workers, len(lefts), func(w, i int) {
-		if probes[w] == nil {
-			probes[w] = partition.NewProbe(l.r.Size())
+	if err := pool.Each(ctx, l.workers, len(next), func(w, i int) {
+		e := next[i]
+		// The parents end in y, x. Ties go to x, so the choice is a function
+		// of the input alone.
+		small, by := e.prefix(), e.parents[len(e.parents)-2]
+		if by.part.SumSizes() < small.part.SumSizes() {
+			small, by = by, small
 		}
-		probe := probes[w]
-		start := 0
-		if i > 0 {
-			start = lefts[i-1].end
-		}
-		probe.Load(lefts[i].x.part)
-		for _, j := range joins[start:lefts[i].end] {
-			j.elem.part = probe.Product(j.y.part)
-			j.elem.part.Covered = j.elem.support
-		}
-		probe.Unload()
+		last := by.attrs.Last()
+		e.part = l.refiners[w].Refine(small.part, last, by.tp[last])
+		e.part.Covered = e.support
 	}); err != nil {
 		return err
 	}
@@ -420,11 +408,7 @@ func (l *lattice) advance(ctx context.Context) error {
 	for _, e := range l.level {
 		e.parents = nil
 	}
-	l.prev = l.level
-	l.level = make([]*element, len(joins))
-	for i, j := range joins {
-		l.level[i] = j.elem
-	}
+	l.prev, l.level = l.level, next
 	return nil
 }
 

@@ -27,8 +27,7 @@ func elementKey(attrs core.AttrSet, tp core.Pattern) string {
 // referenceNextLevel is Step 4 as it was written before elements were linked:
 // survivors grouped by the rendered key of their prefix, every immediate
 // sub-element of a candidate looked up by its rendered key, the constant
-// part's tuples taken by a scan of the relation and each partition by a
-// one-off product.
+// part's tuples and each partition taken by a scan of the relation.
 func referenceNextLevel(r *core.Relation, level []*element, k int) map[string]refElement {
 	byKey := make(map[string]*element, len(level))
 	type groupKey struct {
@@ -42,7 +41,6 @@ func referenceNextLevel(r *core.Relation, level []*element, k int) map[string]re
 		gk := groupKey{prefix, e.tp.Key(prefix)}
 		groups[gk] = append(groups[gk], e)
 	}
-	probe := partition.NewProbe(r.Size())
 	next := make(map[string]refElement)
 	for _, group := range groups {
 		for _, x := range group {
@@ -66,9 +64,7 @@ func referenceNextLevel(r *core.Relation, level []*element, k int) map[string]re
 				if !ok {
 					continue
 				}
-				part := partition.ProductWith(x.part, y.part, probe)
-				part.Covered = support
-				next[elementKey(z, up)] = refElement{attrs: z, tp: up, support: support, part: part}
+				next[elementKey(z, up)] = refElement{attrs: z, tp: up, support: support, part: partition.FromSet(r, z, up)}
 			}
 		}
 	}

@@ -66,47 +66,35 @@ func assertZero(t *testing.T, what string, s []int32) {
 	}
 }
 
+// kernelShapes are the inputs the refinement is held to its definition on:
+// one-value columns, all-distinct columns, empty and one-row relations.
+var kernelShapes = []struct {
+	n     int
+	kinds []int
+}{
+	{0, []int{2, 3, 0}},
+	{1, []int{2, -1, 0}},
+	{2, []int{0, 0, -1}},
+	{40, []int{0, -1, 2, 3}},
+	{120, []int{2, 3, 4, 0}},
+	{200, []int{3, 5, 2, 7}},
+	{300, []int{-1, 2, 2, 40}},
+}
+
 // TestChainedProductsMatchFromSet holds the kernels to the direct scan: for
-// every lattice element (X, tp) with |X| ≤ 3 over random relations — one-value
-// columns, all-distinct columns, empty and one-row inputs included — the
-// product of the level-1 partitions, chained through one reused probe, equals
+// every lattice element (X, tp) with |X| ≤ 3 over random relations, the
+// level-1 partition refined item by item through one reused refiner equals
 // FromSet's partition as a set of classes, with the covered count taken from
-// the constant part's tid list as CTANE takes it, and the probe's scratch is
-// all zero after every call.
+// the constant part's tid list as CTANE takes it, and the splitter's scratch
+// is all zero after every call.
 func TestChainedProductsMatchFromSet(t *testing.T) {
-	shapes := []struct {
-		n     int
-		kinds []int
-	}{
-		{0, []int{2, 3, 0}},
-		{1, []int{2, -1, 0}},
-		{2, []int{0, 0, -1}},
-		{40, []int{0, -1, 2, 3}},
-		{120, []int{2, 3, 4, 0}},
-		{200, []int{3, 5, 2, 7}},
-		{300, []int{-1, 2, 2, 40}},
-	}
-	for si, shape := range shapes {
+	for si, shape := range kernelShapes {
 		for seed := int64(0); seed < 3; seed++ {
 			r := kernelRelation(rand.New(rand.NewSource(seed+int64(100*si))), shape.n, shape.kinds)
-			n, arity := r.Size(), r.Arity()
-			all := AllTids(n)
+			arity := r.Arity()
+			all := AllTids(r.Size())
 			items := ItemTids(r, all)
-			pr := NewProbe(n)
-			// choices[a] lists the level-1 elements on attribute a: the
-			// wildcard first, then every dictionary value (the ghost too).
-			type level1 struct {
-				value int32
-				part  *Partition
-				tids  []int32
-			}
-			choices := make([][]level1, arity)
-			for a := range choices {
-				choices[a] = append(choices[a], level1{core.Wildcard, FromAttribute(r, a), all})
-				for v, tids := range items[a] {
-					choices[a] = append(choices[a], level1{int32(v), FromItem(tids), tids})
-				}
-			}
+			rf := NewRefiner(r)
 			var walk func(from int, X core.AttrSet, tp core.Pattern, part *Partition, tids []int32)
 			walk = func(from int, X core.AttrSet, tp core.Pattern, part *Partition, tids []int32) {
 				if !X.IsEmpty() {
@@ -125,57 +113,58 @@ func TestChainedProductsMatchFromSet(t *testing.T) {
 					return
 				}
 				for a := from; a < arity; a++ {
-					for _, c := range choices[a] {
-						next, nextTids := c.part, c.tids
-						if !X.IsEmpty() {
-							next = ProductWith(part, c.part, pr)
-							assertZero(t, "probe table", pr.class)
-							assertZero(t, "split slots", pr.split.slot)
-							nextTids = tids
-							if c.value != core.Wildcard {
-								nextTids = nil
-								for _, t := range tids {
-									if r.Value(int(t), a) == c.value {
-										nextTids = append(nextTids, t)
-									}
+					// The wildcard, then every dictionary value (the ghost too).
+					for v := int32(core.Wildcard); int(v) < len(items[a]); v++ {
+						next := rf.Refine(part, a, v)
+						assertZero(t, "split slots", rf.split.slot)
+						nextTids := tids
+						if v != core.Wildcard {
+							nextTids = nil
+							for _, t := range tids {
+								if r.Value(int(t), a) == v {
+									nextTids = append(nextTids, t)
 								}
 							}
 						}
 						ntp := tp.Clone()
-						ntp[a] = c.value
+						ntp[a] = v
 						walk(a+1, X.Add(a), ntp, next, nextTids)
 					}
 				}
 			}
-			walk(0, core.EmptyAttrSet, core.NewPattern(arity), nil, all)
+			walk(0, core.EmptyAttrSet, core.NewPattern(arity), FromItem(all), all)
 		}
 	}
 }
 
-// TestProbeSharedAcrossRightOperands checks that one Load serves every
-// product against it and that the order of the operands does not change the
-// product: both are what lets the levelwise algorithms fill the probe table
-// once per left parent.
-func TestProbeSharedAcrossRightOperands(t *testing.T) {
-	r := kernelRelation(rand.New(rand.NewSource(9)), 400, []int{4, 6, 3, 9, 2})
-	parts := make([]*Partition, r.Arity())
-	for a := range parts {
-		parts[a] = FromAttribute(r, a)
-	}
-	shared, oneOff := NewProbe(r.Size()), NewProbe(r.Size())
-	for a, x := range parts {
-		shared.Load(x)
-		for b, y := range parts {
-			got := classSets(shared.Product(y))
-			if want := classSets(ProductWith(x, y, oneOff)); !slices.Equal(got, want) {
-				t.Errorf("attrs %d,%d: shared probe gives %v, one-off product %v", a, b, got, want)
-			}
-			if want := classSets(ProductWith(y, x, oneOff)); !slices.Equal(got, want) {
-				t.Errorf("attrs %d,%d: product is not symmetric: %v vs %v", a, b, got, want)
+// TestRefineEitherParent checks the symmetry the levelwise join relies on to
+// scan the smaller parent: for x = (P∪{A}, sp·a) and y = (P∪{B}, sp·b), x
+// refined by y's last item and y refined by x's give the same classes —
+// those of the joined element — whether a and b are wildcards or constants.
+func TestRefineEitherParent(t *testing.T) {
+	for si, shape := range kernelShapes {
+		r := kernelRelation(rand.New(rand.NewSource(int64(7+si))), shape.n, shape.kinds)
+		rf := NewRefiner(r)
+		// P is empty or the first attribute, as a wildcard.
+		for _, P := range []core.AttrSet{core.EmptyAttrSet, core.SingleAttr(0)} {
+			for A := 1; A < r.Arity(); A++ {
+				for B := A + 1; B < r.Arity(); B++ {
+					for a := int32(core.Wildcard); int(a) < r.DomainSize(A); a++ {
+						for b := int32(core.Wildcard); int(b) < r.DomainSize(B); b++ {
+							tp := core.NewPattern(r.Arity())
+							tp[A], tp[B] = a, b
+							x, y := FromSet(r, P.Add(A), tp), FromSet(r, P.Add(B), tp)
+							want := classSets(FromSet(r, P.Add(A).Add(B), tp))
+							fromX, fromY := classSets(rf.Refine(x, B, b)), classSets(rf.Refine(y, A, a))
+							if !slices.Equal(fromX, want) || !slices.Equal(fromY, want) {
+								t.Fatalf("shape %d %s: x refined gives %v, y refined %v, want %v",
+									si, tp.Format(r, P.Add(A).Add(B)), fromX, fromY, want)
+							}
+						}
+					}
+				}
 			}
 		}
-		shared.Unload()
-		assertZero(t, "probe table", shared.class)
 	}
 }
 
@@ -250,80 +239,64 @@ func TestSplitMatchesMapRegroup(t *testing.T) {
 	}
 }
 
-// TestProductAllocationsAreConstant guards the flat layout: a product
+// TestProductAllocationsAreConstant guards the flat layout: a refinement
 // allocates the partition and its one buffer, however many classes it has.
 func TestProductAllocationsAreConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, domain := range []int{2, 40, 900} {
 		r := kernelRelation(rng, 4000, []int{domain, domain})
-		x, y := FromAttribute(r, 0), FromAttribute(r, 1)
-		pr := NewProbe(r.Size())
-		classes := ProductWith(x, y, pr).Stripped() // also grows the probe's buffers
-		allocs := testing.AllocsPerRun(20, func() { ProductWith(x, y, pr) })
-		if allocs > 2 {
-			t.Errorf("product of %d classes allocates %.0f objects, want at most 2", classes, allocs)
+		rf := NewRefiner(r)
+		x := attrPartition(r, 0)
+		for _, val := range []int32{core.Wildcard, 1} {
+			classes := rf.Refine(x, 1, val).Stripped() // also grows the refiner's buffers
+			allocs := testing.AllocsPerRun(20, func() { rf.Refine(x, 1, val) })
+			if allocs > 2 {
+				t.Errorf("refinement into %d classes allocates %.0f objects, want at most 2", classes, allocs)
+			}
 		}
 	}
 }
 
-// fuzzPartition decodes bytes into a partition over n tuples: byte t is the
-// class label of tuple t; a label at or above 250 leaves the tuple out (as a
-// constant pattern that does not match it would).
-func fuzzPartition(labels []byte, n int) *Partition {
-	groups := make(map[byte][]int32)
-	covered := 0
-	for t := 0; t < n; t++ {
-		if l := labels[t%len(labels)]; l < 250 {
-			groups[l] = append(groups[l], int32(t))
-			covered++
-		}
-	}
-	p := &Partition{Covered: covered}
-	for l := 0; l < 250; l++ {
-		if g := groups[byte(l)]; len(g) >= 2 {
-			p.tids = append(p.tids, g...)
-			p.ends = append(p.ends, int32(len(p.tids)))
-		}
-	}
-	return p
-}
-
-// FuzzProduct checks the probe-table product against the definition: two
-// tuples share a product class iff they share a class in both operands.
+// FuzzProduct checks the product by refinement against the direct scan: over
+// a relation of three fuzzed columns P, A and B, the partitions of (PA, a)
+// and (PB, b) — wildcards or constants, a value at or above 250 being the
+// wildcard — each refined by the other's last item give FromSet's classes of
+// (PAB, ab).
 func FuzzProduct(f *testing.F) {
-	f.Add([]byte{255}, []byte{0}, uint8(6))                         // empty left operand
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{0}, uint8(8))      // all singletons × one class
-	f.Add([]byte{0}, []byte{0}, uint8(9))                           // one class × one class
-	f.Add([]byte{0, 1}, []byte{0, 0, 1, 1}, uint8(16))              // classes split in two
-	f.Add([]byte{0, 0, 255, 1}, []byte{3, 255, 3, 3, 9}, uint8(40)) // constants leave tuples out
-	f.Fuzz(func(t *testing.T, left, right []byte, size uint8) {
-		n := int(size)
-		if len(left) == 0 || len(right) == 0 {
+	f.Add([]byte{0}, []byte{0}, []byte{0}, uint8(0), uint8(255), uint8(255))                           // empty relation
+	f.Add([]byte{0}, []byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{0}, uint8(8), uint8(255), uint8(255))      // all singletons × one class
+	f.Add([]byte{0}, []byte{0, 1}, []byte{0, 0, 1, 1}, uint8(16), uint8(255), uint8(255))              // classes split in two
+	f.Add([]byte{0, 1, 1}, []byte{0, 0, 9, 1}, []byte{3, 7, 3, 3, 9}, uint8(40), uint8(0), uint8(255)) // a constant cuts classes down
+	f.Add([]byte{0, 0, 1}, []byte{2, 2, 5}, []byte{4, 4, 4, 6}, uint8(60), uint8(2), uint8(4))         // constants on both sides
+	f.Fuzz(func(t *testing.T, colP, colA, colB []byte, size, a, b uint8) {
+		if len(colP) == 0 || len(colA) == 0 || len(colB) == 0 {
 			return
 		}
-		x, y := fuzzPartition(left, n), fuzzPartition(right, n)
-		pr := NewProbe(n)
-		got := ProductWith(x, y, pr)
-		assertZero(t, "probe table", pr.class)
-		assertZero(t, "split slots", pr.split.slot)
-
-		type pair struct{ l, r byte }
-		groups := make(map[pair][]int32)
-		for i := 0; i < n; i++ {
-			l, r := left[i%len(left)], right[i%len(right)]
-			if l < 250 && r < 250 {
-				groups[pair{l, r}] = append(groups[pair{l, r}], int32(i))
+		r := core.NewRelation(core.MustSchema("P", "A", "B"))
+		for i := 0; i < int(size); i++ {
+			row := []string{strconv.Itoa(int(colP[i%len(colP)])), strconv.Itoa(int(colA[i%len(colA)])), strconv.Itoa(int(colB[i%len(colB)]))}
+			if err := r.AppendRow(row); err != nil {
+				t.Fatal(err)
 			}
 		}
-		var want []string
-		for _, g := range groups {
-			if len(g) >= 2 {
-				want = append(want, fmt.Sprint(g))
+		// A constant the column does not hold is still a dictionary value.
+		item := func(attr int, v uint8) int32 {
+			if v >= 250 {
+				return core.Wildcard
 			}
+			return r.Dict(attr).Encode(strconv.Itoa(int(v)))
 		}
-		slices.Sort(want)
-		if gotSets := classSets(got); !slices.Equal(gotSets, want) {
-			t.Fatalf("product of %v and %v over %d tuples: %v, want %v", left, right, n, gotSets, want)
+		tp := core.Pattern{core.Wildcard, item(1, a), item(2, b)}
+		x, y := FromSet(r, core.NewAttrSet(0, 1), tp), FromSet(r, core.NewAttrSet(0, 2), tp)
+		want := classSets(FromSet(r, core.NewAttrSet(0, 1, 2), tp))
+		rf := NewRefiner(r)
+		fromX := classSets(rf.Refine(x, 2, tp[2]))
+		assertZero(t, "split slots", rf.split.slot)
+		fromY := classSets(rf.Refine(y, 1, tp[1]))
+		assertZero(t, "split slots", rf.split.slot)
+		if !slices.Equal(fromX, want) || !slices.Equal(fromY, want) {
+			t.Fatalf("P %v A %v B %v over %d tuples, pattern %v: x refined gives %v, y refined %v, want %v",
+				colP, colA, colB, size, tp, fromX, fromY, want)
 		}
 	})
 }

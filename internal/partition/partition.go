@@ -1,7 +1,8 @@
 // Package partition implements the equivalence-class partitions that underpin
 // the levelwise algorithms TANE and CTANE (§4.4 of the paper): tuples matching
 // a pattern are grouped by their values on an attribute set, partitions of
-// larger attribute sets are obtained as products of smaller ones, and the
+// larger attribute sets are obtained as products of smaller ones — one
+// operand refined by the attribute the other adds (Refiner) — and the
 // validity of candidate (C)FDs reduces to comparing class counts or covered
 // tuple counts between a lattice element and its parent.
 //
@@ -48,12 +49,13 @@ func (p *Partition) NumClasses() int {
 	return len(p.ends) + (p.Covered - len(p.tids))
 }
 
-// FromAttribute returns the partition of the lattice element (A, "_"): all
-// tuples grouped by their value of attribute attr.
-func FromAttribute(r *core.Relation, attr int) *Partition {
-	var g Groups
-	NewSplitter(r.DomainSize(attr)).Split(r.Column(attr), AllTids(r.Size()), 2, &g)
-	return &Partition{tids: g.Tids, ends: g.Ends, Covered: r.Size()}
+// FromAttribute returns the partition of the lattice element (A, "_"), all
+// tuples grouped by their value of attribute attr: root, the partition of the
+// empty element — FromItem of every tid — refined by attr.
+func FromAttribute(root *Partition, attr int, rf *Refiner) *Partition {
+	p := rf.Refine(root, attr, core.Wildcard)
+	p.Covered = root.Covered
+	return p
 }
 
 // FromItem returns the partition of the lattice element (A, value) from the
@@ -71,7 +73,7 @@ func FromItem(tids []int32) *Partition {
 // FromSet builds the partition of an arbitrary lattice element (X, tp) by a
 // direct scan: tuples matching the constants of tp on X, grouped by their X
 // values. It is used by tests and as a reference implementation; the levelwise
-// algorithms build partitions incrementally with products instead.
+// algorithms build partitions incrementally by refinement instead.
 func FromSet(r *core.Relation, X core.AttrSet, tp core.Pattern) *Partition {
 	attrs := X.Attrs()
 	groups := make(map[string][]int32)
@@ -104,65 +106,60 @@ func FromSet(r *core.Relation, X core.AttrSet, tp core.Pattern) *Partition {
 	return p
 }
 
-// Probe is the scratch state of TANE's linear-time partition product: a pair
-// of tuples shares a class in the product iff it shares a class in both
-// operands. Load writes the left operand into a probe table — one class id
-// per tuple — and Product splits every class of a right operand by those
-// ids, so the table is filled once however many right operands are
-// multiplied against it (the levelwise algorithms join one left parent with
-// all of its siblings). A Probe is reused for a whole run and is not safe for
-// concurrent use: every worker owns one.
-type Probe struct {
-	// class[t] is one plus the index of t's class in the loaded operand, zero
-	// if t is stripped from it; all zero while nothing is loaded.
-	class []int32
+// Refiner is the scratch state of the partition product (§4.4). The two
+// operands of a levelwise join differ in one attribute, so their product is
+// one of them refined by the other's last item: its classes split by that
+// attribute's column, or cut down to the tuples holding the item's constant.
+// A refinement scans the operand it is given and nothing else — the callers
+// hand it the smaller one. A Refiner is reused for a whole run and is not
+// safe for concurrent use: every worker owns one.
+type Refiner struct {
+	r     *core.Relation
 	split *Splitter
 	out   Groups
-	left  *Partition
 }
 
-// NewProbe returns a probe for partitions of a relation of n tuples.
-func NewProbe(n int) *Probe {
-	// Stored classes hold at least two tuples, so there are at most n/2.
-	return &Probe{class: make([]int32, n), split: NewSplitter(n / 2)}
+// NewRefiner returns a refiner for partitions of r.
+func NewRefiner(r *core.Relation) *Refiner {
+	return &Refiner{r: r, split: NewSplitter(MaxDomain(r))}
 }
 
-// Load fills the probe table from x. Nothing may be loaded already.
-func (pr *Probe) Load(x *Partition) {
-	start := int32(0)
-	for i, end := range x.ends {
-		for _, t := range x.tids[start:end] {
-			pr.class[t] = int32(i + 1)
-		}
-		start = end
-	}
-	pr.left = x
-}
-
-// Unload restores the probe table to zeroes.
-func (pr *Probe) Unload() {
-	for _, t := range pr.left.tids {
-		pr.class[t] = 0
-	}
-	pr.left = nil
-}
-
-// Product returns the stripped partition of the union of the loaded lattice
-// element and y. Covered cannot be derived from stripped inputs and is set to
-// -1; the caller must fill it in (CTANE derives it from the support of the
-// element's constant pattern, TANE always uses the relation size). The
-// product is built in the probe's reused buffers and copied out once at its
-// exact size.
-func (pr *Probe) Product(y *Partition) *Partition {
-	out := &Partition{Covered: -1}
-	if len(pr.left.ends) == 0 {
-		return out
-	}
-	g := &pr.out
+// Refine returns the stripped partition of the lattice element that extends
+// p's by the item (attr, val): with the wildcard every class of p is split by
+// its tuples' attr values, with a constant it is cut down to the tuples
+// holding it; what is left of a class stays if it has two tuples or more.
+// Covered cannot be derived from a stripped input and is set to -1; the
+// caller must fill it in (CTANE derives it from the support of the element's
+// constant pattern, TANE always uses the relation size). The result is built
+// in the refiner's reused buffers and copied out once at its exact size.
+func (rf *Refiner) Refine(p *Partition, attr int, val int32) *Partition {
+	col := rf.r.Column(attr)
+	g := &rf.out
 	g.Reset()
-	for i := range y.ends {
-		pr.split.split(pr.class, y.Class(i), 1, 2, g)
+	for i := range p.ends {
+		cls := p.Class(i)
+		start := len(g.Tids)
+		switch {
+		case val != core.Wildcard:
+			for _, t := range cls {
+				if col[t] == val {
+					g.Tids = append(g.Tids, t)
+				}
+			}
+		case len(cls) > 2:
+			rf.split.Split(col, cls, 2, g)
+			continue
+		case col[cls[0]] == col[cls[1]]:
+			// A class of two stays or goes: one compare, nothing to count.
+			g.Tids = append(g.Tids, cls...)
+		}
+		if len(g.Tids)-start < 2 {
+			g.Tids = g.Tids[:start]
+		} else {
+			g.Ends = append(g.Ends, int32(len(g.Tids)))
+		}
 	}
+	out := &Partition{Covered: -1}
 	if len(g.Ends) == 0 {
 		return out
 	}
@@ -172,13 +169,6 @@ func (pr *Probe) Product(y *Partition) *Partition {
 	copy(out.tids, g.Tids)
 	copy(out.ends, g.Ends)
 	return out
-}
-
-// ProductWith is the one-off product of a and b: load a, multiply, unload.
-func ProductWith(a, b *Partition, pr *Probe) *Partition {
-	pr.Load(a)
-	defer pr.Unload()
-	return pr.Product(b)
 }
 
 // RefinesRHSVariable reports whether the candidate variable-RHS CFD

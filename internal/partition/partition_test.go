@@ -25,9 +25,14 @@ func code(t *testing.T, r *core.Relation, name, value string) int32 {
 	return v
 }
 
+// attrPartition is the one-off form of FromAttribute.
+func attrPartition(r *core.Relation, a int) *Partition {
+	return FromAttribute(FromItem(AllTids(r.Size())), a, NewRefiner(r))
+}
+
 func TestFromAttribute(t *testing.T) {
 	r := fixture.Cust()
-	p := FromAttribute(r, attr(t, r, "CC"))
+	p := attrPartition(r, attr(t, r, "CC"))
 	// CC splits r0 into {t1..t4,t8} and {t5,t6,t7}: 2 classes, both kept.
 	if p.Stripped() != 2 {
 		t.Fatalf("CC partition has %d stripped classes, want 2", p.Stripped())
@@ -36,7 +41,7 @@ func TestFromAttribute(t *testing.T) {
 		t.Errorf("Covered=%d NumClasses=%d SumSizes=%d", p.Covered, p.NumClasses(), p.SumSizes())
 	}
 
-	p = FromAttribute(r, attr(t, r, "STR"))
+	p = attrPartition(r, attr(t, r, "STR"))
 	// STR values: Tree Ave.(2), 5th Ave(1), Elm Str.(1), High St.(2), Port PI(1), 3rd Str.(1).
 	if p.Stripped() != 2 || p.NumClasses() != 6 {
 		t.Errorf("STR partition: stripped=%d total=%d, want 2/6", p.Stripped(), p.NumClasses())
@@ -59,9 +64,7 @@ func TestFromItem(t *testing.T) {
 func TestFromSetMatchesProduct(t *testing.T) {
 	r := fixture.Cust()
 	cc, ac := attr(t, r, "CC"), attr(t, r, "AC")
-	pa := FromAttribute(r, cc)
-	pb := FromAttribute(r, ac)
-	prod := ProductWith(pa, pb, NewProbe(r.Size()))
+	prod := NewRefiner(r).Refine(attrPartition(r, cc), ac, core.Wildcard)
 	prod.Covered = r.Size()
 	direct := FromSet(r, core.NewAttrSet(cc, ac), core.NewPattern(r.Arity()))
 	if prod.NumClasses() != direct.NumClasses() {
@@ -72,20 +75,24 @@ func TestFromSetMatchesProduct(t *testing.T) {
 	}
 }
 
-func TestProductWithConstantPattern(t *testing.T) {
+func TestProductConstantPattern(t *testing.T) {
 	r := fixture.Cust()
 	cc, zip := attr(t, r, "CC"), attr(t, r, "ZIP")
-	// ([CC,ZIP], (01, _)) : product of (CC=01) and (ZIP, _).
-	pa := FromItem(ItemTids(r, AllTids(r.Size()))[cc][code(t, r, "CC", "01")])
-	pb := FromAttribute(r, zip)
-	prod := ProductWith(pa, pb, NewProbe(r.Size()))
+	// ([CC,ZIP], (01, _)) : product of (CC=01) and (ZIP, _), from either side.
+	c01 := code(t, r, "CC", "01")
 	tp := core.NewPattern(r.Arity())
-	tp[cc] = code(t, r, "CC", "01")
+	tp[cc] = c01
 	direct := FromSet(r, core.NewAttrSet(cc, zip), tp)
-	prod.Covered = direct.Covered
-	if prod.NumClasses() != direct.NumClasses() || prod.SumSizes() != direct.SumSizes() {
-		t.Errorf("product=%d/%d direct=%d/%d classes/sizes",
-			prod.NumClasses(), prod.SumSizes(), direct.NumClasses(), direct.SumSizes())
+	rf := NewRefiner(r)
+	for side, prod := range []*Partition{
+		rf.Refine(FromItem(ItemTids(r, AllTids(r.Size()))[cc][c01]), zip, core.Wildcard),
+		rf.Refine(attrPartition(r, zip), cc, c01),
+	} {
+		prod.Covered = direct.Covered
+		if prod.NumClasses() != direct.NumClasses() || prod.SumSizes() != direct.SumSizes() {
+			t.Errorf("side %d: product=%d/%d direct=%d/%d classes/sizes", side,
+				prod.NumClasses(), prod.SumSizes(), direct.NumClasses(), direct.SumSizes())
+		}
 	}
 	// CC=01 tuples grouped by ZIP: {t1,t2,t4} (07974) and {t3,t8} (01202).
 	if direct.Stripped() != 2 {
@@ -96,8 +103,7 @@ func TestProductWithConstantPattern(t *testing.T) {
 func TestProductEmpty(t *testing.T) {
 	r := fixture.Cust()
 	empty := &Partition{Covered: 0}
-	other := FromAttribute(r, attr(t, r, "CC"))
-	prod := ProductWith(empty, other, NewProbe(r.Size()))
+	prod := NewRefiner(r).Refine(empty, attr(t, r, "CC"), core.Wildcard)
 	if prod.Stripped() != 0 {
 		t.Error("product with empty partition must have no classes")
 	}
@@ -155,7 +161,7 @@ func TestProductAgainstDirect(t *testing.T) {
 		wild := core.NewPattern(r.Arity())
 		for a := 0; a < r.Arity(); a++ {
 			for b := a + 1; b < r.Arity(); b++ {
-				prod := ProductWith(FromAttribute(r, a), FromAttribute(r, b), NewProbe(r.Size()))
+				prod := NewRefiner(r).Refine(attrPartition(r, a), b, core.Wildcard)
 				prod.Covered = r.Size()
 				direct := FromSet(r, core.NewAttrSet(a, b), wild)
 				if prod.NumClasses() != direct.NumClasses() || prod.SumSizes() != direct.SumSizes() {

@@ -36,12 +36,11 @@ func window(tids, ends []int32, i int) []int32 {
 
 // Splitter is the counting split every row-side loop of the miners is built
 // on: it groups a tid list by a per-tuple key — an attribute's dictionary
-// code, or the class id of a probe table — with one counter per key instead
-// of a map from key to bucket. Keys are dense from zero, so the counters are
-// an array; a list of the keys a call touched resets them in time
-// proportional to the input, not to the key space. A Splitter allocates
-// nothing per call once its output buffers have grown. It is not safe for
-// concurrent use: every worker owns one.
+// code — with one counter per key instead of a map from key to bucket. Keys
+// are dense from zero, so the counters are an array; a list of the keys a
+// call touched resets them in time proportional to the input, not to the key
+// space. A Splitter allocates nothing per call once its output buffers have
+// grown. It is not safe for concurrent use: every worker owns one.
 type Splitter struct {
 	// slot[k] counts the tids of key k during the first pass and holds one
 	// plus k's write offset during the second; zero between calls.
@@ -69,19 +68,12 @@ func MaxDomain(r *core.Relation) int {
 // tids to out. Tuples whose key is negative (holes of a relation) join no
 // group.
 func (s *Splitter) Split(key, tids []int32, minSize int, out *Groups) {
-	s.split(key, tids, 0, minSize, out)
-}
-
-// split is Split over the keys key[t]-lo; tuples with key[t] < lo join no
-// group. The product runs it with lo = 1 over a probe table, whose zero
-// entries mark the tuples stripped from the left operand.
-func (s *Splitter) split(key, tids []int32, lo int32, minSize int, out *Groups) {
 	if len(tids) < minSize {
 		return
 	}
 	slot, touched := s.slot, s.touched[:0]
 	for _, t := range tids {
-		k := key[t] - lo
+		k := key[t]
 		if k < 0 {
 			continue
 		}
@@ -102,7 +94,7 @@ func (s *Splitter) split(key, tids []int32, lo int32, minSize int, out *Groups) 
 		slot[k] = off + 1
 		off += c
 		out.Ends = append(out.Ends, off)
-		out.Codes = append(out.Codes, k+lo)
+		out.Codes = append(out.Codes, k)
 	}
 	if off == base {
 		return
@@ -114,7 +106,7 @@ func (s *Splitter) split(key, tids []int32, lo int32, minSize int, out *Groups) 
 	}
 	flat := out.Tids[:off]
 	for _, t := range tids {
-		k := key[t] - lo
+		k := key[t]
 		if k < 0 {
 			continue
 		}

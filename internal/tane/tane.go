@@ -38,20 +38,18 @@ func MineContext(ctx context.Context, r *core.Relation, emit func(core.CFD)) err
 	}
 
 	// Virtual empty-set element: one equivalence class holding every tuple.
+	root := partition.FromItem(partition.AllTids(n))
 	prev := map[core.AttrSet]*element{
-		core.EmptyAttrSet: {attrs: core.EmptyAttrSet, part: partition.FromItem(partition.AllTids(n)), cplus: all},
+		core.EmptyAttrSet: {attrs: core.EmptyAttrSet, part: root, cplus: all},
 	}
 
-	// Probe table reused by every partition product.
-	probe := partition.NewProbe(n)
+	// Scratch reused by every partition product.
+	refiner := partition.NewRefiner(r)
 
 	// Level 1.
 	level := make([]*element, 0, arity)
 	for a := 0; a < arity; a++ {
-		level = append(level, &element{
-			attrs: core.SingleAttr(a),
-			part:  partition.FromAttribute(r, a),
-		})
+		level = append(level, &element{attrs: core.SingleAttr(a), part: partition.FromAttribute(root, a, refiner)})
 	}
 
 	for len(level) > 0 {
@@ -103,8 +101,8 @@ func MineContext(ctx context.Context, r *core.Relation, emit func(core.CFD)) err
 		}
 		level = kept
 		// Step 4: generate the next level by prefix join: two sets join iff they
-		// share everything but their largest attribute. The probe table is
-		// loaded once per left parent and serves all of its joins.
+		// share everything but their largest attribute, so their product is
+		// either refined by the other's; the one storing fewer tuples is scanned.
 		groups := make(map[core.AttrSet][]*element)
 		for _, e := range level {
 			prefix := e.attrs.Remove(e.attrs.Last())
@@ -114,7 +112,6 @@ func MineContext(ctx context.Context, r *core.Relation, emit func(core.CFD)) err
 		for _, group := range groups {
 			for i := 0; i < len(group); i++ {
 				x := group[i]
-				probe.Load(x.part)
 				for j := i + 1; j < len(group); j++ {
 					y := group[j]
 					z := x.attrs.Union(y.attrs)
@@ -129,11 +126,14 @@ func MineContext(ctx context.Context, r *core.Relation, emit func(core.CFD)) err
 					if !ok {
 						continue
 					}
-					part := probe.Product(y.part)
+					small, by := x, y
+					if y.part.SumSizes() < x.part.SumSizes() {
+						small, by = y, x
+					}
+					part := refiner.Refine(small.part, by.attrs.Last(), core.Wildcard)
 					part.Covered = n
 					next = append(next, &element{attrs: z, part: part})
 				}
-				probe.Unload()
 			}
 		}
 		prev = byAttrs
