@@ -80,9 +80,11 @@ docs-check:
 # the bulk /v1 reply encoders against json.Encoder on the same documents,
 # the shared group index against its from-scratch recount,
 # the partition product — either operand refined by the other's last item —
-# against the direct scan partition.FromSet and the
-# difference-set minimisation against its map-based reference; the corpus
-# seeds also run as normal tests under `make test`.
+# against the direct scan partition.FromSet, the
+# difference-set minimisation against its map-based reference and the CSV
+# loader against the encoding/csv reader it replaced, read whole and in one-
+# and seven-byte pieces; the corpus seeds also run as normal tests under
+# `make test`.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./cfd -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
@@ -93,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGroupIndex$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/partition -run '^$$' -fuzz '^FuzzProduct$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diffset -run '^$$' -fuzz '^FuzzMinimize$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./dataset -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)
 
 # cover enforces ratcheted statement-coverage floors on the serving-critical
 # packages (internal/core holds the engine's tuple store and group index;
@@ -104,8 +107,9 @@ fuzz:
 # internal/itemset: free- and closed-set miners) and the searches built on
 # them (internal/cfdminer; internal/ctane: the linked lattice; internal/diffset
 # and internal/fastcfd: difference sets and the cover search), on the pool they
-# fan out over (internal/pool) and on the one loop they are read through
-# (discovery). The floors only move up:
+# fan out over (internal/pool), on the one loop they are read through
+# (discovery) and on the loader every program reads its input with (dataset).
+# The floors only move up:
 # raise them when coverage improves, and never lower them to make a failing
 # build pass.
 VIOLATION_COVER_FLOOR ?= 89.5
@@ -122,6 +126,7 @@ POOL_COVER_FLOOR ?= 98.5
 DISCOVERY_COVER_FLOOR ?= 97.0
 CLUSTER_COVER_FLOOR ?= 86.5
 JSONW_COVER_FLOOR ?= 100.0
+DATASET_COVER_FLOOR ?= 92.0
 cover:
 	$(GO) test -coverprofile=cover_violation.out ./violation > /dev/null
 	$(GO) test -coverprofile=cover_rules.out ./rules > /dev/null
@@ -137,6 +142,7 @@ cover:
 	$(GO) test -coverprofile=cover_discovery.out ./discovery > /dev/null
 	$(GO) test -coverprofile=cover_cluster.out -coverpkg=./cluster ./cluster ./cmd/cfdserve > /dev/null 2>&1
 	$(GO) test -coverprofile=cover_jsonw.out ./internal/jsonw > /dev/null
+	$(GO) test -coverprofile=cover_dataset.out ./dataset > /dev/null
 	@./scripts/check_coverage.sh cover_violation.out $(VIOLATION_COVER_FLOOR) violation
 	@./scripts/check_coverage.sh cover_rules.out $(RULES_COVER_FLOOR) rules
 	@./scripts/check_coverage.sh cover_monitor.out $(MONITOR_COVER_FLOOR) discovery/monitor
@@ -151,6 +157,7 @@ cover:
 	@./scripts/check_coverage.sh cover_discovery.out $(DISCOVERY_COVER_FLOOR) discovery
 	@./scripts/check_coverage.sh cover_cluster.out $(CLUSTER_COVER_FLOOR) cluster
 	@./scripts/check_coverage.sh cover_jsonw.out $(JSONW_COVER_FLOOR) internal/jsonw
+	@./scripts/check_coverage.sh cover_dataset.out $(DATASET_COVER_FLOOR) dataset
 
 # serve-smoke starts cmd/cfdserve on fixture rules + data, drives the API with
 # curl and checks graceful shutdown; CI runs the same script. Its final leg
@@ -176,4 +183,4 @@ cluster-smoke:
 ci: fmt vet staticcheck build race examples cover fuzz docs-check bench obs-smoke cluster-smoke
 
 clean:
-	rm -rf .bench_build cover_violation.out cover_rules.out cover_monitor.out cover_core.out cover_partition.out cover_itemset.out cover_cfdminer.out cover_ctane.out cover_diffset.out cover_fastcfd.out cover_pool.out cover_discovery.out cover_cluster.out cover_jsonw.out
+	rm -rf .bench_build cover_violation.out cover_rules.out cover_monitor.out cover_core.out cover_partition.out cover_itemset.out cover_cfdminer.out cover_ctane.out cover_diffset.out cover_fastcfd.out cover_pool.out cover_discovery.out cover_cluster.out cover_jsonw.out cover_dataset.out

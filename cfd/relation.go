@@ -61,7 +61,10 @@ func FromRows(attributes []string, rows [][]string) (*Relation, error) {
 	return r, nil
 }
 
-// Append adds one tuple given in schema order.
+// Append adds one tuple given in schema order. It is the string path into a
+// relation, for generators, tests and callers that hold a row as strings; a
+// CSV file is read by dataset.ReadCSV, which interns each field as bytes
+// through Encoded() without making it a string first.
 func (r *Relation) Append(values ...string) error {
 	return r.inner.AppendRow(values)
 }

@@ -88,6 +88,7 @@ type HealthDoc struct {
 	RulesVersion        string        `json:"rules_version"`
 	StateDir            string        `json:"state_dir,omitempty"`
 	Status              string        `json:"status"`
+	StoreFailed         string        `json:"store_failed,omitempty"` // why the store stopped committing; the reply is then a 503
 	Tuples              int           `json:"tuples"`
 	Uptime              string        `json:"uptime"`
 	WALPending          *int          `json:"wal_pending,omitempty"`

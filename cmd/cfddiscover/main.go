@@ -8,6 +8,7 @@
 //	cfddiscover -demo -algorithm ctane -support 2
 //	cfddiscover -input data.csv -limit 25 -progress   # first 25 rules only
 //	cfddiscover -input data.csv -json -o rules.json   # rules.Set JSON
+//	cfddiscover -input data.csv -timing               # where the run's time went, on stderr
 //
 // The input CSV must have a header row naming the attributes. With -demo the
 // built-in cust relation of Fig. 1 of the paper is used instead of a file.
@@ -29,6 +30,7 @@ import (
 	"os/signal"
 	"slices"
 	"strings"
+	"time"
 
 	"repro/cfd"
 	"repro/dataset"
@@ -54,8 +56,22 @@ func main() {
 		tableau   = flag.Bool("tableau", false, "group the discovered CFDs into pattern tableaux per embedded FD")
 		jsonOut   = flag.Bool("json", false, "write the rule set as rules.Set JSON instead of the text rule file")
 		output    = flag.String("o", "", "write the discovered CFDs to this file instead of stdout")
+		timing    = flag.Bool("timing", false, "report the time spent loading, mining, encoding and writing on stderr after the run")
 	)
 	flag.Parse()
+
+	// The phases -timing reports: each stamp ends one.
+	begin := time.Now()
+	last := begin
+	var phases []string
+	stamp := func(phase string) {
+		if !*timing {
+			return
+		}
+		now := time.Now()
+		phases = append(phases, fmt.Sprintf("%s=%s", phase, now.Sub(last)))
+		last = now
+	}
 
 	// Checked before the input is read: loading can take arbitrarily long.
 	if !slices.Contains(algorithms, *algorithm) {
@@ -65,6 +81,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	stamp("load")
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if *timeout > 0 {
@@ -93,6 +110,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	stamp("mine")
 
 	var body strings.Builder
 	switch {
@@ -114,15 +132,20 @@ func main() {
 		// The rule-file format shared with cfdclean -rules and cfdserve -rules.
 		body.WriteString(set.Text())
 	}
+	stamp("encode")
 
 	if *output != "" {
 		if err := os.WriteFile(*output, []byte(body.String()), 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %d CFDs to %s\n", set.Len(), *output)
-		return
+	} else {
+		fmt.Print(body.String())
 	}
-	fmt.Print(body.String())
+	stamp("write")
+	if *timing {
+		fmt.Fprintf(os.Stderr, "cfddiscover: timing %s total=%s\n", strings.Join(phases, " "), time.Since(begin))
+	}
 }
 
 func loadRelation(input string, demo bool) (*cfd.Relation, error) {

@@ -291,8 +291,15 @@ func decodeBody(r *http.Request, into any) error {
 	return nil
 }
 
+// health answers 200 with the mode's document — 503 with the same document
+// from a node whose store has failed: it still serves reads, but a load
+// balancer, or the coordinator, must stop counting it as a healthy writer.
 func (a api) health(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, a.b.Health(r.Context()))
+	doc, status := a.b.Health(r.Context()), http.StatusOK
+	if node, ok := doc.(cluster.HealthDoc); ok && node.StoreFailed != "" {
+		status = http.StatusServiceUnavailable
+	}
+	writeJSON(w, status, doc)
 }
 
 // rules serves the current rule set as rules.Set JSON — the rules in set

@@ -207,6 +207,9 @@ func (s *server) Health(context.Context) any {
 		s.lastCompactMu.Lock()
 		doc.LastCompactionError = s.lastCompactErr
 		s.lastCompactMu.Unlock()
+		if err := s.store.Failed(); err != nil {
+			doc.Status, doc.StoreFailed = "failed", err.Error()
+		}
 	}
 	if s.mon != nil {
 		doc.Maintain = s.mon.Status()

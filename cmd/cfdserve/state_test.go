@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -325,4 +326,45 @@ func jsonDecode(resp *http.Response, v any) error {
 		return fmt.Errorf("status %d", resp.StatusCode)
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// TestStoreFailedServesReadsRefusesWrites: once the store has failed — here
+// its WAL is closed behind the server's back — the node keeps answering
+// reads from memory, refuses every write with a 5xx, and says so where an
+// operator and a load balancer look: /v1/health turns 503 with the reason,
+// cfd_store_failed turns 1.
+func TestStoreFailedServesReadsRefusesWrites(t *testing.T) {
+	sv, err := buildServing(fixtureConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(sv.eng, sv.store, config{compactEvery: 4096, logw: io.Discard})
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	row := map[string]any{"values": []string{"01", "212", "5555555", "Ann", "5th Ave", "NYC", "01202"}}
+	do(t, "POST", ts.URL+"/v1/tuples", row, http.StatusOK)
+	if health := do(t, "GET", ts.URL+"/v1/health", nil, http.StatusOK); health["status"] != "ok" || health["store_failed"] != nil {
+		t.Fatalf("healthy node: %v", health)
+	}
+	if scrape := metricsBody(t, ts); !strings.Contains(scrape, "cfd_store_failed 0") {
+		t.Errorf("scrape of a healthy node:\n%s", grepLines(scrape, "cfd_store_failed"))
+	}
+	want := getRaw(t, ts.URL+"/v1/violations")
+
+	if err := sv.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	do(t, "POST", ts.URL+"/v1/tuples", row, http.StatusInternalServerError)
+	do(t, "DELETE", ts.URL+"/v1/tuples/0", nil, http.StatusInternalServerError)
+	health := do(t, "GET", ts.URL+"/v1/health", nil, http.StatusServiceUnavailable)
+	if reason, _ := health["store_failed"].(string); health["status"] != "failed" || !strings.Contains(reason, "file already closed") {
+		t.Fatalf("failed node: status %v, store_failed %v", health["status"], health["store_failed"])
+	}
+	if got := getRaw(t, ts.URL+"/v1/violations"); !bytes.Equal(got, want) {
+		t.Fatalf("reads of a failed node changed:\n%s\nvs\n%s", got, want)
+	}
+	do(t, "GET", ts.URL+"/v1/tuples/0", nil, http.StatusOK)
+	if scrape := metricsBody(t, ts); !strings.Contains(scrape, "cfd_store_failed 1") {
+		t.Errorf("scrape of a failed node:\n%s", grepLines(scrape, "cfd_store_failed"))
+	}
 }

@@ -7,7 +7,9 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -18,61 +20,189 @@ import (
 // ReadCSV reads a relation from CSV. When header is true the first record
 // provides the attribute names; otherwise attributes are named A1, A2, ...
 //
-// Records are streamed one at a time into the relation's dictionary-encoded
-// representation, so peak memory is the encoded relation plus one record —
-// not, as a ReadAll would cost, a second full copy of the file as strings.
+// The input is streamed through a fixed read buffer: complete lines are
+// consumed, the partial last line is carried over to the next read, so peak
+// memory is the encoded relation plus one buffer — never the file. Each field
+// is interned as bytes straight from the buffer (core.Dict.EncodeBytes), so a
+// value costs a string the first time it is seen and nothing after; codes are
+// assigned per attribute in first-seen order, row by row.
+//
+// The reader accepts what encoding/csv accepts, with its defaults: records
+// end at "\n" or "\r\n" (one "\r" before the line end — or before the end of
+// the input — is dropped), empty lines are skipped, every other line is split
+// at its commas. That is done here as long as the input holds no double
+// quote. From the line with the first `"` on, the rest of the input goes
+// through an encoding/csv reader (quoted fields, embedded newlines, its parse
+// errors, reported under the input's own line numbers).
 func ReadCSV(r io.Reader, header bool) (*cfd.Relation, error) {
+	l := loader{header: header}
+	buf := make([]byte, readBufSize)
+	end := 0 // buf[:end] is unconsumed and starts at the start of a line
+	for {
+		n, rerr := r.Read(buf[end:])
+		fresh := buf[end : end+n]
+		end += n
+		if q := bytes.IndexByte(fresh, '"'); q >= 0 {
+			start := bytes.LastIndexByte(buf[:end-n+q], '\n') + 1
+			if err := l.lines(buf[:start]); err != nil {
+				return nil, err
+			}
+			if err := l.quoted(io.MultiReader(bytes.NewReader(buf[start:end]), r)); err != nil {
+				return nil, err
+			}
+			break
+		}
+		if nl := bytes.LastIndexByte(fresh, '\n'); nl >= 0 {
+			stop := end - n + nl + 1
+			if err := l.lines(buf[:stop]); err != nil {
+				return nil, err
+			}
+			end = copy(buf, buf[stop:end])
+		}
+		if rerr == io.EOF {
+			if err := l.lines(buf[:end]); err != nil { // the last line had no "\n"
+				return nil, err
+			}
+			break
+		}
+		if rerr != nil {
+			return nil, fmt.Errorf("dataset: reading csv: %w", rerr)
+		}
+		if end == len(buf) { // a line longer than the buffer
+			buf = append(buf, make([]byte, len(buf))...)
+		}
+	}
+	if l.rel == nil {
+		return nil, fmt.Errorf("dataset: empty csv input")
+	}
+	return l.rel, nil
+}
+
+const readBufSize = 64 << 10
+
+// loader is the state ReadCSV's two paths share: the relation, created from
+// the first record, and the number of the last data row.
+type loader struct {
+	header bool
+	rel    *cfd.Relation
+	row    int      // data rows so far, 1-based in error messages
+	skip   int      // input lines consumed before the encoding/csv reader took over
+	fields [][]byte // scratch: the fields of one line
+}
+
+// lines consumes b, which starts at the start of a line, holds no quote and
+// (but for the end of the input) ends with a line end.
+func (l *loader) lines(b []byte) error {
+	if l.rel != nil {
+		// Columns double from the rows of the first buffer on.
+		l.rel.Encoded().Reserve(bytes.Count(b, []byte{'\n'}) + 1)
+	}
+	for len(b) > 0 {
+		line := b
+		if i := bytes.IndexByte(b, '\n'); i >= 0 {
+			line, b = b[:i], b[i+1:]
+			l.skip++
+		} else {
+			b = nil
+		}
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
+		}
+		if len(line) == 0 {
+			continue
+		}
+		fields := l.fields[:0]
+		for {
+			i := bytes.IndexByte(line, ',')
+			if i < 0 {
+				break
+			}
+			fields = append(fields, line[:i])
+			line = line[i+1:]
+		}
+		fields = append(fields, line)
+		l.fields = fields
+		if l.rel == nil {
+			first := make([]string, len(fields))
+			for i, f := range fields {
+				first[i] = string(f)
+			}
+			if err := l.record(first); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := l.next(len(fields)); err != nil {
+			return err
+		}
+		if err := l.rel.Encoded().AppendRowBytes(fields); err != nil {
+			return fmt.Errorf("dataset: row %d: %w", l.row, err)
+		}
+	}
+	return nil
+}
+
+// quoted consumes the rest of the input, from the first line that holds a
+// quote, through encoding/csv.
+func (l *loader) quoted(r io.Reader) error {
 	reader := csv.NewReader(r)
 	reader.FieldsPerRecord = -1
 	reader.ReuseRecord = true
-	first, err := reader.Read()
-	if err == io.EOF {
-		return nil, fmt.Errorf("dataset: empty csv input")
-	}
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading csv: %w", err)
-	}
-	var names []string
-	var rel *cfd.Relation
-	if header {
-		names = append(names, first...)
-	} else {
-		names = make([]string, len(first))
-		for i := range names {
-			names[i] = fmt.Sprintf("A%d", i+1)
-		}
-	}
-	rel, err = cfd.NewRelation(names...)
-	if err != nil {
-		return nil, err
-	}
-	if !header {
-		if err := rel.Append(first...); err != nil {
-			return nil, fmt.Errorf("dataset: row 1: %w", err)
-		}
-	}
-	// Data rows are 1-based in error messages, matching the pre-streaming
-	// reader; with a header, record 1 is the first row after it.
-	row := 0
-	if !header {
-		row = 1
-	}
 	for {
 		record, err := reader.Read()
 		if err == io.EOF {
-			return rel, nil
+			return nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dataset: reading csv: %w", err)
+			var perr *csv.ParseError
+			if errors.As(err, &perr) {
+				perr.StartLine += l.skip
+				perr.Line += l.skip
+			}
+			return fmt.Errorf("dataset: reading csv: %w", err)
 		}
-		row++
-		if len(record) != len(names) {
-			return nil, fmt.Errorf("dataset: row %d has %d fields, want %d", row, len(record), len(names))
-		}
-		if err := rel.Append(record...); err != nil {
-			return nil, fmt.Errorf("dataset: row %d: %w", row, err)
+		if err := l.record(record); err != nil {
+			return err
 		}
 	}
+}
+
+// record takes one record as strings: the first names the attributes (or,
+// without a header, has them named A1, A2, ... and is the first row).
+func (l *loader) record(record []string) error {
+	if l.rel == nil {
+		names := record
+		if !l.header {
+			names = make([]string, len(record))
+			for i := range names {
+				names[i] = fmt.Sprintf("A%d", i+1)
+			}
+		}
+		rel, err := cfd.NewRelation(names...)
+		if err != nil {
+			return err
+		}
+		l.rel = rel
+		if l.header {
+			return nil
+		}
+	}
+	if err := l.next(len(record)); err != nil {
+		return err
+	}
+	if err := l.rel.Append(record...); err != nil {
+		return fmt.Errorf("dataset: row %d: %w", l.row, err)
+	}
+	return nil
+}
+
+// next counts a data row of n fields in, or refuses it.
+func (l *loader) next(n int) error {
+	l.row++
+	if want := l.rel.Arity(); n != want {
+		return fmt.Errorf("dataset: row %d has %d fields, want %d", l.row, n, want)
+	}
+	return nil
 }
 
 // WriteCSV writes the relation as CSV with a header row.

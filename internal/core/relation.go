@@ -72,6 +72,31 @@ func (r *Relation) AppendRow(values []string) error {
 	return nil
 }
 
+// AppendRowBytes is AppendRow for a tuple whose values are held as bytes (a
+// line of a read buffer); the values are not retained.
+func (r *Relation) AppendRowBytes(values [][]byte) error {
+	if len(values) != r.Arity() {
+		return fmt.Errorf("core: row has %d values, schema has %d attributes", len(values), r.Arity())
+	}
+	for a, v := range values {
+		r.cols[a] = append(r.cols[a], r.dicts[a].EncodeBytes(v))
+	}
+	r.size++
+	r.live++
+	return nil
+}
+
+// Reserve makes room for n more rows. A column that has to move at least
+// doubles, so a loader that reserves buffer by buffer copies each column
+// O(1) times per row however many buffers the input takes.
+func (r *Relation) Reserve(n int) {
+	for a, col := range r.cols {
+		if cap(col)-len(col) < n {
+			r.cols[a] = append(make([]int32, 0, max(len(col)+n, 2*cap(col))), col...)
+		}
+	}
+}
+
 // Live reports whether slot t exists and holds a tuple.
 func (r *Relation) Live(t int) bool {
 	return t >= 0 && t < r.size && r.cols[0][t] != Absent
@@ -171,7 +196,7 @@ func (r *Relation) AppendRecoded(dicts [][]string, cols [][]int32, rows int, kee
 			trans[c] = Absent
 		}
 		intern := dict.Encode
-		if dict.codes == nil && len(dict.values) == 0 {
+		if dict.slots == nil && len(dict.values) == 0 {
 			// A fresh destination: a well-formed source dictionary holds each
 			// value once, so every first use is a new value — append it
 			// unhashed and leave the index to Dict.index, should anyone ask.

@@ -118,5 +118,11 @@ func InstrumentStore(r *Registry, st *violation.Store) {
 	}
 	r.GaugeFunc("cfd_wal_pending_ops", "Ops appended to the WAL since the last compaction.", func() float64 { return float64(st.Pending()) })
 	r.GaugeFunc("cfd_wal_seq", "Sequence number of the last committed WAL record.", func() float64 { return float64(st.Seq()) })
+	r.GaugeFunc("cfd_store_failed", "1 once a WAL write, fsync or truncate has failed and the store refuses commits, else 0.", func() float64 {
+		if st.Failed() != nil {
+			return 1
+		}
+		return 0
+	})
 	st.SetObserver(c)
 }

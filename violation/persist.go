@@ -62,6 +62,10 @@ type Store struct {
 	snapSeq  uint64 // WAL sequence the current snapshot file includes
 	snapFile *snapshotFile
 	pending  int // ops appended since the last compaction
+	// failed latches the first error writing, syncing or truncating the WAL:
+	// from then on the file's contents past walOff are unknown, so nothing
+	// more is written through this Store (see Failed).
+	failed error
 
 	// obsV holds the optional StoreObserver (boxed; see obs.go).
 	obsV atomic.Value
@@ -365,8 +369,7 @@ func (st *Store) scanWAL() error {
 // Append commits one mutation record to the log. It is the CommitLog hook the
 // engine calls under its write lock: a batch becomes a single record (and,
 // with Sync, a single fsync — the group commit that makes batched ingest fast)
-// and either lands completely or, on error, leaves the log truncated back to
-// the previous record boundary.
+// and either lands completely or, on error, fails the store (see Failed).
 func (st *Store) Append(ops []Op) error {
 	return st.commit(walRecord{Ops: ops})
 }
@@ -379,9 +382,31 @@ func (st *Store) AppendRules(set *rules.Set) error {
 	return st.commit(walRecord{Rules: set})
 }
 
-// commit appends one record (its Seq is assigned here) with the usual
-// all-or-nothing contract: on any error the log is truncated back to the
-// previous record boundary.
+// Failed returns the error that stopped the store, or nil. A failed write,
+// fsync or truncate of the WAL is not retried: after a failed fsync the
+// kernel may have dropped the dirty pages and cleared the error, so a later
+// successful one would prove nothing about the records before it. The first
+// such error is kept instead, and every later Append, AppendRules and Compact
+// returns it without touching the files; what was acknowledged before is what
+// the next OpenStore + Load restores. Reads of the engine are unaffected.
+func (st *Store) Failed() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.failed
+}
+
+// failLocked latches err as the store's failure and returns the latched
+// error. The record being appended was not acknowledged, so it is cut off
+// again where that still works — recovery would drop a torn one anyway, but
+// would replay one that is whole. Callers must hold st.mu.
+func (st *Store) failLocked(err error) error {
+	_ = st.wal.Truncate(st.walOff)
+	st.failed = fmt.Errorf("violation: store failed, no further commits until restart: %w", err)
+	return st.failed
+}
+
+// commit appends one record (its Seq is assigned here): it lands completely
+// and is acknowledged, or the store fails.
 func (st *Store) commit(rec walRecord) (err error) {
 	obs := st.obs()
 	var obsStart time.Time
@@ -391,6 +416,9 @@ func (st *Store) commit(rec walRecord) (err error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if st.failed != nil {
+		return st.failed
+	}
 	rec.Seq = st.seq + 1
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -398,10 +426,7 @@ func (st *Store) commit(rec walRecord) (err error) {
 	}
 	line = append(line, '\n')
 	if _, err := st.wal.Write(line); err != nil {
-		// Roll back a partial append so the log stays well-formed.
-		_ = st.wal.Truncate(st.walOff)
-		_, _ = st.wal.Seek(st.walOff, io.SeekStart)
-		return err
+		return st.failLocked(err)
 	}
 	if st.sync {
 		var fsyncStart time.Time
@@ -409,9 +434,7 @@ func (st *Store) commit(rec walRecord) (err error) {
 			fsyncStart = time.Now()
 		}
 		if err := st.wal.Sync(); err != nil {
-			_ = st.wal.Truncate(st.walOff)
-			_, _ = st.wal.Seek(st.walOff, io.SeekStart)
-			return err
+			return st.failLocked(err)
 		}
 		if obs != nil {
 			obs.ObserveWALFsync(time.Since(fsyncStart).Seconds())
@@ -513,6 +536,9 @@ func (st *Store) Compact(e *Engine) error {
 func (st *Store) compact(e *Engine) (int, error) {
 	st.compactMu.Lock()
 	defer st.compactMu.Unlock()
+	if err := st.Failed(); err != nil {
+		return 0, err
+	}
 	// Writers hold the engine write lock across their Append, so while the
 	// capture holds the engine read lock the store's seq exactly matches the
 	// captured state.
@@ -557,18 +583,21 @@ func (st *Store) compact(e *Engine) (int, error) {
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if st.failed != nil { // a commit failed while the snapshot was being written
+		return len(data), st.failed
+	}
 	st.snapFile = file
 	st.snapSeq = file.WalSeq
 	if st.seq == file.WalSeq {
 		// Nothing landed since the capture: the whole log is folded in.
 		if err := st.wal.Truncate(0); err != nil {
-			return len(data), fmt.Errorf("violation: truncating %s: %w", walName, err)
-		}
-		if _, err := st.wal.Seek(0, io.SeekStart); err != nil {
-			return len(data), fmt.Errorf("violation: truncating %s: %w", walName, err)
+			return len(data), st.failLocked(err)
 		}
 		st.walOff = 0
 		st.pending = 0
+		if _, err := st.wal.Seek(0, io.SeekStart); err != nil {
+			return len(data), st.failLocked(err)
+		}
 		return len(data), nil
 	}
 	// Appends landed while the snapshot was being written: rewrite the log
@@ -582,13 +611,15 @@ func (st *Store) compact(e *Engine) (int, error) {
 // atomically (temp file + rename + reopen). Commits wait on st.mu meanwhile,
 // so the kept records are copied as the bytes they were appended as, with only
 // their headers decoded. Callers must hold st.mu.
-func (st *Store) rewriteTailLocked(keepAbove uint64) error {
+func (st *Store) rewriteTailLocked(keepAbove uint64) (err error) {
 	// Until the new file is swapped in, every exit must leave the old
-	// handle positioned at its append offset.
+	// handle positioned at its append offset — or the store failed.
 	swapped := false
 	defer func() {
 		if !swapped {
-			st.wal.Seek(st.walOff, io.SeekStart) //nolint:errcheck // best effort on error paths
+			if _, seekErr := st.wal.Seek(st.walOff, io.SeekStart); seekErr != nil {
+				err = st.failLocked(seekErr)
+			}
 		}
 	}()
 	tmp, err := os.CreateTemp(st.dir, walName+".tmp*")

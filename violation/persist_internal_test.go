@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -211,6 +212,105 @@ func TestCompactRacingAppendsKeepsTailBytes(t *testing.T) {
 	wantTuples, _, _ := oracle.Tuples(0, 0)
 	if !reflect.DeepEqual(gotTuples, wantTuples) || !reflect.DeepEqual(loaded.RuleStats(), oracle.RuleStats()) {
 		t.Fatal("reloaded tuples or rule statistics differ from the oracle's")
+	}
+}
+
+// TestStoreFailStop takes the WAL's descriptor away under a syncing store:
+// the commit that hits the error fails, every later commit, rule swap and
+// compaction returns the same latched error without touching the files, reads
+// keep being served, and a fresh OpenStore + Load restores exactly what was
+// acknowledged.
+func TestStoreFailStop(t *testing.T) {
+	dir := t.TempDir()
+	set := rules.Of(cfd.NewFD([]string{"A"}, "B"))
+	build := func() *Engine {
+		e, err := New([]string{"A", "B"}, set, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	eng, acked := build(), build()
+	st, err := OpenStore(dir, StoreOptions{Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Compact(eng); err != nil {
+		t.Fatal(err)
+	}
+	eng.AttachWAL(st)
+	for i := 0; i < 5; i++ {
+		ops := []Op{{Kind: OpInsert, Values: []string{fmt.Sprint(i % 2), fmt.Sprint(i)}}}
+		for _, e := range []*Engine{eng, acked} {
+			if _, err := e.ApplyBatch(ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Failed(); err != nil {
+		t.Fatalf("healthy store reports %v", err)
+	}
+	files := func() (wal, snap []byte) {
+		for name, into := range map[string]*[]byte{walName: &wal, snapshotName: &snap} {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			*into = data
+		}
+		return wal, snap
+	}
+	walBefore, snapBefore := files()
+
+	st.mu.Lock()
+	st.wal.Close()
+	st.mu.Unlock()
+	lost := []Op{{Kind: OpInsert, Values: []string{"0", "lost"}}}
+	_, first := eng.ApplyBatch(lost)
+	if !errors.Is(first, ErrWAL) || !errors.Is(first, os.ErrClosed) {
+		t.Fatalf("commit on a closed WAL: err = %v, want ErrWAL wrapping os.ErrClosed", first)
+	}
+	latched := st.Failed()
+	if latched == nil || !errors.Is(first, latched) {
+		t.Fatalf("Failed() = %v after %v", latched, first)
+	}
+	if _, err := eng.ApplyBatch(lost); !errors.Is(err, latched) {
+		t.Fatalf("second commit: err = %v, want the latched %v", err, latched)
+	}
+	if _, err := eng.SwapRules(context.Background(), rules.Of()); !errors.Is(err, latched) {
+		t.Fatalf("rule swap: err = %v, want the latched %v", err, latched)
+	}
+	if err := st.Compact(eng); !errors.Is(err, latched) {
+		t.Fatalf("compaction: err = %v, want the latched %v", err, latched)
+	}
+	if walAfter, snapAfter := files(); !bytes.Equal(walAfter, walBefore) || !bytes.Equal(snapAfter, snapBefore) {
+		t.Fatalf("a failed store touched its files: wal %d → %d bytes, snapshot %d → %d", len(walBefore), len(walAfter), len(snapBefore), len(snapAfter))
+	}
+	same := func(what string, got *Engine) {
+		t.Helper()
+		g, w := got.Report(), acked.Report()
+		gotTuples, _, _ := got.Tuples(0, 0)
+		wantTuples, _, _ := acked.Tuples(0, 0)
+		if !reflect.DeepEqual(g.Violations, w.Violations) || !reflect.DeepEqual(gotTuples, wantTuples) || got.RulesVersion() != acked.RulesVersion() {
+			t.Fatalf("%s is not the acknowledged prefix:\n got %+v %v\nwant %+v %v", what, g.Violations, gotTuples, w.Violations, wantTuples)
+		}
+	}
+	same("the failed store's engine", eng) // nothing refused was applied, reads go on
+
+	st.Close() // the descriptor is gone already; this releases the directory lock
+	st2, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	loaded, found, err := st2.Load(Options{})
+	if err != nil || !found {
+		t.Fatalf("reload: found=%v err=%v", found, err)
+	}
+	same("the reloaded engine", loaded)
+	if st2.Failed() != nil || st2.Append(lost) != nil {
+		t.Fatal("a fresh store over the same directory must commit again")
 	}
 }
 
