@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench figures examples fmt vet staticcheck docs-check fuzz cover ci clean serve-smoke obs-smoke cluster-smoke
+.PHONY: all build test race bench figures examples fmt vet staticcheck docs-check fuzz cover ci clean
 
 all: build
 
@@ -70,9 +70,12 @@ staticcheck:
 
 # docs-check verifies every relative link in README.md / ARCHITECTURE.md
 # (including #anchors against the target's headings) and the load-bearing
-# cross-references between them and doc.go.
+# cross-references between them and doc.go, then the metric catalogue in
+# ARCHITECTURE.md against the names the source registers (both directions)
+# and the naming conventions. Both checks are static: no server runs.
 docs-check:
 	./scripts/check_doc_links.sh
+	./scripts/check_metrics.sh
 
 # fuzz runs the fuzzers for a short CI-sized budget each — the codec round
 # trips (the cfd text codec pair, the rules.Set JSON codec, the violation
@@ -124,7 +127,7 @@ DIFFSET_COVER_FLOOR ?= 98.0
 FASTCFD_COVER_FLOOR ?= 97.0
 POOL_COVER_FLOOR ?= 98.5
 DISCOVERY_COVER_FLOOR ?= 97.0
-CLUSTER_COVER_FLOOR ?= 86.5
+CLUSTER_COVER_FLOOR ?= 88.0
 JSONW_COVER_FLOOR ?= 100.0
 DATASET_COVER_FLOOR ?= 92.0
 cover:
@@ -159,28 +162,7 @@ cover:
 	@./scripts/check_coverage.sh cover_jsonw.out $(JSONW_COVER_FLOOR) internal/jsonw
 	@./scripts/check_coverage.sh cover_dataset.out $(DATASET_COVER_FLOOR) dataset
 
-# serve-smoke starts cmd/cfdserve on fixture rules + data, drives the API with
-# curl and checks graceful shutdown; CI runs the same script. Its final leg
-# scrapes /metrics and checks the request-id and pprof surfaces, so obs-smoke
-# only needs to add the naming check.
-serve-smoke:
-	./scripts/serve_smoke.sh
-
-# obs-smoke validates the observability layer: metric naming conventions and
-# the ARCHITECTURE.md catalogue against the registered names (both
-# directions), then the live /metrics scrape via the smoke script.
-obs-smoke:
-	./scripts/check_metrics.sh
-	./scripts/serve_smoke.sh
-
-# cluster-smoke boots three shard nodes, a coordinator and a single-node
-# oracle, drives the same writes through coordinator and oracle and asserts
-# byte-identical merged reads, then exercises the two-phase rule swap, a
-# SIGKILLed shard (degraded health, fail-closed 503) and its recovery.
-cluster-smoke:
-	./scripts/cluster_smoke.sh
-
-ci: fmt vet staticcheck build race examples cover fuzz docs-check bench obs-smoke cluster-smoke
+ci: fmt vet staticcheck build race examples cover fuzz docs-check bench
 
 clean:
 	rm -rf .bench_build cover_violation.out cover_rules.out cover_monitor.out cover_core.out cover_partition.out cover_itemset.out cover_cfdminer.out cover_ctane.out cover_diffset.out cover_fastcfd.out cover_pool.out cover_discovery.out cover_cluster.out cover_jsonw.out cover_dataset.out

@@ -83,8 +83,8 @@ func New(cfg Config) (*Cluster, error) {
 		c.shards = append(c.shards, NewShardClient(base, strconv.Itoa(i), cfg.Timeout, cfg.Observer))
 	}
 	if cfg.Key != nil {
-		// The schema is unknown until Init; stash the key via a partitioner
-		// with an empty schema placeholder? No — defer: remember the key.
+		// Only the key for now: Init completes the partitioner once the
+		// shards have told it the schema.
 		c.part = &Partitioner{key: append([]string(nil), cfg.Key...)}
 	}
 	return c, nil

@@ -267,8 +267,8 @@ func TestPagination(t *testing.T) {
 
 // TestDeltaEndpoint covers the polling contract of GET /v1/violations?since=:
 // an empty delta at the head, an exact delta across a mutation, and 410 once
-// the epoch is out of range (the compacted-resync path is exercised against
-// a real restart in scripts/serve_smoke.sh).
+// the epoch is out of range (TestStateRestart exercises the compacted-resync
+// path across a real restart).
 func TestDeltaEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	full := do(t, "GET", ts.URL+"/v1/violations", nil, http.StatusOK)
@@ -314,7 +314,7 @@ func TestDeltaEndpoint(t *testing.T) {
 // connect, the initial position event, ordered delta events across
 // mutations, and a clean disconnect when the server shuts down.
 func TestViolationStream(t *testing.T) {
-	eng, err := loadEngine(config{rulesPath: "testdata/rules.txt", dataPath: "testdata/cust.csv"})
+	eng, err := loadEngine(context.Background(), config{rulesPath: "testdata/rules.txt", dataPath: "testdata/cust.csv"})
 	if err != nil {
 		t.Fatal(err)
 	}

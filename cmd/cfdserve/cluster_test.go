@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -27,27 +28,33 @@ var clusterSchema = []string{"CC", "AC", "PN", "NM", "STR", "CT", "ZIP"}
 const clusterRules = "([CC,AC] -> CT, (_, _ || _))\n([CC,ZIP] -> STR, (_, _ || _))\n"
 
 // newShardNode boots one single-node cfdserve over the cluster fixtures —
-// empty, memory-only — exactly as a shard of the smoke-test fleet would run.
+// empty, memory-only — as a shard of TestRunCluster's fleet runs.
 func newShardNode(t *testing.T, rules string) *httptest.Server {
 	t.Helper()
-	return newLoggedShardNode(t, rules, config{logw: io.Discard})
+	return newLoggedShardNode(t, rules, config{log: testLog(io.Discard, "")})
 }
 
 // newLoggedShardNode is newShardNode with the node's logging configured by
-// the caller (cfg.logw, cfg.logFormat).
+// the caller (cfg.log).
 func newLoggedShardNode(t *testing.T, rules string, cfg config) *httptest.Server {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "rules.txt")
-	if err := os.WriteFile(path, []byte(rules), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := loadEngine(config{rulesPath: path, schema: clusterSchema})
+	eng, err := loadEngine(context.Background(), config{rulesPath: rulesFile(t, rules), schema: clusterSchema})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(newServer(eng, nil, cfg).handler())
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// rulesFile writes rules to a file -rules can name.
+func rulesFile(t *testing.T, rules string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "rules.txt")
+	if err := os.WriteFile(path, []byte(rules), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // newCoord forms a coordinator over the given shard URLs and serves it.
@@ -57,7 +64,7 @@ func newCoord(t *testing.T, urls []string) (*coordServer, *httptest.Server) {
 		shardURLs:    urls,
 		shardTimeout: 2 * time.Second,
 		initWait:     5 * time.Second,
-		logw:         io.Discard,
+		log:          testLog(io.Discard, ""),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,26 +339,69 @@ func TestClusterSwapAllOrNothing(t *testing.T) {
 	}
 	// The merge cache followed the swap: reads serve under the new set.
 	do(t, "GET", coord.URL+"/v1/violations", nil, http.StatusOK)
+
+	// Every outcome above was counted.
+	scrape := metricsBody(t, coord)
+	for _, series := range []string{
+		`cfd_coord_rule_swaps_total{outcome="aborted"} 1`,
+		`cfd_coord_rule_swaps_total{outcome="rejected"} 2`,
+		`cfd_coord_rule_swaps_total{outcome="committed"} 3`,
+	} {
+		if !strings.Contains(scrape, series) {
+			t.Errorf("coordinator /metrics lacks %s:\n%s", series, grepLines(scrape, "cfd_coord_rule_swaps_total"))
+		}
+	}
 }
 
 // TestClusterDegraded kills a shard and checks the partial-failure contract:
 // aggregated health degrades naming the shard, correctness-bearing reads
-// fail closed with the 503 "unavailable" envelope, and writes routed to the
-// live shards still work.
+// fail closed with the 503 "unavailable" envelope, writes routed to the live
+// shards still land while writes owned by the dead one fail closed — and when
+// the shard restarts from its state directory on the same address, the next
+// health probe notices, merged reads come back with its slice in them, and
+// the coordinator's own /metrics told the story.
 func TestClusterDegraded(t *testing.T) {
 	nodes := make([]*httptest.Server, 3)
 	urls := make([]string, 3)
-	for i := range urls {
+	for i := range urls[:2] {
 		nodes[i] = newShardNode(t, clusterRules)
 		urls[i] = nodes[i].URL
 	}
+	// Shard 2 is durable, so it can die with its tuples and come back.
+	stateDir := t.TempDir()
+	bootShard2 := func(cfg config, addr string) *serving {
+		t.Helper()
+		cfg.statePath, cfg.log = stateDir, testLog(io.Discard, "")
+		sv, err := buildServing(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[2] = &httptest.Server{Listener: ln, Config: &http.Server{Handler: newServer(sv.eng, sv.store, cfg).handler()}}
+		nodes[2].Start()
+		return sv
+	}
+	sv := bootShard2(config{rulesPath: rulesFile(t, clusterRules), schema: clusterSchema}, "127.0.0.1:0")
+	urls[2] = nodes[2].URL
 	_, coord := newCoord(t, urls)
+	// CC 01 is owned by shard 2, CC 44 by shard 0.
+	mike := []string{"01", "908", "1111111", "Mike", "Tree Ave.", "MH", "07974"}
 	do(t, "POST", coord.URL+"/v1/tuples", map[string]any{"rows": [][]string{
-		{"01", "908", "1111111", "Mike", "Tree Ave.", "MH", "07974"},
+		mike,
 		{"44", "131", "3333333", "Ben", "High St.", "EDI", "EH4 1DT"},
 	}}, http.StatusOK)
+	if got := do(t, "GET", urls[2]+"/v1/health", nil, http.StatusOK)["tuples"]; got != 1.0 {
+		t.Fatalf("shard 2 holds %v tuples, want Mike alone", got)
+	}
 
+	// Killed, not stopped: no final compaction, the WAL is what survives.
 	nodes[2].Close()
+	if err := sv.store.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	health := do(t, "GET", coord.URL+"/v1/health", nil, http.StatusOK)
 	if health["status"] != "degraded" {
@@ -372,6 +422,44 @@ func TestClusterDegraded(t *testing.T) {
 	}
 	clusterReq(t, "GET", coord.URL+"/v1/suspects", "", "", http.StatusServiceUnavailable)
 	clusterReq(t, "GET", coord.URL+"/v1/tuples", "", "", http.StatusServiceUnavailable)
+
+	ins := do(t, "POST", coord.URL+"/v1/tuples", map[string]any{"rows": [][]string{
+		{"44", "131", "6666666", "Amy", "High St.", "EDI", "EH4 1DT"},
+	}}, http.StatusOK)
+	if got := ints(t, ins["ids"]); fmt.Sprint(got) != "[2]" {
+		t.Fatalf("insert on a live shard while degraded: ids %v, want [2]", got)
+	}
+	resp = clusterReq(t, "POST", coord.URL+"/v1/tuples",
+		`{"rows":[["01","212","8888888","Eve","5th Ave","NYC","01202"]]}`, "", http.StatusServiceUnavailable)
+	if code := errCode(t, resp); code != codeUnavailable {
+		t.Fatalf("write owned by the dead shard: error code %q, want %q", code, codeUnavailable)
+	}
+	scrape := metricsBody(t, coord)
+	for _, series := range []string{
+		`cfd_coord_shard_up{shard="2"} 0`,
+		`cfd_coord_shard_requests_total{shard="0",result="ok"}`,
+		`cfd_coord_shard_requests_total{shard="2",result="error"}`,
+		`cfd_coord_scatter_errors_total{op="violations"} 1`,
+	} {
+		if !strings.Contains(scrape, series) {
+			t.Errorf("degraded coordinator /metrics lacks %s:\n%s", series, grepLines(scrape, "cfd_coord_"))
+		}
+	}
+
+	// Back on the same address, from the state directory alone.
+	sv = bootShard2(config{}, strings.TrimPrefix(urls[2], "http://"))
+	defer nodes[2].Close()
+	defer sv.close()
+	if health := do(t, "GET", coord.URL+"/v1/health", nil, http.StatusOK); health["status"] != "ok" || health["tuples"] != 3.0 {
+		t.Fatalf("health after the shard restart = %v, want ok with 3 tuples", health)
+	}
+	do(t, "GET", coord.URL+"/v1/violations", nil, http.StatusOK)
+	if got := do(t, "GET", coord.URL+"/v1/tuples/0", nil, http.StatusOK)["values"]; fmt.Sprint(got) != fmt.Sprint(mike) {
+		t.Fatalf("tuple 0 after the shard restart = %v, want %v", got, mike)
+	}
+	if scrape := metricsBody(t, coord); !strings.Contains(scrape, `cfd_coord_shard_up{shard="2"} 1`) {
+		t.Errorf("recovered coordinator /metrics:\n%s", grepLines(scrape, "cfd_coord_shard_up"))
+	}
 }
 
 // syncBuffer is a log destination several handler goroutines write to while
@@ -399,7 +487,7 @@ func (b *syncBuffer) String() string {
 // line and the shard's own error envelope repeat the coordinator's id.
 func TestClusterRequestIDCrossesTheHop(t *testing.T) {
 	var shardLog syncBuffer
-	node := newLoggedShardNode(t, clusterRules, config{logw: &shardLog, logFormat: "json"})
+	node := newLoggedShardNode(t, clusterRules, config{log: testLog(&shardLog, "json")})
 	// What the shard answers the coordinator is invisible to the client (only
 	// the message is passed on), so tap it.
 	var mu sync.Mutex

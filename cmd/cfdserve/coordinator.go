@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"time"
 
 	"repro/cluster"
@@ -46,15 +47,13 @@ func (b coordBackend) Rules(ctx context.Context, _ func(string) bool) (cluster.R
 	return b.Cluster.Rules(ctx)
 }
 
-// newCoordinator wires the cluster handle and its telemetry, and retries
-// Init until the fleet answers or the deadline passes — shard nodes booting
-// alongside the coordinator (the smoke test, docker-compose) need a grace
-// window before all of them serve /v1/health.
+// newCoordinator is the coordinator mode's startup: no engine, no store —
+// it wires the cluster handle over the -shards fleet and its telemetry, and
+// retries Init until the fleet answers or the deadline passes — shard nodes
+// booting alongside the coordinator (docker-compose, TestRunCluster) need a
+// grace window before all of them serve /v1/health.
 func newCoordinator(ctx context.Context, cfg config) (*coordServer, error) {
-	st, err := newObsStack(cfg, cfg.logw)
-	if err != nil {
-		return nil, err
-	}
+	st := newObsStack(cfg.logger())
 	cl, err := cluster.New(cluster.Config{
 		Shards:   cfg.shardURLs,
 		Key:      cfg.partitionBy,
@@ -75,12 +74,15 @@ func newCoordinator(ctx context.Context, cfg config) (*coordServer, error) {
 		if !errors.Is(err, cluster.ErrUnavailable) || time.Now().After(deadline) {
 			return nil, fmt.Errorf("forming the cluster: %w", err)
 		}
-		st.logger().Info("waiting for shards", "error", err)
+		st.log.Info("waiting for shards", "error", err)
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-time.After(250 * time.Millisecond):
 		}
 	}
+	st.log.Info("cluster formed",
+		"shards", cl.Shards(), "partition_key", strings.Join(cl.Key(), ","),
+		"schema", len(cl.Schema()), "next_id", cl.NextID())
 	return &coordServer{cl: cl, obs: st}, nil
 }

@@ -5,9 +5,7 @@
 // automatically — or is discovered on a trusted sample at startup; tuples are
 // then bulk loaded from a CSV and kept current through the API, with the
 // repro/violation engine maintaining one index per LHS attribute set of the
-// rules so every mutation costs O(LHS sets) lookups, not a rescan. The engine
-// is safe under concurrent load: reads serve immutable epoch snapshots,
-// mutations are serialised and fanned out across index shards.
+// rules so every mutation costs O(LHS sets) lookups, not a rescan.
 //
 // Usage:
 //
@@ -17,76 +15,16 @@
 //	cfdserve -state ./state                                    # restart
 //	cfdserve -coordinator -shards http://a:8081,http://b:8081  # cluster front
 //
-// API (versioned under /v1; API.md in the repository root is the full wire
-// contract — error envelope, pagination, the delta format):
+// cfdserve -h lists the flags (flagTable below is their one declaration;
+// README.md's table explains them). A flag the chosen mode never reads, or
+// one that cannot take effect, is refused with exit status 2. API.md in the
+// repository root is the wire contract of the /v1 routes, and
+// ARCHITECTURE.md describes durability (-state), rule maintenance
+// (-maintain) and the coordinator.
 //
-//	GET    /v1/health                  engine size, rule count + version,
-//	                                   dirty estimate, epoch, WAL backlog,
-//	                                   last remine
-//	GET    /v1/rules                   the served rule set as rules.Set JSON
-//	                                   (rules, tableaux, provenance, schema),
-//	                                   with its version as the ETag
-//	PUT    /v1/rules                   upload a rule file (text or JSON) and
-//	                                   atomically swap the served set —
-//	                                   conditionally under If-Match; responds
-//	                                   with the added/removed/retained delta
-//	POST   /v1/rules/remine            re-mine rules over the live tuples in
-//	                                   the background and swap if they changed
-//	                                   (?wait=1 runs synchronously)
-//	GET    /v1/violations              full snapshot: per-rule tuples + dirty
-//	                                   set, stamped with its epoch; ?since=N
-//	                                   returns the exact delta since that
-//	                                   epoch instead (410 once compacted)
-//	GET    /v1/violations/stream       the same deltas live, as SSE — one
-//	                                   event per commit
-//	GET    /v1/suspects                tuples most likely erroneous (repair
-//	                                   view), read off the live indexes by
-//	                                   violation.Engine.Suspects
-//	GET    /v1/tuples                  bulk export in id order (limit/cursor)
-//	POST   /v1/tuples                  insert {"values":[...]} or
-//	                                   {"rows":[[...]]} (a rows batch is
-//	                                   atomic)
-//	POST   /v1/batch                   atomic mixed batch
-//	                                   {"ops":[{"op":"insert","values":[...]},
-//	                                   {"op":"delete","id":3},{"op":"update",
-//	                                   "id":2,"values":[...]}]}
-//	GET    /v1/tuples/{id}             one tuple's values
-//	GET    /v1/tuples/{id}/violations  rules the tuple violates
-//	PUT    /v1/tuples/{id}             replace {"values":[...]}
-//	DELETE /v1/tuples/{id}             remove the tuple
-//
-// Every route has one handler, written against a backend the node (engine
-// and store) and the coordinator (shard fleet) both implement, and one
-// wire-document definition (repro/cluster's docs.go) both encode — so the two
-// modes answer the routes they share identically by construction.
-//
-// The rule set is live: PUT /v1/rules, POST /v1/rules/remine and the -maintain
-// loop (which remines when its staleness policy says the data drifted) swap
-// it atomically while traffic proceeds, and on a durable server the swap is
-// write-ahead logged, so a restart — graceful or not — always comes back
-// under the rule set it last served. -support and -maxlhs double as the
-// remine discovery parameters.
-//
-// With -state <dir> the server is durable: every mutation is appended to a
-// JSONL write-ahead log before it is applied, and snapshots are compacted in
-// the background every -compact-every ops (plus once at startup and once at
-// graceful shutdown). A restarted server replays snapshot + WAL and serves a
-// byte-identical /v1/violations report, tuple ids included. -fsync trades
-// ingest latency for durability against machine crashes rather than just
-// process exits.
-//
-// With -coordinator the process holds no tuples at all: it fronts the
-// -shards fleet of ordinary cfdserve nodes, routing writes by partition key
-// (derived from the served rules, or -partition-by), assigning globally
-// unique tuple ids, scatter-gathering reads into deterministically merged
-// reports, and driving PUT /v1/rules as a two-phase all-or-nothing swap
-// across every shard. Reads fail closed with 503 {"code":"unavailable"}
-// when a shard is unreachable; GET /v1/health instead degrades, reporting
-// per-shard status. See the Coordinator mode section of API.md and the
-// Cluster section of ARCHITECTURE.md.
-//
-// The server shuts down gracefully on SIGINT/SIGTERM, draining in-flight
-// requests and compacting a final snapshot.
+// The server stops on SIGINT/SIGTERM: it stops accepting, drains in-flight
+// requests, waits for background work and, on a durable node, compacts a
+// final snapshot before closing the store.
 package main
 
 import (
@@ -96,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -111,7 +50,7 @@ import (
 	"repro/rules"
 )
 
-// config carries the parsed command line.
+// config is the parsed command line plus the serving constants.
 type config struct {
 	addr      string
 	rulesPath string
@@ -123,237 +62,269 @@ type config struct {
 	support    int
 	maxLHS     int
 
-	statePath    string
-	fsync        bool
-	compactEvery int
-	remineLimit  int
+	statePath string
+	fsync     bool
+	maintain  bool
 
-	maintain           bool
-	maintainDrift      float64
-	maintainConfidence float64
-	maintainMinSupport int
-	maintainEpochs     uint64
-	maintainInterval   time.Duration
-
-	coordinator  bool
-	shardURLs    []string
-	partitionBy  []string
-	shardTimeout time.Duration
-	initWait     time.Duration
+	coordinator bool
+	shardURLs   []string
+	partitionBy []string
 
 	debugAddr string
 	logLevel  string
 	logFormat string
-	logw      io.Writer // log destination override (tests); nil = stderr
+
+	// Not on the command line: run always uses the values in defaults, the
+	// ones every harness number was measured under. They are fields only so a
+	// test can force a compaction or shorten a wait.
+	compactEvery int           // background-compact every N logged ops (0 = only at startup/shutdown)
+	shardTimeout time.Duration // per-request coordinator-to-shard timeout
+	initWait     time.Duration // how long the coordinator retries its shards at startup
+
+	log *slog.Logger // built by parseFlags; nil (a config built by a test) = slog.Default
+}
+
+func defaults() config {
+	return config{
+		addr: ":8080", support: 10, maxLHS: 3, logLevel: "info", logFormat: "text",
+		compactEvery: 4096, shardTimeout: 5 * time.Second, initWait: 30 * time.Second,
+	}
+}
+
+func (c config) logger() *slog.Logger {
+	if c.log != nil {
+		return c.log
+	}
+	return slog.Default()
+}
+
+// shutdownGrace bounds the drain of in-flight requests at shutdown.
+const shutdownGrace = 5 * time.Second
+
+// maintainPolicy is the -maintain staleness policy: remine when a rule's live
+// support has drifted a quarter from its value at adoption or its confidence
+// has fallen under 0.95, at most every 30 s. Rules below the discovery
+// threshold are exempt — a rule the miners would not report at the current
+// -support should not drive remines. A remine on a timer instead is
+// POST /v1/rules/remine from cron.
+func maintainPolicy(support int) monitor.Policy {
+	return monitor.Policy{MaxSupportDrift: 0.25, MinConfidence: 0.95, MinSupport: support, MinInterval: 30 * time.Second}
+}
+
+// mode says which serving mode reads a flag.
+type mode string
+
+const (
+	node  mode = "node"
+	coord mode = "coordinator"
+	both  mode = "both"
+)
+
+// flagTable is the command line, declared once: bindFlags binds each row
+// straight into its config field (the default is the field's value in
+// defaults), parseFlags refuses a row set under the wrong mode, and README.md
+// lists the same rows in the same order (TestFlagTableMatchesREADME).
+var flagTable = []struct {
+	name  string
+	mode  mode
+	field func(*config) any // *string, *int, *bool, or *[]string for a comma-separated list
+	usage string
+}{
+	{"addr", both, func(c *config) any { return &c.addr }, "listen address"},
+	{"rules", node, func(c *config) any { return &c.rulesPath }, "rule file: cfddiscover -o text or rules.Set JSON (as served by GET /v1/rules)"},
+	{"data", node, func(c *config) any { return &c.dataPath }, "CSV file to bulk load at startup (header row required)"},
+	{"schema", node, func(c *config) any { return &c.schema }, "comma-separated attribute names (needed only without -data/-sample)"},
+	{"workers", node, func(c *config) any { return &c.workers }, "worker goroutines for bulk loads, batches and snapshots (0 = one per CPU)"},
+	{"sample", node, func(c *config) any { return &c.samplePath }, "trusted CSV sample to discover rules from (alternative to -rules)"},
+	{"support", node, func(c *config) any { return &c.support }, "support threshold for discovering rules, from -sample and on every remine"},
+	{"maxlhs", node, func(c *config) any { return &c.maxLHS }, "LHS bound for discovering rules, from -sample and on every remine"},
+	{"state", node, func(c *config) any { return &c.statePath }, "state directory for the write-ahead log and snapshots (empty = memory-only)"},
+	{"fsync", node, func(c *config) any { return &c.fsync }, "fsync the write-ahead log on every commit: an acknowledged write survives a power cut, not only a process kill (needs -state)"},
+	{"maintain", node, func(c *config) any { return &c.maintain }, "continuously maintain the rule set: track live per-rule support/confidence and remine when the data drifted"},
+	{"coordinator", both, func(c *config) any { return &c.coordinator }, "serve as a cluster coordinator over the -shards fleet instead of holding tuples locally"},
+	{"shards", coord, func(c *config) any { return &c.shardURLs }, "comma-separated shard base URLs, e.g. http://10.0.0.7:8081,http://10.0.0.8:8081 (shard order is part of the cluster identity)"},
+	{"partition-by", coord, func(c *config) any { return &c.partitionBy }, "comma-separated partition key attributes (default: derived from the served rules)"},
+	{"debug-addr", both, func(c *config) any { return &c.debugAddr }, "separate listen address for net/http/pprof profiling endpoints (empty = disabled)"},
+	{"log-level", both, func(c *config) any { return &c.logLevel }, "log level: debug, info, warn or error"},
+	{"log-format", both, func(c *config) any { return &c.logFormat }, "log format: text or json"},
+}
+
+func bindFlags(fs *flag.FlagSet, cfg *config) {
+	for _, f := range flagTable {
+		switch p := f.field(cfg).(type) {
+		case *string:
+			fs.StringVar(p, f.name, *p, f.usage)
+		case *int:
+			fs.IntVar(p, f.name, *p, f.usage)
+		case *bool:
+			fs.BoolVar(p, f.name, *p, f.usage)
+		case *[]string:
+			fs.Var((*listFlag)(p), f.name, f.usage)
+		}
+	}
+}
+
+// listFlag is a comma-separated flag value: trimmed, empty entries dropped.
+type listFlag []string
+
+func (l *listFlag) String() string { return strings.Join(*l, ",") }
+
+func (l *listFlag) Set(raw string) error {
+	*l = nil
+	for _, v := range strings.Split(raw, ",") {
+		if v = strings.TrimSpace(v); v != "" {
+			*l = append(*l, v)
+		}
+	}
+	return nil
+}
+
+// usageError is a command line run refuses: exit status 2, like a flag the
+// flag package rejects.
+type usageError struct{ error }
+
+// parseFlags parses args into a config and builds its logger over logw.
+// Beyond what the flag package rejects, a flag set for the wrong mode, or one
+// that cannot take effect, is refused by name. -h prints the usage to logw and
+// returns flag.ErrHelp.
+func parseFlags(args []string, logw io.Writer) (config, error) {
+	cfg := defaults()
+	fs := flag.NewFlagSet("cfdserve", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // the caller reports the error, once
+	bindFlags(fs, &cfg)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(logw)
+			fmt.Fprint(logw, "Usage:\n  cfdserve (-rules file | -sample csv) [-data csv] [-state dir] [flags]\n  cfdserve -state dir [flags]\n  cfdserve -coordinator -shards url,url,... [flags]\nFlags:\n")
+			fs.PrintDefaults()
+			return cfg, err
+		}
+		return cfg, usageError{err}
+	}
+	if err := checkFlags(fs, cfg); err != nil {
+		return cfg, usageError{err}
+	}
+	log, err := obs.NewLogger(logw, cfg.logLevel, cfg.logFormat)
+	if err != nil {
+		return cfg, usageError{err}
+	}
+	cfg.log = log
+	return cfg, nil
+}
+
+// checkFlags refuses, by name, a flag the user set that the selected mode
+// never reads or that cannot take effect.
+func checkFlags(fs *flag.FlagSet, cfg config) error {
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, row := range flagTable {
+		switch {
+		case !set[row.name]:
+		case cfg.coordinator && row.mode == node:
+			return fmt.Errorf("-%s has no effect with -coordinator", row.name)
+		case !cfg.coordinator && row.mode == coord:
+			return fmt.Errorf("-%s has no effect without -coordinator", row.name)
+		}
+	}
+	switch {
+	case cfg.fsync && cfg.statePath == "":
+		return errors.New("-fsync has no effect without -state")
+	case cfg.coordinator && len(cfg.shardURLs) == 0:
+		return errors.New("-coordinator requires -shards")
+	}
+	return nil
 }
 
 func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		rules        = flag.String("rules", "", "rule file: cfddiscover -o text or rules.Set JSON (as served by GET /v1/rules)")
-		data         = flag.String("data", "", "CSV file to bulk load at startup (header row required)")
-		schema       = flag.String("schema", "", "comma-separated attribute names (needed only without -data/-sample)")
-		workers      = flag.Int("workers", 0, "worker goroutines for bulk loads, batches and snapshots (0 = one per CPU)")
-		sample       = flag.String("sample", "", "trusted CSV sample to discover rules from (alternative to -rules)")
-		support      = flag.Int("support", 10, "support threshold used when discovering rules from -sample")
-		maxLHS       = flag.Int("maxlhs", 3, "LHS bound used when discovering rules from -sample")
-		state        = flag.String("state", "", "state directory for the write-ahead log and snapshots (empty = memory-only)")
-		fsync        = flag.Bool("fsync", false, "fsync the write-ahead log on every commit (durable against machine crashes)")
-		compactEvery = flag.Int("compact-every", 4096, "background-compact a snapshot every N logged ops (0 = only at startup/shutdown)")
-		remineLimit  = flag.Int("remine-limit", 0, "bound every remine run to the first N mined rules, keeping maintenance mining cheap (0 = mine the full cover)")
-		maintain     = flag.Bool("maintain", false, "continuously maintain the rule set: track live per-rule support/confidence and remine only when the -maintain-* policy says the data drifted")
-		maintDrift   = flag.Float64("maintain-drift", 0.25, "trigger a remine when a rule's live support drifts more than this fraction from its value at adoption (0 disables)")
-		maintConf    = flag.Float64("maintain-confidence", 0.95, "trigger a remine when a rule's live confidence falls below this floor (0 disables)")
-		maintMinSupp = flag.Int("maintain-min-support", 0, "exempt rules under this many supporting tuples from the drift/confidence clauses (0 = use -support)")
-		maintEpochs  = flag.Uint64("maintain-epochs", 0, "trigger a remine after this many mutation epochs regardless of per-rule drift (0 disables)")
-		maintEvery   = flag.Duration("maintain-interval", 30*time.Second, "minimum spacing between maintenance-triggered remines")
-		coordinator  = flag.Bool("coordinator", false, "serve as a cluster coordinator over the -shards fleet instead of holding tuples locally")
-		shards       = flag.String("shards", "", "comma-separated shard base URLs for -coordinator, e.g. http://10.0.0.7:8081,http://10.0.0.8:8081 (shard order is part of the cluster identity)")
-		partitionBy  = flag.String("partition-by", "", "comma-separated partition key attributes for -coordinator (default: derived from the served rules)")
-		shardTimeout = flag.Duration("shard-timeout", 5*time.Second, "per-request timeout for coordinator-to-shard round trips")
-		initWait     = flag.Duration("init-wait", 30*time.Second, "how long the coordinator retries contacting its shards at startup before giving up")
-		debugAddr    = flag.String("debug-addr", "", "separate listen address for net/http/pprof profiling endpoints (empty = disabled)")
-		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		logFormat    = flag.String("log-format", "text", "log format: text or json")
-	)
-	flag.Parse()
+	os.Exit(exitCode(run(context.Background(), os.Args[1:], os.Stderr), os.Stderr))
+}
 
-	cfg := config{
-		addr: *addr, rulesPath: *rules, dataPath: *data, workers: *workers,
-		samplePath: *sample, support: *support, maxLHS: *maxLHS,
-		statePath: *state, fsync: *fsync, compactEvery: *compactEvery, remineLimit: *remineLimit,
-		maintain: *maintain, maintainDrift: *maintDrift, maintainConfidence: *maintConf,
-		maintainMinSupport: *maintMinSupp, maintainEpochs: *maintEpochs, maintainInterval: *maintEvery,
-		coordinator: *coordinator, shardTimeout: *shardTimeout, initWait: *initWait,
-		debugAddr: *debugAddr, logLevel: *logLevel, logFormat: *logFormat,
+// exitCode reports run's error on w and maps it to the process status: 2 for
+// a refused command line, 1 for anything else.
+func exitCode(err error, w io.Writer) int {
+	if err == nil {
+		return 0
 	}
-	if *schema != "" {
-		for _, a := range strings.Split(*schema, ",") {
-			cfg.schema = append(cfg.schema, strings.TrimSpace(a))
-		}
+	fmt.Fprintln(w, "cfdserve:", err)
+	if errors.As(err, new(usageError)) {
+		return 2
 	}
-	cfg.shardURLs = splitList(*shards)
-	cfg.partitionBy = splitList(*partitionBy)
+	return 1
+}
 
-	// Validate and install the process logger before anything can log:
-	// buildServing and the libraries log through slog.Default, the per-request
-	// access log through the same handler with the request id attached.
-	logger, err := obs.NewLogger(os.Stderr, cfg.logLevel, cfg.logFormat)
+// run is the whole program: it parses args, boots the mode they select,
+// serves it until ctx ends or SIGINT/SIGTERM arrives, and cleans up. All
+// output — the usage, every log line — goes to logw.
+func run(ctx context.Context, args []string, logw io.Writer) error {
+	cfg, err := parseFlags(args, logw)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil
+	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	slog.SetDefault(logger)
-
-	if cfg.coordinator {
-		if err := runCoordinator(cfg, logger); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	sv, err := buildServing(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	logger.Info("serving state loaded",
-		"rules", len(sv.eng.Rules()), "attributes", len(sv.eng.Attributes()), "tuples", sv.eng.Size())
-	if sv.store != nil {
-		logger.Info("durable state attached",
-			"state_dir", sv.store.Dir(), "fsync", cfg.fsync, "compact_every", cfg.compactEvery)
-	}
-
-	h := newServer(sv.eng, sv.store, cfg)
-	srv := &http.Server{Addr: cfg.addr, Handler: h.handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	h.baseCtx = ctx // bounds background remines at shutdown
+
+	// The coordinator is stateless — the shards own all durable state — so
+	// serve's drain is all of its shutdown.
+	if cfg.coordinator {
+		cs, err := newCoordinator(ctx, cfg)
+		if err != nil {
+			return err
+		}
+		return serve(ctx, cfg.log, cfg.addr, cfg.debugAddr, cs.handler(), shutdownGrace)
+	}
+	s, err := bootNode(ctx, cfg)
+	if err != nil {
+		return err
+	}
+	return s.serve(ctx, cfg.addr, cfg.debugAddr, shutdownGrace)
+}
+
+// serve answers handler on addr, and net/http/pprof on debugAddr when set,
+// until ctx ends; it then stops accepting and gives in-flight requests grace
+// to drain. It returns nil after a clean drain, the listen or serve error
+// otherwise; after a drain that timed out the remaining connections are
+// severed, so their handlers see their request context end.
+func serve(ctx context.Context, log *slog.Logger, addr, debugAddr string, handler http.Handler, grace time.Duration) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{Handler: handler}
+	failed := make(chan error, 1)
+	go func() { failed <- srv.Serve(ln) }()
+	defer srv.Close()
+	log.Info("listening", "addr", ln.Addr().String())
 
 	// The pprof endpoints live on their own listener, never the serving
 	// address: profiling stays reachable when the API is saturated, and the
 	// serving port exposes no debug surface.
-	if cfg.debugAddr != "" {
-		go func() {
-			logger.Info("debug listener on", "addr", cfg.debugAddr)
-			if err := http.ListenAndServe(cfg.debugAddr, debugMux()); err != nil {
-				logger.Error("debug listener failed", "error", err)
-			}
-		}()
+	if debugAddr != "" {
+		dln, err := net.Listen("tcp", debugAddr)
+		if err != nil {
+			return err
+		}
+		debug := &http.Server{Handler: debugMux()}
+		go debug.Serve(dln)
+		defer debug.Close()
+		log.Info("debug listener on", "addr", dln.Addr().String())
 	}
 
-	// The loop runs remines synchronously on its own goroutine, so waiting
-	// for loopDone at shutdown covers an in-flight maintenance-triggered
-	// remine.
-	loopDone := make(chan struct{})
-	if cfg.maintain {
-		pol := maintainPolicy(cfg)
-		mon := monitor.New(sv.eng, pol, h.maintainRemine, monitor.WithObserver(h.obs))
-		h.mon = mon
-		logger.Info("continuous rule maintenance enabled",
-			"drift", pol.MaxSupportDrift, "confidence", pol.MinConfidence,
-			"min_support", pol.MinSupport, "epochs", pol.MaxEpochs,
-			"interval", pol.MinInterval.String(), "remine_limit", cfg.remineLimit)
-		go func() {
-			defer close(loopDone)
-			mon.Run(ctx)
-		}()
-	} else {
-		close(loopDone)
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", cfg.addr)
-		errCh <- srv.ListenAndServe()
-	}()
 	select {
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			sv.close()
-			fatal(err)
-		}
-	case <-ctx.Done():
-		stop()
-		logger.Info("shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			sv.close()
-			fatal(err)
-		}
-		// In-flight requests, background compactions and remines are
-		// drained: fold the WAL into a final snapshot so the next start
-		// replays nothing.
-		<-loopDone
-		h.drainBackground()
-		if err := sv.close(); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// splitList splits a comma-separated flag value into trimmed, non-empty
-// entries.
-func splitList(raw string) []string {
-	var out []string
-	for _, v := range strings.Split(raw, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// runCoordinator is the -coordinator serving path: no engine, no store — the
-// process fronts the -shards fleet, forming the cluster (with startup
-// retries while shards boot) and serving the coordinator API until
-// SIGINT/SIGTERM. The coordinator is stateless, so shutdown is just draining
-// in-flight requests; the shards own all durable state.
-func runCoordinator(cfg config, logger *slog.Logger) error {
-	if len(cfg.shardURLs) == 0 {
-		return errors.New("-coordinator requires -shards")
-	}
-	if cfg.statePath != "" || cfg.dataPath != "" || cfg.rulesPath != "" || cfg.samplePath != "" {
-		return errors.New("-coordinator holds no local state; -state/-data/-rules/-sample belong on the shard nodes")
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	cs, err := newCoordinator(ctx, cfg)
-	if err != nil {
+	case err := <-failed:
 		return err
-	}
-	logger.Info("cluster formed",
-		"shards", cs.cl.Shards(), "partition_key", strings.Join(cs.cl.Key(), ","),
-		"schema", len(cs.cl.Schema()), "next_id", cs.cl.NextID())
-
-	if cfg.debugAddr != "" {
-		go func() {
-			logger.Info("debug listener on", "addr", cfg.debugAddr)
-			if err := http.ListenAndServe(cfg.debugAddr, debugMux()); err != nil {
-				logger.Error("debug listener failed", "error", err)
-			}
-		}()
-	}
-
-	srv := &http.Server{Addr: cfg.addr, Handler: cs.handler()}
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Info("coordinator listening", "addr", cfg.addr)
-		errCh <- srv.ListenAndServe()
-	}()
-	select {
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
 	case <-ctx.Done():
-		stop()
-		logger.Info("shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			return err
-		}
+	}
+	log.Info("shutting down")
+	drain, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if err := srv.Shutdown(drain); err != nil {
+		return fmt.Errorf("draining in-flight requests: %w", err)
 	}
 	return nil
 }
@@ -371,49 +342,20 @@ func debugMux() *http.ServeMux {
 	return mux
 }
 
-// maintainPolicy resolves the -maintain-* flags to a monitor.Policy. The
-// MinSupport default follows the discovery threshold: a rule the miners
-// would not even report at the current -support should not drive remines.
-func maintainPolicy(cfg config) monitor.Policy {
-	minSupport := cfg.maintainMinSupport
-	if minSupport <= 0 {
-		minSupport = cfg.support
-	}
-	return monitor.Policy{
-		MaxSupportDrift: cfg.maintainDrift,
-		MinConfidence:   cfg.maintainConfidence,
-		MinSupport:      minSupport,
-		MaxEpochs:       cfg.maintainEpochs,
-		MinInterval:     cfg.maintainInterval,
-	}
-}
-
 // discoverRules mines the serving rule set on the given relation (the
 // trusted startup sample, or the live tuples during a remine); the resulting
 // set carries the discovery provenance, which GET /v1/rules exposes. A
 // cancelled ctx aborts the mining run promptly. progress, when non-nil, is
 // the discovery progress hook: called with the cumulative rule count after
-// every streamed rule (the remine path counts candidates through it). limit
-// bounds the run to the first N mined rules (-remine-limit; 0 = the full
-// cover) — the remine paths pass it so maintenance mining stays cheap, while
-// startup sample discovery always mines the full cover.
-func discoverRules(ctx context.Context, sample *cfd.Relation, cfg config, limit int, progress func(found int)) (*rules.Set, error) {
+// every streamed rule (the remine path counts candidates through it).
+func discoverRules(ctx context.Context, sample *cfd.Relation, cfg config, progress func(found int)) (*rules.Set, error) {
 	options := []discovery.Option{
 		discovery.WithSupport(cfg.support),
 		discovery.WithMaxLHS(cfg.maxLHS),
 		discovery.WithWorkers(cfg.workers),
 	}
-	if limit > 0 {
-		options = append(options, discovery.WithLimit(limit))
-	}
 	if progress != nil {
 		options = append(options, discovery.WithProgress(progress))
 	}
-	eng := discovery.NewEngine(discovery.AlgFastCFD, sample, options...)
-	return eng.Run(ctx)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cfdserve:", err)
-	os.Exit(1)
+	return discovery.NewEngine(discovery.AlgFastCFD, sample, options...).Run(ctx)
 }

@@ -14,7 +14,7 @@ import (
 // its obs counters and drive the maintenance loop directly.
 func newMaintainServer(t *testing.T, cfg config) (*httptest.Server, *server) {
 	t.Helper()
-	eng, err := loadEngine(config{
+	eng, err := loadEngine(context.Background(), config{
 		rulesPath: "testdata/rules.txt",
 		dataPath:  "testdata/cust.csv",
 	})
@@ -34,14 +34,12 @@ func remineRuns(h *server) uint64 {
 		h.obs.remineTotal.With("error").Value()
 }
 
-// runMonitor wires the maintenance loop as main's -maintain path does and
-// runs it until the test ends.
+// runMonitor starts the maintenance loop as bootNode's -maintain path does
+// and runs it until the test ends.
 func runMonitor(t *testing.T, h *server, pol monitor.Policy) {
 	t.Helper()
-	h.mon = monitor.New(h.eng, pol, h.maintainRemine, monitor.WithObserver(h.obs))
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); h.mon.Run(ctx) }()
+	done := h.maintain(ctx, pol)
 	t.Cleanup(func() {
 		cancel()
 		select {
@@ -62,9 +60,8 @@ func waitFor(cond func() bool) bool {
 	return true
 }
 
-// everyEpoch is the policy of the README's migration line for the removed
-// periodic-remine flag: remine whenever the epoch has moved, at most once per
-// interval, no per-rule clauses.
+// everyEpoch remines whenever the epoch has moved, at most once per interval,
+// with no per-rule clauses: the cheapest policy to trigger from a test.
 var everyEpoch = monitor.Policy{MaxEpochs: 1, MinInterval: 3 * time.Millisecond}
 
 // TestRemineLoopSkipsIdle pins the acceptance criterion: the maintenance
@@ -101,7 +98,7 @@ func TestRemineLoopSkipsIdle(t *testing.T) {
 // previous success (or nothing) on display.
 func TestRemineErrorRecorded(t *testing.T) {
 	// No data: the remine refuses to mine an empty relation.
-	eng, err := loadEngine(config{rulesPath: "testdata/rules.txt", schema: []string{"CC", "AC", "PN", "NM", "STR", "CT", "ZIP"}})
+	eng, err := loadEngine(context.Background(), config{rulesPath: "testdata/rules.txt", schema: []string{"CC", "AC", "PN", "NM", "STR", "CT", "ZIP"}})
 	if err != nil {
 		t.Fatal(err)
 	}

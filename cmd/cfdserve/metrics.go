@@ -2,10 +2,8 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"time"
 
 	"repro/obs"
@@ -32,17 +30,9 @@ type obsStack struct {
 	maintainTriggers *obs.CounterVec // reason: drift | confidence | epochs
 }
 
-// newObsStack builds the registry, the HTTP/discovery families and the logger.
-// logW is the log destination (nil = stderr); level and format come from the
-// -log-level/-log-format flags and default to info/text.
-func newObsStack(cfg config, logW io.Writer) (*obsStack, error) {
-	if logW == nil {
-		logW = os.Stderr
-	}
-	log, err := obs.NewLogger(logW, cfg.logLevel, cfg.logFormat)
-	if err != nil {
-		return nil, err
-	}
+// newObsStack builds the registry and the HTTP/discovery families around the
+// mode's logger.
+func newObsStack(log *slog.Logger) *obsStack {
 	reg := obs.NewRegistry()
 	return &obsStack{
 		reg:           reg,
@@ -57,7 +47,7 @@ func newObsStack(cfg config, logW io.Writer) (*obsStack, error) {
 
 		maintainChecks:   reg.Counter("cfd_maintain_checks_total", "Rule-maintenance policy evaluations against the live per-rule counters."),
 		maintainTriggers: reg.CounterVec("cfd_maintain_triggers_total", "Maintenance-triggered remines by policy reason (drift, confidence, epochs).", "reason"),
-	}, nil
+	}
 }
 
 // ObserveCheck and ObserveTrigger make the obs stack the monitor.Observer of
@@ -131,7 +121,7 @@ func (o *obsStack) instrument(method, route string, h http.HandlerFunc) http.Han
 			elapsed := time.Since(start)
 			o.reqTotal.With(route, method, fmt.Sprintf("%dxx", sw.status/100)).Inc()
 			o.reqDur.With(route, method).Observe(elapsed.Seconds())
-			o.logger().LogAttrs(ctx, slog.LevelInfo, "request",
+			o.log.LogAttrs(ctx, slog.LevelInfo, "request",
 				slog.String("method", method),
 				slog.String("route", route),
 				slog.String("path", r.URL.Path),
@@ -141,25 +131,6 @@ func (o *obsStack) instrument(method, route string, h http.HandlerFunc) http.Han
 		}()
 		h(sw, r)
 	}
-}
-
-// logger returns the stack's structured logger, or the process default for a
-// zero stack (tests constructing the structs directly).
-func (o *obsStack) logger() *slog.Logger {
-	if o != nil && o.log != nil {
-		return o.log
-	}
-	return slog.Default()
-}
-
-// logger returns the server's structured logger (the process default when the
-// server was built without an obs stack, which only happens in tests that
-// construct the struct directly).
-func (s *server) logger() *slog.Logger {
-	if s.obs == nil {
-		return slog.Default()
-	}
-	return s.obs.logger()
 }
 
 // coordObs is the coordinator's shard-facing telemetry: the cluster.Observer

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,14 +15,14 @@ import (
 // around so tests can reach the metrics registry and access-log plumbing.
 func newObsServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	eng, err := loadEngine(config{
+	eng, err := loadEngine(context.Background(), config{
 		rulesPath: "testdata/rules.txt",
 		dataPath:  "testdata/cust.csv",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(eng, nil, config{support: 2, maxLHS: 2, logw: io.Discard})
+	s := newServer(eng, nil, config{support: 2, maxLHS: 2, log: testLog(io.Discard, "")})
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -103,7 +104,7 @@ func grepLines(s, substr string) string {
 // TestMetricsCoverAllLayers asserts one scrape exposes engine, WAL, HTTP and
 // discovery families side by side (the WAL series via a durable server).
 func TestMetricsCoverAllLayers(t *testing.T) {
-	sv, err := buildServing(config{
+	sv, err := buildServing(context.Background(), config{
 		rulesPath: "testdata/rules.txt",
 		dataPath:  "testdata/cust.csv",
 		statePath: t.TempDir(),
@@ -112,7 +113,7 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sv.close() })
-	s := newServer(sv.eng, sv.store, config{compactEvery: 4096, logw: io.Discard})
+	s := newServer(sv.eng, sv.store, config{compactEvery: 4096, log: testLog(io.Discard, "")})
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 
@@ -198,7 +199,7 @@ func TestRequestIDPropagation(t *testing.T) {
 // TestAccessLog pins the structured access log: one line per request, with
 // the request id, route and status attached.
 func TestAccessLog(t *testing.T) {
-	eng, err := loadEngine(config{
+	eng, err := loadEngine(context.Background(), config{
 		rulesPath: "testdata/rules.txt",
 		dataPath:  "testdata/cust.csv",
 	})
@@ -206,7 +207,7 @@ func TestAccessLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logBuf strings.Builder
-	s := newServer(eng, nil, config{logw: &logBuf, logFormat: "json"})
+	s := newServer(eng, nil, config{log: testLog(&logBuf, "json")})
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 

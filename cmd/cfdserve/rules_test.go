@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -306,7 +307,7 @@ func TestStateRestartAfterSwap(t *testing.T) {
 	for _, graceful := range []bool{false, true} {
 		t.Run(map[bool]string{false: "crash-replay", true: "graceful-compacted"}[graceful], func(t *testing.T) {
 			dir := t.TempDir()
-			sv, err := buildServing(fixtureConfig(dir))
+			sv, err := buildServing(context.Background(), fixtureConfig(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -332,7 +333,7 @@ func TestStateRestartAfterSwap(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sv2, err := buildServing(config{statePath: dir, compactEvery: 4096})
+			sv2, err := buildServing(context.Background(), config{statePath: dir, compactEvery: 4096})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -30,11 +29,12 @@ import (
 // scheduling against the attached Store) and the rule lifecycle (uploads,
 // remining).
 type server struct {
-	eng          *violation.Engine
-	store        *violation.Store // nil when running memory-only
-	cfg          config           // compaction cadence + remine discovery knobs
-	baseCtx      context.Context  // cancelled at shutdown; bounds background remines
-	obs          *obsStack        // metrics registry + structured logger
+	serving                      // the engine and its optional store
+	cfg          config          // compaction cadence + remine discovery knobs
+	baseCtx      context.Context // bounds background remines and open streams; bootNode's is cancelled at shutdown
+	stop         context.CancelFunc
+	loopDone     <-chan struct{} // closed once the -maintain loop has returned; nil without one
+	obs          *obsStack       // metrics registry + structured logger
 	compacting   atomic.Bool
 	remining     atomic.Bool // CAS guard: at most one remine at a time
 	bg           sync.WaitGroup
@@ -48,20 +48,73 @@ type server struct {
 }
 
 func newServer(eng *violation.Engine, store *violation.Store, cfg config) *server {
-	st, err := newObsStack(cfg, cfg.logw)
-	if err != nil {
-		// Invalid -log-level/-log-format values are rejected in main before
-		// the server is built; a bad value reaching here (a test constructing
-		// its own config) falls back to the defaults.
-		fallback := cfg
-		fallback.logLevel, fallback.logFormat = "", ""
-		st, _ = newObsStack(fallback, cfg.logw)
-	}
+	st := newObsStack(cfg.logger())
 	obs.InstrumentEngine(st.reg, eng)
 	if store != nil {
 		obs.InstrumentStore(st.reg, store)
 	}
-	return &server{eng: eng, store: store, cfg: cfg, obs: st, started: time.Now()}
+	return &server{serving: serving{eng: eng, store: store}, cfg: cfg, baseCtx: context.Background(), obs: st, started: time.Now()}
+}
+
+// bootNode is the node mode's startup: it builds the serving state the
+// command line names, wraps it in a server and, with -maintain, starts the
+// maintenance loop. Everything it starts runs under a child of ctx that
+// shutdown cancels.
+func bootNode(ctx context.Context, cfg config) (*server, error) {
+	sv, err := buildServing(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	log := cfg.logger()
+	log.Info("serving state loaded",
+		"rules", len(sv.eng.Rules()), "attributes", len(sv.eng.Attributes()), "tuples", sv.eng.Size())
+	if sv.store != nil {
+		log.Info("durable state attached", "state_dir", sv.store.Dir(), "fsync", cfg.fsync)
+	}
+	s := newServer(sv.eng, sv.store, cfg)
+	s.baseCtx, s.stop = context.WithCancel(ctx)
+	if cfg.maintain {
+		pol := maintainPolicy(cfg.support)
+		log.Info("continuous rule maintenance enabled",
+			"drift", pol.MaxSupportDrift, "confidence", pol.MinConfidence,
+			"min_support", pol.MinSupport, "interval", pol.MinInterval.String())
+		s.loopDone = s.maintain(s.baseCtx, pol)
+	}
+	return s, nil
+}
+
+// maintain starts the -maintain loop under pol and returns the channel it
+// closes on return. The loop runs remines synchronously on its own goroutine,
+// so waiting for the channel covers an in-flight maintenance-triggered remine.
+func (s *server) maintain(ctx context.Context, pol monitor.Policy) <-chan struct{} {
+	s.mon = monitor.New(s.eng, pol, s.maintainRemine, monitor.WithObserver(s.obs))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.mon.Run(ctx)
+	}()
+	return done
+}
+
+// serve serves a booted node until ctx ends, then shuts it down — also when
+// the listener failed or the drain timed out, so no path closes the store
+// under running work or leaves it open.
+func (s *server) serve(ctx context.Context, addr, debugAddr string, grace time.Duration) error {
+	return errors.Join(serve(ctx, s.obs.log, addr, debugAddr, s.handler(), grace), s.shutdown())
+}
+
+// shutdown undoes bootNode once the HTTP server has stopped, in the one safe
+// order: cancel what runs in the background, wait for the maintenance loop
+// and for background compactions and remines, and only then fold the WAL
+// into a final snapshot — so the next start replays nothing — and close the
+// store.
+func (s *server) shutdown() error {
+	s.stop()
+	if s.loopDone != nil {
+		<-s.loopDone
+	}
+	s.drainBackground()
+	return s.close()
 }
 
 // routes is the node's API surface: the shared /v1 routes served from this
@@ -102,16 +155,15 @@ func (s *server) maybeCompact() {
 		}
 		s.lastCompactMu.Unlock()
 		if err != nil {
-			s.logger().Error("background compaction failed", "error", err)
+			s.obs.log.Error("background compaction failed", "error", err)
 		} else {
-			s.logger().Debug("background compaction done", "wal_pending", s.store.Pending())
+			s.obs.log.Debug("background compaction done", "wal_pending", s.store.Pending())
 		}
 	}()
 }
 
 // drainBackground waits for in-flight background work — compactions and
-// remine runs. Call it after the HTTP server has drained (no handler can
-// start new work) and before closing the store.
+// remine runs.
 func (s *server) drainBackground() { s.bg.Wait() }
 
 func toRuleStats(stats []violation.RuleStat) []cluster.RuleStatDoc {
@@ -386,19 +438,9 @@ func (s *server) remine(w http.ResponseWriter, r *http.Request) {
 		defer s.bg.Done()
 		// Background: cancelled at shutdown, so draining never waits out a
 		// long mining run.
-		s.remineOnce(s.shutdownCtx())
+		s.remineOnce(s.baseCtx)
 	}()
 	writeJSON(w, http.StatusAccepted, map[string]string{"status": "remine started"})
-}
-
-// shutdownCtx returns the context background remines run under: the
-// server's base context (cancelled at shutdown), or Background when main
-// did not install one (tests).
-func (s *server) shutdownCtx() context.Context {
-	if s.baseCtx != nil {
-		return s.baseCtx
-	}
-	return context.Background()
 }
 
 // remineOnce runs one remine (the CAS flag must be held), records the result
@@ -439,7 +481,7 @@ func (s *server) runRemine(ctx context.Context) (res cluster.RemineDoc) {
 		return res
 	}
 	lastFound := 0
-	set, err := discoverRules(ctx, rel, s.cfg, s.cfg.remineLimit, func(found int) {
+	set, err := discoverRules(ctx, rel, s.cfg, func(found int) {
 		// The hook reports the cumulative count; convert it to increments so
 		// the counter keeps rising monotonically across remine runs. The
 		// non-atomic lastFound is safe because WithProgress guarantees serial
@@ -465,12 +507,11 @@ func (s *server) runRemine(ctx context.Context) (res cluster.RemineDoc) {
 	s.maybeCompact()
 	res.Swapped = true
 	res.Delta = delta.String()
-	s.logger().Info("remine swapped rules", "tuples", rel.Size(), "delta", delta.String(), "version", res.Version)
+	s.obs.log.Info("remine swapped rules", "tuples", rel.Size(), "delta", delta.String(), "version", res.Version)
 	return res
 }
 
-// maintainRemine is the monitor's remine callback: one bounded remine
-// through the same CAS guard, result recording and metrics as a manual
+// maintainRemine is the monitor's remine callback: one remine through the same CAS guard, result recording and metrics as a manual
 // POST /v1/rules/remine. A run already in flight (a concurrent manual one) is
 // an error, so the monitor keeps the trigger armed and retries after its
 // pacing interval.
@@ -478,7 +519,7 @@ func (s *server) maintainRemine(ctx context.Context, tr monitor.Trigger) error {
 	if !s.remining.CompareAndSwap(false, true) {
 		return errors.New("a remine is already running")
 	}
-	s.logger().Info("maintenance remine triggered",
+	s.obs.log.Info("maintenance remine triggered",
 		"reason", tr.Reason, "rule", tr.Rule, "detail", tr.Detail, "epoch", tr.Epoch)
 	res := s.remineOnce(ctx)
 	if res.Error != "" {
@@ -513,7 +554,7 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	// shutdown context so graceful shutdown does not wait out open streams.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	defer context.AfterFunc(s.shutdownCtx(), cancel)()
+	defer context.AfterFunc(s.baseCtx, cancel)()
 
 	s.obs.sse.Inc()
 	defer s.obs.sse.Dec()
@@ -543,7 +584,7 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serving bundles what main (and the tests) boot: the engine plus its
+// serving bundles what bootNode (and the tests) boot: the engine plus its
 // optional persistence.
 type serving struct {
 	eng   *violation.Engine
@@ -552,7 +593,7 @@ type serving struct {
 
 // close compacts a final snapshot (so the next start replays no WAL) and
 // closes the store. Memory-only servings close trivially.
-func (sv *serving) close() error {
+func (sv serving) close() error {
 	if sv.store == nil {
 		return nil
 	}
@@ -569,9 +610,9 @@ func (sv *serving) close() error {
 // rebuilt from it (WAL replayed) and -rules/-data/-sample are ignored;
 // otherwise the engine is built as in a memory-only run, a first snapshot is
 // compacted, and from then on every mutation is write-ahead logged.
-func buildServing(cfg config) (*serving, error) {
+func buildServing(ctx context.Context, cfg config) (*serving, error) {
 	if cfg.statePath == "" {
-		eng, err := loadEngine(cfg)
+		eng, err := loadEngine(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -588,10 +629,10 @@ func buildServing(cfg config) (*serving, error) {
 	}
 	if restored {
 		if cfg.rulesPath != "" || cfg.dataPath != "" || cfg.samplePath != "" {
-			slog.Warn("state directory has a snapshot; ignoring -rules/-data/-sample", "state_dir", cfg.statePath)
+			cfg.logger().Warn("state directory has a snapshot; ignoring -rules/-data/-sample", "state_dir", cfg.statePath)
 		}
 	} else {
-		eng, err = loadEngine(cfg)
+		eng, err = loadEngine(ctx, cfg)
 		if err != nil {
 			store.Close()
 			return nil, err
@@ -609,8 +650,9 @@ func buildServing(cfg config) (*serving, error) {
 // loadEngine builds the serving engine from the command-line configuration:
 // a rule set from a rule file (text or JSON, sniffed by rules.Load) or
 // discovered on a trusted sample, the schema from -data, -schema or the
-// sample, and an optional initial bulk load of -data.
-func loadEngine(cfg config) (*violation.Engine, error) {
+// sample, and an optional initial bulk load of -data. A cancelled ctx aborts
+// the sample discovery.
+func loadEngine(ctx context.Context, cfg config) (*violation.Engine, error) {
 	var set *rules.Set
 	var sampleRel *cfd.Relation
 	if cfg.samplePath != "" {
@@ -629,7 +671,7 @@ func loadEngine(cfg config) (*violation.Engine, error) {
 		}
 	case sampleRel != nil:
 		var err error
-		set, err = discoverRules(context.Background(), sampleRel, cfg, 0, nil)
+		set, err = discoverRules(ctx, sampleRel, cfg, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -18,7 +19,7 @@ import (
 // fixtures (the cust relation of Fig. 1 and two rules over it).
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	eng, err := loadEngine(config{
+	eng, err := loadEngine(context.Background(), config{
 		rulesPath: "testdata/rules.txt",
 		dataPath:  "testdata/cust.csv",
 	})
@@ -189,7 +190,7 @@ func TestServeEndToEnd(t *testing.T) {
 func TestServeSampleDiscovery(t *testing.T) {
 	// Rules discovered on the fixture data itself: the engine starts serving
 	// whatever FastCFD finds, with the same relation bulk loaded.
-	eng, err := loadEngine(config{
+	eng, err := loadEngine(context.Background(), config{
 		samplePath: "testdata/cust.csv",
 		dataPath:   "testdata/cust.csv",
 		support:    2,
@@ -222,7 +223,7 @@ func TestLoadEngineJSONRules(t *testing.T) {
 	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := loadEngine(config{rulesPath: jsonPath, dataPath: "testdata/cust.csv"})
+	eng, err := loadEngine(context.Background(), config{rulesPath: jsonPath, dataPath: "testdata/cust.csv"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestLoadEngineJSONRules(t *testing.T) {
 // TestSampleDiscoveryProvenance checks that a sample-discovered rule set
 // carries its discovery provenance through to the serving engine.
 func TestSampleDiscoveryProvenance(t *testing.T) {
-	eng, err := loadEngine(config{samplePath: "testdata/cust.csv", support: 2, maxLHS: 2})
+	eng, err := loadEngine(context.Background(), config{samplePath: "testdata/cust.csv", support: 2, maxLHS: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,22 +246,22 @@ func TestSampleDiscoveryProvenance(t *testing.T) {
 }
 
 func TestLoadEngineErrors(t *testing.T) {
-	if _, err := loadEngine(config{}); err == nil {
+	if _, err := loadEngine(context.Background(), config{}); err == nil {
 		t.Error("missing rules and sample must error")
 	}
-	if _, err := loadEngine(config{rulesPath: "testdata/rules.txt"}); err == nil {
+	if _, err := loadEngine(context.Background(), config{rulesPath: "testdata/rules.txt"}); err == nil {
 		t.Error("missing schema must error")
 	}
-	if _, err := loadEngine(config{rulesPath: "testdata/rules.txt", schema: []string{"A", "B"}}); err == nil {
+	if _, err := loadEngine(context.Background(), config{rulesPath: "testdata/rules.txt", schema: []string{"A", "B"}}); err == nil {
 		t.Error("rules over unknown attributes must error")
 	}
-	if _, err := loadEngine(config{rulesPath: "testdata/missing.txt", dataPath: "testdata/cust.csv"}); err == nil {
+	if _, err := loadEngine(context.Background(), config{rulesPath: "testdata/missing.txt", dataPath: "testdata/cust.csv"}); err == nil {
 		t.Error("missing rule file must error")
 	}
 }
 
 func Example_quickstart() {
-	eng, err := loadEngine(config{rulesPath: "testdata/rules.txt", dataPath: "testdata/cust.csv"})
+	eng, err := loadEngine(context.Background(), config{rulesPath: "testdata/rules.txt", dataPath: "testdata/cust.csv"})
 	if err != nil {
 		panic(err)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -117,16 +118,20 @@ func TestBatchEndpoint(t *testing.T) {
 // -state, killed without a final compaction (the crash path, WAL replay) or
 // with one (the graceful path), serves a byte-identical /violations report
 // after restart — tuple ids included — and keeps assigning ids where the
-// original would.
+// original would. A ?since= poller crosses the restart too: the replayed WAL
+// rebuilds the delta history, so after a crash its old epoch still answers a
+// delta; a compaction folds that history away, and the epoch is refused with
+// 410 "compacted" until the poller resyncs from a full read.
 func TestStateRestart(t *testing.T) {
 	for _, graceful := range []bool{false, true} {
 		t.Run(map[bool]string{false: "crash-replay", true: "graceful-compacted"}[graceful], func(t *testing.T) {
 			dir := t.TempDir()
-			sv, err := buildServing(fixtureConfig(dir))
+			sv, err := buildServing(context.Background(), fixtureConfig(dir))
 			if err != nil {
 				t.Fatal(err)
 			}
 			ts := httptest.NewServer(newServer(sv.eng, sv.store, config{compactEvery: 4096}).handler())
+			polled := do(t, "GET", ts.URL+"/v1/violations", nil, http.StatusOK)["epoch"].(float64)
 			mutate(t, ts.URL)
 			want := getRaw(t, ts.URL+"/v1/violations")
 			wantRules := getRaw(t, ts.URL+"/v1/rules")
@@ -150,7 +155,7 @@ func TestStateRestart(t *testing.T) {
 			}
 
 			// Restart from the state directory alone: no -rules, no -data.
-			sv2, err := buildServing(config{statePath: dir, compactEvery: 4096})
+			sv2, err := buildServing(context.Background(), config{statePath: dir, compactEvery: 4096})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,6 +167,20 @@ func TestStateRestart(t *testing.T) {
 			}
 			if got := getRaw(t, ts2.URL+"/v1/rules"); !bytes.Equal(got, wantRules) {
 				t.Fatalf("restarted /rules differs:\n%s\nvs\n%s", got, wantRules)
+			}
+			since := fmt.Sprintf("%s/v1/violations?since=%.0f", ts2.URL, polled)
+			if graceful {
+				gone := do(t, "GET", since, nil, http.StatusGone)
+				if code := gone["error"].(map[string]any)["code"]; code != "compacted" {
+					t.Fatalf("stale ?since= after a compaction: code %v, want compacted", code)
+				}
+				head := do(t, "GET", ts2.URL+"/v1/violations", nil, http.StatusOK)["epoch"].(float64)
+				resync := do(t, "GET", fmt.Sprintf("%s/v1/violations?since=%.0f", ts2.URL, head), nil, http.StatusOK)
+				if added := resync["delta"].(map[string]any)["added"].([]any); len(added) != 0 {
+					t.Fatalf("resynced poll = %v, want an empty delta", resync)
+				}
+			} else if delta := do(t, "GET", since, nil, http.StatusOK); delta["epoch"].(float64) <= polled {
+				t.Fatalf("replayed delta = %v, want the epochs after %v", delta, polled)
 			}
 			ins := do(t, "POST", ts2.URL+"/v1/tuples", map[string]any{
 				"values": []string{"01", "908", "1111111", "Zoe", "Tree Ave.", "MH", "07974"},
@@ -179,7 +198,7 @@ func TestStateBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fixtureConfig(dir)
 	cfg.compactEvery = 2
-	sv, err := buildServing(cfg)
+	sv, err := buildServing(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +209,26 @@ func TestStateBackgroundCompaction(t *testing.T) {
 		out := do(t, "POST", ts.URL+"/v1/tuples", map[string]any{"values": row}, http.StatusOK)
 		do(t, "DELETE", fmt.Sprintf("%s/v1/tuples/%d", ts.URL, ints(t, out["ids"])[0]), nil, http.StatusOK)
 	}
+	// Traffic outruns the compactor — ops logged while a compaction runs wait
+	// for the next one — but once it is quiet, the next compaction runs alone
+	// and folds the whole backlog.
+	for i := 0; i < 2; i++ {
+		h.drainBackground()
+		if sv.store.Pending() == 0 {
+			break
+		}
+		do(t, "POST", ts.URL+"/v1/tuples", map[string]any{"values": []string{"01", "212", "5555555", "Ann", "5th Ave", "NYC", "01202"}}, http.StatusOK)
+	}
+	h.drainBackground()
+	if n := sv.store.Pending(); n != 0 {
+		t.Fatalf("%d WAL ops pending on a quiet server, want 0", n)
+	}
 	want := getRaw(t, ts.URL+"/v1/violations")
 	ts.Close()
-	h.drainBackground()
 	if err := sv.store.Close(); err != nil { // crash path
 		t.Fatal(err)
 	}
-	sv2, err := buildServing(config{statePath: dir, compactEvery: 4096})
+	sv2, err := buildServing(context.Background(), config{statePath: dir, compactEvery: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +248,7 @@ func TestConcurrentHandlers(t *testing.T) {
 	dir := t.TempDir()
 	cfg := fixtureConfig(dir)
 	cfg.compactEvery = 16 // force background compactions into the mix
-	sv, err := buildServing(cfg)
+	sv, err := buildServing(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,11 +366,11 @@ func jsonDecode(resp *http.Response, v any) error {
 // operator and a load balancer look: /v1/health turns 503 with the reason,
 // cfd_store_failed turns 1.
 func TestStoreFailedServesReadsRefusesWrites(t *testing.T) {
-	sv, err := buildServing(fixtureConfig(t.TempDir()))
+	sv, err := buildServing(context.Background(), fixtureConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(sv.eng, sv.store, config{compactEvery: 4096, logw: io.Discard})
+	s := newServer(sv.eng, sv.store, config{compactEvery: 4096, log: testLog(io.Discard, "")})
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 	row := map[string]any{"values": []string{"01", "212", "5555555", "Ann", "5th Ave", "NYC", "01202"}}

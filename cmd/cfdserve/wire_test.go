@@ -190,10 +190,7 @@ func (unencodable) Health(context.Context) any {
 // answers the 500 envelope — it used to be a 200 with an empty body and the
 // error dropped.
 func TestUnencodableReplyIsA500(t *testing.T) {
-	st, err := newObsStack(config{}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newObsStack(testLog(io.Discard, ""))
 	ts := httptest.NewServer(st.mux(api{unencodable{}}.routes()))
 	defer ts.Close()
 

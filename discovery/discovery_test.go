@@ -2,12 +2,14 @@ package discovery_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/cfd"
 	"repro/dataset"
 	"repro/discovery"
+	"repro/internal/fixture"
 	"repro/rules"
 )
 
@@ -95,21 +97,42 @@ func TestCFDMinerSubsetOfFastCFD(t *testing.T) {
 	}
 }
 
-// TestResultsAreMinimalOnRelation checks the public minimality predicate on
-// everything discovered.
+// TestResultsAreMinimalOnRelation holds the covers to §2 straight from the
+// definitions, not through another miner: on cust and on the repo benchmark's
+// two shapes at quick scale, every rule CTANE and FastCFD report is satisfied
+// and left-reduced (IsMinimal: dropping any LHS attribute, or generalising any
+// LHS constant, breaks it), is k-frequent, and is either variable or
+// all-constant (the normal form of Lemma 1).
 func TestResultsAreMinimalOnRelation(t *testing.T) {
-	r := cust()
-	for _, c := range mine(t, discovery.AlgFastCFD, r, discovery.WithSupport(2)).CFDs() {
-		min, err := r.IsMinimal(c)
+	inputs := []relAndSupport{{cust(), 2}}
+	for _, in := range []struct{ size, arity, k int }{{3000, 7, 30}, {600, 9, 12}} {
+		rel, err := dataset.Tax(dataset.TaxConfig{Size: in.size, Arity: in.arity, CF: 0.7, Seed: 1})
 		if err != nil {
-			t.Fatalf("IsMinimal(%s): %v", c, err)
+			t.Fatal(err)
 		}
-		if !min {
-			t.Errorf("non-minimal CFD reported: %s", c)
-		}
-		sup, err := r.Support(c)
-		if err != nil || sup < 2 {
-			t.Errorf("infrequent CFD reported: %s (support %d, %v)", c, sup, err)
+		inputs = append(inputs, relAndSupport{rel, in.k})
+	}
+	for _, in := range inputs {
+		for _, alg := range []discovery.Algorithm{discovery.AlgCTANE, discovery.AlgFastCFD} {
+			cover := mine(t, alg, in.rel, discovery.WithSupport(in.k)).CFDs()
+			if len(cover) == 0 {
+				t.Errorf("%s on %d x %d: empty cover", alg, in.rel.Size(), in.rel.Arity())
+			}
+			for _, c := range cover {
+				min, err := in.rel.IsMinimal(c)
+				if err != nil {
+					t.Fatalf("IsMinimal(%s): %v", c, err)
+				}
+				if !min {
+					t.Errorf("%s: non-minimal CFD reported: %s", alg, c)
+				}
+				if sup, err := in.rel.Support(c); err != nil || sup < in.k {
+					t.Errorf("%s: infrequent CFD reported: %s (support %d, %v)", alg, c, sup, err)
+				}
+				if !c.IsVariable() && !c.IsConstant() {
+					t.Errorf("%s: constant RHS under a wildcard LHS entry: %s", alg, c)
+				}
+			}
 		}
 	}
 }
@@ -188,21 +211,46 @@ func TestCFDMinerMaxLHS(t *testing.T) {
 	}
 }
 
+// TestFDBaselinesAgree is what keeps TANE and FastFD in the tree: §4 and §5
+// present CTANE and FastCFD as extensions of the two, so at k = 1 the
+// all-wildcard rules of a CFD cover must be exactly the minimal FDs — TANE's
+// and FastFD's, which must also agree with each other. Checked on cust, on a
+// relation with a constant column (∅ → C) and on seeded random relations.
 func TestFDBaselinesAgree(t *testing.T) {
-	r := cust()
-	taneFDs := mine(t, discovery.AlgTANE, r).CFDs()
-	a, b := keys(taneFDs), keys(mine(t, discovery.AlgFastFD, r).CFDs())
-	if len(a) != len(b) {
-		t.Fatalf("TANE %d FDs, FastFD %d", len(a), len(b))
+	constant, err := cfd.FromRows([]string{"A", "B", "C"}, [][]string{
+		{"1", "x", "c"}, {"1", "x", "c"}, {"2", "y", "c"}, {"3", "y", "c"},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for s := range a {
-		if !b[s] {
-			t.Errorf("FastFD missing %s", s)
+	tax, err := dataset.Tax(dataset.TaxConfig{Size: 300, Arity: 7, CF: 0.7, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relations := map[string]*cfd.Relation{"cust": cust(), "constant-column": constant, "tax": tax}
+	for seed := int64(1); seed <= 12; seed++ {
+		relations[fmt.Sprint("random-", seed)] = cfd.WrapEncoded(fixture.Random(seed, 10, []int{2, 3, 3, 4, 5}))
+		relations[fmt.Sprint("correlated-", seed)] = cfd.WrapEncoded(fixture.RandomCorrelated(seed, 40, 5, 4))
+	}
+	fds := func(set *rules.Set) string {
+		var kept []cfd.CFD
+		for _, c := range set.CFDs() {
+			if c.IsFD() {
+				kept = append(kept, c)
+			}
 		}
+		return cfd.FormatAll(kept)
 	}
-	for _, c := range taneFDs {
-		if !c.IsFD() {
-			t.Errorf("TANE produced a non-FD: %s", c)
+	for name, r := range relations {
+		tane := mine(t, discovery.AlgTANE, r)
+		want := fds(tane)
+		if tane.Len() == 0 || strings.Count(want, "\n") != tane.Len() {
+			t.Errorf("%s: TANE reports %d rules, %d of them FDs", name, tane.Len(), strings.Count(want, "\n"))
+		}
+		for _, alg := range []discovery.Algorithm{discovery.AlgFastFD, discovery.AlgCTANE, discovery.AlgFastCFD} {
+			if got := fds(mine(t, alg, r, discovery.WithSupport(1))); got != want {
+				t.Errorf("%s: the FDs of %s's cover at k = 1 are\n%sTANE's minimal FDs are\n%s", name, alg, got, want)
+			}
 		}
 	}
 }

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Metric naming checker, run by `make obs-smoke` and CI: the metric catalogue
+# Metric naming checker, run by `make docs-check` and CI: the metric catalogue
 # in ARCHITECTURE.md must match the names actually registered in the source
 # (both directions), and every name must follow the conventions the catalogue
 # documents — cfd_ prefix, counters end in _total, histograms carry a unit
