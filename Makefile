@@ -79,7 +79,10 @@ docs-check:
 
 # fuzz runs the fuzzers for a short CI-sized budget each — the codec round
 # trips (the cfd text codec pair, the rules.Set JSON codec, the violation
-# snapshot codec, which also holds the snapshot's appender to encoding/json),
+# snapshot codec, which also holds the snapshot's appender and its one-pass
+# reader to encoding/json), the decoders of a batch body and a WAL record
+# against the encoding/json calls they stand in front of — same ops, same
+# error text, for any bytes —
 # the bulk /v1 reply encoders against json.Encoder on the same documents,
 # the shared group index against its from-scratch recount,
 # the partition product — either operand refined by the other's last item —
@@ -94,6 +97,7 @@ fuzz:
 	$(GO) test ./cfd -run '^$$' -fuzz '^FuzzFormat$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./rules -run '^$$' -fuzz '^FuzzJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./violation -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./violation -run '^$$' -fuzz '^FuzzDecodeOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cluster -run '^$$' -fuzz '^FuzzWireDocs$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGroupIndex$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/partition -run '^$$' -fuzz '^FuzzProduct$$' -fuzztime $(FUZZTIME)
@@ -105,7 +109,8 @@ fuzz:
 # cluster the wire documents, their encoders and the coordinator — most of
 # which only cmd/cfdserve's tests drive over real shard nodes, so its profile
 # counts both packages' tests;
-# internal/jsonw the JSON appenders under the bulk replies and the snapshot) and
+# internal/jsonw the JSON appenders under the bulk replies, the snapshot and the
+# WAL, and the reader under their decoders) and
 # on the mining kernels (internal/partition: counting split and refinement;
 # internal/itemset: free- and closed-set miners) and the searches built on
 # them (internal/cfdminer; internal/ctane: the linked lattice; internal/diffset
@@ -115,7 +120,7 @@ fuzz:
 # The floors only move up:
 # raise them when coverage improves, and never lower them to make a failing
 # build pass.
-VIOLATION_COVER_FLOOR ?= 89.5
+VIOLATION_COVER_FLOOR ?= 93.0
 RULES_COVER_FLOOR ?= 92.0
 MONITOR_COVER_FLOOR ?= 90.0
 CORE_COVER_FLOOR ?= 96.5

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"time"
 
@@ -22,7 +23,9 @@ import (
 // SetIndent("", "  ") emits for the same value, in one pass and without
 // reflection. The struct tags stay the definition (ShardClient decodes by
 // them, and FuzzWireDocs holds every encoder to them); a field added to one
-// of these documents must be added to its encoder.
+// of these documents must be added to its encoder. The one bulk request, the
+// batch body, has the mirror image: DecodeBatchRequest, held to the struct
+// tags by FuzzDecodeOps (package violation).
 
 // ErrorDoc is the envelope of every non-2xx JSON response.
 type ErrorDoc struct {
@@ -299,6 +302,34 @@ type TupleViolationsDoc struct {
 // atomic, write-ahead-logged mutation.
 type BatchRequest struct {
 	Ops []violation.Op `json:"ops"`
+}
+
+// DecodeBatchRequest decodes a POST /v1/batch body read whole: what
+// json.NewDecoder(body).Decode makes of it, result and error — the first JSON
+// value decoded by the struct tags above, bytes after it ignored. A body as
+// ShardClient sends it (json.Marshal of a BatchRequest: compact, exact keys,
+// ending with the document) is read in one pass and without reflection; any
+// other goes to that call as it stands.
+func DecodeBatchRequest(body []byte) (BatchRequest, error) {
+	if req, ok := readBatchRequest(body); ok {
+		return req, nil
+	}
+	var req BatchRequest
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	return req, err
+}
+
+// readBatchRequest reads a body that is plain JSON; false for any other.
+func readBatchRequest(body []byte) (BatchRequest, bool) {
+	r := jsonw.Read(body)
+	var req BatchRequest
+	var seen uint32
+	for r.Open('{'); r.More('}'); {
+		if r.Key(&seen, "ops") == "ops" {
+			req.Ops = violation.ReadOps(&r)
+		}
+	}
+	return req, r.Plain()
 }
 
 // WriteDoc is POST /v1/tuples and POST /v1/batch: the ids assigned to the

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
+	"strconv"
 	"testing"
+
+	"repro/violation"
 )
 
 // oracleJSON is the reply encoding the appenders replace and must reproduce:
@@ -173,6 +177,77 @@ func BenchmarkViolationsDoc(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			b.SetBytes(int64(len(oracleJSON(b, doc))))
+		}
+	})
+}
+
+// TestDecodeBatchRequest: the body a ShardClient sends is read without the
+// hand-over, whatever its values hold; a body only encoding/json reads —
+// spaced, other key case, bytes after the document — decodes to the same ops
+// through it; and a refusal is encoding/json's, word for word. FuzzDecodeOps
+// (package violation) holds the two together on arbitrary bytes.
+func TestDecodeBatchRequest(t *testing.T) {
+	at := 3
+	want := BatchRequest{Ops: []violation.Op{
+		{Kind: violation.OpInsert, Values: []string{`<a&b>"\`, "\x00\u2028é"}, At: &at},
+		{Kind: violation.OpUpdate, ID: 7, Values: []string{"x", "y"}},
+		{Kind: violation.OpDelete, ID: 0},
+	}}
+	sent, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, plain := readBatchRequest(sent); !plain || !reflect.DeepEqual(got, want) {
+		t.Fatalf("a ShardClient body takes the hand-over (plain = %v): %s\n got %+v", plain, sent, got)
+	}
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, bytes.Replace(sent, []byte(`"ops"`), []byte(`"OPS"`), 1), "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]byte{sent, spaced.Bytes(), append(sent[:len(sent):len(sent)], " trailing bytes"...)} {
+		if got, err := DecodeBatchRequest(body); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s\n got %+v, %v", body, got, err)
+		}
+	}
+	for _, body := range []string{``, `{"ops":[{"op":"delete"}]}`, `{"ops":[{"op":"update","id":1,"at":2}]}`, `{"ops":[{"op":"delete","id":1e99}]}`, `{"ops":[`} {
+		var ref BatchRequest
+		wantErr := json.NewDecoder(bytes.NewReader([]byte(body))).Decode(&ref)
+		if _, err := DecodeBatchRequest([]byte(body)); err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("%q: error %v, encoding/json says %v", body, err, wantErr)
+		}
+	}
+}
+
+// BenchmarkDecodeBatchRequest decodes the body the write path is sized by — a
+// batch of 256 seven-value inserts, 17 KB — both ways: as the handler does,
+// and through the encoding/json call every other body takes.
+func BenchmarkDecodeBatchRequest(b *testing.B) {
+	req := BatchRequest{Ops: make([]violation.Op, 256)}
+	for i := range req.Ops {
+		n := strconv.Itoa(i)
+		req.Ops[i] = violation.Op{Kind: violation.OpInsert, Values: []string{"01", "908", "555" + n, "Name " + n, n + " Tree Ave.", "MH", "0" + n}}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("plain", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			if _, err := DecodeBatchRequest(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			var req BatchRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -283,12 +282,39 @@ func sinceParam(q url.Values) (since uint64, ok bool, err error) {
 	return since, true, nil
 }
 
-// decodeBody decodes a JSON request body.
-func decodeBody(r *http.Request, into any) error {
-	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		return fmt.Errorf("decoding body: %w", err)
+// maxBody bounds every request body the API reads — a rule file, a batch, a
+// tuple (32 MiB is far above any realistic one).
+const maxBody = 32 << 20
+
+// readBody reads a request body whole, answering 413 itself when it is over
+// maxBody (and 400 when it cannot be read). The buffer is sized from
+// Content-Length, up to a megabyte: a header alone commands no more.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), 1<<20)+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, r, http.StatusRequestEntityTooLarge, codePayloadTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBody))
+	case err != nil:
+		badRequest(w, r, fmt.Errorf("reading body: %w", err))
 	}
-	return nil
+	return buf.Bytes(), err == nil
+}
+
+// decodeBody reads a JSON request body into into, answering 413 or 400 itself.
+// Like every JSON body of this API it is the first value of the body: bytes
+// after it are ignored.
+func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
+	body, ok := readBody(w, r)
+	if !ok {
+		return false
+	}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(into); err != nil {
+		badRequest(w, r, fmt.Errorf("decoding body: %w", err))
+		return false
+	}
+	return true
 }
 
 // health answers 200 with the mode's document — 503 with the same document
@@ -324,10 +350,6 @@ func (a api) rules(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// maxRulesBody bounds the PUT /v1/rules request body (32 MiB is far above
-// any realistic rule file).
-const maxRulesBody = 32 << 20
-
 // putRules atomically swaps the served rule set for the uploaded rule file —
 // text (cfddiscover -o) or rules.Set JSON (GET /v1/rules), sniffed. An
 // If-Match header makes the swap conditional on the currently served rules
@@ -335,13 +357,8 @@ const maxRulesBody = 32 << 20
 // rejected with 409, so two operators cannot silently overwrite each other.
 // "*" (match-any) leaves the swap unconditional.
 func (a api) putRules(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRulesBody+1))
-	if err != nil {
-		badRequest(w, r, fmt.Errorf("reading body: %w", err))
-		return
-	}
-	if len(body) > maxRulesBody {
-		writeError(w, r, http.StatusRequestEntityTooLarge, codePayloadTooLarge, fmt.Errorf("rule file exceeds %d bytes", maxRulesBody))
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	set, err := rules.Parse(string(body))
@@ -442,8 +459,7 @@ type insertRequest struct {
 // or none is.
 func (a api) insert(w http.ResponseWriter, r *http.Request) {
 	var req insertRequest
-	if err := decodeBody(r, &req); err != nil {
-		badRequest(w, r, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	rows := req.Rows
@@ -463,9 +479,13 @@ func (a api) insert(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a api) batch(w http.ResponseWriter, r *http.Request) {
-	var req cluster.BatchRequest
-	if err := decodeBody(r, &req); err != nil {
-		badRequest(w, r, err)
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	req, err := cluster.DecodeBatchRequest(body)
+	if err != nil {
+		badRequest(w, r, fmt.Errorf("decoding body: %w", err))
 		return
 	}
 	if len(req.Ops) == 0 {
@@ -525,8 +545,7 @@ func (a api) update(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req insertRequest
-	if err := decodeBody(r, &req); err != nil {
-		badRequest(w, r, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Values) == 0 {

@@ -143,7 +143,7 @@ func TestRouteParity(t *testing.T) {
 // the pinned status and code.
 func TestErrorEnvelope(t *testing.T) {
 	bases := modes(t)
-	oversize := strings.Repeat("#", maxRulesBody+1)
+	oversize := strings.Repeat("#", maxBody+1)
 	cases := []struct {
 		name       string
 		method     string
@@ -166,6 +166,10 @@ func TestErrorEnvelope(t *testing.T) {
 		{"batch-empty", "POST", "/v1/batch", `{"ops":[]}`, [2]string{}, 400, "bad_request", false},
 		{"rules-unparsable", "PUT", "/v1/rules", "this is not a rule file", [2]string{}, 400, "bad_request", false},
 		{"rules-oversize", "PUT", "/v1/rules", oversize, [2]string{}, 413, "payload_too_large", false},
+		{"insert-oversize", "POST", "/v1/tuples", oversize, [2]string{}, 413, "payload_too_large", false},
+		{"update-oversize", "PUT", "/v1/tuples/0", oversize, [2]string{}, 413, "payload_too_large", false},
+		{"batch-oversize", "POST", "/v1/batch", oversize, [2]string{}, 413, "payload_too_large", false},
+		{"batch-undecodable", "POST", "/v1/batch", `{"ops":[{"op":"delete"}]}`, [2]string{}, 400, "bad_request", false},
 		{"rules-unknown-attr", "PUT", "/v1/rules", "([BOGUS] -> CT, (_ || _))\n", [2]string{}, 422, "unprocessable", false},
 		{"rules-cas-miss", "PUT", "/v1/rules", "([CC,AC] -> CT, (_, _ || _))\n", [2]string{"If-Match", `"not-the-version"`}, 409, "conflict", false},
 		{"since-bad", "GET", "/v1/violations?since=abc", "", [2]string{}, 400, "bad_request", false},
@@ -210,6 +214,39 @@ func TestErrorEnvelope(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWriteBodyIsItsFirstValue pins, in both serving modes, what a write
+// handler reads of its body: the first JSON value, as json.Decoder has always
+// read it — whatever follows is ignored, whether the batch body before it is
+// one the one-pass reader takes or one it hands to encoding/json.
+func TestWriteBodyIsItsFirstValue(t *testing.T) {
+	row := `["01","212","9999999","Ann","5th Ave","NYC","01202"]`
+	for mode, base := range modes(t) {
+		for _, tc := range []struct{ method, path, body string }{
+			{"POST", "/v1/batch", `{"ops":[{"op":"insert","values":` + row + `}]} trailing`},
+			{"POST", "/v1/batch", `{"ops":[{"op":"insert","values":` + row + `}]}{"ops":[]}`},
+			{"POST", "/v1/batch", ` { "OPS" : [ {"op":"insert", "values":` + row + `} ] } ]`},
+			{"POST", "/v1/tuples", `{"values":` + row + `} trailing`},
+			{"PUT", "/v1/tuples/0", `{"values":` + row + `}}`},
+		} {
+			req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: %s %s %s: status %d, want 200", mode, tc.method, tc.path, tc.body, resp.StatusCode)
+			}
+		}
+		if got := do(t, "GET", base+"/v1/health", nil, http.StatusOK)["tuples"]; got != float64(8+4) {
+			t.Errorf("%s: %v tuples after four inserts into eight", mode, got)
+		}
 	}
 }
 

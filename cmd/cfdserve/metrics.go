@@ -12,7 +12,8 @@ import (
 // obsStack bundles the server's observability state: the metrics registry
 // behind GET /metrics, the structured logger, and the HTTP-layer series the
 // instrument middleware feeds. Engine, WAL and delta series are registered by
-// obs.InstrumentEngine/InstrumentStore against the same registry.
+// obs.InstrumentEngine/InstrumentStore against the same registry, the Go
+// runtime's gauges by obs.InstrumentRuntime.
 type obsStack struct {
 	reg *obs.Registry
 	log *slog.Logger
@@ -34,6 +35,7 @@ type obsStack struct {
 // mode's logger.
 func newObsStack(log *slog.Logger) *obsStack {
 	reg := obs.NewRegistry()
+	obs.InstrumentRuntime(reg)
 	return &obsStack{
 		reg:           reg,
 		log:           log,

@@ -134,6 +134,8 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 		"cfd_http_sse_subscribers 0",
 		"cfd_remine_duration_seconds_count 0",
 		"cfd_discovery_rules_streamed_total 0",
+		"cfd_go_heap_inuse_bytes",
+		"cfd_go_goroutines",
 	} {
 		if !strings.Contains(scrape, series) {
 			t.Errorf("scrape missing %q:\n%s", series, grepLines(scrape, strings.SplitN(series, "{", 2)[0]))

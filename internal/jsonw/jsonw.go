@@ -1,16 +1,25 @@
-// Package jsonw appends JSON to a byte slice in one pass, without reflection,
-// producing byte for byte what encoding/json produces for the same value:
-// json.Marshal's output in compact mode, json.Encoder's under
-// SetIndent("", "  ") in indented mode (minus the newline Encode adds after
-// the value). It exists for the few documents whose size makes the generic
-// encoder the bottleneck — the bulk /v1 replies (cluster/docs.go) and the
-// compacted snapshot (violation/persist.go); everything else stays on
-// encoding/json, which is also the oracle the tests hold this package to.
+// Package jsonw writes and reads JSON in one pass over a byte slice, without
+// reflection, for the few documents whose size makes encoding/json the
+// bottleneck; everything else stays on encoding/json, which is also the oracle
+// the tests hold both halves to.
 //
+// The Writer produces byte for byte what encoding/json produces for the same
+// value: json.Marshal's output in compact mode, json.Encoder's under
+// SetIndent("", "  ") in indented mode (minus the newline Encode adds after
+// the value). It is under the bulk /v1 replies (cluster/docs.go), the
+// compacted snapshot and the write-ahead-log records (violation/persist.go).
 // A Writer knows its nesting depth and nothing else: whether a comma is due
 // is read off the last byte written (an opening bracket means "first member"),
 // so a document's encoder is a flat sequence of Key/Elem and value calls with
 // its omitempty rules as plain ifs.
+//
+// The Reader (reader.go) is its mirror image and reads exactly what a compact
+// Writer writes — the POST /v1/batch body, a WAL record, the snapshot — to the
+// value encoding/json decodes from the same bytes. It does not try to be a
+// JSON parser: for any other document it answers "not plain", and the decoder
+// built on it hands the same bytes to the encoding/json call it stands in
+// front of, which stays the single definition of leniency and the only author
+// of an error message.
 package jsonw
 
 import (

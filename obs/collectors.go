@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math"
+	"runtime/metrics"
+
 	"repro/violation"
 )
 
@@ -125,4 +128,55 @@ func InstrumentStore(r *Registry, st *violation.Store) {
 		return 0
 	})
 	st.SetObserver(c)
+}
+
+// runtimeSample reads one runtime/metrics sample.
+func runtimeSample(name string) metrics.Value {
+	sample := []metrics.Sample{{Name: name}}
+	metrics.Read(sample)
+	return sample[0].Value
+}
+
+// runtimeBytes sums the named byte-valued runtime metrics.
+func runtimeBytes(names ...string) float64 {
+	var sum uint64
+	for _, name := range names {
+		sum += runtimeSample(name).Uint64()
+	}
+	return float64(sum)
+}
+
+// InstrumentRuntime registers the Go runtime's own gauges on r: what the
+// process holds beyond the tuples the engine gauges count — most of a serving
+// node's resident memory — and what collecting it has cost. Like every gauge
+// here they are func-backed: runtime/metrics is read when /metrics is scraped,
+// there is no ticker, and nothing runs between scrapes.
+func InstrumentRuntime(r *Registry) {
+	r.GaugeFunc("cfd_go_heap_inuse_bytes", "Heap memory in spans that hold objects: live and not yet swept objects plus the free slots among them.", func() float64 {
+		return runtimeBytes("/memory/classes/heap/objects:bytes", "/memory/classes/heap/unused:bytes")
+	})
+	r.GaugeFunc("cfd_go_heap_released_bytes", "Heap memory returned to the operating system and not counted in its resident set.", func() float64 {
+		return runtimeBytes("/memory/classes/heap/released:bytes")
+	})
+	r.GaugeFunc("cfd_go_sys_bytes", "All memory the Go runtime has mapped, released memory included.", func() float64 {
+		return runtimeBytes("/memory/classes/total:bytes")
+	})
+	r.GaugeFunc("cfd_go_gc_pause_seconds", "Cumulative stop-the-world garbage collection pause time since the process started, to the resolution of the runtime's pause histogram.", func() float64 {
+		h := runtimeSample("/sched/pauses/total/gc:seconds").Float64Histogram()
+		var sum float64
+		for i, n := range h.Counts {
+			lo, hi := h.Buckets[i], h.Buckets[i+1]
+			if math.IsInf(lo, -1) { // the outermost buckets are open-ended
+				lo = hi
+			}
+			if math.IsInf(hi, 1) {
+				hi = lo
+			}
+			sum += float64(n) * (lo + hi) / 2
+		}
+		return sum
+	})
+	r.GaugeFunc("cfd_go_goroutines", "Live goroutines.", func() float64 {
+		return float64(runtimeSample("/sched/goroutines:goroutines").Uint64())
+	})
 }

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -235,5 +236,34 @@ func TestWaitersGauge(t *testing.T) {
 			t.Fatal("waiter gauge never returned to 0")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestInstrumentRuntime: the Go runtime gauges are read at scrape time and
+// move with the process — a heap that holds what was just allocated, inside
+// what the runtime has mapped; at least this goroutine; a pause total that
+// only grows across a forced collection.
+func TestInstrumentRuntime(t *testing.T) {
+	r := obs.NewRegistry()
+	obs.InstrumentRuntime(r)
+	before := scrape(t, r)
+	held := make([]byte, 8<<20)
+	runtime.GC()
+	after := scrape(t, r)
+	runtime.KeepAlive(held)
+	if grown := val(t, after, "cfd_go_heap_inuse_bytes") - val(t, before, "cfd_go_heap_inuse_bytes"); grown < 4<<20 {
+		t.Errorf("heap in use grew by %.0f bytes over an 8 MiB allocation", grown)
+	}
+	if inuse, sys := val(t, after, "cfd_go_heap_inuse_bytes"), val(t, after, "cfd_go_sys_bytes"); inuse <= 0 || inuse > sys {
+		t.Errorf("heap in use %.0f, mapped %.0f", inuse, sys)
+	}
+	if released := val(t, after, "cfd_go_heap_released_bytes"); released < 0 || released > val(t, after, "cfd_go_sys_bytes") {
+		t.Errorf("released %.0f", released)
+	}
+	if n := val(t, after, "cfd_go_goroutines"); n < 1 {
+		t.Errorf("%.0f goroutines", n)
+	}
+	if a, b := val(t, after, "cfd_go_gc_pause_seconds"), val(t, before, "cfd_go_gc_pause_seconds"); a <= b || a > 10 {
+		t.Errorf("GC pause total went from %g to %g over a forced collection", b, a)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/jsonw"
 	"repro/internal/pool"
 )
 
@@ -39,9 +40,9 @@ type Op struct {
 	At *int `json:"at,omitempty"`
 }
 
-// opJSON is the wire form: id is a pointer so decoding can tell "id":0 apart
-// from a missing id — without that, a delete op with the field omitted would
-// silently target tuple 0.
+// opJSON is the wire form as encoding/json decodes it: id is a pointer so
+// decoding can tell "id":0 apart from a missing id — without that, a delete op
+// with the field omitted would silently target tuple 0.
 type opJSON struct {
 	Kind   OpKind   `json:"op"`
 	ID     *int     `json:"id,omitempty"`
@@ -49,20 +50,35 @@ type opJSON struct {
 	At     *int     `json:"at,omitempty"`
 }
 
-// MarshalJSON emits the id only for the kinds that address a tuple, so
-// insert records stay free of a meaningless "id":0, and "at" only for
-// inserts that pin one.
-func (o Op) MarshalJSON() ([]byte, error) {
-	raw := opJSON{Kind: o.Kind, Values: o.Values}
+// appendOp writes the wire form of an op, the one a WAL record and a
+// coordinator's batch body carry: the id only for the kinds that address a
+// tuple, so insert records stay free of a meaningless "id":0, "at" only for
+// inserts that pin one, and no empty "values". It is json.Marshal of the
+// opJSON those rules fill, byte for byte (TestOpWireForm).
+func appendOp(w *jsonw.Writer, o Op) {
+	w.Open('{')
+	w.Key("op")
+	w.String(string(o.Kind))
 	if o.Kind == OpDelete || o.Kind == OpUpdate {
-		id := o.ID
-		raw.ID = &id
+		w.Key("id")
+		w.Int(int64(o.ID))
+	}
+	if len(o.Values) > 0 {
+		w.Key("values")
+		w.Strings(o.Values)
 	}
 	if o.Kind == OpInsert && o.At != nil {
-		at := *o.At
-		raw.At = &at
+		w.Key("at")
+		w.Int(int64(*o.At))
 	}
-	return json.Marshal(raw)
+	w.Close('}')
+}
+
+// MarshalJSON emits the wire form (appendOp).
+func (o Op) MarshalJSON() ([]byte, error) {
+	w := jsonw.Compact(nil)
+	appendOp(&w, o)
+	return w.Buf, nil
 }
 
 // UnmarshalJSON rejects delete/update ops without an explicit "id": the
@@ -87,6 +103,39 @@ func (o *Op) UnmarshalJSON(data []byte) error {
 		o.At = &at
 	}
 	return nil
+}
+
+// ReadOps reads an array of ops in their wire form at the reader's cursor:
+// what json.Unmarshal into a []Op makes of the same bytes, whenever they are
+// plain in the reader's sense and every op passes UnmarshalJSON's two rules —
+// and a failed reader otherwise, for the caller to hand its whole document to
+// encoding/json, which words the error (FuzzDecodeOps holds the two together).
+// The batch body, in package cluster, and the WAL record share it.
+func ReadOps(r *jsonw.Reader) []Op {
+	ops := []Op{}
+	for r.Open('['); r.More(']'); {
+		var op Op
+		var seen uint32
+		var hasID, hasAt bool
+		for r.Open('{'); r.More('}'); {
+			switch r.Key(&seen, "op", "id", "values", "at") {
+			case "op":
+				op.Kind = OpKind(r.String())
+			case "id":
+				op.ID, hasID = r.Int(), true
+			case "values":
+				op.Values = r.Strings()
+			case "at":
+				at := r.Int()
+				op.At, hasAt = &at, true
+			}
+		}
+		if addressed := op.Kind == OpDelete || op.Kind == OpUpdate; (addressed && !hasID) || (hasAt && op.Kind != OpInsert) {
+			r.Fail()
+		}
+		ops = append(ops, op)
+	}
+	return ops
 }
 
 // resolvedOp is one validated op with its row-level effect: the encoded row

@@ -3,6 +3,7 @@ package violation
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/cfd"
@@ -51,13 +52,52 @@ func encodeSnapshot(tb testing.TB, file *snapshotFile) []byte {
 	return data
 }
 
+// unmarshalSnapshotFile is the all-encoding/json decode decodeSnapshotFile
+// replaced, kept as its reference.
+func unmarshalSnapshotFile(data []byte) (*snapshotFile, error) {
+	var file snapshotFile
+	if err := json.Unmarshal(data, &file); err != nil {
+		return nil, err
+	}
+	if err := file.validate(); err != nil {
+		return nil, err
+	}
+	return &file, nil
+}
+
+// sameSnapshotDecode holds decodeSnapshotFile's outcome on data to the
+// reference's: the same refusal in the same words, or the same file — nil
+// against empty slices included, the rule set by its JSON.
+func sameSnapshotDecode(tb testing.TB, data []byte, file *snapshotFile, err error) {
+	tb.Helper()
+	want, wantErr := unmarshalSnapshotFile(data)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		tb.Fatalf("decoding %q: error %v, encoding/json alone says %v", data, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	got, want2 := *file, *want
+	got.RuleSet, want2.RuleSet = nil, nil
+	if !reflect.DeepEqual(got, want2) {
+		tb.Fatalf("decoding %q\n got %+v\nwant %+v", data, got, want2)
+	}
+	gotRules, _ := json.Marshal(file.RuleSet)
+	wantRules, _ := json.Marshal(want.RuleSet)
+	if !bytes.Equal(gotRules, wantRules) {
+		tb.Fatalf("decoding %q: rule set %s, want %s", data, gotRules, wantRules)
+	}
+}
+
 // FuzzSnapshotRoundTrip feeds arbitrary bytes to the snapshot decoder and
-// checks the two properties the persistence layer promises: corrupt or
-// truncated input is rejected with an error — never a panic, never an
-// oversized allocation — and any input that decodes restores into an engine
-// whose re-encoded snapshot is byte-stable (encode → restore → encode is the
-// identity from the first encode on). Every encode on the way is also held to
-// json.Marshal of the same snapshotFile (encodeSnapshot).
+// checks the properties the persistence layer promises: corrupt or truncated
+// input is rejected with an error — never a panic, never an oversized
+// allocation; the decoder's one-pass reader and its hand-over are together
+// indistinguishable from json.Unmarshal (sameSnapshotDecode); and any input
+// that decodes restores into an engine whose re-encoded snapshot is
+// byte-stable (encode → restore → encode is the identity from the first encode
+// on). Every encode on the way is also held to json.Marshal of the same
+// snapshotFile (encodeSnapshot).
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(fuzzSeedSnapshot(f))
 	// A format 1 snapshot, as builds before PR 9 wrote it: no longer read, so
@@ -70,8 +110,15 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"format":2,"attributes":["A","B"],"next_id":2,"dicts":[["x"],["y"]],"columns":[[0,0],[0]]}`))
 	f.Add([]byte(`{"format":2,"attributes":["A"],"next_id":1,"dicts":[["x","x"]],"columns":[[0]]}`))
 	f.Add([]byte(`{"format":2,"attributes":["A","B"],"next_id":1,"dicts":[["x"],["y"]],"columns":[[-1],[0]]}`))
+	// What only encoding/json reads: other key case, whitespace, null, a key
+	// twice, an unknown key, a number with an exponent.
+	f.Add([]byte(`{"Format":2, "ATTRIBUTES":["A"], "ruleset":null, "next_id":1, "dicts":[["x"]], "columns":[[0]], "columns":[[0]], "more":1}`))
+	f.Add([]byte(`{"format":2,"attributes":["A"],"ruleset":{"rules":[]},"next_id":1e0,"dicts":[["x"]],"columns":[[0]]}`))
+	f.Add([]byte(`{"format":2,"attributes":["A"],"ruleset":{"rules":["no rule"]},"next_id":1,"dicts":[["x"]],"columns":[[0]]}`))
+	f.Add([]byte(`{"format":2,"attributes":["A"],"ruleset":{"rules":[]},"next_id":1,"dicts":[],"columns":[[4294967296]]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := decodeSnapshotFile(data)
+		sameSnapshotDecode(t, data, file, err)
 		if err != nil {
 			return // rejected cleanly; a panic would fail the fuzzer
 		}

@@ -48,6 +48,7 @@ import (
 type Store struct {
 	dir    string
 	sync   bool
+	fs     disk
 	unlock func() error // releases the directory lock; nil once released
 
 	// compactMu serialises whole compactions: without it two overlapping
@@ -55,13 +56,17 @@ type Store struct {
 	// regress the on-disk state below an already-truncated WAL.
 	compactMu sync.Mutex
 
-	mu       sync.Mutex
-	wal      *os.File
-	walOff   int64  // current end offset of the WAL file
-	seq      uint64 // sequence number of the last committed record
-	snapSeq  uint64 // WAL sequence the current snapshot file includes
-	snapFile *snapshotFile
-	pending  int // ops appended since the last compaction
+	mu      sync.Mutex
+	wal     *os.File
+	walOff  int64  // current end offset of the WAL file
+	seq     uint64 // sequence number of the last committed record
+	snapSeq uint64 // WAL sequence the current snapshot file includes
+	hasSnap bool   // a snapshot file exists: the directory holds state
+	// opened is the snapshot OpenStore decoded, kept for the one Load that
+	// consumes it: a full copy of the data that nothing else ever reads.
+	opened  *snapshotFile
+	pending int    // ops appended since the last compaction
+	line    []byte // the last record encoded, reused by the next commit
 	// failed latches the first error writing, syncing or truncating the WAL:
 	// from then on the file's contents past walOff are unknown, so nothing
 	// more is written through this Store (see Failed).
@@ -96,6 +101,60 @@ func (rec walRecord) cost() int {
 		return 1
 	}
 	return len(rec.Ops)
+}
+
+// appendLine appends the record as its line of the log: json.Marshal(rec),
+// byte for byte (TestWALRecordWireForm), and the newline. A batch — every
+// record but the rare rule swap — is written in one pass, its ops by appendOp.
+func (rec walRecord) appendLine(dst []byte) ([]byte, error) {
+	if rec.Rules != nil {
+		line, err := json.Marshal(rec)
+		return append(append(dst, line...), '\n'), err
+	}
+	w := jsonw.Compact(dst)
+	w.Open('{')
+	w.Key("seq")
+	w.Uint(rec.Seq)
+	if len(rec.Ops) > 0 {
+		w.Key("ops")
+		w.Open('[')
+		for _, op := range rec.Ops {
+			w.Elem()
+			appendOp(&w, op)
+		}
+		w.Close(']')
+	}
+	w.Close('}')
+	return append(w.Buf, '\n'), nil
+}
+
+// decode reads one line of the log into the zero record rec: json.Unmarshal's
+// result and json.Unmarshal's error. A batch as appendLine writes it is plain
+// and read in one pass (readWALRecord); a rule swap, and any line that is
+// something else — torn, corrupt, or written by hand — goes to encoding/json.
+func (rec *walRecord) decode(line []byte) error {
+	if plain, ok := readWALRecord(line); ok {
+		*rec = plain
+		return nil
+	}
+	return json.Unmarshal(line, rec)
+}
+
+// readWALRecord reads a batch record that is plain JSON; false for any other
+// line.
+func readWALRecord(line []byte) (walRecord, bool) {
+	r := jsonw.Read(line)
+	var rec walRecord
+	var seen uint32
+	for r.Open('{'); r.More('}'); {
+		switch r.Key(&seen, "seq", "ops") {
+		case "seq":
+			rec.Seq = r.Uint()
+		case "ops":
+			rec.Ops = ReadOps(&r)
+		}
+	}
+	return rec, r.Plain()
 }
 
 // walHeader is what the tail rewrite reads of a record it copies verbatim:
@@ -198,16 +257,59 @@ const (
 // decodeSnapshotFile parses and structurally validates a snapshot. Every
 // invariant the restore path relies on without re-checking is enforced here,
 // so a corrupt or truncated file is rejected with an error — never a panic —
-// before any allocation sized by its contents.
+// before any allocation sized by its contents. Nothing in the result aliases
+// data.
 func decodeSnapshotFile(data []byte) (*snapshotFile, error) {
-	var file snapshotFile
-	if err := json.Unmarshal(data, &file); err != nil {
-		return nil, err
+	file, ok := readSnapshotFile(data)
+	if !ok {
+		file = new(snapshotFile)
+		if err := json.Unmarshal(data, file); err != nil {
+			return nil, err
+		}
 	}
 	if err := file.validate(); err != nil {
 		return nil, err
 	}
-	return &file, nil
+	return file, nil
+}
+
+// readSnapshotFile reads a snapshot as encode writes it — plain JSON, in one
+// pass and without reflecting over a column per attribute — to the value
+// json.Unmarshal makes of the same bytes; false for any other document, which
+// is json.Unmarshal's to accept or refuse. The rule set goes through its own
+// UnmarshalJSON either way.
+func readSnapshotFile(data []byte) (*snapshotFile, bool) {
+	r := jsonw.Read(data)
+	file := new(snapshotFile)
+	var seen uint32
+	for r.Open('{'); r.More('}'); {
+		switch r.Key(&seen, "format", "wal_seq", "attributes", "ruleset", "next_id", "dicts", "columns") {
+		case "format":
+			file.Format = r.Int()
+		case "wal_seq":
+			file.WalSeq = r.Uint()
+		case "attributes":
+			file.Attributes = r.Strings()
+		case "ruleset":
+			file.RuleSet = new(rules.Set)
+			if file.RuleSet.UnmarshalJSON(r.Object()) != nil {
+				r.Fail()
+			}
+		case "next_id":
+			file.NextID = r.Int()
+		case "dicts":
+			file.Dicts = [][]string{}
+			for r.Open('['); r.More(']'); {
+				file.Dicts = append(file.Dicts, r.Strings())
+			}
+		case "columns":
+			file.Columns = [][]int32{}
+			for r.Open('['); r.More(']'); {
+				file.Columns = append(file.Columns, r.Int32s())
+			}
+		}
+	}
+	return file, r.Plain()
 }
 
 // validate checks the snapshot's structural invariants (see
@@ -260,6 +362,55 @@ func (f *snapshotFile) validate() error {
 // truncates a torn trailing record left by a crash mid-append. Call Load to
 // rebuild the engine, then Engine.AttachWAL(store) to log further mutations.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) {
+	return openStore(dir, opts, osDisk{})
+}
+
+// disk is every call through which the store changes what is on disk. It is
+// the seam the fault tests inject at (persist_fault_test.go): the files behind
+// it are real ones either way — reads, seeks and closes go to them directly —
+// and osDisk, the calls themselves, is the only implementation outside tests.
+type disk interface {
+	open(name string, flag int) (*os.File, error) // os.OpenFile, mode 0644
+	createTemp(dir, pattern string) (*os.File, error)
+	write(f *os.File, p []byte) (int, error)
+	sync(f *os.File) error
+	truncate(f *os.File, size int64) error
+	rename(oldpath, newpath string) error
+	syncDir(dir string) error // fsyncs a directory, making renames inside it durable
+}
+
+type osDisk struct{}
+
+func (osDisk) open(name string, flag int) (*os.File, error) { return os.OpenFile(name, flag, 0o644) }
+func (osDisk) createTemp(dir, pattern string) (*os.File, error) {
+	return os.CreateTemp(dir, pattern)
+}
+func (osDisk) write(f *os.File, p []byte) (int, error) { return f.Write(p) }
+func (osDisk) sync(f *os.File) error                   { return f.Sync() }
+func (osDisk) truncate(f *os.File, size int64) error   { return f.Truncate(size) }
+func (osDisk) rename(oldpath, newpath string) error    { return os.Rename(oldpath, newpath) }
+func (osDisk) syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
+}
+
+// diskWriter is a file as an io.Writer whose writes go through the seam.
+type diskWriter struct {
+	fs disk
+	f  *os.File
+}
+
+func (w diskWriter) Write(p []byte) (int, error) { return w.fs.write(w.f, p) }
+
+// openStore is OpenStore over the given disk.
+func openStore(dir string, opts StoreOptions, fs disk) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("violation: opening store: %w", err)
 	}
@@ -267,7 +418,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{dir: dir, sync: opts.Sync, unlock: unlock}
+	st := &Store{dir: dir, sync: opts.Sync, fs: fs, unlock: unlock}
 	fail := func(err error) (*Store, error) {
 		st.releaseLock()
 		return nil, err
@@ -279,14 +430,14 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		if err != nil {
 			return fail(fmt.Errorf("violation: unreadable %s: %w", snapshotName, err))
 		}
-		st.snapFile = file
+		st.opened, st.hasSnap = file, true
 		st.snapSeq = file.WalSeq
 		st.seq = file.WalSeq
 	case os.IsNotExist(err):
 	default:
 		return fail(fmt.Errorf("violation: opening store: %w", err))
 	}
-	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
+	wal, err := fs.open(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR)
 	if err != nil {
 		return fail(fmt.Errorf("violation: opening store: %w", err))
 	}
@@ -307,18 +458,17 @@ func (st *Store) releaseLock() {
 }
 
 // readRecords streams the log's records from the start: fn is called with
-// each intact record — decoded into a T, and as the line it was read from,
-// trailing newline included — and the returned offset is the end of the last
-// one. A record is intact only when its trailing newline made it to disk and
-// its JSON decodes into T — Append writes record+'\n' in one call, so anything
-// short of that is a tear from a crash mid-append, and everything from the
-// first tear on is untrusted. T sets how much of a record is decoded: recovery
-// (scanWAL, replay) reads walRecord, validating every op; the tail rewrite,
-// which only copies records this process already scanned or wrote itself,
-// reads walHeader. Records are read with no line-length cap: a large batch is
-// one (arbitrarily long) record. The line is only valid during the call.
-// Callers must hold st.mu.
-func readRecords[T any](st *Store, fn func(rec T, line []byte)) (int64, error) {
+// each line, trailing newline included, decodes as much of it as it needs and
+// reports whether it is an intact record; the returned offset is the end of
+// the last intact one. A record is intact only when its trailing newline made
+// it to disk and its JSON decodes — Append writes record+'\n' in one call, so
+// anything short of that is a tear from a crash mid-append, and everything
+// from the first tear on is untrusted. Recovery (scanWAL, replay) decodes a
+// walRecord, validating every op; the tail rewrite, which only copies records
+// this process already scanned or wrote itself, a walHeader. Records are read
+// with no line-length cap: a large batch is one (arbitrarily long) record. The
+// line is only valid during the call. Callers must hold st.mu.
+func (st *Store) readRecords(fn func(line []byte) (intact bool)) (int64, error) {
 	if _, err := st.wal.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("violation: scanning %s: %w", walName, err)
 	}
@@ -334,12 +484,10 @@ func readRecords[T any](st *Store, fn func(rec T, line []byte)) (int64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("violation: scanning %s: %w", walName, err)
 		}
-		var rec T
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if !fn(line) {
 			return off, nil // torn or corrupt: ignore from here on
 		}
 		off += int64(len(line))
-		fn(rec, line)
 	}
 }
 
@@ -347,16 +495,21 @@ func readRecords[T any](st *Store, fn func(rec T, line []byte)) (int64, error) {
 // record, truncates the file after the last one (dropping a torn tail), and
 // leaves the file offset at the end for appending.
 func (st *Store) scanWAL() error {
-	off, err := readRecords(st, func(rec walRecord, _ []byte) {
+	off, err := st.readRecords(func(line []byte) bool {
+		var rec walRecord
+		if rec.decode(line) != nil {
+			return false
+		}
 		if rec.Seq > st.seq {
 			st.seq = rec.Seq
 		}
 		st.pending += rec.cost()
+		return true
 	})
 	if err != nil {
 		return err
 	}
-	if err := st.wal.Truncate(off); err != nil {
+	if err := st.fs.truncate(st.wal, off); err != nil {
 		return fmt.Errorf("violation: truncating torn %s tail: %w", walName, err)
 	}
 	if _, err := st.wal.Seek(off, io.SeekStart); err != nil {
@@ -388,7 +541,10 @@ func (st *Store) AppendRules(set *rules.Set) error {
 // successful one would prove nothing about the records before it. The first
 // such error is kept instead, and every later Append, AppendRules and Compact
 // returns it without touching the files; what was acknowledged before is what
-// the next OpenStore + Load restores. Reads of the engine are unaffected.
+// the next OpenStore + Load restores. Reads of the engine are unaffected. A
+// compaction that fails before it touches the WAL leaves the store usable;
+// one whose tail rewrite fails after renaming the new log into place fails it
+// (rewriteTailLocked).
 func (st *Store) Failed() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -400,7 +556,7 @@ func (st *Store) Failed() error {
 // again where that still works — recovery would drop a torn one anyway, but
 // would replay one that is whole. Callers must hold st.mu.
 func (st *Store) failLocked(err error) error {
-	_ = st.wal.Truncate(st.walOff)
+	_ = st.fs.truncate(st.wal, st.walOff)
 	st.failed = fmt.Errorf("violation: store failed, no further commits until restart: %w", err)
 	return st.failed
 }
@@ -420,12 +576,14 @@ func (st *Store) commit(rec walRecord) (err error) {
 		return st.failed
 	}
 	rec.Seq = st.seq + 1
-	line, err := json.Marshal(rec)
+	line, err := rec.appendLine(st.line[:0])
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
-	if _, err := st.wal.Write(line); err != nil {
+	if cap(line) <= 1<<20 { // one huge batch must not pin its size for good
+		st.line = line
+	}
+	if _, err := st.fs.write(st.wal, line); err != nil {
 		return st.failLocked(err)
 	}
 	if st.sync {
@@ -433,7 +591,7 @@ func (st *Store) commit(rec walRecord) (err error) {
 		if obs != nil {
 			fsyncStart = time.Now()
 		}
-		if err := st.wal.Sync(); err != nil {
+		if err := st.fs.sync(st.wal); err != nil {
 			return st.failLocked(err)
 		}
 		if obs != nil {
@@ -449,16 +607,22 @@ func (st *Store) commit(rec walRecord) (err error) {
 // Load rebuilds the engine from the snapshot plus the WAL tail. It returns
 // (nil, false, nil) when the store holds no state yet — build the engine some
 // other way, Compact it once, then AttachWAL. Tuple ids (and therefore every
-// violation report) are restored exactly as they were.
+// violation report) are restored exactly as they were. Load is what follows
+// OpenStore and it runs once: it consumes the snapshot OpenStore read, and a
+// store that has been loaded from or compacted since must be reopened first.
 func (st *Store) Load(opts Options) (*Engine, bool, error) {
 	st.mu.Lock()
-	snap := st.snapFile
+	snap, hasSnap := st.opened, st.hasSnap
+	st.opened = nil
 	st.mu.Unlock()
-	if snap == nil {
+	if !hasSnap {
 		if st.seq > 0 {
 			return nil, false, fmt.Errorf("violation: store has a write-ahead log but no %s", snapshotName)
 		}
 		return nil, false, nil
+	}
+	if snap == nil {
+		return nil, false, fmt.Errorf("violation: Load after a Load or a Compact of the same store: reopen %s first", st.dir)
 	}
 	e, err := New(snap.Attributes, snap.RuleSet, opts)
 	if err != nil {
@@ -488,19 +652,24 @@ func (st *Store) replay(e *Engine) error {
 	defer st.mu.Unlock()
 	defer st.wal.Seek(st.walOff, io.SeekStart) //nolint:errcheck // repositioned for appends
 	var applyErr error
-	_, err := readRecords(st, func(rec walRecord, _ []byte) {
+	_, err := st.readRecords(func(line []byte) bool {
+		var rec walRecord
+		if rec.decode(line) != nil {
+			return false
+		}
 		if applyErr != nil || rec.Seq <= st.snapSeq {
-			return // failed already, or folded into the snapshot
+			return true // failed already, or folded into the snapshot
 		}
 		if rec.Rules != nil {
 			if _, err := e.SwapRules(context.Background(), rec.Rules); err != nil {
 				applyErr = fmt.Errorf("violation: replaying %s rule swap %d: %w", walName, rec.Seq, err)
 			}
-			return
+			return true
 		}
 		if _, err := e.ApplyBatch(rec.Ops); err != nil {
 			applyErr = fmt.Errorf("violation: replaying %s record %d: %w", walName, rec.Seq, err)
 		}
+		return true
 	})
 	if err != nil {
 		return err
@@ -551,17 +720,17 @@ func (st *Store) compact(e *Engine) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("violation: compacting: %w", err)
 	}
-	tmp, err := os.CreateTemp(st.dir, snapshotName+".tmp*")
+	tmp, err := st.fs.createTemp(st.dir, snapshotName+".tmp*")
 	if err != nil {
 		return len(data), fmt.Errorf("violation: compacting: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
+	if _, err := st.fs.write(tmp, append(data, '\n')); err != nil {
 		tmp.Close()
 		return len(data), fmt.Errorf("violation: compacting: %w", err)
 	}
 	if st.sync {
-		if err := tmp.Sync(); err != nil {
+		if err := st.fs.sync(tmp); err != nil {
 			tmp.Close()
 			return len(data), fmt.Errorf("violation: compacting: %w", err)
 		}
@@ -569,14 +738,14 @@ func (st *Store) compact(e *Engine) (int, error) {
 	if err := tmp.Close(); err != nil {
 		return len(data), fmt.Errorf("violation: compacting: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(st.dir, snapshotName)); err != nil {
+	if err := st.fs.rename(tmp.Name(), filepath.Join(st.dir, snapshotName)); err != nil {
 		return len(data), fmt.Errorf("violation: compacting: %w", err)
 	}
 	if st.sync {
 		// Make the rename itself durable before any WAL shrinking below:
 		// otherwise a power cut could resurface the old snapshot next to an
 		// already-shortened log.
-		if err := syncDir(st.dir); err != nil {
+		if err := st.fs.syncDir(st.dir); err != nil {
 			return len(data), fmt.Errorf("violation: compacting: %w", err)
 		}
 	}
@@ -586,11 +755,11 @@ func (st *Store) compact(e *Engine) (int, error) {
 	if st.failed != nil { // a commit failed while the snapshot was being written
 		return len(data), st.failed
 	}
-	st.snapFile = file
+	st.opened, st.hasSnap = nil, true
 	st.snapSeq = file.WalSeq
 	if st.seq == file.WalSeq {
 		// Nothing landed since the capture: the whole log is folded in.
-		if err := st.wal.Truncate(0); err != nil {
+		if err := st.fs.truncate(st.wal, 0); err != nil {
 			return len(data), st.failLocked(err)
 		}
 		st.walOff = 0
@@ -610,7 +779,8 @@ func (st *Store) compact(e *Engine) (int, error) {
 // rewriteTailLocked replaces the WAL with only the records above keepAbove,
 // atomically (temp file + rename + reopen). Commits wait on st.mu meanwhile,
 // so the kept records are copied as the bytes they were appended as, with only
-// their headers decoded. Callers must hold st.mu.
+// their headers decoded. An error before the rename leaves the full log and a
+// usable store; one after it fails the store. Callers must hold st.mu.
 func (st *Store) rewriteTailLocked(keepAbove uint64) (err error) {
 	// Until the new file is swapped in, every exit must leave the old
 	// handle positioned at its append offset — or the store failed.
@@ -622,21 +792,26 @@ func (st *Store) rewriteTailLocked(keepAbove uint64) (err error) {
 			}
 		}
 	}()
-	tmp, err := os.CreateTemp(st.dir, walName+".tmp*")
+	tmp, err := st.fs.createTemp(st.dir, walName+".tmp*")
 	if err != nil {
 		return fmt.Errorf("violation: rewriting %s: %w", walName, err)
 	}
 	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
+	w := bufio.NewWriter(diskWriter{st.fs, tmp})
 	var tail int
 	var writeErr error
-	if _, err := readRecords(st, func(rec walHeader, line []byte) {
+	if _, err := st.readRecords(func(line []byte) bool {
+		var rec walHeader
+		if json.Unmarshal(line, &rec) != nil {
+			return false
+		}
 		if writeErr != nil || rec.Seq <= keepAbove {
-			return
+			return true
 		}
 		if _, writeErr = w.Write(line); writeErr == nil {
 			tail += rec.cost()
 		}
+		return true
 	}); err != nil {
 		tmp.Close()
 		return err
@@ -645,7 +820,7 @@ func (st *Store) rewriteTailLocked(keepAbove uint64) (err error) {
 		writeErr = w.Flush()
 	}
 	if writeErr == nil && st.sync {
-		writeErr = tmp.Sync()
+		writeErr = st.fs.sync(tmp)
 	}
 	if err := tmp.Close(); writeErr == nil {
 		writeErr = err
@@ -653,22 +828,25 @@ func (st *Store) rewriteTailLocked(keepAbove uint64) (err error) {
 	if writeErr != nil {
 		return fmt.Errorf("violation: rewriting %s: %w", walName, writeErr)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(st.dir, walName)); err != nil {
+	if err := st.fs.rename(tmp.Name(), filepath.Join(st.dir, walName)); err != nil {
 		return fmt.Errorf("violation: rewriting %s: %w", walName, err)
 	}
+	// The directory's log is the new file now, and st.wal a file no restart
+	// would look at: an error from here on cannot leave the store committing
+	// to it, so it fails the store.
 	if st.sync {
-		if err := syncDir(st.dir); err != nil {
-			return fmt.Errorf("violation: rewriting %s: %w", walName, err)
+		if err := st.fs.syncDir(st.dir); err != nil {
+			return st.failLocked(err)
 		}
 	}
-	wal, err := os.OpenFile(filepath.Join(st.dir, walName), os.O_RDWR, 0o644)
+	wal, err := st.fs.open(filepath.Join(st.dir, walName), os.O_RDWR)
 	if err != nil {
-		return fmt.Errorf("violation: rewriting %s: %w", walName, err)
+		return st.failLocked(err)
 	}
 	off, err := wal.Seek(0, io.SeekEnd)
 	if err != nil {
 		wal.Close()
-		return fmt.Errorf("violation: rewriting %s: %w", walName, err)
+		return st.failLocked(err)
 	}
 	st.wal.Close()
 	st.wal = wal
@@ -676,19 +854,6 @@ func (st *Store) rewriteTailLocked(keepAbove uint64) (err error) {
 	st.pending = tail
 	swapped = true
 	return nil
-}
-
-// syncDir fsyncs a directory, making renames inside it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
 }
 
 // Pending returns the number of ops appended to the WAL since the last

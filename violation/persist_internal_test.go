@@ -340,3 +340,300 @@ func TestOpJSONRequiresID(t *testing.T) {
 		t.Fatalf("delete of tuple 0 must marshal its id: %s (err %v)", data, err)
 	}
 }
+
+// parentOp and parentRecord are the log's encoders as they were before
+// appendOp: json.Marshal all the way down, an opJSON per op. They are the
+// reference the one-pass encoders are held to, and they write the state
+// directory of TestParentWrittenStateLoads.
+type parentOp Op
+
+func (o parentOp) MarshalJSON() ([]byte, error) {
+	raw := opJSON{Kind: o.Kind, Values: o.Values}
+	if o.Kind == OpDelete || o.Kind == OpUpdate {
+		raw.ID = &o.ID
+	}
+	if o.Kind == OpInsert && o.At != nil {
+		raw.At = o.At
+	}
+	return json.Marshal(raw)
+}
+
+type parentRecord struct {
+	Seq   uint64     `json:"seq"`
+	Ops   []parentOp `json:"ops,omitempty"`
+	Rules *rules.Set `json:"rules,omitempty"`
+}
+
+func parentLine(tb testing.TB, rec walRecord) []byte {
+	tb.Helper()
+	ref := parentRecord{Seq: rec.Seq, Rules: rec.Rules}
+	for _, op := range rec.Ops {
+		ref.Ops = append(ref.Ops, parentOp(op))
+	}
+	if rec.Ops != nil && ref.Ops == nil {
+		ref.Ops = []parentOp{}
+	}
+	line, err := json.Marshal(ref)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(line, '\n')
+}
+
+// hardValues are strings whose JSON form has choices or escapes: quotes and
+// backslashes, the HTML-safe set, control characters, the line separators,
+// non-ASCII text, invalid UTF-8.
+var hardValues = []string{"plain", "", `"q"\`, "<a&b>", "\x00\t\n\x1f\x7f", "\u2028x\u2029", "é 日本語 💥", "\xff\xfe\xe2\x80", `\u0041`}
+
+// wireRecords is a log's worth of records: every op kind, a pinned insert,
+// ops that carry fields their kind does not write, no ops at all, a rule swap.
+func wireRecords() []walRecord {
+	at := 12
+	return []walRecord{
+		{Seq: 1, Ops: []Op{{Kind: OpInsert, Values: hardValues}}},
+		{Seq: 2, Ops: []Op{{Kind: OpInsert, Values: hardValues[:2], At: &at}, {Kind: OpUpdate, ID: 12, Values: hardValues[2:4]}, {Kind: OpDelete, ID: 0}}},
+		{Seq: 3, Ops: []Op{{Kind: OpInsert, ID: 9}, {Kind: OpDelete, ID: 1, Values: []string{}, At: &at}, {Kind: OpKind(hardValues[3])}}},
+		{Seq: 1<<64 - 1, Ops: []Op{}},
+		{Seq: 5},
+		{Seq: 6, Rules: rules.Of(cfd.NewFD([]string{"A"}, "B"))},
+	}
+}
+
+// TestWALRecordWireForm: the one-pass encoders write the bytes json.Marshal
+// wrote — a record's line, and an op on its own as a coordinator's batch body
+// carries it.
+func TestWALRecordWireForm(t *testing.T) {
+	for _, rec := range wireRecords() {
+		got, err := rec.appendLine([]byte("kept"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append([]byte("kept"), parentLine(t, rec)...); !bytes.Equal(got, want) {
+			t.Errorf("record %d\n got %s\nwant %s", rec.Seq, got, want)
+		}
+		for _, op := range rec.Ops {
+			got, _ := json.Marshal(op)
+			if want, _ := json.Marshal(parentOp(op)); !bytes.Equal(got, want) {
+				t.Errorf("op\n got %s\nwant %s", got, want)
+			}
+		}
+	}
+}
+
+// TestOwnEncodersStayPlain: nothing this package writes — a batch record, a
+// snapshot, whatever the values hold — takes the hand-over to encoding/json,
+// so one "&" in the data cannot quietly turn a recovery back into the
+// reflecting decode; and what the one-pass readers return is what
+// encoding/json returns.
+func TestOwnEncodersStayPlain(t *testing.T) {
+	for _, rec := range wireRecords() {
+		line, err := rec.appendLine(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, plain := readWALRecord(line)
+		if plain != (rec.Rules == nil) {
+			t.Fatalf("record %s: plain = %v", line, plain)
+		}
+		var want walRecord
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatal(err)
+		}
+		if plain && !reflect.DeepEqual(got, want) {
+			t.Errorf("record %s\n read %+v\n want %+v", line, got, want)
+		}
+	}
+
+	set := rules.Of(cfd.NewFD([]string{"A"}, "B"), cfd.CFD{LHS: []string{"A"}, RHS: "B", LHSPattern: []string{"<&>"}, RHSPattern: "\u2028"})
+	eng, err := New([]string{"A", "B"}, set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range hardValues {
+		if _, err := eng.Insert(v, hardValues[(i+1)%len(hardValues)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	data := encodeSnapshot(t, eng.captureSnapshot(func() uint64 { return 1<<64 - 1 }))
+	file, plain := readSnapshotFile(append(data, '\n'))
+	if !plain {
+		t.Fatalf("snapshot %s is not plain", data)
+	}
+	sameSnapshotDecode(t, data, file, file.validate())
+}
+
+// TestDecodedValuesOwnTheirMemory: a value that outlives its request — the
+// dictionaries never forget one — does not alias the buffer it was decoded
+// from, so it cannot keep a batch body or the snapshot text alive. The buffers
+// are overwritten after decoding; the engine must not notice.
+func TestDecodedValuesOwnTheirMemory(t *testing.T) {
+	scribble := func(buf []byte) {
+		for i := range buf {
+			buf[i] = '#'
+		}
+	}
+	eng, err := New([]string{"A", "B"}, rules.Of(cfd.NewFD([]string{"A"}, "B")), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := []byte(`{"seq":1,"ops":[{"op":"insert","values":["direct","esc\taped"]},{"op":"insert","values":["direct","other"]}]}` + "\n")
+	rec, plain := readWALRecord(line)
+	if !plain {
+		t.Fatal("the record is not plain")
+	}
+	if _, err := eng.ApplyBatch(rec.Ops); err != nil {
+		t.Fatal(err)
+	}
+	scribble(line)
+	want := []Tuple{{ID: 0, Values: []string{"direct", "esc\taped"}}, {ID: 1, Values: []string{"direct", "other"}}}
+	if got, _, _ := eng.Tuples(0, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tuples changed with the decoded buffer: %v", got)
+	}
+
+	data := encodeSnapshot(t, eng.captureSnapshot(nil))
+	file, err := decodeSnapshotFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := New(file.Attributes, file.RuleSet, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.restoreSnapshot(file); err != nil {
+		t.Fatal(err)
+	}
+	scribble(data)
+	if got, _, _ := restored.Tuples(0, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored tuples changed with the snapshot text: %v", got)
+	}
+	if !reflect.DeepEqual(restored.schema.Names(), eng.schema.Names()) || restored.RulesVersion() != eng.RulesVersion() {
+		t.Fatal("restored schema or rules changed with the snapshot text")
+	}
+}
+
+// TestParentWrittenStateLoads: a state directory written by the code this one
+// replaced — json.Marshal for every record and for the snapshot — is, byte
+// for byte, the one the one-pass encoders write for the same commits, and
+// loads to the same report, tuples and rules version; so a directory moves
+// between the two builds in either direction.
+func TestParentWrittenStateLoads(t *testing.T) {
+	attrs := []string{"A", "B"}
+	sets := []*rules.Set{rules.Of(cfd.NewFD([]string{"A"}, "B")), rules.Of(cfd.NewFD([]string{"B"}, "A"))}
+	at := 40
+	commits := []walRecord{
+		{Ops: []Op{{Kind: OpInsert, Values: []string{"x", hardValues[3]}}, {Kind: OpInsert, Values: []string{"x", hardValues[4]}}}},
+		{Ops: []Op{{Kind: OpInsert, Values: []string{"y", hardValues[5]}, At: &at}}},
+		{Rules: sets[1]},
+		{Ops: []Op{{Kind: OpUpdate, ID: 1, Values: []string{hardValues[8], hardValues[3]}}, {Kind: OpDelete, ID: 0}}},
+	}
+	seed := [][]string{{"x", "1"}, {"x", "2"}, {hardValues[2], hardValues[6]}}
+
+	newDir, parentDir := t.TempDir(), t.TempDir()
+	eng, err := New(attrs, sets[0], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range seed {
+		if _, err := eng.Insert(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := OpenStore(newDir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(eng); err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := json.Marshal(eng.captureSnapshot(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.AttachWAL(st)
+	var wal []byte
+	for i, rec := range commits {
+		if rec.Rules != nil {
+			_, err = eng.SwapRules(context.Background(), rec.Rules)
+		} else {
+			_, err = eng.ApplyBatch(rec.Ops)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Seq = uint64(i + 1)
+		wal = append(wal, parentLine(t, rec)...)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{snapshotName: append(snapshot, '\n'), walName: wal} {
+		if err := os.WriteFile(filepath.Join(parentDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		written, err := os.ReadFile(filepath.Join(newDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(written, data) {
+			t.Errorf("%s\n this build: %s\n the parent: %s", name, written, data)
+		}
+	}
+	load := func(dir string) *Engine {
+		st, err := OpenStore(dir, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		loaded, found, err := st.Load(Options{})
+		if err != nil || !found {
+			t.Fatalf("loading %s: found=%v err=%v", dir, found, err)
+		}
+		return loaded
+	}
+	for _, loaded := range []*Engine{load(newDir), load(parentDir)} {
+		got, _, _ := loaded.Tuples(0, 0)
+		want, _, _ := eng.Tuples(0, 0)
+		if !reflect.DeepEqual(loaded.Report(), eng.Report()) || !reflect.DeepEqual(got, want) || loaded.RulesVersion() != eng.RulesVersion() {
+			t.Fatalf("loaded state differs from the engine that wrote it:\n got %+v %v\nwant %+v %v", loaded.Report(), got, eng.Report(), want)
+		}
+	}
+}
+
+// TestLoadConsumesTheSnapshot: the store keeps no second copy of the data —
+// Load takes the snapshot OpenStore decoded with it, a compaction records only
+// its sequence number — so a second Load, or one after a Compact, is refused
+// and says what to do instead.
+func TestLoadConsumesTheSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := New([]string{"A"}, rules.Of(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(eng); err != nil {
+		t.Fatal(err)
+	}
+	if st.opened != nil {
+		t.Fatal("a compaction left a decoded snapshot in the store")
+	}
+	if _, _, err := st.Load(Options{}); err == nil || !strings.Contains(err.Error(), "reopen") {
+		t.Fatalf("Load after Compact: err = %v", err)
+	}
+	st.Close()
+	if st, err = OpenStore(dir, StoreOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, found, err := st.Load(Options{}); err != nil || !found || st.opened != nil {
+		t.Fatalf("first Load: found=%v err=%v, snapshot still held: %v", found, err, st.opened != nil)
+	}
+	if _, _, err := st.Load(Options{}); err == nil || !strings.Contains(err.Error(), "reopen") {
+		t.Fatalf("second Load: err = %v", err)
+	}
+}
