@@ -205,15 +205,6 @@ func Decode(r *Relation, c core.CFD) CFD {
 	return out
 }
 
-// DecodeAll translates a slice of encoded CFDs.
-func DecodeAll(r *Relation, cfds []core.CFD) []CFD {
-	out := make([]CFD, len(cfds))
-	for i, c := range cfds {
-		out[i] = Decode(r, c)
-	}
-	return out
-}
-
 // Satisfies reports whether the relation satisfies the CFD under the exact
 // pair semantics of the paper (§2.1.2).
 func (r *Relation) Satisfies(c CFD) (bool, error) {

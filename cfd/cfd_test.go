@@ -269,9 +269,11 @@ func TestTableaux(t *testing.T) {
 	if got := len(ctTab.CFDs()); got != 3 {
 		t.Errorf("CFDs() returned %d", got)
 	}
-	ok, err := r.SatisfiesTableau(ctTab)
-	if err != nil || !ok {
-		t.Errorf("tableau should be satisfied: %v %v", ok, err)
+	// A tableau holds when every pattern tuple does (§2.3).
+	for _, c := range ctTab.CFDs() {
+		if ok, err := r.Satisfies(c); err != nil || !ok {
+			t.Errorf("pattern %s of the tableau should be satisfied: %v %v", c, ok, err)
+		}
 	}
 	// Tableau support is the minimum pattern support: phi2 has support 2.
 	sup, err := r.TableauSupport(ctTab)

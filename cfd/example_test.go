@@ -60,20 +60,6 @@ func ExampleBuildTableaux() {
 	//   (_, _ || _)
 }
 
-// ExampleRemoveImplied drops CFDs that are syntactically implied by another
-// rule in the cover.
-func ExampleRemoveImplied() {
-	rules := []cfd.CFD{
-		{LHS: []string{"ZIP"}, RHS: "CC", LHSPattern: []string{"07974"}, RHSPattern: "01"},
-		{LHS: []string{"ZIP"}, RHS: "CC", LHSPattern: []string{"07974"}, RHSPattern: "_"},
-	}
-	for _, c := range cfd.RemoveImplied(rules) {
-		fmt.Println(c)
-	}
-	// Output:
-	// ([ZIP] -> CC, (07974 || 01))
-}
-
 // Example_discoverAndClean is the end-to-end workflow: discover rules, then
 // use them to validate other data.
 func Example_discoverAndClean() {

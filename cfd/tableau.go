@@ -100,18 +100,3 @@ func (r *Relation) TableauSupport(t TableauCFD) (int, error) {
 	}
 	return minSup, nil
 }
-
-// SatisfiesTableau reports whether the relation satisfies every pattern tuple
-// of the tableau CFD.
-func (r *Relation) SatisfiesTableau(t TableauCFD) (bool, error) {
-	for _, c := range t.CFDs() {
-		ok, err := r.Satisfies(c)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}

@@ -144,6 +144,7 @@ func TestRouteParity(t *testing.T) {
 func TestErrorEnvelope(t *testing.T) {
 	bases := modes(t)
 	oversize := strings.Repeat("#", maxBody+1)
+	nested := nestedRuleset()
 	cases := []struct {
 		name       string
 		method     string
@@ -166,6 +167,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"batch-empty", "POST", "/v1/batch", `{"ops":[]}`, [2]string{}, 400, "bad_request", false},
 		{"rules-unparsable", "PUT", "/v1/rules", "this is not a rule file", [2]string{}, 400, "bad_request", false},
 		{"rules-oversize", "PUT", "/v1/rules", oversize, [2]string{}, 413, "payload_too_large", false},
+		{"rules-nested-envelope", "PUT", "/v1/rules", nested, [2]string{}, 400, "bad_request", false},
 		{"insert-oversize", "POST", "/v1/tuples", oversize, [2]string{}, 413, "payload_too_large", false},
 		{"update-oversize", "PUT", "/v1/tuples/0", oversize, [2]string{}, 413, "payload_too_large", false},
 		{"batch-oversize", "POST", "/v1/batch", oversize, [2]string{}, 413, "payload_too_large", false},
@@ -214,6 +216,38 @@ func TestErrorEnvelope(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// nestedRuleset is 1,000 "ruleset" envelopes around an empty rule set padded
+// to 1 MiB: before envelopes stopped nesting, a PUT of it pinned a core for
+// seconds and a gigabyte, then swapped in the empty set.
+func nestedRuleset() string {
+	return strings.Repeat(`{"ruleset":`, 1000) + `{"rules":[],"padding":"` + strings.Repeat("x", 1<<20) + `"}` + strings.Repeat("}", 1000)
+}
+
+// TestPutNestedRulesetRefused: in both modes the nested document is refused
+// within a second, and the served rule set stays the one it was.
+func TestPutNestedRulesetRefused(t *testing.T) {
+	body := nestedRuleset()
+	for mode, base := range modes(t) {
+		version := do(t, "GET", base+"/v1/rules", nil, http.StatusOK)["version"]
+		req, err := http.NewRequest("PUT", base+"/v1/rules", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if elapsed := time.Since(start); resp.StatusCode != http.StatusBadRequest || elapsed > time.Second {
+			t.Errorf("%s: status %d after %v, want 400 within a second", mode, resp.StatusCode, elapsed)
+		}
+		if got := do(t, "GET", base+"/v1/rules", nil, http.StatusOK)["version"]; got != version {
+			t.Errorf("%s: rules version moved from %v to %v", mode, version, got)
+		}
 	}
 }
 

@@ -60,16 +60,17 @@ func waitFor(cond func() bool) bool {
 	return true
 }
 
-// everyEpoch remines whenever the epoch has moved, at most once per interval,
-// with no per-rule clauses: the cheapest policy to trigger from a test.
-var everyEpoch = monitor.Policy{MaxEpochs: 1, MinInterval: 3 * time.Millisecond}
+// anyDrift remines whenever a served rule's support has moved at all since
+// adoption, at most once per interval: the cheapest policy to trigger from a
+// test.
+var anyDrift = monitor.Policy{MaxSupportDrift: 1e-9, MinInterval: 3 * time.Millisecond}
 
 // TestRemineLoopSkipsIdle pins the acceptance criterion: the maintenance
 // loop over an idle engine performs zero discovery runs however long it
 // runs, and exactly one run follows a change.
 func TestRemineLoopSkipsIdle(t *testing.T) {
 	ts, h := newMaintainServer(t, config{support: 2, maxLHS: 2})
-	runMonitor(t, h, everyEpoch)
+	runMonitor(t, h, anyDrift)
 
 	time.Sleep(60 * time.Millisecond)
 	if got := remineRuns(h); got != 0 {
@@ -79,8 +80,9 @@ func TestRemineLoopSkipsIdle(t *testing.T) {
 		t.Fatalf("idle loop streamed %d rules through discovery, want 0", got)
 	}
 
-	// Move the epoch: the loop must mine exactly once — the swap's own epoch
-	// bump is covered by the run that caused it — then go back to idling.
+	// Move every wildcard rule's support: the loop must mine exactly once — the
+	// swap's own epoch bump is covered by the run that caused it — then go back
+	// to idling.
 	do(t, "POST", ts.URL+"/v1/tuples", map[string]any{
 		"values": []string{"01", "908", "3333333", "Zoe", "Tree Ave.", "MH", "07974"},
 	}, http.StatusOK)
@@ -125,16 +127,18 @@ func TestRemineErrorRecorded(t *testing.T) {
 		t.Fatalf("error outcome counter = %d, want 1", got)
 	}
 
-	// A failed run must not satisfy the maintenance loop: churn that moves the
-	// epoch but leaves the relation empty keeps the trigger armed, so the loop
-	// retries (and fails) every interval instead of going idle.
-	// The churn is one atomic batch (the delete names the id the insert gets):
-	// as two requests, a loop that fired between them mined the one tuple,
-	// succeeded, rebased past the delete and went idle — a flake under load.
-	runMonitor(t, h, everyEpoch)
+	// A failed run must not satisfy the maintenance loop: churn that drifts
+	// support and leaves the relation empty keeps the trigger armed, so the
+	// loop retries (and fails) every interval instead of going idle. Two tuples
+	// go in before the loop starts, so its baseline holds them; the churn
+	// takes both out in one atomic batch.
+	row := []string{"01", "908", "1111111", "Mike", "Tree Ave.", "MH", "07974"}
 	do(t, "POST", ts.URL+"/v1/batch", map[string]any{"ops": []map[string]any{
-		{"op": "insert", "values": []string{"01", "908", "1111111", "Mike", "Tree Ave.", "MH", "07974"}},
-		{"op": "delete", "id": 0},
+		{"op": "insert", "values": row}, {"op": "insert", "values": row},
+	}}, http.StatusOK)
+	runMonitor(t, h, anyDrift)
+	do(t, "POST", ts.URL+"/v1/batch", map[string]any{"ops": []map[string]any{
+		{"op": "delete", "id": 0}, {"op": "delete", "id": 1},
 	}}, http.StatusOK)
 	if !waitFor(func() bool { return h.obs.remineTotal.With("error").Value() >= 3 }) {
 		t.Fatalf("loop stopped retrying after a failed remine (error count %d)", h.obs.remineTotal.With("error").Value())

@@ -28,7 +28,7 @@ type obsStack struct {
 	rulesStreamed *obs.Counter
 
 	maintainChecks   *obs.Counter    // maintenance-policy evaluations
-	maintainTriggers *obs.CounterVec // reason: drift | confidence | epochs
+	maintainTriggers *obs.CounterVec // reason: drift | confidence
 }
 
 // newObsStack builds the registry and the HTTP/discovery families around the
@@ -48,7 +48,7 @@ func newObsStack(log *slog.Logger) *obsStack {
 		rulesStreamed: reg.Counter("cfd_discovery_rules_streamed_total", "Candidate rules streamed by discovery during remines."),
 
 		maintainChecks:   reg.Counter("cfd_maintain_checks_total", "Rule-maintenance policy evaluations against the live per-rule counters."),
-		maintainTriggers: reg.CounterVec("cfd_maintain_triggers_total", "Maintenance-triggered remines by policy reason (drift, confidence, epochs).", "reason"),
+		maintainTriggers: reg.CounterVec("cfd_maintain_triggers_total", "Maintenance-triggered remines by policy reason (drift, confidence).", "reason"),
 	}
 }
 

@@ -252,6 +252,9 @@ func TestHealthObservability(t *testing.T) {
 			t.Errorf("delta_ring missing %q: %v", k, ring)
 		}
 	}
+	if ring["capacity"] != 1024.0 {
+		t.Errorf("delta_ring capacity = %v, want the fixed 1024", ring["capacity"])
+	}
 	if _, ok := h["last_compaction_error"]; ok {
 		t.Error("memory-only server must not report last_compaction_error")
 	}

@@ -5,14 +5,14 @@
 // fires a bounded remine only when a staleness policy says the data has
 // drifted away from the rules.
 //
-// The paper's miners (CTANE, CFDMiner, FastCFD) take a static instance;
-// ROADMAP item 3 observes that re-running them on a timer cannot keep up
-// with a live relation. The hybrid here is the standard materialized-view
-// answer: exact incremental tracking of the cheap quantities (support,
-// confidence — both O(1) per rule off core.GroupIndex counters), and a
-// re-run of the expensive global computation (mining a new cover) only when
-// those quantities cross thresholds. The remine itself stays bounded via
-// discovery.WithLimit / support / maxlhs knobs, and its result flows
+// The paper's miners (CTANE, CFDMiner, FastCFD) take a static instance, and
+// re-running them on a timer cannot keep up with a live relation. The hybrid
+// here is the standard materialized-view answer: exact incremental tracking
+// of the cheap quantities (support, confidence — both O(1) per rule off
+// core.GroupIndex counters), and a re-run of the expensive global computation
+// (mining a new cover) only when those quantities cross thresholds. The
+// remine is the caller's: cmd/cfdserve bounds it by the support threshold and
+// LHS size it discovers with (-support, -maxlhs), and its result flows
 // through the caller's existing SwapRules/WAL path, so the monitor never
 // mutates the engine directly.
 //
@@ -62,13 +62,6 @@ type Policy struct {
 	// otherwise read as large relative drift. <= 0 means no exemption.
 	MinSupport int
 
-	// MaxEpochs triggers unconditionally once this many mutation epochs
-	// have accumulated since the last adoption, bounding how stale the rule
-	// set can get even when per-rule statistics stay inside the envelope
-	// (e.g. churn that only touches tuples outside every rule's scope).
-	// 0 disables.
-	MaxEpochs uint64
-
 	// MinInterval is the minimum spacing between remine attempts (successful
 	// or failed). A pending trigger waits out the remainder rather than
 	// being dropped. 0 means no pacing.
@@ -77,10 +70,9 @@ type Policy struct {
 
 // Trigger records why a remine fired.
 type Trigger struct {
-	// Reason is "drift", "confidence" or "epochs".
+	// Reason is "drift" or "confidence".
 	Reason string `json:"reason"`
-	// Rule is the serialized rule that tripped the policy; empty for the
-	// rule-independent "epochs" reason.
+	// Rule is the serialized rule that tripped the policy.
 	Rule string `json:"rule,omitempty"`
 	// Detail is a human-readable account of the threshold crossing.
 	Detail string `json:"detail"`
@@ -92,7 +84,6 @@ type Trigger struct {
 const (
 	ReasonDrift      = "drift"
 	ReasonConfidence = "confidence"
-	ReasonEpochs     = "epochs"
 )
 
 // Observer receives monitor events. Implementations must be cheap and
@@ -242,13 +233,6 @@ func (m *Monitor) checkLocked() *Trigger {
 				Detail: fmt.Sprintf("confidence %.3f < floor %.3f (was %.3f)", s.Confidence, m.pol.MinConfidence, b.confidence),
 				Epoch:  epoch,
 			}
-		}
-	}
-	if m.pol.MaxEpochs > 0 && epoch >= m.baseEpoch+m.pol.MaxEpochs {
-		return &Trigger{
-			Reason: ReasonEpochs,
-			Detail: fmt.Sprintf("%d epochs since adoption at epoch %d (max %d)", epoch-m.baseEpoch, m.baseEpoch, m.pol.MaxEpochs),
-			Epoch:  epoch,
 		}
 	}
 	return nil

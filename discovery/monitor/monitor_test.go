@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -172,25 +171,6 @@ func TestCheckMinSupportExemption(t *testing.T) {
 	eng.set([]violation.RuleStat{stat("B", 6, 0)}, "")
 	if tr := m.Check(); tr == nil || tr.Reason != ReasonDrift {
 		t.Fatalf("rule past MinSupport: trigger = %+v, want drift", tr)
-	}
-}
-
-func TestCheckEpochsTrigger(t *testing.T) {
-	eng := newFakeEngine([]violation.RuleStat{stat("B", 10, 0)}, "v1")
-	m := New(eng, Policy{MaxEpochs: 3}, nil)
-	for i := 0; i < 2; i++ {
-		eng.set([]violation.RuleStat{stat("B", 10, 0)}, "")
-	}
-	if tr := m.Check(); tr != nil {
-		t.Fatalf("2 epochs triggered with MaxEpochs=3: %+v", tr)
-	}
-	eng.set([]violation.RuleStat{stat("B", 10, 0)}, "")
-	tr := m.Check()
-	if tr == nil || tr.Reason != ReasonEpochs {
-		t.Fatalf("3 epochs: trigger = %+v, want epochs", tr)
-	}
-	if !strings.Contains(tr.Detail, "3 epochs") {
-		t.Fatalf("detail = %q", tr.Detail)
 	}
 }
 
@@ -364,7 +344,7 @@ func TestRunMinIntervalPacesRetries(t *testing.T) {
 // long the loop runs.
 func TestRunIdleNeverFires(t *testing.T) {
 	eng := newFakeEngine([]violation.RuleStat{stat("B", 10, 0)}, "v1")
-	m := New(eng, Policy{MaxSupportDrift: 0.01, MinConfidence: 0.999, MaxEpochs: 1},
+	m := New(eng, Policy{MaxSupportDrift: 0.01, MinConfidence: 0.999},
 		func(context.Context, Trigger) error {
 			t.Error("remine called on an idle engine")
 			return nil

@@ -78,7 +78,7 @@ func runMaintenanceOracle(t *testing.T, seed int64) {
 	nextID := len(rows)
 
 	remines := 0
-	m := New(eng, Policy{MaxSupportDrift: 0.4, MinConfidence: 0.7, MinSupport: 4, MaxEpochs: 30},
+	m := New(eng, Policy{MaxSupportDrift: 0.4, MinConfidence: 0.7, MinSupport: 4},
 		func(ctx context.Context, _ Trigger) error {
 			live, _, err := eng.Relation()
 			if err != nil {

@@ -142,7 +142,10 @@ func TestMineOutputsAreMinimalConstantCFDs(t *testing.T) {
 // the same emitted sequence as mining from scratch, at one worker and at four.
 func TestMineFromItemsetsSharedMining(t *testing.T) {
 	r := fixture.Cust()
-	m := itemset.Mine(r, 2)
+	m, err := itemset.MineContext(context.Background(), r, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := fixture.Emitted(t, func(emit func(core.CFD)) error {
 		return MineContext(context.Background(), r, Options{K: 2, Workers: 1}, emit)
 	})

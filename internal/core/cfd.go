@@ -121,10 +121,13 @@ func Satisfies(r *Relation, c CFD) bool {
 }
 
 // Violations returns the indexes of tuples involved in at least one violation
-// of c in r, in ascending order. A tuple t violates a constant-RHS CFD on its
-// own when it matches the LHS pattern but t[A] differs from the RHS constant;
-// a pair (t1, t2) violates a variable-RHS CFD when both match the LHS pattern,
-// agree on the LHS attributes, and disagree on the RHS attribute.
+// of c in r, in ascending order, under the pair semantics of Satisfies: the
+// tuples matching the LHS pattern are grouped by their LHS values, and a group
+// violates — every member of it — when its members disagree on the RHS
+// attribute or, for a constant RHS, when any member misses the constant. So a
+// constant-RHS violation flags the whole group, members carrying the constant
+// included: on cust, ([AC] → CT, (131 ‖ EDI)) gives [4 5 7] — t5, t6 and t8 —
+// though only t8 carries UN.
 func Violations(r *Relation, c CFD) []int {
 	if c.IsTrivial() {
 		return nil
@@ -148,19 +151,6 @@ func Violations(r *Relation, c CFD) []int {
 // on LHS ∪ {RHS}.
 func Support(r *Relation, c CFD) int {
 	return r.CountMatching(c.Attrs(), c.Tp)
-}
-
-// LHSConstantSupport returns the support of the constant part of the LHS
-// pattern of c, which is the quantity the paper uses to define k-frequency of
-// lattice elements (§4.2).
-func LHSConstantSupport(r *Relation, c CFD) int {
-	constAttrs := c.Tp.ConstAttrs(c.LHS)
-	return r.CountMatching(constAttrs, c.Tp)
-}
-
-// IsKFrequent reports whether c is k-frequent in r: sup(c, r) ≥ k.
-func IsKFrequent(r *Relation, c CFD, k int) bool {
-	return Support(r, c) >= k
 }
 
 // IsLeftReduced reports whether c is left-reduced on r per §2.2.1:

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -154,13 +155,12 @@ func TestSupportAndFrequency(t *testing.T) {
 	if got := core.Support(r, f2); got != 8 {
 		t.Errorf("sup(f2) = %d, want 8", got)
 	}
-	if !core.IsKFrequent(r, phi1, 3) || core.IsKFrequent(r, phi1, 4) {
-		t.Error("phi1 should be 3-frequent but not 4-frequent")
-	}
-	if got := core.LHSConstantSupport(r, f1); got != 8 {
+	// The constants of the LHS pattern alone — what k-frequency of a lattice
+	// element counts (§4.2).
+	if got := r.CountMatching(f1.Tp.ConstAttrs(f1.LHS), f1.Tp); got != 8 {
 		t.Errorf("LHS constant support of f1 = %d, want 8 (no constants)", got)
 	}
-	if got := core.LHSConstantSupport(r, phi1); got != 3 {
+	if got := r.CountMatching(phi1.Tp.ConstAttrs(phi1.LHS), phi1.Tp); got != 3 {
 		t.Errorf("LHS constant support of phi1 = %d, want 3", got)
 	}
 }
@@ -258,19 +258,28 @@ func TestSatisfiesEmptyLHS(t *testing.T) {
 
 // TestViolationsConstantRHS checks single-tuple violations for constant CFDs.
 func TestViolationsConstantRHS(t *testing.T) {
+	// Pair semantics: the tuples that match the LHS pattern and agree on the
+	// LHS form one group, and a group with a member missing the constant
+	// violates as a whole — the members carrying the constant included. A
+	// detector that flagged only the tuple missing the constant would report
+	// [6] and [7] here.
 	r := fixture.Cust()
-	c := mk(t, r, []string{"CC"}, []string{"44"}, "CT", "EDI")
-	// t7 has CC=44 but CT=MH: single-tuple violation. t5, t6 satisfy; the pair
-	// {t5,t6} vs t7 also constitutes a variable violation, so t5 and t6 are not
-	// reported (they match the RHS constant), only t7 plus pair partners that
-	// disagree. With grouping by CC, all of t5,t6,t7 share the LHS value and
-	// disagree on CT, so the whole group is reported alongside the single-tuple
-	// violation of t7.
-	v := core.Violations(r, c)
-	if len(v) != 3 || v[0] != 4 || v[1] != 5 || v[2] != 6 {
-		t.Errorf("violations = %v, want [4 5 6]", v)
-	}
-	if core.Satisfies(r, c) {
-		t.Error("CFD should not be satisfied")
+	for _, tc := range []struct {
+		lhs, pattern []string
+		rhs          string
+		want         []int
+	}{
+		// t7 has CC=44 but CT=MH; t5 and t6 carry EDI.
+		{[]string{"CC"}, []string{"44"}, "EDI", []int{4, 5, 6}},
+		// t8 has AC=131 but CT=UN; t5 and t6 carry EDI.
+		{[]string{"AC"}, []string{"131"}, "EDI", []int{4, 5, 7}},
+	} {
+		c := mk(t, r, tc.lhs, tc.pattern, "CT", tc.rhs)
+		if v := core.Violations(r, c); !slices.Equal(v, tc.want) {
+			t.Errorf("%s: violations = %v, want %v", c.Format(r), v, tc.want)
+		}
+		if core.Satisfies(r, c) {
+			t.Errorf("%s should not be satisfied", c.Format(r))
+		}
 	}
 }

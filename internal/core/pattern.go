@@ -92,11 +92,6 @@ func (p Pattern) MoreGeneralOrEqualOn(q Pattern, X AttrSet) bool {
 	return ok
 }
 
-// StrictlyMoreGeneralOn reports whether p is strictly more general than q on X.
-func (p Pattern) StrictlyMoreGeneralOn(q Pattern, X AttrSet) bool {
-	return p.MoreGeneralOrEqualOn(q, X) && !p.EqualOn(q, X)
-}
-
 // Key returns a canonical string key for the pattern restricted to X, suitable
 // for use as a map key.
 func (p Pattern) Key(X AttrSet) string {

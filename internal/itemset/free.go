@@ -23,27 +23,19 @@ type Mining struct {
 	closedByKey map[string]*ClosedSet
 }
 
-// Mine computes all k-frequent free item sets of r, their closures, and the
-// resulting k-frequent closed item sets, using a levelwise generator search:
-// free-ness and k-frequency are both anti-monotone, so level ℓ+1 candidates
-// are joins of level-ℓ free sets all of whose immediate subsets are free.
+// MineContext computes all k-frequent free item sets of r, their closures, and
+// the resulting k-frequent closed item sets, using a levelwise generator
+// search: free-ness and k-frequency are both anti-monotone, so level ℓ+1
+// candidates are joins of level-ℓ free sets all of whose immediate subsets are
+// free.
 //
 // The empty item set (support = |r|) is always included as a free set; its
 // closure collects the attributes that are constant across the whole relation.
-func Mine(r *core.Relation, k int) *Mining {
-	m, err := MineContext(context.Background(), r, k)
-	if err != nil {
-		// Unreachable: the background context is never cancelled and
-		// MineContext has no other failure mode.
-		panic(err)
-	}
-	return m
-}
-
-// MineContext is Mine with a cancellation context, observed once per free item
-// set during both the levelwise search and the closure computation — item-set
-// mining dominates CFDMiner and FastCFD runs, so cancellation must reach
-// inside it. A cancelled run returns (nil, ctx.Err()).
+//
+// ctx is observed once per free item set during both the levelwise search and
+// the closure computation — item-set mining dominates CFDMiner and FastCFD
+// runs, so cancellation must reach inside it. A cancelled run returns
+// (nil, ctx.Err()).
 func MineContext(ctx context.Context, r *core.Relation, k int) (*Mining, error) {
 	if k < 1 {
 		k = 1

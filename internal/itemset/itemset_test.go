@@ -66,11 +66,21 @@ func TestItemSetBasics(t *testing.T) {
 	}
 }
 
+// mine runs MineContext to completion.
+func mine(t testing.TB, r *core.Relation, k int) *Mining {
+	t.Helper()
+	m, err := MineContext(context.Background(), r, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestMineCustExample verifies the free/closed sets of Fig. 2 of the paper on
 // the cust relation with k = 3.
 func TestMineCustExample(t *testing.T) {
 	r := fixture.Cust()
-	m := Mine(r, 3)
+	m := mine(t, r, 3)
 
 	// The empty set is free with support |r| = 8 and an empty closure (no
 	// attribute is constant across r0).
@@ -139,7 +149,7 @@ func TestMineCustExample(t *testing.T) {
 func TestMineInvariants(t *testing.T) {
 	r := fixture.Cust()
 	for _, k := range []int{1, 2, 3, 4, 8} {
-		m := Mine(r, k)
+		m := mine(t, r, k)
 		if len(m.Free) == 0 {
 			t.Fatalf("k=%d: no free sets", k)
 		}
@@ -224,7 +234,7 @@ func TestMineMatchesMineClosed(t *testing.T) {
 	}
 	for name, r := range rels {
 		for _, k := range []int{1, 2, 3, 5} {
-			m := Mine(r, k)
+			m := mine(t, r, k)
 			closed := mineClosed(t, r, k)
 			a := make(map[string]int)
 			for _, cs := range m.Closed {
@@ -308,7 +318,7 @@ func TestMineClosedContainsPairAgreeSets(t *testing.T) {
 
 func TestMineSmallerThanK(t *testing.T) {
 	r := fixture.Cust()
-	m := Mine(r, 100)
+	m := mine(t, r, 100)
 	// Only the empty free set survives when k exceeds |r|.
 	if len(m.Free) != 1 || m.Free[0].Size() != 0 {
 		t.Errorf("expected only the empty free set, got %d free sets", len(m.Free))

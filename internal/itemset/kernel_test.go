@@ -160,9 +160,9 @@ func TestMineContextRepeatable(t *testing.T) {
 	}
 	for name, r := range kernelFixtures() {
 		for _, k := range []int{1, 2, 5} {
-			free, closed := flatten(Mine(r, k))
+			free, closed := flatten(mine(t, r, k))
 			for run := 0; run < 3; run++ {
-				f, c := flatten(Mine(r, k))
+				f, c := flatten(mine(t, r, k))
 				if !reflect.DeepEqual(free, f) || !reflect.DeepEqual(closed, c) {
 					t.Fatalf("%s k=%d: run %d differs from the first", name, k, run+2)
 				}

@@ -66,7 +66,7 @@ func InstrumentEngine(r *Registry, e *violation.Engine) {
 	r.GaugeFunc("cfd_engine_rules", "Rules the engine currently serves.", func() float64 { return float64(len(e.Rules())) })
 	r.GaugeFunc("cfd_engine_dirty_tuples", "Tuples currently violating at least one rule.", func() float64 { return float64(e.DirtyCount()) })
 	r.GaugeFunc("cfd_engine_delta_ring_occupancy", "Consecutive epochs answerable from the delta ring.", func() float64 { return float64(e.DeltaStats().Occupancy) })
-	r.GaugeFunc("cfd_engine_delta_ring_capacity", "Configured delta-ring capacity (Options.DeltaHistory).", func() float64 { return float64(e.DeltaStats().Capacity) })
+	r.GaugeFunc("cfd_engine_delta_ring_capacity", "Delta-ring capacity in epochs (1024).", func() float64 { return float64(e.DeltaStats().Capacity) })
 	r.GaugeFunc("cfd_engine_wait_waiters", "WaitChange calls currently blocked (long-poll/SSE fan-out depth).", func() float64 { return float64(e.DeltaStats().Waiters) })
 	r.CounterFunc("cfd_engine_delta_evictions_total", "Delta-ring entries overwritten while the ring was full.", func() uint64 { return e.DeltaStats().Evictions })
 	r.CounterFunc("cfd_engine_delta_compacted_reads_total", "Changes calls answered with ErrCompacted (clients forced to resync).", func() uint64 { return e.DeltaStats().CompactedReads })

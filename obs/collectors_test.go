@@ -57,7 +57,7 @@ var custRule = cfd.CFD{LHS: []string{"AC"}, RHS: "CT", LHSPattern: []string{"131
 // evictions and forced resyncs, and the func-backed gauges.
 func TestInstrumentEngineAndStore(t *testing.T) {
 	rel := dataset.Cust()
-	eng, err := violation.New(rel.Attributes(), rules.Of(custRule), violation.Options{DeltaHistory: 2})
+	eng, err := violation.New(rel.Attributes(), rules.Of(custRule), violation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +97,6 @@ func TestInstrumentEngineAndStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Overflow the 2-slot delta ring, then read from behind it: evictions and
-	// forced resyncs must both surface.
-	for i := 0; i < 4; i++ {
-		if _, err := eng.Insert("01", "212", "777777"+strconv.Itoa(i), "Cam", "5th Ave", "NYC", "01202"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := eng.Changes(1); !errors.Is(err, violation.ErrCompacted) {
-		t.Fatalf("Changes(1) err = %v, want ErrCompacted", err)
-	}
-
 	m := scrape(t, r)
 
 	// Engine commit metrics by kind.
@@ -117,14 +106,14 @@ func TestInstrumentEngineAndStore(t *testing.T) {
 	if got := val(t, m, `cfd_engine_commits_total{kind="batch"}`); got != 1 {
 		t.Errorf("batch commits = %v, want 1", got)
 	}
-	if got := val(t, m, `cfd_engine_commits_total{kind="insert"}`); got != 5 {
-		t.Errorf("insert commits = %v, want 5", got)
+	if got := val(t, m, `cfd_engine_commits_total{kind="insert"}`); got != 1 {
+		t.Errorf("insert commits = %v, want 1", got)
 	}
 	if got := val(t, m, `cfd_engine_commit_duration_seconds_count{kind="batch"}`); got != 1 {
 		t.Errorf("batch commit duration count = %v, want 1", got)
 	}
-	if got := val(t, m, "cfd_engine_batch_size_ops_count"); got != 7 {
-		t.Errorf("batch size observations = %v, want 7", got)
+	if got := val(t, m, "cfd_engine_batch_size_ops_count"); got != 3 {
+		t.Errorf("batch size observations = %v, want 3", got)
 	}
 	// The bulk load carried all 8 tuples: the size histogram's sum sees them.
 	if got := val(t, m, "cfd_engine_batch_size_ops_sum"); got < 8 {
@@ -152,28 +141,17 @@ func TestInstrumentEngineAndStore(t *testing.T) {
 	}
 
 	// WAL + compaction metrics: every commit above was logged, fsync on.
-	if got := val(t, m, `cfd_wal_appends_total{result="ok"}`); got != 7 {
-		t.Errorf("WAL appends = %v, want 7", got)
+	if got := val(t, m, `cfd_wal_appends_total{result="ok"}`); got != 3 {
+		t.Errorf("WAL appends = %v, want 3", got)
 	}
-	if got := val(t, m, "cfd_wal_fsync_duration_seconds_count"); got < 7 {
-		t.Errorf("WAL fsyncs = %v, want >= 7", got)
+	if got := val(t, m, "cfd_wal_fsync_duration_seconds_count"); got < 3 {
+		t.Errorf("WAL fsyncs = %v, want >= 3", got)
 	}
 	if got := val(t, m, `cfd_store_compactions_total{result="ok"}`); got != 1 {
 		t.Errorf("compactions = %v, want 1", got)
 	}
 	if got := val(t, m, "cfd_store_compaction_bytes_count"); got != 1 {
 		t.Errorf("compaction size observations = %v, want 1", got)
-	}
-
-	// Delta-ring accounting.
-	if got := val(t, m, "cfd_engine_delta_ring_capacity"); got != 2 {
-		t.Errorf("delta ring capacity = %v, want 2", got)
-	}
-	if got := val(t, m, "cfd_engine_delta_evictions_total"); got < 1 {
-		t.Errorf("delta evictions = %v, want >= 1", got)
-	}
-	if got := val(t, m, "cfd_engine_delta_compacted_reads_total"); got != 1 {
-		t.Errorf("compacted reads = %v, want 1", got)
 	}
 
 	// Func-backed gauges read live engine/store state at scrape time.
@@ -186,14 +164,52 @@ func TestInstrumentEngineAndStore(t *testing.T) {
 	if got := val(t, m, "cfd_engine_epoch"); got != float64(eng.Epoch()) {
 		t.Errorf("epoch gauge = %v, want %d", got, eng.Epoch())
 	}
-	if got := val(t, m, "cfd_wal_seq"); got < 7 {
-		t.Errorf("wal seq gauge = %v, want >= 7", got)
+	if got := val(t, m, "cfd_wal_seq"); got < 3 {
+		t.Errorf("wal seq gauge = %v, want >= 3", got)
 	}
 	if _, ok := m["cfd_wal_pending_ops"]; !ok {
 		t.Error("cfd_wal_pending_ops not exposed")
 	}
 	if _, ok := m["cfd_engine_dirty_tuples"]; !ok {
 		t.Error("cfd_engine_dirty_tuples not exposed")
+	}
+}
+
+// TestDeltaRingMetrics overflows the 1024-epoch delta ring of an in-memory
+// engine by one commit, then reads from behind it: the capacity gauge, the
+// eviction and the forced resync all surface.
+func TestDeltaRingMetrics(t *testing.T) {
+	rel := dataset.Cust()
+	eng, err := violation.New(rel.Attributes(), rules.Of(custRule), violation.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.BulkLoad(rel); err != nil {
+		t.Fatal(err)
+	}
+	r := obs.NewRegistry()
+	obs.InstrumentEngine(r, eng)
+	since := eng.Epoch()
+	for i := 0; i < 1025; i++ {
+		if _, err := eng.Insert("01", "212", "777"+strconv.Itoa(i), "Cam", "5th Ave", "NYC", "01202"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.Changes(since); !errors.Is(err, violation.ErrCompacted) {
+		t.Fatalf("Changes(%d) err = %v, want ErrCompacted", since, err)
+	}
+	m := scrape(t, r)
+	if got := val(t, m, "cfd_engine_delta_ring_capacity"); got != 1024 {
+		t.Errorf("delta ring capacity = %v, want 1024", got)
+	}
+	if got := val(t, m, "cfd_engine_delta_ring_occupancy"); got != 1024 {
+		t.Errorf("delta ring occupancy = %v, want 1024", got)
+	}
+	if got := val(t, m, "cfd_engine_delta_evictions_total"); got != 1 {
+		t.Errorf("delta evictions = %v, want 1", got)
+	}
+	if got := val(t, m, "cfd_engine_delta_compacted_reads_total"); got != 1 {
+		t.Errorf("compacted reads = %v, want 1", got)
 	}
 }
 

@@ -49,8 +49,10 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 // GET /rules envelope of cmd/cfdserve ({"attributes": ..., "ruleset": {...}})
 // is accepted too, so a saved /rules response feeds straight back into
 // -rules flags; any other document without a "rules" array is rejected
-// rather than silently decoded as an empty set. Decode into a fresh (zero)
-// Set: the lazy views of a previously used Set are not reset.
+// rather than silently decoded as an empty set. The envelope is one level
+// deep, as served: a "ruleset" inside a "ruleset" is an error, not a
+// recursion that rescans and copies the document once per level. Decode into
+// a fresh (zero) Set: the lazy views of a previously used Set are not reset.
 func (s *Set) UnmarshalJSON(data []byte) error {
 	var raw setJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
@@ -58,12 +60,15 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 	}
 	if raw.Rules == nil {
 		var envelope struct {
-			Ruleset json.RawMessage `json:"ruleset"`
+			Ruleset *setJSON `json:"ruleset"`
 		}
-		if err := json.Unmarshal(data, &envelope); err == nil && len(envelope.Ruleset) > 0 {
-			return s.UnmarshalJSON(envelope.Ruleset)
+		if err := json.Unmarshal(data, &envelope); err != nil || envelope.Ruleset == nil {
+			return fmt.Errorf(`rules: JSON document has no "rules" array`)
 		}
-		return fmt.Errorf(`rules: JSON document has no "rules" array`)
+		if envelope.Ruleset.Rules == nil {
+			return fmt.Errorf(`rules: "ruleset" holds no "rules" array (envelopes do not nest)`)
+		}
+		raw = *envelope.Ruleset
 	}
 	cfds := make([]cfd.CFD, 0, len(raw.Rules))
 	for i, line := range raw.Rules {

@@ -186,15 +186,43 @@ func TestParseServeEnvelope(t *testing.T) {
 	if back.Len() != 3 || back.Provenance() != prov() {
 		t.Fatalf("envelope round trip: %d rules, provenance %+v", back.Len(), back.Provenance())
 	}
-	for _, bogus := range []string{`{}`, `{"violations": []}`, `{"ruleset": {}}`} {
+	for _, bogus := range []string{`{}`, `{"violations": []}`, `{"ruleset": {}}`, `{"ruleset": null}`, `{"ruleset": 5}`,
+		`{"ruleset": {"ruleset": {"rules": ["([A] -> B, (_ || _))"]}}}`} {
 		if _, err := rules.Parse(bogus); err == nil {
-			t.Errorf("JSON without a rules array must be rejected: %s", bogus)
+			t.Errorf("JSON without a rules array one envelope deep must be rejected: %s", bogus)
 		}
 	}
 	// An explicitly empty rule set is still valid.
 	empty, err := rules.Parse(`{"rules": []}`)
 	if err != nil || empty.Len() != 0 {
 		t.Fatalf("empty rule array: set %v, err %v", empty, err)
+	}
+}
+
+// nestedRuleset is a JSON document of depth "ruleset" envelopes around an
+// empty rule set padded to about size bytes — the hostile PUT /v1/rules body
+// that once cost a scan and a copy of the whole document per level.
+func nestedRuleset(depth, size int) string {
+	var b strings.Builder
+	b.WriteString(strings.Repeat(`{"ruleset":`, depth))
+	b.WriteString(`{"rules":[],"padding":"`)
+	b.WriteString(strings.Repeat("x", max(size-12*depth-30, 0)))
+	b.WriteString(`"}`)
+	b.WriteString(strings.Repeat("}", depth))
+	return b.String()
+}
+
+// TestParseNestedEnvelopeFast: a 1 MiB document nested 1000 envelopes deep is
+// refused, and in well under a second — at 1,000 levels the recursion it
+// replaced took 21 s and a gigabyte, and returned an empty set.
+func TestParseNestedEnvelopeFast(t *testing.T) {
+	doc := nestedRuleset(1000, 1<<20)
+	start := time.Now()
+	if set, err := rules.Parse(doc); err == nil {
+		t.Fatalf("a nested envelope parsed, into %d rules", set.Len())
+	}
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Fatalf("refusing a 1 MiB, 1000-deep envelope took %v", elapsed)
 	}
 }
 

@@ -35,7 +35,7 @@ type Op struct {
 	// the next sequential insert continues after the highest id ever pinned.
 	// This is how a cluster coordinator keeps globally assigned ids stable on
 	// the owning shard; single-node clients normally leave it nil. A pin more
-	// than Options.MaxPinGap ids past the current end is rejected — each hole
+	// than DefaultMaxPinGap ids past the current end is rejected — each hole
 	// keeps a row-table slot, so the gap is an allocation the op commands.
 	At *int `json:"at,omitempty"`
 }
@@ -192,17 +192,6 @@ func (e *Engine) ApplyBatch(ops []Op) ([]int, error) {
 	return ids, nil
 }
 
-// CheckOps validates a batch against the current state without applying it:
-// the error ApplyBatch would return, or nil. Like ApplyBatch it may intern
-// new constants into the engine dictionaries, which is harmless (codes no
-// tuple carries match nothing).
-func (e *Engine) CheckOps(ops []Op) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, _, err := e.resolve(ops)
-	return err
-}
-
 // resolve validates the ops in order against the current state plus the
 // pending effect of the earlier ops of the same batch, and computes each op's
 // row-level effect. It mutates nothing but the interning dictionaries.
@@ -261,7 +250,7 @@ func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 				// validation, so an oversized pin fails the whole batch before
 				// the WAL append and is never logged (a logged pin would grow
 				// the table again on every replay).
-				if gap := id - end; e.maxPinGap >= 0 && gap > e.maxPinGap {
+				if gap := id - end; gap > e.maxPinGap {
 					return fail(i, fmt.Errorf("violation: insert at id %d opens %d unassigned ids past the current end %d, above the %d limit", id, gap, end, e.maxPinGap))
 				}
 				if _, live := rowAt(id); live {

@@ -218,9 +218,6 @@ func TestApplyBatchAtomic(t *testing.T) {
 		if _, err := eng.ApplyBatch(ops); err == nil {
 			t.Fatalf("case %d: batch with a bad op must error", i)
 		}
-		if err := eng.CheckOps(ops); err == nil {
-			t.Fatalf("case %d: CheckOps must reject what ApplyBatch rejects", i)
-		}
 	}
 	if eng.Size() != 8 {
 		t.Fatalf("size = %d after failed batches, want 8", eng.Size())
@@ -232,12 +229,13 @@ func TestApplyBatchAtomic(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Fatal("report changed across failed batches")
 	}
-	// CheckOps on a valid batch is a dry run: no error, no state change.
-	if err := eng.CheckOps([]violation.Op{{Kind: violation.OpInsert, Values: row}}); err != nil {
-		t.Fatal(err)
+	// The failed batches left nothing behind that a valid one trips over: its
+	// insert gets the next id, 8.
+	if ids, err := eng.ApplyBatch([]violation.Op{{Kind: violation.OpInsert, Values: row}}); err != nil || len(ids) != 1 || ids[0] != 8 {
+		t.Fatalf("valid batch after the failed ones: ids=%v err=%v", ids, err)
 	}
-	if eng.Size() != 8 || eng.Epoch() != epoch {
-		t.Fatal("CheckOps must not mutate")
+	if eng.Size() != 9 || eng.Epoch() != epoch+1 {
+		t.Fatalf("size %d, epoch %d after one valid batch", eng.Size(), eng.Epoch())
 	}
 	// An empty batch is a no-op, not an error.
 	ids, err := eng.ApplyBatch(nil)

@@ -154,9 +154,6 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				if len(reports[r]) < 64 {
 					reports[r] = append(reports[r], rep)
 				}
-				for v := range eng.Violations() {
-					_ = v.Tuples
-				}
 				_ = eng.Dirty()
 				_ = eng.Size()
 				_ = eng.DirtyCount()

@@ -242,14 +242,12 @@ func (e *Engine) recordDelta(added, removed []Violation, newRules []cfd.CFD) {
 	}
 	sort.Ints(d.DirtyAdded)
 	sort.Ints(d.DirtyRemoved)
-	if len(e.deltas) > 0 {
-		e.deltas[d.Epoch%uint64(len(e.deltas))] = d
-		if e.deltaN < len(e.deltas) {
-			e.deltaN++
-		} else {
-			// Ring full: this write overwrote the oldest answerable epoch.
-			e.deltaEvictions.Add(1)
-		}
+	e.deltas[d.Epoch%uint64(len(e.deltas))] = d
+	if e.deltaN < len(e.deltas) {
+		e.deltaN++
+	} else {
+		// Ring full: this write overwrote the oldest answerable epoch.
+		e.deltaEvictions.Add(1)
 	}
 }
 

@@ -31,10 +31,14 @@ func insertN(t *testing.T, eng *violation.Engine, n int) []int {
 // across a bulk load — is ErrCompacted.
 func TestChangesRingBounds(t *testing.T) {
 	fx := fixtures(t)[0]
-	eng, err := violation.New(fx.rel.Attributes(), rules.Of(fx.rules...), violation.Options{DeltaHistory: 4})
+	eng, err := violation.New(fx.rel.Attributes(), rules.Of(fx.rules...), violation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := eng.DeltaStats().Capacity; got != 1024 {
+		t.Fatalf("delta ring capacity = %d, want 1024", got)
+	}
+	eng.SetDeltaHistory(4)
 	if err := eng.BulkLoad(fx.rel); err != nil {
 		t.Fatal(err)
 	}
@@ -85,19 +89,6 @@ func TestChangesRingBounds(t *testing.T) {
 	}
 	if d, err := eng.Changes(eng.Epoch()); err != nil || !d.Empty() {
 		t.Fatalf("Changes(head) across a bulk load = %+v, %v", d, err)
-	}
-
-	// DeltaHistory < 0 disables the ring entirely.
-	bare, err := violation.New(fx.rel.Attributes(), rules.Of(fx.rules...), violation.Options{DeltaHistory: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	insertN(t, bare, 1)
-	if _, err := bare.Changes(bare.Epoch() - 1); !errors.Is(err, violation.ErrCompacted) {
-		t.Fatalf("Changes with history disabled err = %v, want ErrCompacted", err)
-	}
-	if d, err := bare.Changes(bare.Epoch()); err != nil || !d.Empty() {
-		t.Fatalf("Changes(head) with history disabled = %+v, %v", d, err)
 	}
 }
 

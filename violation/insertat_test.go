@@ -81,7 +81,8 @@ func TestInsertAt(t *testing.T) {
 // on a durable engine, the rejected op never reaches the write-ahead log,
 // so a restart replays cleanly instead of crash-looping on a poison record.
 func TestInsertAtGapBound(t *testing.T) {
-	eng := custEngine(t, true, violation.Options{MaxPinGap: 100}) // ids 0..7 live
+	eng := custEngine(t, true, violation.Options{}) // ids 0..7 live
+	eng.SetMaxPinGap(100)
 	at := func(id int) *int { return &id }
 	row := []string{"01", "908", "7777777", "Pat", "Tree Ave.", "MH", "07974"}
 
@@ -96,21 +97,16 @@ func TestInsertAtGapBound(t *testing.T) {
 	if eng.NextID() != 109 {
 		t.Fatalf("rejected pin must not move NextID: %d", eng.NextID())
 	}
-	// The default bound refuses an allocation-bomb pin outright.
+	// The default bound refuses a pin one id wider than 2^20 outright.
 	def := custEngine(t, true, violation.Options{})
-	huge := violation.DefaultMaxPinGap + 10
-	if _, err := def.ApplyBatch([]violation.Op{{Kind: violation.OpInsert, Values: row, At: at(huge)}}); err == nil {
-		t.Fatal("default engine must refuse a pin far past the end")
+	if _, err := def.ApplyBatch([]violation.Op{{Kind: violation.OpInsert, Values: row, At: at(8 + violation.DefaultMaxPinGap + 1)}}); err == nil ||
+		!strings.Contains(err.Error(), "unassigned ids past the current end") {
+		t.Fatalf("pin 2^20+1 ids past the end: err = %v", err)
 	}
-	// A negative MaxPinGap disables the bound.
-	open := custEngine(t, true, violation.Options{MaxPinGap: -1})
-	if _, err := open.ApplyBatch([]violation.Op{{Kind: violation.OpInsert, Values: row, At: at(9_000)}}); err != nil {
-		t.Fatalf("unbounded engine must accept a wide pin: %v", err)
-	}
-	// Bounded or not, an id the index members cannot hold — they store ids in
-	// 32-bit words — fails validation, before the log is asked to append it.
-	open.AttachWAL(failingLog{err: errors.New("the out-of-range pin reached the log")})
-	if _, err := open.ApplyBatch([]violation.Op{{Kind: violation.OpInsert, Values: row, At: at(math.MaxUint32 + 1)}}); err == nil ||
+	// An id the index members cannot hold — they store ids in 32-bit words —
+	// fails validation, before the log is asked to append it.
+	def.AttachWAL(failingLog{err: errors.New("the out-of-range pin reached the log")})
+	if _, err := def.ApplyBatch([]violation.Op{{Kind: violation.OpInsert, Values: row, At: at(math.MaxUint32 + 1)}}); err == nil ||
 		!strings.Contains(err.Error(), "outside the 32-bit id space") {
 		t.Fatalf("pin past the 32-bit id space: err = %v", err)
 	}

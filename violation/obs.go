@@ -80,7 +80,7 @@ func (st *Store) obs() StoreObserver {
 // to tell whether delta clients are keeping up.
 type DeltaStats struct {
 	// Occupancy is the number of consecutive epochs currently answerable from
-	// the ring; Capacity is the configured Options.DeltaHistory bound.
+	// the ring; Capacity is its length, 1024.
 	Occupancy int
 	Capacity  int
 	// Evictions counts ring entries overwritten while the ring was full: each

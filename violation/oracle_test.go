@@ -3,6 +3,7 @@ package violation_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"reflect"
@@ -74,7 +75,7 @@ func (m *oracleModel) expected(t *testing.T, attrs []string) ([]violation.Violat
 // oracleRulePool returns the candidate rule sets a swap step picks from:
 // hand-built subsets of the mixed fixture rules plus sets with rules the
 // engine has never seen (forcing fresh index builds over the live tuples).
-func oracleRulePool(t *testing.T) []*rules.Set {
+func oracleRulePool(t testing.TB) []*rules.Set {
 	t.Helper()
 	full := fixtures(t)[0].rules
 	extra := []cfd.CFD{
@@ -160,10 +161,40 @@ var oracleCollidingPairs = [][2]string{
 	{"a|b", "c"}, {"a", "b|c"}, {"a|b|c", ""}, {"", "a|b|c"}, {"a|", "c"}, {"a", "|c"},
 }
 
+// clone copies the model: a fresh row map and burst list over the same
+// immutable rows.
+func (m *oracleModel) clone() *oracleModel {
+	c := *m
+	c.rows = maps.Clone(m.rows)
+	c.bursts = slices.Clone(m.bursts)
+	return &c
+}
+
+// apply plays one committed batch onto the model.
+func (m *oracleModel) apply(ops []violation.Op) {
+	for _, op := range ops {
+		switch op.Kind {
+		case violation.OpInsert:
+			id := m.nextID
+			if op.At != nil {
+				id = *op.At
+			}
+			m.rows[id] = op.Values
+			m.nextID = max(m.nextID, id+1)
+		case violation.OpDelete:
+			delete(m.rows, op.ID)
+		case violation.OpUpdate:
+			m.rows[op.ID] = op.Values
+		}
+	}
+}
+
 // oracleStep applies one random op (insert / pinned insert / delete / update /
-// batch / forced tie / burst / drain / swap) to both the engine and the model.
-// It returns a description for failure messages.
-func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleModel, pool []*rules.Set) string {
+// batch / forced tie / burst / drain / swap) to the engine and, commit by
+// commit as the engine acknowledges them, to the model. It returns a
+// description for failure messages, and the first commit's error, with the
+// model holding exactly the commits acknowledged before it.
+func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleModel, pool []*rules.Set) (string, error) {
 	t.Helper()
 	row := func() []string {
 		vals := []string{
@@ -190,60 +221,40 @@ func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleMo
 		return vals
 	}
 	live := m.liveIDs()
+	// commit applies one batch and, once the engine acknowledged it, plays it
+	// onto the model.
+	commit := func(ops []violation.Op) error {
+		if _, err := eng.ApplyBatch(ops); err != nil {
+			return err
+		}
+		m.apply(ops)
+		return nil
+	}
 	switch k := rng.Intn(27); {
 	case k < 6 || len(live) == 0: // insert
 		values := row()
 		id, err := eng.Insert(values...)
 		if err != nil {
-			t.Fatalf("insert: %v", err)
+			return "insert", err
 		}
 		if id != m.nextID {
 			t.Fatalf("insert assigned id %d, model expects %d", id, m.nextID)
 		}
-		m.rows[id] = values
-		m.nextID++
-		return fmt.Sprintf("insert -> id %d", id)
+		m.apply([]violation.Op{{Kind: violation.OpInsert, Values: values}})
+		return fmt.Sprintf("insert -> id %d", id), nil
 	case k < 7: // pinned insert, skipping up to three ids
 		at := m.nextID + rng.Intn(4)
-		values := row()
-		if _, err := eng.ApplyBatch([]violation.Op{{Kind: violation.OpInsert, Values: values, At: &at}}); err != nil {
-			t.Fatalf("insert at %d: %v", at, err)
-		}
-		m.rows[at] = values
-		m.nextID = at + 1
-		return fmt.Sprintf("insert at %d", at)
+		desc := fmt.Sprintf("insert at %d", at)
+		return desc, commit([]violation.Op{{Kind: violation.OpInsert, Values: row(), At: &at}})
 	case k < 10: // delete
 		id := live[rng.Intn(len(live))]
-		if err := eng.Delete(id); err != nil {
-			t.Fatalf("delete %d: %v", id, err)
-		}
-		delete(m.rows, id)
-		return fmt.Sprintf("delete %d", id)
+		return fmt.Sprintf("delete %d", id), commit([]violation.Op{{Kind: violation.OpDelete, ID: id}})
 	case k < 13: // update
 		id := live[rng.Intn(len(live))]
-		values := row()
-		if err := eng.Update(id, values...); err != nil {
-			t.Fatalf("update %d: %v", id, err)
-		}
-		m.rows[id] = values
-		return fmt.Sprintf("update %d", id)
+		return fmt.Sprintf("update %d", id), commit([]violation.Op{{Kind: violation.OpUpdate, ID: id, Values: row()}})
 	case k < 16: // atomic batch, including intra-batch id references
 		ops := randomOps(rng, 1+rng.Intn(8), live, m.nextID)
-		if _, err := eng.ApplyBatch(ops); err != nil {
-			t.Fatalf("batch: %v", err)
-		}
-		for _, op := range ops {
-			switch op.Kind {
-			case violation.OpInsert:
-				m.rows[m.nextID] = op.Values
-				m.nextID++
-			case violation.OpDelete:
-				delete(m.rows, op.ID)
-			case violation.OpUpdate:
-				m.rows[op.ID] = op.Values
-			}
-		}
-		return fmt.Sprintf("batch of %d ops", len(ops))
+		return fmt.Sprintf("batch of %d ops", len(ops)), commit(ops)
 	case k < 19: // forced tie: a fresh two-tuple group split 1-1 on one attribute
 		// The two tuples agree everywhere but on attribute a, where they hold
 		// two hostile values in random first-seen (so dictionary code) order:
@@ -257,13 +268,8 @@ func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleMo
 			values := []string{fresh, fresh, fresh, fresh, fresh, fresh, fresh}
 			values[a] = oracleTricky[p[i]]
 			ops[i] = violation.Op{Kind: violation.OpInsert, Values: values}
-			m.rows[m.nextID] = values
-			m.nextID++
 		}
-		if _, err := eng.ApplyBatch(ops); err != nil {
-			t.Fatalf("tie batch: %v", err)
-		}
-		return fmt.Sprintf("tie on attribute %d: %q vs %q", a, oracleTricky[p[0]], oracleTricky[p[1]])
+		return fmt.Sprintf("tie on attribute %d: %q vs %q", a, oracleTricky[p[0]], oracleTricky[p[1]]), commit(ops)
 	case k < 21 || (k < 23 && len(m.bursts) == 0): // burst: grow one row's groups past nine members
 		// One batch of near-copies of a base row — a live one, so the copies
 		// pile onto populated groups under the rules' constants, or an
@@ -289,15 +295,14 @@ func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleMo
 				values[a] = m.rows[live[rng.Intn(len(live))]][a]
 			}
 			ops[i] = violation.Op{Kind: violation.OpInsert, Values: values}
-			m.rows[m.nextID] = values
-			ids = append(ids, m.nextID)
-			m.nextID++
+			ids = append(ids, m.nextID+i)
 		}
-		if _, err := eng.ApplyBatch(ops); err != nil {
-			t.Fatalf("burst batch: %v", err)
+		desc := fmt.Sprintf("burst of %d near-copies of %q", len(ops), base)
+		if err := commit(ops); err != nil {
+			return desc, err
 		}
 		m.bursts = append(m.bursts, ids)
-		return fmt.Sprintf("burst of %d near-copies of %q", len(ops), base)
+		return desc, nil
 	case k < 23: // drain: take a whole burst out again
 		// Whatever of the burst other steps left alive goes, one delete at a
 		// time or as one batch: counted groups shrink back below nine members
@@ -308,33 +313,30 @@ func oracleStep(t *testing.T, rng *rand.Rand, eng *violation.Engine, m *oracleMo
 		for _, id := range m.bursts[b] {
 			if _, ok := m.rows[id]; ok {
 				ops = append(ops, violation.Op{Kind: violation.OpDelete, ID: id})
-				delete(m.rows, id)
 			}
 		}
 		m.bursts = slices.Delete(m.bursts, b, b+1)
+		desc := fmt.Sprintf("drain of %d burst tuples", len(ops))
 		if rng.Intn(2) == 0 {
-			if _, err := eng.ApplyBatch(ops); err != nil {
-				t.Fatalf("drain batch: %v", err)
-			}
-		} else {
-			for _, op := range ops {
-				if err := eng.Delete(op.ID); err != nil {
-					t.Fatalf("drain delete %d: %v", op.ID, err)
-				}
+			return desc, commit(ops)
+		}
+		for _, op := range ops {
+			if err := commit([]violation.Op{op}); err != nil {
+				return desc, err
 			}
 		}
-		return fmt.Sprintf("drain of %d burst tuples", len(ops))
+		return desc, nil
 	default: // live rule swap
 		set := pool[rng.Intn(len(pool))]
 		delta, err := eng.SwapRules(context.Background(), set)
 		if err != nil {
-			t.Fatalf("swap: %v", err)
+			return "swap", err
 		}
 		if len(delta.Added)+len(delta.Retained) != set.Len() {
 			t.Fatalf("swap delta %v does not cover the new set", delta)
 		}
 		m.set = set
-		return fmt.Sprintf("swap to %d rules (%s)", set.Len(), delta)
+		return fmt.Sprintf("swap to %d rules (%s)", set.Len(), delta), nil
 	}
 }
 
@@ -473,7 +475,10 @@ func runOracle(t *testing.T, seed int64, steps int, eng *violation.Engine, pool 
 	prev := eng.Report()
 	table := startSet.CFDs()
 	for step := 0; step < steps; step++ {
-		desc := oracleStep(t, rng, eng, m, pool)
+		desc, err := oracleStep(t, rng, eng, m, pool)
+		if err != nil {
+			t.Fatalf("seed %d step %d (%s): %v", seed, step, desc, err)
+		}
 		wantViols, wantDirty := m.expected(t, rel.Attributes())
 		rep := eng.Report()
 		d, err := eng.Changes(prev.Epoch)

@@ -2,6 +2,7 @@ package violation
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -17,80 +18,173 @@ import (
 	"repro/rules"
 )
 
-// faultDisk is the real disk with one fault armed: the nth call (from 1) of
-// kind call fails with err. A failing write first lands the first short bytes
-// of its buffer, as a full disk or an interrupted write does. Unarmed, and
-// after the fault has fired, it is osDisk.
-type faultDisk struct {
-	osDisk
-	call  string // open, createTemp, write, sync, truncate, rename, syncDir
+// fault is one failure a faultDisk has scheduled for a call kind: the nth call
+// of the kind (from 1) fails with err — a failing write first landing a prefix
+// of its buffer, short bytes but never all of them, as a full disk or an
+// interrupted write does — or, with a nil err, does its work and the process
+// crashes right after it: from then on no call reaches the disk until the
+// store is opened again (restart).
+type fault struct {
 	nth   int
 	short int
 	err   error
-	calls map[string]int
 }
 
-// arm schedules the next fault, counting calls from now.
+// faultKinds are the calls of the disk seam, in the order a schedule's bytes
+// describe them.
+var faultKinds = []string{"open", "createTemp", "write", "sync", "truncate", "rename", "syncDir"}
+
+var (
+	errInjected = errors.New("injected fault")
+	errCrashed  = errors.New("injected crash: the process is gone")
+)
+
+// schedule decodes a fault schedule: three bytes per call kind, in faultKinds
+// order — which call fails (counted across the run; a commit writes once and
+// syncs once, a compaction uses each kind about once, an open opens and
+// truncates once), how (an error; for a write, ENOSPC after landing as many
+// bytes as the third byte says; a crash after the call; or not at all), and
+// that byte. A kind the bytes run out before is never failed.
+func schedule(plan []byte) map[string]fault {
+	calls := map[string]int{"open": 3, "createTemp": 6, "write": 60, "sync": 60, "truncate": 8, "rename": 6, "syncDir": 6}
+	out := make(map[string]fault)
+	for i, kind := range faultKinds {
+		if len(plan) < 3*(i+1) {
+			break
+		}
+		b := plan[3*i : 3*i+3]
+		f := fault{nth: 1 + int(b[0])%calls[kind], err: errInjected}
+		switch b[1] % 4 {
+		case 1:
+			if kind == "write" {
+				f.short, f.err = int(b[2]), &os.PathError{Op: "write", Path: walName, Err: syscall.ENOSPC}
+			}
+		case 2:
+			f.err = nil
+		case 3:
+			continue
+		}
+		out[kind] = f
+	}
+	return out
+}
+
+// faultDisk is the real disk under a schedule of faults, at most one per call
+// kind; every other call is osDisk's. For the schedule oracle it also counts
+// writes that landed their whole buffer, truncations that took effect and
+// truncations a fault refused.
+type faultDisk struct {
+	osDisk
+	plan                            map[string]fault
+	calls                           map[string]int
+	crashed                         bool
+	fired                           []string // the faults that fired, in order
+	wholeWrites, truncates, refused int
+}
+
+// arm schedules a single fault, counting calls from now.
 func (d *faultDisk) arm(call string, nth, short int, err error) {
-	d.call, d.nth, d.short, d.err, d.calls = call, nth, short, err, map[string]int{}
+	d.plan, d.calls = map[string]fault{call: {nth: nth, short: short, err: err}}, map[string]int{}
 }
 
-func (d *faultDisk) fires(call string) bool {
+// at counts one call of the kind and returns the fault it meets, if any.
+func (d *faultDisk) at(call string) (fault, bool) {
 	if d.calls == nil {
-		return false
+		return fault{}, false
 	}
 	d.calls[call]++
-	return call == d.call && d.calls[call] == d.nth
+	f, ok := d.plan[call]
+	if !ok || d.calls[call] != f.nth {
+		return fault{}, false
+	}
+	what := "crash after it"
+	if f.err != nil {
+		what = f.err.Error()
+	}
+	d.fired = append(d.fired, fmt.Sprintf("%s #%d: %s", call, f.nth, what))
+	return f, true
 }
 
-func (d *faultDisk) open(name string, flag int) (*os.File, error) {
-	if d.fires("open") {
-		return nil, d.err
+// do runs one call through the schedule: real does the work.
+func (d *faultDisk) do(call string, real func() error) error {
+	if d.crashed {
+		return errCrashed
 	}
-	return d.osDisk.open(name, flag)
+	f, hit := d.at(call)
+	if !hit {
+		return real()
+	}
+	if f.err != nil {
+		return f.err
+	}
+	err := real()
+	d.crashed = true
+	return cmp.Or(err, errCrashed)
 }
 
-func (d *faultDisk) createTemp(dir, pattern string) (*os.File, error) {
-	if d.fires("createTemp") {
-		return nil, d.err
+func (d *faultDisk) open(name string, flag int) (f *os.File, err error) {
+	err = d.do("open", func() error { f, err = d.osDisk.open(name, flag); return err })
+	if err != nil && f != nil { // opened, then the process crashed
+		f.Close()
+		f = nil
 	}
-	return d.osDisk.createTemp(dir, pattern)
+	return f, err
 }
 
-func (d *faultDisk) write(f *os.File, p []byte) (int, error) {
-	if d.fires("write") {
-		n, _ := f.Write(p[:min(d.short, len(p))])
-		return n, d.err
+func (d *faultDisk) createTemp(dir, pattern string) (f *os.File, err error) {
+	err = d.do("createTemp", func() error { f, err = d.osDisk.createTemp(dir, pattern); return err })
+	if err != nil && f != nil { // created, then the process crashed: the file stays
+		f.Close()
+		f = nil
 	}
-	return d.osDisk.write(f, p)
+	return f, err
+}
+
+func (d *faultDisk) write(f *os.File, p []byte) (n int, err error) {
+	if d.crashed {
+		return 0, errCrashed
+	}
+	ft, hit := d.at("write")
+	if hit && ft.err != nil {
+		n, _ = f.Write(p[:min(ft.short, max(len(p)-1, 0))])
+		return n, ft.err
+	}
+	n, err = d.osDisk.write(f, p)
+	if n == len(p) {
+		d.wholeWrites++
+	}
+	if hit {
+		d.crashed = true
+		err = cmp.Or(err, errCrashed)
+	}
+	return n, err
 }
 
 func (d *faultDisk) sync(f *os.File) error {
-	if d.fires("sync") {
-		return d.err
-	}
-	return d.osDisk.sync(f)
+	return d.do("sync", func() error { return d.osDisk.sync(f) })
 }
 
 func (d *faultDisk) truncate(f *os.File, size int64) error {
-	if d.fires("truncate") {
-		return d.err
+	done := false
+	err := d.do("truncate", func() error {
+		err := d.osDisk.truncate(f, size)
+		done = err == nil
+		return err
+	})
+	if done {
+		d.truncates++
+	} else if err != nil && !d.crashed {
+		d.refused++
 	}
-	return d.osDisk.truncate(f, size)
+	return err
 }
 
 func (d *faultDisk) rename(oldpath, newpath string) error {
-	if d.fires("rename") {
-		return d.err
-	}
-	return d.osDisk.rename(oldpath, newpath)
+	return d.do("rename", func() error { return d.osDisk.rename(oldpath, newpath) })
 }
 
 func (d *faultDisk) syncDir(dir string) error {
-	if d.fires("syncDir") {
-		return d.err
-	}
-	return d.osDisk.syncDir(dir)
+	return d.do("syncDir", func() error { return d.osDisk.syncDir(dir) })
 }
 
 // faultRig is a syncing store over a faultDisk with an engine attached, and

@@ -20,10 +20,10 @@
 // did not change and building the others off to the side, so freshly
 // re-discovered rules can be hot-swapped into a long-running server without a
 // restart.
-// The current violation state is read back as a streaming Violations
-// sequence, a Report (the same shape repro/cleaning returns), a per-tuple
-// lookup, or the repair view — Suspects and Repairs, the likely culprits of
-// each violating group and their corrections, read off the same indexes. On
+// The current violation state is read back as a Report (the same shape
+// repro/cleaning returns), a per-tuple lookup, or the repair view — Suspects
+// and Repairs, the likely culprits of each violating group and their
+// corrections, read off the same indexes. On
 // any bulk-loaded relation the Engine reports exactly the
 // violation set of the paper's batch semantics (§2.1.2): the batch detectors
 // in repro/cleaning and repro/cfd route through the same underlying index
@@ -47,7 +47,7 @@
 // writers. Mutations (Insert, Delete, Update, ApplyBatch, BulkLoad) are
 // serialised by an internal write lock; batch mutations fan index
 // maintenance out across shards of LHS-set indexes on repro/internal/pool. The bulk
-// readers Violations, Report and Dirty serve an immutable copy-on-write
+// readers Report and Dirty serve an immutable copy-on-write
 // snapshot keyed by a mutation epoch: the first read after a mutation
 // rebuilds the snapshot (briefly excluding writers), and every subsequent
 // read shares it without taking any lock at all, so a polling client never
@@ -73,7 +73,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -130,29 +129,24 @@ type Options struct {
 	// maintained on its own pool worker; any worker count yields identical
 	// state.
 	Workers int
-	// DeltaHistory bounds the ring of per-commit violation deltas served by
-	// Changes: a reader up to DeltaHistory epochs behind gets an incremental
-	// delta, older readers get ErrCompacted and must resync with a full read.
-	// 0 keeps the default (1024); negative disables the history entirely.
-	DeltaHistory int
-	// MaxPinGap bounds how many unassigned ids a pinned insert (Op.At) may
-	// open beyond the current end of the row table. Every id below the pin
-	// keeps a slot, so an unbounded pin is an unbounded allocation — and once
-	// write-ahead logged it would crash every replay. Pins are validated
-	// against this bound before the WAL append, so an oversized pin is
-	// rejected and never logged. 0 keeps the default (DefaultMaxPinGap);
-	// negative disables the bound (trusted embedders only).
-	MaxPinGap int
 }
 
-// DefaultMaxPinGap is the Options.MaxPinGap default: a pinned insert may
-// jump at most this many ids past the current end of the row table. A
-// cluster coordinator assigns ids globally and pins them on the owning
-// shard, so a shard's gap is the fleet's insert volume since that shard
-// last received a row — 2^20 ids (~24 MiB of empty slots) accommodates even
+// DefaultMaxPinGap bounds how many unassigned ids a pinned insert (Op.At) may
+// open past the current end of the row table. Every id below the pin keeps a
+// slot, so an unbounded pin is an unbounded allocation — and once write-ahead
+// logged it would crash every replay; pins are checked against the bound
+// before the WAL append, so an oversized one is rejected and never logged. A
+// cluster coordinator assigns ids globally and pins them on the owning shard,
+// so a shard's gap is the fleet's insert volume since that shard last
+// received a row — 2^20 ids (~24 MiB of empty slots) accommodates even
 // heavily skewed partitions while keeping a hostile pin ("at": 1e12) a
 // validation error instead of a multi-terabyte allocation.
 const DefaultMaxPinGap = 1 << 20
+
+// deltaHistory is the length of the ring of per-commit violation deltas
+// Changes serves from: a reader up to this many epochs behind gets an
+// incremental delta, an older one ErrCompacted and a full read.
+const deltaHistory = 1024
 
 // CommitLog is the write-ahead hook of the engine: when attached, Append is
 // called with every mutation — under the engine's write lock, after
@@ -191,7 +185,7 @@ type Engine struct {
 	indexes   []*lhsIndex
 	shards    [][]int // shard -> positions in indexes it owns (see shardIndexes)
 	workers   int
-	maxPinGap int // resolved Options.MaxPinGap; <0 disables the bound
+	maxPinGap int // DefaultMaxPinGap; a field so tests can narrow it
 	wal       CommitLog
 
 	// epoch counts mutations; snap caches the immutable state snapshot built
@@ -242,23 +236,13 @@ func New(attributes []string, set *rules.Set, opts Options) (*Engine, error) {
 	if set == nil {
 		set = rules.Of()
 	}
-	history := opts.DeltaHistory
-	if history == 0 {
-		history = 1024
-	} else if history < 0 {
-		history = 0
-	}
-	maxPinGap := opts.MaxPinGap
-	if maxPinGap == 0 {
-		maxPinGap = DefaultMaxPinGap
-	}
 	e := &Engine{
 		schema:    schema,
 		rel:       core.NewRelation(schema),
 		set:       set,
 		workers:   opts.Workers,
-		maxPinGap: maxPinGap,
-		deltas:    make([]*Delta, history),
+		maxPinGap: DefaultMaxPinGap,
+		deltas:    make([]*Delta, deltaHistory),
 		watch:     make(chan struct{}),
 	}
 	e.rules = append([]cfd.CFD(nil), set.CFDs()...)
@@ -443,12 +427,6 @@ func (e *Engine) Update(id int, values ...string) error {
 // are not written to an attached CommitLog; compact a snapshot afterwards
 // (Store.Compact) if the load must be durable.
 func (e *Engine) BulkLoad(rel *cfd.Relation) error {
-	return e.BulkLoadContext(context.Background(), rel)
-}
-
-// BulkLoadContext is BulkLoad under a context. A cancelled load returns
-// ctx.Err() and leaves the engine partially loaded; discard it.
-func (e *Engine) BulkLoadContext(ctx context.Context, rel *cfd.Relation) error {
 	obs := e.obs()
 	var obsStart time.Time
 	if obs != nil {
@@ -470,11 +448,11 @@ func (e *Engine) BulkLoadContext(ctx context.Context, rel *cfd.Relation) error {
 		}
 	}
 	dicts, cols := rel.Encoded().Raw()
-	err := e.loadLocked(ctx, dicts, cols, rel.Size())
-	if err == nil && obs != nil {
+	e.loadLocked(dicts, cols, rel.Size())
+	if obs != nil {
 		obs.ObserveCommit("bulkload", rel.Size(), time.Since(obsStart).Seconds())
 	}
-	return err
+	return nil
 }
 
 // loadLocked appends rows given in raw form (core.Relation.Raw) at the end of
@@ -482,10 +460,11 @@ func (e *Engine) BulkLoadContext(ctx context.Context, rel *cfd.Relation) error {
 // indexes them under every LHS set. Recoding interns into the shared
 // dictionaries, so it runs sequentially; the index build carries the real
 // cost and fans out. Callers hold the write lock.
-func (e *Engine) loadLocked(ctx context.Context, dicts [][]string, cols [][]int32, rows int) error {
+func (e *Engine) loadLocked(dicts [][]string, cols [][]int32, rows int) {
 	start := e.rel.Size()
 	e.rel.AppendRecoded(dicts, cols, rows, true)
-	return e.indexLive(ctx, start, e.indexes, e.shards)
+	// context.Background: nothing cancels a load halfway.
+	_ = e.indexLive(context.Background(), start, e.indexes, e.shards)
 }
 
 // indexLive inserts every live tuple with id >= from into indexes, fanned
@@ -706,26 +685,12 @@ func (e *Engine) snapshot() *snapshot {
 	return s
 }
 
-// Violations streams the current snapshot: one Violation per violated rule,
-// in rule order, with tuple ids ascending. The whole sequence is served from
-// one immutable epoch snapshot, so it stays consistent — and holds no lock —
-// while concurrent mutations proceed. Yielded Tuples slices are shared with
-// the snapshot; treat them as read-only.
-func (e *Engine) Violations() iter.Seq[Violation] {
-	s := e.snapshot()
-	return func(yield func(Violation) bool) {
-		for _, v := range s.violations {
-			if !yield(v) {
-				return
-			}
-		}
-	}
-}
-
-// Report materialises the streaming snapshot, mirroring the batch report of
-// repro/cleaning: on a freshly bulk-loaded relation the two are identical.
-// The report's slices are shared with the immutable snapshot; treat them as
-// read-only.
+// Report returns the current violation state — one Violation per violated
+// rule, in rule order, with tuple ids ascending — mirroring the batch report of
+// repro/cleaning: on a freshly bulk-loaded relation the two are identical. It
+// is served from one immutable epoch snapshot, so it stays consistent — and
+// holds no lock — while concurrent mutations proceed. The report's slices are
+// shared with the snapshot; treat them as read-only.
 func (e *Engine) Report() *Report {
 	s := e.snapshot()
 	return &Report{

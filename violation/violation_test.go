@@ -69,18 +69,15 @@ func naiveRuleViolations(rel *cfd.Relation, rule cfd.CFD) ([]int, error) {
 	return out, nil
 }
 
+// collect is the engine's report as a list that is nil when empty.
 func collect(e *violation.Engine) []violation.Violation {
-	var out []violation.Violation
-	for v := range e.Violations() {
-		out = append(out, v)
-	}
-	return out
+	return append([]violation.Violation(nil), e.Report().Violations...)
 }
 
 // fixtures returns relation/rule-set pairs covering constant, variable and
 // mixed rules, out-of-domain constants on both sides, empty-LHS rules and
 // discovered rule sets on noisy data.
-func fixtures(t *testing.T) []struct {
+func fixtures(t testing.TB) []struct {
 	name  string
 	rel   *cfd.Relation
 	rules []cfd.CFD
@@ -443,8 +440,10 @@ func TestTupleReadMutationSafety(t *testing.T) {
 	}
 }
 
-// TestViolationsStreamingStops checks that the snapshot sequence honours an
-// early break, which is what makes it usable for first-match queries.
+// TestViolationsStreamingStops: a first-match query — which rule is violated
+// first, in rule order — is the head of the report, and reading it copies
+// nothing: two reads at one epoch share the snapshot's slices. (The name is
+// the streaming iterator's, which the report replaced.)
 func TestViolationsStreamingStops(t *testing.T) {
 	fx := fixtures(t)[0]
 	eng, err := violation.New(fx.rel.Attributes(), rules.Of(fx.rules...), violation.Options{})
@@ -454,13 +453,13 @@ func TestViolationsStreamingStops(t *testing.T) {
 	if err := eng.BulkLoad(fx.rel); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for range eng.Violations() {
-		n++
-		break
+	first := eng.Report().Violations
+	want := naiveDetect(t, fx.rel, fx.rules)
+	if len(first) == 0 || !reflect.DeepEqual(first[0], want[0]) {
+		t.Fatalf("first violated rule = %v, naive %v", first, want[0])
 	}
-	if n != 1 {
-		t.Fatalf("streamed %d violations after break, want 1", n)
+	if again := eng.Report().Violations; &again[0] != &first[0] {
+		t.Fatal("a second report at the same epoch copied the snapshot")
 	}
 }
 
