@@ -100,10 +100,9 @@ func NewShardClient(base string, label string, timeout time.Duration, obs Observ
 // URL returns the shard's base URL.
 func (s *ShardClient) URL() string { return s.base }
 
-// Healthy reports the breaker state: false while the shard is considered
-// down (consecutive failures at or above the threshold and the cooldown not
-// yet expired). Aggregated health surfaces it per shard.
-func (s *ShardClient) Healthy() bool {
+// healthy reports the breaker state: false while the shard is considered
+// down (consecutive failures at or above the threshold).
+func (s *ShardClient) healthy() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.fails < breakerThreshold
@@ -156,7 +155,7 @@ func (s *ShardClient) observe(failed bool) {
 // failure is retried immediately. bypassBreaker sends even while the
 // breaker is open — the health probe uses it, so a downed shard keeps
 // being probed.
-func (s *ShardClient) do(ctx context.Context, method, path string, query url.Values, body []byte, header http.Header, out any, outHeader *http.Header, retry, bypassBreaker bool) error {
+func (s *ShardClient) do(ctx context.Context, method, path string, query url.Values, body []byte, header http.Header, out any, retry, bypassBreaker bool) error {
 	if !bypassBreaker && !s.allow() {
 		return fmt.Errorf("%w: %s: circuit open after %d consecutive failures", ErrUnavailable, s.base, breakerThreshold)
 	}
@@ -221,9 +220,6 @@ func (s *ShardClient) do(ctx context.Context, method, path string, query url.Val
 		if resp.StatusCode >= 300 {
 			return decodeEnvelope(s.base, resp.StatusCode, data)
 		}
-		if outHeader != nil {
-			*outHeader = resp.Header
-		}
 		if out != nil {
 			if err := json.Unmarshal(data, out); err != nil {
 				return fmt.Errorf("%w: %s: undecodable response: %v", ErrUnavailable, s.base, err)
@@ -252,14 +248,14 @@ func decodeEnvelope(shard string, status int, data []byte) *APIError {
 // aggregated health endpoint is how a downed shard's recovery is noticed.
 func (s *ShardClient) Health(ctx context.Context) (HealthDoc, error) {
 	var doc HealthDoc
-	err := s.do(ctx, http.MethodGet, "/v1/health", nil, nil, nil, &doc, nil, false, true)
+	err := s.do(ctx, http.MethodGet, "/v1/health", nil, nil, nil, &doc, false, true)
 	return doc, err
 }
 
 // Rules fetches GET /v1/rules.
 func (s *ShardClient) Rules(ctx context.Context) (RulesDoc, error) {
 	var doc RulesDoc
-	err := s.do(ctx, http.MethodGet, "/v1/rules", nil, nil, nil, &doc, nil, true, false)
+	err := s.do(ctx, http.MethodGet, "/v1/rules", nil, nil, nil, &doc, true, false)
 	return doc, err
 }
 
@@ -271,21 +267,21 @@ func (s *ShardClient) PutRules(ctx context.Context, body []byte, ifMatch string)
 	if ifMatch != "" {
 		h.Set("If-Match", `"`+ifMatch+`"`)
 	}
-	err := s.do(ctx, http.MethodPut, "/v1/rules", nil, body, h, &doc, nil, false, false)
+	err := s.do(ctx, http.MethodPut, "/v1/rules", nil, body, h, &doc, false, false)
 	return doc, err
 }
 
 // Violations fetches the shard's full violation report.
 func (s *ShardClient) Violations(ctx context.Context) (ViolationsDoc, error) {
 	var doc ViolationsDoc
-	err := s.do(ctx, http.MethodGet, "/v1/violations", nil, nil, nil, &doc, nil, true, false)
+	err := s.do(ctx, http.MethodGet, "/v1/violations", nil, nil, nil, &doc, true, false)
 	return doc, err
 }
 
 // Suspects fetches the shard's full suspect list.
 func (s *ShardClient) Suspects(ctx context.Context) (SuspectsDoc, error) {
 	var doc SuspectsDoc
-	err := s.do(ctx, http.MethodGet, "/v1/suspects", nil, nil, nil, &doc, nil, true, false)
+	err := s.do(ctx, http.MethodGet, "/v1/suspects", nil, nil, nil, &doc, true, false)
 	return doc, err
 }
 
@@ -300,7 +296,7 @@ func (s *ShardClient) Tuples(ctx context.Context, cursor, limit int) (TuplesDoc,
 		q.Set("limit", strconv.Itoa(limit))
 	}
 	var doc TuplesDoc
-	err := s.do(ctx, http.MethodGet, "/v1/tuples", q, nil, nil, &doc, nil, true, false)
+	err := s.do(ctx, http.MethodGet, "/v1/tuples", q, nil, nil, &doc, true, false)
 	return doc, err
 }
 
@@ -308,14 +304,14 @@ func (s *ShardClient) Tuples(ctx context.Context, cursor, limit int) (TuplesDoc,
 // 404 (*APIError).
 func (s *ShardClient) GetTuple(ctx context.Context, id int) (TupleDoc, error) {
 	var doc TupleDoc
-	err := s.do(ctx, http.MethodGet, "/v1/tuples/"+strconv.Itoa(id), nil, nil, nil, &doc, nil, true, false)
+	err := s.do(ctx, http.MethodGet, "/v1/tuples/"+strconv.Itoa(id), nil, nil, nil, &doc, true, false)
 	return doc, err
 }
 
 // TupleViolations fetches the rules one tuple currently violates.
 func (s *ShardClient) TupleViolations(ctx context.Context, id int) (TupleViolationsDoc, error) {
 	var doc TupleViolationsDoc
-	err := s.do(ctx, http.MethodGet, "/v1/tuples/"+strconv.Itoa(id)+"/violations", nil, nil, nil, &doc, nil, true, false)
+	err := s.do(ctx, http.MethodGet, "/v1/tuples/"+strconv.Itoa(id)+"/violations", nil, nil, nil, &doc, true, false)
 	return doc, err
 }
 
@@ -326,6 +322,6 @@ func (s *ShardClient) Batch(ctx context.Context, ops []violation.Op) (WriteDoc, 
 		return WriteDoc{}, err
 	}
 	var doc WriteDoc
-	err = s.do(ctx, http.MethodPost, "/v1/batch", nil, body, nil, &doc, nil, false, false)
+	err = s.do(ctx, http.MethodPost, "/v1/batch", nil, body, nil, &doc, false, false)
 	return doc, err
 }

@@ -73,7 +73,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 
 	// breakerThreshold consecutive 5xx responses trip the breaker. Rules()
 	// is a retrying read, so each call can burn up to two attempts.
-	for i := 0; s.Healthy(); i++ {
+	for i := 0; s.healthy(); i++ {
 		if _, err := s.Rules(ctx); err == nil {
 			t.Fatal("a 500 response must be an error")
 		} else if !errors.Is(err, ErrUnavailable) {
@@ -99,7 +99,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatalf("health probe through an open breaker: %v", err)
 	}
 	// The successful probe reset the failure count: the breaker is closed.
-	if !s.Healthy() {
+	if !s.healthy() {
 		t.Fatal("a successful probe must close the breaker")
 	}
 	if _, err := s.Rules(ctx); err != nil {
@@ -120,7 +120,7 @@ func TestBreakerHalfOpenAfterCooldown(t *testing.T) {
 	defer ts.Close()
 	s := NewShardClient(ts.URL, "0", time.Second, nil)
 	ctx := context.Background()
-	for s.Healthy() {
+	for s.healthy() {
 		s.Rules(ctx)
 	}
 	// Expire the cooldown directly rather than sleeping it out.
@@ -135,7 +135,7 @@ func TestBreakerHalfOpenAfterCooldown(t *testing.T) {
 	if f.hits.Load() == before {
 		t.Fatal("half-open trial never reached the shard")
 	}
-	if !s.Healthy() {
+	if !s.healthy() {
 		t.Fatal("a successful trial must close the breaker")
 	}
 }
@@ -150,7 +150,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	defer ts.Close()
 	s := NewShardClient(ts.URL, "0", time.Second, nil)
 	ctx := context.Background()
-	for s.Healthy() {
+	for s.healthy() {
 		s.Rules(ctx)
 	}
 	// Expire the cooldown: the next allow() is the half-open probe and must
@@ -192,7 +192,7 @@ func TestAPIErrorsDoNotTripBreaker(t *testing.T) {
 			t.Fatalf("a definite answer must not be unavailable: %v", err)
 		}
 	}
-	if !s.Healthy() {
+	if !s.healthy() {
 		t.Fatal("4xx answers must not trip the breaker")
 	}
 }

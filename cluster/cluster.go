@@ -55,8 +55,9 @@ type Cluster struct {
 	// on the new owner followed by a delete on the old — not atomic — so two
 	// concurrent mutations of the same id must not interleave mid-move, or
 	// the id can end up live on two shards (or on none). Every mutation of an
-	// existing id takes its stripe for the whole locate-and-apply sequence;
-	// fresh inserts need no lock (their ids are unique by construction).
+	// existing id goes through Batch, which takes the stripes of every id it
+	// updates or deletes before its first shard call and holds them until its
+	// last; fresh inserts need no lock (their ids are unique by construction).
 	idMu [idStripes]sync.Mutex
 }
 
@@ -64,13 +65,26 @@ type Cluster struct {
 // unrelated mutations, they never affect correctness.
 const idStripes = 128
 
-// lockID takes the write lock for one tuple id and returns its release.
-// Callers must never hold two stripes at once (single-id lock discipline —
-// it is what makes the striping deadlock-free).
-func (c *Cluster) lockID(id int) func() {
-	mu := &c.idMu[uint(id)%idStripes]
-	mu.Lock()
-	return mu.Unlock
+// lockIDs takes the write locks of the given tuple ids and returns their
+// release. Stripes are taken once each and in ascending order — the one lock
+// order every caller shares, which is what makes holding several deadlock-free.
+func (c *Cluster) lockIDs(ids ...int) func() {
+	var held [idStripes]bool
+	for _, id := range ids {
+		held[uint(id)%idStripes] = true
+	}
+	for i := range held {
+		if held[i] {
+			c.idMu[i].Lock()
+		}
+	}
+	return func() {
+		for i := range held {
+			if held[i] {
+				c.idMu[i].Unlock()
+			}
+		}
+	}
 }
 
 // New builds the cluster handle; call Init before serving.

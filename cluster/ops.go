@@ -123,34 +123,25 @@ func (c *Cluster) rollbackInserts(ctx context.Context, perShard map[int][]violat
 	}
 }
 
-// Update replaces one tuple's values, keeping its id. When the new values
-// hash to the tuple's current shard it is a plain in-place update; when
-// they hash elsewhere the tuple moves — a pinned insert on the new shard,
-// then a delete on the old, with a best-effort rollback of the insert if
-// the delete fails. The move is not atomic under a coordinator crash; both
-// halves are WAL-logged on their shards. The id's stripe lock is held for
-// the whole locate-and-apply sequence, so concurrent mutations of one id
-// through this coordinator serialise instead of racing a move half-done.
+// Update replaces one tuple's values, keeping its id: a one-op Batch, so it
+// takes the one locate-lock-apply path every existing-id write takes.
 func (c *Cluster) Update(ctx context.Context, id int, values []string) (TupleWriteDoc, error) {
-	if err := c.checkArity([][]string{values}); err != nil {
-		return TupleWriteDoc{}, err
-	}
-	defer c.lockID(id)()
-	from, _, err := c.owner(ctx, id)
-	if err != nil {
-		return TupleWriteDoc{}, err
-	}
-	return TupleWriteDoc{ID: id}, c.moveOrUpdate(ctx, id, from, values)
+	_, err := c.Batch(ctx, []violation.Op{{Kind: violation.OpUpdate, ID: id, Values: values}})
+	return TupleWriteDoc{ID: id}, err
 }
 
-// moveOrUpdate applies an update whose current owner is already known.
-// Callers must hold the id's stripe lock (lockID).
-func (c *Cluster) moveOrUpdate(ctx context.Context, id, from int, values []string) error {
-	to := c.route(values)
-	if to == from {
-		_, err := c.shards[from].Batch(ctx, []violation.Op{{Kind: violation.OpUpdate, ID: id, Values: values}})
-		return err
-	}
+// Delete removes one tuple by global id: a one-op Batch, like Update.
+func (c *Cluster) Delete(ctx context.Context, id int) (TupleWriteDoc, error) {
+	_, err := c.Batch(ctx, []violation.Op{{Kind: violation.OpDelete, ID: id}})
+	return TupleWriteDoc{ID: id}, err
+}
+
+// move applies an update whose new values hash to shard to, away from the
+// tuple's current owner from: a pinned insert on the new shard, then a delete
+// on the old, with a best-effort rollback of the insert if the delete fails.
+// The move is not atomic under a coordinator crash; both halves are
+// WAL-logged on their shards. Callers must hold the id's stripe (lockIDs).
+func (c *Cluster) move(ctx context.Context, id, from, to int, values []string) error {
 	at := id
 	if _, err := c.shards[to].Batch(ctx, []violation.Op{{Kind: violation.OpInsert, Values: values, At: &at}}); err != nil {
 		return err
@@ -166,19 +157,6 @@ func (c *Cluster) moveOrUpdate(ctx context.Context, id, from int, values []strin
 	return nil
 }
 
-// Delete removes one tuple by global id. Like Update it holds the id's
-// stripe lock across locate-and-apply, so it cannot interleave with a
-// concurrent move of the same id.
-func (c *Cluster) Delete(ctx context.Context, id int) (TupleWriteDoc, error) {
-	defer c.lockID(id)()
-	shard, _, err := c.owner(ctx, id)
-	if err != nil {
-		return TupleWriteDoc{}, err
-	}
-	_, err = c.shards[shard].Batch(ctx, []violation.Op{{Kind: violation.OpDelete, ID: id}})
-	return TupleWriteDoc{ID: id}, err
-}
-
 // Batch applies a mixed op sequence in order. Consecutive ops for the same
 // shard coalesce into one atomic shard batch (one WAL record there); the
 // cross-shard sequence is applied group by group and is NOT atomic — a
@@ -187,7 +165,14 @@ func (c *Cluster) Delete(ctx context.Context, id int) (TupleWriteDoc, error) {
 // single node fed the same sequence; explicit "at" pins are refused (ids
 // are the coordinator's to assign). Deletes and updates of ids assigned
 // earlier in the same batch are resolved locally, so the usual
-// insert-then-refine batches need no extra shard reads.
+// insert-then-refine batches need no extra shard reads. An update whose new
+// values hash to another shard moves the tuple (move).
+//
+// Batch is the coordinator's one write path for existing ids — Update and
+// Delete are one-op batches: the stripes of every id its updates and deletes
+// name are taken before the first shard call and held past the last, so no
+// other mutation of those ids through this coordinator can slip between
+// locating an id's shard and applying the op there, or into a move half done.
 func (c *Cluster) Batch(ctx context.Context, ops []violation.Op) (WriteDoc, error) {
 	// Validate before consuming ids: op kinds, arity, no pins.
 	for i, op := range ops {
@@ -210,6 +195,14 @@ func (c *Cluster) Batch(ctx context.Context, ops []violation.Op) (WriteDoc, erro
 				"batch op %d: violation: unknown op kind %q", i, op.Kind)
 		}
 	}
+
+	var named []int
+	for _, op := range ops {
+		if op.Kind != violation.OpInsert {
+			named = append(named, op.ID)
+		}
+	}
+	defer c.lockIDs(named...)()
 
 	res := WriteDoc{Applied: len(ops)}
 	owners := make(map[int]int) // ids this batch placed or located: id -> shard
@@ -269,33 +262,25 @@ func (c *Cluster) Batch(ctx context.Context, ops []violation.Op) (WriteDoc, erro
 				return res, err
 			}
 		case violation.OpUpdate:
-			// The stripe lock is taken before the owner lookup so a concurrent
-			// move of the same id cannot slip between locating the shard and
-			// mutating it.
-			unlock := c.lockID(op.ID)
-			err := func() error {
-				from, err := locate(op.ID)
-				if err != nil {
-					return err
-				}
-				to := c.route(op.Values)
-				if to == from {
-					return enqueue(from, op)
-				}
-				// A cross-shard move cannot coalesce: flush, then move.
-				if err := flush(); err != nil {
-					return err
-				}
-				if err := c.moveOrUpdate(ctx, op.ID, from, op.Values); err != nil {
-					return err
-				}
-				owners[op.ID] = to
-				return nil
-			}()
-			unlock()
+			from, err := locate(op.ID)
 			if err != nil {
 				return res, err
 			}
+			to := c.route(op.Values)
+			if to == from {
+				if err := enqueue(from, op); err != nil {
+					return res, err
+				}
+				continue
+			}
+			// A cross-shard move cannot coalesce: flush, then move.
+			if err := flush(); err != nil {
+				return res, err
+			}
+			if err := c.move(ctx, op.ID, from, to, op.Values); err != nil {
+				return res, err
+			}
+			owners[op.ID] = to
 		}
 	}
 	return res, flush()

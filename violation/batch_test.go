@@ -268,7 +268,8 @@ func TestWALAppendFailureAbortsMutation(t *testing.T) {
 
 type failingLog struct{ err error }
 
-func (f failingLog) Append([]violation.Op) error { return f.err }
+func (f failingLog) Append([]violation.Op) error  { return f.err }
+func (f failingLog) AppendRules(*rules.Set) error { return f.err }
 
 // TestShardedBulkLoadAgrees: bulk loads agree across shard counts, and with
 // the unsharded pre-existing behaviour, on a discovered rule set.

@@ -60,11 +60,12 @@ type Store struct {
 	wal     *os.File
 	walOff  int64  // current end offset of the WAL file
 	seq     uint64 // sequence number of the last committed record
-	snapSeq uint64 // WAL sequence the current snapshot file includes
 	hasSnap bool   // a snapshot file exists: the directory holds state
-	// opened is the snapshot OpenStore decoded, kept for the one Load that
-	// consumes it: a full copy of the data that nothing else ever reads.
+	// opened and tail are the snapshot OpenStore decoded and the log records
+	// above its sequence, kept for the one Load that consumes them: a full copy
+	// of the data that nothing else ever reads.
 	opened  *snapshotFile
+	tail    []walRecord
 	pending int    // ops appended since the last compaction
 	line    []byte // the last record encoded, reused by the next commit
 	// failed latches the first error writing, syncing or truncating the WAL:
@@ -155,22 +156,6 @@ func readWALRecord(line []byte) (walRecord, bool) {
 		}
 	}
 	return rec, r.Plain()
-}
-
-// walHeader is what the tail rewrite reads of a record it copies verbatim:
-// the sequence number and the record's cost. Decoding into it checks the
-// line's JSON syntax in full but materialises no op and no rule set.
-type walHeader struct {
-	Seq   uint64     `json:"seq"`
-	Ops   []struct{} `json:"ops"`
-	Rules *struct{}  `json:"rules"`
-}
-
-func (h walHeader) cost() int {
-	if h.Rules != nil {
-		return 1
-	}
-	return len(h.Ops)
 }
 
 // snapshotFile is the compacted state on the wire. Format 2, the only format
@@ -431,7 +416,6 @@ func openStore(dir string, opts StoreOptions, fs disk) (*Store, error) {
 			return fail(fmt.Errorf("violation: unreadable %s: %w", snapshotName, err))
 		}
 		st.opened, st.hasSnap = file, true
-		st.snapSeq = file.WalSeq
 		st.seq = file.WalSeq
 	case os.IsNotExist(err):
 	default:
@@ -457,21 +441,17 @@ func (st *Store) releaseLock() {
 	}
 }
 
-// readRecords streams the log's records from the start: fn is called with
-// each line, trailing newline included, decodes as much of it as it needs and
-// reports whether it is an intact record; the returned offset is the end of
-// the last intact one. A record is intact only when its trailing newline made
-// it to disk and its JSON decodes — Append writes record+'\n' in one call, so
-// anything short of that is a tear from a crash mid-append, and everything
-// from the first tear on is untrusted. Recovery (scanWAL, replay) decodes a
-// walRecord, validating every op; the tail rewrite, which only copies records
-// this process already scanned or wrote itself, a walHeader. Records are read
-// with no line-length cap: a large batch is one (arbitrarily long) record. The
-// line is only valid during the call. Callers must hold st.mu.
-func (st *Store) readRecords(fn func(line []byte) (intact bool)) (int64, error) {
-	if _, err := st.wal.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("violation: scanning %s: %w", walName, err)
-	}
+// scanWAL is the one read of the log, on open: it advances seq past every
+// intact record, keeps the records above the snapshot's sequence for Load,
+// truncates the file after the last intact one (dropping a torn tail), and
+// leaves the file offset there for appending. A record is intact only when its
+// trailing newline made it to disk and its JSON decodes, every op validated —
+// Append writes record+'\n' in one call, so anything short of that is a tear
+// from a crash mid-append, and everything from the first tear on is untrusted.
+// Records are read with no line-length cap: a large batch is one (arbitrarily
+// long) record.
+func (st *Store) scanWAL() error {
+	folded := st.seq // the snapshot's sequence (0 without one)
 	var off int64
 	r := bufio.NewReader(st.wal)
 	for {
@@ -479,35 +459,21 @@ func (st *Store) readRecords(fn func(line []byte) (intact bool)) (int64, error) 
 		if err == io.EOF {
 			// A trailing fragment without its newline (len(line) > 0) is a
 			// torn append: the commit never returned, drop it.
-			return off, nil
+			break
 		}
 		if err != nil {
-			return 0, fmt.Errorf("violation: scanning %s: %w", walName, err)
+			return fmt.Errorf("violation: scanning %s: %w", walName, err)
 		}
-		if !fn(line) {
-			return off, nil // torn or corrupt: ignore from here on
-		}
-		off += int64(len(line))
-	}
-}
-
-// scanWAL reads the log once on open: it advances seq past every intact
-// record, truncates the file after the last one (dropping a torn tail), and
-// leaves the file offset at the end for appending.
-func (st *Store) scanWAL() error {
-	off, err := st.readRecords(func(line []byte) bool {
 		var rec walRecord
 		if rec.decode(line) != nil {
-			return false
+			break // torn or corrupt: ignore from here on
 		}
-		if rec.Seq > st.seq {
-			st.seq = rec.Seq
+		st.seq = max(st.seq, rec.Seq)
+		if rec.Seq > folded {
+			st.tail = append(st.tail, rec)
 		}
 		st.pending += rec.cost()
-		return true
-	})
-	if err != nil {
-		return err
+		off += int64(len(line))
 	}
 	if err := st.fs.truncate(st.wal, off); err != nil {
 		return fmt.Errorf("violation: truncating torn %s tail: %w", walName, err)
@@ -527,8 +493,8 @@ func (st *Store) Append(ops []Op) error {
 	return st.commit(walRecord{Ops: ops})
 }
 
-// AppendRules commits one rule-swap record to the log — the RuleCommitLog
-// hook Engine.SwapRules calls under its write lock. The record carries the
+// AppendRules commits one rule-swap record to the log — the CommitLog hook
+// Engine.SwapRules calls under its write lock. The record carries the
 // full replacement rule set, so replay restores whatever set was current,
 // however many swaps preceded the crash.
 func (st *Store) AppendRules(set *rules.Set) error {
@@ -608,12 +574,13 @@ func (st *Store) commit(rec walRecord) (err error) {
 // (nil, false, nil) when the store holds no state yet — build the engine some
 // other way, Compact it once, then AttachWAL. Tuple ids (and therefore every
 // violation report) are restored exactly as they were. Load is what follows
-// OpenStore and it runs once: it consumes the snapshot OpenStore read, and a
-// store that has been loaded from or compacted since must be reopened first.
+// OpenStore and it runs once: it consumes the snapshot and the log records
+// OpenStore decoded, and a store that has been loaded from or compacted since
+// must be reopened first.
 func (st *Store) Load(opts Options) (*Engine, bool, error) {
 	st.mu.Lock()
-	snap, hasSnap := st.opened, st.hasSnap
-	st.opened = nil
+	snap, tail, hasSnap := st.opened, st.tail, st.hasSnap
+	st.opened, st.tail = nil, nil
 	st.mu.Unlock()
 	if !hasSnap {
 		if st.seq > 0 {
@@ -639,42 +606,18 @@ func (st *Store) Load(opts Options) (*Engine, bool, error) {
 	e.mu.Lock()
 	e.rebaseEpochLocked(snap.WalSeq)
 	e.mu.Unlock()
-	if err := st.replay(e); err != nil {
-		return nil, false, err
-	}
-	return e, true, nil
-}
-
-// replay applies every WAL record above the snapshot's sequence number, each
-// as one atomic batch. The engine must not have the store attached yet.
-func (st *Store) replay(e *Engine) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	defer st.wal.Seek(st.walOff, io.SeekStart) //nolint:errcheck // repositioned for appends
-	var applyErr error
-	_, err := st.readRecords(func(line []byte) bool {
-		var rec walRecord
-		if rec.decode(line) != nil {
-			return false
-		}
-		if applyErr != nil || rec.Seq <= st.snapSeq {
-			return true // failed already, or folded into the snapshot
-		}
+	// Replay: every record above the snapshot's sequence, in log order, each
+	// as one atomic batch — the engine has no log attached yet.
+	for _, rec := range tail {
 		if rec.Rules != nil {
 			if _, err := e.SwapRules(context.Background(), rec.Rules); err != nil {
-				applyErr = fmt.Errorf("violation: replaying %s rule swap %d: %w", walName, rec.Seq, err)
+				return nil, false, fmt.Errorf("violation: replaying %s rule swap %d: %w", walName, rec.Seq, err)
 			}
-			return true
+		} else if _, err := e.ApplyBatch(rec.Ops); err != nil {
+			return nil, false, fmt.Errorf("violation: replaying %s record %d: %w", walName, rec.Seq, err)
 		}
-		if _, err := e.ApplyBatch(rec.Ops); err != nil {
-			applyErr = fmt.Errorf("violation: replaying %s record %d: %w", walName, rec.Seq, err)
-		}
-		return true
-	})
-	if err != nil {
-		return err
 	}
-	return applyErr
+	return e, true, nil
 }
 
 // Compact writes a fresh snapshot of the engine's current state (atomically,
@@ -685,8 +628,10 @@ func (st *Store) replay(e *Engine) error {
 // call concurrently with reads and writes: the state and the WAL sequence it
 // covers are captured at one consistent point under the engine's read lock
 // (a column copy; canonicalisation, encoding and the file write run
-// unlocked), and replay skips folded records by sequence number, so a crash
-// anywhere in the procedure is recoverable.
+// unlocked), and recovery skips folded records by sequence number, so a crash
+// anywhere in the procedure is recoverable. A busy log keeps its tail by the
+// byte offset captured with the state: the log is read once per process, by
+// OpenStore, and never again.
 func (st *Store) Compact(e *Engine) error {
 	obs := st.obs()
 	var obsStart time.Time
@@ -709,11 +654,16 @@ func (st *Store) compact(e *Engine) (int, error) {
 		return 0, err
 	}
 	// Writers hold the engine write lock across their Append, so while the
-	// capture holds the engine read lock the store's seq exactly matches the
-	// captured state.
+	// capture holds the engine read lock the store's seq — and the log's end
+	// offset and backlog — exactly match the captured state.
+	var (
+		off     int64
+		backlog int
+	)
 	file := e.captureSnapshot(func() uint64 {
 		st.mu.Lock()
 		defer st.mu.Unlock()
+		off, backlog = st.walOff, st.pending
 		return st.seq
 	})
 	data, err := file.encode()
@@ -755,8 +705,7 @@ func (st *Store) compact(e *Engine) (int, error) {
 	if st.failed != nil { // a commit failed while the snapshot was being written
 		return len(data), st.failed
 	}
-	st.opened, st.hasSnap = nil, true
-	st.snapSeq = file.WalSeq
+	st.opened, st.tail, st.hasSnap = nil, nil, true
 	if st.seq == file.WalSeq {
 		// Nothing landed since the capture: the whole log is folded in.
 		if err := st.fs.truncate(st.wal, 0); err != nil {
@@ -772,61 +721,32 @@ func (st *Store) compact(e *Engine) (int, error) {
 	// Appends landed while the snapshot was being written: rewrite the log
 	// down to the unfolded tail so it cannot grow without bound under
 	// sustained traffic. On any error the full log is kept — folded records
-	// are harmless, replay skips them by sequence number.
-	return len(data), st.rewriteTailLocked(file.WalSeq)
+	// are harmless, recovery skips them by sequence number.
+	return len(data), st.rewriteTailLocked(off, backlog)
 }
 
-// rewriteTailLocked replaces the WAL with only the records above keepAbove,
-// atomically (temp file + rename + reopen). Commits wait on st.mu meanwhile,
-// so the kept records are copied as the bytes they were appended as, with only
-// their headers decoded. An error before the rename leaves the full log and a
-// usable store; one after it fails the store. Callers must hold st.mu.
-func (st *Store) rewriteTailLocked(keepAbove uint64) (err error) {
-	// Until the new file is swapped in, every exit must leave the old
-	// handle positioned at its append offset — or the store failed.
-	swapped := false
-	defer func() {
-		if !swapped {
-			if _, seekErr := st.wal.Seek(st.walOff, io.SeekStart); seekErr != nil {
-				err = st.failLocked(seekErr)
-			}
-		}
-	}()
+// rewriteTailLocked replaces the WAL with its bytes from off on — the records
+// committed since a compaction captured the log at that offset with backlog
+// ops pending — atomically (temp file + rename + reopen). Commits wait on st.mu
+// meanwhile; the tail is copied as the bytes it was appended as, decoding
+// nothing, and read with ReadAt, which leaves the append handle's offset
+// alone. An error before the rename leaves the full log and a usable store;
+// one after it fails the store. Callers must hold st.mu.
+func (st *Store) rewriteTailLocked(off int64, backlog int) error {
 	tmp, err := st.fs.createTemp(st.dir, walName+".tmp*")
 	if err != nil {
 		return fmt.Errorf("violation: rewriting %s: %w", walName, err)
 	}
 	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(diskWriter{st.fs, tmp})
-	var tail int
-	var writeErr error
-	if _, err := st.readRecords(func(line []byte) bool {
-		var rec walHeader
-		if json.Unmarshal(line, &rec) != nil {
-			return false
-		}
-		if writeErr != nil || rec.Seq <= keepAbove {
-			return true
-		}
-		if _, writeErr = w.Write(line); writeErr == nil {
-			tail += rec.cost()
-		}
-		return true
-	}); err != nil {
-		tmp.Close()
-		return err
+	_, err = io.Copy(diskWriter{st.fs, tmp}, io.NewSectionReader(st.wal, off, st.walOff-off))
+	if err == nil && st.sync {
+		err = st.fs.sync(tmp)
 	}
-	if writeErr == nil {
-		writeErr = w.Flush()
+	if closeErr := tmp.Close(); err == nil {
+		err = closeErr
 	}
-	if writeErr == nil && st.sync {
-		writeErr = st.fs.sync(tmp)
-	}
-	if err := tmp.Close(); writeErr == nil {
-		writeErr = err
-	}
-	if writeErr != nil {
-		return fmt.Errorf("violation: rewriting %s: %w", walName, writeErr)
+	if err != nil {
+		return fmt.Errorf("violation: rewriting %s: %w", walName, err)
 	}
 	if err := st.fs.rename(tmp.Name(), filepath.Join(st.dir, walName)); err != nil {
 		return fmt.Errorf("violation: rewriting %s: %w", walName, err)
@@ -843,16 +763,15 @@ func (st *Store) rewriteTailLocked(keepAbove uint64) (err error) {
 	if err != nil {
 		return st.failLocked(err)
 	}
-	off, err := wal.Seek(0, io.SeekEnd)
+	end, err := wal.Seek(0, io.SeekEnd)
 	if err != nil {
 		wal.Close()
 		return st.failLocked(err)
 	}
 	st.wal.Close()
 	st.wal = wal
-	st.walOff = off
-	st.pending = tail
-	swapped = true
+	st.walOff = end
+	st.pending -= backlog
 	return nil
 }
 

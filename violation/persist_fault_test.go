@@ -437,8 +437,16 @@ func TestTailRewriteFaults(t *testing.T) {
 			rig := newFaultRig(t)
 			// The state a busy compaction is in when it turns to the log: the
 			// new snapshot is in place, commits have landed since its capture.
-			folded := rig.st.Seq()
-			data := encodeSnapshot(t, rig.eng.captureSnapshot(func() uint64 { return folded }))
+			var (
+				off     int64
+				backlog int
+			)
+			data := encodeSnapshot(t, rig.eng.captureSnapshot(func() uint64 {
+				rig.st.mu.Lock()
+				defer rig.st.mu.Unlock()
+				off, backlog = rig.st.walOff, rig.st.pending
+				return rig.st.seq
+			}))
 			if err := os.WriteFile(filepath.Join(rig.dir, snapshotName), append(data, '\n'), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -449,8 +457,7 @@ func TestTailRewriteFaults(t *testing.T) {
 			}
 			rig.disk.arm(tc.call, 1, 10, injected)
 			rig.st.mu.Lock()
-			rig.st.snapSeq = folded
-			err := rig.st.rewriteTailLocked(folded)
+			err := rig.st.rewriteTailLocked(off, backlog)
 			rig.st.mu.Unlock()
 			if !errors.Is(err, injected) {
 				t.Fatalf("tail rewrite: err = %v, want the injected fault", err)

@@ -19,8 +19,10 @@ import (
 )
 
 // TestRewriteTailLocked exercises the busy-compaction path at the store
-// level: records at or below the folded sequence are dropped, the tail
-// survives byte-exactly, and the reopened handle keeps appending cleanly.
+// level: the records before the captured offset are dropped, the tail
+// survives byte-exactly — the old file's suffix from that offset — the backlog
+// is what was appended since the capture, and the reopened handle keeps
+// appending cleanly.
 func TestRewriteTailLocked(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir, StoreOptions{})
@@ -28,13 +30,23 @@ func TestRewriteTailLocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	var off int64
+	var backlog int
 	for _, v := range []string{"a", "b", "c"} { // seq 1..3
+		if v == "c" { // the capture of a compaction folding seq 1-2
+			off, backlog = st.walOff, st.pending
+		}
 		if err := st.Append([]Op{{Kind: OpInsert, Values: []string{v}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	walPath := filepath.Join(dir, walName)
+	before, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st.mu.Lock()
-	err = st.rewriteTailLocked(2) // fold seq 1-2, keep seq 3
+	err = st.rewriteTailLocked(off, backlog)
 	st.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -42,9 +54,12 @@ func TestRewriteTailLocked(t *testing.T) {
 	if got := st.Pending(); got != 1 {
 		t.Fatalf("pending = %d after tail rewrite, want 1", got)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, walName))
+	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(data, before[off:]) {
+		t.Fatalf("rewritten wal = %q, want the old file's suffix %q", data, before[off:])
 	}
 	if got := strings.TrimSpace(string(data)); got != `{"seq":3,"ops":[{"op":"insert","values":["c"]}]}` {
 		t.Fatalf("rewritten wal = %q", got)
@@ -148,9 +163,15 @@ func TestCompactRacingAppendsKeepsTailBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.mu.Lock()
-		next, last := st.snapSeq+1, st.seq
-		st.mu.Unlock()
+		snapshot, err := os.ReadFile(filepath.Join(dir, snapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := decodeSnapshotFile(snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, last := file.WalSeq+1, st.Seq()
 		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
 			if len(line) == 0 {
 				continue
@@ -603,9 +624,9 @@ func TestParentWrittenStateLoads(t *testing.T) {
 }
 
 // TestLoadConsumesTheSnapshot: the store keeps no second copy of the data —
-// Load takes the snapshot OpenStore decoded with it, a compaction records only
-// its sequence number — so a second Load, or one after a Compact, is refused
-// and says what to do instead.
+// Load takes the snapshot and the log records OpenStore decoded with it, a
+// compaction drops them and records only its sequence number — so a second
+// Load, or one after a Compact, is refused and says what to do instead.
 func TestLoadConsumesTheSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	eng, err := New([]string{"A"}, rules.Of(), Options{})
@@ -619,21 +640,45 @@ func TestLoadConsumesTheSnapshot(t *testing.T) {
 	if err := st.Compact(eng); err != nil {
 		t.Fatal(err)
 	}
-	if st.opened != nil {
-		t.Fatal("a compaction left a decoded snapshot in the store")
+	if st.opened != nil || st.tail != nil {
+		t.Fatal("a compaction left decoded state in the store")
 	}
-	if _, _, err := st.Load(Options{}); err == nil || !strings.Contains(err.Error(), "reopen") {
-		t.Fatalf("Load after Compact: err = %v", err)
-	}
-	st.Close()
-	if st, err = OpenStore(dir, StoreOptions{}); err != nil {
+	if err := st.Append([]Op{{Kind: OpInsert, Values: []string{"x"}}}); err != nil { // seq 1, unfolded
 		t.Fatal(err)
 	}
-	defer st.Close()
-	if _, found, err := st.Load(Options{}); err != nil || !found || st.opened != nil {
-		t.Fatalf("first Load: found=%v err=%v, snapshot still held: %v", found, err, st.opened != nil)
+	refused := func(what string) {
+		t.Helper()
+		if _, _, err := st.Load(Options{}); err == nil || !strings.Contains(err.Error(), "reopen") {
+			t.Fatalf("%s: err = %v", what, err)
+		}
 	}
-	if _, _, err := st.Load(Options{}); err == nil || !strings.Contains(err.Error(), "reopen") {
-		t.Fatalf("second Load: err = %v", err)
+	refused("Load after Compact")
+	reopen := func() {
+		t.Helper()
+		st.Close()
+		if st, err = OpenStore(dir, StoreOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.tail) != 1 || st.tail[0].Seq != 1 {
+			t.Fatalf("open kept %+v, want record 1", st.tail)
+		}
 	}
+	reopen()
+	loaded, found, err := st.Load(Options{})
+	if err != nil || !found || st.opened != nil || st.tail != nil {
+		t.Fatalf("first Load: found=%v err=%v, snapshot or records still held: %v %v", found, err, st.opened != nil, st.tail)
+	}
+	if loaded.Size() != 1 {
+		t.Fatalf("loaded %d tuples, want the replayed 1", loaded.Size())
+	}
+	refused("second Load")
+	reopen()
+	if err := st.Compact(loaded); err != nil {
+		t.Fatal(err)
+	}
+	if st.opened != nil || st.tail != nil {
+		t.Fatal("a compaction left decoded state in the store")
+	}
+	refused("Load after Compact of a reopened store")
+	st.Close()
 }

@@ -130,7 +130,8 @@ func TestStoreCompactMidStream(t *testing.T) {
 
 // TestStoreStaleWALRecordsSkipped: a crash between snapshot rename and WAL
 // truncation leaves folded records in the log; sequence numbers keep replay
-// from applying them twice.
+// from applying them twice, and the records after them — the unfolded tail —
+// are replayed once.
 func TestStoreStaleWALRecordsSkipped(t *testing.T) {
 	dir := t.TempDir()
 	eng, st := durableEngine(t, dir, violation.StoreOptions{})
@@ -145,17 +146,25 @@ func TestStoreStaleWALRecordsSkipped(t *testing.T) {
 	if err := st.Compact(eng); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := eng.Insert("86", "10", "8888888", "Wei", "Main Rd.", "BJ", "100000"); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Resurrect the folded record, as if truncation never happened.
-	if err := os.WriteFile(wal, logged, 0o644); err != nil {
+	// Resurrect the folded record below the fresh tail, as if truncation
+	// never happened.
+	tail, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wal, append(logged, tail...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back := reload(t, dir)
 	assertSameState(t, eng, back)
-	if back.Size() != 9 {
-		t.Fatalf("size = %d: the stale insert was replayed twice", back.Size())
+	if back.Size() != 10 {
+		t.Fatalf("size = %d, want 10: the stale insert replayed twice or the tail lost", back.Size())
 	}
 }
 

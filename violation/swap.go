@@ -12,16 +12,6 @@ import (
 	"repro/rules"
 )
 
-// RuleCommitLog is the optional extension of CommitLog a write-ahead log must
-// implement for the engine to accept live rule swaps: AppendRules journals
-// the full replacement rule set as one record, so replay restores the rule
-// set that was current at the crash, not the one the process booted with.
-// *Store implements it.
-type RuleCommitLog interface {
-	CommitLog
-	AppendRules(set *rules.Set) error
-}
-
 // ErrRulesVersion is wrapped by SwapRulesIf when the engine serves none of the
 // expected rules versions: the compare-and-swap lost, nothing changed.
 var ErrRulesVersion = errors.New("rules version mismatch")
@@ -45,9 +35,8 @@ func (e *Engine) SwapRules(ctx context.Context, set *rules.Set) (rules.Delta, er
 // snapshot epoch bumped, so a reader either sees the complete old state or
 // the complete new one, never a half-swapped set.
 //
-// With a write-ahead log attached the swap is journaled (as a rule record,
-// see RuleCommitLog) before it is applied; a log that does not implement
-// RuleCommitLog, or whose append fails, rejects the swap with ErrWAL and
+// With a write-ahead log attached the swap is journaled (CommitLog.AppendRules)
+// before it is applied; a failing append rejects the swap with ErrWAL and
 // leaves the engine unchanged. A cancelled ctx aborts the index build and
 // likewise leaves the engine unchanged. That holds although indexes are shared
 // between rules: an index is only ever reused untouched or rebuilt off to the
@@ -94,11 +83,7 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	}
 	// Journal the swap before applying it, like every other mutation.
 	if e.wal != nil {
-		rl, ok := e.wal.(RuleCommitLog)
-		if !ok {
-			return rules.Delta{}, fmt.Errorf("violation: %w: attached commit log %T cannot journal rule swaps", ErrWAL, e.wal)
-		}
-		if err := rl.AppendRules(set); err != nil {
+		if err := e.wal.AppendRules(set); err != nil {
 			return rules.Delta{}, fmt.Errorf("violation: %w: %w", ErrWAL, err)
 		}
 	}

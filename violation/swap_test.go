@@ -239,19 +239,20 @@ func TestSwapRulesCancelled(t *testing.T) {
 	assertSwapInvisible(t, eng, custEngine(t, true, violation.Options{}))
 }
 
-// failingRuleLog journals tuple ops but refuses rule swaps.
-type failingRuleLog struct{ failingLog }
+// ruleRefusingLog journals tuple ops and refuses rule swaps with err.
+type ruleRefusingLog struct{ err error }
 
-func (f failingRuleLog) AppendRules(*rules.Set) error { return errors.New("disk full") }
+func (ruleRefusingLog) Append([]violation.Op) error    { return nil }
+func (l ruleRefusingLog) AppendRules(*rules.Set) error { return l.err }
 
-// TestSwapRulesWALOnlyLog: an attached CommitLog that cannot journal rule
-// swaps — or whose AppendRules fails, after every fresh index has been built —
-// vetoes the swap with ErrWAL instead of desyncing the log, and leaves the
-// engine as it was.
+// TestSwapRulesWALOnlyLog: an attached CommitLog whose AppendRules fails,
+// after every fresh index has been built — a log that journals tuple ops only
+// refuses swaps this way, a full disk fails them — vetoes the swap with ErrWAL
+// instead of desyncing the log, and leaves the engine as it was.
 func TestSwapRulesWALOnlyLog(t *testing.T) {
 	for name, log := range map[string]violation.CommitLog{
-		"op-only log":         failingLog{err: nil}, // implements CommitLog only
-		"failing AppendRules": failingRuleLog{},
+		"op-only log":         ruleRefusingLog{errors.New("this log journals tuple ops only")},
+		"failing AppendRules": ruleRefusingLog{errors.New("disk full")},
 	} {
 		t.Run(name, func(t *testing.T) {
 			for _, workers := range []int{1, 3} {

@@ -61,12 +61,11 @@
 //
 // An Engine is memory-only by default. Attach a Store (or any CommitLog)
 // with AttachWAL and every mutation is appended to a write-ahead log before
-// it is applied; rule swaps are journaled too (the log must implement
-// RuleCommitLog, as Store does), so replay restores the rule set that was
-// current at the crash. Store adds compacted snapshots on top, so a
-// restarted process can rebuild the exact engine state — tuple ids included
-// — with Store.Load. See Store for the on-disk layout and cmd/cfdserve for
-// the serving deployment.
+// it is applied; rule swaps are journaled too (CommitLog.AppendRules), so
+// replay restores the rule set that was current at the crash. Store adds
+// compacted snapshots on top, so a restarted process can rebuild the exact
+// engine state — tuple ids included — with Store.Load. See Store for the
+// on-disk layout and cmd/cfdserve for the serving deployment.
 package violation
 
 import (
@@ -148,12 +147,16 @@ const DefaultMaxPinGap = 1 << 20
 // incremental delta, an older one ErrCompacted and a full read.
 const deltaHistory = 1024
 
-// CommitLog is the write-ahead hook of the engine: when attached, Append is
-// called with every mutation — under the engine's write lock, after
-// validation, before the mutation is applied — and a non-nil error aborts
-// the mutation without applying it. *Store is the file-backed implementation.
+// CommitLog is the write-ahead hook of the engine: when attached, every
+// mutation goes through it — under the engine's write lock, after validation,
+// before the mutation is applied — and a non-nil error aborts the mutation
+// without applying it. Append journals a batch of tuple ops as one record;
+// AppendRules journals a rule swap as one record carrying the full replacement
+// set, so replay restores the rule set that was current at the crash, not the
+// one the process booted with. *Store is the file-backed implementation.
 type CommitLog interface {
 	Append(ops []Op) error
+	AppendRules(set *rules.Set) error
 }
 
 // Engine is an incremental violation detector over a swappable rule set and
