@@ -50,41 +50,6 @@ type Cluster struct {
 	// swapMu serialises coordinated rule swaps; concurrent swaps through one
 	// coordinator would interleave their per-shard CAS sequences.
 	swapMu sync.Mutex
-
-	// idMu stripes per-id write locks. A cross-shard move is a pinned insert
-	// on the new owner followed by a delete on the old — not atomic — so two
-	// concurrent mutations of the same id must not interleave mid-move, or
-	// the id can end up live on two shards (or on none). Every mutation of an
-	// existing id goes through Batch, which takes the stripes of every id it
-	// updates or deletes before its first shard call and holds them until its
-	// last; fresh inserts need no lock (their ids are unique by construction).
-	idMu [idStripes]sync.Mutex
-}
-
-// idStripes is the size of the per-id lock table; collisions only serialise
-// unrelated mutations, they never affect correctness.
-const idStripes = 128
-
-// lockIDs takes the write locks of the given tuple ids and returns their
-// release. Stripes are taken once each and in ascending order — the one lock
-// order every caller shares, which is what makes holding several deadlock-free.
-func (c *Cluster) lockIDs(ids ...int) func() {
-	var held [idStripes]bool
-	for _, id := range ids {
-		held[uint(id)%idStripes] = true
-	}
-	for i := range held {
-		if held[i] {
-			c.idMu[i].Lock()
-		}
-	}
-	return func() {
-		for i := range held {
-			if held[i] {
-				c.idMu[i].Unlock()
-			}
-		}
-	}
 }
 
 // New builds the cluster handle; call Init before serving.
@@ -184,27 +149,19 @@ func ruleStrings(set *rules.Set) []string {
 func (c *Cluster) Shards() int { return len(c.shards) }
 
 // Key returns the partition key attributes.
-func (c *Cluster) Key() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.part.Key()
-}
+func (c *Cluster) Key() []string { return c.partitioner().Key() }
 
 // Schema returns the attribute names, in order, the cluster serves.
-func (c *Cluster) Schema() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.part.Schema()
-}
+func (c *Cluster) Schema() []string { return c.partitioner().Schema() }
 
 // NextID returns the next global tuple id the coordinator would assign.
 func (c *Cluster) NextID() int { return int(c.nextID.Load()) }
 
-// route returns the owning shard index for a tuple's values.
-func (c *Cluster) route(values []string) int {
+// partitioner returns the partitioner Init built.
+func (c *Cluster) partitioner() *Partitioner {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.part.Route(values, len(c.shards))
+	return c.part
 }
 
 // scatter runs fn once per shard concurrently and returns the most useful
@@ -396,10 +353,7 @@ func (c *Cluster) SwapRules(ctx context.Context, set *rules.Set, body []byte, if
 		}
 		return res, err
 	}
-	c.mu.Lock()
-	part := c.part
-	c.mu.Unlock()
-	if err := part.Check(set); err != nil {
+	if err := c.partitioner().Check(set); err != nil {
 		return outcome(SwapDoc{}, "rejected", coordErr(http.StatusUnprocessableEntity, "unprocessable", "%v", err))
 	}
 

@@ -27,12 +27,17 @@
 // The coordinator assigns tuple ids from one global counter (recovered at
 // boot as the maximum next_id across shards) and pins them on the owning
 // shard, so ids — and with them every violation report — are identical to a
-// single node fed the same operations. Writes are atomic per shard (one
-// engine batch, one WAL record); a multi-shard insert or cross-shard move
-// is applied shard by shard and rolled back on failure, but is not atomic
-// under a coordinator crash. Reads that bear on correctness fail closed: if
-// any shard cannot answer, the scatter returns ErrUnavailable rather than a
-// silently partial result. Aggregated health never fails — it reports
+// single node fed the same operations. A tuple's partition-key values fix
+// its shard, so an id lives on that one shard from its insert to its
+// delete: an update that would change them is refused (409 key_change)
+// rather than moved. Writes are atomic per shard (one engine batch, one WAL
+// record); a multi-shard insert is applied shard by shard and rolled back
+// on failure, but is not atomic under a coordinator crash. Reads that bear
+// on correctness fail closed: if any shard cannot answer, the scatter
+// returns ErrUnavailable rather than a silently partial result. Only a
+// second coordinator over the same shards (unsupported: ids are assigned
+// from one process's counter) can place one id twice, and merged reads then
+// list it twice. Aggregated health never fails — it reports
 // per-shard status and degrades the cluster status instead. A shard that
 // fails repeatedly is marked unhealthy by its client's circuit breaker and
 // is probed again after a cooldown, so a dead node costs one fast error

@@ -44,25 +44,10 @@ func (c *Cluster) Changes(context.Context, uint64) (ChangesDoc, error) {
 		"delta reads (?since=) are not served by the coordinator; read the full report or each shard's /v1/violations/stream")
 }
 
-// dedupSorted removes adjacent duplicates from a sorted id slice in place.
-// Shards own disjoint ids at rest, but a scatter racing a cross-shard move
-// can catch one id on both its old and new owner (the move is pinned-insert
-// then delete); deduping here keeps the merged report shaped exactly like a
-// single node's despite that transient.
-func dedupSorted(ids []int) []int {
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // merge folds per-shard reports into one, in the cached rule order. Tuple
 // sets of the same rule are disjoint across shards (each id lives on
-// exactly one shard), so unions are concatenate-and-sort — with a dedup
-// guarding the mid-move transient (see dedupSorted).
+// exactly one shard from its insert to its delete), so unions are
+// concatenate-and-sort.
 func (c *Cluster) merge(docs []ViolationsDoc) (ViolationsDoc, error) {
 	c.mu.Lock()
 	order := c.order
@@ -91,10 +76,9 @@ func (c *Cluster) merge(docs []ViolationsDoc) (ViolationsDoc, error) {
 			continue
 		}
 		sort.Ints(tuples)
-		out.Violations = append(out.Violations, RuleTuples{Rule: order[ri], Tuples: dedupSorted(tuples)})
+		out.Violations = append(out.Violations, RuleTuples{Rule: order[ri], Tuples: tuples})
 	}
 	sort.Ints(out.Dirty)
-	out.Dirty = dedupSorted(out.Dirty)
 	out.RulesChecked = len(order)
 	return out, nil
 }
@@ -117,7 +101,7 @@ func (c *Cluster) Suspects(ctx context.Context) ([]int, error) {
 		out = append(out, doc.Suspects...)
 	}
 	sort.Ints(out)
-	return dedupSorted(out), nil
+	return out, nil
 }
 
 // Tuples serves one page of the fleet's live tuples in ascending global id
@@ -146,21 +130,9 @@ func (c *Cluster) Tuples(ctx context.Context, cursor, limit int) (TuplesDoc, err
 			next = id
 		}
 	}
-	// seen dedupes by id: a read racing a cross-shard move can catch one id
-	// on both its old and new owner. The lower shard index wins, which keeps
-	// the page deterministic for a given set of shard answers; Total can
-	// still transiently count such an id twice (it is a point-in-time sum of
-	// per-shard counts, documented as approximate under concurrent moves).
-	seen := make(map[int]bool)
 	for _, doc := range docs {
 		page.Total += doc.Total
-		for _, tup := range doc.Tuples {
-			if seen[tup.ID] {
-				continue
-			}
-			seen[tup.ID] = true
-			page.Tuples = append(page.Tuples, tup)
-		}
+		page.Tuples = append(page.Tuples, doc.Tuples...)
 		if doc.NextCursor != "" {
 			v, err := strconv.Atoi(doc.NextCursor)
 			if err != nil {

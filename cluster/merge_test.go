@@ -52,24 +52,6 @@ func TestMergeDeterministic(t *testing.T) {
 	}
 }
 
-// TestMergeDedupesMidMoveDuplicate: a scatter racing a cross-shard move can
-// catch one id on both its old and new owner; the merged report must still
-// look like a single node's — each id listed once per rule, once in dirty.
-func TestMergeDedupesMidMoveDuplicate(t *testing.T) {
-	c := mergeCluster("r1")
-	docs := []ViolationsDoc{
-		{Epoch: epoch(3), Violations: []RuleTuples{{Rule: "r1", Tuples: []int{4, 7}}}, Dirty: []int{4, 7}},
-		{Epoch: epoch(5), Violations: []RuleTuples{{Rule: "r1", Tuples: []int{7}}}, Dirty: []int{7}},
-	}
-	got, err := c.merge(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{4, 7}; !reflect.DeepEqual(got.Violations[0].Tuples, want) || !reflect.DeepEqual(got.Dirty, want) {
-		t.Fatalf("mid-move duplicate must merge deduped: tuples=%v dirty=%v, want %v", got.Violations[0].Tuples, got.Dirty, want)
-	}
-}
-
 func TestMergeEmpty(t *testing.T) {
 	c := mergeCluster("r1")
 	got, err := c.merge([]ViolationsDoc{{Epoch: epoch(1)}, {Epoch: epoch(2)}})

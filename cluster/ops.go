@@ -3,8 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 
 	"repro/violation"
@@ -65,9 +65,7 @@ func (c *Cluster) TupleViolations(ctx context.Context, id int) (TupleViolationsD
 // checkArity validates rows against the schema before any id is consumed or
 // any shard touched, mirroring the single node's all-or-nothing validation.
 func (c *Cluster) checkArity(rows [][]string) error {
-	c.mu.Lock()
-	arity := len(c.part.Schema())
-	c.mu.Unlock()
+	arity := len(c.Schema())
 	for _, row := range rows {
 		if len(row) != arity {
 			return coordErr(http.StatusUnprocessableEntity, "unprocessable",
@@ -87,13 +85,14 @@ func (c *Cluster) Insert(ctx context.Context, rows [][]string) (WriteDoc, error)
 	if err := c.checkArity(rows); err != nil {
 		return WriteDoc{}, err
 	}
+	part := c.partitioner()
 	base := int(c.nextID.Add(int64(len(rows)))) - len(rows)
 	ids := make([]int, len(rows))
 	perShard := make(map[int][]violation.Op)
 	for r, row := range rows {
 		id := base + r
 		ids[r] = id
-		shard := c.route(row)
+		shard := part.Route(row, len(c.shards))
 		at := id
 		perShard[shard] = append(perShard[shard], violation.Op{Kind: violation.OpInsert, Values: row, At: &at})
 	}
@@ -124,7 +123,7 @@ func (c *Cluster) rollbackInserts(ctx context.Context, perShard map[int][]violat
 }
 
 // Update replaces one tuple's values, keeping its id: a one-op Batch, so it
-// takes the one locate-lock-apply path every existing-id write takes.
+// takes the one locate-then-apply path every existing-id write takes.
 func (c *Cluster) Update(ctx context.Context, id int, values []string) (TupleWriteDoc, error) {
 	_, err := c.Batch(ctx, []violation.Op{{Kind: violation.OpUpdate, ID: id, Values: values}})
 	return TupleWriteDoc{ID: id}, err
@@ -136,27 +135,6 @@ func (c *Cluster) Delete(ctx context.Context, id int) (TupleWriteDoc, error) {
 	return TupleWriteDoc{ID: id}, err
 }
 
-// move applies an update whose new values hash to shard to, away from the
-// tuple's current owner from: a pinned insert on the new shard, then a delete
-// on the old, with a best-effort rollback of the insert if the delete fails.
-// The move is not atomic under a coordinator crash; both halves are
-// WAL-logged on their shards. Callers must hold the id's stripe (lockIDs).
-func (c *Cluster) move(ctx context.Context, id, from, to int, values []string) error {
-	at := id
-	if _, err := c.shards[to].Batch(ctx, []violation.Op{{Kind: violation.OpInsert, Values: values, At: &at}}); err != nil {
-		return err
-	}
-	if _, err := c.shards[from].Batch(ctx, []violation.Op{{Kind: violation.OpDelete, ID: id}}); err != nil {
-		// Undo the insert so the id does not exist twice.
-		if _, rbErr := c.shards[to].Batch(ctx, []violation.Op{{Kind: violation.OpDelete, ID: id}}); rbErr != nil {
-			return fmt.Errorf("%w: moving tuple %d: delete on %s failed (%v) and rollback on %s failed (%v) — the id exists on both shards until repaired",
-				ErrUnavailable, id, c.shards[from].URL(), err, c.shards[to].URL(), rbErr)
-		}
-		return err
-	}
-	return nil
-}
-
 // Batch applies a mixed op sequence in order. Consecutive ops for the same
 // shard coalesce into one atomic shard batch (one WAL record there); the
 // cross-shard sequence is applied group by group and is NOT atomic — a
@@ -165,14 +143,16 @@ func (c *Cluster) move(ctx context.Context, id, from, to int, values []string) e
 // single node fed the same sequence; explicit "at" pins are refused (ids
 // are the coordinator's to assign). Deletes and updates of ids assigned
 // earlier in the same batch are resolved locally, so the usual
-// insert-then-refine batches need no extra shard reads. An update whose new
-// values hash to another shard moves the tuple (move).
+// insert-then-refine batches need no extra shard reads.
 //
 // Batch is the coordinator's one write path for existing ids — Update and
-// Delete are one-op batches: the stripes of every id its updates and deletes
-// name are taken before the first shard call and held past the last, so no
-// other mutation of those ids through this coordinator can slip between
-// locating an id's shard and applying the op there, or into a move half done.
+// Delete are one-op batches. An id lives on one shard from its insert to its
+// delete: an update that changes the id's partition-key values is refused
+// with 409 key_change, after the ops before it are applied and before
+// anything of it or the ops after it is sent (the client deletes the tuple
+// and re-inserts it). So locating an id and applying an op to it need no
+// lock: the op is one atomic commit on the one owner, and a delete that raced
+// in between makes it a 404 there.
 func (c *Cluster) Batch(ctx context.Context, ops []violation.Op) (WriteDoc, error) {
 	// Validate before consuming ids: op kinds, arity, no pins.
 	for i, op := range ops {
@@ -196,16 +176,16 @@ func (c *Cluster) Batch(ctx context.Context, ops []violation.Op) (WriteDoc, erro
 		}
 	}
 
-	var named []int
-	for _, op := range ops {
-		if op.Kind != violation.OpInsert {
-			named = append(named, op.ID)
-		}
-	}
-	defer c.lockIDs(named...)()
-
+	part := c.partitioner()
 	res := WriteDoc{Applied: len(ops)}
-	owners := make(map[int]int) // ids this batch placed or located: id -> shard
+	// placed is where an id this batch inserted or located lives, and values
+	// it had there: only their partition key is read, which no applied update
+	// changes.
+	type placed struct {
+		shard  int
+		values []string
+	}
+	owners := make(map[int]placed)
 	var pending []violation.Op
 	pendingShard := -1
 	flush := func() error {
@@ -226,61 +206,49 @@ func (c *Cluster) Batch(ctx context.Context, ops []violation.Op) (WriteDoc, erro
 		pending = append(pending, op)
 		return nil
 	}
-	locate := func(id int) (int, error) {
-		if shard, ok := owners[id]; ok {
-			return shard, nil
+	locate := func(id int) (placed, error) {
+		if p, ok := owners[id]; ok {
+			return p, nil
 		}
 		// The id predates this batch; ops touching it so far are flushed
 		// before the scatter read so the read observes them.
 		if err := flush(); err != nil {
-			return 0, err
+			return placed{}, err
 		}
-		shard, _, err := c.owner(ctx, id)
+		shard, doc, err := c.owner(ctx, id)
 		if err != nil {
-			return 0, err
+			return placed{}, err
 		}
-		owners[id] = shard
-		return shard, nil
+		owners[id] = placed{shard, doc.Values}
+		return owners[id], nil
 	}
-	for _, op := range ops {
+	for i, op := range ops {
 		switch op.Kind {
 		case violation.OpInsert:
 			id := int(c.nextID.Add(1)) - 1
-			shard := c.route(op.Values)
+			shard := part.Route(op.Values, len(c.shards))
 			at := id
 			if err := enqueue(shard, violation.Op{Kind: violation.OpInsert, Values: op.Values, At: &at}); err != nil {
 				return res, err
 			}
-			owners[id] = shard
+			owners[id] = placed{shard, op.Values}
 			res.IDs = append(res.IDs, id)
-		case violation.OpDelete:
-			shard, err := locate(op.ID)
+		case violation.OpDelete, violation.OpUpdate:
+			p, err := locate(op.ID)
 			if err != nil {
 				return res, err
 			}
-			if err := enqueue(shard, op); err != nil {
-				return res, err
-			}
-		case violation.OpUpdate:
-			from, err := locate(op.ID)
-			if err != nil {
-				return res, err
-			}
-			to := c.route(op.Values)
-			if to == from {
-				if err := enqueue(from, op); err != nil {
+			if op.Kind == violation.OpUpdate && !part.sameKey(p.values, op.Values) {
+				if err := flush(); err != nil {
 					return res, err
 				}
-				continue
+				return res, coordErr(http.StatusConflict, "key_change",
+					"batch op %d: the update changes tuple %d's partition key [%s]; delete the tuple and insert it again",
+					i, op.ID, strings.Join(part.Key(), ", "))
 			}
-			// A cross-shard move cannot coalesce: flush, then move.
-			if err := flush(); err != nil {
+			if err := enqueue(p.shard, op); err != nil {
 				return res, err
 			}
-			if err := c.move(ctx, op.ID, from, to, op.Values); err != nil {
-				return res, err
-			}
-			owners[op.ID] = to
 		}
 	}
 	return res, flush()

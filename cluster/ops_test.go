@@ -2,26 +2,27 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/violation"
 )
 
 // stubShard is a shard node that owns one tuple id (none when owns < 0): it
 // answers the point read of that id, 404s every other one, and acknowledges
-// every batch. It counts what reaches it.
+// every batch. It counts the batches that reach it.
 type stubShard struct {
-	owns              int
-	requests, batches atomic.Int64
+	owns    int
+	batches atomic.Int64
 }
 
 func (s *stubShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/batch":
@@ -35,11 +36,12 @@ func (s *stubShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// TestBatchDeleteHoldsTheStripe: a delete of an existing id takes the id's
-// stripe before its first shard call — the scatter that locates the owner
-// included — so while another writer holds the stripe nothing of it reaches
-// any shard; once the stripe is released the delete completes on the owner.
-func TestBatchDeleteHoldsTheStripe(t *testing.T) {
+// TestBatchRefusesKeyChange: an update that changes its id's partition key is
+// a coordinator 409 key_change naming the op and the key, whether alone (as
+// a PUT sends it) or inside a batch. No shard receives a batch for it: the ops before it
+// are flushed and applied, it and the ops after it are not sent. An update
+// that keeps the key goes to the owner.
+func TestBatchRefusesKeyChange(t *testing.T) {
 	const id = 7
 	shards := []*stubShard{{owns: -1}, {owns: id}}
 	var urls []string
@@ -52,27 +54,38 @@ func TestBatchDeleteHoldsTheStripe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := c.lockIDs(id)
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Batch(context.Background(), []violation.Op{{Kind: violation.OpDelete, ID: id}})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("the delete returned (%v) while its stripe was held", err)
-	case <-time.After(100 * time.Millisecond):
+	if c.part, err = NewPartitioner([]string{"A"}, []string{"A"}); err != nil {
+		t.Fatal(err)
 	}
-	for i, s := range shards {
-		if n := s.requests.Load(); n != 0 {
-			t.Fatalf("shard %d received %d requests while the stripe was held", i, n)
+	batches := func() int64 { return shards[0].batches.Load() + shards[1].batches.Load() }
+	refused := func(what string, ops []violation.Op, op int, wantBatches int64) {
+		t.Helper()
+		_, err := c.Batch(context.Background(), ops)
+		var api *APIError
+		if !errors.As(err, &api) || api.Status != http.StatusConflict || api.Code != "key_change" ||
+			!strings.Contains(err.Error(), fmt.Sprintf("batch op %d:", op)) || !strings.Contains(err.Error(), "[A]") {
+			t.Fatalf("%s: err = %v, want a 409 key_change naming op %d and the key [A]", what, err, op)
+		}
+		if n := batches(); n != wantBatches {
+			t.Fatalf("%s: the shards received %d batches, want %d", what, n, wantBatches)
 		}
 	}
-	release()
-	if err := <-done; err != nil {
-		t.Fatalf("delete after the stripe was released: %v", err)
+
+	refused("alone", []violation.Op{{Kind: violation.OpUpdate, ID: id, Values: []string{"y"}}}, 0, 0)
+	refused("inside a batch", []violation.Op{
+		{Kind: violation.OpInsert, Values: []string{"x"}},
+		{Kind: violation.OpUpdate, ID: id, Values: []string{"y"}},
+		{Kind: violation.OpInsert, Values: []string{"z"}},
+	}, 1, 1)
+	if c.NextID() != 1 {
+		t.Fatalf("next id = %d: the insert after the refused op consumed an id", c.NextID())
 	}
-	if a, b := shards[0].batches.Load(), shards[1].batches.Load(); a != 0 || b != 1 {
-		t.Fatalf("batches sent: %d to the other shard, %d to the owner; want 0 and 1", a, b)
+
+	other, owner := shards[0].batches.Load(), shards[1].batches.Load()
+	if _, err := c.Update(context.Background(), id, []string{"x"}); err != nil {
+		t.Fatalf("a key-preserving update: %v", err)
+	}
+	if a, b := shards[0].batches.Load()-other, shards[1].batches.Load()-owner; a != 0 || b != 1 {
+		t.Fatalf("a key-preserving update sent %d batches to the other shard and %d to the owner, want 0 and 1", a, b)
 	}
 }

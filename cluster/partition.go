@@ -96,6 +96,20 @@ func (p *Partitioner) Key() []string { return p.key }
 // Schema returns the schema the partitioner was built over.
 func (p *Partitioner) Schema() []string { return p.schema }
 
+// sameKey reports whether two tuples (values in schema order) agree on every
+// partition key attribute, and so are placed on one shard whatever the fleet.
+func (p *Partitioner) sameKey(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for _, i := range p.keyPos {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Route returns the shard (in [0, shards)) owning a tuple with the given
 // values (in schema order). The hash is FNV-1a over the length-prefixed key
 // values, so it is stable across processes and releases, and placement —

@@ -146,7 +146,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // Error codes of the uniform error envelope {"error":{"code":..,"message":..}}.
 // Every non-2xx JSON response uses it; the code is a stable machine-readable
-// discriminator, the message is for humans and not part of the contract.
+// discriminator, the message is for humans and not part of the contract. The
+// coordinator adds one of its own: 409 key_change, an update that would change
+// a tuple's partition key (cluster.Cluster.Batch).
 const (
 	codeBadRequest      = "bad_request"       // 400: malformed request (bad JSON, bad query param)
 	codeNotFound        = "not_found"         // 404: the tuple id does not exist
@@ -155,6 +157,7 @@ const (
 	codePayloadTooLarge = "payload_too_large" // 413: request body over the limit
 	codeUnprocessable   = "unprocessable"     // 422: well-formed but semantically invalid (arity, unknown op, bad rule)
 	codeInternal        = "internal"          // 500: WAL append or other engine failure
+	codeInDoubt         = "in_doubt"          // 503: a failed commit a restart may replay
 	codeUnavailable     = "unavailable"       // 503: a shard behind the coordinator cannot answer
 )
 
@@ -172,7 +175,8 @@ func badRequest(w http.ResponseWriter, r *http.Request, err error) {
 
 // fail maps a backend error onto the envelope. The engine's sentinels and
 // the cluster's errors carry their own meaning: an unknown id is 404, a lost
-// rules CAS 409, an aged-out ?since= 410, a write-ahead log failure 500; an
+// rules CAS 409, an aged-out ?since= 410, a write-ahead log failure 500 — 503
+// in_doubt for the one failed commit whose record a restart may replay; an
 // unavailable shard is 503 (the partial-failure contract — the coordinator
 // fails closed rather than answer partially) and a shard's or the
 // coordinator's own API error passes through with its status and code. For
@@ -188,6 +192,8 @@ func fail(w http.ResponseWriter, r *http.Request, err error, otherwise int) {
 		writeError(w, r, http.StatusConflict, codeConflict, err)
 	case errors.Is(err, violation.ErrCompacted):
 		writeError(w, r, http.StatusGone, codeCompacted, err)
+	case errors.Is(err, violation.ErrInDoubt):
+		writeError(w, r, http.StatusServiceUnavailable, codeInDoubt, err)
 	case errors.Is(err, violation.ErrWAL):
 		writeError(w, r, http.StatusInternalServerError, codeInternal, err)
 	case errors.Is(err, cluster.ErrUnavailable):

@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/rules"
+	"repro/violation"
 )
 
 // servingMode is one of the two serving modes the shared /v1 handlers run
@@ -58,6 +62,33 @@ func modes(t *testing.T) map[string]string {
 		out[m.name] = m.url
 	}
 	return out
+}
+
+// doubtLog is a commit log that fails every commit in doubt, the way a store
+// does whose record reached the log whole and could not be cut off again.
+type doubtLog struct{}
+
+func (doubtLog) Append([]violation.Op) error {
+	return fmt.Errorf("%w: injected", violation.ErrInDoubt)
+}
+
+func (doubtLog) AppendRules(*rules.Set) error {
+	return fmt.Errorf("%w: injected", violation.ErrInDoubt)
+}
+
+// inDoubtModes are the serving modes over a node whose every commit fails in
+// doubt: that node itself, and a coordinator with it as its one shard.
+func inDoubtModes(t *testing.T) map[string]string {
+	t.Helper()
+	eng, err := loadEngine(context.Background(), config{rulesPath: rulesFile(t, clusterRules), schema: clusterSchema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.AttachWAL(doubtLog{})
+	node := httptest.NewServer(newServer(eng, nil, config{log: testLog(io.Discard, "")}).handler())
+	t.Cleanup(node.Close)
+	_, coord := newCoord(t, []string{node.URL})
+	return map[string]string{"node": node.URL, "coordinator": coord.URL}
 }
 
 // sortedRoutes renders a route table as sorted "METHOD /v1/path" lines.
@@ -140,9 +171,10 @@ func TestRouteParity(t *testing.T) {
 
 // TestErrorEnvelope drives every error path through the API, in both serving
 // modes, and asserts the uniform {"error":{"code","message"}} envelope with
-// the pinned status and code.
+// the pinned status and code. A commit in doubt is driven through a node whose
+// commit log fails every commit so, and a coordinator over it.
 func TestErrorEnvelope(t *testing.T) {
-	bases := modes(t)
+	bases, doubtful := modes(t), inDoubtModes(t)
 	oversize := strings.Repeat("#", maxBody+1)
 	nested := nestedRuleset()
 	cases := []struct {
@@ -153,39 +185,48 @@ func TestErrorEnvelope(t *testing.T) {
 		header     [2]string
 		wantStatus int
 		wantCode   string
-		deltaRead  bool // the coordinator serves no deltas: 400 bad_request whatever the epoch
+		// coordCode is the coordinator's code where it differs: it serves no
+		// deltas (400 bad_request whatever the epoch), and any shard's 5xx is
+		// its 503 unavailable.
+		coordCode string
 	}{
-		{"tuple-unknown-id", "GET", "/v1/tuples/4242", "", [2]string{}, 404, "not_found", false},
-		{"tuple-violations-unknown-id", "GET", "/v1/tuples/4242/violations", "", [2]string{}, 404, "not_found", false},
-		{"tuple-bad-id", "GET", "/v1/tuples/abc", "", [2]string{}, 400, "bad_request", false},
-		{"delete-unknown-id", "DELETE", "/v1/tuples/4242", "", [2]string{}, 404, "not_found", false},
-		{"insert-undecodable", "POST", "/v1/tuples", "{not json", [2]string{}, 400, "bad_request", false},
-		{"insert-empty", "POST", "/v1/tuples", `{}`, [2]string{}, 400, "bad_request", false},
-		{"insert-bad-arity", "POST", "/v1/tuples", `{"values":["too","short"]}`, [2]string{}, 422, "unprocessable", false},
-		{"update-bad-arity", "PUT", "/v1/tuples/0", `{"values":["too","short"]}`, [2]string{}, 422, "unprocessable", false},
-		{"batch-unknown-op", "POST", "/v1/batch", `{"ops":[{"op":"frobnicate"}]}`, [2]string{}, 422, "unprocessable", false},
-		{"batch-empty", "POST", "/v1/batch", `{"ops":[]}`, [2]string{}, 400, "bad_request", false},
-		{"rules-unparsable", "PUT", "/v1/rules", "this is not a rule file", [2]string{}, 400, "bad_request", false},
-		{"rules-oversize", "PUT", "/v1/rules", oversize, [2]string{}, 413, "payload_too_large", false},
-		{"rules-nested-envelope", "PUT", "/v1/rules", nested, [2]string{}, 400, "bad_request", false},
-		{"insert-oversize", "POST", "/v1/tuples", oversize, [2]string{}, 413, "payload_too_large", false},
-		{"update-oversize", "PUT", "/v1/tuples/0", oversize, [2]string{}, 413, "payload_too_large", false},
-		{"batch-oversize", "POST", "/v1/batch", oversize, [2]string{}, 413, "payload_too_large", false},
-		{"batch-undecodable", "POST", "/v1/batch", `{"ops":[{"op":"delete"}]}`, [2]string{}, 400, "bad_request", false},
-		{"rules-unknown-attr", "PUT", "/v1/rules", "([BOGUS] -> CT, (_ || _))\n", [2]string{}, 422, "unprocessable", false},
-		{"rules-cas-miss", "PUT", "/v1/rules", "([CC,AC] -> CT, (_, _ || _))\n", [2]string{"If-Match", `"not-the-version"`}, 409, "conflict", false},
-		{"since-bad", "GET", "/v1/violations?since=abc", "", [2]string{}, 400, "bad_request", false},
-		{"since-ahead", "GET", "/v1/violations?since=999999", "", [2]string{}, 410, "compacted", true},
-		{"limit-bad", "GET", "/v1/violations?limit=0", "", [2]string{}, 400, "bad_request", false},
-		{"cursor-bad", "GET", "/v1/tuples?cursor=-1", "", [2]string{}, 400, "bad_request", false},
-		{"suspects-cursor-bad", "GET", "/v1/suspects?cursor=x", "", [2]string{}, 400, "bad_request", false},
+		{"tuple-unknown-id", "GET", "/v1/tuples/4242", "", [2]string{}, 404, "not_found", ""},
+		{"tuple-violations-unknown-id", "GET", "/v1/tuples/4242/violations", "", [2]string{}, 404, "not_found", ""},
+		{"tuple-bad-id", "GET", "/v1/tuples/abc", "", [2]string{}, 400, "bad_request", ""},
+		{"delete-unknown-id", "DELETE", "/v1/tuples/4242", "", [2]string{}, 404, "not_found", ""},
+		{"insert-undecodable", "POST", "/v1/tuples", "{not json", [2]string{}, 400, "bad_request", ""},
+		{"insert-empty", "POST", "/v1/tuples", `{}`, [2]string{}, 400, "bad_request", ""},
+		{"insert-bad-arity", "POST", "/v1/tuples", `{"values":["too","short"]}`, [2]string{}, 422, "unprocessable", ""},
+		{"update-bad-arity", "PUT", "/v1/tuples/0", `{"values":["too","short"]}`, [2]string{}, 422, "unprocessable", ""},
+		{"batch-unknown-op", "POST", "/v1/batch", `{"ops":[{"op":"frobnicate"}]}`, [2]string{}, 422, "unprocessable", ""},
+		{"batch-empty", "POST", "/v1/batch", `{"ops":[]}`, [2]string{}, 400, "bad_request", ""},
+		{"rules-unparsable", "PUT", "/v1/rules", "this is not a rule file", [2]string{}, 400, "bad_request", ""},
+		{"rules-oversize", "PUT", "/v1/rules", oversize, [2]string{}, 413, "payload_too_large", ""},
+		{"rules-nested-envelope", "PUT", "/v1/rules", nested, [2]string{}, 400, "bad_request", ""},
+		{"insert-oversize", "POST", "/v1/tuples", oversize, [2]string{}, 413, "payload_too_large", ""},
+		{"update-oversize", "PUT", "/v1/tuples/0", oversize, [2]string{}, 413, "payload_too_large", ""},
+		{"batch-oversize", "POST", "/v1/batch", oversize, [2]string{}, 413, "payload_too_large", ""},
+		{"batch-undecodable", "POST", "/v1/batch", `{"ops":[{"op":"delete"}]}`, [2]string{}, 400, "bad_request", ""},
+		{"rules-unknown-attr", "PUT", "/v1/rules", "([BOGUS] -> CT, (_ || _))\n", [2]string{}, 422, "unprocessable", ""},
+		{"rules-cas-miss", "PUT", "/v1/rules", "([CC,AC] -> CT, (_, _ || _))\n", [2]string{"If-Match", `"not-the-version"`}, 409, "conflict", ""},
+		{"since-bad", "GET", "/v1/violations?since=abc", "", [2]string{}, 400, "bad_request", ""},
+		{"since-ahead", "GET", "/v1/violations?since=999999", "", [2]string{}, 410, "compacted", "bad_request"},
+		{"limit-bad", "GET", "/v1/violations?limit=0", "", [2]string{}, 400, "bad_request", ""},
+		{"cursor-bad", "GET", "/v1/tuples?cursor=-1", "", [2]string{}, 400, "bad_request", ""},
+		{"suspects-cursor-bad", "GET", "/v1/suspects?cursor=x", "", [2]string{}, 400, "bad_request", ""},
+		{"insert-in-doubt", "POST", "/v1/tuples", `{"values":["44","131","1","Ben","High St.","EDI","EH4 1DT"]}`, [2]string{}, 503, "in_doubt", "unavailable"},
 	}
+	coordStatus := map[string]int{"bad_request": 400, "unavailable": 503}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			bases := bases
+			if tc.wantCode == codeInDoubt {
+				bases = doubtful
+			}
 			for mode, base := range bases {
 				wantStatus, wantCode := tc.wantStatus, tc.wantCode
-				if tc.deltaRead && mode == "coordinator" {
-					wantStatus, wantCode = 400, "bad_request"
+				if tc.coordCode != "" && mode == "coordinator" {
+					wantStatus, wantCode = coordStatus[tc.coordCode], tc.coordCode
 				}
 				req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
 				if err != nil {

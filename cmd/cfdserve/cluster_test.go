@@ -94,7 +94,11 @@ func canonicalReport(t *testing.T, doc map[string]any) string {
 // 3-shard coordinator and a single node and requires byte-identical merged
 // reports at every checkpoint: same assigned ids, same violations (per-rule
 // tuple sets in rule order), same dirty set, same suspects, same tuple
-// listing. This is the partitioning correctness argument, executed.
+// listing. This is the partitioning correctness argument, executed. An update
+// that changes a tuple's partition key (CC) goes to the coordinator alone,
+// which refuses it with 409 key_change — inside a batch after applying the
+// ops before it, which the single node is then sent — so the reports still
+// agree.
 func TestClusterOracle(t *testing.T) {
 	urls := make([]string, 3)
 	for i := range urls {
@@ -121,6 +125,7 @@ func TestClusterOracle(t *testing.T) {
 	}
 
 	var live []int
+	key := make(map[int]string) // each live id's CC
 	pick := func() (int, bool) {
 		if len(live) == 0 {
 			return 0, false
@@ -135,10 +140,30 @@ func TestClusterOracle(t *testing.T) {
 			}
 		}
 	}
+	inserted := func(ids []int, rows ...[]string) {
+		for i, id := range ids {
+			live, key[id] = append(live, id), rows[i][0]
+		}
+	}
+	// update draws new values for id, keeping its CC half the time.
+	update := func(id int) ([]string, bool) {
+		values := row()
+		if rng.Intn(2) == 0 {
+			values[0] = key[id]
+		}
+		return values, values[0] != key[id]
+	}
 	both := func(method, path string, body any) (map[string]any, map[string]any) {
 		c := do(t, method, coord.URL+path, body, http.StatusOK)
 		s := do(t, method, single.URL+path, body, http.StatusOK)
 		return c, s
+	}
+	keyChange := func(method, path string, body any) {
+		t.Helper()
+		env, _ := do(t, method, coord.URL+path, body, http.StatusConflict)["error"].(map[string]any)
+		if env["code"] != "key_change" {
+			t.Fatalf("%s %s: error %v, want code key_change", method, path, env)
+		}
 	}
 
 	check := func(step int) {
@@ -170,7 +195,7 @@ func TestClusterOracle(t *testing.T) {
 			if fmt.Sprint(cids) != fmt.Sprint(sids) {
 				t.Fatalf("step %d: insert ids diverge: %v vs %v", i, cids, sids)
 			}
-			live = append(live, cids...)
+			inserted(cids, rows...)
 		case r < 7: // delete one live tuple
 			id, ok := pick()
 			if !ok {
@@ -178,24 +203,41 @@ func TestClusterOracle(t *testing.T) {
 			}
 			both("DELETE", fmt.Sprintf("/v1/tuples/%d", id), nil)
 			drop(id)
-		case r < 9: // update one live tuple (often a cross-shard move: CC changes)
+		case r < 9: // update one live tuple
 			id, ok := pick()
 			if !ok {
 				continue
 			}
-			both("PUT", fmt.Sprintf("/v1/tuples/%d", id), map[string]any{"values": row()})
-		default: // mixed atomic-ish batch
-			ops := []map[string]any{{"op": "insert", "values": row()}}
-			if id, ok := pick(); ok {
-				ops = append(ops, map[string]any{"op": "update", "id": id, "values": row()})
+			values, changed := update(id)
+			path, body := fmt.Sprintf("/v1/tuples/%d", id), map[string]any{"values": values}
+			if changed {
+				keyChange("PUT", path, body)
+				continue
 			}
-			ops = append(ops, map[string]any{"op": "insert", "values": row()})
+			both("PUT", path, body)
+		default: // mixed atomic-ish batch
+			first, last := row(), row()
+			ops := []map[string]any{{"op": "insert", "values": first}}
+			changed := false
+			if id, ok := pick(); ok {
+				var values []string
+				values, changed = update(id)
+				ops = append(ops, map[string]any{"op": "update", "id": id, "values": values})
+			}
+			ops = append(ops, map[string]any{"op": "insert", "values": last})
+			if changed {
+				// The coordinator applies the insert before the refused update;
+				// the single node is sent that prefix alone.
+				keyChange("POST", "/v1/batch", map[string]any{"ops": ops})
+				inserted(ints(t, do(t, "POST", single.URL+"/v1/batch", map[string]any{"ops": ops[:1]}, http.StatusOK)["ids"]), first)
+				continue
+			}
 			c, s := both("POST", "/v1/batch", map[string]any{"ops": ops})
 			cids, sids := ints(t, c["ids"]), ints(t, s["ids"])
 			if fmt.Sprint(cids) != fmt.Sprint(sids) {
 				t.Fatalf("step %d: batch ids diverge: %v vs %v", i, cids, sids)
 			}
-			live = append(live, cids...)
+			inserted(cids, first, last)
 			// A batch that inserts nothing answers "ids": [] in both modes.
 			if id, ok := pick(); ok {
 				c, s := both("POST", "/v1/batch", map[string]any{"ops": []map[string]any{{"op": "delete", "id": id}}})

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"os/exec"
 	"regexp"
 	"strings"
 	"syscall"
@@ -255,6 +256,75 @@ func TestRunNode(t *testing.T) {
 	p2.stop()
 	if err := p2.wait(t); err != nil {
 		t.Fatalf("restarted run = %v", err)
+	}
+}
+
+// killedRunState names the environment variable under which the test binary,
+// re-executed by TestRunSIGKILLWithoutFsync, is the node process itself: it
+// calls run on the variable's state directory, without -fsync, and never
+// returns to the test.
+const killedRunState = "CFDSERVE_KILLED_RUN_STATE"
+
+// TestRunSIGKILLWithoutFsync holds the README's -fsync row to its word: a
+// durable node without -fsync — a separate process, re-executed from this
+// test binary — acknowledges writes over HTTP and is SIGKILLed, so nothing of
+// its shutdown runs. Restarted in process from the state directory alone,
+// it serves byte-identical /v1/tuples and /v1/violations: an acknowledged
+// write has reached the kernel, and outlives the process that wrote it.
+func TestRunSIGKILLWithoutFsync(t *testing.T) {
+	if dir := os.Getenv(killedRunState); dir != "" {
+		err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-log-format", "json",
+			"-rules", "testdata/rules.txt", "-data", "testdata/cust.csv", "-state", dir}, os.Stderr)
+		os.Exit(exitCode(err, os.Stderr))
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRunSIGKILLWithoutFsync$")
+	cmd.Env = append(os.Environ(), killedRunState+"="+dir)
+	var log syncBuffer
+	cmd.Stdout, cmd.Stderr = &log, &log
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	killed := false
+	t.Cleanup(func() {
+		if !killed {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
+	var addr string
+	if !waitFor(func() bool { addr = loggedAddr(&log, "listening"); return addr != "" }) {
+		t.Fatalf("the node never listened:\n%s", log.String())
+	}
+
+	row := func(name string) []string { return []string{"01", "908", "1111111", name, "Tree Ave.", "NYC", "07974"} }
+	do(t, "POST", addr+"/v1/batch", map[string]any{"ops": []map[string]any{
+		{"op": "insert", "values": row("Ann")},
+		{"op": "update", "id": 0, "values": row("Mike")},
+		{"op": "delete", "id": 1},
+	}}, http.StatusOK)
+	do(t, "PUT", addr+"/v1/tuples/2", map[string]any{"values": row("Rick")}, http.StatusOK)
+	do(t, "DELETE", addr+"/v1/tuples/3", nil, http.StatusOK)
+	do(t, "POST", addr+"/v1/tuples", map[string]any{"values": row("Eve")}, http.StatusOK)
+	tuples, report := getRaw(t, addr+"/v1/tuples"), getRaw(t, addr+"/v1/violations")
+	if !bytes.Contains(tuples, []byte(`"Eve"`)) || !bytes.Contains(tuples, []byte(`"total": 8`)) {
+		t.Fatalf("the writes did not land:\n%s", tuples)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	killed = true
+	if err := cmd.Wait(); err == nil || !strings.Contains(err.Error(), "killed") {
+		t.Fatalf("the node exited with %v, want killed", err)
+	}
+
+	p := startRun(t, "-state", dir)
+	if got := getRaw(t, p.addr+"/v1/tuples"); !bytes.Equal(got, tuples) {
+		t.Fatalf("restarted /v1/tuples differs:\n%s\nvs\n%s", got, tuples)
+	}
+	if got := getRaw(t, p.addr+"/v1/violations"); !bytes.Equal(got, report) {
+		t.Fatalf("restarted /v1/violations differs:\n%s\nvs\n%s", got, report)
 	}
 }
 

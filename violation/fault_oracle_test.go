@@ -1,6 +1,7 @@
 package violation_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -23,8 +24,8 @@ import (
 // must not resurrect), never one less. The one commit in doubt is the failed
 // one whose record reached the log whole and could not be cut off again (the
 // process crashed after writing it, or the disk refused the truncate): its
-// client saw an error, recovery replays it, and the model expects exactly
-// that. The run then restarts on the reloaded state and goes on under the rest
+// client saw an error wrapping ErrInDoubt, recovery replays it, and the model
+// expects exactly that. The run then restarts on the reloaded state and goes on under the rest
 // of the schedule. A failure names its seed; replay it with
 //
 //	CFD_ORACLE_SEED=<seed> go test ./violation -run 'TestFaultScheduleOracle/seed=<seed>'
@@ -119,6 +120,9 @@ func runFaultSchedule(t *testing.T, seed int64, plan []byte, steps int, rel *cfd
 		}
 		// The failed commit was not applied.
 		r.check(r.eng, ctx+": the serving engine")
+		if r.log.landed && !errors.Is(err, violation.ErrInDoubt) {
+			t.Fatalf("%s: %v — the restart replays this commit, and its error does not say it is in doubt", ctx, err)
+		}
 		if r.log.landed {
 			inDoubt := r.m.clone()
 			if r.log.set != nil {

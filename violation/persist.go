@@ -520,10 +520,15 @@ func (st *Store) Failed() error {
 // failLocked latches err as the store's failure and returns the latched
 // error. The record being appended was not acknowledged, so it is cut off
 // again where that still works — recovery would drop a torn one anyway, but
-// would replay one that is whole. Callers must hold st.mu.
-func (st *Store) failLocked(err error) error {
-	_ = st.fs.truncate(st.wal, st.walOff)
+// would replay one that is whole. So when whole (the write landed all of the
+// record) and the cut fails, that one refusal also wraps ErrInDoubt. Callers
+// must hold st.mu.
+func (st *Store) failLocked(err error, whole bool) error {
+	cut := st.fs.truncate(st.wal, st.walOff)
 	st.failed = fmt.Errorf("violation: store failed, no further commits until restart: %w", err)
+	if whole && cut != nil {
+		return fmt.Errorf("%w: %w", ErrInDoubt, st.failed)
+	}
 	return st.failed
 }
 
@@ -549,8 +554,8 @@ func (st *Store) commit(rec walRecord) (err error) {
 	if cap(line) <= 1<<20 { // one huge batch must not pin its size for good
 		st.line = line
 	}
-	if _, err := st.fs.write(st.wal, line); err != nil {
-		return st.failLocked(err)
+	if n, err := st.fs.write(st.wal, line); err != nil {
+		return st.failLocked(err, n == len(line))
 	}
 	if st.sync {
 		var fsyncStart time.Time
@@ -558,7 +563,7 @@ func (st *Store) commit(rec walRecord) (err error) {
 			fsyncStart = time.Now()
 		}
 		if err := st.fs.sync(st.wal); err != nil {
-			return st.failLocked(err)
+			return st.failLocked(err, true)
 		}
 		if obs != nil {
 			obs.ObserveWALFsync(time.Since(fsyncStart).Seconds())
@@ -709,12 +714,12 @@ func (st *Store) compact(e *Engine) (int, error) {
 	if st.seq == file.WalSeq {
 		// Nothing landed since the capture: the whole log is folded in.
 		if err := st.fs.truncate(st.wal, 0); err != nil {
-			return len(data), st.failLocked(err)
+			return len(data), st.failLocked(err, false)
 		}
 		st.walOff = 0
 		st.pending = 0
 		if _, err := st.wal.Seek(0, io.SeekStart); err != nil {
-			return len(data), st.failLocked(err)
+			return len(data), st.failLocked(err, false)
 		}
 		return len(data), nil
 	}
@@ -756,17 +761,17 @@ func (st *Store) rewriteTailLocked(off int64, backlog int) error {
 	// to it, so it fails the store.
 	if st.sync {
 		if err := st.fs.syncDir(st.dir); err != nil {
-			return st.failLocked(err)
+			return st.failLocked(err, false)
 		}
 	}
 	wal, err := st.fs.open(filepath.Join(st.dir, walName), os.O_RDWR)
 	if err != nil {
-		return st.failLocked(err)
+		return st.failLocked(err, false)
 	}
 	end, err := wal.Seek(0, io.SeekEnd)
 	if err != nil {
 		wal.Close()
-		return st.failLocked(err)
+		return st.failLocked(err, false)
 	}
 	st.wal.Close()
 	st.wal = wal

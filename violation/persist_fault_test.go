@@ -198,6 +198,7 @@ type faultRig struct {
 	st         *Store
 	eng, acked *Engine
 	next       int
+	last       []Op // the batch commit sent last
 }
 
 func newFaultRig(t *testing.T) *faultRig {
@@ -230,20 +231,27 @@ func newFaultRig(t *testing.T) *faultRig {
 }
 
 // commit applies the next batch — an insert, and from the second on a delete —
-// through the store, and to acked once the store has acknowledged it.
+// through the store, and to acked once the store has acknowledged it. The
+// batch stays in last either way.
 func (rig *faultRig) commit() error {
 	ops := []Op{{Kind: OpInsert, Values: []string{fmt.Sprint(rig.next % 2), fmt.Sprint(rig.next)}}}
 	if rig.next > 0 {
 		ops = append(ops, Op{Kind: OpDelete, ID: rig.next - 1})
 	}
 	rig.next++
+	rig.last = ops
 	if _, err := rig.eng.ApplyBatch(ops); err != nil {
 		return err
 	}
+	rig.ack(ops)
+	return nil
+}
+
+// ack applies ops to acked, as a commit a restart restores.
+func (rig *faultRig) ack(ops []Op) {
 	if _, err := rig.acked.ApplyBatch(ops); err != nil {
 		rig.t.Fatal(err)
 	}
-	return nil
 }
 
 func (rig *faultRig) same(what string, got *Engine) {
@@ -297,36 +305,51 @@ func (rig *faultRig) walBytes() []byte {
 // its contract: the commit is refused and not applied, the record is cut off
 // the log again, every later commit, rule swap and compaction gets the latched
 // error (cfdserve turns that into a 503 /v1/health), and a restart restores
-// the acknowledged commits — never a record more, none less.
+// the acknowledged commits — never a record more, none less. The one refusal
+// whose record stays in the log whole — the fsync failed and so did the
+// truncate that would cut the record off — wraps ErrInDoubt, and the restart
+// replays it; no other refusal does.
 func TestCommitFaults(t *testing.T) {
 	injected := errors.New("injected fault")
 	for _, tc := range []struct {
-		name  string
-		call  string
-		short int
-		err   error
+		name    string
+		call    string
+		short   int
+		err     error
+		inDoubt bool // every truncate fails too
 	}{
-		{"fsync fails after the write", "sync", 0, injected},
-		{"short write", "write", 11, io.ErrShortWrite},
-		{"nothing written", "write", 0, injected},
-		{"ENOSPC mid-append", "write", 30, &os.PathError{Op: "write", Path: walName, Err: syscall.ENOSPC}},
+		{"fsync fails after the write", "sync", 0, injected, false},
+		{"short write", "write", 11, io.ErrShortWrite, false},
+		{"nothing written", "write", 0, injected, false},
+		{"ENOSPC mid-append", "write", 30, &os.PathError{Op: "write", Path: walName, Err: syscall.ENOSPC}, false},
+		{"fsync fails, and so does the truncate", "sync", 0, injected, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rig := newFaultRig(t)
 			before := rig.walBytes()
 			rig.disk.arm(tc.call, 1, tc.short, tc.err)
-			first := rig.commit()
-			if !errors.Is(first, ErrWAL) || !errors.Is(first, tc.err) {
-				t.Fatalf("commit: err = %v, want ErrWAL wrapping %v", first, tc.err)
+			if tc.inDoubt {
+				rig.st.fs = tornDisk{rig.disk}
+			}
+			first, doubt := rig.commit(), rig.last
+			if !errors.Is(first, ErrWAL) || !errors.Is(first, tc.err) || errors.Is(first, ErrInDoubt) != tc.inDoubt {
+				t.Fatalf("commit: err = %v, want ErrWAL wrapping %v, in doubt: %v", first, tc.err, tc.inDoubt)
 			}
 			latched := rig.st.Failed()
-			if latched == nil || !errors.Is(first, latched) {
+			if latched == nil || !errors.Is(first, latched) || errors.Is(latched, ErrInDoubt) {
 				t.Fatalf("Failed() = %v after %v", latched, first)
 			}
-			if after := rig.walBytes(); !bytes.Equal(after, before) {
+			after := rig.walBytes()
+			if tc.inDoubt {
+				// The whole record stays: the restart replays what was refused.
+				if !bytes.HasPrefix(after, before) || !bytes.HasSuffix(after, []byte("}\n")) || len(after) == len(before) {
+					t.Fatalf("the record in doubt is not whole in the log:\n%s", after[len(before):])
+				}
+				before = after
+			} else if !bytes.Equal(after, before) {
 				t.Fatalf("the refused record is still in the log:\n%s", after[len(before):])
 			}
-			if err := rig.commit(); !errors.Is(err, latched) {
+			if err := rig.commit(); !errors.Is(err, latched) || errors.Is(err, ErrInDoubt) {
 				t.Fatalf("second commit: err = %v, want the latched %v", err, latched)
 			}
 			if _, err := rig.eng.SwapRules(context.Background(), rules.Of()); !errors.Is(err, latched) {
@@ -339,21 +362,25 @@ func TestCommitFaults(t *testing.T) {
 				t.Fatal("a failed store wrote to its log")
 			}
 			rig.same("the failed store's engine", rig.eng)
+			if tc.inDoubt {
+				rig.ack(doubt)
+			}
 			rig.reload()
 		})
 	}
 }
 
 // TestCommitFaultTornTail: when the record cannot even be cut off again — the
-// truncate fails too — a torn one stays in the log, and recovery drops it.
+// truncate fails too — a torn one stays in the log, and recovery drops it: the
+// refusal is not in doubt.
 func TestCommitFaultTornTail(t *testing.T) {
 	rig := newFaultRig(t)
 	before := rig.walBytes()
 	// Two faults in a row: the write, then the truncate that would undo it.
 	rig.disk.arm("write", 1, 25, syscall.ENOSPC)
 	rig.st.fs = tornDisk{rig.disk}
-	if err := rig.commit(); !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("commit: err = %v, want ENOSPC", err)
+	if err := rig.commit(); !errors.Is(err, syscall.ENOSPC) || errors.Is(err, ErrInDoubt) {
+		t.Fatalf("commit: err = %v, want ENOSPC and not in doubt", err)
 	}
 	if after := rig.walBytes(); len(after) != len(before)+25 {
 		t.Fatalf("log grew by %d bytes, want the 25 of the torn record", len(after)-len(before))

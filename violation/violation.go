@@ -93,6 +93,13 @@ var ErrNotFound = errors.New("tuple not found")
 // applied. Servers should report it as an internal fault, not a bad request.
 var ErrWAL = errors.New("write-ahead log append failed")
 
+// ErrInDoubt is wrapped, beside ErrWAL, by the one refused mutation whose
+// record reached the log whole and could not be cut off again: the engine did
+// not apply it, but the next OpenStore + Load may replay it. Servers should
+// report it as unavailable, telling the client to read the state back after
+// the restart rather than assume the write was lost.
+var ErrInDoubt = errors.New("commit in doubt: a restart may replay it")
+
 // Violation records the tuples currently violating one rule.
 type Violation struct {
 	Rule   cfd.CFD
