@@ -219,7 +219,7 @@ type ShardStatus struct {
 // ClusterHealth is the coordinator's GET /v1/health: the aggregated fleet
 // health. It never fails: a shard that cannot answer degrades Status instead.
 type ClusterHealth struct {
-	Dirty        int           `json:"dirty"` // sum of per-shard upper bounds
+	Dirty        int           `json:"dirty"` // sum over answering shards; exact, since each id lives on one shard
 	Mode         string        `json:"mode"`  // "coordinator"
 	NextID       int           `json:"next_id"`
 	PartitionKey []string      `json:"partition_key"`

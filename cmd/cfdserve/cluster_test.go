@@ -652,3 +652,40 @@ func errCode(t *testing.T, data []byte) string {
 	code, _ := env["code"].(string)
 	return code
 }
+
+// TestClusterDuplicateRules uploads a rule file that holds one rule three
+// ways — once, repeated verbatim and with its LHS reordered — to a coordinator
+// and to a single node. A rule set holds each rule once, so both modes list it
+// once in GET /v1/rules, count distinct rules in rules_checked and serve the
+// same /v1/violations report (the fields both modes share, as in
+// TestClusterOracle).
+func TestClusterDuplicateRules(t *testing.T) {
+	urls := []string{newShardNode(t, clusterRules).URL, newShardNode(t, clusterRules).URL}
+	_, coord := newCoord(t, urls)
+	single := newShardNode(t, clusterRules)
+
+	const dupRules = "([CC,AC] -> CT, (_, _ || _))\n([CC,ZIP] -> STR, (_, _ || _))\n" +
+		"([CC,AC] -> CT, (_, _ || _))\n([AC,CC] -> CT, (_, _ || _))\n"
+	rows := [][]string{
+		{"01", "908", "1111111", "N1", "Tree Ave.", "MH", "07974"},
+		{"01", "908", "2222222", "N2", "Tree Ave.", "NYC", "07974"},
+		{"44", "131", "3333333", "N3", "High St.", "EDI", "EH4 1DT"},
+	}
+	var reports []string
+	for _, base := range []string{coord.URL, single.URL} {
+		clusterReq(t, "PUT", base+"/v1/rules", dupRules, "", http.StatusOK)
+		do(t, "POST", base+"/v1/tuples", map[string]any{"rows": rows}, http.StatusOK)
+		ruleset, _ := do(t, "GET", base+"/v1/rules", nil, http.StatusOK)["ruleset"].(map[string]any)
+		if listed, _ := ruleset["rules"].([]any); len(listed) != 2 {
+			t.Fatalf("%s: GET /v1/rules lists %v, want each rule once", base, listed)
+		}
+		doc := do(t, "GET", base+"/v1/violations", nil, http.StatusOK)
+		if vs, _ := doc["violations"].([]any); doc["rules_checked"] != 2.0 || len(vs) != 1 {
+			t.Fatalf("%s: rules_checked %v, violations %v; want 2 distinct rules, one violated", base, doc["rules_checked"], vs)
+		}
+		reports = append(reports, canonicalReport(t, doc))
+	}
+	if reports[0] != reports[1] {
+		t.Fatalf("reports diverge\ncoordinator: %s\nsingle node: %s", reports[0], reports[1])
+	}
+}

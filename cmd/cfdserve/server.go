@@ -225,11 +225,9 @@ func newDeltaDoc(d *violation.Delta) cluster.DeltaDoc {
 func (s *server) Health(context.Context) any {
 	ds := s.eng.DeltaStats()
 	doc := cluster.HealthDoc{
-		Status: "ok",
-		Tuples: s.eng.Size(),
-		Rules:  len(s.eng.Rules()),
-		// The O(rules) per-rule sum, an upper bound across overlapping rules;
-		// GET /v1/violations has the exact set.
+		Status:       "ok",
+		Tuples:       s.eng.Size(),
+		Rules:        len(s.eng.Rules()),
 		Dirty:        s.eng.DirtyCount(),
 		Epoch:        s.eng.Epoch(),
 		Uptime:       time.Since(s.started).Round(time.Millisecond).String(),

@@ -220,7 +220,7 @@ func (e *Engine) Stream(ctx context.Context) iter.Seq2[cfd.CFD, error] {
 }
 
 // Run collects the same sequence into a rules.Set carrying the run's
-// provenance: the cover deduplicated and canonically sorted, or with
+// provenance: the cover canonically sorted, or with
 // WithLimit the first rules of the stream. Cancellation is cooperative — the
 // levelwise algorithms observe it between the work units of a lattice level,
 // the depth-first ones between per-attribute searches — and a cancelled run
@@ -235,7 +235,8 @@ func (e *Engine) Run(ctx context.Context) (*rules.Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	collected = sortAndDedup(collected)
+	// rules.New drops any duplicate the miners emitted (they emit none).
+	cfd.SortCFDs(collected)
 	return rules.New(collected, rules.Provenance{
 		Algorithm:  string(e.alg),
 		Support:    e.cfg.supportOrOne(),
@@ -243,23 +244,4 @@ func (e *Engine) Run(ctx context.Context) (*rules.Set, error) {
 		Attributes: e.rel.Arity(),
 		Elapsed:    time.Since(start),
 	}), nil
-}
-
-// sortAndDedup canonically orders the collected rules and drops duplicates
-// (the streaming miners never emit any; this keeps Run's contract independent
-// of that invariant).
-func sortAndDedup(cfds []cfd.CFD) []cfd.CFD {
-	// cfd.SortCFDs, with the keys kept for the duplicate test.
-	keys := make([]string, len(cfds))
-	for i, c := range cfds {
-		keys[i] = c.Normalize().String()
-	}
-	core.SortByKeys(cfds, keys)
-	out := cfds[:0]
-	for i, c := range cfds {
-		if i == 0 || keys[i] != keys[i-1] {
-			out = append(out, c)
-		}
-	}
-	return out
 }

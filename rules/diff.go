@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/cfd"
@@ -17,7 +17,7 @@ func ruleKey(c cfd.CFD) string { return c.Normalize().String() }
 
 // Fingerprint returns the canonical content fingerprint of the set: a short
 // hex digest over the sorted canonical rule keys, independent of rule order,
-// LHS attribute order, duplicates' positions and provenance. Two sets with
+// LHS attribute order and provenance. Two sets with
 // the same fingerprint serve the same dependencies, which is what lets a
 // live swap (violation.Engine.SwapRules) and cfdserve's remine loop skip
 // no-op reloads, and what GET /rules serves as its ETag. The digest is
@@ -28,12 +28,8 @@ func (s *Set) Fingerprint() string {
 		return emptyFingerprint()
 	}
 	s.fpOnce.Do(func() {
-		keys := make([]string, s.Len())
-		for i, c := range s.cfds {
-			keys[i] = ruleKey(c)
-		}
 		// Sorted, so the fingerprint ignores set order.
-		sort.Strings(keys)
+		keys := slices.Sorted(slices.Values(s.keys))
 		h := sha256.New()
 		for _, k := range keys {
 			h.Write([]byte(k))
@@ -87,31 +83,36 @@ func short(fp string) string {
 	return fp
 }
 
-// Diff compares two rule sets by canonical rule fingerprint and returns the
-// added / removed / retained partition. Either set may be nil (treated as
-// empty). Duplicate rules inside one set are matched up pairwise: a rule
-// appearing twice in old and once in new yields one retained and one removed
-// entry.
+// ruleKeys returns the canonical key of each rule, in set order. A nil Set
+// has none.
+func (s *Set) ruleKeys() []string {
+	if s == nil {
+		return nil
+	}
+	return s.keys
+}
+
+// Diff compares two rule sets by canonical rule key and returns the added /
+// removed / retained partition: the set differences and the intersection.
+// Either set may be nil (treated as empty).
 func Diff(old, new *Set) Delta {
 	d := Delta{Old: old.Fingerprint(), New: new.Fingerprint()}
-	counts := make(map[string]int, old.Len())
-	for _, c := range old.CFDs() {
-		counts[ruleKey(c)]++
+	inOld := make(map[string]bool, old.Len())
+	for _, k := range old.ruleKeys() {
+		inOld[k] = true
 	}
-	for _, c := range new.CFDs() {
-		k := ruleKey(c)
-		if counts[k] > 0 {
-			counts[k]--
-			d.Retained = append(d.Retained, c)
+	inNew := make(map[string]bool, new.Len())
+	for i, k := range new.ruleKeys() {
+		inNew[k] = true
+		if inOld[k] {
+			d.Retained = append(d.Retained, new.cfds[i])
 		} else {
-			d.Added = append(d.Added, c)
+			d.Added = append(d.Added, new.cfds[i])
 		}
 	}
-	// Whatever old rules the new set did not consume are removed.
-	for _, c := range old.CFDs() {
-		if k := ruleKey(c); counts[k] > 0 {
-			counts[k]--
-			d.Removed = append(d.Removed, c)
+	for i, k := range old.ruleKeys() {
+		if !inNew[k] {
+			d.Removed = append(d.Removed, old.cfds[i])
 		}
 	}
 	return d

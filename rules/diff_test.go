@@ -104,9 +104,10 @@ func TestDiff(t *testing.T) {
 		t.Fatalf("diff to nil = %v", toNil)
 	}
 
-	// Duplicates pair up: two copies in old vs one in new leaves one removed.
+	// A set holds a rule once, so two copies in old against one in new is
+	// no change.
 	dup := rules.Diff(rules.Of(r[0], r[0]), rules.Of(r[0]))
-	if len(dup.Retained) != 1 || len(dup.Removed) != 1 || len(dup.Added) != 0 {
+	if !dup.Unchanged() || len(dup.Retained) != 1 {
 		t.Fatalf("duplicate diff = %v", dup)
 	}
 }

@@ -9,6 +9,12 @@
 // of §2.3 of the paper (one tableau per embedded FD). The derived views are
 // computed on first use and cached; a Set is safe for concurrent reads.
 //
+// Like the paper's Σ, a Set holds each dependency at most once. Every way of
+// building one — New, Of, Parse, Load and the JSON decoder — collapses rules
+// with the same canonical key (the normalised rendering, LHS attributes
+// sorted by name) and keeps the first in set order, so the fingerprint, Diff
+// and every consumer can treat a Set as a set.
+//
 // Two codecs round-trip a Set:
 //
 //   - the rule-file text format of cfddiscover -o (one CFD per line in the

@@ -12,7 +12,10 @@ import (
 // accepts must marshal to a document that unmarshals back to the same set —
 // same rules in the same order, same provenance — and the rendering must be
 // canonical (a second marshal is byte-identical). This is the round trip
-// GET /rules → PUT /rules / -rules flags rely on.
+// GET /rules → PUT /rules / -rules flags rely on. Every accepted set must also
+// hold each rule once (no two rules share a canonical key), and its rule-file
+// rendering must parse back to the same fingerprint, which holds the text
+// codec to the JSON one.
 func FuzzJSON(f *testing.F) {
 	f.Add(`{"rules":["([CC,AC] -> CT, (01, _ || MH))","([ZIP] -> STR, (_ || _))"]}`)
 	f.Add(`{"provenance":{"algorithm":"ctane","support":5,"tuples":100,"attributes":7,"elapsed_ns":12345},"rules":["([A] -> B, (_ || _))"]}`)
@@ -22,10 +25,27 @@ func FuzzJSON(f *testing.F) {
 	f.Add(`{"rules":["([A] -> B, (_ || _))","([A] -> B, (_ || _))"]}`)
 	f.Add(`{"rules":["(bogus"]}`)
 	f.Add(`{"tableaux":[{"lhs":["A"],"rhs":"B","patterns":[["_","_"]]}],"rules":["([A] -> B, (_ || _))"]}`)
+	// The duplicate seed above, with the copy's LHS reordered.
+	f.Add(`{"rules":["([A,C] -> B, (x, _ || _))","([C,A] -> B, (_, x || _))"]}`)
 	f.Fuzz(func(t *testing.T, doc string) {
 		var set rules.Set
 		if err := json.Unmarshal([]byte(doc), &set); err != nil {
 			t.Skip()
+		}
+		keys := make(map[string]bool, set.Len())
+		for _, c := range set.CFDs() {
+			k := c.Normalize().String()
+			if keys[k] {
+				t.Fatalf("accepted %q holds %s twice", doc, k)
+			}
+			keys[k] = true
+		}
+		text, err := rules.Parse(set.Text())
+		if err != nil {
+			t.Fatalf("rule file of %q does not parse: %v", doc, err)
+		}
+		if text.Fingerprint() != set.Fingerprint() {
+			t.Fatalf("rule file of %q parses to another fingerprint:\n%s", doc, set.Text())
 		}
 		data, err := json.Marshal(&set)
 		if err != nil {

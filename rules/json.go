@@ -51,7 +51,8 @@ func (s *Set) MarshalJSON() ([]byte, error) {
 // -rules flags; any other document without a "rules" array is rejected
 // rather than silently decoded as an empty set. The envelope is one level
 // deep, as served: a "ruleset" inside a "ruleset" is an error, not a
-// recursion that rescans and copies the document once per level. Decode into
+// recursion that rescans and copies the document once per level. Duplicate
+// rules collapse as in New, the first one kept. Decode into
 // a fresh (zero) Set: the lazy views of a previously used Set are not reset.
 func (s *Set) UnmarshalJSON(data []byte) error {
 	var raw setJSON
@@ -78,7 +79,7 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 		}
 		cfds = append(cfds, c)
 	}
-	s.cfds = cfds
+	s.setRules(cfds)
 	s.prov = Provenance{}
 	if raw.Provenance != nil {
 		s.prov = *raw.Provenance

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/cfd"
+	"repro/internal/core"
 )
 
 // Provenance records where a rule set came from: the discovery algorithm, its
@@ -34,11 +36,13 @@ func (p Provenance) IsZero() bool { return p == Provenance{} }
 
 // Set is an ordered set of single-pattern CFDs with provenance and lazily
 // computed derived views. Build one with New (or Of for ad-hoc sets), receive
-// one from discovery.Engine.Run, or read one back with Parse/Load. The
+// one from discovery.Engine.Run, or read one back with Parse/Load. A Set holds
+// each dependency at most once: no two of its rules share a canonical key. The
 // contained rules are immutable after construction; the lazy views make
 // concurrent reads safe.
 type Set struct {
 	cfds []cfd.CFD
+	keys []string // keys[i] is ruleKey(cfds[i]), pairwise distinct
 	prov Provenance
 
 	countOnce sync.Once
@@ -52,9 +56,27 @@ type Set struct {
 	fp     string // canonical content fingerprint, see Fingerprint
 }
 
-// New builds a Set from the given rules and provenance. The slice is copied.
+// New builds a Set from the given rules and provenance. The slice is copied,
+// and a rule whose canonical key (its normalised rendering, so LHS order does
+// not matter) an earlier rule already has is dropped: the first one is kept.
 func New(cfds []cfd.CFD, prov Provenance) *Set {
-	return &Set{cfds: append([]cfd.CFD(nil), cfds...), prov: prov}
+	s := &Set{prov: prov}
+	s.setRules(cfds)
+	return s
+}
+
+// setRules fills the rules and their keys from cfds, duplicates collapsed.
+func (s *Set) setRules(cfds []cfd.CFD) {
+	s.cfds, s.keys = nil, nil
+	seen := make(map[string]bool, len(cfds))
+	for _, c := range cfds {
+		k := ruleKey(c)
+		if !seen[k] {
+			seen[k] = true
+			s.cfds = append(s.cfds, c)
+			s.keys = append(s.keys, k)
+		}
+	}
 }
 
 // Of builds a Set without provenance, for hand-written rules and tests.
@@ -144,26 +166,12 @@ func (s *Set) Text() string {
 	// A set from discovery.Engine.Run is in canonical order already; only
 	// one that is not gets copied and sorted.
 	cfds := s.CFDs()
-	if !inCanonicalOrder(cfds) {
-		cfds = append([]cfd.CFD(nil), cfds...)
-		cfd.SortCFDs(cfds)
+	if keys := s.ruleKeys(); !slices.IsSorted(keys) {
+		cfds = slices.Clone(cfds)
+		core.SortByKeys(cfds, slices.Clone(keys))
 	}
 	b.WriteString(cfd.FormatAll(cfds))
 	return b.String()
-}
-
-// inCanonicalOrder reports whether cfds are in the order of cfd.SortCFDs,
-// rendering each rule's key once.
-func inCanonicalOrder(cfds []cfd.CFD) bool {
-	prev := ""
-	for i, c := range cfds {
-		key := ruleKey(c)
-		if i > 0 && key < prev {
-			return false
-		}
-		prev = key
-	}
-	return true
 }
 
 // Write writes the rule-file rendering to w.

@@ -89,10 +89,10 @@ func TestTextRoundTrip(t *testing.T) {
 
 // TestTextOrderIndependentOfSetOrder pins the rule file's bytes: whatever
 // order the set holds its rules in — canonical already (the order Engine.Run
-// hands over, which Text must not pay to sort again), canonical up to rules
-// that differ only in how their LHS is listed, or shuffled — the body is the
-// rules rendered in the order of a copy sorted with the per-comparison
-// comparator SortCFDs used to be.
+// hands over, which Text must not pay to sort again) or shuffled — the body is
+// the rules rendered in the order of a copy sorted with the per-comparison
+// comparator SortCFDs used to be. The pool lists some rules a second time with
+// their LHS reversed; the set holds each once, the first listing kept.
 func TestTextOrderIndependentOfSetOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	names := []string{"A1", "A10", "A2", "B", "a"}
@@ -126,19 +126,27 @@ func TestTextOrderIndependentOfSetOrder(t *testing.T) {
 	}
 	body := func(s *rules.Set) string { return strings.SplitN(s.Text(), "\n", 2)[1] }
 
+	firsts := func(cfds []cfd.CFD) []cfd.CFD {
+		var out []cfd.CFD
+		seen := make(map[string]bool)
+		for _, c := range cfds {
+			if k := c.Normalize().String(); !seen[k] {
+				seen[k] = true
+				out = append(out, c)
+			}
+		}
+		return out
+	}
 	canonical := append([]cfd.CFD(nil), pool...)
 	cfd.SortCFDs(canonical)
-	stable := append([]cfd.CFD(nil), pool...)
-	sort.SliceStable(stable, func(i, j int) bool {
-		return stable[i].Normalize().String() < stable[j].Normalize().String()
-	})
-	for name, in := range map[string][]cfd.CFD{"shuffled": pool, "canonical": canonical, "canonical, ties in input order": stable, "empty": nil} {
+	for name, in := range map[string][]cfd.CFD{"shuffled": pool, "canonical": canonical, "empty": nil} {
 		set := rules.Of(in...)
-		if got, want := body(set), reference(in); got != want {
-			t.Errorf("%s: Text body differs from the sorted rendering:\n got %q\nwant %q", name, got, want)
+		want := firsts(in)
+		if got := body(set); got != reference(want) {
+			t.Errorf("%s: Text body differs from the sorted rendering:\n got %q\nwant %q", name, got, reference(want))
 		}
-		if len(in) > 0 && !reflect.DeepEqual(set.CFDs(), in) {
-			t.Errorf("%s: Text reordered the set", name)
+		if !reflect.DeepEqual(set.CFDs(), want) {
+			t.Errorf("%s: the set is not the input's first listings in input order", name)
 		}
 	}
 }
@@ -329,4 +337,52 @@ func keys(cfds []cfd.CFD) map[string]bool {
 
 func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
+}
+
+// TestSetCollapsesDuplicates pins the Set invariant on every constructor: a
+// rule repeated verbatim or with its LHS reordered is held once, the first
+// occurrence kept in set order.
+func TestSetCollapsesDuplicates(t *testing.T) {
+	fd := cfd.NewFD([]string{"CC", "AC"}, "CT")
+	reordered := cfd.NewFD([]string{"AC", "CC"}, "CT")
+	other := cfd.NewFD([]string{"ZIP"}, "STR")
+	want := []cfd.CFD{fd, other}
+	check := func(name string, s *rules.Set) {
+		t.Helper()
+		if s.Len() != len(want) {
+			t.Fatalf("%s: %d rules %v, want %v", name, s.Len(), s.CFDs(), want)
+		}
+		for i, c := range s.CFDs() {
+			if c.String() != want[i].String() {
+				t.Fatalf("%s: rule %d = %s, want %s (first occurrence, set order)", name, i, c, want[i])
+			}
+		}
+		if s.Fingerprint() != rules.Of(want...).Fingerprint() {
+			t.Fatalf("%s: fingerprint counts a duplicate", name)
+		}
+	}
+	check("New", rules.New([]cfd.CFD{fd, reordered, other, fd}, prov()))
+	check("Of", rules.Of(fd, fd, other, reordered))
+
+	text := "# hand-written\n" + fd.String() + "\n" + reordered.String() + "\n" + other.String() + "\n" + fd.String() + "\n"
+	parsed, err := rules.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Parse(text)", parsed)
+
+	doc, err := json.Marshal(map[string][]string{"rules": {fd.String(), reordered.String(), other.String(), fd.String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded rules.Set
+	if err := json.Unmarshal(doc, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	check("UnmarshalJSON", &decoded)
+	fromJSON, err := rules.Parse(string(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Parse(JSON)", fromJSON)
 }

@@ -360,24 +360,14 @@ func (e *Engine) apply(resolved []resolvedOp) {
 	e.recordDelta(added, removed, nil)
 }
 
-// foldChanges turns per-rule-position membership flips into the per-distinct-
-// rule Added/Removed entries of a Delta, in rule order. Duplicate rules in the
-// serving set produce identical flips; one entry per canonical key is kept.
-// Callers must hold the write lock.
+// foldChanges turns per-rule-position membership flips into the per-rule
+// Added/Removed entries of a Delta, in rule order. Callers must hold the
+// write lock.
 func (e *Engine) foldChanges(changes []map[int]int8) (added, removed []Violation) {
-	var seen map[string]bool
 	for i, m := range changes {
 		if len(m) == 0 {
 			continue
 		}
-		k := ruleKey(e.rules[i])
-		if seen[k] {
-			continue
-		}
-		if seen == nil {
-			seen = make(map[string]bool)
-		}
-		seen[k] = true
 		var add, rem []int
 		for id, sign := range m {
 			if sign > 0 {

@@ -21,11 +21,10 @@ var ErrCompacted = errors.New("delta history compacted")
 // Merged deltas returned by Engine.Changes cover a span of epochs and carry
 // the head epoch.
 //
-// Added and Removed hold one entry per distinct rule whose violating set
-// changed — tuples sorted ascending, listing only the tuples that entered
-// (respectively left) that rule's violating set. A rule appearing several
-// times in the serving set contributes one entry. DirtyAdded and DirtyRemoved
-// are the sorted edits to the deduplicated dirty union. Rules is non-nil only
+// Added and Removed hold one entry per rule whose violating set changed —
+// tuples sorted ascending, listing only the tuples that entered (respectively
+// left) that rule's violating set. DirtyAdded and DirtyRemoved are the sorted
+// edits to the dirty union. Rules is non-nil only
 // when the rule set itself changed in the span (a SwapRules commit) and then
 // holds the full replacement rule list in serving order.
 //
@@ -67,10 +66,7 @@ func (d *Delta) Apply(prev *Report, ruleTable []cfd.CFD) *Report {
 	}
 	byKey := make(map[string][]int, len(prev.Violations))
 	for _, v := range prev.Violations {
-		k := ruleKey(v.Rule)
-		if _, ok := byKey[k]; !ok {
-			byKey[k] = v.Tuples
-		}
+		byKey[ruleKey(v.Rule)] = v.Tuples
 	}
 	for _, v := range d.Removed {
 		k := ruleKey(v.Rule)
@@ -214,10 +210,10 @@ func mergeDeltas(ds []*Delta, epoch uint64) *Delta {
 
 // recordDelta publishes the violation delta of the commit in flight: it
 // derives the dirty-set edits from the per-rule edits through the engine's
-// distinct-rule refcounts, stamps the delta with the epoch the commit is
-// about to become, and pushes it into the bounded ring. added and removed
-// hold one entry per distinct rule (sorted tuples); newRules is non-nil for a
-// rule swap. Callers hold the write lock and must bumpLocked right after.
+// dirty refcounts, stamps the delta with the epoch the commit is about to
+// become, and pushes it into the bounded ring. added and removed hold one
+// entry per rule (sorted tuples); newRules is non-nil for a rule swap.
+// Callers hold the write lock and must bumpLocked right after.
 func (e *Engine) recordDelta(added, removed []Violation, newRules []cfd.CFD) {
 	d := &Delta{Epoch: e.epoch.Load() + 1, Added: added, Removed: removed, Rules: newRules}
 	if e.dirtyRef == nil {
@@ -251,31 +247,16 @@ func (e *Engine) recordDelta(added, removed []Violation, newRules []cfd.CFD) {
 	}
 }
 
-// rebuildDirtyLocked re-derives the distinct-rule dirty refcounts from the
-// indexes, after a bulk change that bypasses per-commit deltas (BulkLoad,
-// restore). Callers hold the write lock.
+// rebuildDirtyLocked re-derives the dirty refcounts from the indexes, after a
+// bulk change that bypasses per-commit deltas (BulkLoad, restore). Callers
+// hold the write lock.
 func (e *Engine) rebuildDirtyLocked() {
 	e.dirtyRef = make(map[int]int)
-	for _, tuples := range e.violating(e.indexes, len(e.rules), firstOfKey(e.rules, nil)) {
+	for _, tuples := range e.violating(e.indexes, len(e.rules), nil) {
 		for _, t := range tuples {
 			e.dirtyRef[t]++
 		}
 	}
-}
-
-// firstOfKey marks the first rule of every distinct canonical rule key, keys
-// in skip excepted: the positions a per-distinct-rule computation (a delta,
-// the dirty refcounts) reads, since duplicates of a rule share its violations.
-func firstOfKey(rs []cfd.CFD, skip map[string]bool) []bool {
-	first := make([]bool, len(rs))
-	seen := make(map[string]bool, len(rs))
-	for i, r := range rs {
-		if k := ruleKey(r); !seen[k] && !skip[k] {
-			seen[k] = true
-			first[i] = true
-		}
-	}
-	return first
 }
 
 // bumpLocked commits a mutation epoch: it advances the epoch counter and

@@ -96,7 +96,7 @@ func oracleRulePool(t testing.TB) []*rules.Set {
 // oracleTaxRulePool is the tableau-shaped pool for the tax-discovered fixture,
 // cut from its mined cover: many rules on one LHS attribute set with constants
 // on either attribute and four different RHS attributes, a hand-made
-// constant-RHS rule and a duplicate sharing that set, a second set where
+// constant-RHS rule sharing that set, a second set where
 // constant and variable rules sit side by side, a three-attribute LHS (whose
 // group keys go through pair folding), and one LHS set held by a single rule —
 // so the sets below differ by removing the last rule of an LHS set and adding
@@ -122,7 +122,7 @@ func oracleTaxRulePool(t *testing.T) []*rules.Set {
 		{LHS: []string{"CC", "AC", "PN"}, RHS: "ZIP", LHSPattern: []string{"01", "_", "_"}, RHSPattern: "_"},
 	}
 	constant := cfd.CFD{LHS: []string{"AC", "NM"}, RHS: "CT", LHSPattern: []string{"A12", "_"}, RHSPattern: "C12"}
-	withoutZIP := slices.Concat(heavy, []cfd.CFD{constant, heavy[0]}, ac, wide)
+	withoutZIP := slices.Concat(heavy, []cfd.CFD{constant}, ac, wide)
 	full := slices.Concat(withoutZIP, zip)
 	reordered := slices.Clone(full)
 	slices.Reverse(reordered)

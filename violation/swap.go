@@ -87,26 +87,17 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 			return rules.Delta{}, fmt.Errorf("violation: %w: %w", ErrWAL, err)
 		}
 	}
-	// The swap's violation delta, by canonical rule key: a retained key keeps
-	// its violating set (its index above is reused or rebuilt to identical
-	// state), so only dropped keys remove violations and only added keys —
-	// whose fresh indexes are fully built by now — add them. One entry per
-	// distinct key, like every delta.
-	oldKey := make(map[string]bool, len(e.rules))
-	for _, r := range e.rules {
-		oldKey[ruleKey(r)] = true
-	}
-	newKey := make(map[string]bool, len(newRules))
-	for _, r := range newRules {
-		newKey[ruleKey(r)] = true
-	}
+	// The swap's violation delta: a retained rule keeps its violating set (its
+	// index above is reused or rebuilt to identical state), so only removed
+	// rules remove violations and only added ones — whose fresh indexes are
+	// fully built by now — add them.
 	var added, removed []Violation
-	for i, tuples := range e.violating(e.indexes, len(e.rules), firstOfKey(e.rules, newKey)) {
+	for i, tuples := range e.violating(e.indexes, len(e.rules), positions(e.rules, delta.Removed)) {
 		if len(tuples) > 0 {
 			removed = append(removed, Violation{Rule: e.rules[i], Tuples: tuples})
 		}
 	}
-	for i, tuples := range e.violating(newIndexes, len(newRules), firstOfKey(newRules, oldKey)) {
+	for i, tuples := range e.violating(newIndexes, len(newRules), positions(newRules, delta.Added)) {
 		if len(tuples) > 0 {
 			added = append(added, Violation{Rule: newRules[i], Tuples: tuples})
 		}
@@ -129,30 +120,40 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	return delta, nil
 }
 
+// positions marks the rules of rs that sub lists. sub is a subsequence of rs,
+// as the rules.Diff of rs's set lists its added or removed rules.
+func positions(rs, sub []cfd.CFD) []bool {
+	want := make([]bool, len(rs))
+	for i := range rs {
+		if len(sub) > 0 && rs[i].Equal(sub[0]) {
+			want[i], sub = true, sub[1:]
+		}
+	}
+	return want
+}
+
 // reuseIndex places the rules at positions at of encoded on the existing
-// index x when x maintains exactly that multiset of rules, whatever their
-// order: the result shares x's GroupIndex — untouched — under the new
-// placement, duplicates paired off in order. It returns nil when x is nil or
-// its rules differ, in which case the LHS set needs a fresh index: members
-// carry codes only for the RHS attributes the index's own rules name, and
-// tuples none of them applies to are not stored at all.
+// index x when x maintains exactly those rules, whatever their order: the
+// result shares x's GroupIndex — untouched — under the new placement. It
+// returns nil when x is nil or its rules differ, in which case the LHS set
+// needs a fresh index: members carry codes only for the RHS attributes the
+// index's own rules name, and tuples none of them applies to are not stored
+// at all.
 func reuseIndex(x *lhsIndex, encoded []core.CFD, at []int) *lhsIndex {
 	if x == nil || len(x.at) != len(at) {
 		return nil
 	}
-	byKey := make(map[string][]int, len(at))
+	byKey := make(map[string]int, len(at))
 	for _, i := range at {
-		k := encoded[i].Key()
-		byKey[k] = append(byKey[k], i)
+		byKey[encoded[i].Key()] = i
 	}
 	placed := make([]int, len(at))
 	for r := range placed {
-		k := x.CFD(r).Key()
-		q := byKey[k]
-		if len(q) == 0 {
+		i, ok := byKey[x.CFD(r).Key()]
+		if !ok {
 			return nil
 		}
-		placed[r], byKey[k] = q[0], q[1:]
+		placed[r] = i
 	}
 	return &lhsIndex{x.GroupIndex, placed}
 }

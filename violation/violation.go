@@ -207,7 +207,7 @@ type Engine struct {
 	// The incremental materialized-view state, all written under mu.Lock:
 	// deltas is the bounded ring of per-commit deltas, indexed by epoch modulo
 	// its length, holding the deltaN most recent epochs; dirtyRef counts, per
-	// dirty tuple, the distinct rules it violates (so delta commits know when
+	// dirty tuple, the rules it violates (so delta commits know when
 	// a tuple enters or leaves the dirty union); watch is closed and replaced
 	// at every epoch bump, waking WaitChange waiters.
 	deltas   []*Delta
@@ -715,19 +715,13 @@ func (e *Engine) Report() *Report {
 // current epoch snapshot. Treat the slice as read-only.
 func (e *Engine) Dirty() []int { return e.snapshot().dirty }
 
-// DirtyCount returns an upper bound on the number of violating tuples in
-// O(rules): the sum of per-rule violating counts, without deduplication
-// across rules. It is cheap enough for health endpoints polled per request.
+// DirtyCount returns the number of violating tuples — the length of Dirty —
+// in O(1), read off the dirty refcounts every commit maintains. It is cheap
+// enough for health endpoints polled per request.
 func (e *Engine) DirtyCount() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	n := 0
-	for _, x := range e.indexes {
-		for r := range x.at {
-			n += x.BadTuples(r)
-		}
-	}
-	return n
+	return len(e.dirtyRef)
 }
 
 // TupleViolations returns the rules the given live tuple currently violates,

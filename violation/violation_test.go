@@ -287,12 +287,44 @@ func TestTupleViolationsAndDirty(t *testing.T) {
 			t.Fatalf("tuple %d: %d violated rules but dirty=%v", id, len(violated), dirty[id])
 		}
 	}
-	if eng.DirtyCount() < len(rep.DirtyTuples) {
-		t.Fatalf("DirtyCount %d < |DirtyTuples| %d", eng.DirtyCount(), len(rep.DirtyTuples))
+	if eng.DirtyCount() != len(rep.DirtyTuples) {
+		t.Fatalf("DirtyCount %d != |DirtyTuples| %d", eng.DirtyCount(), len(rep.DirtyTuples))
 	}
 	if got := eng.Dirty(); !reflect.DeepEqual(got, rep.DirtyTuples) {
 		t.Fatalf("Dirty %v != report %v", got, rep.DirtyTuples)
 	}
+}
+
+// TestDirtyCountExact counts a tuple that violates two rules once, through
+// inserts, a delete and a rule swap: DirtyCount is the size of the dirty
+// union, not the sum of the per-rule violating counts.
+func TestDirtyCountExact(t *testing.T) {
+	ab, ac := cfd.NewFD([]string{"A"}, "B"), cfd.NewFD([]string{"A"}, "C")
+	eng, err := violation.New([]string{"A", "B", "C"}, rules.Of(ab, ac), violation.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, want int) {
+		t.Helper()
+		if got, dirty := eng.DirtyCount(), len(eng.Report().DirtyTuples); got != dirty || got != want {
+			t.Fatalf("%s: DirtyCount %d, |DirtyTuples| %d, want %d", when, got, dirty, want)
+		}
+	}
+	check("empty", 0)
+	for _, row := range [][]string{{"a", "1", "1"}, {"a", "2", "2"}, {"a", "1", "3"}} {
+		if _, err := eng.Insert(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("three tuples each violating both rules", 3)
+	if err := eng.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	check("after deleting one", 2) // tuples 0 and 2 still disagree on C
+	if _, err := eng.SwapRules(context.Background(), rules.Of(ab)); err != nil {
+		t.Fatal(err)
+	}
+	check("after swapping A -> C out", 0)
 }
 
 func TestEngineErrors(t *testing.T) {
