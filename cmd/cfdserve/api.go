@@ -269,7 +269,8 @@ func pageWindow(q url.Values, n int) (lo, hi int, next string, err error) {
 	}
 	lo = min(lo, n)
 	hi = n
-	if limit > 0 && lo+limit < hi {
+	// Compared as a difference: lo+limit overflows for a huge limit.
+	if limit > 0 && limit < hi-lo {
 		hi = lo + limit
 		next = strconv.Itoa(hi)
 	}

@@ -327,9 +327,21 @@ func TestWriteBodyIsItsFirstValue(t *testing.T) {
 
 // TestPagination pins the deterministic cursor order of the three list
 // endpoints, in both serving modes: walking pages with any limit reassembles
-// exactly the unpaged response, in the same order.
+// exactly the unpaged response, in the same order. The largest limit, read
+// from cursor 1, is the unpaged list minus its first entry with no next page.
 func TestPagination(t *testing.T) {
 	for mode, base := range modes(t) {
+		hugeLimit := func(path, key string, unpaged []any) {
+			t.Helper()
+			page := do(t, "GET", base+path+"?cursor=1&limit=9223372036854775807", nil, http.StatusOK)
+			if next, ok := page["next_cursor"]; ok {
+				t.Fatalf("%s: %s with the largest limit has next_cursor %v", mode, path, next)
+			}
+			if got, want := fmt.Sprint(page[key]), fmt.Sprint(unpaged[1:]); got != want {
+				t.Fatalf("%s: %s from cursor 1 with the largest limit = %s, want %s", mode, path, got, want)
+			}
+		}
+
 		// /v1/tuples: ascending ids, id-based cursor.
 		var ids []int
 		url := base + "/v1/tuples?limit=3"
@@ -354,6 +366,7 @@ func TestPagination(t *testing.T) {
 		if whole["total"].(float64) != 8 {
 			t.Fatalf("%s: total = %v, want 8", mode, whole["total"])
 		}
+		hugeLimit("/v1/tuples", "tuples", whole["tuples"].([]any))
 
 		// /v1/violations (per-rule entries in rule order) and /v1/suspects
 		// (ascending ids): offset cursors.
@@ -373,6 +386,7 @@ func TestPagination(t *testing.T) {
 			if fmt.Sprint(paged) != fmt.Sprint(unpaged) {
 				t.Fatalf("%s: paged %s %v, unpaged %v", mode, list.key, paged, unpaged)
 			}
+			hugeLimit(list.path, list.key, unpaged)
 		}
 	}
 }

@@ -9,25 +9,22 @@ import (
 	"repro/internal/partition"
 )
 
-// Mining holds the result of mining k-frequent free and closed item sets over
-// a relation: the free sets in ascending size order, the closed sets, and the
-// closed→free association (§3.2). It also indexes free sets by canonical key
-// so that algorithms can test whether an arbitrary item set is free.
+// Mining holds the result of mining k-frequent free item sets over a
+// relation: the free sets in ascending size order, each with its closure — a
+// k-frequent closed item set (§3.2). It also indexes free sets by canonical
+// key so that algorithms can test whether an arbitrary item set is free.
 type Mining struct {
 	Relation *core.Relation
 	K        int
 	Free     []*FreeSet
-	Closed   []*ClosedSet
 
-	freeByKey   map[string]*FreeSet
-	closedByKey map[string]*ClosedSet
+	freeByKey map[string]*FreeSet
 }
 
-// MineContext computes all k-frequent free item sets of r, their closures, and
-// the resulting k-frequent closed item sets, using a levelwise generator
-// search: free-ness and k-frequency are both anti-monotone, so level ℓ+1
-// candidates are joins of level-ℓ free sets all of whose immediate subsets are
-// free.
+// MineContext computes all k-frequent free item sets of r and their closures,
+// using a levelwise generator search: free-ness and k-frequency are both
+// anti-monotone, so level ℓ+1 candidates are joins of level-ℓ free sets all of
+// whose immediate subsets are free.
 //
 // The empty item set (support = |r|) is always included as a free set; its
 // closure collects the attributes that are constant across the whole relation.
@@ -40,12 +37,7 @@ func MineContext(ctx context.Context, r *core.Relation, k int) (*Mining, error) 
 	if k < 1 {
 		k = 1
 	}
-	m := &Mining{
-		Relation:    r,
-		K:           k,
-		freeByKey:   make(map[string]*FreeSet),
-		closedByKey: make(map[string]*ClosedSet),
-	}
+	m := &Mining{Relation: r, K: k, freeByKey: make(map[string]*FreeSet)}
 	n := r.Size()
 	arity := r.Arity()
 
@@ -138,35 +130,20 @@ func (m *Mining) addFree(fs *FreeSet) {
 	m.Free = append(m.Free, fs)
 }
 
-// finish computes closures of all free sets, groups them into closed sets, and
-// orders the result deterministically (free sets ascending by size, then key).
+// finish computes the closure of every free set and orders the free sets
+// deterministically: ascending by size, then key.
 func (m *Mining) finish(ctx context.Context) error {
 	for _, fs := range m.Free {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		closure := m.closureOf(fs)
-		key := closure.Key()
-		cs, ok := m.closedByKey[key]
-		if !ok {
-			cs = &ClosedSet{ItemSet: closure, Tids: fs.Tids}
-			m.closedByKey[key] = cs
-			m.Closed = append(m.Closed, cs)
-		}
-		cs.Free = append(cs.Free, fs)
-		fs.Closure = cs
+		fs.Closure = m.closureOf(fs)
 	}
 	sort.Slice(m.Free, func(i, j int) bool {
 		if m.Free[i].Size() != m.Free[j].Size() {
 			return m.Free[i].Size() < m.Free[j].Size()
 		}
 		return m.Free[i].Key() < m.Free[j].Key()
-	})
-	sort.Slice(m.Closed, func(i, j int) bool {
-		if m.Closed[i].Size() != m.Closed[j].Size() {
-			return m.Closed[i].Size() < m.Closed[j].Size()
-		}
-		return m.Closed[i].Key() < m.Closed[j].Key()
 	})
 	return nil
 }

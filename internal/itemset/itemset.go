@@ -1,8 +1,8 @@
 // Package itemset implements the item-set mining substrate of the paper
-// (§3.1): k-frequent free and closed item sets over a relation, the closure
-// map, and the closed→free (C2F) association that CFDMiner consumes, as well
-// as a depth-first closed-item-set miner used by FastCFD to derive difference
-// sets from 2-frequent closed sets (§5.5).
+// (§3.1): the k-frequent free item sets of a relation with their closures,
+// from which CFDMiner reads its constant CFDs, and a depth-first
+// closed-item-set miner used by FastCFD to derive difference sets from
+// 2-frequent closed sets (§5.5).
 //
 // An item is an (attribute, constant) pair; an item set (X, tp) pairs an
 // attribute set X with a constant pattern tp over X. Because every tuple
@@ -10,11 +10,7 @@
 // item per attribute.
 package itemset
 
-import (
-	"sort"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Item is a single (attribute, encoded value) pair.
 type Item struct {
@@ -106,28 +102,12 @@ func (s ItemSet) Format(r *core.Relation) string {
 }
 
 // FreeSet is a k-frequent free item set together with its supporting tuples
-// and a pointer to its closure.
+// and its closure: the unique maximal item set with the same support.
 type FreeSet struct {
 	ItemSet
 	Tids    []int32
-	Closure *ClosedSet
+	Closure ItemSet
 }
 
 // Support returns the number of supporting tuples.
 func (f *FreeSet) Support() int { return len(f.Tids) }
-
-// ClosedSet is a k-frequent closed item set together with its supporting
-// tuples and the free item sets whose closure it is (the C2F map of §3.2).
-type ClosedSet struct {
-	ItemSet
-	Tids []int32
-	Free []*FreeSet
-}
-
-// Support returns the number of supporting tuples.
-func (c *ClosedSet) Support() int { return len(c.Tids) }
-
-// sortItems sorts a slice of items in (attribute, value) order.
-func sortItems(items []Item) {
-	sort.Slice(items, func(i, j int) bool { return items[i].Less(items[j]) })
-}

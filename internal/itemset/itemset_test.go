@@ -108,14 +108,14 @@ func TestMineCustExample(t *testing.T) {
 	if fsA.Support() != 3 || fsB.Support() != 3 {
 		t.Errorf("supports = %d, %d, want 3, 3", fsA.Support(), fsB.Support())
 	}
-	if fsA.Closure != fsB.Closure {
+	if fsA.Closure.Key() != fsB.Closure.Key() {
 		t.Error("the two free sets must share a closure")
 	}
 	if fsA.Closure.Key() != bigClosed.Key() {
 		t.Errorf("closure = %s, want %s", fsA.Closure.Format(r), bigClosed.Format(r))
 	}
-	if fsA.Closure.Support() != 3 {
-		t.Errorf("closure support = %d, want 3", fsA.Closure.Support())
+	if got := r.CountMatching(fsA.Closure.Attrs, fsA.Closure.Tp); got != 3 {
+		t.Errorf("closure support = %d, want 3", got)
 	}
 
 	// Fig. 2 / Example 7: clo((AC,908)) = ([AC,CT],(908,MH)) with support 4,
@@ -134,7 +134,7 @@ func TestMineCustExample(t *testing.T) {
 		t.Errorf("clo(AC,908) = %s, want %s", fsAC.Closure.Format(r), wantClosure.Format(r))
 	}
 	fsCT, ok := m.LookupFree(ctMH.Attrs, ctMH.Tp)
-	if !ok || fsCT.Closure != fsAC.Closure {
+	if !ok || fsCT.Closure.Key() != fsAC.Closure.Key() {
 		t.Error("(CT,MH) should be free and share clo with (AC,908)")
 	}
 
@@ -145,7 +145,8 @@ func TestMineCustExample(t *testing.T) {
 }
 
 // TestMineInvariants checks structural invariants of the mining result on the
-// cust relation for several support thresholds.
+// cust relation for several support thresholds: every free set is k-frequent
+// and free, and its closure contains it, has its support and is closed.
 func TestMineInvariants(t *testing.T) {
 	r := fixture.Cust()
 	for _, k := range []int{1, 2, 3, 4, 8} {
@@ -160,14 +161,22 @@ func TestMineInvariants(t *testing.T) {
 			if got := r.CountMatching(fs.Attrs, fs.Tp); got != fs.Support() {
 				t.Errorf("k=%d: free set %s support %d, recount %d", k, fs.Format(r), fs.Support(), got)
 			}
-			if fs.Closure == nil {
-				t.Fatalf("k=%d: free set %s has no closure", k, fs.Format(r))
+			cs := fs.Closure
+			if !cs.ContainsAll(fs.ItemSet) {
+				t.Errorf("k=%d: closure %s does not contain free set %s", k, cs.Format(r), fs.Format(r))
 			}
-			if !fs.Closure.ContainsAll(fs.ItemSet) {
-				t.Errorf("k=%d: closure %s does not contain free set %s", k, fs.Closure.Format(r), fs.Format(r))
+			if got := r.CountMatching(cs.Attrs, cs.Tp); got != fs.Support() {
+				t.Errorf("k=%d: closure %s support %d != free support %d", k, cs.Format(r), got, fs.Support())
 			}
-			if fs.Closure.Support() != fs.Support() {
-				t.Errorf("k=%d: closure support %d != free support %d", k, fs.Closure.Support(), fs.Support())
+			// Closed-ness: no attribute outside the closure is constant on its support.
+			tids := r.MatchingTuples(cs.Attrs, cs.Tp)
+			for a := 0; a < r.Arity() && len(tids) > 0; a++ {
+				if cs.Attrs.Has(a) {
+					continue
+				}
+				if _, same := constantOn(r.Column(a), tids); same {
+					t.Errorf("k=%d: %s is not closed (attribute %s is constant on its support)", k, cs.Format(r), r.Schema().Name(a))
+				}
 			}
 			// Free-ness: no immediate subset has the same support.
 			fs.Attrs.ForEach(func(a int) {
@@ -176,28 +185,6 @@ func TestMineInvariants(t *testing.T) {
 					t.Errorf("k=%d: %s is not free (dropping %s keeps support)", k, fs.Format(r), r.Schema().Name(a))
 				}
 			})
-		}
-		for _, cs := range m.Closed {
-			if len(cs.Free) == 0 {
-				t.Errorf("k=%d: closed set %s has no free generators", k, cs.Format(r))
-			}
-			// Closed-ness: no attribute outside the set is constant on its support.
-			for a := 0; a < r.Arity(); a++ {
-				if cs.Attrs.Has(a) {
-					continue
-				}
-				col := r.Column(a)
-				same := true
-				for _, tid := range cs.Tids[1:] {
-					if col[tid] != col[cs.Tids[0]] {
-						same = false
-						break
-					}
-				}
-				if same && len(cs.Tids) > 0 {
-					t.Errorf("k=%d: %s is not closed (attribute %s is constant on its support)", k, cs.Format(r), r.Schema().Name(a))
-				}
-			}
 		}
 		// Free sets are sorted in ascending size order.
 		for i := 1; i < len(m.Free); i++ {
@@ -221,8 +208,8 @@ func mineClosed(t *testing.T, r *core.Relation, minsup int) []ClosedPattern {
 }
 
 // TestMineMatchesMineClosed cross-validates the levelwise generator miner
-// against the depth-first closed miner: the sets of k-frequent closed item
-// sets they produce must be identical.
+// against the depth-first closed miner: the distinct closures of the
+// k-frequent free sets must be exactly the k-frequent closed item sets.
 func TestMineMatchesMineClosed(t *testing.T) {
 	rels := map[string]*core.Relation{
 		"cust":    fixture.Cust(),
@@ -237,8 +224,8 @@ func TestMineMatchesMineClosed(t *testing.T) {
 			m := mine(t, r, k)
 			closed := mineClosed(t, r, k)
 			a := make(map[string]int)
-			for _, cs := range m.Closed {
-				a[cs.Key()] = cs.Support()
+			for _, fs := range m.Free {
+				a[fs.Closure.Key()] = fs.Support()
 			}
 			b := make(map[string]int)
 			for _, cp := range closed {

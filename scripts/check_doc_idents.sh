@@ -1,6 +1,6 @@
 #!/bin/sh
 # Stale-identifier checker, run by `make docs-check` and CI: a Go name that
-# ARCHITECTURE.md or API.md writes in backticks must still exist. Checked are
+# ARCHITECTURE.md, API.md or README.md writes in backticks must still exist. Checked are
 # `pkg.Name` and `pkg.Type.Member`, where pkg is one of the module's library
 # packages, and `Type.Member`, where Type is a type one of them declares:
 # `go doc -u -c` must find the name (for a Test, Fuzz, Benchmark or Example
@@ -25,7 +25,7 @@ while read -r _ path _; do
 	go doc -u -short "$path" | awk -v p="$path" '$1 == "type" { print $2, p }'
 done <"$tmp/pkgs" >"$tmp/types"
 
-grep -ohE '`[A-Za-z][A-Za-z0-9_]*(\.[A-Za-z][A-Za-z0-9_]*)+(\(\))?`' ARCHITECTURE.md API.md |
+grep -ohE '`[A-Za-z][A-Za-z0-9_]*(\.[A-Za-z][A-Za-z0-9_]*)+(\(\))?`' ARCHITECTURE.md API.md README.md |
 	tr -d '`' | sed 's/()$//' | sort -u >"$tmp/names"
 
 checked=0

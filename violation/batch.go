@@ -140,8 +140,8 @@ func ReadOps(r *jsonw.Reader) []Op {
 
 // resolvedOp is one validated op with its row-level effect: the encoded row
 // it removes and/or adds. Replaying resolved ops against any subset of the
-// indexes is position-independent, which is what lets apply fan them out
-// across shards.
+// indexes is position-independent, which is what lets apply replay them on
+// every index in a task of its own.
 type resolvedOp struct {
 	kind OpKind
 	id   int
@@ -159,7 +159,7 @@ type resolvedOp struct {
 // write-lock acquisition, one snapshot invalidation, one write-ahead-log
 // append (and, for a Store opened with Sync, one fsync — the group commit
 // that dominates durable ingest throughput), and index maintenance fanned
-// out across the engine's index shards on repro/internal/pool.
+// out as one repro/internal/pool task per LHS-set index.
 func (e *Engine) ApplyBatch(ops []Op) ([]int, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -289,8 +289,8 @@ func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 }
 
 // apply commits resolved ops: the row table sequentially (appends must land
-// at the pre-assigned ids), then the LHS-set indexes — each shard replayed on
-// its own pool worker, indexes outer and ops inner for index locality. The
+// at the pre-assigned ids), then the LHS-set indexes — one pool task per
+// index, replaying every op on it in order for index locality. The
 // replay must run to completion to keep the state consistent, so it is not
 // cancellable. Each index reports the violating-set memberships it flips, rule
 // by rule (the observe hook of core.GroupIndex); the per-rule flips, folded so
@@ -311,51 +311,46 @@ func (e *Engine) apply(resolved []resolvedOp) {
 		}
 	}
 	// Indexes place disjoint rule positions, so the per-rule change maps are
-	// written race-free even when shards maintain concurrently.
+	// written race-free even when indexes are maintained concurrently.
 	changes := make([]map[int]int8, len(e.rules))
-	maintain := func(s int) {
-		for _, i := range e.shards[s] {
-			x := e.indexes[i]
-			observe := func(r, id int, violating bool) {
-				m := changes[x.at[r]]
-				if m == nil {
-					m = make(map[int]int8)
-					changes[x.at[r]] = m
-				}
-				sign := int8(-1)
-				if violating {
-					sign = 1
-				}
-				// Memberships alternate, so an opposite pending flip cancels.
-				if m[id] == -sign {
-					delete(m, id)
-				} else {
-					m[id] = sign
-				}
+	// A single op (the Insert/Delete/Update fast path) is not worth a
+	// goroutine: one worker runs the tasks inline.
+	workers := e.workers
+	if len(resolved) == 1 {
+		workers = 1
+	}
+	// context.Background: batch index maintenance must not stop halfway.
+	_ = pool.Each(context.Background(), workers, len(e.indexes), func(_, i int) {
+		x := e.indexes[i]
+		observe := func(r, id int, violating bool) {
+			m := changes[x.at[r]]
+			if m == nil {
+				m = make(map[int]int8)
+				changes[x.at[r]] = m
 			}
-			for _, r := range resolved {
-				switch r.kind {
-				case OpInsert:
-					x.Insert(r.id, r.new, observe)
-				case OpDelete:
-					x.Delete(r.id, r.old, observe)
-				case OpUpdate:
-					x.Delete(r.id, r.old, observe)
-					x.Insert(r.id, r.new, observe)
-				}
+			sign := int8(-1)
+			if violating {
+				sign = 1
+			}
+			// Memberships alternate, so an opposite pending flip cancels.
+			if m[id] == -sign {
+				delete(m, id)
+			} else {
+				m[id] = sign
 			}
 		}
-	}
-	// A single op (the Insert/Delete/Update fast path) is not worth a pool
-	// dispatch; neither is a single shard.
-	if len(resolved) == 1 || len(e.shards) <= 1 {
-		for s := range e.shards {
-			maintain(s)
+		for _, r := range resolved {
+			switch r.kind {
+			case OpInsert:
+				x.Insert(r.id, r.new, observe)
+			case OpDelete:
+				x.Delete(r.id, r.old, observe)
+			case OpUpdate:
+				x.Delete(r.id, r.old, observe)
+				x.Insert(r.id, r.new, observe)
+			}
 		}
-	} else {
-		// context.Background: batch index maintenance must not stop halfway.
-		_ = pool.Each(context.Background(), e.workers, len(e.shards), func(_, s int) { maintain(s) })
-	}
+	})
 	added, removed := e.foldChanges(changes)
 	e.recordDelta(added, removed, nil)
 }

@@ -1,6 +1,7 @@
 package violation_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -109,7 +110,7 @@ func assertSameState(t *testing.T, a, b *violation.Engine) {
 
 // TestApplyBatchMatchesPerOp is the defining parity check: a batch must land
 // the engine in exactly the state a per-op replay produces, ids included,
-// for every shard count (one shard per worker).
+// for every worker count.
 func TestApplyBatchMatchesPerOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	startLive := make([]int, 8)
@@ -117,14 +118,14 @@ func TestApplyBatchMatchesPerOp(t *testing.T) {
 		startLive[i] = i
 	}
 	ops := randomOps(rng, 400, startLive, 8)
-	for _, shards := range []int{1, 2, 5, 64} {
-		batched := custEngine(t, true, violation.Options{Workers: shards})
+	for _, workers := range []int{1, 2, 5, 64} {
+		batched := custEngine(t, true, violation.Options{Workers: workers})
 		perOp := custEngine(t, true, violation.Options{})
 		// Apply in chunks so batches cross each other's inserted ids.
 		for i := 0; i < len(ops); i += 32 {
 			end := min(i+32, len(ops))
 			if _, err := batched.ApplyBatch(ops[i:end]); err != nil {
-				t.Fatalf("shards=%d: %v", shards, err)
+				t.Fatalf("workers=%d: %v", workers, err)
 			}
 		}
 		applyPerOp(t, perOp, ops)
@@ -271,8 +272,8 @@ type failingLog struct{ err error }
 func (f failingLog) Append([]violation.Op) error  { return f.err }
 func (f failingLog) AppendRules(*rules.Set) error { return f.err }
 
-// TestShardedBulkLoadAgrees: bulk loads agree across shard counts, and with
-// the unsharded pre-existing behaviour, on a discovered rule set.
+// TestShardedBulkLoadAgrees: bulk loads agree across worker counts, the
+// sequential one included, on a discovered rule set.
 func TestShardedBulkLoadAgrees(t *testing.T) {
 	fx := fixtures(t)[1]
 	var reports []*violation.Report
@@ -314,5 +315,68 @@ func TestEpochAndSnapshotReuse(t *testing.T) {
 	}
 	if got := eng.Dirty(); !reflect.DeepEqual(got, r1.DirtyTuples) {
 		t.Fatalf("dirty after undo = %v, want %v", got, r1.DirtyTuples)
+	}
+}
+
+// eventLog is an EngineObserver that records every event it is handed.
+type eventLog struct{ events []string }
+
+func (l *eventLog) ObserveCommit(kind string, ops int, _ float64) {
+	l.events = append(l.events, "commit "+kind+" "+strconv.Itoa(ops))
+}
+
+func (l *eventLog) ObserveSwap(added, removed, retained int, _ float64) {
+	l.events = append(l.events, "swap "+strconv.Itoa(added)+" "+strconv.Itoa(removed)+" "+strconv.Itoa(retained))
+}
+
+func (l *eventLog) ObserveSnapshot(patched bool, _ float64) {
+	l.events = append(l.events, "snapshot patched="+strconv.FormatBool(patched))
+}
+
+// TestEngineObserverEvents: an attached observer gets one event per commit,
+// swap and snapshot refresh — a bulk load's report rebuilt in full, later
+// ones patched by delta — and a detached one gets none.
+func TestEngineObserverEvents(t *testing.T) {
+	fx := fixtures(t)[0]
+	eng := custEngine(t, false, violation.Options{Workers: 2})
+	rec := &eventLog{}
+	eng.SetObserver(rec)
+	if err := eng.BulkLoad(fx.rel); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Report().Clean() {
+		t.Fatal("fixture must be dirty")
+	}
+	row := []string{"44", "131", "5555555", "Amy", "High St.", "GLA", "EH4 1DT"}
+	id, err := eng.Insert(row...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ApplyBatch([]violation.Op{{Kind: violation.OpDelete, ID: id}, {Kind: violation.OpInsert, Values: row}}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Report()
+	if _, err := eng.SwapRules(context.Background(), rules.Of()); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.Report().Clean() {
+		t.Fatal("a report under no rules must be clean")
+	}
+	eng.SetObserver(nil)
+	if _, err := eng.Insert(row...); err != nil {
+		t.Fatal(err)
+	}
+	eng.Report()
+	want := []string{
+		"commit bulkload " + strconv.Itoa(fx.rel.Size()),
+		"snapshot patched=false",
+		"commit insert 1",
+		"commit batch 2",
+		"snapshot patched=true",
+		"swap 0 " + strconv.Itoa(len(fx.rules)) + " 0",
+		"snapshot patched=true",
+	}
+	if !reflect.DeepEqual(rec.events, want) {
+		t.Fatalf("events\n%q\nwant\n%q", rec.events, want)
 	}
 }

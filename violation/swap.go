@@ -30,10 +30,9 @@ func (e *Engine) SwapRules(ctx context.Context, set *rules.Set) (rules.Delta, er
 // tuples are untouched. Under the write lock, the index of every LHS
 // attribute set whose rules are the same before and after is reused as it is,
 // the index of every other LHS set of the new rules is built over the live
-// tuples — fanned out across those sets on repro/internal/pool — and indexes
-// no new rule needs are dropped; the shard partition is recomputed and the
-// snapshot epoch bumped, so a reader either sees the complete old state or
-// the complete new one, never a half-swapped set.
+// tuples — one repro/internal/pool task per set — and indexes no new rule
+// needs are dropped; the snapshot epoch is bumped, so a reader either sees
+// the complete old state or the complete new one, never a half-swapped set.
 //
 // With a write-ahead log attached the swap is journaled (CommitLog.AppendRules)
 // before it is applied; a failing append rejects the swap with ErrWAL and
@@ -78,7 +77,7 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	// Build the fresh indexes over the live rows before anything is
 	// committed: they are private until the final assignment, so an error (or
 	// a cancelled context) discards them with no state change.
-	if err := e.indexLive(ctx, 0, fresh, shardIndexes(fresh, e.workers)); err != nil {
+	if err := e.indexLive(ctx, 0, fresh); err != nil {
 		return rules.Delta{}, err
 	}
 	// Journal the swap before applying it, like every other mutation.
@@ -112,7 +111,6 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	e.set = set
 	e.rules = newRules
 	e.indexes = newIndexes
-	e.shards = shardIndexes(newIndexes, e.workers)
 	e.bumpLocked()
 	if obs != nil {
 		obs.ObserveSwap(len(delta.Added), len(delta.Removed), len(delta.Retained), time.Since(obsStart).Seconds())

@@ -69,8 +69,8 @@ func TestSwapRulesMatchesRebuild(t *testing.T) {
 	}
 	for _, tc := range targets {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, shards := range []int{1, 3} {
-				eng := custEngine(t, true, violation.Options{Workers: shards})
+			for _, workers := range []int{1, 3} {
+				eng := custEngine(t, true, violation.Options{Workers: workers})
 				old := eng.RuleSet()
 				delta, err := eng.SwapRules(context.Background(), tc.set)
 				if err != nil {

@@ -11,10 +11,10 @@
 // that apply, independent of the relation size.
 //
 // An Engine is built from a first-class rule set (*rules.Set), bulk loaded
-// from a *cfd.Relation (in parallel across shards of LHS-set indexes, on
-// repro/internal/pool), and then kept current
-// with Insert / Delete / Update — or, amortising lock and index maintenance
-// over many tuples, with an atomic ApplyBatch — as tuples arrive and change.
+// from a *cfd.Relation (one repro/internal/pool task per LHS-set index), and
+// then kept current with Insert / Delete / Update — or, amortising lock and
+// index maintenance over many tuples, with an atomic ApplyBatch — as tuples
+// arrive and change.
 // The rule set itself is live too: SwapRules atomically replaces it while
 // reads and writes proceed, reusing the index of every LHS set whose rules
 // did not change and building the others off to the side, so freshly
@@ -45,10 +45,10 @@
 //
 // The Engine is safe for concurrent use by any number of readers and
 // writers. Mutations (Insert, Delete, Update, ApplyBatch, BulkLoad) are
-// serialised by an internal write lock; batch mutations fan index
-// maintenance out across shards of LHS-set indexes on repro/internal/pool. The bulk
-// readers Report and Dirty serve an immutable copy-on-write
-// snapshot keyed by a mutation epoch: the first read after a mutation
+// serialised by an internal write lock; batch mutations, like the bulk reads,
+// run one repro/internal/pool task per LHS-set index. The bulk readers Report
+// and Dirty serve an immutable copy-on-write snapshot keyed by a mutation
+// epoch: the first read after a mutation
 // rebuilds the snapshot (briefly excluding writers), and every subsequent
 // read shares it without taking any lock at all, so a polling client never
 // stalls the write path. Point reads (Row, TupleViolations, Size, ...) and
@@ -126,14 +126,12 @@ func (rep *Report) Clean() bool { return len(rep.Violations) == 0 }
 
 // Options configures an Engine.
 type Options struct {
-	// Workers bounds the number of goroutines BulkLoad, ApplyBatch and
-	// snapshot rebuilds may use: 0 runs one worker per available CPU (the
-	// default), 1 runs sequentially. Single-tuple Insert/Delete/Update are
-	// always applied inline; they are O(LHS sets) per call and not worth
-	// fanning out. The LHS-set indexes are partitioned into one shard per
-	// worker (clamped to their number, balanced by rule count), each
-	// maintained on its own pool worker; any worker count yields identical
-	// state.
+	// Workers bounds the number of goroutines BulkLoad, ApplyBatch, SwapRules
+	// and snapshot rebuilds may use: 0 runs one worker per available CPU (the
+	// default), 1 runs sequentially. Each spreads its work as one pool task
+	// per LHS-set index, so any worker count yields identical state.
+	// Single-tuple Insert/Delete/Update are always applied inline; they are
+	// O(LHS sets) per call and not worth fanning out.
 	Workers int
 }
 
@@ -193,7 +191,6 @@ type Engine struct {
 	// among the rules, in order of first appearance; between them they place
 	// every rule exactly once.
 	indexes   []*lhsIndex
-	shards    [][]int // shard -> positions in indexes it owns (see shardIndexes)
 	workers   int
 	maxPinGap int // DefaultMaxPinGap; a field so tests can narrow it
 	wal       CommitLog
@@ -263,7 +260,6 @@ func New(attributes []string, set *rules.Set, opts Options) (*Engine, error) {
 	for _, at := range groupByLHS(encoded) {
 		e.indexes = append(e.indexes, newLHSIndex(encoded, at))
 	}
-	e.shards = shardIndexes(e.indexes, opts.Workers)
 	return e, nil
 }
 
@@ -301,33 +297,6 @@ func groupByLHS(encoded []core.CFD) [][]int {
 		groups[g] = append(groups[g], i)
 	}
 	return groups
-}
-
-// shardIndexes partitions the indexes into one shard per worker (at most one
-// per index), balanced by rule count: biggest index first, each to the shard
-// holding the fewest rules so far. Every index costs a hash lookup per tuple
-// and every rule on it a compare, so rule count is what makes one index more
-// work than another.
-func shardIndexes(indexes []*lhsIndex, workers int) [][]int {
-	s := min(pool.Normalize(workers), len(indexes))
-	order := make([]int, len(indexes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return indexes[order[a]].Rules() > indexes[order[b]].Rules() })
-	out := make([][]int, s)
-	load := make([]int, s)
-	for _, i := range order {
-		least := 0
-		for j := range load {
-			if load[j] < load[least] {
-				least = j
-			}
-		}
-		out[least] = append(out[least], i)
-		load[least] += indexes[i].Rules()
-	}
-	return out
 }
 
 // compileRules validates the rules and encodes them against the engine's
@@ -431,9 +400,9 @@ func (e *Engine) Update(id int, values ...string) error {
 }
 
 // BulkLoad appends every tuple of the relation, whose attributes must match
-// the engine's schema exactly (same names, same order). Index building is
-// parallelised across index shards under the engine's worker budget; the
-// resulting state is identical for every worker and shard count. Bulk loads
+// the engine's schema exactly (same names, same order). Index building runs
+// one pool task per LHS-set index under the engine's worker budget; the
+// resulting state is identical for every worker count. Bulk loads
 // are not written to an attached CommitLog; compact a snapshot afterwards
 // (Store.Compact) if the load must be durable.
 func (e *Engine) BulkLoad(rel *cfd.Relation) error {
@@ -474,22 +443,18 @@ func (e *Engine) loadLocked(dicts [][]string, cols [][]int32, rows int) {
 	start := e.rel.Size()
 	e.rel.AppendRecoded(dicts, cols, rows, true)
 	// context.Background: nothing cancels a load halfway.
-	_ = e.indexLive(context.Background(), start, e.indexes, e.shards)
+	_ = e.indexLive(context.Background(), start, e.indexes)
 }
 
-// indexLive inserts every live tuple with id >= from into indexes, fanned
-// out on the worker pool: task s fills the indexes at positions shards[s],
-// which must be disjoint. Callers hold the write lock, or the read lock when
-// the indexes are still private.
-func (e *Engine) indexLive(ctx context.Context, from int, indexes []*lhsIndex, shards [][]int) error {
-	return pool.Each(ctx, e.workers, len(shards), func(_, s int) {
+// indexLive inserts every live tuple with id >= from into indexes, one pool
+// task per index. Callers hold the write lock, or the read lock when the
+// indexes are still private.
+func (e *Engine) indexLive(ctx context.Context, from int, indexes []*lhsIndex) error {
+	return pool.Each(ctx, e.workers, len(indexes), func(_, i int) {
 		row := make([]int32, e.schema.Arity())
 		for id := from; id < e.rel.Size(); id++ {
-			if !e.rel.Live(id) {
-				continue
-			}
-			e.rel.Gather(id, row)
-			for _, i := range shards[s] {
+			if e.rel.Live(id) {
+				e.rel.Gather(id, row)
 				indexes[i].Insert(id, row, nil)
 			}
 		}
