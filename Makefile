@@ -18,7 +18,8 @@ test:
 # concurrent readers, writers and rule swaps, and between the pool tasks of
 # one batch or bulk load at every worker count; the closed-set search's root
 # candidates between its pooled branches, with and without a cancellation in
-# flight; CTANE's lattice links between the workers of a level: the detector
+# flight; CTANE's lattice links between the workers of a level; a node's
+# memory of its last full report between concurrent full readers: the detector
 # only reports the interleavings a run executes. The script refuses a name no
 # listed package has, so a renamed test cannot silently drop out.
 race:
@@ -26,6 +27,7 @@ race:
 	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestSwapRulesConcurrentReaders|TestApplyBatchMatchesPerOp|TestShardedBulkLoadAgrees' ./violation
 	./scripts/race_repeat.sh 'TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude' ./internal/itemset ./internal/fastcfd
 	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic' ./internal/ctane
+	./scripts/race_repeat.sh 'TestFullReadsMatchThePlainEncoder' ./cmd/cfdserve
 
 # bench runs the repo benchmark BENCHMARK.json declares: cfddiscover and
 # cfdserve end to end on four fixed-work workloads, repeated, with every

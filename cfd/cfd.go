@@ -131,14 +131,33 @@ func (c CFD) Normalize() CFD {
 }
 
 // Equal reports whether two CFDs are the same dependency, ignoring the order
-// in which LHS attributes are listed.
+// in which LHS attributes are listed. It allocates nothing, so a rule table
+// can be searched with it entry by entry.
 func (c CFD) Equal(o CFD) bool {
-	a, b := c.Normalize(), o.Normalize()
-	if a.RHS != b.RHS || a.RHSPattern != b.RHSPattern || len(a.LHS) != len(b.LHS) {
+	if c.RHS != o.RHS || c.RHSPattern != o.RHSPattern || len(c.LHS) != len(o.LHS) {
 		return false
 	}
-	for i := range a.LHS {
-		if a.LHS[i] != b.LHS[i] || a.LHSPattern[i] != b.LHSPattern[i] {
+	for i := range c.LHS {
+		if c.LHS[i] != o.LHS[i] || c.LHSPattern[i] != o.LHSPattern[i] {
+			return c.samePairs(o)
+		}
+	}
+	return true
+}
+
+// samePairs reports whether c and o, whose LHS lengths are equal, list the
+// same (attribute, pattern entry) pairs as often each, in any order.
+func (c CFD) samePairs(o CFD) bool {
+	count := func(d CFD, a, p string) (n int) {
+		for j := range d.LHS {
+			if d.LHS[j] == a && d.LHSPattern[j] == p {
+				n++
+			}
+		}
+		return n
+	}
+	for i, a := range c.LHS {
+		if count(c, a, c.LHSPattern[i]) != count(o, a, c.LHSPattern[i]) {
 			return false
 		}
 	}

@@ -119,6 +119,26 @@ func TestNormalizeAndEqual(t *testing.T) {
 	if n.LHS[0] != "AC" || n.LHSPattern[0] != "908" {
 		t.Errorf("Normalize misaligned pattern: %v / %v", n.LHS, n.LHSPattern)
 	}
+	// Equal is the normalised comparison, without normalising: the same
+	// verdict as comparing normalised renderings, on every pair.
+	rules := []cfd.CFD{a, b, c,
+		{LHS: []string{"CC", "AC"}, RHS: "CT", LHSPattern: []string{"908", "01"}, RHSPattern: "MH"}, // patterns swapped
+		{LHS: []string{"AC", "CC"}, RHS: "CT", LHSPattern: []string{"908", "01"}, RHSPattern: "_"},
+		{LHS: []string{"AC", "CC"}, RHS: "ZIP", LHSPattern: []string{"908", "01"}, RHSPattern: "MH"},
+		{LHS: []string{"AC"}, RHS: "CT", LHSPattern: []string{"908"}, RHSPattern: "MH"},
+		{LHS: []string{"AC", "PN", "CC"}, RHS: "CT", LHSPattern: []string{"908", "_", "01"}, RHSPattern: "MH"},
+		{LHS: []string{"CC", "AC", "PN"}, RHS: "CT", LHSPattern: []string{"01", "908", "_"}, RHSPattern: "MH"},
+	}
+	for _, x := range rules {
+		for _, y := range rules {
+			if got, want := x.Equal(y), x.Normalize().String() == y.Normalize().String(); got != want {
+				t.Errorf("%v.Equal(%v) = %v, want %v", x, y, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { a.Equal(b) }); allocs != 0 {
+		t.Errorf("Equal allocates %.0f times, want 0", allocs)
+	}
 }
 
 func TestSatisfactionOnCust(t *testing.T) {

@@ -130,17 +130,22 @@ type RuleTuples struct {
 	Tuples []int  `json:"tuples"`
 }
 
-func (rt RuleTuples) encode(w *jsonw.Writer) {
+func (rt RuleTuples) encode(w *jsonw.Writer, next, prev *ReportEncoding) {
 	w.Open('{')
 	w.Key("rule")
 	w.String(rt.Rule)
 	w.Key("tuples")
-	jsonw.Ints(w, rt.Tuples)
+	if next == nil {
+		jsonw.Ints(w, rt.Tuples)
+	} else {
+		next.tuples[rt.Rule] = next.list(w, rt.Tuples, prev, prev.tuples[rt.Rule])
+	}
 	w.Close('}')
 }
 
-// encodeRuleTuples writes a per-rule list; nil is null.
-func encodeRuleTuples(w *jsonw.Writer, v []RuleTuples) {
+// encodeRuleTuples writes a per-rule list; nil is null. next and prev are nil
+// except under ReportEncoding.Encode.
+func encodeRuleTuples(w *jsonw.Writer, v []RuleTuples, next, prev *ReportEncoding) {
 	if v == nil {
 		w.Null()
 		return
@@ -148,7 +153,7 @@ func encodeRuleTuples(w *jsonw.Writer, v []RuleTuples) {
 	w.Open('[')
 	for _, rt := range v {
 		w.Elem()
-		rt.encode(w)
+		rt.encode(w, next, prev)
 	}
 	w.Close(']')
 }
@@ -169,16 +174,76 @@ type ViolationsDoc struct {
 // AppendJSON appends the document as writeJSON sends it.
 func (d ViolationsDoc) AppendJSON(dst []byte) []byte {
 	w := jsonw.Indented(dst)
+	d.encode(&w, nil, nil)
+	return append(w.Buf, '\n')
+}
+
+// ReportEncoding is a full violations report as Encode wrote it: the bytes,
+// and where in them each id list sits — the dirty list, and each rule's
+// tuples by rule — for the next Encode to copy from. It keeps the lists
+// themselves, not copies, so a list of the next report that is the same
+// slice is the same list: being referenced, a remembered list cannot have
+// been freed and its memory reused for another. Reports are read-only, the
+// engine's lists immutable once published.
+type ReportEncoding struct {
+	JSON []byte
+	// Reused and Encoded split the bytes of the id lists of the last Encode:
+	// copied from the encoding before it, and written afresh.
+	Reused, Encoded int
+	dirty           encodedList
+	tuples          map[string]encodedList
+}
+
+// encodedList is one id list of a report and the byte range of its encoding.
+type encodedList struct {
+	ids      []int
+	from, to int
+}
+
+// Encode sets e to doc encoded as AppendJSON encodes it, byte for byte,
+// copying from prev — an earlier encoding, possibly the zero value, never e
+// itself — every id list doc shares with it, or the leading part of one
+// (jsonw.IntsReusing): the dirty list, and each rule's tuples from the list
+// prev held for the same rule. Afterwards prev can be reused for the encode
+// after this one.
+func (e *ReportEncoding) Encode(doc ViolationsDoc, prev *ReportEncoding) {
+	if e.tuples == nil {
+		e.tuples = make(map[string]encodedList, len(doc.Violations))
+	}
+	clear(e.tuples)
+	e.Reused, e.Encoded = 0, 0
+	w := jsonw.Indented(e.JSON[:0])
+	doc.encode(&w, e, prev)
+	e.JSON = append(w.Buf, '\n')
+}
+
+// list writes one id list of the report Encode is writing, after was — the
+// list prev held at the same place — and returns where it went.
+func (e *ReportEncoding) list(w *jsonw.Writer, ids []int, prev *ReportEncoding, was encodedList) encodedList {
+	from := len(w.Buf)
+	reused := jsonw.IntsReusing(w, ids, was.ids, prev.JSON[was.from:was.to])
+	e.Reused += reused
+	e.Encoded += len(w.Buf) - from - reused
+	return encodedList{ids, from, len(w.Buf)}
+}
+
+// encode writes the document: plainly when next is nil (AppendJSON),
+// otherwise recording its lists in next and copying from prev (Encode).
+func (d ViolationsDoc) encode(w *jsonw.Writer, next, prev *ReportEncoding) {
 	w.Open('{')
 	w.Key("dirty")
-	jsonw.Ints(&w, d.Dirty)
+	if next == nil {
+		jsonw.Ints(w, d.Dirty)
+	} else {
+		next.dirty = next.list(w, d.Dirty, prev, prev.dirty)
+	}
 	if d.Epoch != nil {
 		w.Key("epoch")
 		w.Uint(*d.Epoch)
 	}
 	if len(d.Epochs) > 0 {
 		w.Key("epochs")
-		jsonw.Ints(&w, d.Epochs)
+		jsonw.Ints(w, d.Epochs)
 	}
 	if d.NextCursor != "" {
 		w.Key("next_cursor")
@@ -187,9 +252,8 @@ func (d ViolationsDoc) AppendJSON(dst []byte) []byte {
 	w.Key("rules_checked")
 	w.Int(int64(d.RulesChecked))
 	w.Key("violations")
-	encodeRuleTuples(&w, d.Violations)
+	encodeRuleTuples(w, d.Violations, next, prev)
 	w.Close('}')
-	return append(w.Buf, '\n')
 }
 
 // DeltaDoc is one mutation epoch's (or a merged range's) exact change to
@@ -211,9 +275,9 @@ func (d DeltaDoc) encode(w *jsonw.Writer) {
 	w.Key("epoch")
 	w.Uint(d.Epoch)
 	w.Key("added")
-	encodeRuleTuples(w, d.Added)
+	encodeRuleTuples(w, d.Added, nil, nil)
 	w.Key("removed")
-	encodeRuleTuples(w, d.Removed)
+	encodeRuleTuples(w, d.Removed, nil, nil)
 	w.Key("dirty_added")
 	jsonw.Ints(w, d.DirtyAdded)
 	w.Key("dirty_removed")

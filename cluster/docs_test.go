@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -109,6 +110,12 @@ func FuzzWireDocs(f *testing.F) {
 	f.Add(`<script>&"\`, "\x00\x01\b\f\n\r\t\x1f\x7f", int64(math.MinInt64), uint64(math.MaxUint64), uint32(0xffffffff))
 	f.Add("\u2028x\u2029", "\xff\xfe\xe2\x80", int64(math.MaxInt64), uint64(1)<<63, uint32(0xdeadbeef))
 	f.Add("日本語 é \U0001F600", "a\xc0\xafb", int64(1234567890123456789), uint64(9876543210987654321), uint32(0x12345678))
+	// Report pairs: the same lists, lists grown at the end, changed inside.
+	f.Add("r", "s", int64(3), uint64(0), uint32(0xffffffff))
+	f.Add("r", "s", int64(5), uint64(0x5555), uint32(0xffffffff))
+	f.Add("r", "r", int64(1), uint64(0xaaaa), uint32(0xfffbffff))
+	f.Add("r", "s", int64(2), uint64(0x1b1b), uint32(0xffffffff))
+	f.Add("0", "0", int64(math.MinInt64+11), uint64(math.MaxUint64), uint32(0xffffff7c)) // two rules of one name
 	f.Fuzz(func(t *testing.T, s1, s2 string, n int64, u uint64, shape uint32) {
 		for _, doc := range wireDocs(s1, s2, n, u, shape) {
 			want := oracleJSON(t, doc)
@@ -120,7 +127,106 @@ func FuzzWireDocs(f *testing.F) {
 				t.Fatalf("%T.AppendJSON overwrote its destination: %s", doc, got)
 			}
 		}
+		// The reusing encode of a report after the one before it is the plain
+		// encode of the report, and so is a second one after itself.
+		prev, next := reportPair(s1, s2, n, u, shape)
+		var first, second, third ReportEncoding
+		first.Encode(prev, &ReportEncoding{})
+		second.Encode(next, &first)
+		third.Encode(next, &second)
+		for _, c := range []struct {
+			what string
+			got  *ReportEncoding
+			doc  ViolationsDoc
+		}{{"the first report", &first, prev}, {"the report after it", &second, next}, {"the same report again", &third, next}} {
+			if want := c.doc.AppendJSON(nil); !bytes.Equal(c.got.JSON, want) {
+				t.Fatalf("Encode of %s departs from AppendJSON\n got: %s\nwant: %s", c.what, c.got.JSON, want)
+			}
+		}
+		// Lists are remembered by rule, and a node's report names each rule
+		// once, as a rule set holds it.
+		names := map[string]bool{}
+		for _, rt := range next.Violations {
+			names[rt.Rule] = true
+		}
+		if third.Encoded != 0 && len(names) == len(next.Violations) {
+			t.Fatalf("encoding a report after itself encoded %d bytes of ids afresh", third.Encoded)
+		}
 	})
+}
+
+// reportPair derives from the fuzz arguments a full report and the one
+// before it, related as a node's consecutive full reads are: two bits of u
+// per id list choose whether the earlier list is the very same slice, the
+// later one without its last element (the list grew at its end), a copy with
+// the element at n mod its length changed, or absent — nil for the dirty
+// list, for a rule's tuples another rule name. The earlier report lists its
+// rules in reverse order: entries are matched by rule, not by position.
+func reportPair(s1, s2 string, n int64, u uint64, shape uint32) (prev, next ViolationsDoc) {
+	next = wireDocs(s1, s2, n, u, shape)[0].(ViolationsDoc)
+	earlier := func(v []int, sel uint64) []int {
+		switch {
+		case sel&3 == 0 || len(v) == 0:
+			return v
+		case sel&3 == 1:
+			return v[:len(v)-1]
+		case sel&3 == 2:
+			c := append([]int(nil), v...)
+			c[uint64(n)%uint64(len(c))]++
+			return c
+		}
+		return nil
+	}
+	prev = next
+	prev.Dirty = earlier(next.Dirty, u)
+	prev.Violations = nil
+	for i, rt := range next.Violations {
+		sel := u >> (2 * (i + 1))
+		if sel&3 == 3 {
+			rt.Rule += "~"
+		}
+		rt.Tuples = earlier(rt.Tuples, sel)
+		prev.Violations = append([]RuleTuples{rt}, prev.Violations...)
+	}
+	return prev, next
+}
+
+// TestReportEncodingReuses pins what Encode exists for, in counts, so it
+// gates on any machine: after a report whose rules each gained ids at the end
+// and one of which changed inside, and whose dirty list grew, only the new
+// ids and the changed rule's tail are encoded afresh; an unchanged report
+// encodes no ids at all; and all of it byte for byte as AppendJSON.
+func TestReportEncodingReuses(t *testing.T) {
+	prev := bulkReport()
+	next := prev
+	next.Dirty = append(slices.Clip(prev.Dirty), 30000, 30001)
+	next.Violations = slices.Clone(prev.Violations)
+	for r := range next.Violations {
+		if r%10 == 0 {
+			next.Violations[r].Tuples = append(slices.Clip(prev.Violations[r].Tuples), 40000+r)
+		}
+	}
+	changed := slices.Clone(prev.Violations[1].Tuples)
+	changed[500]++
+	next.Violations[1].Tuples = changed
+	var a, b ReportEncoding
+	a.Encode(prev, &b)
+	if a.Reused != 0 || a.Encoded == 0 {
+		t.Fatalf("the first encode copied %d bytes and encoded %d", a.Reused, a.Encoded)
+	}
+	b.Encode(next, &a)
+	if want := next.AppendJSON(nil); !bytes.Equal(b.JSON, want) {
+		t.Fatal("the reusing encode departs from AppendJSON")
+	}
+	// The twelve new ids, the closing lines after them, and the changed
+	// rule's last 100 ids: some 2 KB of the 1.3 MB.
+	if b.Encoded > 4<<10 || b.Reused < 1<<20 {
+		t.Errorf("after a report with a few appended ids: %d bytes reused, %d encoded", b.Reused, b.Encoded)
+	}
+	a.Encode(next, &b)
+	if !bytes.Equal(a.JSON, b.JSON) || a.Encoded != 0 || a.Reused != b.Reused+b.Encoded {
+		t.Errorf("the same report again: %d bytes reused, %d encoded; want %d and 0", a.Reused, a.Encoded, b.Reused+b.Encoded)
+	}
 }
 
 // bulkReport is the report shape that made the appenders matter: a hundred
@@ -135,7 +241,7 @@ func bulkReport() ViolationsDoc {
 		for i := range ids {
 			ids[i] = r + i*50
 		}
-		doc.Violations[r] = RuleTuples{Rule: "([A,B] -> C, (_, _ || _))", Tuples: ids}
+		doc.Violations[r] = RuleTuples{Rule: "([A,B] -> C, (" + strconv.Itoa(r) + ", _ || _))", Tuples: ids}
 	}
 	for i := range doc.Dirty {
 		doc.Dirty[i] = i
@@ -178,6 +284,27 @@ func BenchmarkViolationsDoc(b *testing.B) {
 		for b.Loop() {
 			b.SetBytes(int64(len(oracleJSON(b, doc))))
 		}
+	})
+	// A node's full read after the previous one: every tenth rule and the
+	// dirty list gained an id at the end.
+	b.Run("reencode", func(b *testing.B) {
+		next := doc
+		next.Dirty = append(slices.Clip(doc.Dirty), 30000)
+		next.Violations = slices.Clone(doc.Violations)
+		for r := 0; r < len(next.Violations); r += 10 {
+			next.Violations[r].Tuples = append(slices.Clip(doc.Violations[r].Tuples), 40000+r)
+		}
+		var cur, spare ReportEncoding
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			d := doc
+			if i%2 == 1 {
+				d = next
+			}
+			spare.Encode(d, &cur)
+			cur, spare = spare, cur
+		}
+		b.SetBytes(int64(len(cur.JSON)))
 	})
 }
 

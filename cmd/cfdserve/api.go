@@ -420,8 +420,19 @@ func (a api) violations(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, r, err)
 		return
 	}
+	if rw, ok := a.b.(reportWriter); ok && lo == 0 && next == "" {
+		rw.writeReport(w, doc)
+		return
+	}
 	doc.Violations, doc.NextCursor = doc.Violations[lo:hi], next
 	writeJSON(w, http.StatusOK, doc)
+}
+
+// reportWriter is a backend that sends the whole violations report itself: a
+// node, which re-encodes only what changed since its previous one
+// (server.writeReport). The coordinator's merged report takes writeJSON.
+type reportWriter interface {
+	writeReport(w http.ResponseWriter, doc cluster.ViolationsDoc)
 }
 
 func (a api) suspects(w http.ResponseWriter, r *http.Request) {

@@ -57,6 +57,20 @@ func (l *historyLog) note(rec historyRecord, err error) error {
 	return err
 }
 
+// oracleSeed is the seed of a randomized history: 1, or CFD_ORACLE_SEED's.
+func oracleSeed(t *testing.T) int64 {
+	t.Helper()
+	seed := int64(1)
+	if s := os.Getenv("CFD_ORACLE_SEED"); s != "" {
+		var err error
+		if seed, err = strconv.ParseInt(s, 10, 64); err != nil {
+			t.Fatalf("CFD_ORACLE_SEED=%q: %v", s, err)
+		}
+	}
+	t.Logf("seed %d", seed)
+	return seed
+}
+
 // fetch sends one request and returns the reply's status and body.
 func fetch(method, url string, body []byte) (int, []byte, error) {
 	req, err := http.NewRequest(method, url, bytes.NewReader(body))
@@ -86,14 +100,7 @@ func fetch(method, url string, body []byte) (int, []byte, error) {
 //
 //	CFD_ORACLE_SEED=<seed> go test ./cmd/cfdserve -run TestHistoryOracle
 func TestHistoryOracle(t *testing.T) {
-	seed := int64(1)
-	if s := os.Getenv("CFD_ORACLE_SEED"); s != "" {
-		var err error
-		if seed, err = strconv.ParseInt(s, 10, 64); err != nil {
-			t.Fatalf("CFD_ORACLE_SEED=%q: %v", s, err)
-		}
-	}
-	t.Logf("seed %d", seed)
+	seed := oracleSeed(t)
 	const writers, fullReaders, pollers, iters = 4, 2, 2, 40
 
 	dir, oracleDir := t.TempDir(), t.TempDir()

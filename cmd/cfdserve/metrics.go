@@ -27,6 +27,8 @@ type obsStack struct {
 	remineDur     *obs.Histogram
 	rulesStreamed *obs.Counter
 
+	reportBytes *obs.CounterVec // source: reused | encoded
+
 	maintainChecks   *obs.Counter    // maintenance-policy evaluations
 	maintainTriggers *obs.CounterVec // reason: drift | confidence
 }
@@ -46,6 +48,8 @@ func newObsStack(log *slog.Logger) *obsStack {
 		remineTotal:   reg.CounterVec("cfd_remine_total", "Remine runs by outcome (swapped, unchanged, error).", "outcome"),
 		remineDur:     reg.Histogram("cfd_remine_duration_seconds", "Wall-clock duration of remine runs.", obs.DefBuckets),
 		rulesStreamed: reg.Counter("cfd_discovery_rules_streamed_total", "Candidate rules streamed by discovery during remines."),
+
+		reportBytes: reg.CounterVec("cfd_report_encode_bytes_total", "Bytes of the id lists in a node's full violation reports, by source: reused (copied from the previous full report's encoding) or encoded.", "source"),
 
 		maintainChecks:   reg.Counter("cfd_maintain_checks_total", "Rule-maintenance policy evaluations against the live per-rule counters."),
 		maintainTriggers: reg.CounterVec("cfd_maintain_triggers_total", "Maintenance-triggered remines by policy reason (drift, confidence).", "reason"),

@@ -146,6 +146,34 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 	}
 }
 
+// TestReportEncodeBytes pins the split cfd_report_encode_bytes_total keeps of
+// a node's full reads, in counts, so it gates on any machine: the first full
+// read encodes every id list; the same report read again copies exactly
+// those bytes and encodes none; a paged read takes the plain encoder and
+// counts nothing.
+func TestReportEncodeBytes(t *testing.T) {
+	s, ts := newObsServer(t)
+	reused, encoded := s.obs.reportBytes.With("reused"), s.obs.reportBytes.With("encoded")
+	getRaw(t, ts.URL+"/v1/violations")
+	first := encoded.Value()
+	if reused.Value() != 0 || first == 0 {
+		t.Fatalf("the first full read: %d bytes reused, %d encoded", reused.Value(), first)
+	}
+	getRaw(t, ts.URL+"/v1/violations")
+	getRaw(t, ts.URL+"/v1/violations?limit=1")
+	if reused.Value() != first || encoded.Value() != first {
+		t.Errorf("the same report again: %d bytes reused, %d encoded in all; want %d and %d", reused.Value(), encoded.Value(), first, first)
+	}
+	for _, series := range []string{
+		fmt.Sprintf(`cfd_report_encode_bytes_total{source="reused"} %d`, first),
+		fmt.Sprintf(`cfd_report_encode_bytes_total{source="encoded"} %d`, first),
+	} {
+		if scrape := metricsBody(t, ts); !strings.Contains(scrape, series) {
+			t.Errorf("scrape missing %q:\n%s", series, grepLines(scrape, "cfd_report_encode_bytes_total"))
+		}
+	}
+}
+
 // TestRequestIDPropagation pins the client-facing id contract: a
 // well-formed client id is adopted and echoed, a malformed one replaced,
 // and error envelopes carry the id for log correlation.

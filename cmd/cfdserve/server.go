@@ -45,6 +45,11 @@ type server struct {
 
 	lastCompactMu  sync.Mutex
 	lastCompactErr string // last background-compaction failure; "" once one succeeds
+
+	// The last full report writeReport encoded, and the spare it encodes the
+	// next one into.
+	reportMu      sync.Mutex
+	report, spare cluster.ReportEncoding
 }
 
 func newServer(eng *violation.Engine, store *violation.Store, cfg config) *server {
@@ -329,6 +334,28 @@ func (s *server) Violations(context.Context) (cluster.ViolationsDoc, error) {
 		Dirty:        rep.DirtyTuples,
 		RulesChecked: rep.RulesChecked,
 	}, nil
+}
+
+// writeReport sends the whole report as writeJSON would, re-encoding only
+// what changed since the previous one: ids are assigned in ascending order, so
+// between two full reads most id lists are unchanged or grew at the end, and
+// their bytes are copied from the previous encoding. The reply is written
+// from the encoding itself, under the lock; a full read that finds it held
+// encodes the plain way rather than wait.
+func (s *server) writeReport(w http.ResponseWriter, doc cluster.ViolationsDoc) {
+	if !s.reportMu.TryLock() {
+		writeJSON(w, http.StatusOK, doc)
+		return
+	}
+	defer s.reportMu.Unlock()
+	s.spare.Encode(doc, &s.report)
+	s.report, s.spare = s.spare, s.report
+	s.obs.reportBytes.With("reused").Add(uint64(s.report.Reused))
+	s.obs.reportBytes.With("encoded").Add(uint64(s.report.Encoded))
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(s.report.JSON)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(s.report.JSON) // a failed write means nobody is reading
 }
 
 func (s *server) Changes(_ context.Context, since uint64) (cluster.ChangesDoc, error) {

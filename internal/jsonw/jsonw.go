@@ -23,7 +23,7 @@
 package jsonw
 
 import (
-	"strconv"
+	"slices"
 	"unicode/utf8"
 )
 
@@ -102,10 +102,10 @@ func (w *Writer) Key(name string) {
 }
 
 // Int writes a signed number.
-func (w *Writer) Int(v int64) { w.Buf = strconv.AppendInt(w.Buf, v, 10) }
+func (w *Writer) Int(v int64) { w.Buf = appendInt(w.Buf, v) }
 
 // Uint writes an unsigned number.
-func (w *Writer) Uint(v uint64) { w.Buf = strconv.AppendUint(w.Buf, v, 10) }
+func (w *Writer) Uint(v uint64) { w.Buf = appendInt(w.Buf, v) }
 
 // Null writes null — what encoding/json writes for a nil slice or pointer.
 func (w *Writer) Null() { w.Buf = append(w.Buf, "null"...) }
@@ -130,30 +130,143 @@ func (w *Writer) Strings(v []string) {
 	w.Close(']')
 }
 
-// Ints writes an array of integers of any width or signedness; a nil slice is
-// null.
-func Ints[T ~int | ~int32 | ~int64 | ~uint64](w *Writer, v []T) {
+// integer is every element type Ints writes: any width or signedness.
+type integer interface {
+	~int | ~int32 | ~int64 | ~uint64
+}
+
+// Ints writes an array of integers; a nil slice is null.
+func Ints[T integer](w *Writer, v []T) {
 	if v == nil {
 		w.Null()
 		return
 	}
 	w.Open('[')
-	// The one loop that runs a hundred thousand times per reply: the buffer
-	// stays in a local, and the comma is decided by position.
-	buf := w.Buf
-	for i, x := range v {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, w.nl...)
-		if x < 0 {
-			buf = strconv.AppendInt(buf, int64(x), 10)
-		} else {
-			buf = strconv.AppendUint(buf, uint64(x), 10)
+	if len(v) > 0 {
+		w.Buf = appendInt(append(w.Buf, w.nl...), v[0])
+		w.Buf = appendElems(w.Buf, w.nl, v[1:])
+	}
+	w.Close(']')
+}
+
+// IntsReusing writes v as Ints does, given prev and prevJSON: a list and
+// its encoding by Ints at the same depth of a writer in the same mode, or no
+// bytes when there is no earlier list. What the two lists share is copied
+// from prevJSON instead of encoded again — all of it when v is prev (the same
+// elements of the same array, or both nil), otherwise the elements up to the
+// first one that differs — and only the rest of v is encoded. It returns the
+// number of bytes copied. Ids are assigned in ascending order, so the usual
+// edit to a sorted id list is at its end, and the prefix is most of the list.
+//
+// Equal elements are only proven equal when prev has not changed since
+// prevJSON was written: a caller keeps prev, the slice itself, next to its
+// encoding, and never writes to it.
+func IntsReusing[T integer](w *Writer, v, prev []T, prevJSON []byte) (reused int) {
+	if len(prevJSON) == 0 {
+		Ints(w, v)
+		return 0
+	}
+	if (v == nil) == (prev == nil) && len(v) == len(prev) && (len(v) == 0 || &v[0] == &prev[0]) {
+		w.Buf = append(w.Buf, prevJSON...)
+		return len(prevJSON)
+	}
+	k := 0
+	for k < len(v) && k < len(prev) && v[k] == prev[k] {
+		k++
+	}
+	if k == 0 {
+		Ints(w, v)
+		return 0
+	}
+	// prevJSON up to the end of element k-1: walking back from the closing
+	// bracket — the changed part is usually the tail — past the comma before
+	// each element from k on, then past the line break before the bracket
+	// when there was none. Numbers hold no commas, indents no digits.
+	cut := len(prevJSON)
+	for n := len(prev) - k; n > 0; {
+		cut--
+		if prevJSON[cut] == ',' {
+			n--
 		}
 	}
-	w.Buf = buf
+	for prevJSON[cut-1] < '0' || prevJSON[cut-1] > '9' {
+		cut--
+	}
+	w.Open('[')
+	w.Buf = appendElems(append(w.Buf, prevJSON[1:cut]...), w.nl, v[k:])
 	w.Close(']')
+	return cut
+}
+
+// appendElems appends v as the elements of an array that already holds at
+// least one: each after a comma and the line break nl. It is the loop that
+// runs once per id of a bulk reply, so it reserves room once per chunk of
+// elements and then writes bytes by index, the digits two at a time.
+func appendElems[T integer](buf []byte, nl string, v []T) []byte {
+	const chunk = 256
+	for len(v) > 0 {
+		c := v[:min(len(v), chunk)]
+		v = v[len(c):]
+		// Per element: the comma, nl, a sign and up to 20 digits.
+		buf = slices.Grow(buf, len(c)*(len(nl)+22))
+		b, n := buf[:cap(buf)], len(buf)
+		for _, x := range c {
+			b[n] = ','
+			n += 1 + copy(b[n+1:], nl)
+			u := uint64(x)
+			if x < 0 {
+				b[n] = '-'
+				n++
+				u = -u
+			}
+			n += digitCount(u)
+			putDigits(b[:n], u)
+		}
+		buf = b[:n]
+	}
+	return buf
+}
+
+// appendInt appends one number.
+func appendInt[T integer](dst []byte, x T) []byte {
+	u := uint64(x)
+	if x < 0 {
+		dst = append(dst, '-')
+		u = -u
+	}
+	n := len(dst) + digitCount(u)
+	dst = slices.Grow(dst, n-len(dst))[:n]
+	putDigits(dst, u)
+	return dst
+}
+
+// digitCount returns the number of decimal digits of u.
+func digitCount(u uint64) int {
+	n := 1
+	for p := uint64(10); n < 20 && u >= p; p *= 10 {
+		n++
+	}
+	return n
+}
+
+// twoDigits is "00" to "99" back to back.
+const twoDigits = "00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899"
+
+// putDigits writes the decimal digits of u at the end of b, which has room
+// for exactly digitCount(u) of them there.
+func putDigits(b []byte, u uint64) {
+	i := len(b)
+	for u >= 100 {
+		r := u % 100 * 2
+		u /= 100
+		i -= 2
+		b[i], b[i+1] = twoDigits[r], twoDigits[r+1]
+	}
+	if u >= 10 {
+		b[i-2], b[i-1] = twoDigits[2*u], twoDigits[2*u+1]
+	} else {
+		b[i-1] = byte('0' + u)
+	}
 }
 
 const hex = "0123456789abcdef"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -123,6 +124,125 @@ func TestWriterMatchesEncodingJSON(t *testing.T) {
 	v.encode(&w)
 	if got := strings.TrimPrefix(string(w.Buf), "prefix"); got != indented.String() {
 		t.Errorf("indented:\n got %s\nwant %s", got, indented.String())
+	}
+}
+
+// TestIntsMatchesEncodingJSON covers lists longer than the chunk Ints
+// reserves room for, and every digit count, sign and width.
+func TestIntsMatchesEncodingJSON(t *testing.T) {
+	var v []int64
+	for p := int64(1); p > 0 && p <= math.MaxInt64/10; p *= 10 {
+		v = append(v, p-1, p, -p, -p+1, p*10-1)
+	}
+	v = append(v, math.MaxInt64, math.MinInt64)
+	for len(v) < 1000 {
+		v = append(v, int64(len(v))*7919)
+	}
+	u := []uint64{math.MaxUint64, 1e19, 1e19 - 1, 0}
+	for _, indent := range []bool{false, true} {
+		for _, val := range []any{v, u} {
+			want, err := json.Marshal(val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := Compact(nil)
+			if indent {
+				var buf bytes.Buffer
+				if err := json.Indent(&buf, want, "", "  "); err != nil {
+					t.Fatal(err)
+				}
+				want, w = buf.Bytes(), Indented(nil)
+			}
+			switch val := val.(type) {
+			case []int64:
+				Ints(&w, val)
+			case []uint64:
+				Ints(&w, val)
+			}
+			if !bytes.Equal(w.Buf, want) {
+				t.Errorf("indent %v:\n got %s\nwant %s", indent, w.Buf, want)
+			}
+		}
+	}
+}
+
+// TestIntsReusing holds the reusing encoder to Ints on every kind of pair of
+// lists — the same slice, a copy, a prefix either way, an append, a change in
+// the middle or at the front, nil and empty on either side — in both modes,
+// nested, and checks how much of each it copied.
+func TestIntsReusing(t *testing.T) {
+	base := []int{3, 17, 256, 1000, 1001, 99999}
+	with := func(v []int, i, x int) []int { v = slices.Clone(v); v[i] = x; return v }
+	for _, c := range []struct {
+		name       string
+		prev, next []int
+		// reused is how many of prev's elements are copied; -1 all its bytes.
+		reused int
+	}{
+		{"the same slice", base, base, -1},
+		{"a copy", base, slices.Clone(base), 6},
+		{"appended", base, append(slices.Clone(base), 100000, 100001), 6},
+		{"tail removed", base, slices.Clone(base[:4]), 4},
+		{"a prefix of the same array", base, base[:4], 4},
+		{"last changed", base, with(base, 5, 100000), 5},
+		{"middle changed", base, with(base, 2, 257), 2},
+		{"first changed", base, with(base, 0, 4), 0},
+		{"one element left", base, []int{3}, 1},
+		{"from one element", []int{3}, base, 1},
+		{"from empty", []int{}, base, 0},
+		{"to empty", base, []int{}, 0},
+		{"empty to empty", []int{}, []int{}, -1},
+		{"from nil", nil, base, 0},
+		{"to nil", base, nil, 0},
+		{"nil to nil", nil, nil, -1},
+		{"negative", []int{-5, -3, 7}, []int{-5, -3, 8}, 2},
+	} {
+		for _, indent := range []bool{false, true} {
+			// list writes v one level down, as a report's lists sit, with
+			// Ints or, given prev, with IntsReusing; it returns v's bytes and
+			// the count IntsReusing returned.
+			list := func(v, prev []int, prevJSON []byte) ([]byte, int) {
+				w := Compact([]byte("x"))
+				if indent {
+					w = Indented([]byte("x"))
+				}
+				w.Open('[')
+				w.Elem()
+				from, reused := len(w.Buf), 0
+				if prevJSON == nil {
+					Ints(&w, v)
+				} else {
+					reused = IntsReusing(&w, v, prev, prevJSON)
+				}
+				to := len(w.Buf)
+				w.Close(']')
+				return w.Buf[from:to], reused
+			}
+			prevJSON, _ := list(c.prev, nil, nil)
+			want, _ := list(c.next, nil, nil)
+			got, reused := list(c.next, c.prev, prevJSON)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s, indent %v:\n got %s\nwant %s", c.name, indent, got, want)
+			}
+			// All of prevJSON, or its bytes up to the last digit of the last
+			// element copied.
+			wantReused := len(prevJSON)
+			if c.reused == 0 {
+				wantReused = 0
+			} else if c.reused > 0 {
+				head, _ := list(c.prev[:c.reused], nil, nil)
+				wantReused = len(bytes.TrimRight(head, "\n ]"))
+			}
+			if reused != wantReused {
+				t.Errorf("%s, indent %v: %d bytes reused, want %d", c.name, indent, reused, wantReused)
+			}
+		}
+	}
+	// No earlier list at all: no bytes to copy, whatever prev says.
+	w, want := Compact(nil), Compact(nil)
+	Ints(&want, base)
+	if reused := IntsReusing(&w, base, base, nil); reused != 0 || !bytes.Equal(w.Buf, want.Buf) {
+		t.Errorf("without earlier bytes: %s, %d reused; want %s", w.Buf, reused, want.Buf)
 	}
 }
 

@@ -3,6 +3,7 @@ package violation
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 
 	"repro/cfd"
@@ -49,6 +50,45 @@ func (d *Delta) Empty() bool {
 // rules.Diff and SwapRules match rules by.
 func ruleKey(r cfd.CFD) string { return r.Normalize().String() }
 
+// ruleSlots numbers the rules the reports and deltas of one span name, so
+// that their entries can be folded per rule; the rules of table get their
+// positions. An entry's rule is found with CFD.Equal by walking the table on
+// from the previous match, wrapping round: entries listed in table order cost
+// one comparison each, and an entry out of it — a merged delta's later rule,
+// a rule a swap kept at another position — is found all the same. Only a rule
+// outside the table (one a swap removed) is rendered, to a ruleKey that gives
+// it a slot past the table.
+type ruleSlots struct {
+	table []cfd.CFD
+	next  int            // where the walk resumes
+	keys  map[string]int // rules outside the table, by canonical key
+	n     int            // slots handed out
+}
+
+func newRuleSlots(table []cfd.CFD) *ruleSlots {
+	return &ruleSlots{table: table, n: len(table)}
+}
+
+// of returns r's slot.
+func (s *ruleSlots) of(r cfd.CFD) int {
+	for n := range len(s.table) {
+		if i := (s.next + n) % len(s.table); s.table[i].Equal(r) {
+			s.next = i + 1
+			return i
+		}
+	}
+	if s.keys == nil {
+		s.keys = make(map[string]int)
+	}
+	k := ruleKey(r)
+	i, ok := s.keys[k]
+	if !ok {
+		i, s.n = s.n, s.n+1
+		s.keys[k] = i
+	}
+	return i
+}
+
 // Apply replays the delta onto the report it was computed against: given the
 // full report at the delta's base epoch it returns the full report at
 // d.Epoch. ruleTable must be the rule list in effect at d.Epoch; when the
@@ -64,24 +104,29 @@ func (d *Delta) Apply(prev *Report, ruleTable []cfd.CFD) *Report {
 	if d.Rules != nil {
 		table = d.Rules
 	}
-	byKey := make(map[string][]int, len(prev.Violations))
+	slots := newRuleSlots(table)
+	sets := make([][]int, len(table)) // by slot
+	at := func(r cfd.CFD) *[]int {
+		i := slots.of(r)
+		for len(sets) <= i {
+			sets = append(sets, nil)
+		}
+		return &sets[i]
+	}
 	for _, v := range prev.Violations {
-		byKey[ruleKey(v.Rule)] = v.Tuples
+		*at(v.Rule) = v.Tuples
 	}
 	for _, v := range d.Removed {
-		k := ruleKey(v.Rule)
-		if ts := patchSorted(byKey[k], nil, v.Tuples); len(ts) == 0 {
-			delete(byKey, k)
-		} else {
-			byKey[k] = ts
-		}
+		ts := at(v.Rule)
+		*ts = patchSorted(*ts, nil, v.Tuples)
 	}
 	for _, v := range d.Added {
-		byKey[ruleKey(v.Rule)] = patchSorted(byKey[ruleKey(v.Rule)], v.Tuples, nil)
+		ts := at(v.Rule)
+		*ts = patchSorted(*ts, v.Tuples, nil)
 	}
 	out := &Report{Epoch: d.Epoch, RulesChecked: len(table)}
-	for _, r := range table {
-		if ts := byKey[ruleKey(r)]; len(ts) > 0 {
+	for i, r := range table {
+		if ts := sets[i]; len(ts) > 0 {
 			out.Violations = append(out.Violations, Violation{Rule: r, Tuples: ts})
 		}
 	}
@@ -93,102 +138,147 @@ func (d *Delta) Apply(prev *Report, ruleTable []cfd.CFD) *Report {
 // the add elements inserted and the remove elements dropped, as a fresh slice
 // (base itself when there is nothing to do). add and remove are disjoint;
 // adding a present element or removing an absent one is tolerated (set
-// semantics).
+// semantics). The runs of base between two edits are copied whole, so a few
+// edits to a long set — the dirty list after a handful of commits — cost
+// little more than the copy.
 func patchSorted(base, add, remove []int) []int {
 	if len(add) == 0 && len(remove) == 0 {
 		return base
 	}
 	out := make([]int, 0, len(base)+len(add))
-	ai, ri := 0, 0
-	for _, v := range base {
-		for ai < len(add) && add[ai] < v {
-			out = append(out, add[ai])
-			ai++
+	for len(add) > 0 || len(remove) > 0 {
+		adding := len(remove) == 0 || len(add) > 0 && add[0] <= remove[0]
+		x := 0
+		if adding {
+			x, add = add[0], add[1:]
+		} else {
+			x, remove = remove[0], remove[1:]
 		}
-		if ai < len(add) && add[ai] == v {
-			ai++ // already present
+		i := below(base, x)
+		out, base = append(out, base[:i]...), base[i:]
+		present := len(base) > 0 && base[0] == x
+		switch {
+		case adding && !present:
+			out = append(out, x)
+		case !adding && present:
+			base = base[1:]
 		}
-		for ri < len(remove) && remove[ri] < v {
-			ri++ // not present; nothing to drop
-		}
-		if ri < len(remove) && remove[ri] == v {
-			ri++
-			continue
-		}
-		out = append(out, v)
 	}
-	out = append(out, add[ai:]...)
-	return out
+	return append(out, base...)
+}
+
+// below returns how many elements of the sorted s are less than x, searching
+// from the front in steps that double: the cost grows with the answer's
+// logarithm, not with the length of s.
+func below(s []int, x int) int {
+	hi := 1
+	for hi <= len(s) && s[hi-1] < x {
+		hi *= 2
+	}
+	lo := hi / 2
+	return lo + sort.SearchInts(s[lo:min(hi, len(s))], x)
+}
+
+// edits gathers a span's edits to one set, commit by commit: the sorted
+// lists of ids that entered it and of ids that left it.
+type edits struct {
+	add, rem [][]int
+}
+
+func (e *edits) record(add, rem []int) {
+	if len(add) > 0 {
+		e.add = append(e.add, add)
+	}
+	if len(rem) > 0 {
+		e.rem = append(e.rem, rem)
+	}
+}
+
+// net folds the span's edits into its net edit, sorted. A membership
+// strictly alternates between entering and leaving, so an id that entered
+// more often than it left is a net entry, one that left more often a net
+// leave, and any other id ends where it began. Each side is gathered and
+// sorted once, so the fold costs O(n log n) in the ids the span lists, however
+// many commits they come in.
+func (e *edits) net() (add, rem []int) {
+	a, r := gather(e.add), gather(e.rem)
+	if len(a) == 0 || len(r) == 0 {
+		return a, r // nothing to cancel
+	}
+	for len(a) > 0 && len(r) > 0 {
+		x, na, nr := min(a[0], r[0]), 0, 0
+		for ; na < len(a) && a[na] == x; na++ {
+		}
+		for ; nr < len(r) && r[nr] == x; nr++ {
+		}
+		a, r = a[na:], r[nr:]
+		switch {
+		case na > nr:
+			add = append(add, x)
+		case nr > na:
+			rem = append(rem, x)
+		}
+	}
+	return append(add, a...), append(rem, r...)
+}
+
+// gather returns the ids of the sorted lists ls as one sorted list: the list
+// itself when there is only one.
+func gather(ls [][]int) []int {
+	if len(ls) == 1 {
+		return ls[0]
+	}
+	s := slices.Concat(ls...)
+	slices.Sort(s)
+	return s
 }
 
 // mergeDeltas folds consecutive per-epoch deltas (oldest first) into one
-// delta at the head epoch. Because a (rule, tuple) membership — and a tuple's
-// dirty membership — strictly alternates between entering and leaving across
-// commits, opposite edits cancel exactly and the fold is the symmetric
-// difference between the two end states.
-func mergeDeltas(ds []*Delta, epoch uint64) *Delta {
+// delta at the head epoch; table is the rule table at the head. Because a
+// (rule, tuple) membership — and a tuple's dirty membership — strictly
+// alternates between entering and leaving across commits, opposite edits
+// cancel exactly and the fold is the symmetric difference between the two
+// end states. Rules are listed in the order the span first names them.
+func mergeDeltas(ds []*Delta, epoch uint64, table []cfd.CFD) *Delta {
 	if len(ds) == 1 {
 		return ds[0]
 	}
 	out := &Delta{Epoch: epoch}
 	type fold struct {
-		rule  cfd.CFD
-		signs map[int]int8
+		rule cfd.CFD
+		edits
 	}
-	folds := make(map[string]*fold)
-	var order []string
-	acc := func(v Violation, sign int8) {
-		k := ruleKey(v.Rule)
-		f := folds[k]
-		if f == nil {
-			f = &fold{signs: make(map[int]int8)}
-			folds[k] = f
-			order = append(order, k)
+	slots := newRuleSlots(table)
+	var folds []*fold // by slot
+	var order []int   // slots, first named first
+	at := func(r cfd.CFD) *fold {
+		i := slots.of(r)
+		for len(folds) <= i {
+			folds = append(folds, nil)
 		}
-		f.rule = v.Rule
-		for _, t := range v.Tuples {
-			if f.signs[t] == -sign {
-				delete(f.signs, t)
-			} else {
-				f.signs[t] = sign
-			}
+		if folds[i] == nil {
+			folds[i] = &fold{}
+			order = append(order, i)
 		}
+		folds[i].rule = r
+		return folds[i]
 	}
-	dirty := make(map[int]int8)
-	foldDirty := func(ts []int, sign int8) {
-		for _, t := range ts {
-			if dirty[t] == -sign {
-				delete(dirty, t)
-			} else {
-				dirty[t] = sign
-			}
-		}
-	}
+	var dirty edits
 	for _, d := range ds {
 		for _, v := range d.Added {
-			acc(v, 1)
+			at(v.Rule).record(v.Tuples, nil)
 		}
 		for _, v := range d.Removed {
-			acc(v, -1)
+			at(v.Rule).record(nil, v.Tuples)
 		}
-		foldDirty(d.DirtyAdded, 1)
-		foldDirty(d.DirtyRemoved, -1)
+		dirty.record(d.DirtyAdded, d.DirtyRemoved)
 		if d.Rules != nil {
 			out.Rules = d.Rules
 		}
 	}
-	for _, k := range order {
-		f := folds[k]
-		var add, rem []int
-		for t, s := range f.signs {
-			if s > 0 {
-				add = append(add, t)
-			} else {
-				rem = append(rem, t)
-			}
-		}
-		sort.Ints(add)
-		sort.Ints(rem)
+	for _, i := range order {
+		f := folds[i]
+		add, rem := f.net()
 		if len(add) > 0 {
 			out.Added = append(out.Added, Violation{Rule: f.rule, Tuples: add})
 		}
@@ -196,15 +286,7 @@ func mergeDeltas(ds []*Delta, epoch uint64) *Delta {
 			out.Removed = append(out.Removed, Violation{Rule: f.rule, Tuples: rem})
 		}
 	}
-	for t, s := range dirty {
-		if s > 0 {
-			out.DirtyAdded = append(out.DirtyAdded, t)
-		} else {
-			out.DirtyRemoved = append(out.DirtyRemoved, t)
-		}
-	}
-	sort.Ints(out.DirtyAdded)
-	sort.Ints(out.DirtyRemoved)
+	out.DirtyAdded, out.DirtyRemoved = dirty.net()
 	return out
 }
 
@@ -320,7 +402,7 @@ func (e *Engine) changesLocked(since uint64) (*Delta, error) {
 	for i := range ds {
 		ds[i] = e.deltas[(since+1+uint64(i))%uint64(len(e.deltas))]
 	}
-	return mergeDeltas(ds, head), nil
+	return mergeDeltas(ds, head, e.rules), nil
 }
 
 // WaitChange blocks until the engine's epoch differs from since (returning

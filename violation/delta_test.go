@@ -3,6 +3,7 @@ package violation_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -89,6 +90,57 @@ func TestChangesRingBounds(t *testing.T) {
 	}
 	if d, err := eng.Changes(eng.Epoch()); err != nil || !d.Empty() {
 		t.Fatalf("Changes(head) across a bulk load = %+v, %v", d, err)
+	}
+}
+
+// TestMergedDeltaOutOfRuleOrder: a span whose later commit touches earlier
+// rules lists the rules in the order the span first names them, not in rule
+// order. Apply places every entry by its rule all the same — on the engine's
+// own table, as the snapshot patch does, and on a client's table of copies
+// that list an LHS in another order.
+func TestMergedDeltaOutOfRuleOrder(t *testing.T) {
+	eng := custEngine(t, true, violation.Options{})
+	prev := eng.Report()
+	// The last rule wants CC = 01 everywhere; the first, AC = 131 → CT = EDI.
+	if _, err := eng.Insert("44", "908", "1", "Ann", "5th Ave", "MH", "07974"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Insert("01", "131", "2", "Bob", "5th Ave", "NYC", "01202"); err != nil {
+		t.Fatal(err)
+	}
+	d, err := eng.Changes(prev.Epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := eng.Rules()
+	var order []int
+	for _, v := range d.Added {
+		order = append(order, slices.IndexFunc(table, v.Rule.Equal))
+	}
+	if slices.IsSorted(order) {
+		t.Fatalf("the merged delta lists its rules in rule order; the test needs a span that does not: %+v", d.Added)
+	}
+	client := make([]cfd.CFD, len(table))
+	for i, r := range table {
+		c, err := cfd.Parse(r.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Reverse(c.LHS)
+		slices.Reverse(c.LHSPattern)
+		client[i] = c
+	}
+	want := eng.Report()
+	for name, tbl := range map[string][]cfd.CFD{"the engine's table": table, "a client's copies": client} {
+		got := d.Apply(prev, tbl)
+		if !violationsEqual(got.Violations, want.Violations) || !sameIDs(got.DirtyTuples, want.DirtyTuples) || got.RulesChecked != want.RulesChecked {
+			t.Errorf("%s: applying the merged delta\n got: %+v\nwant: %+v", name, got, want)
+		}
+	}
+	// A table without the first rule: its entries have nowhere to go.
+	got := d.Apply(prev, table[1:])
+	if !violationsEqual(got.Violations, want.Violations[1:]) || got.RulesChecked != len(table)-1 {
+		t.Errorf("a table without %v: applying the merged delta\n got: %+v\nwant: %+v", table[0], got, want.Violations[1:])
 	}
 }
 
