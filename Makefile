@@ -15,7 +15,8 @@ test:
 
 # race runs everything under the race detector, then ten times over the tests
 # that share state between goroutines — the engine's live indexes between
-# concurrent readers, writers and rule swaps, and between the pool tasks of
+# concurrent readers, writers and rule swaps, between lock-free report
+# readers and the report a bulk load publishes, and between the pool tasks of
 # one batch or bulk load at every worker count; the closed-set search's root
 # candidates between its pooled branches, with and without a cancellation in
 # flight; CTANE's lattice links between the workers of a level; a node's
@@ -24,7 +25,7 @@ test:
 # listed package has, so a renamed test cannot silently drop out.
 race:
 	$(GO) test -race ./...
-	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestSwapRulesConcurrentReaders|TestApplyBatchMatchesPerOp|TestShardedBulkLoadAgrees' ./violation
+	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestReadersRaceBulkLoad|TestSwapRulesConcurrentReaders|TestApplyBatchMatchesPerOp|TestShardedBulkLoadAgrees' ./violation
 	./scripts/race_repeat.sh 'TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude' ./internal/itemset ./internal/fastcfd
 	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic' ./internal/ctane
 	./scripts/race_repeat.sh 'TestFullReadsMatchThePlainEncoder' ./cmd/cfdserve

@@ -101,6 +101,16 @@ func (c config) logger() *slog.Logger {
 // shutdownGrace bounds the drain of in-flight requests at shutdown.
 const shutdownGrace = 5 * time.Second
 
+// readHeaderTimeout bounds how long a connection may take to send a request's
+// headers, on the API and the debug listener alike: a client that never
+// finishes them is cut off instead of holding a connection and a goroutine.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer returns the server of either listener, answering handler.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // maintainPolicy is the -maintain staleness policy: remine when a rule's live
 // support has drifted a quarter from its value at adoption or its confidence
 // has fallen under 0.95, at most every 30 s. Rules below the discovery
@@ -295,7 +305,7 @@ func serve(ctx context.Context, log *slog.Logger, addr, debugAddr string, handle
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: handler}
+	srv := newHTTPServer(handler)
 	failed := make(chan error, 1)
 	go func() { failed <- srv.Serve(ln) }()
 	defer srv.Close()
@@ -309,7 +319,7 @@ func serve(ctx context.Context, log *slog.Logger, addr, debugAddr string, handle
 		if err != nil {
 			return err
 		}
-		debug := &http.Server{Handler: debugMux()}
+		debug := newHTTPServer(debugMux())
 		go debug.Serve(dln)
 		defer debug.Close()
 		log.Info("debug listener on", "addr", dln.Addr().String())

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -484,5 +485,37 @@ func TestServeListenError(t *testing.T) {
 			t.Fatalf("run %v = %v, want the listen error", args, err)
 		}
 		assertClosedAndCompacted(t, dir)
+	}
+}
+
+// TestSlowHeaderClientCutOff: a client that sends half a request line and
+// then nothing is disconnected once the header timeout passes, instead of
+// holding its connection for good.
+func TestSlowHeaderClientCutOff(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/hea"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// The server may answer 408 first; either way it must close.
+	_, err = io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("the server kept a connection whose headers never arrived")
 	}
 }

@@ -189,9 +189,6 @@ func NewGroupIndex(rules []CFD) *GroupIndex {
 // LHS returns the attribute set the index groups on.
 func (ix *GroupIndex) LHS() AttrSet { return ix.rules[0].c.LHS }
 
-// Rules returns the number of rules the index maintains.
-func (ix *GroupIndex) Rules() int { return len(ix.rules) }
-
 // CFD returns rule r.
 func (ix *GroupIndex) CFD(r int) CFD { return ix.rules[r].c }
 

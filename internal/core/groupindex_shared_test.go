@@ -160,7 +160,7 @@ func (h *sharedHarness) check(step string, x int, flips []map[int]bool) {
 	h.t.Helper()
 	ix := h.ix[x]
 	got := ix.Violating(nil)
-	repairs := collectRuleRepairs(ix, func(a int) *core.Dict { return h.dicts[a] })
+	repairs := collectRuleRepairs(ix, len(h.rules[x]), func(a int) *core.Dict { return h.dicts[a] })
 	violatedBy := make(map[int][]int) // id -> rules, from the recount
 	for r, c := range h.rules[x] {
 		want, tuples, groups := naiveState(c, h.rows)

@@ -244,14 +244,15 @@ type offTarget struct {
 	have, want int32
 }
 
-// collectRepairs returns the Repairs visits of rule 0, by id.
+// collectRepairs returns the Repairs visits of the index's one rule, by id.
 func collectRepairs(ix *core.GroupIndex, values *core.Dict) []offTarget {
-	return collectRuleRepairs(ix, func(int) *core.Dict { return values })[0]
+	return collectRuleRepairs(ix, 1, func(int) *core.Dict { return values })[0]
 }
 
-// collectRuleRepairs returns the Repairs visits of every rule, each by id.
-func collectRuleRepairs(ix *core.GroupIndex, dict func(int) *core.Dict) [][]offTarget {
-	out := make([][]offTarget, ix.Rules())
+// collectRuleRepairs returns the Repairs visits of each of the index's n rules,
+// each by id.
+func collectRuleRepairs(ix *core.GroupIndex, n int, dict func(int) *core.Dict) [][]offTarget {
+	out := make([][]offTarget, n)
 	ix.Repairs(dict, func(r, id int, have, want int32) { out[r] = append(out[r], offTarget{id, have, want}) })
 	for _, o := range out {
 		sort.Slice(o, func(i, j int) bool { return o[i].id < o[j].id })

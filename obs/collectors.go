@@ -58,7 +58,7 @@ func InstrumentEngine(r *Registry, e *violation.Engine) {
 		swapDur:      r.Histogram("cfd_engine_swap_duration_seconds", "Wall-clock duration of committed rule swaps.", DefBuckets),
 		rulesAdded:   r.Counter("cfd_engine_rules_added_total", "Rules added across all committed swaps."),
 		rulesRemoved: r.Counter("cfd_engine_rules_removed_total", "Rules removed across all committed swaps."),
-		snapshots:    r.CounterVec("cfd_engine_snapshots_total", "Snapshot refreshes by mode (patch = incremental delta patch, rebuild = full parallel rebuild).", "mode"),
+		snapshots:    r.CounterVec("cfd_engine_snapshots_total", "Snapshot refreshes by mode (patch = a read's incremental delta patch; rebuild = a full build, by a bulk load or restore, or by a read whose last report has left the delta ring).", "mode"),
 		snapshotDur:  r.HistogramVec("cfd_engine_snapshot_duration_seconds", "Wall-clock duration of snapshot refreshes by mode.", DefBuckets, "mode"),
 	}
 	r.GaugeFunc("cfd_engine_epoch", "Current mutation epoch.", func() float64 { return float64(e.Epoch()) })

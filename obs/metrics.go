@@ -125,7 +125,8 @@ func labelKey(values []string) string {
 	return string(b)
 }
 
-// vec is the shared child table behind the labeled metric types.
+// vec is the shared child table behind every counter, gauge and histogram
+// family; an unlabeled one has a single child.
 type vec[T any] struct {
 	labels []string
 	make   func() *T
@@ -135,8 +136,14 @@ type vec[T any] struct {
 	values   map[string][]string // key -> label values, for exposition
 }
 
+// newVec returns an empty child table; one with no labels gets its only child
+// at once, so an unlabeled metric is exposed (at zero) before its first use.
 func newVec[T any](labels []string, mk func() *T) *vec[T] {
-	return &vec[T]{labels: labels, make: mk, children: map[string]*T{}, values: map[string][]string{}}
+	v := &vec[T]{labels: labels, make: mk, children: map[string]*T{}, values: map[string][]string{}}
+	if len(labels) == 0 {
+		v.with(nil)
+	}
+	return v
 }
 
 func (v *vec[T]) with(values []string) *T {

@@ -22,8 +22,10 @@ type Registry struct {
 	fams map[string]*family
 }
 
-// family is one registered metric family: exactly one of single, counterVec,
-// histogramVec, gaugeVec, fn or cfn is set, according to kind.
+// family is one registered metric family: exactly one of counterVec,
+// gaugeVec, histogramVec, gaugeFn or counterFn is set, according to kind. An
+// unlabeled counter, gauge or histogram is the one child of a vec with no
+// labels.
 type family struct {
 	name    string
 	help    string
@@ -31,9 +33,6 @@ type family struct {
 	labels  []string
 	buckets []float64
 
-	counter      *Counter
-	gauge        *Gauge
-	histogram    *Histogram
 	counterVec   *CounterVec
 	gaugeVec     *GaugeVec
 	histogramVec *HistogramVec
@@ -95,13 +94,7 @@ func equalFloats(a, b []float64) bool {
 }
 
 // Counter registers (or returns) an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, "counter", nil, nil, func(f *family) { f.counter = &Counter{} })
-	if f.counter == nil {
-		panic(fmt.Sprintf("obs: metric %s is not a plain counter", name))
-	}
-	return f.counter
-}
+func (r *Registry) Counter(name, help string) *Counter { return r.CounterVec(name, help).With() }
 
 // CounterVec registers (or returns) a counter family with the given label names.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
@@ -121,13 +114,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 }
 
 // Gauge registers (or returns) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, "gauge", nil, nil, func(f *family) { f.gauge = &Gauge{} })
-	if f.gauge == nil {
-		panic(fmt.Sprintf("obs: metric %s is not a plain gauge", name))
-	}
-	return f.gauge
-}
+func (r *Registry) Gauge(name, help string) *Gauge { return r.GaugeVec(name, help).With() }
 
 // GaugeVec registers (or returns) a gauge family with the given label names.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
@@ -150,11 +137,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // Histogram registers (or returns) an unlabeled histogram with the given
 // bucket upper bounds (nil uses DefBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, "histogram", nil, buckets, func(f *family) { f.histogram = newHistogram(buckets) })
-	if f.histogram == nil {
-		panic(fmt.Sprintf("obs: metric %s is not a plain histogram", name))
-	}
-	return f.histogram
+	return r.HistogramVec(name, help, buckets).With()
 }
 
 // HistogramVec registers (or returns) a histogram family with the given bucket
@@ -199,25 +182,19 @@ func (r *Registry) WriteText(w io.Writer) error {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		switch {
-		case f.counter != nil:
-			fmt.Fprintf(&b, "%s %d\n", f.name, f.counter.Value())
 		case f.counterFn != nil:
 			fmt.Fprintf(&b, "%s %d\n", f.name, f.counterFn())
-		case f.gauge != nil:
-			fmt.Fprintf(&b, "%s %s\n", f.name, formatFloat(f.gauge.Value()))
 		case f.gaugeFn != nil:
 			fmt.Fprintf(&b, "%s %s\n", f.name, formatFloat(f.gaugeFn()))
-		case f.histogram != nil:
-			writeHistogram(&b, f.name, "", f.histogram)
 		case f.counterVec != nil:
 			_, values, children := f.counterVec.snapshot()
 			for i, c := range children {
-				fmt.Fprintf(&b, "%s{%s} %d\n", f.name, formatLabels(f.labels, values[i]), c.Value())
+				fmt.Fprintf(&b, "%s %d\n", series(f.name, formatLabels(f.labels, values[i])), c.Value())
 			}
 		case f.gaugeVec != nil:
 			_, values, children := f.gaugeVec.snapshot()
 			for i, g := range children {
-				fmt.Fprintf(&b, "%s{%s} %s\n", f.name, formatLabels(f.labels, values[i]), formatFloat(g.Value()))
+				fmt.Fprintf(&b, "%s %s\n", series(f.name, formatLabels(f.labels, values[i])), formatFloat(g.Value()))
 			}
 		case f.histogramVec != nil:
 			_, values, children := f.histogramVec.snapshot()
@@ -253,13 +230,17 @@ func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
 	}
 	cum += h.counts[len(h.bounds)].Load()
 	fmt.Fprintf(b, "%s_bucket{%s} %d\n", name, joint(`le="+Inf"`), cum)
+	fmt.Fprintf(b, "%s %s\n", series(name+"_sum", labels), formatFloat(h.Sum()))
+	fmt.Fprintf(b, "%s %d\n", series(name+"_count", labels), h.Count())
+}
+
+// series names one series: the metric name, followed by its pre-formatted
+// label pairs in braces when it has any.
+func series(name, labels string) string {
 	if labels == "" {
-		fmt.Fprintf(b, "%s_sum %s\n", name, formatFloat(h.Sum()))
-		fmt.Fprintf(b, "%s_count %d\n", name, h.Count())
-	} else {
-		fmt.Fprintf(b, "%s_sum{%s} %s\n", name, labels, formatFloat(h.Sum()))
-		fmt.Fprintf(b, "%s_count{%s} %d\n", name, labels, h.Count())
+		return name
 	}
+	return name + "{" + labels + "}"
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

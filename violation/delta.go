@@ -298,14 +298,15 @@ func mergeDeltas(ds []*Delta, epoch uint64, table []cfd.CFD) *Delta {
 // Callers hold the write lock and must bumpLocked right after.
 func (e *Engine) recordDelta(added, removed []Violation, newRules []cfd.CFD) {
 	d := &Delta{Epoch: e.epoch.Load() + 1, Added: added, Removed: removed, Rules: newRules}
-	if e.dirtyRef == nil {
-		e.dirtyRef = make(map[int]int)
+	if n := e.rel.Size(); len(e.dirtyRef) < n {
+		e.dirtyRef = append(e.dirtyRef, make([]int32, n-len(e.dirtyRef))...)
 	}
 	// Added before removed: a tuple trading one violated rule for another then
 	// never dips through zero, keeping DirtyAdded and DirtyRemoved disjoint.
 	for _, v := range added {
 		for _, t := range v.Tuples {
 			if e.dirtyRef[t]++; e.dirtyRef[t] == 1 {
+				e.dirty++
 				d.DirtyAdded = append(d.DirtyAdded, t)
 			}
 		}
@@ -313,7 +314,7 @@ func (e *Engine) recordDelta(added, removed []Violation, newRules []cfd.CFD) {
 	for _, v := range removed {
 		for _, t := range v.Tuples {
 			if e.dirtyRef[t]--; e.dirtyRef[t] == 0 {
-				delete(e.dirtyRef, t)
+				e.dirty--
 				d.DirtyRemoved = append(d.DirtyRemoved, t)
 			}
 		}
@@ -329,44 +330,25 @@ func (e *Engine) recordDelta(added, removed []Violation, newRules []cfd.CFD) {
 	}
 }
 
-// rebuildDirtyLocked re-derives the dirty refcounts from the indexes, after a
-// bulk change that bypasses per-commit deltas (BulkLoad, restore). Callers
-// hold the write lock.
-func (e *Engine) rebuildDirtyLocked() {
-	e.dirtyRef = make(map[int]int)
-	for _, tuples := range e.violating(e.indexes, len(e.rules), nil) {
-		for _, t := range tuples {
-			e.dirtyRef[t]++
-		}
-	}
-}
+// bumpLocked commits a mutation epoch: it advances the epoch by one. Callers
+// hold the write lock and have already recorded the commit's delta.
+func (e *Engine) bumpLocked() { e.setEpochLocked(e.epoch.Load() + 1) }
 
-// bumpLocked commits a mutation epoch: it advances the epoch counter and
-// wakes every WaitChange waiter. Callers hold the write lock and have already
-// recorded the commit's delta (or reset the ring).
-func (e *Engine) bumpLocked() {
-	e.epoch.Add(1)
-	close(e.watch)
-	e.watch = make(chan struct{})
-}
-
-// resetViewLocked commits a mutation that is not delta-tracked (BulkLoad,
-// restore): the ring is emptied — Changes across it reports ErrCompacted —
-// and the dirty refcounts are rebuilt from the indexes. Callers hold the
-// write lock.
-func (e *Engine) resetViewLocked() {
+// commitBulkLocked commits a change that bypasses the per-commit deltas
+// (BulkLoad, restore) at epoch: it empties the ring — Changes across it
+// reports ErrCompacted — recounts the dirty refcounts in the one full build of
+// the report and publishes that report, before the epoch, as the view at
+// epoch. Callers hold the write lock.
+func (e *Engine) commitBulkLocked(epoch uint64) {
 	e.deltaN = 0
-	e.rebuildDirtyLocked()
-	e.bumpLocked()
+	e.snap.Store(e.buildReport(epoch, true))
+	e.setEpochLocked(epoch)
 }
 
-// rebaseEpochLocked renumbers the engine's epoch (aligning it with a commit
-// log's sequence numbers) and discards everything keyed by the old numbering:
-// the delta ring and the cached snapshot. Callers hold the write lock.
-func (e *Engine) rebaseEpochLocked(n uint64) {
+// setEpochLocked moves the epoch to n and wakes every WaitChange waiter.
+// Callers hold the write lock.
+func (e *Engine) setEpochLocked(n uint64) {
 	e.epoch.Store(n)
-	e.deltaN = 0
-	e.snap.Store(nil)
 	close(e.watch)
 	e.watch = make(chan struct{})
 }

@@ -25,8 +25,10 @@ type EngineObserver interface {
 	// ObserveSwap reports one committed SwapRules: the rule-delta shape and the
 	// swap's wall-clock duration (index builds for added rules included).
 	ObserveSwap(added, removed, retained int, seconds float64)
-	// ObserveSnapshot reports one snapshot refresh: patched is true for the
-	// O(changes) delta-patch path, false for the full parallel rebuild.
+	// ObserveSnapshot reports one snapshot refresh: patched is true for a
+	// read's O(changes) delta patch, false for a full build — the one a bulk
+	// change (BulkLoad, restore) publishes, or the one a read makes when its
+	// last report has left the delta history.
 	ObserveSnapshot(patched bool, seconds float64)
 }
 

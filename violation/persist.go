@@ -603,16 +603,11 @@ func (st *Store) Load(opts Options) (*Engine, bool, error) {
 	if err := e.restoreSnapshot(snap); err != nil {
 		return nil, false, err
 	}
-	// Re-base the epoch onto the WAL sequence before replay: the restored
-	// state is exactly the state after commit WalSeq, and every replayed
-	// record bumps the epoch once, so afterwards epoch == Seq() and a delta
-	// client's pre-crash since values stay meaningful (the replayed tail even
-	// repopulates the delta ring).
-	e.mu.Lock()
-	e.rebaseEpochLocked(snap.WalSeq)
-	e.mu.Unlock()
 	// Replay: every record above the snapshot's sequence, in log order, each
-	// as one atomic batch — the engine has no log attached yet.
+	// as one atomic batch — the engine has no log attached yet. Each bumps the
+	// epoch once from the snapshot's WalSeq, so afterwards epoch == Seq() and
+	// a delta client's pre-crash since values stay meaningful (the replayed
+	// tail even repopulates the delta ring).
 	for _, rec := range tail {
 		if rec.Rules != nil {
 			if _, err := e.SwapRules(context.Background(), rec.Rules); err != nil {
@@ -843,14 +838,15 @@ func (e *Engine) captureSnapshot(seq func() uint64) *snapshotFile {
 
 // restoreSnapshot loads a validated snapshot (see decodeSnapshotFile) into an
 // empty engine: every tuple lands at its original id, dead ids stay holes,
-// and the next id to assign is the file's next_id.
+// and the next id to assign is the file's next_id. The restored state is
+// exactly the state after commit wal_seq, so it commits at that epoch.
 func (e *Engine) restoreSnapshot(file *snapshotFile) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	defer e.resetViewLocked()
 	if e.rel.Size() != 0 {
 		return fmt.Errorf("violation: restore into a non-empty engine")
 	}
 	e.loadLocked(file.Dicts, file.Columns, file.NextID)
+	e.commitBulkLocked(file.WalSeq)
 	return nil
 }

@@ -47,15 +47,15 @@
 // writers. Mutations (Insert, Delete, Update, ApplyBatch, BulkLoad) are
 // serialised by an internal write lock; batch mutations, like the bulk reads,
 // run one repro/internal/pool task per LHS-set index. The bulk readers Report
-// and Dirty serve an immutable copy-on-write snapshot keyed by a mutation
-// epoch: the first read after a mutation
-// rebuilds the snapshot (briefly excluding writers), and every subsequent
-// read shares it without taking any lock at all, so a polling client never
-// stalls the write path. Point reads (Row, TupleViolations, Size, ...) and
-// the repair view (Suspects, Repairs — a walk of the violating groups) read
-// the live state under a read lock. Everything a reader receives —
-// snapshots, violation tuple slices, rows — is immutable or freshly built;
-// treat shared slices as read-only.
+// and Dirty serve an immutable copy-on-write report keyed by a mutation
+// epoch: a bulk change publishes the report it built, the first read after
+// any other mutation patches the previous report from the delta history, and
+// every subsequent read shares it without taking any lock at all, so a
+// polling client never stalls the write path. Point reads (Row,
+// TupleViolations, Size, ...) and the repair view (Suspects, Repairs — a walk
+// of the violating groups) read the live state under a read lock. Everything
+// a reader receives — reports, violation tuple slices, rows — is immutable or
+// freshly built; treat shared slices as read-only.
 //
 // # Durability
 //
@@ -108,7 +108,7 @@ type Violation struct {
 
 // Report is a full snapshot of the engine's violation state, mirroring the
 // shape of repro/cleaning's batch report. Its slices are shared with the
-// engine's immutable snapshot; treat them as read-only.
+// report the engine publishes; treat them as read-only.
 type Report struct {
 	// Epoch is the mutation epoch the report captures; poll Changes(Epoch)
 	// for what happened since.
@@ -127,7 +127,7 @@ func (rep *Report) Clean() bool { return len(rep.Violations) == 0 }
 // Options configures an Engine.
 type Options struct {
 	// Workers bounds the number of goroutines BulkLoad, ApplyBatch, SwapRules
-	// and snapshot rebuilds may use: 0 runs one worker per available CPU (the
+	// and full report builds may use: 0 runs one worker per available CPU (the
 	// default), 1 runs sequentially. Each spreads its work as one pool task
 	// per LHS-set index, so any worker count yields identical state.
 	// Single-tuple Insert/Delete/Update are always applied inline; they are
@@ -195,36 +195,29 @@ type Engine struct {
 	maxPinGap int // DefaultMaxPinGap; a field so tests can narrow it
 	wal       CommitLog
 
-	// epoch counts mutations; snap caches the immutable state snapshot built
-	// at a given epoch. Readers that find a current snapshot never lock.
+	// epoch counts mutations; snap caches the immutable report published at a
+	// given epoch. Readers that find a current one never lock.
 	epoch  atomic.Uint64
-	snap   atomic.Pointer[snapshot]
-	snapMu sync.Mutex // serialises snapshot rebuilds
+	snap   atomic.Pointer[Report]
+	snapMu sync.Mutex // serialises report refreshes
 
 	// The incremental materialized-view state, all written under mu.Lock:
 	// deltas is the bounded ring of per-commit deltas, indexed by epoch modulo
 	// its length, holding the deltaN most recent epochs; dirtyRef counts, per
-	// dirty tuple, the rules it violates (so delta commits know when
-	// a tuple enters or leaves the dirty union); watch is closed and replaced
-	// at every epoch bump, waking WaitChange waiters.
+	// id slot, the rules the tuple violates (so delta commits know when a
+	// tuple enters or leaves the dirty union), and dirty how many counts are
+	// above zero; watch is closed and replaced at every epoch bump, waking
+	// WaitChange waiters.
 	deltas   []*Delta
 	deltaN   int
-	dirtyRef map[int]int
+	dirtyRef []int32
+	dirty    int
 	watch    chan struct{}
 
 	// obsV holds the optional EngineObserver (boxed; see obs.go); obsCounters
 	// are the always-on internal event counters behind DeltaStats.
 	obsV atomic.Value
 	obsCounters
-}
-
-// snapshot is one immutable view of the violation state, shared by every
-// reader at the same epoch.
-type snapshot struct {
-	epoch      uint64
-	violations []Violation // one per violated rule, rule order
-	dirty      []int       // sorted union of violating ids
-	rules      int         // rules maintained at this epoch
 }
 
 // New builds an engine over the given attribute schema, serving the rules of
@@ -365,16 +358,31 @@ func (e *Engine) checkLive(id int) error {
 // re-bases the engine's epoch onto it, so from here on epoch N means "the
 // state after commit N" in every process that replays the same log — which is
 // what lets a delta client resume Changes(since) across a server restart. A
-// re-base discards the delta history accumulated under the old numbering.
+// re-base discards the delta history accumulated under the old numbering; the
+// state itself does not change, so a current cached report is kept, re-stamped
+// with the new epoch.
 func (e *Engine) AttachWAL(w CommitLog) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.wal = w
-	if s, ok := w.(interface{ Seq() uint64 }); ok {
-		if seq := s.Seq(); seq != e.epoch.Load() {
-			e.rebaseEpochLocked(seq)
-		}
+	s, ok := w.(interface{ Seq() uint64 })
+	if !ok {
+		return
 	}
+	seq := s.Seq()
+	if seq == e.epoch.Load() {
+		return
+	}
+	e.deltaN = 0
+	if rep := e.snap.Load(); rep != nil && rep.Epoch == e.epoch.Load() {
+		restamped := *rep
+		restamped.Epoch = seq
+		e.snap.Store(&restamped)
+	} else {
+		// A stale report's epoch means nothing under the new numbering.
+		e.snap.Store(nil)
+	}
+	e.setEpochLocked(seq)
 }
 
 // Insert adds one tuple (values in schema order) and returns its id. Each
@@ -413,10 +421,6 @@ func (e *Engine) BulkLoad(rel *cfd.Relation) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// A bulk load is not delta-tracked: the commit resets the delta ring
-	// (Changes across it reports ErrCompacted) and rebuilds the dirty
-	// refcounts from the indexes.
-	defer e.resetViewLocked()
 	attrs := rel.Attributes()
 	if len(attrs) != e.schema.Arity() {
 		return fmt.Errorf("violation: relation has %d attributes, engine schema has %d", len(attrs), e.schema.Arity())
@@ -431,6 +435,7 @@ func (e *Engine) BulkLoad(rel *cfd.Relation) error {
 	if obs != nil {
 		obs.ObserveCommit("bulkload", rel.Size(), time.Since(obsStart).Seconds())
 	}
+	e.commitBulkLocked(e.epoch.Load() + 1)
 	return nil
 }
 
@@ -588,97 +593,110 @@ func (e *Engine) Tuples(start, limit int) (tuples []Tuple, next int, more bool) 
 	return tuples, e.rel.Size(), false
 }
 
-// snapshot returns the immutable state snapshot for the current epoch,
-// refreshing it only when a mutation happened since the last build. The
-// refresh prefers the incremental path — patching the previous snapshot with
-// the merged ring delta since its epoch, O(changes) instead of O(relation) —
-// and falls back to the full parallel rebuild when the previous snapshot is
-// too old for the bounded delta history (or there is none yet). The
-// double-checked snapMu keeps a stampede of stale readers down to one
-// refresh.
-func (e *Engine) snapshot() *snapshot {
-	if s := e.snap.Load(); s != nil && s.epoch == e.epoch.Load() {
-		return s
+// snapshot returns the immutable report for the current epoch, refreshing it
+// only when a mutation happened since the last one was published. The refresh
+// prefers the incremental path — patching the previous report with the
+// merged ring delta since its epoch, O(changes) instead of O(relation) — and
+// falls back to the full build when the previous report is too old for the
+// bounded delta history (or there is none). The double-checked snapMu keeps a
+// stampede of stale readers down to one refresh. The epoch is loaded before
+// the report: a bulk commit or re-base publishes its report before the epoch
+// it carries, so a current-looking report is never a stale one.
+func (e *Engine) snapshot() *Report {
+	if epoch, rep := e.epoch.Load(), e.snap.Load(); rep != nil && rep.Epoch == epoch {
+		return rep
 	}
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
-	if s := e.snap.Load(); s != nil && s.epoch == e.epoch.Load() {
-		return s
+	e.mu.RLock()
+	// The epoch is stable while the read lock is held: writers move it under
+	// the write lock. The rule table is captured here too — a rule swap
+	// replaces it wholesale under the write lock.
+	epoch, old, ruleTable := e.epoch.Load(), e.snap.Load(), e.rules
+	if old != nil {
+		if old.Epoch == epoch {
+			e.mu.RUnlock()
+			return old
+		}
+		obs := e.obs()
+		var obsStart time.Time
+		if obs != nil {
+			obsStart = time.Now()
+		}
+		if d, err := e.changesLocked(old.Epoch); err == nil {
+			// Ring deltas and reports are immutable once published, so the
+			// patch itself can run outside the lock.
+			e.mu.RUnlock()
+			rep := d.Apply(old, ruleTable)
+			// A bulk commit meanwhile published a newer report: keep it.
+			e.snap.CompareAndSwap(old, rep)
+			if obs != nil {
+				obs.ObserveSnapshot(true, time.Since(obsStart).Seconds())
+			}
+			return rep
+		}
 	}
+	defer e.mu.RUnlock()
+	rep := e.buildReport(epoch, false)
+	e.snap.Store(rep)
+	return rep
+}
+
+// buildReport is the one full build of the report at epoch: a single walk of
+// every index lists the violated rules in rule order, and the dirty list is
+// the ids whose dirty refcount is above zero. A bulk commit, which bypasses the
+// per-commit deltas that keep the refcounts, passes recount to set them from
+// the walk first and holds the write lock; a read holds the read lock. The
+// observer sees the build as a snapshot rebuild.
+func (e *Engine) buildReport(epoch uint64, recount bool) *Report {
 	obs := e.obs()
 	var obsStart time.Time
 	if obs != nil {
 		obsStart = time.Now()
 	}
-	e.mu.RLock()
-	// The epoch is stable while the read lock is held: writers bump it under
-	// the write lock. The rule table is captured here too — a rule swap
-	// replaces it wholesale under the write lock.
-	epoch := e.epoch.Load()
-	ruleTable := e.rules
-	if old := e.snap.Load(); old != nil {
-		if d, err := e.changesLocked(old.epoch); err == nil {
-			// Ring deltas and snapshots are immutable once published, so the
-			// patch itself can run outside the lock.
-			e.mu.RUnlock()
-			rep := d.Apply(&Report{
-				Epoch:        old.epoch,
-				Violations:   old.violations,
-				DirtyTuples:  old.dirty,
-				RulesChecked: old.rules,
-			}, ruleTable)
-			s := &snapshot{epoch: epoch, violations: rep.Violations, dirty: rep.DirtyTuples, rules: rep.RulesChecked}
-			e.snap.Store(s)
-			if obs != nil {
-				obs.ObserveSnapshot(true, time.Since(obsStart).Seconds())
+	rep := &Report{Epoch: epoch, RulesChecked: len(e.rules)}
+	for i, tuples := range e.violating(e.indexes, len(e.rules), nil) {
+		if len(tuples) > 0 {
+			rep.Violations = append(rep.Violations, Violation{Rule: e.rules[i], Tuples: tuples})
+		}
+	}
+	if recount {
+		e.dirtyRef, e.dirty = make([]int32, e.rel.Size()), 0
+		for _, v := range rep.Violations {
+			for _, t := range v.Tuples {
+				if e.dirtyRef[t]++; e.dirtyRef[t] == 1 {
+					e.dirty++
+				}
 			}
-			return s
 		}
 	}
-	perRule := e.violating(e.indexes, len(ruleTable), nil)
-	e.mu.RUnlock()
-	s := &snapshot{epoch: epoch, rules: len(ruleTable)}
-	dirty := make(map[int]bool)
-	for i, tuples := range perRule {
-		if len(tuples) == 0 {
-			continue
-		}
-		s.violations = append(s.violations, Violation{Rule: ruleTable[i], Tuples: tuples})
-		for _, t := range tuples {
-			dirty[t] = true
+	rep.DirtyTuples = make([]int, 0, e.dirty)
+	for t, n := range e.dirtyRef {
+		if n > 0 {
+			rep.DirtyTuples = append(rep.DirtyTuples, t)
 		}
 	}
-	s.dirty = make([]int, 0, len(dirty))
-	for t := range dirty {
-		s.dirty = append(s.dirty, t)
-	}
-	sort.Ints(s.dirty)
-	e.snap.Store(s)
 	if obs != nil {
 		obs.ObserveSnapshot(false, time.Since(obsStart).Seconds())
 	}
-	return s
+	return rep
 }
 
 // Report returns the current violation state — one Violation per violated
 // rule, in rule order, with tuple ids ascending — mirroring the batch report of
 // repro/cleaning: on a freshly bulk-loaded relation the two are identical. It
-// is served from one immutable epoch snapshot, so it stays consistent — and
-// holds no lock — while concurrent mutations proceed. The report's slices are
-// shared with the snapshot; treat them as read-only.
+// is a copy of the immutable report published for the current epoch, so it
+// stays consistent — and holds no lock — while concurrent mutations proceed.
+// The report's slices are shared with the published one; treat them as
+// read-only.
 func (e *Engine) Report() *Report {
-	s := e.snapshot()
-	return &Report{
-		Epoch:        s.epoch,
-		Violations:   s.violations,
-		DirtyTuples:  s.dirty,
-		RulesChecked: s.rules,
-	}
+	rep := *e.snapshot()
+	return &rep
 }
 
 // Dirty returns the sorted union of all violating tuple ids, served from the
-// current epoch snapshot. Treat the slice as read-only.
-func (e *Engine) Dirty() []int { return e.snapshot().dirty }
+// report published for the current epoch. Treat the slice as read-only.
+func (e *Engine) Dirty() []int { return e.snapshot().DirtyTuples }
 
 // DirtyCount returns the number of violating tuples — the length of Dirty —
 // in O(1), read off the dirty refcounts every commit maintains. It is cheap
@@ -686,7 +704,7 @@ func (e *Engine) Dirty() []int { return e.snapshot().dirty }
 func (e *Engine) DirtyCount() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.dirtyRef)
+	return e.dirty
 }
 
 // TupleViolations returns the rules the given live tuple currently violates,
