@@ -19,7 +19,9 @@ test:
 # readers and the report a bulk load publishes, and between the pool tasks of
 # one batch or bulk load at every worker count; the closed-set search's root
 # candidates between its pooled branches, with and without a cancellation in
-# flight; CTANE's lattice links between the workers of a level; a node's
+# flight; CTANE's lattice links between the workers of a level, and the
+# product memory each worker carves from its own refiner's arena inside
+# pool.Each, into elements that share per-level blocks; a node's
 # memory of its last full report between concurrent full readers: the detector
 # only reports the interleavings a run executes. The script refuses a name no
 # listed package has, so a renamed test cannot silently drop out.
@@ -27,7 +29,7 @@ race:
 	$(GO) test -race ./...
 	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestReadersRaceBulkLoad|TestSwapRulesConcurrentReaders|TestApplyBatchMatchesPerOp|TestShardedBulkLoadAgrees' ./violation
 	./scripts/race_repeat.sh 'TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude' ./internal/itemset ./internal/fastcfd
-	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic' ./internal/ctane
+	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic|TestLatticeLinks|TestHeldTidsPerJoin' ./internal/ctane
 	./scripts/race_repeat.sh 'TestFullReadsMatchThePlainEncoder' ./cmd/cfdserve
 
 # bench runs the repo benchmark BENCHMARK.json declares: cfddiscover and

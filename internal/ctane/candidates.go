@@ -19,10 +19,6 @@ type candidateSet struct {
 	removedVals []uint64
 }
 
-func newCandidateSet() *candidateSet {
-	return &candidateSet{}
-}
-
 // pair packs (attr, val) into one word that sorts by attribute first. The
 // wildcard value is represented by core.Wildcard.
 func pair(attr int, val int32) uint64 {
@@ -65,8 +61,8 @@ func (c *candidateSet) allAttrsRemoved(all core.AttrSet) bool {
 // intersectCandidates returns the intersection of the candidate sets of the
 // given elements, which in the complement representation is the union of
 // their removals.
-func intersectCandidates(elems []*element) *candidateSet {
-	out := newCandidateSet()
+func intersectCandidates(elems []*element) candidateSet {
+	var out candidateSet
 	pairs := 0
 	for _, e := range elems {
 		out.removedAttrs = out.removedAttrs.Union(e.cplus.removedAttrs)

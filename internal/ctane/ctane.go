@@ -35,16 +35,18 @@ type Options struct {
 	Workers int
 }
 
-// element is one node of the attribute-set/pattern lattice. It reaches its
-// immediate sub-elements — the elements one attribute smaller that carry the
-// same pattern — by pointer, so no step of the traversal looks an element up
-// by a rendered key.
+// element is one node of the attribute-set/pattern lattice. Its pattern is
+// that of its interned constant part: the constants, wildcard on every other
+// attribute. It reaches its immediate sub-elements — the elements one
+// attribute smaller that carry the same pattern — by pointer, so no step of
+// the traversal looks an element up by a rendered key. A level's elements
+// live in blocks (elementBlocks), and its partitions in the refiners' arenas
+// of that level.
 type element struct {
-	attrs  core.AttrSet
-	tp     core.Pattern // wildcard outside attrs
-	consts int          // number of constants of tp over attrs
-	part   *partition.Partition
-	cplus  *candidateSet
+	attrs   core.AttrSet
+	constID int32 // interned constant part of the pattern, an index into lattice.parts
+	part    partition.Partition
+	cplus   candidateSet
 	// parents[i] is the sub-element without the i-th smallest attribute of
 	// attrs; the last one is the prefix the element was joined on. Cleared
 	// once the next level is generated, which is what lets the level below
@@ -52,13 +54,39 @@ type element struct {
 	parents []*element
 	// kids lists the pruning survivors of the next level whose prefix this
 	// element is, in level order: one group of the prefix join.
-	kids    []*element
-	constID int32 // interned constant part of tp, an index into lattice.constTids
-	support int   // number of tuples matching the constant part
+	kids []*element
 }
 
 // prefix is the sub-element without the largest attribute.
 func (e *element) prefix() *element { return e.parents[len(e.parents)-1] }
+
+// elementBlock is the number of elements one block holds.
+const elementBlock = 256
+
+// elementBlocks hands out the elements of one level, and their parents
+// slices, from blocks: a level is a few large allocations that die together
+// rather than several objects per element.
+type elementBlocks struct {
+	elems   []element
+	parents []*element
+}
+
+// alloc returns a new element of attrs and constID with a parents slice of
+// one link per attribute, for the caller to fill.
+func (b *elementBlocks) alloc(attrs core.AttrSet, constID int32) *element {
+	if len(b.elems) == 0 {
+		b.elems = make([]element, elementBlock)
+	}
+	n := attrs.Len()
+	if len(b.parents) < n {
+		b.parents = make([]*element, n*elementBlock)
+	}
+	e := &b.elems[0]
+	b.elems = b.elems[1:]
+	e.attrs, e.constID = attrs, constID
+	e.parents, b.parents = b.parents[:n:n], b.parents[n:]
+	return e
+}
 
 // childKey names a lattice element by its prefix and its last item, the
 // (attribute, value) pair the prefix was extended by.
@@ -73,78 +101,118 @@ type constKey struct {
 	base, attr, val int32
 }
 
+// constPart is an interned k-frequent constant pattern.
+type constPart struct {
+	tp     core.Pattern // the constants, wildcard on every other attribute
+	consts int          // number of constants of tp
+	tids   []int32      // the tuples matching tp, ascending: the part's support
+}
+
+// heldTids tallies what the partitions of one lattice level hold, from their
+// lengths: the tids of their stored classes and the classes' end offsets.
+type heldTids struct {
+	tids, classEnds int
+}
+
+// held returns the tally of a level's partitions.
+func held(level []*element) heldTids {
+	var h heldTids
+	for _, e := range level {
+		h.tids += e.part.SumSizes()
+		h.classEnds += e.part.Stripped()
+	}
+	return h
+}
+
+// joinTally is what the three levels a join touches hold once its products
+// are built: the level below the joined one (prev), the joined level and
+// the generated one (next).
+type joinTally struct {
+	prev, level, next heldTids
+}
+
 // lattice is the state of one CTANE run: the level being worked on, the
 // survivors of the one below it, and the interned constant parts.
 type lattice struct {
 	r        *core.Relation
-	k        int
+	k        int // at least 1, as MineContext clamps it
 	workers  int
 	refiners []*partition.Refiner // one per worker
 	itemTids [][][]int32
-	// constIDs interns constant patterns, id 0 being the empty one;
-	// constTids[id] lists the tuples matching the pattern, k-frequent or not.
-	constIDs  map[constKey]int32
-	constTids [][]int32
+	// constIDs interns constant patterns, id 0 being the empty one, as
+	// indexes into parts. A pattern below k is interned as -1: no element is
+	// built on it, so nothing reads its tuples.
+	constIDs map[constKey]int32
+	parts    []constPart
+	scratch  []int32 // a constant part's tuples before its support is known
 
 	prev  []*element // Step-3 survivors of the previous level, in level order
 	level []*element
+	joins []joinTally // one per advance, in order
 }
+
+// tp returns the element's pattern.
+func (l *lattice) tp(e *element) core.Pattern { return l.parts[e.constID].tp }
 
 // newLattice builds the virtual level 0 — the empty attribute set, one
 // equivalence class — and level 1: (A, "_") for every attribute plus (A, a)
 // for every k-frequent value.
 func newLattice(r *core.Relation, k, workers int) *lattice {
-	n := r.Size()
-	allTids := partition.AllTids(n)
+	allTids := partition.AllTids(r.Size())
 	l := &lattice{
 		r: r, k: k, workers: workers,
-		refiners:  make([]*partition.Refiner, workers),
-		itemTids:  partition.ItemTids(r, allTids),
-		constIDs:  make(map[constKey]int32),
-		constTids: [][]int32{allTids},
+		refiners: make([]*partition.Refiner, workers),
+		itemTids: partition.ItemTids(r, allTids),
+		constIDs: make(map[constKey]int32),
+		parts:    []constPart{{tp: core.NewPattern(r.Arity()), tids: allTids}},
 	}
 	for w := range l.refiners {
 		l.refiners[w] = partition.NewRefiner(r)
 	}
-	wild := core.NewPattern(r.Arity())
-	rootPart := partition.FromItem(allTids)
-	root := []*element{{tp: wild, part: rootPart, cplus: newCandidateSet(), support: n}}
-	l.prev = root
+	root := &element{part: partition.FromItem(allTids)}
+	l.prev = []*element{root}
+	var blocks elementBlocks
 	for a := 0; a < r.Arity(); a++ {
-		l.level = append(l.level, &element{
-			attrs: core.SingleAttr(a), tp: wild, part: partition.FromAttribute(rootPart, a, l.refiners[0]),
-			parents: root, support: n,
-		})
+		e := blocks.alloc(core.SingleAttr(a), 0)
+		e.part, e.parents[0] = partition.FromAttribute(root.part, a, l.refiners[0]), root
+		l.level = append(l.level, e)
 		for v, tids := range l.itemTids[a] {
-			if len(tids) < k {
+			if len(tids) < l.k {
 				continue
 			}
-			tp := wild.Clone()
-			tp[a] = int32(v)
-			l.level = append(l.level, &element{
-				attrs: core.SingleAttr(a), tp: tp, consts: 1, part: partition.FromItem(tids),
-				parents: root, constID: l.constPart(0, a, int32(v)), support: len(tids),
-			})
+			e := blocks.alloc(core.SingleAttr(a), l.constPart(0, a, int32(v)))
+			e.part, e.parents[0] = partition.FromItem(tids), root
+			l.level = append(l.level, e)
 		}
 	}
 	return l
 }
 
 // constPart returns the id of the constant part that extends part base by
-// the item (attr, val), computing its tid list — one pass over the list the
-// base already holds — the first time the part is asked for.
+// the item (attr, val), or -1 if fewer than k tuples match it. Its tid list —
+// one pass over the list the base already holds — is computed the first time
+// the part is asked for, and kept only if the part is k-frequent.
 func (l *lattice) constPart(base int32, attr int, val int32) int32 {
 	key := constKey{base, int32(attr), val}
-	id, ok := l.constIDs[key]
-	if !ok {
-		id = int32(len(l.constTids))
-		l.constIDs[key] = id
-		tids := l.itemTids[attr][val]
-		if base != 0 {
-			tids = holding(l.constTids[base], l.r.Column(attr), val, len(tids))
-		}
-		l.constTids = append(l.constTids, tids)
+	if id, ok := l.constIDs[key]; ok {
+		return id
 	}
+	tids := l.itemTids[attr][val]
+	if base != 0 {
+		l.scratch = holding(l.scratch[:0], l.parts[base].tids, l.r.Column(attr), val)
+		tids = l.scratch
+	}
+	id := int32(-1)
+	if len(tids) >= l.k {
+		if base != 0 {
+			tids = slices.Clone(tids)
+		}
+		tp := l.parts[base].tp.Clone()
+		tp[attr] = val
+		id = int32(len(l.parts))
+		l.parts = append(l.parts, constPart{tp: tp, consts: l.parts[base].consts + 1, tids: tids})
+	}
+	l.constIDs[key] = id
 	return id
 }
 
@@ -198,7 +266,7 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options, emit func(
 func (l *lattice) discover(ctx context.Context, out []core.CFD) ([]core.CFD, error) {
 	level := l.level
 	all := l.r.Schema().All()
-	sortLevel(level)
+	l.sortLevel(level)
 	// Step 1: candidate RHS sets as intersections over immediate subsets.
 	// Each element's intersection reads only the previous level, so the
 	// elements fan out independently.
@@ -218,14 +286,14 @@ func (l *lattice) discover(ctx context.Context, out []core.CFD) ([]core.CFD, err
 	if l.workers > 1 {
 		var err error
 		validated, err = pool.Map(ctx, l.workers, len(level), func(_, i int) validation {
-			e := level[i]
+			e, tp := level[i], l.tp(level[i])
 			var v validation
 			e.forEachAttr(func(a int, parent *element) {
-				if !e.cplus.has(a, e.tp[a]) {
+				if !e.cplus.has(a, tp[a]) {
 					return
 				}
 				v.checked = v.checked.Add(a)
-				if validCFD(parent, e, e.tp[a]) {
+				if validCFD(parent, e, tp[a]) {
 					v.valid = v.valid.Add(a)
 				}
 			})
@@ -245,8 +313,9 @@ func (l *lattice) discover(ctx context.Context, out []core.CFD) ([]core.CFD, err
 				runEnd++
 			}
 		}
+		tp := l.tp(e)
 		e.forEachAttr(func(a int, parent *element) {
-			cA := e.tp[a]
+			cA := tp[a]
 			if !e.cplus.has(a, cA) {
 				return
 			}
@@ -262,17 +331,14 @@ func (l *lattice) discover(ctx context.Context, out []core.CFD) ([]core.CFD, err
 				return
 			}
 			sub := e.attrs.Remove(a)
-			out = append(out, core.CFD{LHS: sub, RHS: a, Tp: e.tp.Clone()})
+			out = append(out, core.CFD{LHS: sub, RHS: a, Tp: tp.Clone()})
 			// Step 2.c: the same RHS with a more specific LHS pattern can no
 			// longer be minimal, and (as in TANE) attributes outside X cannot be
 			// minimal RHS candidates for those elements either. A pattern at
 			// least as specific as e's holds at least as many constants, so
 			// those siblings are e itself and elements sorted after it.
 			for _, s := range level[i:runEnd] {
-				if s.tp[a] != cA {
-					continue
-				}
-				if !e.tp.MoreGeneralOrEqualOn(s.tp, sub) {
+				if stp := l.tp(s); stp[a] != cA || !tp.MoreGeneralOrEqualOn(stp, sub) {
 					continue
 				}
 				s.cplus.removeVal(a, cA)
@@ -280,15 +346,23 @@ func (l *lattice) discover(ctx context.Context, out []core.CFD) ([]core.CFD, err
 			}
 		})
 	}
-	// Step 3: prune elements with (conservatively detected) empty C+.
+	// Step 3: prune elements with (conservatively detected) empty C+. A
+	// pruned element is cleared, so nothing it holds outlives its level.
 	kept := level[:0]
 	for _, e := range level {
-		if !e.cplus.allAttrsRemoved(all) {
-			kept = append(kept, e)
+		if e.cplus.allAttrsRemoved(all) {
+			*e = element{}
+			continue
 		}
+		kept = append(kept, e)
 	}
 	clear(level[len(kept):])
 	l.level = kept
+	// Steps 1 and 2 were the last to read the partitions and C+ sets of the
+	// level below; the join reads only its kids.
+	for _, p := range l.prev {
+		p.part, p.cplus = partition.Partition{}, candidateSet{}
+	}
 	return out, nil
 }
 
@@ -324,9 +398,9 @@ func validCFD(parent, e *element, cA int32) bool {
 // partitions. The joins and frequency checks run sequentially (they share the
 // constant-part table); the partition products — the expensive part — are
 // fanned out across workers per joined element, each worker with its own
-// refiner. The parents x and y differ in their last item only, so the product
-// is either one refined by the other's last item; the one storing fewer
-// tuples is scanned.
+// refiner and a new arena for the level. The parents x and y differ in their
+// last item only, so the product is either one refined by the other's last
+// item; the one storing fewer tuples is scanned.
 func (l *lattice) advance(ctx context.Context) error {
 	// children finds a survivor by its prefix and last item. For the join of
 	// x and y, the sub-element without an attribute B of the shared prefix is
@@ -335,10 +409,11 @@ func (l *lattice) advance(ctx context.Context) error {
 	children := make(map[childKey]*element, len(l.level))
 	for _, e := range l.level {
 		last := e.attrs.Last()
-		children[childKey{e.prefix(), int32(last), e.tp[last]}] = e
+		children[childKey{e.prefix(), int32(last), l.tp(e)[last]}] = e
 		e.prefix().kids = append(e.prefix().kids, e)
 	}
 	var next []*element
+	var blocks elementBlocks
 	var subs []*element // scratch: the sub-elements found so far for one candidate
 	for _, p := range l.prev {
 		group := p.kids
@@ -355,15 +430,13 @@ func (l *lattice) advance(ctx context.Context) error {
 					continue
 				}
 				// Support of the constant part (Step 4.b(ii) with the k-frequency
-				// refinement of §4.2).
-				val := y.tp[yLast]
-				constID, consts := x.constID, x.consts
+				// refinement of §4.2); x's own is k-frequent.
+				val := l.tp(y)[yLast]
+				constID := x.constID
 				if val != core.Wildcard {
-					constID, consts = l.constPart(x.constID, yLast, val), consts+1
-				}
-				support := len(l.constTids[constID])
-				if support < l.k || support == 0 {
-					continue
+					if constID = l.constPart(x.constID, yLast, val); constID < 0 {
+						continue
+					}
 				}
 				// Step 4.b(iii): every immediate sub-element must have survived.
 				// Those without y's and x's last attribute are x and y.
@@ -378,15 +451,15 @@ func (l *lattice) advance(ctx context.Context) error {
 				if len(subs) < len(x.parents)-1 {
 					continue
 				}
-				parents := append(append(make([]*element, 0, len(subs)+2), subs...), y, x)
-				up := x.tp.Clone()
-				up[yLast] = val
-				next = append(next, &element{
-					attrs: x.attrs.Union(y.attrs), tp: up, consts: consts,
-					parents: parents, constID: constID, support: support,
-				})
+				e := blocks.alloc(x.attrs.Union(y.attrs), constID)
+				n := copy(e.parents, subs)
+				e.parents[n], e.parents[n+1] = y, x
+				next = append(next, e)
 			}
 		}
+	}
+	for _, rf := range l.refiners {
+		rf.NewArena()
 	}
 	if err := pool.Each(ctx, l.workers, len(next), func(w, i int) {
 		e := next[i]
@@ -397,14 +470,18 @@ func (l *lattice) advance(ctx context.Context) error {
 			small, by = by, small
 		}
 		last := by.attrs.Last()
-		e.part = l.refiners[w].Refine(small.part, last, by.tp[last])
-		e.part.Covered = e.support
+		e.part = l.refiners[w].Refine(small.part, last, l.tp(by)[last])
+		e.part.Covered = len(l.parts[e.constID].tids)
 	}); err != nil {
 		return err
 	}
-	// The new level reaches this one through its own links; dropping this
-	// level's leaves the one below — elements, partitions, C+ sets —
-	// unreachable, so at most two levels are alive at a time.
+	l.joins = append(l.joins, joinTally{prev: held(l.prev), level: held(l.level), next: held(next)})
+	// The level below gave up its partitions once this one was validated
+	// against it; now the new level reaches this one through its own links,
+	// and dropping this level's leaves the one below unreachable. So the
+	// partitions of at most two levels are alive at a time: the joined
+	// level's and the generated one's here, the validated level's and the
+	// one below it during discover.
 	for _, e := range l.level {
 		e.parents = nil
 	}
@@ -420,30 +497,29 @@ func (l *lattice) advance(ctx context.Context) error {
 // strictly more general sibling (or the element itself), never between two
 // of them, and each level's output is deduplicated and canonically sorted
 // afterwards.
-func sortLevel(level []*element) {
+func (l *lattice) sortLevel(level []*element) {
 	slices.SortFunc(level, func(x, y *element) int {
-		if c := cmp.Or(cmp.Compare(x.attrs, y.attrs), cmp.Compare(x.consts, y.consts)); c != 0 {
+		px, py := &l.parts[x.constID], &l.parts[y.constID]
+		if c := cmp.Or(cmp.Compare(x.attrs, y.attrs), cmp.Compare(px.consts, py.consts)); c != 0 {
 			return c
 		}
 		for v := uint64(x.attrs); v != 0; v &= v - 1 {
-			if a := bits.TrailingZeros64(v); x.tp[a] != y.tp[a] {
-				return cmp.Compare(x.tp[a], y.tp[a])
+			if a := bits.TrailingZeros64(v); px.tp[a] != py.tp[a] {
+				return cmp.Compare(px.tp[a], py.tp[a])
 			}
 		}
 		return 0
 	})
 }
 
-// holding returns the tuples of the ascending list tids whose value in col is
-// v: the constant part's tid list extended by the item (col, v), in one pass
-// over the list the left parent already holds. holders, the number of tuples
-// of the whole relation holding v, bounds the result.
-func holding(tids, col []int32, v int32, holders int) []int32 {
-	out := make([]int32, 0, min(len(tids), holders))
+// holding appends to dst the tuples of the ascending list tids whose value in
+// col is v: the constant part's tid list extended by the item (col, v), in
+// one pass over the list the left parent already holds.
+func holding(dst, tids, col []int32, v int32) []int32 {
 	for _, t := range tids {
 		if col[t] == v {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
-	return out
+	return dst
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -44,7 +45,7 @@ func kernelRelation(rng *rand.Rand, n int, kinds []int) *core.Relation {
 
 // classSets renders the stored classes of p in a canonical order, so that two
 // partitions compare as sets of classes.
-func classSets(p *Partition) []string {
+func classSets(p Partition) []string {
 	out := make([]string, p.Stripped())
 	for i := range out {
 		cls := p.Class(i)
@@ -95,8 +96,8 @@ func TestChainedProductsMatchFromSet(t *testing.T) {
 			all := AllTids(r.Size())
 			items := ItemTids(r, all)
 			rf := NewRefiner(r)
-			var walk func(from int, X core.AttrSet, tp core.Pattern, part *Partition, tids []int32)
-			walk = func(from int, X core.AttrSet, tp core.Pattern, part *Partition, tids []int32) {
+			var walk func(from int, X core.AttrSet, tp core.Pattern, part Partition, tids []int32)
+			walk = func(from int, X core.AttrSet, tp core.Pattern, part Partition, tids []int32) {
 				if !X.IsEmpty() {
 					part.Covered = len(tids)
 					want := FromSet(r, X, tp)
@@ -239,22 +240,54 @@ func TestSplitMatchesMapRegroup(t *testing.T) {
 	}
 }
 
-// TestProductAllocationsAreConstant guards the flat layout: a refinement
-// allocates the partition and its one buffer, however many classes it has.
+// TestProductAllocationsAreConstant guards the flat layout and the arena: a
+// product is carved from the refiner's current block, so a refinement
+// allocates at most once — a new block, or the own buffer of a product too
+// large for one — however many classes it has.
 func TestProductAllocationsAreConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, domain := range []int{2, 40, 900} {
-		r := kernelRelation(rng, 4000, []int{domain, domain})
-		rf := NewRefiner(r)
-		x := attrPartition(r, 0)
-		for _, val := range []int32{core.Wildcard, 1} {
-			classes := rf.Refine(x, 1, val).Stripped() // also grows the refiner's buffers
-			allocs := testing.AllocsPerRun(20, func() { rf.Refine(x, 1, val) })
-			if allocs > 2 {
-				t.Errorf("refinement into %d classes allocates %.0f objects, want at most 2", classes, allocs)
+	for _, rows := range []int{4000, arenaMaxBlock / 2} {
+		for _, domain := range []int{2, 40, 900} {
+			r := kernelRelation(rng, rows, []int{domain, domain})
+			rf := NewRefiner(r)
+			x := attrPartition(r, 0)
+			for _, val := range []int32{core.Wildcard, 1} {
+				classes := rf.Refine(x, 1, val).Stripped() // also grows the refiner's buffers
+				allocs := testing.AllocsPerRun(20, func() { rf.Refine(x, 1, val) })
+				if allocs > 1 {
+					t.Errorf("%d rows: refinement into %d classes allocates %.2f objects, want at most 1", rows, classes, allocs)
+				}
 			}
 		}
 	}
+}
+
+// TestRefinerArena checks the lifetime a levelwise caller relies on: the
+// products of one arena are carved back to back, and after NewArena no
+// product shares a block with one refined before it.
+func TestRefinerArena(t *testing.T) {
+	r := kernelRelation(rand.New(rand.NewSource(5)), 300, []int{3, 4})
+	rf := NewRefiner(r)
+	x := attrPartition(r, 0)
+	a := rf.Refine(x, 1, core.Wildcard)
+	b := rf.Refine(x, 1, core.Wildcard)
+	if !adjacent(a, b) {
+		t.Error("two products of one arena are not carved back to back")
+	}
+	rf.NewArena()
+	c := rf.Refine(x, 1, core.Wildcard)
+	if adjacent(b, c) {
+		t.Error("a product of a new arena is carved from the old arena's block")
+	}
+	if want := classSets(a); !slices.Equal(classSets(b), want) || !slices.Equal(classSets(c), want) {
+		t.Errorf("the same refinement gives %v, %v and %v", want, classSets(b), classSets(c))
+	}
+}
+
+// adjacent reports whether q's buffer starts where p's ends.
+func adjacent(p, q Partition) bool {
+	end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(p.ends)), 4*len(p.ends))
+	return end == unsafe.Pointer(unsafe.SliceData(q.tids))
 }
 
 // FuzzProduct checks the product by refinement against the direct scan: over

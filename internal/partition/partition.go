@@ -25,9 +25,10 @@ import (
 // two, plus the total number of tuples that match the underlying pattern
 // (including tuples in singleton classes). The classes are stored flat — one
 // tid buffer, class after class, ascending within a class, and one end offset
-// per class — so a partition is two allocations whatever its class count and
-// SumSizes is the buffer's length. The order of the classes carries no
-// meaning; callers compare class counts and covered counts only.
+// per class — so its memory does not depend on its class count and SumSizes
+// is the buffer's length. The order of the classes carries no meaning;
+// callers compare class counts and covered counts only. A Partition is a
+// small value: callers hold it inline, and copies share the buffers.
 type Partition struct {
 	tids    []int32
 	ends    []int32
@@ -35,24 +36,24 @@ type Partition struct {
 }
 
 // Stripped returns the number of stored classes: those of at least two tuples.
-func (p *Partition) Stripped() int { return len(p.ends) }
+func (p Partition) Stripped() int { return len(p.ends) }
 
 // Class returns the ascending tuple ids of stored class i.
-func (p *Partition) Class(i int) []int32 { return window(p.tids, p.ends, i) }
+func (p Partition) Class(i int) []int32 { return window(p.tids, p.ends, i) }
 
 // SumSizes returns the number of tuples appearing in non-singleton classes.
-func (p *Partition) SumSizes() int { return len(p.tids) }
+func (p Partition) SumSizes() int { return len(p.tids) }
 
 // NumClasses returns the total number of equivalence classes, counting the
 // singleton classes that stripping removed.
-func (p *Partition) NumClasses() int {
+func (p Partition) NumClasses() int {
 	return len(p.ends) + (p.Covered - len(p.tids))
 }
 
 // FromAttribute returns the partition of the lattice element (A, "_"), all
 // tuples grouped by their value of attribute attr: root, the partition of the
 // empty element — FromItem of every tid — refined by attr.
-func FromAttribute(root *Partition, attr int, rf *Refiner) *Partition {
+func FromAttribute(root Partition, attr int, rf *Refiner) Partition {
 	p := rf.Refine(root, attr, core.Wildcard)
 	p.Covered = root.Covered
 	return p
@@ -62,8 +63,8 @@ func FromAttribute(root *Partition, attr int, rf *Refiner) *Partition {
 // item's ascending tid list, which it keeps: a single equivalence class
 // holding those tuples (stripped if singleton). The empty lattice element is
 // the same shape — one class holding every tuple.
-func FromItem(tids []int32) *Partition {
-	p := &Partition{Covered: len(tids)}
+func FromItem(tids []int32) Partition {
+	p := Partition{Covered: len(tids)}
 	if len(tids) >= 2 {
 		p.tids, p.ends = tids, []int32{int32(len(tids))}
 	}
@@ -74,7 +75,7 @@ func FromItem(tids []int32) *Partition {
 // direct scan: tuples matching the constants of tp on X, grouped by their X
 // values. It is used by tests and as a reference implementation; the levelwise
 // algorithms build partitions incrementally by refinement instead.
-func FromSet(r *core.Relation, X core.AttrSet, tp core.Pattern) *Partition {
+func FromSet(r *core.Relation, X core.AttrSet, tp core.Pattern) Partition {
 	attrs := X.Attrs()
 	groups := make(map[string][]int32)
 	covered := 0
@@ -91,7 +92,7 @@ func FromSet(r *core.Relation, X core.AttrSet, tp core.Pattern) *Partition {
 		}
 		groups[string(key)] = append(groups[string(key)], int32(t))
 	}
-	p := &Partition{Covered: covered}
+	p := Partition{Covered: covered}
 	keys := make([]string, 0, len(groups))
 	for k := range groups {
 		keys = append(keys, k)
@@ -113,15 +114,53 @@ func FromSet(r *core.Relation, X core.AttrSet, tp core.Pattern) *Partition {
 // A refinement scans the operand it is given and nothing else — the callers
 // hand it the smaller one. A Refiner is reused for a whole run and is not
 // safe for concurrent use: every worker owns one.
+//
+// Products are carved from the refiner's arena: blocks that hold the
+// products of many refinements, so a product costs no allocation of its own.
+// A block lives as long as any product carved from it; a levelwise caller
+// starts a new arena per level (NewArena), and a level's products then die
+// together with the level.
 type Refiner struct {
 	r     *core.Relation
 	split *Splitter
 	out   Groups
+	block []int32 // the unused rest of the arena's current block
+	next  int     // the size of the arena's next block
 }
+
+// Arena blocks double from arenaMinBlock to arenaMaxBlock words, so a small
+// level costs little and a large one a few large blocks. A product of more
+// than a quarter of the largest block gets a buffer of its own rather than
+// abandoning the rest of the current block.
+const (
+	arenaMinBlock = 1 << 10
+	arenaMaxBlock = 1 << 16
+)
 
 // NewRefiner returns a refiner for partitions of r.
 func NewRefiner(r *core.Relation) *Refiner {
-	return &Refiner{r: r, split: NewSplitter(MaxDomain(r))}
+	return &Refiner{r: r, split: NewSplitter(MaxDomain(r)), next: arenaMinBlock}
+}
+
+// NewArena starts a new arena: the products refined from now on share no
+// block with those refined before, so each group's memory is freed as soon
+// as nothing holds that group.
+func (rf *Refiner) NewArena() {
+	rf.block, rf.next = nil, arenaMinBlock
+}
+
+// carve returns n words of the arena.
+func (rf *Refiner) carve(n int) []int32 {
+	if n > len(rf.block) {
+		if n > arenaMaxBlock/4 {
+			return make([]int32, n)
+		}
+		rf.block = make([]int32, max(rf.next, n))
+		rf.next = min(2*rf.next, arenaMaxBlock)
+	}
+	buf := rf.block[:n:n]
+	rf.block = rf.block[n:]
+	return buf
 }
 
 // Refine returns the stripped partition of the lattice element that extends
@@ -131,8 +170,9 @@ func NewRefiner(r *core.Relation) *Refiner {
 // Covered cannot be derived from a stripped input and is set to -1; the
 // caller must fill it in (CTANE derives it from the support of the element's
 // constant pattern, TANE always uses the relation size). The result is built
-// in the refiner's reused buffers and copied out once at its exact size.
-func (rf *Refiner) Refine(p *Partition, attr int, val int32) *Partition {
+// in the refiner's reused buffers and copied into its arena at its exact
+// size.
+func (rf *Refiner) Refine(p Partition, attr int, val int32) Partition {
 	col := rf.r.Column(attr)
 	g := &rf.out
 	g.Reset()
@@ -159,11 +199,11 @@ func (rf *Refiner) Refine(p *Partition, attr int, val int32) *Partition {
 			g.Ends = append(g.Ends, int32(len(g.Tids)))
 		}
 	}
-	out := &Partition{Covered: -1}
+	out := Partition{Covered: -1}
 	if len(g.Ends) == 0 {
 		return out
 	}
-	buf := make([]int32, len(g.Tids)+len(g.Ends))
+	buf := rf.carve(len(g.Tids) + len(g.Ends))
 	out.tids = buf[:len(g.Tids):len(g.Tids)]
 	out.ends = buf[len(g.Tids):]
 	copy(out.tids, g.Tids)
@@ -176,7 +216,7 @@ func (rf *Refiner) Refine(p *Partition, attr int, val int32) *Partition {
 // (X\{A}, sp[X\{A}]) and elem = partition of (X, sp) with sp[A] = "_":
 // the dependency holds iff refining the parent classes by A splits nothing,
 // i.e. both partitions have the same number of classes.
-func RefinesRHSVariable(parent, elem *Partition) bool {
+func RefinesRHSVariable(parent, elem Partition) bool {
 	return parent.NumClasses() == elem.NumClasses()
 }
 
@@ -185,6 +225,6 @@ func RefinesRHSVariable(parent, elem *Partition) bool {
 // (X\{A}, sp[X\{A}]) and elem = partition of (X, sp) with sp[A] = c:
 // the dependency holds iff every tuple matching the parent pattern also has
 // A = c, i.e. both partitions cover the same number of tuples.
-func RefinesRHSConstant(parent, elem *Partition) bool {
+func RefinesRHSConstant(parent, elem Partition) bool {
 	return parent.Covered == elem.Covered
 }

@@ -26,7 +26,7 @@ func code(t *testing.T, r *core.Relation, name, value string) int32 {
 }
 
 // attrPartition is the one-off form of FromAttribute.
-func attrPartition(r *core.Relation, a int) *Partition {
+func attrPartition(r *core.Relation, a int) Partition {
 	return FromAttribute(FromItem(AllTids(r.Size())), a, NewRefiner(r))
 }
 
@@ -84,7 +84,7 @@ func TestProductConstantPattern(t *testing.T) {
 	tp[cc] = c01
 	direct := FromSet(r, core.NewAttrSet(cc, zip), tp)
 	rf := NewRefiner(r)
-	for side, prod := range []*Partition{
+	for side, prod := range []Partition{
 		rf.Refine(FromItem(ItemTids(r, AllTids(r.Size()))[cc][c01]), zip, core.Wildcard),
 		rf.Refine(attrPartition(r, zip), cc, c01),
 	} {
@@ -102,7 +102,7 @@ func TestProductConstantPattern(t *testing.T) {
 
 func TestProductEmpty(t *testing.T) {
 	r := fixture.Cust()
-	empty := &Partition{Covered: 0}
+	empty := Partition{}
 	prod := NewRefiner(r).Refine(empty, attr(t, r, "CC"), core.Wildcard)
 	if prod.Stripped() != 0 {
 		t.Error("product with empty partition must have no classes")

@@ -18,7 +18,7 @@ import (
 // stripped partition, and the candidate RHS set C+.
 type element struct {
 	attrs core.AttrSet
-	part  *partition.Partition
+	part  partition.Partition
 	cplus core.AttrSet
 }
 
@@ -103,6 +103,8 @@ func MineContext(ctx context.Context, r *core.Relation, emit func(core.CFD)) err
 		// Step 4: generate the next level by prefix join: two sets join iff they
 		// share everything but their largest attribute, so their product is
 		// either refined by the other's; the one storing fewer tuples is scanned.
+		// The products go to a new arena, which dies with the level they form.
+		refiner.NewArena()
 		groups := make(map[core.AttrSet][]*element)
 		for _, e := range level {
 			prefix := e.attrs.Remove(e.attrs.Last())

@@ -75,7 +75,7 @@ func TestInstrumentEngineAndStore(t *testing.T) {
 	if err := eng.BulkLoad(rel); err != nil {
 		t.Fatal(err)
 	}
-	eng.Dirty() // force a snapshot rebuild
+	eng.Dirty() // reads the report the bulk load published
 
 	ops := []violation.Op{
 		{Kind: violation.OpInsert, Values: []string{"01", "212", "5555555", "Ann", "5th Ave", "NYC", "01202"}},
