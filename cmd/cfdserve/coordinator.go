@@ -15,7 +15,7 @@ import (
 // front over a fleet of shard nodes. It holds no engine and no store — the
 // shared /v1 handlers (api.go) serve from the cluster handle, which routes
 // writes and scatter-gathers reads, so the same clients work against either
-// mode. See the "Cluster" section of ARCHITECTURE.md for the partitioning and
+// mode. See the "cluster" section of ARCHITECTURE.md for the partitioning and
 // consistency argument.
 type coordServer struct {
 	cl  *cluster.Cluster

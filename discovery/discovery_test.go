@@ -215,7 +215,8 @@ func TestCFDMinerMaxLHS(t *testing.T) {
 // present CTANE and FastCFD as extensions of the two, so at k = 1 the
 // all-wildcard rules of a CFD cover must be exactly the minimal FDs — TANE's
 // and FastFD's, which must also agree with each other. Checked on cust, on a
-// relation with a constant column (∅ → C) and on seeded random relations.
+// relation with a constant column (∅ → C), on Tax relations of arity 7 and 9
+// and on seeded random relations.
 func TestFDBaselinesAgree(t *testing.T) {
 	constant, err := cfd.FromRows([]string{"A", "B", "C"}, [][]string{
 		{"1", "x", "c"}, {"1", "x", "c"}, {"2", "y", "c"}, {"3", "y", "c"},
@@ -227,7 +228,11 @@ func TestFDBaselinesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relations := map[string]*cfd.Relation{"cust": cust(), "constant-column": constant, "tax": tax}
+	tax9, err := dataset.Tax(dataset.TaxConfig{Size: 60, Arity: 9, CF: 0.7, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relations := map[string]*cfd.Relation{"cust": cust(), "constant-column": constant, "tax": tax, "tax-9": tax9}
 	for seed := int64(1); seed <= 12; seed++ {
 		relations[fmt.Sprint("random-", seed)] = cfd.WrapEncoded(fixture.Random(seed, 10, []int{2, 3, 3, 4, 5}))
 		relations[fmt.Sprint("correlated-", seed)] = cfd.WrapEncoded(fixture.RandomCorrelated(seed, 40, 5, 4))

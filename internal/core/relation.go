@@ -288,8 +288,8 @@ func (r *Relation) Restrict(keep AttrSet) (*Relation, error) {
 }
 
 // Head returns a new relation containing the first n tuples of r (or all of r
-// if n exceeds its size). It is used by the benchmark harness to sweep DBSIZE
-// from a single generated dataset.
+// if n exceeds its size). cfd.Relation.Head exposes it; the repo benchmark
+// takes its discovery sample and its served rows with it.
 func (r *Relation) Head(n int) *Relation {
 	out := NewRelation(r.schema)
 	dicts, cols := r.Raw()

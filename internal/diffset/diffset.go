@@ -102,6 +102,68 @@ func IsMinimalCover(Z core.AttrSet, diffs []core.AttrSet) bool {
 	return minimal
 }
 
+// MinimalCovers calls visit with every minimal cover of diffs that is built
+// from the candidate attributes and holds at most maxSize of them (any number
+// when maxSize is negative). It is the depth-first search of §5.6 shared by
+// FastFD and FastCFD's FindMin: each node ranks the candidates covering some
+// remaining difference set by how many they cover (ties by attribute), drops
+// the rest, and branches on each ranked attribute with only the lower-ranked
+// ones left to add, so no cover is visited twice. An empty diffs has the one
+// minimal cover ∅; a diffs holding the empty set has none.
+func MinimalCovers(diffs []core.AttrSet, candidates []int, maxSize int, visit func(core.AttrSet)) {
+	if slices.ContainsFunc(diffs, core.AttrSet.IsEmpty) {
+		return
+	}
+	var find func(y core.AttrSet, remaining []core.AttrSet, cands []int)
+	find = func(y core.AttrSet, remaining []core.AttrSet, cands []int) {
+		if len(remaining) == 0 {
+			if IsMinimalCover(y, diffs) {
+				visit(y)
+			}
+			return
+		}
+		if len(cands) == 0 || maxSize >= 0 && y.Len() >= maxSize {
+			return
+		}
+		type scored struct {
+			attr  int
+			cover int
+		}
+		order := make([]scored, 0, len(cands))
+		for _, a := range cands {
+			c := 0
+			for _, d := range remaining {
+				if d.Has(a) {
+					c++
+				}
+			}
+			if c > 0 {
+				order = append(order, scored{attr: a, cover: c})
+			}
+		}
+		sort.Slice(order, func(i, j int) bool {
+			if order[i].cover != order[j].cover {
+				return order[i].cover > order[j].cover
+			}
+			return order[i].attr < order[j].attr
+		})
+		rest := make([]int, len(order))
+		for i, o := range order {
+			rest[i] = o.attr
+		}
+		for i, o := range order {
+			var nextRemaining []core.AttrSet
+			for _, d := range remaining {
+				if !d.Has(o.attr) {
+					nextRemaining = append(nextRemaining, d)
+				}
+			}
+			find(y.Add(o.attr), nextRemaining, rest[i+1:])
+		}
+	}
+	find(core.EmptyAttrSet, diffs, candidates)
+}
+
 // Naive computes difference sets by direct pairwise comparison of the tuples
 // matching the pattern, memoising per pattern (the FastFD approach used by
 // NaiveFast).

@@ -3,6 +3,7 @@ package diffset
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -262,6 +263,53 @@ func TestClosedPrepare(t *testing.T) {
 		}
 		if err := comp.Prepare(cancelled, 1); err != nil {
 			t.Errorf("%s: Prepare on a prepared computer: %v, want nil", name, err)
+		}
+	}
+}
+
+// TestMinimalCoversBounded holds the cover search, at every size bound, to
+// the minimal covers a subset enumeration finds within the bound, on seeded
+// difference-set collections over five attributes — some holding the empty
+// set, one empty — with the candidates a subset of the attributes. No cover
+// may be visited twice.
+func TestMinimalCoversBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cases := [][]core.AttrSet{nil, {core.EmptyAttrSet, core.NewAttrSet(0)}}
+	for range 40 {
+		diffs := make([]core.AttrSet, 1+rng.Intn(5))
+		for i := range diffs {
+			diffs[i] = core.AttrSet(rng.Intn(32))
+		}
+		cases = append(cases, diffs)
+	}
+	for ci, diffs := range cases {
+		candidates := []int{0, 1, 2, 3, 4}
+		if ci%3 == 2 {
+			candidates = []int{0, 2, 3}
+		}
+		for _, bound := range []int{-1, 0, 1, 2, 3} {
+			want := make(map[core.AttrSet]bool)
+			core.NewAttrSet(candidates...).Subsets(func(y core.AttrSet) bool {
+				if IsMinimalCover(y, diffs) && (bound < 0 || y.Len() <= bound) {
+					want[y] = true
+				}
+				return true
+			})
+			got := make(map[core.AttrSet]bool)
+			MinimalCovers(diffs, candidates, bound, func(y core.AttrSet) {
+				if got[y] {
+					t.Errorf("case %d %v bound %d: cover %v visited twice", ci, diffs, bound, y)
+				}
+				got[y] = true
+			})
+			if len(got) != len(want) {
+				t.Errorf("case %d %v bound %d: %d covers, subset enumeration %d", ci, diffs, bound, len(got), len(want))
+			}
+			for y := range got {
+				if !want[y] {
+					t.Errorf("case %d %v bound %d: spurious cover %v", ci, diffs, bound, y)
+				}
+			}
 		}
 	}
 }

@@ -14,7 +14,6 @@ package fastcfd
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/cfdminer"
 	"repro/internal/core"
@@ -38,8 +37,8 @@ type Options struct {
 	// MaxLHS, when positive, bounds the size of the left-hand side of reported
 	// CFDs.
 	MaxLHS int
-	// VariableOnly, when true, suppresses constant CFDs entirely (used by the
-	// benchmark harness to separate the two discovery costs).
+	// VariableOnly, when true, suppresses constant CFDs entirely
+	// (discovery.WithVariableOnly, cfddiscover -variable-only).
 	VariableOnly bool
 	// Workers bounds the number of goroutines running the per-attribute
 	// FindCover searches and, before them, the closed-item-set pass of the
@@ -173,25 +172,23 @@ func (f *finder) findCover(rhs int) []core.CFD {
 			continue
 		}
 		s.fs, s.diffs, s.subDiffs = fs, f.comp.MinimalDiffSets(fs.Attrs, fs.Tp, rhs), nil
-		switch {
-		case len(s.diffs) == 0:
+		if len(s.diffs) == 0 && !f.opts.UseCFDMiner && !f.opts.VariableOnly {
 			// Step 3.a: every tuple of r_tp agrees on rhs — a constant CFD
 			// candidate, unless constants are handled by CFDMiner.
-			if !f.opts.UseCFDMiner && !f.opts.VariableOnly {
-				if c, ok := f.constantCFD(fs, rhs); ok {
-					s.out = append(s.out, c)
-				}
+			if c, ok := f.constantCFD(fs, rhs); ok {
+				s.out = append(s.out, c)
 			}
-			// The all-constant-LHS variable CFD (X → A, (tp ‖ _)) also holds here
-			// (its cover is empty); emit it when it is left-reduced so that the
-			// output contains every minimal CFD, as CTANE does.
-			s.variableCFD(core.EmptyAttrSet)
-		case containsEmpty(s.diffs):
-			// Some pair of r_tp tuples differs only on rhs: no CFD with this
-			// constant pattern and right-hand side can hold (Step 1 of FindMin).
-		default:
-			s.findMin(core.EmptyAttrSet, s.diffs, all.Diff(fs.Attrs).Remove(rhs).Attrs())
 		}
+		// Step 4, with Step 1 inside the search: a difference set that is
+		// empty (some pair of r_tp tuples differs only on rhs) has no cover.
+		// No difference set at all has the empty cover, the all-constant-LHS
+		// variable CFD (X → A, (tp ‖ _)), which is emitted when left-reduced
+		// so that the output contains every minimal CFD, as CTANE does.
+		bound := -1
+		if f.opts.MaxLHS > 0 {
+			bound = f.opts.MaxLHS - fs.Attrs.Len()
+		}
+		diffset.MinimalCovers(s.diffs, all.Diff(fs.Attrs).Remove(rhs).Attrs(), bound, s.variableCFD)
 	}
 	// Deterministic order per right-hand side.
 	core.SortCFDs(s.out)
@@ -235,71 +232,16 @@ func (f *finder) constantHolds(attrs core.AttrSet, tp core.Pattern, rhs int, ta 
 	return true
 }
 
-// findMin is the recursive cover search (Step 4 of FindMin): it extends Y with
-// attributes that cover at least one remaining difference set, in an order
-// recomputed at every node (dynamic attribute reordering, §5.6), and emits a
-// variable CFD whenever Y covers everything and passes the minimality checks.
-func (s *search) findMin(y core.AttrSet, remaining []core.AttrSet, candidates []int) {
-	if len(remaining) == 0 {
-		s.variableCFD(y)
-		return
-	}
-	if len(candidates) == 0 {
-		return
-	}
-	if s.opts.MaxLHS > 0 && s.fs.Attrs.Len()+y.Len() >= s.opts.MaxLHS {
-		return
-	}
-	type scored struct {
-		attr  int
-		cover int
-	}
-	order := make([]scored, 0, len(candidates))
-	for _, a := range candidates {
-		c := 0
-		for _, d := range remaining {
-			if d.Has(a) {
-				c++
-			}
-		}
-		if c > 0 {
-			order = append(order, scored{attr: a, cover: c})
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].cover != order[j].cover {
-			return order[i].cover > order[j].cover
-		}
-		return order[i].attr < order[j].attr
-	})
-	rest := make([]int, len(order))
-	for i, o := range order {
-		rest[i] = o.attr
-	}
-	for i, o := range order {
-		var nextRemaining []core.AttrSet
-		for _, d := range remaining {
-			if !d.Has(o.attr) {
-				nextRemaining = append(nextRemaining, d)
-			}
-		}
-		s.findMin(y.Add(o.attr), nextRemaining, rest[i+1:])
-	}
-}
-
 // variableCFD performs the minimality checks of Step 3.b for a cover Y of the
 // difference sets of the free pattern (X, tp):
 //
 //	(b1) Y must be a minimal cover of D^m_A(r_tp) — no attribute of Y is
-//	     redundant;
+//	     redundant; every Y diffset.MinimalCovers visits is one;
 //	(b2) no constant of the pattern can be upgraded to "_": for every B in X,
 //	     Y ∪ {B} must not cover D^m_A(r_{tp[X\{B}]}).
 //
-// When both hold it emits the variable CFD ([X,Y] → A, (tp, _,… ‖ _)).
+// When (b2) holds it emits the variable CFD ([X,Y] → A, (tp, _,… ‖ _)).
 func (s *search) variableCFD(y core.AttrSet) {
-	if !diffset.IsMinimalCover(y, s.diffs) {
-		return
-	}
 	if s.subDiffs == nil {
 		s.subDiffs = make([][]core.AttrSet, 0, s.fs.Attrs.Len())
 		s.fs.Attrs.ImmediateSubsets(func(_ int, sub core.AttrSet) bool {
@@ -319,13 +261,4 @@ func (s *search) variableCFD(y core.AttrSet) {
 	tp := core.NewPattern(s.r.Arity())
 	s.fs.Attrs.ForEach(func(a int) { tp[a] = s.fs.Tp[a] })
 	s.out = append(s.out, core.CFD{LHS: s.fs.Attrs.Union(y), RHS: s.rhs, Tp: tp})
-}
-
-func containsEmpty(diffs []core.AttrSet) bool {
-	for _, d := range diffs {
-		if d.IsEmpty() {
-			return true
-		}
-	}
-	return false
 }

@@ -189,23 +189,28 @@ func TestMineVariableOnly(t *testing.T) {
 	}
 }
 
+// TestMineMaxLHS holds MaxLHS to its definition: the bounded cover is the
+// unrestricted one's rules with at most MaxLHS LHS attributes. At MaxLHS = 1
+// a free set of one constant leaves its cover search a bound of 0.
 func TestMineMaxLHS(t *testing.T) {
 	r := fixture.Cust()
-	got := mine(t, r, Options{K: 2, MaxLHS: 2, UseCFDMiner: true})
-	if len(got) == 0 {
-		t.Fatal("expected CFDs")
-	}
-	for _, c := range got {
-		if c.LHS.Len() > 2 {
-			t.Errorf("MaxLHS=2 violated: %s", c.Format(r))
-		}
-	}
-	// Every CFD with a small LHS from the unrestricted run must still be found.
 	full := mine(t, r, Options{K: 2, UseCFDMiner: true})
-	gk := keys(got)
-	for _, c := range full {
-		if c.LHS.Len() <= 2 && !gk[c.Key()] {
-			t.Errorf("MaxLHS=2 lost a small CFD: %s", c.Format(r))
+	for _, n := range []int{1, 2} {
+		got := mine(t, r, Options{K: 2, MaxLHS: n, UseCFDMiner: true})
+		if len(got) == 0 {
+			t.Fatal("expected CFDs")
+		}
+		for _, c := range got {
+			if c.LHS.Len() > n {
+				t.Errorf("MaxLHS=%d violated: %s", n, c.Format(r))
+			}
+		}
+		// Every CFD with a small LHS from the unrestricted run must still be found.
+		gk := keys(got)
+		for _, c := range full {
+			if c.LHS.Len() <= n && !gk[c.Key()] {
+				t.Errorf("MaxLHS=%d lost a small CFD: %s", n, c.Format(r))
+			}
 		}
 	}
 }

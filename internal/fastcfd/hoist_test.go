@@ -33,8 +33,9 @@ func variableCFDPerCover(f *finder, fs *itemset.FreeSet, rhs int, diffs []core.A
 // TestVariableCFDSubDiffsHoisted holds the verdict of variableCFD — which
 // computes the sub-patterns' difference sets once per search and reuses them
 // for every cover — to the per-cover computation, for FastCFD's and
-// NaiveFast's backend, on every free set, right-hand side and attribute set Y
-// outside them (covers or not) of the fixtures, all Ys of one search in a row.
+// NaiveFast's backend, on every free set, right-hand side and minimal cover Y
+// of the fixtures — the Ys diffset.MinimalCovers hands it — all Ys of one
+// search in a row.
 func TestVariableCFDSubDiffsHoisted(t *testing.T) {
 	rels := smallRelations()
 	rels["cust"] = fixture.Cust()
@@ -53,7 +54,7 @@ func TestVariableCFDSubDiffsHoisted(t *testing.T) {
 							continue
 						}
 						s := search{finder: f, rhs: rhs, fs: fs, diffs: comp.MinimalDiffSets(fs.Attrs, fs.Tp, rhs)}
-						r.Schema().All().Diff(fs.Attrs).Remove(rhs).Subsets(func(y core.AttrSet) bool {
+						diffset.MinimalCovers(s.diffs, r.Schema().All().Diff(fs.Attrs).Remove(rhs).Attrs(), -1, func(y core.AttrSet) {
 							before := len(s.out)
 							s.variableCFD(y)
 							want, ok := variableCFDPerCover(f, fs, rhs, s.diffs, y)
@@ -63,7 +64,6 @@ func TestVariableCFDSubDiffsHoisted(t *testing.T) {
 							case ok && s.out[before].Key() != want.Key():
 								t.Errorf("%s k=%d %s: X=%v A=%d Y=%v: emitted %s, want %s", name, k, bname, fs.Attrs, rhs, y, s.out[before].Format(r), want.Format(r))
 							}
-							return true
 						})
 						emitted += len(s.out)
 					}

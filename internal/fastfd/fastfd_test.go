@@ -83,11 +83,19 @@ func TestMineConstantAttribute(t *testing.T) {
 	}
 }
 
+// minimalCovers collects the covers diffset.MinimalCovers visits, with no
+// bound on their size, as FastFD runs it.
+func minimalCovers(diffs []core.AttrSet, candidates []int) []core.AttrSet {
+	var out []core.AttrSet
+	diffset.MinimalCovers(diffs, candidates, -1, func(y core.AttrSet) { out = append(out, y) })
+	return out
+}
+
 func TestMinimalCovers(t *testing.T) {
 	// Difference sets {{0},{1,2}} over candidates {0,1,2}: minimal covers are
 	// {0,1} and {0,2}.
 	diffs := []core.AttrSet{core.NewAttrSet(0), core.NewAttrSet(1, 2)}
-	covers := MinimalCovers(diffs, []int{0, 1, 2})
+	covers := minimalCovers(diffs, []int{0, 1, 2})
 	if len(covers) != 2 {
 		t.Fatalf("got %d covers: %v", len(covers), covers)
 	}
@@ -98,12 +106,12 @@ func TestMinimalCovers(t *testing.T) {
 		}
 	}
 	// A single difference set: each of its attributes alone is a minimal cover.
-	covers = MinimalCovers([]core.AttrSet{core.NewAttrSet(1, 3)}, []int{0, 1, 2, 3})
+	covers = minimalCovers([]core.AttrSet{core.NewAttrSet(1, 3)}, []int{0, 1, 2, 3})
 	if len(covers) != 2 {
 		t.Errorf("single diffset: got %v", covers)
 	}
 	// Unsatisfiable: a difference set disjoint from the candidates.
-	covers = MinimalCovers([]core.AttrSet{core.NewAttrSet(5)}, []int{0, 1})
+	covers = minimalCovers([]core.AttrSet{core.NewAttrSet(5)}, []int{0, 1})
 	if len(covers) != 0 {
 		t.Errorf("expected no covers, got %v", covers)
 	}
@@ -128,7 +136,7 @@ func TestMinimalCoversAgainstBruteForce(t *testing.T) {
 			}
 			return true
 		})
-		got := MinimalCovers(diffs, candidates)
+		got := minimalCovers(diffs, candidates)
 		if len(got) != len(want) {
 			t.Errorf("case %d: got %d covers, want %d", ci, len(got), len(want))
 		}

@@ -1,9 +1,12 @@
 #!/bin/sh
 # Documentation link checker, run by `make docs-check` and the CI docs job:
 # every relative markdown link in the checked documents must point at a file
-# (or file#anchor) that exists in the repository, and the load-bearing
+# (or file#anchor) that exists in the repository, the load-bearing
 # cross-references between README.md, ARCHITECTURE.md, API.md and doc.go must
-# be present. External http(s) links are not fetched.
+# be present, and every `"<Section>" section of ARCHITECTURE.md` a Go file
+# cites must name one of its headings. ARCHITECTURE.md describes the design
+# at this commit in at most 500 lines; history and measurements go to
+# CHANGES.md. External http(s) links are not fetched.
 set -eu
 
 DOCS="README.md ARCHITECTURE.md API.md"
@@ -73,6 +76,26 @@ for doc in $DOCS; do
 		fi
 	done || status=1
 done
+
+# The line budget.
+lines=$(wc -l <ARCHITECTURE.md)
+[ "$lines" -le 500 ] || fail "ARCHITECTURE.md is $lines lines, over its 500-line budget"
+
+# Section citations in Go comments: the quoted name must equal a heading of
+# ARCHITECTURE.md (outside code fences) without its #s and backticks. Comment
+# lines are joined first, so a citation may wrap.
+headings="$(awk '/^```/ { fence = !fence; next } !fence' ARCHITECTURE.md | grep '^#' | sed 's/^#*[[:space:]]*//; s/`//g')"
+find . -name '*.go' ! -path './.bench_build/*' | sort | while IFS= read -r f; do
+	sed 's|^[[:space:]]*//[[:space:]]*||' "$f" | tr '\n' ' ' |
+		{ grep -o '"[^"]*" section of ARCHITECTURE\.md' || true; } |
+		sed 's/^"//; s/" section of ARCHITECTURE\.md$//' |
+		while IFS= read -r name; do
+			if ! printf '%s\n' "$headings" | grep -qxF "$name"; then
+				echo "docs-check: FAIL: $f cites the \"$name\" section of ARCHITECTURE.md, which has no such heading" >&2
+				exit 1
+			fi
+		done || exit 1
+done || status=1
 
 [ "$status" -eq 0 ] && echo "docs-check: OK"
 exit "$status"
