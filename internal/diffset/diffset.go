@@ -236,14 +236,14 @@ type Closed struct {
 	prepMu sync.Mutex
 	ready  atomic.Bool
 
-	closed      []itemset.ClosedPattern
-	complements []core.AttrSet
-	// byItem indexes the closed sets by the items they contain — byItem[a][v]
-	// lists, ascending, the closed sets holding value code v on attribute a —
-	// so that the per-pattern filtering only scans the closed sets containing
-	// the pattern's rarest item instead of the whole collection. The lists
-	// are windows of one buffer.
-	byItem [][][]int32
+	closed *itemset.ClosedSets
+	// byItem indexes the closed sets by the items they contain, so that the
+	// per-pattern filtering only scans the closed sets containing the
+	// pattern's rarest item instead of the whole collection: the ids of the
+	// closed sets holding value code v on attribute a are
+	// ids[byItem[a][v]:byItem[a][v+1]], in search order.
+	ids    []int32
+	byItem [][]int32
 
 	mu    sync.Mutex
 	cache map[string][]core.AttrSet
@@ -276,36 +276,41 @@ func (c *Closed) Prepare(ctx context.Context, workers int) error {
 	if err != nil {
 		return err
 	}
-	all := c.r.Schema().All()
 	c.closed = closed
-	c.complements = make([]core.AttrSet, len(closed))
-	// Count the closed sets per item, carve one window per item out of a
-	// single buffer, then fill the windows in closed-set order.
-	counts := make([][]int32, c.r.Arity())
-	for a := range counts {
-		counts[a] = make([]int32, c.r.DomainSize(a))
+	// Count the closed sets per item into the offset tables, one entry
+	// ahead; sum the counts into window starts over one buffer; fill the
+	// windows in search order, which leaves each entry at its window's end;
+	// shift the entries back by one.
+	c.byItem = make([][]int32, c.r.Arity())
+	for a := range c.byItem {
+		c.byItem[a] = make([]int32, c.r.DomainSize(a)+1)
 	}
-	total := 0
-	for i, cp := range closed {
-		c.complements[i] = all.Diff(cp.Attrs)
-		cp.Attrs.ForEach(func(a int) { counts[a][cp.Tp[a]]++ })
-		total += cp.Attrs.Len()
+	for id := range closed.All() {
+		tp := closed.Pattern(id)
+		closed.Attrs(id).ForEach(func(a int) { c.byItem[a][tp[a]+1]++ })
 	}
-	flat := make([]int32, total)
-	c.byItem = make([][][]int32, len(counts))
-	off := 0
-	for a, perValue := range counts {
-		c.byItem[a] = make([][]int32, len(perValue))
-		for v, n := range perValue {
-			c.byItem[a][v] = flat[off : off : off+int(n)]
-			off += int(n)
+	total := int32(0)
+	for _, off := range c.byItem {
+		for v := range off {
+			total += off[v]
+			off[v] = total
 		}
 	}
-	for i, cp := range closed {
-		cp.Attrs.ForEach(func(a int) {
-			list := &c.byItem[a][cp.Tp[a]]
-			*list = append(*list, int32(i))
+	c.ids = make([]int32, total)
+	for id := range closed.All() {
+		tp := closed.Pattern(id)
+		closed.Attrs(id).ForEach(func(a int) {
+			off := c.byItem[a]
+			c.ids[off[tp[a]]] = id
+			off[tp[a]]++
 		})
+	}
+	start := int32(0)
+	for _, off := range c.byItem {
+		end := off[len(off)-1]
+		copy(off[1:], off)
+		off[0] = start
+		start = end
 	}
 	c.ready.Store(true)
 	return nil
@@ -334,41 +339,77 @@ func (c *Closed) diffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
 
 	// Restrict the scan to the closed sets containing the pattern's rarest
 	// item; for the empty pattern every closed set qualifies.
-	candidates := int32(-1) // -1 means "all"
-	var narrowest []int32
-	attrs.ForEach(func(a int) {
-		list := c.byItem[a][tp[a]]
-		if candidates == -1 || len(list) < int(candidates) {
-			candidates = int32(len(list))
-			narrowest = list
-		}
-	})
-	var out []core.AttrSet
-	scan := func(i int) {
-		cp := c.closed[i]
-		if !cp.ContainsItems(attrs, tp) {
+	all := c.r.Schema().All()
+	var out distinctSets
+	scan := func(id int32) {
+		cAttrs := c.closed.Attrs(id)
+		if !attrs.SubsetOf(cAttrs) {
 			return
 		}
-		if d := c.complements[i]; !d.IsEmpty() {
-			out = append(out, d)
+		cTp := c.closed.Pattern(id)
+		match := true
+		attrs.ForEach(func(a int) { match = match && cTp[a] == tp[a] })
+		if d := all.Diff(cAttrs); match && !d.IsEmpty() {
+			out.add(d)
 		}
 	}
-	if candidates == -1 {
-		for i := range c.closed {
-			scan(i)
+	if attrs.IsEmpty() {
+		for id := range c.closed.All() {
+			scan(id)
 		}
 	} else {
-		for _, i := range narrowest {
-			scan(int(i))
+		var narrowest []int32
+		first := true
+		attrs.ForEach(func(a int) {
+			off := c.byItem[a]
+			if list := c.ids[off[tp[a]]:off[tp[a]+1]]; first || len(list) < len(narrowest) {
+				narrowest, first = list, false
+			}
+		})
+		for _, id := range narrowest {
+			scan(id)
 		}
 	}
-	// The distinct sets, copied out at their exact size: the scan's buffer
-	// grew with the closed sets visited and the result is cached for the run.
-	slices.Sort(out)
-	out = slices.Clone(slices.Compact(out))
+	d := out.sets()
 
 	c.mu.Lock()
-	c.cache[key] = out
+	c.cache[key] = d
 	c.mu.Unlock()
-	return out
+	return d
+}
+
+// distinctSets collects attribute sets and keeps only the distinct ones: when
+// its buffer is full it sorts and compacts it, and grows it only when that
+// freed less than half. A scan matching many closed sets so holds its
+// distinct complements — at most 2^arity − 1 — rather than one per match,
+// and a run of distinct sets costs O(log n) sorts in all, not one per add.
+type distinctSets struct {
+	buf   []core.AttrSet
+	sorts int // compactions so far
+}
+
+func (s *distinctSets) add(d core.AttrSet) {
+	switch {
+	case s.buf == nil:
+		s.buf = make([]core.AttrSet, 0, 16)
+	case len(s.buf) == cap(s.buf):
+		s.compact()
+		if 2*len(s.buf) > cap(s.buf) {
+			s.buf = slices.Grow(s.buf, cap(s.buf))
+		}
+	}
+	s.buf = append(s.buf, d)
+}
+
+func (s *distinctSets) compact() {
+	slices.Sort(s.buf)
+	s.buf = slices.Compact(s.buf)
+	s.sorts++
+}
+
+// sets returns the distinct sets in ascending order, copied out at their
+// exact size: the result is cached for the run.
+func (s *distinctSets) sets() []core.AttrSet {
+	s.compact()
+	return slices.Clone(s.buf)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -147,36 +148,53 @@ func TestPaperExample9(t *testing.T) {
 	}
 }
 
-// TestBackendsAgree cross-validates the naive and closed-item-set backends on
-// the cust relation and random relations over every attribute and several
-// patterns.
-func TestBackendsAgree(t *testing.T) {
-	rels := []*core.Relation{
+// backendFixtures are the relations TestBackendsAgree cross-validates the
+// backends on, and FuzzBackendsAgree's seeds come from.
+func backendFixtures() []*core.Relation {
+	return []*core.Relation{
 		fixture.Cust(),
 		fixture.CustNoNM(),
 		fixture.Random(11, 80, []int{3, 4, 2, 5}),
 		fixture.RandomCorrelated(5, 120, 5, 5),
 	}
-	for ri, r := range rels {
+}
+
+// TestBackendsAgree cross-validates the naive and closed-item-set backends on
+// the cust relation and random relations over every attribute and several
+// patterns.
+func TestBackendsAgree(t *testing.T) {
+	for ri, r := range backendFixtures() {
 		naive := NewNaive(r)
 		closed := NewClosed(r)
-		// Patterns: the empty pattern plus every frequent single item.
+		// Patterns: the empty pattern, every frequent single item, and every
+		// two of those on different attributes.
 		type pat struct {
 			attrs core.AttrSet
 			tp    core.Pattern
 		}
 		pats := []pat{{core.EmptyAttrSet, core.NewPattern(r.Arity())}}
 		for a := 0; a < r.Arity(); a++ {
-			counts := make(map[int32]int)
+			counts := make([]int, r.DomainSize(a))
 			for _, v := range r.Column(a) {
 				counts[v]++
 			}
 			for v, c := range counts {
 				if c >= 2 {
 					tp := core.NewPattern(r.Arity())
-					tp[a] = v
+					tp[a] = int32(v)
 					pats = append(pats, pat{core.SingleAttr(a), tp})
 				}
+			}
+		}
+		singles := pats[1:]
+		for i, x := range singles {
+			for _, y := range singles[i+1:] {
+				if x.attrs == y.attrs {
+					continue
+				}
+				tp := x.tp.Clone()
+				y.attrs.ForEach(func(a int) { tp[a] = y.tp[a] })
+				pats = append(pats, pat{x.attrs.Union(y.attrs), tp})
 			}
 		}
 		for _, p := range pats {
@@ -235,7 +253,8 @@ func TestDiffSetsSemantics(t *testing.T) {
 // closed sets: an up-front parallel Prepare, the sequential lazy one of the
 // first query, and a Prepare after a cancelled one — which must leave the
 // computer unprepared rather than half-built. All must answer like the naive
-// backend.
+// backend, and index every item's closed sets, in search order, in that
+// item's window.
 func TestClosedPrepare(t *testing.T) {
 	r := fixture.RandomCorrelated(5, 120, 5, 5)
 	naive := NewNaive(r)
@@ -263,6 +282,21 @@ func TestClosedPrepare(t *testing.T) {
 		}
 		if err := comp.Prepare(cancelled, 1); err != nil {
 			t.Errorf("%s: Prepare on a prepared computer: %v, want nil", name, err)
+		}
+		holding := make(map[[2]int32][]int32)
+		for id := range comp.closed.All() {
+			tp := comp.closed.Pattern(id)
+			comp.closed.Attrs(id).ForEach(func(a int) {
+				item := [2]int32{int32(a), tp[a]}
+				holding[item] = append(holding[item], id)
+			})
+		}
+		for a, off := range comp.byItem {
+			for v := 0; v < r.DomainSize(a); v++ {
+				if got, want := comp.ids[off[v]:off[v+1]], holding[[2]int32{int32(a), int32(v)}]; !slices.Equal(got, want) {
+					t.Errorf("%s: item (%s, %d) indexes closed sets %v, want %v", name, r.Schema().Name(a), v, got, want)
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package itemset
 import (
 	"cmp"
 	"context"
+	"iter"
 	"slices"
 
 	"repro/internal/core"
@@ -10,30 +11,72 @@ import (
 	"repro/internal/pool"
 )
 
-// ClosedPattern is a closed item set found by MineClosed: its attributes, the
-// constant pattern over them, and the number of supporting tuples.
-type ClosedPattern struct {
-	Attrs core.AttrSet
-	Tp    core.Pattern
-	Count int
+// ClosedSets holds the closed item sets MineClosed found, column by column:
+// per set, its attribute set and its constant pattern — arity values, Wildcard
+// outside the attribute set. The sets stay in the fixed-size blocks the
+// search's workers wrote them into; an id names a set by its block and its
+// slot there, and All lists the ids in search order. A nil *ClosedSets holds
+// no sets. It is read-only once MineClosed returns, so any number of
+// goroutines may read it.
+type ClosedSets struct {
+	arity  int
+	blocks []closedBlock
+	runs   []idRange // consecutive ids, in search order
+	n      int
 }
 
-// Key returns the canonical key of the closed pattern's item set.
-func (c ClosedPattern) Key() string { return c.Tp.Key(c.Attrs) }
+// closedBlock holds closedBlockSets closed sets of one worker: their
+// attribute sets, and their patterns one after another in one buffer.
+type closedBlock struct {
+	attrs  []core.AttrSet
+	values []int32 // stride arity
+}
 
-// ContainsItems reports whether the closed pattern contains every item of
-// (attrs, tp), i.e. it agrees with tp on all of attrs.
-func (c ClosedPattern) ContainsItems(attrs core.AttrSet, tp core.Pattern) bool {
-	if !attrs.SubsetOf(c.Attrs) {
-		return false
+// idRange is the ids lo..hi-1.
+type idRange struct{ lo, hi int32 }
+
+// An id is a block index shifted left by closedBlockShift plus a slot.
+const (
+	closedBlockShift = 10
+	closedBlockSets  = 1 << closedBlockShift
+)
+
+// Len returns the number of closed sets.
+func (s *ClosedSets) Len() int {
+	if s == nil {
+		return 0
 	}
-	ok := true
-	attrs.ForEach(func(a int) {
-		if c.Tp[a] != tp[a] {
-			ok = false
+	return s.n
+}
+
+// All yields the id of every closed set in search order: the closure of the
+// whole relation first, then each first-level branch in item order, depth
+// first — the same order for every worker count.
+func (s *ClosedSets) All() iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		if s == nil {
+			return
 		}
-	})
-	return ok
+		for _, r := range s.runs {
+			for id := r.lo; id < r.hi; id++ {
+				if !yield(id) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Attrs returns the attribute set of closed set id.
+func (s *ClosedSets) Attrs(id int32) core.AttrSet {
+	return s.blocks[id>>closedBlockShift].attrs[id&(closedBlockSets-1)]
+}
+
+// Pattern returns the constant pattern of closed set id, a window of the
+// shared buffer that the caller must not modify.
+func (s *ClosedSets) Pattern(id int32) core.Pattern {
+	at := int(id&(closedBlockSets-1)) * s.arity
+	return s.blocks[id>>closedBlockShift].values[at : at+s.arity : at+s.arity]
 }
 
 // MineClosed enumerates every closed item set of r with support at least
@@ -48,10 +91,11 @@ func (c ClosedPattern) ContainsItems(attrs core.AttrSet, tp core.Pattern) bool {
 // found by one counting split of its tid list per attribute. The subtrees
 // under the root's candidates are independent, so they are mined on up to
 // workers goroutines (0 = one per CPU, 1 = sequential), each with its own
-// scratch, and concatenated in candidate order: the result is the sequential
-// search's, order included, for every worker count. Cancellation is observed
-// at every node; a cancelled run returns (nil, ctx.Err()).
-func MineClosed(ctx context.Context, r *core.Relation, minsup, workers int) ([]ClosedPattern, error) {
+// scratch and its own blocks of output, and stitched in candidate order: the
+// result is the sequential search's, order included, for every worker count.
+// Cancellation is observed at every node; a cancelled run returns (nil,
+// ctx.Err()).
+func MineClosed(ctx context.Context, r *core.Relation, minsup, workers int) (*ClosedSets, error) {
 	if minsup < 1 {
 		minsup = 1
 	}
@@ -61,25 +105,27 @@ func MineClosed(ctx context.Context, r *core.Relation, minsup, workers int) ([]C
 	}
 	m := &closedMiner{ctx: ctx, r: r, minsup: minsup}
 
-	// The root is the closure of the whole relation; its candidates are the
-	// first-level branches, held in the root worker's depth-0 scratch, which
-	// no branch touches (branches recurse from depth 1).
+	// The root is the closure of the whole relation, the root worker's first
+	// set; its candidates are the first-level branches, held in the root
+	// worker's depth-0 scratch, which no branch touches (branches recurse
+	// from depth 1).
 	rootWorker := m.newWorker()
 	all := partition.AllTids(n)
-	root := ClosedPattern{Tp: core.NewPattern(r.Arity()), Count: n}
+	var rootAttrs core.AttrSet
 	for a := 0; a < r.Arity(); a++ {
 		if v, ok := constantOn(r.Column(a), all); ok {
-			root.Attrs = root.Attrs.Add(a)
-			root.Tp[a] = v
+			rootAttrs = rootAttrs.Add(a)
+			rootWorker.tp[a] = v
 		}
 	}
-	rootWorker.candidates(0, root.Attrs, all, -1)
+	rootTp := rootWorker.emit(rootAttrs)
+	rootWorker.candidates(0, rootAttrs, all, -1)
 	first := &rootWorker.levels[0]
 
-	// A worker appends the branches it mines to one growing output; span
-	// records where each branch landed so they can be stitched in candidate
-	// order.
-	type span struct{ worker, start, end int }
+	// A worker writes the branches it mines to its own blocks; span records
+	// which of the worker's sets a branch produced, so that the branches can
+	// be stitched in candidate order.
+	type span struct{ worker, start, end int32 }
 	ws := make([]*closedWorker, pool.Normalize(workers))
 	ws[0] = rootWorker
 	spans, err := pool.Map(ctx, workers, len(first.cands), func(wi, i int) span {
@@ -88,16 +134,19 @@ func MineClosed(ctx context.Context, r *core.Relation, minsup, workers int) ([]C
 			w = m.newWorker()
 			ws[wi] = w
 		}
-		start := len(w.out)
+		start := w.n
 		c := first.cands[i]
-		w.extend(0, root.Attrs, root.Tp, first.groups.Group(c.group), c.attr, c.value)
-		return span{wi, start, len(w.out)}
+		w.extend(0, rootAttrs, rootTp, first.groups.Group(int(c.group)), int(c.attr), c.value)
+		return span{int32(wi), start, w.n}
 	})
 	if err != nil {
 		return nil, err
 	}
-	total := 1
-	for _, w := range ws {
+	out := &ClosedSets{arity: r.Arity()}
+	// A worker's blocks stay consecutive, so its k-th set has the id k plus
+	// the id of its first block.
+	base := make([]int32, len(ws))
+	for wi, w := range ws {
 		if w == nil {
 			continue
 		}
@@ -106,14 +155,26 @@ func MineClosed(ctx context.Context, r *core.Relation, minsup, workers int) ([]C
 		if w.err != nil {
 			return nil, w.err
 		}
-		total += len(w.out)
+		base[wi] = int32(len(out.blocks) << closedBlockShift)
+		out.blocks = append(out.blocks, w.blocks...)
+		out.n += int(w.n)
 	}
-	out := make([]ClosedPattern, 1, total)
-	out[0] = root
+	out.addRun(base[0], base[0]+1)
 	for _, sp := range spans {
-		out = append(out, ws[sp.worker].out[sp.start:sp.end]...)
+		out.addRun(base[sp.worker]+sp.start, base[sp.worker]+sp.end)
 	}
 	return out, nil
+}
+
+// addRun appends the ids lo..hi-1 to the search order.
+func (s *ClosedSets) addRun(lo, hi int32) {
+	switch {
+	case lo == hi:
+	case len(s.runs) > 0 && s.runs[len(s.runs)-1].hi == lo:
+		s.runs[len(s.runs)-1].hi = hi
+	default:
+		s.runs = append(s.runs, idRange{lo, hi})
+	}
 }
 
 // closedMiner is the read-only state the workers of one MineClosed run share.
@@ -124,15 +185,15 @@ type closedMiner struct {
 }
 
 // closedWorker is one goroutine's scratch: a splitter, the candidate lists of
-// the nodes on the current DFS path, and the closed sets of the branches it
-// has mined.
+// the nodes on the current DFS path, and the blocks holding the closed sets
+// of the branches it has mined.
 type closedWorker struct {
 	m      *closedMiner
 	split  *partition.Splitter
 	levels []closedLevel // levels[d]: candidates of the node at depth d
 	tp     core.Pattern  // closure under construction
-	arena  []int32       // emitted patterns are carved from chunks, not allocated one by one
-	out    []ClosedPattern
+	blocks []closedBlock // the worker's k-th set is in blocks[k>>closedBlockShift]
+	n      int32         // sets written
 	err    error
 }
 
@@ -141,13 +202,16 @@ type closedWorker struct {
 // candidates in item order.
 type closedLevel struct {
 	groups partition.Groups
+	splits []attrEnd // the attributes split, in order, each with its groups' end
 	cands  []closedCand
 }
 
+type attrEnd struct{ attr, end int32 }
+
 type closedCand struct {
-	attr  int
+	attr  int32
 	value int32
-	group int // index into the level's groups
+	group int32 // index into the level's groups
 }
 
 func (m *closedMiner) newWorker() *closedWorker {
@@ -159,6 +223,25 @@ func (m *closedMiner) newWorker() *closedWorker {
 		levels: make([]closedLevel, arity+1),
 		tp:     core.NewPattern(arity),
 	}
+}
+
+// emit writes the closed set (attrs, w.tp) to the worker's blocks and returns
+// its stored pattern.
+func (w *closedWorker) emit(attrs core.AttrSet) core.Pattern {
+	arity := len(w.tp)
+	slot := int(w.n & (closedBlockSets - 1))
+	if slot == 0 {
+		w.blocks = append(w.blocks, closedBlock{
+			attrs:  make([]core.AttrSet, closedBlockSets),
+			values: make([]int32, closedBlockSets*arity),
+		})
+	}
+	b := &w.blocks[len(w.blocks)-1]
+	b.attrs[slot] = attrs
+	tp := core.Pattern(b.values[slot*arity : (slot+1)*arity : (slot+1)*arity])
+	copy(tp, w.tp)
+	w.n++
+	return tp
 }
 
 // constantOn reports whether every tuple of tids (non-empty) holds the same
@@ -176,18 +259,25 @@ func constantOn(col, tids []int32) (int32, bool) {
 // candidates fills levels[depth] with the extensions of the node (cAttrs,
 // tids) whose core item is on attribute coreAttr: items on later attributes
 // outside the closure that at least minsup of tids share, in item order.
+// Every attribute is split before the candidate list is sized, and the
+// groups are reserved for their bound — every split keeps at most all of
+// tids — so that neither grows attribute by attribute.
 func (w *closedWorker) candidates(depth int, cAttrs core.AttrSet, tids []int32, coreAttr int) {
 	lv := &w.levels[depth]
 	lv.groups.Reset()
-	lv.cands = lv.cands[:0]
-	for a := coreAttr + 1; a < w.m.r.Arity(); a++ {
-		if cAttrs.Has(a) {
-			continue
-		}
-		from, g := len(lv.cands), lv.groups.Len()
+	lv.splits = lv.splits[:0]
+	later := core.FullAttrSet(w.m.r.Arity()).Diff(core.FullAttrSet(coreAttr + 1)).Diff(cAttrs)
+	lv.groups.Reserve(later.Len()*len(tids), later.Len()*(len(tids)/w.m.minsup))
+	later.ForEach(func(a int) {
 		w.split.Split(w.m.r.Column(a), tids, w.m.minsup, &lv.groups)
-		for ; g < lv.groups.Len(); g++ {
-			lv.cands = append(lv.cands, closedCand{attr: a, value: lv.groups.Codes[g], group: g})
+		lv.splits = append(lv.splits, attrEnd{int32(a), int32(lv.groups.Len())})
+	})
+	lv.cands = slices.Grow(lv.cands[:0], lv.groups.Len())
+	g := int32(0)
+	for _, end := range lv.splits {
+		from := len(lv.cands)
+		for ; g < end.end; g++ {
+			lv.cands = append(lv.cands, closedCand{attr: end.attr, value: lv.groups.Codes[g], group: g})
 		}
 		slices.SortFunc(lv.cands[from:], func(x, y closedCand) int { return cmp.Compare(x.value, y.value) })
 	}
@@ -202,7 +292,7 @@ func (w *closedWorker) expand(depth int, cAttrs core.AttrSet, cTp core.Pattern, 
 	w.candidates(depth, cAttrs, tids, coreAttr)
 	lv := &w.levels[depth]
 	for _, c := range lv.cands {
-		w.extend(depth, cAttrs, cTp, lv.groups.Group(c.group), c.attr, c.value)
+		w.extend(depth, cAttrs, cTp, lv.groups.Group(int(c.group)), int(c.attr), c.value)
 	}
 }
 
@@ -231,12 +321,5 @@ func (w *closedWorker) extend(depth int, cAttrs core.AttrSet, cTp core.Pattern, 
 		attrs = attrs.Add(b)
 		w.tp[b] = v
 	}
-	if len(w.arena) < len(w.tp) {
-		w.arena = make([]int32, 256*len(w.tp))
-	}
-	tp := core.Pattern(w.arena[:len(w.tp):len(w.tp)])
-	w.arena = w.arena[len(w.tp):]
-	copy(tp, w.tp)
-	w.out = append(w.out, ClosedPattern{Attrs: attrs, Tp: tp, Count: len(tids)})
-	w.expand(depth+1, attrs, tp, tids, attr)
+	w.expand(depth+1, attrs, w.emit(attrs), tids, attr)
 }

@@ -2,6 +2,7 @@ package itemset
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -196,15 +197,37 @@ func TestMineInvariants(t *testing.T) {
 	}
 }
 
+// closedPattern is one closed set of a ClosedSets, copied out for comparison.
+type closedPattern struct {
+	Attrs core.AttrSet
+	Tp    core.Pattern
+}
+
+func (c closedPattern) Key() string { return c.Tp.Key(c.Attrs) }
+
+// patterns copies the closed sets out in search order; nil when there are
+// none.
+func patterns(s *ClosedSets) []closedPattern {
+	var out []closedPattern
+	for id := range s.All() {
+		out = append(out, closedPattern{Attrs: s.Attrs(id), Tp: slices.Clone(s.Pattern(id))})
+	}
+	return out
+}
+
 // mineClosed runs the sequential closed-set miner, which cannot fail under a
 // background context.
-func mineClosed(t *testing.T, r *core.Relation, minsup int) []ClosedPattern {
+func mineClosed(t *testing.T, r *core.Relation, minsup int) []closedPattern {
 	t.Helper()
 	out, err := MineClosed(context.Background(), r, minsup, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	ps := patterns(out)
+	if out.Len() != len(ps) {
+		t.Fatalf("Len() = %d, All() yields %d sets", out.Len(), len(ps))
+	}
+	return ps
 }
 
 // TestMineMatchesMineClosed cross-validates the levelwise generator miner
@@ -232,7 +255,7 @@ func TestMineMatchesMineClosed(t *testing.T) {
 				if _, dup := b[cp.Key()]; dup {
 					t.Errorf("%s k=%d: MineClosed produced duplicate %s", name, k, cp.Tp.Format(r, cp.Attrs))
 				}
-				b[cp.Key()] = cp.Count
+				b[cp.Key()] = r.CountMatching(cp.Attrs, cp.Tp)
 			}
 			if len(a) != len(b) {
 				t.Errorf("%s k=%d: Mine found %d closed sets, MineClosed %d", name, k, len(a), len(b))
@@ -247,16 +270,19 @@ func TestMineMatchesMineClosed(t *testing.T) {
 }
 
 // TestMineClosedInvariants checks that every pattern reported by MineClosed is
-// genuinely closed and has the reported support.
+// genuinely closed, frequent, and a constant pattern over exactly its
+// attributes.
 func TestMineClosedInvariants(t *testing.T) {
 	r := fixture.Cust()
 	for _, minsup := range []int{1, 2, 3} {
 		for _, cp := range mineClosed(t, r, minsup) {
-			if cp.Count < minsup {
-				t.Errorf("minsup=%d: %s has count %d", minsup, cp.Tp.Format(r, cp.Attrs), cp.Count)
+			if got := r.CountMatching(cp.Attrs, cp.Tp); got < minsup {
+				t.Errorf("minsup=%d: %s has count %d", minsup, cp.Tp.Format(r, cp.Attrs), got)
 			}
-			if got := r.CountMatching(cp.Attrs, cp.Tp); got != cp.Count {
-				t.Errorf("minsup=%d: %s count %d, recount %d", minsup, cp.Tp.Format(r, cp.Attrs), cp.Count, got)
+			for a, v := range cp.Tp {
+				if cp.Attrs.Has(a) != (v != core.Wildcard) {
+					t.Errorf("minsup=%d: %s holds %d on %s", minsup, cp.Tp.Format(r, cp.Attrs), v, r.Schema().Name(a))
+				}
 			}
 			tids := r.MatchingTuples(cp.Attrs, cp.Tp)
 			for a := 0; a < r.Arity(); a++ {

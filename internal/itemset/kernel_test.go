@@ -28,7 +28,7 @@ func kernelFixtures() map[string]*core.Relation {
 // referenceMineClosed is the closed-set search as it was written before the
 // counting split — a map of buckets per attribute per node, candidates sorted
 // by a global item index — kept as the order-included reference for MineClosed.
-func referenceMineClosed(r *core.Relation, minsup int) []ClosedPattern {
+func referenceMineClosed(r *core.Relation, minsup int) []closedPattern {
 	n, arity := r.Size(), r.Arity()
 	if n < minsup || n == 0 {
 		return nil
@@ -63,7 +63,7 @@ func referenceMineClosed(r *core.Relation, minsup int) []ClosedPattern {
 		}
 		return attrs, tp
 	}
-	var out []ClosedPattern
+	var out []closedPattern
 	var expand func(cAttrs core.AttrSet, tids []int32, coreIdx int)
 	expand = func(cAttrs core.AttrSet, tids []int32, coreIdx int) {
 		type candidate struct {
@@ -95,7 +95,7 @@ func referenceMineClosed(r *core.Relation, minsup int) []ClosedPattern {
 				}
 			})
 			if ok {
-				out = append(out, ClosedPattern{Attrs: newAttrs, Tp: newTp, Count: len(cand.tids)})
+				out = append(out, closedPattern{Attrs: newAttrs, Tp: newTp})
 				expand(newAttrs, cand.tids, cand.idx)
 			}
 		}
@@ -105,7 +105,7 @@ func referenceMineClosed(r *core.Relation, minsup int) []ClosedPattern {
 		all[t] = int32(t)
 	}
 	rootAttrs, rootTp := closure(all)
-	out = append(out, ClosedPattern{Attrs: rootAttrs, Tp: rootTp, Count: n})
+	out = append(out, closedPattern{Attrs: rootAttrs, Tp: rootTp})
 	expand(rootAttrs, all, -1)
 	return out
 }
@@ -121,11 +121,11 @@ func TestMineClosedWorkersIdentical(t *testing.T) {
 				t.Errorf("%s minsup=%d: %d patterns, the map-based reference finds %d, or in another order", name, minsup, len(seq), len(ref))
 			}
 			for _, workers := range []int{2, 4, 8} {
-				par, err := MineClosed(context.Background(), r, minsup, workers)
+				out, err := MineClosed(context.Background(), r, minsup, workers)
 				if err != nil {
 					t.Fatalf("%s minsup=%d workers=%d: %v", name, minsup, workers, err)
 				}
-				if !reflect.DeepEqual(seq, par) {
+				if par := patterns(out); !reflect.DeepEqual(seq, par) {
 					t.Errorf("%s minsup=%d: %d workers return a different slice than one (%d vs %d patterns)",
 						name, minsup, workers, len(par), len(seq))
 				}
@@ -165,16 +165,41 @@ func TestMineContextRepeatable(t *testing.T) {
 // TestMineClosedAllocatesPerRunNotPerNode guards the map-free search: with a
 // map (or a bucket slice) per attribute per node the run allocates several
 // objects per closed set found; with the counting split and per-depth scratch
-// the allocations are those of the scratch and the growing output.
+// the allocations are those of the scratch and of one output block per
+// 1,024 closed sets.
 func TestMineClosedAllocatesPerRunNotPerNode(t *testing.T) {
 	r := fixture.Random(11, 3000, []int{4, 6, 9, 12, 20, 30})
 	nodes := len(mineClosed(t, r, 2))
 	if nodes < 5000 {
 		t.Fatalf("fixture too small to amortise the scratch: %d closed sets", nodes)
 	}
-	allocs := testing.AllocsPerRun(3, func() { mineClosed(t, r, 2) })
+	allocs := testing.AllocsPerRun(3, func() { _, _ = MineClosed(context.Background(), r, 2, 1) })
 	if perNode := allocs / float64(nodes); perNode > 0.1 {
 		t.Errorf("%.0f allocations for %d closed sets (%.2f per node), want under 0.1 per node", allocs, nodes, perNode)
+	}
+}
+
+// TestMineClosedBytesPerSet bounds the bytes a run allocates by the closed
+// sets it keeps, 8 B of attribute set and 4 B per attribute of pattern each
+// (32 B on this six-attribute fixture). Output grown by append, candidate
+// lists grown attribute by attribute or split buffers regrown node by node
+// each leave several times that behind as garbage, which is what sets the
+// peak memory of a run.
+func TestMineClosedBytesPerSet(t *testing.T) {
+	r := fixture.Random(11, 3000, []int{4, 6, 9, 12, 20, 30})
+	sets := len(mineClosed(t, r, 2))
+	for _, workers := range []int{1, 2} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := MineClosed(context.Background(), r, 2, workers); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perSet := float64(after.TotalAlloc-before.TotalAlloc) / float64(sets)
+		t.Logf("workers=%d: %d closed sets, %d B allocated: %.0f B per set", workers, sets, after.TotalAlloc-before.TotalAlloc, perSet)
+		if perSet > 150 {
+			t.Errorf("workers=%d: %.0f B allocated per closed set, want at most 150", workers, perSet)
+		}
 	}
 }
 
@@ -190,7 +215,7 @@ func TestMineClosedCancelledMidSearch(t *testing.T) {
 		ctx := fixture.NewCountingContext(500)
 		out, err := MineClosed(ctx, r, 2, workers)
 		if !errors.Is(err, context.Canceled) || out != nil {
-			t.Fatalf("workers=%d: got %d patterns, err %v; want none, context.Canceled", workers, len(out), err)
+			t.Fatalf("workers=%d: got %d patterns, err %v; want none, context.Canceled", workers, out.Len(), err)
 		}
 		// After the cancelling call: one look per worker still inside a
 		// branch, one per worker from the pool's dispatch loop, one from the

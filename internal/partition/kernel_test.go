@@ -197,7 +197,8 @@ func mapRegroup(key, tids []int32, minSize int) (codes []int32, groups [][]int32
 // TestSplitMatchesMapRegroup holds the counting split to the map regroup on
 // random tid subsets, thresholds and key spaces, appending several splits to
 // one output as the closed-set miner does, and checks the slots are zero
-// after every call.
+// after every call; in every other round the output is reserved first for
+// the three splits' bound, and no split may regrow it.
 func TestSplitMatchesMapRegroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 200; round++ {
@@ -215,6 +216,11 @@ func TestSplitMatchesMapRegroup(t *testing.T) {
 		}
 		s := NewSplitter(keys)
 		var g Groups
+		reserved := round%2 == 1
+		if reserved {
+			g.Reserve(3*len(tids), 3*len(tids))
+		}
+		caps := [3]int{cap(g.Tids), cap(g.Ends), cap(g.Codes)}
 		var wantCodes []int32
 		var wantGroups [][]int32
 		for call := 0; call < 3; call++ {
@@ -224,6 +230,9 @@ func TestSplitMatchesMapRegroup(t *testing.T) {
 			codes, groups := mapRegroup(key, tids, max(minSize, 1))
 			wantCodes = append(wantCodes, codes...)
 			wantGroups = append(wantGroups, groups...)
+		}
+		if reserved && caps != [3]int{cap(g.Tids), cap(g.Ends), cap(g.Codes)} {
+			t.Fatalf("round %d: a split regrew groups reserved for %d tids", round, 3*len(tids))
 		}
 		if !slices.Equal(g.Codes, wantCodes) || g.Len() != len(wantGroups) {
 			t.Fatalf("round %d: codes %v (%d groups), want %v (%d groups)", round, g.Codes, g.Len(), wantCodes, len(wantGroups))

@@ -1,6 +1,10 @@
 package partition
 
-import "repro/internal/core"
+import (
+	"slices"
+
+	"repro/internal/core"
+)
 
 // Groups is the output of a counting split: the tids of every kept group laid
 // out group after group in one flat buffer, in the order the groups' keys
@@ -22,6 +26,14 @@ func (g *Groups) Group(i int) []int32 { return window(g.Tids, g.Ends, i) }
 // Reset empties the groups, keeping the buffers for the next split.
 func (g *Groups) Reset() {
 	g.Tids, g.Ends, g.Codes = g.Tids[:0], g.Ends[:0], g.Codes[:0]
+}
+
+// Reserve makes room for tids more tids in groups more groups, so that
+// splits appending no more than that do not regrow the buffers.
+func (g *Groups) Reserve(tids, groups int) {
+	g.Tids = slices.Grow(g.Tids, tids)
+	g.Ends = slices.Grow(g.Ends, groups)
+	g.Codes = slices.Grow(g.Codes, groups)
 }
 
 // window returns tids[ends[i-1]:ends[i]], capped so that an append to it
