@@ -25,6 +25,9 @@ import (
 // maps it to 503 with the "unavailable" error code.
 var ErrUnavailable = errors.New("cluster: shard unavailable")
 
+// maxResponseBytes bounds the body of one shard reply the client reads.
+const maxResponseBytes = 64 << 20
+
 // APIError is a shard's own error envelope, passed through so the
 // coordinator can forward the shard's status and stable error code (a 404
 // from the owning shard is the cluster's 404).
@@ -198,7 +201,9 @@ func (s *ShardClient) do(ctx context.Context, method, path string, query url.Val
 			}
 			continue
 		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		// One byte past the limit tells a reply that is too long from one
+		// that fills the limit exactly.
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 		resp.Body.Close()
 		if err != nil {
 			s.observe(true)
@@ -212,6 +217,9 @@ func (s *ShardClient) do(ctx context.Context, method, path string, query url.Val
 		s.observe(failed)
 		if s.obs != nil {
 			s.obs.ObserveShardRequest(s.label, time.Since(start).Seconds(), failed)
+		}
+		if len(data) > maxResponseBytes {
+			return fmt.Errorf("%w: %s: response longer than the %d-byte limit", ErrUnavailable, s.base, maxResponseBytes)
 		}
 		if failed {
 			apiErr := decodeEnvelope(s.base, resp.StatusCode, data)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -194,6 +196,29 @@ func TestAPIErrorsDoNotTripBreaker(t *testing.T) {
 	}
 	if !s.healthy() {
 		t.Fatal("4xx answers must not trip the breaker")
+	}
+}
+
+// TestResponseOverLimit: a reply one byte longer than the client reads is
+// refused as unavailable, naming the limit, rather than cut short and then
+// reported as undecodable. The reply is a well-formed rules document, so
+// only its length is at fault.
+func TestResponseOverLimit(t *testing.T) {
+	const head, tail = `{"version":"`, `"}`
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(head))
+		chunk := []byte(strings.Repeat("a", 1<<16))
+		for pad := maxResponseBytes + 1 - len(head) - len(tail); pad > 0; pad -= len(chunk) {
+			w.Write(chunk[:min(pad, len(chunk))])
+		}
+		w.Write([]byte(tail))
+	}))
+	defer ts.Close()
+	s := NewShardClient(ts.URL, "0", 10*time.Second, nil)
+	_, err := s.Rules(context.Background())
+	if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), strconv.Itoa(maxResponseBytes)) {
+		t.Fatalf("a reply over the limit: %v, want ErrUnavailable naming the %d-byte limit", err, maxResponseBytes)
 	}
 }
 

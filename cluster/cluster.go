@@ -42,10 +42,9 @@ type Cluster struct {
 	// shard. Recovered at Init as the maximum next_id across shards.
 	nextID atomic.Int64
 
-	mu      sync.Mutex
-	part    *Partitioner
-	order   []string // served rule strings in set order (the merge order)
-	version string   // served rules fingerprint
+	mu    sync.Mutex
+	part  *Partitioner
+	order []string // served rule strings in set order (the merge order)
 
 	// swapMu serialises coordinated rule swaps; concurrent swaps through one
 	// coordinator would interleave their per-shard CAS sequences.
@@ -101,6 +100,29 @@ func (c *Cluster) Init(ctx context.Context) error {
 		}
 	}
 	c.nextID.Store(int64(next))
+	err = c.loadRules(ctx, func(attrs []string, set *rules.Set) (*Partitioner, error) {
+		key := DeriveKey(attrs, set)
+		if c.part != nil { // explicit Config.Key
+			key = c.part.key
+		}
+		return NewPartitioner(attrs, key)
+	})
+	if err != nil {
+		return err
+	}
+	if c.obs != nil {
+		for i := range c.shards {
+			c.obs.ObserveShardHealth(strconv.Itoa(i), true)
+		}
+	}
+	return nil
+}
+
+// loadRules fetches and parses the rule set shard 0 serves, checks it
+// against the partitioner that part returns — called under c.mu with the
+// served schema and set — and caches that partitioner and the set's merge
+// order.
+func (c *Cluster) loadRules(ctx context.Context, part func(attrs []string, set *rules.Set) (*Partitioner, error)) error {
 	doc, err := c.shards[0].Rules(ctx)
 	if err != nil {
 		return err
@@ -109,28 +131,16 @@ func (c *Cluster) Init(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("cluster: shard %s serves an unparseable rule set: %w", c.shards[0].URL(), err)
 	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := DeriveKey(doc.Attributes, set)
-	if c.part != nil { // explicit Config.Key
-		key = c.part.key
-	}
-	part, err := NewPartitioner(doc.Attributes, key)
+	p, err := part(doc.Attributes, set)
 	if err != nil {
 		return err
 	}
-	if err := part.Check(set); err != nil {
+	if err := p.Check(set); err != nil {
 		return err
 	}
-	c.part = part
-	c.order = ruleStrings(set)
-	c.version = doc.Version
-	if c.obs != nil {
-		for i := range c.shards {
-			c.obs.ObserveShardHealth(strconv.Itoa(i), true)
-		}
-	}
+	c.part, c.order = p, ruleStrings(set)
 	return nil
 }
 
@@ -299,22 +309,7 @@ func (c *Cluster) Rules(ctx context.Context) (RulesDoc, error) {
 // cache — the recovery path when a merge meets a rule string the cache does
 // not know (rules changed out of band).
 func (c *Cluster) refreshRules(ctx context.Context) error {
-	doc, err := c.shards[0].Rules(ctx)
-	if err != nil {
-		return err
-	}
-	set, err := rules.Parse(string(doc.Ruleset))
-	if err != nil {
-		return fmt.Errorf("cluster: shard %s serves an unparseable rule set: %w", c.shards[0].URL(), err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.part.Check(set); err != nil {
-		return err
-	}
-	c.order = ruleStrings(set)
-	c.version = doc.Version
-	return nil
+	return c.loadRules(ctx, func([]string, *rules.Set) (*Partitioner, error) { return c.part, nil })
 }
 
 // SwapRules replaces the rule set on every shard with set — body is the rule
@@ -410,7 +405,6 @@ func (c *Cluster) SwapRules(ctx context.Context, set *rules.Set, body []byte, if
 
 	c.mu.Lock()
 	c.order = ruleStrings(set)
-	c.version = newVersion
 	c.mu.Unlock()
 	return outcome(res, "committed", nil)
 }

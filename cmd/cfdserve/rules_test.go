@@ -299,6 +299,22 @@ func TestRemineEndpoint(t *testing.T) {
 	}
 }
 
+// TestRemineBadWait: a wait that is not a boolean is refused with 400 before
+// any remine starts, so it neither runs one in the background nor holds the
+// remine flag.
+func TestRemineBadWait(t *testing.T) {
+	ts := newTestServer(t)
+	out := do(t, "POST", ts.URL+"/v1/rules/remine?wait=yes", nil, http.StatusBadRequest)
+	if errDoc, _ := out["error"].(map[string]any); errDoc["code"] != "bad_request" {
+		t.Fatalf("remine?wait=yes = %v, want code bad_request", out)
+	}
+	health := do(t, "GET", ts.URL+"/v1/health", nil, http.StatusOK)
+	if health["remine_running"] != false || health["last_remine"] != nil {
+		t.Fatalf("health after a refused remine = %v", health)
+	}
+	do(t, "POST", ts.URL+"/v1/rules/remine?wait=true", nil, http.StatusOK)
+}
+
 // TestStateRestartAfterSwap is the durability acceptance check for the rule
 // lifecycle: a hot swap followed by mutations and a kill (no final
 // compaction, WAL replay) or a graceful close must restart into a

@@ -444,16 +444,25 @@ func (s *server) Delete(_ context.Context, id int) (cluster.TupleWriteDoc, error
 
 // remine re-runs rule discovery over the live relation and swaps the result
 // in — in the background by default (202, poll /v1/health for last_remine),
-// or synchronously with ?wait=1 (200 with the result). A CAS guard, like the
+// or synchronously with ?wait=1 (200 with the result); a wait that is not a
+// boolean is 400, refused before the guard. A CAS guard, like the
 // compaction one, keeps at most one remine running; a concurrent request
 // gets 409. The swap is skipped when the mined fingerprint matches the
 // serving one, so a remine over unchanged data is a no-op.
 func (s *server) remine(w http.ResponseWriter, r *http.Request) {
+	var wait bool
+	if v := r.URL.Query().Get("wait"); v != "" {
+		var err error
+		if wait, err = strconv.ParseBool(v); err != nil {
+			badRequest(w, r, fmt.Errorf("wait %q is not a boolean", v))
+			return
+		}
+	}
 	if !s.remining.CompareAndSwap(false, true) {
 		writeError(w, r, http.StatusConflict, codeConflict, errors.New("a remine is already running"))
 		return
 	}
-	if wait, _ := strconv.ParseBool(r.URL.Query().Get("wait")); wait {
+	if wait {
 		// Synchronous: cancelled when the client goes away.
 		writeJSON(w, http.StatusOK, s.remineOnce(r.Context()))
 		return

@@ -27,11 +27,11 @@ type Options struct {
 	// CFDs (and therefore the depth of the lattice traversal).
 	MaxLHS int
 	// Workers bounds the number of goroutines used within each lattice level
-	// (candidate-set intersection, candidate-CFD validation and the partition
-	// products of the join are fanned out per element; the levels themselves
-	// stay sequential, as each depends on the previous one). 0 selects one worker
-	// per CPU, 1 runs sequentially. The emitted sequence is identical for
-	// every worker count.
+	// (candidate-set intersection and candidate-CFD validation are fanned out
+	// per run of elements with equal attribute sets, the partition products
+	// of the join per element; the levels themselves stay sequential, as each
+	// depends on the previous one). 0 selects one worker per CPU, 1 runs
+	// sequentially. The emitted sequence is identical for every worker count.
 	Workers int
 }
 
@@ -267,84 +267,29 @@ func (l *lattice) discover(ctx context.Context, out []core.CFD) ([]core.CFD, err
 	level := l.level
 	all := l.r.Schema().All()
 	l.sortLevel(level)
-	// Step 1: candidate RHS sets as intersections over immediate subsets.
-	// Each element's intersection reads only the previous level, so the
-	// elements fan out independently.
-	if err := pool.Each(ctx, l.workers, len(level), func(_, i int) {
-		level[i].cplus = intersectCandidates(level[i].parents)
+	// Steps 1 and 2 run as one task per run of equal attribute sets. The
+	// level is sorted by attribute set first, so a run holds an element's
+	// siblings, the only elements whose C+ sets its Step 2.c changes, and
+	// Step 1 reads only the level below: the runs are independent, and each
+	// goes through Step 2 in level order, as one worker goes through them
+	// all.
+	var starts []int
+	for i, e := range level {
+		if i == 0 || e.attrs != level[i-1].attrs {
+			starts = append(starts, i)
+		}
+	}
+	starts = append(starts, len(level))
+	found := make([][]core.CFD, l.workers)
+	found[0] = out
+	if err := pool.Each(ctx, l.workers, len(starts)-1, func(w, i int) {
+		found[w] = l.validateRun(level[starts[i]:starts[i+1]], found[w])
 	}); err != nil {
 		return nil, err
 	}
-	// Step 2 pre-pass: validate the candidate CFDs of every element
-	// concurrently. Validation only reads partitions, so it is safe to fan
-	// out; the C+ updates of Step 2.c below stay sequential (they mutate
-	// sibling elements), which keeps the output byte-identical to a
-	// sequential run. The pre-pass may validate candidates that Step 2.c
-	// later removes — wasted work, never a different answer — so it is
-	// skipped when running on one worker.
-	var validated []validation
-	if l.workers > 1 {
-		var err error
-		validated, err = pool.Map(ctx, l.workers, len(level), func(_, i int) validation {
-			e, tp := level[i], l.tp(level[i])
-			var v validation
-			e.forEachAttr(func(a int, parent *element) {
-				if !e.cplus.has(a, tp[a]) {
-					return
-				}
-				v.checked = v.checked.Add(a)
-				if validCFD(parent, e, tp[a]) {
-					v.valid = v.valid.Add(a)
-				}
-			})
-			return v
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Step 2: emit valid candidate CFDs and update the C+ sets, in the
-	// level's sorted order. The level is sorted by attribute set first, so
-	// the siblings of an element are the run of equal attrs around it.
-	runEnd := 0
-	for i, e := range level {
-		if i == runEnd {
-			for runEnd < len(level) && level[runEnd].attrs == e.attrs {
-				runEnd++
-			}
-		}
-		tp := l.tp(e)
-		e.forEachAttr(func(a int, parent *element) {
-			cA := tp[a]
-			if !e.cplus.has(a, cA) {
-				return
-			}
-			// C+ sets only shrink, so every candidate that survives to
-			// this point was still a candidate during the pre-pass.
-			var valid bool
-			if validated != nil && validated[i].checked.Has(a) {
-				valid = validated[i].valid.Has(a)
-			} else {
-				valid = validCFD(parent, e, cA)
-			}
-			if !valid {
-				return
-			}
-			sub := e.attrs.Remove(a)
-			out = append(out, core.CFD{LHS: sub, RHS: a, Tp: tp.Clone()})
-			// Step 2.c: the same RHS with a more specific LHS pattern can no
-			// longer be minimal, and (as in TANE) attributes outside X cannot be
-			// minimal RHS candidates for those elements either. A pattern at
-			// least as specific as e's holds at least as many constants, so
-			// those siblings are e itself and elements sorted after it.
-			for _, s := range level[i:runEnd] {
-				if stp := l.tp(s); stp[a] != cA || !tp.MoreGeneralOrEqualOn(stp, sub) {
-					continue
-				}
-				s.cplus.removeVal(a, cA)
-				s.cplus.removeAttrs(all.Diff(e.attrs))
-			}
-		})
+	out = found[0]
+	for _, f := range found[1:] {
+		out = append(out, f...)
 	}
 	// Step 3: prune elements with (conservatively detected) empty C+. A
 	// pruned element is cleared, so nothing it holds outlives its level.
@@ -376,10 +321,39 @@ func (e *element) forEachAttr(fn func(a int, parent *element)) {
 	}
 }
 
-// validation is the pre-pass verdict on one lattice element: the right-hand
-// side attributes whose candidate CFD was checked, and those found valid.
-type validation struct {
-	checked, valid core.AttrSet
+// validateRun runs Steps 1 and 2 on one run of siblings, in level order, and
+// appends their valid candidate CFDs to out.
+func (l *lattice) validateRun(run []*element, out []core.CFD) []core.CFD {
+	// Step 1: candidate RHS sets as intersections over immediate subsets.
+	for _, e := range run {
+		e.cplus = intersectCandidates(e.parents)
+	}
+	// Step 2: emit valid candidate CFDs and update the C+ sets.
+	all := l.r.Schema().All()
+	for i, e := range run {
+		tp := l.tp(e)
+		e.forEachAttr(func(a int, parent *element) {
+			cA := tp[a]
+			if !e.cplus.has(a, cA) || !validCFD(parent, e, cA) {
+				return
+			}
+			sub := e.attrs.Remove(a)
+			out = append(out, core.CFD{LHS: sub, RHS: a, Tp: tp.Clone()})
+			// Step 2.c: the same RHS with a more specific LHS pattern can no
+			// longer be minimal, and (as in TANE) attributes outside X cannot be
+			// minimal RHS candidates for those elements either. A pattern at
+			// least as specific as e's holds at least as many constants, so
+			// those siblings are e itself and elements sorted after it.
+			for _, s := range run[i:] {
+				if stp := l.tp(s); stp[a] != cA || !tp.MoreGeneralOrEqualOn(stp, sub) {
+					continue
+				}
+				s.cplus.removeVal(a, cA)
+				s.cplus.removeAttrs(all.Diff(e.attrs))
+			}
+		})
+	}
+	return out
 }
 
 // validCFD checks the candidate CFD (X\{A} → A, (sp[X\{A}] ‖ sp[A])) of a

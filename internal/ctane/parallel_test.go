@@ -3,6 +3,8 @@ package ctane
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -55,6 +57,58 @@ func TestMineContextWorkersDeterministic(t *testing.T) {
 						break
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestDiscoverWorkersIdentical walks the lattice level by level on one and on
+// three workers and checks, at every level, that discover finds the same
+// CFDs and keeps the same survivors with the same patterns and C+ sets: a run
+// of siblings' Step 2.c reaches no element of another run, whichever worker
+// takes it.
+func TestDiscoverWorkersIdentical(t *testing.T) {
+	ctx := context.Background()
+	for name, r := range parallelFixtures() {
+		for _, k := range []int{1, 2, 4} {
+			seq, par := newLattice(r, k, 1), newLattice(r, k, 3)
+			for depth := 1; len(seq.level) > 0; depth++ {
+				at := fmt.Sprintf("%s k=%d level %d", name, k, depth)
+				seqOut, err := seq.discover(ctx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parOut, err := par.discover(ctx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				core.SortCFDs(seqOut)
+				core.SortCFDs(parOut)
+				if !slices.EqualFunc(seqOut, parOut, func(a, b core.CFD) bool { return a.Key() == b.Key() }) {
+					t.Fatalf("%s: 1 worker finds %d CFDs, 3 workers %d, or they differ", at, len(seqOut), len(parOut))
+				}
+				if len(seq.level) != len(par.level) {
+					t.Fatalf("%s: 1 worker keeps %d elements, 3 workers %d", at, len(seq.level), len(par.level))
+				}
+				for i, e := range seq.level {
+					f := par.level[i]
+					if e.attrs != f.attrs || !slices.Equal(seq.tp(e), par.tp(f)) {
+						t.Fatalf("%s: survivor %d is %v %v on 1 worker, %v %v on 3", at, i, e.attrs, seq.tp(e), f.attrs, par.tp(f))
+					}
+					if e.cplus.removedAttrs != f.cplus.removedAttrs || !slices.Equal(e.cplus.removedVals, f.cplus.removedVals) {
+						t.Fatalf("%s: %v %v: C+ removes %v %v on 1 worker, %v %v on 3", at, e.attrs, seq.tp(e),
+							e.cplus.removedAttrs, e.cplus.removedVals, f.cplus.removedAttrs, f.cplus.removedVals)
+					}
+				}
+				if err := seq.advance(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if err := par.advance(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(par.level) != 0 {
+				t.Errorf("%s k=%d: 3 workers generate %d elements past the last level", name, k, len(par.level))
 			}
 		}
 	}
