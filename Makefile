@@ -21,11 +21,15 @@ test:
 # candidates between its pooled branches, with and without a cancellation in
 # flight, and the closed sets' blocks, which FastCFD's per-attribute searches
 # read at once after Prepare built them beside the free-set pass; CTANE's
-# Steps 1-2, one pool task per run of elements with equal attribute sets,
+# Steps 1-3, one pool task per run of elements with equal attribute sets,
 # each reading the level below through the lattice links and writing only its
-# own run's C+ sets, and the product memory each worker carves from its own
-# refiner's arena inside pool.Each, into elements that share per-level
-# blocks; a node's memory of its last full report
+# own run's C+ sets; its join, one pool task per run of prefixes with equal
+# attribute sets, each carving elements from its own worker's blocks, writing
+# only its own prefixes' kids and their links and reading other prefixes'
+# kids, with constPart's tuples gathered in the worker's own scratch; the
+# product memory each worker carves from its own refiner's arena inside
+# pool.Each; and the sort of each join task's share of the new level in
+# place; a node's memory of its last full report
 # between concurrent full readers: the detector only reports the
 # interleavings a run executes. The script refuses a name no
 # listed package has, so a renamed test cannot silently drop out.
@@ -33,7 +37,7 @@ race:
 	$(GO) test -race ./...
 	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestReadersRaceBulkLoad|TestSwapRulesConcurrentReaders|TestApplyBatchMatchesPerOp|TestShardedBulkLoadAgrees' ./violation
 	./scripts/race_repeat.sh 'TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude|TestMineParallelMatchesSequential' ./internal/itemset ./internal/fastcfd
-	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic|TestDiscoverWorkersIdentical|TestLatticeLinks|TestHeldTidsPerJoin' ./internal/ctane
+	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic|TestMineContextWorkersDeterministicMaxLHS|TestDiscoverWorkersIdentical|TestLatticeLinks|TestHeldTidsPerJoin|TestLatticeStepsObserveCancellation|TestAdvanceCancelledInsideJoin|TestMineAllocationsPerElement' ./internal/ctane
 	./scripts/race_repeat.sh 'TestFullReadsMatchThePlainEncoder' ./cmd/cfdserve
 
 # bench runs the repo benchmark BENCHMARK.json declares: cfddiscover and

@@ -26,98 +26,132 @@ type Options struct {
 	// MaxLHS, when positive, bounds the size of the left-hand side of reported
 	// CFDs (and therefore the depth of the lattice traversal).
 	MaxLHS int
-	// Workers bounds the number of goroutines used within each lattice level
-	// (candidate-set intersection and candidate-CFD validation are fanned out
-	// per run of elements with equal attribute sets, the partition products
-	// of the join per element; the levels themselves stay sequential, as each
-	// depends on the previous one). 0 selects one worker per CPU, 1 runs
-	// sequentially. The emitted sequence is identical for every worker count.
+	// Workers bounds the number of goroutines used within each lattice level:
+	// candidate-set intersection and candidate-CFD validation are fanned out
+	// per run of elements with equal attribute sets, the join per run of
+	// prefixes with equal attribute sets, and the join's partition products
+	// per element. The levels themselves stay sequential, as each depends on
+	// the previous one. 0 selects one worker per CPU, 1 runs sequentially.
+	// The emitted sequence is identical for every worker count.
 	Workers int
 }
 
 // element is one node of the attribute-set/pattern lattice. Its pattern is
-// that of its interned constant part: the constants, wildcard on every other
+// that of its constant part: the constants, wildcard on every other
 // attribute. It reaches its immediate sub-elements — the elements one
-// attribute smaller that carry the same pattern — by pointer, so no step of
-// the traversal looks an element up by a rendered key. A level's elements
-// live in blocks (elementBlocks), and its partitions in the refiners' arenas
-// of that level.
+// attribute smaller that carry the same pattern — and the elements joined
+// on it by pointer, so no step of the traversal looks an element up by a
+// rendered key. A level's elements live in its workers' blocks
+// (elementBlocks), and its partitions in the refiners' arenas of that level.
 type element struct {
-	attrs   core.AttrSet
-	constID int32 // interned constant part of the pattern, an index into lattice.parts
-	part    partition.Partition
-	cplus   candidateSet
+	attrs    core.AttrSet
+	lastItem uint64     // its largest attribute and the value there, packed by item
+	cp       *constPart // the constants of the pattern
+	part     partition.Partition
+	cplus    candidateSet
 	// parents[i] is the sub-element without the i-th smallest attribute of
 	// attrs; the last one is the prefix the element was joined on. Cleared
-	// once the next level is generated, which is what lets the level below
-	// be collected.
+	// once the join has read them, which is what lets the level below be
+	// collected.
 	parents []*element
-	// kids lists the pruning survivors of the next level whose prefix this
-	// element is, in level order: one group of the prefix join.
+	// kids lists the elements of the next level whose prefix this element
+	// is, sorted by their last item (see item), the ones Step 3 pruned
+	// included: one group of the prefix join.
 	kids []*element
 }
+
+// pruned reports whether Step 3 pruned the element.
+func (e *element) pruned() bool { return e.attrs == 0 }
+
+// tp returns the element's pattern.
+func (e *element) tp() core.Pattern { return e.cp.tp }
 
 // prefix is the sub-element without the largest attribute.
 func (e *element) prefix() *element { return e.parents[len(e.parents)-1] }
 
+// item packs the item (attr, val) the way kids are ordered: by attribute,
+// then by value with the wildcard first. (pair sorts the wildcard last.)
+func item(attr int, val int32) uint64 {
+	return uint64(attr)<<32 | uint64(uint32(val-core.Wildcard))
+}
+
+// kid returns the kid whose last item is it, packed by item, or nil if
+// there is none or it was pruned.
+func (e *element) kid(it uint64) *element {
+	lo, hi := 0, len(e.kids)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		switch c := e.kids[m]; {
+		case c.lastItem == it:
+			if c.pruned() {
+				return nil
+			}
+			return c
+		case c.lastItem < it:
+			lo = m + 1
+		default:
+			hi = m
+		}
+	}
+	return nil
+}
+
 // elementBlock is the number of elements one block holds.
 const elementBlock = 256
 
-// elementBlocks hands out the elements of one level, and their parents
-// slices, from blocks: a level is a few large allocations that die together
-// rather than several objects per element.
+// elementBlocks hands out the elements of one level, and their parents and
+// kids slices, from blocks: a level is a few large allocations that die
+// together rather than several objects per element.
 type elementBlocks struct {
-	elems   []element
-	parents []*element
+	elems         []element
+	parents, kids []*element
 }
 
-// alloc returns a new element of attrs and constID with a parents slice of
-// one link per attribute, for the caller to fill.
-func (b *elementBlocks) alloc(attrs core.AttrSet, constID int32) *element {
+// alloc returns a new element of attrs and constant part cp with a parents
+// slice of one link per attribute, for the caller to fill.
+func (b *elementBlocks) alloc(attrs core.AttrSet, cp *constPart) *element {
 	if len(b.elems) == 0 {
 		b.elems = make([]element, elementBlock)
 	}
-	n := attrs.Len()
-	if len(b.parents) < n {
-		b.parents = make([]*element, n*elementBlock)
-	}
 	e := &b.elems[0]
 	b.elems = b.elems[1:]
-	e.attrs, e.constID = attrs, constID
-	e.parents, b.parents = b.parents[:n:n], b.parents[n:]
+	last := attrs.Last()
+	e.attrs, e.cp, e.lastItem = attrs, cp, item(last, cp.tp[last])
+	e.parents = carve(&b.parents, attrs.Len())
 	return e
 }
 
-// childKey names a lattice element by its prefix and its last item, the
-// (attribute, value) pair the prefix was extended by.
-type childKey struct {
-	prefix    *element
-	attr, val int32
+// carve returns the next n links of *block, for the caller to fill, from a
+// new block if it holds fewer. Parents and kids take separate blocks: a
+// block of parents, which are cleared once read, would otherwise be kept
+// alive by the kids in it, and with it the elements its stale links reach.
+func carve(block *[]*element, n int) []*element {
+	if len(*block) < n {
+		*block = make([]*element, max(n, 8*elementBlock))
+	}
+	s := (*block)[:n:n]
+	*block = (*block)[n:]
+	return s
 }
 
-// constKey names a constant pattern the same way: the id of the constant
-// part it extends and the item it adds.
-type constKey struct {
-	base, attr, val int32
-}
-
-// constPart is an interned k-frequent constant pattern.
+// constPart is a k-frequent constant pattern. Elements whose patterns have
+// the same constants share one.
 type constPart struct {
 	tp     core.Pattern // the constants, wildcard on every other attribute
 	consts int          // number of constants of tp
 	tids   []int32      // the tuples matching tp, ascending: the part's support
 }
 
-// heldTids tallies what the partitions of one lattice level hold, from their
+// heldTids tallies what the partitions of lattice elements hold, from their
 // lengths: the tids of their stored classes and the classes' end offsets.
 type heldTids struct {
 	tids, classEnds int
 }
 
-// held returns the tally of a level's partitions.
-func held(level []*element) heldTids {
+// held returns the tally of the elements' partitions.
+func held(elems []*element) heldTids {
 	var h heldTids
-	for _, e := range level {
+	for _, e := range elems {
 		h.tids += e.part.SumSizes()
 		h.classEnds += e.part.Stripped()
 	}
@@ -131,89 +165,77 @@ type joinTally struct {
 	prev, level, next heldTids
 }
 
-// lattice is the state of one CTANE run: the level being worked on, the
-// survivors of the one below it, and the interned constant parts.
+// lattice is the state of one CTANE run: the level being worked on and the
+// survivors of the one below it.
 type lattice struct {
 	r        *core.Relation
 	k        int // at least 1, as MineContext clamps it
 	workers  int
 	refiners []*partition.Refiner // one per worker
 	itemTids [][][]int32
-	// constIDs interns constant patterns, id 0 being the empty one, as
-	// indexes into parts. A pattern below k is interned as -1: no element is
-	// built on it, so nothing reads its tuples.
-	constIDs map[constKey]int32
-	parts    []constPart
-	scratch  []int32 // a constant part's tuples before its support is known
+	root     constPart // the empty constant part
 
 	prev  []*element // Step-3 survivors of the previous level, in level order
 	level []*element
-	joins []joinTally // one per advance, in order
+	// tally has every advance append to joins what the levels it touches
+	// hold; tests set it.
+	tally bool
+	joins []joinTally
 }
-
-// tp returns the element's pattern.
-func (l *lattice) tp(e *element) core.Pattern { return l.parts[e.constID].tp }
 
 // newLattice builds the virtual level 0 — the empty attribute set, one
 // equivalence class — and level 1: (A, "_") for every attribute plus (A, a)
-// for every k-frequent value.
+// for every k-frequent value, in level order.
 func newLattice(r *core.Relation, k, workers int) *lattice {
 	allTids := partition.AllTids(r.Size())
 	l := &lattice{
 		r: r, k: k, workers: workers,
 		refiners: make([]*partition.Refiner, workers),
 		itemTids: partition.ItemTids(r, allTids),
-		constIDs: make(map[constKey]int32),
-		parts:    []constPart{{tp: core.NewPattern(r.Arity()), tids: allTids}},
+		root:     constPart{tp: core.NewPattern(r.Arity()), tids: allTids},
 	}
 	for w := range l.refiners {
 		l.refiners[w] = partition.NewRefiner(r)
 	}
-	root := &element{part: partition.FromItem(allTids)}
+	root := &element{cp: &l.root, part: partition.FromItem(allTids)}
 	l.prev = []*element{root}
 	var blocks elementBlocks
 	for a := 0; a < r.Arity(); a++ {
-		e := blocks.alloc(core.SingleAttr(a), 0)
+		e := blocks.alloc(core.SingleAttr(a), &l.root)
 		e.part, e.parents[0] = partition.FromAttribute(root.part, a, l.refiners[0]), root
 		l.level = append(l.level, e)
 		for v, tids := range l.itemTids[a] {
 			if len(tids) < l.k {
 				continue
 			}
-			e := blocks.alloc(core.SingleAttr(a), l.constPart(0, a, int32(v)))
+			e := blocks.alloc(core.SingleAttr(a), l.constPart(&l.root, a, int32(v), nil))
 			e.part, e.parents[0] = partition.FromItem(tids), root
 			l.level = append(l.level, e)
 		}
 	}
+	root.kids = slices.Clone(l.level)
 	return l
 }
 
-// constPart returns the id of the constant part that extends part base by
-// the item (attr, val), or -1 if fewer than k tuples match it. Its tid list —
-// one pass over the list the base already holds — is computed the first time
-// the part is asked for, and kept only if the part is k-frequent.
-func (l *lattice) constPart(base int32, attr int, val int32) int32 {
-	key := constKey{base, int32(attr), val}
-	if id, ok := l.constIDs[key]; ok {
-		return id
-	}
+// constPart returns the constant part that extends base by the item (attr,
+// val), or nil if fewer than k tuples match it. Its tuples are one pass over
+// the list base holds, gathered in *scratch (unused when base is the root),
+// so only a k-frequent part allocates.
+func (l *lattice) constPart(base *constPart, attr int, val int32, scratch *[]int32) *constPart {
 	tids := l.itemTids[attr][val]
-	if base != 0 {
-		l.scratch = holding(l.scratch[:0], l.parts[base].tids, l.r.Column(attr), val)
-		tids = l.scratch
+	if base != &l.root {
+		*scratch = holding((*scratch)[:0], base.tids, l.r.Column(attr), val)
+		tids = *scratch
 	}
-	id := int32(-1)
-	if len(tids) >= l.k {
-		if base != 0 {
-			tids = slices.Clone(tids)
-		}
-		tp := l.parts[base].tp.Clone()
-		tp[attr] = val
-		id = int32(len(l.parts))
-		l.parts = append(l.parts, constPart{tp: tp, consts: l.parts[base].consts + 1, tids: tids})
+	if len(tids) < l.k {
+		return nil
 	}
-	l.constIDs[key] = id
-	return id
+	if base != &l.root {
+		tids = slices.Clone(tids)
+	}
+	tp := base.tp.Clone()
+	tp[attr] = val
+	return &constPart{tp: tp, consts: base.consts + 1, tids: tids}
 }
 
 // MineContext runs CTANE, handing each lattice level's CFDs to emit —
@@ -260,30 +282,24 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options, emit func(
 	return nil
 }
 
-// discover runs Steps 1 to 3 on the current level: it derives the C+ sets,
-// appends the level's valid candidate CFDs to out, and prunes the level down
-// to the elements the next one is generated from.
+// discover runs Steps 1 to 3 on the current level, which is in level order:
+// it derives the C+ sets, appends the level's valid candidate CFDs to out, and
+// prunes the level down to the elements the next one is generated from.
 func (l *lattice) discover(ctx context.Context, out []core.CFD) ([]core.CFD, error) {
 	level := l.level
-	all := l.r.Schema().All()
-	l.sortLevel(level)
-	// Steps 1 and 2 run as one task per run of equal attribute sets. The
-	// level is sorted by attribute set first, so a run holds an element's
-	// siblings, the only elements whose C+ sets its Step 2.c changes, and
-	// Step 1 reads only the level below: the runs are independent, and each
-	// goes through Step 2 in level order, as one worker goes through them
-	// all.
-	var starts []int
-	for i, e := range level {
-		if i == 0 || e.attrs != level[i-1].attrs {
-			starts = append(starts, i)
-		}
-	}
-	starts = append(starts, len(level))
+	// Steps 1 to 3 run as one task per run of equal attribute sets. A run
+	// holds an element's siblings, the only elements whose C+ sets its Step
+	// 2.c changes, and Step 1 reads only the level below: the runs are
+	// independent, and each goes through Step 2 in level order, as one
+	// worker goes through them all.
+	runs := runStarts(level)
 	found := make([][]core.CFD, l.workers)
 	found[0] = out
-	if err := pool.Each(ctx, l.workers, len(starts)-1, func(w, i int) {
-		found[w] = l.validateRun(level[starts[i]:starts[i+1]], found[w])
+	kept := make([]int, len(runs)-1)
+	if err := pool.Each(ctx, l.workers, len(kept), func(w, i int) {
+		run := level[runs[i]:runs[i+1]]
+		found[w] = l.validateRun(run, found[w])
+		kept[i] = l.prune(run)
 	}); err != nil {
 		return nil, err
 	}
@@ -291,24 +307,48 @@ func (l *lattice) discover(ctx context.Context, out []core.CFD) ([]core.CFD, err
 	for _, f := range found[1:] {
 		out = append(out, f...)
 	}
-	// Step 3: prune elements with (conservatively detected) empty C+. A
-	// pruned element is cleared, so nothing it holds outlives its level.
-	kept := level[:0]
-	for _, e := range level {
-		if e.cplus.allAttrsRemoved(all) {
-			*e = element{}
-			continue
-		}
-		kept = append(kept, e)
+	n := 0
+	for i, k := range kept {
+		n += copy(level[n:], level[runs[i]:runs[i]+k])
 	}
-	clear(level[len(kept):])
-	l.level = kept
+	clear(level[n:])
+	l.level = level[:n]
 	// Steps 1 and 2 were the last to read the partitions and C+ sets of the
 	// level below; the join reads only its kids.
 	for _, p := range l.prev {
 		p.part, p.cplus = partition.Partition{}, candidateSet{}
 	}
 	return out, nil
+}
+
+// runStarts returns the index at which each run of elements with equal
+// attribute sets starts in level, followed by len(level).
+func runStarts(level []*element) []int {
+	var starts []int
+	for i, e := range level {
+		if i == 0 || e.attrs != level[i-1].attrs {
+			starts = append(starts, i)
+		}
+	}
+	return append(starts, len(level))
+}
+
+// prune performs Step 3 on a run: it drops the elements whose C+ set is
+// (conservatively detected) empty, keeps the others at the front of the run
+// in order, and returns their number. A dropped element is cleared but for
+// its last item, which keeps its prefix's kids sorted, so nothing it holds
+// outlives its level.
+func (l *lattice) prune(run []*element) int {
+	all := l.r.Schema().All()
+	kept := run[:0]
+	for _, e := range run {
+		if e.cplus.allAttrsRemoved(all) {
+			*e = element{lastItem: e.lastItem}
+			continue
+		}
+		kept = append(kept, e)
+	}
+	return len(kept)
 }
 
 // forEachAttr calls fn for every attribute of the element, ascending, with
@@ -331,7 +371,7 @@ func (l *lattice) validateRun(run []*element, out []core.CFD) []core.CFD {
 	// Step 2: emit valid candidate CFDs and update the C+ sets.
 	all := l.r.Schema().All()
 	for i, e := range run {
-		tp := l.tp(e)
+		tp := e.tp()
 		e.forEachAttr(func(a int, parent *element) {
 			cA := tp[a]
 			if !e.cplus.has(a, cA) || !validCFD(parent, e, cA) {
@@ -345,7 +385,7 @@ func (l *lattice) validateRun(run []*element, out []core.CFD) []core.CFD {
 			// least as specific as e's holds at least as many constants, so
 			// those siblings are e itself and elements sorted after it.
 			for _, s := range run[i:] {
-				if stp := l.tp(s); stp[a] != cA || !tp.MoreGeneralOrEqualOn(stp, sub) {
+				if stp := s.tp(); stp[a] != cA || !tp.MoreGeneralOrEqualOn(stp, sub) {
 					continue
 				}
 				s.cplus.removeVal(a, cA)
@@ -365,72 +405,58 @@ func validCFD(parent, e *element, cA int32) bool {
 	return partition.RefinesRHSConstant(parent.part, e.part)
 }
 
+// joinWorker is one worker's state in Step 4.
+type joinWorker struct {
+	blocks elementBlocks
+	gen    []*element // the elements its tasks generated, task after task
+	subs   []*element // the sub-elements found so far for one candidate
+	tids   []int32    // a constant part's tuples before its support is known
+}
+
 // advance performs Step 4: it joins pairs of surviving elements that agree on
 // all but their largest attribute — the kids of one prefix — keeps candidates
-// whose constant part is k-frequent and all of whose immediate sub-elements
-// survived pruning, and builds their partitions as products of the parents'
-// partitions. The joins and frequency checks run sequentially (they share the
-// constant-part table); the partition products — the expensive part — are
-// fanned out across workers per joined element, each worker with its own
-// refiner and a new arena for the level. The parents x and y differ in their
-// last item only, so the product is either one refined by the other's last
-// item; the one storing fewer tuples is scanned.
+// all of whose immediate sub-elements survived pruning and whose constant
+// part is k-frequent, and builds their partitions as products of the
+// parents' partitions.
+//
+// The join runs as one task per run of prefixes with equal attribute sets P,
+// carving elements from its worker's blocks. Every generated element whose
+// attribute set is P plus two larger attributes is generated from those
+// prefixes, so a task's share is whole runs of the next level. The shares
+// are concatenated in run order, and the partition products fanned out per
+// element, each worker with its own refiner and a new arena for the level.
+// The parents x and y differ in their last item only, so the product is
+// either one refined by the other's last item; the one storing fewer tuples
+// is scanned. Last, each share is sorted into level order, one task per
+// share; as level order compares attribute sets as ascending lists, the
+// concatenation in run order is then level order: the next level is the
+// same for every worker count.
 func (l *lattice) advance(ctx context.Context) error {
-	// children finds a survivor by its prefix and last item. For the join of
-	// x and y, the sub-element without an attribute B of the shared prefix is
-	// the child, by y's last item, of x's own sub-element without B: one
-	// lookup per sub-element, which is Step 4.b(iii)'s test as well.
-	children := make(map[childKey]*element, len(l.level))
-	for _, e := range l.level {
-		last := e.attrs.Last()
-		children[childKey{e.prefix(), int32(last), l.tp(e)[last]}] = e
-		e.prefix().kids = append(e.prefix().kids, e)
+	workers := make([]joinWorker, l.workers)
+	runs := runStarts(l.prev)
+	// Task i generates gen[from:to] of worker w, which becomes
+	// next[at[i]:at[i+1]].
+	type share struct{ w, from, to int }
+	shares := make([]share, len(runs)-1)
+	if err := pool.Each(ctx, l.workers, len(shares), func(w, i int) {
+		from := len(workers[w].gen)
+		l.join(ctx, &workers[w], l.prev[runs[i]:runs[i+1]])
+		shares[i] = share{w, from, len(workers[w].gen)}
+	}); err != nil {
+		return err
 	}
-	var next []*element
-	var blocks elementBlocks
-	var subs []*element // scratch: the sub-elements found so far for one candidate
-	for _, p := range l.prev {
-		group := p.kids
-		for _, x := range group {
-			// The join pass alone can dwarf the rest of a level on low support
-			// thresholds, so observe cancellation inside it too.
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			xLast := x.attrs.Last()
-			for _, y := range group {
-				yLast := y.attrs.Last()
-				if xLast >= yLast {
-					continue
-				}
-				// Support of the constant part (Step 4.b(ii) with the k-frequency
-				// refinement of §4.2); x's own is k-frequent.
-				val := l.tp(y)[yLast]
-				constID := x.constID
-				if val != core.Wildcard {
-					if constID = l.constPart(x.constID, yLast, val); constID < 0 {
-						continue
-					}
-				}
-				// Step 4.b(iii): every immediate sub-element must have survived.
-				// Those without y's and x's last attribute are x and y.
-				subs = subs[:0]
-				for _, sub := range x.parents[:len(x.parents)-1] {
-					c, ok := children[childKey{sub, int32(yLast), val}]
-					if !ok {
-						break
-					}
-					subs = append(subs, c)
-				}
-				if len(subs) < len(x.parents)-1 {
-					continue
-				}
-				e := blocks.alloc(x.attrs.Union(y.attrs), constID)
-				n := copy(e.parents, subs)
-				e.parents[n], e.parents[n+1] = y, x
-				next = append(next, e)
-			}
-		}
+	// A task gives up at the first cancellation it observes.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	n := 0
+	for _, j := range workers {
+		n += len(j.gen)
+	}
+	next, at := make([]*element, 0, n), make([]int, 1, len(shares)+1)
+	for _, s := range shares {
+		next = append(next, workers[s.w].gen[s.from:s.to]...)
+		at = append(at, len(next))
 	}
 	for _, rf := range l.refiners {
 		rf.NewArena()
@@ -444,46 +470,137 @@ func (l *lattice) advance(ctx context.Context) error {
 			small, by = by, small
 		}
 		last := by.attrs.Last()
-		e.part = l.refiners[w].Refine(small.part, last, l.tp(by)[last])
-		e.part.Covered = len(l.parts[e.constID].tids)
+		e.part = l.refiners[w].Refine(small.part, last, by.tp()[last])
+		e.part.Covered = len(e.cp.tids)
 	}); err != nil {
 		return err
 	}
-	l.joins = append(l.joins, joinTally{prev: held(l.prev), level: held(l.level), next: held(next)})
-	// The level below gave up its partitions once this one was validated
-	// against it; now the new level reaches this one through its own links,
-	// and dropping this level's leaves the one below unreachable. So the
-	// partitions of at most two levels are alive at a time: the joined
-	// level's and the generated one's here, the validated level's and the
-	// one below it during discover.
-	for _, e := range l.level {
-		e.parents = nil
+	// The products read the shares in the order they were generated in;
+	// only then does each go into level order.
+	if err := pool.Each(ctx, l.workers, len(shares), func(_, i int) {
+		slices.SortFunc(next[at[i]:at[i+1]], levelOrder)
+	}); err != nil {
+		return err
+	}
+	if l.tally {
+		l.joins = append(l.joins, joinTally{held(l.prev), held(l.level), held(next)})
 	}
 	l.prev, l.level = l.level, next
 	return nil
 }
 
-// sortLevel orders a level so that, within one attribute set, more general
-// patterns (fewer constants) come before more specific ones — the order Step 2
-// relies on so that a general valid CFD removes its specialisations from the
-// C+ sets before they are examined. Patterns with equally many constants are
-// ordered by their codes only to make the order total: Step 2.c acts from a
+// join generates the candidates from the kids of each prefix of run and
+// appends them to j.gen; the candidates joined on a kid x become x's kids,
+// in the order of x's partners y, which is their last items' order. It
+// stops early once ctx is done: the join alone can dwarf the rest of a level
+// on low support thresholds. It writes only the kids of run's prefixes, and
+// reads the kids lists of other prefixes.
+func (l *lattice) join(ctx context.Context, j *joinWorker, run []*element) {
+	for _, p := range run {
+		for i, x := range p.kids {
+			if ctx.Err() != nil {
+				return
+			}
+			if x.pruned() {
+				continue
+			}
+			xLast := x.attrs.Last()
+			xVal := x.tp()[xLast]
+			from := len(j.gen)
+			// The kids are sorted by last attribute, so every y with a larger
+			// one follows x.
+			for _, y := range p.kids[i+1:] {
+				yLast := y.attrs.Last()
+				if y.pruned() || yLast == xLast {
+					continue
+				}
+				// Step 4.b(iii): every immediate sub-element must have
+				// survived. Those without y's and x's last attribute are x and
+				// y; the one without an attribute B of the prefix is the kid,
+				// by y's last item, of x's own sub-element without B.
+				j.subs = j.subs[:0]
+				for _, sub := range x.parents[:len(x.parents)-1] {
+					c := sub.kid(y.lastItem)
+					if c == nil {
+						break
+					}
+					j.subs = append(j.subs, c)
+				}
+				if len(j.subs) < len(x.parents)-1 {
+					continue
+				}
+				// Step 4.b(ii), with the k-frequency refinement of §4.2: the
+				// candidate's constant part is that of each sub-element
+				// without one of its wildcard attributes, which survived and
+				// so is k-frequent. Only a candidate of constants alone, which
+				// is generated once, builds its part and checks its support.
+				val := y.tp()[yLast]
+				var cp *constPart
+				switch {
+				case val == core.Wildcard:
+					cp = x.cp
+				case xVal == core.Wildcard:
+					cp = y.cp
+				default:
+					for _, c := range j.subs {
+						if c.cp.consts == x.cp.consts+1 {
+							cp = c.cp
+							break
+						}
+					}
+					if cp == nil {
+						if cp = l.constPart(x.cp, yLast, val, &j.tids); cp == nil {
+							continue
+						}
+					}
+				}
+				e := j.blocks.alloc(x.attrs.Union(y.attrs), cp)
+				n := copy(e.parents, j.subs)
+				e.parents[n], e.parents[n+1] = y, x
+				j.gen = append(j.gen, e)
+			}
+			if n := len(j.gen) - from; n > 0 {
+				x.kids = carve(&j.blocks.kids, n)
+				copy(x.kids, j.gen[from:])
+			}
+			// The join was the last to read x's links to the level below.
+			// The new level reaches x through its own links, and dropping
+			// x's leaves the level below unreachable: so the partitions of at
+			// most two levels are alive at a time, the joined level's and
+			// the generated one's here, the validated level's and the one
+			// below it during discover.
+			x.parents = nil
+		}
+	}
+}
+
+// levelOrder is the order of a level. Attribute sets compare as ascending
+// attribute lists, so the elements generated from a run of prefixes with
+// equal attribute sets come after those of the runs before it. Within one
+// attribute set, more general patterns (fewer constants) come before more
+// specific ones — the order Step 2 relies on so that a general valid CFD
+// removes its specialisations from the C+ sets before they are examined.
+// Patterns with equally many constants are ordered by their codes, the
+// wildcard first, only to make the order total: Step 2.c acts from a
 // strictly more general sibling (or the element itself), never between two
 // of them, and each level's output is deduplicated and canonically sorted
 // afterwards.
-func (l *lattice) sortLevel(level []*element) {
-	slices.SortFunc(level, func(x, y *element) int {
-		px, py := &l.parts[x.constID], &l.parts[y.constID]
-		if c := cmp.Or(cmp.Compare(x.attrs, y.attrs), cmp.Compare(px.consts, py.consts)); c != 0 {
-			return c
+func levelOrder(x, y *element) int {
+	if d := uint64(x.attrs ^ y.attrs); d != 0 {
+		if x.attrs.Has(bits.TrailingZeros64(d)) {
+			return -1
 		}
-		for v := uint64(x.attrs); v != 0; v &= v - 1 {
-			if a := bits.TrailingZeros64(v); px.tp[a] != py.tp[a] {
-				return cmp.Compare(px.tp[a], py.tp[a])
-			}
+		return 1
+	}
+	if c := cmp.Compare(x.cp.consts, y.cp.consts); c != 0 {
+		return c
+	}
+	for v := uint64(x.attrs); v != 0; v &= v - 1 {
+		if a := bits.TrailingZeros64(v); x.cp.tp[a] != y.cp.tp[a] {
+			return cmp.Compare(x.cp.tp[a], y.cp.tp[a])
 		}
-		return 0
-	})
+	}
+	return 0
 }
 
 // holding appends to dst the tuples of the ascending list tids whose value in

@@ -1,10 +1,13 @@
 package ctane
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/dataset"
@@ -38,9 +41,9 @@ func referenceNextLevel(l *lattice) map[string]refElement {
 	}
 	groups := make(map[groupKey][]*element)
 	for _, e := range l.level {
-		byKey[elementKey(e.attrs, l.tp(e))] = e
+		byKey[elementKey(e.attrs, e.tp())] = e
 		prefix := e.attrs.Remove(e.attrs.Last())
-		gk := groupKey{prefix, l.tp(e).Key(prefix)}
+		gk := groupKey{prefix, e.tp().Key(prefix)}
 		groups[gk] = append(groups[gk], e)
 	}
 	next := make(map[string]refElement)
@@ -52,8 +55,8 @@ func referenceNextLevel(l *lattice) map[string]refElement {
 					continue
 				}
 				z := x.attrs.Union(y.attrs)
-				up := l.tp(x).Clone()
-				up[yLast] = l.tp(y)[yLast]
+				up := x.tp().Clone()
+				up[yLast] = y.tp()[yLast]
 				support := r.CountMatching(up.ConstAttrs(z), up)
 				if support < k || support == 0 {
 					continue
@@ -84,20 +87,23 @@ func classes(p partition.Partition) []string {
 }
 
 // checkLinks asserts what the traversal reads through an element's pointers
-// and ids: parent i is the element without the i-th attribute and carries
-// the same pattern, the level below still holds the partitions the level is
-// about to be validated against, and the interned constant part is the
-// pattern's. It also asserts that the constant-part table keeps the tuples
-// of k-frequent parts only: a part below k is interned as -1.
+// and the order it relies on: parent i is the element without the i-th
+// attribute and carries the same pattern, the level below still holds the
+// partitions the level is about to be validated against, and the constant
+// part is the pattern's. Elements with the same constants share one
+// constant part, and the level is sorted by compareInLevel.
 func checkLinks(t *testing.T, name string, l *lattice) {
 	t.Helper()
-	for _, e := range l.level {
-		tp := l.tp(e)
+	for i, e := range l.level {
+		tp := e.tp()
+		if i > 0 && compareInLevel(l.level[i-1], e) > 0 {
+			t.Errorf("%s: %v %v is out of level order after %v %v", name, e.attrs, tp, l.level[i-1].attrs, l.level[i-1].tp())
+		}
 		if len(e.parents) != e.attrs.Len() {
 			t.Fatalf("%s: %v has %d parents", name, e.attrs, len(e.parents))
 		}
 		e.forEachAttr(func(a int, p *element) {
-			ptp := l.tp(p)
+			ptp := p.tp()
 			if p.attrs != e.attrs.Remove(a) || !ptp.EqualOn(tp, p.attrs) || ptp[a] != core.Wildcard {
 				t.Errorf("%s: %v %v: sub-element without %d is %v %v", name, e.attrs, tp, a, p.attrs, ptp)
 			}
@@ -105,36 +111,84 @@ func checkLinks(t *testing.T, name string, l *lattice) {
 				t.Errorf("%s: %v %v: sub-element without %d has given up its partition before the level was validated", name, e.attrs, tp, a)
 			}
 		})
-		part := l.parts[e.constID]
 		constAttrs := tp.ConstAttrs(e.attrs)
-		if part.consts != constAttrs.Len() || tp.ConstAttrs(l.r.Schema().All()) != constAttrs {
-			t.Errorf("%s: %v %v: %d constants recorded", name, e.attrs, tp, part.consts)
+		if e.cp.consts != constAttrs.Len() || tp.ConstAttrs(l.r.Schema().All()) != constAttrs {
+			t.Errorf("%s: %v %v: %d constants recorded", name, e.attrs, tp, e.cp.consts)
 		}
-		if want := l.r.MatchingTuples(constAttrs, tp); !slices.Equal(part.tids, want) {
-			t.Errorf("%s: %v %v: constant part %d holds %v, want %v", name, e.attrs, tp, e.constID, part.tids, want)
-		}
-	}
-	for id, part := range l.parts {
-		if len(part.tids) < l.k {
-			t.Errorf("%s: constant part %d keeps %d tuples, below k = %d", name, id, len(part.tids), l.k)
+		if want := l.r.MatchingTuples(constAttrs, tp); !slices.Equal(e.cp.tids, want) {
+			t.Errorf("%s: %v %v: constant part holds %v, want %v", name, e.attrs, tp, e.cp.tids, want)
 		}
 	}
-	for key, id := range l.constIDs {
-		if id >= 0 {
-			continue
+	parts := make(map[string]*constPart)
+	for _, e := range slices.Concat(l.prev, l.level) {
+		key := e.tp().Key(l.r.Schema().All())
+		if p, ok := parts[key]; ok && p != e.cp {
+			t.Errorf("%s: %v %v: two constant parts hold its constants", name, e.attrs, e.tp())
 		}
-		tp := l.parts[key.base].tp.Clone()
-		tp[key.attr] = key.val
-		if n := len(l.r.MatchingTuples(tp.ConstAttrs(l.r.Schema().All()), tp)); n >= l.k {
-			t.Errorf("%s: constant part %v is interned as below k, but %d tuples match it", name, tp, n)
+		parts[key] = e.cp
+	}
+}
+
+// compareInLevel orders two elements the way a level is sorted, worked out
+// apart from levelOrder: by attribute set as an ascending list, then by
+// number of constants, then by the codes on the attribute set, attribute by
+// attribute, the wildcard first.
+func compareInLevel(x, y *element) int {
+	key := func(e *element) (attrs, codes []int32, consts int) {
+		for _, a := range e.attrs.Attrs() {
+			attrs = append(attrs, int32(a))
+			codes = append(codes, e.tp()[a])
 		}
+		return attrs, codes, e.tp().ConstAttrs(e.attrs).Len()
+	}
+	xAttrs, xCodes, xConsts := key(x)
+	yAttrs, yCodes, yConsts := key(y)
+	return cmp.Or(slices.Compare(xAttrs, yAttrs), cmp.Compare(xConsts, yConsts), slices.Compare(xCodes, yCodes))
+}
+
+// checkKids asserts, once a join has run, that the kids of prev, the level
+// below the joined one, are the elements of the joined level grouped by
+// prefix, those Step 3 pruned included: each survivor extends its prefix's
+// attribute set by a larger attribute and carries its pattern, every one of
+// level is a kid once, and every kids list is sorted by last item —
+// attribute, then value with the wildcard first — as the join's lookups
+// require. Of a pruned kid only its last item is left.
+func checkKids(t *testing.T, name string, prev, level []*element) {
+	t.Helper()
+	n := 0
+	for _, p := range prev {
+		var b *element // the survivor before c
+		for i, c := range p.kids {
+			if i > 0 && p.kids[i-1].lastItem >= c.lastItem {
+				t.Errorf("%s: kids of %v %v: last items out of order", name, p.attrs, p.tp())
+			}
+			if c.pruned() {
+				continue
+			}
+			n++
+			last := c.attrs.Last()
+			if c.attrs.Remove(last) != p.attrs || !c.tp().EqualOn(p.tp(), p.attrs) {
+				t.Errorf("%s: %v %v is a kid of %v %v", name, c.attrs, c.tp(), p.attrs, p.tp())
+			}
+			if b != nil {
+				bLast := b.attrs.Last()
+				if cmp.Or(cmp.Compare(bLast, last), cmp.Compare(b.tp()[bLast], c.tp()[last])) >= 0 {
+					t.Errorf("%s: kids of %v %v: %v %v before %v %v", name, p.attrs, p.tp(), b.attrs, b.tp(), c.attrs, c.tp())
+				}
+			}
+			b = c
+		}
+	}
+	if n != len(level) {
+		t.Errorf("%s: %d surviving kids, %d survivors", name, n, len(level))
 	}
 }
 
 // TestLatticeLinks drives the lattice level by level on the determinism
-// fixtures and checks, at every level, the links of every generated element
-// and the generated level itself — elements, supports and partitions —
-// against the string-keyed generation, for one and for several workers.
+// fixtures and checks, at every level, the links and the order of every
+// generated element, the kids lists each join read, and the generated level
+// itself — elements, supports and partitions — against the string-keyed
+// generation, for one and for several workers.
 func TestLatticeLinks(t *testing.T) {
 	ctx := context.Background()
 	for name, r := range parallelFixtures() {
@@ -153,20 +207,22 @@ func TestLatticeLinks(t *testing.T) {
 						}
 					}
 					want := referenceNextLevel(l)
+					prev, survivors := l.prev, l.level
 					if err := l.advance(ctx); err != nil {
 						t.Fatal(err)
 					}
+					checkKids(t, at, prev, survivors)
 					if len(l.level) != len(want) {
 						t.Errorf("%s: generated %d elements, reference %d", at, len(l.level), len(want))
 					}
 					for _, e := range l.level {
-						tp := l.tp(e)
+						tp := e.tp()
 						w, ok := want[elementKey(e.attrs, tp)]
 						if !ok {
 							t.Errorf("%s: generated %v %v, which the reference does not", at, e.attrs, tp)
 							continue
 						}
-						support := len(l.parts[e.constID].tids)
+						support := len(e.cp.tids)
 						if support != w.support || e.part.Covered != w.part.Covered || !slices.Equal(classes(e.part), classes(w.part)) {
 							t.Errorf("%s: %v %v: support %d covered %d classes %v, reference %d %d %v", at, e.attrs, tp,
 								support, e.part.Covered, classes(e.part), w.support, w.part.Covered, classes(w.part))
@@ -186,13 +242,13 @@ func TestLatticeLinks(t *testing.T) {
 }
 
 // TestMineAllocationsPerElement bounds the allocations of a run by the size
-// of the lattice it builds. An element's struct, parents slice and partition
-// are carved from per-level blocks and its pattern is its constant part's,
-// so what is left per element is mostly its C+ set's removed pairs, its
-// place in its prefix's kids and its rules; reaching its sub-elements costs
-// nothing — a rendered key per lookup, as the traversal once built, is
-// several allocations for each of an element's attributes in each of Steps
-// 1, 2 and 4.
+// of the lattice it builds, on one worker and on two. An element's struct,
+// parents and kids slices and partition are carved from per-level blocks
+// and its pattern is its constant part's, so what is left per element is
+// mostly its C+ set's removed pairs and its rules; reaching its
+// sub-elements costs nothing — a rendered key per lookup, as the traversal
+// once built, is several allocations for each of an element's attributes in
+// each of Steps 1, 2 and 4.
 func TestMineAllocationsPerElement(t *testing.T) {
 	r := parallelFixtures()["corr"]
 	const k = 2
@@ -209,14 +265,16 @@ func TestMineAllocationsPerElement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if err := MineContext(context.Background(), r, Options{K: k, Workers: 1}, func(core.CFD) {}); err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := MineContext(context.Background(), r, Options{K: k, Workers: workers}, func(core.CFD) {}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("workers=%d: %d elements, %d rules, %.0f allocations: %.1f per element", workers, elements, rules, allocs, allocs/float64(elements))
+		if perElement := allocs / float64(elements); perElement > 6 {
+			t.Errorf("workers=%d: %.1f allocations per lattice element, want at most 6", workers, perElement)
 		}
-	})
-	t.Logf("%d elements, %d rules, %.0f allocations: %.1f per element", elements, rules, allocs, allocs/float64(elements))
-	if perElement := allocs / float64(elements); perElement > 6 {
-		t.Errorf("%.1f allocations per lattice element, want at most 6", perElement)
 	}
 }
 
@@ -240,10 +298,75 @@ func TestLatticeStepsObserveCancellation(t *testing.T) {
 	}
 }
 
+// countdownCtx reports itself cancelled from its (n+1)-th Err call on. Its
+// Done channel never closes, so only the steps' own Err checks see it.
+type countdownCtx struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAdvanceCancelledInsideJoin cancels a join after n of the context
+// checks a complete one makes, those inside the join's tasks included, for
+// growing n and for each n near the end, where the products and the sorts
+// check: advance returns the context's error, and only with every check
+// passed the complete level.
+func TestAdvanceCancelledInsideJoin(t *testing.T) {
+	r := parallelFixtures()["corr"]
+	// ready returns a lattice whose third level is validated: its join has
+	// several runs of prefixes, each with several kids.
+	ready := func() *lattice {
+		l := newLattice(r, 2, 1)
+		for depth := 1; depth <= 3; depth++ {
+			if _, err := l.discover(context.Background(), nil); err != nil {
+				t.Fatal(err)
+			}
+			if depth < 3 {
+				if err := l.advance(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return l
+	}
+	full, counter := ready(), &countdownCtx{Context: context.Background()}
+	counter.n.Store(math.MaxInt64)
+	if err := full.advance(counter); err != nil {
+		t.Fatal(err)
+	}
+	checks := int(math.MaxInt64 - counter.n.Load())
+	var ns []int
+	for n := 0; n < checks-64; n = 2*n + 1 {
+		ns = append(ns, n)
+	}
+	for n := max(0, checks-64); n <= checks; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		l := ready()
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.n.Store(int64(n))
+		err := l.advance(ctx)
+		if n < checks && err != context.Canceled {
+			t.Errorf("cancelled after %d of %d checks: %v", n, checks, err)
+		}
+		if n == checks && (err != nil || len(l.level) != len(full.level)) {
+			t.Errorf("after all %d checks: %v, %d elements, want %d", checks, err, len(l.level), len(full.level))
+		}
+	}
+}
+
 // joinTallies runs the lattice to the end and returns its join tallies.
 func joinTallies(t *testing.T, r *core.Relation, k, workers int) []joinTally {
 	t.Helper()
 	l := newLattice(r, k, workers)
+	l.tally = true
 	for len(l.level) > 0 {
 		if _, err := l.discover(context.Background(), nil); err != nil {
 			t.Fatal(err)

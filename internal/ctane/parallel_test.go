@@ -92,11 +92,11 @@ func TestDiscoverWorkersIdentical(t *testing.T) {
 				}
 				for i, e := range seq.level {
 					f := par.level[i]
-					if e.attrs != f.attrs || !slices.Equal(seq.tp(e), par.tp(f)) {
-						t.Fatalf("%s: survivor %d is %v %v on 1 worker, %v %v on 3", at, i, e.attrs, seq.tp(e), f.attrs, par.tp(f))
+					if e.attrs != f.attrs || !slices.Equal(e.tp(), f.tp()) {
+						t.Fatalf("%s: survivor %d is %v %v on 1 worker, %v %v on 3", at, i, e.attrs, e.tp(), f.attrs, f.tp())
 					}
 					if e.cplus.removedAttrs != f.cplus.removedAttrs || !slices.Equal(e.cplus.removedVals, f.cplus.removedVals) {
-						t.Fatalf("%s: %v %v: C+ removes %v %v on 1 worker, %v %v on 3", at, e.attrs, seq.tp(e),
+						t.Fatalf("%s: %v %v: C+ removes %v %v on 1 worker, %v %v on 3", at, e.attrs, e.tp(),
 							e.cplus.removedAttrs, e.cplus.removedVals, f.cplus.removedAttrs, f.cplus.removedVals)
 					}
 				}

@@ -16,6 +16,7 @@ type engineCollector struct {
 	swapDur      *Histogram
 	rulesAdded   *Counter
 	rulesRemoved *Counter
+	swapIndexes  *CounterVec   // outcome
 	snapshots    *CounterVec   // mode
 	snapshotDur  *HistogramVec // mode
 }
@@ -26,11 +27,13 @@ func (c *engineCollector) ObserveCommit(kind string, ops int, seconds float64) {
 	c.batchSize.Observe(float64(ops))
 }
 
-func (c *engineCollector) ObserveSwap(added, removed, retained int, seconds float64) {
+func (c *engineCollector) ObserveSwap(added, removed, retained, reused, rebuilt int, seconds float64) {
 	c.swaps.Inc()
 	c.swapDur.Observe(seconds)
 	c.rulesAdded.Add(uint64(added))
 	c.rulesRemoved.Add(uint64(removed))
+	c.swapIndexes.With("reused").Add(uint64(reused))
+	c.swapIndexes.With("rebuilt").Add(uint64(rebuilt))
 }
 
 func (c *engineCollector) ObserveSnapshot(patched bool, seconds float64) {
@@ -58,6 +61,7 @@ func InstrumentEngine(r *Registry, e *violation.Engine) {
 		swapDur:      r.Histogram("cfd_engine_swap_duration_seconds", "Wall-clock duration of committed rule swaps.", DefBuckets),
 		rulesAdded:   r.Counter("cfd_engine_rules_added_total", "Rules added across all committed swaps."),
 		rulesRemoved: r.Counter("cfd_engine_rules_removed_total", "Rules removed across all committed swaps."),
+		swapIndexes:  r.CounterVec("cfd_engine_swap_indexes_total", "LHS indexes of committed swaps by outcome (reused = kept as it was; rebuilt = built over the live tuples).", "outcome"),
 		snapshots:    r.CounterVec("cfd_engine_snapshots_total", "Snapshot refreshes by mode (patch = a read's incremental delta patch; rebuild = a full build, by a bulk load or restore, or by a read whose last report has left the delta ring).", "mode"),
 		snapshotDur:  r.HistogramVec("cfd_engine_snapshot_duration_seconds", "Wall-clock duration of snapshot refreshes by mode.", DefBuckets, "mode"),
 	}

@@ -3,6 +3,7 @@ package violation_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -325,8 +326,8 @@ func (l *eventLog) ObserveCommit(kind string, ops int, _ float64) {
 	l.events = append(l.events, "commit "+kind+" "+strconv.Itoa(ops))
 }
 
-func (l *eventLog) ObserveSwap(added, removed, retained int, _ float64) {
-	l.events = append(l.events, "swap "+strconv.Itoa(added)+" "+strconv.Itoa(removed)+" "+strconv.Itoa(retained))
+func (l *eventLog) ObserveSwap(added, removed, retained, reused, rebuilt int, _ float64) {
+	l.events = append(l.events, fmt.Sprintf("swap %d %d %d indexes reused=%d rebuilt=%d", added, removed, retained, reused, rebuilt))
 }
 
 func (l *eventLog) ObserveSnapshot(patched bool, _ float64) {
@@ -356,6 +357,11 @@ func TestEngineObserverEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Report()
+	// Dropping the last two rules keeps the indexes of the {AC} and
+	// {CC, ZIP} rules, rebuilds the {CC} one and drops the empty LHS's.
+	if _, err := eng.SwapRules(context.Background(), rules.Of(fx.rules[:4]...)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.SwapRules(context.Background(), rules.Of()); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +379,8 @@ func TestEngineObserverEvents(t *testing.T) {
 		"commit insert 1",
 		"commit batch 2",
 		"snapshot patched=true",
-		"swap 0 " + strconv.Itoa(len(fx.rules)) + " 0",
+		"swap 0 2 4 indexes reused=2 rebuilt=1",
+		"swap 0 4 0 indexes reused=0 rebuilt=0",
 		"snapshot patched=true",
 	}
 	if !reflect.DeepEqual(rec.events, want) {

@@ -22,9 +22,11 @@ type EngineObserver interface {
 	// tuple ops the commit carried and seconds its wall-clock duration
 	// (validation, WAL append and index maintenance included).
 	ObserveCommit(kind string, ops int, seconds float64)
-	// ObserveSwap reports one committed SwapRules: the rule-delta shape and the
-	// swap's wall-clock duration (index builds for added rules included).
-	ObserveSwap(added, removed, retained int, seconds float64)
+	// ObserveSwap reports one committed SwapRules: the rule-delta shape, the
+	// number of LHS indexes the swap kept as they were (reused) and built
+	// over the live tuples (rebuilt), and the swap's wall-clock duration
+	// (those index builds included).
+	ObserveSwap(added, removed, retained, reused, rebuilt int, seconds float64)
 	// ObserveSnapshot reports one snapshot refresh: patched is true for a
 	// read's O(changes) delta patch, false for a full build — the one a bulk
 	// change (BulkLoad, restore) publishes, or the one a read makes when its

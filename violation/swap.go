@@ -113,7 +113,7 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	e.indexes = newIndexes
 	e.bumpLocked()
 	if obs != nil {
-		obs.ObserveSwap(len(delta.Added), len(delta.Removed), len(delta.Retained), time.Since(obsStart).Seconds())
+		obs.ObserveSwap(len(delta.Added), len(delta.Removed), len(delta.Retained), len(newIndexes)-len(fresh), len(fresh), time.Since(obsStart).Seconds())
 	}
 	return delta, nil
 }
