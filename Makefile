@@ -106,6 +106,9 @@ docs-check:
 # the store's recovery under a seeded schedule of disk faults against the
 # randomized oracle's replay of the acknowledged commits,
 # the bulk /v1 reply encoders against json.Encoder on the same documents,
+# hostile request sequences over the whole /v1 surface against a node and a
+# coordinator over two shards, held to each other (FuzzServe: one input costs
+# tens of milliseconds, so it minimizes each new input in at most ten runs),
 # the shared group index against its from-scratch recount,
 # the partition product — either operand refined by the other's last item —
 # against the direct scan partition.FromSet, the
@@ -122,6 +125,7 @@ fuzz:
 	$(GO) test ./violation -run '^$$' -fuzz '^FuzzDecodeOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./violation -run '^$$' -fuzz '^FuzzFaultSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cluster -run '^$$' -fuzz '^FuzzWireDocs$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/cfdserve -run '^$$' -fuzz '^FuzzServe$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGroupIndex$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/partition -run '^$$' -fuzz '^FuzzProduct$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diffset -run '^$$' -fuzz '^FuzzMinimize$$' -fuzztime $(FUZZTIME)

@@ -249,7 +249,7 @@ func decodeEnvelope(shard string, status int, data []byte) *APIError {
 	if len(msg) > 200 {
 		msg = msg[:200]
 	}
-	return &APIError{Shard: shard, Status: status, Code: "internal", Message: msg}
+	return &APIError{Shard: shard, Status: status, Code: CodeInternal, Message: msg}
 }
 
 // Health probes GET /v1/health. It bypasses the circuit breaker — the

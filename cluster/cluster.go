@@ -94,7 +94,7 @@ func (c *Cluster) Init(ctx context.Context) error {
 			next = h.NextID
 		}
 		if h.RulesVersion != healths[0].RulesVersion {
-			return coordErr(http.StatusConflict, "conflict",
+			return coordErr(http.StatusConflict, CodeConflict,
 				"shards serve mixed rule sets (%s: %s, %s: %s); repair before forming the cluster",
 				c.shards[0].URL(), healths[0].RulesVersion, c.shards[i].URL(), h.RulesVersion)
 		}
@@ -349,7 +349,7 @@ func (c *Cluster) SwapRules(ctx context.Context, set *rules.Set, body []byte, if
 		return res, err
 	}
 	if err := c.partitioner().Check(set); err != nil {
-		return outcome(SwapDoc{}, "rejected", coordErr(http.StatusUnprocessableEntity, "unprocessable", "%v", err))
+		return outcome(SwapDoc{}, "rejected", coordErr(http.StatusUnprocessableEntity, CodeUnprocessable, "%v", err))
 	}
 
 	// Prepare: capture every shard's CAS token and rollback state.
@@ -371,7 +371,7 @@ func (c *Cluster) SwapRules(ctx context.Context, set *rules.Set, body []byte, if
 				}
 			}
 			if !found {
-				return outcome(SwapDoc{}, "rejected", coordErr(http.StatusConflict, "conflict",
+				return outcome(SwapDoc{}, "rejected", coordErr(http.StatusConflict, CodeConflict,
 					"shard %s serves rules version %q, which does not match If-Match %q", c.shards[i].URL(), doc.Version, ifMatch))
 			}
 		}

@@ -40,6 +40,22 @@ type ErrorBody struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
+// The error codes an ErrorBody carries, each with the one status it answers
+// (API.md, "Error envelope"). Both serving modes and ShardClient spell them
+// from here.
+const (
+	CodeBadRequest      = "bad_request"       // 400: malformed request (bad JSON, bad query param)
+	CodeNotFound        = "not_found"         // 404: the tuple id does not exist
+	CodeConflict        = "conflict"          // 409: CAS miss (If-Match) or a remine already running
+	CodeKeyChange       = "key_change"        // 409: coordinator: an update that would change a tuple's partition key
+	CodeCompacted       = "compacted"         // 410: ?since= epoch older than the delta history
+	CodePayloadTooLarge = "payload_too_large" // 413: request body over the limit
+	CodeUnprocessable   = "unprocessable"     // 422: well-formed but semantically invalid (arity, unknown op, bad rule)
+	CodeInternal        = "internal"          // 500: WAL append or other engine failure
+	CodeInDoubt         = "in_doubt"          // 503: a failed commit a restart may replay
+	CodeUnavailable     = "unavailable"       // 503: a shard behind the coordinator cannot answer
+)
+
 // RuleStatDoc is one rule's live discovery statistics (historical order).
 type RuleStatDoc struct {
 	Rule       string  `json:"rule"`

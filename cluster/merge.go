@@ -40,7 +40,7 @@ func (c *Cluster) Violations(ctx context.Context) (ViolationsDoc, error) {
 // Changes refuses delta reads: each shard commits on its own WAL, so the
 // fleet has no one epoch a delta could be relative to.
 func (c *Cluster) Changes(context.Context, uint64) (ChangesDoc, error) {
-	return ChangesDoc{}, coordErr(http.StatusBadRequest, "bad_request",
+	return ChangesDoc{}, coordErr(http.StatusBadRequest, CodeBadRequest,
 		"delta reads (?since=) are not served by the coordinator; read the full report or each shard's /v1/violations/stream")
 }
 

@@ -44,7 +44,7 @@ func (c *Cluster) owner(ctx context.Context, id int) (int, TupleDoc, error) {
 	if err != nil {
 		return 0, TupleDoc{}, err
 	}
-	return 0, TupleDoc{}, coordErr(http.StatusNotFound, "not_found", "violation: tuple %d: tuple not found", id)
+	return 0, TupleDoc{}, coordErr(http.StatusNotFound, CodeNotFound, "violation: tuple %d: tuple not found", id)
 }
 
 // Get reads one tuple by global id.
@@ -68,7 +68,7 @@ func (c *Cluster) checkArity(rows [][]string) error {
 	arity := len(c.Schema())
 	for _, row := range rows {
 		if len(row) != arity {
-			return coordErr(http.StatusUnprocessableEntity, "unprocessable",
+			return coordErr(http.StatusUnprocessableEntity, CodeUnprocessable,
 				"violation: tuple has %d values, schema has %d attributes", len(row), arity)
 		}
 	}
@@ -77,10 +77,10 @@ func (c *Cluster) checkArity(rows [][]string) error {
 
 // Insert routes rows to their owning shards, assigning global ids in row
 // order exactly like a single node, and applies one atomic pinned batch per
-// shard. A failure rolls the already-inserted rows back (deleting them from
-// their shards); the burned ids are never reused. A coordinator crash
-// mid-insert can leave a multi-shard insert partially applied — per-shard
-// batches are atomic, the cross-shard composition is not.
+// shard, in ascending shard order. A failure rolls the already-inserted rows
+// back (deleting them from their shards); the burned ids are never reused. A
+// coordinator crash mid-insert can leave a multi-shard insert partially
+// applied — per-shard batches are atomic, the cross-shard composition is not.
 func (c *Cluster) Insert(ctx context.Context, rows [][]string) (WriteDoc, error) {
 	if err := c.checkArity(rows); err != nil {
 		return WriteDoc{}, err
@@ -88,7 +88,7 @@ func (c *Cluster) Insert(ctx context.Context, rows [][]string) (WriteDoc, error)
 	part := c.partitioner()
 	base := int(c.nextID.Add(int64(len(rows)))) - len(rows)
 	ids := make([]int, len(rows))
-	perShard := make(map[int][]violation.Op)
+	perShard := make([][]violation.Op, len(c.shards))
 	for r, row := range rows {
 		id := base + r
 		ids[r] = id
@@ -96,25 +96,30 @@ func (c *Cluster) Insert(ctx context.Context, rows [][]string) (WriteDoc, error)
 		at := id
 		perShard[shard] = append(perShard[shard], violation.Op{Kind: violation.OpInsert, Values: row, At: &at})
 	}
-	var done []int // shards whose batch landed, in apply order
 	for shard, ops := range perShard {
+		if len(ops) == 0 {
+			continue
+		}
 		if _, err := c.shards[shard].Batch(ctx, ops); err != nil {
-			c.rollbackInserts(ctx, perShard, done)
+			c.rollbackInserts(ctx, perShard[:shard])
 			return WriteDoc{}, err
 		}
-		done = append(done, shard)
 	}
 	return WriteDoc{IDs: ids}, nil
 }
 
-// rollbackInserts deletes the rows of already-applied per-shard insert
-// batches — best effort; a failure leaves orphans that a re-run of the
-// failed insert cannot collide with (their ids are burned).
-func (c *Cluster) rollbackInserts(ctx context.Context, perShard map[int][]violation.Op, done []int) {
-	for _, shard := range done {
-		var ops []violation.Op
-		for _, op := range perShard[shard] {
-			ops = append(ops, violation.Op{Kind: violation.OpDelete, ID: *op.At})
+// rollbackInserts deletes the rows of the per-shard insert batches that
+// landed, landed[i] being shard i's — best effort; a failure leaves orphans
+// that a re-run of the failed insert cannot collide with (their ids are
+// burned).
+func (c *Cluster) rollbackInserts(ctx context.Context, landed [][]violation.Op) {
+	for shard, inserts := range landed {
+		if len(inserts) == 0 {
+			continue
+		}
+		ops := make([]violation.Op, len(inserts))
+		for i, op := range inserts {
+			ops[i] = violation.Op{Kind: violation.OpDelete, ID: *op.At}
 		}
 		if _, err := c.shards[shard].Batch(ctx, ops); err != nil && c.obs != nil {
 			c.obs.ObserveScatterError("rollback")
@@ -122,44 +127,33 @@ func (c *Cluster) rollbackInserts(ctx context.Context, perShard map[int][]violat
 	}
 }
 
-// Update replaces one tuple's values, keeping its id: a one-op Batch, so it
-// takes the one locate-then-apply path every existing-id write takes.
-func (c *Cluster) Update(ctx context.Context, id int, values []string) (TupleWriteDoc, error) {
-	_, err := c.Batch(ctx, []violation.Op{{Kind: violation.OpUpdate, ID: id, Values: values}})
-	return TupleWriteDoc{ID: id}, err
-}
-
-// Delete removes one tuple by global id: a one-op Batch, like Update.
-func (c *Cluster) Delete(ctx context.Context, id int) (TupleWriteDoc, error) {
-	_, err := c.Batch(ctx, []violation.Op{{Kind: violation.OpDelete, ID: id}})
-	return TupleWriteDoc{ID: id}, err
-}
-
 // Batch applies a mixed op sequence in order. Consecutive ops for the same
 // shard coalesce into one atomic shard batch (one WAL record there); the
 // cross-shard sequence is applied group by group and is NOT atomic — a
-// failure leaves the already-flushed prefix applied and reports which op
-// failed. Inserts are assigned global ids in op order, identical to a
+// failure leaves the already-flushed prefix applied. A refusal of the
+// coordinator's own names the op by its index in ops; a failed shard commit
+// returns that shard's error, whose "batch op i" counts within the shard's
+// own sub-batch. Inserts are assigned global ids in op order, identical to a
 // single node fed the same sequence; explicit "at" pins are refused (ids
 // are the coordinator's to assign). Deletes and updates of ids assigned
 // earlier in the same batch are resolved locally, so the usual
 // insert-then-refine batches need no extra shard reads.
 //
-// Batch is the coordinator's one write path for existing ids — Update and
-// Delete are one-op batches. An id lives on one shard from its insert to its
-// delete: an update that changes the id's partition-key values is refused
-// with 409 key_change, after the ops before it are applied and before
-// anything of it or the ops after it is sent (the client deletes the tuple
-// and re-inserts it). So locating an id and applying an op to it need no
-// lock: the op is one atomic commit on the one owner, and a delete that raced
-// in between makes it a 404 there.
+// Batch is the coordinator's one write path for existing ids — PUT and DELETE
+// /v1/tuples/{id} are one-op batches. An id lives on one shard from its insert
+// to its delete: an update that changes the id's partition-key values is
+// refused with 409 key_change, after the ops before it are applied and before
+// anything of it or the ops after it is sent (the client deletes the tuple and
+// re-inserts it). So locating an id and applying an op to it need no lock: the
+// op is one atomic commit on the one owner, and a delete that raced in between
+// makes it a 404 there.
 func (c *Cluster) Batch(ctx context.Context, ops []violation.Op) (WriteDoc, error) {
 	// Validate before consuming ids: op kinds, arity, no pins.
 	for i, op := range ops {
 		switch op.Kind {
 		case violation.OpInsert:
 			if op.At != nil {
-				return WriteDoc{}, coordErr(http.StatusUnprocessableEntity, "unprocessable",
+				return WriteDoc{}, coordErr(http.StatusUnprocessableEntity, CodeUnprocessable,
 					"batch op %d: the coordinator assigns ids; \"at\" is not accepted", i)
 			}
 			if err := c.checkArity([][]string{op.Values}); err != nil {
@@ -171,7 +165,7 @@ func (c *Cluster) Batch(ctx context.Context, ops []violation.Op) (WriteDoc, erro
 			}
 		case violation.OpDelete:
 		default:
-			return WriteDoc{}, coordErr(http.StatusUnprocessableEntity, "unprocessable",
+			return WriteDoc{}, coordErr(http.StatusUnprocessableEntity, CodeUnprocessable,
 				"batch op %d: violation: unknown op kind %q", i, op.Kind)
 		}
 	}
@@ -242,7 +236,7 @@ func (c *Cluster) Batch(ctx context.Context, ops []violation.Op) (WriteDoc, erro
 				if err := flush(); err != nil {
 					return res, err
 				}
-				return res, coordErr(http.StatusConflict, "key_change",
+				return res, coordErr(http.StatusConflict, CodeKeyChange,
 					"batch op %d: the update changes tuple %d's partition key [%s]; delete the tuple and insert it again",
 					i, op.ID, strings.Join(part.Key(), ", "))
 			}

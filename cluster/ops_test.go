@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -82,10 +84,80 @@ func TestBatchRefusesKeyChange(t *testing.T) {
 	}
 
 	other, owner := shards[0].batches.Load(), shards[1].batches.Load()
-	if _, err := c.Update(context.Background(), id, []string{"x"}); err != nil {
+	if _, err := c.Batch(context.Background(), []violation.Op{{Kind: violation.OpUpdate, ID: id, Values: []string{"x"}}}); err != nil {
 		t.Fatalf("a key-preserving update: %v", err)
 	}
 	if a, b := shards[0].batches.Load()-other, shards[1].batches.Load()-owner; a != 0 || b != 1 {
 		t.Fatalf("a key-preserving update sent %d batches to the other shard and %d to the owner, want 0 and 1", a, b)
+	}
+}
+
+// TestInsertRollsBackInShardOrder: Insert sends its per-shard batches in
+// ascending shard order, so a multi-row insert whose shard-1 batch fails has
+// always landed shard 0's rows first. The insert returns the shard's error,
+// wrapping ErrUnavailable; shard 0 is then sent one delete batch for exactly
+// the ids it took, and those ids stay burned.
+func TestInsertRollsBackInShardOrder(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		batches [][]violation.Op // the batches shard 0 received, in order
+	)
+	shard0 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		req, err := DecodeBatchRequest(body)
+		if err != nil {
+			t.Errorf("shard 0: undecodable batch: %v", err)
+		}
+		mu.Lock()
+		batches = append(batches, req.Ops)
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"ids":[],"applied":1}`))
+	}))
+	defer shard0.Close()
+	shard1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusInternalServerError)
+		w.Write([]byte(`{"error":{"code":"internal","message":"disk full"}}`))
+	}))
+	defer shard1.Close()
+	c, err := New(Config{Shards: []string{shard0.URL, shard1.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.part, err = NewPartitioner([]string{"A"}, []string{"A"}); err != nil {
+		t.Fatal(err)
+	}
+	// Two rows that route to shard 0 around one that routes to shard 1.
+	var on [2][]string
+	for i := 0; len(on[0]) < 2 || len(on[1]) < 1; i++ {
+		v := "v" + strconv.Itoa(i)
+		s := c.part.Route([]string{v}, 2)
+		on[s] = append(on[s], v)
+	}
+	rows := [][]string{{on[0][0]}, {on[1][0]}, {on[0][1]}}
+
+	if _, err := c.Insert(context.Background(), rows); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("insert: err = %v, want one wrapping ErrUnavailable", err)
+	}
+	var kinds []string
+	var ids [][]int
+	for _, b := range batches {
+		var batchIDs []int
+		for _, op := range b {
+			kinds = append(kinds, string(op.Kind))
+			if op.Kind == violation.OpInsert {
+				batchIDs = append(batchIDs, *op.At)
+			} else {
+				batchIDs = append(batchIDs, op.ID)
+			}
+		}
+		ids = append(ids, batchIDs)
+	}
+	if got, want := fmt.Sprint(kinds, ids), fmt.Sprint([]string{"insert", "insert", "delete", "delete"}, [][]int{{0, 2}, {0, 2}}); got != want {
+		t.Fatalf("shard 0 received %s, want %s: its inserts, then one delete batch for exactly their ids", got, want)
+	}
+	if c.NextID() != len(rows) {
+		t.Fatalf("next id = %d after the failed insert, want %d: the ids it took stay burned", c.NextID(), len(rows))
 	}
 }

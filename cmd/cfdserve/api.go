@@ -48,8 +48,6 @@ type backend interface {
 	Batch(ctx context.Context, ops []violation.Op) (cluster.WriteDoc, error)
 	Get(ctx context.Context, id int) (cluster.TupleDoc, error)
 	TupleViolations(ctx context.Context, id int) (cluster.TupleViolationsDoc, error)
-	Update(ctx context.Context, id int, values []string) (cluster.TupleWriteDoc, error)
-	Delete(ctx context.Context, id int) (cluster.TupleWriteDoc, error)
 }
 
 // route is one API endpoint: the pattern is the path under the /v1 prefix.
@@ -134,7 +132,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		// Strings only: this one encodes. The middleware has already put the
 		// request id in the reply header.
 		body, _ = encodeBody(body[:0], cluster.ErrorDoc{Error: cluster.ErrorBody{
-			Code: codeInternal, Message: "encoding the reply: " + err.Error(), RequestID: w.Header().Get("X-Request-Id"),
+			Code: cluster.CodeInternal, Message: "encoding the reply: " + err.Error(), RequestID: w.Header().Get("X-Request-Id"),
 		}})
 	}
 	*bp = body
@@ -143,23 +141,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	_, _ = w.Write(body) // a failed write means nobody is reading
 }
-
-// Error codes of the uniform error envelope {"error":{"code":..,"message":..}}.
-// Every non-2xx JSON response uses it; the code is a stable machine-readable
-// discriminator, the message is for humans and not part of the contract. The
-// coordinator adds one of its own: 409 key_change, an update that would change
-// a tuple's partition key (cluster.Cluster.Batch).
-const (
-	codeBadRequest      = "bad_request"       // 400: malformed request (bad JSON, bad query param)
-	codeNotFound        = "not_found"         // 404: the tuple id does not exist
-	codeConflict        = "conflict"          // 409: CAS miss (If-Match) or a remine already running
-	codeCompacted       = "compacted"         // 410: ?since= epoch older than the delta history
-	codePayloadTooLarge = "payload_too_large" // 413: request body over the limit
-	codeUnprocessable   = "unprocessable"     // 422: well-formed but semantically invalid (arity, unknown op, bad rule)
-	codeInternal        = "internal"          // 500: WAL append or other engine failure
-	codeInDoubt         = "in_doubt"          // 503: a failed commit a restart may replay
-	codeUnavailable     = "unavailable"       // 503: a shard behind the coordinator cannot answer
-)
 
 func writeError(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
 	// The same id the middleware put in X-Request-Id, so an error report can
@@ -170,7 +151,7 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, code string,
 }
 
 func badRequest(w http.ResponseWriter, r *http.Request, err error) {
-	writeError(w, r, http.StatusBadRequest, codeBadRequest, err)
+	writeError(w, r, http.StatusBadRequest, cluster.CodeBadRequest, err)
 }
 
 // fail maps a backend error onto the envelope. The engine's sentinels and
@@ -187,23 +168,23 @@ func fail(w http.ResponseWriter, r *http.Request, err error, otherwise int) {
 	var api *cluster.APIError
 	switch {
 	case errors.Is(err, violation.ErrNotFound):
-		writeError(w, r, http.StatusNotFound, codeNotFound, err)
+		writeError(w, r, http.StatusNotFound, cluster.CodeNotFound, err)
 	case errors.Is(err, violation.ErrRulesVersion):
-		writeError(w, r, http.StatusConflict, codeConflict, err)
+		writeError(w, r, http.StatusConflict, cluster.CodeConflict, err)
 	case errors.Is(err, violation.ErrCompacted):
-		writeError(w, r, http.StatusGone, codeCompacted, err)
+		writeError(w, r, http.StatusGone, cluster.CodeCompacted, err)
 	case errors.Is(err, violation.ErrInDoubt):
-		writeError(w, r, http.StatusServiceUnavailable, codeInDoubt, err)
+		writeError(w, r, http.StatusServiceUnavailable, cluster.CodeInDoubt, err)
 	case errors.Is(err, violation.ErrWAL):
-		writeError(w, r, http.StatusInternalServerError, codeInternal, err)
+		writeError(w, r, http.StatusInternalServerError, cluster.CodeInternal, err)
 	case errors.Is(err, cluster.ErrUnavailable):
-		writeError(w, r, http.StatusServiceUnavailable, codeUnavailable, err)
+		writeError(w, r, http.StatusServiceUnavailable, cluster.CodeUnavailable, err)
 	case errors.As(err, &api):
 		writeError(w, r, api.Status, api.Code, err)
 	case otherwise == http.StatusUnprocessableEntity:
-		writeError(w, r, otherwise, codeUnprocessable, err)
+		writeError(w, r, otherwise, cluster.CodeUnprocessable, err)
 	default:
-		writeError(w, r, http.StatusInternalServerError, codeInternal, err)
+		writeError(w, r, http.StatusInternalServerError, cluster.CodeInternal, err)
 	}
 }
 
@@ -302,7 +283,7 @@ func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
-		writeError(w, r, http.StatusRequestEntityTooLarge, codePayloadTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBody))
+		writeError(w, r, http.StatusRequestEntityTooLarge, cluster.CodePayloadTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBody))
 	case err != nil:
 		badRequest(w, r, fmt.Errorf("reading body: %w", err))
 	}
@@ -377,7 +358,7 @@ func (a api) putRules(w http.ResponseWriter, r *http.Request) {
 	ifMatch, matchAny := etagList(header)
 	if header != "" && !matchAny && len(ifMatch) == 0 {
 		// Conditional on nothing: no served version can satisfy it.
-		writeError(w, r, http.StatusConflict, codeConflict, fmt.Errorf("If-Match %q names no rules version", header))
+		writeError(w, r, http.StatusConflict, cluster.CodeConflict, fmt.Errorf("If-Match %q names no rules version", header))
 		return
 	}
 	doc, err := a.b.SwapRules(r.Context(), set, body, ifMatch)
@@ -557,6 +538,9 @@ func (a api) tupleViolations(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
+// update and remove send their one op through Batch, the one write path of
+// both modes, and answer the fields of its reply that PUT and DELETE
+// /v1/tuples/{id} carry.
 func (a api) update(w http.ResponseWriter, r *http.Request) {
 	id, ok := pathID(w, r)
 	if !ok {
@@ -570,12 +554,12 @@ func (a api) update(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, r, errors.New(`body must carry "values"`))
 		return
 	}
-	doc, err := a.b.Update(r.Context(), id, req.Values)
+	doc, err := a.b.Batch(r.Context(), []violation.Op{{Kind: violation.OpUpdate, ID: id, Values: req.Values}})
 	if err != nil {
 		fail(w, r, err, http.StatusUnprocessableEntity)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	writeJSON(w, http.StatusOK, cluster.TupleWriteDoc{ID: id, Dirty: doc.Dirty})
 }
 
 func (a api) remove(w http.ResponseWriter, r *http.Request) {
@@ -583,10 +567,10 @@ func (a api) remove(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	doc, err := a.b.Delete(r.Context(), id)
+	doc, err := a.b.Batch(r.Context(), []violation.Op{{Kind: violation.OpDelete, ID: id}})
 	if err != nil {
 		fail(w, r, err, http.StatusUnprocessableEntity)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	writeJSON(w, http.StatusOK, cluster.TupleWriteDoc{ID: id, Tuples: doc.Tuples, Dirty: doc.Dirty})
 }

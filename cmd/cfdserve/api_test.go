@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/cluster"
 	"repro/rules"
 	"repro/violation"
 )
@@ -39,16 +39,7 @@ func servingModes(t *testing.T) []servingMode {
 		urls[i] = newShardNode(t, clusterRules).URL
 	}
 	cs, coord := newCoord(t, urls)
-	f, err := os.Open("testdata/cust.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rows, err := csv.NewReader(f).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	do(t, "POST", coord.URL+"/v1/tuples", map[string]any{"rows": rows[1:]}, http.StatusOK)
+	do(t, "POST", coord.URL+"/v1/tuples", map[string]any{"rows": custRows(t)}, http.StatusOK)
 	node, nodeTS := newObsServer(t)
 	return []servingMode{{"node", nodeTS.URL, node}, {"coordinator", coord.URL, coordBackend{cs.cl}}}
 }
@@ -220,7 +211,7 @@ func TestErrorEnvelope(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bases := bases
-			if tc.wantCode == codeInDoubt {
+			if tc.wantCode == cluster.CodeInDoubt {
 				bases = doubtful
 			}
 			for mode, base := range bases {

@@ -17,6 +17,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/cluster"
 )
 
 // The cluster fixtures: the cust schema with rules sharing the CC attribute,
@@ -343,8 +345,8 @@ func TestClusterSwapAllOrNothing(t *testing.T) {
 	gates[1].block.Store(true)
 	newRules := "([CC,AC] -> CT, (_, _ || _))\n"
 	resp := clusterReq(t, "PUT", coord.URL+"/v1/rules", newRules, "", http.StatusServiceUnavailable)
-	if code := errCode(t, resp); code != codeUnavailable {
-		t.Fatalf("failed swap error code = %q, want %q", code, codeUnavailable)
+	if code := errCode(t, resp); code != cluster.CodeUnavailable {
+		t.Fatalf("failed swap error code = %q, want %q", code, cluster.CodeUnavailable)
 	}
 	for i, u := range urls {
 		if v := shardVersion(t, u); v != oldVersion {
@@ -459,8 +461,8 @@ func TestClusterDegraded(t *testing.T) {
 	}
 
 	resp := clusterReq(t, "GET", coord.URL+"/v1/violations", "", "", http.StatusServiceUnavailable)
-	if code := errCode(t, resp); code != codeUnavailable {
-		t.Fatalf("degraded read error code = %q, want %q", code, codeUnavailable)
+	if code := errCode(t, resp); code != cluster.CodeUnavailable {
+		t.Fatalf("degraded read error code = %q, want %q", code, cluster.CodeUnavailable)
 	}
 	clusterReq(t, "GET", coord.URL+"/v1/suspects", "", "", http.StatusServiceUnavailable)
 	clusterReq(t, "GET", coord.URL+"/v1/tuples", "", "", http.StatusServiceUnavailable)
@@ -473,8 +475,8 @@ func TestClusterDegraded(t *testing.T) {
 	}
 	resp = clusterReq(t, "POST", coord.URL+"/v1/tuples",
 		`{"rows":[["01","212","8888888","Eve","5th Ave","NYC","01202"]]}`, "", http.StatusServiceUnavailable)
-	if code := errCode(t, resp); code != codeUnavailable {
-		t.Fatalf("write owned by the dead shard: error code %q, want %q", code, codeUnavailable)
+	if code := errCode(t, resp); code != cluster.CodeUnavailable {
+		t.Fatalf("write owned by the dead shard: error code %q, want %q", code, cluster.CodeUnavailable)
 	}
 	scrape := metricsBody(t, coord)
 	for _, series := range []string{

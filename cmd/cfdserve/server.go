@@ -381,24 +381,17 @@ func (s *server) Tuples(_ context.Context, cursor, limit int) (cluster.TuplesDoc
 	return doc, nil
 }
 
-// committed runs after every successful tuple commit: it schedules a
+// apply commits ops as one atomic engine batch — either every op is applied
+// (and write-ahead logged as one record) or none is — then schedules a
 // compaction when due and reads the post-commit counts write replies carry.
-func (s *server) committed() (tuples, dirty *int) {
-	s.maybeCompact()
-	t, d := s.eng.Size(), s.eng.DirtyCount()
-	return &t, &d
-}
-
-// apply commits ops as one atomic engine batch: either every op is applied
-// (and write-ahead logged as one record) or none is.
 func (s *server) apply(ops []violation.Op) (cluster.WriteDoc, error) {
 	ids, err := s.eng.ApplyBatch(ops)
 	if err != nil {
 		return cluster.WriteDoc{}, err
 	}
-	doc := cluster.WriteDoc{IDs: ids}
-	doc.Tuples, doc.Dirty = s.committed()
-	return doc, nil
+	s.maybeCompact()
+	tuples, dirty := s.eng.Size(), s.eng.DirtyCount()
+	return cluster.WriteDoc{IDs: ids, Tuples: &tuples, Dirty: &dirty}, nil
 }
 
 func (s *server) Insert(_ context.Context, rows [][]string) (cluster.WriteDoc, error) {
@@ -425,23 +418,6 @@ func (s *server) TupleViolations(_ context.Context, id int) (cluster.TupleViolat
 	return cluster.TupleViolationsDoc{ID: id, Violated: ruleStrings(violated)}, err
 }
 
-func (s *server) Update(_ context.Context, id int, values []string) (cluster.TupleWriteDoc, error) {
-	if err := s.eng.Update(id, values...); err != nil {
-		return cluster.TupleWriteDoc{}, err
-	}
-	_, dirty := s.committed()
-	return cluster.TupleWriteDoc{ID: id, Dirty: dirty}, nil
-}
-
-func (s *server) Delete(_ context.Context, id int) (cluster.TupleWriteDoc, error) {
-	if err := s.eng.Delete(id); err != nil {
-		return cluster.TupleWriteDoc{}, err
-	}
-	doc := cluster.TupleWriteDoc{ID: id}
-	doc.Tuples, doc.Dirty = s.committed()
-	return doc, nil
-}
-
 // remine re-runs rule discovery over the live relation and swaps the result
 // in — in the background by default (202, poll /v1/health for last_remine),
 // or synchronously with ?wait=1 (200 with the result); a wait that is not a
@@ -459,7 +435,7 @@ func (s *server) remine(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !s.remining.CompareAndSwap(false, true) {
-		writeError(w, r, http.StatusConflict, codeConflict, errors.New("a remine is already running"))
+		writeError(w, r, http.StatusConflict, cluster.CodeConflict, errors.New("a remine is already running"))
 		return
 	}
 	if wait {
@@ -572,7 +548,7 @@ func (s *server) maintainRemine(ctx context.Context, tr monitor.Trigger) error {
 func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, codeInternal, errors.New("streaming is unsupported by this connection"))
+		writeError(w, r, http.StatusInternalServerError, cluster.CodeInternal, errors.New("streaming is unsupported by this connection"))
 		return
 	}
 	cur := s.eng.Epoch()
@@ -604,7 +580,7 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 		d, err := s.eng.Changes(cur)
 		if err != nil {
 			// The client fell behind the delta history: tell it to resync.
-			fmt.Fprintf(w, "event: compacted\ndata: {\"error\":{\"code\":%q,\"message\":%q}}\n\n", codeCompacted, err.Error())
+			fmt.Fprintf(w, "event: %[1]s\ndata: {\"error\":{\"code\":%[1]q,\"message\":%[2]q}}\n\n", cluster.CodeCompacted, err.Error())
 			fl.Flush()
 			return
 		}

@@ -202,8 +202,8 @@ func TestUnencodableReplyIsA500(t *testing.T) {
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("the 500 body is not the error envelope: %v\n%s", err, body)
 	}
-	if env.Error.Code != codeInternal || !strings.Contains(env.Error.Message, "NaN") {
-		t.Errorf("envelope = %+v, want code %q and a message naming the value", env.Error, codeInternal)
+	if env.Error.Code != cluster.CodeInternal || !strings.Contains(env.Error.Message, "NaN") {
+		t.Errorf("envelope = %+v, want code %q and a message naming the value", env.Error, cluster.CodeInternal)
 	}
 	if id := resp.Header.Get("X-Request-Id"); id == "" || env.Error.RequestID != id {
 		t.Errorf("envelope request_id %q, X-Request-Id %q: want the same id", env.Error.RequestID, id)

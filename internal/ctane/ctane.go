@@ -238,9 +238,9 @@ func (l *lattice) constPart(base *constPart, attr int, val int32, scratch *[]int
 	return &constPart{tp: tp, consts: base.consts + 1, tids: tids}
 }
 
-// MineContext runs CTANE, handing each lattice level's CFDs to emit —
-// deduplicated and in canonical order within the level — as soon as the level
-// is validated. Cancellation is observed between per-element work units
+// MineContext runs CTANE, handing each lattice level's CFDs to emit — each
+// once, in canonical order within the level — as soon as the level is
+// validated. Cancellation is observed between per-element work units
 // within a lattice level, which is how a consumer that has seen enough rules
 // aborts the remaining (deeper, more expensive) levels; a cancelled run
 // returns ctx.Err(). The emitted sequence is independent of Options.Workers.
@@ -265,9 +265,10 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options, emit func(
 		if found, err = l.discover(ctx, found[:0]); err != nil {
 			return err
 		}
-		// Each level's CFDs have a strictly larger LHS than every earlier
-		// level's, so no later level can duplicate them.
-		found = core.DedupCFDs(found)
+		// No rule is emitted twice: a level's elements are distinct
+		// (attribute set, pattern) pairs, each yielding at most one rule per
+		// attribute, and each level's CFDs have a strictly larger LHS than
+		// every earlier level's.
 		core.SortCFDs(found)
 		for _, c := range found {
 			emit(c)
