@@ -19,8 +19,9 @@ test:
 # readers and the report a bulk load publishes, and between the pool tasks of
 # one batch or bulk load at every worker count; the closed-set search's root
 # candidates between its pooled branches, with and without a cancellation in
-# flight, and the closed sets' blocks, which FastCFD's per-attribute searches
-# read at once after Prepare built them beside the free-set pass; CTANE's
+# flight, and the closed sets' blocks, which the pool tasks of FastCFD's
+# difference-set table read at once after NewClosed built them beside the
+# free-set pass, and the table, which its per-attribute searches read; CTANE's
 # Steps 1-3, one pool task per run of elements with equal attribute sets,
 # each reading the level below through the lattice links and writing only its
 # own run's C+ sets; its join, one pool task per run of prefixes with equal
@@ -30,7 +31,8 @@ test:
 # product memory each worker carves from its own refiner's arena inside
 # pool.Each; and the sort of each join task's share of the new level in
 # place; a node's memory of its last full report
-# between concurrent full readers: the detector only reports the
+# between concurrent full readers, and its rule set and stats between
+# GET /v1/rules and concurrent swaps: the detector only reports the
 # interleavings a run executes. The script refuses a name no
 # listed package has, so a renamed test cannot silently drop out.
 race:
@@ -38,7 +40,7 @@ race:
 	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestReadersRaceBulkLoad|TestSwapRulesConcurrentReaders|TestApplyBatchMatchesPerOp|TestShardedBulkLoadAgrees' ./violation
 	./scripts/race_repeat.sh 'TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude|TestMineParallelMatchesSequential' ./internal/itemset ./internal/fastcfd
 	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic|TestMineContextWorkersDeterministicMaxLHS|TestDiscoverWorkersIdentical|TestLatticeLinks|TestHeldTidsPerJoin|TestLatticeStepsObserveCancellation|TestAdvanceCancelledInsideJoin|TestMineAllocationsPerElement' ./internal/ctane
-	./scripts/race_repeat.sh 'TestFullReadsMatchThePlainEncoder' ./cmd/cfdserve
+	./scripts/race_repeat.sh 'TestFullReadsMatchThePlainEncoder|TestRulesStatsMatchTheirSet' ./cmd/cfdserve
 
 # bench runs the repo benchmark BENCHMARK.json declares: cfddiscover and
 # cfdserve end to end on four fixed-work workloads, repeated, with every
@@ -143,7 +145,8 @@ fuzz:
 # on the mining kernels (internal/partition: counting split and refinement;
 # internal/itemset: free- and closed-set miners) and the searches built on
 # them (internal/cfdminer; internal/ctane: the linked lattice; internal/diffset
-# and internal/fastcfd: difference sets and the cover search), on the pool they
+# and internal/fastcfd: difference sets and the cover search; internal/fastfd,
+# the FD search on the same difference sets), on the pool they
 # fan out over (internal/pool), on the one loop they are read through
 # (discovery) and on the loader every program reads its input with (dataset).
 # The floors only move up:
@@ -160,8 +163,9 @@ COVER_FLOORS := \
 	internal/itemset:95.0 \
 	internal/cfdminer:97.0 \
 	internal/ctane:97.0 \
-	internal/diffset:98.0 \
-	internal/fastcfd:97.0 \
+	internal/diffset:100.0 \
+	internal/fastcfd:97.5 \
+	internal/fastfd:100.0 \
 	internal/pool:98.5 \
 	discovery:97.0 \
 	cluster:89.0 \

@@ -56,7 +56,6 @@ type config struct {
 	rulesPath string
 	dataPath  string
 	schema    []string
-	workers   int
 
 	samplePath string
 	support    int
@@ -144,7 +143,6 @@ var flagTable = []struct {
 	{"rules", node, func(c *config) any { return &c.rulesPath }, "rule file: cfddiscover -o text or rules.Set JSON (as served by GET /v1/rules)"},
 	{"data", node, func(c *config) any { return &c.dataPath }, "CSV file to bulk load at startup (header row required)"},
 	{"schema", node, func(c *config) any { return &c.schema }, "comma-separated attribute names (needed only without -data/-sample)"},
-	{"workers", node, func(c *config) any { return &c.workers }, "worker goroutines for bulk loads, batches and snapshots (0 = one per CPU)"},
 	{"sample", node, func(c *config) any { return &c.samplePath }, "trusted CSV sample to discover rules from (alternative to -rules)"},
 	{"support", node, func(c *config) any { return &c.support }, "support threshold for discovering rules, from -sample and on every remine"},
 	{"maxlhs", node, func(c *config) any { return &c.maxLHS }, "LHS bound for discovering rules, from -sample and on every remine"},
@@ -362,7 +360,6 @@ func discoverRules(ctx context.Context, sample *cfd.Relation, cfg config, progre
 	options := []discovery.Option{
 		discovery.WithSupport(cfg.support),
 		discovery.WithMaxLHS(cfg.maxLHS),
-		discovery.WithWorkers(cfg.workers),
 	}
 	if progress != nil {
 		options = append(options, discovery.WithProgress(progress))

@@ -35,6 +35,7 @@ func testLog(w io.Writer, format string) *slog.Logger {
 var removedFlags = []string{
 	"-compact-every", "-remine-limit", "-shard-timeout", "-init-wait", "-maintain-drift",
 	"-maintain-confidence", "-maintain-min-support", "-maintain-epochs", "-maintain-interval",
+	"-workers",
 }
 
 // TestRunRefusesFlags: a command line run cannot honour in full is refused
@@ -52,7 +53,7 @@ func TestRunRefusesFlags(t *testing.T) {
 		{"-rules r.txt -log-level loud", `unknown log level "loud"`},
 		{"-rules r.txt -log-format xml", `unknown log format "xml"`},
 		{"-rules r.txt extra", `unexpected argument "extra"`},
-		{"-workers many", "invalid value"},
+		{"-support many", "invalid value"},
 		// bench's first boot and its restart.
 		{"-sample s.csv -data d.csv -addr 127.0.0.1:0 -support 40 -maxlhs 2 -state dir -fsync", ""},
 		{"-addr 127.0.0.1:0 -support 40 -maxlhs 2 -state dir -fsync", ""},
@@ -121,8 +122,8 @@ func TestFlagTableMatchesREADME(t *testing.T) {
 			t.Errorf("-h does not list -%s:\n%s", f.name, help.String())
 		}
 	}
-	if len(listed) != len(flagTable) || len(flagTable) != 17 {
-		t.Errorf("-h lists %d flags, the table declares %d, want 17 and 17", len(listed), len(flagTable))
+	if len(listed) != len(flagTable) || len(flagTable) != 16 {
+		t.Errorf("-h lists %d flags, the table declares %d, want 16 and 16", len(listed), len(flagTable))
 	}
 
 	data, err := os.ReadFile("../../README.md")

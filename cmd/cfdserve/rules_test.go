@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -251,6 +252,74 @@ func TestPutRulesCompareAndSwap(t *testing.T) {
 		if won != 1 {
 			t.Fatalf("round %d: %d of %d PUTs with If-Match %s committed, want exactly 1 (statuses %v)", round, won, writers, tag, statuses)
 		}
+	}
+}
+
+// TestRulesStatsMatchTheirSet polls GET /v1/rules while another client
+// swaps between two rule sets of the same size and no rule in common: every
+// reply's stats must be those of its own ruleset, rule for rule, whichever
+// set it caught.
+func TestRulesStatsMatchTheirSet(t *testing.T) {
+	ts := newTestServer(t)
+	sets := []string{
+		"([CC,ZIP] -> STR, (_, _ || _))\n([AC] -> CT, (131 || EDI))\n",
+		"([NM] -> PN, (_ || _))\n([ZIP] -> CT, (_ || _))\n",
+	}
+	stop := make(chan struct{})
+	swapped := make(chan struct{})
+	go func() {
+		defer close(swapped)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			req, err := http.NewRequest("PUT", ts.URL+"/v1/rules", strings.NewReader(sets[i%2]))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("swap %d: status %d", i, resp.StatusCode)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-swapped
+	}()
+	seen := make(map[string]bool)
+	for poll := 0; poll < 300; poll++ {
+		var doc struct {
+			Ruleset struct {
+				Rules []string `json:"rules"`
+			} `json:"ruleset"`
+			Stats []struct {
+				Rule string `json:"rule"`
+			} `json:"stats"`
+		}
+		if err := json.Unmarshal(getRaw(t, ts.URL+"/v1/rules"), &doc); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, len(doc.Stats))
+		for i, st := range doc.Stats {
+			got[i] = st.Rule
+		}
+		if !slices.Equal(got, doc.Ruleset.Rules) {
+			t.Fatalf("poll %d: stats for %q next to ruleset %q", poll, got, doc.Ruleset.Rules)
+		}
+		seen[strings.Join(got, "\n")] = true
+	}
+	if len(seen) < 2 {
+		t.Errorf("the polls saw %d rule sets, want both", len(seen))
 	}
 }
 

@@ -280,17 +280,9 @@ func (s *server) Rules(_ context.Context, held func(version string) bool) (clust
 	if v := s.eng.RulesVersion(); held(v) {
 		return cluster.RulesDoc{Version: v}, nil
 	}
-	// One copy serves both the version and the body, so they cannot disagree
-	// even if a swap lands between them.
-	set := s.eng.RuleSet()
-	// Stats are read after the set; when a swap lands exactly between the
-	// two reads the lengths diverge, and one re-read restores agreement
-	// (rule swaps are rare and never back-to-back within a request).
-	stats := s.eng.RuleStats()
-	if len(stats) != set.Len() {
-		set = s.eng.RuleSet()
-		stats = s.eng.RuleStats()
-	}
+	// One read serves the version, the body and the stats, so they cannot
+	// disagree even if a swap lands during the request.
+	set, stats := s.eng.RuleSetStats()
 	ruleset, err := set.MarshalJSON()
 	if err != nil {
 		return cluster.RulesDoc{}, err
@@ -632,7 +624,7 @@ func buildServing(ctx context.Context, cfg config) (*serving, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, restored, err := store.Load(violation.Options{Workers: cfg.workers})
+	eng, restored, err := store.Load(violation.Options{})
 	if err != nil {
 		store.Close()
 		return nil, err
@@ -707,7 +699,7 @@ func loadEngine(ctx context.Context, cfg config) (*violation.Engine, error) {
 	default:
 		return nil, fmt.Errorf("the schema is unknown: pass -data, -sample or -schema")
 	}
-	eng, err := violation.New(attrs, set, violation.Options{Workers: cfg.workers})
+	eng, err := violation.New(attrs, set, violation.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -208,7 +208,7 @@ func IsMinimal(r *Relation, c CFD) bool {
 // them must not move by a byte — and both are plain string orders on a key
 // rendered from the rule:
 //
-//   - encoded rules (SortCFDs, DedupCFDs here; every miner's output) order by
+//   - encoded rules (SortCFDs here; every miner's output) order by
 //     CFD.Key(), e.g. "{0,10}->2|0=-1;2=7;10=3;": attribute indexes and value
 //     codes in decimal, so "10" sorts before "2" and "-1" before "0";
 //   - public rules (cfd.SortCFDs; rules.Set.Text, discovery.Engine.Run) order
@@ -249,22 +249,6 @@ func SortCFDs(cfds []CFD) {
 		keys[i] = c.Key()
 	}
 	SortByKeys(cfds, keys)
-}
-
-// DedupCFDs returns cfds with duplicates (by canonical key) removed, preserving
-// the first occurrence of each.
-func DedupCFDs(cfds []CFD) []CFD {
-	seen := make(map[string]bool, len(cfds))
-	out := cfds[:0]
-	for _, c := range cfds {
-		k := c.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, c)
-	}
-	return out
 }
 
 // appendCode appends the little-endian bytes of v to buf; used to build

@@ -75,23 +75,3 @@ func TestSortByKeysKeepsPairs(t *testing.T) {
 		t.Errorf("got %v %v", items, keys)
 	}
 }
-
-// TestDedupCFDsKeepsFirst checks DedupCFDs against its definition: of the
-// rules sharing a key the first stays, and the survivors keep their order.
-func TestDedupCFDsKeepsFirst(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		in := randomRules(rng, 1+rng.Intn(400))
-		var want []int32
-		seen := map[string]bool{}
-		for _, c := range in {
-			if !seen[c.Key()] {
-				seen[c.Key()] = true
-				want = append(want, c.Tp[len(c.Tp)-1])
-			}
-		}
-		if got := serials(core.DedupCFDs(in)); !slices.Equal(got, want) {
-			t.Fatalf("seed %d: kept %v, want %v", seed, got, want)
-		}
-	}
-}

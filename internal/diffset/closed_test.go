@@ -1,7 +1,6 @@
 package diffset
 
 import (
-	"context"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -19,17 +18,14 @@ import (
 // distinct set.
 func TestClosedScanAllocatesPerDistinctSet(t *testing.T) {
 	r := fixture.Random(11, 3000, []int{4, 6, 9, 12, 20, 30})
-	c := NewClosed(r)
-	if err := c.Prepare(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
+	c := newClosed(t, r)
 	scanned := c.closed.Len()
 	if scanned < 10000 {
 		t.Fatalf("fixture too small: %d closed sets", scanned)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got := c.MinimalDiffSets(core.EmptyAttrSet, core.NewPattern(r.Arity()), 0)
+	got := minimal(c, core.EmptyAttrSet, core.NewPattern(r.Arity()), 0)
 	runtime.ReadMemStats(&after)
 	perSet := float64(after.TotalAlloc-before.TotalAlloc) / float64(scanned)
 	t.Logf("%d closed sets scanned, %d B allocated: %.3f B per set; %d minimal difference sets",
@@ -76,10 +72,10 @@ func TestClosedWideDistinctComplements(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	closed, naive := NewClosed(r), NewNaive(r)
+	closed, naive := newClosed(t, r), NewNaive(r)
 	empty := core.NewPattern(r.Arity())
 	for rhs := 0; rhs < arity; rhs++ {
-		if got, want := closed.MinimalDiffSets(core.EmptyAttrSet, empty, rhs), naive.MinimalDiffSets(core.EmptyAttrSet, empty, rhs); !sameSets(got, want) {
+		if got, want := minimal(closed, core.EmptyAttrSet, empty, rhs), minimal(naive, core.EmptyAttrSet, empty, rhs); !sameSets(got, want) {
 			t.Errorf("rhs %d: closed %d sets, naive %d", rhs, len(got), len(want))
 		}
 	}
@@ -164,8 +160,8 @@ func FuzzBackendsAgree(f *testing.F) {
 		if attrs.Has(rhs) {
 			return
 		}
-		got := NewClosed(r).MinimalDiffSets(attrs, tp, rhs)
-		if want := NewNaive(r).MinimalDiffSets(attrs, tp, rhs); !sameSets(got, want) {
+		got := minimal(newClosed(t, r), attrs, tp, rhs)
+		if want := minimal(NewNaive(r), attrs, tp, rhs); !sameSets(got, want) {
 			t.Errorf("%d×%d relation, pattern %v, rhs %d: closed %v, naive %v", rows, arity, tp, rhs, got, want)
 		}
 	})

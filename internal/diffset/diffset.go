@@ -19,20 +19,19 @@ import (
 	"context"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/itemset"
 )
 
-// Computer produces minimal difference sets for constant patterns.
+// Computer produces the difference sets of constant patterns. Both backends
+// are read-only once built, so one is safe to query from many goroutines.
 type Computer interface {
-	// MinimalDiffSets returns D^m_A(r_tp) for the sub-relation of tuples
-	// matching the constants of tp on attrs: the minimal attribute sets
-	// (excluding A itself) on which some pair of r_tp tuples that disagrees on A
-	// also disagrees.
-	MinimalDiffSets(attrs core.AttrSet, tp core.Pattern, rhs int) []core.AttrSet
+	// DiffSets returns D(r_tp) for the sub-relation of tuples matching the
+	// constants of tp on attrs, ascending: the distinct non-empty attribute
+	// sets on which some pair of r_tp tuples disagrees (for Closed, a
+	// superset of them with the same minimal sets under every Restrict).
+	DiffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet
 }
 
 // Minimize returns the minimal sets of the input under set inclusion, with
@@ -60,9 +59,11 @@ func Minimize(sets []core.AttrSet) []core.AttrSet {
 	return out
 }
 
-// restrictToRHS keeps the difference sets containing rhs, removes rhs from
-// them, and minimizes the result — turning D(r_tp) into D^m_A(r_tp).
-func restrictToRHS(diffs []core.AttrSet, rhs int) []core.AttrSet {
+// Restrict keeps the difference sets containing rhs, removes rhs from them,
+// and minimizes the result — turning D(r_tp) into D^m_A(r_tp): the minimal
+// attribute sets (excluding A itself) on which some pair of r_tp tuples that
+// disagrees on A also disagrees.
+func Restrict(diffs []core.AttrSet, rhs int) []core.AttrSet {
 	var out []core.AttrSet
 	for _, d := range diffs {
 		if d.Has(rhs) {
@@ -165,34 +166,19 @@ func MinimalCovers(diffs []core.AttrSet, candidates []int, maxSize int, visit fu
 }
 
 // Naive computes difference sets by direct pairwise comparison of the tuples
-// matching the pattern, memoising per pattern (the FastFD approach used by
-// NaiveFast).
+// matching the pattern (the FastFD approach used by NaiveFast).
 type Naive struct {
-	r     *core.Relation
-	mu    sync.Mutex
-	cache map[string][]core.AttrSet
+	r *core.Relation
 }
 
 // NewNaive returns a Naive difference-set computer over r.
 func NewNaive(r *core.Relation) *Naive {
-	return &Naive{r: r, cache: make(map[string][]core.AttrSet)}
+	return &Naive{r: r}
 }
 
-// MinimalDiffSets implements Computer.
-func (n *Naive) MinimalDiffSets(attrs core.AttrSet, tp core.Pattern, rhs int) []core.AttrSet {
-	return restrictToRHS(n.diffSets(attrs, tp), rhs)
-}
-
-// diffSets returns the distinct difference sets of all tuple pairs of r_tp.
-func (n *Naive) diffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
-	key := tp.Key(attrs)
-	n.mu.Lock()
-	if d, ok := n.cache[key]; ok {
-		n.mu.Unlock()
-		return d
-	}
-	n.mu.Unlock()
-
+// DiffSets implements Computer: the distinct difference sets of all tuple
+// pairs of r_tp.
+func (n *Naive) DiffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
 	r := n.r
 	arity := r.Arity()
 	tids := r.MatchingTuples(attrs, tp)
@@ -215,10 +201,6 @@ func (n *Naive) diffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
 		out = append(out, d)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-
-	n.mu.Lock()
-	n.cache[key] = out
-	n.mu.Unlock()
 	return out
 }
 
@@ -229,13 +211,7 @@ func (n *Naive) diffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
 // difference sets that contains every true difference set — which leaves the
 // minimal difference sets unchanged.
 type Closed struct {
-	r *core.Relation
-
-	// prepMu serialises Prepare; ready flips once the fields below are built
-	// and is the lock-free fast path of every query.
-	prepMu sync.Mutex
-	ready  atomic.Bool
-
+	r      *core.Relation
 	closed *itemset.ClosedSets
 	// byItem indexes the closed sets by the items they contain, so that the
 	// per-pattern filtering only scans the closed sets containing the
@@ -244,46 +220,25 @@ type Closed struct {
 	// ids[byItem[a][v]:byItem[a][v+1]], in search order.
 	ids    []int32
 	byItem [][]int32
-
-	mu    sync.Mutex
-	cache map[string][]core.AttrSet
 }
 
-// NewClosed returns a Closed difference-set computer over r. The 2-frequent
-// closed item sets are mined by Prepare, or sequentially by the first query
-// if Prepare was never called, and reused for every pattern.
-func NewClosed(r *core.Relation) *Closed {
-	return &Closed{r: r, cache: make(map[string][]core.AttrSet)}
-}
-
-// Prepare mines the 2-frequent closed item sets on up to workers goroutines
-// (0 = one per CPU, 1 = sequential) and indexes them. Callers that search in
-// parallel call it up front, so that the mining is itself parallel and
-// cancellable instead of one query's side effect that every other worker
-// waits out. A cancelled Prepare returns ctx.Err() and leaves the computer
-// unprepared; a later call starts over. Once it has succeeded, further calls
-// return nil at once.
-func (c *Closed) Prepare(ctx context.Context, workers int) error {
-	if c.ready.Load() {
-		return nil
-	}
-	c.prepMu.Lock()
-	defer c.prepMu.Unlock()
-	if c.ready.Load() {
-		return nil
-	}
-	closed, err := itemset.MineClosed(ctx, c.r, 2, workers)
+// NewClosed mines the 2-frequent closed item sets of r on up to workers
+// goroutines (0 = one per CPU, 1 = sequential), indexes them, and returns a
+// Closed difference-set computer answering every pattern from them. A
+// cancelled ctx returns ctx.Err().
+func NewClosed(ctx context.Context, r *core.Relation, workers int) (*Closed, error) {
+	closed, err := itemset.MineClosed(ctx, r, 2, workers)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.closed = closed
+	c := &Closed{r: r, closed: closed}
 	// Count the closed sets per item into the offset tables, one entry
 	// ahead; sum the counts into window starts over one buffer; fill the
 	// windows in search order, which leaves each entry at its window's end;
 	// shift the entries back by one.
-	c.byItem = make([][]int32, c.r.Arity())
+	c.byItem = make([][]int32, r.Arity())
 	for a := range c.byItem {
-		c.byItem[a] = make([]int32, c.r.DomainSize(a)+1)
+		c.byItem[a] = make([]int32, r.DomainSize(a)+1)
 	}
 	for id := range closed.All() {
 		tp := closed.Pattern(id)
@@ -312,31 +267,12 @@ func (c *Closed) Prepare(ctx context.Context, workers int) error {
 		off[0] = start
 		start = end
 	}
-	c.ready.Store(true)
-	return nil
+	return c, nil
 }
 
-// MinimalDiffSets implements Computer.
-func (c *Closed) MinimalDiffSets(attrs core.AttrSet, tp core.Pattern, rhs int) []core.AttrSet {
-	return restrictToRHS(c.diffSets(attrs, tp), rhs)
-}
-
-// diffSets returns the candidate difference sets for the pattern: complements
-// of the 2-frequent closed item sets containing the pattern's items.
-func (c *Closed) diffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
-	if err := c.Prepare(context.Background(), 1); err != nil {
-		// Unreachable: the background context is never cancelled and
-		// Prepare has no other failure mode.
-		panic(err)
-	}
-	key := tp.Key(attrs)
-	c.mu.Lock()
-	if d, ok := c.cache[key]; ok {
-		c.mu.Unlock()
-		return d
-	}
-	c.mu.Unlock()
-
+// DiffSets implements Computer: the complements of the 2-frequent closed
+// item sets containing the pattern's items.
+func (c *Closed) DiffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
 	// Restrict the scan to the closed sets containing the pattern's rarest
 	// item; for the empty pattern every closed set qualifies.
 	all := c.r.Schema().All()
@@ -370,12 +306,7 @@ func (c *Closed) diffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
 			scan(id)
 		}
 	}
-	d := out.sets()
-
-	c.mu.Lock()
-	c.cache[key] = d
-	c.mu.Unlock()
-	return d
+	return out.sets()
 }
 
 // distinctSets collects attribute sets and keeps only the distinct ones: when
@@ -408,7 +339,7 @@ func (s *distinctSets) compact() {
 }
 
 // sets returns the distinct sets in ascending order, copied out at their
-// exact size: the result is cached for the run.
+// exact size: the result is kept for the run.
 func (s *distinctSets) sets() []core.AttrSet {
 	s.compact()
 	return slices.Clone(s.buf)

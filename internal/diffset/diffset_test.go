@@ -3,6 +3,7 @@ package diffset
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -11,6 +12,22 @@ import (
 	"repro/internal/core"
 	"repro/internal/fixture"
 )
+
+// newClosed builds the closed-set backend over r on one worker.
+func newClosed(t testing.TB, r *core.Relation) *Closed {
+	t.Helper()
+	c, err := NewClosed(context.Background(), r, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// minimal returns D^m_rhs(r_tp) from comp, the query each FindCover search
+// makes of its table.
+func minimal(comp Computer, attrs core.AttrSet, tp core.Pattern, rhs int) []core.AttrSet {
+	return Restrict(comp.DiffSets(attrs, tp), rhs)
+}
 
 func pattern(t *testing.T, r *core.Relation, pairs ...string) (core.AttrSet, core.Pattern) {
 	t.Helper()
@@ -112,30 +129,30 @@ func TestPaperExample9(t *testing.T) {
 	if !ok {
 		t.Fatal("missing STR")
 	}
-	for name, comp := range map[string]Computer{"naive": NewNaive(r), "closed": NewClosed(r)} {
+	for name, comp := range map[string]Computer{"naive": NewNaive(r), "closed": newClosed(t, r)} {
 		// (B) D^m_STR(r_{CC=01}) = {{PN}, {AC,CT}}.
 		attrs, tp := pattern(t, r, "CC", "01")
-		got := comp.MinimalDiffSets(attrs, tp, str)
+		got := minimal(comp, attrs, tp, str)
 		want := []core.AttrSet{attrSetOf(t, r, "PN"), attrSetOf(t, r, "AC", "CT")}
 		if !sameSets(got, want) {
 			t.Errorf("%s: DmSTR(r_CC=01) = %v, want %v", name, got, want)
 		}
 		// (C) D^m_STR(r_{CC=44}) = {{AC,CT,ZIP}}.
 		attrs, tp = pattern(t, r, "CC", "44")
-		got = comp.MinimalDiffSets(attrs, tp, str)
+		got = minimal(comp, attrs, tp, str)
 		want = []core.AttrSet{attrSetOf(t, r, "AC", "CT", "ZIP")}
 		if !sameSets(got, want) {
 			t.Errorf("%s: DmSTR(r_CC=44) = %v, want %v", name, got, want)
 		}
 		// (D) D^m_STR(r_{CC=01,AC=908}) = {{PN}}.
 		attrs, tp = pattern(t, r, "CC", "01", "AC", "908")
-		got = comp.MinimalDiffSets(attrs, tp, str)
+		got = minimal(comp, attrs, tp, str)
 		want = []core.AttrSet{attrSetOf(t, r, "PN")}
 		if !sameSets(got, want) {
 			t.Errorf("%s: DmSTR(r_CC=01,AC=908) = %v, want %v", name, got, want)
 		}
 		// (C) [PN] belongs to D^m_STR(r) for the empty pattern.
-		got = comp.MinimalDiffSets(core.EmptyAttrSet, core.NewPattern(r.Arity()), str)
+		got = minimal(comp, core.EmptyAttrSet, core.NewPattern(r.Arity()), str)
 		foundPN := false
 		for _, d := range got {
 			if d == attrSetOf(t, r, "PN") {
@@ -165,7 +182,7 @@ func backendFixtures() []*core.Relation {
 func TestBackendsAgree(t *testing.T) {
 	for ri, r := range backendFixtures() {
 		naive := NewNaive(r)
-		closed := NewClosed(r)
+		closed := newClosed(t, r)
 		// Patterns: the empty pattern, every frequent single item, and every
 		// two of those on different attributes.
 		type pat struct {
@@ -202,8 +219,8 @@ func TestBackendsAgree(t *testing.T) {
 				if p.attrs.Has(rhs) {
 					continue
 				}
-				a := naive.MinimalDiffSets(p.attrs, p.tp, rhs)
-				b := closed.MinimalDiffSets(p.attrs, p.tp, rhs)
+				a := minimal(naive, p.attrs, p.tp, rhs)
+				b := minimal(closed, p.attrs, p.tp, rhs)
 				if !sameSets(a, b) {
 					t.Errorf("relation %d, pattern %s, rhs %s: naive %v vs closed %v",
 						ri, p.tp.Format(r, p.attrs), r.Schema().Name(rhs), a, b)
@@ -219,8 +236,8 @@ func TestDiffSetsSingleTuplePattern(t *testing.T) {
 	r := fixture.Cust()
 	str, _ := r.Schema().Index("STR")
 	attrs, tp := pattern(t, r, "AC", "212")
-	for name, comp := range map[string]Computer{"naive": NewNaive(r), "closed": NewClosed(r)} {
-		if got := comp.MinimalDiffSets(attrs, tp, str); len(got) != 0 {
+	for name, comp := range map[string]Computer{"naive": NewNaive(r), "closed": newClosed(t, r)} {
+		if got := minimal(comp, attrs, tp, str); len(got) != 0 {
 			t.Errorf("%s: single-tuple pattern should have no difference sets, got %v", name, got)
 		}
 	}
@@ -232,11 +249,11 @@ func TestDiffSetsSingleTuplePattern(t *testing.T) {
 func TestDiffSetsSemantics(t *testing.T) {
 	r := fixture.CustNoNM()
 	all := r.Schema().All()
-	comp := NewClosed(r)
+	comp := newClosed(t, r)
 	// Pattern (CC=01); RHS STR.
 	attrs, tp := pattern(t, r, "CC", "01")
 	str, _ := r.Schema().Index("STR")
-	diffs := comp.MinimalDiffSets(attrs, tp, str)
+	diffs := minimal(comp, attrs, tp, str)
 	rest := all.Diff(attrs).Remove(str)
 	rest.Subsets(func(Y core.AttrSet) bool {
 		cfd := core.CFD{LHS: attrs.Union(Y), RHS: str, Tp: tp.Clone()}
@@ -249,39 +266,32 @@ func TestDiffSetsSemantics(t *testing.T) {
 	})
 }
 
-// TestClosedPrepare covers the three ways the closed-set backend gets its
-// closed sets: an up-front parallel Prepare, the sequential lazy one of the
-// first query, and a Prepare after a cancelled one — which must leave the
-// computer unprepared rather than half-built. All must answer like the naive
-// backend, and index every item's closed sets, in search order, in that
-// item's window.
+// TestClosedPrepare covers how the closed-set backend gets its closed sets:
+// NewClosed mines them up front, under a context a cancelled one of which
+// returns context.Canceled and no computer. Built on one worker and on four,
+// it must answer like the naive backend, and index every item's closed sets,
+// in search order, in that item's window.
 func TestClosedPrepare(t *testing.T) {
 	r := fixture.RandomCorrelated(5, 120, 5, 5)
 	naive := NewNaive(r)
 	empty := core.NewPattern(r.Arity())
 
-	upFront := NewClosed(r)
-	if err := upFront.Prepare(context.Background(), 4); err != nil {
-		t.Fatal(err)
-	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	retried := NewClosed(r)
-	if err := retried.Prepare(cancelled, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Prepare under a cancelled context: err = %v, want context.Canceled", err)
+	if c, err := NewClosed(cancelled, r, 2); !errors.Is(err, context.Canceled) || c != nil {
+		t.Fatalf("NewClosed under a cancelled context: %v, %v; want nil, context.Canceled", c, err)
 	}
-	if retried.ready.Load() {
-		t.Fatal("a cancelled Prepare left the computer marked ready")
-	}
-	for name, comp := range map[string]*Closed{"up front": upFront, "lazy": NewClosed(r), "after a cancelled Prepare": retried} {
+	for _, workers := range []int{1, 4} {
+		comp, err := NewClosed(context.Background(), r, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("workers=%d", workers)
 		for rhs := 0; rhs < r.Arity(); rhs++ {
-			want := naive.MinimalDiffSets(core.EmptyAttrSet, empty, rhs)
-			if got := comp.MinimalDiffSets(core.EmptyAttrSet, empty, rhs); !sameSets(got, want) {
+			want := minimal(naive, core.EmptyAttrSet, empty, rhs)
+			if got := minimal(comp, core.EmptyAttrSet, empty, rhs); !sameSets(got, want) {
 				t.Errorf("%s, rhs %s: %v, want %v", name, r.Schema().Name(rhs), got, want)
 			}
-		}
-		if err := comp.Prepare(cancelled, 1); err != nil {
-			t.Errorf("%s: Prepare on a prepared computer: %v, want nil", name, err)
 		}
 		holding := make(map[[2]int32][]int32)
 		for id := range comp.closed.All() {

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/diffset"
 	"repro/internal/fixture"
+	"repro/internal/itemset"
 )
 
 // TestMineContextPreCancelled asserts a cancelled context aborts FastCFD and
@@ -67,4 +69,59 @@ func TestMineContextCancelledMidPrelude(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutines before the cancelled runs, %d after", before, after)
 	}
+}
+
+// cancellingComputer cancels its run's context from inside its at-th
+// DiffSets call.
+type cancellingComputer struct {
+	diffset.Computer
+	calls  atomic.Int64
+	at     int64
+	cancel context.CancelFunc
+}
+
+func (c *cancellingComputer) DiffSets(attrs core.AttrSet, tp core.Pattern) []core.AttrSet {
+	if c.calls.Add(1) == c.at {
+		c.cancel()
+	}
+	return c.Computer.DiffSets(attrs, tp)
+}
+
+// TestMineContextCancelledInTable cancels a run while it builds its
+// difference-set table and asserts it returns ctx.Err() with nothing emitted,
+// after at most one more pattern per other worker: the table observes ctx
+// once per free set.
+func TestMineContextCancelledInTable(t *testing.T) {
+	r := fixture.Random(7, 300, []int{3, 4, 6, 2, 5, 8})
+	const at = 10
+	for _, workers := range []int{1, 2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		comp := &cancellingComputer{Computer: diffset.NewNaive(r), at: at, cancel: cancel}
+		emits := 0
+		err := MineContext(ctx, r, Options{K: 2, Computer: comp, Workers: workers}, func(core.CFD) { emits++ })
+		cancel()
+		if !errors.Is(err, context.Canceled) || emits != 0 {
+			t.Fatalf("workers=%d: got %d CFDs, err %v; want none, context.Canceled", workers, emits, err)
+		}
+		if calls, bound := comp.calls.Load(), int64(at+workers-1); calls > bound {
+			t.Errorf("workers=%d: %d patterns computed, want at most %d", workers, calls, bound)
+		}
+	}
+}
+
+// TestMinimalDiffSetsRefusesUnknownPattern: every pattern a search reads is
+// a free pattern of its run, so one missing from the table is a bug, reported
+// by name, not an empty set of difference sets.
+func TestMinimalDiffSetsRefusesUnknownPattern(t *testing.T) {
+	r := fixture.Cust()
+	f, err := newFinder(context.Background(), r, Options{K: 2}, &itemset.Mining{}, diffset.NewNaive(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if p := recover(); p == nil {
+			t.Error("a pattern missing from the table did not panic")
+		}
+	}()
+	f.minimalDiffSets(core.EmptyAttrSet, core.NewPattern(r.Arity()), 0)
 }

@@ -13,6 +13,7 @@
 package fastcfd
 
 import (
+	"cmp"
 	"context"
 
 	"repro/internal/cfdminer"
@@ -41,11 +42,11 @@ type Options struct {
 	// (discovery.WithVariableOnly, cfddiscover -variable-only).
 	VariableOnly bool
 	// Workers bounds the number of goroutines running the per-attribute
-	// FindCover searches and, before them, the closed-item-set pass of the
-	// prelude (which with more than one worker also overlaps the free-set
-	// pass). 0 selects one worker per CPU, 1 runs sequentially. The emitted
-	// sequence is identical for every worker count (results are merged in
-	// right-hand-side attribute order).
+	// FindCover searches and, before them, the difference-set table and the
+	// closed-item-set pass of the prelude (which with more than one worker
+	// also overlaps the free-set pass). 0 selects one worker per CPU, 1 runs
+	// sequentially. The emitted sequence is identical for every worker count
+	// (results are merged in right-hand-side attribute order).
 	Workers int
 }
 
@@ -54,29 +55,18 @@ type Options struct {
 // attribute's CFDs as its FindCover search completes, in attribute order.
 // Cancellation is observed inside the item-set passes of the prelude (per
 // free item set, per closed-set search node), between the free item sets of
-// the constant-CFD pass and between per-attribute FindCover searches; a
-// cancelled run returns ctx.Err(). The emitted sequence is independent of
-// Options.Workers.
+// the constant-CFD pass, once per free set of the difference-set table and
+// between per-attribute FindCover searches; a cancelled run returns
+// ctx.Err(). The emitted sequence is independent of Options.Workers.
 func MineContext(ctx context.Context, r *core.Relation, opts Options, emit func(core.CFD)) error {
 	k := max(opts.K, 1)
 	if r.Size() < k {
 		// No CFD can reach the support threshold.
 		return ctx.Err()
 	}
-	comp := opts.Computer
-	if comp == nil {
-		comp = diffset.NewClosed(r)
-	}
-	mining, err := minePrelude(ctx, r, k, comp, opts.Workers)
+	mining, comp, err := minePrelude(ctx, r, k, opts.Computer, opts.Workers)
 	if err != nil {
 		return err
-	}
-	f := &finder{
-		r:      r,
-		k:      k,
-		comp:   comp,
-		opts:   opts,
-		mining: mining,
 	}
 	if opts.UseCFDMiner && !opts.VariableOnly {
 		var constants []core.CFD
@@ -90,6 +80,10 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options, emit func(
 			emit(c)
 		}
 	}
+	f, err := newFinder(ctx, r, opts, mining, comp)
+	if err != nil {
+		return err
+	}
 	// Constant and variable CFDs never coincide and no two free sets (or
 	// attributes) derive the same rule, so the sequence needs no global
 	// deduplication.
@@ -102,43 +96,73 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options, emit func(
 		})
 }
 
-// minePrelude runs the two passes every per-attribute search reads: the
-// k-frequent free item sets and, for the closed-item-set backend, the
-// 2-frequent closed item sets its difference sets come from (§5.5). The two
-// are independent, so with more than one worker they run side by side — the
-// closed-set pass itself fanned out over the workers — instead of the second
-// being the first query's side effect inside the per-attribute pool. Both
-// observe ctx; the prelude returns only after both have stopped.
-func minePrelude(ctx context.Context, r *core.Relation, k int, comp diffset.Computer, workers int) (*itemset.Mining, error) {
-	closed, ok := comp.(*diffset.Closed)
-	if !ok {
-		return itemset.MineContext(ctx, r, k)
-	}
-	if pool.Normalize(workers) == 1 {
-		if err := closed.Prepare(ctx, 1); err != nil {
-			return nil, err
+// minePrelude runs the k-frequent free item set pass every per-attribute
+// search reads and, when comp is nil, builds the closed-item-set backend
+// from the 2-frequent closed item sets (§5.5). The two passes are
+// independent, so with more than one worker they run side by side — the
+// closed-set pass itself fanned out over the workers. Both observe ctx; the
+// prelude returns only after both have stopped.
+func minePrelude(ctx context.Context, r *core.Relation, k int, comp diffset.Computer, workers int) (*itemset.Mining, diffset.Computer, error) {
+	var mining *itemset.Mining
+	var errs [2]error
+	err := pool.Each(ctx, workers, 2, func(_, i int) {
+		switch {
+		case i == 1:
+			mining, errs[1] = itemset.MineContext(ctx, r, k)
+		case comp == nil:
+			comp, errs[0] = diffset.NewClosed(ctx, r, workers)
 		}
-		return itemset.MineContext(ctx, r, k)
+	})
+	if err = cmp.Or(err, errs[0], errs[1]); err != nil {
+		return nil, nil, err
 	}
-	prepared := make(chan error, 1)
-	go func() { prepared <- closed.Prepare(ctx, workers) }()
-	mining, err := itemset.MineContext(ctx, r, k)
-	if prepErr := <-prepared; err == nil {
-		err = prepErr
+	return mining, comp, nil
+}
+
+// finder holds the read-only state every FindCover search of one FastCFD
+// run shares.
+type finder struct {
+	r    *core.Relation
+	opts Options
+	// free lists the free patterns (X, tp) the searches visit: those with
+	// |X| < arity, and |X| ≤ MaxLHS when that is set, ascending by size.
+	free []*itemset.FreeSet
+	// diffs holds D(r_tp) for every pattern of free, by its key. Check (b2)
+	// reads the immediate sub-patterns' entries too: a sub-pattern of a
+	// k-frequent free set is a smaller k-frequent free set, so it is there.
+	diffs map[string][]core.AttrSet
+}
+
+// newFinder computes D(r_tp) once for every free pattern the searches visit,
+// one pool task per pattern.
+func newFinder(ctx context.Context, r *core.Relation, opts Options, mining *itemset.Mining, comp diffset.Computer) (*finder, error) {
+	f := &finder{r: r, opts: opts}
+	for _, fs := range mining.Free {
+		if fs.Attrs.Len() < r.Arity() && (opts.MaxLHS <= 0 || fs.Attrs.Len() <= opts.MaxLHS) {
+			f.free = append(f.free, fs)
+		}
 	}
+	diffs, err := pool.Map(ctx, opts.Workers, len(f.free), func(_, i int) []core.AttrSet {
+		return comp.DiffSets(f.free[i].Attrs, f.free[i].Tp)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return mining, nil
+	f.diffs = make(map[string][]core.AttrSet, len(f.free))
+	for i, fs := range f.free {
+		f.diffs[fs.Key()] = diffs[i]
+	}
+	return f, nil
 }
 
-// finder holds the shared state of one FastCFD run.
-type finder struct {
-	r      *core.Relation
-	k      int
-	comp   diffset.Computer
-	opts   Options
-	mining *itemset.Mining
+// minimalDiffSets returns D^m_rhs(r_tp) for the free pattern (attrs, tp) from
+// the table.
+func (f *finder) minimalDiffSets(attrs core.AttrSet, tp core.Pattern, rhs int) []core.AttrSet {
+	diffs, ok := f.diffs[tp.Key(attrs)]
+	if !ok {
+		panic("fastcfd: no difference sets for pattern " + tp.Format(f.r, attrs))
+	}
+	return diffset.Restrict(diffs, rhs)
 }
 
 // search is the state of one FindCover run: the right-hand side, the covers
@@ -153,8 +177,8 @@ type search struct {
 	diffs []core.AttrSet // D^m_A(r_tp)
 	// subDiffs holds D^m_A(r_{tp[X\{B}]}) for every B in X, ascending, which
 	// check (b2) of variableCFD reads for every cover found. They depend on
-	// the pattern and the right-hand side only, so they are computed when the
-	// pattern's first cover asks and kept; nil until then.
+	// the pattern and the right-hand side only, so they are restricted when
+	// the pattern's first cover asks and kept; nil until then.
 	subDiffs [][]core.AttrSet
 }
 
@@ -164,14 +188,11 @@ type search struct {
 func (f *finder) findCover(rhs int) []core.CFD {
 	s := &search{finder: f, rhs: rhs}
 	all := f.r.Schema().All()
-	for _, fs := range f.mining.Free {
+	for _, fs := range f.free {
 		if fs.Attrs.Has(rhs) {
 			continue
 		}
-		if f.opts.MaxLHS > 0 && fs.Attrs.Len() > f.opts.MaxLHS {
-			continue
-		}
-		s.fs, s.diffs, s.subDiffs = fs, f.comp.MinimalDiffSets(fs.Attrs, fs.Tp, rhs), nil
+		s.fs, s.diffs, s.subDiffs = fs, f.minimalDiffSets(fs.Attrs, fs.Tp, rhs), nil
 		if len(s.diffs) == 0 && !f.opts.UseCFDMiner && !f.opts.VariableOnly {
 			// Step 3.a: every tuple of r_tp agrees on rhs — a constant CFD
 			// candidate, unless constants are handled by CFDMiner.
@@ -245,7 +266,7 @@ func (s *search) variableCFD(y core.AttrSet) {
 	if s.subDiffs == nil {
 		s.subDiffs = make([][]core.AttrSet, 0, s.fs.Attrs.Len())
 		s.fs.Attrs.ImmediateSubsets(func(_ int, sub core.AttrSet) bool {
-			s.subDiffs = append(s.subDiffs, s.comp.MinimalDiffSets(sub, s.fs.Tp, s.rhs))
+			s.subDiffs = append(s.subDiffs, s.minimalDiffSets(sub, s.fs.Tp, s.rhs))
 			return true
 		})
 	}

@@ -16,23 +16,21 @@ import (
 
 // MineContext hands emit, in canonical order once the search is done, the
 // minimal functional dependencies of r, using the given difference-set
-// backend (the closed-item-set backend when comp is nil). Cancellation is
-// observed inside the closed-item-set pass that backend starts with and once
-// per right-hand-side attribute; a cancelled run returns ctx.Err().
+// backend (the closed-item-set backend, built under ctx, when comp is nil).
+// D(r) is computed once and restricted per right-hand-side attribute.
+// Cancellation is observed inside the closed-item-set pass and once per
+// right-hand-side attribute; a cancelled run returns ctx.Err().
 func MineContext(ctx context.Context, r *core.Relation, comp diffset.Computer, emit func(core.CFD)) error {
 	if comp == nil {
-		comp = diffset.NewClosed(r)
-	}
-	if closed, ok := comp.(*diffset.Closed); ok {
-		// Otherwise the first query below would mine the closed item sets
-		// under no context at all.
-		if err := closed.Prepare(ctx, 1); err != nil {
+		closed, err := diffset.NewClosed(ctx, r, 1)
+		if err != nil {
 			return err
 		}
+		comp = closed
 	}
 	arity := r.Arity()
 	all := r.Schema().All()
-	empty := core.NewPattern(arity)
+	diffs := comp.DiffSets(core.EmptyAttrSet, core.NewPattern(arity))
 	var out []core.CFD
 
 	for rhs := 0; rhs < arity; rhs++ {
@@ -43,8 +41,7 @@ func MineContext(ctx context.Context, r *core.Relation, comp diffset.Computer, e
 		// empty cover is the FD with an empty left-hand side; with an empty
 		// one some pair differs only on rhs, and no FD with rhs on the right
 		// holds.
-		diffs := comp.MinimalDiffSets(core.EmptyAttrSet, empty, rhs)
-		diffset.MinimalCovers(diffs, all.Remove(rhs).Attrs(), -1, func(cover core.AttrSet) {
+		diffset.MinimalCovers(diffset.Restrict(diffs, rhs), all.Remove(rhs).Attrs(), -1, func(cover core.AttrSet) {
 			out = append(out, core.CFD{LHS: cover, RHS: rhs, Tp: core.NewPattern(arity)})
 		})
 	}

@@ -18,6 +18,16 @@ func mine(t testing.TB, r *core.Relation, comp diffset.Computer) []core.CFD {
 	})
 }
 
+// closed builds the closed-item-set backend over r.
+func closed(t testing.TB, r *core.Relation) *diffset.Closed {
+	t.Helper()
+	c, err := diffset.NewClosed(context.Background(), r, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func sameCFDs(a, b []core.CFD) bool {
 	if len(a) != len(b) {
 		return false
@@ -46,7 +56,7 @@ func TestMineMatchesTANE(t *testing.T) {
 		want := fixture.Cover(t, func(emit func(core.CFD)) error {
 			return tane.MineContext(context.Background(), r, emit)
 		})
-		gotClosed := mine(t, r, diffset.NewClosed(r))
+		gotClosed := mine(t, r, closed(t, r))
 		gotNaive := mine(t, r, diffset.NewNaive(r))
 		if !sameCFDs(gotClosed, want) {
 			t.Errorf("%s: FastFD(closed) found %d FDs, TANE %d", name, len(gotClosed), len(want))
@@ -59,7 +69,7 @@ func TestMineMatchesTANE(t *testing.T) {
 
 func TestMineDefaultsToClosedBackend(t *testing.T) {
 	r := fixture.Cust()
-	if !sameCFDs(mine(t, r, nil), mine(t, r, diffset.NewClosed(r))) {
+	if !sameCFDs(mine(t, r, nil), mine(t, r, closed(t, r))) {
 		t.Error("nil backend should behave like the closed backend")
 	}
 }

@@ -125,11 +125,17 @@ func Emitted(t testing.TB, mine func(emit func(core.CFD)) error) []core.CFD {
 	return out
 }
 
-// Cover is Emitted deduplicated and in canonical order: the cover as the
-// miners' tests compare it with each other and with the brute-force oracle.
+// Cover is Emitted in canonical order: the cover as the miners' tests
+// compare it with each other and with the brute-force oracle. A miner emits
+// each rule once, so a rule emitted twice fails the test.
 func Cover(t testing.TB, mine func(emit func(core.CFD)) error) []core.CFD {
 	t.Helper()
-	out := core.DedupCFDs(Emitted(t, mine))
+	out := Emitted(t, mine)
 	core.SortCFDs(out)
+	for i := 1; i < len(out); i++ {
+		if out[i].Key() == out[i-1].Key() {
+			t.Fatalf("rule %s emitted twice", out[i].Key())
+		}
+	}
 	return out
 }

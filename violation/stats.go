@@ -1,6 +1,9 @@
 package violation
 
-import "repro/cfd"
+import (
+	"repro/cfd"
+	"repro/rules"
+)
 
 // RuleStat is the live discovery statistics of one served rule, derived in
 // O(1) from the counters its LHS set's core.GroupIndex already maintains for
@@ -31,6 +34,20 @@ type RuleStat struct {
 func (e *Engine) RuleStats() []RuleStat {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	return e.ruleStats()
+}
+
+// RuleSetStats returns RuleSet and RuleStats read under one read lock, so
+// the i-th stat is always that of the returned set's i-th rule, even when a
+// swap to another set of the same size lands during the call.
+func (e *Engine) RuleSetStats() (*rules.Set, []RuleStat) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return rules.New(e.set.CFDs(), e.set.Provenance()), e.ruleStats()
+}
+
+// ruleStats computes RuleStats; the caller holds e.mu.
+func (e *Engine) ruleStats() []RuleStat {
 	out := make([]RuleStat, len(e.rules))
 	for _, x := range e.indexes {
 		for r, i := range x.at {
