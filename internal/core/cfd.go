@@ -132,7 +132,7 @@ func Violations(r *Relation, c CFD) []int {
 	if c.IsTrivial() {
 		return nil
 	}
-	ix := NewGroupIndex([]CFD{c})
+	ix := NewGroupIndex(r, []CFD{c})
 	row := make([]int32, r.Arity())
 	attrs := c.Attrs().Attrs()
 	for t := 0; t < r.Size(); t++ {

@@ -30,17 +30,26 @@ import (
 //
 // Groups are keyed on the X codes packed into one uint64 — directly for up to
 // two attributes, via a pair-interning table for wider X — so the hot path
-// hashes a single integer. Most groups are tiny (on mined rule sets nine in
-// ten hold a single tuple), so a group of up to smallMax members is nothing
-// but a run of words in one arena shared by the whole index — a header, then
-// stride words per member — and is judged by scanning its own members. Only
-// a group that outgrows smallMax gets a heap object of its own, with per-RHS
-// value counts and, from its first delete on, an id → position map. Arena,
-// group map and pair tables hold no pointers, so the garbage collector never
-// walks them. A tuple id must fit in 32 bits, which the engine guarantees (ids
-// are dense and pinned inserts are gap-bounded). Insert must not be called
-// twice for a live id; delete (or update: delete then re-insert) the id first,
-// as every caller in this repository does.
+// hashes a single integer. Most groups are tiny: on mined rule sets nine in
+// ten hold a single tuple, and such a group is nothing but its map entry,
+// which records the member's id. Its codes are read from the relation the
+// index covers when a second member joins, when an insert needs the group's
+// state, and when a read visits it — and a single tuple can only violate a
+// constant RHS, so reads rarely ask. A group of two to smallMax members is a
+// run of words in one arena shared by the whole index — a header, then stride
+// words per member — and is judged by scanning its own members; a run left
+// with one member is demoted back to a map entry. Only a group that outgrows
+// smallMax gets a heap object of its own, with per-RHS value counts and, from
+// its first delete on, an id → position map. Arena, group map and pair
+// tables hold no pointers, so the garbage collector never walks them. A tuple
+// id must fit in 32 bits, which the engine guarantees (ids are dense and
+// pinned inserts are gap-bounded). Insert must not be called twice for a live
+// id; delete (or update: delete then re-insert) the id first, as every caller
+// in this repository does.
+//
+// The relation must hold, whenever the index is called, the row every indexed
+// tuple was inserted with — except the rows SetPending supplies. The row of
+// the tuple being inserted or deleted is the one passed in.
 //
 // Insert and Delete need exclusive access; every other method only reads, so
 // any number of them may run concurrently under a shared lock.
@@ -51,9 +60,16 @@ type GroupIndex struct {
 	arity  int   // length of the rules' pattern tuples, i.e. of a row
 	rules  []groupRule
 
-	// groups maps packed X codes to a group reference: the arena offset of a
-	// small group's run, or largeBit | position in large.
-	groups map[uint64]uint32
+	// rel holds the rows of the indexed tuples; pending, while set, overrides
+	// it for the tuples it knows (SetPending).
+	rel     *Relation
+	pending func(id int) []int32
+
+	// groups maps packed X codes to a group reference: oneBit | id for a
+	// one-member group, the arena offset of a run, or largeBit | position in
+	// large. ones, runs and larges count the groups of each kind.
+	groups             map[uint64]uint64
+	ones, runs, larges int
 	// pairs folds X tuples wider than two attributes into one key: each
 	// distinct (left, code) pair seen gets a dense id, and the fold chains pair
 	// ids left to right. The map is a function, so equal final ids imply equal
@@ -62,8 +78,8 @@ type GroupIndex struct {
 	pairs    map[uint64]uint32
 	pairKeys []uint64
 
-	// arena holds the runs of the small groups. A run of capacity class c is
-	// one header word (members | class<<8) followed by room for 1<<c members;
+	// arena holds the runs. A run of capacity class c is one header word
+	// (members | class<<8) followed by room for 2<<c members;
 	// free[c] heads the list of released runs of that class, linked through
 	// their header words. Offset 0 is never handed out: it means "no run".
 	arena []uint32
@@ -73,17 +89,20 @@ type GroupIndex struct {
 	large     []*largeGroup
 	freeLarge []uint32
 
-	// Scratch of the write path (Insert, Delete).
+	// Scratch of the write path (Insert, Delete): one holds a one-member
+	// group spelled out (see spell).
 	hit    []int
 	before []slotState
+	one    []uint32
 }
 
 const (
 	// smallMax is the number of members past which a group is promoted from an
 	// arena run, judged by scanning, to a largeGroup, judged from counts.
 	smallMax     = 8
-	smallClasses = 4 // run capacities 1, 2, 4 and 8 members
+	smallClasses = 3 // run capacities 2, 4 and 8 members
 	largeBit     = 1 << 31
+	oneBit       = 1 << 32
 )
 
 // groupRule is one rule of the index: which groups it applies to, which RHS
@@ -128,7 +147,8 @@ type slotState struct {
 }
 
 // group is a located group: its n*stride member words and, past smallMax,
-// its bookkeeping. The zero group has no members.
+// its bookkeeping. The zero group has no members; a one-member group's words
+// are spelled out in a scratch buffer.
 type group struct {
 	m  []uint32
 	lg *largeGroup
@@ -151,10 +171,12 @@ type rhsCounts struct {
 	spill    map[int32]int32
 }
 
-// NewGroupIndex returns an empty index for the given rules, which must be at
-// least one and share their LHS attribute set. Rule positions in the slice are
-// the rule numbers every other method speaks in.
-func NewGroupIndex(rules []CFD) *GroupIndex {
+// NewGroupIndex returns an empty index over the tuples of rel for the given
+// rules, which must be at least one and share their LHS attribute set. Rule
+// positions in the slice are the rule numbers every other method speaks in.
+// The index reads the codes of a one-member group's tuple from rel, so rel
+// must hold every indexed row (see the Layout section above).
+func NewGroupIndex(rel *Relation, rules []CFD) *GroupIndex {
 	if len(rules) == 0 {
 		panic("core: group index without rules")
 	}
@@ -162,7 +184,8 @@ func NewGroupIndex(rules []CFD) *GroupIndex {
 		lhs:    rules[0].LHS.Attrs(),
 		arity:  len(rules[0].Tp),
 		rules:  make([]groupRule, len(rules)),
-		groups: make(map[uint64]uint32),
+		rel:    rel,
+		groups: make(map[uint64]uint64),
 		arena:  make([]uint32, 1),
 	}
 	for i, c := range rules {
@@ -183,8 +206,19 @@ func NewGroupIndex(rules []CFD) *GroupIndex {
 	}
 	ix.stride = 1 + len(ix.rhs)
 	ix.before = make([]slotState, len(ix.rhs))
+	ix.one = make([]uint32, ix.stride)
 	return ix
 }
+
+// SetPending makes the index read the row of a tuple from rows(id) when that
+// is non-nil, and from the relation otherwise; nil, the default, reads every
+// row from the relation. It serves a writer that maintains the index before
+// it writes the relation. Like Insert and Delete it needs exclusive access.
+func (ix *GroupIndex) SetPending(rows func(id int) []int32) { ix.pending = rows }
+
+// Shape returns how many groups the index holds as a one-member map entry,
+// as an arena run of two to smallMax members, and as a large group.
+func (ix *GroupIndex) Shape() (one, run, large int) { return ix.ones, ix.runs, ix.larges }
 
 // LHS returns the attribute set the index groups on.
 func (ix *GroupIndex) LHS() AttrSet { return ix.rules[0].c.LHS }
@@ -270,14 +304,49 @@ func (ix *GroupIndex) unkey(k uint64, row []int32) {
 	}
 }
 
-// at resolves a group reference.
-func (ix *GroupIndex) at(ref uint32) group {
+// at resolves the reference of a run or a large group.
+func (ix *GroupIndex) at(ref uint64) group {
 	if ref&largeBit != 0 {
 		lg := ix.large[ref&^largeBit]
 		return group{lg.members, lg}
 	}
 	n := int(ix.arena[ref] & 0xff)
 	return group{m: ix.arena[ref+1 : int(ref)+1+n*ix.stride]}
+}
+
+// spell writes the one-member group of tuple id into buf, which has stride
+// words: the id, then its RHS codes as the relation (or SetPending) has them.
+func (ix *GroupIndex) spell(id uint32, buf []uint32) group {
+	if ix.pending != nil {
+		if row := ix.pending(int(id)); row != nil {
+			return ix.spellRow(id, row, buf)
+		}
+	}
+	buf[0] = id
+	for s, a := range ix.rhs {
+		buf[1+s] = uint32(ix.rel.Value(int(id), a))
+	}
+	return group{m: buf}
+}
+
+// spellRow writes the one-member group of tuple id with the given row into
+// buf.
+func (ix *GroupIndex) spellRow(id uint32, row []int32, buf []uint32) group {
+	buf[0] = id
+	for s, a := range ix.rhs {
+		buf[1+s] = uint32(row[a])
+	}
+	return group{m: buf}
+}
+
+// code returns a one-member group's code in one RHS slot.
+func (ix *GroupIndex) code(id uint32, slot int) int32 {
+	if ix.pending != nil {
+		if row := ix.pending(int(id)); row != nil {
+			return row[ix.rhs[slot]]
+		}
+	}
+	return ix.rel.Value(int(id), ix.rhs[slot])
 }
 
 // state summarises the group's codes in one RHS slot: a scan of a small
@@ -305,7 +374,7 @@ func (ix *GroupIndex) alloc(class uint32) uint32 {
 		ix.free[class] = ix.arena[off]
 		return off
 	}
-	off, need := len(ix.arena), 1+ix.stride<<class
+	off, need := len(ix.arena), 1+ix.stride<<(class+1)
 	if off+need > largeBit {
 		panic("core: group index arena exhausted")
 	}
@@ -320,11 +389,25 @@ func (ix *GroupIndex) release(off, class uint32) {
 }
 
 // add appends the member (id, the row's RHS codes) to the group keyed k, where
-// ref is the group's current reference or 0 when it does not exist yet: the
-// run is created, moved to the next capacity class or promoted to a largeGroup
-// as needed. It returns the group as it now stands.
-func (ix *GroupIndex) add(k uint64, ref uint32, id int, row []int32) group {
-	if ref&largeBit != 0 {
+// ref is the group's current reference, 0 when it does not exist yet, and g
+// the group it resolves to: a one-member group becomes a run of two, a run
+// moves to the next capacity class or is promoted to a largeGroup as needed.
+// It returns the group as it now stands.
+func (ix *GroupIndex) add(k, ref uint64, g group, id int, row []int32) group {
+	switch {
+	case ref == 0:
+		ix.groups[k] = oneBit | uint64(uint32(id))
+		ix.ones++
+		return ix.spellRow(uint32(id), row, ix.one)
+	case ref&oneBit != 0:
+		off := ix.alloc(0)
+		copy(ix.arena[off+1:], g.m)
+		ix.arena[off] = 1 // one member, class 0: the newcomer is appended below
+		ref = uint64(off)
+		ix.groups[k] = ref
+		ix.ones--
+		ix.runs++
+	case ref&largeBit != 0:
 		lg := ix.large[ref&^largeBit]
 		if lg.idpos != nil {
 			lg.idpos[uint32(id)] = int32(len(lg.members) / ix.stride)
@@ -336,16 +419,10 @@ func (ix *GroupIndex) add(k uint64, ref uint32, id int, row []int32) group {
 		}
 		return group{lg.members, lg}
 	}
-	var n, class uint32
-	if ref == 0 {
-		ref = ix.alloc(0)
-		ix.groups[k] = ref
-	} else {
-		n, class = ix.arena[ref]&0xff, ix.arena[ref]>>8
-	}
-	if n == 1<<class { // the run is full
+	n, class := ix.arena[ref]&0xff, ix.arena[ref]>>8
+	if n == 2<<class { // the run is full
 		if n == smallMax {
-			old := ix.arena[ref+1 : ref+1+n*uint32(ix.stride)]
+			old := ix.arena[ref+1 : ref+1+uint64(n)*uint64(ix.stride)]
 			lg := &largeGroup{
 				members: append(make([]uint32, 0, 2*len(old)), old...),
 				counts:  make([]rhsCounts, len(ix.rhs)),
@@ -355,25 +432,28 @@ func (ix *GroupIndex) add(k uint64, ref uint32, id int, row []int32) group {
 					lg.counts[s].incr(int32(old[i+1+s]))
 				}
 			}
-			ix.release(ref, class)
+			ix.release(uint32(ref), class)
+			var pos uint32
 			if f := len(ix.freeLarge); f > 0 {
-				ref, ix.freeLarge = ix.freeLarge[f-1], ix.freeLarge[:f-1]
-				ix.large[ref] = lg
+				pos, ix.freeLarge = ix.freeLarge[f-1], ix.freeLarge[:f-1]
+				ix.large[pos] = lg
 			} else {
-				ref = uint32(len(ix.large))
+				pos = uint32(len(ix.large))
 				ix.large = append(ix.large, lg)
 			}
-			ref |= largeBit
+			ref = uint64(pos | largeBit)
 			ix.groups[k] = ref
-			return ix.add(k, ref, id, row)
+			ix.runs--
+			ix.larges++
+			return ix.add(k, ref, group{}, id, row)
 		}
 		grown := ix.alloc(class + 1) // may move the arena: slice it afresh below
-		copy(ix.arena[grown+1:], ix.arena[ref+1:ref+1+n*uint32(ix.stride)])
-		ix.release(ref, class)
-		ref, class = grown, class+1
+		copy(ix.arena[grown+1:], ix.arena[ref+1:ref+1+uint64(n)*uint64(ix.stride)])
+		ix.release(uint32(ref), class)
+		ref, class = uint64(grown), class+1
 		ix.groups[k] = ref
 	}
-	at := ref + 1 + n*uint32(ix.stride)
+	at := ref + 1 + uint64(n)*uint64(ix.stride)
 	ix.arena[at] = uint32(id)
 	for s, a := range ix.rhs {
 		ix.arena[int(at)+1+s] = uint32(row[a])
@@ -406,11 +486,18 @@ func (ix *GroupIndex) locate(g group, id int) int {
 	return -1
 }
 
-// remove swap-removes the member at position pos of the group keyed k and
-// returns what is left of the group. A group left empty is dropped: its run or
-// its large position goes back on the free list and its key leaves the map.
-func (ix *GroupIndex) remove(k uint64, ref uint32, pos int) group {
-	g := ix.at(ref)
+// remove swap-removes the member at position pos of the group keyed k, which
+// ref references and g resolves to, and returns what is left of the group. A
+// group left empty is dropped: its large position goes back on the free list
+// and its key leaves the map. A run left with one member is demoted to a map
+// entry and its run released; the returned words then alias the released run,
+// valid until the next allocation.
+func (ix *GroupIndex) remove(k, ref uint64, g group, pos int) group {
+	if ref&oneBit != 0 {
+		delete(ix.groups, k)
+		ix.ones--
+		return group{}
+	}
 	at, last := pos*ix.stride, len(g.m)-ix.stride
 	if lg := g.lg; lg != nil {
 		for s := range ix.rhs {
@@ -428,13 +515,16 @@ func (ix *GroupIndex) remove(k uint64, ref uint32, pos int) group {
 		g.lg.members = g.m
 	case g.lg != nil:
 		ix.large[ref&^largeBit] = nil
-		ix.freeLarge = append(ix.freeLarge, ref&^largeBit)
+		ix.freeLarge = append(ix.freeLarge, uint32(ref&^largeBit))
 		delete(ix.groups, k)
-	case last > 0:
+		ix.larges--
+	case last > ix.stride:
 		ix.arena[ref]--
 	default:
-		ix.release(ref, ix.arena[ref]>>8)
-		delete(ix.groups, k)
+		ix.release(uint32(ref), ix.arena[ref]>>8)
+		ix.groups[k] = oneBit | uint64(g.m[0])
+		ix.runs--
+		ix.ones++
 	}
 	return g
 }
@@ -469,14 +559,17 @@ func (ix *GroupIndex) Insert(id int, row []int32, observe func(rule, id int, vio
 	k := ix.key(row)
 	ref := ix.groups[k]
 	var g group
-	if ref != 0 {
+	switch {
+	case ref&oneBit != 0:
+		g = ix.spell(uint32(ref), ix.one)
+	case ref != 0:
 		g = ix.at(ref)
 	}
 	n := len(g.m) / ix.stride
 	for s := range ix.rhs {
 		ix.before[s] = ix.state(g, s)
 	}
-	g = ix.add(k, ref, id, row)
+	g = ix.add(k, ref, g, id, row)
 	for _, r := range hit {
 		rule := &ix.rules[r]
 		rule.tuples++
@@ -520,11 +613,17 @@ func (ix *GroupIndex) Delete(id int, row []int32, observe func(rule, id int, vio
 		return
 	}
 	ref := ix.groups[k]
-	if ref == 0 {
-		return
+	var g group
+	pos := -1
+	switch {
+	case ref&oneBit != 0:
+		if uint32(ref) == uint32(id) {
+			g, pos = ix.spellRow(uint32(id), row, ix.one), 0
+		}
+	case ref != 0:
+		g = ix.at(ref)
+		pos = ix.locate(g, id)
 	}
-	g := ix.at(ref)
-	pos := ix.locate(g, id)
 	if pos < 0 {
 		return
 	}
@@ -532,7 +631,7 @@ func (ix *GroupIndex) Delete(id int, row []int32, observe func(rule, id int, vio
 	for s := range ix.rhs {
 		ix.before[s] = ix.state(g, s)
 	}
-	g = ix.remove(k, ref, pos)
+	g = ix.remove(k, ref, g, pos)
 	for _, r := range hit {
 		rule := &ix.rules[r]
 		rule.tuples--
@@ -570,10 +669,21 @@ func (ix *GroupIndex) Violated(row []int32, visit func(rule int)) {
 	if ref == 0 {
 		return
 	}
-	g := ix.at(ref)
+	one := ref&oneBit != 0 // then the group is the tuple itself
+	var g group
+	if !one {
+		g = ix.at(ref)
+	}
 	for r := range ix.rules {
 		rule := &ix.rules[r]
-		if rule.bad > 0 && rule.matches(row) && rule.violatedBy(ix.state(g, rule.slot)) {
+		if rule.bad == 0 || !rule.matches(row) {
+			continue
+		}
+		st := slotState{true, row[rule.c.RHS]}
+		if !one {
+			st = ix.state(g, rule.slot)
+		}
+		if rule.violatedBy(st) {
 			visit(r)
 		}
 	}
@@ -594,11 +704,15 @@ func (ix *GroupIndex) walk(active []int, visit func(r int, g group)) {
 	}
 	row := make([]int32, ix.arity)
 	states := make([]slotState, len(ix.rhs))
+	one := make([]uint32, ix.stride)
 	for k, ref := range ix.groups {
-		g := ix.at(ref)
-		if len(g.m) == ix.stride && !constRHS {
+		if ref&oneBit != 0 {
+			if constRHS {
+				ix.walkOne(k, uint32(ref), active, constLHS, row, one, visit)
+			}
 			continue
 		}
+		g := ix.at(ref)
 		if constLHS {
 			ix.unkey(k, row)
 		}
@@ -610,6 +724,26 @@ func (ix *GroupIndex) walk(active []int, visit func(r int, g group)) {
 				visit(r, g)
 			}
 		}
+	}
+}
+
+// walkOne is walk on the one-member group of tuple id keyed k: only a
+// constant RHS can flag it, so it reads the member's code on the slots of
+// those rules alone, and spells the group out in buf only to visit it.
+func (ix *GroupIndex) walkOne(k uint64, id uint32, active []int, constLHS bool, row []int32, buf []uint32, visit func(r int, g group)) {
+	if constLHS {
+		ix.unkey(k, row)
+	}
+	var g group
+	for _, r := range active {
+		rule := &ix.rules[r]
+		if rule.want == Wildcard || !rule.matches(row) || ix.code(id, rule.slot) == rule.want {
+			continue
+		}
+		if g.m == nil {
+			g = ix.spell(id, buf)
+		}
+		visit(r, g)
 	}
 }
 

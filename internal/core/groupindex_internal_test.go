@@ -1,23 +1,48 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// PutRow writes row into slot id of rel, growing it with holes as needed: the
+// tests keep a relation holding every row they index, as GroupIndex requires.
+func PutRow(rel *Relation, id int, row []int32) {
+	if n := id + 1 - rel.Size(); n > 0 {
+		rel.Grow(n)
+	}
+	rel.Set(id, row)
+}
+
+// testRelation returns an empty relation of the given arity.
+func testRelation(arity int) *Relation {
+	names := make([]string, arity)
+	for a := range names {
+		names[a] = fmt.Sprint("A", a)
+	}
+	return NewRelation(MustSchema(names...))
+}
 
 // TestGroupIndexReusesSlots: a group that empties gives its arena run — and,
 // once promoted, its large position — back, so filling and emptying the same
 // groups over and over leaves the index the size one round made it.
 func TestGroupIndexReusesSlots(t *testing.T) {
-	ix := NewGroupIndex([]CFD{{LHS: NewAttrSet(0), RHS: 1, Tp: NewPattern(2)}})
+	rel := testRelation(2)
+	ix := NewGroupIndex(rel, []CFD{{LHS: NewAttrSet(0), RHS: 1, Tp: NewPattern(2)}})
 	round := func() {
 		rows := make(map[int][]int32)
 		for g := 0; g < 5; g++ {
 			for i := 0; i < 4+3*g; i++ { // 4 to 16 members: both sides of smallMax
 				id := 100*g + i
 				rows[id] = []int32{int32(g), int32(i % 3)}
+				PutRow(rel, id, rows[id])
 				ix.Insert(id, rows[id], nil)
 			}
 		}
 		for id, row := range rows {
 			ix.Delete(id, row, nil)
+			rel.Clear(id)
 		}
 	}
 	round()
@@ -35,4 +60,120 @@ func TestGroupIndexReusesSlots(t *testing.T) {
 	if ix.Tuples(0) != 0 || ix.Groups(0) != 0 || ix.BadTuples(0) != 0 {
 		t.Fatalf("counters of an empty index: %d tuples, %d groups, %d bad", ix.Tuples(0), ix.Groups(0), ix.BadTuples(0))
 	}
+	if one, run, lg := ix.Shape(); one != 0 || run != 0 || lg != 0 {
+		t.Fatalf("Shape of an empty index = %d, %d, %d", one, run, lg)
+	}
+}
+
+// TestGroupIndexOneMemberGroupsTakeNoArena: tuples with distinct X values
+// are one-member groups, which live in the group map alone, so the arena
+// stays at its one-word sentinel however many there are.
+func TestGroupIndexOneMemberGroupsTakeNoArena(t *testing.T) {
+	rel := testRelation(3)
+	ix := NewGroupIndex(rel, []CFD{
+		{LHS: NewAttrSet(0), RHS: 1, Tp: NewPattern(3)},
+		{LHS: NewAttrSet(0), RHS: 2, Tp: Pattern{Wildcard, Wildcard, 0}},
+	})
+	const n = 1000
+	for id := 0; id < n; id++ {
+		row := []int32{int32(id), int32(id % 7), int32(id % 2)}
+		PutRow(rel, id, row)
+		ix.Insert(id, row, nil)
+	}
+	if len(ix.arena) != 1 || len(ix.large) != 0 {
+		t.Fatalf("%d one-member groups: arena %d words, %d large groups; want 1 and 0", n, len(ix.arena), len(ix.large))
+	}
+	if one, run, lg := ix.Shape(); one != n || run != 0 || lg != 0 {
+		t.Fatalf("Shape = %d, %d, %d; want %d, 0, 0", one, run, lg, n)
+	}
+	// The constant-RHS rule still sees its violators: the odd ids miss 0.
+	if bad := ix.Violating(nil)[1]; len(bad) != n/2 || bad[0] != 1 {
+		t.Fatalf("Violating under the constant rule: %d tuples from %v, want the %d odd ids", len(bad), bad[:min(3, len(bad))], n/2)
+	}
+}
+
+// TestGroupIndexRunReturnsToFreeList walks one group through 1 → 2 → 1 → 0
+// members: the second member takes a run of the smallest class, the delete
+// that leaves one member gives it back to that class's free list, and the
+// next group to reach two members takes the same run again.
+func TestGroupIndexRunReturnsToFreeList(t *testing.T) {
+	rel := testRelation(2)
+	ix := NewGroupIndex(rel, []CFD{{LHS: NewAttrSet(0), RHS: 1, Tp: NewPattern(2)}})
+	rows := [][]int32{{0, 0}, {0, 1}, {1, 0}, {1, 0}}
+	for id, row := range rows {
+		PutRow(rel, id, row)
+	}
+	shape := func(step string, one, run int) {
+		t.Helper()
+		if o, r, l := ix.Shape(); o != one || r != run || l != 0 {
+			t.Fatalf("%s: Shape = %d, %d, %d; want %d, %d, 0", step, o, r, l, one, run)
+		}
+	}
+	ix.Insert(0, rows[0], nil)
+	shape("one member", 1, 0)
+	ix.Insert(1, rows[1], nil)
+	shape("two members", 0, 1)
+	if ix.BadTuples(0) != 2 {
+		t.Fatalf("two members disagreeing: %d bad, want 2", ix.BadTuples(0))
+	}
+	words := len(ix.arena)
+	ix.Delete(0, rows[0], nil)
+	shape("back to one", 1, 0)
+	if ix.free[0] == 0 {
+		t.Fatal("the demoted group's run is not on the free list")
+	}
+	if ix.BadTuples(0) != 0 || len(violatedRules(ix, rows[1])) != 0 {
+		t.Fatalf("the survivor agrees with itself: %d bad", ix.BadTuples(0))
+	}
+	ix.Delete(1, rows[1], nil)
+	shape("empty", 0, 0)
+	if len(ix.groups) != 0 {
+		t.Fatalf("%d groups left", len(ix.groups))
+	}
+	ix.Insert(2, rows[2], nil)
+	ix.Insert(3, rows[3], nil)
+	shape("another pair", 0, 1)
+	if len(ix.arena) != words || ix.free[0] != 0 {
+		t.Fatalf("arena %d words, free run %d; want the released run reused at %d words", len(ix.arena), ix.free[0], words)
+	}
+}
+
+// TestGroupIndexReadsPendingRows: for a writer that writes the relation only
+// after maintaining the index, SetPending supplies the rows the relation does
+// not hold yet — read for the group's state on insert and by a walk alike.
+func TestGroupIndexReadsPendingRows(t *testing.T) {
+	rel := testRelation(2)
+	ix := NewGroupIndex(rel, []CFD{
+		{LHS: NewAttrSet(0), RHS: 1, Tp: NewPattern(2)},
+		{LHS: NewAttrSet(0), RHS: 1, Tp: Pattern{Wildcard, 5}},
+	})
+	stale, fresh := []int32{0, 5}, []int32{0, 7}
+	PutRow(rel, 0, stale) // tuple 0's row before the pending write
+	ix.SetPending(func(id int) []int32 {
+		if id == 0 {
+			return fresh
+		}
+		return nil
+	})
+	ix.Insert(0, fresh, nil)
+	if got := ix.Violating(nil)[1]; !slices.Equal(got, []int{0}) {
+		t.Fatalf("Violating under the constant rule = %v, want [0]: the walk must read the pending row", got)
+	}
+	ix.Insert(1, []int32{0, 7}, nil)
+	if ix.BadTuples(0) != 0 || ix.BadTuples(1) != 2 {
+		t.Fatalf("bad tuples %d and %d, want 0 and 2: the join must read the pending row", ix.BadTuples(0), ix.BadTuples(1))
+	}
+	ix.SetPending(nil)
+	PutRow(rel, 0, fresh)
+	PutRow(rel, 1, []int32{0, 7})
+	ix.Delete(1, []int32{0, 7}, nil)
+	if got := ix.Violating(nil)[1]; !slices.Equal(got, []int{0}) || ix.BadTuples(1) != 1 {
+		t.Fatalf("after the write and a delete: Violating = %v, %d bad; want [0], 1", got, ix.BadTuples(1))
+	}
+}
+
+func violatedRules(ix *GroupIndex, row []int32) []int {
+	var out []int
+	ix.Violated(row, func(r int) { out = append(out, r) })
+	return out
 }

@@ -85,6 +85,7 @@ type sharedHarness struct {
 	t     testing.TB
 	rules [2][]core.CFD
 	ix    [2]*core.GroupIndex
+	rel   *core.Relation // holds the live rows, as the indexes require
 	rows  map[int][]int32
 	live  []int // ids in insertion order
 	next  int
@@ -95,8 +96,9 @@ type sharedHarness struct {
 
 func newSharedHarness(t testing.TB) *sharedHarness {
 	h := &sharedHarness{t: t, rules: sharedRules(), rows: make(map[int][]int32)}
+	h.rel = core.NewRelation(core.MustSchema("A", "B", "C", "D", "E"))
 	for x, rs := range h.rules {
-		h.ix[x] = core.NewGroupIndex(rs)
+		h.ix[x] = core.NewGroupIndex(h.rel, rs)
 		h.violating[x] = make([][]int, len(rs))
 	}
 	// Value order is the reverse of code order, as in the spill test.
@@ -127,6 +129,7 @@ func (h *sharedHarness) insert(row []int32, step string) {
 	id := h.next
 	h.next++
 	h.rows[id] = row
+	core.PutRow(h.rel, id, row)
 	h.live = append(h.live, id)
 	h.apply(step, func(ix *core.GroupIndex, observe func(r, id int, violating bool)) { ix.Insert(id, row, observe) })
 }
@@ -137,6 +140,7 @@ func (h *sharedHarness) remove(i int, step string) {
 	row := h.rows[id]
 	delete(h.rows, id)
 	h.apply(step, func(ix *core.GroupIndex, observe func(r, id int, violating bool)) { ix.Delete(id, row, observe) })
+	h.rel.Clear(id)
 }
 
 func (h *sharedHarness) apply(step string, op func(ix *core.GroupIndex, observe func(r, id int, violating bool))) {
@@ -282,7 +286,7 @@ func TestGroupIndexRejectsMixedLHS(t *testing.T) {
 					t.Fatalf("NewGroupIndex(%v) must panic", bad)
 				}
 			}()
-			core.NewGroupIndex(bad)
+			core.NewGroupIndex(nil, bad)
 		}()
 	}
 }

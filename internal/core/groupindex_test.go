@@ -146,7 +146,7 @@ func TestRuleIndexSupportCounters(t *testing.T) {
 			}
 			return k
 		}
-		ix := core.NewGroupIndex([]core.CFD{c})
+		ix := core.NewGroupIndex(r, []core.CFD{c})
 		rows := make([][]int32, r.Size())
 		live := make(map[int]bool)
 		check := func(step string) {
@@ -190,7 +190,7 @@ func TestRuleIndexIncrementalDelete(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		r := fixture.Random(int64(100+trial), 30, []int{2, 2, 3, 2})
 		c := randomVindexCFD(rng, r)
-		ix := core.NewGroupIndex([]core.CFD{c})
+		ix := core.NewGroupIndex(r, []core.CFD{c})
 		rows := make([][]int32, r.Size())
 		for t0 := 0; t0 < r.Size(); t0++ {
 			rows[t0] = r.CodedRow(t0)
@@ -204,7 +204,7 @@ func TestRuleIndexIncrementalDelete(t *testing.T) {
 				deleted[t0] = true
 			}
 		}
-		ref := core.NewGroupIndex([]core.CFD{c})
+		ref := core.NewGroupIndex(r, []core.CFD{c})
 		for t0 := 0; t0 < r.Size(); t0++ {
 			if !deleted[t0] {
 				ref.Insert(t0, rows[t0], nil)
@@ -341,18 +341,21 @@ func repairsSpill(t *testing.T, promoted bool) {
 	}
 	// A -> B over (A, B): every row is in the one group A = 0.
 	c := core.CFD{LHS: core.EmptyAttrSet.Add(0), RHS: 1, Tp: core.NewPattern(2)}
-	ix := core.NewGroupIndex([]core.CFD{c})
+	rel := core.NewRelation(core.MustSchema("A", "B"))
+	ix := core.NewGroupIndex(rel, []core.CFD{c})
 	rows := make(map[int][]int32)
 	next := 0
 	insert := func(code int32) int {
 		id := next
 		next++
 		rows[id] = []int32{0, code}
+		core.PutRow(rel, id, rows[id])
 		ix.Insert(id, rows[id], nil)
 		return id
 	}
 	remove := func(id int) {
 		ix.Delete(id, rows[id], nil)
+		rel.Clear(id)
 		delete(rows, id)
 	}
 	check := func(step string, wantTarget int32) {
@@ -418,7 +421,7 @@ func TestRuleIndexRepairsMatchesRecount(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		r := fixture.Random(int64(300+trial), 60, []int{2, 2, 5, 5})
 		c := randomVindexCFD(rng, r)
-		ix := core.NewGroupIndex([]core.CFD{c})
+		ix := core.NewGroupIndex(r, []core.CFD{c})
 		rows := make(map[int][]int32)
 		for round := 0; round < 4; round++ {
 			for id := 0; id < r.Size(); id++ {

@@ -180,6 +180,18 @@ func TestInstrumentEngineAndStore(t *testing.T) {
 	if _, ok := m["cfd_engine_dirty_tuples"]; !ok {
 		t.Error("cfd_engine_dirty_tuples not exposed")
 	}
+
+	// Index shape: the AC = 131 group and the three ZIP groups each hold two
+	// or more tuples; a tuple with a ZIP of its own adds a one-member group.
+	if _, err := eng.Insert("01", "212", "7777777", "Cy", "5th Ave", "NYC", "10001"); err != nil {
+		t.Fatal(err)
+	}
+	m = scrape(t, r)
+	for members, want := range map[string]float64{"one": 1, "run": 4, "large": 0} {
+		if got := val(t, m, `cfd_engine_index_groups{members="`+members+`"}`); got != want {
+			t.Errorf("cfd_engine_index_groups{members=%q} = %v, want %v", members, got, want)
+		}
+	}
 }
 
 // TestDeltaRingMetrics overflows the 1024-epoch delta ring of an in-memory

@@ -23,9 +23,9 @@ type Registry struct {
 }
 
 // family is one registered metric family: exactly one of counterVec,
-// gaugeVec, histogramVec, gaugeFn or counterFn is set, according to kind. An
-// unlabeled counter, gauge or histogram is the one child of a vec with no
-// labels.
+// gaugeVec, histogramVec, gaugeFn, gaugesFn or counterFn is set, according to
+// kind. An unlabeled counter, gauge or histogram is the one child of a vec
+// with no labels.
 type family struct {
 	name    string
 	help    string
@@ -37,6 +37,8 @@ type family struct {
 	gaugeVec     *GaugeVec
 	histogramVec *HistogramVec
 	gaugeFn      func() float64
+	gaugesFn     func() []float64 // one value per entry of fnValues
+	fnValues     []string         // gaugesFn's label values, in its order
 	counterFn    func() uint64
 }
 
@@ -134,6 +136,15 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, help, "gauge", nil, nil, func(f *family) { f.gaugeFn = fn })
 }
 
+// GaugeFuncVec registers a gauge family over one label whose children, one
+// per entry of values, are all read from one call of fn at exposition time:
+// fn returns a value per entry, in the same order, which is the order the
+// children are exposed in. It exposes several numbers a component can only
+// report consistently together (read under one lock).
+func (r *Registry) GaugeFuncVec(name, help, label string, values []string, fn func() []float64) {
+	r.register(name, help, "gauge", []string{label}, nil, func(f *family) { f.gaugesFn, f.fnValues = fn, values })
+}
+
 // Histogram registers (or returns) an unlabeled histogram with the given
 // bucket upper bounds (nil uses DefBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
@@ -186,6 +197,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 			fmt.Fprintf(&b, "%s %d\n", f.name, f.counterFn())
 		case f.gaugeFn != nil:
 			fmt.Fprintf(&b, "%s %s\n", f.name, formatFloat(f.gaugeFn()))
+		case f.gaugesFn != nil:
+			for i, v := range f.gaugesFn() {
+				fmt.Fprintf(&b, "%s %s\n", series(f.name, formatLabels(f.labels, f.fnValues[i:i+1])), formatFloat(v))
+			}
 		case f.counterVec != nil:
 			_, values, children := f.counterVec.snapshot()
 			for i, c := range children {

@@ -152,3 +152,27 @@ func TestHandler(t *testing.T) {
 		t.Errorf("unexpected body:\n%s", body)
 	}
 }
+
+// TestGaugeFuncVec: a func-backed family is read once per scrape, its
+// children exposed in the order of their label values.
+func TestGaugeFuncVec(t *testing.T) {
+	r := NewRegistry()
+	calls := 0
+	r.GaugeFuncVec("cfd_k_groups", "a func family", "members", []string{"large", "one"}, func() []float64 {
+		calls++
+		return []float64{2, 40}
+	})
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
+	want := `# HELP cfd_k_groups a func family
+# TYPE cfd_k_groups gauge
+cfd_k_groups{members="large"} 2
+cfd_k_groups{members="one"} 40
+# EOF
+`
+	if got := b.String(); got != want || calls != 1 {
+		t.Fatalf("%d calls, exposition:\n%s--- want one call and ---\n%s", calls, got, want)
+	}
+}

@@ -288,35 +288,30 @@ func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 	return resolved, ids, nil
 }
 
-// apply commits resolved ops: the row table sequentially (appends must land
-// at the pre-assigned ids), then the LHS-set indexes — one pool task per
-// index, replaying every op on it in order for index locality. The
-// replay must run to completion to keep the state consistent, so it is not
-// cancellable. Each index reports the violating-set memberships it flips, rule
-// by rule (the observe hook of core.GroupIndex); the per-rule flips, folded so
-// that a tuple leaving and re-entering within the batch cancels, become the
-// commit's Delta. Callers must hold the write lock.
+// apply commits resolved ops: first the LHS-set indexes — one pool task per
+// index, replaying every op on it in order for index locality — then the row
+// table, sequentially (appends must land at the pre-assigned ids). The
+// indexes go first because a one-member group reads its member's row from
+// the relation: while they are maintained the relation still holds the rows
+// from before the batch, and an id an earlier op of the batch wrote is read
+// from that op (batchRows). The replay must run to completion to keep the
+// state consistent, so it is not cancellable. Each index reports the
+// violating-set memberships it flips, rule by rule (the observe hook of
+// core.GroupIndex); the per-rule flips, folded so that a tuple leaving and
+// re-entering within the batch cancels, become the commit's Delta. Callers
+// must hold the write lock.
 func (e *Engine) apply(resolved []resolvedOp) {
-	for _, r := range resolved {
-		switch r.kind {
-		case OpInsert:
-			if n := r.id + 1 - e.rel.Size(); n > 0 {
-				e.rel.Grow(n)
-			}
-			e.rel.Set(r.id, r.new)
-		case OpDelete:
-			e.rel.Clear(r.id)
-		case OpUpdate:
-			e.rel.Set(r.id, r.new)
-		}
-	}
 	// Indexes place disjoint rule positions, so the per-rule change maps are
 	// written race-free even when indexes are maintained concurrently.
 	changes := make([]map[int]int8, len(e.rules))
 	// A single op (the Insert/Delete/Update fast path) is not worth a
-	// goroutine: one worker runs the tasks inline.
+	// goroutine: one worker runs the tasks inline. Nothing before it in the
+	// batch wrote a row, so it reads every row from the relation.
 	workers := e.workers
-	if len(resolved) == 1 {
+	var pending *batchRows
+	if len(resolved) > 1 {
+		pending = newBatchRows(resolved)
+	} else {
 		workers = 1
 	}
 	// context.Background: batch index maintenance must not stop halfway.
@@ -339,8 +334,13 @@ func (e *Engine) apply(resolved []resolvedOp) {
 				m[id] = sign
 			}
 		}
-		for _, r := range resolved {
-			switch r.kind {
+		var j int // the op being replayed
+		if pending != nil {
+			x.SetPending(func(id int) []int32 { return pending.before(id, j) })
+			defer x.SetPending(nil)
+		}
+		for j = range resolved {
+			switch r := resolved[j]; r.kind {
 			case OpInsert:
 				x.Insert(r.id, r.new, observe)
 			case OpDelete:
@@ -351,8 +351,58 @@ func (e *Engine) apply(resolved []resolvedOp) {
 			}
 		}
 	})
+	for _, r := range resolved {
+		switch r.kind {
+		case OpInsert:
+			if n := r.id + 1 - e.rel.Size(); n > 0 {
+				e.rel.Grow(n)
+			}
+			e.rel.Set(r.id, r.new)
+		case OpDelete:
+			e.rel.Clear(r.id)
+		case OpUpdate:
+			e.rel.Set(r.id, r.new)
+		}
+	}
 	added, removed := e.foldChanges(changes)
 	e.recordDelta(added, removed, nil)
+}
+
+// batchRows tells the index tasks of one batch which row a tuple carries
+// part way through it, for the tuples the batch's own ops wrote. It is built
+// once per batch and only read by the tasks.
+type batchRows struct {
+	ops  []resolvedOp
+	last map[int]int // id -> position of the batch's last op on it
+	prev []int       // per op, the position of the previous op on its id, or -1
+}
+
+func newBatchRows(ops []resolvedOp) *batchRows {
+	b := &batchRows{ops: ops, last: make(map[int]int, len(ops)), prev: make([]int, len(ops))}
+	for i, op := range ops {
+		p, ok := b.last[op.id]
+		if !ok {
+			p = -1
+		}
+		b.prev[i], b.last[op.id] = p, i
+	}
+	return b
+}
+
+// before returns the row tuple id carries just before op j: the row of the
+// last earlier op on it, or nil when no earlier op wrote it and the relation
+// still holds it.
+func (b *batchRows) before(id, j int) []int32 {
+	i, ok := b.last[id]
+	if !ok {
+		return nil
+	}
+	for i >= j {
+		if i = b.prev[i]; i < 0 {
+			return nil
+		}
+	}
+	return b.ops[i].new
 }
 
 // foldChanges turns per-rule-position membership flips into the per-rule

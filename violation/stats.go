@@ -66,3 +66,17 @@ func (e *Engine) ruleStats() []RuleStat {
 	}
 	return out
 }
+
+// IndexGroups returns how the engine's indexes hold their groups, summed
+// over its LHS sets (core.GroupIndex.Shape): groups of one tuple, which are
+// an entry of the group map alone, arena runs of two to eight members, and
+// large groups. It is read under the read lock, in O(LHS sets).
+func (e *Engine) IndexGroups() (one, run, large int) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, x := range e.indexes {
+		o, r, l := x.Shape()
+		one, run, large = one+o, run+r, large+l
+	}
+	return one, run, large
+}

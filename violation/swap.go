@@ -69,7 +69,7 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	for _, at := range groupByLHS(encoded) {
 		x := reuseIndex(current[encoded[at[0]].LHS], encoded, at)
 		if x == nil {
-			x = newLHSIndex(encoded, at)
+			x = e.newLHSIndex(encoded, at)
 			fresh = append(fresh, x)
 		}
 		newIndexes = append(newIndexes, x)

@@ -183,7 +183,8 @@ type Engine struct {
 	schema *core.Schema
 	// rel is the tuple store: slot = tuple id, a hole once deleted. Its
 	// dictionaries also intern the rule constants, so they may hold codes no
-	// tuple carries.
+	// tuple carries. The indexes read their one-member groups' rows from it,
+	// so a commit writes it only after maintaining them (see apply).
 	rel   *core.Relation
 	set   *rules.Set
 	rules []cfd.CFD
@@ -251,7 +252,7 @@ func New(attributes []string, set *rules.Set, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	for _, at := range groupByLHS(encoded) {
-		e.indexes = append(e.indexes, newLHSIndex(encoded, at))
+		e.indexes = append(e.indexes, e.newLHSIndex(encoded, at))
 	}
 	return e, nil
 }
@@ -265,14 +266,14 @@ type lhsIndex struct {
 	at []int // position in Engine.rules of each of the index's rules
 }
 
-// newLHSIndex returns an empty index for the rules at the given positions of
-// encoded, which share their LHS attribute set.
-func newLHSIndex(encoded []core.CFD, at []int) *lhsIndex {
+// newLHSIndex returns an empty index over the engine's relation for the rules
+// at the given positions of encoded, which share their LHS attribute set.
+func (e *Engine) newLHSIndex(encoded []core.CFD, at []int) *lhsIndex {
 	own := make([]core.CFD, len(at))
 	for r, i := range at {
 		own[r] = encoded[i]
 	}
-	return &lhsIndex{core.NewGroupIndex(own), at}
+	return &lhsIndex{core.NewGroupIndex(e.rel, own), at}
 }
 
 // groupByLHS partitions rule positions by LHS attribute set, sets in order of
