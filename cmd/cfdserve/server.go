@@ -137,9 +137,9 @@ func (s *server) handler() http.Handler { return s.obs.mux(s.routes()) }
 
 // maybeCompact starts a background snapshot compaction when enough WAL ops
 // have accumulated. At most one compaction runs at a time; Store.Compact
-// captures its consistent view under a read lock in O(live tuples) pointer
-// work, so writers stall only for that capture, not for the decode or the
-// file write.
+// captures its consistent view under a read lock — one scan of an attribute
+// column over every id slot and a copy of the live tuples' codes — so writers
+// stall only for that capture, not for the encoding or the file write.
 func (s *server) maybeCompact() {
 	if s.store == nil || s.cfg.compactEvery <= 0 || s.store.Pending() < s.cfg.compactEvery {
 		return

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/cfd"
+	"repro/internal/core"
 	"repro/rules"
 )
 
@@ -30,26 +31,53 @@ func fuzzSeedSnapshot(tb testing.TB) []byte {
 	if err := eng.Delete(2); err != nil {
 		tb.Fatal(err)
 	}
-	return encodeSnapshot(tb, eng.captureSnapshot(nil))
+	return encodeSnapshot(tb, eng, nil)
 }
 
-// encodeSnapshot encodes a snapshot the way Store.compact does and holds the
-// result to encoding/json's rendering of the same struct: the hand-written
-// encoder may be faster, never different.
-func encodeSnapshot(tb testing.TB, file *snapshotFile) []byte {
+// encodeSnapshot streams a snapshot of eng the way Store.compact does and
+// holds the result to encoding/json's rendering of the reference snapshotFile
+// of the same state (captureSnapshot): the streamed writer may be leaner,
+// never different. seq is called once, as by a compaction.
+func encodeSnapshot(tb testing.TB, eng *Engine, seq func() uint64) []byte {
 	tb.Helper()
-	data, err := file.encode()
+	live := eng.captureLive(seq)
+	var buf bytes.Buffer
+	size, err := live.stream(&buf)
 	if err != nil {
-		tb.Fatalf("encoding a snapshot: %v", err)
+		tb.Fatalf("streaming a snapshot: %v", err)
 	}
-	want, err := json.Marshal(file)
+	data := buf.Bytes()
+	if size != len(data)-1 || data[size] != '\n' {
+		tb.Fatalf("stream reported %d bytes and wrote %d, the last %q", size, len(data), data[len(data)-1:])
+	}
+	data = data[:size]
+	want, err := json.Marshal(eng.captureSnapshot(func() uint64 { return live.walSeq }))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	if !bytes.Equal(data, want) {
-		tb.Fatalf("snapshot encoder departs from encoding/json\n got: %s\nwant: %s", data, want)
+		tb.Fatalf("snapshot stream departs from encoding/json\n got: %.2000s\nwant: %.2000s", data, want)
 	}
 	return data
+}
+
+// captureSnapshot is the reference snapshot of the engine's state, built as
+// compaction built it before it streamed: the whole relation in raw form —
+// every id slot — recoded, holes kept, into an empty relation, so codes land
+// in first-use order over an ascending-id scan; json.Marshal of the result is
+// the snapshot's bytes. A nil seq records sequence 0.
+func (e *Engine) captureSnapshot(seq func() uint64) *snapshotFile {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	file := &snapshotFile{Format: currentFormat, Attributes: e.schema.Names(), RuleSet: e.set, NextID: e.rel.Size()}
+	if seq != nil {
+		file.WalSeq = seq()
+	}
+	canon := core.NewRelation(e.schema)
+	dicts, cols := e.rel.Raw()
+	canon.AppendRecoded(dicts, cols, file.NextID, true)
+	file.Dicts, file.Columns = canon.Raw()
+	return file
 }
 
 // unmarshalSnapshotFile is the all-encoding/json decode decodeSnapshotFile
@@ -96,8 +124,8 @@ func sameSnapshotDecode(tb testing.TB, data []byte, file *snapshotFile, err erro
 // indistinguishable from json.Unmarshal (sameSnapshotDecode); and any input
 // that decodes restores into an engine whose re-encoded snapshot is
 // byte-stable (encode → restore → encode is the identity from the first encode
-// on). Every encode on the way is also held to json.Marshal of the same
-// snapshotFile (encodeSnapshot).
+// on). Every snapshot streamed on the way is also held to json.Marshal of the
+// reference snapshotFile of the same state (encodeSnapshot).
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(fuzzSeedSnapshot(f))
 	// A format 1 snapshot, as builds before PR 9 wrote it: no longer read, so
@@ -140,7 +168,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			return
 		}
 		seq := func() uint64 { return file.WalSeq }
-		out1 := encodeSnapshot(t, eng.captureSnapshot(seq))
+		out1 := encodeSnapshot(t, eng, seq)
 		file2, err := decodeSnapshotFile(out1)
 		if err != nil {
 			t.Fatalf("re-decoding an engine-written snapshot: %v\n%s", err, out1)
@@ -149,7 +177,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if eng2 == nil {
 			t.Fatalf("re-restoring an engine-written snapshot failed\n%s", out1)
 		}
-		out2 := encodeSnapshot(t, eng2.captureSnapshot(seq))
+		out2 := encodeSnapshot(t, eng2, seq)
 		if !bytes.Equal(out1, out2) {
 			t.Fatalf("snapshot round trip is not byte-stable\nfirst:  %s\nsecond: %s", out1, out2)
 		}

@@ -2,11 +2,14 @@ package violation_test
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
+	"repro/cfd"
 	"repro/dataset"
 	"repro/discovery"
+	"repro/rules"
 	"repro/violation"
 )
 
@@ -15,11 +18,10 @@ import (
 // an arena run of its own.
 const bytesPerTupleBound = 230
 
-// TestBulkLoadBytesPerTuple bounds the heap an engine holds per tuple after
-// a bulk load: the relation's columns plus every LHS set's group index. On
-// this Tax instance under its mined cover (71 rules) nine in ten groups hold
-// one tuple, and such a group is only its entry in the group map.
-func TestBulkLoadBytesPerTuple(t *testing.T) {
+// taxServed is the 5,000-row Tax instance the memory pins load, and its mined
+// cover (71 rules).
+func taxServed(t *testing.T) (*cfd.Relation, *rules.Set) {
+	t.Helper()
 	rel, err := dataset.Tax(dataset.TaxConfig{Size: 5000, Arity: 7, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -28,6 +30,15 @@ func TestBulkLoadBytesPerTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rel, set
+}
+
+// TestBulkLoadBytesPerTuple bounds the heap an engine holds per tuple after
+// a bulk load: the relation's columns plus every LHS set's group index. On
+// this Tax instance under its mined cover (71 rules) nine in ten groups hold
+// one tuple, and such a group is only its entry in the group map.
+func TestBulkLoadBytesPerTuple(t *testing.T) {
+	rel, set := taxServed(t)
 	heap := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats
@@ -48,5 +59,75 @@ func TestBulkLoadBytesPerTuple(t *testing.T) {
 	t.Logf("%d rules: %.0f B per tuple; groups: %d of one tuple, %d runs, %d large", set.Len(), perTuple, one, run, large)
 	if perTuple > bytesPerTupleBound {
 		t.Errorf("%.0f B of heap per tuple after the bulk load, want at most %d", perTuple, bytesPerTupleBound)
+	}
+}
+
+// compactBytesPerLiveTupleBound is the 52 B measured on amd64 with Go 1.24
+// (54 B under the race detector), plus 15 %: the live ids and codes (32 B),
+// the write buffer and the code→code table. Copying every id slot instead
+// allocates 156 B per live tuple with no dead slots beside them, and
+// 914 B with 45,000.
+const compactBytesPerLiveTupleBound = 60
+
+// TestCompactBytesPerLiveTuple bounds what one compaction allocates per live
+// tuple, and holds it to the live tuples alone: the same 5,000 Tax rows are
+// compacted once as loaded and once after nine rounds of deleting and
+// re-inserting all of them have left 45,000 dead slots below, and the two
+// readings must agree within 5 %.
+func TestCompactBytesPerLiveTuple(t *testing.T) {
+	rel, set := taxServed(t)
+	perLiveTuple := func(dead int) float64 {
+		eng, err := violation.New(rel.Attributes(), set, violation.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.BulkLoad(rel); err != nil {
+			t.Fatal(err)
+		}
+		for eng.NextID() < dead+rel.Size() {
+			ops := make([]violation.Op, 0, 2*rel.Size())
+			for id := eng.NextID() - rel.Size(); id < eng.NextID(); id++ {
+				ops = append(ops, violation.Op{Kind: violation.OpDelete, ID: id})
+			}
+			for i := 0; i < rel.Size(); i++ {
+				ops = append(ops, violation.Op{Kind: violation.OpInsert, Values: rel.Row(i)})
+			}
+			if _, err := eng.ApplyBatch(ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := violation.OpenStore(t.TempDir(), violation.StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		// The first compaction of the process also fills encoding/json's
+		// type caches, so it is not measured. A reading can also include a
+		// refill of a sync.Pool (which the race detector drains at random) or
+		// a span the runtime counts whole, so the least of eight is taken.
+		least := uint64(math.MaxUint64)
+		var ms runtime.MemStats
+		for i := 0; i <= 8; i++ {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if err := st.Compact(eng); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			if i > 0 {
+				least = min(least, ms.TotalAlloc-before)
+			}
+		}
+		return float64(least) / float64(eng.Size())
+	}
+	loaded, churned := perLiveTuple(0), perLiveTuple(9*rel.Size())
+	t.Logf("one compaction allocates %.1f B per live tuple with no dead slots, %.1f B with %d", loaded, churned, 9*rel.Size())
+	for _, got := range []float64{loaded, churned} {
+		if got > compactBytesPerLiveTupleBound {
+			t.Errorf("a compaction allocates %.1f B per live tuple, want at most %d", got, compactBytesPerLiveTupleBound)
+		}
+	}
+	if churned > 1.05*loaded || loaded > 1.05*churned {
+		t.Errorf("dead slots moved a compaction's allocation from %.1f to %.1f B per live tuple", loaded, churned)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,9 +164,11 @@ func readWALRecord(line []byte) (walRecord, bool) {
 // distinct values of its live tuples in first-use order (scanning ids
 // ascending), and one int32 column per attribute with the dictionary code of
 // every id slot, -1 marking a dead id (deleted, or a hole below a pinned
-// insert). Recoding to first-use codes at encode time garbage-collects
+// insert). Recoding to first-use codes as it is written garbage-collects
 // dictionary entries no live tuple carries and makes re-encoding a loaded
-// snapshot byte-stable.
+// snapshot byte-stable. A compaction streams the document (liveState.stream)
+// and never builds this struct; it is what a snapshot decodes to, and
+// json.Marshal of it is the reference the writer's bytes are held to.
 type snapshotFile struct {
 	Format     int        `json:"format"`
 	WalSeq     uint64     `json:"wal_seq"`
@@ -175,62 +177,6 @@ type snapshotFile struct {
 	NextID     int        `json:"next_id"`
 	Dicts      [][]string `json:"dicts,omitempty"`
 	Columns    [][]int32  `json:"columns,omitempty"`
-}
-
-// encode is json.Marshal(f), byte for byte, without reflecting over the
-// columns — one int32 per id slot and attribute, which is what a snapshot
-// mostly is. The rule set still goes through its own MarshalJSON; the fields
-// and their omitempty rules are the struct tags above, and FuzzSnapshotRoundTrip
-// holds the two encoders together.
-func (f *snapshotFile) encode() ([]byte, error) {
-	ruleset, err := json.Marshal(f.RuleSet)
-	if err != nil {
-		return nil, err
-	}
-	// Sized from the columns so a megabyte of digits is not regrown and
-	// recopied a dozen times: a code has at most as many digits as its
-	// dictionary's length, plus its comma. A low guess only costs a regrow.
-	size := len(ruleset) + 256
-	for a, dict := range f.Dicts {
-		for _, v := range dict {
-			size += len(v) + 3
-		}
-		if a < len(f.Columns) {
-			size += len(f.Columns[a]) * (len(strconv.Itoa(len(dict))) + 1)
-		}
-	}
-	w := jsonw.Compact(make([]byte, 0, size))
-	w.Open('{')
-	w.Key("format")
-	w.Int(int64(f.Format))
-	w.Key("wal_seq")
-	w.Uint(f.WalSeq)
-	w.Key("attributes")
-	w.Strings(f.Attributes)
-	w.Key("ruleset")
-	w.Raw(ruleset)
-	w.Key("next_id")
-	w.Int(int64(f.NextID))
-	if len(f.Dicts) > 0 {
-		w.Key("dicts")
-		w.Open('[')
-		for _, dict := range f.Dicts {
-			w.Elem()
-			w.Strings(dict)
-		}
-		w.Close(']')
-	}
-	if len(f.Columns) > 0 {
-		w.Key("columns")
-		w.Open('[')
-		for _, col := range f.Columns {
-			w.Elem()
-			jsonw.Ints(&w, col)
-		}
-		w.Close(']')
-	}
-	w.Close('}')
-	return w.Buf, nil
 }
 
 const (
@@ -258,7 +204,7 @@ func decodeSnapshotFile(data []byte) (*snapshotFile, error) {
 	return file, nil
 }
 
-// readSnapshotFile reads a snapshot as encode writes it — plain JSON, in one
+// readSnapshotFile reads a snapshot as a compaction writes it — plain JSON, in one
 // pass and without reflecting over a column per attribute — to the value
 // json.Unmarshal makes of the same bytes; false for any other document, which
 // is json.Unmarshal's to accept or refuse. The rule set goes through its own
@@ -627,11 +573,14 @@ func (st *Store) Load(opts Options) (*Engine, bool, error) {
 // unfolded tail, so the WAL stays bounded under sustained writes. Safe to
 // call concurrently with reads and writes: the state and the WAL sequence it
 // covers are captured at one consistent point under the engine's read lock
-// (a column copy; canonicalisation, encoding and the file write run
-// unlocked), and recovery skips folded records by sequence number, so a crash
-// anywhere in the procedure is recoverable. A busy log keeps its tail by the
-// byte offset captured with the state: the log is read once per process, by
-// OpenStore, and never again.
+// (a copy of the live tuples' ids and codes; canonicalisation and the file
+// write, streamed through one fixed buffer, run unlocked), and recovery skips
+// folded records by sequence number, so a crash anywhere in the procedure is
+// recoverable. What a compaction holds in memory follows the live tuples, not
+// the ids ever assigned: dead slots cost it one scan of attribute 0 and bytes
+// copied into the file. A busy log keeps its tail by the byte offset captured
+// with the state: the log is read once per process, by OpenStore, and never
+// again.
 func (st *Store) Compact(e *Engine) error {
 	obs := st.obs()
 	var obsStart time.Time
@@ -645,8 +594,8 @@ func (st *Store) Compact(e *Engine) error {
 	return err
 }
 
-// compact is Compact's body; it returns the encoded snapshot size for the
-// observer (0 when the failure preceded encoding).
+// compact is Compact's body; it returns the snapshot's size for the observer
+// (0 when the failure preceded writing it).
 func (st *Store) compact(e *Engine) (int, error) {
 	st.compactMu.Lock()
 	defer st.compactMu.Unlock()
@@ -660,69 +609,62 @@ func (st *Store) compact(e *Engine) (int, error) {
 		off     int64
 		backlog int
 	)
-	file := e.captureSnapshot(func() uint64 {
+	live := e.captureLive(func() uint64 {
 		st.mu.Lock()
 		defer st.mu.Unlock()
 		off, backlog = st.walOff, st.pending
 		return st.seq
 	})
-	data, err := file.encode()
+	tmp, err := st.fs.createTemp(st.dir, snapshotName+".tmp*")
 	if err != nil {
 		return 0, fmt.Errorf("violation: compacting: %w", err)
 	}
-	tmp, err := st.fs.createTemp(st.dir, snapshotName+".tmp*")
-	if err != nil {
-		return len(data), fmt.Errorf("violation: compacting: %w", err)
-	}
 	defer os.Remove(tmp.Name())
-	if _, err := st.fs.write(tmp, append(data, '\n')); err != nil {
-		tmp.Close()
-		return len(data), fmt.Errorf("violation: compacting: %w", err)
+	size, err := live.stream(diskWriter{st.fs, tmp})
+	if err == nil && st.sync {
+		err = st.fs.sync(tmp)
 	}
-	if st.sync {
-		if err := st.fs.sync(tmp); err != nil {
-			tmp.Close()
-			return len(data), fmt.Errorf("violation: compacting: %w", err)
-		}
+	if closeErr := tmp.Close(); err == nil {
+		err = closeErr
 	}
-	if err := tmp.Close(); err != nil {
-		return len(data), fmt.Errorf("violation: compacting: %w", err)
+	if err != nil {
+		return size, fmt.Errorf("violation: compacting: %w", err)
 	}
 	if err := st.fs.rename(tmp.Name(), filepath.Join(st.dir, snapshotName)); err != nil {
-		return len(data), fmt.Errorf("violation: compacting: %w", err)
+		return size, fmt.Errorf("violation: compacting: %w", err)
 	}
 	if st.sync {
 		// Make the rename itself durable before any WAL shrinking below:
 		// otherwise a power cut could resurface the old snapshot next to an
 		// already-shortened log.
 		if err := st.fs.syncDir(st.dir); err != nil {
-			return len(data), fmt.Errorf("violation: compacting: %w", err)
+			return size, fmt.Errorf("violation: compacting: %w", err)
 		}
 	}
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.failed != nil { // a commit failed while the snapshot was being written
-		return len(data), st.failed
+		return size, st.failed
 	}
 	st.opened, st.tail, st.hasSnap = nil, nil, true
-	if st.seq == file.WalSeq {
+	if st.seq == live.walSeq {
 		// Nothing landed since the capture: the whole log is folded in.
 		if err := st.fs.truncate(st.wal, 0); err != nil {
-			return len(data), st.failLocked(err, false)
+			return size, st.failLocked(err, false)
 		}
 		st.walOff = 0
 		st.pending = 0
 		if _, err := st.wal.Seek(0, io.SeekStart); err != nil {
-			return len(data), st.failLocked(err, false)
+			return size, st.failLocked(err, false)
 		}
-		return len(data), nil
+		return size, nil
 	}
 	// Appends landed while the snapshot was being written: rewrite the log
 	// down to the unfolded tail so it cannot grow without bound under
 	// sustained traffic. On any error the full log is kept — folded records
 	// are harmless, recovery skips them by sequence number.
-	return len(data), st.rewriteTailLocked(off, backlog)
+	return size, st.rewriteTailLocked(off, backlog)
 }
 
 // rewriteTailLocked replaces the WAL with its bytes from off on — the records
@@ -806,34 +748,222 @@ func (st *Store) Close() error {
 	return err
 }
 
-// captureSnapshot captures the engine state — and, through seq, the WAL
-// sequence it corresponds to — at one consistent point under the read lock
-// (an O(id slots × arity) int32 copy plus the dictionaries' slice headers) and
-// encodes it as a format 2 snapshot. The canonicalisation runs unlocked: the
-// capture is recoded, holes kept, into an empty relation, so codes land in
-// first-use order over an ascending-id scan, dictionary entries no live tuple
-// carries are dropped, and re-encoding a restored snapshot reproduces it byte
-// for byte, whatever the engine's internal code assignment. A nil seq records
-// sequence 0.
-func (e *Engine) captureSnapshot(seq func() uint64) *snapshotFile {
-	file := &snapshotFile{Format: currentFormat}
+// liveState is what a compaction writes, as captureLive copies it out of the
+// engine: the live tuples only — their ids and, per attribute, their codes
+// under the engine's dictionaries — so its size follows the tuples, not every
+// id ever assigned. stream canonicalises and writes it as a format 2 snapshot.
+type liveState struct {
+	walSeq     uint64
+	attributes []string
+	ruleSet    *rules.Set
+	nextID     int
+	// ids are the live ids, ascending; int32, as every column's code is.
+	ids []int32
+	// dicts are the engine's dictionaries, in code order. They only ever
+	// append, so the captured slices stay valid and unchanged, unlocked.
+	dicts [][]string
+	// codes holds, per attribute, the code of each id in ids under dicts,
+	// until stream recodes it in place to the snapshot's first-use codes.
+	codes [][]int32
+}
+
+// captureLive captures the engine state — and, through seq, the WAL sequence
+// it corresponds to — at one consistent point under the read lock: one scan
+// of attribute 0 for the live ids, then each attribute's codes of those ids
+// and the dictionaries' slice headers. A nil seq records sequence 0.
+func (e *Engine) captureLive(seq func() uint64) *liveState {
 	e.mu.RLock()
-	file.Attributes = e.schema.Names()
-	file.RuleSet = e.set
-	file.NextID = e.rel.Size()
-	dicts, cols := e.rel.Raw()
-	for a := range cols {
-		cols[a] = slices.Clone(cols[a])
+	defer e.mu.RUnlock()
+	live := &liveState{attributes: e.schema.Names(), ruleSet: e.set, nextID: e.rel.Size()}
+	live.dicts, live.codes = e.rel.Raw()
+	if len(live.codes) > 0 {
+		live.ids = make([]int32, 0, e.rel.Count())
+		for id, code := range live.codes[0][:live.nextID] {
+			if code != core.Absent {
+				live.ids = append(live.ids, int32(id))
+			}
+		}
+		for a, col := range live.codes {
+			codes := make([]int32, len(live.ids))
+			for i, id := range live.ids {
+				codes[i] = col[id]
+			}
+			live.codes[a] = codes
+		}
 	}
 	if seq != nil {
-		file.WalSeq = seq()
+		live.walSeq = seq()
 	}
-	e.mu.RUnlock()
+	return live
+}
 
-	canon := core.NewRelation(e.schema)
-	canon.AppendRecoded(dicts, cols, file.NextID, true)
-	file.Dicts, file.Columns = canon.Raw()
-	return file
+// snapshotBuffer is the size of the one buffer a snapshot is written through.
+const snapshotBuffer = 64 << 10
+
+// holeRun is a run of dead slots as a column writes them after its first
+// slot; a longer run is written from it in pieces.
+var holeRun = strings.Repeat(",-1", 1024)
+
+// stream writes the snapshot document and a newline to out, through one
+// fixed buffer, and returns the document's size. The bytes are json.Marshal's
+// of the snapshotFile whose dictionaries hold each attribute's values in
+// first-use order over an ascending-id scan of the live tuples and whose
+// columns hold those codes, -1 in every dead slot: so dictionary entries no
+// live tuple carries are dropped, and re-encoding a restored snapshot
+// reproduces it byte for byte, whatever the engine's code assignment. The
+// dictionary pass recodes live.codes in place, through one code→code table
+// sized to the engine's dictionary, and writes each value at its first use;
+// the column pass writes the recoded codes and copies hole runs from holeRun.
+// The rule set goes through its own MarshalJSON.
+func (live *liveState) stream(out io.Writer) (int, error) {
+	ruleset, err := json.Marshal(live.ruleSet)
+	if err != nil {
+		return 0, err
+	}
+	s := &snapshotStream{out: out, fixed: make([]byte, 0, snapshotBuffer)}
+	s.w = jsonw.Compact(s.fixed)
+	s.lit(`{"format":`)
+	s.int(currentFormat)
+	s.lit(`,"wal_seq":`)
+	s.room(20)
+	s.w.Uint(live.walSeq)
+	s.lit(`,"attributes":[`)
+	for a, name := range live.attributes {
+		if a > 0 {
+			s.lit(",")
+		}
+		s.str(name)
+	}
+	s.lit(`],"ruleset":`)
+	s.raw(ruleset)
+	s.lit(`,"next_id":`)
+	s.int(live.nextID)
+	if len(live.codes) > 0 {
+		s.lit(`,"dicts":[`)
+		var trans []int32 // engine code → snapshot code, core.Absent until first use
+		for a, dict := range live.dicts {
+			if a > 0 {
+				s.lit(",")
+			}
+			s.lit("[")
+			trans = slices.Grow(trans[:0], len(dict))[:len(dict)]
+			for c := range trans {
+				trans[c] = core.Absent
+			}
+			next := int32(0)
+			codes := live.codes[a]
+			for i, c := range codes {
+				if trans[c] == core.Absent {
+					if next > 0 {
+						s.lit(",")
+					}
+					s.str(dict[c])
+					trans[c] = next
+					next++
+				}
+				codes[i] = trans[c]
+			}
+			s.lit("]")
+		}
+		s.lit(`],"columns":[`)
+		for a, codes := range live.codes {
+			if a > 0 {
+				s.lit(",")
+			}
+			s.lit("[")
+			slot := 0 // the next id slot to write
+			for i, id := range live.ids {
+				s.holes(slot, int(id))
+				if id > 0 {
+					s.lit(",")
+				}
+				s.int(int(codes[i]))
+				slot = int(id) + 1
+			}
+			s.holes(slot, live.nextID)
+			s.lit("]")
+			if s.err != nil {
+				return s.size, s.err
+			}
+		}
+		s.lit("]")
+	}
+	s.lit("}\n")
+	s.flush()
+	return s.size - 1, s.err
+}
+
+// snapshotStream is stream's output: a writer appending into the fixed
+// buffer, which goes out whenever the next piece would not fit. The first
+// write error stops all further output and is kept.
+type snapshotStream struct {
+	w     jsonw.Writer
+	fixed []byte
+	out   io.Writer
+	size  int // bytes written to out
+	err   error
+}
+
+// room makes room for n more bytes in the buffer, writing it out first if
+// they would not fit. A piece longer than the whole buffer is appended past
+// its capacity and the next flush returns to the fixed buffer.
+func (s *snapshotStream) room(n int) {
+	if len(s.w.Buf)+n > cap(s.fixed) {
+		s.flush()
+	}
+}
+
+// flush writes out the buffered bytes.
+func (s *snapshotStream) flush() {
+	if s.err == nil && len(s.w.Buf) > 0 {
+		var n int
+		n, s.err = s.out.Write(s.w.Buf)
+		s.size += n
+	}
+	s.w.Buf = s.fixed[:0]
+}
+
+// lit writes literal bytes that need no escaping.
+func (s *snapshotStream) lit(v string) {
+	s.room(len(v))
+	s.w.Buf = append(s.w.Buf, v...)
+}
+
+// int writes a number.
+func (s *snapshotStream) int(v int) {
+	s.room(20)
+	s.w.Int(int64(v))
+}
+
+// str writes v as a string literal: at most six bytes per byte of v, and the
+// quotes.
+func (s *snapshotStream) str(v string) {
+	s.room(6*len(v) + 2)
+	s.w.String(v)
+}
+
+// raw writes an encoded value, in pieces when it is longer than the room
+// left.
+func (s *snapshotStream) raw(v []byte) {
+	for len(v) > 0 {
+		s.room(1)
+		n := min(len(v), cap(s.fixed)-len(s.w.Buf))
+		s.w.Buf = append(s.w.Buf, v[:n]...)
+		v = v[n:]
+	}
+}
+
+// holes writes the dead slots from up to, not including, to of a column.
+func (s *snapshotStream) holes(from, to int) {
+	if from == 0 && to > 0 {
+		s.lit("-1")
+		from++
+	}
+	for from < to {
+		n := min(to-from, len(holeRun)/3)
+		s.lit(holeRun[:3*n])
+		from += n
+	}
 }
 
 // restoreSnapshot loads a validated snapshot (see decodeSnapshotFile) into an

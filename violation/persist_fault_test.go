@@ -399,7 +399,10 @@ func (d tornDisk) truncate(*os.File, int64) error { return errors.New("injected 
 // stays usable, goes on committing, and a later compaction succeeds; a log that
 // cannot be truncated afterwards fails the store. Either way a restart finds
 // a snapshot — the old one or the new one — and a log that together are the
-// acknowledged commits.
+// acknowledged commits, and no temporary file is left behind. A snapshot is
+// written through a fixed buffer, so one larger than it takes several writes:
+// the last row fails the second, and up to the rename the previous snapshot
+// stays the directory's, byte for byte.
 func TestCompactionFaults(t *testing.T) {
 	injected := errors.New("injected fault")
 	for _, tc := range []struct {
@@ -407,22 +410,55 @@ func TestCompactionFaults(t *testing.T) {
 		call   string
 		nth    int
 		failed bool // the fault fails the store
+		big    bool // the snapshot is larger than the buffer
 	}{
-		{"temp file cannot be created", "createTemp", 1, false},
-		{"snapshot write is short", "write", 1, false},
-		{"snapshot fsync fails", "sync", 1, false},
-		{"rename fails", "rename", 1, false},
-		{"directory fsync fails", "syncDir", 1, false},
-		{"log cannot be truncated", "truncate", 1, true},
+		{"temp file cannot be created", "createTemp", 1, false, false},
+		{"snapshot write is short", "write", 1, false, false},
+		{"snapshot fsync fails", "sync", 1, false, false},
+		{"rename fails", "rename", 1, false, false},
+		{"directory fsync fails", "syncDir", 1, false, false},
+		{"log cannot be truncated", "truncate", 1, true, false},
+		{"second snapshot write fails", "write", 2, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rig := newFaultRig(t)
+			if tc.big {
+				// A pinned insert past a run of holes, committed as the
+				// rig's commits are, whose id the next commit deletes.
+				at := rig.eng.NextID() + snapshotBuffer
+				ops := []Op{{Kind: OpInsert, Values: []string{"0", "pinned"}, At: &at}}
+				if _, err := rig.eng.ApplyBatch(ops); err != nil {
+					t.Fatal(err)
+				}
+				rig.ack(ops)
+				rig.next = at + 1
+			}
+			snapshot := filepath.Join(rig.dir, snapshotName)
+			before, err := os.ReadFile(snapshot)
+			if err != nil {
+				t.Fatal(err)
+			}
 			rig.disk.arm(tc.call, tc.nth, 100, injected)
 			if err := rig.st.Compact(rig.eng); !errors.Is(err, injected) {
 				t.Fatalf("compaction: err = %v, want the injected fault", err)
 			}
 			if failed := rig.st.Failed() != nil; failed != tc.failed {
 				t.Fatalf("Failed() = %v", rig.st.Failed())
+			}
+			if tmps, _ := filepath.Glob(snapshot + ".tmp*"); len(tmps) > 0 {
+				t.Fatalf("%v left behind", tmps)
+			}
+			if tc.call != "syncDir" && tc.call != "truncate" {
+				after, err := os.ReadFile(snapshot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(after, before) {
+					t.Fatal("the failed compaction changed the previous snapshot")
+				}
+				if _, err := decodeSnapshotFile(after); err != nil {
+					t.Fatalf("the previous snapshot no longer loads: %v", err)
+				}
 			}
 			if !tc.failed {
 				if err := rig.commit(); err != nil {
@@ -468,12 +504,12 @@ func TestTailRewriteFaults(t *testing.T) {
 				off     int64
 				backlog int
 			)
-			data := encodeSnapshot(t, rig.eng.captureSnapshot(func() uint64 {
+			data := encodeSnapshot(t, rig.eng, func() uint64 {
 				rig.st.mu.Lock()
 				defer rig.st.mu.Unlock()
 				off, backlog = rig.st.walOff, rig.st.pending
 				return rig.st.seq
-			}))
+			})
 			if err := os.WriteFile(filepath.Join(rig.dir, snapshotName), append(data, '\n'), 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -478,12 +480,142 @@ func TestOwnEncodersStayPlain(t *testing.T) {
 	if err := eng.Delete(1); err != nil {
 		t.Fatal(err)
 	}
-	data := encodeSnapshot(t, eng.captureSnapshot(func() uint64 { return 1<<64 - 1 }))
+	data := encodeSnapshot(t, eng, func() uint64 { return 1<<64 - 1 })
 	file, plain := readSnapshotFile(append(data, '\n'))
 	if !plain {
 		t.Fatalf("snapshot %s is not plain", data)
 	}
 	sameSnapshotDecode(t, data, file, file.validate())
+}
+
+// chunkWriter keeps what is written to it and the size of every write.
+type chunkWriter struct {
+	bytes.Buffer
+	writes []int
+}
+
+func (w *chunkWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestSnapshotStreamMatchesMarshal holds the streamed snapshot to json.Marshal
+// of the reference snapshotFile (encodeSnapshot) over random histories of
+// inserts, updates, deletes and pinned inserts: the empty engine, holes at
+// the start and at the end of the id range, hole runs longer than holeRun,
+// values that need escaping, values and columns that cross the buffer's
+// boundary, values longer than the whole buffer, and the all-deleted engine.
+// The document reaches its writer in pieces no larger than the buffer unless
+// one value alone cannot fit, and it stays plain for the one-pass reader.
+func TestSnapshotStreamMatchesMarshal(t *testing.T) {
+	set := rules.Of(cfd.NewFD([]string{"A"}, "B"), cfd.CFD{LHS: []string{"A"}, RHS: "C", LHSPattern: []string{"only in a rule"}, RHSPattern: hardValues[3]})
+	// Escaped, long is about three and a half buffers; its prefixes end
+	// anywhere in one.
+	long := strings.Repeat(hardValues[4], snapshotBuffer/len(hardValues[4]))
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng, err := New([]string{"A", "B", "C"}, set, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		longest := 0 // the longest value inserted
+		check := func(what string) {
+			t.Helper()
+			data := encodeSnapshot(t, eng, func() uint64 { return uint64(seed) })
+			if file, plain := readSnapshotFile(data); !plain || file.validate() != nil {
+				t.Fatalf("seed %d, %s: the streamed snapshot is not plain and valid", seed, what)
+			}
+			var w chunkWriter
+			if _, err := eng.captureLive(nil).stream(&w); err != nil {
+				t.Fatal(err)
+			}
+			if w.Len() > snapshotBuffer && len(w.writes) < 2 {
+				t.Fatalf("seed %d, %s: %d bytes in one write", seed, what, w.Len())
+			}
+			if 6*longest+2 <= snapshotBuffer && slices.Max(w.writes) > snapshotBuffer {
+				t.Fatalf("seed %d, %s: writes of %v bytes through a %d-byte buffer", seed, what, w.writes, snapshotBuffer)
+			}
+		}
+		check("empty")
+		// Odd seeds write values that fit the buffer, escaped, and are held
+		// to writes no larger than it; even seeds also write longer ones.
+		fits := (snapshotBuffer - 2) / 6
+		if seed%2 == 0 {
+			fits = len(long)
+		}
+		value := func() string {
+			switch r := rng.Intn(24); {
+			case r < len(hardValues):
+				return hardValues[r]
+			case r < len(hardValues)+3:
+				return long[:rng.Intn(fits)]
+			default:
+				return fmt.Sprint(rng.Intn(40))
+			}
+		}
+		row := func() []string {
+			vals := []string{value(), value(), value()}
+			for _, v := range vals {
+				longest = max(longest, len(v))
+			}
+			return vals
+		}
+		var live []int
+		for step := 0; step < 40+rng.Intn(100); step++ {
+			var op Op
+			switch r := rng.Intn(10); {
+			case r < 2 || step == 0 && seed%3 == 0: // a pinned insert past a run of holes
+				at := eng.NextID() + 1 + rng.Intn(2*len(holeRun)/3)
+				op = Op{Kind: OpInsert, Values: row(), At: &at}
+				live = append(live, at)
+			case r < 4 && len(live) > 0:
+				i := rng.Intn(len(live))
+				op = Op{Kind: OpDelete, ID: live[i]}
+				live = slices.Delete(live, i, i+1)
+			case r < 5 && len(live) > 0:
+				op = Op{Kind: OpUpdate, ID: live[rng.Intn(len(live))], Values: row()}
+			default:
+				op = Op{Kind: OpInsert, Values: row()}
+				live = append(live, eng.NextID())
+			}
+			if _, err := eng.ApplyBatch([]Op{op}); err != nil {
+				t.Fatalf("seed %d: %+v: %v", seed, op, err)
+			}
+			if rng.Intn(40) == 0 {
+				check(fmt.Sprintf("step %d", step))
+			}
+		}
+		check("history")
+		slices.Sort(live)
+		for len(live) > 0 {
+			if err := eng.Delete(live[len(live)-1]); err != nil {
+				t.Fatal(err)
+			}
+			live = live[:len(live)-1]
+			if len(live)%29 == 1 {
+				check(fmt.Sprintf("%d live, holes at the end", len(live)))
+			}
+		}
+		check("all deleted")
+	}
+
+	// A rule set whose JSON alone is longer than the buffer.
+	var many []cfd.CFD
+	for i := 0; len(many) < snapshotBuffer/30; i++ {
+		many = append(many, cfd.CFD{LHS: []string{"A"}, RHS: "B", LHSPattern: []string{fmt.Sprint(i)}, RHSPattern: hardValues[i%len(hardValues)]})
+	}
+	eng, err := New([]string{"A", "B"}, rules.Of(many...), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range hardValues {
+		if _, err := eng.Insert(v, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if data := encodeSnapshot(t, eng, nil); len(data) <= snapshotBuffer {
+		t.Fatalf("a %d-byte snapshot does not cross the buffer", len(data))
+	}
 }
 
 // TestDecodedValuesOwnTheirMemory: a value that outlives its request — the
@@ -514,7 +646,7 @@ func TestDecodedValuesOwnTheirMemory(t *testing.T) {
 		t.Fatalf("tuples changed with the decoded buffer: %v", got)
 	}
 
-	data := encodeSnapshot(t, eng.captureSnapshot(nil))
+	data := encodeSnapshot(t, eng, nil)
 	file, err := decodeSnapshotFile(data)
 	if err != nil {
 		t.Fatal(err)
