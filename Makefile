@@ -42,7 +42,7 @@ race:
 	$(GO) test -race ./...
 	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestReadersRaceBulkLoad|TestSwapRulesConcurrentReaders|TestApplyBatchMatchesPerOp|TestBatchReadsMembersAsOfItsOps|TestShardedBulkLoadAgrees|TestStoreCompactUnderWrites|TestCompactRacingAppendsKeepsTailBytes|TestSnapshotStreamMatchesMarshal' ./violation
 	./scripts/race_repeat.sh 'TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude|TestMineParallelMatchesSequential' ./internal/itemset ./internal/fastcfd
-	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic|TestMineContextWorkersDeterministicMaxLHS|TestDiscoverWorkersIdentical|TestLatticeLinks|TestHeldTidsPerJoin|TestLatticeStepsObserveCancellation|TestAdvanceCancelledInsideJoin|TestMineAllocationsPerElement' ./internal/ctane
+	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic|TestMineContextWorkersDeterministicMaxLHS|TestDiscoverWorkersIdentical|TestLatticeLinks|TestHeldTidsPerJoin|TestFDLatticeLevels|TestLatticeStepsObserveCancellation|TestAdvanceCancelledInsideJoin|TestMineAllocationsPerElement' ./internal/ctane
 	./scripts/race_repeat.sh 'TestFullReadsMatchThePlainEncoder|TestRulesStatsMatchTheirSet' ./cmd/cfdserve
 
 # bench runs the repo benchmark BENCHMARK.json declares: cfddiscover and
@@ -149,7 +149,8 @@ fuzz:
 # internal/itemset: free- and closed-set miners) and the searches built on
 # them (internal/cfdminer; internal/ctane: the linked lattice; internal/diffset
 # and internal/fastcfd: difference sets and the cover search; internal/fastfd,
-# the FD search on the same difference sets), on the pool they
+# the FD search on the same difference sets; internal/tane, the FD search on
+# CTANE's lattice), on the pool they
 # fan out over (internal/pool), on the one loop they are read through
 # (discovery) and on the loader every program reads its input with (dataset).
 # The floors only move up:
@@ -165,10 +166,11 @@ COVER_FLOORS := \
 	internal/partition:100.0 \
 	internal/itemset:95.0 \
 	internal/cfdminer:97.0 \
-	internal/ctane:97.0 \
+	internal/ctane:98.5 \
 	internal/diffset:100.0 \
 	internal/fastcfd:97.5 \
 	internal/fastfd:100.0 \
+	internal/tane:100.0 \
 	internal/pool:98.5 \
 	discovery:97.0 \
 	cluster:89.0 \

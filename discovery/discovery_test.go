@@ -211,10 +211,11 @@ func TestCFDMinerMaxLHS(t *testing.T) {
 	}
 }
 
-// TestFDBaselinesAgree is what keeps TANE and FastFD in the tree: §4 and §5
-// present CTANE and FastCFD as extensions of the two, so at k = 1 the
-// all-wildcard rules of a CFD cover must be exactly the minimal FDs — TANE's
-// and FastFD's, which must also agree with each other. Checked on cust, on a
+// TestFDBaselinesAgree pins what lets TANE run on CTANE's lattice and FastFD
+// on FastCFD's cover search: §4 and §5 present CTANE and FastCFD as
+// extensions of the two, so at k = 1 the all-wildcard rules of a CFD cover
+// must be exactly the minimal FDs — TANE's and FastFD's, which must also
+// agree with each other. Checked on cust, on a
 // relation with a constant column (∅ → C), on Tax relations of arity 7 and 9
 // and on seeded random relations.
 func TestFDBaselinesAgree(t *testing.T) {

@@ -1,6 +1,7 @@
 package ctane
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/core"
@@ -50,12 +51,22 @@ func (c *candidateSet) removeAttrs(attrs core.AttrSet) {
 	c.removedAttrs = c.removedAttrs.Union(attrs)
 }
 
-// allAttrsRemoved reports whether every attribute has been removed entirely.
-// It is a conservative emptiness test: a true result implies C+ is empty, so
-// pruning on it is always safe, while some genuinely empty sets may be missed
-// (costing time, never correctness).
-func (c *candidateSet) allAttrsRemoved(all core.AttrSet) bool {
-	return all.SubsetOf(c.removedAttrs)
+// exhausted reports whether the set holds no candidate that the element
+// (X, sp) or one above it can still check: no (A, sp[A]) for A in X and no
+// pair on an attribute outside X. Pairs (A, c) with c ≠ sp[A] may remain,
+// but every element above (X, sp) carries sp on X and checks (A, sp[A])
+// only; its C+ set, an intersection that includes this one, holds nothing
+// it checks either. So the element can be pruned.
+func (c *candidateSet) exhausted(attrs core.AttrSet, tp core.Pattern, all core.AttrSet) bool {
+	if !all.Diff(attrs).SubsetOf(c.removedAttrs) {
+		return false
+	}
+	for v := uint64(attrs); v != 0; v &= v - 1 {
+		if a := bits.TrailingZeros64(v); c.has(a, tp[a]) {
+			return false
+		}
+	}
+	return true
 }
 
 // intersectCandidates returns the intersection of the candidate sets of the

@@ -4,7 +4,8 @@
 // element is a pair (X, sp) of an attribute set and a pattern of constants and
 // unnamed variables over X, and candidate CFDs (X\{A} → A, (sp[X\{A}] ‖ sp[A]))
 // are validated with stripped partitions and pruned through the C+ candidate
-// sets maintained across levels.
+// sets maintained across levels. Restricted to the items (A, "_"), the
+// lattice is TANE's (Huhtala et al., 1999): MineFDs runs TANE so.
 package ctane
 
 import (
@@ -184,15 +185,20 @@ type lattice struct {
 }
 
 // newLattice builds the virtual level 0 — the empty attribute set, one
-// equivalence class — and level 1: (A, "_") for every attribute plus (A, a)
-// for every k-frequent value, in level order.
-func newLattice(r *core.Relation, k, workers int) *lattice {
+// equivalence class — and level 1: (A, "_") for every attribute plus, unless
+// wildcardOnly, (A, a) for every k-frequent value, in level order. A join
+// of wildcard elements only generates wildcard elements, so a wildcardOnly
+// lattice is TANE's.
+func newLattice(r *core.Relation, k, workers int, wildcardOnly bool) *lattice {
 	allTids := partition.AllTids(r.Size())
 	l := &lattice{
 		r: r, k: k, workers: workers,
 		refiners: make([]*partition.Refiner, workers),
-		itemTids: partition.ItemTids(r, allTids),
+		itemTids: make([][][]int32, r.Arity()),
 		root:     constPart{tp: core.NewPattern(r.Arity()), tids: allTids},
+	}
+	if !wildcardOnly {
+		l.itemTids = partition.ItemTids(r, allTids)
 	}
 	for w := range l.refiners {
 		l.refiners[w] = partition.NewRefiner(r)
@@ -254,25 +260,49 @@ func MineContext(ctx context.Context, r *core.Relation, opts Options, emit func(
 	if opts.MaxLHS > 0 && opts.MaxLHS+1 < maxLevel {
 		maxLevel = opts.MaxLHS + 1
 	}
+	// No rule is emitted twice: a level's elements are distinct (attribute
+	// set, pattern) pairs, each yielding at most one rule per attribute, and
+	// each level's CFDs have a strictly larger LHS than every earlier level's.
+	return newLattice(r, k, pool.Normalize(opts.Workers), false).mine(ctx, maxLevel, func(found []core.CFD) {
+		core.SortCFDs(found)
+		for _, c := range found {
+			emit(c)
+		}
+	})
+}
 
-	l := newLattice(r, k, pool.Normalize(opts.Workers))
-	var found []core.CFD
+// MineFDs runs TANE: CTANE, on one worker, over the lattice of the items
+// (A, "_"), whose minimal CFDs are r's minimal FDs — ∅ → A included, even on
+// an empty relation. It emits them in canonical order once the traversal is
+// done; a cancelled run emits nothing and returns ctx.Err().
+func MineFDs(ctx context.Context, r *core.Relation, emit func(core.CFD)) error {
+	var out []core.CFD
+	if err := newLattice(r, 1, 1, true).mine(ctx, r.Arity(), func(found []core.CFD) {
+		out = append(out, found...)
+	}); err != nil {
+		return err
+	}
+	core.SortCFDs(out)
+	for _, c := range out {
+		emit(c)
+	}
+	return nil
+}
+
+// mine runs the levels up to maxLevel, handing each level's valid candidate
+// CFDs to found once the level is validated. The slice is reused by the
+// next level.
+func (l *lattice) mine(ctx context.Context, maxLevel int, found func([]core.CFD)) error {
+	var out []core.CFD
 	for depth := 1; len(l.level) > 0 && depth <= maxLevel; depth++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		var err error
-		if found, err = l.discover(ctx, found[:0]); err != nil {
+		if out, err = l.discover(ctx, out[:0]); err != nil {
 			return err
 		}
-		// No rule is emitted twice: a level's elements are distinct
-		// (attribute set, pattern) pairs, each yielding at most one rule per
-		// attribute, and each level's CFDs have a strictly larger LHS than
-		// every earlier level's.
-		core.SortCFDs(found)
-		for _, c := range found {
-			emit(c)
-		}
+		found(out)
 		if depth == maxLevel {
 			break
 		}
@@ -334,16 +364,16 @@ func runStarts(level []*element) []int {
 	return append(starts, len(level))
 }
 
-// prune performs Step 3 on a run: it drops the elements whose C+ set is
-// (conservatively detected) empty, keeps the others at the front of the run
-// in order, and returns their number. A dropped element is cleared but for
-// its last item, which keeps its prefix's kids sorted, so nothing it holds
-// outlives its level.
+// prune performs Step 3 on a run: it drops the elements whose C+ set holds
+// no candidate they or the elements above them can still check, keeps the
+// others at the front of the run in order, and returns their number. A
+// dropped element is cleared but for its last item, which keeps its
+// prefix's kids sorted, so nothing it holds outlives its level.
 func (l *lattice) prune(run []*element) int {
 	all := l.r.Schema().All()
 	kept := run[:0]
 	for _, e := range run {
-		if e.cplus.allAttrsRemoved(all) {
+		if e.cplus.exhausted(e.attrs, e.tp(), all) {
 			*e = element{lastItem: e.lastItem}
 			continue
 		}

@@ -2,6 +2,7 @@ package ctane
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/bruteforce"
@@ -188,4 +189,51 @@ func TestMineDegenerateInputs(t *testing.T) {
 	if got := mine(t, r, Options{K: 100}); len(got) != 0 {
 		t.Errorf("k > |r|: got %d CFDs", len(got))
 	}
+}
+
+// TestMineFDsDegenerateInputs checks that MineFDs, unlike MineContext, has no
+// support gate: on an empty relation every attribute is constant, so it
+// emits ∅ → A and ∅ → B, where MineContext at k = 1 emits nothing.
+func TestMineFDsDegenerateInputs(t *testing.T) {
+	empty := core.NewRelation(core.MustSchema("A", "B"))
+	got := fixture.Emitted(t, func(emit func(core.CFD)) error {
+		return MineFDs(context.Background(), empty, emit)
+	})
+	want := []core.CFD{
+		{LHS: core.EmptyAttrSet, RHS: 0, Tp: core.NewPattern(2)},
+		{LHS: core.EmptyAttrSet, RHS: 1, Tp: core.NewPattern(2)},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("empty relation: MineFDs emitted %d FDs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key() != want[i].Key() {
+			t.Errorf("empty relation: FD %d is %s, want %s", i, got[i].Format(empty), want[i].Format(empty))
+		}
+	}
+	if got := mine(t, empty, Options{K: 1}); len(got) != 0 {
+		t.Errorf("empty relation: MineContext at k = 1 emitted %d CFDs", len(got))
+	}
+}
+
+// TestMineFDsCancelled cancels MineFDs at each of the context checks a
+// complete run on cust makes, in turn: a run cut short returns
+// context.Canceled and emits nothing, as the FDs are emitted only once the
+// traversal is done.
+func TestMineFDsCancelled(t *testing.T) {
+	r := fixture.Cust()
+	for n := int64(1); n < 100000; n++ {
+		emits := 0
+		err := MineFDs(fixture.NewCountingContext(n), r, func(core.CFD) { emits++ })
+		if err == nil {
+			if n == 1 || emits == 0 {
+				t.Fatalf("a run of %d checks emitted %d FDs", n-1, emits)
+			}
+			return
+		}
+		if !errors.Is(err, context.Canceled) || emits != 0 {
+			t.Fatalf("cancelled at check %d: err = %v after %d FDs", n, err, emits)
+		}
+	}
+	t.Fatal("no run completed")
 }

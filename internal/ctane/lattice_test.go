@@ -194,7 +194,7 @@ func TestLatticeLinks(t *testing.T) {
 	for name, r := range parallelFixtures() {
 		for _, k := range []int{1, 2, 4} {
 			for _, workers := range []int{1, 3} {
-				l := newLattice(r, k, workers)
+				l := newLattice(r, k, workers, false)
 				for depth := 1; len(l.level) > 0; depth++ {
 					at := fmt.Sprintf("%s k=%d workers=%d level %d", name, k, workers, depth)
 					checkLinks(t, at, l)
@@ -252,7 +252,7 @@ func TestLatticeLinks(t *testing.T) {
 func TestMineAllocationsPerElement(t *testing.T) {
 	r := parallelFixtures()["corr"]
 	const k = 2
-	l := newLattice(r, k, 1)
+	l := newLattice(r, k, 1, false)
 	elements, rules := 0, 0
 	for len(l.level) > 0 {
 		elements += len(l.level)
@@ -284,11 +284,11 @@ func TestLatticeStepsObserveCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 3} {
-		l := newLattice(parallelFixtures()["cust"], 2, workers)
+		l := newLattice(parallelFixtures()["cust"], 2, workers, false)
 		if _, err := l.discover(cancelled, nil); err != context.Canceled {
 			t.Errorf("workers=%d: discover under a cancelled context: %v", workers, err)
 		}
-		l = newLattice(parallelFixtures()["cust"], 2, workers)
+		l = newLattice(parallelFixtures()["cust"], 2, workers, false)
 		if _, err := l.discover(context.Background(), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func TestAdvanceCancelledInsideJoin(t *testing.T) {
 	// ready returns a lattice whose third level is validated: its join has
 	// several runs of prefixes, each with several kids.
 	ready := func() *lattice {
-		l := newLattice(r, 2, 1)
+		l := newLattice(r, 2, 1, false)
 		for depth := 1; depth <= 3; depth++ {
 			if _, err := l.discover(context.Background(), nil); err != nil {
 				t.Fatal(err)
@@ -365,7 +365,7 @@ func TestAdvanceCancelledInsideJoin(t *testing.T) {
 // joinTallies runs the lattice to the end and returns its join tallies.
 func joinTallies(t *testing.T, r *core.Relation, k, workers int) []joinTally {
 	t.Helper()
-	l := newLattice(r, k, workers)
+	l := newLattice(r, k, workers, false)
 	l.tally = true
 	for len(l.level) > 0 {
 		if _, err := l.discover(context.Background(), nil); err != nil {
@@ -401,10 +401,43 @@ func TestHeldTidsPerJoin(t *testing.T) {
 			peak = sum
 		}
 	}
-	if want := (heldTids{tids: 115661, classEnds: 29147}); peak != want {
+	if want := (heldTids{tids: 95861, classEnds: 25011}); peak != want {
 		t.Errorf("peak held %+v over %d joins, want %+v", peak, len(joins), want)
 	}
 	if par := joinTallies(t, r, k, 3); !slices.Equal(par, joins) {
 		t.Errorf("3 workers hold %+v, 1 worker %+v", par, joins)
+	}
+}
+
+// TestFDLatticeLevels pins the wildcard-only lattice, driven level by level
+// on Tax 2000×12 (CF 0.7, seed 1) on one worker and on three, to TANE's
+// lattice: the number of elements each level holds before Step 3 and after
+// it is TANE's. An emptiness test that waits for every attribute to be
+// removed entirely keeps elements TANE prunes, which makes later levels
+// larger.
+func TestFDLatticeLevels(t *testing.T) {
+	rel, err := dataset.Tax(dataset.TaxConfig{Size: 2000, Arity: 12, CF: 0.7, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rel.Encoded()
+	wantBefore := []int{12, 66, 210, 387, 419, 141, 16}
+	wantAfter := []int{12, 65, 201, 373, 348, 130, 12}
+	for _, workers := range []int{1, 3} {
+		l := newLattice(r, 1, workers, true)
+		var before, after []int
+		for len(l.level) > 0 {
+			before = append(before, len(l.level))
+			if _, err := l.discover(context.Background(), nil); err != nil {
+				t.Fatal(err)
+			}
+			after = append(after, len(l.level))
+			if err := l.advance(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(before, wantBefore) || !slices.Equal(after, wantAfter) {
+			t.Errorf("workers=%d: levels hold %v elements, %v after Step 3; TANE's hold %v, %v", workers, before, after, wantBefore, wantAfter)
+		}
 	}
 }

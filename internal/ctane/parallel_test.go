@@ -71,7 +71,7 @@ func TestDiscoverWorkersIdentical(t *testing.T) {
 	ctx := context.Background()
 	for name, r := range parallelFixtures() {
 		for _, k := range []int{1, 2, 4} {
-			seq, par := newLattice(r, k, 1), newLattice(r, k, 3)
+			seq, par := newLattice(r, k, 1, false), newLattice(r, k, 3, false)
 			for depth := 1; len(seq.level) > 0; depth++ {
 				at := fmt.Sprintf("%s k=%d level %d", name, k, depth)
 				seqOut, err := seq.discover(ctx, nil)
