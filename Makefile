@@ -162,7 +162,7 @@ COVER_FLOORS := \
 	violation:96.3 \
 	rules:96.0 \
 	discovery/monitor:90.0 \
-	internal/core:98.4 \
+	internal/core:98.5 \
 	internal/partition:100.0 \
 	internal/itemset:95.0 \
 	internal/cfdminer:97.0 \

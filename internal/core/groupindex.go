@@ -9,10 +9,11 @@ import (
 // one LHS attribute set X — the rows of the pattern tableaux that share X
 // (§2.3). All of them partition the tuples identically, by their values on X
 // (the partition π_X of §4.4), so the partition is stored once: tuples are
-// grouped by their (encoded) X values, and a group's members carry, next to
-// the tuple id, the tuple's code on every RHS attribute the rules name. A rule
-// is then only a filter — its LHS pattern constants select the groups it
-// applies to — plus the RHS attribute it reads and three counters.
+// grouped by their (encoded) X values, and a group is the ids of its members,
+// as a class of π_X is in TANE. A member's codes on the RHS attributes the
+// rules name are read from the relation the index covers. A rule is then only
+// a filter — its LHS pattern constants select the groups it applies to — plus
+// the RHS attribute it reads and three counters.
 //
 // A group violates a rule that applies to it when its tuples disagree on the
 // rule's RHS attribute, or — for a constant-RHS rule — when any of its tuples
@@ -30,35 +31,33 @@ import (
 //
 // Groups are keyed on the X codes packed into one uint64 — directly for up to
 // two attributes, via a pair-interning table for wider X — so the hot path
-// hashes a single integer. Most groups are tiny: on mined rule sets nine in
-// ten hold a single tuple, and such a group is nothing but its map entry,
-// which records the member's id. Its codes are read from the relation the
-// index covers when a second member joins, when an insert needs the group's
-// state, and when a read visits it — and a single tuple can only violate a
-// constant RHS, so reads rarely ask. A group of two to smallMax members is a
-// run of words in one arena shared by the whole index — a header, then stride
-// words per member — and is judged by scanning its own members; a run left
-// with one member is demoted back to a map entry. Only a group that outgrows
-// smallMax gets a heap object of its own, with per-RHS value counts and, from
-// its first delete on, an id → position map. Arena, group map and pair
-// tables hold no pointers, so the garbage collector never walks them. A tuple
-// id must fit in 32 bits, which the engine guarantees (ids are dense and
-// pinned inserts are gap-bounded). Insert must not be called twice for a live
-// id; delete (or update: delete then re-insert) the id first, as every caller
-// in this repository does.
+// hashes a single integer. Every member is a bare 32-bit tuple id. Most groups
+// are tiny: on mined rule sets nine in ten hold a single tuple, and such a
+// group is nothing but its map entry, which records the member's id. A group
+// of two to smallMax members is a run of words in one arena shared by the
+// whole index — a header, then one id per member — and is judged by reading
+// its members' codes; a run left with one member is demoted back to a map
+// entry. Only a group that outgrows smallMax gets a heap object of its own,
+// with per-RHS value counts, fed from the rows inserted and deleted, and, from
+// its first delete on, an id → position map. Arena, group map and pair tables
+// hold no pointers, so the garbage collector never walks them. A tuple id must
+// fit in 32 bits, which the engine guarantees (ids are dense and pinned
+// inserts are gap-bounded). Insert must not be called twice for a live id;
+// delete (or update: delete then re-insert) the id first, as every caller in
+// this repository does.
 //
 // The relation must hold, whenever the index is called, the row every indexed
-// tuple was inserted with — except the rows SetPending supplies. The row of
-// the tuple being inserted or deleted is the one passed in.
+// tuple was inserted with — the tuple being deleted included — except the
+// rows SetPending supplies. The row of the tuple being inserted is the one
+// passed in.
 //
 // Insert and Delete need exclusive access; every other method only reads, so
 // any number of them may run concurrently under a shared lock.
 type GroupIndex struct {
-	lhs    []int // X, ascending attribute indexes
-	rhs    []int // distinct RHS attributes of the rules; a member stores one code per entry
-	stride int   // words per member: the tuple id, then len(rhs) codes
-	arity  int   // length of the rules' pattern tuples, i.e. of a row
-	rules  []groupRule
+	lhs   []int // X, ascending attribute indexes
+	rhs   []int // distinct RHS attributes of the rules, indexed by slot
+	arity int   // length of the rules' pattern tuples, i.e. of a row
+	rules []groupRule
 
 	// rel holds the rows of the indexed tuples; pending, while set, overrides
 	// it for the tuples it knows (SetPending).
@@ -89,11 +88,11 @@ type GroupIndex struct {
 	large     []*largeGroup
 	freeLarge []uint32
 
-	// Scratch of the write path (Insert, Delete): one holds a one-member
-	// group spelled out (see spell).
+	// Scratch of the write path (Insert, Delete): one holds the id of a
+	// one-member group.
 	hit    []int
 	before []slotState
-	one    []uint32
+	one    [1]uint32
 }
 
 const (
@@ -146,9 +145,9 @@ type slotState struct {
 	code  int32
 }
 
-// group is a located group: its n*stride member words and, past smallMax,
-// its bookkeeping. The zero group has no members; a one-member group's words
-// are spelled out in a scratch buffer.
+// group is a located group: its members' ids and, past smallMax, its
+// bookkeeping. The zero group has no members; a one-member group's id is
+// held in a scratch buffer.
 type group struct {
 	m  []uint32
 	lg *largeGroup
@@ -156,9 +155,9 @@ type group struct {
 
 // largeGroup is a group that outgrew its arena run.
 type largeGroup struct {
-	members []uint32         // stride words per member, insertion order
+	members []uint32         // ids, insertion order
 	idpos   map[uint32]int32 // id -> member position; nil until the first delete
-	counts  []rhsCounts      // one per RHS slot
+	counts  []rhsCounts      // one per RHS slot, over the members' codes
 }
 
 // rhsCounts holds the multiplicity of every code a large group carries on one
@@ -174,8 +173,8 @@ type rhsCounts struct {
 // NewGroupIndex returns an empty index over the tuples of rel for the given
 // rules, which must be at least one and share their LHS attribute set. Rule
 // positions in the slice are the rule numbers every other method speaks in.
-// The index reads the codes of a one-member group's tuple from rel, so rel
-// must hold every indexed row (see the Layout section above).
+// The index reads its members' codes from rel, so rel must hold every indexed
+// row (see the Layout section above).
 func NewGroupIndex(rel *Relation, rules []CFD) *GroupIndex {
 	if len(rules) == 0 {
 		panic("core: group index without rules")
@@ -204,9 +203,7 @@ func NewGroupIndex(rel *Relation, rules []CFD) *GroupIndex {
 		}
 		ix.rules[i] = r
 	}
-	ix.stride = 1 + len(ix.rhs)
 	ix.before = make([]slotState, len(ix.rhs))
-	ix.one = make([]uint32, ix.stride)
 	return ix
 }
 
@@ -310,36 +307,19 @@ func (ix *GroupIndex) at(ref uint64) group {
 		lg := ix.large[ref&^largeBit]
 		return group{lg.members, lg}
 	}
-	n := int(ix.arena[ref] & 0xff)
-	return group{m: ix.arena[ref+1 : int(ref)+1+n*ix.stride]}
+	n := ix.arena[ref] & 0xff
+	return group{m: ix.arena[ref+1 : ref+1+uint64(n)]}
 }
 
-// spell writes the one-member group of tuple id into buf, which has stride
-// words: the id, then its RHS codes as the relation (or SetPending) has them.
-func (ix *GroupIndex) spell(id uint32, buf []uint32) group {
-	if ix.pending != nil {
-		if row := ix.pending(int(id)); row != nil {
-			return ix.spellRow(id, row, buf)
-		}
-	}
-	buf[0] = id
-	for s, a := range ix.rhs {
-		buf[1+s] = uint32(ix.rel.Value(int(id), a))
-	}
-	return group{m: buf}
+// oneGroup returns the one-member group of tuple id, held in the write
+// path's scratch.
+func (ix *GroupIndex) oneGroup(id uint32) group {
+	ix.one[0] = id
+	return group{m: ix.one[:]}
 }
 
-// spellRow writes the one-member group of tuple id with the given row into
-// buf.
-func (ix *GroupIndex) spellRow(id uint32, row []int32, buf []uint32) group {
-	buf[0] = id
-	for s, a := range ix.rhs {
-		buf[1+s] = uint32(row[a])
-	}
-	return group{m: buf}
-}
-
-// code returns a one-member group's code in one RHS slot.
+// code returns member id's code in one RHS slot, as SetPending or else the
+// relation has it. It is the one place a member's code is read.
 func (ix *GroupIndex) code(id uint32, slot int) int32 {
 	if ix.pending != nil {
 		if row := ix.pending(int(id)); row != nil {
@@ -359,13 +339,13 @@ func (ix *GroupIndex) state(g group, slot int) slotState {
 	if len(g.m) == 0 {
 		return slotState{agree: true}
 	}
-	first := g.m[1+slot]
-	for i := ix.stride; i < len(g.m); i += ix.stride {
-		if g.m[i+1+slot] != first {
+	first := ix.code(g.m[0], slot)
+	for _, id := range g.m[1:] {
+		if ix.code(id, slot) != first {
 			return slotState{}
 		}
 	}
-	return slotState{true, int32(first)}
+	return slotState{true, first}
 }
 
 // alloc hands out a run of the given capacity class with an undefined header.
@@ -374,7 +354,7 @@ func (ix *GroupIndex) alloc(class uint32) uint32 {
 		ix.free[class] = ix.arena[off]
 		return off
 	}
-	off, need := len(ix.arena), 1+ix.stride<<(class+1)
+	off, need := len(ix.arena), 1+2<<class
 	if off+need > largeBit {
 		panic("core: group index arena exhausted")
 	}
@@ -388,20 +368,20 @@ func (ix *GroupIndex) release(off, class uint32) {
 	ix.free[class] = off
 }
 
-// add appends the member (id, the row's RHS codes) to the group keyed k, where
-// ref is the group's current reference, 0 when it does not exist yet, and g
-// the group it resolves to: a one-member group becomes a run of two, a run
-// moves to the next capacity class or is promoted to a largeGroup as needed.
-// It returns the group as it now stands.
+// add appends member id, inserted with the given row, to the group keyed k,
+// where ref is the group's current reference, 0 when it does not exist yet,
+// and g the group it resolves to: a one-member group becomes a run of two, a
+// run moves to the next capacity class or is promoted to a largeGroup as
+// needed. It returns the group as it now stands.
 func (ix *GroupIndex) add(k, ref uint64, g group, id int, row []int32) group {
 	switch {
 	case ref == 0:
 		ix.groups[k] = oneBit | uint64(uint32(id))
 		ix.ones++
-		return ix.spellRow(uint32(id), row, ix.one)
+		return ix.oneGroup(uint32(id))
 	case ref&oneBit != 0:
 		off := ix.alloc(0)
-		copy(ix.arena[off+1:], g.m)
+		ix.arena[off+1] = g.m[0]
 		ix.arena[off] = 1 // one member, class 0: the newcomer is appended below
 		ref = uint64(off)
 		ix.groups[k] = ref
@@ -410,11 +390,10 @@ func (ix *GroupIndex) add(k, ref uint64, g group, id int, row []int32) group {
 	case ref&largeBit != 0:
 		lg := ix.large[ref&^largeBit]
 		if lg.idpos != nil {
-			lg.idpos[uint32(id)] = int32(len(lg.members) / ix.stride)
+			lg.idpos[uint32(id)] = int32(len(lg.members))
 		}
 		lg.members = append(lg.members, uint32(id))
 		for s, a := range ix.rhs {
-			lg.members = append(lg.members, uint32(row[a]))
 			lg.counts[s].incr(row[a])
 		}
 		return group{lg.members, lg}
@@ -422,14 +401,14 @@ func (ix *GroupIndex) add(k, ref uint64, g group, id int, row []int32) group {
 	n, class := ix.arena[ref]&0xff, ix.arena[ref]>>8
 	if n == 2<<class { // the run is full
 		if n == smallMax {
-			old := ix.arena[ref+1 : ref+1+uint64(n)*uint64(ix.stride)]
+			old := ix.arena[ref+1 : ref+1+uint64(n)]
 			lg := &largeGroup{
 				members: append(make([]uint32, 0, 2*len(old)), old...),
 				counts:  make([]rhsCounts, len(ix.rhs)),
 			}
-			for i := 0; i < len(old); i += ix.stride {
+			for _, m := range old {
 				for s := range ix.rhs {
-					lg.counts[s].incr(int32(old[i+1+s]))
+					lg.counts[s].incr(ix.code(m, s))
 				}
 			}
 			ix.release(uint32(ref), class)
@@ -448,16 +427,12 @@ func (ix *GroupIndex) add(k, ref uint64, g group, id int, row []int32) group {
 			return ix.add(k, ref, group{}, id, row)
 		}
 		grown := ix.alloc(class + 1) // may move the arena: slice it afresh below
-		copy(ix.arena[grown+1:], ix.arena[ref+1:ref+1+uint64(n)*uint64(ix.stride)])
+		copy(ix.arena[grown+1:], ix.arena[ref+1:ref+1+uint64(n)])
 		ix.release(uint32(ref), class)
 		ref, class = uint64(grown), class+1
 		ix.groups[k] = ref
 	}
-	at := ref + 1 + uint64(n)*uint64(ix.stride)
-	ix.arena[at] = uint32(id)
-	for s, a := range ix.rhs {
-		ix.arena[int(at)+1+s] = uint32(row[a])
-	}
+	ix.arena[ref+1+uint64(n)] = uint32(id)
 	ix.arena[ref] = (n + 1) | class<<8
 	return ix.at(ref)
 }
@@ -467,17 +442,12 @@ func (ix *GroupIndex) add(k, ref uint64, g group, id int, row []int32) group {
 // making this and every later delete O(1).
 func (ix *GroupIndex) locate(g group, id int) int {
 	if g.lg == nil {
-		for i := 0; i < len(g.m); i += ix.stride {
-			if g.m[i] == uint32(id) {
-				return i / ix.stride
-			}
-		}
-		return -1
+		return slices.Index(g.m, uint32(id))
 	}
 	if g.lg.idpos == nil {
-		g.lg.idpos = make(map[uint32]int32, len(g.m)/ix.stride)
-		for i := 0; i < len(g.m); i += ix.stride {
-			g.lg.idpos[g.m[i]] = int32(i / ix.stride)
+		g.lg.idpos = make(map[uint32]int32, len(g.m))
+		for i, m := range g.m {
+			g.lg.idpos[m] = int32(i)
 		}
 	}
 	if pos, ok := g.lg.idpos[uint32(id)]; ok {
@@ -487,28 +457,28 @@ func (ix *GroupIndex) locate(g group, id int) int {
 }
 
 // remove swap-removes the member at position pos of the group keyed k, which
-// ref references and g resolves to, and returns what is left of the group. A
-// group left empty is dropped: its large position goes back on the free list
-// and its key leaves the map. A run left with one member is demoted to a map
-// entry and its run released; the returned words then alias the released run,
-// valid until the next allocation.
-func (ix *GroupIndex) remove(k, ref uint64, g group, pos int) group {
+// ref references and g resolves to, and returns what is left of the group;
+// row is the removed member's row. A group left empty is dropped: its large
+// position goes back on the free list and its key leaves the map. A run left
+// with one member is demoted to a map entry and its run released; the
+// returned ids then alias the released run, valid until the next allocation.
+func (ix *GroupIndex) remove(k, ref uint64, g group, pos int, row []int32) group {
 	if ref&oneBit != 0 {
 		delete(ix.groups, k)
 		ix.ones--
 		return group{}
 	}
-	at, last := pos*ix.stride, len(g.m)-ix.stride
+	last := len(g.m) - 1
 	if lg := g.lg; lg != nil {
-		for s := range ix.rhs {
-			lg.counts[s].decr(int32(g.m[at+1+s]))
+		for s, a := range ix.rhs {
+			lg.counts[s].decr(row[a])
 		}
-		delete(lg.idpos, g.m[at])
-		if at != last {
+		delete(lg.idpos, g.m[pos])
+		if pos != last {
 			lg.idpos[g.m[last]] = int32(pos)
 		}
 	}
-	copy(g.m[at:at+ix.stride], g.m[last:])
+	g.m[pos] = g.m[last]
 	g.m = g.m[:last]
 	switch {
 	case g.lg != nil && last > 0:
@@ -518,7 +488,7 @@ func (ix *GroupIndex) remove(k, ref uint64, g group, pos int) group {
 		ix.freeLarge = append(ix.freeLarge, uint32(ref&^largeBit))
 		delete(ix.groups, k)
 		ix.larges--
-	case last > ix.stride:
+	case last > 1:
 		ix.arena[ref]--
 	default:
 		ix.release(uint32(ref), ix.arena[ref]>>8)
@@ -561,11 +531,11 @@ func (ix *GroupIndex) Insert(id int, row []int32, observe func(rule, id int, vio
 	var g group
 	switch {
 	case ref&oneBit != 0:
-		g = ix.spell(uint32(ref), ix.one)
+		g = ix.oneGroup(uint32(ref))
 	case ref != 0:
 		g = ix.at(ref)
 	}
-	n := len(g.m) / ix.stride
+	n := len(g.m)
 	for s := range ix.rhs {
 		ix.before[s] = ix.state(g, s)
 	}
@@ -590,8 +560,8 @@ func (ix *GroupIndex) Insert(id int, row []int32, observe func(rule, id int, vio
 		case now: // the group turned bad: every member's membership changed
 			rule.bad += n + 1
 			if observe != nil {
-				for i := 0; i < len(g.m); i += ix.stride {
-					observe(r, int(g.m[i]), true)
+				for _, m := range g.m {
+					observe(r, int(m), true)
 				}
 			}
 		}
@@ -618,7 +588,7 @@ func (ix *GroupIndex) Delete(id int, row []int32, observe func(rule, id int, vio
 	switch {
 	case ref&oneBit != 0:
 		if uint32(ref) == uint32(id) {
-			g, pos = ix.spellRow(uint32(id), row, ix.one), 0
+			g, pos = ix.oneGroup(uint32(id)), 0
 		}
 	case ref != 0:
 		g = ix.at(ref)
@@ -627,11 +597,11 @@ func (ix *GroupIndex) Delete(id int, row []int32, observe func(rule, id int, vio
 	if pos < 0 {
 		return
 	}
-	n := len(g.m) / ix.stride
+	n := len(g.m)
 	for s := range ix.rhs {
 		ix.before[s] = ix.state(g, s)
 	}
-	g = ix.remove(k, ref, g, pos)
+	g = ix.remove(k, ref, g, pos, row)
 	for _, r := range hit {
 		rule := &ix.rules[r]
 		rule.tuples--
@@ -650,8 +620,8 @@ func (ix *GroupIndex) Delete(id int, row []int32, observe func(rule, id int, vio
 		}
 		rule.bad -= n
 		if observe != nil {
-			for i := 0; i < len(g.m); i += ix.stride {
-				observe(r, int(g.m[i]), false)
+			for _, m := range g.m {
+				observe(r, int(m), false)
 			}
 		}
 	}
@@ -704,7 +674,7 @@ func (ix *GroupIndex) walk(active []int, visit func(r int, g group)) {
 	}
 	row := make([]int32, ix.arity)
 	states := make([]slotState, len(ix.rhs))
-	one := make([]uint32, ix.stride)
+	one := make([]uint32, 1)
 	for k, ref := range ix.groups {
 		if ref&oneBit != 0 {
 			if constRHS {
@@ -729,7 +699,7 @@ func (ix *GroupIndex) walk(active []int, visit func(r int, g group)) {
 
 // walkOne is walk on the one-member group of tuple id keyed k: only a
 // constant RHS can flag it, so it reads the member's code on the slots of
-// those rules alone, and spells the group out in buf only to visit it.
+// those rules alone, and writes the group into buf only to visit it.
 func (ix *GroupIndex) walkOne(k uint64, id uint32, active []int, constLHS bool, row []int32, buf []uint32, visit func(r int, g group)) {
 	if constLHS {
 		ix.unkey(k, row)
@@ -741,7 +711,8 @@ func (ix *GroupIndex) walkOne(k uint64, id uint32, active []int, constLHS bool, 
 			continue
 		}
 		if g.m == nil {
-			g = ix.spell(id, buf)
+			buf[0] = id
+			g = group{m: buf}
 		}
 		visit(r, g)
 	}
@@ -761,8 +732,8 @@ func (ix *GroupIndex) Violating(only []bool) [][]int {
 		}
 	}
 	ix.walk(active, func(r int, g group) {
-		for i := 0; i < len(g.m); i += ix.stride {
-			out[r] = append(out[r], int(g.m[i]))
+		for _, m := range g.m {
+			out[r] = append(out[r], int(m))
 		}
 	})
 	for _, r := range active {
@@ -793,9 +764,9 @@ func (ix *GroupIndex) Repairs(dict func(attr int) *Dict, visit func(rule, id int
 		if want == Wildcard {
 			want = ix.majority(g, rule.slot, dict(rule.c.RHS))
 		}
-		for i := 0; i < len(g.m); i += ix.stride {
-			if have := int32(g.m[i+1+rule.slot]); have != want {
-				visit(r, int(g.m[i]), have, want)
+		for _, m := range g.m {
+			if have := ix.code(m, rule.slot); have != want {
+				visit(r, int(m), have, want)
 			}
 		}
 	})
@@ -810,15 +781,15 @@ func (ix *GroupIndex) majority(g group, slot int, values *Dict) int32 {
 	}
 	var best int32
 	bestN := 0
-	for i := 0; i < len(g.m); i += ix.stride {
-		code, n := g.m[i+1+slot], 0
-		for j := 0; j < len(g.m); j += ix.stride {
-			if g.m[j+1+slot] == code {
+	for _, m := range g.m {
+		code, n := ix.code(m, slot), 0
+		for _, o := range g.m {
+			if ix.code(o, slot) == code {
 				n++
 			}
 		}
-		if n > bestN || (n == bestN && values.Value(int32(code)) < values.Value(best)) {
-			best, bestN = int32(code), n
+		if n > bestN || (n == bestN && values.Value(code) < values.Value(best)) {
+			best, bestN = code, n
 		}
 	}
 	return best

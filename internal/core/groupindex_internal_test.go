@@ -95,7 +95,8 @@ func TestGroupIndexOneMemberGroupsTakeNoArena(t *testing.T) {
 // TestGroupIndexRunReturnsToFreeList walks one group through 1 → 2 → 1 → 0
 // members: the second member takes a run of the smallest class, the delete
 // that leaves one member gives it back to that class's free list, and the
-// next group to reach two members takes the same run again.
+// next group to reach two members takes the same run again. A run of class c
+// is a header and 2<<c ids, however many RHS attributes the rules name.
 func TestGroupIndexRunReturnsToFreeList(t *testing.T) {
 	rel := testRelation(2)
 	ix := NewGroupIndex(rel, []CFD{{LHS: NewAttrSet(0), RHS: 1, Tp: NewPattern(2)}})
@@ -136,6 +137,29 @@ func TestGroupIndexRunReturnsToFreeList(t *testing.T) {
 	if len(ix.arena) != words || ix.free[0] != 0 {
 		t.Fatalf("arena %d words, free run %d; want the released run reused at %d words", len(ix.arena), ix.free[0], words)
 	}
+
+	for rhs := 1; rhs <= 3; rhs++ {
+		rel := testRelation(1 + rhs)
+		var rules []CFD
+		for a := 1; a <= rhs; a++ {
+			rules = append(rules, CFD{LHS: NewAttrSet(0), RHS: a, Tp: NewPattern(1 + rhs)})
+		}
+		ix := NewGroupIndex(rel, rules)
+		row := make([]int32, 1+rhs)
+		for id := 0; id < smallMax; id++ {
+			words := len(ix.arena)
+			PutRow(rel, id, row)
+			ix.Insert(id, row, nil)
+			// Members 2, 3 and 5 each move the group to a run of a new class.
+			for c := 0; c < smallClasses; c++ {
+				if id+1 == 1+1<<c {
+					if grown := len(ix.arena) - words; grown != 1+2<<c {
+						t.Fatalf("%d RHS attributes: a run of class %d took %d words, want %d", rhs, c, grown, 1+2<<c)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestGroupIndexReadsPendingRows: for a writer that writes the relation only
@@ -169,6 +193,104 @@ func TestGroupIndexReadsPendingRows(t *testing.T) {
 	ix.Delete(1, []int32{0, 7}, nil)
 	if got := ix.Violating(nil)[1]; !slices.Equal(got, []int{0}) || ix.BadTuples(1) != 1 {
 		t.Fatalf("after the write and a delete: Violating = %v, %d bad; want [0], 1", got, ix.BadTuples(1))
+	}
+
+	// One group grows from one member through runs of every class to a large
+	// group and shrinks back, its rows supplied by SetPending alone: the
+	// relation holds other rows for tuples 0..3 and none for the rest, so a
+	// read of the relation — for a run's state, a promotion's counts or a
+	// walk — shows in the counters or panics.
+	rel = testRelation(2)
+	ix = NewGroupIndex(rel, []CFD{
+		{LHS: NewAttrSet(0), RHS: 1, Tp: NewPattern(2)},
+		{LHS: NewAttrSet(0), RHS: 1, Tp: Pattern{Wildcard, 5}},
+	})
+	live := make(map[int][]int32)
+	for id := 0; id < 4; id++ {
+		PutRow(rel, id, []int32{0, 6})
+	}
+	ix.SetPending(func(id int) []int32 { return live[id] })
+	// check holds the index to the live rows, and its Shape to one, run or
+	// large group (the index keeps a large group until it empties).
+	check := func(step string, shape [3]int) {
+		t.Helper()
+		var ids []int
+		distinct := make(map[int32]bool)
+		for id, row := range live {
+			ids = append(ids, id)
+			distinct[row[1]] = true
+		}
+		slices.Sort(ids)
+		var want [2][]int
+		if len(distinct) > 1 {
+			want[0] = ids
+		}
+		if len(distinct) > 1 || !distinct[5] {
+			want[1] = ids
+		}
+		got := ix.Violating(nil)
+		var violated []int
+		for r := range want {
+			if ix.Tuples(r) != len(ids) || ix.Groups(r) != min(len(ids), 1) || ix.BadTuples(r) != len(want[r]) || !slices.Equal(got[r], want[r]) {
+				t.Fatalf("%s, rule %d: %d tuples, %d groups, %d bad, violating %v; want %d, %d, %d, %v",
+					step, r, ix.Tuples(r), ix.Groups(r), ix.BadTuples(r), got[r], len(ids), min(len(ids), 1), len(want[r]), want[r])
+			}
+			if want[r] != nil {
+				violated = append(violated, r)
+			}
+		}
+		for id, row := range live {
+			if v := violatedRules(ix, row); !slices.Equal(v, violated) {
+				t.Fatalf("%s: tuple %d violates rules %v, want %v", step, id, v, violated)
+			}
+		}
+		if one, run, large := ix.Shape(); [3]int{one, run, large} != shape {
+			t.Fatalf("%s: Shape = %d, %d, %d; want %v", step, one, run, large, shape)
+		}
+	}
+	const n = 12
+	for id := 0; id < n; id++ {
+		code := int32(5)
+		if id%4 == 0 {
+			code = 7
+		}
+		live[id] = []int32{0, code}
+		ix.Insert(id, live[id], nil)
+		shape := [3]int{1, 0, 0}
+		switch {
+		case id >= smallMax:
+			shape = [3]int{0, 0, 1}
+		case id > 0:
+			shape = [3]int{0, 1, 0}
+		}
+		check(fmt.Sprintf("insert %d", id), shape)
+	}
+	for i, id := range []int{0, 4, 8, 11, 10, 9, 7, 6, 5, 3, 2, 1} {
+		ix.Delete(id, live[id], nil)
+		delete(live, id)
+		shape := [3]int{0, 0, 1}
+		if i == n-1 {
+			shape = [3]int{}
+		}
+		check(fmt.Sprintf("delete %d", id), shape)
+	}
+	// A run that shrinks is demoted to a one-member group, then dropped.
+	for id := 0; id < 5; id++ {
+		live[id] = []int32{0, 5 + 2*int32(id%2)}
+		ix.Insert(id, live[id], nil)
+	}
+	check("a run of five", [3]int{0, 1, 0})
+	for id := 4; id >= 0; id-- {
+		ix.Delete(id, live[id], nil)
+		delete(live, id)
+		shape := [3]int{0, 1, 0}
+		switch id {
+		case 1:
+			shape = [3]int{1, 0, 0}
+		case 0:
+			shape = [3]int{}
+		}
+		check(fmt.Sprintf("run delete %d", id), shape)
 	}
 }
 

@@ -291,8 +291,8 @@ func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 // apply commits resolved ops: first the LHS-set indexes — one pool task per
 // index, replaying every op on it in order for index locality — then the row
 // table, sequentially (appends must land at the pre-assigned ids). The
-// indexes go first because a one-member group reads its member's row from
-// the relation: while they are maintained the relation still holds the rows
+// indexes go first because a group reads its members' rows from the
+// relation: while they are maintained the relation still holds the rows
 // from before the batch, and an id an earlier op of the batch wrote is read
 // from that op (batchRows). The replay must run to completion to keep the
 // state consistent, so it is not cancellable. Each index reports the

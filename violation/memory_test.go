@@ -13,10 +13,10 @@ import (
 	"repro/violation"
 )
 
-// bytesPerTupleBound is 211 B measured on amd64 with Go 1.24, plus 9 %. It
-// sits below the 249 B the same load holds when every one-member group keeps
-// an arena run of its own.
-const bytesPerTupleBound = 230
+// bytesPerTupleBound is 193 B measured on amd64 with Go 1.24, plus 5 %. It
+// sits below the 211 B the same load holds when every member of a run or a
+// large group keeps its RHS codes next to its id.
+const bytesPerTupleBound = 202
 
 // taxServed is the 5,000-row Tax instance the memory pins load, and its mined
 // cover (71 rules).

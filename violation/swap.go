@@ -134,9 +134,9 @@ func positions(rs, sub []cfd.CFD) []bool {
 // index x when x maintains exactly those rules, whatever their order: the
 // result shares x's GroupIndex — untouched — under the new placement. It
 // returns nil when x is nil or its rules differ, in which case the LHS set
-// needs a fresh index: members carry codes only for the RHS attributes the
-// index's own rules name, and tuples none of them applies to are not stored
-// at all.
+// needs a fresh index: tuples none of its own rules applies to are not stored
+// at all, and a large group counts values only on the RHS attributes those
+// rules name.
 func reuseIndex(x *lhsIndex, encoded []core.CFD, at []int) *lhsIndex {
 	if x == nil || len(x.at) != len(at) {
 		return nil

@@ -183,8 +183,8 @@ type Engine struct {
 	schema *core.Schema
 	// rel is the tuple store: slot = tuple id, a hole once deleted. Its
 	// dictionaries also intern the rule constants, so they may hold codes no
-	// tuple carries. The indexes read their one-member groups' rows from it,
-	// so a commit writes it only after maintaining them (see apply).
+	// tuple carries. The indexes read their members' rows from it, so a
+	// commit writes it only after maintaining them (see apply).
 	rel   *core.Relation
 	set   *rules.Set
 	rules []cfd.CFD
