@@ -17,10 +17,11 @@ test:
 # that share state between goroutines — the engine's live indexes between
 # concurrent readers, writers and rule swaps, between lock-free report
 # readers and the report a bulk load publishes, and between the pool tasks of
-# one batch or bulk load at every worker count, which share the batch's
-# lookup of the rows its earlier ops wrote, and between a compaction, which
-# streams its copy of the live rows and reads the engine's dictionaries
-# unlocked, and the writers appending to them; the closed-set search's root
+# one bulk load or full report build at every worker count, which a batch,
+# applied op by op on its caller's goroutine, must match, and between a
+# compaction, which streams its copy of the live rows and reads the engine's
+# dictionaries unlocked, and the writers appending to them; the closed-set
+# search's root
 # candidates between its pooled branches, with and without a cancellation in
 # flight, and the closed sets' blocks, which the pool tasks of FastCFD's
 # difference-set table read at once after NewClosed built them beside the
@@ -114,7 +115,9 @@ docs-check:
 # hostile request sequences over the whole /v1 surface against a node and a
 # coordinator over two shards, held to each other (FuzzServe: one input costs
 # tens of milliseconds, so it minimizes each new input in at most ten runs),
-# the shared group index against its from-scratch recount,
+# the shared group index against its from-scratch recount (one input costs
+# little, but minimizing a new one under the default budget took a whole 30 s
+# run to a few hundred execs, so it too minimizes in at most ten runs),
 # the partition product — either operand refined by the other's last item —
 # against the direct scan partition.FromSet, the
 # difference-set minimisation against its map-based reference and the CSV
@@ -131,7 +134,7 @@ fuzz:
 	$(GO) test ./violation -run '^$$' -fuzz '^FuzzFaultSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cluster -run '^$$' -fuzz '^FuzzWireDocs$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/cfdserve -run '^$$' -fuzz '^FuzzServe$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGroupIndex$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGroupIndex$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/partition -run '^$$' -fuzz '^FuzzProduct$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diffset -run '^$$' -fuzz '^FuzzMinimize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diffset -run '^$$' -fuzz '^FuzzBackendsAgree$$' -fuzztime $(FUZZTIME)
@@ -159,7 +162,7 @@ fuzz:
 # cover_<last path element>.out.
 COVER_FLOORS := \
 	cfd:92.0 \
-	violation:96.3 \
+	violation:97.5 \
 	rules:96.0 \
 	discovery/monitor:90.0 \
 	internal/core:98.5 \

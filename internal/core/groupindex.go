@@ -47,9 +47,8 @@ import (
 // this repository does.
 //
 // The relation must hold, whenever the index is called, the row every indexed
-// tuple was inserted with — the tuple being deleted included — except the
-// rows SetPending supplies. The row of the tuple being inserted is the one
-// passed in.
+// tuple was inserted with — the tuple being deleted included. The row of the
+// tuple being inserted is the one passed in.
 //
 // Insert and Delete need exclusive access; every other method only reads, so
 // any number of them may run concurrently under a shared lock.
@@ -59,10 +58,8 @@ type GroupIndex struct {
 	arity int   // length of the rules' pattern tuples, i.e. of a row
 	rules []groupRule
 
-	// rel holds the rows of the indexed tuples; pending, while set, overrides
-	// it for the tuples it knows (SetPending).
-	rel     *Relation
-	pending func(id int) []int32
+	// rel holds the rows of the indexed tuples.
+	rel *Relation
 
 	// groups maps packed X codes to a group reference: oneBit | id for a
 	// one-member group, the arena offset of a run, or largeBit | position in
@@ -207,12 +204,6 @@ func NewGroupIndex(rel *Relation, rules []CFD) *GroupIndex {
 	return ix
 }
 
-// SetPending makes the index read the row of a tuple from rows(id) when that
-// is non-nil, and from the relation otherwise; nil, the default, reads every
-// row from the relation. It serves a writer that maintains the index before
-// it writes the relation. Like Insert and Delete it needs exclusive access.
-func (ix *GroupIndex) SetPending(rows func(id int) []int32) { ix.pending = rows }
-
 // Shape returns how many groups the index holds as a one-member map entry,
 // as an arena run of two to smallMax members, and as a large group.
 func (ix *GroupIndex) Shape() (one, run, large int) { return ix.ones, ix.runs, ix.larges }
@@ -318,14 +309,9 @@ func (ix *GroupIndex) oneGroup(id uint32) group {
 	return group{m: ix.one[:]}
 }
 
-// code returns member id's code in one RHS slot, as SetPending or else the
-// relation has it. It is the one place a member's code is read.
+// code returns member id's code in one RHS slot, as the relation has it. It
+// is the one place a member's code is read.
 func (ix *GroupIndex) code(id uint32, slot int) int32 {
-	if ix.pending != nil {
-		if row := ix.pending(int(id)); row != nil {
-			return row[ix.rhs[slot]]
-		}
-	}
 	return ix.rel.Value(int(id), ix.rhs[slot])
 }
 

@@ -162,54 +162,30 @@ func TestGroupIndexRunReturnsToFreeList(t *testing.T) {
 	}
 }
 
-// TestGroupIndexReadsPendingRows: for a writer that writes the relation only
-// after maintaining the index, SetPending supplies the rows the relation does
-// not hold yet — read for the group's state on insert and by a walk alike.
-func TestGroupIndexReadsPendingRows(t *testing.T) {
+// TestGroupIndexShapeThroughEveryClass grows one group from one member
+// through runs of every class to a large group and shrinks it back, then
+// shrinks a run of five through demotion. Each row is written to the
+// relation just before its insert and cleared just after its delete, as the
+// engine does, so a read of a stale or missing row — for a run's state, a
+// promotion's counts or a walk — shows in the counters, the violating sets,
+// Violated or Shape, all checked at every step.
+func TestGroupIndexShapeThroughEveryClass(t *testing.T) {
 	rel := testRelation(2)
 	ix := NewGroupIndex(rel, []CFD{
 		{LHS: NewAttrSet(0), RHS: 1, Tp: NewPattern(2)},
 		{LHS: NewAttrSet(0), RHS: 1, Tp: Pattern{Wildcard, 5}},
 	})
-	stale, fresh := []int32{0, 5}, []int32{0, 7}
-	PutRow(rel, 0, stale) // tuple 0's row before the pending write
-	ix.SetPending(func(id int) []int32 {
-		if id == 0 {
-			return fresh
-		}
-		return nil
-	})
-	ix.Insert(0, fresh, nil)
-	if got := ix.Violating(nil)[1]; !slices.Equal(got, []int{0}) {
-		t.Fatalf("Violating under the constant rule = %v, want [0]: the walk must read the pending row", got)
-	}
-	ix.Insert(1, []int32{0, 7}, nil)
-	if ix.BadTuples(0) != 0 || ix.BadTuples(1) != 2 {
-		t.Fatalf("bad tuples %d and %d, want 0 and 2: the join must read the pending row", ix.BadTuples(0), ix.BadTuples(1))
-	}
-	ix.SetPending(nil)
-	PutRow(rel, 0, fresh)
-	PutRow(rel, 1, []int32{0, 7})
-	ix.Delete(1, []int32{0, 7}, nil)
-	if got := ix.Violating(nil)[1]; !slices.Equal(got, []int{0}) || ix.BadTuples(1) != 1 {
-		t.Fatalf("after the write and a delete: Violating = %v, %d bad; want [0], 1", got, ix.BadTuples(1))
-	}
-
-	// One group grows from one member through runs of every class to a large
-	// group and shrinks back, its rows supplied by SetPending alone: the
-	// relation holds other rows for tuples 0..3 and none for the rest, so a
-	// read of the relation — for a run's state, a promotion's counts or a
-	// walk — shows in the counters or panics.
-	rel = testRelation(2)
-	ix = NewGroupIndex(rel, []CFD{
-		{LHS: NewAttrSet(0), RHS: 1, Tp: NewPattern(2)},
-		{LHS: NewAttrSet(0), RHS: 1, Tp: Pattern{Wildcard, 5}},
-	})
 	live := make(map[int][]int32)
-	for id := 0; id < 4; id++ {
-		PutRow(rel, id, []int32{0, 6})
+	insert := func(id int, row []int32) {
+		live[id] = row
+		PutRow(rel, id, row)
+		ix.Insert(id, row, nil)
 	}
-	ix.SetPending(func(id int) []int32 { return live[id] })
+	del := func(id int) {
+		ix.Delete(id, live[id], nil)
+		rel.Clear(id)
+		delete(live, id)
+	}
 	// check holds the index to the live rows, and its Shape to one, run or
 	// large group (the index keeps a large group until it empties).
 	check := func(step string, shape [3]int) {
@@ -254,8 +230,7 @@ func TestGroupIndexReadsPendingRows(t *testing.T) {
 		if id%4 == 0 {
 			code = 7
 		}
-		live[id] = []int32{0, code}
-		ix.Insert(id, live[id], nil)
+		insert(id, []int32{0, code})
 		shape := [3]int{1, 0, 0}
 		switch {
 		case id >= smallMax:
@@ -266,8 +241,7 @@ func TestGroupIndexReadsPendingRows(t *testing.T) {
 		check(fmt.Sprintf("insert %d", id), shape)
 	}
 	for i, id := range []int{0, 4, 8, 11, 10, 9, 7, 6, 5, 3, 2, 1} {
-		ix.Delete(id, live[id], nil)
-		delete(live, id)
+		del(id)
 		shape := [3]int{0, 0, 1}
 		if i == n-1 {
 			shape = [3]int{}
@@ -276,13 +250,11 @@ func TestGroupIndexReadsPendingRows(t *testing.T) {
 	}
 	// A run that shrinks is demoted to a one-member group, then dropped.
 	for id := 0; id < 5; id++ {
-		live[id] = []int32{0, 5 + 2*int32(id%2)}
-		ix.Insert(id, live[id], nil)
+		insert(id, []int32{0, 5 + 2*int32(id%2)})
 	}
 	check("a run of five", [3]int{0, 1, 0})
 	for id := 4; id >= 0; id-- {
-		ix.Delete(id, live[id], nil)
-		delete(live, id)
+		del(id)
 		shape := [3]int{0, 1, 0}
 		switch id {
 		case 1:

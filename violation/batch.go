@@ -1,7 +1,6 @@
 package violation
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/jsonw"
-	"repro/internal/pool"
 )
 
 // OpKind names a mutation kind. The string values are the wire form used by
@@ -139,9 +137,7 @@ func ReadOps(r *jsonw.Reader) []Op {
 }
 
 // resolvedOp is one validated op with its row-level effect: the encoded row
-// it removes and/or adds. Replaying resolved ops against any subset of the
-// indexes is position-independent, which is what lets apply replay them on
-// every index in a task of its own.
+// it removes and/or adds.
 type resolvedOp struct {
 	kind OpKind
 	id   int
@@ -156,10 +152,10 @@ type resolvedOp struct {
 // batch.
 //
 // A batch amortises what a loop over Insert/Delete/Update pays per call: one
-// write-lock acquisition, one snapshot invalidation, one write-ahead-log
+// write-lock acquisition, one snapshot invalidation and one write-ahead-log
 // append (and, for a Store opened with Sync, one fsync — the group commit
-// that dominates durable ingest throughput), and index maintenance fanned
-// out as one repro/internal/pool task per LHS-set index.
+// that dominates durable ingest throughput). Its ops are then applied one
+// after another, exactly as that loop would apply them.
 func (e *Engine) ApplyBatch(ops []Op) ([]int, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -288,59 +284,38 @@ func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 	return resolved, ids, nil
 }
 
-// apply commits resolved ops: first the LHS-set indexes — one pool task per
-// index, replaying every op on it in order for index locality — then the row
-// table, sequentially (appends must land at the pre-assigned ids). The
-// indexes go first because a group reads its members' rows from the
-// relation: while they are maintained the relation still holds the rows
-// from before the batch, and an id an earlier op of the batch wrote is read
-// from that op (batchRows). The replay must run to completion to keep the
-// state consistent, so it is not cancellable. Each index reports the
-// violating-set memberships it flips, rule by rule (the observe hook of
-// core.GroupIndex); the per-rule flips, folded so that a tuple leaving and
-// re-entering within the batch cancels, become the commit's Delta. Callers
-// must hold the write lock.
+// apply commits resolved ops in order. Each op updates every LHS-set index
+// and then writes its row into the relation, so an index always reads a
+// group's members from the relation exactly as of the op it applies: the
+// rows of the batch's earlier ops are already there, its later ops' not yet.
+// The work must run to completion to keep the state consistent, so it is not
+// cancellable. Each index reports the violating-set memberships it flips,
+// rule by rule (the observe hook of core.GroupIndex); the per-rule flips,
+// folded so that a tuple leaving and re-entering within the batch cancels,
+// become the commit's Delta. Callers must hold the write lock.
 func (e *Engine) apply(resolved []resolvedOp) {
-	// Indexes place disjoint rule positions, so the per-rule change maps are
-	// written race-free even when indexes are maintained concurrently.
 	changes := make([]map[int]int8, len(e.rules))
-	// A single op (the Insert/Delete/Update fast path) is not worth a
-	// goroutine: one worker runs the tasks inline. Nothing before it in the
-	// batch wrote a row, so it reads every row from the relation.
-	workers := e.workers
-	var pending *batchRows
-	if len(resolved) > 1 {
-		pending = newBatchRows(resolved)
-	} else {
-		workers = 1
+	var x *lhsIndex // the index being maintained
+	observe := func(r, id int, violating bool) {
+		m := changes[x.at[r]]
+		if m == nil {
+			m = make(map[int]int8)
+			changes[x.at[r]] = m
+		}
+		sign := int8(-1)
+		if violating {
+			sign = 1
+		}
+		// Memberships alternate, so an opposite pending flip cancels.
+		if m[id] == -sign {
+			delete(m, id)
+		} else {
+			m[id] = sign
+		}
 	}
-	// context.Background: batch index maintenance must not stop halfway.
-	_ = pool.Each(context.Background(), workers, len(e.indexes), func(_, i int) {
-		x := e.indexes[i]
-		observe := func(r, id int, violating bool) {
-			m := changes[x.at[r]]
-			if m == nil {
-				m = make(map[int]int8)
-				changes[x.at[r]] = m
-			}
-			sign := int8(-1)
-			if violating {
-				sign = 1
-			}
-			// Memberships alternate, so an opposite pending flip cancels.
-			if m[id] == -sign {
-				delete(m, id)
-			} else {
-				m[id] = sign
-			}
-		}
-		var j int // the op being replayed
-		if pending != nil {
-			x.SetPending(func(id int) []int32 { return pending.before(id, j) })
-			defer x.SetPending(nil)
-		}
-		for j = range resolved {
-			switch r := resolved[j]; r.kind {
+	for _, r := range resolved {
+		for _, x = range e.indexes {
+			switch r.kind {
 			case OpInsert:
 				x.Insert(r.id, r.new, observe)
 			case OpDelete:
@@ -350,8 +325,6 @@ func (e *Engine) apply(resolved []resolvedOp) {
 				x.Insert(r.id, r.new, observe)
 			}
 		}
-	})
-	for _, r := range resolved {
 		switch r.kind {
 		case OpInsert:
 			if n := r.id + 1 - e.rel.Size(); n > 0 {
@@ -366,43 +339,6 @@ func (e *Engine) apply(resolved []resolvedOp) {
 	}
 	added, removed := e.foldChanges(changes)
 	e.recordDelta(added, removed, nil)
-}
-
-// batchRows tells the index tasks of one batch which row a tuple carries
-// part way through it, for the tuples the batch's own ops wrote. It is built
-// once per batch and only read by the tasks.
-type batchRows struct {
-	ops  []resolvedOp
-	last map[int]int // id -> position of the batch's last op on it
-	prev []int       // per op, the position of the previous op on its id, or -1
-}
-
-func newBatchRows(ops []resolvedOp) *batchRows {
-	b := &batchRows{ops: ops, last: make(map[int]int, len(ops)), prev: make([]int, len(ops))}
-	for i, op := range ops {
-		p, ok := b.last[op.id]
-		if !ok {
-			p = -1
-		}
-		b.prev[i], b.last[op.id] = p, i
-	}
-	return b
-}
-
-// before returns the row tuple id carries just before op j: the row of the
-// last earlier op on it, or nil when no earlier op wrote it and the relation
-// still holds it.
-func (b *batchRows) before(id, j int) []int32 {
-	i, ok := b.last[id]
-	if !ok {
-		return nil
-	}
-	for i >= j {
-		if i = b.prev[i]; i < 0 {
-			return nil
-		}
-	}
-	return b.ops[i].new
 }
 
 // foldChanges turns per-rule-position membership flips into the per-rule

@@ -11,11 +11,11 @@ import (
 )
 
 // A group keeps no codes of its own: the index reads every member's row from
-// the engine's relation, which ApplyBatch writes only after it has maintained
-// the indexes. The batches below make a later op of the same batch read a
-// member an earlier op wrote, or an earlier op read a member a later op
-// rewrites. Groups are keyed on A; A → B is variable, and the two constant
-// rules can flag a group of one.
+// the engine's relation, which ApplyBatch writes op by op, each op's row just
+// after that op has updated every index. The batches below make a later op
+// of the same batch read a member an earlier op wrote, or an earlier op read
+// a member a later op rewrites. Groups are keyed on A; A → B is variable, and
+// the two constant rules can flag a group of one.
 var orderRules = []cfd.CFD{
 	cfd.NewFD([]string{"A"}, "B"),
 	{LHS: []string{"A"}, RHS: "C", LHSPattern: []string{"_"}, RHSPattern: "c1"},
@@ -70,6 +70,11 @@ func TestBatchReadsMembersAsOfItsOps(t *testing.T) {
 		{"group of a pinned insert is joined", [][]violation.Op{
 			{at(9, "a5", "b1", "c2"), ins("a5", "b1", "c1"), upd(9, "a5", "b2", "c1")},
 			{del(9)},
+		}},
+		{"write an id thrice and re-pin another", [][]violation.Op{
+			{ins("a1", "b1", "c1"), at(9, "a1", "b1", "c1"), upd(9, "a1", "b2", "c1"), del(9),
+				del(0), at(0, "a1", "b1", "c2")},
+			{upd(0, "a1", "b1", "c1"), del(3)},
 		}},
 		{"rewrite a member then grow its group past eight", [][]violation.Op{
 			{upd(0, "a1", "b2", "c1"), ins("a1", "b1", "c1"), ins("a1", "b1", "c1"), ins("a1", "b1", "c1"),

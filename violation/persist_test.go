@@ -589,3 +589,64 @@ func TestStoreReplayRejectsBadOps(t *testing.T) {
 		t.Fatalf("replaying an impossible op: err = %v, want ErrNotFound", err)
 	}
 }
+
+// storeEvents is a StoreObserver that records every event it is handed,
+// leaving out the durations.
+type storeEvents struct{ events []string }
+
+func (l *storeEvents) ObserveWALAppend(ops int, _ float64, err error) {
+	l.events = append(l.events, fmt.Sprintf("append %d %v", ops, err))
+}
+
+func (l *storeEvents) ObserveWALFsync(float64) { l.events = append(l.events, "fsync") }
+
+func (l *storeEvents) ObserveCompaction(bytes int, _ float64, err error) {
+	l.events = append(l.events, fmt.Sprintf("compaction %v %v", bytes > 0, err))
+}
+
+// TestStoreObserverEvents: an attached store observer gets one append event
+// per commit record — its op weight, a rule swap weighing one — reported when
+// the commit ends, so on a Sync store after the record's fsync, and one event
+// per compaction; a detached one gets none.
+func TestStoreObserverEvents(t *testing.T) {
+	dir := t.TempDir()
+	eng, st := durableEngine(t, dir, violation.StoreOptions{Sync: true})
+	if st.Dir() != dir {
+		t.Fatalf("Dir = %q, want %q", st.Dir(), dir)
+	}
+	rec := &storeEvents{}
+	st.SetObserver(rec)
+	row := []string{"44", "131", "5555555", "Amy", "High St.", "GLA", "EH4 1DT"}
+	id, err := eng.Insert(row...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ApplyBatch([]violation.Op{{Kind: violation.OpDelete, ID: id}, {Kind: violation.OpInsert, Values: row}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.SwapRules(context.Background(), rules.Of(eng.RuleSet().CFDs()[:2]...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(eng); err != nil {
+		t.Fatal(err)
+	}
+	st.SetObserver(nil)
+	if _, err := eng.Insert(row...); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(eng); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"fsync", "append 1 <nil>",
+		"fsync", "append 2 <nil>",
+		"fsync", "append 1 <nil>",
+		"compaction true <nil>",
+	}
+	if !reflect.DeepEqual(rec.events, want) {
+		t.Fatalf("events\n%q\nwant\n%q", rec.events, want)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,6 +1,7 @@
 package violation_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -197,4 +198,71 @@ func TestReadersRaceBulkLoad(t *testing.T) {
 		}
 	}
 	rescanReport(t, eng)
+}
+
+// TestTuplesPages: a negative start reads from id 0, a page that fills up
+// stops at the next live id with more set, and the last page ends at the end
+// of the id space with more clear. Holes are skipped and never end a page.
+func TestTuplesPages(t *testing.T) {
+	eng := custEngine(t, true, violation.Options{})
+	if err := eng.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	all, end, more := eng.Tuples(0, 0)
+	if more || end != len(all)+1 {
+		t.Fatalf("whole read: %d tuples, next %d, more %v; want next %d and no more", len(all), end, more, len(all)+1)
+	}
+	page, next, more := eng.Tuples(-5, 2)
+	if !more || next != 3 || len(page) != 2 || page[0].ID != 0 || page[1].ID != 2 {
+		t.Fatalf("first page from -5: %+v, next %d, more %v; want ids 0 and 2, next 3, more", page, next, more)
+	}
+	var ids []int
+	for start := -5; ; {
+		page, next, more := eng.Tuples(start, 2)
+		for _, tp := range page {
+			ids = append(ids, tp.ID)
+		}
+		if !more {
+			if next != end {
+				t.Fatalf("last page ends at %d, want %d", next, end)
+			}
+			break
+		}
+		start = next
+	}
+	want := make([]int, len(all))
+	for i, tp := range all {
+		want[i] = tp.ID
+	}
+	if !slices.Equal(ids, want) {
+		t.Fatalf("pages of two read ids %v, want %v", ids, want)
+	}
+}
+
+// TestRuleSetStatsPairs: RuleSetStats returns the rule set and its stats as
+// RuleSet and RuleStats do, the i-th stat that of the set's i-th rule, and
+// follows a swap.
+func TestRuleSetStatsPairs(t *testing.T) {
+	fx := fixtures(t)[0]
+	eng := custEngine(t, true, violation.Options{})
+	check := func(step string) {
+		t.Helper()
+		set, stats := eng.RuleSetStats()
+		if set.Fingerprint() != eng.RuleSet().Fingerprint() || !reflect.DeepEqual(set.Provenance(), eng.RuleSet().Provenance()) {
+			t.Fatalf("%s: the set is not the engine's", step)
+		}
+		if !reflect.DeepEqual(stats, eng.RuleStats()) {
+			t.Fatalf("%s: stats %+v, RuleStats %+v", step, stats, eng.RuleStats())
+		}
+		for i, c := range set.CFDs() {
+			if !reflect.DeepEqual(stats[i].Rule, c) {
+				t.Fatalf("%s: stat %d is of %v, the set's rule %d is %v", step, i, stats[i].Rule, i, c)
+			}
+		}
+	}
+	check("loaded")
+	if _, err := eng.SwapRules(context.Background(), rules.Of(fx.rules[2:4]...)); err != nil {
+		t.Fatal(err)
+	}
+	check("swapped")
 }

@@ -12,9 +12,9 @@
 //
 // An Engine is built from a first-class rule set (*rules.Set), bulk loaded
 // from a *cfd.Relation (one repro/internal/pool task per LHS-set index), and
-// then kept current with Insert / Delete / Update — or, amortising lock and
-// index maintenance over many tuples, with an atomic ApplyBatch — as tuples
-// arrive and change.
+// then kept current with Insert / Delete / Update — or, amortising the lock
+// and the write-ahead-log append over many tuples, with an atomic ApplyBatch
+// — as tuples arrive and change.
 // The rule set itself is live too: SwapRules atomically replaces it while
 // reads and writes proceed, reusing the index of every LHS set whose rules
 // did not change and building the others off to the side, so freshly
@@ -45,8 +45,11 @@
 //
 // The Engine is safe for concurrent use by any number of readers and
 // writers. Mutations (Insert, Delete, Update, ApplyBatch, BulkLoad) are
-// serialised by an internal write lock; batch mutations, like the bulk reads,
-// run one repro/internal/pool task per LHS-set index. The bulk readers Report
+// serialised by an internal write lock. BulkLoad, like a rule swap's index
+// builds and a full report build, runs one repro/internal/pool task per
+// LHS-set index; ApplyBatch (and the single-tuple mutations, one-op batches)
+// applies its ops one after another on the calling goroutine, each op
+// updating every index and then the relation. The bulk readers Report
 // and Dirty serve an immutable copy-on-write report keyed by a mutation
 // epoch: a bulk change publishes the report it built, the first read after
 // any other mutation patches the previous report from the delta history, and
@@ -126,12 +129,13 @@ func (rep *Report) Clean() bool { return len(rep.Violations) == 0 }
 
 // Options configures an Engine.
 type Options struct {
-	// Workers bounds the number of goroutines BulkLoad, ApplyBatch, SwapRules
-	// and full report builds may use: 0 runs one worker per available CPU (the
+	// Workers bounds the number of goroutines BulkLoad, SwapRules and full
+	// report builds may use: 0 runs one worker per available CPU (the
 	// default), 1 runs sequentially. Each spreads its work as one pool task
 	// per LHS-set index, so any worker count yields identical state.
-	// Single-tuple Insert/Delete/Update are always applied inline; they are
-	// O(LHS sets) per call and not worth fanning out.
+	// ApplyBatch and the single-tuple Insert/Delete/Update always run on the
+	// calling goroutine: each op costs O(LHS sets) and is not worth fanning
+	// out.
 	Workers int
 }
 
@@ -184,7 +188,8 @@ type Engine struct {
 	// rel is the tuple store: slot = tuple id, a hole once deleted. Its
 	// dictionaries also intern the rule constants, so they may hold codes no
 	// tuple carries. The indexes read their members' rows from it, so a
-	// commit writes it only after maintaining them (see apply).
+	// commit writes each op's row only after that op has updated every index
+	// (see apply).
 	rel   *core.Relation
 	set   *rules.Set
 	rules []cfd.CFD
