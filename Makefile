@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench figures examples fmt vet staticcheck docs-check fuzz cover ci clean
+.PHONY: all build test race benchsmoke bench figures examples fmt vet staticcheck docs-check fuzz cover ci clean
 
 all: build
 
@@ -45,6 +45,12 @@ race:
 	./scripts/race_repeat.sh 'TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude|TestMineParallelMatchesSequential' ./internal/itemset ./internal/fastcfd
 	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic|TestMineContextWorkersDeterministicMaxLHS|TestDiscoverWorkersIdentical|TestLatticeLinks|TestHeldTidsPerJoin|TestFDLatticeLevels|TestLatticeStepsObserveCancellation|TestAdvanceCancelledInsideJoin|TestMineAllocationsPerElement' ./internal/ctane
 	./scripts/race_repeat.sh 'TestFullReadsMatchThePlainEncoder|TestRulesStatsMatchTheirSet' ./cmd/cfdserve
+
+# benchsmoke runs every Go benchmark in the module once, a few seconds in
+# all, so a benchmark that panics or rots fails the build. Its timings are
+# not read: one iteration measures nothing.
+benchsmoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench runs the repo benchmark BENCHMARK.json declares: cfddiscover and
 # cfdserve end to end on four fixed-work workloads, repeated, with every
@@ -162,7 +168,7 @@ fuzz:
 # cover_<last path element>.out.
 COVER_FLOORS := \
 	cfd:92.0 \
-	violation:97.5 \
+	violation:98.0 \
 	rules:96.0 \
 	discovery/monitor:90.0 \
 	internal/core:98.5 \
@@ -191,7 +197,7 @@ cover:
 		./scripts/check_coverage.sh $$out $$floor $$pkg || exit 1; \
 	done
 
-ci: fmt vet staticcheck build race examples cover fuzz docs-check bench
+ci: fmt vet staticcheck build race benchsmoke examples cover fuzz docs-check bench
 
 clean:
 	rm -rf .bench_build $(COVER_PROFILES)

@@ -133,13 +133,8 @@ func Violations(r *Relation, c CFD) []int {
 		return nil
 	}
 	ix := NewGroupIndex(r, []CFD{c})
-	row := make([]int32, r.Arity())
-	attrs := c.Attrs().Attrs()
 	for t := 0; t < r.Size(); t++ {
-		for _, a := range attrs {
-			row[a] = r.Value(t, a)
-		}
-		ix.Insert(t, row, nil)
+		ix.Insert(t, nil)
 	}
 	if bad := ix.Violating(nil)[0]; bad != nil {
 		return bad

@@ -38,24 +38,24 @@ import (
 // whole index — a header, then one id per member — and is judged by reading
 // its members' codes; a run left with one member is demoted back to a map
 // entry. Only a group that outgrows smallMax gets a heap object of its own,
-// with per-RHS value counts, fed from the rows inserted and deleted, and, from
-// its first delete on, an id → position map. Arena, group map and pair tables
-// hold no pointers, so the garbage collector never walks them. A tuple id must
-// fit in 32 bits, which the engine guarantees (ids are dense and pinned
-// inserts are gap-bounded). Insert must not be called twice for a live id;
-// delete (or update: delete then re-insert) the id first, as every caller in
-// this repository does.
+// with per-RHS value counts, fed from its members' codes as they join and
+// leave, and, from its first delete on, an id → position map. Arena, group
+// map and pair table hold no pointers, so the garbage collector never walks
+// them. A tuple id must fit in 32 bits, which the engine guarantees (it
+// refuses an insert past that id space). Insert must not be called twice for
+// a live id; delete (or update: delete then re-insert) the id first, as every
+// caller in this repository does.
 //
-// The relation must hold, whenever the index is called, the row every indexed
-// tuple was inserted with — the tuple being deleted included. The row of the
-// tuple being inserted is the one passed in.
+// The index keeps no row: it reads every code it needs — on X, on the RHS
+// attributes, against the LHS constants — from the relation by tuple id. So a
+// tuple's row must be in the relation, unchanged, from before its Insert
+// until after its Delete.
 //
 // Insert and Delete need exclusive access; every other method only reads, so
 // any number of them may run concurrently under a shared lock.
 type GroupIndex struct {
 	lhs   []int // X, ascending attribute indexes
 	rhs   []int // distinct RHS attributes of the rules, indexed by slot
-	arity int   // length of the rules' pattern tuples, i.e. of a row
 	rules []groupRule
 
 	// rel holds the rows of the indexed tuples.
@@ -67,12 +67,11 @@ type GroupIndex struct {
 	groups             map[uint64]uint64
 	ones, runs, larges int
 	// pairs folds X tuples wider than two attributes into one key: each
-	// distinct (left, code) pair seen gets a dense id, and the fold chains pair
-	// ids left to right. The map is a function, so equal final ids imply equal
-	// chains — the packed key is injective for a fixed arity — and pairKeys,
-	// its inverse, unfolds a key back into the X codes.
-	pairs    map[uint64]uint32
-	pairKeys []uint64
+	// distinct (left, code) pair seen gets a dense id, the table's size when
+	// it is first seen, and the fold chains pair ids left to right. The map is
+	// a function, so equal final ids imply equal chains: the packed key is
+	// injective for a fixed arity.
+	pairs map[uint64]uint32
 
 	// arena holds the runs. A run of capacity class c is one header word
 	// (members | class<<8) followed by room for 2<<c members;
@@ -118,11 +117,11 @@ type lhsConst struct {
 	code int32
 }
 
-// matches reports whether the row carries the rule's LHS pattern constants.
-// Rows that do not are outside the rule's scope.
-func (r *groupRule) matches(row []int32) bool {
+// matches reports whether tuple id's row in rel carries the rule's LHS
+// pattern constants. Tuples whose rows do not are outside the rule's scope.
+func (r *groupRule) matches(rel *Relation, id int) bool {
 	for _, c := range r.consts {
-		if row[c.attr] != c.code {
+		if rel.Value(id, c.attr) != c.code {
 			return false
 		}
 	}
@@ -171,14 +170,13 @@ type rhsCounts struct {
 // rules, which must be at least one and share their LHS attribute set. Rule
 // positions in the slice are the rule numbers every other method speaks in.
 // The index reads its members' codes from rel, so rel must hold every indexed
-// row (see the Layout section above).
+// tuple's row (see the Layout section above).
 func NewGroupIndex(rel *Relation, rules []CFD) *GroupIndex {
 	if len(rules) == 0 {
 		panic("core: group index without rules")
 	}
 	ix := &GroupIndex{
 		lhs:    rules[0].LHS.Attrs(),
-		arity:  len(rules[0].Tp),
 		rules:  make([]groupRule, len(rules)),
 		rel:    rel,
 		groups: make(map[uint64]uint64),
@@ -226,70 +224,52 @@ func (ix *GroupIndex) Groups(r int) int { return ix.rules[r].groups }
 // rule r, in O(1).
 func (ix *GroupIndex) BadTuples(r int) int { return ix.rules[r].bad }
 
-// key packs the row's X codes into the group key, interning fold pairs as
+// key packs tuple id's X codes into the group key, interning fold pairs as
 // needed. Only Insert may use it.
-func (ix *GroupIndex) key(row []int32) uint64 {
+func (ix *GroupIndex) key(id int) uint64 {
 	if len(ix.lhs) <= 2 {
-		k, _ := ix.lookupKey(row)
+		k, _ := ix.lookupKey(id)
 		return k
 	}
 	if ix.pairs == nil {
 		ix.pairs = make(map[uint64]uint32)
 	}
-	left := uint32(row[ix.lhs[0]])
+	left := uint32(ix.rel.Value(id, ix.lhs[0]))
 	for _, a := range ix.lhs[1:] {
-		k := uint64(left)<<32 | uint64(uint32(row[a]))
-		id, ok := ix.pairs[k]
+		k := uint64(left)<<32 | uint64(uint32(ix.rel.Value(id, a)))
+		p, ok := ix.pairs[k]
 		if !ok {
-			id = uint32(len(ix.pairKeys))
-			ix.pairKeys = append(ix.pairKeys, k)
-			ix.pairs[k] = id
+			p = uint32(len(ix.pairs))
+			ix.pairs[k] = p
 		}
-		left = id
+		left = p
 	}
 	return uint64(left)
 }
 
 // lookupKey is key without interning: the second result is false when the
-// fold hits a pair never seen by Insert, which means no group for the row
+// fold hits a pair never seen by Insert, which means no group for the tuple
 // exists. Everything but Insert must use it — interning would mutate the pair
-// tables under what may be a shared read lock.
-func (ix *GroupIndex) lookupKey(row []int32) (uint64, bool) {
-	switch len(ix.lhs) {
+// table under what may be a shared read lock.
+func (ix *GroupIndex) lookupKey(id int) (uint64, bool) {
+	rel, lhs := ix.rel, ix.lhs
+	switch len(lhs) {
 	case 0:
 		return 0, true
 	case 1:
-		return uint64(uint32(row[ix.lhs[0]])), true
+		return uint64(uint32(rel.Value(id, lhs[0]))), true
 	case 2:
-		return uint64(uint32(row[ix.lhs[0]]))<<32 | uint64(uint32(row[ix.lhs[1]])), true
+		return uint64(uint32(rel.Value(id, lhs[0])))<<32 | uint64(uint32(rel.Value(id, lhs[1]))), true
 	}
-	left := uint32(row[ix.lhs[0]])
-	for _, a := range ix.lhs[1:] {
-		id, ok := ix.pairs[uint64(left)<<32|uint64(uint32(row[a]))]
+	left := uint32(rel.Value(id, lhs[0]))
+	for _, a := range lhs[1:] {
+		p, ok := ix.pairs[uint64(left)<<32|uint64(uint32(rel.Value(id, a)))]
 		if !ok {
 			return 0, false
 		}
-		left = id
+		left = p
 	}
 	return uint64(left), true
-}
-
-// unkey writes the X codes packed in a group key back into row.
-func (ix *GroupIndex) unkey(k uint64, row []int32) {
-	switch len(ix.lhs) {
-	case 0:
-	case 1:
-		row[ix.lhs[0]] = int32(uint32(k))
-	case 2:
-		row[ix.lhs[0]], row[ix.lhs[1]] = int32(uint32(k>>32)), int32(uint32(k))
-	default:
-		left := uint32(k)
-		for i := len(ix.lhs) - 1; i > 0; i-- {
-			pair := ix.pairKeys[left]
-			row[ix.lhs[i]], left = int32(uint32(pair)), uint32(pair>>32)
-		}
-		row[ix.lhs[0]] = int32(left)
-	}
 }
 
 // at resolves the reference of a run or a large group.
@@ -310,7 +290,7 @@ func (ix *GroupIndex) oneGroup(id uint32) group {
 }
 
 // code returns member id's code in one RHS slot, as the relation has it. It
-// is the one place a member's code is read.
+// is the one place a member's RHS code is read.
 func (ix *GroupIndex) code(id uint32, slot int) int32 {
 	return ix.rel.Value(int(id), ix.rhs[slot])
 }
@@ -354,12 +334,12 @@ func (ix *GroupIndex) release(off, class uint32) {
 	ix.free[class] = off
 }
 
-// add appends member id, inserted with the given row, to the group keyed k,
-// where ref is the group's current reference, 0 when it does not exist yet,
-// and g the group it resolves to: a one-member group becomes a run of two, a
-// run moves to the next capacity class or is promoted to a largeGroup as
-// needed. It returns the group as it now stands.
-func (ix *GroupIndex) add(k, ref uint64, g group, id int, row []int32) group {
+// add appends member id to the group keyed k, where ref is the group's
+// current reference, 0 when it does not exist yet, and g the group it
+// resolves to: a one-member group becomes a run of two, a run moves to the
+// next capacity class or is promoted to a largeGroup as needed. It returns
+// the group as it now stands.
+func (ix *GroupIndex) add(k, ref uint64, g group, id int) group {
 	switch {
 	case ref == 0:
 		ix.groups[k] = oneBit | uint64(uint32(id))
@@ -379,8 +359,8 @@ func (ix *GroupIndex) add(k, ref uint64, g group, id int, row []int32) group {
 			lg.idpos[uint32(id)] = int32(len(lg.members))
 		}
 		lg.members = append(lg.members, uint32(id))
-		for s, a := range ix.rhs {
-			lg.counts[s].incr(row[a])
+		for s := range ix.rhs {
+			lg.counts[s].incr(ix.code(uint32(id), s))
 		}
 		return group{lg.members, lg}
 	}
@@ -410,7 +390,7 @@ func (ix *GroupIndex) add(k, ref uint64, g group, id int, row []int32) group {
 			ix.groups[k] = ref
 			ix.runs--
 			ix.larges++
-			return ix.add(k, ref, group{}, id, row)
+			return ix.add(k, ref, group{}, id)
 		}
 		grown := ix.alloc(class + 1) // may move the arena: slice it afresh below
 		copy(ix.arena[grown+1:], ix.arena[ref+1:ref+1+uint64(n)])
@@ -443,12 +423,12 @@ func (ix *GroupIndex) locate(g group, id int) int {
 }
 
 // remove swap-removes the member at position pos of the group keyed k, which
-// ref references and g resolves to, and returns what is left of the group;
-// row is the removed member's row. A group left empty is dropped: its large
-// position goes back on the free list and its key leaves the map. A run left
-// with one member is demoted to a map entry and its run released; the
-// returned ids then alias the released run, valid until the next allocation.
-func (ix *GroupIndex) remove(k, ref uint64, g group, pos int, row []int32) group {
+// ref references and g resolves to, and returns what is left of the group. A
+// group left empty is dropped: its large position goes back on the free list
+// and its key leaves the map. A run left with one member is demoted to a map
+// entry and its run released; the returned ids then alias the released run,
+// valid until the next allocation.
+func (ix *GroupIndex) remove(k, ref uint64, g group, pos int) group {
 	if ref&oneBit != 0 {
 		delete(ix.groups, k)
 		ix.ones--
@@ -456,8 +436,8 @@ func (ix *GroupIndex) remove(k, ref uint64, g group, pos int, row []int32) group
 	}
 	last := len(g.m) - 1
 	if lg := g.lg; lg != nil {
-		for s, a := range ix.rhs {
-			lg.counts[s].decr(row[a])
+		for s := range ix.rhs {
+			lg.counts[s].decr(ix.code(g.m[pos], s))
 		}
 		delete(lg.idpos, g.m[pos])
 		if pos != last {
@@ -485,20 +465,21 @@ func (ix *GroupIndex) remove(k, ref uint64, g group, pos int, row []int32) group
 	return g
 }
 
-// match collects, in the write path's scratch, the rules that apply to row.
-func (ix *GroupIndex) match(row []int32) []int {
+// match collects, in the write path's scratch, the rules that apply to tuple
+// id.
+func (ix *GroupIndex) match(id int) []int {
 	ix.hit = ix.hit[:0]
 	for r := range ix.rules {
-		if ix.rules[r].matches(row) {
+		if ix.rules[r].matches(ix.rel, id) {
 			ix.hit = append(ix.hit, r)
 		}
 	}
 	return ix.hit
 }
 
-// Insert adds tuple id with the given encoded row, of which only the entries
-// at the X and RHS attribute indexes are read; the row is not retained. A row
-// no rule applies to is ignored.
+// Insert adds tuple id, whose row the relation must already hold; only its
+// codes on X, on the RHS attributes and against the LHS constants are read. A
+// tuple no rule applies to is ignored.
 //
 // A non-nil observe is told every violating-set membership change the insert
 // causes: observe(r, t, true) when tuple t becomes violating under rule r. The
@@ -507,12 +488,12 @@ func (ix *GroupIndex) match(row []int32) []int {
 // after — O(changes), since a group turning bad touches the whole group and
 // everything else touches only id. (An insert never heals a group, so it
 // reports no tuple leaving.)
-func (ix *GroupIndex) Insert(id int, row []int32, observe func(rule, id int, violating bool)) {
-	hit := ix.match(row)
+func (ix *GroupIndex) Insert(id int, observe func(rule, id int, violating bool)) {
+	hit := ix.match(id)
 	if len(hit) == 0 {
 		return
 	}
-	k := ix.key(row)
+	k := ix.key(id)
 	ref := ix.groups[k]
 	var g group
 	switch {
@@ -525,7 +506,7 @@ func (ix *GroupIndex) Insert(id int, row []int32, observe func(rule, id int, vio
 	for s := range ix.rhs {
 		ix.before[s] = ix.state(g, s)
 	}
-	g = ix.add(k, ref, g, id, row)
+	g = ix.add(k, ref, g, id)
 	for _, r := range hit {
 		rule := &ix.rules[r]
 		rule.tuples++
@@ -534,7 +515,7 @@ func (ix *GroupIndex) Insert(id int, row []int32, observe func(rule, id int, vio
 		}
 		// The state after the insert follows from the state before: the group
 		// agrees iff it was empty or agreed on the code the new member brings.
-		st, code := ix.before[rule.slot], row[rule.c.RHS]
+		st, code := ix.before[rule.slot], ix.code(uint32(id), rule.slot)
 		was := n > 0 && rule.violatedBy(st)
 		now := rule.violatedBy(slotState{st.agree && (n == 0 || st.code == code), code})
 		switch {
@@ -554,17 +535,17 @@ func (ix *GroupIndex) Insert(id int, row []int32, observe func(rule, id int, vio
 	}
 }
 
-// Delete removes tuple id, given the same encoded row it was inserted with.
-// Unknown ids and rows no rule applies to are ignored. observe is told the
-// memberships the delete ends, as observe(r, t, false): the deleted tuple's
-// own and, when its departure heals the group, every survivor's. (A delete
-// never turns a group bad.)
-func (ix *GroupIndex) Delete(id int, row []int32, observe func(rule, id int, violating bool)) {
-	hit := ix.match(row)
+// Delete removes tuple id, whose row the relation must still hold as it was
+// at the insert. Ids not indexed are ignored. observe is told the memberships
+// the delete ends, as observe(r, t, false): the deleted tuple's own and, when
+// its departure heals the group, every survivor's. (A delete never turns a
+// group bad.)
+func (ix *GroupIndex) Delete(id int, observe func(rule, id int, violating bool)) {
+	hit := ix.match(id)
 	if len(hit) == 0 {
 		return
 	}
-	k, ok := ix.lookupKey(row)
+	k, ok := ix.lookupKey(id)
 	if !ok {
 		return
 	}
@@ -587,7 +568,7 @@ func (ix *GroupIndex) Delete(id int, row []int32, observe func(rule, id int, vio
 	for s := range ix.rhs {
 		ix.before[s] = ix.state(g, s)
 	}
-	g = ix.remove(k, ref, g, pos, row)
+	g = ix.remove(k, ref, g, pos)
 	for _, r := range hit {
 		rule := &ix.rules[r]
 		rule.tuples--
@@ -613,11 +594,11 @@ func (ix *GroupIndex) Delete(id int, row []int32, observe func(rule, id int, vio
 	}
 }
 
-// Violated calls visit with every rule the tuple with the given encoded row —
-// which must be indexed — currently violates, in rule order. It mutates
+// Violated calls visit with every rule tuple id — which must be indexed, or
+// be one no rule applies to — currently violates, in rule order. It mutates
 // nothing, so it is safe under a shared read lock.
-func (ix *GroupIndex) Violated(row []int32, visit func(rule int)) {
-	k, ok := ix.lookupKey(row)
+func (ix *GroupIndex) Violated(id int, visit func(rule int)) {
+	k, ok := ix.lookupKey(id)
 	if !ok {
 		return
 	}
@@ -632,10 +613,10 @@ func (ix *GroupIndex) Violated(row []int32, visit func(rule int)) {
 	}
 	for r := range ix.rules {
 		rule := &ix.rules[r]
-		if rule.bad == 0 || !rule.matches(row) {
+		if rule.bad == 0 || !rule.matches(ix.rel, id) {
 			continue
 		}
-		st := slotState{true, row[rule.c.RHS]}
+		st := slotState{true, ix.code(uint32(id), rule.slot)}
 		if !one {
 			st = ix.state(g, rule.slot)
 		}
@@ -646,54 +627,47 @@ func (ix *GroupIndex) Violated(row []int32, visit func(rule int)) {
 }
 
 // walk visits, in one pass over the groups, every (rule, group) pair where the
-// group violates the rule, for the rules listed in active.
+// group violates the rule, for the rules listed in active. The members of a
+// group share their X codes, so its first member stands for the group against
+// a rule's LHS constants.
 func (ix *GroupIndex) walk(active []int, visit func(r int, g group)) {
 	if len(active) == 0 {
 		return
 	}
-	// A single tuple agrees with itself and a group's X codes only matter to
-	// rules with LHS constants, so most groups are settled without either.
-	var constRHS, constLHS bool
+	// A single tuple agrees with itself, so only a constant RHS can flag it.
+	var constRHS bool
 	for _, r := range active {
 		constRHS = constRHS || ix.rules[r].want != Wildcard
-		constLHS = constLHS || len(ix.rules[r].consts) > 0
 	}
-	row := make([]int32, ix.arity)
 	states := make([]slotState, len(ix.rhs))
 	one := make([]uint32, 1)
-	for k, ref := range ix.groups {
+	for _, ref := range ix.groups {
 		if ref&oneBit != 0 {
 			if constRHS {
-				ix.walkOne(k, uint32(ref), active, constLHS, row, one, visit)
+				ix.walkOne(uint32(ref), active, one, visit)
 			}
 			continue
 		}
 		g := ix.at(ref)
-		if constLHS {
-			ix.unkey(k, row)
-		}
 		for s := range states {
 			states[s] = ix.state(g, s)
 		}
 		for _, r := range active {
-			if rule := &ix.rules[r]; rule.violatedBy(states[rule.slot]) && rule.matches(row) {
+			if rule := &ix.rules[r]; rule.violatedBy(states[rule.slot]) && rule.matches(ix.rel, int(g.m[0])) {
 				visit(r, g)
 			}
 		}
 	}
 }
 
-// walkOne is walk on the one-member group of tuple id keyed k: only a
-// constant RHS can flag it, so it reads the member's code on the slots of
-// those rules alone, and writes the group into buf only to visit it.
-func (ix *GroupIndex) walkOne(k uint64, id uint32, active []int, constLHS bool, row []int32, buf []uint32, visit func(r int, g group)) {
-	if constLHS {
-		ix.unkey(k, row)
-	}
+// walkOne is walk on the one-member group of tuple id: only a constant RHS
+// can flag it, so it reads the member's code on the slots of those rules
+// alone, and writes the group into buf only to visit it.
+func (ix *GroupIndex) walkOne(id uint32, active []int, buf []uint32, visit func(r int, g group)) {
 	var g group
 	for _, r := range active {
 		rule := &ix.rules[r]
-		if rule.want == Wildcard || !rule.matches(row) || ix.code(id, rule.slot) == rule.want {
+		if rule.want == Wildcard || !rule.matches(ix.rel, int(id)) || ix.code(id, rule.slot) == rule.want {
 			continue
 		}
 		if g.m == nil {
@@ -812,7 +786,7 @@ func (c *rhsCounts) incr(code int32) {
 }
 
 // decr counts one member with the given code out. The code must be present
-// (deletes always carry the row their insert carried).
+// (a member's row does not change while it is indexed).
 func (c *rhsCounts) decr(code int32) {
 	switch {
 	case c.n1 > 0 && c.rc1 == code:

@@ -15,6 +15,15 @@ func PutRow(rel *Relation, id int, row []int32) {
 	rel.Set(id, row)
 }
 
+// RowCodes returns a copy of tuple t's encoded row, in schema order.
+func RowCodes(rel *Relation, t int) []int32 {
+	row := make([]int32, rel.Arity())
+	for a := range row {
+		row[a] = rel.Value(t, a)
+	}
+	return row
+}
+
 // testRelation returns an empty relation of the given arity.
 func testRelation(arity int) *Relation {
 	names := make([]string, arity)
@@ -37,11 +46,11 @@ func TestGroupIndexReusesSlots(t *testing.T) {
 				id := 100*g + i
 				rows[id] = []int32{int32(g), int32(i % 3)}
 				PutRow(rel, id, rows[id])
-				ix.Insert(id, rows[id], nil)
+				ix.Insert(id, nil)
 			}
 		}
-		for id, row := range rows {
-			ix.Delete(id, row, nil)
+		for id := range rows {
+			ix.Delete(id, nil)
 			rel.Clear(id)
 		}
 	}
@@ -78,7 +87,7 @@ func TestGroupIndexOneMemberGroupsTakeNoArena(t *testing.T) {
 	for id := 0; id < n; id++ {
 		row := []int32{int32(id), int32(id % 7), int32(id % 2)}
 		PutRow(rel, id, row)
-		ix.Insert(id, row, nil)
+		ix.Insert(id, nil)
 	}
 	if len(ix.arena) != 1 || len(ix.large) != 0 {
 		t.Fatalf("%d one-member groups: arena %d words, %d large groups; want 1 and 0", n, len(ix.arena), len(ix.large))
@@ -110,29 +119,29 @@ func TestGroupIndexRunReturnsToFreeList(t *testing.T) {
 			t.Fatalf("%s: Shape = %d, %d, %d; want %d, %d, 0", step, o, r, l, one, run)
 		}
 	}
-	ix.Insert(0, rows[0], nil)
+	ix.Insert(0, nil)
 	shape("one member", 1, 0)
-	ix.Insert(1, rows[1], nil)
+	ix.Insert(1, nil)
 	shape("two members", 0, 1)
 	if ix.BadTuples(0) != 2 {
 		t.Fatalf("two members disagreeing: %d bad, want 2", ix.BadTuples(0))
 	}
 	words := len(ix.arena)
-	ix.Delete(0, rows[0], nil)
+	ix.Delete(0, nil)
 	shape("back to one", 1, 0)
 	if ix.free[0] == 0 {
 		t.Fatal("the demoted group's run is not on the free list")
 	}
-	if ix.BadTuples(0) != 0 || len(violatedRules(ix, rows[1])) != 0 {
+	if ix.BadTuples(0) != 0 || len(violatedRules(ix, 1)) != 0 {
 		t.Fatalf("the survivor agrees with itself: %d bad", ix.BadTuples(0))
 	}
-	ix.Delete(1, rows[1], nil)
+	ix.Delete(1, nil)
 	shape("empty", 0, 0)
 	if len(ix.groups) != 0 {
 		t.Fatalf("%d groups left", len(ix.groups))
 	}
-	ix.Insert(2, rows[2], nil)
-	ix.Insert(3, rows[3], nil)
+	ix.Insert(2, nil)
+	ix.Insert(3, nil)
 	shape("another pair", 0, 1)
 	if len(ix.arena) != words || ix.free[0] != 0 {
 		t.Fatalf("arena %d words, free run %d; want the released run reused at %d words", len(ix.arena), ix.free[0], words)
@@ -149,7 +158,7 @@ func TestGroupIndexRunReturnsToFreeList(t *testing.T) {
 		for id := 0; id < smallMax; id++ {
 			words := len(ix.arena)
 			PutRow(rel, id, row)
-			ix.Insert(id, row, nil)
+			ix.Insert(id, nil)
 			// Members 2, 3 and 5 each move the group to a run of a new class.
 			for c := 0; c < smallClasses; c++ {
 				if id+1 == 1+1<<c {
@@ -179,10 +188,10 @@ func TestGroupIndexShapeThroughEveryClass(t *testing.T) {
 	insert := func(id int, row []int32) {
 		live[id] = row
 		PutRow(rel, id, row)
-		ix.Insert(id, row, nil)
+		ix.Insert(id, nil)
 	}
 	del := func(id int) {
-		ix.Delete(id, live[id], nil)
+		ix.Delete(id, nil)
 		rel.Clear(id)
 		delete(live, id)
 	}
@@ -215,8 +224,8 @@ func TestGroupIndexShapeThroughEveryClass(t *testing.T) {
 				violated = append(violated, r)
 			}
 		}
-		for id, row := range live {
-			if v := violatedRules(ix, row); !slices.Equal(v, violated) {
+		for id := range live {
+			if v := violatedRules(ix, id); !slices.Equal(v, violated) {
 				t.Fatalf("%s: tuple %d violates rules %v, want %v", step, id, v, violated)
 			}
 		}
@@ -266,8 +275,8 @@ func TestGroupIndexShapeThroughEveryClass(t *testing.T) {
 	}
 }
 
-func violatedRules(ix *GroupIndex, row []int32) []int {
+func violatedRules(ix *GroupIndex, id int) []int {
 	var out []int
-	ix.Violated(row, func(r int) { out = append(out, r) })
+	ix.Violated(id, func(r int) { out = append(out, r) })
 	return out
 }

@@ -131,15 +131,14 @@ func (h *sharedHarness) insert(row []int32, step string) {
 	h.rows[id] = row
 	core.PutRow(h.rel, id, row)
 	h.live = append(h.live, id)
-	h.apply(step, func(ix *core.GroupIndex, observe func(r, id int, violating bool)) { ix.Insert(id, row, observe) })
+	h.apply(step, func(ix *core.GroupIndex, observe func(r, id int, violating bool)) { ix.Insert(id, observe) })
 }
 
 func (h *sharedHarness) remove(i int, step string) {
 	id := h.live[i]
 	h.live = slices.Delete(h.live, i, i+1)
-	row := h.rows[id]
 	delete(h.rows, id)
-	h.apply(step, func(ix *core.GroupIndex, observe func(r, id int, violating bool)) { ix.Delete(id, row, observe) })
+	h.apply(step, func(ix *core.GroupIndex, observe func(r, id int, violating bool)) { ix.Delete(id, observe) })
 	h.rel.Clear(id)
 }
 
@@ -204,8 +203,8 @@ func (h *sharedHarness) check(step string, x int, flips []map[int]bool) {
 			h.t.Fatalf("%s: index %d rule %d: Repairs = %v, recount = %v", step, x, r, repairs[r], want)
 		}
 	}
-	for id, row := range h.rows {
-		if got := violated(ix, row); !slices.Equal(got, violatedBy[id]) {
+	for id := range h.rows {
+		if got := violated(ix, id); !slices.Equal(got, violatedBy[id]) {
 			h.t.Fatalf("%s: index %d: Violated(tuple %d) = %v, recount = %v", step, x, id, got, violatedBy[id])
 		}
 	}

@@ -167,14 +167,14 @@ func TestRuleIndexSupportCounters(t *testing.T) {
 			}
 		}
 		for t0 := 0; t0 < r.Size(); t0++ {
-			rows[t0] = r.CodedRow(t0)
-			ix.Insert(t0, rows[t0], nil)
+			rows[t0] = core.RowCodes(r, t0)
+			ix.Insert(t0, nil)
 			live[t0] = true
 		}
 		check("after load")
 		for t0 := 0; t0 < r.Size(); t0++ {
 			if rng.Intn(2) == 0 {
-				ix.Delete(t0, rows[t0], nil)
+				ix.Delete(t0, nil)
 				delete(live, t0)
 			}
 		}
@@ -193,21 +193,21 @@ func TestRuleIndexIncrementalDelete(t *testing.T) {
 		ix := core.NewGroupIndex(r, []core.CFD{c})
 		rows := make([][]int32, r.Size())
 		for t0 := 0; t0 < r.Size(); t0++ {
-			rows[t0] = r.CodedRow(t0)
-			ix.Insert(t0, rows[t0], nil)
+			rows[t0] = core.RowCodes(r, t0)
+			ix.Insert(t0, nil)
 		}
 		// Delete a random third of the tuples.
 		deleted := make(map[int]bool)
 		for t0 := 0; t0 < r.Size(); t0++ {
 			if rng.Intn(3) == 0 {
-				ix.Delete(t0, rows[t0], nil)
+				ix.Delete(t0, nil)
 				deleted[t0] = true
 			}
 		}
 		ref := core.NewGroupIndex(r, []core.CFD{c})
 		for t0 := 0; t0 < r.Size(); t0++ {
 			if !deleted[t0] {
-				ref.Insert(t0, rows[t0], nil)
+				ref.Insert(t0, nil)
 			}
 		}
 		got, want := ix.Violating(nil)[0], ref.Violating(nil)[0]
@@ -223,7 +223,7 @@ func TestRuleIndexIncrementalDelete(t *testing.T) {
 			inSnap[id] = true
 		}
 		for t0 := 0; t0 < r.Size(); t0++ {
-			is := !deleted[t0] && len(violated(ix, rows[t0])) > 0
+			is := !deleted[t0] && len(violated(ix, t0)) > 0
 			if is != inSnap[t0] {
 				t.Fatalf("trial %d: Violated(%d) = %v, snapshot says %v", trial, t0, is, inSnap[t0])
 			}
@@ -231,10 +231,10 @@ func TestRuleIndexIncrementalDelete(t *testing.T) {
 	}
 }
 
-// violated collects the rules GroupIndex.Violated reports for an indexed row.
-func violated(ix *core.GroupIndex, row []int32) []int {
+// violated collects the rules GroupIndex.Violated reports for an indexed tuple.
+func violated(ix *core.GroupIndex, id int) []int {
 	var out []int
-	ix.Violated(row, func(r int) { out = append(out, r) })
+	ix.Violated(id, func(r int) { out = append(out, r) })
 	return out
 }
 
@@ -350,11 +350,11 @@ func repairsSpill(t *testing.T, promoted bool) {
 		next++
 		rows[id] = []int32{0, code}
 		core.PutRow(rel, id, rows[id])
-		ix.Insert(id, rows[id], nil)
+		ix.Insert(id, nil)
 		return id
 	}
 	remove := func(id int) {
-		ix.Delete(id, rows[id], nil)
+		ix.Delete(id, nil)
 		rel.Clear(id)
 		delete(rows, id)
 	}
@@ -428,10 +428,10 @@ func TestRuleIndexRepairsMatchesRecount(t *testing.T) {
 				_, live := rows[id]
 				switch {
 				case !live && rng.Intn(2) == 0:
-					rows[id] = r.CodedRow(id)
-					ix.Insert(id, rows[id], nil)
+					rows[id] = core.RowCodes(r, id)
+					ix.Insert(id, nil)
 				case live && rng.Intn(3) == 0:
-					ix.Delete(id, rows[id], nil)
+					ix.Delete(id, nil)
 					delete(rows, id)
 				}
 			}

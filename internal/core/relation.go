@@ -132,14 +132,6 @@ func (r *Relation) Clear(t int) {
 	r.live--
 }
 
-// Gather copies the encoded row at slot t into dst, which must have arity
-// length.
-func (r *Relation) Gather(t int, dst []int32) {
-	for a := range r.cols {
-		dst[a] = r.cols[a][t]
-	}
-}
-
 // Raw returns the relation in raw form: per attribute, the dictionary values
 // in code order and the code column. It is what AppendRecoded consumes and
 // what snapshot format 2 stores. The outer slices are fresh, the inner ones
@@ -252,15 +244,6 @@ func (r *Relation) Row(t int) []string {
 	out := make([]string, r.Arity())
 	for a := range out {
 		out[a] = r.ValueString(t, a)
-	}
-	return out
-}
-
-// CodedRow returns tuple t as encoded values in schema order.
-func (r *Relation) CodedRow(t int) []int32 {
-	out := make([]int32, r.Arity())
-	for a := range out {
-		out[a] = r.cols[a][t]
 	}
 	return out
 }

@@ -104,10 +104,6 @@ func TestRelationAppendAndAccess(t *testing.T) {
 	if len(row) != 2 || row[0] != "2" || row[1] != "x" {
 		t.Errorf("Row(1) = %v", row)
 	}
-	coded := r.CodedRow(0)
-	if len(coded) != 2 || coded[0] != r.Value(0, 0) {
-		t.Errorf("CodedRow = %v", coded)
-	}
 }
 
 func TestRelationRestrictAndHead(t *testing.T) {
@@ -234,10 +230,8 @@ func TestRelationHoles(t *testing.T) {
 	if got := r.Row(1); got[0] != "z" || got[1] != "2" {
 		t.Errorf("Row(1) = %q", got)
 	}
-	dst := make([]int32, 2)
-	r.Gather(2, dst)
-	if !slices.Equal(dst, r.CodedRow(2)) || r.Dict(0).Value(dst[0]) != "y" {
-		t.Errorf("Gather(2) = %v, CodedRow = %v", dst, r.CodedRow(2))
+	if r.Dict(0).Value(r.Value(2, 0)) != "y" {
+		t.Errorf("Value(2, 0) = %d, want the code of %q", r.Value(2, 0), "y")
 	}
 	r.Clear(2)
 	if r.Count() != 1 || r.Live(2) || r.Size() != 3 {
@@ -269,7 +263,7 @@ func TestAppendRecoded(t *testing.T) {
 	}
 	src.Clear(1) // "dead" and "2" stay in the dictionaries, carried by no tuple
 	src.Grow(2)  // trailing holes
-	src.Set(4, src.CodedRow(2))
+	src.Set(4, RowCodes(src, 2))
 	dicts, cols := src.Raw()
 
 	// Skipping holes into an empty relation: compact, first-use codes, id map.

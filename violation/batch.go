@@ -3,7 +3,6 @@ package violation
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -136,13 +135,13 @@ func ReadOps(r *jsonw.Reader) []Op {
 	return ops
 }
 
-// resolvedOp is one validated op with its row-level effect: the encoded row
-// it removes and/or adds.
+// resolvedOp is one validated op: the tuple it addresses and, for an insert
+// or update, the encoded row it writes. The row a delete or update removes is
+// the one the relation holds when the op is applied.
 type resolvedOp struct {
 	kind OpKind
 	id   int
-	old  []int32 // row removed (delete, update)
-	new  []int32 // row added (insert, update)
+	row  []int32
 }
 
 // ApplyBatch applies the ops in order as one atomic mutation: either every op
@@ -189,32 +188,29 @@ func (e *Engine) ApplyBatch(ops []Op) ([]int, error) {
 }
 
 // resolve validates the ops in order against the current state plus the
-// pending effect of the earlier ops of the same batch, and computes each op's
-// row-level effect. It mutates nothing but the interning dictionaries.
-// Callers must hold the write lock.
+// pending effect of the earlier ops of the same batch, and encodes the rows
+// they write. It mutates nothing but the interning dictionaries. Callers must
+// hold the write lock.
 func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 	resolved := make([]resolvedOp, 0, len(ops))
 	var ids []int
-	// overlay tracks rows changed by earlier ops of this batch: id -> row,
-	// nil = deleted. end is the virtual end of the row table including
-	// pending inserts (sequential inserts extend it by one; pinned inserts
-	// may jump it forward).
-	var overlay map[int][]int32
+	// pending records, for each id an earlier insert or delete of this batch
+	// addressed, whether the tuple is live after it. end is the
+	// virtual end of the row table including pending inserts (sequential
+	// inserts extend it by one; pinned inserts may jump it forward).
+	var pending map[int]bool
 	end := e.rel.Size()
-	rowAt := func(id int) ([]int32, bool) {
-		if row, ok := overlay[id]; ok {
-			return row, row != nil
+	live := func(id int) bool {
+		if l, ok := pending[id]; ok {
+			return l
 		}
-		if !e.rel.Live(id) {
-			return nil, false // pending insert ids are always in overlay
-		}
-		return e.rel.CodedRow(id), true
+		return e.rel.Live(id) // pending insert ids are always in pending
 	}
-	setOverlay := func(id int, row []int32) {
-		if overlay == nil {
-			overlay = make(map[int][]int32)
+	setLive := func(id int, l bool) {
+		if pending == nil {
+			pending = make(map[int]bool)
 		}
-		overlay[id] = row
+		pending[id] = l
 	}
 	fail := func(i int, err error) ([]resolvedOp, []int, error) {
 		if len(ops) > 1 {
@@ -233,14 +229,17 @@ func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 			id := end
 			if op.At != nil {
 				id = *op.At
-				if id < 0 {
-					return fail(i, fmt.Errorf("violation: insert at negative id %d", id))
-				}
-				// Index group members store the id in one 32-bit word; a pin
-				// beyond that space must fail validation, not alias another id.
-				if uint64(id) > math.MaxUint32 {
-					return fail(i, fmt.Errorf("violation: insert at id %d outside the 32-bit id space", id))
-				}
+			}
+			if id < 0 {
+				return fail(i, fmt.Errorf("violation: insert at negative id %d", id))
+			}
+			// Index group members store the id in one 32-bit word; an id
+			// beyond that space, pinned or sequential, must fail validation
+			// before the WAL append, not alias another id.
+			if uint64(id) > e.maxID {
+				return fail(i, fmt.Errorf("violation: insert at id %d outside the 32-bit id space", id))
+			}
+			if op.At != nil {
 				// Every id below the pin keeps a row-table slot, so the gap it
 				// opens is an allocation the caller commands; bound it here, in
 				// validation, so an oversized pin fails the whole batch before
@@ -249,34 +248,31 @@ func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 				if gap := id - end; gap > e.maxPinGap {
 					return fail(i, fmt.Errorf("violation: insert at id %d opens %d unassigned ids past the current end %d, above the %d limit", id, gap, end, e.maxPinGap))
 				}
-				if _, live := rowAt(id); live {
+				if live(id) {
 					return fail(i, fmt.Errorf("violation: insert at id %d: tuple exists", id))
 				}
 			}
 			if id >= end {
 				end = id + 1
 			}
-			setOverlay(id, row)
-			resolved = append(resolved, resolvedOp{kind: OpInsert, id: id, new: row})
+			setLive(id, true)
+			resolved = append(resolved, resolvedOp{kind: OpInsert, id: id, row: row})
 			ids = append(ids, id)
 		case OpDelete:
-			old, ok := rowAt(op.ID)
-			if !ok {
+			if !live(op.ID) {
 				return fail(i, fmt.Errorf("violation: tuple %d: %w", op.ID, ErrNotFound))
 			}
-			setOverlay(op.ID, nil)
-			resolved = append(resolved, resolvedOp{kind: OpDelete, id: op.ID, old: old})
+			setLive(op.ID, false)
+			resolved = append(resolved, resolvedOp{kind: OpDelete, id: op.ID})
 		case OpUpdate:
-			old, ok := rowAt(op.ID)
-			if !ok {
+			if !live(op.ID) {
 				return fail(i, fmt.Errorf("violation: tuple %d: %w", op.ID, ErrNotFound))
 			}
 			row, err := e.encode(op.Values)
 			if err != nil {
 				return fail(i, err)
 			}
-			setOverlay(op.ID, row)
-			resolved = append(resolved, resolvedOp{kind: OpUpdate, id: op.ID, old: old, new: row})
+			resolved = append(resolved, resolvedOp{kind: OpUpdate, id: op.ID, row: row})
 		default:
 			return fail(i, fmt.Errorf("violation: unknown op kind %q", op.Kind))
 		}
@@ -284,10 +280,12 @@ func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 	return resolved, ids, nil
 }
 
-// apply commits resolved ops in order. Each op updates every LHS-set index
-// and then writes its row into the relation, so an index always reads a
-// group's members from the relation exactly as of the op it applies: the
-// rows of the batch's earlier ops are already there, its later ops' not yet.
+// apply commits resolved ops in order, keeping a tuple's row in the relation
+// exactly while every LHS-set index holds it: an insert writes its row, then
+// indexes it; a delete unindexes the tuple, then clears its row; an update
+// unindexes the old row, writes the new one, then indexes it. So an index
+// reads every code from the relation as of the op it applies: the rows of
+// the batch's earlier ops are already there, its later ops' not yet.
 // The work must run to completion to keep the state consistent, so it is not
 // cancellable. Each index reports the violating-set memberships it flips,
 // rule by rule (the observe hook of core.GroupIndex); the per-rule flips,
@@ -314,27 +312,21 @@ func (e *Engine) apply(resolved []resolvedOp) {
 		}
 	}
 	for _, r := range resolved {
-		for _, x = range e.indexes {
-			switch r.kind {
-			case OpInsert:
-				x.Insert(r.id, r.new, observe)
-			case OpDelete:
-				x.Delete(r.id, r.old, observe)
-			case OpUpdate:
-				x.Delete(r.id, r.old, observe)
-				x.Insert(r.id, r.new, observe)
+		if r.kind != OpInsert {
+			for _, x = range e.indexes {
+				x.Delete(r.id, observe)
 			}
 		}
-		switch r.kind {
-		case OpInsert:
-			if n := r.id + 1 - e.rel.Size(); n > 0 {
-				e.rel.Grow(n)
-			}
-			e.rel.Set(r.id, r.new)
-		case OpDelete:
+		if r.kind == OpDelete {
 			e.rel.Clear(r.id)
-		case OpUpdate:
-			e.rel.Set(r.id, r.new)
+			continue
+		}
+		if n := r.id + 1 - e.rel.Size(); n > 0 {
+			e.rel.Grow(n)
+		}
+		e.rel.Set(r.id, r.row)
+		for _, x = range e.indexes {
+			x.Insert(r.id, observe)
 		}
 	}
 	added, removed := e.foldChanges(changes)

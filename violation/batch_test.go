@@ -390,32 +390,31 @@ func TestEngineObserverEvents(t *testing.T) {
 	}
 }
 
-// BenchmarkApplyBatchChurn times the batch path as the serve-ingest workload
-// drives it: a 40,000-row Tax engine (2 % noise) under the rules FastCFD
-// mines from the instance's first 2,000 rows (support 60, at most 2 LHS
-// attributes), then per iteration 60 batches of 256 inserts and 60 batches
-// deleting those tuples again. Generation, mining and the bulk load run
-// before the timer; ms/batch is the wall time per batch.
-func BenchmarkApplyBatchChurn(b *testing.B) {
+// churnEngine is the set-up of the benchmarks below, run before their
+// timers: a 40,000-row Tax engine (2 % noise) under the rules FastCFD mines
+// from the instance's first 2,000 rows (support 60, at most 2 LHS
+// attributes), as the serve-ingest workload drives it. inserts holds batches
+// of 256 insert ops over rows the engine does not hold yet.
+func churnEngine(b *testing.B, opts violation.Options) (eng *violation.Engine, set *rules.Set, inserts [][]violation.Op) {
 	const rows, batches, size = 40000, 60, 256
 	tax, err := dataset.Tax(dataset.TaxConfig{Size: rows + batches*size, Arity: 7, CF: 0.7, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	set, err := discovery.NewEngine(discovery.AlgFastCFD, tax.Head(2000),
+	set, err = discovery.NewEngine(discovery.AlgFastCFD, tax.Head(2000),
 		discovery.WithSupport(60), discovery.WithMaxLHS(2)).Run(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
 	data, _ := dataset.InjectNoise(tax.Head(rows), 0.02, 1)
-	eng, err := violation.New(tax.Attributes(), set, violation.Options{})
+	eng, err = violation.New(tax.Attributes(), set, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if err := eng.BulkLoad(data); err != nil {
 		b.Fatal(err)
 	}
-	inserts := make([][]violation.Op, batches)
+	inserts = make([][]violation.Op, batches)
 	for i := range inserts {
 		inserts[i] = make([]violation.Op, size)
 		for j := range inserts[i] {
@@ -423,9 +422,17 @@ func BenchmarkApplyBatchChurn(b *testing.B) {
 		}
 	}
 	b.Logf("%d rules", set.Len())
+	return eng, set, inserts
+}
+
+// BenchmarkApplyBatchChurn times the batch path on churnEngine: per
+// iteration 60 batches of 256 inserts and 60 batches deleting those tuples
+// again. ms/batch is the wall time per batch.
+func BenchmarkApplyBatchChurn(b *testing.B) {
+	eng, _, inserts := churnEngine(b, violation.Options{})
 	b.ResetTimer()
 	for range b.N {
-		deletes := make([][]violation.Op, 0, batches)
+		deletes := make([][]violation.Op, 0, len(inserts))
 		for _, ops := range inserts {
 			ids, err := eng.ApplyBatch(ops)
 			if err != nil {
@@ -443,5 +450,50 @@ func BenchmarkApplyBatchChurn(b *testing.B) {
 			}
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*2*batches), "ms/batch")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*2*len(inserts)), "ms/batch")
+}
+
+// BenchmarkSwapRebuild times the index builds of a rule swap on churnEngine,
+// on one worker: per iteration a swap to the empty rule set, which drops
+// every index, and one back, which rebuilds them all from the relation.
+func BenchmarkSwapRebuild(b *testing.B) {
+	eng, set, _ := churnEngine(b, violation.Options{Workers: 1})
+	ctx := context.Background()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := eng.SwapRules(ctx, rules.Of()); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.SwapRules(ctx, set); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSuspectsRepairs times the walk of the violating groups on
+// churnEngine, on one worker: per iteration one Suspects and one Repairs.
+func BenchmarkSuspectsRepairs(b *testing.B) {
+	eng, _, _ := churnEngine(b, violation.Options{Workers: 1})
+	b.ResetTimer()
+	for range b.N {
+		if len(eng.Suspects()) == 0 || len(eng.Repairs()) == 0 {
+			b.Fatal("the noisy instance has no suspects")
+		}
+	}
+}
+
+// BenchmarkTupleViolations times point reads on churnEngine, on one worker:
+// per iteration 1,000 TupleViolations calls on ids spread over the relation.
+func BenchmarkTupleViolations(b *testing.B) {
+	eng, _, _ := churnEngine(b, violation.Options{Workers: 1})
+	const calls = 1000
+	stride := eng.NextID() / calls
+	b.ResetTimer()
+	for range b.N {
+		for i := range calls {
+			if _, err := eng.TupleViolations(i * stride); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

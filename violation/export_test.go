@@ -62,6 +62,10 @@ func (e *Engine) SetDeltaHistory(n int) { e.deltas, e.deltaN = make([]*Delta, n)
 // SetMaxPinGap narrows how far past the end of the row table a pin may reach.
 func (e *Engine) SetMaxPinGap(n int) { e.maxPinGap = n }
 
+// SetMaxID narrows the largest id an insert may take, pinned or sequential,
+// from the 32-bit limit of the index's members.
+func (e *Engine) SetMaxID(n uint64) { e.maxID = n }
+
 // UnmarshalWALRecord is the all-encoding/json decode DecodeWALRecord replaced.
 func UnmarshalWALRecord(line []byte) (WALRecord, error) {
 	var rec walRecord

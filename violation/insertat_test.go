@@ -129,6 +129,42 @@ func TestInsertAtGapBound(t *testing.T) {
 	assertSameState(t, deng, back)
 }
 
+// TestInsertIDSpace: the 32-bit limit the index's members put on ids holds
+// for sequential inserts as it does for pinned ones. Under a limit narrowed
+// to id 9, the batch whose sequential insert would take id 10 fails whole,
+// before the write-ahead log append, so a reload replays the state without it.
+func TestInsertIDSpace(t *testing.T) {
+	dir := t.TempDir()
+	eng, st := durableEngine(t, dir, violation.StoreOptions{}) // ids 0..7 live
+	eng.SetMaxID(9)
+	insert := violation.Op{Kind: violation.OpInsert, Values: []string{"01", "908", "7777777", "Pat", "Tree Ave.", "MH", "07974"}}
+	if ids, err := eng.ApplyBatch([]violation.Op{insert}); err != nil || ids[0] != 8 {
+		t.Fatalf("insert below the limit: ids=%v err=%v", ids, err)
+	}
+	if _, err := eng.ApplyBatch([]violation.Op{insert, {Kind: violation.OpDelete, ID: 0}, insert}); err == nil ||
+		!strings.Contains(err.Error(), "batch op 2: violation: insert at id 10 outside the 32-bit id space") {
+		t.Fatalf("sequential insert past the limit: err = %v", err)
+	}
+	if eng.Size() != 9 || eng.NextID() != 9 {
+		t.Fatalf("the refused batch applied: size=%d nextID=%d, want 9 and 9", eng.Size(), eng.NextID())
+	}
+	if ids, err := eng.ApplyBatch([]violation.Op{insert}); err != nil || ids[0] != 9 {
+		t.Fatalf("insert at the limit: ids=%v err=%v", ids, err)
+	}
+	if _, err := eng.ApplyBatch([]violation.Op{insert}); err == nil ||
+		!strings.Contains(err.Error(), "outside the 32-bit id space") {
+		t.Fatalf("sequential insert past the limit: err = %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back := reload(t, dir)
+	assertSameState(t, eng, back)
+	if back.NextID() != 10 {
+		t.Fatalf("replayed NextID = %d, want 10", back.NextID())
+	}
+}
+
 // TestInsertAtJSON: the wire codec round-trips "at" on inserts and rejects
 // it on ops that do not assign ids.
 func TestInsertAtJSON(t *testing.T) {

@@ -488,6 +488,23 @@ func TestOwnEncodersStayPlain(t *testing.T) {
 	sameSnapshotDecode(t, data, file, file.validate())
 }
 
+// TestSnapshotValidateRefuses: a snapshot whose structure the restore path
+// cannot rely on is refused with an error naming what is wrong, whether the
+// one-pass reader or encoding/json decoded it.
+func TestSnapshotValidateRefuses(t *testing.T) {
+	for _, c := range []struct{ doc, want string }{
+		{`{"format":3,"attributes":["A"],"next_id":0,"dicts":[[]],"columns":[[]]}`, "format 3, this build reads only format 2"},
+		{`{"format":2,"attributes":[],"next_id":0,"dicts":[],"columns":[]}`, "no attributes"},
+		{`{"format":2,"attributes":["A"],"next_id":-1,"dicts":[[]],"columns":[[]]}`, "negative next_id -1"},
+		{`{"format":2,"attributes":["A","B"],"next_id":0,"dicts":[[]],"columns":[[],[]]}`, "1 dictionaries and 2 columns for 2 attributes"},
+		{`{"format":2,"attributes":["A","B"],"next_id":0,"dicts":[[],[]],"columns":[[]]}`, "2 dictionaries and 1 columns for 2 attributes"},
+	} {
+		if _, err := decodeSnapshotFile([]byte(c.doc)); err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.doc, err, c.want)
+		}
+	}
+}
+
 // chunkWriter keeps what is written to it and the size of every write.
 type chunkWriter struct {
 	bytes.Buffer

@@ -39,7 +39,8 @@
 // restore recode into the engine's relation, snapshot capture recodes it
 // into the canonical first-use form format 2 stores, and Relation recodes it
 // into the compact hole-free copy handed to miners and exports. A relation
-// with holes never leaves the engine.
+// with holes never leaves the engine. It is also the indexes' only row
+// store: a group member is a tuple id, its codes read from the relation.
 //
 // # Concurrency
 //
@@ -48,13 +49,13 @@
 // serialised by an internal write lock. BulkLoad, like a rule swap's index
 // builds and a full report build, runs one repro/internal/pool task per
 // LHS-set index; ApplyBatch (and the single-tuple mutations, one-op batches)
-// applies its ops one after another on the calling goroutine, each op
-// updating every index and then the relation. The bulk readers Report
-// and Dirty serve an immutable copy-on-write report keyed by a mutation
-// epoch: a bulk change publishes the report it built, the first read after
-// any other mutation patches the previous report from the delta history, and
-// every subsequent read shares it without taking any lock at all, so a
-// polling client never stalls the write path. Point reads (Row,
+// applies its ops one after another on the calling goroutine, keeping each
+// tuple's row in the relation exactly while the indexes hold the tuple. The
+// bulk readers Report and Dirty serve an immutable copy-on-write report keyed
+// by a mutation epoch: a bulk change publishes the report it built, the
+// first read after any other mutation patches the previous report from the
+// delta history, and every subsequent read shares it without taking any lock
+// at all, so a polling client never stalls the write path. Point reads (Row,
 // TupleViolations, Size, ...) and the repair view (Suspects, Repairs — a walk
 // of the violating groups) read the live state under a read lock. Everything
 // a reader receives — reports, violation tuple slices, rows — is immutable or
@@ -75,6 +76,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -187,8 +189,8 @@ type Engine struct {
 	schema *core.Schema
 	// rel is the tuple store: slot = tuple id, a hole once deleted. Its
 	// dictionaries also intern the rule constants, so they may hold codes no
-	// tuple carries. The indexes read their members' rows from it, so a
-	// commit writes each op's row only after that op has updated every index
+	// tuple carries. It is the indexes' only row store: they read every code
+	// by tuple id, so a tuple's row is in rel exactly while it is indexed
 	// (see apply).
 	rel   *core.Relation
 	set   *rules.Set
@@ -198,7 +200,8 @@ type Engine struct {
 	// every rule exactly once.
 	indexes   []*lhsIndex
 	workers   int
-	maxPinGap int // DefaultMaxPinGap; a field so tests can narrow it
+	maxPinGap int    // DefaultMaxPinGap; a field so tests can narrow it
+	maxID     uint64 // largest id an insert may take: MaxUint32, as an index member is 32 bits; a field so tests can narrow it
 	wal       CommitLog
 
 	// epoch counts mutations; snap caches the immutable report published at a
@@ -248,6 +251,7 @@ func New(attributes []string, set *rules.Set, opts Options) (*Engine, error) {
 		set:       set,
 		workers:   opts.Workers,
 		maxPinGap: DefaultMaxPinGap,
+		maxID:     math.MaxUint32,
 		deltas:    make([]*Delta, deltaHistory),
 		watch:     make(chan struct{}),
 	}
@@ -462,11 +466,9 @@ func (e *Engine) loadLocked(dicts [][]string, cols [][]int32, rows int) {
 // indexes are still private.
 func (e *Engine) indexLive(ctx context.Context, from int, indexes []*lhsIndex) error {
 	return pool.Each(ctx, e.workers, len(indexes), func(_, i int) {
-		row := make([]int32, e.schema.Arity())
 		for id := from; id < e.rel.Size(); id++ {
 			if e.rel.Live(id) {
-				e.rel.Gather(id, row)
-				indexes[i].Insert(id, row, nil)
+				indexes[i].Insert(id, nil)
 			}
 		}
 	})
@@ -722,10 +724,9 @@ func (e *Engine) TupleViolations(id int) ([]cfd.CFD, error) {
 	if err := e.checkLive(id); err != nil {
 		return nil, err
 	}
-	row := e.rel.CodedRow(id)
 	var at []int
 	for _, x := range e.indexes {
-		x.Violated(row, func(r int) { at = append(at, x.at[r]) })
+		x.Violated(id, func(r int) { at = append(at, x.at[r]) })
 	}
 	sort.Ints(at)
 	var out []cfd.CFD

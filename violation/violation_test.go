@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/cfd"
@@ -365,6 +366,34 @@ func TestEngineErrors(t *testing.T) {
 	other := cfd.MustRelation("X", "Y")
 	if err := eng.BulkLoad(other); err == nil {
 		t.Error("bulk load with a mismatched schema must error")
+	}
+	if err := eng.BulkLoad(cfd.MustRelation("A", "Y")); err == nil || !strings.Contains(err.Error(), `relation attribute 1 is "Y", engine schema has "B"`) {
+		t.Errorf("bulk load with a mismatched attribute name: err = %v", err)
+	}
+	if err := eng.BulkLoad(cfd.MustRelation("A")); err == nil || !strings.Contains(err.Error(), "relation has 1 attributes, engine schema has 2") {
+		t.Errorf("bulk load with the wrong arity: err = %v", err)
+	}
+	if _, err := violation.New(nil, nil, violation.Options{}); err == nil || !strings.Contains(err.Error(), "at least one attribute") {
+		t.Errorf("New without attributes: err = %v", err)
+	}
+	if _, err := violation.New([]string{"A", "A"}, nil, violation.Options{}); err == nil {
+		t.Error("New with a duplicate attribute name must error")
+	}
+	// An update with the wrong arity fails its whole batch, the insert
+	// before it included.
+	id, err = eng.Insert("a", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := eng.Size()
+	if _, err := eng.ApplyBatch([]violation.Op{
+		{Kind: violation.OpInsert, Values: []string{"b", "y"}},
+		{Kind: violation.OpUpdate, ID: id, Values: []string{"a"}},
+	}); err == nil || !strings.Contains(err.Error(), "batch op 1: violation: tuple has 1 values, schema has 2 attributes") {
+		t.Errorf("update with the wrong arity: err = %v", err)
+	}
+	if eng.Size() != size {
+		t.Errorf("the refused batch applied: size %d, want %d", eng.Size(), size)
 	}
 }
 
