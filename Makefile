@@ -18,7 +18,9 @@ test:
 # concurrent readers, writers and rule swaps, between lock-free report
 # readers and the report a bulk load publishes, and between the pool tasks of
 # one bulk load or full report build at every worker count, which a batch,
-# applied op by op on its caller's goroutine, must match, and between a
+# applied op by op on its caller's goroutine, must match, and between the
+# index builds of a swap or a bulk load at two workers, which share the
+# relation and the live ids and each own their worker's scratch, and between a
 # compaction, which streams its copy of the live rows and reads the engine's
 # dictionaries unlocked, and the writers appending to them; the closed-set
 # search's root
@@ -41,7 +43,7 @@ test:
 # listed package has, so a renamed test cannot silently drop out.
 race:
 	$(GO) test -race ./...
-	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestReadersRaceBulkLoad|TestSwapRulesConcurrentReaders|TestApplyBatchMatchesPerOp|TestBatchReadsMembersAsOfItsOps|TestShardedBulkLoadAgrees|TestStoreCompactUnderWrites|TestCompactRacingAppendsKeepsTailBytes|TestSnapshotStreamMatchesMarshal' ./violation
+	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestReadersRaceBulkLoad|TestSwapRulesConcurrentReaders|TestApplyBatchMatchesPerOp|TestBatchReadsMembersAsOfItsOps|TestShardedBulkLoadAgrees|TestBuildMatchesInsert|TestStoreCompactUnderWrites|TestCompactRacingAppendsKeepsTailBytes|TestSnapshotStreamMatchesMarshal' ./violation
 	./scripts/race_repeat.sh 'TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude|TestMineParallelMatchesSequential' ./internal/itemset ./internal/fastcfd
 	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic|TestMineContextWorkersDeterministicMaxLHS|TestDiscoverWorkersIdentical|TestLatticeLinks|TestHeldTidsPerJoin|TestFDLatticeLevels|TestLatticeStepsObserveCancellation|TestAdvanceCancelledInsideJoin|TestMineAllocationsPerElement' ./internal/ctane
 	./scripts/race_repeat.sh 'TestFullReadsMatchThePlainEncoder|TestRulesStatsMatchTheirSet' ./cmd/cfdserve

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -258,6 +259,42 @@ func TestRunNode(t *testing.T) {
 	p2.stop()
 	if err := p2.wait(t); err != nil {
 		t.Fatalf("restarted run = %v", err)
+	}
+}
+
+// TestRunBootSeconds: a durable node exports how long its boot's OpenStore
+// and Store.Load took as cfd_boot_seconds{phase="open"|"load"}, and logs both
+// on its "durable state attached" line — on the first boot, which finds no
+// snapshot, and on a restart from the directory alone, whose load rebuilds
+// every index.
+func TestRunBootSeconds(t *testing.T) {
+	dir := t.TempDir()
+	logged := regexp.MustCompile(`"msg":"durable state attached",.*"open_seconds":([^,]+),"load_seconds":([^,}]+)`)
+	for i, args := range [][]string{
+		{"-rules", "testdata/rules.txt", "-data", "testdata/cust.csv", "-state", dir},
+		{"-state", dir},
+	} {
+		p := startRun(t, args...)
+		metrics := string(getRaw(t, p.addr+"/metrics"))
+		m := logged.FindStringSubmatch(p.log.String())
+		if m == nil {
+			t.Fatalf("boot %d: no open_seconds and load_seconds on the durable state line:\n%s", i, p.log.String())
+		}
+		for j, phase := range []string{"open", "load"} {
+			series := regexp.MustCompile(`(?m)^cfd_boot_seconds\{phase="` + phase + `"\} (\S+)$`).FindStringSubmatch(metrics)
+			if series == nil {
+				t.Fatalf("boot %d: no cfd_boot_seconds series for phase %s:\n%s", i, phase, metrics)
+			}
+			exported, err1 := strconv.ParseFloat(series[1], 64)
+			log, err2 := strconv.ParseFloat(m[1+j], 64)
+			if err1 != nil || err2 != nil || exported != log || exported < 0 || (i == 1 && exported == 0) {
+				t.Errorf("boot %d: cfd_boot_seconds{phase=%q} = %s, logged %s", i, phase, series[1], m[1+j])
+			}
+		}
+		p.stop()
+		if err := p.wait(t); err != nil {
+			t.Fatalf("boot %d: run = %v", i, err)
+		}
 	}
 }
 

@@ -31,6 +31,8 @@ type obsStack struct {
 
 	maintainChecks   *obs.Counter    // maintenance-policy evaluations
 	maintainTriggers *obs.CounterVec // reason: drift | confidence
+
+	boot *obs.GaugeVec // phase: open | load, set once by a durable node's boot
 }
 
 // newObsStack builds the registry and the HTTP/discovery families around the
@@ -53,6 +55,8 @@ func newObsStack(log *slog.Logger) *obsStack {
 
 		maintainChecks:   reg.Counter("cfd_maintain_checks_total", "Rule-maintenance policy evaluations against the live per-rule counters."),
 		maintainTriggers: reg.CounterVec("cfd_maintain_triggers_total", "Maintenance-triggered remines by policy reason (drift, confidence).", "reason"),
+
+		boot: reg.GaugeVec("cfd_boot_seconds", "Seconds a durable node's boot spent opening its state directory (open: violation.OpenStore, which reads the snapshot and the log) and rebuilding the engine from them (load: Store.Load).", "phase"),
 	}
 }
 

@@ -73,10 +73,13 @@ func bootNode(ctx context.Context, cfg config) (*server, error) {
 	log := cfg.logger()
 	log.Info("serving state loaded",
 		"rules", len(sv.eng.Rules()), "attributes", len(sv.eng.Attributes()), "tuples", sv.eng.Size())
-	if sv.store != nil {
-		log.Info("durable state attached", "state_dir", sv.store.Dir(), "fsync", cfg.fsync)
-	}
 	s := newServer(sv.eng, sv.store, cfg)
+	if sv.store != nil {
+		log.Info("durable state attached", "state_dir", sv.store.Dir(), "fsync", cfg.fsync,
+			"open_seconds", sv.open.Seconds(), "load_seconds", sv.load.Seconds())
+		s.obs.boot.With("open").Set(sv.open.Seconds())
+		s.obs.boot.With("load").Set(sv.load.Seconds())
+	}
 	s.baseCtx, s.stop = context.WithCancel(ctx)
 	if cfg.maintain {
 		pol := maintainPolicy(cfg.support)
@@ -591,6 +594,9 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 type serving struct {
 	eng   *violation.Engine
 	store *violation.Store
+	// open and load are how long the boot's OpenStore and Store.Load took;
+	// zero without a store.
+	open, load time.Duration
 }
 
 // close compacts a final snapshot (so the next start replays no WAL) and
@@ -620,15 +626,18 @@ func buildServing(ctx context.Context, cfg config) (*serving, error) {
 		}
 		return &serving{eng: eng}, nil
 	}
+	start := time.Now()
 	store, err := violation.OpenStore(cfg.statePath, violation.StoreOptions{Sync: cfg.fsync})
 	if err != nil {
 		return nil, err
 	}
+	opened := time.Now()
 	eng, restored, err := store.Load(violation.Options{})
 	if err != nil {
 		store.Close()
 		return nil, err
 	}
+	sv := &serving{store: store, open: opened.Sub(start), load: time.Since(opened)}
 	if restored {
 		if cfg.rulesPath != "" || cfg.dataPath != "" || cfg.samplePath != "" {
 			cfg.logger().Warn("state directory has a snapshot; ignoring -rules/-data/-sample", "state_dir", cfg.statePath)
@@ -646,7 +655,8 @@ func buildServing(ctx context.Context, cfg config) (*serving, error) {
 		}
 	}
 	eng.AttachWAL(store)
-	return &serving{eng: eng, store: store}, nil
+	sv.eng = eng
+	return sv, nil
 }
 
 // loadEngine builds the serving engine from the command-line configuration:

@@ -133,9 +133,11 @@ func Violations(r *Relation, c CFD) []int {
 		return nil
 	}
 	ix := NewGroupIndex(r, []CFD{c})
-	for t := 0; t < r.Size(); t++ {
-		ix.Insert(t, nil)
+	ids := make([]int32, r.Size())
+	for t := range ids {
+		ids[t] = int32(t)
 	}
+	ix.Build(ids, new(BuildScratch))
 	if bad := ix.Violating(nil)[0]; bad != nil {
 		return bad
 	}

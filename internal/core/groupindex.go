@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -20,11 +21,18 @@ import (
 // misses the RHS constant; in both cases every tuple of the group is involved
 // in a violating pair under the paper's exact pair semantics (§2.1.2).
 //
-// Insert and Delete cost one hash lookup on X plus an integer compare per
-// rule, independent of the number of tuples indexed. Tuples no rule applies
-// to are not stored. The batch Violations function is the one-rule use of this
-// type and the repro/violation engine keeps one GroupIndex per distinct X of
-// its rule set, so there is a single source of truth for what counts as a
+// An index is filled one way and kept current another. Build fills a fresh
+// index from the live tuples in one pass over their groups, as §4.4 builds
+// π_X: it sorts the ids on X, finds each group's rules by looking its X codes
+// up in a table of the rules' LHS constants and writes each group once, so
+// it costs a few linear passes over the ids plus one map insert per group and
+// a counter update per rule that applies. Insert and Delete then keep the
+// index current under writes, each at one hash lookup on X plus an integer
+// compare per rule, independent of the number of tuples indexed; Build
+// leaves the state Inserts in id order would. Tuples no rule applies to are
+// not stored. The batch Violations function is the one-rule use of this type
+// and the repro/violation engine keeps one GroupIndex per distinct X of its
+// rule set, so there is a single source of truth for what counts as a
 // violating tuple.
 //
 // # Layout
@@ -51,8 +59,8 @@ import (
 // tuple's row must be in the relation, unchanged, from before its Insert
 // until after its Delete.
 //
-// Insert and Delete need exclusive access; every other method only reads, so
-// any number of them may run concurrently under a shared lock.
+// Build, Insert and Delete need exclusive access; every other method only
+// reads, so any number of them may run concurrently under a shared lock.
 type GroupIndex struct {
 	lhs   []int // X, ascending attribute indexes
 	rhs   []int // distinct RHS attributes of the rules, indexed by slot
@@ -696,10 +704,47 @@ func (ix *GroupIndex) Violating(only []bool) [][]int {
 			out[r] = append(out[r], int(m))
 		}
 	})
+	var marks []uint64
 	for _, r := range active {
-		slices.Sort(out[r])
+		SortIDs(out[r], &marks)
 	}
 	return out
+}
+
+// SortIDs sorts distinct non-negative ids ascending. A list long enough
+// against the span of its ids is sorted in linear time instead: its ids are
+// marked in a bitmap over the span, which is then read back in order. marks
+// holds that bitmap; it may start nil, is grown as needed and comes back all
+// zero, so one can serve any number of calls.
+func SortIDs(ids []int, marks *[]uint64) {
+	if len(ids) < 64 {
+		slices.Sort(ids)
+		return
+	}
+	lo, hi := slices.Min(ids), slices.Max(ids)
+	words := (hi-lo)>>6 + 1
+	if words > 4*len(ids) {
+		slices.Sort(ids)
+		return
+	}
+	if len(*marks) < words {
+		*marks = make([]uint64, words)
+	}
+	m := (*marks)[:words]
+	for _, id := range ids {
+		m[(id-lo)>>6] |= 1 << ((id - lo) & 63)
+	}
+	k := 0
+	for w, word := range m {
+		for ; word != 0; word &= word - 1 {
+			ids[k] = lo + w<<6 + bits.TrailingZeros64(word)
+			k++
+		}
+		m[w] = 0
+	}
+	if k != len(ids) {
+		panic("core: SortIDs given an id twice")
+	}
 }
 
 // Repairs is the repair rule, read off the groups: it visits every member of

@@ -13,12 +13,13 @@ import (
 // 3 and 4 are the RHS attributes.
 var sharedDomains = []int{3, 2, 2, 3, 3}
 
-// sharedRules returns the rules of the two indexes the tests maintain side by
+// sharedRules returns the rules of the indexes the tests maintain side by
 // side: one over the single attribute {0}, one over {0,1,2} (three attributes,
-// so its keys go through pair folding). Each mixes what a tableau mixes —
-// different LHS constants, two RHS attributes, constant and variable RHS
-// patterns, a duplicate rule, a constant no row ever carries.
-func sharedRules() [2][]core.CFD {
+// so its keys go through pair folding), one over {0,1} and one over the empty
+// set, whose one group holds every tuple. Each mixes what a tableau mixes —
+// LHS constants on no, one or two attributes, two RHS attributes, constant
+// and variable RHS patterns, a duplicate rule, a constant no row ever carries.
+func sharedRules() [4][]core.CFD {
 	rule := func(lhs []int, rhs int, consts map[int]int32) core.CFD {
 		c := core.CFD{LHS: core.NewAttrSet(lhs...), RHS: rhs, Tp: core.NewPattern(len(sharedDomains))}
 		for a, code := range consts {
@@ -26,8 +27,8 @@ func sharedRules() [2][]core.CFD {
 		}
 		return c
 	}
-	narrow, wide := []int{0}, []int{0, 1, 2}
-	return [2][]core.CFD{
+	narrow, wide, pair := []int{0}, []int{0, 1, 2}, []int{0, 1}
+	return [4][]core.CFD{
 		{
 			rule(narrow, 3, nil),
 			rule(narrow, 3, map[int]int32{0: 1, 3: 2}),
@@ -41,6 +42,17 @@ func sharedRules() [2][]core.CFD {
 			rule(wide, 4, map[int]int32{0: 1}),
 			rule(wide, 3, map[int]int32{1: 0, 3: 1}),
 			rule(wide, 4, map[int]int32{0: 2, 2: 1, 4: 2}),
+		},
+		{
+			rule(pair, 3, nil),
+			rule(pair, 4, map[int]int32{1: 1}),
+			rule(pair, 3, map[int]int32{0: 2, 1: 0}),
+			rule(pair, 4, map[int]int32{0: 0, 4: 1}),
+			rule(pair, 3, map[int]int32{0: 1, 1: 1, 3: 0}),
+		},
+		{
+			rule(nil, 3, nil),
+			rule(nil, 4, map[int]int32{4: 2}),
 		},
 	}
 }
@@ -78,24 +90,30 @@ func naiveState(c core.CFD, rows map[int][]int32) (violating []int, tuples, grou
 	return violating, tuples, len(members)
 }
 
-// sharedHarness drives the two shared indexes and the model in lockstep and,
+// sharedHarness drives the shared indexes and the model in lockstep and,
 // after every op, holds everything an index reports to a from-scratch
-// recount.
+// recount. In build mode the indexes start out unused: the first ops only
+// write the relation, then every index is filled by one Build over the live
+// ids, next to a twin filled by Insert in id order, and from there on each op
+// goes to both, the twin's Shape held to the built index's.
 type sharedHarness struct {
 	t     testing.TB
-	rules [2][]core.CFD
-	ix    [2]*core.GroupIndex
-	rel   *core.Relation // holds the live rows, as the indexes require
-	rows  map[int][]int32
-	live  []int // ids in insertion order
-	next  int
+	rules [4][]core.CFD
+	ix    [4]*core.GroupIndex
+	twin  [4]*core.GroupIndex // build mode: the Insert-by-Insert twin of ix
+	// indexed is false until the build, in build mode.
+	indexed bool
+	rel     *core.Relation // holds the live rows, as the indexes require
+	rows    map[int][]int32
+	live    []int // ids in insertion order
+	next    int
 	// violating is each rule's recounted violating set as of the last check.
-	violating [2][][]int
+	violating [4][][]int
 	dicts     []*core.Dict
 }
 
 func newSharedHarness(t testing.TB) *sharedHarness {
-	h := &sharedHarness{t: t, rules: sharedRules(), rows: make(map[int][]int32)}
+	h := &sharedHarness{t: t, rules: sharedRules(), rows: make(map[int][]int32), indexed: true}
 	h.rel = core.NewRelation(core.MustSchema("A", "B", "C", "D", "E"))
 	for x, rs := range h.rules {
 		h.ix[x] = core.NewGroupIndex(h.rel, rs)
@@ -142,26 +160,91 @@ func (h *sharedHarness) remove(i int, step string) {
 	h.rel.Clear(id)
 }
 
+// build fills every index with one Build over the live ids, and its twin
+// with an Insert per id in id order, and checks both.
+func (h *sharedHarness) build(step string) {
+	h.t.Helper()
+	ids := slices.Clone(h.live)
+	slices.Sort(ids)
+	ids32 := make([]int32, len(ids))
+	for i, id := range ids {
+		ids32[i] = int32(id)
+	}
+	var scratch core.BuildScratch // shared by the builds, as a pool worker's is
+	for x, rs := range h.rules {
+		h.ix[x].Build(ids32, &scratch)
+		h.twin[x] = core.NewGroupIndex(h.rel, rs)
+		for _, id := range ids {
+			h.twin[x].Insert(id, nil)
+		}
+		h.check(step, x, nil)
+	}
+	h.indexed = true
+}
+
 func (h *sharedHarness) apply(step string, op func(ix *core.GroupIndex, observe func(r, id int, violating bool))) {
 	h.t.Helper()
-	for x, ix := range h.ix {
-		flips := make([]map[int]bool, len(h.rules[x]))
-		op(ix, func(r, id int, violating bool) {
-			if flips[r] == nil {
-				flips[r] = make(map[int]bool)
+	if !h.indexed {
+		return
+	}
+	for x := range h.ix {
+		for _, ix := range []*core.GroupIndex{h.ix[x], h.twin[x]} {
+			if ix == nil {
+				continue
 			}
-			if _, twice := flips[r][id]; twice {
-				h.t.Fatalf("%s: index %d rule %d: tuple %d observed twice in one op", step, x, r, id)
-			}
-			flips[r][id] = violating
-		})
-		h.check(step, x, flips)
+			flips := make([]map[int]bool, len(h.rules[x]))
+			op(ix, func(r, id int, violating bool) {
+				if flips[r] == nil {
+					flips[r] = make(map[int]bool)
+				}
+				if _, twice := flips[r][id]; twice {
+					h.t.Fatalf("%s: index %d rule %d: tuple %d observed twice in one op", step, x, r, id)
+				}
+				flips[r][id] = violating
+			})
+			h.checkIndex(step, x, ix, flips)
+		}
+		if h.twin[x] != nil {
+			h.checkShape(step, x)
+		}
+		h.violating[x] = h.recount(x)
 	}
 }
 
+// recount returns each rule's violating set of index x, from the live rows.
+func (h *sharedHarness) recount(x int) [][]int {
+	out := make([][]int, len(h.rules[x]))
+	for r, c := range h.rules[x] {
+		out[r], _, _ = naiveState(c, h.rows)
+	}
+	return out
+}
+
+// check holds index x (and its twin, in build mode) to the recount, skipping
+// the flips when flips is nil, and records the recount.
 func (h *sharedHarness) check(step string, x int, flips []map[int]bool) {
 	h.t.Helper()
-	ix := h.ix[x]
+	h.checkIndex(step, x, h.ix[x], flips)
+	if h.twin[x] != nil {
+		h.checkIndex(step, x, h.twin[x], flips)
+		h.checkShape(step, x)
+	}
+	h.violating[x] = h.recount(x)
+}
+
+// checkShape holds the built index x's Shape to its twin's.
+func (h *sharedHarness) checkShape(step string, x int) {
+	h.t.Helper()
+	o1, r1, l1 := h.ix[x].Shape()
+	o2, r2, l2 := h.twin[x].Shape()
+	if o1 != o2 || r1 != r2 || l1 != l2 {
+		h.t.Fatalf("%s: index %d: built Shape = %d/%d/%d, Insert-by-Insert twin = %d/%d/%d", step, x, o1, r1, l1, o2, r2, l2)
+	}
+}
+
+// checkIndex holds ix, index x or its twin, to the recount.
+func (h *sharedHarness) checkIndex(step string, x int, ix *core.GroupIndex, flips []map[int]bool) {
+	h.t.Helper()
 	got := ix.Violating(nil)
 	repairs := collectRuleRepairs(ix, len(h.rules[x]), func(a int) *core.Dict { return h.dicts[a] })
 	violatedBy := make(map[int][]int) // id -> rules, from the recount
@@ -176,26 +259,9 @@ func (h *sharedHarness) check(step string, x int, flips []map[int]bool) {
 		}
 		// The observed flips are exactly the symmetric difference between the
 		// rule's violating set before and after the op.
-		wantFlips := make(map[int]bool)
-		for _, id := range want {
-			wantFlips[id] = true
+		if flips != nil {
+			h.checkFlips(step, x, r, flips[r], want)
 		}
-		for _, id := range h.violating[x][r] {
-			if wantFlips[id] {
-				delete(wantFlips, id) // stayed violating
-			} else {
-				wantFlips[id] = false
-			}
-		}
-		if len(flips[r]) != len(wantFlips) {
-			h.t.Fatalf("%s: index %d rule %d: observed flips %v, recount says %v", step, x, r, flips[r], wantFlips)
-		}
-		for id, v := range wantFlips {
-			if got, ok := flips[r][id]; !ok || got != v {
-				h.t.Fatalf("%s: index %d rule %d: observed flips %v, recount says %v", step, x, r, flips[r], wantFlips)
-			}
-		}
-		h.violating[x][r] = want
 		for _, id := range want {
 			violatedBy[id] = append(violatedBy[id], r)
 		}
@@ -210,17 +276,52 @@ func (h *sharedHarness) check(step string, x int, flips []map[int]bool) {
 	}
 }
 
-// run replays a fuzz input: one byte per op, the low bit choosing delete (of
-// the (b>>1 mod live)-th oldest live tuple) over insert (of row b>>1).
-func (h *sharedHarness) run(data []byte) {
+// checkFlips holds the flips rule r of index x observed to the symmetric
+// difference between its recounted violating sets before and after the op.
+func (h *sharedHarness) checkFlips(step string, x, r int, flips map[int]bool, want []int) {
 	h.t.Helper()
+	wantFlips := make(map[int]bool)
+	for _, id := range want {
+		wantFlips[id] = true
+	}
+	for _, id := range h.violating[x][r] {
+		if wantFlips[id] {
+			delete(wantFlips, id) // stayed violating
+		} else {
+			wantFlips[id] = false
+		}
+	}
+	if len(flips) != len(wantFlips) {
+		h.t.Fatalf("%s: index %d rule %d: observed flips %v, recount says %v", step, x, r, flips, wantFlips)
+	}
+	for id, v := range wantFlips {
+		if got, ok := flips[id]; !ok || got != v {
+			h.t.Fatalf("%s: index %d rule %d: observed flips %v, recount says %v", step, x, r, flips, wantFlips)
+		}
+	}
+}
+
+// run replays a fuzz input: one byte per op, the low bit choosing delete (of
+// the (b>>1 mod live)-th oldest live tuple) over insert (of row b>>1). With
+// build, the first at ops only write the relation, deletes leaving holes;
+// then every index is built over the live ids, and the rest replay on the
+// built indexes and their twins.
+func (h *sharedHarness) run(data []byte, build bool, at int) {
+	h.t.Helper()
+	h.indexed = !build
 	for i, b := range data {
+		if build && i == at {
+			h.build(fmt.Sprintf("build after op %d", i))
+		}
 		if b&1 == 1 && len(h.live) > 0 {
 			victim := int(b>>1) % len(h.live)
 			h.remove(victim, fmt.Sprintf("op %d (delete #%d)", i, victim))
 		} else {
 			h.insert(sharedRow(int(b>>1)), fmt.Sprintf("op %d (insert %d)", i, b>>1))
 		}
+	}
+	if build && at >= len(data) {
+		h.build("build after the last op")
 	}
 }
 
@@ -268,10 +369,15 @@ func sharedSeeds() [][]byte {
 
 // TestGroupIndexSharedX runs the seed sequences of FuzzGroupIndex — several
 // rules maintained on one shared grouping, checked per rule after every op —
-// so they fail under plain `go test` too, with a readable name.
+// so they fail under plain `go test` too, with a readable name: each as
+// inserts and deletes from the start, then built after its first third, its
+// second third and its last op.
 func TestGroupIndexSharedX(t *testing.T) {
 	for i, seed := range sharedSeeds() {
-		t.Run(fmt.Sprint("seed=", i), func(t *testing.T) { newSharedHarness(t).run(seed) })
+		t.Run(fmt.Sprint("seed=", i), func(t *testing.T) { newSharedHarness(t).run(seed, false, 0) })
+		for _, at := range []int{len(seed) / 3, 2 * len(seed) / 3, len(seed)} {
+			t.Run(fmt.Sprint("seed=", i, "/build=", at), func(t *testing.T) { newSharedHarness(t).run(seed, true, at) })
+		}
 	}
 }
 
@@ -291,17 +397,35 @@ func TestGroupIndexRejectsMixedLHS(t *testing.T) {
 }
 
 // FuzzGroupIndex turns bytes into a sequence of inserts and deletes over a
-// few rules sharing two LHS attribute sets, and after every op checks each
-// rule's violating ids, counters, per-tuple lookups, repairs and the flips the
-// op reported against a from-scratch recount.
+// few rules sharing four LHS attribute sets (of zero to three attributes),
+// and after every op checks each rule's violating ids, counters, per-tuple
+// lookups, repairs and the flips the op reported against a from-scratch
+// recount. With build, the first at ops write only the relation, leaving
+// holes where they delete; every index is then filled by Build and held,
+// from there on after every op, to a twin filled by Insert in id order.
 func FuzzGroupIndex(f *testing.F) {
 	for _, seed := range sharedSeeds() {
-		f.Add(seed)
+		f.Add(seed, false, uint8(0))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	for _, seed := range sharedSeeds() {
+		f.Add(seed, true, uint8(len(seed)/2))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, build bool, at uint8) {
 		if len(data) > 128 {
 			data = data[:128] // every op pays a full recount
 		}
-		newSharedHarness(t).run(data)
+		newSharedHarness(t).run(data, build, int(at))
 	})
+}
+
+// TestBuildRejectsFilledIndex: Build fills an empty index only.
+func TestBuildRejectsFilledIndex(t *testing.T) {
+	h := newSharedHarness(t)
+	h.insert(sharedRow(0), "insert")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Build into an index holding a tuple must panic")
+		}
+	}()
+	h.ix[0].Build([]int32{0}, new(core.BuildScratch))
 }

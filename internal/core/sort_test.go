@@ -75,3 +75,48 @@ func TestSortByKeysKeepsPairs(t *testing.T) {
 		t.Errorf("got %v %v", items, keys)
 	}
 }
+
+// TestSortIDs holds SortIDs to slices.Sort on distinct ids, dense and sparse,
+// short and long, with one bitmap shared by every call; and it must refuse an
+// id given twice.
+func TestSortIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var marks []uint64
+	for trial := range 200 {
+		n, span := rng.Intn(3000), 1+rng.Intn(20000)
+		if n > span {
+			n = span
+		}
+		base := rng.Intn(1 << 20)
+		ids := rng.Perm(span)[:n]
+		if trial%4 == 0 { // sparse: far more bitmap words than ids
+			for i := range ids {
+				ids[i] *= 1000
+			}
+		}
+		for i := range ids {
+			ids[i] += base
+		}
+		want := slices.Clone(ids)
+		slices.Sort(want)
+		core.SortIDs(ids, &marks)
+		if !slices.Equal(ids, want) {
+			t.Fatalf("trial %d: SortIDs of %d ids over a span of %d is not sorted", trial, n, span)
+		}
+		for _, w := range marks {
+			if w != 0 {
+				t.Fatalf("trial %d: SortIDs left a bitmap word set", trial)
+			}
+		}
+	}
+	twice := make([]int, 100)
+	for i := range twice {
+		twice[i] = i / 2
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SortIDs must refuse an id given twice")
+		}
+	}()
+	core.SortIDs(twice, &marks)
+}

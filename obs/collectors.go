@@ -14,6 +14,7 @@ type engineCollector struct {
 	batchSize    *Histogram
 	swaps        *Counter
 	swapDur      *Histogram
+	swapBuild    *Histogram
 	rulesAdded   *Counter
 	rulesRemoved *Counter
 	swapIndexes  *CounterVec   // outcome
@@ -27,9 +28,10 @@ func (c *engineCollector) ObserveCommit(kind string, ops int, seconds float64) {
 	c.batchSize.Observe(float64(ops))
 }
 
-func (c *engineCollector) ObserveSwap(added, removed, retained, reused, rebuilt int, seconds float64) {
+func (c *engineCollector) ObserveSwap(added, removed, retained, reused, rebuilt int, build, seconds float64) {
 	c.swaps.Inc()
 	c.swapDur.Observe(seconds)
+	c.swapBuild.Observe(build)
 	c.rulesAdded.Add(uint64(added))
 	c.rulesRemoved.Add(uint64(removed))
 	c.swapIndexes.With("reused").Add(uint64(reused))
@@ -59,6 +61,7 @@ func InstrumentEngine(r *Registry, e *violation.Engine) {
 		batchSize:    r.Histogram("cfd_engine_batch_size_ops", "Tuple ops carried per committed mutation.", SizeBuckets),
 		swaps:        r.Counter("cfd_engine_rule_swaps_total", "Committed SwapRules calls."),
 		swapDur:      r.Histogram("cfd_engine_swap_duration_seconds", "Wall-clock duration of committed rule swaps.", DefBuckets),
+		swapBuild:    r.Histogram("cfd_engine_swap_build_seconds", "Wall-clock time committed rule swaps spent building their rebuilt LHS indexes over the live tuples (part of cfd_engine_swap_duration_seconds).", DefBuckets),
 		rulesAdded:   r.Counter("cfd_engine_rules_added_total", "Rules added across all committed swaps."),
 		rulesRemoved: r.Counter("cfd_engine_rules_removed_total", "Rules removed across all committed swaps."),
 		swapIndexes:  r.CounterVec("cfd_engine_swap_indexes_total", "LHS indexes of committed swaps by outcome (reused = kept as it was; rebuilt = built over the live tuples).", "outcome"),

@@ -133,6 +133,13 @@ func TestInstrumentEngineAndStore(t *testing.T) {
 	if got := val(t, m, "cfd_engine_swap_duration_seconds_count"); got != 1 {
 		t.Errorf("swap duration count = %v, want 1", got)
 	}
+	// The index build is part of the swap.
+	if got := val(t, m, "cfd_engine_swap_build_seconds_count"); got != 1 {
+		t.Errorf("swap build count = %v, want 1", got)
+	}
+	if build, swap := val(t, m, "cfd_engine_swap_build_seconds_sum"), val(t, m, "cfd_engine_swap_duration_seconds_sum"); build <= 0 || build > swap {
+		t.Errorf("swap build seconds = %v of a %v s swap, want in (0, %v]", build, swap, swap)
+	}
 	// The swap kept the index of custRule's LHS and built one for rule2's.
 	if got := val(t, m, `cfd_engine_swap_indexes_total{outcome="reused"}`); got != 1 {
 		t.Errorf("reused swap indexes = %v, want 1", got)

@@ -328,8 +328,14 @@ func (l *eventLog) ObserveCommit(kind string, ops int, _ float64) {
 	l.events = append(l.events, "commit "+kind+" "+strconv.Itoa(ops))
 }
 
-func (l *eventLog) ObserveSwap(added, removed, retained, reused, rebuilt int, _ float64) {
-	l.events = append(l.events, fmt.Sprintf("swap %d %d %d indexes reused=%d rebuilt=%d", added, removed, retained, reused, rebuilt))
+// ObserveSwap records the swap's shape; a build time outside [0, the swap's
+// duration] is appended to the event, so that no expected event matches it.
+func (l *eventLog) ObserveSwap(added, removed, retained, reused, rebuilt int, build, seconds float64) {
+	ev := fmt.Sprintf("swap %d %d %d indexes reused=%d rebuilt=%d", added, removed, retained, reused, rebuilt)
+	if build < 0 || build > seconds {
+		ev += fmt.Sprintf(" build %vs of a %vs swap", build, seconds)
+	}
+	l.events = append(l.events, ev)
 }
 
 func (l *eventLog) ObserveSnapshot(patched bool, _ float64) {
@@ -395,7 +401,7 @@ func TestEngineObserverEvents(t *testing.T) {
 // from the instance's first 2,000 rows (support 60, at most 2 LHS
 // attributes), as the serve-ingest workload drives it. inserts holds batches
 // of 256 insert ops over rows the engine does not hold yet.
-func churnEngine(b *testing.B, opts violation.Options) (eng *violation.Engine, set *rules.Set, inserts [][]violation.Op) {
+func churnEngine(b testing.TB, opts violation.Options) (eng *violation.Engine, set *rules.Set, inserts [][]violation.Op) {
 	const rows, batches, size = 40000, 60, 256
 	tax, err := dataset.Tax(dataset.TaxConfig{Size: rows + batches*size, Arity: 7, CF: 0.7, Seed: 1})
 	if err != nil {
@@ -459,12 +465,91 @@ func BenchmarkApplyBatchChurn(b *testing.B) {
 func BenchmarkSwapRebuild(b *testing.B) {
 	eng, set, _ := churnEngine(b, violation.Options{Workers: 1})
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
 		if _, err := eng.SwapRules(ctx, rules.Of()); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := eng.SwapRules(ctx, set); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSwapRemined times a rule swap shaped like a remine's, on
+// churnEngine at two workers: per iteration a swap to the rule set FastCFD
+// mines from the engine's own noisy live rows (k = 60, at most two LHS
+// attributes; almost every rule carries LHS constants), and one back.
+func BenchmarkSwapRemined(b *testing.B) {
+	eng, set, _ := churnEngine(b, violation.Options{Workers: 2})
+	live, _, err := eng.Relation()
+	if err != nil {
+		b.Fatal(err)
+	}
+	remined, err := discovery.NewEngine(discovery.AlgFastCFD, live,
+		discovery.WithSupport(60), discovery.WithMaxLHS(2)).Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Logf("remined %d rules", remined.Len())
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := eng.SwapRules(ctx, remined); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.SwapRules(ctx, set); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReload times a restart: per iteration an OpenStore and a Load of
+// the store churnEngine leaves after its 60 insert batches, compacted, with
+// a log tail of four batches deleting 256 tuples each.
+func BenchmarkReload(b *testing.B) {
+	eng, _, inserts := churnEngine(b, violation.Options{})
+	for _, ops := range inserts {
+		if _, err := eng.ApplyBatch(ops); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dir := b.TempDir()
+	st, err := violation.OpenStore(dir, violation.StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Compact(eng); err != nil {
+		b.Fatal(err)
+	}
+	eng.AttachWAL(st)
+	for i := range 4 {
+		del := make([]violation.Op, len(inserts[i]))
+		for j := range del {
+			del[j] = violation.Op{Kind: violation.OpDelete, ID: 1000*i + j}
+		}
+		if _, err := eng.ApplyBatch(del); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	want := eng.Size()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		st, err := violation.OpenStore(dir, violation.StoreOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, ok, err := st.Load(violation.Options{})
+		if err != nil || !ok || got.Size() != want {
+			b.Fatalf("Load: ok %v, err %v", ok, err)
+		}
+		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/cfd"
+	"repro/internal/core"
 )
 
 // ErrCompacted is returned by Engine.Changes when the requested epoch range is
@@ -319,8 +320,9 @@ func (e *Engine) recordDelta(added, removed []Violation, newRules []cfd.CFD) {
 			}
 		}
 	}
-	sort.Ints(d.DirtyAdded)
-	sort.Ints(d.DirtyRemoved)
+	var marks []uint64
+	core.SortIDs(d.DirtyAdded, &marks)
+	core.SortIDs(d.DirtyRemoved, &marks)
 	e.deltas[d.Epoch%uint64(len(e.deltas))] = d
 	if e.deltaN < len(e.deltas) {
 		e.deltaN++

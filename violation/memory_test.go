@@ -62,6 +62,32 @@ func TestBulkLoadBytesPerTuple(t *testing.T) {
 	}
 }
 
+// swapRebuildAllocsBound is the 2,855 allocations measured on amd64 with Go
+// 1.24 for one swap of churnEngine to the empty rule set and one back, plus
+// 5 %. Filling the fresh indexes by one Insert per live tuple, with three
+// allocations per group past eight members, took 11,149.
+const swapRebuildAllocsBound = 2998
+
+// TestSwapRebuildAllocs bounds the allocations of the index builds of a rule
+// swap (BenchmarkSwapRebuild's iteration, on one worker): a number that does
+// not drift with the machine's load the way the benchmark's time does.
+func TestSwapRebuildAllocs(t *testing.T) {
+	eng, set, _ := churnEngine(t, violation.Options{Workers: 1})
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := eng.SwapRules(ctx, rules.Of()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.SwapRules(ctx, set); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per swap to the empty set and back", allocs)
+	if allocs > swapRebuildAllocsBound {
+		t.Errorf("%.0f allocations per swap to the empty set and back, want at most %d", allocs, swapRebuildAllocsBound)
+	}
+}
+
 // compactBytesPerLiveTupleBound is the 52 B measured on amd64 with Go 1.24
 // (54 B under the race detector), plus 15 %: the live ids and codes (32 B),
 // the write buffer and the code→code table. Copying every id slot instead

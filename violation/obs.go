@@ -24,9 +24,10 @@ type EngineObserver interface {
 	ObserveCommit(kind string, ops int, seconds float64)
 	// ObserveSwap reports one committed SwapRules: the rule-delta shape, the
 	// number of LHS indexes the swap kept as they were (reused) and built
-	// over the live tuples (rebuilt), and the swap's wall-clock duration
-	// (those index builds included).
-	ObserveSwap(added, removed, retained, reused, rebuilt int, seconds float64)
+	// over the live tuples (rebuilt), the wall-clock seconds those builds
+	// took (build), and the swap's wall-clock duration (seconds, the builds
+	// included).
+	ObserveSwap(added, removed, retained, reused, rebuilt int, build, seconds float64)
 	// ObserveSnapshot reports one snapshot refresh: patched is true for a
 	// read's O(changes) delta patch, false for a full build — the one a bulk
 	// change (BulkLoad, restore) publishes, or the one a read makes when its

@@ -77,8 +77,16 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	// Build the fresh indexes over the live rows before anything is
 	// committed: they are private until the final assignment, so an error (or
 	// a cancelled context) discards them with no state change.
-	if err := e.indexLive(ctx, 0, fresh); err != nil {
+	var buildStart time.Time
+	if obs != nil {
+		buildStart = time.Now()
+	}
+	if err := e.indexLive(ctx, fresh); err != nil {
 		return rules.Delta{}, err
+	}
+	var build float64
+	if obs != nil {
+		build = time.Since(buildStart).Seconds()
 	}
 	// Journal the swap before applying it, like every other mutation.
 	if e.wal != nil {
@@ -113,7 +121,7 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	e.indexes = newIndexes
 	e.bumpLocked()
 	if obs != nil {
-		obs.ObserveSwap(len(delta.Added), len(delta.Removed), len(delta.Retained), len(newIndexes)-len(fresh), len(fresh), time.Since(obsStart).Seconds())
+		obs.ObserveSwap(len(delta.Added), len(delta.Removed), len(delta.Retained), len(newIndexes)-len(fresh), len(fresh), build, time.Since(obsStart).Seconds())
 	}
 	return delta, nil
 }

@@ -451,26 +451,37 @@ func (e *Engine) BulkLoad(rel *cfd.Relation) error {
 
 // loadLocked appends rows given in raw form (core.Relation.Raw) at the end of
 // the engine's relation — holes stay holes, so row i gets id NextID()+i — and
-// indexes them under every LHS set. Recoding interns into the shared
+// rebuilds the index of every LHS set over all the live tuples, the loaded
+// ones and any the engine held before. Recoding interns into the shared
 // dictionaries, so it runs sequentially; the index build carries the real
 // cost and fans out. Callers hold the write lock.
 func (e *Engine) loadLocked(dicts [][]string, cols [][]int32, rows int) {
-	start := e.rel.Size()
 	e.rel.AppendRecoded(dicts, cols, rows, true)
+	for i, x := range e.indexes {
+		own := make([]core.CFD, len(x.at))
+		for r := range own {
+			own[r] = x.CFD(r)
+		}
+		e.indexes[i] = &lhsIndex{core.NewGroupIndex(e.rel, own), x.at}
+	}
 	// context.Background: nothing cancels a load halfway.
-	_ = e.indexLive(context.Background(), start, e.indexes)
+	_ = e.indexLive(context.Background(), e.indexes)
 }
 
-// indexLive inserts every live tuple with id >= from into indexes, one pool
-// task per index. Callers hold the write lock, or the read lock when the
-// indexes are still private.
-func (e *Engine) indexLive(ctx context.Context, from int, indexes []*lhsIndex) error {
-	return pool.Each(ctx, e.workers, len(indexes), func(_, i int) {
-		for id := from; id < e.rel.Size(); id++ {
-			if e.rel.Live(id) {
-				indexes[i].Insert(id, nil)
-			}
+// indexLive fills the empty indexes with every live tuple, one pool task per
+// index (core.GroupIndex.Build). The tasks share the ascending live ids and
+// each worker reuses one build scratch across its indexes. Callers hold the
+// write lock, or the read lock when the indexes are still private.
+func (e *Engine) indexLive(ctx context.Context, indexes []*lhsIndex) error {
+	ids := make([]int32, 0, e.rel.Count())
+	for id := range e.rel.Size() {
+		if e.rel.Live(id) {
+			ids = append(ids, int32(id))
 		}
+	}
+	scratch := make([]core.BuildScratch, min(pool.Normalize(e.workers), len(indexes)))
+	return pool.Each(ctx, e.workers, len(indexes), func(w, i int) {
+		indexes[i].Build(ids, &scratch[w])
 	})
 }
 
