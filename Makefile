@@ -20,7 +20,9 @@ test:
 # one bulk load or full report build at every worker count, which a batch,
 # applied op by op on its caller's goroutine, must match, and between the
 # index builds of a swap or a bulk load at two workers, which share the
-# relation and the live ids and each own their worker's scratch, and between a
+# relation and the live ids and each own their worker's scratch — roots and
+# the refinements reading through them are built by different pool tasks, and
+# a swap keeps its roots while readers walk them — and between a
 # compaction, which streams its copy of the live rows and reads the engine's
 # dictionaries unlocked, and the writers appending to them; the closed-set
 # search's root
@@ -43,7 +45,7 @@ test:
 # listed package has, so a renamed test cannot silently drop out.
 race:
 	$(GO) test -race ./...
-	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestReadersRaceBulkLoad|TestSwapRulesConcurrentReaders|TestApplyBatchMatchesPerOp|TestBatchReadsMembersAsOfItsOps|TestShardedBulkLoadAgrees|TestBuildMatchesInsert|TestStoreCompactUnderWrites|TestCompactRacingAppendsKeepsTailBytes|TestSnapshotStreamMatchesMarshal' ./violation
+	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestReadersRaceBulkLoad|TestSwapRulesConcurrentReaders|TestApplyBatchMatchesPerOp|TestBatchReadsMembersAsOfItsOps|TestShardedBulkLoadAgrees|TestBuildMatchesInsert|TestSwapKeepsRoots|TestStoreCompactUnderWrites|TestCompactRacingAppendsKeepsTailBytes|TestSnapshotStreamMatchesMarshal' ./violation
 	./scripts/race_repeat.sh 'TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude|TestMineParallelMatchesSequential' ./internal/itemset ./internal/fastcfd
 	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic|TestMineContextWorkersDeterministicMaxLHS|TestDiscoverWorkersIdentical|TestLatticeLinks|TestHeldTidsPerJoin|TestFDLatticeLevels|TestLatticeStepsObserveCancellation|TestAdvanceCancelledInsideJoin|TestMineAllocationsPerElement' ./internal/ctane
 	./scripts/race_repeat.sh 'TestFullReadsMatchThePlainEncoder|TestRulesStatsMatchTheirSet' ./cmd/cfdserve
@@ -123,9 +125,11 @@ docs-check:
 # hostile request sequences over the whole /v1 surface against a node and a
 # coordinator over two shards, held to each other (FuzzServe: one input costs
 # tens of milliseconds, so it minimizes each new input in at most ten runs),
-# the shared group index against its from-scratch recount (one input costs
-# little, but minimizing a new one under the default budget took a whole 30 s
-# run to a few hundred execs, so it too minimizes in at most ten runs),
+# the shared group index against its from-scratch recount, and its
+# refinements of a root against map-backed twins over the same rules, built
+# or grown op by op (one input costs little, but minimizing a new one under
+# the default budget took a whole 30 s run to a few hundred execs, so it too
+# minimizes in at most ten runs),
 # the partition product — either operand refined by the other's last item —
 # against the direct scan partition.FromSet, the
 # difference-set minimisation against its map-based reference and the CSV

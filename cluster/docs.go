@@ -65,6 +65,17 @@ type RuleStatDoc struct {
 	Confidence float64 `json:"confidence"`
 }
 
+// IndexStatDoc is one LHS set's index in a node's health document
+// (violation.IndexStat).
+type IndexStatDoc struct {
+	LHS    []string `json:"lhs"`
+	Root   string   `json:"root,omitempty"`
+	Tuples int      `json:"tuples"`
+	One    int      `json:"one"`
+	Run    int      `json:"run"`
+	Large  int      `json:"large"`
+}
+
 // DeltaRingDoc describes the bounded delta history behind ?since= polling.
 type DeltaRingDoc struct {
 	Capacity       int    `json:"capacity"`
@@ -93,24 +104,25 @@ type RemineDoc struct {
 // the rules version and next_id out of it (its own health document is
 // ClusterHealth).
 type HealthDoc struct {
-	Compacting          bool          `json:"compacting"`
-	DeltaRing           DeltaRingDoc  `json:"delta_ring"`
-	Dirty               int           `json:"dirty"`
-	Epoch               uint64        `json:"epoch"`
-	LastCompactionError string        `json:"last_compaction_error,omitempty"`
-	LastRemine          *RemineDoc    `json:"last_remine,omitempty"`
-	Maintain            any           `json:"maintain,omitempty"` // the monitor's own Status document
-	NextID              int           `json:"next_id"`
-	RemineRunning       bool          `json:"remine_running"`
-	RuleStats           []RuleStatDoc `json:"rule_stats"`
-	Rules               int           `json:"rules"`
-	RulesVersion        string        `json:"rules_version"`
-	StateDir            string        `json:"state_dir,omitempty"`
-	Status              string        `json:"status"`
-	StoreFailed         string        `json:"store_failed,omitempty"` // why the store stopped committing; the reply is then a 503
-	Tuples              int           `json:"tuples"`
-	Uptime              string        `json:"uptime"`
-	WALPending          *int          `json:"wal_pending,omitempty"`
+	Compacting          bool           `json:"compacting"`
+	DeltaRing           DeltaRingDoc   `json:"delta_ring"`
+	Dirty               int            `json:"dirty"`
+	Epoch               uint64         `json:"epoch"`
+	Indexes             []IndexStatDoc `json:"indexes"`
+	LastCompactionError string         `json:"last_compaction_error,omitempty"`
+	LastRemine          *RemineDoc     `json:"last_remine,omitempty"`
+	Maintain            any            `json:"maintain,omitempty"` // the monitor's own Status document
+	NextID              int            `json:"next_id"`
+	RemineRunning       bool           `json:"remine_running"`
+	RuleStats           []RuleStatDoc  `json:"rule_stats"`
+	Rules               int            `json:"rules"`
+	RulesVersion        string         `json:"rules_version"`
+	StateDir            string         `json:"state_dir,omitempty"`
+	Status              string         `json:"status"`
+	StoreFailed         string         `json:"store_failed,omitempty"` // why the store stopped committing; the reply is then a 503
+	Tuples              int            `json:"tuples"`
+	Uptime              string         `json:"uptime"`
+	WALPending          *int           `json:"wal_pending,omitempty"`
 }
 
 // RulesDoc is GET /v1/rules. Ruleset is kept raw so a swap rollback can

@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -193,6 +195,58 @@ func TestRuleStatsServed(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("fixture constant rule missing from stats: %v", stats)
+	}
+}
+
+// TestHealthServesIndexStats: /v1/health lists each LHS set's index — its
+// attributes, the root it refines if any, its tuples and π_X's groups by
+// size — as the engine's IndexStats reports them. The fixture's two sets
+// keep groups of their own; after a swap to two near-key sets sharing NM
+// (seven names over eight tuples, Ian twice), both read their groups through
+// a root on NM.
+func TestHealthServesIndexStats(t *testing.T) {
+	ts, h := newMaintainServer(t, config{})
+	type entry struct {
+		lhs                     string
+		root                    string
+		tuples, one, run, large float64
+	}
+	served := func() []entry {
+		t.Helper()
+		health := do(t, "GET", ts.URL+"/v1/health", nil, http.StatusOK)
+		raw, ok := health["indexes"].([]any)
+		if !ok {
+			t.Fatalf("health carries no indexes: %v", health)
+		}
+		var out []entry
+		for _, r := range raw {
+			m := r.(map[string]any)
+			e := entry{lhs: fmt.Sprint(m["lhs"]), tuples: m["tuples"].(float64),
+				one: m["one"].(float64), run: m["run"].(float64), large: m["large"].(float64)}
+			if root, ok := m["root"]; ok {
+				e.root = root.(string)
+			}
+			out = append(out, e)
+		}
+		var want []entry
+		for _, st := range h.eng.IndexStats() {
+			want = append(want, entry{fmt.Sprint(st.LHS), st.Root, float64(st.Tuples), float64(st.One), float64(st.Run), float64(st.Large)})
+		}
+		if !slices.Equal(out, want) {
+			t.Fatalf("health indexes %+v, engine IndexStats %+v", out, want)
+		}
+		return out
+	}
+	// ([AC] -> CT, (131 || EDI)) holds the three AC=131 tuples in one group;
+	// ([CC,ZIP] -> STR) holds all eight in four groups, one of a single tuple.
+	want := []entry{{"[AC]", "", 3, 0, 1, 0}, {"[CC ZIP]", "", 8, 1, 3, 0}}
+	if got := served(); !slices.Equal(got, want) {
+		t.Fatalf("fixture indexes %+v, want %+v", got, want)
+	}
+	doRaw(t, "PUT", ts.URL+"/v1/rules", "([PN,NM] -> STR, (_, _ || _))\n([NM,CT] -> ZIP, (_, _ || _))\n", http.StatusOK)
+	want = []entry{{"[PN NM]", "NM", 8, 6, 1, 0}, {"[NM CT]", "NM", 8, 8, 0, 0}}
+	if got := served(); !slices.Equal(got, want) {
+		t.Fatalf("indexes after the swap %+v, want %+v", got, want)
 	}
 }
 

@@ -188,6 +188,14 @@ func toRuleStats(stats []violation.RuleStat) []cluster.RuleStatDoc {
 	return out
 }
 
+func toIndexStats(stats []violation.IndexStat) []cluster.IndexStatDoc {
+	out := make([]cluster.IndexStatDoc, len(stats))
+	for i, st := range stats {
+		out[i] = cluster.IndexStatDoc{LHS: st.LHS, Root: st.Root, Tuples: st.Tuples, One: st.One, Run: st.Run, Large: st.Large}
+	}
+	return out
+}
+
 func ruleStrings(cfds []cfd.CFD) []string {
 	out := make([]string, len(cfds))
 	for i, c := range cfds {
@@ -258,6 +266,9 @@ func (s *server) Health(context.Context) any {
 		// what an operator reads to judge how far the data has drifted from the
 		// served rules without waiting for a remine.
 		RuleStats: toRuleStats(s.eng.RuleStats()),
+		// How each LHS set holds its groups: the counts that tell an operator
+		// what the indexes cost and which sets read through a root.
+		Indexes: toIndexStats(s.eng.IndexStats()),
 	}
 	if s.store != nil {
 		pending := s.store.Pending()

@@ -4,11 +4,11 @@ import (
 	"slices"
 )
 
-// BuildScratch is the transient memory of GroupIndex.Build: the ids being
-// built sorted by their X codes, the sort's second buffers and counters, the
-// table of the rules' LHS constants and a group's rule list. Its buffers grow
-// to the largest build and are reused by the next, so a worker that builds
-// several indexes in turn keeps one. The zero value is ready to use; a
+// BuildScratch is the transient memory of GroupIndex.Build and Root.Build:
+// the ids being built sorted by their codes, the sort's second buffers and
+// counters, the table of the rules' LHS constants and a group's rule list.
+// Its buffers grow to the largest build and are reused by the next, so a
+// worker that builds several indexes in turn keeps one. The zero value is ready to use; a
 // BuildScratch is not safe for concurrent use.
 type BuildScratch struct {
 	keys, keys2 []uint64 // |X| ≤ 2: packed X codes, parallel to ids
@@ -29,34 +29,26 @@ type BuildScratch struct {
 // rules that apply to a group are looked up by its X codes in a table of the
 // rules' LHS constants; and each group is written once, at its final size. A
 // first pass over the runs counts what the second writes, so the group map,
-// the arena and the large-group list are allocated once.
+// the arena and the large-group list are allocated once. A refinement stores
+// no group, so its Build is the counting pass alone: it reads the relation,
+// not the root, and may run before or beside the root's.
 func (ix *GroupIndex) Build(ids []int32, s *BuildScratch) {
-	if len(ix.groups) != 0 {
+	if ix.members != 0 {
 		panic("core: build into a non-empty index")
 	}
 	t := &s.table
 	t.reset(ix)
 	n := s.sort(ix, t, ids)
-	var groups, words, larges, members int
-	for i := 0; i < n; {
-		end := s.runEnd(ix, i, n)
-		groups++
-		switch m := end - i; {
-		case m > smallMax:
-			larges++
-			members += m
-		case m > 1:
-			words += 1 + 2<<runClass(m)
+	var slabs *largeSlabs
+	if ix.root == nil {
+		var size storeSize
+		for i := 0; i < n; {
+			end := s.runEnd(ix, i, n)
+			size.add(end - i)
+			i = end
 		}
-		i = end
-	}
-	ix.groups = make(map[uint64]uint64, groups)
-	ix.arena = slices.Grow(ix.arena, words)
-	ix.large = make([]*largeGroup, 0, larges)
-	slabs := &largeSlabs{
-		groups:  make([]largeGroup, larges),
-		members: make([]uint32, members),
-		counts:  make([]rhsCounts, larges*len(ix.rhs)),
+		ix.groups = make(map[uint64]uint64, size.groups)
+		slabs = ix.reserve(size)
 	}
 	s.states = slices.Grow(s.states[:0], len(ix.rhs))[:len(ix.rhs)]
 	s.known = slices.Grow(s.known[:0], len(ix.rhs))[:len(ix.rhs)]
@@ -65,6 +57,40 @@ func (ix *GroupIndex) Build(ids []int32, s *BuildScratch) {
 		s.hit = t.lookup(ix, s.code(ix, i), s.hit[:0])
 		ix.fill(s, slabs, i, end)
 		i = end
+	}
+}
+
+// covers returns how many of the tuples ids lists some rule of the index
+// applies to: the tuples a Build over them would hold. It reads only their
+// codes on X.
+func (ix *GroupIndex) covers(ids []int32, s *BuildScratch) int {
+	t := &s.table
+	t.reset(ix)
+	if len(t.always) > 0 {
+		return len(ids)
+	}
+	n := 0
+	for _, id := range ids {
+		if t.any(ix, ix.xcodes(int(id))) {
+			n++
+		}
+	}
+	return n
+}
+
+// storeSize tallies what a build stores: its groups, the arena words of its
+// runs, and its large groups and their members.
+type storeSize struct{ groups, words, larges, members int }
+
+// add counts a group of m members.
+func (z *storeSize) add(m int) {
+	z.groups++
+	switch {
+	case m > smallMax:
+		z.larges++
+		z.members += m
+	case m > 1:
+		z.words += 1 + 2<<runClass(m)
 	}
 }
 
@@ -78,43 +104,64 @@ type largeSlabs struct {
 	counts  []rhsCounts
 }
 
-// fill writes the group of the sorted ids [i, end) and adds it to the
-// counters of the rules in s.hit.
-func (ix *GroupIndex) fill(s *BuildScratch, slabs *largeSlabs, i, end int) {
-	m := s.ids[i:end]
-	var k uint64
-	if len(ix.lhs) <= 2 {
-		k = s.keys[i]
-	} else {
-		k = ix.key(int(m[0]))
+// reserve sizes the empty store for a build of the given size, so that the
+// arena and the large list are allocated once, and returns the slabs its
+// large groups are carved from.
+func (s *groupStore) reserve(z storeSize) *largeSlabs {
+	s.arena = slices.Grow(s.arena, z.words)
+	s.large = make([]*largeGroup, 0, z.larges)
+	return &largeSlabs{
+		groups:  make([]largeGroup, z.larges),
+		members: make([]uint32, z.members),
+		counts:  make([]rhsCounts, z.larges*len(s.rhs)),
 	}
-	g := group{m: m}
+}
+
+// place stores the group of the ids m at its final size and returns its
+// reference and the group: a one-member reference, an arena run, or a large
+// group carved from slabs, its value counts filled.
+func (s *groupStore) place(m []uint32, slabs *largeSlabs) (uint64, group) {
 	switch n := len(m); {
 	case n == 1:
-		ix.groups[k] = oneBit | uint64(m[0])
-		ix.ones++
+		return oneBit | uint64(m[0]), group{m: m}
 	case n <= smallMax:
 		class := runClass(n)
-		off := ix.alloc(class)
-		ix.arena[off] = uint32(n) | class<<8
-		copy(ix.arena[off+1:], m)
-		ix.groups[k] = uint64(off)
-		ix.runs++
-	default:
-		lg := &slabs.groups[0]
-		lg.members, lg.counts = slabs.members[:n:n], slabs.counts[:len(ix.rhs):len(ix.rhs)]
-		slabs.groups, slabs.members, slabs.counts = slabs.groups[1:], slabs.members[n:], slabs.counts[len(ix.rhs):]
-		copy(lg.members, m)
-		for slot := range ix.rhs {
-			c := &lg.counts[slot]
-			for _, id := range m {
-				c.incr(ix.code(id, slot))
-			}
+		off := s.alloc(class)
+		s.arena[off] = uint32(n) | class<<8
+		copy(s.arena[off+1:], m)
+		return uint64(off), group{m: m}
+	}
+	n, slots := len(m), len(s.rhs)
+	lg := &slabs.groups[0]
+	lg.members, lg.counts = slabs.members[:n:n], slabs.counts[:slots:slots]
+	slabs.groups, slabs.members, slabs.counts = slabs.groups[1:], slabs.members[n:], slabs.counts[slots:]
+	copy(lg.members, m)
+	for slot := range lg.counts {
+		for _, id := range m {
+			lg.counts[slot].incr(s.code(id, slot))
 		}
-		ix.groups[k] = uint64(len(ix.large)) | largeBit
-		ix.large = append(ix.large, lg)
-		ix.larges++
-		g = group{lg.members, lg}
+	}
+	s.large = append(s.large, lg)
+	return uint64(len(s.large)-1) | largeBit, group{lg.members, lg}
+}
+
+// fill writes the group of the sorted ids [i, end) — into slabs, unless the
+// index is a refinement, whose slabs are nil — and adds it to Shape and to
+// the counters of the rules in s.hit.
+func (ix *GroupIndex) fill(s *BuildScratch, slabs *largeSlabs, i, end int) {
+	m := s.ids[i:end]
+	g := group{m: m}
+	ix.reshape(0, len(m))
+	if slabs != nil {
+		var k uint64
+		if len(ix.lhs) <= 2 {
+			k = s.keys[i]
+		} else {
+			k = ix.key(int(m[0]))
+		}
+		var ref uint64
+		ref, g = ix.place(m, slabs)
+		ix.groups[k] = ref
 	}
 	clear(s.known)
 	for _, r := range s.hit {
@@ -281,6 +328,15 @@ func (s *BuildScratch) code(ix *GroupIndex, i int) xcodes {
 		return xcodes{key: s.keys[i]}
 	}
 	return xcodes{first: int(s.ids[i])}
+}
+
+// xcodes returns tuple id's codes on X, as the rule table reads them.
+func (ix *GroupIndex) xcodes(id int) xcodes {
+	x := xcodes{first: id}
+	if len(ix.lhs) <= 2 {
+		x.key, _ = ix.lookupKey(id)
+	}
+	return x
 }
 
 // at returns the code at X position p.

@@ -35,6 +35,28 @@ import (
 // rule set, so there is a single source of truth for what counts as a
 // violating tuple.
 //
+// # Refinements of a root
+//
+// An X that holds an attribute R with many distinct values is nearly a key:
+// most of its groups hold one tuple, so a map of its own pays one entry per
+// tuple to watch a handful of groups. Such an index can instead be a
+// refinement of a Root, the partition π_R of every live tuple (§4.4 gets
+// π_{X∪Y} by refining π_X the same way): its group of a tuple is the members
+// of the tuple's π_R class that carry the tuple's codes on X \ {R}, found by
+// one root lookup and a scan of the class. A refinement keeps its rules and
+// their counters and nothing else — no group map, arena or large group — so
+// every index refining one root shares one probe per write. The engine picks
+// the roots at each build point (a rule swap, a bulk load, a restore) from
+// the live data: an LHS set of two or more attributes refines the root of
+// its attribute with the most distinct live values when that attribute's
+// classes average at most rootMeanClass tuples (a write scans one class per
+// refinement), and a root is kept only when the sets refining it hold more
+// tuples between them than the root, which holds every live tuple. An
+// engine that only grows by writes keeps the roots of its last build point.
+// A refinement's Insert and Delete must run before its root's, so that they
+// read the root as it stood before the op; its Build counts its groups
+// from the relation and needs no root.
+//
 // # Layout
 //
 // Groups are keyed on the X codes packed into one uint64 — directly for up to
@@ -49,10 +71,16 @@ import (
 // with per-RHS value counts, fed from its members' codes as they join and
 // leave, and, from its first delete on, an id → position map. Arena, group
 // map and pair table hold no pointers, so the garbage collector never walks
-// them. A tuple id must fit in 32 bits, which the engine guarantees (it
-// refuses an insert past that id space). Insert must not be called twice for
-// a live id; delete (or update: delete then re-insert) the id first, as every
-// caller in this repository does.
+// them. A Root stores its classes the same way, addressed directly by R's
+// code instead of through a map, and its large classes carry no counts. A
+// tuple id must fit in 32 bits, which the engine guarantees (it refuses an
+// insert past that id space). Insert must not be called twice for a live id;
+// delete (or update: delete then re-insert) the id first, as every caller in
+// this repository does.
+//
+// Shape reports π_X's groups by their size — one tuple, two to smallMax,
+// more — whatever stores them, so an index and a refinement over the same
+// rules and tuples report the same shape.
 //
 // The index keeps no row: it reads every code it needs — on X, on the RHS
 // attributes, against the LHS constants — from the relation by tuple id. So a
@@ -63,23 +91,45 @@ import (
 // reads, so any number of them may run concurrently under a shared lock.
 type GroupIndex struct {
 	lhs   []int // X, ascending attribute indexes
-	rhs   []int // distinct RHS attributes of the rules, indexed by slot
 	rules []groupRule
 
-	// rel holds the rows of the indexed tuples.
-	rel *Relation
+	// root, when non-nil, holds the index's groups: the index is a
+	// refinement, and rest is X without the root's attribute. Its own
+	// storage below then stays empty.
+	root *Root
+	rest []int
 
-	// groups maps packed X codes to a group reference: oneBit | id for a
-	// one-member group, the arena offset of a run, or largeBit | position in
-	// large. ones, runs and larges count the groups of each kind.
-	groups             map[uint64]uint64
-	ones, runs, larges int
+	// groupStore holds the groups' runs and large groups; groups maps packed
+	// X codes to a group reference (see groupStore).
+	groupStore
+	groups map[uint64]uint64
 	// pairs folds X tuples wider than two attributes into one key: each
 	// distinct (left, code) pair seen gets a dense id, the table's size when
 	// it is first seen, and the fold chains pair ids left to right. The map is
 	// a function, so equal final ids imply equal chains: the packed key is
 	// injective for a fixed arity.
 	pairs map[uint64]uint32
+
+	// ones, runs and larges count π_X's groups of one tuple, of two to
+	// smallMax and of more (Shape); members counts their tuples.
+	ones, runs, larges, members int
+
+	// Scratch of the write path (Insert, Delete): the rules the tuple
+	// matches, the group's state before the op and, in a refinement, the
+	// group's members.
+	hit    []int
+	before []slotState
+	near   []uint32
+}
+
+// groupStore holds groups of tuple ids, each named by a reference: oneBit |
+// id for a one-member group, the arena offset of a run, or largeBit |
+// position in large; 0 names no group.
+type groupStore struct {
+	// rel holds the rows of the stored tuples; rhs lists the attributes a
+	// large group counts values of, indexed by slot.
+	rel *Relation
+	rhs []int
 
 	// arena holds the runs. A run of capacity class c is one header word
 	// (members | class<<8) followed by room for 2<<c members;
@@ -92,11 +142,8 @@ type GroupIndex struct {
 	large     []*largeGroup
 	freeLarge []uint32
 
-	// Scratch of the write path (Insert, Delete): one holds the id of a
-	// one-member group.
-	hit    []int
-	before []slotState
-	one    [1]uint32
+	// one holds the id of a one-member group on the write path.
+	one [1]uint32
 }
 
 const (
@@ -106,6 +153,9 @@ const (
 	smallClasses = 3 // run capacities 2, 4 and 8 members
 	largeBit     = 1 << 31
 	oneBit       = 1 << 32
+	// rootMeanClass is the largest mean class size, live tuples over distinct
+	// live values, of an attribute whose partition may serve as a root.
+	rootMeanClass = smallMax / 2
 )
 
 // groupRule is one rule of the index: which groups it applies to, which RHS
@@ -184,11 +234,10 @@ func NewGroupIndex(rel *Relation, rules []CFD) *GroupIndex {
 		panic("core: group index without rules")
 	}
 	ix := &GroupIndex{
-		lhs:    rules[0].LHS.Attrs(),
-		rules:  make([]groupRule, len(rules)),
-		rel:    rel,
-		groups: make(map[uint64]uint64),
-		arena:  make([]uint32, 1),
+		lhs:        rules[0].LHS.Attrs(),
+		rules:      make([]groupRule, len(rules)),
+		groupStore: groupStore{rel: rel, arena: make([]uint32, 1)},
+		groups:     make(map[uint64]uint64),
 	}
 	for i, c := range rules {
 		if c.LHS != rules[0].LHS {
@@ -210,9 +259,34 @@ func NewGroupIndex(rel *Relation, rules []CFD) *GroupIndex {
 	return ix
 }
 
-// Shape returns how many groups the index holds as a one-member map entry,
-// as an arena run of two to smallMax members, and as a large group.
+// NewRefinement returns an empty index for the given rules, as NewGroupIndex
+// does, whose groups are read through root: the rules' LHS set must hold
+// root's attribute. It stores no tuple of its own (see the "Refinements of a
+// root" section above).
+func NewRefinement(root *Root, rules []CFD) *GroupIndex {
+	ix := NewGroupIndex(root.rel, rules)
+	if !slices.Contains(ix.lhs, root.attr) {
+		panic(fmt.Sprintf("core: refinement over LHS %s of a root on attribute %d", ix.LHS(), root.attr))
+	}
+	ix.root, ix.groups, ix.arena = root, nil, nil
+	for _, a := range ix.lhs {
+		if a != root.attr {
+			ix.rest = append(ix.rest, a)
+		}
+	}
+	return ix
+}
+
+// Shape returns how many of π_X's groups among the tuples the rules apply
+// to hold one tuple, two to smallMax, and more.
 func (ix *GroupIndex) Shape() (one, run, large int) { return ix.ones, ix.runs, ix.larges }
+
+// Members returns the number of tuples in the index's groups: the tuples
+// some rule applies to.
+func (ix *GroupIndex) Members() int { return ix.members }
+
+// Root returns the root the index refines, nil when it keeps its own groups.
+func (ix *GroupIndex) Root() *Root { return ix.root }
 
 // LHS returns the attribute set the index groups on.
 func (ix *GroupIndex) LHS() AttrSet { return ix.rules[0].c.LHS }
@@ -231,6 +305,23 @@ func (ix *GroupIndex) Groups(r int) int { return ix.rules[r].groups }
 // BadTuples returns the number of tuples currently involved in a violation of
 // rule r, in O(1).
 func (ix *GroupIndex) BadTuples(r int) int { return ix.rules[r].bad }
+
+// reshape moves one group of Shape's counts from size from to size to, a size
+// of 0 standing for no group.
+func (ix *GroupIndex) reshape(from, to int) {
+	for i, size := range [2]int{from, to} {
+		d := 2*i - 1
+		switch {
+		case size == 1:
+			ix.ones += d
+		case size > smallMax:
+			ix.larges += d
+		case size > 1:
+			ix.runs += d
+		}
+	}
+	ix.members += to - from
+}
 
 // key packs tuple id's X codes into the group key, interning fold pairs as
 // needed. Only Insert may use it.
@@ -281,31 +372,37 @@ func (ix *GroupIndex) lookupKey(id int) (uint64, bool) {
 }
 
 // at resolves the reference of a run or a large group.
-func (ix *GroupIndex) at(ref uint64) group {
+func (s *groupStore) at(ref uint64) group {
 	if ref&largeBit != 0 {
-		lg := ix.large[ref&^largeBit]
+		lg := s.large[ref&^largeBit]
 		return group{lg.members, lg}
 	}
-	n := ix.arena[ref] & 0xff
-	return group{m: ix.arena[ref+1 : ref+1+uint64(n)]}
+	n := s.arena[ref] & 0xff
+	return group{m: s.arena[ref+1 : ref+1+uint64(n)]}
 }
 
-// oneGroup returns the one-member group of tuple id, held in the write
-// path's scratch.
-func (ix *GroupIndex) oneGroup(id uint32) group {
-	ix.one[0] = id
-	return group{m: ix.one[:]}
+// resolve resolves any group reference, 0 to the empty group, holding a
+// one-member group's id in buf.
+func (s *groupStore) resolve(ref uint64, buf *[1]uint32) group {
+	switch {
+	case ref == 0:
+		return group{}
+	case ref&oneBit != 0:
+		buf[0] = uint32(ref)
+		return group{m: buf[:]}
+	}
+	return s.at(ref)
 }
 
 // code returns member id's code in one RHS slot, as the relation has it. It
 // is the one place a member's RHS code is read.
-func (ix *GroupIndex) code(id uint32, slot int) int32 {
-	return ix.rel.Value(int(id), ix.rhs[slot])
+func (s *groupStore) code(id uint32, slot int) int32 {
+	return s.rel.Value(int(id), s.rhs[slot])
 }
 
 // state summarises the group's codes in one RHS slot: a scan of a small
 // group's members, a look at a large group's counts. An empty group agrees.
-func (ix *GroupIndex) state(g group, slot int) slotState {
+func (s *groupStore) state(g group, slot int) slotState {
 	if g.lg != nil {
 		c := &g.lg.counts[slot]
 		return slotState{c.distinct <= 1, c.single()}
@@ -313,9 +410,9 @@ func (ix *GroupIndex) state(g group, slot int) slotState {
 	if len(g.m) == 0 {
 		return slotState{agree: true}
 	}
-	first := ix.code(g.m[0], slot)
+	first := s.code(g.m[0], slot)
 	for _, id := range g.m[1:] {
-		if ix.code(id, slot) != first {
+		if s.code(id, slot) != first {
 			return slotState{}
 		}
 	}
@@ -323,98 +420,88 @@ func (ix *GroupIndex) state(g group, slot int) slotState {
 }
 
 // alloc hands out a run of the given capacity class with an undefined header.
-func (ix *GroupIndex) alloc(class uint32) uint32 {
-	if off := ix.free[class]; off != 0 {
-		ix.free[class] = ix.arena[off]
+func (s *groupStore) alloc(class uint32) uint32 {
+	if off := s.free[class]; off != 0 {
+		s.free[class] = s.arena[off]
 		return off
 	}
-	off, need := len(ix.arena), 1+2<<class
+	off, need := len(s.arena), 1+2<<class
 	if off+need > largeBit {
 		panic("core: group index arena exhausted")
 	}
-	ix.arena = slices.Grow(ix.arena, need)[:off+need]
+	s.arena = slices.Grow(s.arena, need)[:off+need]
 	return uint32(off)
 }
 
 // release returns a run to its class's free list.
-func (ix *GroupIndex) release(off, class uint32) {
-	ix.arena[off] = ix.free[class]
-	ix.free[class] = off
+func (s *groupStore) release(off, class uint32) {
+	s.arena[off] = s.free[class]
+	s.free[class] = off
 }
 
-// add appends member id to the group keyed k, where ref is the group's
-// current reference, 0 when it does not exist yet, and g the group it
-// resolves to: a one-member group becomes a run of two, a run moves to the
-// next capacity class or is promoted to a largeGroup as needed. It returns
-// the group as it now stands.
-func (ix *GroupIndex) add(k, ref uint64, g group, id int) group {
+// add appends member id to the group ref references, 0 when it does not exist
+// yet, and g resolves to: a one-member group becomes a run of two, a run
+// moves to the next capacity class or is promoted to a largeGroup as needed.
+// It returns the group's reference and the group as it now stands.
+func (s *groupStore) add(ref uint64, g group, id uint32) (uint64, group) {
 	switch {
 	case ref == 0:
-		ix.groups[k] = oneBit | uint64(uint32(id))
-		ix.ones++
-		return ix.oneGroup(uint32(id))
+		s.one[0] = id
+		return oneBit | uint64(id), group{m: s.one[:]}
 	case ref&oneBit != 0:
-		off := ix.alloc(0)
-		ix.arena[off+1] = g.m[0]
-		ix.arena[off] = 1 // one member, class 0: the newcomer is appended below
+		off := s.alloc(0)
+		s.arena[off+1] = g.m[0]
+		s.arena[off] = 1 // one member, class 0: the newcomer is appended below
 		ref = uint64(off)
-		ix.groups[k] = ref
-		ix.ones--
-		ix.runs++
 	case ref&largeBit != 0:
-		lg := ix.large[ref&^largeBit]
+		lg := s.large[ref&^largeBit]
 		if lg.idpos != nil {
-			lg.idpos[uint32(id)] = int32(len(lg.members))
+			lg.idpos[id] = int32(len(lg.members))
 		}
-		lg.members = append(lg.members, uint32(id))
-		for s := range ix.rhs {
-			lg.counts[s].incr(ix.code(uint32(id), s))
+		lg.members = append(lg.members, id)
+		for slot := range lg.counts {
+			lg.counts[slot].incr(s.code(id, slot))
 		}
-		return group{lg.members, lg}
+		return ref, group{lg.members, lg}
 	}
-	n, class := ix.arena[ref]&0xff, ix.arena[ref]>>8
+	n, class := s.arena[ref]&0xff, s.arena[ref]>>8
 	if n == 2<<class { // the run is full
 		if n == smallMax {
-			old := ix.arena[ref+1 : ref+1+uint64(n)]
+			old := s.arena[ref+1 : ref+1+uint64(n)]
 			lg := &largeGroup{
 				members: append(make([]uint32, 0, 2*len(old)), old...),
-				counts:  make([]rhsCounts, len(ix.rhs)),
+				counts:  make([]rhsCounts, len(s.rhs)),
 			}
 			for _, m := range old {
-				for s := range ix.rhs {
-					lg.counts[s].incr(ix.code(m, s))
+				for slot := range lg.counts {
+					lg.counts[slot].incr(s.code(m, slot))
 				}
 			}
-			ix.release(uint32(ref), class)
+			s.release(uint32(ref), class)
 			var pos uint32
-			if f := len(ix.freeLarge); f > 0 {
-				pos, ix.freeLarge = ix.freeLarge[f-1], ix.freeLarge[:f-1]
-				ix.large[pos] = lg
+			if f := len(s.freeLarge); f > 0 {
+				pos, s.freeLarge = s.freeLarge[f-1], s.freeLarge[:f-1]
+				s.large[pos] = lg
 			} else {
-				pos = uint32(len(ix.large))
-				ix.large = append(ix.large, lg)
+				pos = uint32(len(s.large))
+				s.large = append(s.large, lg)
 			}
-			ref = uint64(pos | largeBit)
-			ix.groups[k] = ref
-			ix.runs--
-			ix.larges++
-			return ix.add(k, ref, group{}, id)
+			return s.add(uint64(pos|largeBit), group{}, id)
 		}
-		grown := ix.alloc(class + 1) // may move the arena: slice it afresh below
-		copy(ix.arena[grown+1:], ix.arena[ref+1:ref+1+uint64(n)])
-		ix.release(uint32(ref), class)
+		grown := s.alloc(class + 1) // may move the arena: slice it afresh below
+		copy(s.arena[grown+1:], s.arena[ref+1:ref+1+uint64(n)])
+		s.release(uint32(ref), class)
 		ref, class = uint64(grown), class+1
-		ix.groups[k] = ref
 	}
-	ix.arena[ref+1+uint64(n)] = uint32(id)
-	ix.arena[ref] = (n + 1) | class<<8
-	return ix.at(ref)
+	s.arena[ref+1+uint64(n)] = id
+	s.arena[ref] = (n + 1) | class<<8
+	return ref, s.at(ref)
 }
 
 // locate returns the position of member id in the group, or -1. It is the
 // delete path's lookup: a large group builds its idpos map on the first call,
 // making this and every later delete O(1).
-func (ix *GroupIndex) locate(g group, id int) int {
+func locate(g group, id int) int {
 	if g.lg == nil {
 		return slices.Index(g.m, uint32(id))
 	}
@@ -430,22 +517,20 @@ func (ix *GroupIndex) locate(g group, id int) int {
 	return -1
 }
 
-// remove swap-removes the member at position pos of the group keyed k, which
-// ref references and g resolves to, and returns what is left of the group. A
-// group left empty is dropped: its large position goes back on the free list
-// and its key leaves the map. A run left with one member is demoted to a map
-// entry and its run released; the returned ids then alias the released run,
-// valid until the next allocation.
-func (ix *GroupIndex) remove(k, ref uint64, g group, pos int) group {
+// remove swap-removes the member at position pos of the group ref references
+// and g resolves to, and returns the group's reference, 0 once it is gone,
+// and what is left of it. A group left empty is dropped: its large position
+// goes back on the free list. A run left with one member is demoted to a
+// one-member reference and its run released; the returned ids then alias the
+// released run, valid until the next allocation.
+func (s *groupStore) remove(ref uint64, g group, pos int) (uint64, group) {
 	if ref&oneBit != 0 {
-		delete(ix.groups, k)
-		ix.ones--
-		return group{}
+		return 0, group{}
 	}
 	last := len(g.m) - 1
 	if lg := g.lg; lg != nil {
-		for s := range ix.rhs {
-			lg.counts[s].decr(ix.code(g.m[pos], s))
+		for slot := range lg.counts {
+			lg.counts[slot].decr(s.code(g.m[pos], slot))
 		}
 		delete(lg.idpos, g.m[pos])
 		if pos != last {
@@ -458,19 +543,16 @@ func (ix *GroupIndex) remove(k, ref uint64, g group, pos int) group {
 	case g.lg != nil && last > 0:
 		g.lg.members = g.m
 	case g.lg != nil:
-		ix.large[ref&^largeBit] = nil
-		ix.freeLarge = append(ix.freeLarge, uint32(ref&^largeBit))
-		delete(ix.groups, k)
-		ix.larges--
+		s.large[ref&^largeBit] = nil
+		s.freeLarge = append(s.freeLarge, uint32(ref&^largeBit))
+		return 0, g
 	case last > 1:
-		ix.arena[ref]--
+		s.arena[ref]--
 	default:
-		ix.release(uint32(ref), ix.arena[ref]>>8)
-		ix.groups[k] = oneBit | uint64(g.m[0])
-		ix.runs--
-		ix.ones++
+		s.release(uint32(ref), s.arena[ref]>>8)
+		return oneBit | uint64(g.m[0]), g
 	}
-	return g
+	return ref, g
 }
 
 // match collects, in the write path's scratch, the rules that apply to tuple
@@ -483,6 +565,41 @@ func (ix *GroupIndex) match(id int) []int {
 		}
 	}
 	return ix.hit
+}
+
+// sameRest reports whether tuples a and b carry the same codes on X \ {R}:
+// in a refinement, whether two members of one root class share a group.
+func (ix *GroupIndex) sameRest(a uint32, b int) bool {
+	for _, attr := range ix.rest {
+		if ix.rel.Value(int(a), attr) != ix.rel.Value(b, attr) {
+			return false
+		}
+	}
+	return true
+}
+
+// gather appends to buf the members of tuple id's group other than id itself,
+// read through the root: the members of id's π_R class that carry id's codes
+// on X \ {R}. It also reports whether the class holds id.
+func (ix *GroupIndex) gather(id int, buf []uint32) ([]uint32, bool) {
+	var one [1]uint32
+	found := false
+	for _, m := range ix.root.class(id, &one) {
+		switch {
+		case m == uint32(id):
+			found = true
+		case ix.sameRest(m, id):
+			buf = append(buf, m)
+		}
+	}
+	return buf, found
+}
+
+// states fills ix.before with the group's state in every RHS slot.
+func (ix *GroupIndex) states(g group) {
+	for s := range ix.rhs {
+		ix.before[s] = ix.state(g, s)
+	}
 }
 
 // Insert adds tuple id, whose row the relation must already hold; only its
@@ -501,20 +618,24 @@ func (ix *GroupIndex) Insert(id int, observe func(rule, id int, violating bool))
 	if len(hit) == 0 {
 		return
 	}
-	k := ix.key(id)
-	ref := ix.groups[k]
 	var g group
-	switch {
-	case ref&oneBit != 0:
-		g = ix.oneGroup(uint32(ref))
-	case ref != 0:
-		g = ix.at(ref)
+	if ix.root != nil {
+		ix.near, _ = ix.gather(id, ix.near[:0])
+		ix.states(group{m: ix.near})
+		ix.near = append(ix.near, uint32(id))
+		g = group{m: ix.near}
+	} else {
+		k := ix.key(id)
+		ref := ix.groups[k]
+		g = ix.resolve(ref, &ix.one)
+		ix.states(g)
+		var grown uint64
+		if grown, g = ix.add(ref, g, uint32(id)); grown != ref {
+			ix.groups[k] = grown
+		}
 	}
-	n := len(g.m)
-	for s := range ix.rhs {
-		ix.before[s] = ix.state(g, s)
-	}
-	g = ix.add(k, ref, g, id)
+	n := len(g.m) - 1
+	ix.reshape(n, n+1)
 	for _, r := range hit {
 		rule := &ix.rules[r]
 		rule.tuples++
@@ -553,30 +674,36 @@ func (ix *GroupIndex) Delete(id int, observe func(rule, id int, violating bool))
 	if len(hit) == 0 {
 		return
 	}
-	k, ok := ix.lookupKey(id)
-	if !ok {
-		return
-	}
-	ref := ix.groups[k]
 	var g group
-	pos := -1
-	switch {
-	case ref&oneBit != 0:
-		if uint32(ref) == uint32(id) {
-			g, pos = ix.oneGroup(uint32(id)), 0
+	if ix.root != nil {
+		var found bool
+		if ix.near, found = ix.gather(id, ix.near[:0]); !found {
+			return
 		}
-	case ref != 0:
-		g = ix.at(ref)
-		pos = ix.locate(g, id)
+		ix.states(group{m: append(ix.near, uint32(id))})
+		g = group{m: ix.near}
+	} else {
+		k, ok := ix.lookupKey(id)
+		if !ok {
+			return
+		}
+		ref := ix.groups[k]
+		g = ix.resolve(ref, &ix.one)
+		pos := locate(g, id)
+		if pos < 0 {
+			return
+		}
+		ix.states(g)
+		var left uint64
+		switch left, g = ix.remove(ref, g, pos); {
+		case left == 0:
+			delete(ix.groups, k)
+		case left != ref:
+			ix.groups[k] = left
+		}
 	}
-	if pos < 0 {
-		return
-	}
-	n := len(g.m)
-	for s := range ix.rhs {
-		ix.before[s] = ix.state(g, s)
-	}
-	g = ix.remove(k, ref, g, pos)
+	n := len(g.m) + 1
+	ix.reshape(n, n-1)
 	for _, r := range hit {
 		rule := &ix.rules[r]
 		rule.tuples--
@@ -606,83 +733,155 @@ func (ix *GroupIndex) Delete(id int, observe func(rule, id int, violating bool))
 // be one no rule applies to — currently violates, in rule order. It mutates
 // nothing, so it is safe under a shared read lock.
 func (ix *GroupIndex) Violated(id int, visit func(rule int)) {
-	k, ok := ix.lookupKey(id)
-	if !ok {
-		return
-	}
-	ref := ix.groups[k]
-	if ref == 0 {
-		return
-	}
-	one := ref&oneBit != 0 // then the group is the tuple itself
-	var g group
-	if !one {
-		g = ix.at(ref)
-	}
+	var (
+		g     group
+		found bool
+		buf   [smallMax + 1]uint32
+		one   [1]uint32
+	)
 	for r := range ix.rules {
 		rule := &ix.rules[r]
 		if rule.bad == 0 || !rule.matches(ix.rel, id) {
 			continue
 		}
-		st := slotState{true, ix.code(uint32(id), rule.slot)}
-		if !one {
-			st = ix.state(g, rule.slot)
+		if !found {
+			if g, found = ix.groupOf(id, buf[:0], &one); !found {
+				return
+			}
 		}
-		if rule.violatedBy(st) {
+		// A one-member group is the tuple itself.
+		if rule.violatedBy(ix.state(g, rule.slot)) {
 			visit(r)
 		}
 	}
 }
 
+// groupOf returns the group of tuple id, which some rule applies to, reading
+// a refinement's group into buf and a one-member group's id into one. The
+// second result is false when no group holds id.
+func (ix *GroupIndex) groupOf(id int, buf []uint32, one *[1]uint32) (group, bool) {
+	if ix.root != nil {
+		m, found := ix.gather(id, buf)
+		return group{m: append(m, uint32(id))}, found
+	}
+	k, ok := ix.lookupKey(id)
+	if !ok {
+		return group{}, false
+	}
+	ref := ix.groups[k]
+	return ix.resolve(ref, one), ref != 0
+}
+
 // walk visits, in one pass over the groups, every (rule, group) pair where the
 // group violates the rule, for the rules listed in active. The members of a
 // group share their X codes, so its first member stands for the group against
-// a rule's LHS constants.
+// a rule's LHS constants. A refinement walks its root's classes and splits
+// each into its groups.
 func (ix *GroupIndex) walk(active []int, visit func(r int, g group)) {
 	if len(active) == 0 {
 		return
 	}
-	// A single tuple agrees with itself, so only a constant RHS can flag it.
-	var constRHS bool
+	w := &walker{ix: ix, visit: visit, active: active, states: make([]slotState, len(ix.rhs)), known: make([]bool, len(ix.rhs))}
 	for _, r := range active {
-		constRHS = constRHS || ix.rules[r].want != Wildcard
+		if ix.rules[r].want != Wildcard {
+			w.constRHS = append(w.constRHS, r)
+		}
 	}
-	states := make([]slotState, len(ix.rhs))
-	one := make([]uint32, 1)
-	for _, ref := range ix.groups {
-		if ref&oneBit != 0 {
-			if constRHS {
-				ix.walkOne(uint32(ref), active, one, visit)
+	if ix.root == nil {
+		for _, ref := range ix.groups {
+			if ref&oneBit != 0 {
+				w.one(uint32(ref))
+				continue
 			}
+			w.group(ix.at(ref))
+		}
+		return
+	}
+	// A refinement splits each class of its root into groups, in a copy: each
+	// pass moves the members sharing the first unplaced member's codes on X \
+	// {R} next to it. Every member's code on the first attribute of X \ {R}
+	// is read once, into keys, and settles most comparisons; a class whose
+	// keys all agree is one group, visited in place.
+	var class []uint32
+	var keys []int32
+	for _, ref := range ix.root.refs {
+		switch {
+		case ref == 0:
+			continue
+		case ref&oneBit != 0:
+			w.one(uint32(ref))
 			continue
 		}
-		g := ix.at(ref)
-		for s := range states {
-			states[s] = ix.state(g, s)
-		}
-		for _, r := range active {
-			if rule := &ix.rules[r]; rule.violatedBy(states[rule.slot]) && rule.matches(ix.rel, int(g.m[0])) {
-				visit(r, g)
+		m := ix.root.at(ref).m
+		keys = keys[:0]
+		split := false
+		for _, id := range m {
+			var key int32
+			if len(ix.rest) > 0 {
+				key = ix.rel.Value(int(id), ix.rest[0])
 			}
+			keys = append(keys, key)
+			split = split || key != keys[0]
+		}
+		if !split && len(ix.rest) < 2 { // the class is one group
+			w.group(group{m: m})
+			continue
+		}
+		class = append(class[:0], m...)
+		for i := 0; i < len(class); {
+			j := i + 1
+			for k := j; k < len(class); k++ {
+				if keys[k] == keys[i] && (len(ix.rest) < 2 || ix.sameRest(class[k], int(class[i]))) {
+					class[j], class[k] = class[k], class[j]
+					keys[j], keys[k] = keys[k], keys[j]
+					j++
+				}
+			}
+			w.group(group{m: class[i:j]})
+			i = j
 		}
 	}
 }
 
-// walkOne is walk on the one-member group of tuple id: only a constant RHS
-// can flag it, so it reads the member's code on the slots of those rules
-// alone, and writes the group into buf only to visit it.
-func (ix *GroupIndex) walkOne(id uint32, active []int, buf []uint32, visit func(r int, g group)) {
-	var g group
-	for _, r := range active {
+// walker is the state of one walk: the rules it visits, those of them with a
+// constant RHS, and the group at hand's states in the RHS slots known so far.
+type walker struct {
+	ix               *GroupIndex
+	visit            func(r int, g group)
+	active, constRHS []int
+	states           []slotState
+	known            []bool
+	buf              [1]uint32
+}
+
+// one visits the one-member group of tuple id.
+func (w *walker) one(id uint32) {
+	if len(w.constRHS) > 0 {
+		w.buf[0] = id
+		w.group(group{m: w.buf[:]})
+	}
+}
+
+// group visits the group g with every active rule that applies to it and
+// that it violates. A single tuple agrees with itself, so only a constant RHS
+// can flag a one-member group.
+func (w *walker) group(g group) {
+	ix, rules := w.ix, w.active
+	if len(g.m) == 1 {
+		rules = w.constRHS
+	}
+	clear(w.known)
+	for _, r := range rules {
 		rule := &ix.rules[r]
-		if rule.want == Wildcard || !rule.matches(ix.rel, int(id)) || ix.code(id, rule.slot) == rule.want {
+		if !rule.matches(ix.rel, int(g.m[0])) {
 			continue
 		}
-		if g.m == nil {
-			buf[0] = id
-			g = group{m: buf}
+		if !w.known[rule.slot] {
+			w.states[rule.slot], w.known[rule.slot] = ix.state(g, rule.slot), true
 		}
-		visit(r, g)
+		if rule.violatedBy(w.states[rule.slot]) {
+			w.visit(r, g)
+		}
 	}
 }
 
@@ -779,10 +978,18 @@ func (ix *GroupIndex) Repairs(dict func(attr int) *Dict, visit func(rule, id int
 
 // majority returns the group's most common code in one RHS slot, ties going
 // to the code whose value sorts first: the value a variable rule's repair
-// moves the rest of the group to.
+// moves the rest of the group to. A group of a refinement past smallMax
+// has no counts of its own; it is counted here, in one pass.
 func (ix *GroupIndex) majority(g group, slot int, values *Dict) int32 {
 	if g.lg != nil {
 		return g.lg.counts[slot].majority(values)
+	}
+	if len(g.m) > smallMax {
+		var c rhsCounts
+		for _, m := range g.m {
+			c.incr(ix.code(m, slot))
+		}
+		return c.majority(values)
 	}
 	var best int32
 	bestN := 0

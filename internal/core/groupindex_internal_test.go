@@ -196,7 +196,8 @@ func TestGroupIndexShapeThroughEveryClass(t *testing.T) {
 		delete(live, id)
 	}
 	// check holds the index to the live rows, and its Shape to one, run or
-	// large group (the index keeps a large group until it empties).
+	// large group. Shape counts the group by its size, although the index
+	// keeps the large group it stores until it empties.
 	check := func(step string, shape [3]int) {
 		t.Helper()
 		var ids []int
@@ -251,9 +252,17 @@ func TestGroupIndexShapeThroughEveryClass(t *testing.T) {
 	}
 	for i, id := range []int{0, 4, 8, 11, 10, 9, 7, 6, 5, 3, 2, 1} {
 		del(id)
-		shape := [3]int{0, 0, 1}
-		if i == n-1 {
-			shape = [3]int{}
+		var shape [3]int
+		switch left := n - 1 - i; {
+		case left > smallMax:
+			shape = [3]int{0, 0, 1}
+		case left > 1:
+			shape = [3]int{0, 1, 0}
+		case left == 1:
+			shape = [3]int{1, 0, 0}
+		}
+		if left := n - 1 - i; left > 0 && len(ix.large) != 1 {
+			t.Fatalf("delete %d: %d large groups stored, want the one promoted", id, len(ix.large))
 		}
 		check(fmt.Sprintf("delete %d", id), shape)
 	}

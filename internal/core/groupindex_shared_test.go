@@ -95,12 +95,16 @@ func naiveState(c core.CFD, rows map[int][]int32) (violating []int, tuples, grou
 // recount. In build mode the indexes start out unused: the first ops only
 // write the relation, then every index is filled by one Build over the live
 // ids, next to a twin filled by Insert in id order, and from there on each op
-// goes to both, the twin's Shape held to the built index's.
+// goes to both, the twin's Shape held to the built index's. In refine mode
+// the indexes whose X holds attribute 0 are refinements of one root on it,
+// each with a map-backed twin over the same rules from the start (or filled
+// by Insert at the build), held to it in Shape as well.
 type sharedHarness struct {
 	t     testing.TB
 	rules [4][]core.CFD
 	ix    [4]*core.GroupIndex
-	twin  [4]*core.GroupIndex // build mode: the Insert-by-Insert twin of ix
+	twin  [4]*core.GroupIndex // build or refine mode: the map-backed, Insert-by-Insert twin of ix
+	root  *core.Root          // refine mode: the root on attribute 0
 	// indexed is false until the build, in build mode.
 	indexed bool
 	rel     *core.Relation // holds the live rows, as the indexes require
@@ -112,11 +116,18 @@ type sharedHarness struct {
 	dicts     []*core.Dict
 }
 
-func newSharedHarness(t testing.TB) *sharedHarness {
+func newSharedHarness(t testing.TB, refine bool) *sharedHarness {
 	h := &sharedHarness{t: t, rules: sharedRules(), rows: make(map[int][]int32), indexed: true}
 	h.rel = core.NewRelation(core.MustSchema("A", "B", "C", "D", "E"))
+	if refine {
+		h.root = core.NewRoot(h.rel, 0)
+	}
 	for x, rs := range h.rules {
 		h.ix[x] = core.NewGroupIndex(h.rel, rs)
+		if h.refines(x) {
+			h.ix[x] = core.NewRefinement(h.root, rs)
+			h.twin[x] = core.NewGroupIndex(h.rel, rs)
+		}
 		h.violating[x] = make([][]int, len(rs))
 	}
 	// Value order is the reverse of code order, as in the spill test.
@@ -128,6 +139,11 @@ func newSharedHarness(t testing.TB) *sharedHarness {
 		h.dicts = append(h.dicts, d)
 	}
 	return h
+}
+
+// refines reports whether index x is a refinement of the root.
+func (h *sharedHarness) refines(x int) bool {
+	return h.root != nil && h.rules[x][0].LHS.Has(0)
 }
 
 // sharedRow decodes v (0..107) into a row: the X part in the low digits, the
@@ -149,19 +165,23 @@ func (h *sharedHarness) insert(row []int32, step string) {
 	h.rows[id] = row
 	core.PutRow(h.rel, id, row)
 	h.live = append(h.live, id)
-	h.apply(step, func(ix *core.GroupIndex, observe func(r, id int, violating bool)) { ix.Insert(id, observe) })
+	h.apply(step,
+		func(ix *core.GroupIndex, observe func(r, id int, violating bool)) { ix.Insert(id, observe) },
+		func() { h.root.Insert(id) })
 }
 
 func (h *sharedHarness) remove(i int, step string) {
 	id := h.live[i]
 	h.live = slices.Delete(h.live, i, i+1)
 	delete(h.rows, id)
-	h.apply(step, func(ix *core.GroupIndex, observe func(r, id int, violating bool)) { ix.Delete(id, observe) })
+	h.apply(step,
+		func(ix *core.GroupIndex, observe func(r, id int, violating bool)) { ix.Delete(id, observe) },
+		func() { h.root.Delete(id) })
 	h.rel.Clear(id)
 }
 
-// build fills every index with one Build over the live ids, and its twin
-// with an Insert per id in id order, and checks both.
+// build fills the root, if any, and every index with one Build over the live
+// ids, and each twin with an Insert per id in id order, and checks them all.
 func (h *sharedHarness) build(step string) {
 	h.t.Helper()
 	ids := slices.Clone(h.live)
@@ -171,6 +191,9 @@ func (h *sharedHarness) build(step string) {
 		ids32[i] = int32(id)
 	}
 	var scratch core.BuildScratch // shared by the builds, as a pool worker's is
+	if h.root != nil {
+		h.root.Build(ids32, &scratch)
+	}
 	for x, rs := range h.rules {
 		h.ix[x].Build(ids32, &scratch)
 		h.twin[x] = core.NewGroupIndex(h.rel, rs)
@@ -182,11 +205,19 @@ func (h *sharedHarness) build(step string) {
 	h.indexed = true
 }
 
-func (h *sharedHarness) apply(step string, op func(ix *core.GroupIndex, observe func(r, id int, violating bool))) {
+// apply runs op on every index and twin, then root on the root, as the
+// engine orders them, and then checks every one of them.
+func (h *sharedHarness) apply(step string, op func(ix *core.GroupIndex, observe func(r, id int, violating bool)), root func()) {
 	h.t.Helper()
 	if !h.indexed {
 		return
 	}
+	type applied struct {
+		x     int
+		ix    *core.GroupIndex
+		flips []map[int]bool
+	}
+	var done []applied
 	for x := range h.ix {
 		for _, ix := range []*core.GroupIndex{h.ix[x], h.twin[x]} {
 			if ix == nil {
@@ -202,8 +233,16 @@ func (h *sharedHarness) apply(step string, op func(ix *core.GroupIndex, observe 
 				}
 				flips[r][id] = violating
 			})
-			h.checkIndex(step, x, ix, flips)
+			done = append(done, applied{x, ix, flips})
 		}
+	}
+	if h.root != nil {
+		root()
+	}
+	for _, a := range done {
+		h.checkIndex(step, a.x, a.ix, a.flips)
+	}
+	for x := range h.ix {
 		if h.twin[x] != nil {
 			h.checkShape(step, x)
 		}
@@ -232,13 +271,14 @@ func (h *sharedHarness) check(step string, x int, flips []map[int]bool) {
 	h.violating[x] = h.recount(x)
 }
 
-// checkShape holds the built index x's Shape to its twin's.
+// checkShape holds index x's Shape and Members to its twin's.
 func (h *sharedHarness) checkShape(step string, x int) {
 	h.t.Helper()
 	o1, r1, l1 := h.ix[x].Shape()
 	o2, r2, l2 := h.twin[x].Shape()
-	if o1 != o2 || r1 != r2 || l1 != l2 {
-		h.t.Fatalf("%s: index %d: built Shape = %d/%d/%d, Insert-by-Insert twin = %d/%d/%d", step, x, o1, r1, l1, o2, r2, l2)
+	if o1 != o2 || r1 != r2 || l1 != l2 || h.ix[x].Members() != h.twin[x].Members() {
+		h.t.Fatalf("%s: index %d: Shape = %d/%d/%d of %d tuples, map-backed Insert-by-Insert twin = %d/%d/%d of %d",
+			step, x, o1, r1, l1, h.ix[x].Members(), o2, r2, l2, h.twin[x].Members())
 	}
 }
 
@@ -374,9 +414,23 @@ func sharedSeeds() [][]byte {
 // second third and its last op.
 func TestGroupIndexSharedX(t *testing.T) {
 	for i, seed := range sharedSeeds() {
-		t.Run(fmt.Sprint("seed=", i), func(t *testing.T) { newSharedHarness(t).run(seed, false, 0) })
+		t.Run(fmt.Sprint("seed=", i), func(t *testing.T) { newSharedHarness(t, false).run(seed, false, 0) })
 		for _, at := range []int{len(seed) / 3, 2 * len(seed) / 3, len(seed)} {
-			t.Run(fmt.Sprint("seed=", i, "/build=", at), func(t *testing.T) { newSharedHarness(t).run(seed, true, at) })
+			t.Run(fmt.Sprint("seed=", i, "/build=", at), func(t *testing.T) { newSharedHarness(t, false).run(seed, true, at) })
+		}
+	}
+}
+
+// TestGroupIndexRefinesRoot runs the same seed sequences with the indexes
+// over sets holding attribute 0 refining one root on it, each held to a
+// map-backed twin over the same rules after every op: from the start, and
+// with the root and the refinements built after a third of the sequence and
+// after its last op.
+func TestGroupIndexRefinesRoot(t *testing.T) {
+	for i, seed := range sharedSeeds() {
+		t.Run(fmt.Sprint("seed=", i), func(t *testing.T) { newSharedHarness(t, true).run(seed, false, 0) })
+		for _, at := range []int{len(seed) / 3, len(seed)} {
+			t.Run(fmt.Sprint("seed=", i, "/build=", at), func(t *testing.T) { newSharedHarness(t, true).run(seed, true, at) })
 		}
 	}
 }
@@ -402,25 +456,31 @@ func TestGroupIndexRejectsMixedLHS(t *testing.T) {
 // lookups, repairs and the flips the op reported against a from-scratch
 // recount. With build, the first at ops write only the relation, leaving
 // holes where they delete; every index is then filled by Build and held,
-// from there on after every op, to a twin filled by Insert in id order.
+// from there on after every op, to a twin filled by Insert in id order. With
+// refine, the indexes over sets holding attribute 0 are refinements of one
+// root on it, held to map-backed twins over the same rules in both modes.
 func FuzzGroupIndex(f *testing.F) {
 	for _, seed := range sharedSeeds() {
-		f.Add(seed, false, uint8(0))
+		f.Add(seed, false, uint8(0), false)
 	}
 	for _, seed := range sharedSeeds() {
-		f.Add(seed, true, uint8(len(seed)/2))
+		f.Add(seed, true, uint8(len(seed)/2), false)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, build bool, at uint8) {
+	for _, seed := range sharedSeeds() {
+		f.Add(seed, false, uint8(0), true)
+		f.Add(seed, true, uint8(len(seed)/2), true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, build bool, at uint8, refine bool) {
 		if len(data) > 128 {
 			data = data[:128] // every op pays a full recount
 		}
-		newSharedHarness(t).run(data, build, int(at))
+		newSharedHarness(t, refine).run(data, build, int(at))
 	})
 }
 
 // TestBuildRejectsFilledIndex: Build fills an empty index only.
 func TestBuildRejectsFilledIndex(t *testing.T) {
-	h := newSharedHarness(t)
+	h := newSharedHarness(t, false)
 	h.insert(sharedRow(0), "insert")
 	defer func() {
 		if recover() == nil {

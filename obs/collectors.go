@@ -75,7 +75,7 @@ func InstrumentEngine(r *Registry, e *violation.Engine) {
 	r.GaugeFunc("cfd_engine_delta_ring_occupancy", "Consecutive epochs answerable from the delta ring.", func() float64 { return float64(e.DeltaStats().Occupancy) })
 	r.GaugeFunc("cfd_engine_delta_ring_capacity", "Delta-ring capacity in epochs (1024).", func() float64 { return float64(e.DeltaStats().Capacity) })
 	r.GaugeFunc("cfd_engine_wait_waiters", "WaitChange calls currently blocked (long-poll/SSE fan-out depth).", func() float64 { return float64(e.DeltaStats().Waiters) })
-	r.GaugeFuncVec("cfd_engine_index_groups", "Groups of the engine's indexes by how they are stored, summed over its LHS sets (one = a one-tuple group held in the group map alone; run = 2 to 8 members in the arena; large = past 8, with value counts).", "members",
+	r.GaugeFuncVec("cfd_engine_index_groups", "Groups of π_X among the tuples the rules over X apply to, by size, summed over the engine's LHS sets X, whatever stores them: the set's own group map or the root it refines (one = a single tuple; run = 2 to 8; large = past 8).", "members",
 		[]string{"large", "one", "run"}, func() []float64 {
 			one, run, large := e.IndexGroups()
 			return []float64{float64(large), float64(one), float64(run)}

@@ -285,7 +285,9 @@ func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 // indexes it; a delete unindexes the tuple, then clears its row; an update
 // unindexes the old row, writes the new one, then indexes it. So an index
 // reads every code from the relation as of the op it applies: the rows of
-// the batch's earlier ops are already there, its later ops' not yet.
+// the batch's earlier ops are already there, its later ops' not yet. The
+// roots follow the indexes within each step, so a refinement reads its root
+// as of before the op.
 // The work must run to completion to keep the state consistent, so it is not
 // cancellable. Each index reports the violating-set memberships it flips,
 // rule by rule (the observe hook of core.GroupIndex); the per-rule flips,
@@ -316,6 +318,9 @@ func (e *Engine) apply(resolved []resolvedOp) {
 			for _, x = range e.indexes {
 				x.Delete(r.id, observe)
 			}
+			for _, root := range e.roots {
+				root.Delete(r.id)
+			}
 		}
 		if r.kind == OpDelete {
 			e.rel.Clear(r.id)
@@ -327,6 +332,9 @@ func (e *Engine) apply(resolved []resolvedOp) {
 		e.rel.Set(r.id, r.row)
 		for _, x = range e.indexes {
 			x.Insert(r.id, observe)
+		}
+		for _, root := range e.roots {
+			root.Insert(r.id)
 		}
 	}
 	added, removed := e.foldChanges(changes)

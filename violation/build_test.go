@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/cfd"
@@ -13,25 +15,31 @@ import (
 )
 
 // buildAttrs is the schema of TestBuildMatchesInsert: tiny domains, so that
-// groups fill up and cross every storage class.
-var buildAttrs = []string{"A", "B", "C", "D", "E"}
+// groups fill up and cross every storage class, and one wide one, W, whose
+// classes hold a few tuples each, so that the LHS sets holding it refine a
+// root on it.
+var buildAttrs = []string{"A", "B", "C", "D", "E", "W"}
 
-// buildRow returns a random row over domains of three values.
+// buildRow returns a random row over domains of three values, and of thirty
+// on W.
 func buildRow(rng *rand.Rand) []string {
 	row := make([]string, len(buildAttrs))
 	for a := range row {
 		row[a] = fmt.Sprint(rng.Intn(3))
 	}
+	row[len(row)-1] = fmt.Sprint(rng.Intn(30))
 	return row
 }
 
 // buildRuleSet returns random rules on two LHS sets of two and three
-// attributes, each rule carrying LHS constants on no, one or two of its
-// attributes and a constant or a wildcard on its RHS.
+// attributes and on two sets sharing W, each rule carrying LHS constants on
+// no, one or two of its attributes and a constant or a wildcard on its RHS.
+// The first rule of a set holding W has no LHS constant, so those sets hold
+// every live tuple between them twice over: more than a root on W holds.
 func buildRuleSet(rng *rand.Rand) *rules.Set {
 	var rs []cfd.CFD
-	for _, lhs := range [][]string{{"A", "B"}, {"B", "C", "D"}} {
-		for range 2 + rng.Intn(6) {
+	for _, lhs := range [][]string{{"A", "B"}, {"B", "C", "D"}, {"A", "W"}, {"B", "C", "W"}} {
+		for k := range 2 + rng.Intn(6) {
 			c := cfd.CFD{LHS: lhs, LHSPattern: make([]string, len(lhs)), RHS: "E", RHSPattern: cfd.Wildcard}
 			if lhs[0] == "B" && rng.Intn(2) == 0 {
 				c.RHS = "A"
@@ -39,8 +47,15 @@ func buildRuleSet(rng *rand.Rand) *rules.Set {
 			for i := range lhs {
 				c.LHSPattern[i] = cfd.Wildcard
 			}
-			for _, i := range rng.Perm(len(lhs))[:rng.Intn(3)] {
-				c.LHSPattern[i] = fmt.Sprint(rng.Intn(3))
+			wide := lhs[len(lhs)-1] == "W"
+			for _, p := range rng.Perm(len(lhs))[:rng.Intn(3)] {
+				if wide && k == 0 {
+					break
+				}
+				c.LHSPattern[p] = fmt.Sprint(rng.Intn(3))
+				if lhs[p] == "W" {
+					c.LHSPattern[p] = fmt.Sprint(rng.Intn(30))
+				}
 			}
 			if rng.Intn(3) == 0 {
 				c.RHSPattern = fmt.Sprint(rng.Intn(3))
@@ -81,7 +96,9 @@ func buildOps(rng *rand.Rand, live *[]int, next *int, n int) []violation.Op {
 // bulk loads more rows, which rebuilds every index over the old tuples and
 // the new ones. Both must equal the twin — counters, index shapes, report,
 // repairs, suspects and per-tuple violations — after the build and after
-// every batch that follows.
+// every batch that follows. The twin chose its layout over no tuples, so its
+// sets keep groups of their own; the swapped and the loaded engine must have
+// read the sets holding W through a root on it.
 func TestBuildMatchesInsert(t *testing.T) {
 	ctx := context.Background()
 	opts := violation.Options{Workers: 2}
@@ -132,6 +149,17 @@ func TestBuildMatchesInsert(t *testing.T) {
 				}
 			}
 		}
+		for _, e := range []*violation.Engine{swapped, loaded} {
+			roots := 0
+			for _, st := range e.IndexStats() {
+				if st.Root != "" {
+					roots++
+				}
+			}
+			if roots < 2 {
+				t.Fatalf("trial %d: %d LHS sets refine a root, want the two holding W: %+v", trial, roots, e.IndexStats())
+			}
+		}
 		for step := 0; ; step++ {
 			when := fmt.Sprintf("trial %d, step %d", trial, step)
 			sameEngineState(t, when, twin, swapped, "swapped")
@@ -157,6 +185,13 @@ func sameEngineState(t *testing.T, when string, twin, got *violation.Engine, nam
 	if o1 != o2 || r1 != r2 || l1 != l2 {
 		t.Fatalf("%s: %s engine's index groups %d/%d/%d, the twin's %d/%d/%d", when, name, o2, r2, l2, o1, r1, l1)
 	}
+	a1, a2 := twin.IndexStats(), got.IndexStats()
+	for i := range a1 {
+		a1[i].Root, a2[i].Root = "", ""
+	}
+	if !reflect.DeepEqual(a1, a2) {
+		t.Fatalf("%s: %s engine's index stats, roots aside,\n%+v\nthe twin's\n%+v", when, name, a2, a1)
+	}
 	if a, b := twin.RuleStats(), got.RuleStats(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("%s: %s engine's rule stats\n%+v\nthe twin's\n%+v", when, name, b, a)
 	}
@@ -177,4 +212,86 @@ func sameEngineState(t *testing.T, when string, twin, got *violation.Engine, nam
 			t.Fatalf("%s: %s engine's tuple %d violates %v (%v), the twin's %v (%v)", when, name, id, b, errB, a, errA)
 		}
 	}
+}
+
+// TestSwapKeepsRoots swaps an engine at two workers back and forth between
+// two random rule sets whose sets holding W refine a root on it, with a batch
+// of writes before each swap and readers running throughout. A root depends
+// on no rule, so every swap must keep the engine's roots as they are, and
+// build only the refinements' counters beside the other sets' indexes, on
+// other pool tasks. At the end the engine must equal a twin that served the
+// final rules all along.
+func TestSwapKeepsRoots(t *testing.T) {
+	ctx := context.Background()
+	opts := violation.Options{Workers: 2}
+	rng := rand.New(rand.NewSource(1))
+	a, b := buildRuleSet(rng), buildRuleSet(rng)
+	rel, err := cfd.NewRelation(buildAttrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []int
+	for id := range 60 {
+		if err := rel.Append(buildRow(rng)...); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, id)
+	}
+	next := len(live)
+	engines := make([]*violation.Engine, 2)
+	for i := range engines {
+		e, err := violation.New(buildAttrs, a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.BulkLoad(rel); err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = e
+	}
+	eng, twin := engines[0], engines[1]
+	roots := violation.Roots(eng)
+	if len(roots) == 0 {
+		t.Fatalf("no LHS set refines a root: %+v", eng.IndexStats())
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				eng.Report()
+				eng.IndexStats()
+				_, _ = eng.TupleViolations(i % eng.NextID())
+			}
+		}()
+	}
+	for round := range 10 {
+		ops := buildOps(rng, &live, &next, 12)
+		for _, e := range engines {
+			if _, err := e.ApplyBatch(ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+		set := b
+		if round%2 == 1 {
+			set = a
+		}
+		if _, err := eng.SwapRules(ctx, set); err != nil {
+			t.Fatal(err)
+		}
+		if got := violation.Roots(eng); !slices.Equal(got, roots) {
+			t.Fatalf("round %d: the swap replaced the roots %v with %v", round, roots, got)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	sameEngineState(t, "after the swaps", twin, eng, "swapped")
 }

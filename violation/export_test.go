@@ -1,6 +1,11 @@
 package violation
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"slices"
+
+	"repro/internal/core"
+)
 
 // WALRecord is a write-ahead-log record as FuzzDecodeOps, which lives in the
 // external test package to reach the batch-body decoder in package cluster,
@@ -71,4 +76,19 @@ func UnmarshalWALRecord(line []byte) (WALRecord, error) {
 	var rec walRecord
 	err := json.Unmarshal(line, &rec)
 	return exportRecord(rec, err)
+}
+
+// DropIndexes lets the engine's indexes and roots go, leaving it unusable:
+// the heap they held is what a memory pin measures.
+func DropIndexes(e *Engine) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.indexes, e.roots = nil, nil
+}
+
+// Roots returns the roots the engine's refining indexes read through.
+func Roots(e *Engine) []*core.Root {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return slices.Clone(e.roots)
 }

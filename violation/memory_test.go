@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/cfd"
@@ -13,10 +14,11 @@ import (
 	"repro/violation"
 )
 
-// bytesPerTupleBound is 193 B measured on amd64 with Go 1.24, plus 5 %. It
-// sits below the 211 B the same load holds when every member of a run or a
-// large group keeps its RHS codes next to its id.
-const bytesPerTupleBound = 202
+// bytesPerTupleBound is 141 B measured on amd64 with Go 1.24, plus 5 %. It
+// sits below the 189 B the same load holds when every LHS set keeps a group
+// map of its own, the sets holding PN or NM included, where two roots serve
+// them.
+const bytesPerTupleBound = 148
 
 // taxServed is the 5,000-row Tax instance the memory pins load, and its mined
 // cover (71 rules).
@@ -34,9 +36,11 @@ func taxServed(t *testing.T) (*cfd.Relation, *rules.Set) {
 }
 
 // TestBulkLoadBytesPerTuple bounds the heap an engine holds per tuple after
-// a bulk load: the relation's columns plus every LHS set's group index. On
-// this Tax instance under its mined cover (71 rules) nine in ten groups hold
-// one tuple, and such a group is only its entry in the group map.
+// a bulk load: the relation's columns plus every LHS set's group index and
+// the roots the near-key sets refine. On this Tax instance under its mined
+// cover (71 rules) nine in ten groups hold one tuple; in a set with a group
+// map of its own such a group is only its map entry, and in a refinement it
+// is a slot of its root, shared by every set refining it.
 func TestBulkLoadBytesPerTuple(t *testing.T) {
 	rel, set := taxServed(t)
 	heap := func() uint64 {
@@ -62,11 +66,49 @@ func TestBulkLoadBytesPerTuple(t *testing.T) {
 	}
 }
 
-// swapRebuildAllocsBound is the 2,855 allocations measured on amd64 with Go
-// 1.24 for one swap of churnEngine to the empty rule set and one back, plus
-// 5 %. Filling the fresh indexes by one Insert per live tuple, with three
-// allocations per group past eight members, took 11,149.
-const swapRebuildAllocsBound = 2998
+// ingestIndexBytesPerTupleBound is the 66 B measured on amd64 with Go 1.24
+// for churnEngine's indexes, plus 5 %. With every LHS set keeping groups of
+// its own they took 238 B, most of it one group-map entry per tuple in each
+// of the nine sets holding PN or NM, whose classes average 1.8 and 2.6
+// tuples; two roots, on PN and on NM, now serve those sets.
+const ingestIndexBytesPerTupleBound = 69
+
+// TestIngestIndexBytesPerTuple bounds the heap churnEngine's indexes hold per
+// live tuple after its bulk load: 40,000 Tax rows with 2 % noise under the
+// 151 rules mined from the first 2,000, the shape of the ingest workload.
+// The heap is read after a collection with the indexes and without them.
+func TestIngestIndexBytesPerTuple(t *testing.T) {
+	eng, _, _ := churnEngine(t, violation.Options{Workers: 1})
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	with := heap()
+	stats := eng.IndexStats()
+	violation.DropIndexes(eng)
+	perTuple := float64(with-heap()) / float64(eng.Size())
+	runtime.KeepAlive(eng)
+	var roots []string
+	for _, st := range stats {
+		if st.Root != "" && !slices.Contains(roots, st.Root) {
+			roots = append(roots, st.Root)
+		}
+	}
+	t.Logf("%d LHS sets: %.0f B of index heap per tuple; roots on %v", len(stats), perTuple, roots)
+	if perTuple > ingestIndexBytesPerTupleBound {
+		t.Errorf("%.0f B of index heap per tuple after the bulk load, want at most %d", perTuple, ingestIndexBytesPerTupleBound)
+	}
+}
+
+// swapRebuildAllocsBound is the 1,944 allocations measured on amd64 with Go
+// 1.24 under the race detector (1,911 without) for one swap of churnEngine to
+// the empty rule set and one back, plus 5 %. Filling the fresh indexes by one
+// Insert per live tuple, with three allocations per group past eight
+// members, took 11,149, and building a group map for every LHS set, the
+// near-key ones included, 2,855.
+const swapRebuildAllocsBound = 2041
 
 // TestSwapRebuildAllocs bounds the allocations of the index builds of a rule
 // swap (BenchmarkSwapRebuild's iteration, on one worker): a number that does

@@ -67,10 +67,10 @@ func (e *Engine) ruleStats() []RuleStat {
 	return out
 }
 
-// IndexGroups returns how the engine's indexes hold their groups, summed
-// over its LHS sets (core.GroupIndex.Shape): groups of one tuple, which are
-// an entry of the group map alone, arena runs of two to eight members, and
-// large groups. It is read under the read lock, in O(LHS sets).
+// IndexGroups returns the shape of π_X summed over the engine's LHS sets
+// (core.GroupIndex.Shape): groups of one tuple, of two to eight, and of more,
+// whether the set stores them or reads them through a root. It is read under
+// the read lock, in O(LHS sets).
 func (e *Engine) IndexGroups() (one, run, large int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -79,4 +79,37 @@ func (e *Engine) IndexGroups() (one, run, large int) {
 		one, run, large = one+o, run+r, large+l
 	}
 	return one, run, large
+}
+
+// IndexStat describes the index of one LHS set X. Tuples counts the tuples in
+// its groups, those some rule over X applies to, and One, Run and Large are
+// π_X's groups among them by size (core.GroupIndex.Shape). Root names the
+// attribute R whose partition π_R the index refines: the root holds every
+// live tuple, and the index reads its groups through the root's classes and
+// stores none. An empty Root means the index stores its groups itself.
+type IndexStat struct {
+	LHS             []string
+	Root            string
+	Tuples          int
+	One, Run, Large int
+}
+
+// IndexStats returns one IndexStat per LHS set of the served rules, in order
+// of first appearance, under the read lock, in O(LHS sets).
+func (e *Engine) IndexStats() []IndexStat {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	out := make([]IndexStat, len(e.indexes))
+	for i, x := range e.indexes {
+		st := IndexStat{Tuples: x.Members()}
+		for _, a := range x.LHS().Attrs() {
+			st.LHS = append(st.LHS, e.schema.Name(a))
+		}
+		if root := x.Root(); root != nil {
+			st.Root = e.schema.Name(root.Attr())
+		}
+		st.One, st.Run, st.Large = x.Shape()
+		out[i] = st
+	}
+	return out
 }

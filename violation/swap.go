@@ -27,12 +27,15 @@ func (e *Engine) SwapRules(ctx context.Context, set *rules.Set) (rules.Delta, er
 // while the served RulesVersion is one of them, evaluated under the same
 // write lock that applies the swap — of any number of concurrent swaps
 // expecting one version, exactly one wins and the rest get ErrRulesVersion. The
-// tuples are untouched. Under the write lock, the index of every LHS
-// attribute set whose rules are the same before and after is reused as it is,
-// the index of every other LHS set of the new rules is built over the live
-// tuples — one repro/internal/pool task per set — and indexes no new rule
-// needs are dropped; the snapshot epoch is bumped, so a reader either sees
-// the complete old state or the complete new one, never a half-swapped set.
+// tuples are untouched. Under the write lock, the swap picks the roots the
+// new rules' LHS sets refine from the live tuples (core.PlanRoots), keeping
+// every root the engine already holds on a picked attribute; the index of
+// every LHS attribute set whose rules and root are the same before and after
+// is reused as it is, the index of every other LHS set of the new rules and
+// every new root is built over the live tuples — one repro/internal/pool
+// task each — and indexes and roots no new rule needs are dropped; the
+// snapshot epoch is bumped, so a reader either sees the complete old state or
+// the complete new one, never a half-swapped set.
 //
 // With a write-ahead log attached the swap is journaled (CommitLog.AppendRules)
 // before it is applied; a failing append rejects the swap with ErrWAL and
@@ -65,23 +68,26 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	for _, x := range e.indexes {
 		current[x.LHS()] = x
 	}
-	var newIndexes, fresh []*lhsIndex
-	for _, at := range groupByLHS(encoded) {
-		x := reuseIndex(current[encoded[at[0]].LHS], encoded, at)
-		if x == nil {
-			x = e.newLHSIndex(encoded, at)
+	ids := e.liveIDs()
+	sets := groupByLHS(encoded)
+	newIndexes, roots, freshRoots := e.layout(encoded, sets, ids, e.roots)
+	var fresh []*lhsIndex
+	for i, x := range newIndexes {
+		if old := reuseIndex(current[x.LHS()], encoded, sets[i]); old != nil && old.Root() == x.Root() {
+			newIndexes[i] = old
+		} else {
 			fresh = append(fresh, x)
 		}
-		newIndexes = append(newIndexes, x)
 	}
-	// Build the fresh indexes over the live rows before anything is
+	// Build the fresh roots and indexes over the live rows before anything is
 	// committed: they are private until the final assignment, so an error (or
-	// a cancelled context) discards them with no state change.
+	// a cancelled context) discards them with no state change. A kept root is
+	// current already: it depends on no rule.
 	var buildStart time.Time
 	if obs != nil {
 		buildStart = time.Now()
 	}
-	if err := e.indexLive(ctx, fresh); err != nil {
+	if err := e.indexLive(ctx, ids, freshRoots, fresh); err != nil {
 		return rules.Delta{}, err
 	}
 	var build float64
@@ -119,6 +125,7 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	e.set = set
 	e.rules = newRules
 	e.indexes = newIndexes
+	e.roots = roots
 	e.bumpLocked()
 	if obs != nil {
 		obs.ObserveSwap(len(delta.Added), len(delta.Removed), len(delta.Retained), len(newIndexes)-len(fresh), len(fresh), build, time.Since(obsStart).Seconds())

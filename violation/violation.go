@@ -197,8 +197,10 @@ type Engine struct {
 	rules []cfd.CFD
 	// indexes holds one shared group index per distinct LHS attribute set
 	// among the rules, in order of first appearance; between them they place
-	// every rule exactly once.
+	// every rule exactly once. roots holds the partitions the refining ones
+	// read their groups through (core.Root), each maintained after them.
 	indexes   []*lhsIndex
+	roots     []*core.Root
 	workers   int
 	maxPinGap int    // DefaultMaxPinGap; a field so tests can narrow it
 	maxID     uint64 // largest id an insert may take: MaxUint32, as an index member is 32 bits; a field so tests can narrow it
@@ -261,7 +263,7 @@ func New(attributes []string, set *rules.Set, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	for _, at := range groupByLHS(encoded) {
-		e.indexes = append(e.indexes, e.newLHSIndex(encoded, at))
+		e.indexes = append(e.indexes, newLHSIndex(e.rel, nil, encoded, at))
 	}
 	return e, nil
 }
@@ -275,14 +277,56 @@ type lhsIndex struct {
 	at []int // position in Engine.rules of each of the index's rules
 }
 
-// newLHSIndex returns an empty index over the engine's relation for the rules
-// at the given positions of encoded, which share their LHS attribute set.
-func (e *Engine) newLHSIndex(encoded []core.CFD, at []int) *lhsIndex {
+// newLHSIndex returns an empty index over rel for the rules at the given
+// positions of encoded, which share their LHS attribute set: a refinement of
+// root when root is non-nil, an index with groups of its own otherwise.
+func newLHSIndex(rel *core.Relation, root *core.Root, encoded []core.CFD, at []int) *lhsIndex {
+	own := ruleList(encoded, at)
+	if root != nil {
+		return &lhsIndex{core.NewRefinement(root, own), at}
+	}
+	return &lhsIndex{core.NewGroupIndex(rel, own), at}
+}
+
+// ruleList returns the rules at the given positions of encoded.
+func ruleList(encoded []core.CFD, at []int) []core.CFD {
 	own := make([]core.CFD, len(at))
 	for r, i := range at {
 		own[r] = encoded[i]
 	}
-	return &lhsIndex{core.NewGroupIndex(e.rel, own), at}
+	return own
+}
+
+// layout is the index layout of a build point: an empty index for each LHS
+// set of encoded (groupByLHS's sets, in order), refining the roots
+// core.PlanRoots picks over the live ids. A root the engine already holds on
+// the same attribute is kept, built; the others are returned in fresh, empty.
+func (e *Engine) layout(encoded []core.CFD, sets [][]int, ids []int32, held []*core.Root) (indexes []*lhsIndex, roots, fresh []*core.Root) {
+	lists := make([][]core.CFD, len(sets))
+	for i, at := range sets {
+		lists[i] = ruleList(encoded, at)
+	}
+	byAttr := make(map[int]*core.Root)
+	for i, a := range core.PlanRoots(e.rel, lists, ids) {
+		var root *core.Root
+		if a >= 0 {
+			if root = byAttr[a]; root == nil {
+				for _, old := range held {
+					if old.Attr() == a {
+						root = old
+					}
+				}
+				if root == nil {
+					root = core.NewRoot(e.rel, a)
+					fresh = append(fresh, root)
+				}
+				byAttr[a] = root
+				roots = append(roots, root)
+			}
+		}
+		indexes = append(indexes, newLHSIndex(e.rel, root, encoded, sets[i]))
+	}
+	return indexes, roots, fresh
 }
 
 // groupByLHS partitions rule positions by LHS attribute set, sets in order of
@@ -451,37 +495,53 @@ func (e *Engine) BulkLoad(rel *cfd.Relation) error {
 
 // loadLocked appends rows given in raw form (core.Relation.Raw) at the end of
 // the engine's relation — holes stay holes, so row i gets id NextID()+i — and
-// rebuilds the index of every LHS set over all the live tuples, the loaded
-// ones and any the engine held before. Recoding interns into the shared
+// picks the roots afresh and rebuilds them and the index of every LHS set
+// over all the live tuples, the loaded ones and any the engine held before.
+// Recoding interns into the shared
 // dictionaries, so it runs sequentially; the index build carries the real
 // cost and fans out. Callers hold the write lock.
 func (e *Engine) loadLocked(dicts [][]string, cols [][]int32, rows int) {
 	e.rel.AppendRecoded(dicts, cols, rows, true)
+	encoded := make([]core.CFD, len(e.rules))
+	sets := make([][]int, len(e.indexes))
 	for i, x := range e.indexes {
-		own := make([]core.CFD, len(x.at))
-		for r := range own {
-			own[r] = x.CFD(r)
+		for r, p := range x.at {
+			encoded[p] = x.CFD(r)
 		}
-		e.indexes[i] = &lhsIndex{core.NewGroupIndex(e.rel, own), x.at}
+		sets[i] = x.at
 	}
+	ids := e.liveIDs()
+	e.indexes, e.roots, _ = e.layout(encoded, sets, ids, nil)
 	// context.Background: nothing cancels a load halfway.
-	_ = e.indexLive(context.Background(), e.indexes)
+	_ = e.indexLive(context.Background(), ids, e.roots, e.indexes)
 }
 
-// indexLive fills the empty indexes with every live tuple, one pool task per
-// index (core.GroupIndex.Build). The tasks share the ascending live ids and
-// each worker reuses one build scratch across its indexes. Callers hold the
-// write lock, or the read lock when the indexes are still private.
-func (e *Engine) indexLive(ctx context.Context, indexes []*lhsIndex) error {
+// liveIDs returns the ids of the live tuples, ascending.
+func (e *Engine) liveIDs() []int32 {
 	ids := make([]int32, 0, e.rel.Count())
 	for id := range e.rel.Size() {
 		if e.rel.Live(id) {
 			ids = append(ids, int32(id))
 		}
 	}
-	scratch := make([]core.BuildScratch, min(pool.Normalize(e.workers), len(indexes)))
-	return pool.Each(ctx, e.workers, len(indexes), func(w, i int) {
-		indexes[i].Build(ids, &scratch[w])
+	return ids
+}
+
+// indexLive fills the empty roots, then the empty indexes, with the live
+// tuples ids lists, one pool task per root (core.Root.Build) and per index
+// (core.GroupIndex.Build); a refinement's build counts its groups from the
+// relation, so it does not wait for its root's. Each worker reuses one build
+// scratch across its tasks. Callers hold the write lock, or the read lock
+// when the roots and indexes are still private.
+func (e *Engine) indexLive(ctx context.Context, ids []int32, roots []*core.Root, indexes []*lhsIndex) error {
+	tasks := len(roots) + len(indexes)
+	scratch := make([]core.BuildScratch, min(pool.Normalize(e.workers), tasks))
+	return pool.Each(ctx, e.workers, tasks, func(w, i int) {
+		if i < len(roots) {
+			roots[i].Build(ids, &scratch[w])
+			return
+		}
+		indexes[i-len(roots)].Build(ids, &scratch[w])
 	})
 }
 
