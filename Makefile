@@ -125,7 +125,9 @@ docs-check:
 # hostile request sequences over the whole /v1 surface against a node and a
 # coordinator over two shards, held to each other (FuzzServe: one input costs
 # tens of milliseconds, so it minimizes each new input in at most ten runs),
-# the shared group index against its from-scratch recount, and its
+# the shared group index against its from-scratch recount — two of its sets
+# give every rule an LHS constant, so a build filters through the table of
+# constants — and its
 # refinements of a root against map-backed twins over the same rules, built
 # or grown op by op (one input costs little, but minimizing a new one under
 # the default budget took a whole 30 s run to a few hundred execs, so it too

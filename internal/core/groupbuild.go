@@ -5,45 +5,45 @@ import (
 )
 
 // BuildScratch is the transient memory of GroupIndex.Build and Root.Build:
-// the ids being built sorted by their codes, the sort's second buffers and
-// counters, the table of the rules' LHS constants and a group's rule list.
-// Its buffers grow to the largest build and are reused by the next, so a
-// worker that builds several indexes in turn keeps one. The zero value is ready to use; a
-// BuildScratch is not safe for concurrent use.
+// the ids being built, sorted by their codes, the sort's second buffer, its
+// codes and its counters, the table of the rules' LHS constants and a group's
+// rule list. Its buffers grow to the largest build and are reused by the
+// next, so a worker that builds several indexes in turn keeps one. The zero
+// value is ready to use; a BuildScratch is not safe for concurrent use.
 type BuildScratch struct {
-	keys, keys2 []uint64 // |X| ≤ 2: packed X codes, parallel to ids
-	ids, ids2   []uint32
-	count       []int32
-	hit         []int32
-	states      []slotState
-	known       []bool
-	table       ruleTable
+	ids, ids2 []uint32
+	codes     []int32 // a sort pass's codes, parallel to ids
+	count     []int32
+	hit       []int32
+	states    []slotState
+	known     []bool
+	table     ruleTable
 }
 
 // Build fills the empty index with the tuples ids lists, ascending, whose
 // rows the relation holds. It leaves the state Insert leaves when called on
 // each id in turn — the same groups holding the same members in id order, the
 // same counters — but reaches it group by group, the way §4.4 builds the
-// partition π_X: the ids are sorted on their X codes by one stable counting
-// pass per attribute of X, so that each group is a run of equal codes; the
-// rules that apply to a group are looked up by its X codes in a table of the
-// rules' LHS constants; and each group is written once, at its final size. A
-// first pass over the runs counts what the second writes, so the group map,
-// the arena and the large-group list are allocated once. A refinement stores
-// no group, so its Build is the counting pass alone: it reads the relation,
-// not the root, and may run before or beside the root's.
+// partition π_X: the ids some rule applies to are sorted on their X codes by
+// one stable counting pass per attribute of X, so that each group is a run of
+// equal codes; the rules that apply to a group are looked up by its first
+// member in a table of the rules' LHS constants; and each group is written
+// once, at its final size. A first pass over the runs counts what the second
+// writes, so the group map, the arena and the large-group list are allocated
+// once. A refinement stores no group, so its Build is the counting pass
+// alone: it reads the relation, not the root, and may run before or beside
+// the root's.
 func (ix *GroupIndex) Build(ids []int32, s *BuildScratch) {
 	if ix.members != 0 {
 		panic("core: build into a non-empty index")
 	}
-	t := &s.table
-	t.reset(ix)
-	n := s.sort(ix, t, ids)
+	n := s.filter(ix, ids)
+	s.sort(ix.rel, ix.lhs)
 	var slabs *largeSlabs
 	if ix.root == nil {
 		var size storeSize
 		for i := 0; i < n; {
-			end := s.runEnd(ix, i, n)
+			end := s.runEnd(ix.rel, ix.lhs, i)
 			size.add(end - i)
 			i = end
 		}
@@ -53,29 +53,11 @@ func (ix *GroupIndex) Build(ids []int32, s *BuildScratch) {
 	s.states = slices.Grow(s.states[:0], len(ix.rhs))[:len(ix.rhs)]
 	s.known = slices.Grow(s.known[:0], len(ix.rhs))[:len(ix.rhs)]
 	for i := 0; i < n; {
-		end := s.runEnd(ix, i, n)
-		s.hit = t.lookup(ix, s.code(ix, i), s.hit[:0])
+		end := s.runEnd(ix.rel, ix.lhs, i)
+		s.hit = s.table.lookup(ix, int(s.ids[i]), s.hit[:0])
 		ix.fill(s, slabs, i, end)
 		i = end
 	}
-}
-
-// covers returns how many of the tuples ids lists some rule of the index
-// applies to: the tuples a Build over them would hold. It reads only their
-// codes on X.
-func (ix *GroupIndex) covers(ids []int32, s *BuildScratch) int {
-	t := &s.table
-	t.reset(ix)
-	if len(t.always) > 0 {
-		return len(ids)
-	}
-	n := 0
-	for _, id := range ids {
-		if t.any(ix, ix.xcodes(int(id))) {
-			n++
-		}
-	}
-	return n
 }
 
 // storeSize tallies what a build stores: its groups, the arena words of its
@@ -153,15 +135,9 @@ func (ix *GroupIndex) fill(s *BuildScratch, slabs *largeSlabs, i, end int) {
 	g := group{m: m}
 	ix.reshape(0, len(m))
 	if slabs != nil {
-		var k uint64
-		if len(ix.lhs) <= 2 {
-			k = s.keys[i]
-		} else {
-			k = ix.key(int(m[0]))
-		}
 		var ref uint64
 		ref, g = ix.place(m, slabs)
-		ix.groups[k] = ref
+		ix.groups[ix.key(int(m[0]))] = ref
 	}
 	clear(s.known)
 	for _, r := range s.hit {
@@ -190,124 +166,68 @@ func runClass(n int) uint32 {
 	return class
 }
 
-// sort fills s.ids with the ids some rule applies to, ordered by their X
-// codes, ties in id order, and for |X| ≤ 2 s.keys with each one's packed
-// codes, and returns how many it kept. It is a least-significant-digit radix
-// sort: one stable counting pass per attribute of X, the last attribute
-// first.
-func (s *BuildScratch) sort(ix *GroupIndex, t *ruleTable, ids []int32) int {
-	s.ids, s.ids2 = slices.Grow(s.ids[:0], len(ids)), slices.Grow(s.ids2[:0], len(ids))
-	if len(ix.lhs) > 2 {
-		for _, id := range ids {
-			if t.any(ix, xcodes{first: int(id)}) {
-				s.ids = append(s.ids, uint32(id))
-			}
-		}
-		s.ids2 = s.ids2[:len(s.ids)]
-		for p := len(ix.lhs) - 1; p >= 0; p-- {
-			s.passColumn(ix.rel.Column(ix.lhs[p]))
-		}
-		return len(s.ids)
-	}
-	s.keys, s.keys2 = slices.Grow(s.keys[:0], len(ids)), slices.Grow(s.keys2[:0], len(ids))
-	var hiCol, loCol []int32 // the columns of X's first and last attribute
-	switch len(ix.lhs) {
-	case 2:
-		hiCol = ix.rel.Column(ix.lhs[0])
-		fallthrough
-	case 1:
-		loCol = ix.rel.Column(ix.lhs[len(ix.lhs)-1])
-	}
+// filter makes s.table the table of ix's rules and fills s.ids with the ids
+// some rule applies to, in the order ids lists them, and returns how many it
+// kept: the tuples a Build over ids holds. PlanRoots counts them the same way.
+func (s *BuildScratch) filter(ix *GroupIndex, ids []int32) int {
+	t := &s.table
+	t.reset(ix)
+	s.ids = slices.Grow(s.ids[:0], len(ids))
 	always := len(t.always) > 0
-	var lo, hi uint32
 	for _, id := range ids {
-		var k uint64
-		if hiCol != nil {
-			k = uint64(uint32(hiCol[id])) << 32
+		if always || t.any(ix, int(id)) {
+			s.ids = append(s.ids, uint32(id))
 		}
-		if loCol != nil {
-			k |= uint64(uint32(loCol[id]))
-		}
-		if !always && !t.any(ix, xcodes{key: k}) {
-			continue
-		}
-		s.keys = append(s.keys, k)
-		s.ids = append(s.ids, uint32(id))
-		lo, hi = max(lo, uint32(k)), max(hi, uint32(k>>32))
 	}
+	return len(s.ids)
+}
+
+// sort orders s.ids by their codes on attrs, ties in the order they came in.
+// It is a least-significant-digit radix sort over rel's columns: one stable
+// counting pass per attribute, the last attribute first.
+func (s *BuildScratch) sort(rel *Relation, attrs []int) {
 	n := len(s.ids)
-	s.keys2, s.ids2 = s.keys2[:n], s.ids2[:n]
-	if len(ix.lhs) >= 1 {
-		s.passKeys(0, lo)
+	s.ids2 = slices.Grow(s.ids2[:0], n)[:n]
+	s.codes = slices.Grow(s.codes[:0], n)[:n]
+	for p := len(attrs) - 1; p >= 0; p-- {
+		s.pass(rel.Column(attrs[p]))
 	}
-	if len(ix.lhs) == 2 {
-		s.passKeys(32, hi)
-	}
-	return n
 }
 
-// counts returns s.count zeroed for digits in [0, top].
-func (s *BuildScratch) counts(top uint32) []int32 {
-	s.count = slices.Grow(s.count[:0], int(top)+2)[:top+2]
-	clear(s.count)
-	return s.count
-}
-
-// passKeys stably reorders keys and ids by the 32-bit digit of each key at
-// shift, at most top.
-func (s *BuildScratch) passKeys(shift int, top uint32) {
-	count := s.counts(top)
-	for _, k := range s.keys {
-		count[uint32(k>>shift)+1]++
-	}
-	for d := 1; d < len(count); d++ {
-		count[d] += count[d-1]
-	}
-	for i, k := range s.keys {
-		d := uint32(k >> shift)
-		j := count[d]
-		count[d]++
-		s.keys2[j], s.ids2[j] = k, s.ids[i]
-	}
-	s.keys, s.keys2 = s.keys2, s.keys
-	s.ids, s.ids2 = s.ids2, s.ids
-}
-
-// passColumn stably reorders ids by their codes in col.
-func (s *BuildScratch) passColumn(col []int32) {
+// pass stably reorders s.ids by their codes in col. It reads each id's code
+// once, into s.codes, and counts and scatters from there: col is read at
+// random, s.codes in order.
+func (s *BuildScratch) pass(col []int32) {
 	top := int32(0)
-	for _, id := range s.ids {
-		top = max(top, col[id])
+	for i, id := range s.ids {
+		c := col[id]
+		s.codes[i] = c
+		top = max(top, c)
 	}
-	count := s.counts(uint32(top))
-	for _, id := range s.ids {
-		count[col[id]+1]++
+	s.count = slices.Grow(s.count[:0], int(top)+2)[:top+2]
+	count := s.count
+	clear(count)
+	for _, c := range s.codes {
+		count[c+1]++
 	}
 	for d := 1; d < len(count); d++ {
 		count[d] += count[d-1]
 	}
-	for _, id := range s.ids {
-		j := count[col[id]]
-		count[col[id]]++
-		s.ids2[j] = id
+	for i, c := range s.codes {
+		s.ids2[count[c]] = s.ids[i]
+		count[c]++
 	}
 	s.ids, s.ids2 = s.ids2, s.ids
 }
 
-// runEnd returns the end of the run of equal X codes that starts at sorted
-// position i.
-func (s *BuildScratch) runEnd(ix *GroupIndex, i, n int) int {
-	end := i + 1
-	if len(ix.lhs) <= 2 {
-		for end < n && s.keys[end] == s.keys[i] {
-			end++
-		}
-		return end
-	}
+// runEnd returns the end of the run of sorted ids, from position i on, whose
+// codes on attrs are those of the id at i.
+func (s *BuildScratch) runEnd(rel *Relation, attrs []int, i int) int {
 	first := int(s.ids[i])
-	for ; end < n; end++ {
-		for _, a := range ix.lhs {
-			if ix.rel.Value(int(s.ids[end]), a) != ix.rel.Value(first, a) {
+	end := i + 1
+	for ; end < len(s.ids); end++ {
+		for _, a := range attrs {
+			if rel.Value(int(s.ids[end]), a) != rel.Value(first, a) {
 				return end
 			}
 		}
@@ -315,49 +235,14 @@ func (s *BuildScratch) runEnd(ix *GroupIndex, i, n int) int {
 	return end
 }
 
-// xcodes is a group's codes on X, as the rule table reads them: from the
-// packed key for |X| ≤ 2, from the first member's row otherwise.
-type xcodes struct {
-	key   uint64
-	first int
-}
-
-// code returns the X codes of the group that starts at sorted position i.
-func (s *BuildScratch) code(ix *GroupIndex, i int) xcodes {
-	if len(ix.lhs) <= 2 {
-		return xcodes{key: s.keys[i]}
-	}
-	return xcodes{first: int(s.ids[i])}
-}
-
-// xcodes returns tuple id's codes on X, as the rule table reads them.
-func (ix *GroupIndex) xcodes(id int) xcodes {
-	x := xcodes{first: id}
-	if len(ix.lhs) <= 2 {
-		x.key, _ = ix.lookupKey(id)
-	}
-	return x
-}
-
-// at returns the code at X position p.
-func (x xcodes) at(ix *GroupIndex, p int) int32 {
-	switch {
-	case len(ix.lhs) > 2:
-		return ix.rel.Value(x.first, ix.lhs[p])
-	case len(ix.lhs) == 2 && p == 0:
-		return int32(x.key >> 32)
-	}
-	return int32(uint32(x.key))
-}
-
-// ruleTable finds the rules that apply to a group by looking its X codes up,
-// where Insert tests every rule's LHS constants against the new tuple. Rules
-// with the same constants are chained through next; a chain is held as 1 +
-// its first rule, 0 standing for no rule.
+// ruleTable finds the rules that apply to a group by looking up the X codes
+// of one of its members, where Insert tests every rule's LHS constants
+// against the new tuple. Rules with the same constants are chained through
+// next; a chain is held as 1 + its first rule, 0 standing for no rule.
 type ruleTable struct {
 	always []int32          // rules without LHS constants: they apply to every group
 	single [][]int32        // single[p][c]: the chain of rules whose one constant is c, at X position p
-	pair   map[uint64]int32 // |X| = 2, a constant on both: chains by packed codes
+	pair   map[uint64]int32 // |X| = 2, a constant on both: chains by lookupKey
 	rest   []int32          // |X| > 2, constants on two or more positions
 	next   []int32          // next[r]: the rest of the chain after rule r
 }
@@ -410,42 +295,44 @@ func (t *ruleTable) first(p int, code int32) int32 {
 	return t.single[p][code]
 }
 
-// any reports whether some rule applies to the group with codes x.
-func (t *ruleTable) any(ix *GroupIndex, x xcodes) bool {
-	if len(t.always) > 0 {
-		return true
-	}
-	for p := range t.single {
-		if t.first(p, x.at(ix, p)) != 0 {
+// any reports whether some rule with LHS constants applies to tuple id; the
+// caller tests t.always first.
+func (t *ruleTable) any(ix *GroupIndex, id int) bool {
+	for p, a := range ix.lhs {
+		if len(t.single[p]) > 0 && t.first(p, ix.rel.Value(id, a)) != 0 {
 			return true
 		}
 	}
-	if len(t.pair) > 0 && t.pair[x.key] != 0 {
-		return true
+	if len(t.pair) > 0 {
+		if k, _ := ix.lookupKey(id); t.pair[k] != 0 {
+			return true
+		}
 	}
 	for _, r := range t.rest {
-		if ix.rules[r].matches(ix.rel, x.first) {
+		if ix.rules[r].matches(ix.rel, id) {
 			return true
 		}
 	}
 	return false
 }
 
-// lookup appends to hit the rules that apply to the group with codes x.
-func (t *ruleTable) lookup(ix *GroupIndex, x xcodes, hit []int32) []int32 {
+// lookup appends to hit the rules that apply to tuple id, and so to its
+// group.
+func (t *ruleTable) lookup(ix *GroupIndex, id int, hit []int32) []int32 {
 	hit = append(hit, t.always...)
-	for p := range t.single {
-		for r := t.first(p, x.at(ix, p)); r != 0; r = t.next[r-1] {
+	for p, a := range ix.lhs {
+		for r := t.first(p, ix.rel.Value(id, a)); r != 0; r = t.next[r-1] {
 			hit = append(hit, r-1)
 		}
 	}
 	if len(t.pair) > 0 {
-		for r := t.pair[x.key]; r != 0; r = t.next[r-1] {
+		k, _ := ix.lookupKey(id)
+		for r := t.pair[k]; r != 0; r = t.next[r-1] {
 			hit = append(hit, r-1)
 		}
 	}
 	for _, r := range t.rest {
-		if ix.rules[r].matches(ix.rel, x.first) {
+		if ix.rules[r].matches(ix.rel, id) {
 			hit = append(hit, r)
 		}
 	}

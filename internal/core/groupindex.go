@@ -23,17 +23,17 @@ import (
 //
 // An index is filled one way and kept current another. Build fills a fresh
 // index from the live tuples in one pass over their groups, as §4.4 builds
-// π_X: it sorts the ids on X, finds each group's rules by looking its X codes
-// up in a table of the rules' LHS constants and writes each group once, so
-// it costs a few linear passes over the ids plus one map insert per group and
-// a counter update per rule that applies. Insert and Delete then keep the
-// index current under writes, each at one hash lookup on X plus an integer
-// compare per rule, independent of the number of tuples indexed; Build
-// leaves the state Inserts in id order would. Tuples no rule applies to are
-// not stored. The batch Violations function is the one-rule use of this type
-// and the repro/violation engine keeps one GroupIndex per distinct X of its
-// rule set, so there is a single source of truth for what counts as a
-// violating tuple.
+// π_X: it sorts the ids on X, finds each group's rules by looking its first
+// member's X codes up in a table of the rules' LHS constants and writes each
+// group once, so it costs a few linear passes over the ids plus one map
+// insert per group and a counter update per rule that applies. Insert and
+// Delete then keep the index current under writes, each at one hash lookup
+// on X plus an integer compare per rule, independent of the number of
+// tuples indexed; Build leaves the state Inserts in id order would. Tuples no
+// rule applies to are not stored. The batch Violations function is the
+// one-rule use of this type and the repro/violation engine keeps one
+// GroupIndex per distinct X of its rule set, so there is a single source of
+// truth for what counts as a violating tuple.
 //
 // # Refinements of a root
 //

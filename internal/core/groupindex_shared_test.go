@@ -19,7 +19,11 @@ var sharedDomains = []int{3, 2, 2, 3, 3}
 // set, whose one group holds every tuple. Each mixes what a tableau mixes —
 // LHS constants on no, one or two attributes, two RHS attributes, constant
 // and variable RHS patterns, a duplicate rule, a constant no row ever carries.
-func sharedRules() [4][]core.CFD {
+// The last two, over {1,2} and {0,1,2}, give every rule an LHS constant, so
+// that a Build keeps only the tuples its table of constants finds a rule for:
+// a constant at either position of the pair and on both, one constant and
+// several on the wide set.
+func sharedRules() [6][]core.CFD {
 	rule := func(lhs []int, rhs int, consts map[int]int32) core.CFD {
 		c := core.CFD{LHS: core.NewAttrSet(lhs...), RHS: rhs, Tp: core.NewPattern(len(sharedDomains))}
 		for a, code := range consts {
@@ -27,8 +31,8 @@ func sharedRules() [4][]core.CFD {
 		}
 		return c
 	}
-	narrow, wide, pair := []int{0}, []int{0, 1, 2}, []int{0, 1}
-	return [4][]core.CFD{
+	narrow, wide, pair, pairBC := []int{0}, []int{0, 1, 2}, []int{0, 1}, []int{1, 2}
+	return [6][]core.CFD{
 		{
 			rule(narrow, 3, nil),
 			rule(narrow, 3, map[int]int32{0: 1, 3: 2}),
@@ -53,6 +57,18 @@ func sharedRules() [4][]core.CFD {
 		{
 			rule(nil, 3, nil),
 			rule(nil, 4, map[int]int32{4: 2}),
+		},
+		{
+			rule(pairBC, 3, map[int]int32{1: 0}),
+			rule(pairBC, 4, map[int]int32{2: 1}),
+			rule(pairBC, 3, map[int]int32{1: 1, 2: 0}),
+			rule(pairBC, 4, map[int]int32{1: 1, 2: 0, 4: 2}), // same constants as the one above
+			rule(pairBC, 4, map[int]int32{1: 0, 3: 1}),
+		},
+		{
+			rule(wide, 3, map[int]int32{1: 1}),
+			rule(wide, 4, map[int]int32{0: 2, 2: 0}),
+			rule(wide, 3, map[int]int32{0: 0, 1: 1, 2: 1, 3: 2}),
 		},
 	}
 }
@@ -101,9 +117,9 @@ func naiveState(c core.CFD, rows map[int][]int32) (violating []int, tuples, grou
 // by Insert at the build), held to it in Shape as well.
 type sharedHarness struct {
 	t     testing.TB
-	rules [4][]core.CFD
-	ix    [4]*core.GroupIndex
-	twin  [4]*core.GroupIndex // build or refine mode: the map-backed, Insert-by-Insert twin of ix
+	rules [6][]core.CFD
+	ix    [6]*core.GroupIndex
+	twin  [6]*core.GroupIndex // build or refine mode: the map-backed, Insert-by-Insert twin of ix
 	root  *core.Root          // refine mode: the root on attribute 0
 	// indexed is false until the build, in build mode.
 	indexed bool
@@ -112,7 +128,7 @@ type sharedHarness struct {
 	live    []int // ids in insertion order
 	next    int
 	// violating is each rule's recounted violating set as of the last check.
-	violating [4][][]int
+	violating [6][][]int
 	dicts     []*core.Dict
 }
 
@@ -407,6 +423,21 @@ func sharedSeeds() [][]byte {
 	return [][]byte{cross, reuse, mixed}
 }
 
+// constSeed fills every X group of sharedRow three times over, with RHS
+// pairs that agree in some groups and not in others, deleting from the
+// middle as it goes: built halfway, the sets whose every rule carries an LHS
+// constant keep some of each group's tuples and drop the rest.
+func constSeed() []byte {
+	var out []byte
+	for i := 0; i < 36; i++ {
+		out = append(out, byte(i%12+12*(i%12*(i/12)%9))<<1)
+		if i%5 == 4 {
+			out = append(out, byte(i*3)<<1|1)
+		}
+	}
+	return out
+}
+
 // TestGroupIndexSharedX runs the seed sequences of FuzzGroupIndex — several
 // rules maintained on one shared grouping, checked per rule after every op —
 // so they fail under plain `go test` too, with a readable name: each as
@@ -451,7 +482,7 @@ func TestGroupIndexRejectsMixedLHS(t *testing.T) {
 }
 
 // FuzzGroupIndex turns bytes into a sequence of inserts and deletes over a
-// few rules sharing four LHS attribute sets (of zero to three attributes),
+// few rules sharing six LHS attribute sets (of zero to three attributes),
 // and after every op checks each rule's violating ids, counters, per-tuple
 // lookups, repairs and the flips the op reported against a from-scratch
 // recount. With build, the first at ops write only the relation, leaving
@@ -470,6 +501,9 @@ func FuzzGroupIndex(f *testing.F) {
 		f.Add(seed, false, uint8(0), true)
 		f.Add(seed, true, uint8(len(seed)/2), true)
 	}
+	consts := constSeed()
+	f.Add(consts, true, uint8(len(consts)/2), false)
+	f.Add(consts, true, uint8(len(consts)/2), true)
 	f.Fuzz(func(t *testing.T, data []byte, build bool, at uint8, refine bool) {
 		if len(data) > 128 {
 			data = data[:128] // every op pays a full recount

@@ -75,15 +75,15 @@ func (rt *Root) Build(ids []int32, s *BuildScratch) {
 	for _, id := range ids {
 		s.ids = append(s.ids, uint32(id))
 	}
-	s.ids2 = slices.Grow(s.ids2[:0], len(ids))[:len(ids)]
-	col := rt.rel.Column(rt.attr)
-	s.passColumn(col)
+	attrs := []int{rt.attr}
+	s.sort(rt.rel, attrs)
 	var size storeSize
 	for i := 0; i < len(s.ids); {
-		end := rt.classEnd(s.ids, i)
+		end := s.runEnd(rt.rel, attrs, i)
 		size.add(end - i)
 		i = end
 	}
+	col := rt.rel.Column(rt.attr)
 	top := 0 // the largest code, the last in sorted order
 	if len(s.ids) > 0 {
 		top = int(col[s.ids[len(s.ids)-1]])
@@ -91,22 +91,11 @@ func (rt *Root) Build(ids []int32, s *BuildScratch) {
 	rt.refs = make([]uint64, max(rt.rel.Dict(rt.attr).Size(), top+1))
 	slabs := rt.reserve(size)
 	for i := 0; i < len(s.ids); {
-		end := rt.classEnd(s.ids, i)
+		end := s.runEnd(rt.rel, attrs, i)
 		rt.refs[col[s.ids[i]]], _ = rt.place(s.ids[i:end], slabs)
 		i = end
 	}
 	rt.tuples = len(ids)
-}
-
-// classEnd returns the end of the run of equal codes on R that starts at
-// position i of the sorted ids.
-func (rt *Root) classEnd(ids []uint32, i int) int {
-	col := rt.rel.Column(rt.attr)
-	end := i + 1
-	for end < len(ids) && col[ids[end]] == col[ids[i]] {
-		end++
-	}
-	return end
 }
 
 // PlanRoots picks, for each of the given LHS sets — each given by its rules,
@@ -141,7 +130,7 @@ func PlanRoots(rel *Relation, sets [][]CFD, ids []int32) []int {
 		distinct[a] = d
 		return d
 	}
-	var s BuildScratch
+	var t ruleTable
 	held := make(map[int]int)
 	for i, rules := range sets {
 		plan[i] = -1
@@ -168,8 +157,15 @@ func PlanRoots(rel *Relation, sets [][]CFD, ids []int32) []int {
 			}
 			if everyTuple {
 				held[a] += len(ids)
-			} else {
-				held[a] += NewGroupIndex(rel, sets[i]).covers(ids, &s)
+				continue
+			}
+			// The probe of Build's filter, counted: the ids are not kept.
+			ix := NewGroupIndex(rel, sets[i])
+			t.reset(ix)
+			for _, id := range ids {
+				if t.any(ix, int(id)) {
+					held[a]++
+				}
 			}
 		}
 	}

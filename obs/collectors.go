@@ -77,7 +77,10 @@ func InstrumentEngine(r *Registry, e *violation.Engine) {
 	r.GaugeFunc("cfd_engine_wait_waiters", "WaitChange calls currently blocked (long-poll/SSE fan-out depth).", func() float64 { return float64(e.DeltaStats().Waiters) })
 	r.GaugeFuncVec("cfd_engine_index_groups", "Groups of π_X among the tuples the rules over X apply to, by size, summed over the engine's LHS sets X, whatever stores them: the set's own group map or the root it refines (one = a single tuple; run = 2 to 8; large = past 8).", "members",
 		[]string{"large", "one", "run"}, func() []float64 {
-			one, run, large := e.IndexGroups()
+			var one, run, large int
+			for _, st := range e.IndexStats() {
+				one, run, large = one+st.One, run+st.Run, large+st.Large
+			}
 			return []float64{float64(large), float64(one), float64(run)}
 		})
 	r.CounterFunc("cfd_engine_delta_evictions_total", "Delta-ring entries overwritten while the ring was full.", func() uint64 { return e.DeltaStats().Evictions })

@@ -59,7 +59,10 @@ func TestBulkLoadBytesPerTuple(t *testing.T) {
 	}
 	perTuple := float64(heap()-before) / float64(rel.Size())
 	runtime.KeepAlive(eng)
-	one, run, large := eng.IndexGroups()
+	var one, run, large int
+	for _, st := range eng.IndexStats() {
+		one, run, large = one+st.One, run+st.Run, large+st.Large
+	}
 	t.Logf("%d rules: %.0f B per tuple; groups: %d of one tuple, %d runs, %d large", set.Len(), perTuple, one, run, large)
 	if perTuple > bytesPerTupleBound {
 		t.Errorf("%.0f B of heap per tuple after the bulk load, want at most %d", perTuple, bytesPerTupleBound)
@@ -110,23 +113,39 @@ func TestIngestIndexBytesPerTuple(t *testing.T) {
 // near-key ones included, 2,855.
 const swapRebuildAllocsBound = 2041
 
-// TestSwapRebuildAllocs bounds the allocations of the index builds of a rule
-// swap (BenchmarkSwapRebuild's iteration, on one worker): a number that does
-// not drift with the machine's load the way the benchmark's time does.
+// TestSwapRebuildAllocs bounds the allocations and the bytes of the index
+// builds of a rule swap (BenchmarkSwapRebuild's iteration, on one worker):
+// numbers that do not drift with the machine's load the way the benchmark's
+// time does.
 func TestSwapRebuildAllocs(t *testing.T) {
 	eng, set, _ := churnEngine(t, violation.Options{Workers: 1})
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(3, func() {
+	swap := func() {
 		if _, err := eng.SwapRules(ctx, rules.Of()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.SwapRules(ctx, set); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("%.0f allocations per swap to the empty set and back", allocs)
+	}
+	allocs := testing.AllocsPerRun(3, swap)
+	// A reading can include a refill of a sync.Pool or a span the runtime
+	// counts whole, so the least of four is taken.
+	least := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for range 4 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		swap()
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	t.Logf("%.0f allocations and %d B per swap to the empty set and back", allocs, least)
 	if allocs > swapRebuildAllocsBound {
 		t.Errorf("%.0f allocations per swap to the empty set and back, want at most %d", allocs, swapRebuildAllocsBound)
+	}
+	if least > swapRebuildBytesBound {
+		t.Errorf("%d B allocated per swap to the empty set and back, want at most %d", least, swapRebuildBytesBound)
 	}
 }
 

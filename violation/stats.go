@@ -67,20 +67,6 @@ func (e *Engine) ruleStats() []RuleStat {
 	return out
 }
 
-// IndexGroups returns the shape of π_X summed over the engine's LHS sets
-// (core.GroupIndex.Shape): groups of one tuple, of two to eight, and of more,
-// whether the set stores them or reads them through a root. It is read under
-// the read lock, in O(LHS sets).
-func (e *Engine) IndexGroups() (one, run, large int) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, x := range e.indexes {
-		o, r, l := x.Shape()
-		one, run, large = one+o, run+r, large+l
-	}
-	return one, run, large
-}
-
 // IndexStat describes the index of one LHS set X. Tuples counts the tuples in
 // its groups, those some rule over X applies to, and One, Run and Large are
 // π_X's groups among them by size (core.GroupIndex.Shape). Root names the
