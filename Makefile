@@ -176,7 +176,7 @@ fuzz:
 # cover_<last path element>.out.
 COVER_FLOORS := \
 	cfd:92.0 \
-	violation:98.0 \
+	violation:98.2 \
 	rules:96.0 \
 	discovery/monitor:90.0 \
 	internal/core:98.5 \

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,7 +61,7 @@ func (r *Registry) register(name, help, kind string, labels []string, buckets []
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f := r.fams[name]; f != nil {
-		if f.kind != kind || !equalStrings(f.labels, labels) || !equalFloats(f.buckets, buckets) {
+		if f.kind != kind || !slices.Equal(f.labels, labels) || !slices.Equal(f.buckets, buckets) {
 			panic(fmt.Sprintf("obs: metric %s re-registered with a different type, labels or buckets", name))
 		}
 		return f
@@ -69,30 +70,6 @@ func (r *Registry) register(name, help, kind string, labels []string, buckets []
 	build(f)
 	r.fams[name] = f
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Counter registers (or returns) an unlabeled counter.

@@ -34,7 +34,7 @@ func fuzzSeedSnapshot(tb testing.TB) []byte {
 	return encodeSnapshot(tb, eng, nil)
 }
 
-// encodeSnapshot streams a snapshot of eng the way Store.compact does and
+// encodeSnapshot streams a snapshot of eng the way Store.Compact does and
 // holds the result to encoding/json's rendering of the reference snapshotFile
 // of the same state (captureSnapshot): the streamed writer may be leaner,
 // never different. seq is called once, as by a compaction.

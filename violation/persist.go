@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -574,33 +575,23 @@ func (st *Store) Load(opts Options) (*Engine, bool, error) {
 // call concurrently with reads and writes: the state and the WAL sequence it
 // covers are captured at one consistent point under the engine's read lock
 // (a copy of the live tuples' ids and codes; canonicalisation and the file
-// write, streamed through one fixed buffer, run unlocked), and recovery skips
-// folded records by sequence number, so a crash anywhere in the procedure is
-// recoverable. What a compaction holds in memory follows the live tuples, not
-// the ids ever assigned: dead slots cost it one scan of attribute 0 and bytes
-// copied into the file. A busy log keeps its tail by the byte offset captured
-// with the state: the log is read once per process, by OpenStore, and never
-// again.
-func (st *Store) Compact(e *Engine) error {
-	obs := st.obs()
-	var obsStart time.Time
-	if obs != nil {
-		obsStart = time.Now()
+// write, through a snapshotBuffer-byte bufio.Writer, run unlocked), and
+// recovery skips folded records by sequence number, so a crash anywhere in the
+// procedure is recoverable. What a compaction holds in memory follows the live
+// tuples, not the ids ever assigned. A busy log keeps its tail by the byte
+// offset captured with the state: the log is read once per process, by
+// OpenStore, and never again. The observer sees the snapshot's size (0 when
+// the failure preceded writing it) and the whole call's duration.
+func (st *Store) Compact(e *Engine) (err error) {
+	var size int
+	if obs := st.obs(); obs != nil {
+		obsStart := time.Now()
+		defer func() { obs.ObserveCompaction(size, time.Since(obsStart).Seconds(), err) }()
 	}
-	bytes, err := st.compact(e)
-	if obs != nil {
-		obs.ObserveCompaction(bytes, time.Since(obsStart).Seconds(), err)
-	}
-	return err
-}
-
-// compact is Compact's body; it returns the snapshot's size for the observer
-// (0 when the failure preceded writing it).
-func (st *Store) compact(e *Engine) (int, error) {
 	st.compactMu.Lock()
 	defer st.compactMu.Unlock()
 	if err := st.Failed(); err != nil {
-		return 0, err
+		return err
 	}
 	// Writers hold the engine write lock across their Append, so while the
 	// capture holds the engine read lock the store's seq — and the log's end
@@ -617,10 +608,10 @@ func (st *Store) compact(e *Engine) (int, error) {
 	})
 	tmp, err := st.fs.createTemp(st.dir, snapshotName+".tmp*")
 	if err != nil {
-		return 0, fmt.Errorf("violation: compacting: %w", err)
+		return fmt.Errorf("violation: compacting: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	size, err := live.stream(diskWriter{st.fs, tmp})
+	size, err = live.stream(diskWriter{st.fs, tmp})
 	if err == nil && st.sync {
 		err = st.fs.sync(tmp)
 	}
@@ -628,43 +619,43 @@ func (st *Store) compact(e *Engine) (int, error) {
 		err = closeErr
 	}
 	if err != nil {
-		return size, fmt.Errorf("violation: compacting: %w", err)
+		return fmt.Errorf("violation: compacting: %w", err)
 	}
 	if err := st.fs.rename(tmp.Name(), filepath.Join(st.dir, snapshotName)); err != nil {
-		return size, fmt.Errorf("violation: compacting: %w", err)
+		return fmt.Errorf("violation: compacting: %w", err)
 	}
 	if st.sync {
 		// Make the rename itself durable before any WAL shrinking below:
 		// otherwise a power cut could resurface the old snapshot next to an
 		// already-shortened log.
 		if err := st.fs.syncDir(st.dir); err != nil {
-			return size, fmt.Errorf("violation: compacting: %w", err)
+			return fmt.Errorf("violation: compacting: %w", err)
 		}
 	}
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.failed != nil { // a commit failed while the snapshot was being written
-		return size, st.failed
+		return st.failed
 	}
 	st.opened, st.tail, st.hasSnap = nil, nil, true
 	if st.seq == live.walSeq {
 		// Nothing landed since the capture: the whole log is folded in.
 		if err := st.fs.truncate(st.wal, 0); err != nil {
-			return size, st.failLocked(err, false)
+			return st.failLocked(err, false)
 		}
 		st.walOff = 0
 		st.pending = 0
 		if _, err := st.wal.Seek(0, io.SeekStart); err != nil {
-			return size, st.failLocked(err, false)
+			return st.failLocked(err, false)
 		}
-		return size, nil
+		return nil
 	}
 	// Appends landed while the snapshot was being written: rewrite the log
 	// down to the unfolded tail so it cannot grow without bound under
 	// sustained traffic. On any error the full log is kept — folded records
 	// are harmless, recovery skips them by sequence number.
-	return size, st.rewriteTailLocked(off, backlog)
+	return st.rewriteTailLocked(off, backlog)
 }
 
 // rewriteTailLocked replaces the WAL with its bytes from off on — the records
@@ -751,13 +742,14 @@ func (st *Store) Close() error {
 // liveState is what a compaction writes, as captureLive copies it out of the
 // engine: the live tuples only — their ids and, per attribute, their codes
 // under the engine's dictionaries — so its size follows the tuples, not every
-// id ever assigned. stream canonicalises and writes it as a format 2 snapshot.
+// id ever assigned. stream canonicalises it and writes it as a format 2
+// snapshot through a bufio.Writer, dictionaries, ids and codes read in place.
 type liveState struct {
 	walSeq     uint64
 	attributes []string
 	ruleSet    *rules.Set
 	nextID     int
-	// ids are the live ids, ascending; int32, as every column's code is.
+	// ids are the live ids, ascending, as Engine.liveIDs lists them.
 	ids []int32
 	// dicts are the engine's dictionaries, in code order. They only ever
 	// append, so the captured slices stay valid and unchanged, unlocked.
@@ -768,28 +760,20 @@ type liveState struct {
 }
 
 // captureLive captures the engine state — and, through seq, the WAL sequence
-// it corresponds to — at one consistent point under the read lock: one scan
-// of attribute 0 for the live ids, then each attribute's codes of those ids
-// and the dictionaries' slice headers. A nil seq records sequence 0.
+// it corresponds to — at one consistent point under the read lock: the live
+// ids (Engine.liveIDs), then each attribute's codes of those ids and the
+// dictionaries' slice headers. A nil seq records sequence 0.
 func (e *Engine) captureLive(seq func() uint64) *liveState {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	live := &liveState{attributes: e.schema.Names(), ruleSet: e.set, nextID: e.rel.Size()}
+	live := &liveState{attributes: e.schema.Names(), ruleSet: e.set, nextID: e.rel.Size(), ids: e.liveIDs()}
 	live.dicts, live.codes = e.rel.Raw()
-	if len(live.codes) > 0 {
-		live.ids = make([]int32, 0, e.rel.Count())
-		for id, code := range live.codes[0][:live.nextID] {
-			if code != core.Absent {
-				live.ids = append(live.ids, int32(id))
-			}
+	for a, col := range live.codes {
+		codes := make([]int32, len(live.ids))
+		for i, id := range live.ids {
+			codes[i] = col[id]
 		}
-		for a, col := range live.codes {
-			codes := make([]int32, len(live.ids))
-			for i, id := range live.ids {
-				codes[i] = col[id]
-			}
-			live.codes[a] = codes
-		}
+		live.codes[a] = codes
 	}
 	if seq != nil {
 		live.walSeq = seq()
@@ -797,173 +781,134 @@ func (e *Engine) captureLive(seq func() uint64) *liveState {
 	return live
 }
 
-// snapshotBuffer is the size of the one buffer a snapshot is written through.
+// snapshotBuffer is the size of the bufio.Writer a snapshot is written
+// through: no write reaches the file larger than it unless one escaped value
+// alone is.
 const snapshotBuffer = 64 << 10
 
 // holeRun is a run of dead slots as a column writes them after its first
 // slot; a longer run is written from it in pieces.
 var holeRun = strings.Repeat(",-1", 1024)
 
-// stream writes the snapshot document and a newline to out, through one
-// fixed buffer, and returns the document's size. The bytes are json.Marshal's
-// of the snapshotFile whose dictionaries hold each attribute's values in
-// first-use order over an ascending-id scan of the live tuples and whose
-// columns hold those codes, -1 in every dead slot: so dictionary entries no
-// live tuple carries are dropped, and re-encoding a restored snapshot
-// reproduces it byte for byte, whatever the engine's code assignment. The
-// dictionary pass recodes live.codes in place, through one code→code table
-// sized to the engine's dictionary, and writes each value at its first use;
-// the column pass writes the recoded codes and copies hole runs from holeRun.
-// The rule set goes through its own MarshalJSON.
+// stream writes the snapshot document and a newline to out, through a
+// snapshotBuffer-byte bufio.Writer, and returns the document's size. The
+// bytes are json.Marshal's of the snapshotFile whose dictionaries hold each
+// attribute's values in first-use order over an ascending-id scan of the live
+// tuples and whose columns hold those codes, -1 in every dead slot: so
+// dictionary entries no live tuple carries are dropped, and re-encoding a
+// restored snapshot reproduces it byte for byte, whatever the engine's code
+// assignment. The dictionary pass recodes live.codes in place, through one
+// code→code table sized to the engine's dictionary, and writes each value at
+// its first use; the column pass writes the recoded codes and copies hole runs
+// from holeRun. Numbers and strings are appended in place to the writer's
+// free buffer. The rule set goes through its own MarshalJSON and is written in
+// pieces of at most snapshotBuffer, so bufio never passes it to out whole.
 func (live *liveState) stream(out io.Writer) (int, error) {
 	ruleset, err := json.Marshal(live.ruleSet)
 	if err != nil {
 		return 0, err
 	}
-	s := &snapshotStream{out: out, fixed: make([]byte, 0, snapshotBuffer)}
-	s.w = jsonw.Compact(s.fixed)
-	s.lit(`{"format":`)
-	s.int(currentFormat)
-	s.lit(`,"wal_seq":`)
-	s.room(20)
-	s.w.Uint(live.walSeq)
-	s.lit(`,"attributes":[`)
+	count := &countingWriter{w: out}
+	// w keeps its first write error and returns it from Flush, so the writes
+	// below go unchecked.
+	w := bufio.NewWriterSize(count, snapshotBuffer)
+	str := func(v string) {
+		s := jsonw.Compact(w.AvailableBuffer())
+		s.String(v)
+		w.Write(s.Buf)
+	}
+	holes := func(from, to int) {
+		if from == 0 && to > 0 {
+			w.WriteString("-1")
+			from++
+		}
+		for from < to {
+			n := min(to-from, len(holeRun)/3)
+			w.WriteString(holeRun[:3*n])
+			from += n
+		}
+	}
+	w.WriteString(`{"format":`)
+	w.Write(strconv.AppendInt(w.AvailableBuffer(), currentFormat, 10))
+	w.WriteString(`,"wal_seq":`)
+	w.Write(strconv.AppendUint(w.AvailableBuffer(), live.walSeq, 10))
+	w.WriteString(`,"attributes":[`)
 	for a, name := range live.attributes {
 		if a > 0 {
-			s.lit(",")
+			w.WriteByte(',')
 		}
-		s.str(name)
+		str(name)
 	}
-	s.lit(`],"ruleset":`)
-	s.raw(ruleset)
-	s.lit(`,"next_id":`)
-	s.int(live.nextID)
-	if len(live.codes) > 0 {
-		s.lit(`,"dicts":[`)
-		var trans []int32 // engine code → snapshot code, core.Absent until first use
-		for a, dict := range live.dicts {
-			if a > 0 {
-				s.lit(",")
-			}
-			s.lit("[")
-			trans = slices.Grow(trans[:0], len(dict))[:len(dict)]
-			for c := range trans {
-				trans[c] = core.Absent
-			}
-			next := int32(0)
-			codes := live.codes[a]
-			for i, c := range codes {
-				if trans[c] == core.Absent {
-					if next > 0 {
-						s.lit(",")
-					}
-					s.str(dict[c])
-					trans[c] = next
-					next++
+	w.WriteString(`],"ruleset":`)
+	for len(ruleset) > 0 {
+		n := min(len(ruleset), snapshotBuffer)
+		w.Write(ruleset[:n])
+		ruleset = ruleset[n:]
+	}
+	w.WriteString(`,"next_id":`)
+	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(live.nextID), 10))
+	w.WriteString(`,"dicts":[`)
+	var trans []int32 // engine code → snapshot code, core.Absent until first use
+	for a, dict := range live.dicts {
+		if a > 0 {
+			w.WriteByte(',')
+		}
+		w.WriteByte('[')
+		trans = slices.Grow(trans[:0], len(dict))[:len(dict)]
+		for c := range trans {
+			trans[c] = core.Absent
+		}
+		next := int32(0)
+		codes := live.codes[a]
+		for i, c := range codes {
+			if trans[c] == core.Absent {
+				if next > 0 {
+					w.WriteByte(',')
 				}
-				codes[i] = trans[c]
+				str(dict[c])
+				trans[c] = next
+				next++
 			}
-			s.lit("]")
+			codes[i] = trans[c]
 		}
-		s.lit(`],"columns":[`)
-		for a, codes := range live.codes {
-			if a > 0 {
-				s.lit(",")
-			}
-			s.lit("[")
-			slot := 0 // the next id slot to write
-			for i, id := range live.ids {
-				s.holes(slot, int(id))
-				if id > 0 {
-					s.lit(",")
-				}
-				s.int(int(codes[i]))
-				slot = int(id) + 1
-			}
-			s.holes(slot, live.nextID)
-			s.lit("]")
-			if s.err != nil {
-				return s.size, s.err
-			}
+		w.WriteByte(']')
+	}
+	w.WriteString(`],"columns":[`)
+	for a, codes := range live.codes {
+		if a > 0 {
+			w.WriteByte(',')
 		}
-		s.lit("]")
+		w.WriteByte('[')
+		slot := 0 // the next id slot to write
+		for i, id := range live.ids {
+			holes(slot, int(id))
+			b := w.AvailableBuffer()
+			if id > 0 {
+				b = append(b, ',')
+			}
+			w.Write(strconv.AppendInt(b, int64(codes[i]), 10))
+			slot = int(id) + 1
+		}
+		holes(slot, live.nextID)
+		w.WriteByte(']')
 	}
-	s.lit("}\n")
-	s.flush()
-	return s.size - 1, s.err
-}
-
-// snapshotStream is stream's output: a writer appending into the fixed
-// buffer, which goes out whenever the next piece would not fit. The first
-// write error stops all further output and is kept.
-type snapshotStream struct {
-	w     jsonw.Writer
-	fixed []byte
-	out   io.Writer
-	size  int // bytes written to out
-	err   error
-}
-
-// room makes room for n more bytes in the buffer, writing it out first if
-// they would not fit. A piece longer than the whole buffer is appended past
-// its capacity and the next flush returns to the fixed buffer.
-func (s *snapshotStream) room(n int) {
-	if len(s.w.Buf)+n > cap(s.fixed) {
-		s.flush()
+	w.WriteString("]}\n")
+	if err := w.Flush(); err != nil {
+		return count.n, err
 	}
+	return count.n - 1, nil
 }
 
-// flush writes out the buffered bytes.
-func (s *snapshotStream) flush() {
-	if s.err == nil && len(s.w.Buf) > 0 {
-		var n int
-		n, s.err = s.out.Write(s.w.Buf)
-		s.size += n
-	}
-	s.w.Buf = s.fixed[:0]
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int
 }
 
-// lit writes literal bytes that need no escaping.
-func (s *snapshotStream) lit(v string) {
-	s.room(len(v))
-	s.w.Buf = append(s.w.Buf, v...)
-}
-
-// int writes a number.
-func (s *snapshotStream) int(v int) {
-	s.room(20)
-	s.w.Int(int64(v))
-}
-
-// str writes v as a string literal: at most six bytes per byte of v, and the
-// quotes.
-func (s *snapshotStream) str(v string) {
-	s.room(6*len(v) + 2)
-	s.w.String(v)
-}
-
-// raw writes an encoded value, in pieces when it is longer than the room
-// left.
-func (s *snapshotStream) raw(v []byte) {
-	for len(v) > 0 {
-		s.room(1)
-		n := min(len(v), cap(s.fixed)-len(s.w.Buf))
-		s.w.Buf = append(s.w.Buf, v[:n]...)
-		v = v[n:]
-	}
-}
-
-// holes writes the dead slots from up to, not including, to of a column.
-func (s *snapshotStream) holes(from, to int) {
-	if from == 0 && to > 0 {
-		s.lit("-1")
-		from++
-	}
-	for from < to {
-		n := min(to-from, len(holeRun)/3)
-		s.lit(holeRun[:3*n])
-		from += n
-	}
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += n
+	return n, err
 }
 
 // restoreSnapshot loads a validated snapshot (see decodeSnapshotFile) into an

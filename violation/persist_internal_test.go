@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,6 +18,7 @@ import (
 	"testing"
 
 	"repro/cfd"
+	"repro/dataset"
 	"repro/rules"
 )
 
@@ -523,7 +525,8 @@ func (w *chunkWriter) Write(p []byte) (int, error) {
 // values that need escaping, values and columns that cross the buffer's
 // boundary, values longer than the whole buffer, and the all-deleted engine.
 // The document reaches its writer in pieces no larger than the buffer unless
-// one value alone cannot fit, and it stays plain for the one-pass reader.
+// one escaped value alone is larger — a rule set longer than the buffer goes
+// in pieces too — and it stays plain for the one-pass reader.
 func TestSnapshotStreamMatchesMarshal(t *testing.T) {
 	set := rules.Of(cfd.NewFD([]string{"A"}, "B"), cfd.CFD{LHS: []string{"A"}, RHS: "C", LHSPattern: []string{"only in a rule"}, RHSPattern: hardValues[3]})
 	// Escaped, long is about three and a half buffers; its prefixes end
@@ -632,6 +635,45 @@ func TestSnapshotStreamMatchesMarshal(t *testing.T) {
 	}
 	if data := encodeSnapshot(t, eng, nil); len(data) <= snapshotBuffer {
 		t.Fatalf("a %d-byte snapshot does not cross the buffer", len(data))
+	}
+	var w chunkWriter
+	if _, err := eng.captureLive(nil).stream(&w); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Max(w.writes) > snapshotBuffer {
+		t.Fatalf("a rule set of %d rules went out in writes of %v bytes through a %d-byte buffer", len(many), w.writes, snapshotBuffer)
+	}
+}
+
+// BenchmarkCompactionStream times what a compaction does besides its file
+// calls — the capture under the read lock and the stream — on a 40,000-row
+// Tax engine (arity 7) with every third id deleted, so the columns carry hole
+// runs and the dictionaries entries no live tuple uses.
+func BenchmarkCompactionStream(b *testing.B) {
+	tax, err := dataset.Tax(dataset.TaxConfig{Size: 40000, Arity: 7, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	attrs := tax.Attributes()
+	eng, err := New(attrs, rules.Of(cfd.NewFD(attrs[:1], attrs[1])), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.BulkLoad(tax); err != nil {
+		b.Fatal(err)
+	}
+	var dead []Op
+	for id := 0; id < tax.Size(); id += 3 {
+		dead = append(dead, Op{Kind: OpDelete, ID: id})
+	}
+	if _, err := eng.ApplyBatch(dead); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := eng.captureLive(nil).stream(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
