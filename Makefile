@@ -22,7 +22,8 @@ test:
 # index builds of a swap or a bulk load at two workers, which share the
 # relation and the live ids and each own their worker's scratch — roots and
 # the refinements reading through them are built by different pool tasks, and
-# a swap keeps its roots while readers walk them — and between a
+# a swap keeps its roots while readers walk them, and every swap builds every
+# index of its new rules through the pool at workers 1 and 3 — and between a
 # compaction, which streams its copy of the live rows and reads the engine's
 # dictionaries unlocked, and the writers appending to them; the closed-set
 # search's root
@@ -45,7 +46,7 @@ test:
 # listed package has, so a renamed test cannot silently drop out.
 race:
 	$(GO) test -race ./...
-	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestReadersRaceBulkLoad|TestSwapRulesConcurrentReaders|TestApplyBatchMatchesPerOp|TestBatchReadsMembersAsOfItsOps|TestShardedBulkLoadAgrees|TestBuildMatchesInsert|TestSwapKeepsRoots|TestStoreCompactUnderWrites|TestCompactRacingAppendsKeepsTailBytes|TestSnapshotStreamMatchesMarshal' ./violation
+	./scripts/race_repeat.sh 'TestConcurrentReadersAndWriters|TestReadersRaceBulkLoad|TestSwapRulesConcurrentReaders|TestApplyBatchMatchesPerOp|TestBatchReadsMembersAsOfItsOps|TestShardedBulkLoadAgrees|TestBuildMatchesInsert|TestSwapKeepsRoots|TestSwapRulesMatchesRebuild|TestStoreCompactUnderWrites|TestCompactRacingAppendsKeepsTailBytes|TestSnapshotStreamMatchesMarshal' ./violation
 	./scripts/race_repeat.sh 'TestMineClosedWorkersIdentical|TestMineClosedCancelledMidSearch|TestMineContextCancelledMidPrelude|TestMineParallelMatchesSequential' ./internal/itemset ./internal/fastcfd
 	./scripts/race_repeat.sh 'TestMineContextWorkersDeterministic|TestMineContextWorkersDeterministicMaxLHS|TestDiscoverWorkersIdentical|TestLatticeLinks|TestHeldTidsPerJoin|TestFDLatticeLevels|TestLatticeStepsObserveCancellation|TestAdvanceCancelledInsideJoin|TestMineAllocationsPerElement' ./internal/ctane
 	./scripts/race_repeat.sh 'TestFullReadsMatchThePlainEncoder|TestRulesStatsMatchTheirSet' ./cmd/cfdserve

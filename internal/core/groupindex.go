@@ -291,9 +291,6 @@ func (ix *GroupIndex) Root() *Root { return ix.root }
 // LHS returns the attribute set the index groups on.
 func (ix *GroupIndex) LHS() AttrSet { return ix.rules[0].c.LHS }
 
-// CFD returns rule r.
-func (ix *GroupIndex) CFD(r int) CFD { return ix.rules[r].c }
-
 // Tuples returns the number of tuples rule r applies to — the rows matching
 // its LHS pattern constants, i.e. the rule's live support — in O(1).
 func (ix *GroupIndex) Tuples(r int) int { return ix.rules[r].tuples }

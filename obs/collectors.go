@@ -17,7 +17,6 @@ type engineCollector struct {
 	swapBuild    *Histogram
 	rulesAdded   *Counter
 	rulesRemoved *Counter
-	swapIndexes  *CounterVec   // outcome
 	snapshots    *CounterVec   // mode
 	snapshotDur  *HistogramVec // mode
 }
@@ -28,14 +27,12 @@ func (c *engineCollector) ObserveCommit(kind string, ops int, seconds float64) {
 	c.batchSize.Observe(float64(ops))
 }
 
-func (c *engineCollector) ObserveSwap(added, removed, retained, reused, rebuilt int, build, seconds float64) {
+func (c *engineCollector) ObserveSwap(added, removed, retained int, build, seconds float64) {
 	c.swaps.Inc()
 	c.swapDur.Observe(seconds)
 	c.swapBuild.Observe(build)
 	c.rulesAdded.Add(uint64(added))
 	c.rulesRemoved.Add(uint64(removed))
-	c.swapIndexes.With("reused").Add(uint64(reused))
-	c.swapIndexes.With("rebuilt").Add(uint64(rebuilt))
 }
 
 func (c *engineCollector) ObserveSnapshot(patched bool, seconds float64) {
@@ -61,10 +58,9 @@ func InstrumentEngine(r *Registry, e *violation.Engine) {
 		batchSize:    r.Histogram("cfd_engine_batch_size_ops", "Tuple ops carried per committed mutation.", SizeBuckets),
 		swaps:        r.Counter("cfd_engine_rule_swaps_total", "Committed SwapRules calls."),
 		swapDur:      r.Histogram("cfd_engine_swap_duration_seconds", "Wall-clock duration of committed rule swaps.", DefBuckets),
-		swapBuild:    r.Histogram("cfd_engine_swap_build_seconds", "Wall-clock time committed rule swaps spent building their rebuilt LHS indexes over the live tuples (part of cfd_engine_swap_duration_seconds).", DefBuckets),
+		swapBuild:    r.Histogram("cfd_engine_swap_build_seconds", "Wall-clock time committed rule swaps spent laying out and building every LHS index of the new rules, and each root they newly refine, over the live tuples (part of cfd_engine_swap_duration_seconds).", DefBuckets),
 		rulesAdded:   r.Counter("cfd_engine_rules_added_total", "Rules added across all committed swaps."),
 		rulesRemoved: r.Counter("cfd_engine_rules_removed_total", "Rules removed across all committed swaps."),
-		swapIndexes:  r.CounterVec("cfd_engine_swap_indexes_total", "LHS indexes of committed swaps by outcome (reused = kept as it was; rebuilt = built over the live tuples).", "outcome"),
 		snapshots:    r.CounterVec("cfd_engine_snapshots_total", "Snapshot refreshes by mode (patch = a read's incremental delta patch; rebuild = a full build, by a bulk load or restore, or by a read whose last report has left the delta ring).", "mode"),
 		snapshotDur:  r.HistogramVec("cfd_engine_snapshot_duration_seconds", "Wall-clock duration of snapshot refreshes by mode.", DefBuckets, "mode"),
 	}

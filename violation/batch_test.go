@@ -330,8 +330,8 @@ func (l *eventLog) ObserveCommit(kind string, ops int, _ float64) {
 
 // ObserveSwap records the swap's shape; a build time outside [0, the swap's
 // duration] is appended to the event, so that no expected event matches it.
-func (l *eventLog) ObserveSwap(added, removed, retained, reused, rebuilt int, build, seconds float64) {
-	ev := fmt.Sprintf("swap %d %d %d indexes reused=%d rebuilt=%d", added, removed, retained, reused, rebuilt)
+func (l *eventLog) ObserveSwap(added, removed, retained int, build, seconds float64) {
+	ev := fmt.Sprintf("swap %d %d %d", added, removed, retained)
 	if build < 0 || build > seconds {
 		ev += fmt.Sprintf(" build %vs of a %vs swap", build, seconds)
 	}
@@ -365,8 +365,7 @@ func TestEngineObserverEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Report()
-	// Dropping the last two rules keeps the indexes of the {AC} and
-	// {CC, ZIP} rules, rebuilds the {CC} one and drops the empty LHS's.
+	// Dropping the last two rules keeps four of six.
 	if _, err := eng.SwapRules(context.Background(), rules.Of(fx.rules[:4]...)); err != nil {
 		t.Fatal(err)
 	}
@@ -387,8 +386,8 @@ func TestEngineObserverEvents(t *testing.T) {
 		"commit insert 1",
 		"commit batch 2",
 		"snapshot patched=true",
-		"swap 0 2 4 indexes reused=2 rebuilt=1",
-		"swap 0 4 0 indexes reused=0 rebuilt=0",
+		"swap 0 2 4",
+		"swap 0 4 0",
 		"snapshot patched=true",
 	}
 	if !reflect.DeepEqual(rec.events, want) {

@@ -23,11 +23,10 @@ type EngineObserver interface {
 	// (validation, WAL append and index maintenance included).
 	ObserveCommit(kind string, ops int, seconds float64)
 	// ObserveSwap reports one committed SwapRules: the rule-delta shape, the
-	// number of LHS indexes the swap kept as they were (reused) and built
-	// over the live tuples (rebuilt), the wall-clock seconds those builds
-	// took (build), and the swap's wall-clock duration (seconds, the builds
-	// included).
-	ObserveSwap(added, removed, retained, reused, rebuilt int, build, seconds float64)
+	// wall-clock seconds the swap spent laying out and building the new
+	// rules' indexes and fresh roots over the live tuples (build), and the
+	// swap's wall-clock duration (seconds, the build included).
+	ObserveSwap(added, removed, retained int, build, seconds float64)
 	// ObserveSnapshot reports one snapshot refresh: patched is true for a
 	// read's O(changes) delta patch, false for a full build — the one a bulk
 	// change (BulkLoad, restore) publishes, or the one a read makes when its

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/cfd"
-	"repro/internal/core"
 	"repro/rules"
 )
 
@@ -27,22 +26,21 @@ func (e *Engine) SwapRules(ctx context.Context, set *rules.Set) (rules.Delta, er
 // while the served RulesVersion is one of them, evaluated under the same
 // write lock that applies the swap — of any number of concurrent swaps
 // expecting one version, exactly one wins and the rest get ErrRulesVersion. The
-// tuples are untouched. Under the write lock, the swap picks the roots the
-// new rules' LHS sets refine from the live tuples (core.PlanRoots), keeping
-// every root the engine already holds on a picked attribute; the index of
-// every LHS attribute set whose rules and root are the same before and after
-// is reused as it is, the index of every other LHS set of the new rules and
-// every new root is built over the live tuples — one repro/internal/pool
-// task each — and indexes and roots no new rule needs are dropped; the
+// tuples are untouched. Under the write lock, the swap lays out the new
+// rules' indexes the way New and a load do (one per LHS attribute set,
+// refining the roots core.PlanRoots picks from the live tuples), keeping every
+// root the engine already holds on a picked attribute; every index and every
+// new root is built over the live tuples — one repro/internal/pool task each
+// — and the old indexes and the roots no new rule needs are dropped; the
 // snapshot epoch is bumped, so a reader either sees the complete old state or
 // the complete new one, never a half-swapped set.
 //
 // With a write-ahead log attached the swap is journaled (CommitLog.AppendRules)
 // before it is applied; a failing append rejects the swap with ErrWAL and
 // leaves the engine unchanged. A cancelled ctx aborts the index build and
-// likewise leaves the engine unchanged. That holds although indexes are shared
-// between rules: an index is only ever reused untouched or rebuilt off to the
-// side, so nothing the live engine can reach changes before the commit.
+// likewise leaves the engine unchanged: every index is built off to the side
+// and a kept root is only read, so nothing the live engine can reach changes
+// before the commit.
 func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []string) (rules.Delta, error) {
 	if set == nil {
 		set = rules.Of()
@@ -64,22 +62,7 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	if err != nil {
 		return rules.Delta{}, err
 	}
-	current := make(map[core.AttrSet]*lhsIndex, len(e.indexes))
-	for _, x := range e.indexes {
-		current[x.LHS()] = x
-	}
-	ids := e.liveIDs()
-	sets := groupByLHS(encoded)
-	newIndexes, roots, freshRoots := e.layout(encoded, sets, ids, e.roots)
-	var fresh []*lhsIndex
-	for i, x := range newIndexes {
-		if old := reuseIndex(current[x.LHS()], encoded, sets[i]); old != nil && old.Root() == x.Root() {
-			newIndexes[i] = old
-		} else {
-			fresh = append(fresh, x)
-		}
-	}
-	// Build the fresh roots and indexes over the live rows before anything is
+	// Build the new indexes and roots over the live rows before anything is
 	// committed: they are private until the final assignment, so an error (or
 	// a cancelled context) discards them with no state change. A kept root is
 	// current already: it depends on no rule.
@@ -87,7 +70,8 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	if obs != nil {
 		buildStart = time.Now()
 	}
-	if err := e.indexLive(ctx, ids, freshRoots, fresh); err != nil {
+	newIndexes, roots, err := e.indexRules(ctx, encoded, e.liveIDs(), e.roots)
+	if err != nil {
 		return rules.Delta{}, err
 	}
 	var build float64
@@ -101,9 +85,9 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 		}
 	}
 	// The swap's violation delta: a retained rule keeps its violating set (its
-	// index above is reused or rebuilt to identical state), so only removed
-	// rules remove violations and only added ones — whose fresh indexes are
-	// fully built by now — add them.
+	// index above is rebuilt to identical state), so only removed rules remove
+	// violations and only added ones — whose indexes are fully built by now —
+	// add them.
 	var added, removed []Violation
 	for i, tuples := range e.violating(e.indexes, len(e.rules), positions(e.rules, delta.Removed)) {
 		if len(tuples) > 0 {
@@ -124,11 +108,12 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	e.recordDelta(added, removed, swapped)
 	e.set = set
 	e.rules = newRules
+	e.encoded = encoded
 	e.indexes = newIndexes
 	e.roots = roots
 	e.bumpLocked()
 	if obs != nil {
-		obs.ObserveSwap(len(delta.Added), len(delta.Removed), len(delta.Retained), len(newIndexes)-len(fresh), len(fresh), build, time.Since(obsStart).Seconds())
+		obs.ObserveSwap(len(delta.Added), len(delta.Removed), len(delta.Retained), build, time.Since(obsStart).Seconds())
 	}
 	return delta, nil
 }
@@ -143,30 +128,4 @@ func positions(rs, sub []cfd.CFD) []bool {
 		}
 	}
 	return want
-}
-
-// reuseIndex places the rules at positions at of encoded on the existing
-// index x when x maintains exactly those rules, whatever their order: the
-// result shares x's GroupIndex — untouched — under the new placement. It
-// returns nil when x is nil or its rules differ, in which case the LHS set
-// needs a fresh index: tuples none of its own rules applies to are not stored
-// at all, and a large group counts values only on the RHS attributes those
-// rules name.
-func reuseIndex(x *lhsIndex, encoded []core.CFD, at []int) *lhsIndex {
-	if x == nil || len(x.at) != len(at) {
-		return nil
-	}
-	byKey := make(map[string]int, len(at))
-	for _, i := range at {
-		byKey[encoded[i].Key()] = i
-	}
-	placed := make([]int, len(at))
-	for r := range placed {
-		i, ok := byKey[x.CFD(r).Key()]
-		if !ok {
-			return nil
-		}
-		placed[r] = i
-	}
-	return &lhsIndex{x.GroupIndex, placed}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -48,10 +49,13 @@ func swapEquivalent(t *testing.T, eng *violation.Engine, set *rules.Set) *violat
 
 // TestSwapRulesMatchesRebuild is the defining check: swapping to a new set
 // must land the engine in exactly the state of an engine built from scratch
-// over the same tuples and the new rules — retained indexes reused or not.
+// over the same tuples and the new rules. The reversed target keeps each LHS
+// set's whole rule list while moving every rule.
 func TestSwapRulesMatchesRebuild(t *testing.T) {
 	fx := fixtures(t)[0]
 	full := fx.rules
+	reversed := slices.Clone(full)
+	slices.Reverse(reversed)
 	targets := []struct {
 		name string
 		set  *rules.Set
@@ -66,6 +70,7 @@ func TestSwapRulesMatchesRebuild(t *testing.T) {
 		}, full[1], full[0])...)},
 		{"empty", rules.Of()},
 		{"identical", rules.Of(full...)},
+		{"reversed", rules.Of(reversed...)},
 	}
 	for _, tc := range targets {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,10 +16,9 @@
 // and the write-ahead-log append over many tuples, with an atomic ApplyBatch
 // — as tuples arrive and change.
 // The rule set itself is live too: SwapRules atomically replaces it while
-// reads and writes proceed, reusing the index of every LHS set whose rules
-// did not change and building the others off to the side, so freshly
-// re-discovered rules can be hot-swapped into a long-running server without a
-// restart.
+// reads and writes proceed, building the index of every LHS set of the new
+// rules off to the side, so freshly re-discovered rules can be hot-swapped
+// into a long-running server without a restart.
 // The current violation state is read back as a Report (the same shape
 // repro/cleaning returns), a per-tuple lookup, or the repair view — Suspects
 // and Repairs, the likely culprits of each violating group and their
@@ -195,6 +194,9 @@ type Engine struct {
 	rel   *core.Relation
 	set   *rules.Set
 	rules []cfd.CFD
+	// encoded holds rules compiled against rel's dictionaries, in the same
+	// order: what a load or a restore lays its indexes out from.
+	encoded []core.CFD
 	// indexes holds one shared group index per distinct LHS attribute set
 	// among the rules, in order of first appearance; between them they place
 	// every rule exactly once. roots holds the partitions the refining ones
@@ -258,75 +260,77 @@ func New(attributes []string, set *rules.Set, opts Options) (*Engine, error) {
 		watch:     make(chan struct{}),
 	}
 	e.rules = append([]cfd.CFD(nil), set.CFDs()...)
-	encoded, err := e.compileRules(e.rules)
-	if err != nil {
+	if e.encoded, err = e.compileRules(e.rules); err != nil {
 		return nil, err
 	}
-	for _, at := range groupByLHS(encoded) {
-		e.indexes = append(e.indexes, newLHSIndex(e.rel, nil, encoded, at))
-	}
+	// No tuple is live yet, so every index keeps its own, empty groups.
+	e.indexes, e.roots, _ = e.indexRules(context.Background(), e.encoded, nil, nil)
 	return e, nil
 }
 
 // lhsIndex is the group index of one LHS attribute set together with where its
-// rules sit in the engine's rule table. It is immutable once built (the
-// GroupIndex inside is what mutations maintain), so a rule swap that keeps an
-// LHS set's rules shares the GroupIndex under a fresh placement.
+// rules sit in the engine's rule table. The placement is fixed when the index
+// is laid out (indexRules); the GroupIndex inside is what mutations maintain.
 type lhsIndex struct {
 	*core.GroupIndex
 	at []int // position in Engine.rules of each of the index's rules
 }
 
-// newLHSIndex returns an empty index over rel for the rules at the given
-// positions of encoded, which share their LHS attribute set: a refinement of
-// root when root is non-nil, an index with groups of its own otherwise.
-func newLHSIndex(rel *core.Relation, root *core.Root, encoded []core.CFD, at []int) *lhsIndex {
-	own := ruleList(encoded, at)
-	if root != nil {
-		return &lhsIndex{core.NewRefinement(root, own), at}
-	}
-	return &lhsIndex{core.NewGroupIndex(rel, own), at}
-}
-
-// ruleList returns the rules at the given positions of encoded.
-func ruleList(encoded []core.CFD, at []int) []core.CFD {
-	own := make([]core.CFD, len(at))
-	for r, i := range at {
-		own[r] = encoded[i]
-	}
-	return own
-}
-
-// layout is the index layout of a build point: an empty index for each LHS
-// set of encoded (groupByLHS's sets, in order), refining the roots
-// core.PlanRoots picks over the live ids. A root the engine already holds on
-// the same attribute is kept, built; the others are returned in fresh, empty.
-func (e *Engine) layout(encoded []core.CFD, sets [][]int, ids []int32, held []*core.Root) (indexes []*lhsIndex, roots, fresh []*core.Root) {
+// indexRules lays out the indexes of the compiled rules encoded and builds
+// them over the live tuples ids lists; New, a load and a rule swap all go
+// through it. There is one index per LHS set (groupByLHS's sets, in order): a
+// core.NewRefinement of the root core.PlanRoots picks for it, or a
+// core.NewGroupIndex with groups of its own. A root of held on a picked
+// attribute is kept as it is, built; every other picked root and every index
+// is built over ids, one repro/internal/pool task each (core.Root.Build,
+// core.GroupIndex.Build). A refinement's build counts its groups from the
+// relation, so it does not wait for its root's. Each worker reuses one build
+// scratch across its tasks. What it returns is private until the caller
+// installs it; callers hold the write lock, or own an engine nothing else
+// reaches yet.
+func (e *Engine) indexRules(ctx context.Context, encoded []core.CFD, ids []int32, held []*core.Root) ([]*lhsIndex, []*core.Root, error) {
+	sets := groupByLHS(encoded)
 	lists := make([][]core.CFD, len(sets))
 	for i, at := range sets {
-		lists[i] = ruleList(encoded, at)
+		lists[i] = make([]core.CFD, len(at))
+		for r, p := range at {
+			lists[i][r] = encoded[p]
+		}
 	}
+	indexes := make([]*lhsIndex, len(sets))
+	var roots, fresh []*core.Root
 	byAttr := make(map[int]*core.Root)
 	for i, a := range core.PlanRoots(e.rel, lists, ids) {
-		var root *core.Root
-		if a >= 0 {
-			if root = byAttr[a]; root == nil {
-				for _, old := range held {
-					if old.Attr() == a {
-						root = old
-					}
-				}
-				if root == nil {
-					root = core.NewRoot(e.rel, a)
-					fresh = append(fresh, root)
-				}
-				byAttr[a] = root
-				roots = append(roots, root)
-			}
+		if a < 0 {
+			indexes[i] = &lhsIndex{core.NewGroupIndex(e.rel, lists[i]), sets[i]}
+			continue
 		}
-		indexes = append(indexes, newLHSIndex(e.rel, root, encoded, sets[i]))
+		root := byAttr[a]
+		if root == nil {
+			for _, old := range held {
+				if old.Attr() == a {
+					root = old
+				}
+			}
+			if root == nil {
+				root = core.NewRoot(e.rel, a)
+				fresh = append(fresh, root)
+			}
+			byAttr[a] = root
+			roots = append(roots, root)
+		}
+		indexes[i] = &lhsIndex{core.NewRefinement(root, lists[i]), sets[i]}
 	}
-	return indexes, roots, fresh
+	tasks := len(fresh) + len(indexes)
+	scratch := make([]core.BuildScratch, min(pool.Normalize(e.workers), tasks))
+	err := pool.Each(ctx, e.workers, tasks, func(w, i int) {
+		if i < len(fresh) {
+			fresh[i].Build(ids, &scratch[w])
+			return
+		}
+		indexes[i-len(fresh)].Build(ids, &scratch[w])
+	})
+	return indexes, roots, err
 }
 
 // groupByLHS partitions rule positions by LHS attribute set, sets in order of
@@ -495,25 +499,14 @@ func (e *Engine) BulkLoad(rel *cfd.Relation) error {
 
 // loadLocked appends rows given in raw form (core.Relation.Raw) at the end of
 // the engine's relation — holes stay holes, so row i gets id NextID()+i — and
-// picks the roots afresh and rebuilds them and the index of every LHS set
-// over all the live tuples, the loaded ones and any the engine held before.
-// Recoding interns into the shared
-// dictionaries, so it runs sequentially; the index build carries the real
-// cost and fans out. Callers hold the write lock.
+// lays out and builds the roots and indexes afresh (indexRules) over all the
+// live tuples, the loaded ones and any the engine held before. Recoding
+// interns into the shared dictionaries, so it runs sequentially; the index
+// build carries the real cost and fans out. Callers hold the write lock.
 func (e *Engine) loadLocked(dicts [][]string, cols [][]int32, rows int) {
 	e.rel.AppendRecoded(dicts, cols, rows, true)
-	encoded := make([]core.CFD, len(e.rules))
-	sets := make([][]int, len(e.indexes))
-	for i, x := range e.indexes {
-		for r, p := range x.at {
-			encoded[p] = x.CFD(r)
-		}
-		sets[i] = x.at
-	}
-	ids := e.liveIDs()
-	e.indexes, e.roots, _ = e.layout(encoded, sets, ids, nil)
 	// context.Background: nothing cancels a load halfway.
-	_ = e.indexLive(context.Background(), ids, e.roots, e.indexes)
+	e.indexes, e.roots, _ = e.indexRules(context.Background(), e.encoded, e.liveIDs(), nil)
 }
 
 // liveIDs returns the ids of the live tuples, ascending.
@@ -525,24 +518,6 @@ func (e *Engine) liveIDs() []int32 {
 		}
 	}
 	return ids
-}
-
-// indexLive fills the empty roots, then the empty indexes, with the live
-// tuples ids lists, one pool task per root (core.Root.Build) and per index
-// (core.GroupIndex.Build); a refinement's build counts its groups from the
-// relation, so it does not wait for its root's. Each worker reuses one build
-// scratch across its tasks. Callers hold the write lock, or the read lock
-// when the roots and indexes are still private.
-func (e *Engine) indexLive(ctx context.Context, ids []int32, roots []*core.Root, indexes []*lhsIndex) error {
-	tasks := len(roots) + len(indexes)
-	scratch := make([]core.BuildScratch, min(pool.Normalize(e.workers), tasks))
-	return pool.Each(ctx, e.workers, tasks, func(w, i int) {
-		if i < len(roots) {
-			roots[i].Build(ids, &scratch[w])
-			return
-		}
-		indexes[i-len(roots)].Build(ids, &scratch[w])
-	})
 }
 
 // perRule runs read — which returns one value per rule of an index, in the
