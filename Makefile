@@ -160,7 +160,8 @@ fuzz:
 # packages (internal/core holds the engine's tuple store and group index;
 # cluster the wire documents, their encoders and the coordinator — most of
 # which only cmd/cfdserve's tests drive over real shard nodes, so its profile
-# counts both packages' tests;
+# counts both packages' tests; obs the engine and store collectors, the
+# metric registry and its Prometheus rendering;
 # internal/jsonw the JSON appenders under the bulk replies, the snapshot and the
 # WAL, and the reader under their decoders) and
 # on the mining kernels (internal/partition: counting split and refinement;
@@ -193,7 +194,8 @@ COVER_FLOORS := \
 	discovery:97.0 \
 	cluster:89.0 \
 	internal/jsonw:100.0 \
-	dataset:92.0
+	dataset:92.0 \
+	obs:93.0
 COVER_PROFILES := $(foreach e,$(COVER_FLOORS),cover_$(notdir $(firstword $(subst :, ,$(e)))).out)
 cover:
 	@for e in $(COVER_FLOORS); do \

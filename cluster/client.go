@@ -133,8 +133,10 @@ func (s *ShardClient) allow() bool {
 	return true
 }
 
-// observe records a round trip's outcome in the breaker (and telemetry).
-func (s *ShardClient) observe(failed bool) {
+// observe records one round trip begun at start: its outcome in the breaker,
+// a health change and the request itself in telemetry when an observer is
+// attached. Every attempt do makes ends here, once.
+func (s *ShardClient) observe(start time.Time, failed bool) {
 	s.mu.Lock()
 	wasHealthy := s.fails < breakerThreshold
 	if failed {
@@ -147,9 +149,13 @@ func (s *ShardClient) observe(failed bool) {
 	}
 	nowHealthy := s.fails < breakerThreshold
 	s.mu.Unlock()
-	if s.obs != nil && wasHealthy != nowHealthy {
+	if s.obs == nil {
+		return
+	}
+	if wasHealthy != nowHealthy {
 		s.obs.ObserveShardHealth(s.label, nowHealthy)
 	}
+	s.obs.ObserveShardRequest(s.label, time.Since(start).Seconds(), failed)
 }
 
 // do performs one JSON round trip. A non-2xx response is decoded into an
@@ -191,10 +197,7 @@ func (s *ShardClient) do(ctx context.Context, method, path string, query url.Val
 		start := time.Now()
 		resp, err := s.hc.Do(req)
 		if err != nil {
-			s.observe(true)
-			if s.obs != nil {
-				s.obs.ObserveShardRequest(s.label, time.Since(start).Seconds(), true)
-			}
+			s.observe(start, true)
 			lastErr = fmt.Errorf("%w: %s: %v", ErrUnavailable, s.base, err)
 			if ctx.Err() != nil {
 				return lastErr
@@ -206,18 +209,12 @@ func (s *ShardClient) do(ctx context.Context, method, path string, query url.Val
 		data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 		resp.Body.Close()
 		if err != nil {
-			s.observe(true)
-			if s.obs != nil {
-				s.obs.ObserveShardRequest(s.label, time.Since(start).Seconds(), true)
-			}
+			s.observe(start, true)
 			lastErr = fmt.Errorf("%w: %s: reading response: %v", ErrUnavailable, s.base, err)
 			continue
 		}
 		failed := resp.StatusCode >= 500
-		s.observe(failed)
-		if s.obs != nil {
-			s.obs.ObserveShardRequest(s.label, time.Since(start).Seconds(), failed)
-		}
+		s.observe(start, failed)
 		if len(data) > maxResponseBytes {
 			return fmt.Errorf("%w: %s: response longer than the %d-byte limit", ErrUnavailable, s.base, maxResponseBytes)
 		}

@@ -244,7 +244,9 @@ func SaveCSVFile(path string, rel *cfd.Relation) error {
 }
 
 // Cust returns the 8-tuple cust relation of Fig. 1 of the paper, which the
-// quickstart example and several tests use.
+// quickstart example and several tests use. Its tuples t1..t8 are
+// reconstructed so that every example of the paper (Examples 1, 3, 5, 7, 8,
+// 9) holds on it.
 func Cust() *cfd.Relation {
 	rel := cfd.MustRelation("CC", "AC", "PN", "NM", "STR", "CT", "ZIP")
 	rows := [][]string{

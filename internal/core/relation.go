@@ -147,10 +147,12 @@ func (r *Relation) Raw() (dicts [][]string, cols [][]int32) {
 
 // AppendRecoded appends the first rows rows of another relation — given in
 // raw form (see Raw) over the same attributes, under any dictionaries — with
-// every code translated into r's dictionaries. It is the one primitive that
-// moves tuples between dictionaries: a source value is interned into r the
-// first time a row carrying it is appended, scanning each column in row
-// order, through a per-attribute code→code table. That costs O(distinct
+// every code translated into r's dictionaries. It moves tuples between
+// relations (a violation engine's bulk load, snapshot restore and compact
+// copy); a snapshot compaction builds no relation and recodes its copy of the
+// live codes in place instead. A source value is interned into r the first
+// time a row carrying it is appended, scanning each column in row order,
+// through a per-attribute code→code table. That costs O(distinct
 // values) string work — none at all into an empty r, whose dictionaries
 // defer their index — followed by an integer loop per column; into an empty r
 // it yields codes in first-use order, and dictionary entries no appended row

@@ -8,36 +8,13 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/dataset"
 	"repro/internal/core"
 )
 
-// CustAttrs lists the attributes of the cust schema of Fig. 1, in order.
-var CustAttrs = []string{"CC", "AC", "PN", "NM", "STR", "CT", "ZIP"}
-
-// CustRows holds the eight tuples t1..t8 of the paper's Fig. 1 instance r0,
-// reconstructed so that every example of the paper (Examples 1, 3, 5, 7, 8, 9)
-// holds on it.
-var CustRows = [][]string{
-	{"01", "908", "1111111", "Mike", "Tree Ave.", "MH", "07974"},
-	{"01", "908", "1111111", "Rick", "Tree Ave.", "MH", "07974"},
-	{"01", "212", "2222222", "Joe", "5th Ave", "NYC", "01202"},
-	{"01", "908", "4444444", "Jim", "Elm Str.", "MH", "07974"},
-	{"44", "131", "3333333", "Ben", "High St.", "EDI", "EH4 1DT"},
-	{"44", "131", "4444444", "Ian", "High St.", "EDI", "EH4 1DT"},
-	{"44", "908", "4444444", "Ian", "Port PI", "MH", "01202"},
-	{"01", "131", "2222222", "Sean", "3rd Str.", "UN", "01202"},
-}
-
-// Cust returns the Fig. 1 cust relation (8 tuples, 7 attributes).
-func Cust() *core.Relation {
-	r := core.NewRelation(core.MustSchema(CustAttrs...))
-	for _, row := range CustRows {
-		if err := r.AppendRow(row); err != nil {
-			panic(err)
-		}
-	}
-	return r
-}
+// Cust returns the Fig. 1 cust relation (8 tuples, 7 attributes): the
+// encoded form of dataset.Cust.
+func Cust() *core.Relation { return dataset.Cust().Encoded() }
 
 // CustNoNM returns the cust relation projected onto CC, AC, PN, STR, CT, ZIP —
 // the projection used in Example 9 of the paper.

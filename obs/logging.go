@@ -8,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"strings"
-	"sync/atomic"
 )
 
 // ParseLevel maps the -log-level flag values onto slog levels.
@@ -64,15 +63,10 @@ func RequestID(ctx context.Context) string {
 	return id
 }
 
-// reqSeq backs the fallback id source when crypto/rand fails.
-var reqSeq atomic.Uint64
-
 // NewRequestID returns a fresh 16-hex-character request id.
 func NewRequestID() string {
 	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("%016x", reqSeq.Add(1))
-	}
+	_, _ = rand.Read(b[:]) // crypto/rand.Read never returns an error
 	return hex.EncodeToString(b[:])
 }
 

@@ -159,11 +159,7 @@ func (e *Engine) ApplyBatch(ops []Op) ([]int, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	obs := e.obs()
-	var obsStart time.Time
-	if obs != nil {
-		obsStart = time.Now()
-	}
+	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	resolved, ids, err := e.resolve(ops)
@@ -177,13 +173,11 @@ func (e *Engine) ApplyBatch(ops []Op) ([]int, error) {
 	}
 	e.apply(resolved)
 	e.bumpLocked()
-	if obs != nil {
-		kind := "batch"
-		if len(ops) == 1 {
-			kind = string(ops[0].Kind)
-		}
-		obs.ObserveCommit(kind, len(ops), time.Since(obsStart).Seconds())
+	kind := "batch"
+	if len(ops) == 1 {
+		kind = string(ops[0].Kind)
 	}
+	e.obs().ObserveCommit(kind, len(ops), time.Since(start).Seconds())
 	return ids, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/cfd"
 	"repro/dataset"
 	"repro/discovery"
+	"repro/obs"
 	"repro/rules"
 	"repro/violation"
 )
@@ -217,5 +218,44 @@ func TestCompactBytesPerLiveTuple(t *testing.T) {
 	}
 	if churned > 1.05*loaded || loaded > 1.05*churned {
 		t.Errorf("dead slots moved a compaction's allocation from %.1f to %.1f B per live tuple", loaded, churned)
+	}
+}
+
+// TestObserverAllocs pins that instrumentation allocates nothing: a one-op
+// insert and its delete through ApplyBatch, on an engine with a Store
+// attached, allocate as much with obs.InstrumentEngine and
+// obs.InstrumentStore attached as with no observer (46 per pair on amd64
+// with Go 1.24). The insert is pinned to one id, so the row table never grows
+// between runs.
+func TestObserverAllocs(t *testing.T) {
+	eng := custEngine(t, true, violation.Options{Workers: 1})
+	st, err := violation.OpenStore(t.TempDir(), violation.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Compact(eng); err != nil {
+		t.Fatal(err)
+	}
+	eng.AttachWAL(st)
+	at := eng.Size()
+	insert := []violation.Op{{Kind: violation.OpInsert, At: &at, Values: []string{"01", "908", "1111111", "Amy", "Tree Ave.", "NYC", "07974"}}}
+	del := []violation.Op{{Kind: violation.OpDelete, ID: at}}
+	pair := func() {
+		if _, err := eng.ApplyBatch(insert); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.ApplyBatch(del); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bare := testing.AllocsPerRun(100, pair)
+	reg := obs.NewRegistry()
+	obs.InstrumentEngine(reg, eng)
+	obs.InstrumentStore(reg, st)
+	observed := testing.AllocsPerRun(100, pair)
+	t.Logf("%.0f allocations per insert-and-delete pair unobserved, %.0f observed", bare, observed)
+	if observed != bare {
+		t.Errorf("an insert-and-delete pair allocates %.0f times observed, %.0f unobserved", observed, bare)
 	}
 }

@@ -9,8 +9,10 @@ import (
 // committed mutation, rule swap and snapshot refresh. Every callback runs
 // synchronously on the mutating (or snapshot-building) goroutine, so
 // implementations must be cheap and non-blocking — counter bumps and histogram
-// observations, not I/O. With no observer attached the engine pays a single
-// atomic load per event site and takes no timestamps at all.
+// observations, not I/O. Every event site reads the clock and reports whether
+// or not an observer is attached: with none, the events go to a no-op
+// observer, so an unobserved engine pays one atomic load and two clock reads
+// per event and allocates nothing for them.
 //
 // State that does not need an event — epoch, live tuples, rule count, delta
 // ring occupancy (DeltaStats) — is intentionally not pushed: poll the engine's
@@ -37,7 +39,7 @@ type EngineObserver interface {
 // StoreObserver is the persistence layer's instrumentation hook, attached with
 // Store.SetObserver. Like EngineObserver, callbacks run synchronously on the
 // committing goroutine and must be cheap; with no observer attached the store
-// pays one atomic load per event site.
+// times its events all the same and reports them to a no-op observer.
 type StoreObserver interface {
 	// ObserveWALAppend reports one commit attempt on the write-ahead log: the
 	// record's op weight (see walRecord cost: tuple ops, or 1 for a rule swap),
@@ -57,26 +59,43 @@ type StoreObserver interface {
 type engineObsBox struct{ o EngineObserver }
 type storeObsBox struct{ o StoreObserver }
 
-// SetObserver attaches (or, with nil, detaches) the engine's instrumentation
-// hook. Attach it after any initial BulkLoad or Store.Load so restore work is
-// not double-counted as live traffic. Safe for concurrent use, though it is
-// meant to be called once at startup.
+// noObserver receives the events of an engine or store no observer is
+// attached to, and drops them.
+type noObserver struct{}
+
+func (noObserver) ObserveCommit(string, int, float64)          {}
+func (noObserver) ObserveSwap(int, int, int, float64, float64) {}
+func (noObserver) ObserveSnapshot(bool, float64)               {}
+func (noObserver) ObserveWALAppend(int, float64, error)        {}
+func (noObserver) ObserveWALFsync(float64)                     {}
+func (noObserver) ObserveCompaction(int, float64, error)       {}
+
+// SetObserver attaches the engine's instrumentation hook; nil detaches it,
+// and the events go to a no-op observer again. Attach it after any initial
+// BulkLoad or Store.Load so restore work is not double-counted as live
+// traffic. Safe for concurrent use, though it is meant to be called once at
+// startup.
 func (e *Engine) SetObserver(o EngineObserver) { e.obsV.Store(engineObsBox{o}) }
 
-// obs returns the attached observer, or nil. One atomic load; callers on the
-// hot path must check for nil before taking timestamps.
+// obs returns the attached observer, or the no-op one when none is: one
+// atomic load, and every event site reports to what it returns.
 func (e *Engine) obs() EngineObserver {
-	b, _ := e.obsV.Load().(engineObsBox)
-	return b.o
+	if b, _ := e.obsV.Load().(engineObsBox); b.o != nil {
+		return b.o
+	}
+	return noObserver{}
 }
 
-// SetObserver attaches (or, with nil, detaches) the store's instrumentation
-// hook. Safe for concurrent use.
+// SetObserver attaches the store's instrumentation hook; nil detaches it to
+// the no-op observer. Safe for concurrent use.
 func (st *Store) SetObserver(o StoreObserver) { st.obsV.Store(storeObsBox{o}) }
 
+// obs is Engine.obs for the store.
 func (st *Store) obs() StoreObserver {
-	b, _ := st.obsV.Load().(storeObsBox)
-	return b.o
+	if b, _ := st.obsV.Load().(storeObsBox); b.o != nil {
+		return b.o
+	}
+	return noObserver{}
 }
 
 // DeltaStats describes the state of the bounded delta ring behind Changes and

@@ -482,12 +482,8 @@ func (st *Store) failLocked(err error, whole bool) error {
 // commit appends one record (its Seq is assigned here): it lands completely
 // and is acknowledged, or the store fails.
 func (st *Store) commit(rec walRecord) (err error) {
-	obs := st.obs()
-	var obsStart time.Time
-	if obs != nil {
-		obsStart = time.Now()
-		defer func() { obs.ObserveWALAppend(rec.cost(), time.Since(obsStart).Seconds(), err) }()
-	}
+	start := time.Now()
+	defer func() { st.obs().ObserveWALAppend(rec.cost(), time.Since(start).Seconds(), err) }()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.failed != nil {
@@ -505,16 +501,11 @@ func (st *Store) commit(rec walRecord) (err error) {
 		return st.failLocked(err, n == len(line))
 	}
 	if st.sync {
-		var fsyncStart time.Time
-		if obs != nil {
-			fsyncStart = time.Now()
-		}
+		fsyncStart := time.Now()
 		if err := st.fs.sync(st.wal); err != nil {
 			return st.failLocked(err, true)
 		}
-		if obs != nil {
-			obs.ObserveWALFsync(time.Since(fsyncStart).Seconds())
-		}
+		st.obs().ObserveWALFsync(time.Since(fsyncStart).Seconds())
 	}
 	st.walOff += int64(len(line))
 	st.seq++
@@ -584,10 +575,8 @@ func (st *Store) Load(opts Options) (*Engine, bool, error) {
 // the failure preceded writing it) and the whole call's duration.
 func (st *Store) Compact(e *Engine) (err error) {
 	var size int
-	if obs := st.obs(); obs != nil {
-		obsStart := time.Now()
-		defer func() { obs.ObserveCompaction(size, time.Since(obsStart).Seconds(), err) }()
-	}
+	start := time.Now()
+	defer func() { st.obs().ObserveCompaction(size, time.Since(start).Seconds(), err) }()
 	st.compactMu.Lock()
 	defer st.compactMu.Unlock()
 	if err := st.Failed(); err != nil {

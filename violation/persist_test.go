@@ -503,6 +503,35 @@ func TestStoreCorruptSnapshot(t *testing.T) {
 	}
 }
 
+// TestStoreLoadRejectsInvalidState: state that decodes but cannot be served
+// fails Load with the engine's own error — a snapshot whose schema New
+// refuses, and a logged rule swap over an attribute the schema lacks.
+func TestStoreLoadRejectsInvalidState(t *testing.T) {
+	for _, tc := range []struct{ name, snapshot, wal, want string }{
+		{"schema", `{"format":2,"wal_seq":0,"attributes":["A","A"],"ruleset":{"rules":[]},"next_id":0,"dicts":[[],[]],"columns":[[],[]]}`, "", "duplicate"},
+		{"swap", `{"format":2,"wal_seq":0,"attributes":["A","B"],"ruleset":{"rules":[]},"next_id":0,"dicts":[[],[]],"columns":[[],[]]}`,
+			`{"seq":1,"rules":{"rules":["([Z] -> B, (_ || _))"]}}` + "\n", "replaying wal.jsonl rule swap 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(tc.snapshot), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "wal.jsonl"), []byte(tc.wal), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := violation.OpenStore(dir, violation.StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if _, _, err := st.Load(violation.Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load: err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestStoreSync: the fsync'd configuration behaves identically (the test
 // cannot assert durability against power loss, but exercises the code path).
 func TestStoreSync(t *testing.T) {

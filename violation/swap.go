@@ -45,11 +45,7 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	if set == nil {
 		set = rules.Of()
 	}
-	obs := e.obs()
-	var obsStart time.Time
-	if obs != nil {
-		obsStart = time.Now()
-	}
+	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if v := e.set.Fingerprint(); len(versions) > 0 && !slices.Contains(versions, v) {
@@ -66,18 +62,12 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	// committed: they are private until the final assignment, so an error (or
 	// a cancelled context) discards them with no state change. A kept root is
 	// current already: it depends on no rule.
-	var buildStart time.Time
-	if obs != nil {
-		buildStart = time.Now()
-	}
+	buildStart := time.Now()
 	newIndexes, roots, err := e.indexRules(ctx, encoded, e.liveIDs(), e.roots)
 	if err != nil {
 		return rules.Delta{}, err
 	}
-	var build float64
-	if obs != nil {
-		build = time.Since(buildStart).Seconds()
-	}
+	build := time.Since(buildStart).Seconds()
 	// Journal the swap before applying it, like every other mutation.
 	if e.wal != nil {
 		if err := e.wal.AppendRules(set); err != nil {
@@ -112,9 +102,7 @@ func (e *Engine) SwapRulesIf(ctx context.Context, set *rules.Set, versions []str
 	e.indexes = newIndexes
 	e.roots = roots
 	e.bumpLocked()
-	if obs != nil {
-		obs.ObserveSwap(len(delta.Added), len(delta.Removed), len(delta.Retained), build, time.Since(obsStart).Seconds())
-	}
+	e.obs().ObserveSwap(len(delta.Added), len(delta.Removed), len(delta.Retained), build, time.Since(start).Seconds())
 	return delta, nil
 }
 

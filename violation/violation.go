@@ -33,11 +33,12 @@
 // The tuples live in a single internal/core.Relation — the columnar,
 // dictionary-encoded relation type the discovery algorithms read — with the
 // tuple id as the slot and a hole wherever an id was deleted or skipped by a
-// pinned insert. Tuples cross dictionaries only through that type's one
-// recode primitive (core.Relation.AppendRecoded): BulkLoad and snapshot
-// restore recode into the engine's relation, snapshot capture recodes it
-// into the canonical first-use form format 2 stores, and Relation recodes it
-// into the compact hole-free copy handed to miners and exports. A relation
+// pinned insert. BulkLoad and snapshot restore recode tuples into the
+// engine's relation, and Relation recodes it into the compact hole-free copy
+// handed to miners and exports, both through core.Relation.AppendRecoded. A
+// compaction builds no second relation: it copies the live tuples' codes and
+// recodes that copy in place, through its own code→code table, into the
+// canonical first-use form format 2 stores (see Store.Compact). A relation
 // with holes never leaves the engine. It is also the indexes' only row
 // store: a group member is a tuple id, its codes read from the relation.
 //
@@ -472,11 +473,7 @@ func (e *Engine) Update(id int, values ...string) error {
 // are not written to an attached CommitLog; compact a snapshot afterwards
 // (Store.Compact) if the load must be durable.
 func (e *Engine) BulkLoad(rel *cfd.Relation) error {
-	obs := e.obs()
-	var obsStart time.Time
-	if obs != nil {
-		obsStart = time.Now()
-	}
+	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	attrs := rel.Attributes()
@@ -490,9 +487,7 @@ func (e *Engine) BulkLoad(rel *cfd.Relation) error {
 	}
 	dicts, cols := rel.Encoded().Raw()
 	e.loadLocked(dicts, cols, rel.Size())
-	if obs != nil {
-		obs.ObserveCommit("bulkload", rel.Size(), time.Since(obsStart).Seconds())
-	}
+	e.obs().ObserveCommit("bulkload", rel.Size(), time.Since(start).Seconds())
 	e.commitBulkLocked(e.epoch.Load() + 1)
 	return nil
 }
@@ -672,11 +667,7 @@ func (e *Engine) snapshot() *Report {
 			e.mu.RUnlock()
 			return old
 		}
-		obs := e.obs()
-		var obsStart time.Time
-		if obs != nil {
-			obsStart = time.Now()
-		}
+		start := time.Now()
 		if d, err := e.changesLocked(old.Epoch); err == nil {
 			// Ring deltas and reports are immutable once published, so the
 			// patch itself can run outside the lock.
@@ -684,9 +675,7 @@ func (e *Engine) snapshot() *Report {
 			rep := d.Apply(old, ruleTable)
 			// A bulk commit meanwhile published a newer report: keep it.
 			e.snap.CompareAndSwap(old, rep)
-			if obs != nil {
-				obs.ObserveSnapshot(true, time.Since(obsStart).Seconds())
-			}
+			e.obs().ObserveSnapshot(true, time.Since(start).Seconds())
 			return rep
 		}
 	}
@@ -703,11 +692,7 @@ func (e *Engine) snapshot() *Report {
 // the walk first and holds the write lock; a read holds the read lock. The
 // observer sees the build as a snapshot rebuild.
 func (e *Engine) buildReport(epoch uint64, recount bool) *Report {
-	obs := e.obs()
-	var obsStart time.Time
-	if obs != nil {
-		obsStart = time.Now()
-	}
+	start := time.Now()
 	rep := &Report{Epoch: epoch, RulesChecked: len(e.rules)}
 	for i, tuples := range e.violating(e.indexes, len(e.rules), nil) {
 		if len(tuples) > 0 {
@@ -730,9 +715,7 @@ func (e *Engine) buildReport(epoch uint64, recount bool) *Report {
 			rep.DirtyTuples = append(rep.DirtyTuples, t)
 		}
 	}
-	if obs != nil {
-		obs.ObserveSnapshot(false, time.Since(obsStart).Seconds())
-	}
+	e.obs().ObserveSnapshot(false, time.Since(start).Seconds())
 	return rep
 }
 
