@@ -167,15 +167,23 @@ func New(eng Engine, pol Policy, remine func(ctx context.Context, tr Trigger) er
 
 // rebaseLocked re-seeds the baseline from the engine's current state. Called
 // at construction, after a successful remine, and when an external swap is
-// detected.
+// detected. The stats and the version come from two engine reads, so the
+// version is read on both sides of the stats, and the stats again until it
+// holds still: a swap landing between the reads must not stamp the old
+// rules' baseline with the new version, which would leave the new rules
+// unwatched until the next swap.
 func (m *Monitor) rebaseLocked() {
+	version := m.eng.RulesVersion()
 	stats := m.eng.RuleStats()
+	for v := m.eng.RulesVersion(); v != version; v = m.eng.RulesVersion() {
+		version, stats = v, m.eng.RuleStats()
+	}
 	base := make(map[string]baselineStat, len(stats))
 	for _, s := range stats {
 		base[s.Rule.String()] = baselineStat{support: s.Support, confidence: s.Confidence}
 	}
 	m.baseline = base
-	m.baseVersion = m.eng.RulesVersion()
+	m.baseVersion = version
 	m.baseEpoch = m.eng.Epoch()
 }
 
@@ -204,8 +212,9 @@ func (m *Monitor) checkLocked() *Trigger {
 		key := s.Rule.String()
 		b, ok := m.baseline[key]
 		if !ok {
-			// Unreachable while baseline and stats come from the same
-			// version, but a fresh rule counts as adopted-now, not drifted.
+			// A rule a swap brought in after the version check above: it
+			// counts as adopted-now, not drifted, and the next Check sees
+			// the new version and rebases.
 			continue
 		}
 		if m.pol.MinSupport > 0 && s.Support < m.pol.MinSupport && b.support < m.pol.MinSupport {

@@ -189,6 +189,38 @@ func TestExternalSwapRebases(t *testing.T) {
 	}
 }
 
+// swapAfterStats is a fakeEngine on which a rule swap lands right after the
+// next RuleStats read: that read returns the old rules' stats, every later
+// one the new rules' and version.
+type swapAfterStats struct {
+	*fakeEngine
+	swap func()
+}
+
+func (s *swapAfterStats) RuleStats() []violation.RuleStat {
+	stats := s.fakeEngine.RuleStats()
+	if s.swap != nil {
+		s.swap()
+		s.swap = nil
+	}
+	return stats
+}
+
+func TestSwapDuringRebaseKeepsWatching(t *testing.T) {
+	fake := newFakeEngine([]violation.RuleStat{stat("B", 10, 0)}, "v1")
+	eng := &swapAfterStats{fakeEngine: fake}
+	eng.swap = func() { fake.set([]violation.RuleStat{stat("C", 100, 0)}, "v2") }
+	m := New(eng, Policy{MaxSupportDrift: 0.5}, nil)
+	if st := m.Status(); st.BaselineVersion != "v2" {
+		t.Fatalf("baseline version = %q after a swap during the rebase", st.BaselineVersion)
+	}
+	// The baseline must hold the swapped-in rule, so its drift fires.
+	fake.set([]violation.RuleStat{stat("C", 1000, 0)}, "")
+	if tr := m.Check(); tr == nil || tr.Reason != ReasonDrift || tr.Rule != rule("C").String() {
+		t.Fatalf("rule C drifted from 100 to 1000: trigger = %+v, want drift on C", tr)
+	}
+}
+
 func TestFireErrorKeepsTriggerArmed(t *testing.T) {
 	eng := newFakeEngine([]violation.RuleStat{stat("B", 10, 0)}, "v1")
 	boom := errors.New("miner exploded")

@@ -3,7 +3,6 @@ package violation
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/jsonw"
@@ -284,27 +283,23 @@ func (e *Engine) resolve(ops []Op) ([]resolvedOp, []int, error) {
 // as of before the op.
 // The work must run to completion to keep the state consistent, so it is not
 // cancellable. Each index reports the violating-set memberships it flips,
-// rule by rule (the observe hook of core.GroupIndex); the per-rule flips,
-// folded so that a tuple leaving and re-entering within the batch cancels,
-// become the commit's Delta. Callers must hold the write lock.
+// rule by rule (the observe hook of core.GroupIndex), into that rule's edits;
+// their nets, in which a tuple leaving and re-entering within the batch
+// cancels as it does across a span of commits, become the commit's Delta.
+// Callers must hold the write lock.
 func (e *Engine) apply(resolved []resolvedOp) {
-	changes := make([]map[int]int8, len(e.rules))
-	var x *lhsIndex // the index being maintained
+	flips := make([]*edits, len(e.rules)) // by rule position, on first flip
+	var x *lhsIndex                       // the index being maintained
 	observe := func(r, id int, violating bool) {
-		m := changes[x.at[r]]
-		if m == nil {
-			m = make(map[int]int8)
-			changes[x.at[r]] = m
+		f := flips[x.at[r]]
+		if f == nil {
+			f = &edits{}
+			flips[x.at[r]] = f
 		}
-		sign := int8(-1)
 		if violating {
-			sign = 1
-		}
-		// Memberships alternate, so an opposite pending flip cancels.
-		if m[id] == -sign {
-			delete(m, id)
+			f.in = append(f.in, id)
 		} else {
-			m[id] = sign
+			f.out = append(f.out, id)
 		}
 	}
 	for _, r := range resolved {
@@ -331,34 +326,11 @@ func (e *Engine) apply(resolved []resolvedOp) {
 			root.Insert(r.id)
 		}
 	}
-	added, removed := e.foldChanges(changes)
-	e.recordDelta(added, removed, nil)
-}
-
-// foldChanges turns per-rule-position membership flips into the per-rule
-// Added/Removed entries of a Delta, in rule order. Callers must hold the
-// write lock.
-func (e *Engine) foldChanges(changes []map[int]int8) (added, removed []Violation) {
-	for i, m := range changes {
-		if len(m) == 0 {
-			continue
-		}
-		var add, rem []int
-		for id, sign := range m {
-			if sign > 0 {
-				add = append(add, id)
-			} else {
-				rem = append(rem, id)
-			}
-		}
-		sort.Ints(add)
-		sort.Ints(rem)
-		if len(add) > 0 {
-			added = append(added, Violation{Rule: e.rules[i], Tuples: add})
-		}
-		if len(rem) > 0 {
-			removed = append(removed, Violation{Rule: e.rules[i], Tuples: rem})
+	var added, removed []Violation
+	for i, f := range flips {
+		if f != nil {
+			added, removed = f.appendNet(e.rules[i], added, removed)
 		}
 	}
-	return added, removed
+	e.recordDelta(added, removed, nil)
 }

@@ -430,6 +430,28 @@ func churnEngine(b testing.TB, opts violation.Options) (eng *violation.Engine, s
 	return eng, set, inserts
 }
 
+// churnRound applies churnEngine's insert batches, then one batch deleting
+// each batch's tuples again: the batch half of a serve-ingest round.
+func churnRound(tb testing.TB, eng *violation.Engine, inserts [][]violation.Op) {
+	deletes := make([][]violation.Op, 0, len(inserts))
+	for _, ops := range inserts {
+		ids, err := eng.ApplyBatch(ops)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		del := make([]violation.Op, len(ids))
+		for j, id := range ids {
+			del[j] = violation.Op{Kind: violation.OpDelete, ID: id}
+		}
+		deletes = append(deletes, del)
+	}
+	for _, ops := range deletes {
+		if _, err := eng.ApplyBatch(ops); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkApplyBatchChurn times the batch path on churnEngine: per
 // iteration 60 batches of 256 inserts and 60 batches deleting those tuples
 // again. ms/batch is the wall time per batch.
@@ -437,23 +459,7 @@ func BenchmarkApplyBatchChurn(b *testing.B) {
 	eng, _, inserts := churnEngine(b, violation.Options{})
 	b.ResetTimer()
 	for range b.N {
-		deletes := make([][]violation.Op, 0, len(inserts))
-		for _, ops := range inserts {
-			ids, err := eng.ApplyBatch(ops)
-			if err != nil {
-				b.Fatal(err)
-			}
-			del := make([]violation.Op, len(ids))
-			for j, id := range ids {
-				del[j] = violation.Op{Kind: violation.OpDelete, ID: id}
-			}
-			deletes = append(deletes, del)
-		}
-		for _, ops := range deletes {
-			if _, err := eng.ApplyBatch(ops); err != nil {
-				b.Fatal(err)
-			}
-		}
+		churnRound(b, eng, inserts)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*2*len(inserts)), "ms/batch")
 }

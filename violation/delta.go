@@ -180,29 +180,30 @@ func below(s []int, x int) int {
 	return lo + sort.SearchInts(s[lo:min(hi, len(s))], x)
 }
 
-// edits gathers a span's edits to one set, commit by commit: the sorted
-// lists of ids that entered it and of ids that left it.
+// edits gathers the edits to one set, in any order: every id that entered
+// it and every id that left it, as often as it did. A commit's index flips
+// and a span's per-commit deltas both fold through it. The lists are its own
+// (record copies what it is given), so net sorts them in place and never
+// touches a published delta's.
 type edits struct {
-	add, rem [][]int
+	in, out []int
 }
 
-func (e *edits) record(add, rem []int) {
-	if len(add) > 0 {
-		e.add = append(e.add, add)
-	}
-	if len(rem) > 0 {
-		e.rem = append(e.rem, rem)
-	}
+func (e *edits) record(in, out []int) {
+	e.in = append(e.in, in...)
+	e.out = append(e.out, out...)
 }
 
-// net folds the span's edits into its net edit, sorted. A membership
-// strictly alternates between entering and leaving, so an id that entered
-// more often than it left is a net entry, one that left more often a net
-// leave, and any other id ends where it began. Each side is gathered and
-// sorted once, so the fold costs O(n log n) in the ids the span lists, however
-// many commits they come in.
+// net folds the edits into the net edit, sorted. A membership strictly
+// alternates between entering and leaving, so an id that entered more often
+// than it left is a net entry, one that left more often a net leave, and any
+// other id ends where it began. Each side is sorted once, in place, so the
+// fold costs O(n log n) in the ids recorded, however many commits or flips
+// they come in.
 func (e *edits) net() (add, rem []int) {
-	a, r := gather(e.add), gather(e.rem)
+	a, r := e.in, e.out
+	slices.Sort(a)
+	slices.Sort(r)
 	if len(a) == 0 || len(r) == 0 {
 		return a, r // nothing to cancel
 	}
@@ -223,23 +224,26 @@ func (e *edits) net() (add, rem []int) {
 	return append(add, a...), append(rem, r...)
 }
 
-// gather returns the ids of the sorted lists ls as one sorted list: the list
-// itself when there is only one.
-func gather(ls [][]int) []int {
-	if len(ls) == 1 {
-		return ls[0]
+// appendNet appends the net edit to the rule's Added and Removed entries,
+// one entry per side that is not empty.
+func (e *edits) appendNet(rule cfd.CFD, added, removed []Violation) ([]Violation, []Violation) {
+	add, rem := e.net()
+	if len(add) > 0 {
+		added = append(added, Violation{Rule: rule, Tuples: add})
 	}
-	s := slices.Concat(ls...)
-	slices.Sort(s)
-	return s
+	if len(rem) > 0 {
+		removed = append(removed, Violation{Rule: rule, Tuples: rem})
+	}
+	return added, removed
 }
 
 // mergeDeltas folds consecutive per-epoch deltas (oldest first) into one
 // delta at the head epoch; table is the rule table at the head. Because a
 // (rule, tuple) membership — and a tuple's dirty membership — strictly
 // alternates between entering and leaving across commits, opposite edits
-// cancel exactly and the fold is the symmetric difference between the two
-// end states. Rules are listed in the order the span first names them.
+// cancel exactly and the fold (edits.net) is the symmetric difference between
+// the two end states. Rules are listed in the order the span first names
+// them.
 func mergeDeltas(ds []*Delta, epoch uint64, table []cfd.CFD) *Delta {
 	if len(ds) == 1 {
 		return ds[0]
@@ -278,14 +282,7 @@ func mergeDeltas(ds []*Delta, epoch uint64, table []cfd.CFD) *Delta {
 		}
 	}
 	for _, i := range order {
-		f := folds[i]
-		add, rem := f.net()
-		if len(add) > 0 {
-			out.Added = append(out.Added, Violation{Rule: f.rule, Tuples: add})
-		}
-		if len(rem) > 0 {
-			out.Removed = append(out.Removed, Violation{Rule: f.rule, Tuples: rem})
-		}
+		out.Added, out.Removed = folds[i].appendNet(folds[i].rule, out.Added, out.Removed)
 	}
 	out.DirtyAdded, out.DirtyRemoved = dirty.net()
 	return out

@@ -106,6 +106,25 @@ func TestIngestIndexBytesPerTuple(t *testing.T) {
 	}
 }
 
+// applyBatchAllocsBound is the 64,647 allocations measured on amd64 with Go
+// 1.24 (64,709 under the race detector) for one round of churnEngine's batches,
+// plus 5 %. Netting each batch's index flips through one map of signs per
+// rule took 82,485.
+const applyBatchAllocsBound = 67945
+
+// TestApplyBatchAllocs bounds the allocations of the write path
+// (BenchmarkApplyBatchChurn's iteration, on one worker): 60 batches of 256
+// inserts and the 60 batches deleting those tuples again, a count that does
+// not drift with the machine's load the way the benchmark's time does.
+func TestApplyBatchAllocs(t *testing.T) {
+	eng, _, inserts := churnEngine(t, violation.Options{Workers: 1})
+	allocs := testing.AllocsPerRun(3, func() { churnRound(t, eng, inserts) })
+	t.Logf("%.0f allocations per churn round", allocs)
+	if allocs > applyBatchAllocsBound {
+		t.Errorf("%.0f allocations per churn round, want at most %d", allocs, applyBatchAllocsBound)
+	}
+}
+
 // swapRebuildAllocsBound is the 1,914 allocations measured on amd64 with Go
 // 1.24 under the race detector (1,882 without) for one swap of churnEngine to
 // the empty rule set and one back, plus 5 %. Filling the fresh indexes by one
@@ -224,7 +243,7 @@ func TestCompactBytesPerLiveTuple(t *testing.T) {
 // TestObserverAllocs pins that instrumentation allocates nothing: a one-op
 // insert and its delete through ApplyBatch, on an engine with a Store
 // attached, allocate as much with obs.InstrumentEngine and
-// obs.InstrumentStore attached as with no observer (46 per pair on amd64
+// obs.InstrumentStore attached as with no observer (38 per pair on amd64
 // with Go 1.24). The insert is pinned to one id, so the row table never grows
 // between runs.
 func TestObserverAllocs(t *testing.T) {
